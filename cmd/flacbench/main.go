@@ -1,57 +1,8 @@
 // Command flacbench regenerates every table and figure of the FlacOS
-// paper's evaluation, plus the ablations behind its design claims.
-//
-// Usage:
-//
-//	flacbench -experiment all          # everything, paper-scale
-//	flacbench -experiment fig4         # Redis latency, IPC vs TCP
-//	flacbench -experiment container    # §4.2 container startup
-//	flacbench -experiment sync         # ablation A: sync methods
-//	flacbench -experiment pagecache    # ablation B: shared page cache
-//	flacbench -experiment faultbox     # ablation C: fault box recovery
-//	flacbench -experiment ipc          # ablation D: transports
-//	flacbench -experiment dedup        # ablation E: page dedup
-//	flacbench -experiment density      # ablation F: density-aware routing
-//	flacbench -experiment sched        # ablation G: coordinated scheduling
-//	flacbench -experiment redisrack    # rack-shared Redis: 1 vs N serving nodes
-//	flacbench -experiment redisscale   # open-loop scaling to 16 nodes + hot-key combining
-//	flacbench -experiment tiering      # hotness-tiered placement daemon vs static tiers
-//	flacbench -experiment trace        # flight-recorder overhead budget
-//	flacbench -experiment membership   # failure detection vs per-subsystem recovery
-//	flacbench -experiment health       # gray-failure drain vs liveness-only baseline
-//	flacbench -experiment fabric       # fabric per-op costs + ranged fast-path gates
-//	flacbench -experiment torture      # seeded rack-wide fault-sweep matrix
-//	flacbench -experiment torture -seed 42            # replay one failing seed
-//	flacbench -experiment torture -torture-break ring-invalidate  # checker self-test
-//	flacbench -list                    # list experiments, one per line
-//	flacbench -quick                   # smaller workloads, same shapes
-//
-// The torture matrix exits nonzero if any sweep fails and writes the
-// failing reports (seed + event trace) to torture-failures.txt for CI
-// artifact upload. With -torture-break it inverts: the run must FAIL
-// (the deliberately broken path must be caught) or flacbench exits 1.
-//
-// The redisrack experiment also exits nonzero on a stale, torn or
-// backwards cross-node read, or a multi-node speedup under its gate.
-// The redisscale experiment exits nonzero on any integrity violation,
-// when hot-key combining misses its speedup gate at the gated node
-// count, or when achieved throughput fails to track offered load below
-// saturation.
-// The tiering experiment exits nonzero on a stale, torn or lost record,
-// a daemon/static speedup under its gate, a daemon that never moved a
-// page, or achieved throughput failing to track offered load below
-// saturation.
-// The membership experiment exits nonzero on a zombie write leaking
-// through a generation fence, a detection/recovery timeout, a lost or
-// double-completed task, or membership recovery failing to beat the
-// lease-expiry baseline.
-// The health experiment exits nonzero when the anomaly-driven drain or
-// rejoin never completes, a zombie write leaks through the early
-// (pre-death) or post-crash generation fence, the liveness-only
-// baseline declares the gray (alive, slow) node dead, exactly-once
-// breaks, or proactive draining misses its tail-improvement gate.
-// With -bench-json, experiments that publish machine-readable headline
-// numbers write them to BENCH_<name>.json for cross-PR tracking.
+// paper's evaluation, plus the ablations behind its design claims. It is
+// a loop over experiments.Table: `flacbench -h` prints the experiments
+// that table holds, and an experiment that misses one of its acceptance
+// gates makes flacbench exit 1.
 package main
 
 import (
@@ -59,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"flacos/internal/experiments"
@@ -66,234 +18,89 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run (fig4|container|sync|pagecache|faultbox|ipc|dedup|density|sched|redisrack|redisscale|tiering|trace|membership|health|fabric|torture|all)")
+	exp := flag.String("experiment", "all", "which experiment to run: a name printed by -list, or all")
 	quick := flag.Bool("quick", false, "run reduced workloads (CI-sized, same shapes)")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	seed := flag.Int64("seed", 0, "torture: replay a single seed instead of the sweep")
-	tortureBreak := flag.String("torture-break", "", "torture: enable a deliberately broken sync path (ring-invalidate|shootdown|drain-fence); the run must then be caught as FAIL")
-	tortureWorkload := flag.String("torture-workload", "", "torture: restrict the matrix to one workload (ds|sched|fs|memsys|redisrack|membership|health)")
+	list := flag.Bool("list", false, "list available experiments, one per line, and exit")
 	benchJSON := flag.Bool("bench-json", false, "write each experiment's machine-readable headline to BENCH_<name>.json")
+	var tf experiments.TortureFlags
+	flag.Int64Var(&tf.Seed, "seed", 0, "torture: replay a single seed instead of the sweep")
+	flag.StringVar(&tf.Break, "torture-break", "", "torture: enable a deliberately broken sync path ("+
+		strings.Join(torture.Breaks(), "|")+"); the run must then be caught as FAIL or flacbench exits 1")
+	flag.StringVar(&tf.Workload, "torture-workload", "", "torture: restrict the matrix to one workload ("+
+		strings.Join(torture.WorkloadNames(), "|")+")")
+	flag.Usage = usage
 	flag.Parse()
 
-	runners := map[string]func(quick bool) *experiments.Result{
-		"fig4": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultFig4()
-			if q {
-				cfg.Requests = 300
-			}
-			return experiments.Fig4(cfg)
-		},
-		"container": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultContainer()
-			if q {
-				cfg.ImageBytes = 64 << 20
-				cfg.RegistryBytesPerNS = 0.045 / 8
-			}
-			return experiments.Container(cfg)
-		},
-		"sync": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultSync()
-			if q {
-				cfg.Ops = 800
-			}
-			return experiments.SyncAblation(cfg)
-		},
-		"pagecache": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultPageCache()
-			if q {
-				cfg.Files, cfg.PagesPer = 4, 16
-			}
-			return experiments.PageCacheAblation(cfg)
-		},
-		"faultbox": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultFaultBox()
-			if q {
-				cfg.AppCounts = []int{2, 8}
-			}
-			return experiments.FaultBoxAblation(cfg)
-		},
-		"ipc": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultIPC()
-			if q {
-				cfg.Rounds = 300
-			}
-			return experiments.IPCAblation(cfg)
-		},
-		"dedup": func(q bool) *experiments.Result {
-			return experiments.DedupAblation(experiments.DefaultDedup())
-		},
-		"density": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultDensity()
-			if q {
-				cfg.Invokes = 100
-			}
-			return experiments.DensityAblation(cfg)
-		},
-		"sched": func(q bool) *experiments.Result {
-			cfg := experiments.DefaultSched()
-			if q {
-				cfg.Tasks = 120
-				cfg.CrashTasks = 24
-			}
-			return experiments.SchedAblation(cfg)
-		},
-	}
-	order := []string{"fig4", "container", "sync", "pagecache", "faultbox", "ipc", "dedup", "density", "sched", "redisrack", "redisscale", "tiering", "trace", "membership", "health", "fabric", "torture"}
-
 	if *list {
-		for _, name := range order {
-			fmt.Println(name)
+		for _, e := range experiments.Table {
+			fmt.Println(e.Name)
 		}
 		return
 	}
-
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else if _, ok := runners[*exp]; ok || *exp == "torture" || *exp == "trace" || *exp == "redisrack" || *exp == "redisscale" || *exp == "tiering" || *exp == "membership" || *exp == "health" || *exp == "fabric" {
-		selected = []string{*exp}
-	} else {
+	if err := tf.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "flacbench: %v\n", err)
+		os.Exit(2)
+	}
+	var selected []experiments.Experiment
+	for _, e := range experiments.Table {
+		if *exp == "all" || *exp == e.Name {
+			if e.Name == "torture" {
+				e.Run = func(q bool) *experiments.Result { return experiments.Torture(q, tf) }
+			}
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "flacbench: unknown experiment %q\n", *exp)
-		flag.Usage()
+		usage()
 		os.Exit(2)
 	}
 
 	exitCode := 0
-	for _, name := range selected {
+	for _, e := range selected {
 		start := time.Now()
-		var res *experiments.Result
-		if name == "torture" {
-			var failed bool
-			res, failed = runTorture(*quick, *seed, *tortureBreak, *tortureWorkload)
-			if failed {
-				exitCode = 1
-			}
-		} else if name == "redisrack" {
-			cfg := experiments.DefaultRedisRack()
-			if *quick {
-				cfg.Batches = 80
-				cfg.LatencyOps = 60
-			}
-			var failed bool
-			res, failed = experiments.RedisRack(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: redisrack observed a stale/torn/backwards read or missed its multi-node speedup gate")
-				exitCode = 1
-			}
-		} else if name == "redisscale" {
-			cfg := experiments.DefaultRedisScale()
-			if *quick {
-				cfg.NodeCounts = []int{1, 2, 4}
-				cfg.CombineNodes = 4
-				cfg.Rounds = 10
-				cfg.OpsPerRound = 32
-				// At 4 nodes and a tenth of the ops, fixed sweep costs
-				// amortize over far less fan-in; the smoke bar proves
-				// combining still wins, the full run enforces 1.5x.
-				cfg.CombineGate = 1.1
-			}
-			var failed bool
-			res, failed = experiments.RedisScale(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: redisscale observed an integrity violation, missed the combining speedup gate, or failed to track offered load below saturation")
-				exitCode = 1
-			}
-		} else if name == "tiering" {
-			cfg := experiments.DefaultTiering()
-			if *quick {
-				// A sixty-fourth of the span and a twenty-fifth of the ops:
-				// the same Zipf shape, but fixed per-move costs amortize over
-				// far fewer accesses, so the smoke bar proves the daemon
-				// still wins while the full run enforces 1.3x.
-				cfg.SpanPages = 1 << 14
-				cfg.Ops = 120_000
-				cfg.Rounds = 12
-				cfg.LocalPagesPerNode = 1024
-				cfg.Gate = 1.15
-			}
-			var failed bool
-			res, failed = experiments.Tiering(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: tiering observed a stale/torn/lost record, missed its daemon/static speedup gate, never moved a page, or failed to track offered load below saturation")
-				exitCode = 1
-			}
-		} else if name == "membership" {
-			cfg := experiments.DefaultMembership()
-			if *quick {
-				cfg.Rounds = 3
-				cfg.TasksPerRound = 40
-			}
-			var failed bool
-			res, failed = experiments.Membership(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: membership experiment leaked a zombie write, timed out detecting/recovering, lost exactly-once, or did not beat the lease-expiry baseline")
-				exitCode = 1
-			}
-		} else if name == "health" {
-			cfg := experiments.DefaultHealth()
-			if *quick {
-				// A third of the tasks per ramp level; the ramp itself (and
-				// with it the accounting-derived bench headline) is identical
-				// to the full run, so BENCH_health.json never drifts with -quick.
-				cfg.TasksPerLevel = 80
-			}
-			var failed bool
-			res, failed = experiments.Health(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: health experiment failed its drain/rejoin, leaked a zombie write through a fence, false-killed the gray baseline node, broke exactly-once, or missed its tail gate")
-				exitCode = 1
-			}
-		} else if name == "fabric" {
-			cfg := experiments.DefaultFabric()
-			if *quick {
-				// Shorter wall loops and no hooked-miss gate: the virtual
-				// cost rows (and with them BENCH_fabric.json) come from
-				// single deterministic charges, so the artifact is byte-
-				// identical to the full run's.
-				cfg.HitReps, cfg.MissReps, cfg.AtomicReps = 40_000, 10_000, 20_000
-				cfg.RangedReps = 1_000
-				cfg.GateHookDispatch = false
-			}
-			var failed bool
-			res, failed = experiments.Fabric(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: fabric experiment missed its ranged speedup gate, diverged from the per-line virtual cost model, or hook dispatch cost nothing over the no-hook fence path")
-				exitCode = 1
-			}
-		} else if name == "trace" {
-			cfg := experiments.DefaultTrace()
-			if *quick {
-				cfg.EmitEvents = 20_000
-				cfg.Tasks = 150
-				cfg.FSOps = 80
-			}
-			var failed bool
-			res, failed = experiments.Trace(cfg)
-			if failed {
-				fmt.Fprintln(os.Stderr, "flacbench: trace experiment exceeded its overhead budget or dropped events")
-				exitCode = 1
-			}
-		} else {
-			res = runners[name](*quick)
-		}
+		res := e.Run(*quick)
 		fmt.Println(res.String())
+		for _, f := range res.Failures {
+			fmt.Fprintf(os.Stderr, "flacbench: %s failed its gate: %s\n", e.Name, f)
+			exitCode = 1
+		}
+		for _, a := range res.Artifacts {
+			if err := os.WriteFile(a.Name, a.Data, 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "flacbench: could not write %s: %v\n", a.Name, err)
+				exitCode = 1
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "flacbench: %s artifact written to %s\n", e.Name, a.Name)
+		}
 		if *benchJSON {
 			if res.Bench == nil {
 				// An explicitly requested artifact that doesn't exist is an
 				// error, not a silent pass; under -experiment all only the
 				// experiments that publish headlines write files.
 				if *exp != "all" {
-					fmt.Fprintf(os.Stderr, "flacbench: -bench-json: %s publishes no bench headline\n", name)
+					fmt.Fprintf(os.Stderr, "flacbench: -bench-json: %s publishes no bench headline\n", e.Name)
 					exitCode = 1
 				}
 			} else if err := writeBenchJSON(res.Bench); err != nil {
-				fmt.Fprintf(os.Stderr, "flacbench: could not write bench JSON for %s: %v\n", name, err)
+				fmt.Fprintf(os.Stderr, "flacbench: could not write bench JSON for %s: %v\n", e.Name, err)
 				exitCode = 1
 			}
 		}
-		fmt.Printf("(%s completed in %.1fs wall time)\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("(%s completed in %.1fs wall time)\n\n", e.Name, time.Since(start).Seconds())
 	}
 	os.Exit(exitCode)
+}
+
+// usage prints the experiment table and the flags.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintf(w, "Usage: flacbench [flags]\n\nExperiments (-experiment NAME, default all):\n")
+	for _, e := range experiments.Table {
+		fmt.Fprintf(w, "  %-11s %s\n", e.Name, e.Doc)
+	}
+	fmt.Fprintf(w, "\nFlags:\n")
+	flag.PrintDefaults()
 }
 
 // writeBenchJSON dumps one experiment's headline numbers to
@@ -313,83 +120,4 @@ func writeBenchJSON(b *experiments.Bench) error {
 	}
 	fmt.Fprintf(os.Stderr, "flacbench: bench headline written to %s\n", path)
 	return nil
-}
-
-// runTorture executes the torture matrix with the CLI's replay/break
-// overrides and handles its pass/fail contract: normally any failing
-// sweep makes flacbench exit nonzero and lands in torture-failures.txt;
-// under -torture-break the matrix MUST fail (the planted bug must be
-// caught), so a clean run is the error.
-func runTorture(quick bool, seed int64, brk, workload string) (*experiments.Result, bool) {
-	cfg := experiments.DefaultTorture()
-	if quick {
-		cfg.Seeds = []int64{1, 7}
-		cfg.OpsPerClient = 120
-		cfg.Events = 4
-	}
-	if seed != 0 {
-		cfg.Seeds = []int64{seed}
-	}
-	cfg.Break = brk
-	if workload != "" {
-		cfg.Workloads = []string{workload}
-	}
-	res, failures := experiments.Torture(cfg)
-
-	if brk != "" {
-		if len(failures) == 0 {
-			fmt.Fprintf(os.Stderr, "flacbench: broken path %q was NOT caught by any sweep\n", brk)
-			return res, true
-		}
-		fmt.Printf("broken path %q caught by %d sweep(s), as required\n", brk, len(failures))
-		// Still dump the flight-recorder extracts: a planted-bug run is a
-		// cheap way to eyeball what the recorder captures around a failure.
-		writeTraceArtifacts(failures)
-		return res, false
-	}
-	if len(failures) > 0 {
-		f, err := os.Create("torture-failures.txt")
-		if err == nil {
-			for _, rep := range failures {
-				fmt.Fprintln(f, rep.String())
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "flacbench: %d torture sweep(s) failed; reports written to torture-failures.txt\n", len(failures))
-		} else {
-			fmt.Fprintf(os.Stderr, "flacbench: %d torture sweep(s) failed (could not write report file: %v)\n", len(failures), err)
-		}
-		writeTraceArtifacts(failures)
-		for _, rep := range failures {
-			fmt.Fprint(os.Stderr, rep.String())
-		}
-		return res, true
-	}
-	return res, false
-}
-
-// writeTraceArtifacts dumps each failing sweep's merged flight-recorder
-// extract next to torture-failures.txt: the human timeline as
-// torture-trace-<workload>-seed<N>.txt and the Chrome trace_event JSON
-// (chrome://tracing, ui.perfetto.dev) as the matching .json.
-func writeTraceArtifacts(failures []*torture.Report) {
-	for _, rep := range failures {
-		if rep.TraceTimeline == "" && rep.TraceJSON == nil {
-			continue
-		}
-		base := fmt.Sprintf("torture-trace-%s-seed%d", rep.Workload, rep.Seed)
-		if rep.TraceTimeline != "" {
-			if err := os.WriteFile(base+".txt", []byte(rep.TraceTimeline), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "flacbench: could not write %s.txt: %v\n", base, err)
-				continue
-			}
-		}
-		if rep.TraceJSON != nil {
-			if err := os.WriteFile(base+".json", rep.TraceJSON, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "flacbench: could not write %s.json: %v\n", base, err)
-				continue
-			}
-		}
-		fmt.Fprintf(os.Stderr, "flacbench: rack trace for %s seed %d written to %s.{txt,json}\n",
-			rep.Workload, rep.Seed, base)
-	}
 }

@@ -16,10 +16,7 @@ func main() {
 	fmt.Println("(server on node 0, client on node 1, values 64B and 4KiB)")
 	fmt.Println()
 
-	res := experiments.Fig4(experiments.Fig4Config{
-		Requests:   1000,
-		ValueSizes: []int{64, 4096},
-	})
+	res := experiments.Fig4(experiments.Fig4Config{Requests: 1000})
 	fmt.Println(res.String())
 
 	fmt.Println("The paper reports FlacOS cutting Redis latency 1.75-2.4x on a")

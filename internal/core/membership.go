@@ -11,13 +11,13 @@ import (
 )
 
 // membershipState is the rack's membership wiring: the table, each
-// node's member handle, and the dedup set that makes the rack-wide
-// event stream drive recovery exactly once per death.
+// node's member handle, and the dedup that makes the rack-wide event
+// stream drive recovery exactly once per death.
 type membershipState struct {
-	mu       sync.Mutex
-	table    *membership.Table
-	members  []*membership.Member
-	deadSeen map[[2]uint64]bool // {slot, generation} -> recovery ran
+	mu      sync.Mutex
+	table   *membership.Table
+	members []*membership.Member
+	dead    membership.DeadOnce
 }
 
 // EnableMembership boots the coordinated failure-detection layer
@@ -45,7 +45,6 @@ func (r *Rack) EnableMembership(cfg membership.Config) *membership.Table {
 	}
 	table := membership.New(r.Fabric, cfg)
 	r.mem.table = table
-	r.mem.deadSeen = make(map[[2]uint64]bool)
 	r.mem.mu.Unlock()
 
 	r.Scheduler().SetLiveness(table.Alive)
@@ -87,15 +86,7 @@ func (r *Rack) Membership() *membership.Table {
 // flight recorder); recovery runs once per (slot, generation) from the
 // first observer to deliver it.
 func (r *Rack) onMembershipEvent(observer *fabric.Node, ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
-	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	r.mem.mu.Lock()
-	done := r.mem.deadSeen[key]
-	r.mem.deadSeen[key] = true
-	r.mem.mu.Unlock()
-	if done || observer.Crashed() {
+	if !r.mem.dead.First(ev) || observer.Crashed() {
 		return
 	}
 	// Lease reclaim first: queued work restarts fastest. The sweep runs

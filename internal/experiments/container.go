@@ -5,7 +5,6 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/fs"
-	"flacos/internal/metrics"
 	"flacos/internal/serverless"
 )
 
@@ -17,35 +16,35 @@ type ContainerConfig struct {
 	// bandwidth scaled by the same factor so PHASE PROPORTIONS (and hence
 	// the speedup factors) match the paper.
 	ImageBytes uint64
-	Layers     int
 	// RegistryBytesPerNS is the WAN pull bandwidth.
 	RegistryBytesPerNS float64
-	// RegistryRTTNS covers auth + manifest round trips.
-	RegistryRTTNS int
-	Runtime       serverless.RuntimeConfig
 }
 
-// DefaultContainer reproduces the paper's proportions at 1/8 scale.
+// DefaultContainer reproduces the paper's proportions at 1/8 scale; the
+// bandwidth is calibrated so cold/flacos lands near the paper's 3.8x.
 func DefaultContainer() ContainerConfig {
-	return ContainerConfig{
-		ImageBytes:         512 << 20,
-		Layers:             8,
-		RegistryBytesPerNS: 0.045, // calibrated so cold/flacos lands near the paper's 3.8x
-		RegistryRTTNS:      800_000_000,
-		Runtime:            serverless.DefaultRuntimeConfig(),
-	}
+	return ContainerConfig{ImageBytes: 512 << 20, RegistryBytesPerNS: 0.045}
 }
+
+// QuickContainer is 1/64 of the paper's image; the speedup ratios are
+// scale-invariant because the registry bandwidth scales with the image.
+func QuickContainer() ContainerConfig {
+	return ContainerConfig{ImageBytes: 64 << 20, RegistryBytesPerNS: 0.045 / 8}
+}
+
+const (
+	containerLayers = 8
+	// containerRegistryRTTNS covers auth + manifest round trips.
+	containerRegistryRTTNS = 800_000_000
+)
 
 // Container reproduces the container-startup experiment: node 0 cold-
 // starts an image, then node 1 starts the same image (the paper's
 // measured case) — a full cold start without FlacOS, a shared-page-cache
 // start with FlacOS — and finally node 1 starts it again hot.
 func Container(cfg ContainerConfig) *Result {
-	res := &Result{
-		Name:   "§4.2 container startup: cold vs FlacOS shared page cache vs hot",
-		Table:  metrics.NewTable("start", "source", "total", "manifest", "fetch", "unpack", "init"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("§4.2 container startup: cold vs FlacOS shared page cache vs hot",
+		"start", "source", "total", "manifest", "fetch", "unpack", "init")
 
 	f := fabric.New(fabric.Config{
 		GlobalSize: cfg.ImageBytes*2 + (256 << 20),
@@ -54,11 +53,12 @@ func Container(cfg ContainerConfig) *Result {
 	})
 	dev := fs.NewMemDev(50_000, 60_000)
 	fsys := fs.New(f, dev, fs.Config{CacheFrames: cfg.ImageBytes/4096 + 1024})
-	reg := serverless.NewRegistry(cfg.RegistryRTTNS, cfg.RegistryBytesPerNS)
-	reg.Push(serverless.SyntheticImage("pytorch", cfg.Layers, cfg.ImageBytes))
+	reg := serverless.NewRegistry(containerRegistryRTTNS, cfg.RegistryBytesPerNS)
+	reg.Push(serverless.SyntheticImage("pytorch", containerLayers, cfg.ImageBytes))
 
-	rt0 := serverless.NewNodeRuntime(f.Node(0), fsys.Mount(f.Node(0)), reg, cfg.Runtime)
-	rt1 := serverless.NewNodeRuntime(f.Node(1), fsys.Mount(f.Node(1)), reg, cfg.Runtime)
+	rtCfg := serverless.DefaultRuntimeConfig()
+	rt0 := serverless.NewNodeRuntime(f.Node(0), fsys.Mount(f.Node(0)), reg, rtCfg)
+	rt1 := serverless.NewNodeRuntime(f.Node(1), fsys.Mount(f.Node(1)), reg, rtCfg)
 
 	add := func(label string, r serverless.StartupReport) {
 		res.Table.AddRow(label, r.Source.String(),

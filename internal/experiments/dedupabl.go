@@ -6,57 +6,49 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/memsys"
-	"flacos/internal/metrics"
 )
 
-// DedupConfig parameterizes ablation E.
-type DedupConfig struct {
-	// DupSets is the number of groups of identical pages; each group has
-	// Copies mappings of the same content (e.g. the same shared library
-	// text mapped by many processes).
-	DupSets int
-	Copies  int
-	// UniquePages are additional non-duplicated pages.
-	UniquePages int
-}
-
-// DefaultDedup models many processes mapping the same runtime images.
-func DefaultDedup() DedupConfig {
-	return DedupConfig{DupSets: 16, Copies: 8, UniquePages: 32}
-}
+// Ablation E models many processes mapping the same runtime images. The
+// run is a few hundred page writes, so it has one size.
+const (
+	// dedupSets is the number of groups of identical pages; each group
+	// has dedupCopies mappings of the same content (e.g. the same shared
+	// library text mapped by many processes).
+	dedupSets   = 16
+	dedupCopies = 8
+	// dedupUniquePages are additional non-duplicated pages.
+	dedupUniquePages = 32
+)
 
 // DedupAblation quantifies §3.3's deduplication: identical global pages
 // collapse onto one frame (copy-on-write), shrinking rack memory use.
-func DedupAblation(cfg DedupConfig) *Result {
-	res := &Result{
-		Name:   "Ablation E: content-based page deduplication over global memory",
-		Table:  metrics.NewTable("metric", "value"),
-		Ratios: map[string]float64{},
-	}
+func DedupAblation() *Result {
+	res := newResult("Ablation E: content-based page deduplication over global memory",
+		"metric", "value")
 	f := fabric.New(fabric.Config{GlobalSize: 256 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
 	frames := memsys.NewGlobalFrames(f, 8192)
 	arena := alloc.NewArena(f, 64<<20)
 	space := memsys.NewSpace(f, 1, frames, arena.NodeAllocator(f.Node(0), 0), 2048)
 	mmu := space.Attach(f.Node(0), arena.NodeAllocator(f.Node(0), 0), memsys.NewLocalStore(f.Node(0)), 512)
 
-	totalPages := cfg.DupSets*cfg.Copies + cfg.UniquePages
-	if err := mmu.MMap(0x100000, uint64(totalPages), memsys.ProtRead|memsys.ProtWrite, memsys.BackGlobal); err != nil {
+	const totalPages = dedupSets*dedupCopies + dedupUniquePages
+	if err := mmu.MMap(0x100000, totalPages, memsys.ProtRead|memsys.ProtWrite, memsys.BackGlobal); err != nil {
 		panic(err)
 	}
 	page := make([]byte, memsys.PageSize)
 	vpnBase := uint64(0x100000 >> memsys.PageShift)
 	va := func(i int) uint64 { return (vpnBase + uint64(i)) << memsys.PageShift }
 	idx := 0
-	for set := 0; set < cfg.DupSets; set++ {
+	for set := 0; set < dedupSets; set++ {
 		for j := range page {
 			page[j] = byte(set*7 + j%251)
 		}
-		for c := 0; c < cfg.Copies; c++ {
+		for c := 0; c < dedupCopies; c++ {
 			mmu.Write(va(idx), page)
 			idx++
 		}
 	}
-	for u := 0; u < cfg.UniquePages; u++ {
+	for u := 0; u < dedupUniquePages; u++ {
 		for j := range page {
 			page[j] = byte(u*13 + j%241 + 101)
 		}
@@ -76,5 +68,3 @@ func DedupAblation(cfg DedupConfig) *Result {
 	res.Ratios["pages merged"] = float64(merged)
 	return res
 }
-
-var _ = metrics.FormatNS

@@ -6,20 +6,23 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/fs"
 	"flacos/internal/ipc"
-	"flacos/internal/metrics"
 	"flacos/internal/serverless"
 )
 
 // DensityConfig parameterizes ablation F.
 type DensityConfig struct {
-	// Fillers is the number of background containers packed on node 0.
-	Fillers int
 	Invokes int
 }
 
-// DefaultDensity models a hot node (8 co-located containers) next to an
-// idle one.
-func DefaultDensity() DensityConfig { return DensityConfig{Fillers: 8, Invokes: 500} }
+// DefaultDensity models a hot node (densityFillers co-located
+// containers) next to an idle one.
+func DefaultDensity() DensityConfig { return DensityConfig{Invokes: 500} }
+
+// QuickDensity is the CI-sized run.
+func QuickDensity() DensityConfig { return DensityConfig{Invokes: 100} }
+
+// densityFillers is the number of background containers packed on node 0.
+const densityFillers = 8
 
 // DensityAblation quantifies §4.1's interference pain point and Figure 3's
 // density benefit: when every instance's state lives in global memory, the
@@ -28,11 +31,8 @@ func DefaultDensity() DensityConfig { return DensityConfig{Fillers: 8, Invokes: 
 // where state gravity ties the function to one node) eats the hot node's
 // interference.
 func DensityAblation(cfg DensityConfig) *Result {
-	res := &Result{
-		Name:   "Ablation F: density-aware routing vs pinned placement under interference",
-		Table:  metrics.NewTable("strategy", "host density", "mean invoke"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Ablation F: density-aware routing vs pinned placement under interference",
+		"strategy", "host density", "mean invoke")
 	f := fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
 	dev := fs.NewMemDev(50_000, 60_000)
 	fsys := fs.New(f, dev, fs.Config{CacheFrames: 8192})
@@ -48,7 +48,7 @@ func DensityAblation(cfg DensityConfig) *Result {
 	ctl := serverless.NewController(runtimes, ipc.NewServiceTable(f))
 
 	// Pack node 0 with background containers.
-	for i := 0; i < cfg.Fillers; i++ {
+	for i := 0; i < densityFillers; i++ {
 		name := fmt.Sprintf("filler-%d", i)
 		if _, err := ctl.Deploy(name, "app", func(n *fabric.Node, req []byte) []byte { return nil }); err != nil {
 			panic(err)

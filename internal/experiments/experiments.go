@@ -2,17 +2,78 @@
 // ablations behind its design claims (§3). Each experiment builds its own
 // simulated rack, runs the workload, and reports results in VIRTUAL time —
 // the fabric's deterministic cost accounting — so runs are reproducible
-// and independent of host scheduling. cmd/flacbench prints the tables; the
-// repo-root benchmarks wrap the same functions.
+// and independent of host scheduling.
+//
+// Every experiment is one row of Table: cmd/flacbench, the root
+// benchmarks, the smoke tests and CI all iterate it. Adding an experiment
+// is one file (its Default* and Quick* configs side by side, its run
+// function recording failed gates with Result.Fail) plus one row here.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 
 	"flacos/internal/loadgen"
 	"flacos/internal/metrics"
 )
+
+// Experiment is one row of the experiment table.
+type Experiment struct {
+	Name string
+	Doc  string // one line, shown by flacbench -h
+	// Run executes the experiment at paper scale, or at CI scale (same
+	// shapes, smaller workloads) when quick is set.
+	Run func(quick bool) *Result
+}
+
+// Table lists every experiment in the order flacbench runs and lists them.
+var Table = []Experiment{
+	{"fig4", "Redis SET/GET latency, FlacOS IPC vs TCP (paper Fig. 4)",
+		func(q bool) *Result { return Fig4(sized(q, QuickFig4, DefaultFig4)) }},
+	{"container", "container startup: cold vs shared page cache vs hot (paper 4.2)",
+		func(q bool) *Result { return Container(sized(q, QuickContainer, DefaultContainer)) }},
+	{"sync", "ablation A: synchronization methods on non-coherent memory",
+		func(q bool) *Result { return SyncAblation(sized(q, QuickSync, DefaultSync)) }},
+	{"pagecache", "ablation B: shared vs per-node page caches",
+		func(q bool) *Result { return PageCacheAblation(sized(q, QuickPageCache, DefaultPageCache)) }},
+	{"faultbox", "ablation C: vertical fault box vs per-subsystem recovery",
+		func(q bool) *Result { return FaultBoxAblation(sized(q, QuickFaultBox, DefaultFaultBox)) }},
+	{"ipc", "ablation D: echo round trip over TCP, RDMA, FlacOS IPC, migration RPC",
+		func(q bool) *Result { return IPCAblation(sized(q, QuickIPC, DefaultIPC)) }},
+	{"dedup", "ablation E: content-based page dedup over global memory",
+		func(bool) *Result { return DedupAblation() }},
+	{"density", "ablation F: density-aware routing vs pinned placement",
+		func(q bool) *Result { return DensityAblation(sized(q, QuickDensity, DefaultDensity)) }},
+	{"sched", "ablation G: locality placement and crash re-dispatch",
+		func(q bool) *Result { return SchedAblation(sized(q, QuickSched, DefaultSched)) }},
+	{"redisrack", "rack-shared Redis: one dataset served from 1 vs N nodes",
+		func(q bool) *Result { return RedisRack(sized(q, QuickRedisRack, DefaultRedisRack)) }},
+	{"redisscale", "open-loop RackStore scaling to 16 nodes, hot-key combining",
+		func(q bool) *Result { return RedisScale(sized(q, QuickRedisScale, DefaultRedisScale)) }},
+	{"tiering", "hotness-tiered placement daemon vs static tiers",
+		func(q bool) *Result { return Tiering(sized(q, QuickTiering, DefaultTiering)) }},
+	{"trace", "flight-recorder overhead budget",
+		func(q bool) *Result { return Trace(sized(q, QuickTrace, DefaultTrace)) }},
+	{"membership", "failure detection vs per-subsystem lease-expiry recovery",
+		func(q bool) *Result { return Membership(sized(q, QuickMembership, DefaultMembership)) }},
+	{"health", "gray-failure drain vs liveness-only baseline",
+		func(q bool) *Result { return Health(sized(q, QuickHealth, DefaultHealth)) }},
+	{"fabric", "fabric per-op costs and ranged fast-path gates",
+		func(q bool) *Result { return Fabric(sized(q, QuickFabric, DefaultFabric)) }},
+	{"torture", "seeded rack-wide fault-sweep matrix",
+		func(q bool) *Result { return Torture(q, TortureFlags{}) }},
+}
+
+// sized picks an experiment's CI-sized or paper-sized configuration.
+func sized[C any](quick bool, quickCfg, fullCfg func() C) C {
+	if quick {
+		return quickCfg()
+	}
+	return fullCfg()
+}
 
 // Result is one experiment's rendered output plus raw series for
 // programmatic checks (tests assert on the shapes the paper claims).
@@ -26,7 +87,32 @@ type Result struct {
 	// cross-PR tracking (flacbench -bench-json writes it to
 	// BENCH_<name>.json).
 	Bench *Bench
+	// Failures lists the acceptance gates the run missed, one sentence
+	// each; flacbench exits nonzero when there are any.
+	Failures []string
+	// Artifacts are files a failing run wants kept (failing torture
+	// seeds, flight-recorder extracts); flacbench writes them to the
+	// working directory for CI upload.
+	Artifacts []Artifact
 }
+
+// Artifact is one named file attached to a Result.
+type Artifact struct {
+	Name string
+	Data []byte
+}
+
+func newResult(name string, columns ...string) *Result {
+	return &Result{Name: name, Table: metrics.NewTable(columns...), Ratios: map[string]float64{}}
+}
+
+// Fail records one missed acceptance gate.
+func (r *Result) Fail(format string, args ...any) {
+	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
+}
+
+// Failed reports whether any gate was missed.
+func (r *Result) Failed() bool { return len(r.Failures) > 0 }
 
 // Bench is one experiment's headline numbers in machine-readable form.
 // Times are virtual nanoseconds; throughput is ops per virtual second.
@@ -92,15 +178,35 @@ func (b *Bench) Validate() error {
 	return nil
 }
 
+// String renders the table, the headline ratios in key order (so two
+// runs of one experiment are textually comparable), and any failed gates.
 func (r *Result) String() string {
-	out := "== " + r.Name + " ==\n" + r.Table.String()
+	var b strings.Builder
+	b.WriteString("== " + r.Name + " ==\n" + r.Table.String())
 	if len(r.Ratios) > 0 {
-		out += "headline ratios:\n"
-		for k, v := range r.Ratios {
-			out += fmt.Sprintf("  %-32s %.2fx\n", k, v)
+		keys := make([]string, 0, len(r.Ratios))
+		for k := range r.Ratios {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b.WriteString("headline ratios:\n")
+		for _, k := range keys {
+			fmt.Fprintf(&b, "  %-32s %.2fx\n", k, r.Ratios[k])
 		}
 	}
-	return out
+	for _, f := range r.Failures {
+		b.WriteString("GATE FAILED: " + f + "\n")
+	}
+	return b.String()
 }
 
 func ns(v float64) string { return metrics.FormatNS(v) }
+
+// ratio is a/b, or 0 when b is not positive (a phase that measured nothing
+// must miss its gate, not divide by zero).
+func ratio(a, b float64) float64 {
+	if b > 0 {
+		return a / b
+	}
+	return 0
+}

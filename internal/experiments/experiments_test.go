@@ -10,8 +10,7 @@ import (
 // fast. cmd/flacbench runs the full-size versions.
 
 func TestFig4Shape(t *testing.T) {
-	cfg := Fig4Config{Requests: 300, ValueSizes: []int{64, 4096}}
-	res := Fig4(cfg)
+	res := Fig4(QuickFig4())
 	if !strings.Contains(res.String(), "flacos-ipc") {
 		t.Fatal("missing transport rows")
 	}
@@ -29,10 +28,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestContainerShape(t *testing.T) {
-	cfg := DefaultContainer()
-	cfg.ImageBytes = 64 << 20 // keep the test fast
-	cfg.RegistryBytesPerNS = 0.045 / 8
-	res := Container(cfg)
+	res := Container(QuickContainer())
 	coldFlac := res.Ratios["cold/flacos startup"]
 	flacHot := res.Ratios["flacos/hot startup"]
 	// Paper: 21.067s -> 5.526s is 3.8x; hot (3.02s) faster than FlacOS.
@@ -45,7 +41,7 @@ func TestContainerShape(t *testing.T) {
 }
 
 func TestSyncAblationShape(t *testing.T) {
-	cfg := SyncConfig{Ops: 800, NodeCounts: []int{2, 8}, ReadPcts: []int{0, 90}}
+	cfg := SyncConfig{Ops: 800, NodeCounts: []int{2, 8}}
 	res := SyncAblation(cfg)
 	// Each FlacDK method must beat the lock-based baseline at its design
 	// point, and the advantage must be clear at rack scale (8 nodes),
@@ -67,22 +63,20 @@ func TestSyncAblationShape(t *testing.T) {
 }
 
 func TestPageCacheAblationShape(t *testing.T) {
-	cfg := PageCacheConfig{Nodes: 4, Files: 4, PagesPer: 16, ReadLoops: 2}
-	res := PageCacheAblation(cfg)
+	res := PageCacheAblation(QuickPageCache())
 	mem := res.Ratios["private/shared memory use"]
 	// Per-node caches store ~Nodes copies of the shared working set.
 	if mem < 3.5 || mem > 4.5 {
-		t.Errorf("private/shared memory = %.2fx, want ~%d", mem, cfg.Nodes)
+		t.Errorf("private/shared memory = %.2fx, want ~%d", mem, pageCacheNodes)
 	}
 	dev := res.Ratios["private/shared device reads"]
-	if dev < float64(cfg.Nodes)-0.5 {
-		t.Errorf("private/shared device reads = %.2fx, want ~%d (shared cache turns other nodes' cold reads into hits)", dev, cfg.Nodes)
+	if dev < pageCacheNodes-0.5 {
+		t.Errorf("private/shared device reads = %.2fx, want ~%d (shared cache turns other nodes' cold reads into hits)", dev, pageCacheNodes)
 	}
 }
 
 func TestIPCAblationShape(t *testing.T) {
-	cfg := IPCConfig{Rounds: 200, Payloads: []int{64, 4096}}
-	res := IPCAblation(cfg)
+	res := IPCAblation(IPCConfig{Rounds: 200})
 	for _, size := range []string{"64B", "4096B"} {
 		if r := res.Ratios["tcp/ipc "+size]; r <= 1.2 {
 			t.Errorf("tcp/ipc %s = %.2fx: shared-memory IPC must beat TCP", size, r)
@@ -94,7 +88,7 @@ func TestIPCAblationShape(t *testing.T) {
 }
 
 func TestFaultBoxAblationShape(t *testing.T) {
-	cfg := FaultBoxConfig{AppCounts: []int{2, 16}, PagesEach: 8}
+	cfg := FaultBoxConfig{AppCounts: []int{2, 16}}
 	res := FaultBoxAblation(cfg)
 	small := res.Ratios["horizontal/vertical 2 apps"]
 	large := res.Ratios["horizontal/vertical 16 apps"]
@@ -107,10 +101,9 @@ func TestFaultBoxAblationShape(t *testing.T) {
 }
 
 func TestDedupAblationShape(t *testing.T) {
-	cfg := DedupConfig{DupSets: 4, Copies: 4, UniquePages: 8}
-	res := DedupAblation(cfg)
-	if got := res.Ratios["pages merged"]; got != float64(cfg.DupSets*(cfg.Copies-1)) {
-		t.Errorf("pages merged = %v, want %d", got, cfg.DupSets*(cfg.Copies-1))
+	res := DedupAblation()
+	if got := res.Ratios["pages merged"]; got != dedupSets*(dedupCopies-1) {
+		t.Errorf("pages merged = %v, want %d", got, dedupSets*(dedupCopies-1))
 	}
 	if r := res.Ratios["memory before/after dedup"]; r < 1.5 {
 		t.Errorf("dedup saving = %.2fx, want >= 1.5", r)
@@ -118,8 +111,7 @@ func TestDedupAblationShape(t *testing.T) {
 }
 
 func TestDensityAblationShape(t *testing.T) {
-	cfg := DensityConfig{Fillers: 8, Invokes: 100}
-	res := DensityAblation(cfg)
+	res := DensityAblation(QuickDensity())
 	r := res.Ratios["pinned/routed invoke latency"]
 	// 8 fillers + the target on the hot node vs 1 instance on the idle one:
 	// the interference model predicts roughly 1 + 0.18*8 ≈ 2.4x.
@@ -129,12 +121,8 @@ func TestDensityAblationShape(t *testing.T) {
 }
 
 func TestTraceShape(t *testing.T) {
-	cfg := DefaultTrace()
-	cfg.EmitEvents = 20_000 // CI-sized; the per-event cost is deterministic anyway
-	cfg.Tasks = 150
-	cfg.FSOps = 80
-	res, failed := Trace(cfg)
-	if failed {
+	res := Trace(QuickTrace())
+	if res.Failed() {
 		t.Fatalf("trace experiment failed its acceptance bounds:\n%s", res)
 	}
 	r := res.Ratios["traced/untraced dispatch cost"]

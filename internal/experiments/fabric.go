@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/metrics"
 )
 
 // FabricConfig parameterizes the fabric fast-path micro-benchmark.
@@ -18,12 +17,6 @@ type FabricConfig struct {
 	HitReps, MissReps, AtomicReps int
 	// RangedReps is the wall-measurement loop count per ranged size.
 	RangedReps int
-	// RangeSizes are the ranged write-back/invalidate sizes in lines.
-	RangeSizes []int
-	// SpeedupGate is the required wall-ns/op improvement of one ranged
-	// write-back over the pinned per-line baseline at 16 lines, with the
-	// common dirtying-store cost subtracted from both sides.
-	SpeedupGate float64
 	// GateHookDispatch, when set, additionally requires a hooked fence to
 	// cost more wall time than a no-hook fence — hook dispatch is a
 	// double-digit fraction of a fence's wall cost, so it is the one op
@@ -38,21 +31,32 @@ type FabricConfig struct {
 // from tens of thousands of samples.
 func DefaultFabric() FabricConfig {
 	return FabricConfig{
-		HitReps:        200_000,
-		MissReps:       50_000,
-		AtomicReps:     100_000,
-		RangedReps:     5_000,
-		RangeSizes:       []int{1, 4, 16, 64},
-		SpeedupGate:      1.5,
+		HitReps:          200_000,
+		MissReps:         50_000,
+		AtomicReps:       100_000,
+		RangedReps:       5_000,
 		GateHookDispatch: true,
 	}
 }
+
+// QuickFabric shortens the wall loops and drops the hook-dispatch gate.
+func QuickFabric() FabricConfig {
+	return FabricConfig{HitReps: 40_000, MissReps: 10_000, AtomicReps: 20_000, RangedReps: 1_000}
+}
+
+// fabricRangeSizes are the ranged write-back/invalidate sizes in lines.
+var fabricRangeSizes = []int{1, 4, 16, 64}
+
+// fabricSpeedupGate is the required wall-ns/op improvement of one ranged
+// write-back over the pinned per-line baseline at fabricGateLines, with
+// the common dirtying-store cost subtracted from both sides.
+const fabricSpeedupGate = 1.5
 
 // fabricGateLines is the ranged size the speedup gate is evaluated at.
 const fabricGateLines = 16
 
 // Fabric measures the memory fabric's per-op costs and gates the ranged
-// fast path, returning (result, failed):
+// fast path:
 //
 //   - a virtual-ns cost row per op kind (read/write hit, read miss,
 //     ranged write-back and invalidate at 1/4/16/64 lines, atomic RMW,
@@ -64,33 +68,29 @@ const fabricGateLines = 16
 //     pinned per-line baseline's EXACTLY at every size (batching is a
 //     wall-cost optimization, not a model change);
 //   - gate: at 16 lines the ranged call must beat the per-line baseline
-//     by SpeedupGate in wall ns/op once the common dirtying stores are
+//     by fabricSpeedupGate in wall ns/op once the common dirtying stores are
 //     subtracted;
 //   - gate (full runs): a fence with an op hook installed must cost more
 //     wall time than the no-hook fence — the dispatch cost the per-node
 //     hooked flag keeps off the common path, measured on the op where it
 //     is the largest fraction. The miss path's no-hook saving is reported
 //     alongside.
-func Fabric(cfg FabricConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Fabric fast path: per-op costs and ranged batching",
-		Table:  metrics.NewTable("op", "virtual", "wall", "notes"),
-		Ratios: map[string]float64{},
-	}
-	failed := false
+func Fabric(cfg FabricConfig) *Result {
+	res := newResult("Fabric fast path: per-op costs and ranged batching",
+		"op", "virtual", "wall", "notes")
 
-	newRack := func() (*fabric.Fabric, *fabric.Node, fabric.GPtr) {
+	newRack := func() (*fabric.Node, fabric.GPtr) {
 		f := fabric.New(fabric.Config{
 			GlobalSize:         64 << 20,
 			Nodes:              1,
 			CacheCapacityLines: -1,
 			Latency:            fabric.DefaultLatency(),
 		})
-		return f, f.Node(0), f.Reserve(1<<20, fabric.LineSize)
+		return f.Node(0), f.Reserve(1<<20, fabric.LineSize)
 	}
 
 	// ---- Virtual cost rows: one op each, charged deterministically ----
-	f, n, g := newRack()
+	n, g := newRack()
 	vcost := func(prep, op func()) float64 {
 		prep()
 		v0 := n.VirtualNS()
@@ -116,7 +116,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 	vFence := vcost(func() {}, func() { n.Fence() })
 	vWBR := map[int]float64{}
 	vINV := map[int]float64{}
-	for _, lines := range cfg.RangeSizes {
+	for _, lines := range fabricRangeSizes {
 		sz := uint64(lines) * fabric.LineSize
 		vWBR[lines] = vcost(func() { dirty(lines) }, func() { n.WriteBackRange(g, sz) })
 		vINV[lines] = vcost(func() { resident(lines) }, func() { n.InvalidateRange(g, sz) })
@@ -126,9 +126,8 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 		v0 := n.VirtualNS()
 		n.WriteBackRangePerLine(g, sz)
 		if legacy := float64(n.VirtualNS() - v0); legacy != vWBR[lines] {
-			res.Table.AddRow(fmt.Sprintf("wbr-%d", lines), "DIVERGED", "",
-				fmt.Sprintf("ranged charges %v ns, per-line %v ns", vWBR[lines], legacy))
-			failed = true
+			res.Fail("wbr-%d diverged from the per-line cost model: ranged charges %v ns, per-line %v ns",
+				lines, vWBR[lines], legacy)
 		}
 	}
 
@@ -160,7 +159,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 	wWBR := map[int]float64{}
 	wINV := map[int]float64{}
 	wDirty := map[int]float64{}
-	for _, lines := range cfg.RangeSizes {
+	for _, lines := range fabricRangeSizes {
 		sz := uint64(lines) * fabric.LineSize
 		wDirty[lines] = wall(cfg.RangedReps, func(i int) { dirty(lines) })
 		// Floor at 1 ns: the subtraction can only go non-positive through
@@ -198,14 +197,14 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 		return wLegacy / math.Max(1, rMin-dMin)
 	}
 	speedup := measureSpeedup()
-	for attempt := 0; attempt < 2 && speedup < cfg.SpeedupGate; attempt++ {
+	for attempt := 0; attempt < 2 && speedup < fabricSpeedupGate; attempt++ {
 		if s := measureSpeedup(); s > speedup {
 			speedup = s
 		}
 	}
 	res.Ratios[fmt.Sprintf("wbr-%d ranged vs per-line (wall)", gl)] = speedup
-	if speedup < cfg.SpeedupGate {
-		failed = true
+	if speedup < fabricSpeedupGate {
+		res.Fail("ranged wbr-%d is %.2fx the per-line baseline in wall time, want >= %.1fx", gl, speedup, fabricSpeedupGate)
 	}
 
 	// ---- No-hook vs hooked event paths ----
@@ -213,8 +212,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 	// no-hook and hooked loops alternate (hook removed and reinstalled
 	// each round) so cache warmth and frequency scaling hit both equally;
 	// each side keeps its best round.
-	fh, nh, gh := newRack()
-	_ = fh
+	nh, gh := newRack()
 	var hookHits uint64
 	countHook := func(k fabric.OpKind, arg0, arg1 uint64) { hookHits++ }
 	missPair := func(i int) { nh.InvalidateRange(gh, 8); nh.Load64(gh) }
@@ -254,7 +252,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 	res.Ratios["miss hooked vs no-hook (wall)"] = wMissHooked / wMissNoHook
 	res.Ratios["fence hooked vs no-hook (wall)"] = wFenceHooked / wFenceNoHook
 	if cfg.GateHookDispatch && !(wFenceHooked > wFenceNoHook) {
-		failed = true
+		res.Fail("hook dispatch cost nothing: hooked fence %.1f ns/op vs no-hook %.1f ns/op", wFenceHooked, wFenceNoHook)
 	}
 
 	// ---- Table and bench artifact ----
@@ -264,7 +262,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 	row("read-hit", vReadHit, wReadHit, "warm line, local")
 	row("write-hit", vWriteHit, wWriteHit, "dirty warm line in place")
 	row("read-miss", vReadMiss, wMissPair, "wall includes the invalidate that forces the miss")
-	for _, lines := range cfg.RangeSizes {
+	for _, lines := range fabricRangeSizes {
 		row(fmt.Sprintf("wbr-%d", lines), vWBR[lines], wWBR[lines],
 			"one ranged call; dirtying stores subtracted from wall")
 		row(fmt.Sprintf("inv-%d", lines), vINV[lines], wINV[lines],
@@ -284,7 +282,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 		{Op: "write-hit", VirtualNS: vWriteHit},
 		{Op: "read-miss", VirtualNS: vReadMiss},
 	}
-	for _, lines := range cfg.RangeSizes {
+	for _, lines := range fabricRangeSizes {
 		ops = append(ops,
 			OpCost{Op: fmt.Sprintf("wbr-%d", lines), VirtualNS: vWBR[lines]},
 			OpCost{Op: fmt.Sprintf("inv-%d", lines), VirtualNS: vINV[lines]})
@@ -293,7 +291,7 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 		OpCost{Op: "atomic-rmw", VirtualNS: vAtomic},
 		OpCost{Op: "fence", VirtualNS: vFence})
 
-	maxLines := cfg.RangeSizes[len(cfg.RangeSizes)-1]
+	maxLines := fabricRangeSizes[len(fabricRangeSizes)-1]
 	res.Bench = &Bench{
 		Name:      "fabric",
 		OpsPerSec: 1e9 / vReadHit,
@@ -301,6 +299,5 @@ func Fabric(cfg FabricConfig) (*Result, bool) {
 		P99NS:     vWBR[maxLines],
 		Ops:       ops,
 	}
-	_ = f
-	return res, failed
+	return res
 }

@@ -8,18 +8,24 @@ import (
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/ipc"
 	"flacos/internal/memsys"
-	"flacos/internal/metrics"
 )
 
 // FaultBoxConfig parameterizes ablation C.
 type FaultBoxConfig struct {
 	AppCounts []int // total applications on the rack
-	PagesEach uint64
 }
+
+// faultBoxPagesEach is every application's heap, in pages.
+const faultBoxPagesEach uint64 = 16
 
 // DefaultFaultBox sweeps system density.
 func DefaultFaultBox() FaultBoxConfig {
-	return FaultBoxConfig{AppCounts: []int{2, 8, 32}, PagesEach: 16}
+	return FaultBoxConfig{AppCounts: []int{2, 8, 32}}
+}
+
+// QuickFaultBox is the CI-sized sweep.
+func QuickFaultBox() FaultBoxConfig {
+	return FaultBoxConfig{AppCounts: []int{2, 8}}
 }
 
 // FaultBoxAblation quantifies §3.6's claim: vertical fault boxes keep
@@ -27,14 +33,11 @@ func DefaultFaultBox() FaultBoxConfig {
 // horizontal (per-subsystem) model scans every application's state in
 // every subsystem, so its cost grows with total system density.
 func FaultBoxAblation(cfg FaultBoxConfig) *Result {
-	res := &Result{
-		Name:   "Ablation C: vertical fault box vs horizontal per-subsystem recovery",
-		Table:  metrics.NewTable("apps", "vertical recovery", "horizontal recovery", "horizontal/vertical"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Ablation C: vertical fault box vs horizontal per-subsystem recovery",
+		"apps", "vertical recovery", "horizontal recovery", "horizontal/vertical")
 	for _, apps := range cfg.AppCounts {
-		vert := runFaultBoxRecovery(apps, cfg.PagesEach, false)
-		horiz := runFaultBoxRecovery(apps, cfg.PagesEach, true)
+		vert := runFaultBoxRecovery(apps, false)
+		horiz := runFaultBoxRecovery(apps, true)
 		ratio := horiz / vert
 		res.Table.AddRow(fmt.Sprintf("%d", apps), ns(vert), ns(horiz), fmt.Sprintf("%.2fx", ratio))
 		res.Ratios[fmt.Sprintf("horizontal/vertical %d apps", apps)] = ratio
@@ -44,17 +47,17 @@ func FaultBoxAblation(cfg FaultBoxConfig) *Result {
 
 // runFaultBoxRecovery stands up `apps` boxes, crashes the first one's host
 // node, and measures the target node's virtual time to recover it.
-func runFaultBoxRecovery(apps int, pagesEach uint64, horizontal bool) float64 {
+func runFaultBoxRecovery(apps int, horizontal bool) float64 {
 	// Size the rack to the workload: pages, double-buffered checkpoints,
 	// and arena headroom.
-	boxBytes := (pagesEach + 8) * (memsys.PageSize + 64)
+	boxBytes := (faultBoxPagesEach + 8) * (memsys.PageSize + 64)
 	global := fabric.AlignUp64(uint64(apps)*boxBytes*6+(48<<20), 1<<20)
 	f := fabric.New(fabric.Config{
 		GlobalSize: global,
 		Nodes:      2,
 		Latency:    fabric.DefaultLatency(),
 	})
-	frames := memsys.NewGlobalFrames(f, (pagesEach+8)*uint64(apps)*4)
+	frames := memsys.NewGlobalFrames(f, (faultBoxPagesEach+8)*uint64(apps)*4)
 	arena := alloc.NewArena(f, 24<<20)
 	services := ipc.NewServiceTable(f)
 	mgr := faultbox.NewManager(f, frames, arena, services)
@@ -68,12 +71,12 @@ func runFaultBoxRecovery(apps int, pagesEach uint64, horizontal bool) float64 {
 			host = f.Node(0)
 		}
 		b, err := mgr.Create(fmt.Sprintf("app-%d", i), host, faultbox.Config{
-			HeapPages: pagesEach, StackPages: 2, Criticality: 1,
+			HeapPages: faultBoxPagesEach, StackPages: 2, Criticality: 1,
 		}, nil)
 		if err != nil {
 			panic(err)
 		}
-		for p := uint64(0); p < pagesEach; p++ {
+		for p := uint64(0); p < faultBoxPagesEach; p++ {
 			for j := range page {
 				page[j] = byte(i + int(p))
 			}
@@ -99,5 +102,3 @@ func runFaultBoxRecovery(apps int, pagesEach uint64, horizontal bool) float64 {
 	}
 	return float64(target.VirtualNS() - before)
 }
-
-var _ = metrics.FormatNS // keep import shape stable

@@ -2,26 +2,27 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"flacos/internal/fabric"
 	"flacos/internal/ipc"
 	"flacos/internal/metrics"
-	"flacos/internal/netstack"
 	"flacos/internal/redis"
 )
 
 // Fig4Config parameterizes the Redis latency experiment.
 type Fig4Config struct {
-	Requests   int
-	ValueSizes []int
+	Requests int
 }
 
 // DefaultFig4 matches the paper's setup: SET and GET at a small and a
 // large request size, server and client on different nodes.
-func DefaultFig4() Fig4Config {
-	return Fig4Config{Requests: 2000, ValueSizes: []int{64, 4096}}
-}
+func DefaultFig4() Fig4Config { return Fig4Config{Requests: 2000} }
+
+// QuickFig4 is the CI-sized run.
+func QuickFig4() Fig4Config { return Fig4Config{Requests: 300} }
+
+// fig4ValueSizes are the paper's small and large request sizes.
+var fig4ValueSizes = []int{64, 4096}
 
 // Fig4 reproduces Figure 4: Redis request latency over FlacOS IPC versus
 // the TCP/IP networking baseline. Each request is driven in deterministic
@@ -30,25 +31,24 @@ func DefaultFig4() Fig4Config {
 // the simulation's equivalent of the client-observed round trip, free of
 // host-scheduler noise.
 func Fig4(cfg Fig4Config) *Result {
-	res := &Result{
-		Name:   "Figure 4: Redis SET/GET latency, FlacOS IPC vs TCP networking",
-		Table:  metrics.NewTable("op", "value", "transport", "mean/req", "p99/req"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Figure 4: Redis SET/GET latency, FlacOS IPC vs TCP networking",
+		"op", "value", "transport", "mean/req", "p99/req")
 	type cell struct{ mean, p99 float64 }
 	results := map[string]cell{}
+	ops := []string{"set", "get"}
 
-	for _, size := range cfg.ValueSizes {
+	for _, size := range fig4ValueSizes {
 		for _, transport := range []string{"tcp", "flacos-ipc"} {
 			setH, getH := runRedisPair(transport, size, cfg.Requests)
-			for op, h := range map[string]*metrics.Histogram{"set": setH, "get": getH} {
-				s := h.Summarize()
+			hists := map[string]*metrics.Histogram{"set": setH, "get": getH}
+			for _, op := range ops { // not the map: row order must not vary
+				s := hists[op].Summarize()
 				key := fmt.Sprintf("%s/%d/%s", op, size, transport)
 				results[key] = cell{s.Mean, s.P99}
 				res.Table.AddRow(op, fmt.Sprintf("%dB", size), transport, ns(s.Mean), ns(s.P99))
 			}
 		}
-		for _, op := range []string{"set", "get"} {
+		for _, op := range ops {
 			tcp := results[fmt.Sprintf("%s/%d/tcp", op, size)]
 			flac := results[fmt.Sprintf("%s/%d/flacos-ipc", op, size)]
 			if flac.mean > 0 {
@@ -73,47 +73,14 @@ func runRedisPair(transport string, valueSize, requests int) (setH, getH *metric
 
 	var cliConn, srvConn redis.Conn
 	var cleanup func()
-
 	switch transport {
 	case "tcp":
-		nw := netstack.New(netstack.DefaultTCP())
-		l, err := nw.Listen(serverNode, "10.0.0.1:6379")
-		if err != nil {
-			panic(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			c, err := l.Accept()
-			if err == nil {
-				srvConn = c
-			}
-		}()
-		c, err := nw.Dial(clientNode, "10.0.0.1:6379")
-		if err != nil {
-			panic(err)
-		}
-		<-done
-		cliConn = c
-		cleanup = func() { c.Close(); l.Close() }
+		srvConn, cliConn, cleanup = tcpPair(serverNode, clientNode)
 	case "flacos-ipc":
 		sb := ipc.NewSwitchboard(f, serverNode, ipc.Config{
 			MaxConns: 2, MaxListeners: 1, RingSlots: 8, MsgMax: 64 << 10,
 		})
-		l, err := sb.Endpoint(serverNode).Bind("redis")
-		if err != nil {
-			panic(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() { defer wg.Done(); srvConn = l.Accept() }()
-		c, err := sb.Endpoint(clientNode).Connect("redis")
-		if err != nil {
-			panic(err)
-		}
-		wg.Wait()
-		cliConn = c
-		cleanup = func() { c.Close(); l.Close() }
+		srvConn, cliConn, cleanup = ipcPair(sb.Endpoint(serverNode), sb.Endpoint(clientNode), "redis")
 	default:
 		panic("unknown transport " + transport)
 	}

@@ -3,55 +3,53 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/health"
-	"flacos/internal/membership"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
+	"flacos/internal/torture"
 )
 
 // HealthConfig parameterizes the gray-failure remediation experiment.
 type HealthConfig struct {
-	// Nodes sizes the rack. The last node is the gray-failure victim;
-	// node 0 hosts the self-healing controller and never degrades.
-	Nodes int
-	// RampHops is the ascending link-degradation schedule injected on the
-	// victim (extra interconnect hops per home-memory access). The first
-	// level should be at or above the anomaly detector's LinkHops
-	// threshold so proactive mode drains at the foot of the ramp.
-	RampHops []int
 	// TasksPerLevel is how many closed-loop tasks each mode runs at each
 	// ramp level (and in the healthy warmup) — the requests whose fabric
 	// cost tail is the experiment's headline.
 	TasksPerLevel int
-	// Clients is the closed-loop submitter parallelism.
-	Clients int
-	// AtomicsPerTask is each task's fabric work: home-memory atomics that
-	// pay the full (degraded) hop cost on whichever node executes them.
-	AtomicsPerTask int
-	// Gate is the required baseline/proactive p99 task-cost ratio under
-	// degradation: proactive draining must improve the tail by at least
-	// this factor or the experiment fails.
-	Gate float64
 }
 
-// DefaultHealth matches the acceptance setup: a 4-node rack, a
-// three-level degradation ramp on one node, and a 1.2x tail gate.
-func DefaultHealth() HealthConfig {
-	return HealthConfig{
-		Nodes:          4,
-		RampHops:       []int{4, 10, 24},
-		TasksPerLevel:  240,
-		Clients:        4,
-		AtomicsPerTask: 96,
-		Gate:           1.2,
-	}
-}
+// DefaultHealth is the acceptance setup.
+func DefaultHealth() HealthConfig { return HealthConfig{TasksPerLevel: 240} }
+
+// QuickHealth runs a third of the tasks per ramp level; the ramp itself
+// (and with it the accounting-derived bench headline) is the full run's.
+func QuickHealth() HealthConfig { return HealthConfig{TasksPerLevel: 80} }
+
+const (
+	// healthNodes sizes the rack. The last node is the gray-failure
+	// victim; node 0 hosts the self-healing controller and never degrades.
+	healthNodes = 4
+	// healthClients is the closed-loop submitter parallelism.
+	healthClients = 4
+	// healthAtomicsPerTask is each task's fabric work: home-memory atomics
+	// that pay the full (degraded) hop cost on whichever node executes them.
+	healthAtomicsPerTask = 96
+	// healthCrashBurst is the crash round's lingering-task burst.
+	healthCrashBurst = 16 * healthClients
+	// healthGate is the required baseline/proactive p99 task-cost ratio
+	// under degradation.
+	healthGate = 1.2
+)
+
+// healthRampHops is the ascending link-degradation schedule injected on
+// the victim (extra interconnect hops per home-memory access). The first
+// level sits at the anomaly detector's LinkHops threshold, so proactive
+// mode drains at the foot of the ramp.
+var healthRampHops = []int{4, 10, 24}
 
 // Health measures the health layer (internal/health) end to end: the
 // anomaly detector plus the self-healing controller against a
@@ -81,118 +79,98 @@ func DefaultHealth() HealthConfig {
 //     gray node dead — it heartbeats on time, just slowly — so every
 //     task placed there pays the degraded link for the whole ramp.
 //
-// The returned bool reports failure: the drain or rejoin never
-// completing, a zombie write leaking through the early or post-death
-// fence, the baseline's gray node being declared dead (which would
-// invalidate the comparison), a broken exactly-once ledger, or the
-// proactive tail improvement missing the gate.
-func Health(cfg HealthConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Health: gray-failure anomaly detection and self-healing drain vs liveness-only baseline",
-		Table:  metrics.NewTable("phase", "mode", "metric", "value"),
-		Ratios: map[string]float64{},
+// It fails when the drain or rejoin never completes, a zombie write
+// leaks through the early or post-death fence, the baseline's gray node
+// is declared dead (which would invalidate the comparison), exactly-once
+// breaks, or the proactive tail improvement misses healthGate.
+func Health(cfg HealthConfig) *Result {
+	res := newResult("Health: gray-failure anomaly detection and self-healing drain vs liveness-only baseline",
+		"phase", "mode", "metric", "value")
+	const victim = healthNodes - 1
+	// since reports a wall duration measured from t, or fails the gate.
+	since := func(ok bool, phase, metric string, t time.Time, gate string) {
+		if ok {
+			res.Table.AddRow(phase, "proactive", metric, ns(float64(time.Since(t).Nanoseconds())))
+		} else {
+			res.Fail("%s", gate)
+		}
 	}
-	var gates []string
-	gatef := func(format string, args ...any) {
-		gates = append(gates, fmt.Sprintf(format, args...))
-	}
-	victim := cfg.Nodes - 1
 
 	// --- Proactive mode: health layer + controller. ---
 	pro := newHealthRack(cfg, true)
 	proHealthy := metrics.NewHistogram()
-	pro.runPhase(cfg, cfg.TasksPerLevel, proHealthy)
+	pro.runPhase(cfg.TasksPerLevel, proHealthy)
 
-	preGen := pro.generation(victim)
+	preGen := pro.rack.Member(victim).Generation()
 	degradeAt := time.Now()
-	pro.f.Node(victim).SetLinkDegradation(cfg.RampHops[0])
-	select {
-	case <-pro.drained:
-		res.Table.AddRow("detect", "proactive", "degrade -> drained (wall)",
-			ns(float64(time.Since(degradeAt).Nanoseconds())))
-	case <-time.After(memWaitTimeout):
-		gatef("proactive drain never completed after the first ramp level")
-	}
+	pro.node(victim).SetLinkDegradation(healthRampHops[0])
+	since(awaitStage(pro.drained), "detect", "degrade -> drained (wall)", degradeAt,
+		"proactive drain never completed after the first ramp level")
 	// The early-fence zombie probe, BEFORE any death: the drained node is
 	// alive, but a view carrying its pre-drain generation must already be
 	// write-dead.
-	if err := pro.store.AttachGen(pro.f.Node(victim), preGen).Set("warm", []byte("necro"), 0); !errors.Is(err, redis.ErrFenced) {
-		gatef("early fence leaked: pre-drain view wrote through while the node was still alive (err=%v)", err)
+	if err := pro.rack.Store.AttachGen(pro.node(victim), preGen).Set("warm", []byte("necro"), 0); !errors.Is(err, redis.ErrFenced) {
+		res.Fail("early fence leaked: pre-drain view wrote through while the node was still alive (err=%v)", err)
 	}
 	res.Table.AddRow("fencing", "proactive", "zombie write while drained node still alive", "fenced")
 
 	proDeg := metrics.NewHistogram()
-	for _, hops := range cfg.RampHops {
-		pro.f.Node(victim).SetLinkDegradation(hops)
-		pro.runPhase(cfg, cfg.TasksPerLevel, proDeg)
+	for _, hops := range healthRampHops {
+		pro.node(victim).SetLinkDegradation(hops)
+		pro.runPhase(cfg.TasksPerLevel, proDeg)
 	}
 
 	// Ramp clears: the detector's hysteresis flips the verdict back and
 	// the controller rejoins the victim under a bumped generation.
 	recoverAt := time.Now()
-	pro.f.Node(victim).SetLinkDegradation(0)
-	select {
-	case <-pro.rejoined:
-		res.Table.AddRow("recover", "proactive", "ramp clear -> rejoined (wall)",
-			ns(float64(time.Since(recoverAt).Nanoseconds())))
-	case <-time.After(memWaitTimeout):
-		gatef("proactive rejoin never completed after the ramp cleared")
-	}
-	if d, ok := pro.waitServes(victim); ok {
-		res.Table.AddRow("recover", "proactive", "rejoined -> victim serving again (wall)",
-			ns(float64(d.Nanoseconds())))
-	} else {
-		gatef("rejoined victim never served a task again")
-	}
+	pro.node(victim).SetLinkDegradation(0)
+	since(awaitStage(pro.rejoined), "recover", "ramp clear -> rejoined (wall)", recoverAt,
+		"proactive rejoin never completed after the ramp cleared")
+	servesAt := time.Now()
+	since(pro.waitServes(victim), "recover", "rejoined -> victim serving again (wall)", servesAt,
+		"rejoined victim never served a task again")
 
 	// Crash round: dead beats degraded — the controller's death sweep
 	// (gate, reclaim, post-death fence) and the crash-restart rejoin.
-	if detect, complete, leak, ok := pro.crashRound(cfg, victim); ok {
+	if detect, complete, leak, ok := pro.crashRound(victim); ok {
 		res.Table.AddRow("crash", "proactive", "crash -> Dead (wall)",
 			ns(float64(detect.Nanoseconds())))
 		res.Table.AddRow("crash", "proactive", "crash -> burst complete (wall)",
 			ns(float64(complete.Nanoseconds())))
 		if leak {
-			gatef("post-death fence leaked: dead-generation view wrote through after restart")
+			res.Fail("post-death fence leaked: dead-generation view wrote through after restart")
 		} else {
 			res.Table.AddRow("fencing", "proactive", "zombie write after crash+restart", "fenced")
 		}
 	} else {
-		gatef("crash round timed out (detection, completion, or restart rejoin)")
+		res.Fail("crash round timed out (detection, completion, or restart rejoin)")
 	}
-	if d, ok := pro.waitServes(victim); ok {
-		res.Table.AddRow("crash", "proactive", "restart rejoin -> victim serving again (wall)",
-			ns(float64(d.Nanoseconds())))
-	} else {
-		gatef("crash-restarted victim never served a task again")
-	}
-	if !pro.checkExactlyOnce(res) {
-		gatef("proactive mode broke exactly-once completion")
-	}
-	pro.stop()
+	servesAt = time.Now()
+	since(pro.waitServes(victim), "crash", "restart rejoin -> victim serving again (wall)", servesAt,
+		"crash-restarted victim never served a task again")
+	auditExactlyOnce(res, pro.rack, "proactive")
+	pro.rack.Stop()
 
 	// --- Reactive baseline: membership only. ---
 	rea := newHealthRack(cfg, false)
 	reaHealthy := metrics.NewHistogram()
-	rea.runPhase(cfg, cfg.TasksPerLevel, reaHealthy)
+	rea.runPhase(cfg.TasksPerLevel, reaHealthy)
 	reaDeg := metrics.NewHistogram()
-	for _, hops := range cfg.RampHops {
-		rea.f.Node(victim).SetLinkDegradation(hops)
-		rea.runPhase(cfg, cfg.TasksPerLevel, reaDeg)
+	for _, hops := range healthRampHops {
+		rea.node(victim).SetLinkDegradation(hops)
+		rea.runPhase(cfg.TasksPerLevel, reaDeg)
 	}
-	if rea.tb.Alive(victim) {
+	if rea.rack.Table.Alive(victim) {
 		res.Table.AddRow("detect", "liveness-only baseline", "gray victim declared Dead",
 			"never (heartbeats keep flowing)")
 	} else {
 		// A dead verdict on a slow-but-beating node would mean the
 		// baseline measured crash recovery, not gray failure.
-		gatef("baseline declared the gray (alive, heartbeating) victim dead")
+		res.Fail("baseline declared the gray (alive, heartbeating) victim dead")
 	}
-	rea.f.Node(victim).SetLinkDegradation(0)
-	if !rea.checkExactlyOnce(res) {
-		gatef("baseline mode broke exactly-once completion")
-	}
-	rea.stop()
+	rea.node(victim).SetLinkDegradation(0)
+	auditExactlyOnce(res, rea.rack, "liveness-only baseline")
+	rea.rack.Stop()
 
 	for _, row := range []struct {
 		phase, mode string
@@ -208,197 +186,96 @@ func Health(cfg HealthConfig) (*Result, bool) {
 			fmt.Sprintf("%s / %s", ns(s.P50), ns(s.P99)))
 	}
 
-	proS, reaS := proDeg.Summarize(), reaDeg.Summarize()
-	tailRatio, meanRatio := 0.0, 0.0
-	if proS.P99 > 0 {
-		tailRatio = reaS.P99 / proS.P99
-	}
-	if m := proDeg.Mean(); m > 0 {
-		meanRatio = reaDeg.Mean() / m
-	}
+	tailRatio := ratio(reaDeg.Summarize().P99, proDeg.Summarize().P99)
 	res.Ratios["degraded p99 baseline/proactive"] = tailRatio
-	res.Ratios["degraded mean baseline/proactive"] = meanRatio
-	if tailRatio < cfg.Gate {
-		gatef("proactive drain improved the degraded tail %.2fx over the baseline, want >= %.2fx", tailRatio, cfg.Gate)
-	}
-	for _, g := range gates {
-		res.Table.AddRow("GATE", "FAIL", g, "")
+	res.Ratios["degraded mean baseline/proactive"] = ratio(reaDeg.Mean(), proDeg.Mean())
+	if tailRatio < healthGate {
+		res.Fail("proactive drain improved the degraded tail %.2fx over the baseline, want >= %.2fx", tailRatio, healthGate)
 	}
 
-	res.Bench = healthBench(cfg)
-	return res, len(gates) > 0
+	res.Bench = healthBench()
+	return res
 }
 
-// healthRack is one mode's rack: accounting fabric, tuned scheduler,
-// fenced store, membership on every node — plus the health layer and the
-// self-healing controller in proactive mode.
-type healthRack struct {
-	f     *fabric.Fabric
-	s     *sched.Scheduler
-	store *redis.RackStore
-	tb    *membership.Table
-	layer *health.Layer      // proactive only
-	ctl   *health.Controller // proactive only
+// awaitStage waits for the controller to signal a pipeline stage.
+func awaitStage(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(memWaitTimeout):
+		return false
+	}
+}
 
-	fn        sched.FuncID
+// healthRack is one mode's control rack — accounting fabric, membership
+// on every node, plus the health layer and the self-healing controller in
+// proactive mode (the baseline's only remediator is the classic
+// phi-accrual Dead sweep, which never fires for a gray node: that is the
+// point) — and the experiment's probes.
+type healthRack struct {
+	rack      *torture.ControlRack
 	scratch   fabric.GPtr
-	doneBase  fabric.GPtr
-	cells     uint64
-	taskSeq   atomic.Uint64
 	started   []atomic.Uint64 // per node: tasks that began executing there
+	nextPref  atomic.Uint64   // round-robin preferred-node cursor
 	phaseHist atomic.Pointer[metrics.Histogram]
 
 	drained  chan struct{}
 	rejoined chan struct{}
-
-	mu       sync.Mutex // guards members/agents across rejoins
-	members  []*membership.Member
-	agents   []*health.Agent
-	srcs     []*health.NodeSource
-	deadSeen map[[2]uint64]bool // baseline dead-sweep dedup
 }
 
 func newHealthRack(cfg HealthConfig, proactive bool) *healthRack {
+	// The controller signals each stage at most once per pipeline run and
+	// the experiment consumes every signal before triggering the next, so
+	// one slot is never overrun; a few spare absorb a flapping verdict.
 	r := &healthRack{
+		started:  make([]atomic.Uint64, healthNodes),
 		drained:  make(chan struct{}, 4),
 		rejoined: make(chan struct{}, 4),
-		deadSeen: make(map[[2]uint64]bool),
 	}
-	r.f = fabric.New(fabric.Config{
+	f := fabric.New(fabric.Config{
 		GlobalSize: 64 << 20,
-		Nodes:      cfg.Nodes,
+		Nodes:      healthNodes,
 		// Accounting-only: the injected hops show up in every task's
 		// recorded virtual cost without busy-waiting the host (which
 		// would starve the heartbeat tickers on small CI machines).
 		Latency: fabric.DefaultLatency(),
 	})
-	r.s = sched.New(r.f, sched.Config{
-		TableCap:    128,
-		Policy:      sched.PolicyLocality,
-		ProbeRounds: 40,
-		ReclaimTick: 500 * time.Microsecond,
-		IdleTick:    200 * time.Microsecond,
-		StealGrace:  500 * time.Microsecond,
+	r.scratch = f.Reserve(fabric.LineSize, fabric.LineSize)
+	r.rack = torture.NewControlRack(f, torture.ControlConfig{
+		Store: redis.RackStoreConfig{ArenaBytes: 4 << 20, MaxViews: 64},
+		// Every task the experiment will ever submit (phases, serving
+		// probes, the crash burst) gets its own DoneCell for the audit.
+		Tasks:       (len(healthRampHops)+2)*cfg.TasksPerLevel + 2*servesProbeCap + healthCrashBurst + 64,
+		Body:        r.task,
+		PhiDead:     8,
+		DeadStrikes: 3,
+		Health:      proactive,
+		OnStage:     r.onStage,
 	})
-	r.scratch = r.f.Reserve(fabric.LineSize, fabric.LineSize)
-	// Every task the experiment will ever submit (phases, serving probes,
-	// the crash burst) gets its own DoneCell for the exactly-once audit.
-	r.cells = uint64((len(cfg.RampHops)+2)*cfg.TasksPerLevel + 2*servesProbeCap + 16*cfg.Clients + 64)
-	r.doneBase = r.f.Reserve(r.cells*8, fabric.LineSize)
-	r.started = make([]atomic.Uint64, cfg.Nodes)
-	work := cfg.AtomicsPerTask
-	r.fn = r.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		r.started[n.ID()].Add(1)
-		if arg0 == 1 {
-			// Crash-burst linger: stay mid-task long enough for the crash
-			// to land while this node holds the lease.
-			time.Sleep(200 * time.Microsecond)
-		}
-		v0 := n.VirtualNS()
-		for i := 0; i < work; i++ {
-			n.AtomicLoad64(r.scratch) // always reaches home: pays the full hop cost
-		}
-		if h := r.phaseHist.Load(); h != nil {
-			h.Record(float64(n.VirtualNS() - v0))
-		}
-	})
-	r.s.Start()
-	r.store = redis.NewRackStore(r.f, redis.RackStoreConfig{
-		ArenaBytes: 4 << 20,
-		MaxViews:   64,
-	})
-	if err := r.store.Attach(r.f.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
+	if err := r.rack.Store.Attach(f.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
 		panic(err)
-	}
-	r.tb = membership.New(r.f, membership.Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		PhiSuspect:    3,
-		PhiDead:       8,
-		DeadStrikes:   3,
-	})
-	r.members = make([]*membership.Member, cfg.Nodes)
-	r.agents = make([]*health.Agent, cfg.Nodes)
-	r.srcs = make([]*health.NodeSource, cfg.Nodes)
-	if proactive {
-		r.layer = health.New(r.tb, health.Config{
-			Tick:         100 * time.Microsecond,
-			EnterStrikes: 2,
-			ExitStrikes:  4,
-		})
-	}
-	for id := 0; id < cfg.Nodes; id++ {
-		if err := r.rejoinNode(id); err != nil {
-			panic(err)
-		}
-	}
-	r.s.SetLiveness(r.tb.Alive)
-	if proactive {
-		r.ctl = health.NewController(r.members[0], health.ControllerConfig{
-			Sched:   r.s,
-			Store:   r.store,
-			Rejoin:  r.ctlRejoin,
-			OnStage: r.onStage,
-			From:    r.f.Node(0),
-		})
-	} else {
-		// The baseline's only remediator: the classic phi-accrual Dead
-		// sweep (it never fires for a gray node — that is the point).
-		r.members[0].Subscribe(r.onDeadSweep)
 	}
 	return r
 }
 
-// rejoinNode (re)joins node id into membership and, in proactive mode,
-// replaces its health agent alongside — an agent publishes records
-// stamped with its member's generation, so the two always rejoin
-// together.
-func (r *healthRack) rejoinNode(id int) error {
-	n := r.f.Node(id)
-	if n.Crashed() {
-		return fmt.Errorf("node %d is crashed", id)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if a := r.agents[id]; a != nil {
-		a.Stop()
-	}
-	if m := r.members[id]; m != nil {
-		m.Stop()
-	}
-	m, err := r.tb.Join(n)
-	if err != nil {
-		return err
-	}
-	if err := m.Activate(); err != nil {
-		return err
-	}
-	m.Start()
-	r.members[id] = m
-	if r.layer != nil {
-		if r.srcs[id] == nil {
-			r.srcs[id] = health.NewNodeSource(n, r.s)
-		}
-		a := r.layer.Join(m, r.srcs[id])
-		a.Start()
-		r.agents[id] = a
-	}
-	return nil
-}
+func (r *healthRack) node(id int) *fabric.Node { return r.rack.Fab.Node(id) }
 
-func (r *healthRack) generation(id int) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.members[id].Generation()
-}
-
-// ctlRejoin is the controller's recovery callback; it runs inline on the
-// controller's event goroutine (node 0's health agent), so node 0 never
-// self-rejoins.
-func (r *healthRack) ctlRejoin(node int, gen uint64) error {
-	if node == 0 {
-		return fmt.Errorf("node 0 hosts the controller and does not self-rejoin")
+// task is the closed-loop request: linger == 1 marks the crash burst,
+// which stays mid-task long enough for the crash to land while this node
+// holds the lease. Its fabric work always reaches home memory, so it
+// pays the full hop cost of whichever node executes it.
+func (r *healthRack) task(n *fabric.Node, linger uint64) {
+	r.started[n.ID()].Add(1)
+	if linger == 1 {
+		time.Sleep(200 * time.Microsecond)
 	}
-	return r.rejoinNode(node)
+	v0 := n.VirtualNS()
+	for i := 0; i < healthAtomicsPerTask; i++ {
+		n.AtomicLoad64(r.scratch)
+	}
+	if h := r.phaseHist.Load(); h != nil {
+		h.Record(float64(n.VirtualNS() - v0))
+	}
 }
 
 func (r *healthRack) onStage(st health.Stage, node int, gen uint64) {
@@ -416,63 +293,24 @@ func (r *healthRack) onStage(st health.Stage, node int, gen uint64) {
 	}
 }
 
-// onDeadSweep is the baseline's Dead handler: lease reclaim plus the
-// post-death fence, once per (slot, generation) — the membership
-// experiment's classic sweep, without the health layer above it.
-func (r *healthRack) onDeadSweep(ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
-	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	r.mu.Lock()
-	done := r.deadSeen[key]
-	r.deadSeen[key] = true
-	r.mu.Unlock()
-	if done {
-		return
-	}
-	n0 := r.f.Node(0)
-	r.s.ReclaimNode(n0, ev.Node)
-	r.store.FenceNode(n0, ev.Node, ev.Generation)
+// submit queues one task through node 0. Tasks cycle their preferred
+// node over the whole rack — the victim included — so placement policy,
+// not the submitter, decides who pays for the ramp.
+func (r *healthRack) submit(linger uint64) sched.Handle {
+	return r.rack.Tasks.Submit(r.node(0), linger, int(r.nextPref.Add(1)%healthNodes))
 }
 
-// submit queues one task through node 0 and returns its handle. Tasks
-// cycle their preferred node over the whole rack — the victim included —
-// so placement policy, not the submitter, decides who pays for the ramp.
-func (r *healthRack) submit(cfg HealthConfig, arg0 uint64) sched.Handle {
-	idx := r.taskSeq.Add(1) - 1
-	if idx >= r.cells {
-		panic("health experiment overran its DoneCell arena")
-	}
-	return r.s.Submit(r.f.Node(0), sched.Task{
-		Fn:        r.fn,
-		Arg0:      arg0,
-		Arg1:      idx,
-		Preferred: int(idx % uint64(cfg.Nodes)),
-		DoneCell:  r.doneBase.Add(idx * 8),
-	})
-}
-
-// runPhase runs count closed-loop tasks across cfg.Clients submitters;
+// runPhase runs count closed-loop tasks across healthClients submitters;
 // each task records its own fabric cost into hist from whichever node
 // executed it.
-func (r *healthRack) runPhase(cfg HealthConfig, count int, hist *metrics.Histogram) {
+func (r *healthRack) runPhase(count int, hist *metrics.Histogram) {
 	r.phaseHist.Store(hist)
 	defer r.phaseHist.Store(nil)
-	per := count / cfg.Clients
-	n0 := r.f.Node(0)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h := r.submit(cfg, 0)
-				r.s.Wait(n0, h)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(healthClients, func(int) {
+		for i := 0; i < count/healthClients; i++ {
+			r.rack.Sched.Wait(r.node(0), r.submit(0))
+		}
+	})
 }
 
 // servesProbeCap bounds waitServes' probe submissions so the DoneCell
@@ -481,78 +319,50 @@ const servesProbeCap = 2000
 
 // waitServes proves node id is pulling rack work again: it submits probe
 // tasks preferred there until one actually begins executing on it.
-func (r *healthRack) waitServes(id int) (time.Duration, bool) {
+func (r *healthRack) waitServes(id int) bool {
 	start := time.Now()
 	s0 := r.started[id].Load()
-	n0 := r.f.Node(0)
-	for i := 0; i < servesProbeCap; i++ {
-		if time.Since(start) > memWaitTimeout {
-			return 0, false
-		}
-		idx := r.taskSeq.Add(1) - 1
-		if idx >= r.cells {
-			return 0, false
-		}
-		h := r.s.Submit(n0, sched.Task{
-			Fn:        r.fn,
-			Arg1:      idx,
-			Preferred: id,
-			DoneCell:  r.doneBase.Add(idx * 8),
-		})
-		r.s.Wait(n0, h)
+	for i := 0; i < servesProbeCap && time.Since(start) <= memWaitTimeout; i++ {
+		r.rack.Sched.Wait(r.node(0), r.rack.Tasks.Submit(r.node(0), 0, id))
 		if r.started[id].Load() > s0 {
-			return time.Since(start), true
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
 // crashRound crashes the victim mid-task under load and returns
 // (crash->Dead, crash->burst complete, post-restart zombie leak, ok).
 // The controller's death sweep owns remediation; afterwards the node is
 // restarted, rebooted in sched, and rejoined under a fresh generation.
-func (r *healthRack) crashRound(cfg HealthConfig, victim int) (detect, complete time.Duration, leak, ok bool) {
-	deadline := time.Now().Add(memWaitTimeout)
-	for !r.tb.Alive(victim) {
-		if time.Now().After(deadline) {
-			return 0, 0, false, false
-		}
-		time.Sleep(50 * time.Microsecond)
+func (r *healthRack) crashRound(victim int) (detect, complete time.Duration, leak, ok bool) {
+	tb := r.rack.Table
+	if !waitFor(50*time.Microsecond, func() bool { return tb.Alive(victim) }) {
+		return 0, 0, false, false
 	}
-	deadGen := r.generation(victim)
+	deadGen := r.rack.Member(victim).Generation()
 
 	s0 := r.started[victim].Load()
-	hs := make([]sched.Handle, 0, 16*cfg.Clients)
-	for i := 0; i < 16*cfg.Clients; i++ {
-		hs = append(hs, r.submit(cfg, 1)) // lingering tasks: the crash lands mid-task
+	hs := make([]sched.Handle, 0, healthCrashBurst)
+	for i := 0; i < healthCrashBurst; i++ {
+		hs = append(hs, r.submit(1)) // lingering tasks: the crash lands mid-task
 	}
-	deadline = time.Now().Add(memWaitTimeout)
-	for r.started[victim].Load() == s0 {
-		if time.Now().After(deadline) {
-			return 0, 0, false, false
-		}
-		time.Sleep(10 * time.Microsecond)
+	if !waitFor(10*time.Microsecond, func() bool { return r.started[victim].Load() != s0 }) {
+		return 0, 0, false, false
 	}
 	crashAt := time.Now()
-	r.f.Node(victim).Crash()
-
-	deadline = time.Now().Add(memWaitTimeout)
-	for r.tb.Alive(victim) {
-		if time.Now().After(deadline) {
-			return 0, 0, false, false
-		}
-		time.Sleep(20 * time.Microsecond)
+	r.node(victim).Crash()
+	if !waitFor(20*time.Microsecond, func() bool { return !tb.Alive(victim) }) {
+		return 0, 0, false, false
 	}
 	detect = time.Since(crashAt)
-	n0 := r.f.Node(0)
 	for _, h := range hs {
-		r.s.Wait(n0, h)
+		r.rack.Sched.Wait(r.node(0), h)
 	}
 	complete = time.Since(crashAt)
 
-	r.f.Node(victim).Restart()
-	r.s.RebootNode(victim)
-	if err := r.rejoinNode(victim); err != nil {
+	r.node(victim).Restart()
+	if r.rack.Restarted(victim) != nil {
 		return 0, 0, false, false
 	}
 	// The controller's death sweep runs on its own event path (it needs
@@ -560,69 +370,22 @@ func (r *healthRack) crashRound(cfg HealthConfig, victim int) (detect, complete 
 	// fence may rise an instant after the burst completes: poll. A leak
 	// is a dead-generation write still going through once the sweep has
 	// had memWaitTimeout to fire.
-	view := r.store.AttachGen(r.f.Node(victim), deadGen)
-	deadline = time.Now().Add(memWaitTimeout)
-	leak = true
-	for time.Now().Before(deadline) {
-		if errors.Is(view.Set("warm", []byte("necro"), 0), redis.ErrFenced) {
-			leak = false
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	view := r.rack.Store.AttachGen(r.node(victim), deadGen)
+	leak = !waitFor(50*time.Microsecond, func() bool {
+		return errors.Is(view.Set("warm", []byte("necro"), 0), redis.ErrFenced)
+	})
 	return detect, complete, leak, true
 }
 
-// checkExactlyOnce audits the mode's entire task history after all
-// phases: the scheduler ledger balances and every DoneCell holds exactly
-// 1 despite the drain's re-placement and the crash round's re-dispatch.
-func (r *healthRack) checkExactlyOnce(res *Result) bool {
-	n0 := r.f.Node(0)
-	r.s.Drain(n0)
-	st := r.s.StatsFrom(n0)
-	total := r.taskSeq.Load()
-	bad := 0
-	for i := uint64(0); i < total; i++ {
-		if n0.AtomicLoad64(r.doneBase+fabric.GPtr(i*8)) != 1 {
-			bad++
-		}
-	}
-	mode := "liveness-only baseline"
-	if r.layer != nil {
-		mode = "proactive"
-	}
-	res.Table.AddRow("invariant", mode, "tasks exactly-once",
-		fmt.Sprintf("%d / %d (submitted %d, completed %d, queued %d)",
-			total-uint64(bad), total,
-			st.Submitted, st.Completed, st.Queued))
-	return bad == 0 && st.Submitted == st.Completed && st.Queued == 0
-}
-
-func (r *healthRack) stop() {
-	r.mu.Lock()
-	agents, members := r.agents, r.members
-	r.mu.Unlock()
-	for _, a := range agents {
-		if a != nil {
-			a.Stop()
-		}
-	}
-	for _, m := range members {
-		if m != nil {
-			m.Stop()
-		}
-	}
-	r.s.Stop()
-}
-
 // healthBench computes the experiment's machine-readable headline on a
-// separate accounting-only fabric, so BENCH_health.json is bit-identical
-// across runs, hosts, and -quick vs full sizes (wall numbers would churn
+// separate accounting-only fabric from the ramp alone, so
+// BENCH_health.json is bit-identical across runs, hosts, and -quick vs
+// full sizes (wall numbers would churn
 // the tracked artifact on every CI machine): the VIRTUAL per-op cost a
 // task pays on a healthy link (p50, and the throughput it implies)
 // versus at the worst ramp level (p99) — the latency cliff the drain
 // removes from the tail.
-func healthBench(cfg HealthConfig) *Bench {
+func healthBench() *Bench {
 	f := fabric.New(fabric.Config{
 		GlobalSize: 1 << 20,
 		Nodes:      2,
@@ -641,7 +404,7 @@ func healthBench(cfg HealthConfig) *Bench {
 	}
 	base := perOp(0)
 	worst := base
-	for _, hops := range cfg.RampHops {
+	for _, hops := range healthRampHops {
 		if c := perOp(hops); c > worst {
 			worst = c
 		}

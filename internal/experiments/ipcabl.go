@@ -2,24 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"flacos/internal/fabric"
 	"flacos/internal/ipc"
-	"flacos/internal/metrics"
 	"flacos/internal/netstack"
+	"flacos/internal/redis"
 )
 
 // IPCConfig parameterizes ablation D.
 type IPCConfig struct {
-	Rounds   int
-	Payloads []int
+	Rounds int
 }
 
-// DefaultIPC sweeps payload sizes from cache-line to page-plus scale.
-func DefaultIPC() IPCConfig {
-	return IPCConfig{Rounds: 2000, Payloads: []int{64, 1024, 4096, 16384, 65536}}
-}
+// ipcPayloads sweeps payload sizes from cache-line to page-plus scale.
+var ipcPayloads = []int{64, 1024, 4096, 16384, 65536}
+
+// DefaultIPC is the paper-sized sweep.
+func DefaultIPC() IPCConfig { return IPCConfig{Rounds: 2000} }
+
+// QuickIPC is the CI-sized sweep.
+func QuickIPC() IPCConfig { return IPCConfig{Rounds: 300} }
 
 // IPCAblation compares echo round-trip cost (virtual ns, both endpoints'
 // charges summed) across the four transports §3.5 discusses: the TCP
@@ -27,12 +29,9 @@ func DefaultIPC() IPCConfig {
 // migration RPC (no message at all — the caller's thread runs the server
 // code).
 func IPCAblation(cfg IPCConfig) *Result {
-	res := &Result{
-		Name:   "Ablation D: IPC transports, echo round trip",
-		Table:  metrics.NewTable("payload", "tcp", "rdma", "flacos-ipc", "migration-rpc"),
-		Ratios: map[string]float64{},
-	}
-	for _, size := range cfg.Payloads {
+	res := newResult("Ablation D: IPC transports, echo round trip",
+		"payload", "tcp", "rdma", "flacos-ipc", "migration-rpc")
+	for _, size := range ipcPayloads {
 		tcp := echoTCP(size, cfg.Rounds)
 		rdma := echoRDMA(size, cfg.Rounds)
 		shm := echoIPC(size, cfg.Rounds)
@@ -57,18 +56,9 @@ func perOp(f *fabric.Fabric, rounds int) float64 {
 	return float64(f.RackStats().VirtualNS) / float64(rounds)
 }
 
-func echoTCP(size, rounds int) float64 {
-	f := newIPCRack()
-	nw := netstack.New(netstack.DefaultTCP())
-	l, _ := nw.Listen(f.Node(0), "s:1")
-	var srv *netstack.Conn
-	done := make(chan struct{})
-	go func() { srv, _ = l.Accept(); close(done) }()
-	cli, err := nw.Dial(f.Node(1), "s:1")
-	if err != nil {
-		panic(err)
-	}
-	<-done
+// echoConns drives rounds lockstep echo round trips over an established
+// connection pair, measuring from after the handshake.
+func echoConns(f *fabric.Fabric, srv, cli redis.Conn, size, rounds int) float64 {
 	f.Node(0).ResetStats()
 	f.Node(1).ResetStats()
 	msg := make([]byte, size)
@@ -80,6 +70,12 @@ func echoTCP(size, rounds int) float64 {
 		cli.Recv(buf)
 	}
 	return perOp(f, rounds)
+}
+
+func echoTCP(size, rounds int) float64 {
+	f := newIPCRack()
+	srv, cli, _ := tcpPair(f.Node(0), f.Node(1))
+	return echoConns(f, srv, cli, size, rounds)
 }
 
 func echoRDMA(size, rounds int) float64 {
@@ -105,27 +101,8 @@ func echoIPC(size, rounds int) float64 {
 	sb := ipc.NewSwitchboard(f, f.Node(0), ipc.Config{
 		MaxConns: 2, MaxListeners: 1, RingSlots: 8, MsgMax: uint64(size) + 64,
 	})
-	l, _ := sb.Endpoint(f.Node(0)).Bind("echo")
-	var srv *ipc.Conn
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); srv = l.Accept() }()
-	cli, err := sb.Endpoint(f.Node(1)).Connect("echo")
-	if err != nil {
-		panic(err)
-	}
-	wg.Wait()
-	f.Node(0).ResetStats()
-	f.Node(1).ResetStats()
-	msg := make([]byte, size)
-	buf := make([]byte, size+64)
-	for i := 0; i < rounds; i++ {
-		cli.Send(msg)
-		n, _ := srv.Recv(buf)
-		srv.Send(buf[:n])
-		cli.Recv(buf)
-	}
-	return perOp(f, rounds)
+	srv, cli, _ := ipcPair(sb.Endpoint(f.Node(0)), sb.Endpoint(f.Node(1)), "echo")
+	return echoConns(f, srv, cli, size, rounds)
 }
 
 func echoMigration(size, rounds int) float64 {

@@ -5,41 +5,42 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/fs"
-	"flacos/internal/metrics"
 )
 
 // PageCacheConfig parameterizes ablation B.
 type PageCacheConfig struct {
-	Nodes     int
-	Files     int
-	PagesPer  int
-	ReadLoops int // how many times each node re-reads the file set
+	Files    int
+	PagesPer int
 }
 
 // DefaultPageCache uses a shared working set (container images, shared
 // datasets) read by every node — the §3.4 scenario.
-func DefaultPageCache() PageCacheConfig {
-	return PageCacheConfig{Nodes: 4, Files: 8, PagesPer: 64, ReadLoops: 2}
-}
+func DefaultPageCache() PageCacheConfig { return PageCacheConfig{Files: 8, PagesPer: 64} }
+
+// QuickPageCache is the CI-sized run.
+func QuickPageCache() PageCacheConfig { return PageCacheConfig{Files: 4, PagesPer: 16} }
+
+const (
+	pageCacheNodes = 4
+	// pageCacheReadLoops is how many times each node re-reads the file set.
+	pageCacheReadLoops = 2
+)
 
 // PageCacheAblation quantifies §3.4's claim: a shared page cache stores
 // one copy of each cached page rack-wide, where per-node caches store one
 // copy PER NODE — and the shared copy also turns other nodes' first reads
 // into hits, cutting device traffic.
 func PageCacheAblation(cfg PageCacheConfig) *Result {
-	res := &Result{
-		Name:   "Ablation B: shared page cache vs per-node page caches",
-		Table:  metrics.NewTable("design", "rack cached pages", "device reads", "hit rate"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Ablation B: shared page cache vs per-node page caches",
+		"design", "rack cached pages", "device reads", "hit rate")
 	workingSet := uint64(cfg.Files * cfg.PagesPer)
 
 	// --- FlacOS shared page cache ---
 	{
-		f := fabric.New(fabric.Config{GlobalSize: 256 << 20, Nodes: cfg.Nodes, Latency: fabric.DefaultLatency()})
+		f := fabric.New(fabric.Config{GlobalSize: 256 << 20, Nodes: pageCacheNodes, Latency: fabric.DefaultLatency()})
 		dev := fs.NewMemDev(50_000, 60_000)
 		fsys := fs.New(f, dev, fs.Config{CacheFrames: workingSet * 2})
-		mounts := make([]*fs.Mount, cfg.Nodes)
+		mounts := make([]*fs.Mount, pageCacheNodes)
 		for i := range mounts {
 			mounts[i] = fsys.Mount(f.Node(i))
 		}
@@ -50,7 +51,7 @@ func PageCacheAblation(cfg PageCacheConfig) *Result {
 		baseReads := dev.Reads()
 		var hits, misses uint64
 		buf := make([]byte, cfg.PagesPer*fs.PageSize)
-		for loop := 0; loop < cfg.ReadLoops; loop++ {
+		for loop := 0; loop < pageCacheReadLoops; loop++ {
 			for _, m := range mounts {
 				for _, id := range ids {
 					m.Read(id, 0, buf)
@@ -72,7 +73,7 @@ func PageCacheAblation(cfg PageCacheConfig) *Result {
 
 	// --- Per-node private caches (disaggregated baseline) ---
 	{
-		f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: cfg.Nodes, Latency: fabric.DefaultLatency()})
+		f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: pageCacheNodes, Latency: fabric.DefaultLatency()})
 		dev := fs.NewMemDev(50_000, 60_000)
 		// Seed the device directly: the baseline has no shared FS.
 		page := make([]byte, fs.PageSize)
@@ -85,13 +86,13 @@ func PageCacheAblation(cfg PageCacheConfig) *Result {
 			}
 		}
 		baseReads := dev.Reads()
-		locals := make([]*fs.LocalCacheMount, cfg.Nodes)
+		locals := make([]*fs.LocalCacheMount, pageCacheNodes)
 		var hits, misses, rackPages uint64
 		buf := make([]byte, cfg.PagesPer*fs.PageSize)
 		for i := range locals {
 			locals[i] = fs.NewLocalCacheMount(f.Node(i), dev)
 		}
-		for loop := 0; loop < cfg.ReadLoops; loop++ {
+		for loop := 0; loop < pageCacheReadLoops; loop++ {
 			for _, lc := range locals {
 				for fid := 1; fid <= cfg.Files; fid++ {
 					lc.Read(uint64(fid), 0, buf)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"flacos/internal/core"
-	"flacos/internal/fabric"
 	"flacos/internal/ipc"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
@@ -16,40 +15,32 @@ import (
 
 // RedisRackConfig parameterizes the rack-shared Redis serving ablation.
 type RedisRackConfig struct {
-	// ServeNodes run Redis servers over views of ONE shared store.
-	ServeNodes int
-	// ClientNodes host the client workers (separate from the serving
-	// nodes so client-side virtual cost is identical across modes).
-	ClientNodes int
-	// Clients is the number of concurrent client goroutines (each with
-	// its own connection and key range).
-	Clients int
 	// Batches is rounds per client per throughput phase.
 	Batches int
-	// BatchSize is commands pipelined per round trip.
-	BatchSize int
-	// ValueBytes sizes SET payloads.
-	ValueBytes int
-	// KeysPerClient is each client's private key-range size.
-	KeysPerClient int
 	// LatencyOps is rounds per latency configuration.
 	LatencyOps int
 }
 
-// DefaultRedisRack matches the acceptance setup: 2 serving nodes, 4
-// client goroutines on 2 client nodes, pipelined batches.
-func DefaultRedisRack() RedisRackConfig {
-	return RedisRackConfig{
-		ServeNodes:    2,
-		ClientNodes:   2,
-		Clients:       4,
-		Batches:       300,
-		BatchSize:     16,
-		ValueBytes:    128,
-		KeysPerClient: 64,
-		LatencyOps:    200,
-	}
-}
+// DefaultRedisRack is the acceptance setup.
+func DefaultRedisRack() RedisRackConfig { return RedisRackConfig{Batches: 300, LatencyOps: 200} }
+
+// QuickRedisRack is the CI-sized run.
+func QuickRedisRack() RedisRackConfig { return RedisRackConfig{Batches: 80, LatencyOps: 60} }
+
+// The rack: 2 serving nodes run Redis servers over views of ONE shared
+// store; 4 client goroutines, each with its own connection and private
+// key range, live on 2 separate client nodes so client-side virtual cost
+// is identical across modes.
+const (
+	rrServeNodes    = 2
+	rrClientNodes   = 2
+	rrClients       = 4
+	rrBatchSize     = 16 // commands pipelined per round trip
+	rrValueBytes    = 128
+	rrKeysPerClient = 64
+	// rrSpeedupGate is the multi/single serving-node throughput gate.
+	rrSpeedupGate = 1.5
+)
 
 // RedisRack measures the rack-shared Redis store serving ONE dataset from
 // every node (the paper's Fig. 4 workload on the shared-OS substrate):
@@ -67,28 +58,32 @@ func DefaultRedisRack() RedisRackConfig {
 //     are single-writer and every GET must return exactly the last
 //     acknowledged SET.
 //
-// The returned bool reports failure: any stale/torn/backwards/mismatched
-// read, or a multi-node speedup below the 1.5x acceptance gate.
-func RedisRack(cfg RedisRackConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Rack-shared Redis: one arena-resident dataset served from every node",
-		Table:  metrics.NewTable("phase", "config", "metric", "value"),
-		Ratios: map[string]float64{},
-	}
+// It fails on any stale/torn/backwards/mismatched read, or a multi-node
+// speedup below rrSpeedupGate.
+func RedisRack(cfg RedisRackConfig) *Result {
+	res := newResult("Rack-shared Redis: one arena-resident dataset served from every node",
+		"phase", "config", "metric", "value")
 
 	rack := core.Boot(core.Config{
-		Nodes: cfg.ServeNodes + cfg.ClientNodes,
-		IPC:   ipcSized(cfg),
+		Nodes: rrServeNodes + rrClientNodes,
+		// A whole pipelined batch fits one IPC message with room for RESP
+		// overhead; connection slots cover both throughput modes plus the
+		// latency session.
+		IPC: ipc.Config{
+			MsgMax:       rrBatchSize*(rrValueBytes+96) + 4096,
+			MaxConns:     2*rrClients + 4,
+			MaxListeners: 2*rrClients + 4,
+		},
 	})
 	defer rack.Shutdown()
 
 	// Phase 1: lockstep latency, serial vs pipelined.
 	serialH := redisRackLatency(rack, cfg, 1)
-	pipeH := redisRackLatency(rack, cfg, cfg.BatchSize)
+	pipeH := redisRackLatency(rack, cfg, rrBatchSize)
 	for _, row := range []struct {
 		name string
 		h    *metrics.Histogram
-	}{{"batch=1", serialH}, {fmt.Sprintf("batch=%d", cfg.BatchSize), pipeH}} {
+	}{{"batch=1", serialH}, {fmt.Sprintf("batch=%d", rrBatchSize), pipeH}} {
 		s := row.h.Summarize()
 		res.Table.AddRow("latency", row.name, "per-op mean/p50/p99",
 			fmt.Sprintf("%s / %s / %s", ns(s.Mean), ns(s.P50), ns(s.P99)))
@@ -99,21 +94,22 @@ func RedisRack(cfg RedisRackConfig) (*Result, bool) {
 
 	// Phases 2+3: throughput and integrity, 1 vs N serving nodes.
 	single := redisRackServe(rack, cfg, 1)
-	multi := redisRackServe(rack, cfg, cfg.ServeNodes)
+	multi := redisRackServe(rack, cfg, rrServeNodes)
 	for _, m := range []*serveOutcome{single, multi} {
-		res.Table.AddRow("throughput", fmt.Sprintf("%d server node(s)", m.serveNodes),
-			"ops/s (virtual)", fmt.Sprintf("%.0f", m.opsPerSec))
-		res.Table.AddRow("throughput", fmt.Sprintf("%d server node(s)", m.serveNodes),
-			"makespan", ns(float64(m.makespanNS)))
-		res.Table.AddRow("integrity", fmt.Sprintf("%d server node(s)", m.serveNodes),
-			"stale/torn/backwards/mismatch",
+		config := fmt.Sprintf("%d server node(s)", m.serveNodes)
+		res.Table.AddRow("throughput", config, "ops/s (virtual)", fmt.Sprintf("%.0f", m.opsPerSec))
+		res.Table.AddRow("throughput", config, "makespan", ns(float64(m.makespanNS)))
+		res.Table.AddRow("integrity", config, "stale/torn/backwards/mismatch",
 			fmt.Sprintf("%d / %d / %d / %d", m.stale, m.torn, m.backwards, m.mismatch))
+		if v := m.stale + m.torn + m.backwards + m.mismatch; v > 0 {
+			res.Fail("%s: %d stale/torn/backwards/mismatched reads", config, v)
+		}
 	}
-	ratio := 0.0
-	if single.opsPerSec > 0 {
-		ratio = multi.opsPerSec / single.opsPerSec
+	speedup := ratio(multi.opsPerSec, single.opsPerSec)
+	res.Ratios["multi/single node throughput"] = speedup
+	if speedup < rrSpeedupGate {
+		res.Fail("%d serving nodes reached %.2fx one node's throughput, want >= %.1fx", rrServeNodes, speedup, rrSpeedupGate)
 	}
-	res.Ratios["multi/single node throughput"] = ratio
 
 	ps := pipeH.Summarize()
 	res.Bench = &Bench{
@@ -122,21 +118,7 @@ func RedisRack(cfg RedisRackConfig) (*Result, bool) {
 		P50NS:     ps.P50,
 		P99NS:     ps.P99,
 	}
-
-	failed := ratio < 1.5 ||
-		single.violations() > 0 || multi.violations() > 0
-	return res, failed
-}
-
-// ipcSized sizes the switchboard so a whole pipelined batch fits one IPC
-// message with room for RESP overhead, with connection slots for both
-// throughput modes plus the latency session.
-func ipcSized(cfg RedisRackConfig) ipc.Config {
-	return ipc.Config{
-		MsgMax:       uint64(cfg.BatchSize*(cfg.ValueBytes+96) + 4096),
-		MaxConns:     2*cfg.Clients + 4,
-		MaxListeners: 2*cfg.Clients + 4,
-	}
+	return res
 }
 
 // redisRackLatency runs one lockstep client against one server session on
@@ -145,16 +127,16 @@ func ipcSized(cfg RedisRackConfig) ipc.Config {
 // the batch size).
 func redisRackLatency(rack *core.Rack, cfg RedisRackConfig, batch int) *metrics.Histogram {
 	f := rack.Fabric
-	sess, cl, closeAll := redisRackConnect(rack, cfg, "lat", 0, cfg.ServeNodes)
+	sess, cl, closeAll := redisRackConnect(rack, "redis-lat", 0, rrServeNodes)
 	defer closeAll()
 
 	h := metrics.NewHistogram()
-	value := patternValue(0, "warm", 1, cfg.ValueBytes)
+	value := patternValue(0, "warm", 1, rrValueBytes)
 	rackNS := func() uint64 { return f.RackStats().VirtualNS }
 	for op := 0; op < cfg.LatencyOps; op++ {
 		before := rackNS()
 		for r := 0; r < batch; r++ {
-			key := fmt.Sprintf("lat-%d", (op*batch+r)%cfg.KeysPerClient)
+			key := fmt.Sprintf("lat-%d", (op*batch+r)%rrKeysPerClient)
 			if (op+r)%2 == 0 {
 				cl.PipeSet(key, value, 0)
 			} else {
@@ -185,8 +167,6 @@ type serveOutcome struct {
 	mismatch   int
 }
 
-func (o *serveOutcome) violations() int { return o.stale + o.torn + o.backwards + o.mismatch }
-
 // session is one server-side connection: a Server over its own view of
 // the shared store, executing one pipelined batch per round.
 type session struct {
@@ -208,40 +188,19 @@ func (s *session) serveOne() {
 	}
 }
 
-// redisRackConnect establishes one client connection to serving node
-// srvIdx (listener name unique per mode+client) plus its server session.
-func redisRackConnect(rack *core.Rack, cfg RedisRackConfig, mode string, j, clientNode int) (*session, *redis.Client, func()) {
-	srvIdx := j % maxInt(1, cfg.ServeNodes)
-	name := fmt.Sprintf("redis-%s-%d", mode, j)
-	l, err := rack.OS(srvIdx).Endpoint.Bind(name)
-	if err != nil {
-		panic(err)
-	}
-	var sconn redis.Conn
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); sconn = l.Accept() }()
-	cconn, err := rack.OS(clientNode).Endpoint.Connect(name)
-	if err != nil {
-		panic(err)
-	}
-	wg.Wait()
-	view := rack.OS(srvIdx).RedisView()
+// redisRackConnect establishes one client connection (listener name is
+// unique per mode+client) from clientNode to a server session on node
+// srvNode.
+func redisRackConnect(rack *core.Rack, name string, srvNode, clientNode int) (*session, *redis.Client, func()) {
+	sconn, cconn, closeAll := ipcPair(rack.OS(srvNode).Endpoint, rack.OS(clientNode).Endpoint, name)
+	view := rack.OS(srvNode).RedisView()
 	sess := &session{
 		srv:  redis.NewServer(view),
 		view: view,
 		conn: sconn,
 		buf:  make([]byte, 256<<10),
 	}
-	cl := redis.NewClient(cconn, 256<<10)
-	return sess, cl, func() { cconn.Close(); l.Close() }
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return sess, redis.NewClient(cconn, 256<<10), closeAll
 }
 
 // patternValue builds a self-checking payload: 8 bytes of sequence
@@ -305,13 +264,11 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 		stale, torn, backwards, mismatch int
 	}
 
-	clients := make([]*clientState, cfg.Clients)
-	closers := make([]func(), 0, cfg.Clients)
+	clients := make([]*clientState, rrClients)
+	closers := make([]func(), 0, rrClients)
 	for j := range clients {
-		clientNode := cfg.ServeNodes + j%maxInt(1, cfg.ClientNodes)
-		scfg := cfg
-		scfg.ServeNodes = serveNodes
-		sess, cl, cl0 := redisRackConnect(rack, scfg, mode, j, clientNode)
+		sess, cl, cl0 := redisRackConnect(rack, fmt.Sprintf("redis-%s-%d", mode, j),
+			j%serveNodes, rrServeNodes+j%rrClientNodes)
 		closers = append(closers, cl0)
 		clients[j] = &clientState{
 			cl:       cl,
@@ -331,11 +288,11 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 	// before any later round's reads are served.
 	queue := func(j int, c *clientState, b int) {
 		c.expect = c.expect[:0]
-		for r := 0; r < cfg.BatchSize; r++ {
-			if j == 0 && r == cfg.BatchSize-1 {
+		for r := 0; r < rrBatchSize; r++ {
+			if j == 0 && r == rrBatchSize-1 {
 				// The hot writer: one hot SET per round, last in the batch.
 				c.hotSeq++
-				c.cl.PipeSet(hotKey, patternValue(c.hotSeq, hotKey, 7, cfg.ValueBytes), 0)
+				c.cl.PipeSet(hotKey, patternValue(c.hotSeq, hotKey, 7, rrValueBytes), 0)
 				c.expect = append(c.expect, expectOK(&viol.Mutex, &viol.mismatch))
 				continue
 			}
@@ -373,11 +330,11 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			}
 			// Private single-writer keys: every GET must return exactly the
 			// last SET this client flushed or queued earlier in this batch.
-			opIdx := b*cfg.BatchSize + r
-			key := fmt.Sprintf("k-%s-%d-%d", mode, j, opIdx%cfg.KeysPerClient)
+			opIdx := b*rrBatchSize + r
+			key := fmt.Sprintf("k-%s-%d-%d", mode, j, opIdx%rrKeysPerClient)
 			if c.setCount[key] == 0 || opIdx%2 == 0 {
 				c.setCount[key]++
-				val := patternValue(c.setCount[key], key, byte(j), cfg.ValueBytes)
+				val := patternValue(c.setCount[key], key, byte(j), rrValueBytes)
 				c.cl.PipeSet(key, val, 0)
 				c.lastVal[key] = val
 				c.expect = append(c.expect, expectOK(&viol.Mutex, &viol.mismatch))
@@ -412,34 +369,14 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 		}
 	}
 
-	before := make([]fabric.NodeStatsSnapshot, rack.Nodes())
-	for i := range before {
-		before[i] = f.Node(i).Stats()
-	}
-	parallel := func(fn func(j int)) {
-		var wg sync.WaitGroup
-		for j := range clients {
-			wg.Add(1)
-			go func(j int) { defer wg.Done(); fn(j) }(j)
-		}
-		wg.Wait()
-	}
+	mark := markClocks(f, rack.Nodes())
 	for b := 0; b < cfg.Batches; b++ {
-		parallel(func(j int) { queue(j, clients[j], b) })
-		parallel(func(j int) { clients[j].sess.serveOne() })
-		parallel(func(j int) { check(j, clients[j]) })
+		fanOut(rrClients, func(j int) { queue(j, clients[j], b) })
+		fanOut(rrClients, func(j int) { clients[j].sess.serveOne() })
+		fanOut(rrClients, func(j int) { check(j, clients[j]) })
 	}
-	for i := range before {
-		d := f.Node(i).Stats().Delta(before[i])
-		if d.VirtualNS > out.makespanNS {
-			out.makespanNS = d.VirtualNS
-		}
-	}
-
-	totalOps := cfg.Clients * cfg.Batches * cfg.BatchSize
-	if out.makespanNS > 0 {
-		out.opsPerSec = float64(totalOps) / (float64(out.makespanNS) / 1e9)
-	}
+	_, out.makespanNS = mark.since(f)
+	out.opsPerSec = opsPerSec(rrClients*cfg.Batches*rrBatchSize, out.makespanNS)
 	out.stale = viol.stale
 	out.torn = viol.torn
 	out.backwards = viol.backwards

@@ -10,7 +10,6 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/delegation"
 	"flacos/internal/loadgen"
-	"flacos/internal/metrics"
 	"flacos/internal/redis"
 )
 
@@ -26,53 +25,56 @@ type RedisScaleConfig struct {
 	Rounds int
 	// OpsPerRound is operations per worker per round.
 	OpsPerRound int
-	// KeySpace is the Zipfian keyspace size (ranks).
-	KeySpace int
-	// Skew is the Zipfian exponent (YCSB-standard 0.99 by default).
-	Skew float64
-	// ValueBytes sizes data values; must fit a delegation payload so hot
-	// GETs can travel the combining path.
-	ValueBytes int
-	// LoadFactors are the open-loop offered loads, as fractions of each
-	// node count's measured capacity. Factors <= 0.8 gate on achieved >=
-	// 0.95x offered; factors > 1 exist to show the saturation knee.
-	LoadFactors []float64
-	// HotHeat is the decayed per-round access count at which a key is
-	// classified hot and routed through the owner's combiner.
-	HotHeat float64
 	// CombineGate is the combining/baseline throughput ratio that must be
-	// met at CombineNodes. The acceptance bar is 1.5x at 8 nodes with the
-	// full workload; scaled-down smoke configurations set a lower bar —
-	// fixed sweep overheads amortize over fewer operations — that still
-	// proves combining wins.
+	// met at CombineNodes.
 	CombineGate float64
-	// CombineDepth is each worker's delegation slots per owner domain: how
-	// many hot ops a worker can have in flight per owner per sweep. Depth
-	// is what turns per-sweep fan-in from ~1 (nothing to combine) into a
-	// round's worth of gathered operations.
-	CombineDepth int
-	// Seed drives every workload stream; same seed, same workload.
-	Seed uint64
 }
 
-// DefaultRedisScale matches the acceptance setup: 1..16 serving nodes,
-// skew 0.99, combining gate at 8 nodes.
+// DefaultRedisScale is the acceptance setup: 1..16 serving nodes, the
+// combining gate at 8 nodes.
 func DefaultRedisScale() RedisScaleConfig {
 	return RedisScaleConfig{
 		NodeCounts:   []int{1, 2, 4, 8, 16},
 		CombineNodes: 8,
 		Rounds:       30,
 		OpsPerRound:  64,
-		KeySpace:     64,
-		Skew:         0.99,
-		ValueBytes:   48,
-		LoadFactors:  []float64{0.5, 0.8, 1.2},
-		HotHeat:      1.5,
 		CombineGate:  1.5,
-		CombineDepth: 32,
-		Seed:         1,
 	}
 }
+
+// QuickRedisScale is the CI-sized sweep: three node counts and a tenth
+// of the ops. At 4 nodes fixed sweep costs amortize over far less
+// fan-in, so its bar only proves combining still wins; the full run
+// enforces 1.5x.
+func QuickRedisScale() RedisScaleConfig {
+	return RedisScaleConfig{
+		NodeCounts:   []int{1, 2, 4},
+		CombineNodes: 4,
+		Rounds:       10,
+		OpsPerRound:  32,
+		CombineGate:  1.1,
+	}
+}
+
+const (
+	// rsKeySpace is the Zipfian keyspace size (ranks); rsSkew its
+	// exponent (the YCSB standard).
+	rsKeySpace = 64
+	rsSkew     = 0.99
+	// rsValueBytes sizes data values; it must fit a delegation payload so
+	// hot GETs can travel the combining path.
+	rsValueBytes = 48
+	// rsHotHeat is the decayed per-round access count at which a key is
+	// classified hot and routed through the owner's combiner.
+	rsHotHeat = 1.5
+	// rsCombineDepth is each worker's delegation slots per owner domain:
+	// how many hot ops a worker can have in flight per owner per sweep.
+	// Depth is what turns per-sweep fan-in from ~1 (nothing to combine)
+	// into a round's worth of gathered operations.
+	rsCombineDepth = 32
+	// rsSeed drives every workload stream; same seed, same workload.
+	rsSeed = 1
+)
 
 // RedisScale measures RackStore serving capacity as nodes are added, with
 // and without hot-key combining, then replays each capacity through the
@@ -99,15 +101,12 @@ func DefaultRedisScale() RedisScaleConfig {
 //     sum of acknowledged increments (lost/stale-write detection) — the
 //     combining path gets no slack on the coherence contract.
 //
-// The returned bool reports failure: any integrity violation, a combining
-// speedup below CombineGate at CombineNodes, or low-load achieved
-// throughput under 0.95x offered.
-func RedisScale(cfg RedisScaleConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Open-loop RackStore scaling: hot-key combining vs per-node CAS",
-		Table:  metrics.NewTable("phase", "config", "metric", "value"),
-		Ratios: map[string]float64{},
-	}
+// It fails on any integrity violation, a combining speedup below
+// CombineGate at CombineNodes, or low-load achieved throughput under
+// 0.95x offered.
+func RedisScale(cfg RedisScaleConfig) *Result {
+	res := newResult("Open-loop RackStore scaling: hot-key combining vs per-node CAS",
+		"phase", "config", "metric", "value")
 
 	maxNodes := 0
 	for _, s := range cfg.NodeCounts {
@@ -118,75 +117,39 @@ func RedisScale(cfg RedisScaleConfig) (*Result, bool) {
 	rack := core.Boot(core.Config{Nodes: maxNodes, RedisViews: 256})
 	defer rack.Shutdown()
 
-	var rows []loadgen.Row
-	violations := 0
-	ratioAtGate := 0.0
-	lowLoadOK := true
-	var headline *scalePhase
-	var headlineRow loadgen.Row
-
+	res.Bench = &Bench{Name: "redisscale"}
 	for _, s := range cfg.NodeCounts {
+		config := fmt.Sprintf("%d node(s)", s)
 		base := redisScaleServe(rack, cfg, s, false)
 		comb := redisScaleServe(rack, cfg, s, true)
-		ratio := 0.0
-		if base.opsPerSec > 0 {
-			ratio = comb.opsPerSec / base.opsPerSec
-		}
-		res.Table.AddRow("scaling", fmt.Sprintf("%d node(s)", s), "baseline ops/s (virtual)",
-			fmt.Sprintf("%.0f", base.opsPerSec))
-		res.Table.AddRow("scaling", fmt.Sprintf("%d node(s)", s), "combining ops/s (virtual)",
-			fmt.Sprintf("%.0f", comb.opsPerSec))
-		res.Table.AddRow("scaling", fmt.Sprintf("%d node(s)", s), "combining/baseline",
-			fmt.Sprintf("%.2fx", ratio))
+		speedup := ratio(comb.opsPerSec, base.opsPerSec)
+		res.Table.AddRow("scaling", config, "baseline ops/s (virtual)", fmt.Sprintf("%.0f", base.opsPerSec))
+		res.Table.AddRow("scaling", config, "combining ops/s (virtual)", fmt.Sprintf("%.0f", comb.opsPerSec))
+		res.Table.AddRow("scaling", config, "combining/baseline", fmt.Sprintf("%.2fx", speedup))
 		for _, ph := range []*scalePhase{base, comb} {
-			res.Table.AddRow("integrity", fmt.Sprintf("%d node(s) %s", s, ph.mode()),
+			res.Table.AddRow("integrity", config+" "+ph.mode(),
 				"stale/torn/backwards", fmt.Sprintf("%d / %d / %d", ph.stale, ph.torn, ph.backwards))
-			violations += ph.violations()
+			if v := ph.stale + ph.torn + ph.backwards; v > 0 {
+				res.Fail("%s %s: %d stale/torn/backwards observations", config, ph.mode(), v)
+			}
 		}
-		res.Ratios[fmt.Sprintf("combining/baseline @%d nodes", s)] = ratio
-		if s == cfg.CombineNodes {
-			ratioAtGate = ratio
+		res.Ratios[fmt.Sprintf("combining/baseline @%d nodes", s)] = speedup
+		if s == cfg.CombineNodes && speedup < cfg.CombineGate {
+			res.Fail("combining reached %.2fx the baseline at %d nodes, want >= %.2fx", speedup, s, cfg.CombineGate)
 		}
 
 		// Open-loop replay of the combined capacity at each offered load.
-		sweep := make([]loadgen.Row, 0, len(cfg.LoadFactors))
-		for _, fac := range cfg.LoadFactors {
-			offered := fac * comb.opsPerSec
-			row := loadgen.MeasureRow(s, offered, comb.replayOps(cfg, offered), s)
-			sweep = append(sweep, row)
-			res.Table.AddRow("open-loop", fmt.Sprintf("%d node(s) %.1fx", s, fac),
-				"achieved ops/s | p50 | p99",
-				fmt.Sprintf("%.0f | %s | %s", row.AchievedOpsPerSec, ns(float64(row.P50NS)), ns(float64(row.P99NS))))
-			if fac <= 0.8 && row.AchievedOpsPerSec < 0.95*offered {
-				lowLoadOK = false
-			}
-		}
-		rows = append(rows, sweep...)
-		knee := "none"
-		if k := loadgen.Knee(sweep, 0.9); k >= 0 {
-			knee = fmt.Sprintf("%.1fx capacity", cfg.LoadFactors[k])
-		}
-		res.Table.AddRow("open-loop", fmt.Sprintf("%d node(s)", s), "saturation knee", knee)
+		sweep := openLoop(res, config,
+			func(fac float64) string { return fmt.Sprintf("%s %.1fx", config, fac) }, config,
+			comb.opsPerSec, comb.opsTotal, comb.meanServiceNS, rsSeed+uint64(s)*1000)
+		res.Bench.Rows = append(res.Bench.Rows, sweep...)
 		if s == maxNodes {
-			headline = comb
-			headlineRow = sweep[0]
+			res.Bench.OpsPerSec = comb.opsPerSec
+			res.Bench.P50NS = float64(sweep[0].P50NS)
+			res.Bench.P99NS = float64(sweep[0].P99NS)
 		}
 	}
-
-	res.Bench = &Bench{
-		Name:      "redisscale",
-		OpsPerSec: headline.opsPerSec,
-		P50NS:     float64(headlineRow.P50NS),
-		P99NS:     float64(headlineRow.P99NS),
-		Rows:      rows,
-	}
-
-	gate := cfg.CombineGate
-	if gate == 0 {
-		gate = 1.5
-	}
-	failed := violations > 0 || ratioAtGate < gate || !lowLoadOK
-	return res, failed
+	return res
 }
 
 // scaleOpKind is one workload operation type.
@@ -239,24 +202,6 @@ func (p *scalePhase) mode() string {
 	return "baseline"
 }
 
-func (p *scalePhase) violations() int { return p.stale + p.torn + p.backwards }
-
-// replayOps expands the phase's measured service profile into an open-loop
-// schedule at the offered load: Poisson arrivals, ops dealt round-robin
-// across the serving nodes, each costing its node's measured mean service.
-func (p *scalePhase) replayOps(cfg RedisScaleConfig, offered float64) []loadgen.Op {
-	if offered <= 0 || p.opsTotal == 0 {
-		return nil
-	}
-	arr := loadgen.NewArrivals(cfg.Seed+uint64(p.nodes)*1000, offered)
-	ops := make([]loadgen.Op, p.opsTotal)
-	for i := range ops {
-		srv := i % p.nodes
-		ops[i] = loadgen.Op{ArrivalNS: arr.Next(), Server: srv, ServiceNS: p.meanServiceNS[srv]}
-	}
-	return ops
-}
-
 // scaleWorker is one serving node's worker: a view (and server) on its own
 // node, workload streams, combining plumbing, and per-worker check state.
 type scaleWorker struct {
@@ -300,19 +245,15 @@ type scaleWorker struct {
 // and the makespan is an honest capacity measure.
 func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine bool) *scalePhase {
 	f := rack.Fabric
-	ph := &scalePhase{nodes: nodes, combine: combine, meanServiceNS: make([]uint64, nodes)}
+	ph := &scalePhase{nodes: nodes, combine: combine}
 	pfx := fmt.Sprintf("%s%d", ph.mode(), nodes)
 
 	var viol struct {
 		sync.Mutex
 		stale, torn, backwards int
 	}
-	tally := make([]int64, cfg.KeySpace) // host-side truth: acknowledged increments per counter id
-
-	depth := cfg.CombineDepth
-	if depth < 1 {
-		depth = 1
-	}
+	tally := make([]int64, rsKeySpace) // host-side truth: acknowledged increments per counter id
+	const depth = rsCombineDepth
 
 	// One delegation domain per serving node (the owner's combining inbox),
 	// depth client slots per worker in each so a sweep gathers a real
@@ -329,9 +270,9 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 			node:     f.Node(w),
 			view:     view,
 			srv:      redis.NewServer(view),
-			zipf:     loadgen.NewZipf(loadgen.NewRand(cfg.Seed+uint64(w)*7919), cfg.KeySpace, cfg.Skew),
-			rnd:      loadgen.NewRand(cfg.Seed + uint64(w)*104729 + 13),
-			tracker:  redis.NewHotTracker(0.5, cfg.HotHeat),
+			zipf:     loadgen.NewZipf(loadgen.NewRand(rsSeed+uint64(w)*7919), rsKeySpace, rsSkew),
+			rnd:      loadgen.NewRand(rsSeed + uint64(w)*104729 + 13),
+			tracker:  redis.NewHotTracker(0.5, rsHotHeat),
 			comb:     redis.NewCombiner(view, doms[w]),
 			lastSeen: map[string]int64{},
 		}
@@ -343,18 +284,9 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 	}
 
 	parallel := func(fn func(sw *scaleWorker)) {
-		var wg sync.WaitGroup
-		for _, sw := range workers {
-			wg.Add(1)
-			go func(sw *scaleWorker) { defer wg.Done(); fn(sw) }(sw)
-		}
-		wg.Wait()
+		fanOut(nodes, func(w int) { fn(workers[w]) })
 	}
-
-	before := make([]fabric.NodeStatsSnapshot, nodes)
-	for i := range before {
-		before[i] = f.Node(i).Stats()
-	}
+	mark := markClocks(f, nodes)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		parallel(func(sw *scaleWorker) { sw.generate(cfg, pfx, tally) })
@@ -382,17 +314,14 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 
 	// Capacity accounting stops here: the ground-truth pass below is
 	// checker work, not serving work, and must not pollute the makespan.
-	after := make([]fabric.NodeStatsSnapshot, nodes)
-	for i := range after {
-		after[i] = f.Node(i).Stats()
-	}
+	perNode, makespan := mark.since(f)
 
 	// Final ground-truth pass: every counter's value must equal the exact
 	// sum of acknowledged increments — a combined increment that was
 	// never published (or published twice) lands here as stale.
 	finalStale := 0
 	v0 := workers[0].view
-	for id := 0; id < cfg.KeySpace; id += 2 {
+	for id := 0; id < rsKeySpace; id += 2 {
 		want := atomic.LoadInt64(&tally[id])
 		if want == 0 {
 			continue
@@ -408,25 +337,13 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 		}
 	}
 
-	totalOps := 0
-	for i, sw := range workers {
-		d := after[i].Delta(before[i])
-		if d.VirtualNS > ph.makespanNS {
-			ph.makespanNS = d.VirtualNS
-		}
-		if sw.executed > 0 {
-			ph.meanServiceNS[i] = d.VirtualNS / uint64(sw.executed)
-		}
-		if ph.meanServiceNS[i] == 0 {
-			ph.meanServiceNS[i] = 1
-		}
-		totalOps += sw.executed
+	ph.makespanNS = makespan
+	ph.meanServiceNS = meanService(perNode, func(w int) int { return workers[w].executed })
+	for _, sw := range workers {
+		ph.opsTotal += sw.executed
 		sw.view.Barrier() // reclaim this phase's replaced blocks
 	}
-	ph.opsTotal = totalOps
-	if ph.makespanNS > 0 {
-		ph.opsPerSec = float64(totalOps) / (float64(ph.makespanNS) / 1e9)
-	}
+	ph.opsPerSec = opsPerSec(ph.opsTotal, ph.makespanNS)
 	ph.stale = viol.stale + finalStale
 	ph.torn = viol.torn
 	ph.backwards = viol.backwards
@@ -495,7 +412,7 @@ func (sw *scaleWorker) generate(cfg RedisScaleConfig, pfx string, tally []int64)
 		switch op.kind {
 		case opDataSet:
 			sw.setSeq++
-			val := patternValue(sw.setSeq, op.key, byte(op.id), cfg.ValueBytes)
+			val := patternValue(sw.setSeq, op.key, byte(op.id), rsValueBytes)
 			msetArgs = append(msetArgs, []byte(op.key), val)
 		case opDataGet:
 			mgetKeys = append(mgetKeys, op.key)

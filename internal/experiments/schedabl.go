@@ -5,36 +5,36 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/metrics"
 	"flacos/internal/sched"
 )
 
 // SchedConfig parameterizes ablation G (coordinated scheduling).
 type SchedConfig struct {
-	// Nodes and WorkersPerNode size the rack for the placement phase.
-	Nodes, WorkersPerNode int
-	// Tasks is the placement-phase task count; each task owns RegionLines
-	// cache lines of working set, warm on its home node.
-	Tasks, RegionLines int
+	// Tasks is the placement-phase task count; each task owns
+	// schedRegionLines cache lines of working set, warm on its home node.
+	Tasks int
 	// CrashTasks is the crash-phase task count (all routed at the node
-	// that dies); CrashTaskNS is each one's modeled service time.
-	CrashTasks  int
-	CrashTaskNS int
-	Seed        int64
+	// that dies).
+	CrashTasks int
 }
 
-// DefaultSched exercises a 4-node rack: enough nodes that random
-// placement lands three quarters of the work cache-cold, and enough
-// tasks per worker that the p99 reflects steady-state queueing rather
-// than startup.
-func DefaultSched() SchedConfig {
-	return SchedConfig{
-		Nodes: 4, WorkersPerNode: 2,
-		Tasks: 200, RegionLines: 512,
-		CrashTasks: 48, CrashTaskNS: 200_000,
-		Seed: 1,
-	}
-}
+// DefaultSched has enough tasks per worker that the p99 reflects
+// steady-state queueing rather than startup.
+func DefaultSched() SchedConfig { return SchedConfig{Tasks: 200, CrashTasks: 48} }
+
+// QuickSched is the CI-sized run.
+func QuickSched() SchedConfig { return SchedConfig{Tasks: 120, CrashTasks: 24} }
+
+// The placement phase's rack: enough nodes that random placement lands
+// three quarters of the work cache-cold.
+const (
+	schedNodes          = 4
+	schedWorkersPerNode = 2
+	schedRegionLines    = 512
+	// schedCrashTaskNS is each crash-phase task's modeled service time.
+	schedCrashTaskNS = 200_000
+	schedSeed        = 1
+)
 
 // sleepScale stretches each task's modeled (virtual-ns) memory cost into
 // real sleep time so queueing dynamics reflect the cost model without
@@ -59,20 +59,17 @@ const sleepScale = 4
 // The phase reports completion (must be total) and re-dispatch latency —
 // the crash-to-restart cost of §3's failure-isolation design.
 func SchedAblation(cfg SchedConfig) *Result {
-	res := &Result{
-		Name:   "Ablation G: coordinated scheduling — locality placement and crash re-dispatch",
-		Table:  metrics.NewTable("phase", "policy", "tasks", "throughput", "p50 dispatch", "p99 dispatch"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Ablation G: coordinated scheduling — locality placement and crash re-dispatch",
+		"phase", "policy", "tasks", "throughput", "p50 dispatch", "p99 dispatch")
 
 	// ---- Phase A: locality-aware vs random placement ----
 	runPlacement := func(policy sched.Policy) (p50, p99, thr float64) {
 		f := fabric.New(fabric.Config{
-			GlobalSize: 256 << 20, Nodes: cfg.Nodes,
+			GlobalSize: 256 << 20, Nodes: schedNodes,
 			CacheCapacityLines: -1, Latency: fabric.DefaultLatency(),
 		})
 		s := sched.New(f, sched.Config{
-			Policy: policy, WorkersPerNode: cfg.WorkersPerNode,
+			Policy: policy, WorkersPerNode: schedWorkersPerNode,
 			// Let a queued task wait a beat for its warm node before it
 			// can be stolen cold: long enough to matter, short enough
 			// that a busy node's backlog still gets rescued.
@@ -81,15 +78,15 @@ func SchedAblation(cfg SchedConfig) *Result {
 			// scheduling jitter from triggering false reclaims that would
 			// re-run (and re-time) tasks.
 			ReclaimTick: 50 * time.Millisecond,
-			Seed:        cfg.Seed,
+			Seed:        schedSeed,
 		})
 		defer s.Stop()
 
 		// Per-task working sets, warmed into the home node's cache.
-		lines := uint64(cfg.RegionLines)
+		lines := uint64(schedRegionLines)
 		region := f.Reserve(uint64(cfg.Tasks)*lines*fabric.LineSize, fabric.LineSize)
 		for j := 0; j < cfg.Tasks; j++ {
-			home := f.Node(j % cfg.Nodes)
+			home := f.Node(j % schedNodes)
 			base := region.Add(uint64(j) * lines * fabric.LineSize)
 			for l := uint64(0); l < lines; l++ {
 				home.Load64(base.Add(l * fabric.LineSize))
@@ -109,8 +106,8 @@ func SchedAblation(cfg SchedConfig) *Result {
 		// scheduled and the spin calibration has run before the clock
 		// starts, then discard the warm-up's latency samples.
 		n0 := f.Node(0)
-		for j := 0; j < cfg.Nodes*cfg.WorkersPerNode; j++ {
-			s.Submit(n0, sched.Task{Fn: fn, Arg0: uint64(region), Arg1: 1, Preferred: j % cfg.Nodes})
+		for j := 0; j < schedNodes*schedWorkersPerNode; j++ {
+			s.Submit(n0, sched.Task{Fn: fn, Arg0: uint64(region), Arg1: 1, Preferred: j % schedNodes})
 		}
 		if !s.Drain(n0) {
 			panic("sched experiment: warm-up drain aborted")
@@ -119,7 +116,7 @@ func SchedAblation(cfg SchedConfig) *Result {
 
 		start := time.Now()
 		for j := 0; j < cfg.Tasks; j++ {
-			pref := j % cfg.Nodes
+			pref := j % schedNodes
 			if policy == sched.PolicyRandom {
 				pref = -1 // the baseline is blind to locality
 			}
@@ -154,10 +151,10 @@ func SchedAblation(cfg SchedConfig) *Result {
 	s := sched.New(f, sched.Config{
 		Policy: sched.PolicyLocality, LocalitySlack: 1 << 40,
 		ProbeRounds: 3, ReclaimTick: 100 * time.Microsecond,
-		IdleTick: 100 * time.Microsecond, Seed: cfg.Seed,
+		IdleTick: 100 * time.Microsecond, Seed: schedSeed,
 	})
 	defer s.Stop()
-	taskNS := time.Duration(cfg.CrashTaskNS) * time.Nanosecond
+	taskNS := time.Duration(schedCrashTaskNS) * time.Nanosecond
 	started := f.Reserve(8*2, fabric.LineSize)
 	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
 		n.Add64(fabric.GPtr(started).Add(uint64(n.ID())*8), 1)

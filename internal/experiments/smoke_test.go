@@ -2,144 +2,54 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"flacos/internal/loadgen"
 )
 
-// TestEveryExperimentQuickSmoke runs every registered experiment at
-// CI-quick sizes through one table-driven harness and checks the result
-// is well-formed: a name, at least one table row, and finite ratios.
-// The per-experiment shape tests assert domain claims; this test is the
-// registry-level guarantee that nothing ships an experiment that panics,
-// returns an empty table, or emits NaN ratios in -quick mode.
-func TestEveryExperimentQuickSmoke(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func() *Result
-	}{
-		{"fig4", func() *Result {
-			cfg := DefaultFig4()
-			cfg.Requests = 60
-			return Fig4(cfg)
-		}},
-		{"container", func() *Result {
-			cfg := DefaultContainer()
-			cfg.ImageBytes = 8 << 20
-			return Container(cfg)
-		}},
-		{"sync", func() *Result {
-			cfg := DefaultSync()
-			cfg.Ops = 120
-			return SyncAblation(cfg)
-		}},
-		{"pagecache", func() *Result {
-			cfg := DefaultPageCache()
-			cfg.Files, cfg.PagesPer = 2, 8
-			return PageCacheAblation(cfg)
-		}},
-		{"faultbox", func() *Result {
-			cfg := DefaultFaultBox()
-			cfg.AppCounts = []int{2}
-			return FaultBoxAblation(cfg)
-		}},
-		{"ipc", func() *Result {
-			cfg := DefaultIPC()
-			cfg.Rounds = 60
-			return IPCAblation(cfg)
-		}},
-		{"dedup", func() *Result {
-			return DedupAblation(DefaultDedup())
-		}},
-		{"density", func() *Result {
-			cfg := DefaultDensity()
-			cfg.Invokes = 30
-			return DensityAblation(cfg)
-		}},
-		{"sched", func() *Result {
-			cfg := DefaultSched()
-			cfg.Tasks = 60
-			cfg.CrashTasks = 12
-			return SchedAblation(cfg)
-		}},
-		{"redisrack", func() *Result {
-			cfg := DefaultRedisRack()
-			cfg.Batches = 30
-			cfg.LatencyOps = 20
-			res, failed := RedisRack(cfg)
-			if failed {
-				t.Error("redisrack reported failure in smoke sizes")
-			}
-			return res
-		}},
-		{"redisscale", func() *Result {
-			cfg := quickRedisScale()
-			res, failed := RedisScale(cfg)
-			if failed {
-				t.Errorf("redisscale reported failure in smoke sizes:\n%s", res)
-			}
-			return res
-		}},
-		{"tiering", func() *Result {
-			cfg := quickTiering()
-			res, failed := Tiering(cfg)
-			if failed {
-				t.Errorf("tiering reported failure in smoke sizes:\n%s", res)
-			}
-			return res
-		}},
-		{"trace", func() *Result {
-			cfg := DefaultTrace()
-			cfg.EmitEvents = 5_000
-			cfg.Tasks = 60
-			cfg.FSOps = 30
-			res, failed := Trace(cfg)
-			if failed {
-				t.Error("trace experiment reported failure in smoke sizes")
-			}
-			return res
-		}},
-		{"membership", func() *Result {
-			cfg := DefaultMembership()
-			cfg.Rounds = 2
-			cfg.TasksPerRound = 24
-			res, failed := Membership(cfg)
-			if failed {
-				t.Errorf("membership experiment reported failure in smoke sizes:\n%s", res)
-			}
-			return res
-		}},
-		{"health", func() *Result {
-			res, failed := Health(quickHealth())
-			if failed {
-				t.Errorf("health experiment reported failure in smoke sizes:\n%s", res)
-			}
-			return res
-		}},
-		{"fabric", func() *Result {
-			res, failed := Fabric(quickFabric())
-			if failed {
-				t.Errorf("fabric experiment reported failure in smoke sizes:\n%s", res)
-			}
-			return res
-		}},
-		{"torture", func() *Result {
-			cfg := DefaultTorture()
-			cfg.Seeds = []int64{1}
-			cfg.OpsPerClient = 60
-			cfg.Events = 2
-			res, failures := Torture(cfg)
-			if len(failures) > 0 {
-				t.Errorf("torture smoke failed %d sweep(s)", len(failures))
-			}
-			return res
-		}},
+// wantNames is the experiment list flacbench has always printed, in
+// order: CI matrices, docs and muscle memory depend on it.
+var wantNames = []string{"fig4", "container", "sync", "pagecache", "faultbox", "ipc", "dedup",
+	"density", "sched", "redisrack", "redisscale", "tiering", "trace", "membership", "health", "fabric", "torture"}
+
+// TestTableNames: the table IS `flacbench -list` — names unique,
+// non-empty, documented, and exactly the historical list in order.
+func TestTableNames(t *testing.T) {
+	seen := map[string]bool{}
+	for i, e := range Table {
+		if e.Name == "" || e.Doc == "" || e.Run == nil {
+			t.Errorf("row %d (%q) is missing its name, doc or run function", i, e.Name)
+		}
+		if seen[e.Name] {
+			t.Errorf("experiment name %q appears twice", e.Name)
+		}
+		seen[e.Name] = true
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			res := tc.run()
+	if len(Table) != len(wantNames) {
+		t.Fatalf("table has %d rows, want %d", len(Table), len(wantNames))
+	}
+	for i, want := range wantNames {
+		if Table[i].Name != want {
+			t.Errorf("row %d is %q, want %q", i, Table[i].Name, want)
+		}
+	}
+}
+
+// TestEveryExperimentQuick runs every row of the table exactly as
+// `flacbench -quick` and CI do and checks the result is well-formed — a
+// name, at least one table row, finite ratios — and that no acceptance
+// gate failed. The per-experiment shape tests assert domain claims; this
+// is the registry-level guarantee that nothing ships an experiment that
+// panics, returns an empty table, emits NaN ratios or misses its gates at
+// CI sizes. Rows run one at a time: some gates compare wall clocks. A
+// missed gate fails the test at once — there is no second try, because a
+// retry would also forgive an integrity gate (zombie write, exactly-once,
+// torn read) that trips one run in three.
+func TestEveryExperimentQuick(t *testing.T) {
+	for _, e := range Table {
+		t.Run(e.Name, func(t *testing.T) {
+			res := e.Run(true)
 			if res == nil {
 				t.Fatal("nil result")
 			}
@@ -149,44 +59,52 @@ func TestEveryExperimentQuickSmoke(t *testing.T) {
 			if res.Table == nil || res.Table.NumRows() == 0 {
 				t.Error("empty result table")
 			}
-			if res.String() == "" {
-				t.Error("empty rendering")
-			}
 			for k, v := range res.Ratios {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Errorf("ratio %q is %v", k, v)
 				}
 			}
+			if res.Failed() {
+				t.Errorf("failed gates at -quick sizes:\n%s", res)
+			}
 		})
 	}
 }
 
-// quickRedisScale is the CI-quick redisscale configuration, matching
-// flacbench -quick: three node counts, a tenth of the full workload, and
-// the smoke-sized combining gate.
-func quickRedisScale() RedisScaleConfig {
-	cfg := DefaultRedisScale()
-	cfg.NodeCounts = []int{1, 2, 4}
-	cfg.CombineNodes = 4
-	cfg.Rounds = 10
-	cfg.OpsPerRound = 32
-	cfg.CombineGate = 1.1
-	return cfg
+// TestResultStringIsReproducible: ratios print in key order, so two
+// results built in different insertion orders render identically, and
+// failed gates are part of the rendering.
+func TestResultStringIsReproducible(t *testing.T) {
+	keys := []string{"tcp/ipc 64B", "a/b", "zeta", "lock/replication 8n 90%r", "m", "b/a"}
+	build := func(order []int) *Result {
+		res := newResult("x", "col")
+		res.Table.AddRow("v")
+		for _, i := range order {
+			res.Ratios[keys[i]] = float64(i) + 0.5
+		}
+		return res
+	}
+	a, b := build([]int{0, 1, 2, 3, 4, 5}), build([]int{5, 3, 4, 0, 2, 1})
+	for i := 0; i < 20; i++ { // map iteration order is randomized per range
+		if a.String() != b.String() {
+			t.Fatalf("renderings differ with insertion order:\n%s\nvs\n%s", a, b)
+		}
+	}
+	if !strings.Contains(a.String(), "a/b") || strings.Index(a.String(), "a/b") > strings.Index(a.String(), "zeta") {
+		t.Errorf("ratios are not in key order:\n%s", a)
+	}
+	a.Fail("speedup %.1fx under gate", 1.2)
+	if !a.Failed() || !strings.Contains(a.String(), "GATE FAILED: speedup 1.2x under gate") {
+		t.Errorf("failed gate missing from rendering:\n%s", a)
+	}
 }
 
-// quickTiering is the unit-test tiering configuration: the flacbench
-// -quick shape shrunk again so the smoke registry stays fast. The gate
-// is looser than -quick's 1.15 because at a few thousand pages the
+// tinyTiering shrinks QuickTiering again for the tests that run the
+// experiment several times over (the registry test covers -quick itself).
+// The gate is looser than -quick's because at a few thousand pages the
 // daemon's fixed per-move costs amortize over very few accesses.
-func quickTiering() TieringConfig {
-	cfg := DefaultTiering()
-	cfg.SpanPages = 1 << 12
-	cfg.Ops = 24_000
-	cfg.Rounds = 8
-	cfg.LocalPagesPerNode = 256
-	cfg.MaxMovesPerStep = 4096
-	cfg.Gate = 1.05
-	return cfg
+func tinyTiering() TieringConfig {
+	return TieringConfig{SpanPages: 1 << 12, Ops: 24_000, Rounds: 8, LocalPagesPerNode: 256, Gate: 1.05}
 }
 
 // TestTieringBenchHeadline pins the tiering experiment's machine-readable
@@ -195,9 +113,9 @@ func quickTiering() TieringConfig {
 // sweep attached as rows.
 func TestTieringBenchHeadline(t *testing.T) {
 	t.Parallel()
-	res, failed := Tiering(quickTiering())
-	if failed {
-		t.Fatalf("tiering failed at smoke sizes:\n%s", res)
+	res := Tiering(tinyTiering())
+	if res.Failed() {
+		t.Fatalf("tiering failed at test sizes:\n%s", res)
 	}
 	b := res.Bench
 	if b == nil {
@@ -209,8 +127,8 @@ func TestTieringBenchHeadline(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Errorf("headline fails Validate: %v", err)
 	}
-	if len(b.Rows) != len(DefaultTiering().LoadFactors) {
-		t.Errorf("got %d sweep rows, want %d", len(b.Rows), len(DefaultTiering().LoadFactors))
+	if len(b.Rows) != len(openLoopFactors) {
+		t.Errorf("got %d sweep rows, want %d", len(b.Rows), len(openLoopFactors))
 	}
 }
 
@@ -220,13 +138,8 @@ func TestTieringBenchHeadline(t *testing.T) {
 // same configuration must render bit-identical tables and ratios.
 func TestTieringDeterministic(t *testing.T) {
 	t.Parallel()
-	cfg := quickTiering()
-	a, aFailed := Tiering(cfg)
-	b, bFailed := Tiering(cfg)
-	if aFailed != bFailed {
-		t.Errorf("verdict differs across identical runs: %v vs %v", aFailed, bFailed)
-	}
-	if a.String() != b.String() {
+	a, b := Tiering(tinyTiering()), Tiering(tinyTiering())
+	if a.String() != b.String() { // the rendering includes the failed gates
 		t.Errorf("renderings differ across identical runs:\n--- first\n%s\n--- second\n%s", a, b)
 	}
 	for k, v := range a.Ratios {
@@ -236,16 +149,6 @@ func TestTieringDeterministic(t *testing.T) {
 	}
 }
 
-// quickHealth is the CI-quick health configuration, matching flacbench
-// -quick: a third of the closed-loop tasks per ramp level. The ramp
-// itself is untouched — the bench headline is derived from RampHops, and
-// shrinking it would change the tracked BENCH_health.json artifact.
-func quickHealth() HealthConfig {
-	cfg := DefaultHealth()
-	cfg.TasksPerLevel = 80
-	return cfg
-}
-
 // TestHealthBenchHeadline pins the health experiment's machine-readable
 // contract: a Bench named "health" whose percentiles are the VIRTUAL
 // per-op fabric cost on a healthy link (p50) versus the worst ramp level
@@ -253,10 +156,11 @@ func quickHealth() HealthConfig {
 // runs and across -quick vs full sizes for the tracked-artifact drift
 // check to hold.
 func TestHealthBenchHeadline(t *testing.T) {
-	t.Parallel()
-	res, failed := Health(quickHealth())
-	if failed {
-		t.Fatalf("health failed at smoke sizes:\n%s", res)
+	// Not parallel: the run's detectors are ticker-driven, and sharing the
+	// host with the tiering tests starves them into missed gates.
+	res := Health(QuickHealth())
+	if res.Failed() {
+		t.Fatalf("health failed at quick sizes:\n%s", res)
 	}
 	b := res.Bench
 	if b == nil {
@@ -272,12 +176,14 @@ func TestHealthBenchHeadline(t *testing.T) {
 		return a.Name == b.Name && a.OpsPerSec == b.OpsPerSec &&
 			a.P50NS == b.P50NS && a.P99NS == b.P99NS
 	}
-	quick, full := healthBench(quickHealth()), healthBench(DefaultHealth())
-	if !sameBench(quick, full) {
-		t.Errorf("bench headline differs across quick/full sizes: %+v vs %+v", quick, full)
+	// The headline is computed from the ramp alone, never from the run's
+	// size, so -quick and full runs publish the same artifact (only the
+	// artifact of the full run is under test here, not its gates).
+	if full := Health(DefaultHealth()).Bench; full == nil || !sameBench(full, b) {
+		t.Errorf("bench headline differs across quick/full sizes: %+v vs %+v", b, full)
 	}
-	if again := healthBench(DefaultHealth()); !sameBench(again, full) {
-		t.Errorf("bench headline differs across runs: %+v vs %+v", again, full)
+	if again := healthBench(); !sameBench(again, b) {
+		t.Errorf("bench headline differs across runs: %+v vs %+v", again, b)
 	}
 }
 
@@ -285,12 +191,9 @@ func TestHealthBenchHeadline(t *testing.T) {
 // machine-readable contract: a Bench named "membership" whose
 // percentiles are the wall-clock crash->Dead detection latency.
 func TestMembershipBenchHeadline(t *testing.T) {
-	cfg := DefaultMembership()
-	cfg.Rounds = 2
-	cfg.TasksPerRound = 24
-	res, failed := Membership(cfg)
-	if failed {
-		t.Fatal("membership failed at smoke sizes")
+	res := Membership(QuickMembership())
+	if res.Failed() {
+		t.Fatalf("membership failed at quick sizes:\n%s", res)
 	}
 	b := res.Bench
 	if b == nil {
@@ -311,12 +214,9 @@ func TestMembershipBenchHeadline(t *testing.T) {
 // flacbench -bench-json: the redisrack result must publish a Bench with
 // positive throughput and ordered percentiles.
 func TestRedisRackBenchHeadline(t *testing.T) {
-	cfg := DefaultRedisRack()
-	cfg.Batches = 30
-	cfg.LatencyOps = 20
-	res, failed := RedisRack(cfg)
-	if failed {
-		t.Fatal("redisrack failed at smoke sizes")
+	res := RedisRack(QuickRedisRack())
+	if res.Failed() {
+		t.Fatalf("redisrack failed at quick sizes:\n%s", res)
 	}
 	b := res.Bench
 	if b == nil {
@@ -337,10 +237,10 @@ func TestRedisRackBenchHeadline(t *testing.T) {
 // contract: a Bench named "redisscale" carrying the full per-node-count,
 // per-offered-load row series, all of it passing Validate.
 func TestRedisScaleBenchHeadline(t *testing.T) {
-	cfg := quickRedisScale()
-	res, failed := RedisScale(cfg)
-	if failed {
-		t.Fatal("redisscale failed at smoke sizes")
+	cfg := QuickRedisScale()
+	res := RedisScale(cfg)
+	if res.Failed() {
+		t.Fatalf("redisscale failed at quick sizes:\n%s", res)
 	}
 	b := res.Bench
 	if b == nil {
@@ -352,7 +252,7 @@ func TestRedisScaleBenchHeadline(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Errorf("headline fails Validate: %v", err)
 	}
-	wantRows := len(cfg.NodeCounts) * len(cfg.LoadFactors)
+	wantRows := len(cfg.NodeCounts) * len(openLoopFactors)
 	if len(b.Rows) != wantRows {
 		t.Errorf("got %d rows, want %d (node counts x load factors)", len(b.Rows), wantRows)
 	}
@@ -398,25 +298,15 @@ func TestBenchValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
-// quickFabric is the unit-test fabric configuration: tiny wall loops and
-// the wall-clock gates disabled — under t.Parallel() every other smoke
-// experiment is competing for the host clock, so only the deterministic
-// virtual-model gate is meaningful here (and it stays on).
-func quickFabric() FabricConfig {
-	cfg := DefaultFabric()
-	cfg.HitReps, cfg.MissReps, cfg.AtomicReps = 5_000, 2_000, 3_000
-	cfg.RangedReps = 200
-	cfg.SpeedupGate = 0
-	cfg.GateHookDispatch = false
-	return cfg
-}
-
 // TestFabricBenchHeadline locks the shape of BENCH_fabric.json: the
 // artifact's per-op rows are virtual-only (bit-stable across hosts, so
 // the committed baseline never drifts), every advertised op is present,
 // and two runs of the experiment produce byte-identical headlines.
 func TestFabricBenchHeadline(t *testing.T) {
-	res, _ := Fabric(quickFabric())
+	// Failed wall-clock gates are deliberately ignored here: other tests
+	// compete for the host clock, and only the deterministic artifact is
+	// under test.
+	res := Fabric(QuickFabric())
 	if res.Bench == nil {
 		t.Fatal("fabric experiment published no bench headline")
 	}
@@ -452,8 +342,7 @@ func TestFabricBenchHeadline(t *testing.T) {
 	}
 
 	// Determinism: a second run's headline is identical field for field.
-	res2, _ := Fabric(quickFabric())
-	b2 := res2.Bench
+	b2 := Fabric(QuickFabric()).Bench
 	if b.OpsPerSec != b2.OpsPerSec || b.P50NS != b2.P50NS || b.P99NS != b2.P99NS {
 		t.Errorf("headline drifted across runs: %+v vs %+v", b, b2)
 	}

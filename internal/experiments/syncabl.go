@@ -10,20 +10,22 @@ import (
 	"flacos/internal/flacdk/dksync"
 	"flacos/internal/flacdk/quiescence"
 	"flacos/internal/flacdk/replication"
-	"flacos/internal/metrics"
 )
 
 // SyncConfig parameterizes ablation A.
 type SyncConfig struct {
 	Ops        int
 	NodeCounts []int
-	ReadPcts   []int
 }
 
 // DefaultSync sweeps node counts and read mixes.
-func DefaultSync() SyncConfig {
-	return SyncConfig{Ops: 4000, NodeCounts: []int{2, 4, 8}, ReadPcts: []int{0, 90}}
-}
+func DefaultSync() SyncConfig { return SyncConfig{Ops: 4000, NodeCounts: []int{2, 4, 8}} }
+
+// QuickSync is the CI-sized run.
+func QuickSync() SyncConfig { return SyncConfig{Ops: 800, NodeCounts: []int{2, 4, 8}} }
+
+// syncReadPcts are the read mixes swept: update-only and read-mostly.
+var syncReadPcts = []int{0, 90}
 
 // SyncAblation quantifies §3.2's claim: lock-based synchronization is
 // ineffective on non-coherent rack memory, while FlacDK's replication,
@@ -49,11 +51,8 @@ func DefaultSync() SyncConfig {
 //
 // Cost = summed virtual ns across all nodes / ops.
 func SyncAblation(cfg SyncConfig) *Result {
-	res := &Result{
-		Name:   "Ablation A: synchronization methods on non-coherent memory (sharded counters)",
-		Table:  metrics.NewTable("method", "nodes", "read%", "ns/op"),
-		Ratios: map[string]float64{},
-	}
+	res := newResult("Ablation A: synchronization methods on non-coherent memory (sharded counters)",
+		"method", "nodes", "read%", "ns/op")
 	type key struct {
 		method string
 		nodes  int
@@ -62,7 +61,7 @@ func SyncAblation(cfg SyncConfig) *Result {
 	costs := map[key]float64{}
 	methods := []string{"lock-based", "fabric-atomics", "replication", "delegation", "quiescence"}
 	for _, nodes := range cfg.NodeCounts {
-		for _, readPct := range cfg.ReadPcts {
+		for _, readPct := range syncReadPcts {
 			for _, m := range methods {
 				perOp := runSyncMethod(m, nodes, readPct, cfg.Ops)
 				costs[key{m, nodes, readPct}] = perOp
@@ -71,7 +70,7 @@ func SyncAblation(cfg SyncConfig) *Result {
 		}
 	}
 	last := cfg.NodeCounts[len(cfg.NodeCounts)-1]
-	for _, readPct := range cfg.ReadPcts {
+	for _, readPct := range syncReadPcts {
 		lock := costs[key{"lock-based", last, readPct}]
 		for _, m := range []string{"replication", "delegation", "quiescence"} {
 			if c := costs[key{m, last, readPct}]; c > 0 {

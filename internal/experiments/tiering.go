@@ -9,14 +9,11 @@ import (
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/loadgen"
 	"flacos/internal/memsys"
-	"flacos/internal/metrics"
 	"flacos/internal/tiering"
 )
 
 // TieringConfig parameterizes the hotness-tiered placement experiment.
 type TieringConfig struct {
-	// Nodes is the rack size (one accessor worker per node).
-	Nodes int
 	// SpanPages is the mapped span, in pages; must be a power of two.
 	// The full configuration maps over a million pages so tier placement
 	// is a capacity problem, not a cache curiosity.
@@ -26,54 +23,61 @@ type TieringConfig struct {
 	// Rounds splits Ops into barriered rounds; the daemon steps once per
 	// round boundary, on deterministic virtual time.
 	Rounds int
-	// Skew is the Zipfian exponent of the page-popularity distribution.
-	Skew float64
-	// HomeFrac is the probability a page's round is served by its home
+	// LocalPagesPerNode is the daemon's node-local DRAM budget per node.
+	LocalPagesPerNode int
+	// Gate is the daemon/static speedup the experiment must reach.
+	Gate float64
+}
+
+// DefaultTiering is the acceptance configuration: a 1M-page (4 GiB)
+// span, 3M accesses at Zipf 0.99, speedup gate 1.3x.
+func DefaultTiering() TieringConfig {
+	return TieringConfig{
+		SpanPages:         1 << 20,
+		Ops:               3_000_000,
+		Rounds:            24,
+		LocalPagesPerNode: 24576,
+		Gate:              1.3,
+	}
+}
+
+// QuickTiering is a sixty-fourth of the span and a twenty-fifth of the
+// ops: the same Zipf shape, but fixed per-move costs amortize over far
+// fewer accesses, so its bar only proves the daemon still wins while the
+// full run enforces 1.3x.
+func QuickTiering() TieringConfig {
+	return TieringConfig{
+		SpanPages:         1 << 14,
+		Ops:               120_000,
+		Rounds:            12,
+		LocalPagesPerNode: 1024,
+		Gate:              1.15,
+	}
+}
+
+const (
+	// tierNodes is the rack size (one accessor worker per node).
+	tierNodes = 4
+	// tierSkew is the Zipfian exponent of the page-popularity distribution.
+	tierSkew = 0.99
+	// tierHomeFrac is the probability a page's round is served by its home
 	// node (the page's dominant accessor); the rest of the rounds go to a
 	// random other node. Accessor choice is per (page, round), so one
 	// round never has two nodes fighting over a page — migration churn
 	// comes from round-to-round accessor changes, as in a real scheduler.
-	HomeFrac float64
-	// ReadFrac is the per-op probability of a read (vs a write).
-	ReadFrac float64
-	// WarmFrac sizes the premium ("warm") global tier as a fraction of the
-	// span. The static baseline keeps an address-ordered WarmFrac slice of
-	// the span warm; the daemon phase gets the same capacity as its warm
+	tierHomeFrac = 0.95
+	// tierReadFrac is the per-op probability of a read (vs a write).
+	tierReadFrac = 0.7
+	// tierWarmFrac sizes the premium ("warm") global tier as a fraction of
+	// the span. The static baseline keeps an address-ordered slice of the
+	// span warm; the daemon phase gets the same capacity as its warm
 	// budget and must EARN better placement by observing access heat.
-	WarmFrac float64
-	// LocalPagesPerNode is the daemon's node-local DRAM budget per node.
-	LocalPagesPerNode int
-	// MaxMovesPerStep bounds the daemon's per-step migration batch.
-	MaxMovesPerStep int
-	// LoadFactors are the open-loop offered loads, as fractions of the
-	// daemon phase's measured capacity. Factors <= 0.8 gate on achieved
-	// >= 0.95x offered; factors > 1 exist to show the saturation knee.
-	LoadFactors []float64
-	// Gate is the daemon/static speedup the experiment must reach.
-	Gate float64
-	// Seed drives every stream; same seed, same bits out.
-	Seed uint64
-}
-
-// DefaultTiering is the acceptance configuration: 4 nodes, a 1M-page
-// (4 GiB) span, 3M accesses at Zipf 0.99, speedup gate 1.3x.
-func DefaultTiering() TieringConfig {
-	return TieringConfig{
-		Nodes:             4,
-		SpanPages:         1 << 20,
-		Ops:               3_000_000,
-		Rounds:            24,
-		Skew:              0.99,
-		HomeFrac:          0.95,
-		ReadFrac:          0.7,
-		WarmFrac:          0.25,
-		LocalPagesPerNode: 24576,
-		MaxMovesPerStep:   16384,
-		LoadFactors:       []float64{0.5, 0.8, 1.2},
-		Gate:              1.3,
-		Seed:              1,
-	}
-}
+	tierWarmFrac = 0.25
+	// tierMaxMovesPerStep bounds the daemon's per-step migration batch.
+	tierMaxMovesPerStep = 16384
+	// tierSeed drives every stream; same seed, same bits out.
+	tierSeed = 1
+)
 
 // tierOp is one generated access.
 type tierOp struct {
@@ -102,18 +106,18 @@ func mix64(x uint64) uint64 {
 }
 
 // tierHome is a page's home node: its dominant accessor across the run.
-func tierHome(cfg *TieringConfig, page uint32) int {
-	return int(mix64(uint64(page)^cfg.Seed*0x9E3779B97F4A7C15) % uint64(cfg.Nodes))
+func tierHome(page uint32) int {
+	return int(mix64(uint64(page)^tierSeed*0x9E3779B97F4A7C15) % tierNodes)
 }
 
 // tierAccessor picks the ONE node that serves page's accesses in round r.
-func tierAccessor(cfg *TieringConfig, page uint32, round int) int {
-	home := tierHome(cfg, page)
-	h := mix64(uint64(page)<<24 ^ uint64(round)*0x100000001b3 ^ cfg.Seed)
-	if float64(h&0xFFFFF)/float64(1<<20) < cfg.HomeFrac || cfg.Nodes == 1 {
+func tierAccessor(page uint32, round int) int {
+	home := tierHome(page)
+	h := mix64(uint64(page)<<24 ^ uint64(round)*0x100000001b3 ^ tierSeed)
+	if float64(h&0xFFFFF)/float64(1<<20) < tierHomeFrac {
 		return home
 	}
-	return (home + 1 + int((h>>24)%uint64(cfg.Nodes-1))) % cfg.Nodes
+	return (home + 1 + int((h>>24)%(tierNodes-1))) % tierNodes
 }
 
 // tierPermute maps a Zipf rank to a page number bijectively (odd
@@ -125,16 +129,16 @@ func tierPermute(rank, span int) uint32 {
 }
 
 func generateTierPlan(cfg *TieringConfig) *tierPlan {
-	zipf := loadgen.NewZipf(loadgen.NewRand(cfg.Seed), cfg.SpanPages, cfg.Skew)
-	rnd := loadgen.NewRand(cfg.Seed + 1)
+	zipf := loadgen.NewZipf(loadgen.NewRand(tierSeed), cfg.SpanPages, tierSkew)
+	rnd := loadgen.NewRand(tierSeed + 1)
 	perRound := cfg.Ops / cfg.Rounds
-	p := &tierPlan{perNode: make([]int, cfg.Nodes)}
+	p := &tierPlan{perNode: make([]int, tierNodes)}
 	for r := 0; r < cfg.Rounds; r++ {
-		byNode := make([][]tierOp, cfg.Nodes)
+		byNode := make([][]tierOp, tierNodes)
 		for i := 0; i < perRound; i++ {
 			page := tierPermute(zipf.Next(), cfg.SpanPages)
-			node := tierAccessor(cfg, page, r)
-			byNode[node] = append(byNode[node], tierOp{page: page, write: rnd.Float64() >= cfg.ReadFrac})
+			node := tierAccessor(page, r)
+			byNode[node] = append(byNode[node], tierOp{page: page, write: rnd.Float64() >= tierReadFrac})
 			p.perNode[node]++
 			p.total++
 		}
@@ -162,23 +166,6 @@ func (p *tierPhase) mode() string {
 		return "daemon"
 	}
 	return "static"
-}
-
-func (p *tierPhase) violations() int { return p.stale + p.torn + p.lost }
-
-// replayOps expands the phase's measured service profile into an open-loop
-// Poisson schedule at the offered load (the redisscale methodology).
-func (p *tierPhase) replayOps(cfg *TieringConfig, offered float64, total int) []loadgen.Op {
-	if offered <= 0 || total == 0 {
-		return nil
-	}
-	arr := loadgen.NewArrivals(cfg.Seed+7777, offered)
-	ops := make([]loadgen.Op, total)
-	for i := range ops {
-		srv := i % cfg.Nodes
-		ops[i] = loadgen.Op{ArrivalNS: arr.Next(), Server: srv, ServiceNS: p.meanServiceNS[srv]}
-	}
-	return ops
 }
 
 // tierRecord builds the page's 64-byte record: 8 words, every one the
@@ -226,12 +213,12 @@ func tierVA(page uint32) uint64 { return tierBaseVA + uint64(page)*memsys.PageSi
 // sorted at every stage — same seed, same bits, run after run.
 func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase {
 	span := cfg.SpanPages
-	nodes := cfg.Nodes
-	warmPages := int(cfg.WarmFrac * float64(span))
+	const nodes = tierNodes
+	warmPages := int(tierWarmFrac * float64(span))
 	arenaBytes := uint64(48<<20) + uint64(span)*32
 	// Frame pool + arena + per-node radix page tables (the last grow with
 	// both span and rack size) + fixed slack for everything else.
-	ptBytes := uint64(nodes) * uint64(span) * 32
+	ptBytes := nodes * uint64(span) * 32
 	f := fabric.New(fabric.Config{
 		GlobalSize:         uint64(span+65536)*memsys.PageSize + arenaBytes + ptBytes + 64<<20,
 		Nodes:              nodes,
@@ -257,7 +244,7 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	var rec [tierRecordBytes]byte
 	tierRecord(rec[:], 1)
 	for p := 0; p < span; p++ {
-		if err := mmus[tierHome(cfg, uint32(p))].Write(tierVA(uint32(p)), rec[:]); err != nil {
+		if err := mmus[tierHome(uint32(p))].Write(tierVA(uint32(p)), rec[:]); err != nil {
 			panic(err)
 		}
 		shadow[p] = 1
@@ -292,7 +279,7 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 			LocalHeat:        16,
 			LocalBudgetPages: cfg.LocalPagesPerNode,
 			WarmBudgetPages:  warmPages,
-			MaxMovesPerStep:  cfg.MaxMovesPerStep,
+			MaxMovesPerStep:  tierMaxMovesPerStep,
 		}, nil)
 		for p := 0; p < span; p++ {
 			vpn := tierVA(uint32(p)) >> memsys.PageShift
@@ -306,11 +293,8 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 		defer d.Detach()
 	}
 
-	ph := &tierPhase{daemon: daemonOn, meanServiceNS: make([]uint64, nodes)}
-	before := make([]fabric.NodeStatsSnapshot, nodes)
-	for n := range before {
-		before[n] = f.Node(n).Stats()
-	}
+	ph := &tierPhase{daemon: daemonOn}
+	mark := markClocks(f, nodes)
 
 	// Measured rounds: one goroutine per node replays its list; violations
 	// are exact because each page has exactly one accessor per round and
@@ -356,23 +340,10 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 		}
 	}
 
-	after := make([]fabric.NodeStatsSnapshot, nodes)
-	for n := range after {
-		after[n] = f.Node(n).Stats()
-		delta := after[n].Delta(before[n])
-		if delta.VirtualNS > ph.makespanNS {
-			ph.makespanNS = delta.VirtualNS
-		}
-		if plan.perNode[n] > 0 {
-			ph.meanServiceNS[n] = delta.VirtualNS / uint64(plan.perNode[n])
-		}
-		if ph.meanServiceNS[n] == 0 {
-			ph.meanServiceNS[n] = 1
-		}
-	}
-	if ph.makespanNS > 0 {
-		ph.opsPerSec = float64(plan.total) / (float64(ph.makespanNS) / 1e9)
-	}
+	perNode, makespan := mark.since(f)
+	ph.makespanNS = makespan
+	ph.meanServiceNS = meanService(perNode, func(n int) int { return plan.perNode[n] })
+	ph.opsPerSec = opsPerSec(plan.total, ph.makespanNS)
 	for n := range viols {
 		ph.stale += viols[n][0]
 		ph.torn += viols[n][1]
@@ -393,7 +364,7 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	}
 	var buf [tierRecordBytes]byte
 	for p := 0; p < span; p++ {
-		if err := mmus[tierHome(cfg, uint32(p))].Read(tierVA(uint32(p)), buf[:]); err != nil {
+		if err := mmus[tierHome(uint32(p))].Read(tierVA(uint32(p)), buf[:]); err != nil {
 			panic(err)
 		}
 		if checkTierRecord(buf[:], shadow[p]) != 0 {
@@ -423,24 +394,18 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 //     replayed against Poisson arrivals at fractions of capacity for
 //     honest latency under load and the saturation knee.
 //
-// The returned bool reports failure: any integrity violation, a
-// daemon/static speedup below Gate, a daemon that never actually promoted
-// or demoted anything, or low-load achieved throughput under 0.95x offered.
-func Tiering(cfg TieringConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Hotness-tiered memory: daemon placement vs static tiers",
-		Table:  metrics.NewTable("phase", "config", "metric", "value"),
-		Ratios: map[string]float64{},
-	}
+// It fails on any integrity violation, a daemon/static speedup below
+// Gate, a daemon that never actually promoted or demoted anything, or
+// low-load achieved throughput under 0.95x offered.
+func Tiering(cfg TieringConfig) *Result {
+	res := newResult("Hotness-tiered memory: daemon placement vs static tiers",
+		"phase", "config", "metric", "value")
 	plan := generateTierPlan(&cfg)
 
 	static := runTierPhase(&cfg, plan, false)
 	daemon := runTierPhase(&cfg, plan, true)
 
-	speedup := 0.0
-	if daemon.makespanNS > 0 {
-		speedup = float64(static.makespanNS) / float64(daemon.makespanNS)
-	}
+	speedup := ratio(float64(static.makespanNS), float64(daemon.makespanNS))
 	for _, ph := range []*tierPhase{static, daemon} {
 		res.Table.AddRow("placement", ph.mode(), "makespan | ops/s (virtual)",
 			fmt.Sprintf("%s | %.0f", ns(float64(ph.makespanNS)), ph.opsPerSec))
@@ -450,6 +415,9 @@ func Tiering(cfg TieringConfig) (*Result, bool) {
 			fmt.Sprintf("%d / %d / %d", ph.stale, ph.torn, ph.lost))
 		res.Table.AddRow("placement", ph.mode(), "demand migrations",
 			fmt.Sprintf("%d", ph.migrations))
+		if v := ph.stale + ph.torn + ph.lost; v > 0 {
+			res.Fail("%s placement: %d stale/torn/lost records", ph.mode(), v)
+		}
 	}
 	ds := daemon.dstats
 	res.Table.AddRow("placement", "daemon", "promoted local/warm",
@@ -461,27 +429,18 @@ func Tiering(cfg TieringConfig) (*Result, bool) {
 	res.Table.AddRow("placement", "speedup", "daemon/static",
 		fmt.Sprintf("%.2fx", speedup))
 	res.Ratios["daemon/static makespan speedup"] = speedup
+	if speedup < cfg.Gate {
+		res.Fail("daemon placement reached %.2fx static, want >= %.2fx", speedup, cfg.Gate)
+	}
+	if ds.PromotedLocal == 0 || ds.PromotedWarm == 0 || ds.DemotedCold == 0 {
+		res.Fail("the daemon never moved a page in some direction (promoted local/warm %d/%d, demoted cold %d)",
+			ds.PromotedLocal, ds.PromotedWarm, ds.DemotedCold)
+	}
 
 	// Open-loop replay of the daemon phase's capacity.
-	lowLoadOK := true
-	sweep := make([]loadgen.Row, 0, len(cfg.LoadFactors))
-	for _, fac := range cfg.LoadFactors {
-		offered := fac * daemon.opsPerSec
-		row := loadgen.MeasureRow(cfg.Nodes, offered, daemon.replayOps(&cfg, offered, plan.total), cfg.Nodes)
-		sweep = append(sweep, row)
-		res.Table.AddRow("open-loop", fmt.Sprintf("%.1fx capacity", fac),
-			"achieved ops/s | p50 | p99",
-			fmt.Sprintf("%.0f | %s | %s", row.AchievedOpsPerSec, ns(float64(row.P50NS)), ns(float64(row.P99NS))))
-		if fac <= 0.8 && row.AchievedOpsPerSec < 0.95*offered {
-			lowLoadOK = false
-		}
-	}
-	knee := "none"
-	if k := loadgen.Knee(sweep, 0.9); k >= 0 {
-		knee = fmt.Sprintf("%.1fx capacity", cfg.LoadFactors[k])
-	}
-	res.Table.AddRow("open-loop", "sweep", "saturation knee", knee)
-
+	sweep := openLoop(res, "daemon placement",
+		func(fac float64) string { return fmt.Sprintf("%.1fx capacity", fac) }, "sweep",
+		daemon.opsPerSec, plan.total, daemon.meanServiceNS, tierSeed+7777)
 	res.Bench = &Bench{
 		Name:      "tiering",
 		OpsPerSec: daemon.opsPerSec,
@@ -489,9 +448,5 @@ func Tiering(cfg TieringConfig) (*Result, bool) {
 		P99NS:     float64(sweep[0].P99NS),
 		Rows:      sweep,
 	}
-
-	violations := static.violations() + daemon.violations()
-	moved := ds.PromotedLocal > 0 && ds.PromotedWarm > 0 && ds.DemotedCold > 0
-	failed := violations > 0 || speedup < cfg.Gate || !moved || !lowLoadOK
-	return res, failed
+	return res
 }

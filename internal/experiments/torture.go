@@ -2,72 +2,96 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"flacos/internal/metrics"
 	"flacos/internal/torture"
 )
 
-// TortureConfig parameterizes the torture matrix: every selected workload
-// is swept under every seed.
-type TortureConfig struct {
-	// Seeds to sweep; each fully determines a fault schedule.
-	Seeds []int64
-	// Workloads filters by name (empty = all registered).
-	Workloads []string
-	// Nodes, OpsPerClient, Events size each sweep (zero = torture defaults).
-	Nodes        int
-	OpsPerClient int
-	Events       int
-	// Break enables a named deliberately-broken sync path; the matrix is
-	// then expected to FAIL (the checkers must catch the bug).
+// TortureFlags are flacbench's overrides of the torture matrix.
+type TortureFlags struct {
+	// Seed, when nonzero, replays that one seed instead of the sweep.
+	Seed int64
+	// Break enables a named deliberately-broken sync path. The contract
+	// then inverts: the matrix MUST fail (the checkers must catch the
+	// planted bug), so a clean run is the failure.
 	Break string
+	// Workload restricts the matrix to one workload ("" = all registered).
+	Workload string
 }
 
-// DefaultTorture is the nightly-scale matrix.
-func DefaultTorture() TortureConfig {
-	return TortureConfig{
-		Seeds:        []int64{1, 2, 3, 4, 5, 6, 7, 8},
-		Nodes:        3,
-		OpsPerClient: 400,
-		Events:       6,
+// Validate checks the flags against the registered break and workload
+// names, so a typo is reported before any sweep starts.
+func (fl TortureFlags) Validate() error {
+	if fl.Break != "" && !slices.Contains(torture.Breaks(), fl.Break) {
+		return fmt.Errorf("unknown -torture-break %q (valid: %s)", fl.Break, strings.Join(torture.Breaks(), ", "))
 	}
+	if fl.Workload != "" && torture.ByName(fl.Workload) == nil {
+		return fmt.Errorf("unknown -torture-workload %q (valid: %s)", fl.Workload, strings.Join(torture.WorkloadNames(), ", "))
+	}
+	return nil
 }
 
-// Torture runs the matrix and returns the rendered table plus the failing
-// reports (each carries the seed and compact event trace for replay).
-func Torture(cfg TortureConfig) (*Result, []*torture.Report) {
-	res := &Result{
-		Name:   "torture: seeded rack-wide fault sweep",
-		Table:  metrics.NewTable("workload", "seed", "faults", "ops", "events", "flips", "drops", "verdict"),
-		Ratios: map[string]float64{},
+// Torture sweeps every selected workload under every seed: eight seeds
+// at nightly scale, two at CI scale. Each failing sweep's report (seed +
+// compact event trace, enough to replay it with -seed) lands in the
+// torture-failures.txt artifact, and its merged flight-recorder extract
+// in torture-trace-<workload>-seed<N>.txt (human timeline) and .json
+// (Chrome trace_event, for chrome://tracing or ui.perfetto.dev).
+func Torture(quick bool, fl TortureFlags) *Result {
+	res := newResult("torture: seeded rack-wide fault sweep",
+		"workload", "seed", "faults", "ops", "events", "flips", "drops", "verdict")
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	cfg := torture.Config{Nodes: 3, OpsPerClient: 400, Events: 6, Break: fl.Break}
+	if quick {
+		seeds = []int64{1, 7}
+		cfg.OpsPerClient, cfg.Events = 120, 4
 	}
-	names := cfg.Workloads
-	if len(names) == 0 {
-		for _, w := range torture.Workloads() {
-			names = append(names, w.Name())
-		}
+	if fl.Seed != 0 {
+		seeds = []int64{fl.Seed}
 	}
-	var failures []*torture.Report
+	names := torture.WorkloadNames()
+	if fl.Workload != "" {
+		names = []string{fl.Workload}
+	}
+
+	var reports strings.Builder
+	failed := 0
 	for _, name := range names {
-		for _, seed := range cfg.Seeds {
-			w := torture.ByName(name)
-			if w == nil {
-				panic(fmt.Sprintf("experiments: unknown torture workload %q", name))
-			}
-			rep := torture.Run(w, torture.Config{
-				Seed:         seed,
-				Nodes:        cfg.Nodes,
-				OpsPerClient: cfg.OpsPerClient,
-				Events:       cfg.Events,
-				Break:        cfg.Break,
-			})
+		for _, seed := range seeds {
+			cfg.Seed = seed
+			rep := torture.Run(torture.ByName(name), cfg)
 			res.Table.AddRow(rep.Workload, fmt.Sprintf("%d", rep.Seed), rep.Faults.String(),
 				fmt.Sprintf("%d", rep.Ops), fmt.Sprintf("%d", len(rep.Events)),
 				fmt.Sprintf("%d", rep.BitFlips), fmt.Sprintf("%d", rep.DroppedWBs), rep.Verdict())
-			if !rep.Passed() {
-				failures = append(failures, rep)
+			if rep.Passed() {
+				continue
+			}
+			failed++
+			reports.WriteString(rep.String() + "\n")
+			// Under a planted break the failing sweeps are the expected
+			// outcome; their trace extracts are still kept — a cheap way
+			// to eyeball what the recorder captures around a failure.
+			base := fmt.Sprintf("torture-trace-%s-seed%d", rep.Workload, rep.Seed)
+			if rep.TraceTimeline != "" {
+				res.Artifacts = append(res.Artifacts, Artifact{base + ".txt", []byte(rep.TraceTimeline)})
+			}
+			if rep.TraceJSON != nil {
+				res.Artifacts = append(res.Artifacts, Artifact{base + ".json", rep.TraceJSON})
+			}
+			if fl.Break == "" {
+				res.Fail("sweep failed:\n%s", rep)
 			}
 		}
 	}
-	return res, failures
+	switch {
+	case fl.Break == "" && failed > 0:
+		res.Artifacts = append(res.Artifacts, Artifact{"torture-failures.txt", []byte(reports.String())})
+	case fl.Break != "" && failed == 0:
+		res.Fail("broken path %q was NOT caught by any sweep", fl.Break)
+	case fl.Break != "":
+		res.Table.AddRow("break:"+fl.Break, "", "", "", "", "", "",
+			fmt.Sprintf("caught by %d sweep(s), as required", failed))
+	}
+	return res
 }

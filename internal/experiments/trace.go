@@ -7,15 +7,12 @@ import (
 
 	"flacos/internal/core"
 	"flacos/internal/fabric"
-	"flacos/internal/metrics"
 	"flacos/internal/sched"
 	"flacos/internal/trace"
 )
 
 // TraceConfig parameterizes the flight-recorder overhead experiment.
 type TraceConfig struct {
-	// Nodes sizes the raw-emission rack.
-	Nodes int
 	// EmitEvents is how many events the raw-emission phase writes.
 	EmitEvents int
 	// Tasks is the dispatch-overhead phase's task count (serial
@@ -23,30 +20,30 @@ type TraceConfig struct {
 	Tasks int
 	// FSOps is the end-to-end smoke phase's file-op count.
 	FSOps int
-	// RingCap sizes per-node rings in the smoke phase.
-	RingCap uint64
-	Seed    int64
 }
 
 // DefaultTrace sizes the experiment so the per-event cost and the
 // dispatch overhead both come from thousands of samples.
-func DefaultTrace() TraceConfig {
-	return TraceConfig{
-		Nodes:      3,
-		EmitEvents: 100_000,
-		Tasks:      400,
-		FSOps:      200,
-		RingCap:    1 << 15,
-		Seed:       1,
-	}
-}
+func DefaultTrace() TraceConfig { return TraceConfig{EmitEvents: 100_000, Tasks: 400, FSOps: 200} }
+
+// QuickTrace is the CI-sized run; the per-event cost is deterministic
+// at any size.
+func QuickTrace() TraceConfig { return TraceConfig{EmitEvents: 20_000, Tasks: 150, FSOps: 80} }
+
+const (
+	// traceNodes sizes the raw-emission rack.
+	traceNodes = 3
+	// traceRingCap sizes per-node rings in the dispatch and smoke phases
+	// (the recorder's default).
+	traceRingCap = 1 << 15
+)
 
 // traceOverheadBudgetPct is the acceptance bound: tracing the scheduler's
 // dispatch hot path must cost under this much extra virtual time per task.
 const traceOverheadBudgetPct = 15.0
 
 // Trace measures the flight recorder's always-on overhead claim in three
-// phases and returns (result, failed):
+// phases:
 //
 //   - raw emission: one writer streaming events as fast as it can — wall
 //     events/sec and the modeled virtual cost per event (one full-line
@@ -59,18 +56,14 @@ const traceOverheadBudgetPct = 15.0
 //     scheduler tasks and file ops, whose merged snapshot must contain
 //     both subsystems' events, drop nothing, and render parseable
 //     Chrome trace JSON.
-func Trace(cfg TraceConfig) (*Result, bool) {
-	res := &Result{
-		Name:   "Flight recorder: always-on tracing overhead",
-		Table:  metrics.NewTable("phase", "metric", "value", "notes"),
-		Ratios: map[string]float64{},
-	}
-	failed := false
+func Trace(cfg TraceConfig) *Result {
+	res := newResult("Flight recorder: always-on tracing overhead",
+		"phase", "metric", "value", "notes")
 
 	// ---- Phase A: raw emission throughput and per-event cost ----
 	{
 		f := fabric.New(fabric.Config{
-			GlobalSize: 256 << 20, Nodes: cfg.Nodes,
+			GlobalSize: 256 << 20, Nodes: traceNodes,
 			CacheCapacityLines: -1, Latency: fabric.DefaultLatency(),
 		})
 		ringCap := uint64(1)
@@ -93,12 +86,11 @@ func Trace(cfg TraceConfig) (*Result, bool) {
 		res.Table.AddRow("emit", "virtual cost", ns(perEvent)+"/event", "full-line write + write-back")
 		res.Table.AddRow("emit", "dropped", fmt.Sprintf("%d", snap.TotalDropped()),
 			fmt.Sprintf("ring=%d slots", ringCap))
-		if snap.TotalDropped() != 0 {
-			failed = true
+		if d := snap.TotalDropped(); d != 0 {
+			res.Fail("raw emission dropped %d events from a ring sized for all of them", d)
 		}
 		if got := len(snap.Nodes[0].Events); got != cfg.EmitEvents {
-			res.Table.AddRow("emit", "LOST EVENTS", fmt.Sprintf("%d/%d recovered", got, cfg.EmitEvents), "")
-			failed = true
+			res.Fail("raw emission lost events: %d/%d recovered", got, cfg.EmitEvents)
 		}
 	}
 
@@ -114,12 +106,12 @@ func Trace(cfg TraceConfig) (*Result, bool) {
 			// so idle scans don't pollute the per-task virtual cost.
 			ReclaimTick: 50 * time.Millisecond,
 			IdleTick:    50 * time.Millisecond,
-			Seed:        cfg.Seed,
+			Seed:        1,
 		})
 		defer s.Stop()
 		var rec *trace.Recorder
 		if traced {
-			rec = trace.New(f, trace.Config{RingCap: cfg.RingCap})
+			rec = trace.New(f, trace.Config{RingCap: traceRingCap})
 			s.SetTrace(rec)
 		}
 		fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
@@ -149,14 +141,17 @@ func Trace(cfg TraceConfig) (*Result, bool) {
 	res.Table.AddRow("dispatch", "traced", ns(tracedNS)+"/task",
 		fmt.Sprintf("+%.1f%% (budget %.0f%%), dropped=%d", overheadPct, traceOverheadBudgetPct, dropped))
 	res.Ratios["traced/untraced dispatch cost"] = tracedNS / plainNS
-	if overheadPct > traceOverheadBudgetPct || dropped != 0 {
-		failed = true
+	if overheadPct > traceOverheadBudgetPct {
+		res.Fail("traced dispatch costs +%.1f%% virtual time per task, budget %.0f%%", overheadPct, traceOverheadBudgetPct)
+	}
+	if dropped != 0 {
+		res.Fail("traced dispatch dropped %d events at the default ring size", dropped)
 	}
 
 	// ---- Phase C: booted-rack smoke (sched + fs, merged snapshot) ----
 	{
 		rack := core.Boot(core.Config{Nodes: 2})
-		rec := rack.EnableTrace(trace.Config{RingCap: cfg.RingCap})
+		rec := rack.EnableTrace(trace.Config{RingCap: traceRingCap})
 		s := rack.Scheduler()
 		fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
 			n.Load64(fabric.GPtr(rack.HWTable))
@@ -186,16 +181,16 @@ func Trace(cfg TraceConfig) (*Result, bool) {
 			bySub[e.Sub]++
 		}
 		cj := snap.ChromeJSON()
-		ok := snap.TotalDropped() == 0 && snap.TotalSkipped() == 0 &&
-			bySub[trace.SubSched] > 0 && bySub[trace.SubFS] > 0 && json.Valid(cj)
 		verdict := "ok"
-		if !ok {
+		if snap.TotalDropped() != 0 || snap.TotalSkipped() != 0 ||
+			bySub[trace.SubSched] == 0 || bySub[trace.SubFS] == 0 || !json.Valid(cj) {
 			verdict = "FAIL"
-			failed = true
+			res.Fail("rack smoke snapshot is incomplete: sched=%d fs=%d events, dropped=%d skipped=%d, json valid=%v",
+				bySub[trace.SubSched], bySub[trace.SubFS], snap.TotalDropped(), snap.TotalSkipped(), json.Valid(cj))
 		}
 		res.Table.AddRow("smoke", "rack events", fmt.Sprintf("%d merged", snap.Count()),
 			fmt.Sprintf("sched=%d fs=%d dropped=%d json=%dB %s",
 				bySub[trace.SubSched], bySub[trace.SubFS], snap.TotalDropped(), len(cj), verdict))
 	}
-	return res, failed
+	return res
 }

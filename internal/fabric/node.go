@@ -61,9 +61,33 @@ func (n *Node) ResetStats() { n.stats.reset() }
 // VirtualNS returns the virtual nanoseconds this node has been charged.
 func (n *Node) VirtualNS() uint64 { return n.stats.VirtualNS.Load() }
 
+// CrashedError is the value every memory operation on a crashed node
+// panics with: the CPU that issued the operation died with its node.
+type CrashedError struct{ Node int }
+
+func (e CrashedError) Error() string {
+	return fmt.Sprintf("fabric: operation on crashed node %d", e.Node)
+}
+
 func (n *Node) checkAlive() {
 	if n.crashed.Load() {
-		panic(fmt.Sprintf("fabric: operation on crashed node %d", n.id))
+		panic(CrashedError{Node: n.id})
+	}
+}
+
+// AbsorbCrash, deferred by a goroutine that plays one of n's CPUs, ends
+// the deferring function quietly when it panicked because n crashed
+// under it; any other panic propagates. It matches on the panic value
+// instead of asking Crashed() afterwards, so a restart that lands
+// between the panic and the check cannot turn a crash into a bug report.
+//
+// Only n's own crash is absorbed. A CPU of node n issues memory
+// operations through n's handle and no other: reaching through another
+// node's handle is a bug by contract, and if that node is crashed the
+// resulting CrashedError{other} propagates like any other panic.
+func (n *Node) AbsorbCrash() {
+	if r := recover(); r != nil && r != any(CrashedError{Node: n.id}) {
+		panic(r)
 	}
 }
 

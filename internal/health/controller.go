@@ -185,7 +185,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	nodes    map[int]*nodeState
-	deadSeen map[[2]uint64]bool // {slot, gen} -> death sweep already ran
+	deadOnce membership.DeadOnce // one death sweep per (slot, gen)
 
 	// brokenSkipDrainFence is the planted self-test break: when set, the
 	// drain pipeline SKIPS the early-fence stage — exactly the bug the
@@ -207,10 +207,9 @@ func NewController(m *membership.Member, cfg ControllerConfig) *Controller {
 		cfg.From = m.Node()
 	}
 	c := &Controller{
-		cfg:      cfg,
-		m:        m,
-		nodes:    make(map[int]*nodeState),
-		deadSeen: make(map[[2]uint64]bool),
+		cfg:   cfg,
+		m:     m,
+		nodes: make(map[int]*nodeState),
 	}
 	if m != nil {
 		m.Subscribe(c.OnEvent)
@@ -467,13 +466,10 @@ func (c *Controller) runRejoin(node int, gen uint64) {
 // at its next stage boundary) and run the classic death sweep exactly
 // once per (slot, generation).
 func (c *Controller) dead(ev membership.Event) {
-	c.mu.Lock()
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	if c.deadSeen[key] {
-		c.mu.Unlock()
+	if !c.deadOnce.First(ev) {
 		return
 	}
-	c.deadSeen[key] = true
+	c.mu.Lock()
 	st := c.node(ev.Node)
 	if ev.Generation > st.deadGen {
 		st.deadGen = ev.Generation

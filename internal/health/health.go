@@ -309,14 +309,7 @@ func (a *Agent) Stop() {
 
 func (a *Agent) loop() {
 	defer a.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if a.n.Crashed() {
-				return // this agent died with its node
-			}
-			panic(r)
-		}
-	}()
+	defer a.n.AbsorbCrash() // this agent died with its node
 	tick := time.NewTicker(a.l.cfg.Tick)
 	defer tick.Stop()
 	for {

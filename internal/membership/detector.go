@@ -74,14 +74,7 @@ func (t *Table) maxVNS() uint64 {
 // from control-word diffs.
 func (m *Member) agentLoop() {
 	defer m.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if m.n.Crashed() {
-				return // this agent died with its node
-			}
-			panic(r)
-		}
-	}()
+	defer m.n.AbsorbCrash() // this agent died with its node
 	m.obs = make(map[int]*slotObs)
 	tick := time.NewTicker(m.t.cfg.DetectTick)
 	defer tick.Stop()

@@ -1,5 +1,7 @@
 package membership
 
+import "sync"
+
 // EventKind classifies one membership transition.
 type EventKind uint8
 
@@ -60,6 +62,33 @@ type Event struct {
 	Node        int    // the slot's occupant at the transition
 	Generation  uint64 // the occupant's generation (fencing token)
 	Incarnation uint64
+}
+
+// DeadOnce is the dedup every cross-member Dead consumer needs: all live
+// members' agents deliver the same death, and recovery must run once per
+// (Slot, Generation). The zero value is ready to use.
+type DeadOnce struct {
+	mu   sync.Mutex
+	seen map[[2]uint64]bool
+}
+
+// First reports whether ev is a Dead event for a (Slot, Generation) this
+// DeadOnce has not been shown before, and remembers it.
+func (d *DeadOnce) First(ev Event) bool {
+	if ev.Kind != EvDead {
+		return false
+	}
+	key := [2]uint64{uint64(ev.Slot), ev.Generation}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.seen[key] {
+		return false
+	}
+	if d.seen == nil {
+		d.seen = make(map[[2]uint64]bool)
+	}
+	d.seen[key] = true
+	return true
 }
 
 // diffCtl synthesizes events by comparing slot's control word against

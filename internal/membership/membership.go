@@ -453,14 +453,7 @@ func (m *Member) publishBeat() {
 // heartbeatLoop republishes the record every tick until Stop or crash.
 func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if m.n.Crashed() {
-				return // the beat freezes exactly at the crash
-			}
-			panic(r)
-		}
-	}()
+	defer m.n.AbsorbCrash() // the beat freezes exactly at the crash
 	tick := time.NewTicker(m.t.cfg.HeartbeatTick)
 	defer tick.Stop()
 	for {

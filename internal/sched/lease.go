@@ -31,14 +31,7 @@ type probe struct {
 func (s *Scheduler) keeper(id int) {
 	defer s.wg.Done()
 	n := s.fab.Node(id)
-	defer func() {
-		if r := recover(); r != nil {
-			if n.Crashed() {
-				return // heartbeat freezes exactly at the crash
-			}
-			panic(r)
-		}
-	}()
+	defer n.AbsorbCrash() // heartbeat freezes exactly at the crash
 	seen := make(map[uint64]probe)
 	tick := time.NewTicker(s.cfg.ReclaimTick)
 	defer tick.Stop()

@@ -17,14 +17,7 @@ import (
 func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
 	n := s.fab.Node(id)
-	defer func() {
-		if r := recover(); r != nil {
-			if n.Crashed() {
-				return // this CPU died with its node
-			}
-			panic(r)
-		}
-	}()
+	defer n.AbsorbCrash() // this CPU died with its node
 	timer := time.NewTimer(s.cfg.IdleTick)
 	defer timer.Stop()
 	for {

@@ -228,22 +228,14 @@ func (e *Env) Rand(stream uint64) *rand.Rand {
 // reports whether it completed. A panic caused by the node being crashed
 // is absorbed (the op's CPU died with its node); any other panic
 // propagates — it is a bug, not a fault.
-func (e *Env) RunOp(n *fabric.Node, fn func()) (completed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if n.Crashed() {
-				completed = false
-				return
-			}
-			panic(r)
-		}
-	}()
+func RunOp(n *fabric.Node, fn func()) (completed bool) {
+	defer n.AbsorbCrash()
 	fn()
 	return true
 }
 
 // WaitAlive blocks until n has been restarted.
-func (e *Env) WaitAlive(n *fabric.Node) {
+func WaitAlive(n *fabric.Node) {
 	for n.Crashed() {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -303,41 +295,65 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// ApplyBreak enables a named deliberately-broken sync path, proving the
-// checkers catch the class of bug they exist for. Returns an error for an
-// unknown name. Call ClearBreaks afterwards.
-func ApplyBreak(name string) error {
-	switch name {
-	case "":
-		return nil
-	case "ring-invalidate":
-		ds.SetBrokenSkipPopInvalidate(true)
-	case "shootdown":
-		memsys.SetBrokenSkipShootdown(true)
-	case "drain-fence":
-		health.SetBrokenSkipDrainFence(true)
-	default:
-		return fmt.Errorf("torture: unknown break %q (want ring-invalidate|shootdown|drain-fence)", name)
-	}
-	return nil
+// breaks is the one place the planted bugs are named: each entry flips a
+// deliberately broken sync path whose class of bug the checkers exist
+// to catch.
+var breaks = []struct {
+	name string
+	set  func(bool)
+}{
+	{"ring-invalidate", ds.SetBrokenSkipPopInvalidate},
+	{"shootdown", memsys.SetBrokenSkipShootdown},
+	{"drain-fence", health.SetBrokenSkipDrainFence},
 }
 
 // Breaks lists the valid ApplyBreak names.
-func Breaks() []string { return []string{"ring-invalidate", "shootdown", "drain-fence"} }
+func Breaks() []string {
+	names := make([]string, len(breaks))
+	for i, b := range breaks {
+		names[i] = b.name
+	}
+	return names
+}
+
+// ApplyBreak enables the named broken path ("" is none) and returns an
+// error for an unknown name. Call ClearBreaks afterwards.
+func ApplyBreak(name string) error {
+	for _, b := range breaks {
+		if b.name == name {
+			b.set(true)
+			return nil
+		}
+	}
+	if name == "" {
+		return nil
+	}
+	return fmt.Errorf("torture: unknown break %q (want %s)", name, strings.Join(Breaks(), "|"))
+}
 
 // ClearBreaks restores every broken path.
 func ClearBreaks() {
-	ds.SetBrokenSkipPopInvalidate(false)
-	memsys.SetBrokenSkipShootdown(false)
-	health.SetBrokenSkipDrainFence(false)
+	for _, b := range breaks {
+		b.set(false)
+	}
 }
 
-// Workloads returns the registered workload set, in fixed order.
+// Workloads returns a fresh instance of every registered workload, in
+// fixed order. A workload holds one sweep's state: never Run one twice.
 func Workloads() []Workload {
 	return []Workload{newDSWorkload(), newSchedWorkload(), newFSWorkload(), newMemsysWorkload(), newRedisWorkload(), newMembershipWorkload(), newHealthWorkload()}
 }
 
-// ByName returns the named workload, or nil.
+// WorkloadNames lists the registered workloads in sweep order.
+func WorkloadNames() []string {
+	var names []string
+	for _, w := range Workloads() {
+		names = append(names, w.Name())
+	}
+	return names
+}
+
+// ByName returns a fresh instance of the named workload, or nil.
 func ByName(name string) Workload {
 	for _, w := range Workloads() {
 		if w.Name() == name {

@@ -24,10 +24,11 @@ func smokeConfig(seed int64) Config {
 func TestTortureSmoke(t *testing.T) {
 	for _, w := range Workloads() {
 		for _, seed := range []int64{1, 7} {
-			w, seed := w, seed
-			t.Run(fmt.Sprintf("%s/seed%d", w.Name(), seed), func(t *testing.T) {
+			name, seed := w.Name(), seed
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				t.Parallel()
-				rep := Run(w, smokeConfig(seed))
+				// A workload holds one sweep's state: each run needs its own.
+				rep := Run(ByName(name), smokeConfig(seed))
 				if !rep.Passed() {
 					t.Fatalf("invariants violated:\n%s", rep)
 				}

@@ -104,8 +104,8 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 		if needSync[j] {
 			var v uint64
 			var ok bool
-			if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
-				env.WaitAlive(n)
+			if !RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
+				WaitAlive(n)
 				continue
 			}
 			if !ok || v < vers[j] {
@@ -118,7 +118,7 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 		next := vers[j] + 1
 		useCAS := rng.Intn(2) == 0
 		casOK := true
-		if !env.RunOp(n, func() {
+		if !RunOp(n, func() {
 			if useCAS {
 				casOK = w.hm.CompareAndSwap(n, key, vers[j], next)
 			} else {
@@ -126,7 +126,7 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 			}
 		}) {
 			needSync[j] = true
-			env.WaitAlive(n)
+			WaitAlive(n)
 			continue
 		}
 		if !casOK {
@@ -156,8 +156,8 @@ func (w *dsWorkload) mapReader(env *Env, node int) {
 		v0 := w.floors[key-1].Load()
 		var v uint64
 		var ok bool
-		if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
-			env.WaitAlive(n)
+		if !RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
+			WaitAlive(n)
 			continue
 		}
 		if !ok {
@@ -185,8 +185,8 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 				return // consumer gave up (break-catching run): don't spin on a full ring
 			}
 			pushed := false
-			if !env.RunOp(n, func() { pushed = r.TryPush(n, buf) }) {
-				env.WaitAlive(n)
+			if !RunOp(n, func() { pushed = r.TryPush(n, buf) }) {
+				WaitAlive(n)
 				continue
 			}
 			if pushed {
@@ -212,8 +212,8 @@ func (w *dsWorkload) ringConsumer(env *Env, node int) {
 	for expected <= ops {
 		var ln int
 		var ok bool
-		if !env.RunOp(n, func() { ln, ok = r.TryPop(n, buf) }) {
-			env.WaitAlive(n)
+		if !RunOp(n, func() { ln, ok = r.TryPop(n, buf) }) {
+			WaitAlive(n)
 			continue
 		}
 		if !ok {

@@ -120,10 +120,10 @@ func (w *fsWorkload) Clients(env *Env) []func() {
 func (w *fsWorkload) mount(env *Env, n *fabric.Node) *fs.Mount {
 	for {
 		var m *fs.Mount
-		if env.RunOp(n, func() { m = w.fsys.Mount(n) }) {
+		if RunOp(n, func() { m = w.fsys.Mount(n) }) {
 			return m
 		}
-		env.WaitAlive(n)
+		WaitAlive(n)
 	}
 }
 
@@ -131,8 +131,8 @@ func (w *fsWorkload) mount(env *Env, n *fabric.Node) *fs.Mount {
 // restart, fence the dead participant, attach fresh.
 func (w *fsWorkload) remount(env *Env, n *fabric.Node, dead *fs.Mount) *fs.Mount {
 	for {
-		env.WaitAlive(n)
-		if env.RunOp(n, func() { w.fsys.FenceMount(n, dead) }) {
+		WaitAlive(n)
+		if RunOp(n, func() { w.fsys.FenceMount(n, dead) }) {
 			return w.mount(env, n)
 		}
 	}
@@ -154,7 +154,7 @@ func (w *fsWorkload) writer(env *Env, node int) {
 		v := vers[p] + 1
 		buf := makeFilePage(node, p, v)
 		var err error
-		if !env.RunOp(n, func() { _, err = m.Write(id, uint64(p)*fs.PageSize, buf) }) {
+		if !RunOp(n, func() { _, err = m.Write(id, uint64(p)*fs.PageSize, buf) }) {
 			// Crash mid-write: the version may or may not have landed;
 			// rewriting the identical image is idempotent either way.
 			m = w.remount(env, n, m)
@@ -176,7 +176,7 @@ func (w *fsWorkload) writer(env *Env, node int) {
 			attempt++
 			name := fmt.Sprintf("extra-%d-%d", node, attempt)
 			var eid uint64
-			if env.RunOp(n, func() { eid, err = m.Create(name) }) {
+			if RunOp(n, func() { eid, err = m.Create(name) }) {
 				if err != nil {
 					env.Violatef(ci, "create %q failed: %v", name, err)
 				} else {
@@ -188,7 +188,7 @@ func (w *fsWorkload) writer(env *Env, node int) {
 				m = w.remount(env, n, m)
 			}
 		case completed%16 == 8:
-			if !env.RunOp(n, func() {
+			if !RunOp(n, func() {
 				if rng.Intn(2) == 0 {
 					err = m.Fsync(id)
 				} else {
@@ -215,7 +215,7 @@ func (w *fsWorkload) reader(env *Env, node int) {
 		p := rng.Intn(w.pages)
 		v0 := w.pub[target][p].Load()
 		var err error
-		if !env.RunOp(n, func() { _, err = m.Read(w.ids[target], uint64(p)*fs.PageSize, buf) }) {
+		if !RunOp(n, func() { _, err = m.Read(w.ids[target], uint64(p)*fs.PageSize, buf) }) {
 			m = w.remount(env, n, m)
 			continue
 		}
@@ -230,7 +230,7 @@ func (w *fsWorkload) reader(env *Env, node int) {
 		if completed%16 == 4 {
 			var gotID uint64
 			var ok bool
-			if !env.RunOp(n, func() { gotID, ok = m.Lookup(w.names[target]) }) {
+			if !RunOp(n, func() { gotID, ok = m.Lookup(w.names[target]) }) {
 				m = w.remount(env, n, m)
 			} else if !ok || gotID != w.ids[target] {
 				env.Violatef(ci, "lookup %q = (%d,%v), want id %d", w.names[target], gotID, ok, w.ids[target])

@@ -3,16 +3,12 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/reliability"
 	"flacos/internal/health"
-	"flacos/internal/membership"
 	"flacos/internal/redis"
-	"flacos/internal/sched"
 )
 
 // healthWorkload tortures the gray-failure layer (internal/health) end
@@ -49,29 +45,11 @@ import (
 //   - convergence: the quiescent rack returns to every node Alive with
 //     no Degraded verdict standing.
 type healthWorkload struct {
-	env   *Env
-	tb    *membership.Table
-	layer *health.Layer
-	ctl   *health.Controller
-	s     *sched.Scheduler
-	store *redis.RackStore
-	scrub *reliability.Scrubber
-
-	fn       sched.FuncID
-	doneBase fabric.GPtr
-	execBase fabric.GPtr
-	sentG    fabric.GPtr
-	tasks    int
-
-	mu       sync.Mutex
-	members  []*membership.Member // by node id
-	agents   []*health.Agent      // by node id
-	srcs     []*health.NodeSource // by node id (stable across rejoins)
-	rejoinMu sync.Mutex           // serializes whole-node rejoin sequences
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq
-	kpw      int             // keys per writer (per node)
+	env    *Env
+	rack   *ControlRack
+	stream *storeStream
+	scrub  *reliability.Scrubber
+	sentG  fabric.GPtr
 }
 
 const healthSubmitters = 2
@@ -82,7 +60,7 @@ const healthSubmitters = 2
 // recovers and the drain/rejoin cycle runs repeatedly per sweep.
 const graygenBurst = 8
 
-func newHealthWorkload() *healthWorkload { return &healthWorkload{kpw: 2} }
+func newHealthWorkload() *healthWorkload { return &healthWorkload{} }
 
 func (w *healthWorkload) Name() string { return "health" }
 
@@ -94,53 +72,34 @@ func (w *healthWorkload) Name() string { return "health" }
 // client plants its own, attributable corruption instead.
 func (w *healthWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-func (w *healthWorkload) clients(env *Env) int { return healthSubmitters + env.Cfg.Nodes + 2 }
-
 func (w *healthWorkload) Prepare(env *Env) {
+	const kpw = 2
 	f := env.Fab
 	w.env = env
 	nodes := env.Cfg.Nodes
-	w.tasks = healthSubmitters * env.Cfg.OpsPerClient
-
-	w.doneBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.execBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.s = sched.New(f, sched.Config{
-		TableCap:    128,
-		Policy:      sched.PolicyLocality,
-		ProbeRounds: 50,
-		ReclaimTick: 400 * time.Microsecond,
-		IdleTick:    200 * time.Microsecond,
-		StealGrace:  500 * time.Microsecond,
-		HistCap:     1024,
+	// The controller rides node 0's event stream (node 0 never crashes,
+	// and its health agent evaluates every slot, so one stream carries
+	// the whole rack's verdicts). It owns the death sweep too — the
+	// classic EvDead hook lives inside the same pipeline here.
+	w.rack = NewControlRack(f, ControlConfig{
+		Store: redis.RackStoreConfig{
+			// Extra slot headroom for the zombie-probe keys a broken fence
+			// path would actually write.
+			Slots: uint64(nodes*kpw+nodes) * 8,
+			// Fences (proactive drains AND death sweeps) abandon views, and
+			// every completed drain attaches one probe view; size for churn.
+			MaxViews:   4*nodes*(env.Cfg.Events+2) + 3*env.Cfg.OpsPerClient + 64,
+			ArenaBytes: 16 << 20,
+		},
+		Tasks:       healthSubmitters * env.Cfg.OpsPerClient,
+		Body:        linger,
+		PhiDead:     6,
+		DeadStrikes: 2,
+		Health:      true,
+		OnStage:     w.onStage,
+		Trace:       env.Trace,
 	})
-	w.s.SetTrace(env.Trace)
-	w.fn = w.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.Add64(w.execBase+fabric.GPtr(arg1*8), 1)
-		time.Sleep(20 * time.Microsecond)
-		n.Load64(w.doneBase + fabric.GPtr(arg1*8))
-	})
-	w.s.Start()
-
-	keys := nodes * w.kpw
-	w.store = redis.NewRackStore(f, redis.RackStoreConfig{
-		// Extra slot headroom for the zombie-probe keys a broken fence
-		// path would actually write.
-		Slots: uint64(keys+nodes) * 8,
-		// Fences (proactive drains AND death sweeps) abandon views, and
-		// every completed drain attaches one probe view; size for churn.
-		MaxViews:   4*nodes*(env.Cfg.Events+2) + 3*env.Cfg.OpsPerClient + 64,
-		ArenaBytes: 16 << 20,
-	})
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
-	v0 := w.attach(env, f.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(redisKey(k/w.kpw, k%w.kpw), redisVal(k, 1), 0); err != nil {
-			panic(err)
-		}
-		w.floors[k].Store(1)
-	}
-	v0.Barrier()
+	w.stream = newStoreStream(env, w.rack.Store, kpw)
 
 	// Per-node sentinel lines the graygen client corrupts and the
 	// scrubber guards: the scrub->attribute->repair loop is how at-rest
@@ -152,59 +111,6 @@ func (w *healthWorkload) Prepare(env *Env) {
 		f.WriteAtHome(r.G, w.sentPattern(id))
 		w.scrub.Protect(r)
 	}
-
-	w.tb = membership.New(f, membership.Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		PhiSuspect:    3,
-		PhiDead:       6,
-		DeadStrikes:   2,
-	})
-	w.layer = health.New(w.tb, health.Config{
-		Tick:         100 * time.Microsecond,
-		EnterStrikes: 2,
-		ExitStrikes:  4,
-	})
-	w.members = make([]*membership.Member, nodes)
-	w.agents = make([]*health.Agent, nodes)
-	w.srcs = make([]*health.NodeSource, nodes)
-	for id := 0; id < nodes; id++ {
-		n := f.Node(id)
-		m, err := w.tb.JoinSlot(n, id)
-		if err != nil {
-			panic(err)
-		}
-		if env.Trace != nil {
-			m.SetTrace(env.Trace.Writer(id))
-		}
-		if err := m.Activate(); err != nil {
-			panic(err)
-		}
-		m.Start()
-		w.members[id] = m
-		w.srcs[id] = health.NewNodeSource(n, w.s)
-		a := w.layer.Join(m, w.srcs[id])
-		if env.Trace != nil {
-			a.SetTrace(env.Trace.Writer(id))
-		}
-		a.Start()
-		w.agents[id] = a
-	}
-
-	// The controller rides node 0's event stream (node 0 never crashes,
-	// and its health agent evaluates every slot, so one stream carries
-	// the whole rack's verdicts). It owns the death sweep too — the
-	// classic EvDead hook lives inside the same pipeline here.
-	w.ctl = health.NewController(w.members[0], health.ControllerConfig{
-		Sched:   w.s,
-		Store:   w.store,
-		Rejoin:  w.ctlRejoin,
-		OnStage: w.onStage,
-		From:    f.Node(0),
-	})
-	if env.Trace != nil {
-		w.ctl.SetTrace(env.Trace.Writer(0))
-	}
-	w.s.SetLiveness(w.tb.Alive)
 }
 
 func (w *healthWorkload) sentRegion(id int) reliability.Region {
@@ -230,13 +136,15 @@ func (w *healthWorkload) onStage(st health.Stage, node int, gen uint64) {
 	}
 	env := w.env
 	n := env.Fab.Node(node)
+	store := w.rack.Store
 	var err error
-	if !env.RunOp(n, func() {
-		pv := w.store.AttachGen(n, gen)
+	if !RunOp(n, func() {
+		pv := store.AttachGen(n, gen)
 		err = pv.Set(fmt.Sprintf("zk-%d", node), []byte("zombie"), 0)
 		// Release the probe's quiescence reservation; the view is never
-		// used again.
-		w.store.FenceView(env.Fab.Node(0), pv.ID())
+		// used again. (Through node 0: the schedule never crashes it, so
+		// RunOp has only n's crash to absorb.)
+		store.FenceView(env.Fab.Node(0), pv.ID())
 	}) {
 		return // node died mid-probe; the death sweep owns it now
 	}
@@ -247,231 +155,33 @@ func (w *healthWorkload) onStage(st health.Stage, node int, gen uint64) {
 	}
 }
 
-// ctlRejoin is the controller's Rejoin hook: bring a recovered node
-// back under a bumped generation. Node 0 never rejoins through the
-// pipeline — the controller (and its event subscription) lives on node
-// 0's member, so replacing it would orphan the controller.
-func (w *healthWorkload) ctlRejoin(node int, gen uint64) error {
-	if node == 0 {
-		return fmt.Errorf("health torture: node 0 hosts the controller and does not self-rejoin")
-	}
-	if w.env.Fab.Node(node).Crashed() {
-		return fmt.Errorf("health torture: node %d crashed before rejoin", node)
-	}
-	return w.rejoinNode(w.env, node)
-}
-
-// rejoinNode replaces node id's member AND health agent under a bumped
-// generation — the health agent publishes records stamped with its
-// member's generation, so the two always rejoin together. Controller
-// recovery, crash restart, and quiescent repair all share it.
-func (w *healthWorkload) rejoinNode(env *Env, id int) error {
-	w.rejoinMu.Lock()
-	defer w.rejoinMu.Unlock()
-	n := env.Fab.Node(id)
-	w.mu.Lock()
-	oldM, oldA := w.members[id], w.agents[id]
-	w.mu.Unlock()
-	if oldA != nil {
-		oldA.Stop()
-	}
-	if oldM != nil {
-		oldM.Stop()
-	}
-	var m *membership.Member
-	ok := env.RunOp(n, func() {
-		mm, err := w.tb.Join(n)
-		if err != nil {
-			panic(err)
-		}
-		if env.Trace != nil {
-			mm.SetTrace(env.Trace.Writer(id))
-		}
-		if err := mm.Activate(); err != nil {
-			panic(err)
-		}
-		m = mm
-	})
-	if !ok {
-		return fmt.Errorf("node %d crashed during rejoin", id)
-	}
-	m.Start()
-	a := w.layer.Join(m, w.srcs[id])
-	if env.Trace != nil {
-		a.SetTrace(env.Trace.Writer(id))
-	}
-	a.Start()
-	w.mu.Lock()
-	w.members[id], w.agents[id] = m, a
-	w.mu.Unlock()
-	return nil
-}
-
 // HandleRestart reboots a restarted node's scheduler workers and
 // rejoins member+agent under a bumped generation; the controller's
 // EvJoin hook then reopens whatever gates the death sweep closed.
 func (w *healthWorkload) HandleRestart(env *Env, node int) {
-	w.s.RebootNode(node)
-	if err := w.rejoinNode(env, node); err != nil {
+	if err := w.rack.Restarted(node); err != nil {
 		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
 	}
 }
 
+// Clients: the store writers see ErrFenced MORE often here than in the
+// membership sweep — besides the death sweep, every proactive drain
+// fences the degraded node's live views early, and the writer's
+// reattach-under-current-fence is the sanctioned way a gray node keeps
+// serving its own traffic.
 func (w *healthWorkload) Clients(env *Env) []func() {
-	out := make([]func(), 0, w.clients(env))
+	var out []func()
 	for i := 0; i < healthSubmitters; i++ {
-		sub := i
-		out = append(out, func() { w.submitter(env, sub) })
+		ci := 0xD0 + i
+		out = append(out, func() { submitStorm(env, w.rack.Sched, w.rack.Tasks, ci) })
 	}
 	for id := 0; id < env.Cfg.Nodes; id++ {
 		node := id
-		out = append(out, func() { w.writer(env, node) })
+		out = append(out, func() { w.stream.writer(env, node, 0xE00+node) })
 	}
-	out = append(out, func() { w.reader(env) })
+	out = append(out, func() { w.stream.reader(env, 0, 0xF00) })
 	out = append(out, func() { w.graygen(env) })
 	return out
-}
-
-// submitter storms the scheduler from node 0 with tasks preferred onto
-// every node — degraded, draining, benched, dead, the lot; placement,
-// the drain gate, and the death sweep between them must still deliver
-// exactly-once.
-func (w *healthWorkload) submitter(env *Env, sub int) {
-	n0 := env.Fab.Node(0)
-	rng := env.Rand(uint64(0xD0 + sub))
-	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
-	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		idx := sub*env.Cfg.OpsPerClient + t
-		h := w.s.Submit(n0, sched.Task{
-			Fn:        w.fn,
-			Arg1:      uint64(idx),
-			Preferred: rng.Intn(env.Cfg.Nodes),
-			DoneCell:  w.doneBase + fabric.GPtr(idx*8),
-		})
-		handles = append(handles, h)
-		env.OpDone()
-	}
-	for _, h := range handles {
-		w.s.Wait(n0, h)
-	}
-}
-
-func (w *healthWorkload) attach(env *Env, n *fabric.Node) *redis.View {
-	v := w.store.Attach(n)
-	if env.Trace != nil {
-		v.SetTrace(env.Trace.Writer(n.ID()))
-	}
-	return v
-}
-
-func (w *healthWorkload) attachLoop(env *Env, n *fabric.Node) *redis.View {
-	for {
-		var v *redis.View
-		if env.RunOp(n, func() { v = w.attach(env, n) }) {
-			return v
-		}
-		env.WaitAlive(n)
-	}
-}
-
-func (w *healthWorkload) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	env.WaitAlive(n)
-	w.store.FenceView(env.Fab.Node(0), dead.ID())
-	return w.attachLoop(env, n)
-}
-
-// writer owns node's keys and SETs strictly increasing sequences.
-// ErrFenced here is MORE common than in the membership sweep: besides
-// the death sweep, every proactive drain fences the degraded node's
-// live views early — the writer's reattach-under-current-fence is the
-// sanctioned way a gray node keeps serving its own traffic.
-func (w *healthWorkload) writer(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0xE0 + node))
-	ci := 0xE00 + node
-	vers := make([]uint64, w.kpw)
-	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		j := rng.Intn(w.kpw)
-		keyIdx := node*w.kpw + j
-		key := redisKey(node, j)
-		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = w.reattach(env, n, v)
-				continue
-			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			w.floors[keyIdx].Store(seq)
-			needSync[j] = false
-		}
-		next := vers[j] + 1
-		fenced := false
-		if !env.RunOp(n, func() {
-			if err := v.Set(key, redisVal(keyIdx, next), 0); err != nil {
-				if errors.Is(err, redis.ErrFenced) {
-					fenced = true
-					return
-				}
-				panic(err)
-			}
-		}) {
-			needSync[j] = true
-			v = w.reattach(env, n, v)
-			continue
-		}
-		if fenced {
-			// Early-fenced by a drain (or fenced by a death sweep racing
-			// a restart): nothing applied; attach fresh under the current
-			// fence level and retry.
-			v = w.attachLoop(env, n)
-			continue
-		}
-		vers[j] = next
-		w.floors[keyIdx].Store(next)
-		completed++
-		env.OpDone()
-	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
-	}
-}
-
-// reader GETs random keys rack-wide from node 0 and checks every
-// observation is intact and not behind the committed floor.
-func (w *healthWorkload) reader(env *Env) {
-	n := env.Fab.Node(0)
-	v := w.attach(env, n)
-	rng := env.Rand(0xF1)
-	ci := 0xF00
-	keys := len(w.floors)
-	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
-		keyIdx := rng.Intn(keys)
-		key := redisKey(keyIdx/w.kpw, keyIdx%w.kpw)
-		f0 := w.floors[keyIdx].Load()
-		val, ok := v.Get(key)
-		if !ok {
-			env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-		} else if seq, intact := redisDecode(keyIdx, val); !intact {
-			env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-		} else if seq < f0 {
-			env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
-		}
-		env.OpDone()
-	}
 }
 
 // graygen is the seeded gray-failure generator: bursts of single-bit
@@ -496,7 +206,7 @@ func (w *healthWorkload) graygen(env *Env) {
 			}
 			for _, r := range bad {
 				id := int(uint64(r.G-w.sentG) / fabric.LineSize)
-				w.srcs[id].AddErrors(1)
+				w.rack.Source(id).AddErrors(1)
 				w.scrub.Repair(r, w.sentPattern(id))
 			}
 			completed++
@@ -507,104 +217,15 @@ func (w *healthWorkload) graygen(env *Env) {
 	}
 }
 
-// stopAll halts every member's and agent's goroutines so matrix sweeps
-// don't leak detector loops into each other.
-func (w *healthWorkload) stopAll() {
-	w.mu.Lock()
-	members := append([]*membership.Member(nil), w.members...)
-	agents := append([]*health.Agent(nil), w.agents...)
-	w.mu.Unlock()
-	for _, a := range agents {
-		if a != nil {
-			a.Stop()
-		}
-	}
-	for _, m := range members {
-		if m != nil {
-			m.Stop()
-		}
-	}
-}
-
+// Check: exactly-once, the quiescent store (drains fence views, never
+// write), then convergence — with faults off every node returns to Alive
+// and every Degraded verdict clears (the EWMAs decay, the recovery
+// hysteresis flips the verdict, the controller rejoins).
 func (w *healthWorkload) Check(env *Env) {
-	n0 := env.Fab.Node(0)
-	defer w.stopAll()
-	defer w.s.Stop()
-	if !w.s.Drain(n0) {
-		env.Violatef(-1, "scheduler stopped before draining")
-		return
-	}
-	st := w.s.StatsFrom(n0)
-	if st.Submitted != uint64(w.tasks) || st.Completed != uint64(w.tasks) {
-		env.Violatef(-1, "lost tasks: submitted=%d completed=%d want %d", st.Submitted, st.Completed, w.tasks)
-	}
-	if st.Queued != 0 {
-		env.Violatef(-1, "stranded tasks: queued=%d after drain", st.Queued)
-	}
-	for idx := 0; idx < w.tasks; idx++ {
-		if done := n0.AtomicLoad64(w.doneBase + fabric.GPtr(idx*8)); done != 1 {
-			env.Violatef(-1, "task %d: DoneCell=%d, want exactly 1", idx, done)
-		}
-		if exec := n0.AtomicLoad64(w.execBase + fabric.GPtr(idx*8)); exec == 0 {
-			env.Violatef(-1, "task %d: never executed", idx)
-		}
-	}
-
-	// Quiescent store: every key holds exactly its writer's last
-	// committed value, intact — drains fence views, never writes.
-	v0 := w.attach(env, n0)
-	for k := range w.finalVer {
-		want := w.finalVer[k]
-		if want == 0 {
-			continue
-		}
-		key := redisKey(k/w.kpw, k%w.kpw)
-		val, ok := v0.Get(key)
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", key, want)
-			continue
-		}
-		seq, intact := redisDecode(k, val)
-		if !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", key, seq, intact, want)
-		}
-	}
-	v0.Barrier()
-
-	// Convergence: with faults off, every node returns to Alive and
-	// every Degraded verdict clears (the EWMAs decay, the recovery
-	// hysteresis flips the verdict, the controller rejoins). A false
-	// Dead verdict is legitimate under phi; its repair is the same
-	// rejoin protocol, so perform it rather than fail on it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		healthy := true
-		for id := 0; id < env.Cfg.Nodes; id++ {
-			if !w.tb.Alive(id) {
-				healthy = false
-				if !env.Fab.Node(id).Crashed() {
-					if err := w.rejoinNode(env, id); err != nil {
-						env.Violatef(-1, "quiescent rejoin node %d: %v", id, err)
-						return
-					}
-				}
-			} else if w.layer.Degraded(id) {
-				healthy = false
-			}
-		}
-		if healthy {
-			return
-		}
-		if time.Now().After(deadline) {
-			for id := 0; id < env.Cfg.Nodes; id++ {
-				if !w.tb.Alive(id) {
-					env.Violatef(-1, "quiescent rack: node %d never converged to Alive", id)
-				} else if w.layer.Degraded(id) {
-					env.Violatef(-1, "quiescent rack: node %d still under a Degraded verdict", id)
-				}
-			}
-			return
-		}
-		time.Sleep(500 * time.Microsecond)
+	defer w.rack.Stop()
+	auditTasks(env, w.rack.Tasks)
+	w.stream.check(env)
+	for _, v := range w.rack.Converge() {
+		env.Violatef(-1, "%s", v)
 	}
 }

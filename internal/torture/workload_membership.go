@@ -2,14 +2,10 @@ package torture
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/membership"
 	"flacos/internal/redis"
-	"flacos/internal/sched"
 )
 
 // membershipWorkload tortures the coordinated failure-detection layer
@@ -40,22 +36,8 @@ import (
 //     intact before it activates, and the quiescent rack converges to
 //     every node Alive in the table.
 type membershipWorkload struct {
-	tb    *membership.Table
-	s     *sched.Scheduler
-	store *redis.RackStore
-
-	fn       sched.FuncID
-	doneBase fabric.GPtr
-	execBase fabric.GPtr
-	tasks    int
-
-	mu       sync.Mutex
-	members  []*membership.Member // by node id; nil until joined
-	deadSeen map[[2]uint64]bool   // {slot, generation} -> sweep ran
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq
-	kpw      int             // keys per writer (per node)
+	rack   *ControlRack
+	stream *storeStream
 
 	hot   int    // hot-plug node (the last); not in the boot population
 	hotAt uint64 // global op count at which the hot node joins
@@ -63,7 +45,7 @@ type membershipWorkload struct {
 
 const membershipSubmitters = 2
 
-func newMembershipWorkload() *membershipWorkload { return &membershipWorkload{kpw: 2} }
+func newMembershipWorkload() *membershipWorkload { return &membershipWorkload{} }
 
 func (w *membershipWorkload) Name() string { return "membership" }
 
@@ -75,321 +57,54 @@ func (w *membershipWorkload) Name() string { return "membership" }
 // envelope.
 func (w *membershipWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-func (w *membershipWorkload) clients(env *Env) int { return membershipSubmitters + w.hot + 2 }
+func (w *membershipWorkload) clients() int { return membershipSubmitters + w.hot + 2 }
 
 func (w *membershipWorkload) Prepare(env *Env) {
-	f := env.Fab
+	const kpw = 2
 	w.hot = env.Cfg.Nodes - 1
-	w.tasks = membershipSubmitters * env.Cfg.OpsPerClient
 	// Hot-plug once the sweep is well under way: a quarter of all ops in,
 	// the rack is loaded and the fault windows have opened.
-	w.hotAt = uint64(w.clients(env)) * uint64(env.Cfg.OpsPerClient) / 4
-
-	w.doneBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.execBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	// The keeper's lease-expiry backstop is deliberately conservative
-	// (ProbeRounds*ReclaimTick = 20ms): timely crash recovery comes from
-	// the membership Dead sweep, and the schedule driver's 25ms stall
-	// detector keeps a broken membership path from hiding behind it.
-	w.s = sched.New(f, sched.Config{
-		TableCap:    128,
-		Policy:      sched.PolicyLocality,
-		ProbeRounds: 50,
-		ReclaimTick: 400 * time.Microsecond,
-		IdleTick:    200 * time.Microsecond,
-		StealGrace:  500 * time.Microsecond,
-		HistCap:     1024,
+	w.hotAt = uint64(w.clients()) * uint64(env.Cfg.OpsPerClient) / 4
+	w.rack = NewControlRack(env.Fab, ControlConfig{
+		Store: redis.RackStoreConfig{
+			Slots: uint64(env.Cfg.Nodes*kpw) * 8,
+			// Crashes and fences abandon views; size for the sweep's churn.
+			MaxViews:   4*env.Cfg.Nodes*(env.Cfg.Events+2) + 16,
+			ArenaBytes: 16 << 20,
+		},
+		Tasks:       membershipSubmitters * env.Cfg.OpsPerClient,
+		Body:        linger,
+		PhiDead:     6,
+		DeadStrikes: 2,
+		HoldOutLast: true,
+		Trace:       env.Trace,
 	})
-	w.s.SetTrace(env.Trace)
-	w.fn = w.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.Add64(w.execBase+fabric.GPtr(arg1*8), 1)
-		// Linger off-fabric so a crash can land mid-task, then touch the
-		// fabric so runners on a crashed node actually die.
-		time.Sleep(20 * time.Microsecond)
-		n.Load64(w.doneBase + fabric.GPtr(arg1*8))
-	})
-	w.s.Start()
-	w.s.SetNodeServing(w.hot, false) // gated until it hot-plugs
-
-	keys := env.Cfg.Nodes * w.kpw
-	w.store = redis.NewRackStore(f, redis.RackStoreConfig{
-		Slots: uint64(keys) * 8,
-		// Crashes and fences abandon views; size for the sweep's churn.
-		MaxViews:   4*env.Cfg.Nodes*(env.Cfg.Events+2) + 16,
-		ArenaBytes: 16 << 20,
-	})
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
-	v0 := w.attach(env, f.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(redisKey(k/w.kpw, k%w.kpw), redisVal(k, 1), 0); err != nil {
-			panic(err)
-		}
-		w.floors[k].Store(1)
-	}
-	v0.Barrier()
-
-	w.tb = membership.New(f, membership.Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		PhiSuspect:    3,
-		PhiDead:       6,
-		DeadStrikes:   2,
-	})
-	w.deadSeen = make(map[[2]uint64]bool)
-	w.members = make([]*membership.Member, env.Cfg.Nodes)
-	for id := 0; id < w.hot; id++ {
-		n := f.Node(id)
-		m, err := w.tb.JoinSlot(n, id)
-		if err != nil {
-			panic(err)
-		}
-		if env.Trace != nil {
-			m.SetTrace(env.Trace.Writer(id))
-		}
-		if err := m.Activate(); err != nil {
-			panic(err)
-		}
-		if id == 0 {
-			// One observer acts on Dead (deduped below); node 0 never
-			// crashes, so the sweep always has a live home.
-			m.Subscribe(func(ev membership.Event) { w.onEvent(env, ev) })
-		}
-		m.Start()
-		w.members[id] = m
-	}
-	// Placement consults the table from here on. A crashed-but-undetected
-	// node may still be chosen for a beat; the Dead sweep re-dispatches.
-	w.s.SetLiveness(w.tb.Alive)
-}
-
-// onEvent is the rack's coordinated recovery hook, running on node 0's
-// member agent: exactly one sweep per (slot, generation) reclaims the
-// dead node's scheduler leases and fences its store views at the dead
-// generation so zombie writes bounce with ErrFenced.
-func (w *membershipWorkload) onEvent(env *Env, ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
-	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	w.mu.Lock()
-	done := w.deadSeen[key]
-	w.deadSeen[key] = true
-	w.mu.Unlock()
-	if done {
-		return
-	}
-	n0 := env.Fab.Node(0)
-	w.s.ReclaimNode(n0, ev.Node)
-	w.store.FenceNode(n0, ev.Node, ev.Generation)
-}
-
-// rejoin puts node id back into the table under a bumped generation.
-// The restart path and the quiescent repair of a false Dead verdict
-// share it: both are the same protocol action.
-func (w *membershipWorkload) rejoin(env *Env, id int) error {
-	w.mu.Lock()
-	old := w.members[id]
-	w.mu.Unlock()
-	if old != nil {
-		old.Stop() // reap the previous incarnation's goroutines
-	}
-	m, err := w.tb.Join(env.Fab.Node(id))
-	if err != nil {
-		return err
-	}
-	if env.Trace != nil {
-		m.SetTrace(env.Trace.Writer(id))
-	}
-	if err := m.Activate(); err != nil {
-		return err
-	}
-	m.Start()
-	w.mu.Lock()
-	w.members[id] = m
-	w.mu.Unlock()
-	return nil
+	w.stream = newStoreStream(env, w.rack.Store, kpw)
 }
 
 // HandleRestart reboots a restarted node's scheduler workers and rejoins
 // it to its original membership slot (the restart-same-slot path: same
 // node, same slot, bumped generation).
 func (w *membershipWorkload) HandleRestart(env *Env, node int) {
-	w.s.RebootNode(node)
-	w.mu.Lock()
-	joined := w.members[node] != nil
-	w.mu.Unlock()
-	if !joined {
-		return // crashed before hot-plugging; the hot client joins itself
-	}
-	if err := w.rejoin(env, node); err != nil {
+	if err := w.rack.Restarted(node); err != nil {
 		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
 	}
 }
 
 func (w *membershipWorkload) Clients(env *Env) []func() {
-	out := make([]func(), 0, w.clients(env))
+	out := make([]func(), 0, w.clients())
 	for i := 0; i < membershipSubmitters; i++ {
-		sub := i
-		out = append(out, func() { w.submitter(env, sub) })
+		ci := 0x70 + i
+		out = append(out, func() { submitStorm(env, w.rack.Sched, w.rack.Tasks, ci) })
 	}
 	for id := 0; id < w.hot; id++ {
 		node := id
-		out = append(out, func() { w.writer(env, node) })
+		out = append(out, func() { w.stream.writer(env, node, 0x800+node) })
 	}
-	out = append(out, func() { w.reader(env) })
+	// One reader on node 0, which never crashes.
+	out = append(out, func() { w.stream.reader(env, 0, 0x900) })
 	out = append(out, func() { w.hotplug(env) })
 	return out
-}
-
-// submitter storms the scheduler from node 0 with tasks preferred onto
-// every node — dead ones, joining ones, the lot; placement and the
-// membership sweep between them must still deliver exactly-once.
-func (w *membershipWorkload) submitter(env *Env, sub int) {
-	n0 := env.Fab.Node(0)
-	rng := env.Rand(uint64(0x70 + sub))
-	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
-	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		idx := sub*env.Cfg.OpsPerClient + t
-		h := w.s.Submit(n0, sched.Task{
-			Fn:        w.fn,
-			Arg1:      uint64(idx),
-			Preferred: rng.Intn(env.Cfg.Nodes),
-			DoneCell:  w.doneBase + fabric.GPtr(idx*8),
-		})
-		handles = append(handles, h)
-		env.OpDone()
-	}
-	for _, h := range handles {
-		w.s.Wait(n0, h)
-	}
-}
-
-// attach creates a view with the flight recorder wired in.
-func (w *membershipWorkload) attach(env *Env, n *fabric.Node) *redis.View {
-	v := w.store.Attach(n)
-	if env.Trace != nil {
-		v.SetTrace(env.Trace.Writer(n.ID()))
-	}
-	return v
-}
-
-// attachLoop attaches on n, riding out crashes that land before or
-// during the attach itself (the fault driver does not wait for clients
-// to reach a safe point).
-func (w *membershipWorkload) attachLoop(env *Env, n *fabric.Node) *redis.View {
-	for {
-		var v *redis.View
-		if env.RunOp(n, func() { v = w.attach(env, n) }) {
-			return v
-		}
-		env.WaitAlive(n)
-	}
-}
-
-// reattach abandons a view whose node crashed: wait for the restart,
-// clear the dead view's epoch reservation from node 0 (the membership
-// sweep also does this for the node's tracked views; the explicit fence
-// keeps the store reclaimable even when a restart beats detection), and
-// attach fresh under the current fence level.
-func (w *membershipWorkload) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	env.WaitAlive(n)
-	w.store.FenceView(env.Fab.Node(0), dead.ID())
-	return w.attachLoop(env, n)
-}
-
-// writer owns node's keys and SETs strictly increasing sequences. Two
-// recovery paths exercise the membership machinery: a crash makes the
-// in-flight SET uncertain (resync with a GET after reattaching), and
-// ErrFenced means the Dead sweep fenced this view's generation — the
-// SET never applied, so reattach under the current fence and retry.
-func (w *membershipWorkload) writer(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0x80 + node))
-	ci := 0x800 + node
-	vers := make([]uint64, w.kpw)
-	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		j := rng.Intn(w.kpw)
-		keyIdx := node*w.kpw + j
-		key := redisKey(node, j)
-		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = w.reattach(env, n, v)
-				continue
-			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			w.floors[keyIdx].Store(seq)
-			needSync[j] = false
-		}
-		next := vers[j] + 1
-		fenced := false
-		if !env.RunOp(n, func() {
-			if err := v.Set(key, redisVal(keyIdx, next), 0); err != nil {
-				if errors.Is(err, redis.ErrFenced) {
-					fenced = true
-					return
-				}
-				panic(err)
-			}
-		}) {
-			// Crashed mid-SET: the publish either landed or it didn't.
-			needSync[j] = true
-			v = w.reattach(env, n, v)
-			continue
-		}
-		if fenced {
-			// The zombie path worked as designed: this view carried a
-			// generation the rack declared dead. Nothing applied.
-			v = w.attachLoop(env, n)
-			continue
-		}
-		vers[j] = next
-		w.floors[keyIdx].Store(next)
-		completed++
-		env.OpDone()
-	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
-	}
-}
-
-// reader GETs random keys rack-wide from node 0 (never crashed) and
-// checks every observation is intact and not behind the committed floor
-// loaded before the read.
-func (w *membershipWorkload) reader(env *Env) {
-	n := env.Fab.Node(0)
-	v := w.attach(env, n)
-	rng := env.Rand(0x91)
-	ci := 0x900
-	keys := len(w.floors)
-	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
-		keyIdx := rng.Intn(keys)
-		key := redisKey(keyIdx/w.kpw, keyIdx%w.kpw)
-		f0 := w.floors[keyIdx].Load()
-		val, ok := v.Get(key)
-		if !ok {
-			env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-		} else if seq, intact := redisDecode(keyIdx, val); !intact {
-			env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-		} else if seq < f0 {
-			env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
-		}
-		env.OpDone()
-	}
 }
 
 // hotplug is the tentpole scenario: the held-out last node joins the
@@ -397,155 +112,34 @@ func (w *membershipWorkload) reader(env *Env) {
 // slot with a fresh generation, resyncs against the shared store (every
 // committed floor must be readable and intact BEFORE it serves),
 // activates, lifts its scheduler serving gate, and then runs the same
-// single-writer stream every boot member runs.
+// single-writer stream every boot member runs. A crash mid-join is
+// retried once the node is back; the retry rejoins with a bumped gen.
 func (w *membershipWorkload) hotplug(env *Env) {
 	n := env.Fab.Node(w.hot)
 	ci := 0xA00
 	for env.Ops() < w.hotAt {
 		time.Sleep(200 * time.Microsecond)
 	}
-	var m *membership.Member
-	for m == nil {
-		env.WaitAlive(n)
-		bail := false
-		ok := env.RunOp(n, func() {
-			mm, err := w.tb.Join(n)
-			if err != nil {
-				env.Violatef(ci, "hot-plug join: %v", err)
-				bail = true
-				return
-			}
-			if env.Trace != nil {
-				mm.SetTrace(env.Trace.Writer(w.hot))
-			}
-			// Resync while Joining: the shared store must be fully
-			// readable at the committed floors before this node serves.
-			v := w.attach(env, n)
-			for k := range w.floors {
-				f0 := w.floors[k].Load()
-				key := redisKey(k/w.kpw, k%w.kpw)
-				val, okG := v.Get(key)
-				seq, intact := uint64(0), false
-				if okG {
-					seq, intact = redisDecode(k, val)
-				}
-				if !okG || !intact || seq < f0 {
-					env.Violatef(ci, "hot-plug resync key %s: seq=%d ok=%v intact=%v floor=%d", key, seq, okG, intact, f0)
-				}
-			}
-			if err := mm.Activate(); err != nil {
-				env.Violatef(ci, "hot-plug activate: %v", err)
-				bail = true
-				return
-			}
-			m = mm
-		})
-		if !ok {
-			continue // crashed mid-join; the retry rejoins with a bumped gen
+	for {
+		WaitAlive(n)
+		err := w.rack.Join(w.hot, func() { w.stream.resync(env, n, ci) })
+		if err == nil {
+			break
 		}
-		if bail {
+		if !errors.As(err, new(fabric.CrashedError)) {
+			env.Violatef(ci, "hot-plug join: %v", err)
 			return
 		}
 	}
-	m.Start()
-	w.mu.Lock()
-	w.members[w.hot] = m
-	w.mu.Unlock()
-	w.s.SetNodeServing(w.hot, true)
-	w.writer(env, w.hot)
-}
-
-// stopMembers halts every member's goroutines so matrix sweeps don't
-// leak heartbeat and detector loops into each other.
-func (w *membershipWorkload) stopMembers() {
-	w.mu.Lock()
-	members := append([]*membership.Member(nil), w.members...)
-	w.mu.Unlock()
-	for _, m := range members {
-		if m != nil {
-			m.Stop()
-		}
-	}
+	w.rack.Sched.SetNodeServing(w.hot, true)
+	w.stream.writer(env, w.hot, 0x800+w.hot)
 }
 
 func (w *membershipWorkload) Check(env *Env) {
-	n0 := env.Fab.Node(0)
-	defer w.stopMembers()
-	defer w.s.Stop()
-	if !w.s.Drain(n0) {
-		env.Violatef(-1, "scheduler stopped before draining")
-		return
-	}
-	st := w.s.StatsFrom(n0)
-	if st.Submitted != uint64(w.tasks) || st.Completed != uint64(w.tasks) {
-		env.Violatef(-1, "lost tasks: submitted=%d completed=%d want %d", st.Submitted, st.Completed, w.tasks)
-	}
-	if st.Queued != 0 {
-		env.Violatef(-1, "stranded tasks: queued=%d after drain", st.Queued)
-	}
-	for idx := 0; idx < w.tasks; idx++ {
-		if done := n0.AtomicLoad64(w.doneBase + fabric.GPtr(idx*8)); done != 1 {
-			env.Violatef(-1, "task %d: DoneCell=%d, want exactly 1", idx, done)
-		}
-		if exec := n0.AtomicLoad64(w.execBase + fabric.GPtr(idx*8)); exec == 0 {
-			env.Violatef(-1, "task %d: never executed", idx)
-		}
-	}
-
-	// Quiescent store: every key holds exactly its writer's last
-	// committed value, intact.
-	v0 := w.attach(env, n0)
-	for k := range w.finalVer {
-		want := w.finalVer[k]
-		if want == 0 {
-			continue // writer bailed before serving (already recorded)
-		}
-		key := redisKey(k/w.kpw, k%w.kpw)
-		val, ok := v0.Get(key)
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", key, want)
-			continue
-		}
-		seq, intact := redisDecode(k, val)
-		if !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", key, seq, intact, want)
-		}
-	}
-	v0.Barrier()
-
-	// The quiescent rack converges to every node Alive. A false Dead
-	// verdict is legitimate under phi (and SAFE — fencing already made
-	// it consistent); its repair is the same rejoin protocol a restart
-	// uses, so perform it rather than fail on it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		allAlive := true
-		for id := 0; id < env.Cfg.Nodes; id++ {
-			if w.tb.Alive(id) {
-				continue
-			}
-			allAlive = false
-			w.mu.Lock()
-			joined := w.members[id] != nil
-			w.mu.Unlock()
-			if joined && !env.Fab.Node(id).Crashed() {
-				if err := w.rejoin(env, id); err != nil {
-					env.Violatef(-1, "quiescent rejoin node %d: %v", id, err)
-					return
-				}
-			}
-		}
-		if allAlive {
-			return
-		}
-		if time.Now().After(deadline) {
-			for id := 0; id < env.Cfg.Nodes; id++ {
-				if !w.tb.Alive(id) {
-					env.Violatef(-1, "quiescent rack: node %d never converged to Alive", id)
-				}
-			}
-			return
-		}
-		time.Sleep(500 * time.Microsecond)
+	defer w.rack.Stop()
+	auditTasks(env, w.rack.Tasks)
+	w.stream.check(env)
+	for _, v := range w.rack.Converge() {
+		env.Violatef(-1, "%s", v)
 	}
 }

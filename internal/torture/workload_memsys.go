@@ -130,16 +130,16 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		v := vers[pair] + 1
 		content := makeMemPage(node, pair, v)
 		var err error
-		if !env.RunOp(n, func() { err = mmu.Write(memVA(base), content) }) {
-			env.WaitAlive(n)
+		if !RunOp(n, func() { err = mmu.Write(memVA(base), content) }) {
+			WaitAlive(n)
 			continue
 		}
 		if err != nil {
 			env.Violatef(ci, "page %d: write v%d failed: %v", base, v, err)
 		}
 		w.pub[base].Store(v)
-		if !env.RunOp(n, func() { err = mmu.Write(memVA(base+1), content) }) {
-			env.WaitAlive(n)
+		if !RunOp(n, func() { err = mmu.Write(memVA(base+1), content) }) {
+			WaitAlive(n)
 			continue // retries page base at v too: identical image, harmless
 		}
 		if err != nil {
@@ -167,12 +167,12 @@ func (w *memsysWorkload) readHeader(env *Env, node, p int) (hdr uint64, ok bool)
 	for try := 0; try < 64; try++ {
 		var p1, p2 memsys.PTE
 		var err error
-		if !env.RunOp(n, func() {
+		if !RunOp(n, func() {
 			p1 = mmu.PTEOf(memVA(p))
 			err = mmu.Read(memVA(p), b8[:])
 			p2 = mmu.PTEOf(memVA(p))
 		}) {
-			env.WaitAlive(n)
+			WaitAlive(n)
 			continue
 		}
 		if err != nil {
@@ -219,7 +219,7 @@ func (w *memsysWorkload) dedupClient(env *Env) {
 	totalPages := len(w.pub)
 	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
 		if completed%4 == 0 {
-			env.RunOp(n, func() { w.merges.Add(uint64(w.mmus[0].DedupPass())) })
+			RunOp(n, func() { w.merges.Add(uint64(w.mmus[0].DedupPass())) })
 		} else {
 			p := rng.Intn(totalPages)
 			v0 := w.pub[p].Load()

@@ -1,44 +1,17 @@
 package torture
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sync/atomic"
-
-	"flacos/internal/fabric"
-	"flacos/internal/redis"
-)
+import "flacos/internal/redis"
 
 // redisWorkload tortures the rack-shared Redis store (internal/redis
-// RackStore): every node runs a single-writer SET stream over its own
-// keys and a reader stream over everyone's keys, while the schedule
-// driver crashes serving nodes mid-SET.
-//
-// Invariants (the redisrack acceptance property under faults):
-//   - A GET observed by any survivor never returns a TORN value: entry
-//     blocks are written back before the index publish, so a crash
-//     between the two leaves the previous intact value in place, never a
-//     half-written one.
-//   - A GET never goes BACKWARDS: it must carry a sequence >= the
-//     highest flush-acknowledged write for that key (host-side committed
-//     floor, the same linearizability style dsWorkload uses).
-//   - Keys never vanish (this workload never deletes), and the quiescent
-//     final state holds exactly each writer's last committed value.
-//
-// A writer whose node crashed cannot know whether its in-flight SET
-// published, so it re-reads the key and adopts whichever of {committed,
-// attempted} sequence it finds — the same resync protocol as dsWorkload's
-// mapWriter. Crashed views are fenced (their epoch reservation cleared on
-// their behalf) and abandoned; the replacement is a fresh Attach.
+// RackStore) on its own: every node runs one storeStream writer over its
+// own keys and one reader over everyone's keys, while the schedule
+// driver crashes serving nodes mid-SET. No recovery layer runs here, so
+// no view is ever generation-fenced; the invariants are storeStream's.
 type redisWorkload struct {
-	store *redis.RackStore
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq
-	kpw      int             // keys per writer (per node)
+	stream *storeStream
 }
 
-func newRedisWorkload() *redisWorkload { return &redisWorkload{kpw: 4} }
+func newRedisWorkload() *redisWorkload { return &redisWorkload{} }
 
 func (w *redisWorkload) Name() string { return "redisrack" }
 
@@ -48,63 +21,15 @@ func (w *redisWorkload) Name() string { return "redisrack" }
 // classes are out of contract (exactly like dsWorkload's ring payloads).
 func (w *redisWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-const redisValBytes = 40 // 8-byte seq + 32 pattern bytes
-
-func redisKey(node, j int) string { return fmt.Sprintf("rk-%d-%d", node, j) }
-
-func redisVal(keyIdx int, seq uint64) []byte {
-	v := make([]byte, redisValBytes)
-	binary.LittleEndian.PutUint64(v, seq)
-	for i := 8; i < redisValBytes; i++ {
-		v[i] = byte(seq*13 + uint64(keyIdx)*7 + uint64(i))
-	}
-	return v
-}
-
-// redisDecode returns the sequence a value carries and whether every
-// byte matches the pattern for it (false = torn or corrupt).
-func redisDecode(keyIdx int, v []byte) (seq uint64, intact bool) {
-	if len(v) != redisValBytes {
-		return 0, false
-	}
-	seq = binary.LittleEndian.Uint64(v)
-	for i := 8; i < redisValBytes; i++ {
-		if v[i] != byte(seq*13+uint64(keyIdx)*7+uint64(i)) {
-			return seq, false
-		}
-	}
-	return seq, true
-}
-
 func (w *redisWorkload) Prepare(env *Env) {
-	keys := env.Cfg.Nodes * w.kpw
-	w.store = redis.NewRackStore(env.Fab, redis.RackStoreConfig{
-		Slots: uint64(keys) * 8,
+	const kpw = 4
+	w.stream = newStoreStream(env, redis.NewRackStore(env.Fab, redis.RackStoreConfig{
+		Slots: uint64(env.Cfg.Nodes*kpw) * 8,
 		// Every crash abandons the victim node's views; size for the
 		// worst-case reattach churn of the whole sweep.
 		MaxViews:   2*env.Cfg.Nodes*(env.Cfg.Events+2) + 8,
 		ArenaBytes: 16 << 20,
-	})
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
-	v0 := w.attach(env, env.Fab.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(redisKey(k/w.kpw, k%w.kpw), redisVal(k, 1), 0); err != nil {
-			panic(err)
-		}
-		w.floors[k].Store(1)
-	}
-	v0.Barrier()
-}
-
-// attach creates a view with the flight recorder wired in (SET/GET spans
-// land in failing sweeps' timelines).
-func (w *redisWorkload) attach(env *Env, n *fabric.Node) *redis.View {
-	v := w.store.Attach(n)
-	if env.Trace != nil {
-		v.SetTrace(env.Trace.Writer(n.ID()))
-	}
-	return v
+	}), kpw)
 }
 
 func (w *redisWorkload) Clients(env *Env) []func() {
@@ -112,138 +37,11 @@ func (w *redisWorkload) Clients(env *Env) []func() {
 	for i := 0; i < env.Cfg.Nodes; i++ {
 		node := i
 		out = append(out,
-			func() { w.writer(env, node) },
-			func() { w.reader(env, node) },
+			func() { w.stream.writer(env, node, 0x500+node) },
+			func() { w.stream.reader(env, node, 0x600+node) },
 		)
 	}
 	return out
 }
 
-// attachLoop attaches on n, riding out crashes that land before or
-// during the attach itself (under a loaded test host a client can be
-// scheduled so late that its first attach races the first fault event).
-func (w *redisWorkload) attachLoop(env *Env, n *fabric.Node) *redis.View {
-	for {
-		var v *redis.View
-		if env.RunOp(n, func() { v = w.attach(env, n) }) {
-			return v
-		}
-		env.WaitAlive(n)
-	}
-}
-
-// reattach fences a dead view and opens a fresh one once the node is
-// back. The fence runs on node 0 (never crashed) so it cannot itself die
-// mid-fence.
-func (w *redisWorkload) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	env.WaitAlive(n)
-	w.store.FenceView(env.Fab.Node(0), dead.ID())
-	return w.attachLoop(env, n)
-}
-
-// writer owns keys [node*kpw, node*kpw+kpw) and SETs strictly increasing
-// sequences. A crash mid-SET makes the applied sequence uncertain, so it
-// resyncs with a GET before continuing.
-func (w *redisWorkload) writer(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0x50 + node))
-	ci := 0x500 + node
-	vers := make([]uint64, w.kpw)
-	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		j := rng.Intn(w.kpw)
-		keyIdx := node*w.kpw + j
-		key := redisKey(node, j)
-		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = w.reattach(env, n, v)
-				continue
-			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			w.floors[keyIdx].Store(seq)
-			needSync[j] = false
-		}
-		next := vers[j] + 1
-		if !env.RunOp(n, func() {
-			if err := v.Set(key, redisVal(keyIdx, next), 0); err != nil {
-				panic(err)
-			}
-		}) {
-			// Crashed mid-SET: the publish either landed or it didn't.
-			needSync[j] = true
-			v = w.reattach(env, n, v)
-			continue
-		}
-		vers[j] = next
-		w.floors[keyIdx].Store(next)
-		completed++
-		env.OpDone()
-	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
-	}
-}
-
-// reader GETs random keys rack-wide and checks every observation is
-// intact and not behind the committed floor loaded before the read.
-func (w *redisWorkload) reader(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0x60 + node))
-	ci := 0x600 + node
-	keys := len(w.floors)
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		keyIdx := rng.Intn(keys)
-		key := redisKey(keyIdx/w.kpw, keyIdx%w.kpw)
-		f0 := w.floors[keyIdx].Load()
-		var val []byte
-		var ok bool
-		if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-			v = w.reattach(env, n, v)
-			continue
-		}
-		if !ok {
-			env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-		} else if seq, intact := redisDecode(keyIdx, val); !intact {
-			env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-		} else if seq < f0 {
-			env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
-		}
-		completed++
-		env.OpDone()
-	}
-}
-
-// Check verifies the quiescent store: every key holds exactly its
-// writer's final committed value, intact.
-func (w *redisWorkload) Check(env *Env) {
-	v0 := w.attach(env, env.Fab.Node(0))
-	for k := range w.finalVer {
-		want := w.finalVer[k]
-		key := redisKey(k/w.kpw, k%w.kpw)
-		val, ok := v0.Get(key)
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", key, want)
-			continue
-		}
-		seq, intact := redisDecode(k, val)
-		if !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", key, seq, intact, want)
-		}
-	}
-	v0.Barrier()
-}
+func (w *redisWorkload) Check(env *Env) { w.stream.check(env) }

@@ -24,11 +24,8 @@ import (
 // tolerates every fault class: all scheduler control words are fabric
 // atomics, and the cached announcement-ring payload is only a hint.
 type schedWorkload struct {
-	s        *sched.Scheduler
-	fn       sched.FuncID
-	doneBase fabric.GPtr
-	execBase fabric.GPtr
-	tasks    int
+	s     *sched.Scheduler
+	tasks *Ledger
 }
 
 const schedSubmitters = 2
@@ -40,11 +37,7 @@ func (w *schedWorkload) Name() string { return "sched" }
 func (w *schedWorkload) Tolerates() FaultClass { return FaultAll }
 
 func (w *schedWorkload) Prepare(env *Env) {
-	f := env.Fab
-	w.tasks = schedSubmitters * env.Cfg.OpsPerClient
-	w.doneBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.execBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.s = sched.New(f, sched.Config{
+	w.s = sched.New(env.Fab, sched.Config{
 		TableCap:    128,
 		Policy:      sched.PolicyLocality,
 		ProbeRounds: 3,
@@ -54,15 +47,13 @@ func (w *schedWorkload) Prepare(env *Env) {
 		HistCap:     1024,
 	})
 	w.s.SetTrace(env.Trace)
-	w.fn = w.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.Add64(w.execBase+fabric.GPtr(arg1*8), 1)
-		// Linger off-fabric so a crash can land mid-task, then touch the
-		// fabric so runners on a crashed node actually die.
-		time.Sleep(20 * time.Microsecond)
-		n.Load64(w.doneBase + fabric.GPtr(arg1*8))
-	})
+	w.tasks = NewLedger(env.Fab, w.s, schedSubmitters*env.Cfg.OpsPerClient, linger)
 	w.s.Start()
 }
+
+// linger is the torture task body: stay off-fabric long enough for a
+// crash to land mid-task.
+func linger(*fabric.Node, uint64) { time.Sleep(20 * time.Microsecond) }
 
 // HandleRestart rejoins a restarted node's worker pool and keeper under
 // its original node ID.
@@ -72,54 +63,39 @@ func (w *schedWorkload) HandleRestart(env *Env, node int) {
 
 func (w *schedWorkload) Clients(env *Env) []func() {
 	out := make([]func(), schedSubmitters)
-	for i := 0; i < schedSubmitters; i++ {
-		sub := i
-		out[sub] = func() { w.submitter(env, sub) }
+	for i := range out {
+		ci := 0x30 + i
+		out[i] = func() { submitStorm(env, w.s, w.tasks, ci) }
 	}
 	return out
 }
 
-func (w *schedWorkload) submitter(env *Env, sub int) {
+// submitStorm is one submitter client: OpsPerClient audited tasks from
+// node 0, preferred onto every node — crash victims, draining, joining,
+// the lot — then a wait for all of them. Placement and whatever recovery
+// layer the workload runs must between them still deliver exactly-once.
+func submitStorm(env *Env, s *sched.Scheduler, tasks *Ledger, ci int) {
 	n0 := env.Fab.Node(0)
-	rng := env.Rand(uint64(0x30 + sub))
+	rng := env.Rand(uint64(ci))
 	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
 	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		idx := sub*env.Cfg.OpsPerClient + t
-		h := w.s.Submit(n0, sched.Task{
-			Fn:        w.fn,
-			Arg1:      uint64(idx),
-			Preferred: rng.Intn(env.Cfg.Nodes),
-			DoneCell:  w.doneBase + fabric.GPtr(idx*8),
-		})
-		handles = append(handles, h)
+		handles = append(handles, tasks.Submit(n0, 0, rng.Intn(env.Cfg.Nodes)))
 		env.OpDone()
 	}
 	for _, h := range handles {
-		w.s.Wait(n0, h)
+		s.Wait(n0, h)
 	}
 }
 
 func (w *schedWorkload) Check(env *Env) {
-	n0 := env.Fab.Node(0)
 	defer w.s.Stop()
-	if !w.s.Drain(n0) {
-		env.Violatef(-1, "scheduler stopped before draining")
-		return
-	}
-	st := w.s.StatsFrom(n0)
-	if st.Submitted != uint64(w.tasks) || st.Completed != uint64(w.tasks) {
-		env.Violatef(-1, "lost tasks: submitted=%d completed=%d want %d", st.Submitted, st.Completed, w.tasks)
-	}
-	if st.Queued != 0 {
-		env.Violatef(-1, "stranded tasks: queued=%d after drain", st.Queued)
-	}
-	for idx := 0; idx < w.tasks; idx++ {
-		done := n0.AtomicLoad64(w.doneBase + fabric.GPtr(idx*8))
-		if done != 1 {
-			env.Violatef(-1, "task %d: DoneCell=%d, want exactly 1", idx, done)
-		}
-		if exec := n0.AtomicLoad64(w.execBase + fabric.GPtr(idx*8)); exec == 0 {
-			env.Violatef(-1, "task %d: never executed", idx)
-		}
+	auditTasks(env, w.tasks)
+}
+
+// auditTasks folds the ledger's exactly-once audit into the sweep's
+// violations.
+func auditTasks(env *Env, tasks *Ledger) {
+	for _, v := range tasks.Audit(env.Fab.Node(0)).Violations {
+		env.Violatef(-1, "%s", v)
 	}
 }
