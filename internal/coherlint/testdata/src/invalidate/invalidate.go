@@ -6,8 +6,10 @@ package invalidate
 
 import "flacos/internal/fabric"
 
-// ring mirrors ds.SPSCRing's layout so the corpus can replay its
-// consume path with the planted bug hard-wired on.
+// ring mirrors ds.SPSCRing's global-memory layout so the corpus can
+// replay its consume path with the planted bug hard-wired on. The real
+// ring's endpoint-private cursor views are left out — every pop here goes
+// to the home words — since rule 3 is about the slot's lines, not cursors.
 type ring struct {
 	headG, tailG, slots fabric.GPtr
 	slotSize, capacity  uint64

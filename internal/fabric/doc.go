@@ -22,6 +22,23 @@
 //     not-yet-written-back cache lines, and degraded links. The reliability
 //     layers above detect and recover from these.
 //
+// Single-line publication. A cache line does NOT move between a cache and
+// home memory atomically: a write-back stores the line's words one by one
+// in ascending order, a fetch loads them one by one in descending order,
+// and nothing locks the line, so a fetch can overtake a stalled write-back
+// of the same line. The two orders together give one sound way to publish
+// a line with plain stores and a write-back: put the commit word (a
+// sequence number that changes with every publication) in the line's LAST
+// word. A fetch reads that word first and the write-back stores it last,
+// so a reader that sees the new commit word sees every other word at least
+// as new as that write-back left it; a reader that sees the old one must
+// ignore the rest. (An owner that may republish while a reader is still
+// looking needs a check on top: membership and health re-read the
+// sequence and checksum the record.) A commit word anywhere else in the
+// line can be seen new beside old payload, and publication that spans
+// lines needs the payload lines written back before a fabric atomic
+// advances the commit word.
+//
 // Global memory is addressed by GPtr offsets, never by Go pointers, so the
 // Go garbage collector never sees shared state — the same discipline a real
 // shared-memory kernel uses (and the reason a naive GC-managed port of

@@ -153,19 +153,21 @@ func (f *Fabric) homeStoreWord(wordIdx uint64, v uint64) {
 }
 
 // fetchLineHome copies the line with index li from home memory into dst.
+// Words are read in DESCENDING order, the reader's half of the line
+// publication contract in doc.go: a fetch that sees a line's last word
+// as new sees every earlier word at least as new.
 func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
 	base := li * LineSize / WordSize
-	for w := uint64(0); w < LineSize/WordSize; w++ {
-		binary.LittleEndian.PutUint64(dst[w*WordSize:], f.homeLoadWord(base+w))
+	for w := int(LineSize/WordSize) - 1; w >= 0; w-- {
+		binary.LittleEndian.PutUint64(dst[w*WordSize:], f.homeLoadWord(base+uint64(w)))
 	}
 }
 
 // writeLineHome copies src into home memory at line index li, applying any
 // write-path fault injection, and returns how many injector hits the line
 // took (1 for a dropped line, 1 per corrupted word) so the node can
-// account them. Words land in ascending order; this is load-bearing for
-// internal/trace, which publishes a record's sequence word as the LAST
-// word of its line and relies on payload words reaching home first.
+// account them. Words land in ASCENDING order, the writer's half of the
+// line publication contract in doc.go.
 func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 	if f.faults.dropWriteBack() {
 		return 1 // the line silently never reaches home memory

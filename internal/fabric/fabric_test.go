@@ -452,6 +452,43 @@ func TestConcurrentAtomicCounter(t *testing.T) {
 	}
 }
 
+// TestLinePublicationCommitWordLast pins the single-line publication
+// contract of doc.go: one node republishes a line whose eight words all
+// carry the publication number, another keeps refetching it. Whatever the
+// fetch finds in the last word, no other word of the same fetch may be
+// older, even when the fetch and a write-back of the line overtake each
+// other.
+func TestLinePublicationCommitWordLast(t *testing.T) {
+	f := testFabric(t, 2)
+	g := f.Reserve(LineSize, LineSize)
+	const rounds = 20000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := f.Node(0)
+		for k := uint64(1); k <= rounds; k++ {
+			for i := uint64(0); i < LineSize; i += WordSize {
+				w.Store64(g.Add(i), k)
+			}
+			w.WriteBackRange(g, LineSize)
+		}
+	}()
+	r := f.Node(1)
+	for commit := uint64(0); commit < rounds; {
+		r.InvalidateRange(g, LineSize)
+		commit = r.Load64(g.Add(LineSize - WordSize))
+		for i := uint64(0); i < LineSize-WordSize; i += WordSize {
+			if v := r.Load64(g.Add(i)); v < commit {
+				t.Errorf("fetch saw commit word %d beside word %d = %d", commit, i/WordSize, v)
+				commit = rounds
+				break
+			}
+		}
+	}
+	wg.Wait()
+}
+
 func TestConcurrentDisjointBulkWriters(t *testing.T) {
 	f := testFabric(t, 4)
 	const region = 4096

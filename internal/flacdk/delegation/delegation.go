@@ -27,13 +27,16 @@
 // and a batching caller posts several requests then flushes them together
 // and bulk-fetches its response stripe (ClientGroup).
 //
-// An inline response shares its cache line with its own sequence word, and
-// a line is written home atomically, so inline replies publish with plain
-// stores and write-back — a poller snapshots the whole reply or none of
-// it. Only two publish points need fabric atomics: the packed request
-// sequence word (its line is shared across clients) and a SPILLED
-// response's sequence word (its payload crosses lines, so the payload must
-// be home before the sequence advances).
+// An inline response shares its cache line with its own sequence word,
+// which is the line's LAST word. A line does not travel home atomically,
+// but a write-back stores its words ascending and a fetch loads them
+// descending (the single-line publication contract, internal/fabric/doc.go),
+// so inline replies publish with plain stores and write-back — a poller
+// that sees the new sequence sees the whole reply. Only two publish points
+// need fabric atomics: the packed request sequence word (its line is
+// shared across clients) and a SPILLED response's sequence word (its
+// payload crosses lines, so the payload must be home before the sequence
+// advances).
 //
 // Each client slot is owned by exactly one caller at a time, so the
 // sequence-number protocol needs no CAS: the client bumps its slot's
@@ -63,8 +66,11 @@ const wordsPerLine = fabric.LineSize / fabric.WordSize
 //
 // Response region, two lines per slot:
 //
-//	line 0: word 0: seq, word 1: status|len, bytes 16..64: inline payload
+//	line 0: word 0: status|len, bytes 8..56: inline payload, word 7: seq
 //	line 1: spill (payload bytes past rspInlineMax)
+//
+// The response sequence is line 0's last word because it is the commit
+// word of a single-line publication (internal/fabric/doc.go).
 const (
 	reqSlotSize = 2 * fabric.LineSize
 	rspSlotSize = 2 * fabric.LineSize
@@ -75,6 +81,12 @@ const (
 const (
 	reqInlineMax = fabric.LineSize - 8
 	rspInlineMax = fabric.LineSize - 16
+)
+
+// Byte offsets inside a response slot's first line.
+const (
+	rspInlineOff = 8
+	rspSeqOff    = fabric.LineSize - 8
 )
 
 // Handler executes one delegated operation against the partition's local
@@ -116,10 +128,10 @@ func (d *Domain) reqSeqG(s int) fabric.GPtr    { return d.seqBase.Add(uint64(s) 
 func (d *Domain) reqMetaG(s int) fabric.GPtr   { return d.reqBase.Add(uint64(s) * reqSlotSize) }
 func (d *Domain) reqInlineG(s int) fabric.GPtr { return d.reqMetaG(s).Add(8) }
 func (d *Domain) reqSpillG(s int) fabric.GPtr  { return d.reqMetaG(s).Add(fabric.LineSize) }
-func (d *Domain) rspSeqG(s int) fabric.GPtr    { return d.rspBase.Add(uint64(s) * rspSlotSize) }
-func (d *Domain) rspMetaG(s int) fabric.GPtr   { return d.rspSeqG(s).Add(8) }
-func (d *Domain) rspInlineG(s int) fabric.GPtr { return d.rspSeqG(s).Add(16) }
-func (d *Domain) rspSpillG(s int) fabric.GPtr  { return d.rspSeqG(s).Add(fabric.LineSize) }
+func (d *Domain) rspMetaG(s int) fabric.GPtr   { return d.rspBase.Add(uint64(s) * rspSlotSize) }
+func (d *Domain) rspInlineG(s int) fabric.GPtr { return d.rspMetaG(s).Add(rspInlineOff) }
+func (d *Domain) rspSeqG(s int) fabric.GPtr    { return d.rspMetaG(s).Add(rspSeqOff) }
+func (d *Domain) rspSpillG(s int) fabric.GPtr  { return d.rspMetaG(s).Add(fabric.LineSize) }
 
 // Stop makes the owner's Serve loop return after its current sweep.
 func (d *Domain) Stop() { d.stopped.Store(true) }
@@ -184,36 +196,36 @@ func (sv *Server) readRequest(s int, buf []byte) (op uint32, reqLen int) {
 }
 
 // publishReply writes one response. An INLINE reply shares the response
-// line with its own sequence word, and a line is written home atomically,
-// so the publish needs no fabric atomic at all: plain stores plus one
-// single-line write-back, and any poller snapshots either the whole new
-// reply or none of it. A SPILLED reply has a cross-line ordering hazard
-// (write-back pushes the response line — new seq included — before the
-// spill line), so it keeps the two-step protocol: payload lines go home
-// first, then the sequence word publishes with a fabric atomic.
+// line with its own sequence word, the line's last, so the publish needs
+// no fabric atomic at all: plain stores plus one single-line write-back,
+// and a poller that fetches the new sequence fetches the whole new reply
+// with it. A SPILLED reply has a cross-line ordering hazard (write-back
+// pushes the response line — new seq included — before the spill line), so
+// it keeps the two-step protocol: payload lines go home first, then the
+// sequence word publishes with a fabric atomic.
 func (sv *Server) publishReply(slot int, seq uint64, status uint32, resp []byte) {
 	d, n := sv.d, sv.node
 	if len(resp) <= rspInlineMax {
 		sv.writeReplyLine(slot, seq, status, resp)
-		n.WriteBackRange(d.rspSeqG(slot), fabric.LineSize)
+		n.WriteBackRange(d.rspMetaG(slot), fabric.LineSize)
 		return
 	}
 	n.Store64(d.rspMetaG(slot), uint64(status)<<32|uint64(uint32(len(resp))))
 	n.Write(d.rspInlineG(slot), resp[:rspInlineMax])
 	n.Write(d.rspSpillG(slot), resp[rspInlineMax:])
-	n.WriteBackRange(d.rspSeqG(slot), 2*fabric.LineSize)
+	n.WriteBackRange(d.rspMetaG(slot), 2*fabric.LineSize)
 	n.AtomicStore64(d.rspSeqG(slot), seq)
 }
 
-// writeReplyLine stages one inline reply — sequence word, status|len, and
-// payload — into the slot's response line with plain stores.
+// writeReplyLine stages one inline reply — status|len, payload, and the
+// sequence word — into the slot's response line with plain stores.
 func (sv *Server) writeReplyLine(slot int, seq uint64, status uint32, resp []byte) {
 	d, n := sv.d, sv.node
-	n.Store64(d.rspSeqG(slot), seq)
 	n.Store64(d.rspMetaG(slot), uint64(status)<<32|uint64(uint32(len(resp))))
 	if len(resp) > 0 {
 		n.Write(d.rspInlineG(slot), resp)
 	}
+	n.Store64(d.rspSeqG(slot), seq)
 }
 
 // ServeOnce sweeps every slot once, executing pending requests, and
@@ -326,7 +338,7 @@ func (sv *Server) Reply(slot int, seq uint64, status uint32, resp []byte) {
 // the caller publishes a whole sweep's staged replies with one
 // FlushReplies burst. Each inline reply occupies exactly one
 // self-contained line (sequence word included), so the batched burst
-// publishes each reply atomically no matter how the lines interleave —
+// publishes each reply whole no matter how the lines interleave —
 // per-reply ordering machinery buys nothing, and a combining sweep
 // amortizes one burst over its whole fan-in. A reply too large to stage
 // inline falls back to the immediate ordered publish.
@@ -412,14 +424,14 @@ func (c *Client) Post(op uint32, req []byte) {
 
 // TryComplete checks whether the posted operation's response has arrived;
 // if so it copies the reply into resp and returns done=true. The response
-// line is fetched fresh each poll (invalidate + plain loads). An inline
-// reply travels home as one atomic line write, so a fetch that observes
-// the new sequence carries the matching status and payload in the same
-// line snapshot; a spilled reply's sequence word is published with a
-// fabric atomic only after its payload lines are home.
+// line is fetched fresh each poll (invalidate + plain loads). The
+// sequence is the line's last word, so a fetch that observes the new
+// sequence carries the matching status and payload in the same line
+// snapshot; a spilled reply's sequence word is published with a fabric
+// atomic only after its payload lines are home.
 func (c *Client) TryComplete(resp []byte) (respLen int, status uint32, done bool) {
 	d, n, s := c.d, c.n, c.slot
-	n.InvalidateRange(d.rspSeqG(s), rspSlotSize)
+	n.InvalidateRange(d.rspMetaG(s), rspSlotSize)
 	if n.Load64(d.rspSeqG(s)) != c.seq {
 		return 0, 0, false
 	}
@@ -554,28 +566,29 @@ func (g *ClientGroup) Flush() {
 // observes a fresh snapshot.
 func (g *ClientGroup) Refresh() {
 	d, n := g.d, g.n
-	n.InvalidateRange(d.rspSeqG(g.lo), uint64(g.count)*rspSlotSize)
-	n.Read(d.rspSeqG(g.lo), g.rspBuf)
+	n.InvalidateRange(d.rspMetaG(g.lo), uint64(g.count)*rspSlotSize)
+	n.Read(d.rspMetaG(g.lo), g.rspBuf)
 }
 
 // TryComplete checks the refreshed snapshot for slot i's response; if
 // present it copies the reply into resp and returns done=true. Lines in
-// the snapshot were each read atomically in ascending order, so a new
-// sequence word is always accompanied by its payload (a spilled payload's
-// lines were home before its sequence word was published, and its spill
-// line sits after its sequence line in the burst).
+// the snapshot were fetched in ascending order, each sequence word before
+// the rest of its line, so a new sequence word is always accompanied by
+// its payload (a spilled payload's lines were home before its sequence
+// word was published, and its spill line sits after its sequence line in
+// the burst).
 func (g *ClientGroup) TryComplete(i int, resp []byte) (respLen int, status uint32, done bool) {
 	if i < 0 || i >= g.next {
 		panic(fmt.Sprintf("delegation: TryComplete index %d outside staged range [0,%d)", i, g.next))
 	}
 	line := g.rspBuf[i*rspSlotSize:]
-	if binary.LittleEndian.Uint64(line) != g.seqs[i] {
+	if binary.LittleEndian.Uint64(line[rspSeqOff:]) != g.seqs[i] {
 		return 0, 0, false
 	}
-	meta := binary.LittleEndian.Uint64(line[8:])
+	meta := binary.LittleEndian.Uint64(line)
 	status = uint32(meta >> 32)
 	respLen = int(uint32(meta))
-	inl := copy(resp[:minInt(respLen, rspInlineMax)], line[16:])
+	inl := copy(resp[:minInt(respLen, rspInlineMax)], line[rspInlineOff:])
 	if respLen > rspInlineMax {
 		copy(resp[inl:respLen], line[fabric.LineSize:])
 	}

@@ -23,12 +23,49 @@ func SetBrokenSkipPopInvalidate(on bool) { brokenSkipPopInvalidate.Store(on) }
 // cached data published with write-back and consumed after invalidation —
 // the "streaming access synchronized via cache invalidation" pattern the
 // paper describes for shared data buffers.
+//
+// Every fabric atomic is a round trip to the memory device, so each
+// endpoint keeps its view of the cursors in private state (prod, cons) and
+// goes to the home words only to publish its own cursor or when its view
+// of the peer's says full/empty.
 type SPSCRing struct {
 	headG    fabric.GPtr // atomic: consumer cursor
 	tailG    fabric.GPtr // atomic: producer cursor
 	slots    fabric.GPtr
 	slotSize uint64 // per-slot bytes, including the 8-byte length header
 	capacity uint64 // slots, power of two
+
+	// prod and cons model the two endpoints' node-local memory: each is
+	// touched only by the goroutine driving that side, and the padding
+	// keeps them off each other's host cache line.
+	_    [64]byte
+	prod ringProducer
+	_    [64]byte
+	cons ringConsumer
+}
+
+// ringProducer is the producer endpoint's private state. tail is assigned
+// only after its AtomicStore64 to tailG returns, so it equals the home
+// word at every instant and a crash/restart of node needs no resync.
+// headSeen may lag the home head; head only grows, so a stale value
+// under-reports free space and is reloaded before "full" is reported.
+type ringProducer struct {
+	node     *fabric.Node // attached node, nil before the first push
+	tail     uint64
+	headSeen uint64
+}
+
+// ringConsumer is the consumer endpoint's private state: head mirrors the
+// home word like ringProducer.tail, tailSeen may lag and is reloaded
+// before "empty" is reported. extent[i] bounds the bytes of slot i that
+// can be resident in node's cache — what its previous lap read from the
+// slot (the whole slot until it has read it once) — so a pop invalidates
+// those lines, not the slot's full width.
+type ringConsumer struct {
+	node     *fabric.Node // attached node, nil before the first pop
+	head     uint64
+	tailSeen uint64
+	extent   []uint64
 }
 
 // NewSPSCRing reserves a ring of capacity slots (rounded to a power of
@@ -45,6 +82,7 @@ func NewSPSCRing(f *fabric.Fabric, capacity, msgMax uint64) *SPSCRing {
 		slots:    f.Reserve(c*ss, fabric.LineSize),
 		slotSize: ss,
 		capacity: c,
+		cons:     ringConsumer{extent: make([]uint64, c)},
 	}
 }
 
@@ -58,23 +96,55 @@ func (r *SPSCRing) slotG(pos uint64) fabric.GPtr {
 	return r.slots.Add((pos & (r.capacity - 1)) * r.slotSize)
 }
 
+// attachProducer makes n the producing node: a node other than the one
+// whose pushes built the private view (a connection slot reused from
+// another node) reads its own cursor from home and starts from a view of
+// the peer's that looks full, so its first push reloads the head too.
+func (r *SPSCRing) attachProducer(n *fabric.Node) {
+	p := &r.prod
+	p.tail = n.AtomicLoad64(r.tailG)
+	p.headSeen = p.tail - r.capacity
+	p.node = n
+}
+
+// attachConsumer is attachProducer for the consuming side, starting from
+// a view that looks empty. The new node's cache may hold any line of any
+// slot (it may have produced into this ring, or consumed from it before
+// another node took over), so every extent widens back to the whole slot.
+func (r *SPSCRing) attachConsumer(n *fabric.Node) {
+	c := &r.cons
+	c.head = n.AtomicLoad64(r.headG)
+	c.tailSeen = c.head
+	for i := range c.extent {
+		c.extent[i] = r.slotSize
+	}
+	c.node = n
+}
+
 // TryPush enqueues msg, returning false if the ring is full. Only one
 // goroutine (the producer) may call it.
 func (r *SPSCRing) TryPush(n *fabric.Node, msg []byte) bool {
 	if uint64(len(msg)) > r.MsgMax() {
 		panic(fmt.Sprintf("ds: message %d exceeds ring max %d", len(msg), r.MsgMax()))
 	}
-	t := n.AtomicLoad64(r.tailG)
-	if t-n.AtomicLoad64(r.headG) == r.capacity {
-		return false
+	p := &r.prod
+	if p.node != n {
+		r.attachProducer(n)
 	}
-	s := r.slotG(t)
+	if p.tail-p.headSeen == r.capacity {
+		p.headSeen = n.AtomicLoad64(r.headG)
+		if p.tail-p.headSeen == r.capacity {
+			return false
+		}
+	}
+	s := r.slotG(p.tail)
 	n.Store64(s, uint64(len(msg)))
 	if len(msg) > 0 {
 		n.Write(s.Add(8), msg)
 	}
 	n.WriteBackRange(s, 8+uint64(len(msg)))
-	n.AtomicStore64(r.tailG, t+1)
+	n.AtomicStore64(r.tailG, p.tail+1)
+	p.tail++
 	return true
 }
 
@@ -88,13 +158,20 @@ func (r *SPSCRing) Push(n *fabric.Node, msg []byte) {
 // TryPop dequeues one message into buf, returning its length and whether a
 // message was available. Only one goroutine (the consumer) may call it.
 func (r *SPSCRing) TryPop(n *fabric.Node, buf []byte) (int, bool) {
-	h := n.AtomicLoad64(r.headG)
-	if h == n.AtomicLoad64(r.tailG) {
-		return 0, false
+	c := &r.cons
+	if c.node != n {
+		r.attachConsumer(n)
 	}
-	s := r.slotG(h)
+	if c.head == c.tailSeen {
+		c.tailSeen = n.AtomicLoad64(r.tailG)
+		if c.head == c.tailSeen {
+			return 0, false
+		}
+	}
+	s := r.slotG(c.head)
+	extent := &c.extent[c.head&(r.capacity-1)]
 	if !brokenSkipPopInvalidate.Load() {
-		n.InvalidateRange(s, r.slotSize)
+		n.InvalidateRange(s, *extent)
 	}
 	// The invalidate above is conditional ONLY because the torture
 	// harness plants its removal as a self-test bug (-torture-break
@@ -106,10 +183,14 @@ func (r *SPSCRing) TryPop(n *fabric.Node, buf []byte) (int, bool) {
 	if ln > uint64(len(buf)) {
 		panic(fmt.Sprintf("ds: buffer %d too small for message %d", len(buf), ln))
 	}
+	*extent = 8 + ln
 	if ln > 0 {
 		n.Read(s.Add(8), buf[:ln])
 	}
-	n.AtomicStore64(r.headG, h+1)
+	// No lazy head publication: a consumer that crashes after returning a
+	// message must not find it in the ring again.
+	n.AtomicStore64(r.headG, c.head+1)
+	c.head++
 	return int(ln), true
 }
 

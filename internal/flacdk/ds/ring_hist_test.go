@@ -77,13 +77,19 @@ func TestSPSCRingHistoryLinearizable(t *testing.T) {
 func TestMPSCRingHistoryLinearizable(t *testing.T) {
 	// Sized so the race-instrumented WGL search stays in CI budget: the
 	// checker's cost is in the per-window interleavings, not the volume.
+	// The ring's capacity bounds how far the consumer can lag the
+	// producers, and so how many choice points later a wrong guess at the
+	// order of concurrent pushes is refuted by a pop: with 32 slots the
+	// backtracking over three producers did not finish on a 2-core host
+	// about one run in four. Four slots keep the lag at 4 pushes and wrap
+	// the ring eight times as often.
 	const producers = 3
 	each := 80
 	if raceEnabled {
 		each = 25
 	}
 	f := rack(t, 4, 4)
-	r := NewMPSCRing(f, f.Node(0), 32, 16)
+	r := NewMPSCRing(f, f.Node(0), 4, 16)
 	rec := histcheck.NewRecorder()
 
 	var wg sync.WaitGroup

@@ -320,10 +320,13 @@ func (c *Conn) Close() {
 }
 
 // Release returns a fully closed connection slot to the free pool. The
-// side that observes the close calls it after both sides are done.
+// side that observes the close calls it after both sides are done: the
+// rings are single-consumer, and draining the send ring makes this node
+// its consumer in the peer's place.
 func (c *Conn) Release() {
 	n := c.node
-	// Drain leftovers so the next user starts clean.
+	// Drain leftovers so the next user starts clean. Whichever nodes use
+	// the slot next, each ring side re-attaches to them on first use.
 	buf := make([]byte, c.recvRing().MsgMax())
 	for {
 		if _, ok := c.recvRing().TryPop(n, buf); !ok {

@@ -120,6 +120,79 @@ func TestCloseUnblocksRecvAndSlotReuse(t *testing.T) {
 	}
 }
 
+// TestReleaseThenConnectFromAnotherNode recycles one connection slot
+// between clients on different nodes. Release drains both rings — its own
+// send ring as a foreign consumer — and every later user of the slot finds
+// ring sides last driven by some other node, so each must re-attach: no
+// leftover delivered, no lap lost, and a node that returns to the slot
+// must not read lines it cached from the slot's earlier connections.
+func TestReleaseThenConnectFromAnotherNode(t *testing.T) {
+	f, sb := newSB(t, 3)
+	server := sb.Endpoint(f.Node(0))
+	l, err := server.Bind("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const echoes = 20 // more than RingSlots: every slot of both rings is used
+	var slot *connSlot
+	round := func(client *Endpoint, size int, tag byte) {
+		t.Helper()
+		echoed, done := make(chan struct{}, echoes), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv := l.Accept()
+			buf := make([]byte, size)
+			for i := 0; i < echoes; i++ {
+				n, err := srv.Recv(buf)
+				if err != nil || srv.Send(buf[:n]) != nil {
+					t.Errorf("server echo %d failed", i)
+					close(echoed) // do not leave the client waiting
+					return
+				}
+				echoed <- struct{}{}
+			}
+			<-done // receive nothing more: what the client sends now stays queued
+		}()
+		c, err := client.Connect("svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot == nil {
+			slot = c.slot
+		} else if c.slot != slot {
+			t.Fatal("released slot was not reused")
+		}
+		msg, buf := make([]byte, size), make([]byte, size)
+		for i := 0; i < echoes; i++ {
+			for j := range msg {
+				msg[j] = tag + byte(i) + byte(j)*7
+			}
+			if err := c.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			<-echoed
+			if i == echoes-1 {
+				break // leave the last echo queued for Release to drain
+			}
+			if n, err := c.Recv(buf); err != nil || !bytes.Equal(buf[:n], msg) {
+				t.Fatalf("node %d, echo %d of %d B: wrong reply (%d B, %v)", client.Node().ID(), i, size, n, err)
+			}
+		}
+		c.Send(msg) // two requests nobody receives
+		c.Send(msg)
+		c.Close()
+		close(done)
+		wg.Wait()
+		c.Release()
+	}
+	round(sb.Endpoint(f.Node(1)), 4000, 1)
+	round(sb.Endpoint(f.Node(2)), 40, 2) // the consumers' extents shrink to one line
+	round(sb.Endpoint(f.Node(1)), 4000, 3)
+}
+
 func TestManyConcurrentConnections(t *testing.T) {
 	f, sb := newSB(t, 4)
 	server := sb.Endpoint(f.Node(0))
