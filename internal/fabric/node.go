@@ -116,10 +116,14 @@ func (n *Node) Crashed() bool { return n.crashed.Load() }
 // CacheResidentLines returns how many lines the node's cache holds.
 func (n *Node) CacheResidentLines() int { return n.cache.resident() }
 
-// withLine runs fn on the cache line containing [g, g+size), faulting the
-// line in from home memory on a miss. size must not cross a line boundary.
-// If write is true the line is marked dirty. It charges hit/miss latency.
-func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) {
+// lineAccess runs fn on the cache line containing [g, g+size), faulting the
+// line in from home memory on a miss, and reports whether it missed. size
+// must not cross a line boundary. If write is true the line is marked
+// dirty. The access is counted as a load or store and a dirty victim is
+// written back, but the hit or miss is the CALLER's to count and charge:
+// a word access charges it alone (withLine), a bulk transfer charges one
+// pipelined aggregate for all its lines (bulkAccess).
+func (n *Node) lineAccess(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) (miss bool) {
 	n.checkAlive()
 	n.fab.checkRange(g, size)
 	li := g.Line()
@@ -130,7 +134,7 @@ func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize
 	c := n.cache
 	c.mu.Lock()
 	ln := c.lookup(li)
-	miss := ln == nil
+	miss = ln == nil
 	var victimIdx uint64
 	var victim *cacheLine
 	if miss {
@@ -165,11 +169,17 @@ func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize
 	} else {
 		n.stats.Loads.Add(1)
 	}
-	if miss {
+	return miss
+}
+
+// withLine is one word-granularity access: a lineAccess charged as an
+// independent hit or miss.
+func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) {
+	if n.lineAccess(g, size, write, fn) {
 		n.stats.Misses.Add(1)
 		n.charge(n.globalCost(1))
 		if n.hooked.Load() {
-			n.fireOp(OpMiss, li, 0)
+			n.fireOp(OpMiss, g.Line(), 0)
 		}
 	} else {
 		n.stats.Hits.Add(1)
@@ -244,41 +254,39 @@ func (n *Node) Store64(g GPtr, v uint64) {
 // missed lines stream at PerLineNS after the first line's full latency,
 // hit lines cost local accesses. This models how real interconnects move
 // bulk data (pipelined line fetches), unlike the independent-miss charging
-// of the word-granularity ops.
+// of the word-granularity ops. Hits and misses are counted in locals and
+// added once, so what the node's other CPUs charge while the transfer is
+// in flight is theirs alone.
 func (n *Node) bulkAccess(g GPtr, total uint64, write bool, fn func(d *[LineSize]byte, off, done, chunk uint64)) {
 	n.checkAlive()
 	n.fab.checkRange(g, total)
-	missBefore := n.stats.Misses.Load()
-	hitBefore := n.stats.Hits.Load()
-	nsBefore := n.stats.VirtualNS.Load()
+	hits, misses := 0, 0
 	done := uint64(0)
 	for done < total {
 		cur := g.Add(done)
 		inLine := LineSize - uint64(cur)%LineSize
 		chunk := min(inLine, total-done)
-		n.withLine(cur, chunk, write, func(d *[LineSize]byte, off uint64) {
+		if n.lineAccess(cur, chunk, write, func(d *[LineSize]byte, off uint64) {
 			fn(d, off, done, chunk)
-		})
+		}) {
+			misses++
+			if n.hooked.Load() {
+				n.fireOp(OpMiss, cur.Line(), 0)
+			}
+		} else {
+			hits++
+		}
 		done += chunk
 	}
-	// Replace the per-line charges accrued inside withLine with one
-	// aggregate pipelined cost.
-	perLine := n.stats.VirtualNS.Load() - nsBefore
-	misses := n.stats.Misses.Load() - missBefore
-	hits := n.stats.Hits.Load() - hitBefore
-	agg := 0
+	agg := hits * n.fab.lat.LocalNS
 	if misses > 0 {
-		agg += n.globalCost(int(misses))
+		n.stats.Misses.Add(uint64(misses))
+		agg += n.globalCost(misses)
 	}
 	if hits > 0 {
-		agg += int(hits) * n.fab.lat.LocalNS
+		n.stats.Hits.Add(uint64(hits))
 	}
-	if n.fab.lat.Mode != LatencyOff {
-		// Undo the inline charge, apply the aggregate (accounting only; in
-		// spin mode the inline spin already approximates the cost and we
-		// simply correct the ledger).
-		n.stats.VirtualNS.Add(uint64(agg) - perLine)
-	}
+	n.charge(agg)
 }
 
 // Read copies len(buf) bytes starting at g into buf, through the cache,

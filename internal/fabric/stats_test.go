@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -92,10 +93,10 @@ func TestOpHookFiresOnMissWriteBackFence(t *testing.T) {
 			fence.Add(1)
 		}
 	})
-	n.Load64(g)                   // miss
-	n.Load64(g)                   // hit: no event
-	n.Store64(g, 1)               // hit on the cached line
-	n.Store64(g.Add(LineSize), 2) // second miss: dirties a fresh line
+	n.Load64(g)                     // miss
+	n.Load64(g)                     // hit: no event
+	n.Store64(g, 1)                 // hit on the cached line
+	n.Store64(g.Add(LineSize), 2)   // second miss: dirties a fresh line
 	n.WriteBackRange(g, 2*LineSize) // ONE ranged event covering two lines
 	n.WriteBackRange(g, 2*LineSize) // all clean now: no event at all
 	n.Fence()
@@ -173,5 +174,76 @@ func TestStatsDeltaWraparound(t *testing.T) {
 	want := after.Loads - before.Loads // modular by Go's uint64 rules
 	if got.Loads != want {
 		t.Errorf("post-reset Loads delta = %d, want modular %d", got.Loads, want)
+	}
+}
+
+// TestBulkAccountingConcurrentCPUs pins the bulk-transfer charge to the
+// call that made it: two CPUs of one node, one streaming resident-line
+// bulk Reads and one issuing fabric atomics, must leave the node's clock
+// at exactly the sum of the two streams, and the clock never runs
+// backwards between two samples.
+func TestBulkAccountingConcurrentCPUs(t *testing.T) {
+	f := statsFabric(DefaultLatency())
+	n := f.Node(0)
+	const lines, reads, adds = 4, 50000, 50000
+	buf := make([]byte, lines*LineSize)
+	g := f.Reserve(uint64(len(buf)), LineSize)
+	ctr := f.Reserve(LineSize, LineSize)
+	n.Read(g, buf) // make the lines resident: every measured Read is all hits
+
+	before := n.Stats()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < reads; i++ {
+			n.Read(g, buf)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < adds; i++ {
+			n.Add64(ctr, 1)
+		}
+	}()
+	var backwards int
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		last := n.VirtualNS()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if now := n.VirtualNS(); now < last {
+				backwards++
+			} else {
+				last = now
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(stop)
+	<-sampled
+
+	d := n.Stats().Delta(before)
+	lat := f.lat
+	want := uint64(reads*lines*lat.LocalNS + adds*(lat.AtomicNS+n.totalHops()*lat.HopNS))
+	if d.VirtualNS != want {
+		t.Errorf("node charged %d sim_ns, want %d (the sum of both streams): %.1f%% lost",
+			d.VirtualNS, want, 100*(1-float64(d.VirtualNS)/float64(want)))
+	}
+	if d.Hits != reads*lines || d.Misses != 0 || d.Atomics != adds {
+		t.Errorf("hits=%d misses=%d atomics=%d, want %d/0/%d", d.Hits, d.Misses, d.Atomics, reads*lines, adds)
+	}
+	if backwards != 0 {
+		t.Errorf("the node's virtual clock ran backwards %d times", backwards)
 	}
 }

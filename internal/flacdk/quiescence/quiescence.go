@@ -9,13 +9,58 @@
 // invalidate its lines before reading, and a version's memory is reused
 // only after a grace period proves no reader can still hold a reference.
 //
-// Epoch protocol (classic 2-epoch EBR, fabric edition):
+// Epoch protocol (2-epoch EBR, fabric edition):
 //   - a global epoch word lives in global memory, advanced with CAS;
-//   - each participant has a reservation word (own cache line): 0 when
-//     quiescent, epoch+1 while inside a read section;
-//   - the epoch advances only when every active participant has observed
-//     the current epoch, and memory retired in epoch e is reclaimed once
-//     the global epoch reaches e+2.
+//   - each participant has a reservation word: 0 when quiescent, e+1 while
+//     inside a read section, where e is a global epoch the participant has
+//     OBSERVED — not necessarily the current one;
+//   - TryAdvance moves the epoch e -> e+1 only if every non-zero
+//     reservation it scans equals e+1, and memory retired in epoch e is
+//     reclaimed once the global epoch reaches e+2.
+//
+// A read section costs two fabric atomics: one store of seen+1 on the
+// outermost Enter, one store of 0 on the outermost Exit. seen is the
+// participant's node-local copy of the last global epoch it loaded; Enter
+// does not load the epoch and does not re-check it after the store.
+//
+// Why that is safe. A reservation announcing ANY epoch other than the
+// current one, stale or not, fails every advance whose scan reads it. So
+// from the instant a reader's store is home, with the global epoch at g0,
+// the epoch can move at most once more: an advance that scans the slot
+// afterwards passes only as g0 -> g0+1 and only if the reservation is
+// g0+1; an advancer that scanned the slot before the store loaded its
+// epoch e <= g0 before that, and its CAS lands at most at g0+1 too, after
+// which every other such CAS fails. Everything the reader can reach was
+// still linked when its store landed, so it is retired (Retire loads the
+// epoch after the unlink) at an epoch >= g0 and freed only at >= g0+2,
+// which the epoch cannot reach until the reader exits. The load / store /
+// re-load chase classic EBR runs on entry buys liveness — a reader never
+// holds back an advance it need not — and no safety.
+//
+// Liveness is kept by refreshing seen wherever the epoch is loaded anyway
+// (attach, Retire, TryAdvance including its successful CAS, Collect,
+// Barrier) and on every refreshEvery-th outermost Enter. A pure reader
+// (an fs mount, VersionedCell.Read, a pinned checkpointer) therefore
+// announces the current epoch within refreshEvery sections of any
+// advance; until then it can fail an advance only while it is actually
+// inside a section, exactly as a reader that entered before the advance
+// does. An attached participant outside a section holds 0 and blocks
+// nothing.
+//
+// Reservations are not sticky: leaving the word set on Exit would save
+// the second atomic, but an idle participant would then stall every
+// advance — and with it all reclamation, rack-wide — until its next
+// section. Exit always clears.
+//
+// The reservation words are packed, one word per participant, in one
+// contiguous block, and TryAdvance reads them all with one invalidate and
+// one bulk transfer instead of one fabric atomic per word. Participants on
+// different nodes therefore share cache lines, which breaks no rule of the
+// coherence contract: the words are written only by fabric atomics, which
+// act on home memory and never leave a dirty line in any cache, so there
+// is no write-back that could carry a neighbour's stale word home; the
+// scan invalidates before it reads, and a line fetch reads each word
+// atomically.
 //
 // Checkpointing integrates here exactly as §3.2 prescribes: a checkpointer
 // participates like a reader (Pin), so versions it is copying cannot be
@@ -23,6 +68,7 @@
 package quiescence
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,29 +76,42 @@ import (
 	"flacos/internal/fabric"
 )
 
+// refreshEvery is how many outermost Enters a participant makes between
+// refreshes of its observed epoch when nothing else refreshes it.
+const refreshEvery = 64
+
 // Domain is one reclamation domain shared by up to maxParticipants
 // participants across the rack.
 type Domain struct {
 	fab    *fabric.Fabric
 	epochG fabric.GPtr
-	resG   []fabric.GPtr
+	resG   fabric.GPtr // slots packed reservation words
+	slots  int
 }
 
-// NewDomain reserves the domain's epoch and reservation words.
+// NewDomain reserves the domain's epoch and reservation words. The
+// reservation block takes whole lines: the scan's invalidate must never
+// drop a line that holds anybody else's data.
 func NewDomain(f *fabric.Fabric, maxParticipants int) *Domain {
 	if maxParticipants <= 0 {
 		panic("quiescence: maxParticipants must be positive")
 	}
-	d := &Domain{
+	return &Domain{
 		fab:    f,
 		epochG: f.Reserve(fabric.LineSize, fabric.LineSize),
-		resG:   make([]fabric.GPtr, maxParticipants),
+		resG:   f.Reserve(fabric.AlignUp64(uint64(maxParticipants)*fabric.WordSize, fabric.LineSize), fabric.LineSize),
+		slots:  maxParticipants,
 	}
-	for i := range d.resG {
-		d.resG[i] = f.Reserve(fabric.LineSize, fabric.LineSize)
-	}
-	return d
 }
+
+func (d *Domain) checkID(id int) {
+	if id < 0 || id >= d.slots {
+		panic(fmt.Sprintf("quiescence: participant id %d out of range [0,%d)", id, d.slots))
+	}
+}
+
+// slotG is participant id's reservation word.
+func (d *Domain) slotG(id int) fabric.GPtr { return d.resG.Add(uint64(id) * fabric.WordSize) }
 
 // Epoch returns the current global epoch as seen by node n.
 func (d *Domain) Epoch(n *fabric.Node) uint64 { return n.AtomicLoad64(d.epochG) }
@@ -71,6 +130,10 @@ type Participant struct {
 	n  *fabric.Node
 	id int
 
+	seen   uint64 // last global epoch this participant loaded (node-local)
+	enters uint64 // outermost Enters, for the periodic refresh of seen
+	scan   []byte // TryAdvance's copy of the reservation block
+
 	mu      sync.Mutex // guards retired list (local bookkeeping)
 	retired []retired
 	depth   int
@@ -82,31 +145,32 @@ func (p *Participant) ID() int { return p.id }
 
 // Participant attaches node n as participant id (0 <= id < maxParticipants).
 func (d *Domain) Participant(n *fabric.Node, id int) *Participant {
-	if id < 0 || id >= len(d.resG) {
-		panic(fmt.Sprintf("quiescence: participant id %d out of range [0,%d)", id, len(d.resG)))
-	}
-	return &Participant{d: d, n: n, id: id}
+	d.checkID(id)
+	p := &Participant{d: d, n: n, id: id, scan: make([]byte, d.slots*fabric.WordSize)}
+	p.epoch()
+	return p
 }
 
-// Enter begins a read-side critical section, pinning the current epoch.
-// Sections nest; only the outermost Enter publishes a reservation.
+// epoch loads the global epoch and refreshes seen with it.
+func (p *Participant) epoch() uint64 {
+	p.seen = p.n.AtomicLoad64(p.d.epochG)
+	return p.seen
+}
+
+// Enter begins a read-side critical section. Sections nest; only the
+// outermost Enter publishes a reservation, with ONE fabric atomic (two on
+// every refreshEvery-th). The package comment argues why announcing the
+// last observed epoch, unchecked, is safe.
 func (p *Participant) Enter() {
 	p.depth++
 	if p.depth > 1 {
 		return
 	}
-	e := p.n.AtomicLoad64(p.d.epochG)
-	p.n.AtomicStore64(p.d.resG[p.id], e+1)
-	// Re-check: the epoch may have advanced between load and store; chase it
-	// so our reservation never lags the global epoch at section start.
-	for {
-		cur := p.n.AtomicLoad64(p.d.epochG)
-		if cur == e {
-			break
-		}
-		e = cur
-		p.n.AtomicStore64(p.d.resG[p.id], e+1)
+	p.enters++
+	if p.enters%refreshEvery == 0 {
+		p.epoch()
 	}
+	p.n.AtomicStore64(p.d.slotG(p.id), p.seen+1)
 }
 
 // Exit ends a read-side critical section.
@@ -116,7 +180,7 @@ func (p *Participant) Exit() {
 	}
 	p.depth--
 	if p.depth == 0 {
-		p.n.AtomicStore64(p.d.resG[p.id], 0)
+		p.n.AtomicStore64(p.d.slotG(p.id), 0)
 	}
 }
 
@@ -130,25 +194,32 @@ func (p *Participant) Unpin() { p.Exit() }
 // Retire schedules fn to run once no participant can still hold a
 // reference obtained before this call (i.e. after two epoch advances).
 func (p *Participant) Retire(fn func()) {
-	e := p.n.AtomicLoad64(p.d.epochG)
+	e := p.epoch()
 	p.mu.Lock()
 	p.retired = append(p.retired, retired{epoch: e, fn: fn})
 	p.mu.Unlock()
 }
 
 // TryAdvance attempts to advance the global epoch. It succeeds only if
-// every active participant has pinned the current epoch. Returns whether
-// the epoch advanced.
+// every active participant announces the current epoch. Returns whether
+// the epoch advanced. Whatever the slot count it costs two fabric atomics
+// (the epoch load and the CAS) and, between them, one invalidate and one
+// bulk read of the packed reservation block.
 func (p *Participant) TryAdvance() bool {
 	n, d := p.n, p.d
-	e := n.AtomicLoad64(d.epochG)
-	for _, g := range d.resG {
-		r := n.AtomicLoad64(g)
-		if r != 0 && r != e+1 {
-			return false // someone still reads in an older epoch
+	e := p.epoch()
+	n.InvalidateRange(d.resG, uint64(len(p.scan)))
+	n.Read(d.resG, p.scan)
+	for off := 0; off < len(p.scan); off += fabric.WordSize {
+		if r := binary.LittleEndian.Uint64(p.scan[off:]); r != 0 && r != e+1 {
+			return false // someone reads in an epoch other than the current one
 		}
 	}
-	return n.CAS64(d.epochG, e, e+1)
+	if !n.CAS64(d.epochG, e, e+1) {
+		return false
+	}
+	p.seen = e + 1
+	return true
 }
 
 // Fence clears participant id's reservation word on behalf of a crashed
@@ -158,16 +229,14 @@ func (p *Participant) TryAdvance() bool {
 // the dead participant exactly like an expired lease. The fenced
 // Participant object must never be used again — attach a fresh one.
 func (d *Domain) Fence(n *fabric.Node, id int) {
-	if id < 0 || id >= len(d.resG) {
-		panic(fmt.Sprintf("quiescence: participant id %d out of range [0,%d)", id, len(d.resG)))
-	}
-	n.AtomicStore64(d.resG[id], 0)
+	d.checkID(id)
+	n.AtomicStore64(d.slotG(id), 0)
 }
 
 // Collect runs every retired callback whose grace period has elapsed and
 // returns how many ran.
 func (p *Participant) Collect() int {
-	cur := p.n.AtomicLoad64(p.d.epochG)
+	cur := p.epoch()
 	p.mu.Lock()
 	var ready []retired
 	keep := p.retired[:0]
@@ -193,8 +262,8 @@ func (p *Participant) Barrier() {
 	if p.depth > 0 {
 		panic("quiescence: Barrier inside read section would self-deadlock")
 	}
-	start := p.n.AtomicLoad64(p.d.epochG)
-	for p.n.AtomicLoad64(p.d.epochG) < start+2 {
+	start := p.epoch()
+	for p.epoch() < start+2 {
 		if !p.TryAdvance() {
 			runtime.Gosched()
 		}

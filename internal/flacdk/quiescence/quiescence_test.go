@@ -274,3 +274,216 @@ func TestWriteOversizedPanics(t *testing.T) {
 	}()
 	c.Write(p, a, make([]byte, 65))
 }
+
+// TestBudgetFabricOps pins what the read side costs in fabric operations,
+// from Node.Stats() deltas under the default latency model: an outermost
+// Enter is one atomic (two on every refreshEvery-th), nested Enter/Exit
+// are free, Exit is one atomic, and TryAdvance is two atomics, one
+// invalidate call and ceil(slots/8) line fetches whatever the slot count.
+func TestBudgetFabricOps(t *testing.T) {
+	lat := fabric.DefaultLatency()
+	for _, slots := range []int{1, 8, 9, 128, 130} {
+		f := fabric.New(fabric.Config{GlobalSize: 1 << 20, Nodes: 2, Latency: lat})
+		n := f.Node(0)
+		p := NewDomain(f, slots).Participant(n, slots-1)
+		atomicNS := uint64(lat.AtomicNS + n.Hops()*lat.HopNS)
+		missNS := func(lines int) uint64 {
+			return uint64(lat.GlobalNS + n.Hops()*lat.HopNS + (lines-1)*lat.PerLineNS)
+		}
+		delta := func(fn func()) fabric.NodeStatsSnapshot {
+			before := n.Stats()
+			fn()
+			return n.Stats().Delta(before)
+		}
+		for i := 1; i <= 2*refreshEvery+2; i++ {
+			want := uint64(1)
+			if i%refreshEvery == 0 {
+				want = 2
+			}
+			if d := delta(p.Enter); d.Atomics != want || d.VirtualNS != want*atomicNS {
+				t.Fatalf("slots=%d: outermost Enter #%d: %d atomics, %d sim_ns; want %d atomics and nothing else", slots, i, d.Atomics, d.VirtualNS, want)
+			}
+			if d := delta(func() { p.Enter(); p.Exit() }); d != (fabric.NodeStatsSnapshot{}) {
+				t.Fatalf("slots=%d: nested Enter/Exit touched the fabric: %+v", slots, d)
+			}
+			if d := delta(p.Exit); d.Atomics != 1 || d.VirtualNS != atomicNS {
+				t.Fatalf("slots=%d: outermost Exit: %d atomics, %d sim_ns; want 1 atomic and nothing else", slots, d.Atomics, d.VirtualNS)
+			}
+		}
+		lines := (slots + 7) / 8
+		for round := 0; round < 3; round++ {
+			d := delta(func() {
+				if !p.TryAdvance() {
+					t.Fatalf("slots=%d: advance failed with no reader", slots)
+				}
+			})
+			// One invalidate call is one LocalNS; the stats count lines
+			// dropped, not calls, so the exact charge is what pins it.
+			wantNS := 2*atomicNS + uint64(lat.LocalNS) + missNS(lines)
+			if d.Atomics != 2 || d.Misses != uint64(lines) || d.Hits != 0 || d.VirtualNS != wantNS {
+				t.Fatalf("slots=%d: TryAdvance: %d atomics, %d line fetches, %d hits, %d sim_ns; want 2, %d, 0, %d",
+					slots, d.Atomics, d.Misses, d.Hits, d.VirtualNS, lines, wantNS)
+			}
+			if round > 0 && d.Invalidates != uint64(lines) {
+				t.Fatalf("slots=%d: TryAdvance dropped %d resident lines, want %d", slots, d.Invalidates, lines)
+			}
+		}
+	}
+}
+
+// staleBy attaches a participant and then moves the global epoch on by k
+// behind its back, so its observed epoch is k advances stale.
+func staleBy(t *testing.T, d *Domain, n *fabric.Node, id int, adv *Participant, k int) *Participant {
+	t.Helper()
+	p := d.Participant(n, id)
+	for i := 0; i < k; i++ {
+		if !adv.TryAdvance() {
+			t.Fatal("advance failed with every participant idle")
+		}
+	}
+	return p
+}
+
+// TestEpochStaleReaderIsSafe scripts the safety argument of the package
+// comment: a reader whose observed epoch is two advances stale enters
+// without looking at the epoch; from then on nothing the writer unlinks
+// is freed and every advance fails until the reader exits, after which
+// two advances free it.
+func TestEpochStaleReaderIsSafe(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 4)
+	writer := d.Participant(f.Node(1), 1)
+	reader := staleBy(t, d, f.Node(0), 0, writer, 2)
+
+	reader.Enter()
+	freed := false
+	writer.Retire(func() { freed = true }) // unlinked after the reader's store
+	for i := 0; i < 10; i++ {
+		if writer.TryAdvance() {
+			t.Fatalf("attempt %d: epoch advanced past a reader announcing a stale epoch", i)
+		}
+		if got := writer.Collect(); got != 0 || freed {
+			t.Fatalf("attempt %d: block freed under an active reader", i)
+		}
+	}
+	reader.Exit()
+	if !writer.TryAdvance() || !writer.TryAdvance() {
+		t.Fatal("advance failed after the reader exited")
+	}
+	if got := writer.Collect(); got != 1 || !freed {
+		t.Fatalf("Collect = %d, freed = %v after two advances; want 1, true", got, freed)
+	}
+}
+
+// TestEpochInFlightAdvancerMovesOnce covers the one advance a reader
+// cannot stop: the advancer has already scanned the reader's slot (seen 0)
+// when the reader enters, and its CAS lands. The epoch has then moved once
+// since the reader's store — and must not move again until the reader
+// exits, whether the reader announced the current epoch or a stale one.
+func TestEpochInFlightAdvancerMovesOnce(t *testing.T) {
+	for _, stale := range []int{0, 2} {
+		f := rack(t, 2)
+		d := NewDomain(f, 4)
+		an := f.Node(1)
+		writer := d.Participant(an, 1)
+		reader := staleBy(t, d, f.Node(0), 0, writer, stale)
+
+		entered := false
+		an.SetOpHook(func(k fabric.OpKind, arg0, _ uint64) {
+			if k == fabric.OpMiss && arg0 == d.resG.Line() && !entered {
+				entered = true
+				reader.Enter() // after the scan fetched the line, before the CAS
+			}
+		})
+		advanced := writer.TryAdvance()
+		an.SetOpHook(nil)
+		if !entered || !advanced {
+			t.Fatalf("stale=%d: entered=%v advanced=%v; the script needs the in-flight CAS to land", stale, entered, advanced)
+		}
+
+		freed := false
+		writer.Retire(func() { freed = true })
+		for i := 0; i < 10; i++ {
+			if writer.TryAdvance() {
+				t.Fatalf("stale=%d: a second advance followed the in-flight one under an active reader", stale)
+			}
+			if writer.Collect() != 0 || freed {
+				t.Fatalf("stale=%d: block freed under an active reader", stale)
+			}
+		}
+		reader.Exit()
+		writer.Barrier()
+		if !freed {
+			t.Fatalf("stale=%d: block never freed after the reader exited", stale)
+		}
+	}
+}
+
+// TestBarrierBesidePureReader is the liveness half: a participant that
+// only ever enters and exits (so nothing but the periodic refresh renews
+// its observed epoch) must not keep a writer's Barrier from terminating.
+func TestBarrierBesidePureReader(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	reader := d.Participant(f.Node(1), 1)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reader.Enter()
+			reader.Exit()
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		ran := false
+		writer.Retire(func() { ran = true })
+		writer.Barrier()
+		if !ran {
+			t.Fatalf("Barrier %d returned without reclaiming", i)
+		}
+	}
+	close(stop)
+	<-done
+}
+
+// TestEpochIdleParticipantNeverBlocks: an attached participant outside a
+// section holds a zero reservation however stale its observed epoch is.
+func TestEpochIdleParticipantNeverBlocks(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	idle := d.Participant(f.Node(1), 1)
+	idle.Enter()
+	idle.Exit()
+	for i := 0; i < 5; i++ {
+		if !writer.TryAdvance() {
+			t.Fatalf("advance %d blocked by an idle participant", i)
+		}
+	}
+}
+
+// TestEpochFenceUnblocksDeadReader: a participant that dies inside a
+// section pins the epoch until a survivor fences its slot.
+func TestEpochFenceUnblocksDeadReader(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	dead := staleBy(t, d, f.Node(1), 1, writer, 1)
+	dead.Enter()
+	f.Node(1).Crash()
+	if writer.TryAdvance() {
+		t.Fatal("epoch advanced past a dead in-section participant before the fence")
+	}
+	d.Fence(f.Node(0), dead.ID())
+	if !writer.TryAdvance() || !writer.TryAdvance() {
+		t.Fatal("advance still blocked after Fence")
+	}
+}

@@ -87,6 +87,13 @@ func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
 // Update atomically transforms the cell: it reads the current version,
 // calls fn to produce the next contents in place, and publishes it; on CAS
 // failure (a concurrent writer won) it retries with the fresh version.
+//
+// The read section is held across the CAS. The CAS compares the ADDRESS of
+// the version fn saw; outside a section that version could be retired,
+// freed, reallocated and republished at the same address in between, and
+// the CAS would then succeed over somebody else's update (ABA). Inside
+// the section the address cannot be reused, so "same address" means "same
+// version". fn runs inside the section and must not call Barrier.
 func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte)) {
 	n := p.n
 	buf := make([]byte, c.size)
@@ -95,12 +102,13 @@ func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte))
 		oldG := fabric.GPtr(n.AtomicLoad64(c.headG))
 		n.InvalidateRange(oldG, c.size)
 		n.Read(oldG, buf)
-		p.Exit()
 		fn(buf)
 		v := allocVersion(a, c.size, true)
 		n.Write(v, buf)
 		n.WriteBackRange(v, c.size)
-		if n.CAS64(c.headG, uint64(oldG), uint64(v)) {
+		won := n.CAS64(c.headG, uint64(oldG), uint64(v))
+		p.Exit()
+		if won {
 			p.Retire(func() { a.Free(oldG) })
 			return
 		}

@@ -294,7 +294,7 @@ func (h entryHdr) liveLen() uint32 {
 	return h.vlen
 }
 
-// readHeader fetches an entry's header with fresh lines. Entry blocks are
+// readHeader fetches an entry's header with a fresh line. Entry blocks are
 // immutable and fully written back before publication, so invalidating
 // then reading always observes the published bytes; the invalidate only
 // guards against stale lines from a previous residency of the block.
@@ -309,30 +309,37 @@ func (v *View) readHeader(e fabric.GPtr) entryHdr {
 	}
 }
 
-// readBody fetches the key and value bytes following an entry's header.
-func (v *View) readBody(e fabric.GPtr, hdr entryHdr) (key, value []byte) {
-	total := uint64(hdr.klen) + uint64(hdr.liveLen())
-	if total == 0 {
-		return nil, nil
-	}
-	v.n.InvalidateRange(e.Add(entryHdrSize), total)
-	buf := make([]byte, total)
-	v.n.Read(e.Add(entryHdrSize), buf)
-	return buf[:hdr.klen], buf[hdr.klen:]
-}
-
-// keyMatches reports whether entry e is bound to key.
-func (v *View) keyMatches(e fabric.GPtr, hdr entryHdr, key string) bool {
+// fetch reads entry e once for an op on key: the header, then — only if
+// the key length matches — the key bytes and, when the op returns the
+// value, the value bytes behind them in the same transfer. No line is
+// invalidated or fetched twice: blocks are line-aligned, so the header's
+// line is fresh from readHeader and only the lines past it are
+// invalidated before the body is read. match reports whether e is bound
+// to key; val is nil unless withValue.
+func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, val []byte, match bool) {
+	hdr = v.readHeader(e)
 	if int(hdr.klen) != len(key) {
-		return false
+		return hdr, nil, false
 	}
-	if hdr.klen == 0 {
-		return true
+	n := uint64(hdr.klen)
+	if withValue {
+		n += uint64(hdr.liveLen())
 	}
-	v.n.InvalidateRange(e.Add(entryHdrSize), uint64(hdr.klen))
-	kb := make([]byte, hdr.klen)
-	v.n.Read(e.Add(entryHdrSize), kb)
-	return string(kb) == key
+	if n == 0 {
+		return hdr, nil, true
+	}
+	if end := entryHdrSize + n; end > fabric.LineSize {
+		v.n.InvalidateRange(e.Add(fabric.LineSize), end-fabric.LineSize)
+	}
+	buf := make([]byte, n)
+	v.n.Read(e.Add(entryHdrSize), buf)
+	if string(buf[:hdr.klen]) != key {
+		return hdr, nil, false
+	}
+	if withValue {
+		val = buf[hdr.klen:]
+	}
+	return hdr, val, true
 }
 
 // newEntry writes an immutable entry block and pushes its lines to home
@@ -377,12 +384,20 @@ type probeResult struct {
 	sk    uint64      // index key of the slot bound to key
 	entry fabric.GPtr // current entry (Nil if the slot is absent)
 	hdr   entryHdr
+	val   []byte // the entry's value bytes, if the probe asked for them
+}
+
+// live reports whether the probed entry holds a value a read may return.
+func (v *View) live(pr probeResult) bool {
+	return !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr)
 }
 
 // probe walks the salted-hash chain until it finds the slot bound to key
 // or the first absent slot (entry Nil: the key has never been stored; sk
-// is where an insert would bind it). Must run inside a read section.
-func (v *View) probe(key string) probeResult {
+// is where an insert would bind it). withValue says whether the op returns
+// the value (GET, MGET, INCRBY, EXPIRE) or needs the key's binding alone
+// (EXISTS, DEL, SET's probe). Must run inside a read section.
+func (v *View) probe(key string, withValue bool) probeResult {
 	h := keyHash(key)
 	for salt := 0; salt < maxProbeSalts; salt++ {
 		sk := slotKey(h, salt)
@@ -391,12 +406,22 @@ func (v *View) probe(key string) probeResult {
 			return probeResult{sk: sk, entry: fabric.Nil}
 		}
 		e := fabric.GPtr(ev)
-		hdr := v.readHeader(e)
-		if v.keyMatches(e, hdr, key) {
-			return probeResult{sk: sk, entry: e, hdr: hdr}
+		if hdr, val, match := v.fetch(e, key, withValue); match {
+			return probeResult{sk: sk, entry: e, hdr: hdr, val: val}
 		}
 	}
 	panic(fmt.Sprintf("redis: RackStore salted-probe chain exhausted for key %q (%d 64-bit hash collisions?!); size Slots up", key, maxProbeSalts))
+}
+
+// displaced returns the header of entry old, which an Exchange on pr's
+// slot just displaced: the probed header when old IS the probed entry
+// (same section, so same address means same immutable block), a fresh
+// fetch when a concurrent writer published in between.
+func (v *View) displaced(pr probeResult, old fabric.GPtr) entryHdr {
+	if old == pr.entry {
+		return pr.hdr
+	}
+	return v.readHeader(old)
 }
 
 // checkSizes validates an entry's payload against the allocator's largest
@@ -446,7 +471,7 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 	v.p.Enter()
 	defer v.p.Exit()
 	for {
-		pr := v.probe(key)
+		pr := v.probe(key, false)
 		if pr.entry.IsNil() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(blk)); inserted {
 				return fabric.Nil, false
@@ -461,7 +486,7 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 		// The displaced entry may differ from the probed one (a concurrent
 		// writer published in between), but slot binding is permanent, so
 		// it is OUR key's entry and we own retiring it.
-		return oe, v.readHeader(oe).deleted()
+		return oe, v.displaced(pr, oe).deleted()
 	}
 }
 
@@ -478,10 +503,8 @@ func (v *View) Get(key string) ([]byte, bool) {
 		defer func() { v.tw.End(trace.SubRedis, trace.KGet, h, uint64(len(val))) }()
 	}
 	v.p.Enter()
-	pr := v.probe(key)
-	if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-		_, val = v.readBody(pr.entry, pr.hdr)
-		ok = true
+	if pr := v.probe(key, true); v.live(pr) {
+		val, ok = pr.val, true
 	}
 	v.p.Exit()
 	v.tick()
@@ -496,9 +519,8 @@ func (v *View) MGet(keys ...string) [][]byte {
 	vals := make([][]byte, len(keys))
 	v.p.Enter()
 	for i, key := range keys {
-		pr := v.probe(key)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-			_, vals[i] = v.readBody(pr.entry, pr.hdr)
+		if pr := v.probe(key, true); v.live(pr) {
+			vals[i] = pr.val
 		}
 	}
 	v.p.Exit()
@@ -511,8 +533,7 @@ func (v *View) Exists(keys ...string) int {
 	n := 0
 	v.p.Enter()
 	for _, key := range keys {
-		pr := v.probe(key)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
+		if v.live(v.probe(key, false)) {
 			n++
 		}
 	}
@@ -539,7 +560,7 @@ func (v *View) del1(key string) bool {
 		return false
 	}
 	v.p.Enter()
-	pr := v.probe(key)
+	pr := v.probe(key, false)
 	if pr.entry.IsNil() || pr.hdr.deleted() {
 		v.p.Exit()
 		v.tick()
@@ -559,7 +580,7 @@ func (v *View) del1(key string) bool {
 		return false
 	}
 	oe := fabric.GPtr(old)
-	ohdr := v.readHeader(oe)
+	ohdr := v.displaced(pr, oe)
 	wasLive := !ohdr.deleted()
 	wasUnexpired := wasLive && !v.expired(ohdr)
 	v.retire(oe)
@@ -586,12 +607,11 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 			return 0, ErrFenced
 		}
 		v.p.Enter()
-		pr := v.probe(key)
+		pr := v.probe(key, true)
 		cur := int64(0)
 		exp := uint64(0)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-			_, val := v.readBody(pr.entry, pr.hdr)
-			parsed, err := strconv.ParseInt(string(val), 10, 64)
+		if v.live(pr) {
+			parsed, err := strconv.ParseInt(string(pr.val), 10, 64)
 			if err != nil {
 				v.p.Exit()
 				v.tick()
@@ -640,14 +660,13 @@ func (v *View) Expire(key string, ttl time.Duration) bool {
 			return false
 		}
 		v.p.Enter()
-		pr := v.probe(key)
-		if pr.entry.IsNil() || pr.hdr.deleted() || v.expired(pr.hdr) {
+		pr := v.probe(key, true)
+		if !v.live(pr) {
 			v.p.Exit()
 			v.tick()
 			return false
 		}
-		_, val := v.readBody(pr.entry, pr.hdr)
-		nblk := v.newEntry(key, val, v.Now()+uint64(ttl.Nanoseconds()), false)
+		nblk := v.newEntry(key, pr.val, v.Now()+uint64(ttl.Nanoseconds()), false)
 		if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.entry), uint64(nblk)) {
 			v.p.Exit()
 			v.retire(pr.entry)

@@ -360,3 +360,152 @@ func TestRackStoreExpire(t *testing.T) {
 		t.Fatal("EXPIRE on a deleted key reported success")
 	}
 }
+
+// --- entry fetch: one fetch per line per op ---
+
+// TestRackStoreGetFabricBudget pins what a GET costs: for an entry of
+// three lines read cold from another node, four fabric atomics (enter,
+// two for the index probe, exit), two invalidate calls (the header's line,
+// then the lines past it), three line fetches and one hit (the key's bytes
+// in the header's already-fetched line) — nothing is fetched twice.
+func TestRackStoreGetFabricBudget(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	key, val := "key:0000000000017", bytes.Repeat([]byte{7}, 128) // 16+17+128 = 161 B: three lines
+	if err := a.Set(key, val, 0); err != nil {
+		t.Fatal(err)
+	}
+	n, lat := f.Node(1), f.Latency()
+	before := n.Stats()
+	got, ok := b.Get(key)
+	d := n.Stats().Delta(before)
+	if !ok || !bytes.Equal(got, val) {
+		t.Fatalf("get: ok=%v len=%d", ok, len(got))
+	}
+	atomicNS, missNS := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS
+	// The stats count dropped lines, not invalidate calls; the exact charge
+	// pins the two calls (LocalNS each).
+	wantNS := uint64(4*atomicNS + 2*lat.LocalNS + missNS + (lat.LocalNS + missNS + lat.PerLineNS))
+	if d.Atomics != 4 || d.Misses != 3 || d.Hits != 1 || d.VirtualNS != wantNS {
+		t.Fatalf("GET of a 3-line entry: %d atomics, %d line fetches, %d hits, %d sim_ns; want 4, 3, 1, %d",
+			d.Atomics, d.Misses, d.Hits, d.VirtualNS, wantNS)
+	}
+}
+
+// TestRackStoreKeyOnlyOpsSkipTheValue: EXISTS and DEL need the key's
+// binding, not the value, so against a 32 KiB value they read the header
+// and the key bytes and nothing else.
+func TestRackStoreKeyOnlyOpsSkipTheValue(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	key := "big-value-key"
+	if err := a.Set(key, make([]byte, 32<<10), 0); err != nil {
+		t.Fatal(err)
+	}
+	n := f.Node(1)
+	want := uint64(entryHdrSize + len(key))
+	before := n.Stats()
+	if b.Exists(key) != 1 {
+		t.Fatal("EXISTS missed a live key")
+	}
+	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Misses != 1 {
+		t.Fatalf("EXISTS read %d B in %d line fetches; want %d B (header+key) in 1", d.BulkBytesRead, d.Misses, want)
+	}
+	// DEL also writes its marker block (a write-allocate miss of its own),
+	// so count what it READ: two line accesses, header then key.
+	before = n.Stats()
+	if b.Del(key) != 1 {
+		t.Fatal("DEL missed a live key")
+	}
+	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Loads != 2 {
+		t.Fatalf("DEL read %d B in %d line accesses; want %d B (header+key, probed header reused) in 2", d.BulkBytesRead, d.Loads, want)
+	}
+	if _, ok := a.Get(key); ok {
+		t.Fatal("key still live after DEL")
+	}
+}
+
+// TestRackStoreEntryShapesNoStaleLines reads entries of every shape the
+// fetch distinguishes — ending exactly on a line boundary, fitting in the
+// header's line, key straddling two lines, value starting on a boundary —
+// from a second node after the block's address was reused for different
+// bytes. The second node still holds the previous tenant's lines, so any
+// line fetch skips its invalidate shows as stale bytes.
+func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
+	shapes := []struct{ klen, vlen int }{
+		{8, 40},   // 64 B: ends exactly on the header line's boundary
+		{8, 104},  // 128 B: ends exactly on the second line's boundary
+		{16, 160}, // 192 B: three full lines
+		{5, 9},    // fits inside the header's line
+		{3, 0},    // key only, empty value
+		{60, 30},  // key straddles lines 0 and 1
+		{48, 64},  // value starts exactly on a line boundary
+		{70, 300}, // long key, multi-line value
+	}
+	for _, sh := range shapes {
+		f, s := newTestRackStore(t, 2, RackStoreConfig{})
+		a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+		key := string(bytes.Repeat([]byte{'k'}, sh.klen))
+		mk := func(round int) []byte { return bytes.Repeat([]byte{byte('a' + round)}, sh.vlen) }
+		sk := slotKey(keyHash(key), 0)
+		seen := map[uint64]bool{}
+		reused := false
+		for round := 0; round < 8; round++ {
+			want := mk(round)
+			if err := a.Set(key, want, 0); err != nil {
+				t.Fatal(err)
+			}
+			e, _ := s.index.Get(f.Node(0), sk)
+			reused = reused || seen[e]
+			seen[e] = true
+			for _, v := range []*View{b, a} {
+				if got, ok := v.Get(key); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("klen=%d vlen=%d round %d node %d: got %q ok=%v, want %q", sh.klen, sh.vlen, round, v.Node().ID(), got, ok, want)
+				}
+				if v.Exists(key) != 1 {
+					t.Fatalf("klen=%d vlen=%d round %d: EXISTS missed the key", sh.klen, sh.vlen, round)
+				}
+			}
+			a.Barrier() // frees the displaced block so the next Set reuses its address
+		}
+		if !reused {
+			t.Fatalf("klen=%d vlen=%d: no block address was ever reused; the stale-line check has no teeth", sh.klen, sh.vlen)
+		}
+	}
+}
+
+// TestRackStoreSaltedChainSkipsForeignKey binds a key's first slot to a
+// FOREIGN key of the same length (what a full 64-bit hash collision
+// produces): every op must compare the key bytes, skip the slot, and work
+// on the next salted slot, leaving the foreign entry alone.
+func TestRackStoreSaltedChainSkipsForeignKey(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	key, foreign := "key-mine", "key-ELSE"
+	sk0 := slotKey(keyHash(key), 0)
+	fblk := a.newEntry(foreign, []byte("foreign-value"), 0, false)
+	if _, inserted := s.index.PutIfAbsent(f.Node(0), sk0, uint64(fblk)); !inserted {
+		t.Fatal("could not plant the colliding entry")
+	}
+	if _, ok := b.Get(key); ok {
+		t.Fatal("GET matched a foreign key of the same length")
+	}
+	if b.Exists(key) != 0 || b.Del(key) != 0 {
+		t.Fatal("EXISTS/DEL matched a foreign key of the same length")
+	}
+	if err := b.Set(key, []byte("mine"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.Get(key); !ok || string(got) != "mine" {
+		t.Fatalf("GET after SET behind a collision: %q ok=%v", got, ok)
+	}
+	if e, _ := s.index.Get(f.Node(0), sk0); fabric.GPtr(e) != fblk {
+		t.Fatal("SET displaced the foreign key's entry instead of binding the next salted slot")
+	}
+	if e, ok := s.index.Get(f.Node(0), slotKey(keyHash(key), 1)); !ok || e == 0 {
+		t.Fatal("key was not bound at salt 1")
+	}
+	if a.Del(key) != 1 || b.Exists(key) != 0 {
+		t.Fatal("DEL behind a collision did not delete the key")
+	}
+}
