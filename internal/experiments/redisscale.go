@@ -31,32 +31,30 @@ type RedisScaleConfig struct {
 }
 
 // DefaultRedisScale is the acceptance setup: 1..16 serving nodes, the
-// combining gate at 8 nodes. 1.25x is what combining must prove against
+// combining gate at 8 nodes. 1.15x is what combining must prove against
 // the hot-key wall alone (contended publishes that retry against each
-// other): the per-op quiescence cost a sweep's fan-in would also amortise
-// is two atomics for either arm (EXPERIMENTS.md has the measured ratios).
+// other). What one summed IncrBy saves shrinks with what an IncrBy costs:
+// the gate was 1.25x when the uncombined publish re-walked the index and
+// an IncrBy cost a third more (EXPERIMENTS.md has both arms, before and
+// after, and the measured ratios).
 func DefaultRedisScale() RedisScaleConfig {
 	return RedisScaleConfig{
 		NodeCounts:   []int{1, 2, 4, 8, 16},
 		CombineNodes: 8,
 		Rounds:       30,
 		OpsPerRound:  64,
-		CombineGate:  1.25,
+		CombineGate:  1.15,
 	}
 }
 
-// QuickRedisScale is the CI-sized sweep: three node counts and a tenth
-// of the ops. At 4 nodes fixed sweep costs amortize over far less
-// fan-in, so its bar only proves combining does not lose; the full run
-// enforces 1.25x.
+// QuickRedisScale is the CI-sized sweep: the full run's rounds and ops at
+// its three smallest node counts, gated at the largest of them. Fewer
+// rounds or ops gather too little fan-in per sweep for the ratio to mean
+// anything, and fewer arrivals than 30 x 64 trip the 1-node low-load gate.
 func QuickRedisScale() RedisScaleConfig {
-	return RedisScaleConfig{
-		NodeCounts:   []int{1, 2, 4},
-		CombineNodes: 4,
-		Rounds:       10,
-		OpsPerRound:  32,
-		CombineGate:  1.0,
-	}
+	cfg := DefaultRedisScale()
+	cfg.NodeCounts, cfg.CombineNodes, cfg.CombineGate = []int{1, 2, 4}, 4, 1.1
+	return cfg
 }
 
 const (

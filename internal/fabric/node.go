@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -138,7 +139,7 @@ func (n *Node) lineAccess(g GPtr, size uint64, write bool, fn func(data *[LineSi
 	var victimIdx uint64
 	var victim *cacheLine
 	if miss {
-		ln = &cacheLine{}
+		ln = c.newLine()
 		if write && off == 0 && size == LineSize {
 			// Full-line write: no write-allocate fetch — the line's old
 			// contents are irrelevant and the store buffer covers it
@@ -374,16 +375,33 @@ func (n *Node) Fence() {
 // atomics the old line-at-a-time path paid are pure overhead.
 
 // wbHarvestCap is how many dirty lines the ranged write-back paths buffer
-// on the stack before spilling to the heap. 64 lines (one 4 KiB page of
-// payload) covers every range the hot subsystems flush in one call.
-// wbSmallCap is the tier below it: Go zero-initializes a declared array,
-// and paying a ~4.6 KiB memclr on a one-line write-back (the trace
-// emitter's per-event publish) would eat most of the batching win, so
-// narrow ranges get a one-line-wide buffer instead.
+// on the stack: 64 lines, one 4 KiB page of payload. wbSmallCap is the
+// tier below it: Go zero-initializes a declared array, and paying a
+// ~4.6 KiB memclr on a one-line write-back (the trace emitter's per-event
+// publish) would eat most of the batching win, so narrow ranges get a
+// one-line-wide buffer instead. A range wider than wbHarvestCap lines (an
+// ipc message over 4 KiB) borrows a buffer from wbSpill, because appending
+// past the stack array grows a fresh ~9 KiB slice on every such call.
 const (
 	wbHarvestCap = 64
 	wbSmallCap   = 4
 )
+
+var wbSpill = sync.Pool{New: func() any {
+	buf := make([]wbEntry, 0, 2*wbHarvestCap)
+	return &buf
+}}
+
+// writeBackWide is the ranged write-back of a range too wide for the stack
+// tiers, harvested into a pooled buffer; it returns the lines dropped.
+func (n *Node) writeBackWide(first, last uint64, drop bool) uint64 {
+	bp := wbSpill.Get().(*[]wbEntry)
+	buf, dropped := n.harvestRange(first, last, (*bp)[:0], drop)
+	n.finishWriteBack(buf)
+	*bp = buf
+	wbSpill.Put(bp)
+	return dropped
+}
 
 // wbEntry is one harvested dirty line awaiting its home write.
 type wbEntry struct {
@@ -410,7 +428,7 @@ func (n *Node) harvestRange(first, last uint64, buf []wbEntry, drop bool) ([]wbE
 			buf = append(buf, wbEntry{li: li, data: ln.data})
 		}
 		if drop {
-			delete(c.lines, li)
+			c.drop(li, ln)
 			dropped++
 		}
 	}
@@ -455,6 +473,10 @@ func (n *Node) WriteBackRange(g GPtr, size uint64) {
 		n.finishWriteBack(buf)
 		return
 	}
+	if last-first >= wbHarvestCap {
+		n.writeBackWide(first, last, false)
+		return
+	}
 	var stack [wbHarvestCap]wbEntry
 	buf, _ := n.harvestRange(first, last, stack[:0], false)
 	n.finishWriteBack(buf)
@@ -475,8 +497,8 @@ func (n *Node) InvalidateRange(g GPtr, size uint64) {
 	c.mu.Lock()
 	c.maintLocks++
 	for li := first; li <= last; li++ {
-		if _, ok := c.lines[li]; ok {
-			delete(c.lines, li)
+		if ln, ok := c.lines[li]; ok {
+			c.drop(li, ln)
 			dropped++
 		}
 	}
@@ -508,9 +530,15 @@ func (n *Node) FlushRange(g GPtr, size uint64) {
 		n.charge(n.fab.lat.LocalNS)
 		return
 	}
-	var stack [wbHarvestCap]wbEntry
-	buf, dropped := n.harvestRange(first, last, stack[:0], true)
-	n.finishWriteBack(buf)
+	var dropped uint64
+	if last-first >= wbHarvestCap {
+		dropped = n.writeBackWide(first, last, true)
+	} else {
+		var stack [wbHarvestCap]wbEntry
+		var buf []wbEntry
+		buf, dropped = n.harvestRange(first, last, stack[:0], true)
+		n.finishWriteBack(buf)
+	}
 	if dropped > 0 {
 		n.stats.Invalidates.Add(dropped)
 	}

@@ -136,3 +136,72 @@ func TestFlushRangeSinglePass(t *testing.T) {
 		t.Errorf("flushed line did not reach home: got %d", w[0])
 	}
 }
+
+// TestDroppedLinesAreRecycledClean pins the cache's free list: a line
+// object dropped by an invalidate is what the next miss uses, and it
+// arrives zeroed and clean whatever it held when it was dropped.
+func TestDroppedLinesAreRecycledClean(t *testing.T) {
+	f := New(Config{GlobalSize: 1 << 20, Nodes: 1, CacheCapacityLines: -1})
+	n := f.Node(0)
+	g := f.Reserve(2*LineSize, LineSize)
+	dirtyLines(n, g, 1)
+	dropped := n.cache.lines[g.Line()]
+	n.InvalidateRange(g, LineSize) // the dirty word is lost, by contract
+
+	c := n.cache
+	c.mu.Lock()
+	ln := c.newLine()
+	onList := len(c.free)
+	c.mu.Unlock()
+	if ln != dropped || onList != 0 {
+		t.Fatalf("miss after a drop got a fresh line object (free list still holds %d)", onList)
+	}
+	if *ln != (cacheLine{}) {
+		t.Errorf("recycled line arrived dirty=%v data=%v, want zeroed and clean", ln.dirty, ln.data)
+	}
+
+	// Through the public surface: the recycled object carries nothing of
+	// the lost store into the line that reuses it.
+	dirtyLines(n, g, 1)
+	n.InvalidateRange(g, LineSize)
+	before := n.Stats()
+	if got := n.Load64(g.Add(LineSize + 8)); got != 0 {
+		t.Errorf("load through a recycled line = %d, want home's 0", got)
+	}
+	n.WriteBackRange(g, 2*LineSize)
+	if d := n.Stats().Delta(before); d.WriteBacks != 0 {
+		t.Errorf("a recycled line was written back %d times after a load", d.WriteBacks)
+	}
+
+	// The list is bounded: a bulk invalidate retains freeLinesMax objects.
+	wide := f.Reserve((freeLinesMax+64)*LineSize, LineSize)
+	dirtyLines(n, wide, freeLinesMax+64)
+	n.InvalidateRange(wide, (freeLinesMax+64)*LineSize)
+	if got := len(n.cache.free); got != freeLinesMax {
+		t.Errorf("free list holds %d lines after a bulk invalidate, want the cap %d", got, freeLinesMax)
+	}
+}
+
+// TestTransportCycleAllocatesNothing is the host-side budget of what an
+// ipc message costs the cache: the receiver's invalidate-then-read of a
+// message and the sender's write-then-write-back of one wider than the
+// stack harvest buffer reuse line objects and a pooled spill buffer. (The
+// race detector makes sync.Pool drop one Put in four; the average stays
+// under one allocation per cycle.)
+func TestTransportCycleAllocatesNothing(t *testing.T) {
+	const lines = wbHarvestCap + 32
+	f := New(Config{GlobalSize: 1 << 20, Nodes: 2, CacheCapacityLines: -1})
+	tx, rx := f.Node(0), f.Node(1)
+	g := f.Reserve(lines*LineSize, LineSize)
+	msg := make([]byte, lines*LineSize)
+	cycle := func() {
+		tx.Write(g, msg)
+		tx.WriteBackRange(g, uint64(len(msg)))
+		rx.InvalidateRange(g, uint64(len(msg)))
+		rx.Read(g, msg)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("a %d-line send and receive allocates %.0f objects per cycle, want 0", lines, avg)
+	}
+}

@@ -7,13 +7,17 @@
 //
 //   - The arena is divided into fixed slabs; each slab is dedicated to one
 //     size class, recorded in a global class table, so Free can recover an
-//     object's class from its address alone (no per-object header).
+//     object's class from its address alone (no per-object header). A
+//     slab's entry is written once, when the slab is grabbed, and never
+//     again, so each NodeAllocator remembers the entries it has read: the
+//     table costs a node one fabric atomic per slab, not one per Free.
 //   - Central free lists are Treiber stacks whose head words carry an ABA
 //     tag in the upper bits. Heads and the per-block next words are accessed
 //     only with fabric atomics, which bypass the caches, so the lists are
 //     correct without any cache maintenance.
 //   - Each node's NodeAllocator keeps small per-class magazines in local
-//     memory; only magazine refill/spill touches the shared lists.
+//     memory; only magazine refill/spill touches the shared lists. The
+//     common path of AllocUninit and of Free is node-local end to end.
 //
 // Reclamation of objects still referenced by concurrent readers is the job
 // of flacdk/quiescence: retire the object there and pass Free as the
@@ -92,7 +96,8 @@ func classFor(size uint64) int {
 // ClassSize returns the block size Alloc would use for size bytes.
 func ClassSize(size uint64) uint64 { return Classes[classFor(size)] }
 
-// classOf recovers the class of an allocated block from its address.
+// classOf recovers the class of an allocated block from its address with
+// one load of the global class table.
 func (a *Arena) classOf(n *fabric.Node, g fabric.GPtr) int {
 	if g < a.base || uint64(g) >= uint64(a.base)+a.slabs*SlabSize {
 		panic(fmt.Sprintf("alloc: Free(%v) outside arena", g))
@@ -159,6 +164,10 @@ type NodeAllocator struct {
 	// reserve holds the unconsumed remainder of slabs this node grabbed:
 	// pure local bookkeeping, consumed without fabric traffic.
 	reserve [][]fabric.GPtr
+	// slabClass memoises the global class table, class index + 1 per slab
+	// and 0 for a slab this node has not freed into yet. Entries of the
+	// table are write-once (grabSlab), so a remembered one is never stale.
+	slabClass []uint8
 
 	allocs atomic.Uint64
 	frees  atomic.Uint64
@@ -171,11 +180,12 @@ func (a *Arena) NodeAllocator(n *fabric.Node, magCap int) *NodeAllocator {
 		magCap = 32
 	}
 	return &NodeAllocator{
-		arena:   a,
-		node:    n,
-		mags:    make([][]fabric.GPtr, len(Classes)),
-		magCap:  magCap,
-		reserve: make([][]fabric.GPtr, len(Classes)),
+		arena:     a,
+		node:      n,
+		mags:      make([][]fabric.GPtr, len(Classes)),
+		magCap:    magCap,
+		reserve:   make([][]fabric.GPtr, len(Classes)),
+		slabClass: make([]uint8, a.slabs),
 	}
 }
 
@@ -220,6 +230,20 @@ func (na *NodeAllocator) Alloc(size uint64) fabric.GPtr {
 	return g
 }
 
+// classOf is Arena.classOf behind the node's memo: one fabric atomic the
+// first time this node frees into a slab, none after. A block outside the
+// arena or in an unassigned slab is never in the memo, so both of
+// Arena.classOf's panics still fire.
+func (na *NodeAllocator) classOf(g fabric.GPtr) int {
+	slab := (uint64(g) - uint64(na.arena.base)) / SlabSize // wraps past every slab for g below base
+	if slab < uint64(len(na.slabClass)) && na.slabClass[slab] != 0 {
+		return int(na.slabClass[slab] - 1)
+	}
+	ci := na.arena.classOf(na.node, g)
+	na.slabClass[slab] = uint8(ci + 1)
+	return ci
+}
+
 // Free returns a block to the allocator. The caller must guarantee no
 // concurrent reader can still dereference it (use quiescence.Retire when
 // that is not structurally evident). It implements quiescence.Allocator.
@@ -227,7 +251,7 @@ func (na *NodeAllocator) Free(g fabric.GPtr) {
 	if g.IsNil() {
 		panic("alloc: Free(nil)")
 	}
-	ci := na.arena.classOf(na.node, g)
+	ci := na.classOf(g)
 	na.frees.Add(1)
 	if len(na.mags[ci]) < na.magCap {
 		na.mags[ci] = append(na.mags[ci], g)

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,18 +74,57 @@ func TestFreeReuseSameClass(t *testing.T) {
 func TestFreeErrors(t *testing.T) {
 	f, a := arena(t, 1, 2)
 	na := a.NodeAllocator(f.Node(0), 0)
-	mustPanic := func(name string, fn func()) {
+	mustPanic := func(name, msg string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s should panic", name)
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), msg) {
+				t.Fatalf("%s: panic %v, want one mentioning %q", name, r, msg)
 			}
 		}()
 		fn()
 	}
-	mustPanic("nil free", func() { na.Free(fabric.Nil) })
-	mustPanic("outside arena", func() { na.Free(fabric.GPtr(8)) })
-	mustPanic("unassigned slab", func() { na.Free(a.base.Add(10 * SlabSize)) })
+	// Twice: on a fresh allocator, and again once a Free has put an entry
+	// in the slab-class memo — the memo must not answer for an address it
+	// has never seen.
+	for round := 0; round < 2; round++ {
+		mustPanic("nil free", "Free(nil)", func() { na.Free(fabric.Nil) })
+		mustPanic("below the arena", "outside arena", func() { na.Free(fabric.GPtr(8)) })
+		mustPanic("past the arena", "outside arena", func() { na.Free(a.base.Add(a.slabs * SlabSize)) })
+		mustPanic("unassigned slab", "unassigned slab", func() { na.Free(a.base.Add((a.slabs - 1) * SlabSize)) })
+		na.Free(na.AllocUninit(64))
+	}
+}
+
+// TestFreeFabricBudget pins Free's fabric cost from Node.Stats() deltas:
+// the class table is read once per slab per node — one atomic on the first
+// Free into a slab — and a Free into a slab the node has freed into before
+// touches the fabric not at all (the magazine has room throughout).
+func TestFreeFabricBudget(t *testing.T) {
+	f, a := arena(t, 2, 2)
+	n0, n1 := f.Node(0), f.Node(1)
+	na0, na1 := a.NodeAllocator(n0, 0), a.NodeAllocator(n1, 0)
+	atomicNS := uint64(f.Latency().AtomicNS + n0.Hops()*f.Latency().HopNS)
+	free := func(na *NodeAllocator, g fabric.GPtr, atomics uint64, what string) {
+		t.Helper()
+		before := na.Node().Stats()
+		na.Free(g)
+		if d := na.Node().Stats().Delta(before); d.Atomics != atomics || d.VirtualNS != atomics*atomicNS {
+			t.Fatalf("%s: %d atomics, %d sim_ns; want %d atomics and nothing else", what, d.Atomics, d.VirtualNS, atomics)
+		}
+	}
+	var small, large, remote []fabric.GPtr // two slabs of node 0's, and blocks node 1 will free
+	for i := 0; i < 8; i++ {
+		small, large, remote = append(small, na0.AllocUninit(100)), append(large, na0.AllocUninit(3000)), append(remote, na0.AllocUninit(100))
+	}
+	for i := range small {
+		first := uint64(0)
+		if i == 0 {
+			first = 1
+		}
+		free(na0, small[i], first, fmt.Sprintf("node 0, 128 B slab, Free #%d", i+1))
+		free(na0, large[i], first, fmt.Sprintf("node 0, 4 KiB slab, Free #%d", i+1))
+		free(na1, remote[i], first, fmt.Sprintf("node 1 into node 0's slab, Free #%d", i+1))
+	}
 }
 
 func TestCrossNodeAllocFree(t *testing.T) {

@@ -31,15 +31,28 @@
 // g0+1; an advancer that scanned the slot before the store loaded its
 // epoch e <= g0 before that, and its CAS lands at most at g0+1 too, after
 // which every other such CAS fails. Everything the reader can reach was
-// still linked when its store landed, so it is retired (Retire loads the
-// epoch after the unlink) at an epoch >= g0 and freed only at >= g0+2,
-// which the epoch cannot reach until the reader exits. The load / store /
-// re-load chase classic EBR runs on entry buys liveness — a reader never
-// holds back an advance it need not — and no safety.
+// still linked when its store landed, so it is retired (stamped with an
+// epoch loaded after the unlink, see below) at an epoch >= g0 and freed
+// only at >= g0+2, which the epoch cannot reach until the reader exits.
+// The load / store / re-load chase classic EBR runs on entry buys liveness
+// — a reader never holds back an advance it need not — and no safety.
+//
+// Retire makes no fabric operation either. All the argument above asks of
+// a retirement's epoch is that it was loaded AFTER the unlink, so Retire
+// queues the callback unstamped and the participant's next epoch load —
+// TryAdvance, Collect, Barrier, a refreshing Enter — stamps everything
+// queued with the value it loaded. A later stamp than the classic one
+// only delays the free. Collect stamps before it looks, and a fresh stamp
+// is never two epochs old, so an unstamped entry is never freed; whoever
+// retires also collects, so a block waits at most one tick longer than it
+// used to (with a single participant the stamp is the very same epoch).
+// The cached seen is NOT a usable stamp: it may predate the unlink by any
+// number of advances, and a block stamped two epochs low is freed under a
+// reader that entered before it was unlinked.
 //
 // Liveness is kept by refreshing seen wherever the epoch is loaded anyway
-// (attach, Retire, TryAdvance including its successful CAS, Collect,
-// Barrier) and on every refreshEvery-th outermost Enter. A pure reader
+// (attach, TryAdvance including its successful CAS, Collect, Barrier) and
+// on every refreshEvery-th outermost Enter. A pure reader
 // (an fs mount, VersionedCell.Read, a pinned checkpointer) therefore
 // announces the current epoch within refreshEvery sections of any
 // advance; until then it can fail an advance only while it is actually
@@ -116,7 +129,8 @@ func (d *Domain) slotG(id int) fabric.GPtr { return d.resG.Add(uint64(id) * fabr
 // Epoch returns the current global epoch as seen by node n.
 func (d *Domain) Epoch(n *fabric.Node) uint64 { return n.AtomicLoad64(d.epochG) }
 
-// retired is one deferred reclamation.
+// retired is one deferred reclamation. epoch is meaningful once the entry
+// is stamped (Participant.stamped).
 type retired struct {
 	epoch uint64
 	fn    func()
@@ -134,8 +148,9 @@ type Participant struct {
 	enters uint64 // outermost Enters, for the periodic refresh of seen
 	scan   []byte // TryAdvance's copy of the reservation block
 
-	mu      sync.Mutex // guards retired list (local bookkeeping)
+	mu      sync.Mutex // guards retired and stamped (local bookkeeping)
 	retired []retired
+	stamped int // retired[:stamped] carry an epoch; the rest await the next epoch load
 	depth   int
 }
 
@@ -151,9 +166,22 @@ func (d *Domain) Participant(n *fabric.Node, id int) *Participant {
 	return p
 }
 
-// epoch loads the global epoch and refreshes seen with it.
+// epoch loads the global epoch, refreshes seen with it and stamps every
+// retirement queued since the last load. The load is made with the list
+// locked, so whatever it stamps was queued — and therefore unlinked —
+// before it.
 func (p *Participant) epoch() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.epochLocked()
+}
+
+func (p *Participant) epochLocked() uint64 {
 	p.seen = p.n.AtomicLoad64(p.d.epochG)
+	for i := p.stamped; i < len(p.retired); i++ {
+		p.retired[i].epoch = p.seen
+	}
+	p.stamped = len(p.retired)
 	return p.seen
 }
 
@@ -192,11 +220,12 @@ func (p *Participant) Pin() { p.Enter() }
 func (p *Participant) Unpin() { p.Exit() }
 
 // Retire schedules fn to run once no participant can still hold a
-// reference obtained before this call (i.e. after two epoch advances).
+// reference obtained before this call (i.e. two epoch advances after the
+// participant's next epoch load). It touches no fabric word: the entry is
+// queued unstamped and the next load stamps it (package comment).
 func (p *Participant) Retire(fn func()) {
-	e := p.epoch()
 	p.mu.Lock()
-	p.retired = append(p.retired, retired{epoch: e, fn: fn})
+	p.retired = append(p.retired, retired{fn: fn})
 	p.mu.Unlock()
 }
 
@@ -236,8 +265,20 @@ func (d *Domain) Fence(n *fabric.Node, id int) {
 // Collect runs every retired callback whose grace period has elapsed and
 // returns how many ran.
 func (p *Participant) Collect() int {
-	cur := p.epoch()
+	ready := p.takeReady()
+	for _, r := range ready {
+		r.fn()
+	}
+	return len(ready)
+}
+
+// takeReady stamps what is queued, then removes and returns every entry
+// two epochs old. Load, stamp and sweep happen under one lock, so the
+// sweep never meets an unstamped entry.
+func (p *Participant) takeReady() []retired {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := p.epochLocked()
 	var ready []retired
 	keep := p.retired[:0]
 	for _, r := range p.retired {
@@ -247,12 +288,8 @@ func (p *Participant) Collect() int {
 			keep = append(keep, r)
 		}
 	}
-	p.retired = keep
-	p.mu.Unlock()
-	for _, r := range ready {
-		r.fn()
-	}
-	return len(ready)
+	p.retired, p.stamped = keep, len(keep)
+	return ready
 }
 
 // Barrier advances epochs until everything retired before the call is
@@ -271,7 +308,8 @@ func (p *Participant) Barrier() {
 	p.Collect()
 }
 
-// PendingRetired returns how many retirements await their grace period.
+// PendingRetired returns how many retirements await their grace period,
+// stamped or not.
 func (p *Participant) PendingRetired() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -278,8 +278,9 @@ func TestWriteOversizedPanics(t *testing.T) {
 // TestBudgetFabricOps pins what the read side costs in fabric operations,
 // from Node.Stats() deltas under the default latency model: an outermost
 // Enter is one atomic (two on every refreshEvery-th), nested Enter/Exit
-// are free, Exit is one atomic, and TryAdvance is two atomics, one
-// invalidate call and ceil(slots/8) line fetches whatever the slot count.
+// are free, Exit is one atomic, Retire is nothing at all, and TryAdvance
+// is two atomics, one invalidate call and ceil(slots/8) line fetches
+// whatever the slot count.
 func TestBudgetFabricOps(t *testing.T) {
 	lat := fabric.DefaultLatency()
 	for _, slots := range []int{1, 8, 9, 128, 130} {
@@ -309,6 +310,9 @@ func TestBudgetFabricOps(t *testing.T) {
 			if d := delta(p.Exit); d.Atomics != 1 || d.VirtualNS != atomicNS {
 				t.Fatalf("slots=%d: outermost Exit: %d atomics, %d sim_ns; want 1 atomic and nothing else", slots, d.Atomics, d.VirtualNS)
 			}
+		}
+		if d := delta(func() { p.Retire(func() {}) }); d != (fabric.NodeStatsSnapshot{}) {
+			t.Fatalf("slots=%d: Retire touched the fabric: %+v", slots, d)
 		}
 		lines := (slots + 7) / 8
 		for round := 0; round < 3; round++ {
@@ -485,5 +489,82 @@ func TestEpochFenceUnblocksDeadReader(t *testing.T) {
 	d.Fence(f.Node(0), dead.ID())
 	if !writer.TryAdvance() || !writer.TryAdvance() {
 		t.Fatal("advance still blocked after Fence")
+	}
+}
+
+// TestRetireStampIsLoadedAfterTheUnlink: Retire queues its callback
+// unstamped and the next epoch load stamps it. The stamp must be that
+// fresh load, never the participant's cached seen: here the writer's seen
+// is two advances stale when it retires a block a reader — entered before
+// the unlink — can still reach. Stamped with seen, the block would be two
+// epochs old at once and the first Collect would free it under the reader.
+func TestRetireStampIsLoadedAfterTheUnlink(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 4)
+	other := d.Participant(f.Node(1), 2)
+	writer := staleBy(t, d, f.Node(1), 1, other, 2)
+	reader := d.Participant(f.Node(0), 0) // attached now: announces the current epoch
+
+	reader.Enter()
+	freed := false
+	writer.Retire(func() { freed = true }) // the unlink: after the reader's store
+	if writer.PendingRetired() != 1 {
+		t.Fatalf("PendingRetired = %d, want 1 (an unstamped entry counts)", writer.PendingRetired())
+	}
+	if got := writer.Collect(); got != 0 || freed {
+		t.Fatal("Collect freed a block retired with a stale seen under a reader that entered before the unlink")
+	}
+	// The reader announces the current epoch, so ONE advance passes; the
+	// free needs two, and the second must wait for the reader.
+	if !writer.TryAdvance() {
+		t.Fatal("advance failed beside a reader announcing the current epoch")
+	}
+	for i := 0; i < 10; i++ {
+		if writer.TryAdvance() {
+			t.Fatalf("attempt %d: a second advance passed an active reader", i)
+		}
+		if got := writer.Collect(); got != 0 || freed {
+			t.Fatalf("attempt %d: block freed under an active reader", i)
+		}
+	}
+	reader.Exit()
+	if !writer.TryAdvance() {
+		t.Fatal("advance failed after the reader exited")
+	}
+	if got := writer.Collect(); got != 1 || !freed || writer.PendingRetired() != 0 {
+		t.Fatalf("Collect = %d, freed = %v, pending = %d after the grace period; want 1, true, 0", got, freed, writer.PendingRetired())
+	}
+}
+
+// TestRetireOnlyParticipantReclaims is the liveness half of the deferred
+// stamp: a participant that never advances the epoch itself — it only
+// retires and collects — has each Collect stamp what the tick retired, so
+// with peers advancing twice per tick everything retired in one tick is
+// freed by the Collect two ticks later, and nothing accumulates.
+func TestRetireOnlyParticipantReclaims(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	p := d.Participant(f.Node(0), 0)
+	peer := d.Participant(f.Node(1), 1)
+	const ticks, perTick = 20, 8
+	freedAt := make([]int, ticks) // callbacks of tick i that have run
+	for tick := 0; tick < ticks+2; tick++ {
+		if tick < ticks {
+			for i := 0; i < perTick; i++ {
+				p.Retire(func() { freedAt[tick]++ })
+			}
+		}
+		p.Collect()
+		for i := 0; i <= tick-2 && i < ticks; i++ {
+			if freedAt[i] != perTick {
+				t.Fatalf("tick %d: %d of %d blocks retired at tick %d freed", tick, freedAt[i], perTick, i)
+			}
+		}
+		if !peer.TryAdvance() || !peer.TryAdvance() {
+			t.Fatal("peer advance failed with nobody in a section")
+		}
+	}
+	if p.PendingRetired() != 0 {
+		t.Fatalf("%d retirements still pending two ticks after the last", p.PendingRetired())
 	}
 }

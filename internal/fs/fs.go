@@ -380,10 +380,24 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 		chunk := min(PageSize-po, uint64(len(data))-done)
 		key := pageKey(id, page)
 
+		// A partial-page write merges into the current version (or zeros)
+		// and must install over EXACTLY the version the merge read: one
+		// another writer installed in between carries bytes this merge
+		// never saw, and replacing it would lose them. The read section is
+		// held from the read across the install, so that frame cannot be
+		// freed, reused for a newer version of this page and matched by
+		// the CAS as if nothing had happened. A full-page write reads no
+		// old version, replaces whichever is current and enters no section.
+		partial := po != 0 || chunk != PageSize
 		for {
 			newFrame := m.fs.frames.AllocUninit(n)
-			if po != 0 || chunk != PageSize {
-				// Partial page: start from the current version (or zeros).
+			newFK := newFrame >> memsys.PageShift
+			src := data[done : done+chunk]
+			var (
+				oldFK  uint64
+				exists bool
+			)
+			if partial {
 				cur := make([]byte, PageSize)
 				m.part.Enter()
 				phys, hole := m.lookupFrame(id, page)
@@ -391,21 +405,24 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 					n.InvalidateRange(fabric.GPtr(phys), PageSize)
 					n.Read(fabric.GPtr(phys), cur)
 				}
-				m.part.Exit()
-				copy(cur[po:], data[done:done+chunk])
-				n.Write(fabric.GPtr(newFrame), cur)
-			} else {
-				n.Write(fabric.GPtr(newFrame), data[done:done+PageSize])
+				copy(cur[po:], src)
+				src, oldFK, exists = cur, phys>>memsys.PageShift, !hole
 			}
+			n.Write(fabric.GPtr(newFrame), src)
 			n.WriteBackRange(fabric.GPtr(newFrame), PageSize)
 			n.InvalidateRange(fabric.GPtr(newFrame), PageSize)
 
-			oldFK, exists := m.fs.index.Get(n, key)
+			if !partial {
+				oldFK, exists = m.fs.index.Get(n, key)
+			}
 			installed := false
 			if exists {
-				installed = m.fs.index.CompareAndSwap(n, key, oldFK, newFrame>>memsys.PageShift)
+				installed = m.fs.index.CompareAndSwap(n, key, oldFK, newFK)
 			} else {
-				_, installed = m.fs.index.PutIfAbsent(n, key, newFrame>>memsys.PageShift)
+				_, installed = m.fs.index.PutIfAbsent(n, key, newFK)
+			}
+			if partial {
+				m.part.Exit()
 			}
 			if installed {
 				if exists {
@@ -413,7 +430,7 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 					m.part.Retire(func() { m.fs.frames.Unref(n, oldPhys) })
 					m.fs.emit(n, trace.KEvict, key, oldFK)
 				}
-				m.fs.dirty.Put(n, key, newFrame>>memsys.PageShift)
+				m.fs.dirty.Put(n, key, newFK)
 				break
 			}
 			m.fs.frames.Unref(n, newFrame) // lost to a concurrent writer; retry

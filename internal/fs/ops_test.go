@@ -2,9 +2,12 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"flacos/internal/fabric"
 )
 
 func TestRenameAcrossNodes(t *testing.T) {
@@ -123,6 +126,58 @@ func TestAppendConcurrentDisjointOffsets(t *testing.T) {
 				t.Fatalf("record at %d torn: % x", off, buf)
 			}
 		}
+	}
+}
+
+// TestPartialPageWriteKeepsConcurrentInstall is the deterministic form of
+// what TestAppendConcurrentDisjointOffsets catches by interleaving: mount
+// B installs a version of the page after mount A's partial-page write has
+// read the version it merges into and before A installs. A must notice —
+// its install is against exactly the version it read — and merge again;
+// installing over whatever is current loses B's bytes. Run for a page that
+// starts as a hole (A's install is a PutIfAbsent) and for one that already
+// has a version (a CompareAndSwap).
+func TestPartialPageWriteKeepsConcurrentInstall(t *testing.T) {
+	for _, seeded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("seeded=%v", seeded), func(t *testing.T) {
+			f, fsys, _ := newFS(t, 2)
+			a, b := fsys.Mount(f.Node(0)), fsys.Mount(f.Node(1))
+			id, _ := a.Create("page")
+			want := make([]byte, PageSize)
+			if seeded {
+				for i := range want {
+					want[i] = 0xEE
+				}
+				a.Write(id, 0, want)
+			}
+			aHalf, bHalf := bytes.Repeat([]byte{0xA1}, 100), bytes.Repeat([]byte{0xB2}, 100)
+			copy(want[0:], aHalf)
+			copy(want[PageSize/2:], bHalf)
+
+			// A's first ranged write-back inside Write is its merged frame going
+			// home: after the read of the old version, before the install.
+			fired := false
+			f.Node(0).SetOpHook(func(k fabric.OpKind, _, _ uint64) {
+				if k == fabric.OpWriteBackRange && !fired {
+					fired = true
+					b.Write(id, PageSize/2, bHalf)
+				}
+			})
+			a.Write(id, 0, aHalf)
+			f.Node(0).SetOpHook(nil)
+			if !fired {
+				t.Fatal("the script never ran B's write")
+			}
+			a.bumpSize(id, PageSize)
+			for _, m := range []*Mount{a, b} {
+				got := make([]byte, PageSize)
+				m.Read(id, 0, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("node %d: A's half %x.., B's half %x.., rest %x; want %x.., %x.., %x",
+						m.Node().ID(), got[:2], got[PageSize/2:PageSize/2+2], got[PageSize-1], aHalf[:2], bHalf[:2], want[PageSize-1])
+				}
+			}
+		})
 	}
 }
 

@@ -30,6 +30,10 @@ import (
 //     fabric atomic — so by the time any node can observe the pointer, the
 //     bytes are in home memory. Readers invalidate the block's lines
 //     before reading. No hardware coherence is assumed anywhere.
+//   - A mutation pays a fabric atomic only to change shared state: the
+//     probe that read the key's entry keeps a handle on its index slot
+//     (ds.Slot) and the publish is one CAS there, not a second walk of the
+//     index.
 //   - Entries are never modified in place. SET/DEL/INCR publish a fresh
 //     block and retire the old one through flacdk/quiescence, whose grace
 //     period guarantees no reader still holds the old address when its
@@ -206,6 +210,7 @@ type View struct {
 	tw  *trace.Writer
 
 	ops uint64
+	img []byte // newEntry's scratch image, as large as the largest block written
 }
 
 // ID returns the view's participant slot (for FenceView after a crash).
@@ -346,10 +351,22 @@ func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, v
 // memory. The block is unpublished: the caller owns it until a successful
 // publish (and must na.Free it directly on a lost race — no grace period
 // is needed for a block no reader ever saw).
+//
+// The image is zero-padded to the next line boundary and written as whole
+// lines: blocks are line-aligned and every size class is a multiple of the
+// line size, so the padding stays inside the block, and a full-line write
+// needs no write-allocate fetch of the block's partial last line. Readers
+// never read past the header's lengths. The image is built in the View's
+// own buffer (a View is single-goroutine and Node.Write copies).
 func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabric.GPtr {
 	total := entryHdrSize + len(key) + len(value)
+	padded := int(fabric.AlignUp64(uint64(total), fabric.LineSize))
 	blk := v.na.AllocUninit(uint64(total))
-	buf := make([]byte, total)
+	if cap(v.img) < padded {
+		v.img = make([]byte, alloc.ClassSize(uint64(total))) // the block's size: grows at most once per class
+	}
+	buf := v.img[:padded]
+	clear(buf[total:])
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(key)))
 	if deleted {
 		binary.LittleEndian.PutUint32(buf[4:], delMarker)
@@ -360,7 +377,7 @@ func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabr
 	copy(buf[entryHdrSize:], key)
 	copy(buf[entryHdrSize+len(key):], value)
 	v.n.Write(blk, buf)
-	v.n.WriteBackRange(blk, uint64(total))
+	v.n.WriteBackRange(blk, uint64(padded))
 	return blk
 }
 
@@ -382,6 +399,7 @@ func (v *View) addLive(delta int64) { v.n.Add64(v.s.liveG, uint64(delta)) }
 // probeResult is one resolved slot for a key.
 type probeResult struct {
 	sk    uint64      // index key of the slot bound to key
+	slot  ds.Slot     // handle on that slot, for the publishing CAS (zero if absent)
 	entry fabric.GPtr // current entry (Nil if the slot is absent)
 	hdr   entryHdr
 	val   []byte // the entry's value bytes, if the probe asked for them
@@ -401,19 +419,19 @@ func (v *View) probe(key string, withValue bool) probeResult {
 	h := keyHash(key)
 	for salt := 0; salt < maxProbeSalts; salt++ {
 		sk := slotKey(h, salt)
-		ev, ok := v.s.index.Get(v.n, sk)
+		slot, ev, ok := v.s.index.Find(v.n, sk)
 		if !ok {
 			return probeResult{sk: sk, entry: fabric.Nil}
 		}
 		e := fabric.GPtr(ev)
 		if hdr, val, match := v.fetch(e, key, withValue); match {
-			return probeResult{sk: sk, entry: e, hdr: hdr, val: val}
+			return probeResult{sk: sk, slot: slot, entry: e, hdr: hdr, val: val}
 		}
 	}
 	panic(fmt.Sprintf("redis: RackStore salted-probe chain exhausted for key %q (%d 64-bit hash collisions?!); size Slots up", key, maxProbeSalts))
 }
 
-// displaced returns the header of entry old, which an Exchange on pr's
+// displaced returns the header of entry old, which an ExchangeAt on pr's
 // slot just displaced: the probed header when old IS the probed entry
 // (same section, so same address means same immutable block), a fresh
 // fetch when a concurrent writer published in between.
@@ -464,9 +482,10 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 }
 
 // publish installs blk as key's entry, returning the displaced entry (Nil
-// on a fresh insert) and whether it was a deleted marker. Every racing
-// publish receives a distinct previous entry (ds.HashMap.Exchange's
-// contract), so each old block is retired exactly once.
+// on a fresh insert) and whether it was a deleted marker. A bound key is
+// replaced with one CAS at the slot the probe found; every racing publish
+// receives a distinct previous entry (ds.HashMap.Exchange's contract), so
+// each old block is retired exactly once.
 func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDeleted bool) {
 	v.p.Enter()
 	defer v.p.Exit()
@@ -478,7 +497,7 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 			}
 			continue // lost the bind race; re-probe (the winner may be another key)
 		}
-		old, existed := v.s.index.Exchange(v.n, pr.sk, uint64(blk))
+		old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(blk))
 		if !existed {
 			continue
 		}
@@ -570,7 +589,7 @@ func (v *View) del1(key string) bool {
 	// marker keeps the slot's key binding intact — mandatory for probe
 	// linearizability — at the cost of one small block per deleted key.
 	dblk := v.newEntry(key, nil, 0, true)
-	old, existed := v.s.index.Exchange(v.n, pr.sk, uint64(dblk))
+	old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(dblk))
 	v.p.Exit()
 	if !existed {
 		// Unreachable once a slot is bound (bindings are permanent), but
@@ -629,7 +648,7 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 				v.tick()
 				return next, nil
 			}
-		} else if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.entry), uint64(nblk)) {
+		} else if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.entry), uint64(nblk)) {
 			v.p.Exit()
 			v.retire(pr.entry)
 			if pr.hdr.deleted() {
@@ -667,7 +686,7 @@ func (v *View) Expire(key string, ttl time.Duration) bool {
 			return false
 		}
 		nblk := v.newEntry(key, pr.val, v.Now()+uint64(ttl.Nanoseconds()), false)
-		if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.entry), uint64(nblk)) {
+		if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.entry), uint64(nblk)) {
 			v.p.Exit()
 			v.retire(pr.entry)
 			v.tick()

@@ -392,6 +392,125 @@ func TestRackStoreGetFabricBudget(t *testing.T) {
 	}
 }
 
+// TestRackStoreSetFabricBudget pins what a mutation of a live key costs,
+// with the benchmark's shape (7 B key, 128 B value: a three-line entry)
+// and every key at its index home slot. A SET is six fabric atomics —
+// fence check, enter, two for the probe, ONE for the publish, exit — one
+// three-line write-back and one line fetch (the displaced entry's header);
+// the entry image goes into the cache as whole lines, so writing it
+// fetches nothing; retiring the displaced block costs nothing. INCRBY is
+// the same six around a one-line entry; DEL adds the live-count update.
+func TestRackStoreSetFabricBudget(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a := s.Attach(f.Node(0))
+	n, lat := f.Node(0), f.Latency()
+	key, ctr, val := "k:12345", "c:12", bytes.Repeat([]byte{7}, 128)
+	for i := 0; i < 3; i++ { // bind both keys and leave spare blocks in the allocator's reserve
+		if err := a.Set(key, val, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.IncrBy(ctr, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	atomicNS, missNS, local := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS, lat.LocalNS
+	// What every op below pays around its entry write: the fence check,
+	// enter, a two-atomic probe, the header's invalidate and fetch, the
+	// key (and a counter's digits) out of the fetched line, the publishing
+	// CAS, exit.
+	common := 6*atomicNS + (local + missNS) + local
+	ops := []struct {
+		name                       string
+		fn                         func() bool
+		atomics, lines, writeBytes uint64 // lines of the new entry, bytes of its padded image
+		wantNS                     int
+	}{
+		{"SET", func() bool { return a.Set(key, val, 0) == nil }, 6, 3, 192,
+			common + 3*local + missNS + 2*lat.PerLineNS},
+		{"INCRBY", func() bool { v, err := a.IncrBy(ctr, 5); return err == nil && v == 20 }, 6, 1, 64,
+			common + local + missNS},
+		{"DEL", func() bool { return a.Del(key) == 1 }, 7, 1, 64,
+			common + local + missNS + atomicNS},
+	}
+	for _, op := range ops {
+		pending := a.p.PendingRetired()
+		before := n.Stats()
+		ok := op.fn()
+		d := n.Stats().Delta(before)
+		if !ok {
+			t.Fatalf("%s: wrong result", op.name)
+		}
+		if d.Atomics != op.atomics || d.WriteBacks != op.lines || d.Misses != 1 || d.BulkBytesWritten != op.writeBytes || d.VirtualNS != uint64(op.wantNS) {
+			t.Fatalf("%s of a live key: %d atomics, %d lines written back, %d line fetches, %d B written, %d sim_ns; want %d, %d, 1, %d, %d",
+				op.name, d.Atomics, d.WriteBacks, d.Misses, d.BulkBytesWritten, d.VirtualNS, op.atomics, op.lines, op.writeBytes, op.wantNS)
+		}
+		if got := a.p.PendingRetired(); got != pending+1 {
+			t.Fatalf("%s retired %d blocks, want 1", op.name, got-pending)
+		}
+	}
+	// The numbers EXPERIMENTS.md publishes, under the default latency model
+	// one hop from home. (The benchmark's median INCRBY is 6,120: its
+	// counters are bound after the preload has half filled the index, so
+	// the median one sits one probe step past its home slot.)
+	if ops[0].wantNS != 5680 || ops[1].wantNS != 5440 || ops[2].wantNS != 6120 {
+		t.Fatalf("budgets = %d / %d / %d sim_ns, want 5680 / 5440 / 6120", ops[0].wantNS, ops[1].wantNS, ops[2].wantNS)
+	}
+}
+
+// TestRackStoreSetLosesPublishRace scripts a SET whose publishing CAS
+// fails: node 1 publishes the same key after node 0's probe has read the
+// index slot (the script runs on the probe's fetch of the entry header)
+// and before its CAS. The SET must retry AT THE SLOT — reload the value
+// word, CAS again: two more atomics, no second probe — and retire the
+// entry it actually displaced, node 1's, exactly once; node 1 retired the
+// one the probe saw.
+func TestRackStoreSetLosesPublishRace(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	key := "k:12345"
+	if err := a.Set(key, []byte("original"), 0); err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := s.index.Get(f.Node(0), slotKey(keyHash(key), 0))
+	n := f.Node(0)
+	raced := false
+	n.SetOpHook(func(k fabric.OpKind, line, _ uint64) {
+		if k == fabric.OpMiss && line == fabric.GPtr(orig).Line() && !raced {
+			raced = true
+			if err := b.Set(key, []byte("from node 1"), 0); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	before := n.Stats()
+	err := a.Set(key, []byte("from node 0"), 0)
+	d := n.Stats().Delta(before)
+	n.SetOpHook(nil)
+	if err != nil || !raced {
+		t.Fatalf("Set: %v, raced=%v", err, raced)
+	}
+	// 6 as in the budget, +2 for the reload and second CAS, and a second
+	// header fetch: the displaced entry is not the probed one.
+	if d.Atomics != 8 || d.Misses != 2 {
+		t.Fatalf("SET that lost its first CAS: %d atomics, %d line fetches; want 8 (retry at the slot, no re-probe) and 2", d.Atomics, d.Misses)
+	}
+	if a.p.PendingRetired() != 1 || b.p.PendingRetired() != 1 {
+		t.Fatalf("retired: node 0 %d, node 1 %d; want 1 and 1", a.p.PendingRetired(), b.p.PendingRetired())
+	}
+	for _, v := range []*View{a, b} {
+		if got, ok := v.Get(key); !ok || string(got) != "from node 0" {
+			t.Fatalf("node %d reads %q ok=%v after the race; the later publish must win", v.Node().ID(), got, ok)
+		}
+	}
+	a.Barrier()
+	b.Barrier()
+	aa, af := a.AllocStats()
+	ba, bf := b.AllocStats()
+	if aa+ba != 3 || af+bf != 2 {
+		t.Fatalf("%d blocks allocated, %d freed; want 3 and 2 (each displaced entry freed once, the current one live)", aa+ba, af+bf)
+	}
+}
+
 // TestRackStoreKeyOnlyOpsSkipTheValue: EXISTS and DEL need the key's
 // binding, not the value, so against a 32 KiB value they read the header
 // and the key bytes and nothing else.
@@ -411,8 +530,8 @@ func TestRackStoreKeyOnlyOpsSkipTheValue(t *testing.T) {
 	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Misses != 1 {
 		t.Fatalf("EXISTS read %d B in %d line fetches; want %d B (header+key) in 1", d.BulkBytesRead, d.Misses, want)
 	}
-	// DEL also writes its marker block (a write-allocate miss of its own),
-	// so count what it READ: two line accesses, header then key.
+	// DEL also writes its marker block, so count what it READ: two line
+	// accesses, header then key.
 	before = n.Stats()
 	if b.Del(key) != 1 {
 		t.Fatal("DEL missed a live key")
@@ -430,17 +549,23 @@ func TestRackStoreKeyOnlyOpsSkipTheValue(t *testing.T) {
 // header's line, key straddling two lines, value starting on a boundary —
 // from a second node after the block's address was reused for different
 // bytes. The second node still holds the previous tenant's lines, so any
-// line fetch skips its invalidate shows as stale bytes.
+// line fetch skips its invalidate shows as stale bytes. Entries are written
+// as whole lines, zero-padded: the image of every shape must stay inside
+// its block — exactly filling it when the entry is as large as its size
+// class — and a shorter entry reusing a block must read back exact, with
+// zeros, not the previous tenant's bytes, behind it.
 func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
 	shapes := []struct{ klen, vlen int }{
-		{8, 40},   // 64 B: ends exactly on the header line's boundary
-		{8, 104},  // 128 B: ends exactly on the second line's boundary
-		{16, 160}, // 192 B: three full lines
-		{5, 9},    // fits inside the header's line
-		{3, 0},    // key only, empty value
-		{60, 30},  // key straddles lines 0 and 1
-		{48, 64},  // value starts exactly on a line boundary
-		{70, 300}, // long key, multi-line value
+		{8, 40},                  // 64 B: ends exactly on the header line's boundary, fills its class
+		{8, 104},                 // 128 B: ends exactly on the second line's boundary, fills its class
+		{16, 160},                // 192 B: three full lines
+		{16, 224},                // 256 B: fills its class
+		{5, 9},                   // fits inside the header's line
+		{3, 0},                   // key only, empty value
+		{60, 30},                 // key straddles lines 0 and 1
+		{48, 64},                 // value starts exactly on a line boundary
+		{70, 300},                // long key, multi-line value
+		{16, MaxEntryBytes - 16}, // the largest entry: fills the largest class
 	}
 	for _, sh := range shapes {
 		f, s := newTestRackStore(t, 2, RackStoreConfig{})
@@ -452,8 +577,13 @@ func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
 		reused := false
 		for round := 0; round < 8; round++ {
 			want := mk(round)
+			before := f.Node(0).Stats()
 			if err := a.Set(key, want, 0); err != nil {
 				t.Fatal(err)
+			}
+			total := uint64(entryHdrSize + sh.klen + sh.vlen)
+			if w := f.Node(0).Stats().Delta(before).BulkBytesWritten; w != fabric.AlignUp64(total, fabric.LineSize) || w > alloc.ClassSize(total) {
+				t.Fatalf("klen=%d vlen=%d: entry image of %d B for a %d B entry in a %d B block", sh.klen, sh.vlen, w, total, alloc.ClassSize(total))
 			}
 			e, _ := s.index.Get(f.Node(0), sk)
 			reused = reused || seen[e]
@@ -471,6 +601,35 @@ func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
 		if !reused {
 			t.Fatalf("klen=%d vlen=%d: no block address was ever reused; the stale-line check has no teeth", sh.klen, sh.vlen)
 		}
+	}
+
+	// A 134 B entry into the block a 204 B one just left (both of the
+	// 256 B class): the second node reads the exact shorter value, and home
+	// memory holds zeros from the entry's end to the end of its last line.
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	key, sk := "shrinker", slotKey(keyHash("shrinker"), 0)
+	long, short := bytes.Repeat([]byte{'L'}, 180), bytes.Repeat([]byte{'s'}, 110)
+	a.Set(key, long, 0)
+	blk, _ := s.index.Get(f.Node(0), sk)
+	if got, ok := b.Get(key); !ok || !bytes.Equal(got, long) {
+		t.Fatal("second node misread the long entry")
+	}
+	a.Set(key, long, 0) // displaces blk ...
+	a.Barrier()         // ... and frees it: the next allocation of its class
+	a.Set(key, short, 0)
+	if e, _ := s.index.Get(f.Node(0), sk); e != blk {
+		t.Fatal("the shorter entry did not reuse the longer one's block; the check has no teeth")
+	}
+	if got, ok := b.Get(key); !ok || !bytes.Equal(got, short) {
+		t.Fatalf("second node reads %q (ok=%v) from a reused block, want the %d B value", got, ok, len(short))
+	}
+	end := uint64(entryHdrSize + len(key) + len(short))
+	pad := make([]byte, fabric.AlignUp64(end, fabric.LineSize)-end)
+	f.Node(1).InvalidateRange(fabric.GPtr(blk), 256)
+	f.Node(1).Read(fabric.GPtr(blk).Add(end), pad)
+	if !bytes.Equal(pad, make([]byte, len(pad))) {
+		t.Fatalf("padding behind the shorter entry is not zero: % x", pad)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 //   - hash table: single-writer per key, so any Get must return a version
 //     >= the highest version whose Put/CAS completed before the Get began
 //     (tracked as a host-side committed floor) — per-key monotonicity;
-//     writer CAS from a synced version must succeed.
+//     writer CAS from a synced version must succeed. The CAS goes through
+//     a slot handle (Find, then CompareAndSwapAt), so every fault sweep
+//     covers the handle path: Find must see the writer's own last version.
 //   - ring: strict FIFO with no loss and no duplication (publication is
 //     the producer's last fabric op, so a crashed push never half-lands),
 //     and every payload matches the pattern derived from its sequence
@@ -87,8 +89,9 @@ func (w *dsWorkload) Clients(env *Env) []func() {
 }
 
 // mapWriter owns keys [node*kpw+1, node*kpw+kpw] and bumps their versions
-// with alternating Put and CAS. A crash mid-op makes the applied version
-// uncertain, so the writer resyncs with a Get before continuing.
+// with alternating Put and read-then-CAS at the slot the read found. A
+// crash mid-op makes the applied version uncertain, so the writer resyncs
+// with a Get before continuing.
 func (w *dsWorkload) mapWriter(env *Env, node int) {
 	n := env.Fab.Node(node)
 	rng := env.Rand(uint64(0x10 + node))
@@ -120,7 +123,8 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 		casOK := true
 		if !RunOp(n, func() {
 			if useCAS {
-				casOK = w.hm.CompareAndSwap(n, key, vers[j], next)
+				slot, cur, ok := w.hm.Find(n, key)
+				casOK = ok && cur == vers[j] && w.hm.CompareAndSwapAt(n, slot, cur, next)
 			} else {
 				w.hm.Put(n, key, next)
 			}
@@ -130,7 +134,7 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 			continue
 		}
 		if !casOK {
-			env.Violatef(ci, "key %d: single-writer CAS %d->%d lost", key, vers[j], next)
+			env.Violatef(ci, "key %d: single-writer read-then-CAS %d->%d lost", key, vers[j], next)
 			needSync[j] = true
 			continue
 		}
