@@ -22,7 +22,9 @@
 //     of a publication), plain cached reads see whatever stale lines the
 //     reader's cache happens to hold. An InvalidateRange / InvalidateAll
 //     / FlushRange / FlushAll must dominate the first plain read that
-//     follows an atomic load.
+//     follows an atomic load. ReadFresh carries its own invalidate, so
+//     it is never the stale read; but what it reads may be a publication
+//     word, so it opens the same window an atomic load does.
 //
 //  4. grace-period-retention: an arena offset handed to a quiescence
 //     Retire (or freed directly with an allocator Free) may be reused as

@@ -21,6 +21,7 @@ const (
 	opInvalidate         // InvalidateRange/InvalidateAll: drop cached lines
 	opFlush              // FlushRange/FlushAll: write back then invalidate
 	opAtomicLoad         // AtomicLoad64: acquire of a publication
+	opFreshRead          // ReadFresh: a read past the cache that carries its own invalidate; an acquire of any publication word in its range
 	opAtomicPub          // AtomicStore64/CAS64/Swap64: publication stores
 	opAtomicAdd          // Add64: fetch-and-add (counter, not a publication)
 	opFence              // Fence
@@ -35,6 +36,7 @@ var nodeMethodClass = map[string]opClass{
 	"InvalidateRange": opInvalidate, "InvalidateAll": opInvalidate,
 	"FlushRange": opFlush, "FlushAll": opFlush,
 	"AtomicLoad64":  opAtomicLoad,
+	"ReadFresh":     opFreshRead,
 	"AtomicStore64": opAtomicPub, "CAS64": opAtomicPub, "Swap64": opAtomicPub,
 	"Add64": opAtomicAdd,
 	"Fence": opFence,

@@ -91,6 +91,28 @@ func readVersioned(n *fabric.Node, headG fabric.GPtr, buf []byte) {
 	n.Read(cur, buf)
 }
 
+// freshIndexThenEntry is the line-probe idiom: the index slot is read
+// past the cache (no atomic, and no diagnostic for the ReadFresh itself,
+// which carries its own invalidate), and the entry it points at is
+// invalidated before it is decoded. No diagnostic.
+func freshIndexThenEntry(n *fabric.Node, slotG fabric.GPtr, buf []byte) {
+	var slot [16]byte
+	n.ReadFresh(slotG, slot[:])
+	e := fabric.GPtr(uint64(slot[8]) | uint64(slot[9])<<8)
+	n.InvalidateRange(e, uint64(len(buf)))
+	n.Read(e, buf)
+}
+
+// brokenFreshIndexThenEntry learns the entry's address the same way and
+// then decodes the entry through the cache: ReadFresh freshened the slot's
+// own range, not the block a word inside it publishes.
+func brokenFreshIndexThenEntry(n *fabric.Node, slotG fabric.GPtr, buf []byte) {
+	var slot [16]byte
+	n.ReadFresh(slotG, slot[:])
+	e := fabric.GPtr(uint64(slot[8]) | uint64(slot[9])<<8)
+	n.Read(e, buf) // want `after the ReadFresh at .* no dominating InvalidateRange`
+}
+
 // plainOnly never acquires through a fabric atomic, so its cached reads
 // are private data and need no invalidate. No diagnostic.
 func plainOnly(n *fabric.Node, g fabric.GPtr) uint64 {

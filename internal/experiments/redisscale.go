@@ -31,19 +31,20 @@ type RedisScaleConfig struct {
 }
 
 // DefaultRedisScale is the acceptance setup: 1..16 serving nodes, the
-// combining gate at 8 nodes. 1.15x is what combining must prove against
+// combining gate at 8 nodes. 1.05x is what combining must prove against
 // the hot-key wall alone (contended publishes that retry against each
-// other). What one summed IncrBy saves shrinks with what an IncrBy costs:
-// the gate was 1.25x when the uncombined publish re-walked the index and
-// an IncrBy cost a third more (EXPERIMENTS.md has both arms, before and
-// after, and the measured ratios).
+// other); it measures 1.15x. What one summed IncrBy saves shrinks with
+// what an IncrBy costs: the gate was 1.25x when the uncombined publish
+// re-walked the index, 1.15x while an IncrBy still paid two atomics to
+// read its index slot and one to check the fence (EXPERIMENTS.md has both
+// arms, before and after each step, and the measured ratios).
 func DefaultRedisScale() RedisScaleConfig {
 	return RedisScaleConfig{
 		NodeCounts:   []int{1, 2, 4, 8, 16},
 		CombineNodes: 8,
 		Rounds:       30,
 		OpsPerRound:  64,
-		CombineGate:  1.15,
+		CombineGate:  1.05,
 	}
 }
 
@@ -53,7 +54,7 @@ func DefaultRedisScale() RedisScaleConfig {
 // anything, and fewer arrivals than 30 x 64 trip the 1-node low-load gate.
 func QuickRedisScale() RedisScaleConfig {
 	cfg := DefaultRedisScale()
-	cfg.NodeCounts, cfg.CombineNodes, cfg.CombineGate = []int{1, 2, 4}, 4, 1.1
+	cfg.NodeCounts, cfg.CombineNodes = []int{1, 2, 4}, 4
 	return cfg
 }
 

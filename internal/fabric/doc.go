@@ -14,7 +14,14 @@
 //     bypass the caches entirely and act on home memory, like non-cacheable
 //     fabric atomics. Mixing plain and atomic accesses to the same word
 //     requires an explicit invalidate before the plain load observes the
-//     atomic's effect.
+//     atomic's effect. ReadFresh is that pair as one operation for a reader
+//     that will not look again: it drops the range from the cache, copies
+//     it from home memory line by line and leaves nothing resident — the
+//     way to LEARN a word that atomics change (an index slot, a
+//     reservation) for the price of a line fetch instead of an atomic's
+//     round trip to the device.
+//   - A bounded node cache evicts first in, first out: which line leaves
+//     depends on the access stream alone, never on the host.
 //   - Global accesses are slower than node-local memory; the latency model
 //     charges a per-operation cost (optionally as a real calibrated spin so
 //     wall-clock benchmarks reproduce the paper's shapes).

@@ -25,6 +25,12 @@ const (
 	// arg1 per-line OpWriteBack events, so a firehose consumer pays the
 	// emit cost once per burst instead of once per line.
 	OpWriteBackRange
+	// OpReadFresh: a ReadFresh dropped its range and streamed it from home
+	// memory without caching it. arg0 = the first line index read, arg1 =
+	// the number of lines. The event fires after the copy is complete, so
+	// a script that acts on it lands between the fetch and whatever the
+	// reader does with the copy.
+	OpReadFresh
 )
 
 func (k OpKind) String() string {
@@ -37,6 +43,8 @@ func (k OpKind) String() string {
 		return "fence"
 	case OpWriteBackRange:
 		return "write-back-range"
+	case OpReadFresh:
+		return "read-fresh"
 	}
 	return "op(?)"
 }

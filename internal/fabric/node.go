@@ -311,6 +311,48 @@ func (n *Node) Write(g GPtr, data []byte) {
 	n.stats.BulkBytesWritten.Add(total)
 }
 
+// ReadFresh copies len(buf) bytes starting at g into buf straight from home
+// memory and leaves none of the range in the cache: any resident line of
+// [g, g+len(buf)) is dropped exactly as InvalidateRange drops it (dirty
+// data lost), the home lines stream into buf in fetch order, and nothing
+// is inserted — no line object, no eviction, no allocation. It is
+// InvalidateRange followed by Read for a reader that will not look at the
+// range again before it next needs it fresh — a word other nodes change
+// with fabric atomics, learnt without an atomic of one's own — and it
+// charges what that pair charges, LocalNS plus one pipelined transfer of
+// the lines, counted as one load that missed every line. A range the op
+// reads again belongs in the cache: use the pair.
+func (n *Node) ReadFresh(g GPtr, buf []byte) {
+	n.checkAlive()
+	total := uint64(len(buf))
+	if total == 0 {
+		return
+	}
+	n.fab.checkRange(g, total)
+	first, last := LineSpan(g, total)
+	n.dropRange(first, last)
+	off, done := uint64(g)%LineSize, uint64(0)
+	for li := first; li <= last; li++ {
+		if off == 0 && total-done >= LineSize {
+			n.fab.fetchLineHome(li, (*[LineSize]byte)(buf[done:]))
+			done += LineSize
+			continue
+		}
+		var line [LineSize]byte
+		n.fab.fetchLineHome(li, &line)
+		done += uint64(copy(buf[done:], line[off:]))
+		off = 0
+	}
+	lines := last - first + 1
+	n.stats.Loads.Add(1)
+	n.stats.Misses.Add(lines)
+	n.stats.BulkBytesRead.Add(total)
+	n.charge(n.fab.lat.LocalNS + n.globalCost(int(lines)))
+	if n.hooked.Load() {
+		n.fireOp(OpReadFresh, first, lines)
+	}
+}
+
 // --- Fabric atomics: bypass the cache, operate on home memory ---
 
 func (n *Node) atomicPre(g GPtr) uint64 {
@@ -491,7 +533,14 @@ func (n *Node) InvalidateRange(g GPtr, size uint64) {
 		return
 	}
 	n.fab.checkRange(g, size)
-	first, last := LineSpan(g, size)
+	n.dropRange(LineSpan(g, size))
+	n.charge(n.fab.lat.LocalNS)
+}
+
+// dropRange discards every resident line in [first, last] under one
+// cache-lock acquisition and counts them as invalidates: what
+// InvalidateRange and ReadFresh do to the cache.
+func (n *Node) dropRange(first, last uint64) {
 	c := n.cache
 	dropped := uint64(0)
 	c.mu.Lock()
@@ -506,7 +555,6 @@ func (n *Node) InvalidateRange(g GPtr, size uint64) {
 	if dropped > 0 {
 		n.stats.Invalidates.Add(dropped)
 	}
-	n.charge(n.fab.lat.LocalNS)
 }
 
 // FlushRange writes back then invalidates every line in [g, g+size): after

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flacos/internal/fabric"
@@ -21,6 +22,42 @@ import (
 // hands the slot back as a Slot, so a caller that reads a key and then
 // replaces its value — the rack store's every mutation — pays the probe
 // once: ExchangeAt and CompareAndSwapAt are one CAS on the value word.
+//
+// The probe reads the index by the line, not by the word. A fabric atomic
+// is for CHANGING a slot; learning what it holds is one fresh line fetch
+// (fabric.ReadFresh), which brings the four slots of a line in one round
+// trip and leaves nothing in the cache. Every mutation stays the atomic it
+// was: the claim CAS, the value store / Swap / CAS, the count, Delete's two
+// steps, Put's re-check of the key.
+//
+// Why reading slots out of a line copy is linearizable. A fetch reads a
+// line's words in descending order (fabric/doc.go), so within a slot the
+// VALUE word is read before the KEY word, and a higher slot of the line
+// before a lower one. A slot's key word only goes 0 -> K -> tombstone; an
+// insert writes key then value, a delete tombstones the key and then
+// drains the value; the value word of a slot whose key word is 0 is 0.
+//
+//   - Copy shows (key K, value v present). The key was 0 or K when v was
+//     read; a present value means it was not 0. So (K, v) is a state the
+//     slot really held, and the op linearizes where v was read.
+//   - Copy shows (key K, value 0). When the value word was read the slot
+//     was either claimed and not yet published — absent, exactly as under
+//     per-word loads — or still empty, which is the empty-slot case below.
+//   - Copy shows another key or a tombstone: the slot can never be bound
+//     to K again, whenever it was read; the walk moves on.
+//   - Copy shows an empty slot E: the walk ends, absent. At most one slot
+//     has key word K at any instant (an inserter passes a slot only after
+//     seeing it bound to another key or dead, which is permanent, and
+//     claims the first empty one by CAS), and while E is empty that slot
+//     lies before E in the probe sequence. The walk saw every such slot as
+//     another key's or dead. One it read BEFORE E cannot have held K when
+//     E was read. One it read AFTER E — a lower slot of E's own line — may
+//     have: then its delete fell between the two reads, and right after
+//     that delete no slot holds K, because a re-insert claims a later slot
+//     (tombstones are never reused) by a CAS that comes later still. Either
+//     way there is an instant inside the operation at which K was absent.
+//
+// A claim is validated by its CAS, never by the copy; a lost CAS refetches.
 type HashMap struct {
 	slots    fabric.GPtr
 	capacity uint64 // power of two
@@ -60,7 +97,7 @@ func NewHashMap(f *fabric.Fabric, capacity uint64) *HashMap {
 		c <<= 1
 	}
 	return &HashMap{
-		slots:    f.Reserve(c*2*fabric.WordSize, fabric.LineSize),
+		slots:    f.Reserve(c*slotBytes, fabric.LineSize),
 		capacity: c,
 		countG:   f.Reserve(fabric.LineSize, fabric.LineSize),
 	}
@@ -72,7 +109,7 @@ func (m *HashMap) Cap() uint64 { return m.capacity }
 // Len returns the number of live entries.
 func (m *HashMap) Len(n *fabric.Node) uint64 { return n.AtomicLoad64(m.countG) }
 
-func (m *HashMap) keyG(i uint64) fabric.GPtr   { return m.slots.Add(i * 2 * fabric.WordSize) }
+func (m *HashMap) keyG(i uint64) fabric.GPtr   { return m.slots.Add(i * slotBytes) }
 func (m *HashMap) valueG(i uint64) fabric.GPtr { return m.keyG(i).Add(fabric.WordSize) }
 
 // mix is a 64-bit finalizer (splitmix64) for slot hashing.
@@ -106,32 +143,54 @@ const (
 	probeClaimed        // claim only: at a slot that was empty and is now bound to key, value word still 0
 )
 
-// probe walks key's probe sequence — one fabric atomic per slot examined —
-// until it reaches the slot bound to key or the first empty one. With
-// claim it binds that empty slot to key (CAS 0 -> key) and the caller
-// publishes the value; a full table is then a sizing error and panics.
-func (m *HashMap) probe(n *fabric.Node, key uint64, claim bool) (i uint64, end int) {
+// slotsPerLine is how many (key, value) slots share one cache line. The
+// table is line-aligned, so slot i's line starts at slot i &^ (slotsPerLine-1).
+const (
+	slotBytes    = 2 * fabric.WordSize
+	slotsPerLine = fabric.LineSize / slotBytes
+)
+
+// probe walks key's probe sequence until it reaches the slot bound to key
+// or the first empty one, reading slots out of fetched copies of their
+// lines: one fresh, uncached line fetch (fabric.ReadFresh) per line the
+// walk touches, no fabric atomic, and the slots that share a line with the
+// one the walk is at are examined from the same copy. For a found slot it
+// also returns the value word of that copy (HashMap's comment argues why
+// that pair is a state the slot really held). With claim it binds the
+// empty slot to key (CAS 0 -> key) and the caller publishes the value; a
+// lost CAS means the copy is out of date, so the line is fetched again and
+// the slot re-examined. A full table is then a sizing error and panics.
+func (m *HashMap) probe(n *fabric.Node, key uint64, claim bool) (i, seen uint64, end int) {
 	checkKey(key)
 	mask := m.capacity - 1
 	i = mix(key) & mask
+	var line [fabric.LineSize]byte
+	const none = ^uint64(0)
+	base := none // first slot of the line copied into line
 	for probes := uint64(0); probes < m.capacity; {
-		switch k := n.AtomicLoad64(m.keyG(i)); {
+		if b := i &^ (slotsPerLine - 1); b != base {
+			base = b
+			n.ReadFresh(m.keyG(base), line[:])
+		}
+		off := (i - base) * slotBytes
+		switch k := binary.LittleEndian.Uint64(line[off:]); {
 		case k == key:
-			return i, probeFound
+			return i, binary.LittleEndian.Uint64(line[off+fabric.WordSize:]), probeFound
 		case k == 0 && !claim:
-			return i, probeAbsent
+			return i, 0, probeAbsent
 		case k == 0:
 			if n.CAS64(m.keyG(i), 0, key) {
-				return i, probeClaimed
+				return i, 0, probeClaimed
 			}
-			continue // lost the slot; re-examine it (the winner may be our key)
+			base = none // lost the slot; fetch again (the winner may be our key)
+			continue
 		}
 		i, probes = (i+1)&mask, probes+1 // another key's slot or a tombstone
 	}
 	if claim {
 		panic(fmt.Sprintf("ds: HashMap full (capacity %d, tombstones count)", m.capacity))
 	}
-	return 0, probeAbsent
+	return 0, 0, probeAbsent
 }
 
 // publish stores the first value of a slot probe just claimed.
@@ -145,7 +204,7 @@ func (m *HashMap) publish(n *fabric.Node, i, enc uint64) {
 func (m *HashMap) Put(n *fabric.Node, key, value uint64) (prev uint64, existed bool) {
 	enc := encode(value)
 	for {
-		i, end := m.probe(n, key, true)
+		i, _, end := m.probe(n, key, true)
 		if end == probeClaimed {
 			m.publish(n, i, enc)
 			return 0, false
@@ -167,15 +226,14 @@ func (m *HashMap) Put(n *fabric.Node, key, value uint64) (prev uint64, existed b
 // Find returns key's value, whether it is present, and a handle on its
 // slot for ExchangeAt and CompareAndSwapAt (the zero Slot when absent).
 // A key whose inserter has claimed the slot but not yet published a
-// value is absent. Two fabric atomics when the key sits at its home slot.
+// value is absent. No fabric atomic: one line fetch when the key sits in
+// its home slot's line. The value is the one in the fetched copy, and it
+// is what the handle's CAS starts from — if it has moved since, that CAS
+// fails and retries, it never installs over a value the caller did not see.
 func (m *HashMap) Find(n *fabric.Node, key uint64) (Slot, uint64, bool) {
-	i, end := m.probe(n, key, false)
-	if end != probeFound {
-		return Slot{}, 0, false
-	}
-	v := n.AtomicLoad64(m.valueG(i))
-	if v&1 == 0 {
-		return Slot{}, 0, false // claimed but value not yet published, or deleted
+	i, v, end := m.probe(n, key, false)
+	if end != probeFound || v&1 == 0 {
+		return Slot{}, 0, false // unbound, or claimed but value not yet published, or deleted
 	}
 	return Slot{i: i, seen: v}, v >> 1, true
 }
@@ -194,21 +252,16 @@ func (m *HashMap) Get(n *fabric.Node, key uint64) (uint64, bool) {
 func (m *HashMap) PutIfAbsent(n *fabric.Node, key, value uint64) (actual uint64, inserted bool) {
 	enc := encode(value)
 	for {
-		i, end := m.probe(n, key, true)
+		i, v, end := m.probe(n, key, true)
 		if end == probeClaimed {
 			m.publish(n, i, enc)
 			return value, true
 		}
-		for {
-			if v := n.AtomicLoad64(m.valueG(i)); v&1 == 1 {
-				return v >> 1, false
-			}
-			// The claimer has not yet published its value (or a racing
-			// delete). Re-check the key; spin briefly otherwise.
-			if n.AtomicLoad64(m.keyG(i)) != key {
-				break // tombstoned: probe again, past it
-			}
+		if v&1 == 1 {
+			return v >> 1, false
 		}
+		// The claimer has not yet published its value, or a delete is
+		// draining it: probe again (past the slot, once it is a tombstone).
 	}
 }
 
@@ -245,7 +298,7 @@ func (m *HashMap) ExchangeAt(n *fabric.Node, s Slot, value uint64) (prev uint64,
 // values must be below 2^63.
 func (m *HashMap) CompareAndSwap(n *fabric.Node, key, old, new uint64) bool {
 	o, nw := encode(old), encode(new)
-	i, end := m.probe(n, key, false)
+	i, _, end := m.probe(n, key, false)
 	return end == probeFound && n.CAS64(m.valueG(i), o, nw)
 }
 
@@ -260,7 +313,7 @@ func (m *HashMap) CompareAndSwapAt(n *fabric.Node, s Slot, old, new uint64) bool
 // Delete removes key, returning its value and whether it was present. The
 // slot becomes a tombstone.
 func (m *HashMap) Delete(n *fabric.Node, key uint64) (uint64, bool) {
-	i, end := m.probe(n, key, false)
+	i, _, end := m.probe(n, key, false)
 	if end != probeFound || !n.CAS64(m.keyG(i), key, tombstone) {
 		return 0, false // absent, or a concurrent delete won
 	}
@@ -281,21 +334,30 @@ func (m *HashMap) drain(n *fabric.Node, i uint64) (uint64, bool) {
 	return old >> 1, true
 }
 
+// rangeLines is how many lines of the table Range fetches per transfer: a
+// 4 KiB buffer on the stack, 256 slots for one pipelined read.
+const rangeLines = 64
+
 // Range calls fn for every live entry as observed during one pass; entries
 // concurrently inserted or deleted may or may not be seen. fn returning
-// false stops the walk.
+// false stops the walk. The table streams through in fresh, uncached
+// multi-line reads; each (key, value) pair comes out of one line copy, so
+// it is a state its slot really held.
 func (m *HashMap) Range(n *fabric.Node, fn func(key, value uint64) bool) {
-	for i := uint64(0); i < m.capacity; i++ {
-		k := n.AtomicLoad64(m.keyG(i))
-		if k == 0 || k == tombstone {
-			continue
+	var buf [rangeLines * fabric.LineSize]byte
+	for base := uint64(0); base < m.capacity; {
+		chunk := buf[:min(uint64(len(buf)), (m.capacity-base)*slotBytes)]
+		n.ReadFresh(m.keyG(base), chunk)
+		for off := 0; off < len(chunk); off += slotBytes {
+			k := binary.LittleEndian.Uint64(chunk[off:])
+			v := binary.LittleEndian.Uint64(chunk[off+fabric.WordSize:])
+			if k == 0 || k == tombstone || v&1 == 0 {
+				continue
+			}
+			if !fn(k, v>>1) {
+				return
+			}
 		}
-		v := n.AtomicLoad64(m.valueG(i))
-		if v&1 == 0 {
-			continue
-		}
-		if !fn(k, v>>1) {
-			return
-		}
+		base += uint64(len(chunk)) / slotBytes
 	}
 }

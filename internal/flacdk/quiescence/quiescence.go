@@ -13,15 +13,18 @@
 //   - a global epoch word lives in global memory, advanced with CAS;
 //   - each participant has a reservation word: 0 when quiescent, e+1 while
 //     inside a read section, where e is a global epoch the participant has
-//     OBSERVED — not necessarily the current one;
+//     OBSERVED — not necessarily the current one (and one reserved value,
+//     the fence mark, described further down);
 //   - TryAdvance moves the epoch e -> e+1 only if every non-zero
 //     reservation it scans equals e+1, and memory retired in epoch e is
 //     reclaimed once the global epoch reaches e+2.
 //
-// A read section costs two fabric atomics: one store of seen+1 on the
-// outermost Enter, one store of 0 on the outermost Exit. seen is the
-// participant's node-local copy of the last global epoch it loaded; Enter
-// does not load the epoch and does not re-check it after the store.
+// A read section costs two fabric atomics: one swap of seen+1 into the
+// word on the outermost Enter, one swap of 0 on the outermost Exit. seen is
+// the participant's node-local copy of the last global epoch it loaded;
+// Enter does not load the epoch and does not re-check it after the swap.
+// (They are swaps, not stores, for the sake of what they return: the fence
+// mark, below. A swap costs what a store costs.)
 //
 // Why that is safe. A reservation announcing ANY epoch other than the
 // current one, stale or not, fails every advance whose scan reads it. So
@@ -66,14 +69,29 @@
 // section. Exit always clears.
 //
 // The reservation words are packed, one word per participant, in one
-// contiguous block, and TryAdvance reads them all with one invalidate and
-// one bulk transfer instead of one fabric atomic per word. Participants on
+// contiguous block, and TryAdvance reads them all with one fresh, uncached
+// bulk transfer (fabric.ReadFresh) instead of one fabric atomic per word. Participants on
 // different nodes therefore share cache lines, which breaks no rule of the
 // coherence contract: the words are written only by fabric atomics, which
 // act on home memory and never leave a dirty line in any cache, so there
 // is no write-back that could carry a neighbour's stale word home; the
-// scan invalidates before it reads, and a line fetch reads each word
-// atomically.
+// scan reads past the cache, and a line fetch reads each word atomically.
+//
+// Fencing rides on the same word. Fence, which recovery runs against a
+// participant the rack has declared dead, does not clear the reservation
+// to 0 but stores a reserved mark there; the scan counts the mark as
+// quiescent, so a participant that died inside a section stalls nothing.
+// A participant that was NOT dead — a zombie — meets the mark in the value
+// its next outermost Enter or Exit swaps out, and latches Fenced() from
+// then on, node-locally and for good. Learning that it has been cut off
+// therefore costs it no fabric operation of its own: the atomic that
+// carries the answer is one the section makes anyway. Enter still leaves
+// an ordinary reservation behind, fenced or not, so whatever a zombie reads
+// stays protected from reclamation like any reader's; it is the layer above
+// (redis.View) that refuses a fenced participant's writes. What the fence
+// guarantees is exactly what a check before every write guaranteed: a
+// section that begins after Fence returns knows, one already open when
+// Fence lands does not until its Exit.
 //
 // Checkpointing integrates here exactly as §3.2 prescribes: a checkpointer
 // participates like a reader (Pin), so versions it is copying cannot be
@@ -92,6 +110,11 @@ import (
 // refreshEvery is how many outermost Enters a participant makes between
 // refreshes of its observed epoch when nothing else refreshes it.
 const refreshEvery = 64
+
+// fencedMark is the reservation word Fence leaves behind: no epoch ever
+// reaches it, the scan treats it as quiescent, and the participant that
+// swaps it out learns it has been fenced.
+const fencedMark = ^uint64(0)
 
 // Domain is one reclamation domain shared by up to maxParticipants
 // participants across the rack.
@@ -147,6 +170,7 @@ type Participant struct {
 	seen   uint64 // last global epoch this participant loaded (node-local)
 	enters uint64 // outermost Enters, for the periodic refresh of seen
 	scan   []byte // TryAdvance's copy of the reservation block
+	fenced bool   // an Enter or Exit swapped the fence mark out (node-local, sticky)
 
 	mu      sync.Mutex // guards retired and stamped (local bookkeeping)
 	retired []retired
@@ -159,9 +183,12 @@ type Participant struct {
 func (p *Participant) ID() int { return p.id }
 
 // Participant attaches node n as participant id (0 <= id < maxParticipants).
+// The reservation word starts at 0: a fence mark left for a previous holder
+// of the id is not this one's.
 func (d *Domain) Participant(n *fabric.Node, id int) *Participant {
 	d.checkID(id)
 	p := &Participant{d: d, n: n, id: id, scan: make([]byte, d.slots*fabric.WordSize)}
+	n.AtomicStore64(d.slotG(id), 0)
 	p.epoch()
 	return p
 }
@@ -198,8 +225,21 @@ func (p *Participant) Enter() {
 	if p.enters%refreshEvery == 0 {
 		p.epoch()
 	}
-	p.n.AtomicStore64(p.d.slotG(p.id), p.seen+1)
+	p.reserve(p.seen + 1)
 }
+
+// reserve swaps r into the participant's reservation word and latches the
+// fence if what it displaced is the mark.
+func (p *Participant) reserve(r uint64) {
+	if p.n.Swap64(p.d.slotG(p.id), r) == fencedMark {
+		p.fenced = true
+	}
+}
+
+// Fenced reports whether an Enter or Exit of this participant has met the
+// mark Fence leaves: the rack declared the participant dead, and it is
+// not. Once true it stays true. It makes no fabric operation.
+func (p *Participant) Fenced() bool { return p.fenced }
 
 // Exit ends a read-side critical section.
 func (p *Participant) Exit() {
@@ -208,7 +248,7 @@ func (p *Participant) Exit() {
 	}
 	p.depth--
 	if p.depth == 0 {
-		p.n.AtomicStore64(p.d.slotG(p.id), 0)
+		p.reserve(0)
 	}
 }
 
@@ -232,15 +272,14 @@ func (p *Participant) Retire(fn func()) {
 // TryAdvance attempts to advance the global epoch. It succeeds only if
 // every active participant announces the current epoch. Returns whether
 // the epoch advanced. Whatever the slot count it costs two fabric atomics
-// (the epoch load and the CAS) and, between them, one invalidate and one
-// bulk read of the packed reservation block.
+// (the epoch load and the CAS) and, between them, one fresh uncached read
+// of the packed reservation block.
 func (p *Participant) TryAdvance() bool {
 	n, d := p.n, p.d
 	e := p.epoch()
-	n.InvalidateRange(d.resG, uint64(len(p.scan)))
-	n.Read(d.resG, p.scan)
+	n.ReadFresh(d.resG, p.scan)
 	for off := 0; off < len(p.scan); off += fabric.WordSize {
-		if r := binary.LittleEndian.Uint64(p.scan[off:]); r != 0 && r != e+1 {
+		if r := binary.LittleEndian.Uint64(p.scan[off:]); r != 0 && r != e+1 && r != fencedMark {
 			return false // someone reads in an epoch other than the current one
 		}
 	}
@@ -251,15 +290,17 @@ func (p *Participant) TryAdvance() bool {
 	return true
 }
 
-// Fence clears participant id's reservation word on behalf of a crashed
-// node, acting from live node n. A participant that dies inside a read
-// section leaves its reservation pinned forever, which would stall epoch
-// advance (and with it all reclamation) rack-wide; crash recovery fences
-// the dead participant exactly like an expired lease. The fenced
-// Participant object must never be used again — attach a fresh one.
+// Fence cuts participant id off on behalf of a node the rack has declared
+// dead, acting from live node n: it replaces the reservation word with the
+// fence mark. A participant that died inside a read section leaves its
+// reservation pinned forever, which would stall epoch advance (and with it
+// all reclamation) rack-wide; the mark reads as quiescent, exactly like an
+// expired lease. If the participant is in fact alive, the section it has
+// open loses its protection, and its next Enter or Exit finds the mark and
+// latches Fenced(). The holder should attach a fresh participant.
 func (d *Domain) Fence(n *fabric.Node, id int) {
 	d.checkID(id)
-	n.AtomicStore64(d.slotG(id), 0)
+	n.AtomicStore64(d.slotG(id), fencedMark)
 }
 
 // Collect runs every retired callback whose grace period has elapsed and

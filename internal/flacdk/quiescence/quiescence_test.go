@@ -278,9 +278,9 @@ func TestWriteOversizedPanics(t *testing.T) {
 // TestBudgetFabricOps pins what the read side costs in fabric operations,
 // from Node.Stats() deltas under the default latency model: an outermost
 // Enter is one atomic (two on every refreshEvery-th), nested Enter/Exit
-// are free, Exit is one atomic, Retire is nothing at all, and TryAdvance
-// is two atomics, one invalidate call and ceil(slots/8) line fetches
-// whatever the slot count.
+// are free, Exit is one atomic, Fenced and Retire are nothing at all, and
+// TryAdvance is two atomics and ONE fresh read of ceil(slots/8) lines,
+// whatever the slot count, that leaves nothing in the cache.
 func TestBudgetFabricOps(t *testing.T) {
 	lat := fabric.DefaultLatency()
 	for _, slots := range []int{1, 8, 9, 128, 130} {
@@ -311,8 +311,8 @@ func TestBudgetFabricOps(t *testing.T) {
 				t.Fatalf("slots=%d: outermost Exit: %d atomics, %d sim_ns; want 1 atomic and nothing else", slots, d.Atomics, d.VirtualNS)
 			}
 		}
-		if d := delta(func() { p.Retire(func() {}) }); d != (fabric.NodeStatsSnapshot{}) {
-			t.Fatalf("slots=%d: Retire touched the fabric: %+v", slots, d)
+		if d := delta(func() { p.Retire(func() {}); p.Fenced() }); d != (fabric.NodeStatsSnapshot{}) {
+			t.Fatalf("slots=%d: Retire or Fenced touched the fabric: %+v", slots, d)
 		}
 		lines := (slots + 7) / 8
 		for round := 0; round < 3; round++ {
@@ -321,15 +321,13 @@ func TestBudgetFabricOps(t *testing.T) {
 					t.Fatalf("slots=%d: advance failed with no reader", slots)
 				}
 			})
-			// One invalidate call is one LocalNS; the stats count lines
-			// dropped, not calls, so the exact charge is what pins it.
 			wantNS := 2*atomicNS + uint64(lat.LocalNS) + missNS(lines)
-			if d.Atomics != 2 || d.Misses != uint64(lines) || d.Hits != 0 || d.VirtualNS != wantNS {
-				t.Fatalf("slots=%d: TryAdvance: %d atomics, %d line fetches, %d hits, %d sim_ns; want 2, %d, 0, %d",
-					slots, d.Atomics, d.Misses, d.Hits, d.VirtualNS, lines, wantNS)
+			if d.Atomics != 2 || d.Loads != 1 || d.Misses != uint64(lines) || d.Hits != 0 || d.VirtualNS != wantNS {
+				t.Fatalf("slots=%d: TryAdvance: %d atomics, %d reads, %d line fetches, %d hits, %d sim_ns; want 2, 1, %d, 0, %d",
+					slots, d.Atomics, d.Loads, d.Misses, d.Hits, d.VirtualNS, lines, wantNS)
 			}
-			if round > 0 && d.Invalidates != uint64(lines) {
-				t.Fatalf("slots=%d: TryAdvance dropped %d resident lines, want %d", slots, d.Invalidates, lines)
+			if res := n.CacheResidentLines(); res != 0 {
+				t.Fatalf("slots=%d: TryAdvance left %d lines resident, want 0", slots, res)
 			}
 		}
 	}
@@ -394,7 +392,7 @@ func TestEpochInFlightAdvancerMovesOnce(t *testing.T) {
 
 		entered := false
 		an.SetOpHook(func(k fabric.OpKind, arg0, _ uint64) {
-			if k == fabric.OpMiss && arg0 == d.resG.Line() && !entered {
+			if k == fabric.OpReadFresh && arg0 == d.resG.Line() && !entered {
 				entered = true
 				reader.Enter() // after the scan fetched the line, before the CAS
 			}
@@ -489,6 +487,111 @@ func TestEpochFenceUnblocksDeadReader(t *testing.T) {
 	d.Fence(f.Node(0), dead.ID())
 	if !writer.TryAdvance() || !writer.TryAdvance() {
 		t.Fatal("advance still blocked after Fence")
+	}
+}
+
+// TestFenceOutsideSection: a live participant fenced while it is outside a
+// section learns it from the swap of its NEXT outermost Enter — no fabric
+// operation of its own — and stays fenced for good, while its sections go
+// on holding ordinary reservations: what a fenced reader can reach is not
+// reclaimed under it.
+func TestFenceOutsideSection(t *testing.T) {
+	f := fabric.New(fabric.Config{GlobalSize: 1 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	zn := f.Node(1)
+	zombie := d.Participant(zn, 1)
+	zombie.Enter()
+	zombie.Exit()
+	if zombie.Fenced() {
+		t.Fatal("fenced before any Fence")
+	}
+	d.Fence(f.Node(0), zombie.ID())
+	if zombie.Fenced() {
+		t.Fatal("Fenced() before the participant has touched its word: it is node-local")
+	}
+	if !writer.TryAdvance() {
+		t.Fatal("the fence mark of an idle participant blocked an advance")
+	}
+
+	before := zn.Stats()
+	zombie.Enter()
+	if d := zn.Stats().Delta(before); d.Atomics != 1 {
+		t.Fatalf("the Enter that met the mark cost %d atomics, want the usual 1", d.Atomics)
+	}
+	if !zombie.Fenced() {
+		t.Fatal("Enter swapped the mark out and did not latch")
+	}
+	// The section is a real one.
+	freed := false
+	writer.Retire(func() { freed = true })
+	for i := 0; i < 4; i++ {
+		writer.TryAdvance()
+		writer.Collect()
+	}
+	if freed {
+		t.Fatal("a block retired while the fenced participant was inside a section was freed under it")
+	}
+	if writer.TryAdvance() {
+		t.Fatal("epoch moved on past a fenced participant's open section")
+	}
+	zombie.Exit()
+	writer.Barrier()
+	if !freed {
+		t.Fatal("block not freed after the fenced participant left its section")
+	}
+	for i := 0; i < 3; i++ { // the mark is gone from the word; the latch is not
+		zombie.Enter()
+		zombie.Exit()
+		if !zombie.Fenced() {
+			t.Fatalf("section %d after the fence: no longer fenced", i)
+		}
+	}
+}
+
+// TestFenceInsideSection: a fence that lands on an open section takes its
+// reservation away (the participant is presumed dead), the participant
+// finds out at its Exit, and every later section starts fenced.
+func TestFenceInsideSection(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	zombie := d.Participant(f.Node(1), 1)
+	zombie.Enter()
+	zombie.Enter() // nested: only the outermost pair touches the word
+	if writer.TryAdvance() && writer.TryAdvance() {
+		t.Fatal("two advances past an open section")
+	}
+	d.Fence(f.Node(0), zombie.ID())
+	if !writer.TryAdvance() || !writer.TryAdvance() {
+		t.Fatal("advance still blocked after Fence")
+	}
+	zombie.Exit()
+	if zombie.Fenced() {
+		t.Fatal("a nested Exit does not touch the word and cannot have learnt of the fence")
+	}
+	zombie.Exit()
+	if !zombie.Fenced() {
+		t.Fatal("the outermost Exit swapped the mark out and did not latch")
+	}
+	if got := f.Node(0).AtomicLoad64(d.slotG(zombie.ID())); got != 0 {
+		t.Fatalf("reservation word after Exit = %#x, want 0", got)
+	}
+}
+
+// TestFenceMarkIsNotInherited: a fresh participant on an id whose previous
+// holder was fenced starts unfenced.
+func TestFenceMarkIsNotInherited(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 1)
+	dead := d.Participant(f.Node(1), 0)
+	dead.Enter()
+	d.Fence(f.Node(0), dead.ID())
+	fresh := d.Participant(f.Node(1), 0)
+	fresh.Enter()
+	fresh.Exit()
+	if fresh.Fenced() {
+		t.Fatal("the previous holder's fence mark fenced its successor")
 	}
 }
 

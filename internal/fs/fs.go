@@ -37,7 +37,7 @@ type FS struct {
 	dev    BlockDev
 	frames *memsys.GlobalFrames
 	index  *ds.HashMap // pageKey -> frame phys >> 12
-	dirty  *ds.HashMap // pageKey -> frame phys >> 12 at dirtying time
+	dirty  *ds.HashMap // pageKey -> frame phys >> 12 at dirtying time, or cleanMark
 	sizes  *ds.HashMap // fileID  -> size in bytes
 	qdom   *quiescence.Domain
 
@@ -92,6 +92,13 @@ func (fs *FS) Journal() *replication.Log { return fs.metaLog }
 func (fs *FS) CachedPages(n *fabric.Node) uint64 { return fs.index.Len(n) }
 
 func pageKey(fileID uint64, page uint32) uint64 { return fileID<<32 | uint64(page) }
+
+// cleanMark is a page's dirty mark once its current version is on the
+// device. Write-back clears a mark by CAS to this value instead of deleting
+// the entry: a delete is two steps on two words and cannot be made
+// conditional on the mark, a CAS is one. No frame has key 0 (the fabric's
+// first line is reserved).
+const cleanMark = 0
 
 // --- metadata state machine (node-local replica, replicated via log) ---
 
@@ -356,10 +363,7 @@ func (m *Mount) Read(id uint64, off uint64, buf []byte) (int, error) {
 		if hole {
 			clear(buf[done : done+chunk])
 		} else {
-			g := fabric.GPtr(phys + po)
-			m.node.InvalidateRange(g, chunk)
-			m.node.Read(g, buf[done:done+chunk])
-			m.node.InvalidateRange(g, chunk)
+			m.node.ReadFresh(fabric.GPtr(phys+po), buf[done:done+chunk])
 		}
 		m.part.Exit()
 		done += chunk
@@ -450,9 +454,8 @@ func (m *Mount) housekeep() {
 
 // Fsync synchronously writes every cached page of the file to the device.
 func (m *Mount) Fsync(id uint64) error {
-	n := m.node
 	var keys []uint64
-	m.fs.index.Range(n, func(k, v uint64) bool {
+	m.fs.index.Range(m.node, func(k, v uint64) bool {
 		if k>>32 == id {
 			keys = append(keys, k)
 		}
@@ -460,54 +463,58 @@ func (m *Mount) Fsync(id uint64) error {
 	})
 	buf := make([]byte, PageSize)
 	for _, k := range keys {
-		m.part.Enter()
-		fk, ok := m.fs.index.Get(n, k)
-		if ok {
-			g := fabric.GPtr(fk << memsys.PageShift)
-			n.InvalidateRange(g, PageSize)
-			n.Read(g, buf)
-		}
-		m.part.Exit()
-		if ok {
-			m.fs.dev.WritePage(n, k>>32, uint32(k), buf)
-			m.fs.dirty.Delete(n, k)
-		}
+		m.writePage(k, buf)
 	}
 	return nil
 }
 
-// WriteBackOnce performs one pass of the asynchronous write-back daemon:
-// every dirty page whose version is unchanged since dirtying is written to
-// the device and its dirty mark cleared. Returns pages written.
-func (m *Mount) WriteBackOnce() int {
+// writePage writes the current version of page key to the device through
+// buf and marks the page clean if that is still the version its dirty mark
+// names. It reports whether there was a page to write.
+//
+// The read section is held from the read of the frame to the clear. While
+// it is open the frame cannot be freed and reused for a newer version of
+// the page, so a mark that names the frame names the version just written;
+// and the clear is ONE compare-and-swap on the mark, so a page re-dirtied
+// at any point of the pass — its mark now names another frame — stays
+// dirty. (Comparing and then deleting are two steps: a write that lands
+// between them loses its mark, and the page never reaches the device.) A
+// page no longer cached is left alone: whoever evicted it drops its mark.
+func (m *Mount) writePage(key uint64, buf []byte) bool {
 	n := m.node
-	type entry struct{ key, fk uint64 }
-	var work []entry
-	m.fs.dirty.Range(n, func(k, v uint64) bool {
-		work = append(work, entry{k, v})
+	m.part.Enter()
+	defer m.part.Exit()
+	fk, ok := m.fs.index.Get(n, key)
+	if !ok {
+		return false
+	}
+	n.ReadFresh(fabric.GPtr(fk<<memsys.PageShift), buf)
+	m.fs.dev.WritePage(n, key>>32, uint32(key), buf)
+	m.fs.dirty.CompareAndSwap(n, key, fk, cleanMark)
+	return true
+}
+
+// dirtyKeys returns the pages whose mark names a version not yet written.
+func (m *Mount) dirtyKeys() []uint64 {
+	var keys []uint64
+	m.fs.dirty.Range(m.node, func(k, mark uint64) bool {
+		if mark != cleanMark {
+			keys = append(keys, k)
+		}
 		return true
 	})
+	return keys
+}
+
+// WriteBackOnce performs one pass of the asynchronous write-back daemon:
+// every dirty page is written to the device and its dirty mark cleared,
+// unless it was written again meanwhile. Returns pages written.
+func (m *Mount) WriteBackOnce() int {
 	buf := make([]byte, PageSize)
 	written := 0
-	for _, e := range work {
-		m.part.Enter()
-		fk, ok := m.fs.index.Get(n, e.key)
-		if ok {
-			g := fabric.GPtr(fk << memsys.PageShift)
-			n.InvalidateRange(g, PageSize)
-			n.Read(g, buf)
-		}
-		m.part.Exit()
-		if !ok {
-			m.fs.dirty.Delete(n, e.key)
-			continue
-		}
-		m.fs.dev.WritePage(n, e.key>>32, uint32(e.key), buf)
-		written++
-		// Clear the mark only if the page was not re-dirtied with a newer
-		// version while we were writing.
-		if cur, ok := m.fs.dirty.Get(n, e.key); ok && cur == fk {
-			m.fs.dirty.Delete(n, e.key)
+	for _, key := range m.dirtyKeys() {
+		if m.writePage(key, buf) {
+			written++
 		}
 	}
 	return written
@@ -539,7 +546,7 @@ func (m *Mount) StartWriteBack(interval time.Duration) (stop func()) {
 }
 
 // DirtyPages returns how many pages currently await write-back.
-func (m *Mount) DirtyPages() uint64 { return m.fs.dirty.Len(m.node) }
+func (m *Mount) DirtyPages() uint64 { return uint64(len(m.dirtyKeys())) }
 
 // DropCaches evicts every page from the shared cache after writing dirty
 // data to the device — `echo 3 > drop_caches` for the rack. Returns the

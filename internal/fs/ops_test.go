@@ -217,3 +217,117 @@ func TestTruncate(t *testing.T) {
 		t.Fatal("truncate of unknown file should fail")
 	}
 }
+
+// scriptDev is a MemDev that runs a script inside its next WritePage: the
+// point of a write-back pass at which the page's bytes have left the cache
+// for the device and its dirty mark has not yet been looked at.
+type scriptDev struct {
+	*MemDev
+	onWrite func()
+}
+
+func (d *scriptDev) WritePage(n *fabric.Node, fileID uint64, page uint32, data []byte) {
+	d.MemDev.WritePage(n, fileID, page, data)
+	if fn := d.onWrite; fn != nil {
+		d.onWrite = nil
+		fn()
+	}
+}
+
+func pageOf(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
+
+// TestWriteBackOnceKeepsReusedFrameDirty scripts the frame-reuse race
+// (ROADMAP item 1, audit (b)): while mount A's pass is writing version 1 of
+// a page to the device, mount B rewrites the page until the allocator hands
+// version 1's frame out again for a newer version. A pass that had left its
+// read section by then lets that happen, finds the dirty mark naming "its"
+// frame, and clears it: the newest version never reaches the device. Held
+// across the pass, the section keeps the frame from being freed at all —
+// whatever B does, the mark it leaves names another frame, the page stays
+// dirty, and the next pass writes it.
+func TestWriteBackOnceKeepsReusedFrameDirty(t *testing.T) {
+	f := fabric.New(fabric.Config{GlobalSize: 48 << 20, Nodes: 2})
+	dev := &scriptDev{MemDev: NewMemDev(0, 0)}
+	fsys := New(f, dev, Config{CacheFrames: 256, MetaLogCap: 64})
+	a, b := fsys.Mount(f.Node(0)), fsys.Mount(f.Node(1))
+	id, _ := a.Create("page")
+	a.Write(id, 0, pageOf(1))
+	key := pageKey(id, 0)
+	first, _ := fsys.index.Get(f.Node(0), key)
+
+	last := byte(1)
+	dev.onWrite = func() {
+		for v := byte(2); v < 12; v++ { // each write retires a frame and turns the epoch once
+			b.Write(id, 0, pageOf(v))
+			last = v
+			if fk, _ := fsys.index.Get(f.Node(1), key); fk == first {
+				return // version 1's frame, reused for version v
+			}
+		}
+	}
+	if n := a.WriteBackOnce(); n != 1 || last == 1 {
+		t.Fatalf("the pass wrote %d pages and the script rewrote the page up to version %d", n, last)
+	}
+	if got := a.DirtyPages(); got != 1 {
+		t.Fatalf("DirtyPages = %d after the page was rewritten during the pass: version %d lost its dirty mark", got, last)
+	}
+	if n := a.WriteBackOnce(); n != 1 {
+		t.Fatalf("the next pass wrote %d pages, want 1", n)
+	}
+	var got [PageSize]byte
+	if !dev.ReadPage(f.Node(0), id, 0, got[:]) || got[0] != last || got[PageSize-1] != last {
+		t.Fatalf("device holds version %d, want %d", got[0], last)
+	}
+	if got := a.DirtyPages(); got != 0 {
+		t.Fatalf("DirtyPages = %d after an undisturbed pass", got)
+	}
+}
+
+// TestWriteBackOnceClearIsOneStep scripts the other half: the page is
+// re-dirtied between the clear's look at the mark and its clearing of it
+// (the script runs on the fetch of the dirty table's line by the clear's
+// CompareAndSwap; at the parent commit the two steps were a Get and a
+// Delete, two fabric atomics apart, a window no op hook can reach — the
+// frame-reuse test above is the one that fails there). The clear is one
+// CAS on the mark it expects, so the new mark survives it.
+func TestWriteBackOnceClearIsOneStep(t *testing.T) {
+	f, fsys, dev := newFS(t, 2)
+	a, b := fsys.Mount(f.Node(0)), fsys.Mount(f.Node(1))
+	id, _ := a.Create("page")
+	a.Write(id, 0, pageOf(1))
+
+	// A's single-line fetches during the pass (Range over the dirty table
+	// reads many lines at a time): the index probe, then the clear's probe
+	// of the dirty table.
+	probes := 0
+	f.Node(0).SetOpHook(func(k fabric.OpKind, _, lines uint64) {
+		if k == fabric.OpReadFresh && lines == 1 {
+			if probes++; probes == 2 {
+				b.Write(id, 0, pageOf(2))
+			}
+		}
+	})
+	n := a.WriteBackOnce()
+	f.Node(0).SetOpHook(nil)
+	if n != 1 || probes != 2 {
+		t.Fatalf("the pass wrote %d pages in %d index probes; the script expects 1 and 2", n, probes)
+	}
+	if got := a.DirtyPages(); got != 1 {
+		t.Fatalf("DirtyPages = %d: the write that landed inside the clear lost its mark", got)
+	}
+	if n := b.WriteBackOnce(); n != 1 {
+		t.Fatalf("the next pass wrote %d pages, want 1", n)
+	}
+	var got [PageSize]byte
+	if !dev.ReadPage(f.Node(0), id, 0, got[:]) || got[0] != 2 {
+		t.Fatalf("device holds version %d, want 2", got[0])
+	}
+	// A clean page is not written again, and writing it dirties it again.
+	if n, d := a.WriteBackOnce(), a.DirtyPages(); n != 0 || d != 0 {
+		t.Fatalf("pass over a clean cache wrote %d pages, %d dirty", n, d)
+	}
+	b.Write(id, 0, pageOf(3))
+	if d := a.DirtyPages(); d != 1 {
+		t.Fatalf("DirtyPages = %d after writing a clean page, want 1", d)
+	}
+}

@@ -31,9 +31,12 @@ import (
 //     bytes are in home memory. Readers invalidate the block's lines
 //     before reading. No hardware coherence is assumed anywhere.
 //   - A mutation pays a fabric atomic only to change shared state: the
-//     probe that read the key's entry keeps a handle on its index slot
-//     (ds.Slot) and the publish is one CAS there, not a second walk of the
-//     index.
+//     index is read by the line (ds.HashMap's probe, no atomic), the probe
+//     that read the key's entry keeps a handle on its index slot (ds.Slot)
+//     and the publish is one CAS there, not a second walk of the index;
+//     and whether the view has been fenced is learnt from the swap that
+//     opens the mutation's read section (fence.go), not from a load of
+//     its own. A SET of a live key is three atomics: enter, CAS, exit.
 //   - Entries are never modified in place. SET/DEL/INCR publish a fresh
 //     block and retire the old one through flacdk/quiescence, whose grace
 //     period guarantees no reader still holds the old address when its
@@ -160,17 +163,31 @@ func (s *RackStore) AdvanceClock(n *fabric.Node, d time.Duration) uint64 {
 // allocator, neither of which is concurrency-safe); attach one per server
 // session or client worker. Views of a crashed node must be abandoned:
 // FenceView the old id from any live node and Attach a fresh one.
-func (s *RackStore) Attach(n *fabric.Node) *View {
-	// A fresh attachment adopts the node's CURRENT fence level as its
-	// generation: new views are definitionally not zombies, so a fence
-	// raised against the node's previous life does not reject them.
-	gen := n.AtomicLoad64(s.fenceSlotG(n.ID()))
+//
+// A fresh attachment adopts the node's CURRENT fence level as its
+// generation: new views are definitionally not zombies, so a fence
+// raised against the node's previous life does not reject them.
+func (s *RackStore) Attach(n *fabric.Node) *View { return s.attach(n, 0, true) }
+
+// attach builds a view at generation gen, or at the node's fence level if
+// adopt is set. The fence word is read and the view registered for
+// FenceNode's sweep under ONE hold of s.mu, and FenceNode raises the word
+// before it takes s.mu to sweep — so whichever of the two goes first, a
+// view at a fenced generation is either swept (the sweep's hold came
+// second) or sees the raised word here (its own hold came second) and is
+// fenced on the spot, the way the sweep would have. There is no third
+// order.
+func (s *RackStore) attach(n *fabric.Node, gen uint64, adopt bool) *View {
 	s.mu.Lock()
+	defer s.mu.Unlock() // n may crash under any fabric operation below
 	id := s.nextView
-	s.nextView++
-	s.mu.Unlock()
 	if id >= s.maxViews {
 		panic(fmt.Sprintf("redis: RackStore view capacity exhausted (%d); size RackStoreConfig.MaxViews for attach churn", s.maxViews))
+	}
+	s.nextView++
+	level := n.AtomicLoad64(s.fenceSlotG(n.ID()))
+	if adopt {
+		gen = level
 	}
 	v := &View{
 		s:   s,
@@ -180,16 +197,19 @@ func (s *RackStore) Attach(n *fabric.Node) *View {
 		id:  id,
 		gen: gen,
 	}
-	s.mu.Lock()
-	s.byNode[n.ID()] = append(s.byNode[n.ID()], v)
-	s.mu.Unlock()
+	if gen < level {
+		s.dom.Fence(n, id) // a generation the rack has already fenced: born a zombie
+	} else {
+		s.byNode[n.ID()] = append(s.byNode[n.ID()], v)
+	}
 	return v
 }
 
-// FenceView clears a dead view's quiescence reservation on its behalf,
+// FenceView fences a dead view's quiescence participant on its behalf,
 // acting from live node n. A view that dies inside a read section would
 // otherwise stall epoch advance — and with it value-block reclamation —
-// rack-wide. The fenced view must never be used again.
+// rack-wide. The fenced view must never be used again (if it is, its
+// writes are rejected like a zombie's).
 func (s *RackStore) FenceView(n *fabric.Node, id int) { s.dom.Fence(n, id) }
 
 // Len returns the live key count as seen from node n. Like real Redis,
@@ -457,9 +477,6 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 	if err := checkSizes(key, value); err != nil {
 		return err
 	}
-	if v.fenced() {
-		return ErrFenced
-	}
 	if v.tw != nil {
 		h := keyHash(key)
 		v.tw.Begin(trace.SubRedis, trace.KSet, h, uint64(len(value)))
@@ -470,7 +487,11 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 		exp = v.Now() + uint64(ttl.Nanoseconds())
 	}
 	blk := v.newEntry(key, value, exp, false)
-	prev, prevDeleted := v.publish(key, blk)
+	prev, prevDeleted, err := v.publish(key, blk)
+	if err != nil {
+		v.na.Free(blk) // never published: no reader saw it, no grace period needed
+		return err
+	}
 	if !prev.IsNil() {
 		v.retire(prev)
 	}
@@ -485,15 +506,18 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 // on a fresh insert) and whether it was a deleted marker. A bound key is
 // replaced with one CAS at the slot the probe found; every racing publish
 // receives a distinct previous entry (ds.HashMap.Exchange's contract), so
-// each old block is retired exactly once.
-func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDeleted bool) {
-	v.p.Enter()
+// each old block is retired exactly once. A fenced view installs nothing
+// and gets ErrFenced; blk is then still the caller's.
+func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDeleted bool, err error) {
+	if !v.enterWrite() {
+		return fabric.Nil, false, ErrFenced
+	}
 	defer v.p.Exit()
 	for {
 		pr := v.probe(key, false)
 		if pr.entry.IsNil() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(blk)); inserted {
-				return fabric.Nil, false
+				return fabric.Nil, false, nil
 			}
 			continue // lost the bind race; re-probe (the winner may be another key)
 		}
@@ -505,7 +529,7 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 		// The displaced entry may differ from the probed one (a concurrent
 		// writer published in between), but slot binding is permanent, so
 		// it is OUR key's entry and we own retiring it.
-		return oe, v.displaced(pr, oe).deleted()
+		return oe, v.displaced(pr, oe).deleted(), nil
 	}
 }
 
@@ -573,12 +597,11 @@ func (v *View) Del(keys ...string) int {
 }
 
 func (v *View) del1(key string) bool {
-	if v.fenced() {
+	if !v.enterWrite() {
 		// Del's counting signature has no error channel; a fenced delete
 		// simply does not happen (and reports the key untouched).
 		return false
 	}
-	v.p.Enter()
 	pr := v.probe(key, false)
 	if pr.entry.IsNil() || pr.hdr.deleted() {
 		v.p.Exit()
@@ -622,10 +645,9 @@ func (v *View) Incr(key string) (int64, error) { return v.IncrBy(key, 1) }
 // round instead of N contended ones.
 func (v *View) IncrBy(key string, delta int64) (int64, error) {
 	for {
-		if v.fenced() {
+		if !v.enterWrite() {
 			return 0, ErrFenced
 		}
-		v.p.Enter()
 		pr := v.probe(key, true)
 		cur := int64(0)
 		exp := uint64(0)
@@ -675,10 +697,9 @@ func (v *View) Expire(key string, ttl time.Duration) bool {
 		return v.del1(key)
 	}
 	for {
-		if v.fenced() {
+		if !v.enterWrite() {
 			return false
 		}
-		v.p.Enter()
 		pr := v.probe(key, true)
 		if !v.live(pr) {
 			v.p.Exit()

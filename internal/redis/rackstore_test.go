@@ -364,10 +364,11 @@ func TestRackStoreExpire(t *testing.T) {
 // --- entry fetch: one fetch per line per op ---
 
 // TestRackStoreGetFabricBudget pins what a GET costs: for an entry of
-// three lines read cold from another node, four fabric atomics (enter,
-// two for the index probe, exit), two invalidate calls (the header's line,
-// then the lines past it), three line fetches and one hit (the key's bytes
-// in the header's already-fetched line) — nothing is fetched twice.
+// three lines read cold from another node, TWO fabric atomics (enter and
+// exit; the index probe is a fresh line fetch, not an atomic), two
+// invalidate calls (the header's line, then the lines past it), the index
+// line plus three line fetches and one hit (the key's bytes in the
+// header's already-fetched line) — nothing is fetched twice.
 func TestRackStoreGetFabricBudget(t *testing.T) {
 	f, s := newTestRackStore(t, 2, RackStoreConfig{})
 	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
@@ -384,22 +385,28 @@ func TestRackStoreGetFabricBudget(t *testing.T) {
 	}
 	atomicNS, missNS := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS
 	// The stats count dropped lines, not invalidate calls; the exact charge
-	// pins the two calls (LocalNS each).
-	wantNS := uint64(4*atomicNS + 2*lat.LocalNS + missNS + (lat.LocalNS + missNS + lat.PerLineNS))
-	if d.Atomics != 4 || d.Misses != 3 || d.Hits != 1 || d.VirtualNS != wantNS {
-		t.Fatalf("GET of a 3-line entry: %d atomics, %d line fetches, %d hits, %d sim_ns; want 4, 3, 1, %d",
+	// pins the two calls (LocalNS each). Enter and exit, the index line,
+	// the header line, the two lines behind it with the key out of the
+	// header's line.
+	wantNS := uint64(2*atomicNS + (lat.LocalNS + missNS) + (lat.LocalNS + missNS) + (lat.LocalNS + lat.LocalNS + missNS + lat.PerLineNS))
+	if d.Atomics != 2 || d.Misses != 1+3 || d.Hits != 1 || d.VirtualNS != wantNS {
+		t.Fatalf("GET of a 3-line entry: %d atomics, %d line fetches, %d hits, %d sim_ns; want 2, 4 (the index line and the entry's three), 1, %d",
 			d.Atomics, d.Misses, d.Hits, d.VirtualNS, wantNS)
+	}
+	if wantNS != 3370 {
+		t.Fatalf("budget = %d sim_ns, EXPERIMENTS.md publishes 3370", wantNS)
 	}
 }
 
 // TestRackStoreSetFabricBudget pins what a mutation of a live key costs,
 // with the benchmark's shape (7 B key, 128 B value: a three-line entry)
-// and every key at its index home slot. A SET is six fabric atomics —
-// fence check, enter, two for the probe, ONE for the publish, exit — one
-// three-line write-back and one line fetch (the displaced entry's header);
-// the entry image goes into the cache as whole lines, so writing it
-// fetches nothing; retiring the displaced block costs nothing. INCRBY is
-// the same six around a one-line entry; DEL adds the live-count update.
+// and every key at its index home slot. A SET is THREE fabric atomics —
+// enter, ONE for the publish, exit; the fence is learnt from enter's swap
+// and the index is read by the line — one three-line write-back and two
+// line fetches (the index line, the displaced entry's header); the entry
+// image goes into the cache as whole lines, so writing it fetches
+// nothing; retiring the displaced block costs nothing. INCRBY is the same
+// three around a one-line entry; DEL adds the live-count update.
 func TestRackStoreSetFabricBudget(t *testing.T) {
 	f, s := newTestRackStore(t, 2, RackStoreConfig{})
 	a := s.Attach(f.Node(0))
@@ -414,22 +421,21 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 		}
 	}
 	atomicNS, missNS, local := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS, lat.LocalNS
-	// What every op below pays around its entry write: the fence check,
-	// enter, a two-atomic probe, the header's invalidate and fetch, the
-	// key (and a counter's digits) out of the fetched line, the publishing
-	// CAS, exit.
-	common := 6*atomicNS + (local + missNS) + local
+	// What every op below pays around its entry write: enter, the index
+	// line, the header's invalidate and fetch, the key (and a counter's
+	// digits) out of the fetched line, the publishing CAS, exit.
+	common := 3*atomicNS + (local + missNS) + (local + missNS) + local
 	ops := []struct {
 		name                       string
 		fn                         func() bool
 		atomics, lines, writeBytes uint64 // lines of the new entry, bytes of its padded image
 		wantNS                     int
 	}{
-		{"SET", func() bool { return a.Set(key, val, 0) == nil }, 6, 3, 192,
+		{"SET", func() bool { return a.Set(key, val, 0) == nil }, 3, 3, 192,
 			common + 3*local + missNS + 2*lat.PerLineNS},
-		{"INCRBY", func() bool { v, err := a.IncrBy(ctr, 5); return err == nil && v == 20 }, 6, 1, 64,
+		{"INCRBY", func() bool { v, err := a.IncrBy(ctr, 5); return err == nil && v == 20 }, 3, 1, 64,
 			common + local + missNS},
-		{"DEL", func() bool { return a.Del(key) == 1 }, 7, 1, 64,
+		{"DEL", func() bool { return a.Del(key) == 1 }, 4, 1, 64,
 			common + local + missNS + atomicNS},
 	}
 	for _, op := range ops {
@@ -440,8 +446,8 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: wrong result", op.name)
 		}
-		if d.Atomics != op.atomics || d.WriteBacks != op.lines || d.Misses != 1 || d.BulkBytesWritten != op.writeBytes || d.VirtualNS != uint64(op.wantNS) {
-			t.Fatalf("%s of a live key: %d atomics, %d lines written back, %d line fetches, %d B written, %d sim_ns; want %d, %d, 1, %d, %d",
+		if d.Atomics != op.atomics || d.WriteBacks != op.lines || d.Misses != 2 || d.BulkBytesWritten != op.writeBytes || d.VirtualNS != uint64(op.wantNS) {
+			t.Fatalf("%s of a live key: %d atomics, %d lines written back, %d line fetches, %d B written, %d sim_ns; want %d, %d, 2, %d, %d",
 				op.name, d.Atomics, d.WriteBacks, d.Misses, d.BulkBytesWritten, d.VirtualNS, op.atomics, op.lines, op.writeBytes, op.wantNS)
 		}
 		if got := a.p.PendingRetired(); got != pending+1 {
@@ -449,11 +455,9 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 		}
 	}
 	// The numbers EXPERIMENTS.md publishes, under the default latency model
-	// one hop from home. (The benchmark's median INCRBY is 6,120: its
-	// counters are bound after the preload has half filled the index, so
-	// the median one sits one probe step past its home slot.)
-	if ops[0].wantNS != 5680 || ops[1].wantNS != 5440 || ops[2].wantNS != 6120 {
-		t.Fatalf("budgets = %d / %d / %d sim_ns, want 5680 / 5440 / 6120", ops[0].wantNS, ops[1].wantNS, ops[2].wantNS)
+	// one hop from home.
+	if ops[0].wantNS != 4270 || ops[1].wantNS != 4030 || ops[2].wantNS != 4710 {
+		t.Fatalf("budgets = %d / %d / %d sim_ns, want 4270 / 4030 / 4710", ops[0].wantNS, ops[1].wantNS, ops[2].wantNS)
 	}
 }
 
@@ -461,7 +465,7 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 // fails: node 1 publishes the same key after node 0's probe has read the
 // index slot (the script runs on the probe's fetch of the entry header)
 // and before its CAS. The SET must retry AT THE SLOT — reload the value
-// word, CAS again: two more atomics, no second probe — and retire the
+// word, CAS again: two more atomics, no second index fetch — and retire the
 // entry it actually displaced, node 1's, exactly once; node 1 retired the
 // one the probe saw.
 func TestRackStoreSetLosesPublishRace(t *testing.T) {
@@ -489,10 +493,11 @@ func TestRackStoreSetLosesPublishRace(t *testing.T) {
 	if err != nil || !raced {
 		t.Fatalf("Set: %v, raced=%v", err, raced)
 	}
-	// 6 as in the budget, +2 for the reload and second CAS, and a second
-	// header fetch: the displaced entry is not the probed one.
-	if d.Atomics != 8 || d.Misses != 2 {
-		t.Fatalf("SET that lost its first CAS: %d atomics, %d line fetches; want 8 (retry at the slot, no re-probe) and 2", d.Atomics, d.Misses)
+	// 3 as in the budget, +2 for the reload and second CAS; the index line
+	// once, and a second header fetch: the displaced entry is not the
+	// probed one.
+	if d.Atomics != 5 || d.Misses != 3 {
+		t.Fatalf("SET that lost its first CAS: %d atomics, %d line fetches; want 5 (retry at the slot, no re-probe) and 3", d.Atomics, d.Misses)
 	}
 	if a.p.PendingRetired() != 1 || b.p.PendingRetired() != 1 {
 		t.Fatalf("retired: node 0 %d, node 1 %d; want 1 and 1", a.p.PendingRetired(), b.p.PendingRetired())
@@ -522,22 +527,22 @@ func TestRackStoreKeyOnlyOpsSkipTheValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := f.Node(1)
-	want := uint64(entryHdrSize + len(key))
+	want := uint64(fabric.LineSize + entryHdrSize + len(key)) // the index line, then header + key
 	before := n.Stats()
 	if b.Exists(key) != 1 {
 		t.Fatal("EXISTS missed a live key")
 	}
-	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Misses != 1 {
-		t.Fatalf("EXISTS read %d B in %d line fetches; want %d B (header+key) in 1", d.BulkBytesRead, d.Misses, want)
+	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Misses != 2 {
+		t.Fatalf("EXISTS read %d B in %d line fetches; want %d B (index line, header+key) in 2", d.BulkBytesRead, d.Misses, want)
 	}
-	// DEL also writes its marker block, so count what it READ: two line
-	// accesses, header then key.
+	// DEL also writes its marker block, so count what it READ: three
+	// reads, the index line, the header, then the key.
 	before = n.Stats()
 	if b.Del(key) != 1 {
 		t.Fatal("DEL missed a live key")
 	}
-	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Loads != 2 {
-		t.Fatalf("DEL read %d B in %d line accesses; want %d B (header+key, probed header reused) in 2", d.BulkBytesRead, d.Loads, want)
+	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Loads != 3 {
+		t.Fatalf("DEL read %d B in %d reads; want %d B (index line, header+key, probed header reused) in 3", d.BulkBytesRead, d.Loads, want)
 	}
 	if _, ok := a.Get(key); ok {
 		t.Fatal("key still live after DEL")

@@ -58,7 +58,9 @@ type Kind uint8
 // operand words' meaning is per-kind and documented at the emit site.
 const (
 	KNone Kind = iota
-	// fabric (firehose, opt-in): arg0 = global line index.
+	// fabric (firehose, opt-in): arg0 = global line index. A KMiss with
+	// arg1 > 0 is one uncached ranged read (fabric.ReadFresh) of arg1
+	// lines starting at arg0.
 	KMiss
 	KWriteBack
 	KFence

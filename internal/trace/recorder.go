@@ -114,6 +114,9 @@ func (r *Recorder) InstallFabricHooks() {
 			switch k {
 			case fabric.OpMiss:
 				w.Emit(SubFabric, KMiss, 0, arg0, 0)
+			case fabric.OpReadFresh:
+				// An uncached ranged read: every line of it missed.
+				w.Emit(SubFabric, KMiss, 0, arg0, arg1)
 			case fabric.OpWriteBack:
 				w.Emit(SubFabric, KWriteBack, 0, arg0, 0)
 			case fabric.OpWriteBackRange:
