@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/alloc"
@@ -209,8 +208,9 @@ func tierVA(page uint32) uint64 { return tierBaseVA + uint64(page)*memsys.PageSi
 // address-ordered warm set demoted cold), replays the plan, and audits.
 // Determinism chain: unlimited fabric caches (no eviction heuristics),
 // TLBs sized past the span (no arbitrary map eviction), one accessor per
-// (page, round), pre-generated op streams, and daemon decisions that are
-// sorted at every stage — same seed, same bits, run after run.
+// (page, round), pre-generated op streams replayed by one goroutine, and
+// daemon decisions that are sorted at every stage — same seed, same bits,
+// run after run.
 func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase {
 	span := cfg.SpanPages
 	const nodes = tierNodes
@@ -296,45 +296,41 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	ph := &tierPhase{daemon: daemonOn}
 	mark := markClocks(f, nodes)
 
-	// Measured rounds: one goroutine per node replays its list; violations
-	// are exact because each page has exactly one accessor per round and
-	// tier moves happen only at the barrier.
-	viols := make([][2]int, nodes) // per node: stale, torn
+	// Measured rounds: one goroutine steps the nodes round-robin — op i of
+	// every node's list, then op i+1 — so each node's virtual clock runs
+	// through the same interleaving on every run, at any GOMAXPROCS.
+	// Violations are exact because each page has exactly one accessor per
+	// round and tier moves happen only at the round boundary.
+	var buf [tierRecordBytes]byte
 	for r := 0; r < cfg.Rounds; r++ {
-		var wg sync.WaitGroup
-		for n := 0; n < nodes; n++ {
-			ops := plan.rounds[r][n]
-			if len(ops) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(n int, ops []tierOp) {
-				defer wg.Done()
-				m := mmus[n]
-				var buf [tierRecordBytes]byte
-				for _, op := range ops {
-					if op.write {
-						seq := shadow[op.page] + 1
-						tierRecord(buf[:], seq)
-						if err := m.Write(tierVA(op.page), buf[:]); err != nil {
-							panic(err)
-						}
-						shadow[op.page] = seq
-					} else {
-						if err := m.Read(tierVA(op.page), buf[:]); err != nil {
-							panic(err)
-						}
-						switch checkTierRecord(buf[:], shadow[op.page]) {
-						case 1:
-							viols[n][0]++
-						case 2:
-							viols[n][1]++
-						}
-					}
+		for i, busy := 0, true; busy; i++ {
+			busy = false
+			for n, ops := range plan.rounds[r] {
+				if i >= len(ops) {
+					continue
 				}
-			}(n, ops)
+				busy = true
+				op := ops[i]
+				if op.write {
+					seq := shadow[op.page] + 1
+					tierRecord(buf[:], seq)
+					if err := mmus[n].Write(tierVA(op.page), buf[:]); err != nil {
+						panic(err)
+					}
+					shadow[op.page] = seq
+					continue
+				}
+				if err := mmus[n].Read(tierVA(op.page), buf[:]); err != nil {
+					panic(err)
+				}
+				switch checkTierRecord(buf[:], shadow[op.page]) {
+				case 1:
+					ph.stale++
+				case 2:
+					ph.torn++
+				}
+			}
 		}
-		wg.Wait()
 		if d != nil {
 			d.Step()
 		}
@@ -344,10 +340,6 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	ph.makespanNS = makespan
 	ph.meanServiceNS = meanService(perNode, func(n int) int { return plan.perNode[n] })
 	ph.opsPerSec = opsPerSec(plan.total, ph.makespanNS)
-	for n := range viols {
-		ph.stale += viols[n][0]
-		ph.torn += viols[n][1]
-	}
 	for _, m := range mmus {
 		ph.migrations += m.Stats().Migrations
 	}
@@ -362,7 +354,6 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 		tier, _ := mmus[0].TierOf(tierVA(uint32(p)) >> memsys.PageShift)
 		ph.census[tier]++
 	}
-	var buf [tierRecordBytes]byte
 	for p := 0; p < span; p++ {
 		if err := mmus[tierHome(uint32(p))].Read(tierVA(uint32(p)), buf[:]); err != nil {
 			panic(err)

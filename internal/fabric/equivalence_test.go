@@ -30,14 +30,20 @@ type eqTwin struct {
 	g GPtr
 }
 
-func newEqTwin(faultSeed int64) eqTwin {
+// newEqTwin builds one twin. With straddle set, the arena's first half is
+// the last lines of one home-memory chunk and its second half the first
+// lines of the next, both untouched until the workload writes them.
+func newEqTwin(faultSeed int64, straddle bool) eqTwin {
 	f := New(Config{
-		GlobalSize:         1 << 20,
+		GlobalSize:         4 << 20,
 		Nodes:              2,
 		CacheCapacityLines: -1,
 		Latency:            DefaultLatency(),
 		FaultSeed:          faultSeed,
 	})
+	if straddle {
+		f.Reserve(chunkWords*WordSize-eqArenaBytes/2-f.Reserved(), LineSize)
+	}
 	return eqTwin{f: f, g: f.Reserve(eqArenaBytes, LineSize)}
 }
 
@@ -56,7 +62,10 @@ func runEqWorkload(tw eqTwin, r *rand.Rand, ops int, ranged bool) {
 			n.Load64(tw.g.Add(off))
 		case k < 50:
 			b := make([]byte, 1+r.Intn(200))
-			r.Read(b)
+			if r.Intn(3) > 0 {
+				r.Read(b)
+			} // else zeros: whole lines of them written back over old data
+
 			start := uint64(r.Intn(eqArenaBytes - len(b)))
 			n.Write(tw.g.Add(start), b)
 		case k < 65:
@@ -91,10 +100,10 @@ func runEqWorkload(tw eqTwin, r *rand.Rand, ops int, ranged bool) {
 	}
 }
 
-func diffTwins(t *testing.T, seed int64, corruptPPM, dropPPM uint64) {
+func diffTwins(t *testing.T, seed int64, corruptPPM, dropPPM uint64, straddle bool) {
 	t.Helper()
-	legacy := newEqTwin(seed)
-	ranged := newEqTwin(seed)
+	legacy := newEqTwin(seed, straddle)
+	ranged := newEqTwin(seed, straddle)
 	legacy.f.Faults().SetCorruptionRate(corruptPPM)
 	ranged.f.Faults().SetCorruptionRate(corruptPPM)
 	legacy.f.Faults().SetDropWriteBackRate(dropPPM)
@@ -132,7 +141,7 @@ func diffTwins(t *testing.T, seed int64, corruptPPM, dropPPM uint64) {
 
 func TestRangedEquivalentToPerLine(t *testing.T) {
 	check := func(seed int64) bool {
-		diffTwins(t, seed, 0, 0)
+		diffTwins(t, seed, 0, 0, false)
 		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(7))}
@@ -148,11 +157,28 @@ func TestRangedEquivalentToPerLine(t *testing.T) {
 func TestRangedEquivalentToPerLineWithFaults(t *testing.T) {
 	check := func(seed int64) bool {
 		// Rates high enough that a 400-op workload reliably takes hits.
-		diffTwins(t, seed, 20_000, 50_000)
+		diffTwins(t, seed, 20_000, 50_000, false)
 		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// The same two checks over an arena that starts in an untouched chunk and
+// straddles a chunk boundary: the first write into each chunk installs it,
+// zero lines written back into an untouched chunk store nothing, and none
+// of that may show in home memory, virtual time, stats or fault draws.
+func TestRangedEquivalentToPerLineAcrossChunks(t *testing.T) {
+	for _, rates := range [][2]uint64{{0, 0}, {20_000, 50_000}} {
+		check := func(seed int64) bool {
+			diffTwins(t, seed, rates[0], rates[1], true)
+			return !t.Failed()
+		}
+		cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(13))}
+		if err := quick.Check(check, cfg); err != nil {
+			t.Error(err)
+		}
 	}
 }

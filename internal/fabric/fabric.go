@@ -32,7 +32,7 @@ type Config struct {
 type Fabric struct {
 	cfg   Config
 	lat   LatencyModel
-	words []uint64 // home memory, accessed only with atomic word ops
+	home  []atomic.Pointer[chunk] // home memory, accessed only with atomic word ops
 	size  uint64
 	nodes []*Node
 
@@ -65,7 +65,7 @@ func New(cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:        cfg,
 		lat:        cfg.Latency,
-		words:      make([]uint64, size/WordSize),
+		home:       make([]atomic.Pointer[chunk], (size/WordSize+chunkMask)>>chunkShift),
 		size:       size,
 		reserveOff: LineSize, // line 0 reserved: GPtr 0 is nil
 	}
@@ -142,14 +142,78 @@ func (f *Fabric) checkRange(g GPtr, n uint64) {
 	}
 }
 
-// homeLoadWord reads one aligned word from home memory.
-func (f *Fabric) homeLoadWord(wordIdx uint64) uint64 {
-	return atomic.LoadUint64(&f.words[wordIdx])
+// Home memory is a table of fixed-size chunks, each allocated the first
+// time something nonzero is written into it. A chunk that was never
+// written reads as zero and costs one nil pointer, so a rack's host
+// footprint is what its workload touches, not what it configures. A chunk
+// is 1 MiB: it is line-aligned, so no line straddles two chunks and a line
+// transfer looks its chunk up once, and it is large enough that a workload
+// touching fresh memory inside its measured ops (a cold container start
+// writes 4 MiB of frames) pays a handful of chunk allocations per op, not
+// dozens.
+const (
+	chunkShift = 17 // words per chunk, log2
+	chunkWords = 1 << chunkShift
+	chunkMask  = chunkWords - 1
+	lineWords  = LineSize / WordSize
+)
+
+type chunk [chunkWords]uint64
+
+// chunkAt returns the chunk holding word w, or nil if nothing nonzero was
+// ever written into it.
+func (f *Fabric) chunkAt(w uint64) *chunk { return f.home[w>>chunkShift].Load() }
+
+// installChunk returns the chunk holding word w, allocating it on first
+// use with one CAS on its pointer; a loser adopts the winner's chunk.
+func (f *Fabric) installChunk(w uint64) *chunk {
+	p := &f.home[w>>chunkShift]
+	if c := p.Load(); c != nil {
+		return c
+	}
+	if c := new(chunk); p.CompareAndSwap(nil, c) {
+		return c
+	}
+	return p.Load()
 }
 
-// homeStoreWord writes one aligned word to home memory.
-func (f *Fabric) homeStoreWord(wordIdx uint64, v uint64) {
-	atomic.StoreUint64(&f.words[wordIdx], v)
+// homeWord returns word w's address, installing its chunk: the target of
+// every read-modify-write on home memory.
+func (f *Fabric) homeWord(w uint64) *uint64 { return &f.installChunk(w)[w&chunkMask] }
+
+// homeLoadWord reads one aligned word from home memory.
+func (f *Fabric) homeLoadWord(w uint64) uint64 {
+	if c := f.chunkAt(w); c != nil {
+		return atomic.LoadUint64(&c[w&chunkMask])
+	}
+	return 0
+}
+
+// homeStoreWord writes one aligned word to home memory. Zero into a chunk
+// that was never written stores nothing: the word already reads as zero.
+func (f *Fabric) homeStoreWord(w uint64, v uint64) {
+	c := f.chunkAt(w)
+	if c == nil {
+		if v == 0 {
+			return
+		}
+		c = f.installChunk(w)
+	}
+	atomic.StoreUint64(&c[w&chunkMask], v)
+}
+
+// homeLine returns the home words of line li, or nil when install is false
+// and the line's chunk was never written.
+func (f *Fabric) homeLine(li uint64, install bool) *[lineWords]uint64 {
+	w := li * lineWords
+	c := f.chunkAt(w)
+	if c == nil {
+		if !install {
+			return nil
+		}
+		c = f.installChunk(w)
+	}
+	return (*[lineWords]uint64)(c[w&chunkMask:])
 }
 
 // fetchLineHome copies the line with index li from home memory into dst.
@@ -157,32 +221,54 @@ func (f *Fabric) homeStoreWord(wordIdx uint64, v uint64) {
 // publication contract in doc.go: a fetch that sees a line's last word
 // as new sees every earlier word at least as new.
 func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
-	base := li * LineSize / WordSize
-	for w := int(LineSize/WordSize) - 1; w >= 0; w-- {
-		binary.LittleEndian.PutUint64(dst[w*WordSize:], f.homeLoadWord(base+uint64(w)))
+	ws := f.homeLine(li, false)
+	if ws == nil {
+		*dst = [LineSize]byte{}
+		return
+	}
+	for w := lineWords - 1; w >= 0; w-- {
+		binary.LittleEndian.PutUint64(dst[w*WordSize:], atomic.LoadUint64(&ws[w]))
+	}
+}
+
+// storeLineHome writes src to line li with no fault injection. Words land
+// in ASCENDING order, the writer's half of the line publication contract
+// in doc.go. An all-zero line into a chunk that was never written stores
+// nothing, and a word that already holds its new value is not stored
+// again: no reader can tell either from a store, and a load costs the host
+// a fraction of an atomic store.
+func (f *Fabric) storeLineHome(li uint64, src *[LineSize]byte) {
+	ws := f.homeLine(li, false)
+	if ws == nil {
+		if *src == [LineSize]byte{} {
+			return
+		}
+		ws = f.homeLine(li, true)
+	}
+	for w := range ws {
+		if v := binary.LittleEndian.Uint64(src[w*WordSize:]); atomic.LoadUint64(&ws[w]) != v {
+			atomic.StoreUint64(&ws[w], v)
+		}
 	}
 }
 
 // writeLineHome copies src into home memory at line index li, applying any
 // write-path fault injection, and returns how many injector hits the line
 // took (1 for a dropped line, 1 per corrupted word) so the node can
-// account them. Words land in ASCENDING order, the writer's half of the
-// line publication contract in doc.go.
+// account them. Words land in ASCENDING order, as storeLineHome's do.
 func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 	if f.faults.dropWriteBack() {
 		return 1 // the line silently never reaches home memory
 	}
-	base := li * LineSize / WordSize
 	if f.faults.corruptRate.Load() == 0 {
 		// Fast path: with corruption disarmed the injector draws nothing
 		// from its PRNG, so skipping the per-word roll is observationally
 		// identical — and saves eight atomic rate loads per line.
-		for w := uint64(0); w < LineSize/WordSize; w++ {
-			f.homeStoreWord(base+w, binary.LittleEndian.Uint64(src[w*WordSize:]))
-		}
+		f.storeLineHome(li, src)
 		return 0
 	}
-	for w := uint64(0); w < LineSize/WordSize; w++ {
+	base := li * lineWords
+	for w := uint64(0); w < lineWords; w++ {
 		v := binary.LittleEndian.Uint64(src[w*WordSize:])
 		if cv := f.faults.corruptOnWrite(v); cv != v {
 			v = cv
@@ -205,11 +291,7 @@ func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 func (f *Fabric) writeLinesHome(buf []wbEntry) (faults uint64) {
 	if f.faults.dropRate.Load() == 0 && f.faults.corruptRate.Load() == 0 {
 		for i := range buf {
-			base := buf[i].li * LineSize / WordSize
-			src := &buf[i].data
-			for w := uint64(0); w < LineSize/WordSize; w++ {
-				f.homeStoreWord(base+w, binary.LittleEndian.Uint64(src[w*WordSize:]))
-			}
+			f.storeLineHome(buf[i].li, &buf[i].data)
 		}
 		return 0
 	}
@@ -242,11 +324,14 @@ func (f *Fabric) WriteAtHome(g GPtr, buf []byte) {
 		w := addr / WordSize
 		sh := (addr % WordSize) * 8
 		// Read-modify-write one byte at a time; fine for a provisioning path.
-		for {
-			old := f.homeLoadWord(w)
-			neu := (old &^ (uint64(0xff) << sh)) | uint64(buf[i])<<sh
-			if atomic.CompareAndSwapUint64(&f.words[w], old, neu) {
-				break
+		if buf[i] != 0 || f.chunkAt(w) != nil {
+			p := f.homeWord(w)
+			for {
+				old := atomic.LoadUint64(p)
+				neu := (old &^ (uint64(0xff) << sh)) | uint64(buf[i])<<sh
+				if atomic.CompareAndSwapUint64(p, old, neu) {
+					break
+				}
 			}
 		}
 		i++

@@ -94,10 +94,10 @@ func (fi *FaultInjector) FlipBitAtHome(f *Fabric, g GPtr, bit uint) {
 	if !g.AlignedTo(WordSize) {
 		panic("fabric: FlipBitAtHome requires word alignment")
 	}
-	w := uint64(g) / WordSize
+	p := f.homeWord(uint64(g) / WordSize)
 	for {
-		old := f.homeLoadWord(w)
-		if atomic.CompareAndSwapUint64(&f.words[w], old, old^(1<<bit)) {
+		old := atomic.LoadUint64(p)
+		if atomic.CompareAndSwapUint64(p, old, old^(1<<bit)) {
 			fi.bitFlips.Add(1)
 			return
 		}

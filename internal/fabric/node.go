@@ -366,32 +366,27 @@ func (n *Node) atomicPre(g GPtr) uint64 {
 
 // AtomicLoad64 reads a word directly from home memory.
 func (n *Node) AtomicLoad64(g GPtr) uint64 {
-	w := n.atomicPre(g)
-	return atomic.LoadUint64(&n.fab.words[w])
+	return n.fab.homeLoadWord(n.atomicPre(g))
 }
 
 // AtomicStore64 writes a word directly to home memory.
 func (n *Node) AtomicStore64(g GPtr, v uint64) {
-	w := n.atomicPre(g)
-	atomic.StoreUint64(&n.fab.words[w], v)
+	n.fab.homeStoreWord(n.atomicPre(g), v)
 }
 
 // CAS64 atomically compares-and-swaps a home-memory word.
 func (n *Node) CAS64(g GPtr, old, new uint64) bool {
-	w := n.atomicPre(g)
-	return atomic.CompareAndSwapUint64(&n.fab.words[w], old, new)
+	return atomic.CompareAndSwapUint64(n.fab.homeWord(n.atomicPre(g)), old, new)
 }
 
 // Add64 atomically adds delta to a home-memory word and returns the new value.
 func (n *Node) Add64(g GPtr, delta uint64) uint64 {
-	w := n.atomicPre(g)
-	return atomic.AddUint64(&n.fab.words[w], delta)
+	return atomic.AddUint64(n.fab.homeWord(n.atomicPre(g)), delta)
 }
 
 // Swap64 atomically exchanges a home-memory word, returning the old value.
 func (n *Node) Swap64(g GPtr, v uint64) uint64 {
-	w := n.atomicPre(g)
-	return atomic.SwapUint64(&n.fab.words[w], v)
+	return atomic.SwapUint64(n.fab.homeWord(n.atomicPre(g)), v)
 }
 
 // Fence is a full memory barrier. Go's atomics already order the simulated

@@ -44,12 +44,14 @@ func (gf *GlobalFrames) Contains(phys uint64) bool {
 	return phys >= uint64(gf.base) && phys < uint64(gf.base)+gf.frames*PageSize
 }
 
+// zeroPage is the source every frame is zero-filled from. Nothing writes it.
+var zeroPage [PageSize]byte
+
 // Alloc returns one zeroed global frame's physical address with refcount 1.
 // It panics when global memory is exhausted (a rack sizing error).
 func (gf *GlobalFrames) Alloc(n *fabric.Node) uint64 {
 	phys := gf.AllocUninit(n)
-	zero := make([]byte, PageSize)
-	n.Write(fabric.GPtr(phys), zero)
+	n.Write(fabric.GPtr(phys), zeroPage[:])
 	n.WriteBackRange(fabric.GPtr(phys), PageSize)
 	n.InvalidateRange(fabric.GPtr(phys), PageSize)
 	return phys
@@ -208,14 +210,12 @@ func (ls *LocalStore) writeAt(idx uint32, off uint64, data []byte) {
 	ls.mu.Unlock()
 }
 
-// copyOut snapshots the whole frame into a fresh buffer under the lock
-// (migration and demotion's page transfer).
-func (ls *LocalStore) copyOut(idx uint32) []byte {
-	buf := make([]byte, PageSize)
+// copyOut snapshots the whole frame into dst under the lock (migration
+// and demotion's page transfer).
+func (ls *LocalStore) copyOut(idx uint32, dst *[PageSize]byte) {
 	ls.mu.Lock()
-	copy(buf, ls.frames[idx])
+	copy(dst[:], ls.frames[idx])
 	ls.mu.Unlock()
-	return buf
 }
 
 // Allocated returns how many frames the store has ever created.

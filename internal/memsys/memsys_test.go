@@ -116,6 +116,35 @@ func TestGlobalFramesAllocRefUnref(t *testing.T) {
 	}
 }
 
+// TestGlobalFramesAllocNoPageBuffer: Alloc zero-fills from the one shared
+// zero page. A frame dirtied, freed and allocated again — so the zero fill
+// has real work to do — costs no allocation once the node's cache-line
+// objects are warm, and reads back zero.
+func TestGlobalFramesAllocNoPageBuffer(t *testing.T) {
+	e := newEnv(t, 1)
+	n := e.fab.Node(0)
+	dirty := bytes.Repeat([]byte{0xa5}, PageSize)
+	var phys uint64
+	cycle := func() {
+		phys = e.frames.Alloc(n)
+		n.Write(fabric.GPtr(phys), dirty)
+		n.FlushRange(fabric.GPtr(phys), PageSize)
+		e.frames.Unref(n, phys)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Fatalf("Alloc of a dirty recycled frame made %v allocations, want 0", a)
+	}
+	if again := e.frames.Alloc(n); again != phys {
+		t.Fatalf("recycled %#x, want %#x", again, phys)
+	}
+	buf := make([]byte, PageSize)
+	e.fab.ReadAtHome(fabric.GPtr(phys), buf)
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Fatal("Alloc did not zero the recycled frame")
+	}
+}
+
 func TestGlobalFramesConcurrentRefUnref(t *testing.T) {
 	e := newEnv(t, 4)
 	phys := e.frames.Alloc(e.fab.Node(0))

@@ -370,8 +370,9 @@ func (m *MMU) migrateToGlobal(vpn uint64, old PTE) {
 	owner.tlb.invalidate(vpn)
 	m.tlb.invalidate(vpn)
 	m.space.shootdown(m, vpn)
-	src := owner.local.copyOut(idx) // owner's lock serializes in-flight stores
-	m.node.Write(fabric.GPtr(phys), src)
+	var buf [PageSize]byte
+	owner.local.copyOut(idx, &buf) // owner's lock serializes in-flight stores
+	m.node.Write(fabric.GPtr(phys), buf[:])
 	m.node.WriteBackRange(fabric.GPtr(phys), PageSize)
 	m.node.InvalidateRange(fabric.GPtr(phys), PageSize)
 	neu := MakeGlobalPTE(phys, old.Writable())

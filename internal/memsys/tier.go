@@ -182,10 +182,11 @@ func (m *MMU) demoteGlobalBegin(vpn uint64) (PTE, bool) {
 // mid-move.
 func (m *MMU) demoteGlobalFinish(vpn uint64, old PTE) bool {
 	_, idx := old.LocalFrame()
-	src := m.local.copyOut(idx)
+	var buf [PageSize]byte
+	m.local.copyOut(idx, &buf)
 	m.node.ChargeNS(pageLines * localAccessNS)
 	phys := m.space.frames.AllocUninit(m.node)
-	m.node.Write(fabric.GPtr(phys), src)
+	m.node.Write(fabric.GPtr(phys), buf[:])
 	m.node.WriteBackRange(fabric.GPtr(phys), PageSize)
 	m.node.InvalidateRange(fabric.GPtr(phys), PageSize)
 	neu := MakeGlobalPTE(phys, old.Writable())

@@ -97,11 +97,12 @@ func (r *Registry) PullManifest(n *fabric.Node, name string) (Image, error) {
 	return img, nil
 }
 
-// PullLayer streams one layer's bytes, invoking sink per chunk. The
-// transfer cost (RTT + size/bandwidth) is charged to n.
-func (r *Registry) PullLayer(n *fabric.Node, l Layer, chunk uint64, sink func(off uint64, data []byte)) {
+// PullLayer streams one layer's bytes through buf, invoking sink once per
+// len(buf) bytes; sink must not keep the slice it is handed. The transfer
+// cost (RTT + size/bandwidth) is charged to n.
+func (r *Registry) PullLayer(n *fabric.Node, l Layer, buf []byte, sink func(off uint64, data []byte)) {
 	n.ChargeNS(r.RTTNS + int(float64(l.Size)/r.BytesPerNS))
-	buf := make([]byte, chunk)
+	chunk := uint64(len(buf))
 	for off := uint64(0); off < l.Size; off += chunk {
 		sz := min(chunk, l.Size-off)
 		l.Content(off, buf[:sz])

@@ -80,6 +80,13 @@ type NodeRuntime struct {
 	unpacked map[string]bool // images with a local rootfs (hot-startable)
 }
 
+// chunkBufs recycles the buffers starts stream image bytes through. It is
+// package-level on purpose: the Go runtime keeps a used pool reachable
+// until a collection after its last use, so a pool inside a NodeRuntime
+// would keep the runtime — and through its node, the rack's whole memory —
+// alive one collection longer than its last reference.
+var chunkBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // NewNodeRuntime creates node n's runtime over the shared file system.
 func NewNodeRuntime(n *fabric.Node, mount *fs.Mount, reg *Registry, cfg RuntimeConfig) *NodeRuntime {
 	return &NodeRuntime{node: n, cfg: cfg, mount: mount, registry: reg, unpacked: make(map[string]bool)}
@@ -124,7 +131,12 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 	// the cache for the rest of the rack).
 	fetchStart := n.VirtualNS()
 	usedRegistry := false
-	buf := make([]byte, rt.cfg.PullChunk)
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	if uint64(cap(*bp)) < rt.cfg.PullChunk {
+		*bp = make([]byte, rt.cfg.PullChunk)
+	}
+	buf := (*bp)[:rt.cfg.PullChunk]
 	for _, l := range img.Layers {
 		if id, ok := rt.mount.Lookup(layerPath(l)); ok && rt.mount.Size(id) == l.Size {
 			// Shared-cache path: stream the layer out of global memory.
@@ -146,7 +158,7 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 				return rep, err
 			}
 		}
-		rt.registry.PullLayer(n, l, rt.cfg.PullChunk, func(off uint64, data []byte) {
+		rt.registry.PullLayer(n, l, buf, func(off uint64, data []byte) {
 			rt.mount.Write(id, off, data)
 		})
 	}

@@ -2,6 +2,8 @@ package serverless
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flacos/internal/fabric"
@@ -212,5 +214,99 @@ func TestInvokeUndeployed(t *testing.T) {
 	}
 	if _, err := ctl.ScaleUp("ghost"); err == nil {
 		t.Fatal("scale of undeployed function should fail")
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which sync.Pool drops what it is given at random, so a pooled buffer is
+// allocated again now and then.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestSharedCacheStartAllocations pins a warmed shared-cache start's host
+// cost: it streams the image through one pooled PullChunk buffer, so it
+// makes next to no allocations (none, when this was written) and none of
+// them is the 1 MiB chunk.
+func TestSharedCacheStartAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	env := newTestEnv(t, 2)
+	if _, err := env.runtimes[0].StartContainer("pytorch"); err != nil {
+		t.Fatal(err)
+	}
+	rt := env.runtimes[1]
+	start := func() {
+		delete(rt.unpacked, "pytorch") // forget the rootfs: the next start is a shared-cache one again
+		rep, err := rt.StartContainer("pytorch")
+		if err != nil || rep.Source != SourceSharedCache {
+			t.Fatalf("start = %v, %v; want a shared-cache start", rep.Source, err)
+		}
+	}
+	// One P, as testing.AllocsPerRun does, and the warm-up start under it:
+	// a pooled buffer parked on another P's private slot is not found.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	start()
+	const runs = 10
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < runs; i++ {
+		start()
+	}
+	runtime.ReadMemStats(&b)
+	if allocs := (b.Mallocs - a.Mallocs) / runs; allocs > 2 {
+		t.Fatalf("shared-cache start made %d allocations, want at most 2", allocs)
+	}
+	if perStart := (b.TotalAlloc - a.TotalAlloc) / runs; perStart >= 64<<10 {
+		t.Fatalf("shared-cache start allocated %d bytes, want < 64 KiB (no chunk buffer)", perStart)
+	}
+}
+
+// TestEvictNodeReplacesBeforeRemoving scripts the window between
+// EvictNode's two steps, with the placer consulted for the replacement
+// as the observer: while the replacement is being placed, the dead node's
+// instance is still on the books, so the function is never at zero
+// replicas. The placer names the dead node, as one that has not yet heard
+// of the death would; the replacement must go elsewhere regardless.
+func TestEvictNodeReplacesBeforeRemoving(t *testing.T) {
+	env := newTestEnv(t, 3)
+	ctl := NewController(env.runtimes, env.services)
+	fn, err := ctl.Deploy("fn", "pytorch", func(n *fabric.Node, req []byte) []byte { return req })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.ScaleUpOn("fn", 2); err != nil {
+		t.Fatal(err)
+	}
+	consulted := 0
+	ctl.SetPlacer(func(density []int) int {
+		consulted++
+		if density[2] != 1 || fn.Instances() != 1 {
+			t.Errorf("replacement placed while density = %v and the function has %d instances: it was at zero replicas",
+				density, fn.Instances())
+		}
+		return 2
+	})
+	if got := ctl.EvictNode(2); got != 1 {
+		t.Fatalf("EvictNode(2) = %d, want 1", got)
+	}
+	if consulted != 1 {
+		t.Fatalf("placer consulted %d times, want 1", consulted)
+	}
+	if d := ctl.Density(); d[2] != 0 || d[0]+d[1] != 1 || fn.Instances() != 1 {
+		t.Fatalf("after eviction density = %v, %d instances; want one instance off node 2", d, fn.Instances())
+	}
+	if got := ctl.EvictNode(2); got != 0 {
+		t.Fatalf("second EvictNode(2) = %d, want 0", got)
 	}
 }

@@ -1,7 +1,8 @@
 package tiering
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,6 +135,7 @@ type Daemon struct {
 	state      map[uint64]pageState
 	localCount []int
 	warmCount  int
+	scratch    stepScratch
 
 	stats struct {
 		steps, promLocal, promWarm, demWarm, demCold atomic.Uint64
@@ -164,6 +166,12 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		state:      make(map[uint64]pageState),
 		localCount: make([]int, len(mmus)),
 		stop:       make(chan struct{}),
+		scratch: stepScratch{
+			heatOf:      make(map[uint64]float64),
+			planned:     make(map[uint64]bool),
+			warmPlanned: make(map[uint64]bool),
+			landed:      make(map[uint64]bool),
+		},
 	}
 }
 
@@ -312,23 +320,70 @@ func (d *Daemon) execMMU(vpn uint64) *memsys.MMU {
 	return nil
 }
 
-// plan is one step's decided moves, grouped per executing node so each
-// group becomes one batched (single-IPI) memsys call.
+// plan is one step's decided moves, grouped per executing node (indexed
+// by node id) so each group becomes one batched (single-IPI) memsys call.
 type plan struct {
-	promoteLocal map[int][]uint64 // dest node -> pages (warm/cold -> local)
-	promoteWarm  map[int][]uint64 // exec node -> pages (cold -> warm)
-	demoteWarm   map[int][]uint64 // owner node -> pages (local -> warm)
-	demoteCold   map[int][]uint64 // exec node -> pages (warm -> cold)
+	promoteLocal [][]uint64 // by dest node: pages warm/cold -> local
+	promoteWarm  [][]uint64 // by exec node: pages cold -> warm
+	demoteWarm   [][]uint64 // by owner node: pages local -> warm
+	demoteCold   [][]uint64 // by exec node: pages warm -> cold
 	moves        int
 }
 
-func newPlan() *plan {
-	return &plan{
-		promoteLocal: map[int][]uint64{},
-		promoteWarm:  map[int][]uint64{},
-		demoteWarm:   map[int][]uint64{},
-		demoteCold:   map[int][]uint64{},
+// reset empties the plan for a rack of the given node count, keeping
+// every list's storage.
+func (pl *plan) reset(nodes int) {
+	pl.promoteLocal = emptyByNode(pl.promoteLocal, nodes)
+	pl.promoteWarm = emptyByNode(pl.promoteWarm, nodes)
+	pl.demoteWarm = emptyByNode(pl.demoteWarm, nodes)
+	pl.demoteCold = emptyByNode(pl.demoteCold, nodes)
+	pl.moves = 0
+}
+
+func emptyByNode[T any](s [][]T, nodes int) [][]T {
+	if len(s) != nodes {
+		return make([][]T, nodes)
 	}
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
+}
+
+// stepScratch is what Step works in, kept across steps so that a step
+// over a tracked set no larger than before allocates nothing. Guarded by
+// stepMu; nothing in it outlives the step that filled it.
+type stepScratch struct {
+	mig         []uint64
+	hot         []PageStat
+	faded       []uint64
+	byHeat      []PageStat
+	heatOf      map[uint64]float64
+	planned     map[uint64]bool // pages some stage of this step moves
+	warmPlanned map[uint64]bool // pages planWarmBudget must not pick
+	coldest     [][]PageStat    // by node: managed local pages, coldest first
+	displace    [][]PageStat    // by node: what is left of coldest to displace
+	coldestWarm []PageStat
+	cands       []PageStat
+	landed      map[uint64]bool // pages a batch in execute moved
+	plan        plan
+}
+
+// hotterFirst orders pages by heat descending, then VPN ascending.
+func hotterFirst(a, b PageStat) int {
+	if c := cmp.Compare(b.Heat, a.Heat); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.VPN, b.VPN)
+}
+
+// colderFirst orders pages by heat ascending, then VPN ascending: the
+// eviction and displacement order.
+func colderFirst(a, b PageStat) int {
+	if c := cmp.Compare(a.Heat, b.Heat); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.VPN, b.VPN)
 }
 
 // Step runs one policy epoch synchronously: fold the heat map, decide
@@ -339,28 +394,30 @@ func (d *Daemon) Step() {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
 	step := d.stats.steps.Add(1)
+	sc := &d.scratch
 
 	// 1. Fold demand-migration feedback into the model: those pages now
 	// sit in warm global memory whatever we believed before.
 	d.migMu.Lock()
-	mig := make([]uint64, 0, len(d.migrated))
+	sc.mig = sc.mig[:0]
 	for vpn := range d.migrated {
-		mig = append(mig, vpn)
+		sc.mig = append(sc.mig, vpn)
 	}
 	clear(d.migrated)
 	d.migMu.Unlock()
-	sort.Slice(mig, func(i, j int) bool { return mig[i] < mig[j] })
-	for _, vpn := range mig {
+	slices.Sort(sc.mig)
+	for _, vpn := range sc.mig {
 		d.setState(vpn, memsys.TierWarm, -1)
 	}
 
 	// 2. End the sampling epoch. Faded pages just leave the tracker; with
 	// zero heat they become the preferred victims of budget pressure, but
 	// nothing demotes them while the space is uncontended.
-	hot, _ := d.heat.FoldEpoch(d.cfg.Decay, d.cfg.Floor)
-	heatOf := make(map[uint64]float64, len(hot))
+	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, d.cfg.Floor, sc.hot[:0], sc.faded[:0])
+	hot := sc.hot
+	clear(sc.heatOf)
 	for _, ps := range hot {
-		heatOf[ps.VPN] = ps.Heat
+		sc.heatOf[ps.VPN] = ps.Heat
 	}
 
 	// 3. The sched truce: a node that just received placements keeps its
@@ -378,10 +435,12 @@ func (d *Daemon) Step() {
 		w.Begin(trace.SubMemsys, trace.KPromote, step, uint64(len(hot)))
 	}
 
-	pl := newPlan()
-	planned := d.planDrainEvictions(pl)
-	d.planPromotions(pl, hot, heatOf, veto, planned)
-	d.planWarmBudget(pl, heatOf)
+	pl := &sc.plan
+	pl.reset(len(d.mmus))
+	clear(sc.planned)
+	d.planDrainEvictions(pl)
+	d.planPromotions(pl, hot, veto)
+	d.planWarmBudget(pl)
 	d.execute(pl)
 
 	if w := d.tw.Load(); w != nil {
@@ -391,65 +450,60 @@ func (d *Daemon) Step() {
 
 // planDrainEvictions spills every managed local page off drained nodes
 // back to warm global memory — the "re-place" stage of the self-healing
-// pipeline. It runs before promotion planning and returns the planned
-// set so later stages never double-move the same page.
-func (d *Daemon) planDrainEvictions(pl *plan) map[uint64]bool {
-	planned := make(map[uint64]bool)
+// pipeline. It runs before promotion planning and marks what it plans in
+// the step's planned set so later stages never double-move the same page.
+func (d *Daemon) planDrainEvictions(pl *plan) {
+	planned := d.scratch.planned
 	for n := range d.mmus {
 		if !d.drained[n].Load() || d.localCount[n] == 0 {
 			continue
 		}
-		vpns := make([]uint64, 0, d.localCount[n])
+		vpns := pl.demoteWarm[n]
 		for vpn, st := range d.state {
 			if st.tier == memsys.TierLocal && int(st.node) == n {
 				vpns = append(vpns, vpn)
 			}
 		}
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+		slices.Sort(vpns)
+		if room := d.cfg.MaxMovesPerStep - pl.moves; len(vpns) > room {
+			vpns = vpns[:room]
+		}
 		for _, vpn := range vpns {
-			if pl.moves >= d.cfg.MaxMovesPerStep {
-				return planned
-			}
-			pl.demoteWarm[n] = append(pl.demoteWarm[n], vpn)
 			planned[vpn] = true
-			pl.moves++
-			d.stats.drainEvicted.Add(1)
+		}
+		pl.demoteWarm[n] = vpns
+		pl.moves += len(vpns)
+		d.stats.drainEvicted.Add(uint64(len(vpns)))
+		if pl.moves >= d.cfg.MaxMovesPerStep {
+			return
 		}
 	}
-	return planned
 }
 
 // planPromotions walks the hot pages hottest-first and plans upward moves.
-func (d *Daemon) planPromotions(pl *plan, hot []PageStat, heatOf map[uint64]float64, veto int, planned map[uint64]bool) {
-	byHeat := make([]PageStat, len(hot))
-	copy(byHeat, hot)
-	sort.Slice(byHeat, func(i, j int) bool {
-		if byHeat[i].Heat != byHeat[j].Heat {
-			return byHeat[i].Heat > byHeat[j].Heat
-		}
-		return byHeat[i].VPN < byHeat[j].VPN
-	})
+func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
+	sc := &d.scratch
+	heatOf, planned := sc.heatOf, sc.planned
+	sc.byHeat = append(sc.byHeat[:0], hot...)
+	byHeat := sc.byHeat
+	slices.SortFunc(byHeat, hotterFirst)
 
-	// coldestLocal is built lazily per node: managed local pages coldest
+	// coldest is built lazily per node: managed local pages coldest
 	// first, the displacement order.
-	var coldest map[int][]PageStat
+	var coldest [][]PageStat
 	buildColdest := func() {
-		coldest = map[int][]PageStat{}
+		sc.coldest = emptyByNode(sc.coldest, len(d.mmus))
 		for vpn, st := range d.state {
 			if st.tier == memsys.TierLocal {
-				coldest[int(st.node)] = append(coldest[int(st.node)],
-					PageStat{VPN: vpn, Heat: heatOf[vpn]})
+				sc.coldest[st.node] = append(sc.coldest[st.node], PageStat{VPN: vpn, Heat: heatOf[vpn]})
 			}
 		}
-		for n := range coldest {
-			s := coldest[n]
-			sort.Slice(s, func(i, j int) bool {
-				if s[i].Heat != s[j].Heat {
-					return s[i].Heat < s[j].Heat
-				}
-				return s[i].VPN < s[j].VPN
-			})
+		sc.displace = emptyByNode(sc.displace, len(d.mmus))
+		for n, s := range sc.coldest {
+			slices.SortFunc(s, colderFirst)
+			sc.displace[n] = s
 		}
+		coldest = sc.displace
 	}
 
 	// coldestWarm, same idea rack-wide: the eviction order when a cold
@@ -458,17 +512,14 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, heatOf map[uint64]floa
 	warmBuilt := false
 	buildColdestWarm := func() {
 		warmBuilt = true
+		sc.coldestWarm = sc.coldestWarm[:0]
 		for vpn, st := range d.state {
 			if st.tier == memsys.TierWarm {
-				coldestWarm = append(coldestWarm, PageStat{VPN: vpn, Heat: heatOf[vpn]})
+				sc.coldestWarm = append(sc.coldestWarm, PageStat{VPN: vpn, Heat: heatOf[vpn]})
 			}
 		}
-		sort.Slice(coldestWarm, func(i, j int) bool {
-			if coldestWarm[i].Heat != coldestWarm[j].Heat {
-				return coldestWarm[i].Heat < coldestWarm[j].Heat
-			}
-			return coldestWarm[i].VPN < coldestWarm[j].VPN
-		})
+		slices.SortFunc(sc.coldestWarm, colderFirst)
+		coldestWarm = sc.coldestWarm
 	}
 
 	// projWarm tracks what warm occupancy will be once this plan executes,
@@ -582,7 +633,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, heatOf map[uint64]floa
 // the hottest pages ever observed. The daemon
 // only evicts what it placed (or was told about via Prime/Migrated), so it
 // never cold-demotes another subsystem's pages on no evidence.
-func (d *Daemon) planWarmBudget(pl *plan, heatOf map[uint64]float64) {
+func (d *Daemon) planWarmBudget(pl *plan) {
 	if d.cfg.WarmBudgetPages <= 0 {
 		return
 	}
@@ -600,7 +651,9 @@ func (d *Daemon) planWarmBudget(pl *plan, heatOf map[uint64]float64) {
 	if over <= 0 {
 		return
 	}
-	planned := make(map[uint64]bool)
+	sc := &d.scratch
+	planned := sc.warmPlanned
+	clear(planned)
 	for _, vs := range pl.promoteWarm {
 		for _, v := range vs {
 			planned[v] = true
@@ -611,18 +664,14 @@ func (d *Daemon) planWarmBudget(pl *plan, heatOf map[uint64]float64) {
 			planned[v] = true
 		}
 	}
-	cands := make([]PageStat, 0, d.warmCount)
+	cands := sc.cands[:0]
 	for vpn, st := range d.state {
 		if st.tier == memsys.TierWarm && !planned[vpn] {
-			cands = append(cands, PageStat{VPN: vpn, Heat: heatOf[vpn]})
+			cands = append(cands, PageStat{VPN: vpn, Heat: sc.heatOf[vpn]})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Heat != cands[j].Heat {
-			return cands[i].Heat < cands[j].Heat
-		}
-		return cands[i].VPN < cands[j].VPN
-	})
+	sc.cands = cands
+	slices.SortFunc(cands, colderFirst)
 	for _, c := range cands {
 		if over <= 0 || pl.moves >= d.cfg.MaxMovesPerStep {
 			return
@@ -640,7 +689,8 @@ func (d *Daemon) planWarmBudget(pl *plan, heatOf map[uint64]float64) {
 // and one shootdown IPI per remote MMU per batch — then folds outcomes
 // back into the model.
 func (d *Daemon) execute(pl *plan) {
-	run := func(byNode map[int][]uint64,
+	ok := d.scratch.landed
+	run := func(byNode [][]uint64,
 		exec func(*memsys.MMU, []uint64) []uint64,
 		apply func(vpn uint64, node int)) {
 		for n := 0; n < len(d.mmus); n++ {
@@ -648,9 +698,9 @@ func (d *Daemon) execute(pl *plan) {
 			if len(vpns) == 0 || d.mmus[n] == nil {
 				continue
 			}
-			sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+			slices.Sort(vpns)
 			moved := exec(d.mmus[n], vpns)
-			ok := make(map[uint64]bool, len(moved))
+			clear(ok)
 			for _, v := range moved {
 				ok[v] = true
 				apply(v, n)

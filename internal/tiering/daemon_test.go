@@ -546,3 +546,44 @@ func TestDaemonDrainOutranksHintVeto(t *testing.T) {
 		t.Fatalf("hinted drain spill blocked (tier=%v)", tier)
 	}
 }
+
+// TestStepAllocationsSteady: a step over a sample stream that repeats
+// every epoch reuses what the steps before it sized. The stream holds the
+// daemon under both kinds of pressure without moving a page — a
+// challenger for node 0's full local store that is not clearly hotter than
+// its resident, and a cold page asking for the full premium tier that is
+// not clearly hotter than the one warm page — so the heat fold and both
+// displacement lists are rebuilt every step. Once two steps have sized
+// the daemon's scratch, a step allocates nothing.
+func TestStepAllocationsSteady(t *testing.T) {
+	e := newTierEnv(t, 2)
+	e.mapPages(t, 4)
+	d := New(e.s, e.mmus, Config{LocalBudgetPages: 1, WarmBudgetPages: 1}, nil)
+	d.Prime(basePage, memsys.TierLocal, 0) // the model's word is enough: nothing moves it
+	d.Prime(basePage+2, memsys.TierWarm, -1)
+	d.Prime(basePage+3, memsys.TierCold, -1)
+	stream := func() {
+		for i := 0; i < 16; i++ {
+			d.Sample(0, basePage, false)
+			d.Sample(0, basePage+1, false)
+		}
+		for i := 0; i < 4; i++ {
+			d.Sample(1, basePage+2, false)
+			d.Sample(1, basePage+3, false)
+		}
+	}
+	step := func() {
+		stream()
+		d.Step()
+	}
+	step() // sizes the daemon's scratch
+	step()
+	// Averaged over runs, so a stray allocation by another goroutine of the
+	// test binary does not count against the step.
+	if a := testing.AllocsPerRun(10, step); a != 0 {
+		t.Fatalf("steady step made %v allocations, want 0", a)
+	}
+	if st := d.Stats(); st.PromotedLocal+st.PromotedWarm+st.DemotedWarm+st.DemotedCold+st.FailedMoves != 0 {
+		t.Fatalf("the stream moved pages: %+v", st)
+	}
+}

@@ -25,7 +25,8 @@
 package tiering
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -39,16 +40,17 @@ func shardOf(vpn uint64) uint64 {
 	return (vpn * 0x9E3779B97F4A7C15) >> (64 - 6)
 }
 
-// pageHeat is one tracked page's state: raw access counts for the current
-// epoch plus the exponentially decayed per-node heat from prior epochs.
-type pageHeat struct {
-	epoch []uint32
-	heat  []float64
+// nodeHeat is one node's share of a tracked page's state: its raw access
+// count for the current epoch plus its exponentially decayed heat from
+// prior epochs. A tracked page is one []nodeHeat indexed by node.
+type nodeHeat struct {
+	epoch uint32
+	heat  float64
 }
 
 type heatShard struct {
 	mu sync.Mutex
-	m  map[uint64]*pageHeat
+	m  map[uint64][]nodeHeat
 }
 
 // HeatMap is the sharded per-page access-heat tracker fed by the MMU
@@ -67,7 +69,7 @@ func NewHeatMap(nodes int) *HeatMap {
 	}
 	h := &HeatMap{nodes: nodes}
 	for i := range h.shards {
-		h.shards[i].m = make(map[uint64]*pageHeat)
+		h.shards[i].m = make(map[uint64][]nodeHeat)
 	}
 	return h
 }
@@ -83,10 +85,10 @@ func (h *HeatMap) Sample(node int, vpn uint64, write bool) {
 	sh.mu.Lock()
 	ph := sh.m[vpn]
 	if ph == nil {
-		ph = &pageHeat{epoch: make([]uint32, h.nodes), heat: make([]float64, h.nodes)}
+		ph = make([]nodeHeat, h.nodes)
 		sh.m[vpn] = ph
 	}
-	ph.epoch[node]++
+	ph[node].epoch++
 	sh.mu.Unlock()
 }
 
@@ -114,19 +116,20 @@ type PageStat struct {
 // FoldEpoch ends the current sampling epoch: every page's heat becomes
 // heat*decay + epochCount (per node), epoch counters reset, and pages
 // whose total heat fell below floor are dropped from the tracker and
-// returned as faded — the daemon's demotion candidates. Surviving pages
-// return as hot. Both slices are sorted (hot by VPN, faded ascending) so
-// the fold is deterministic regardless of map iteration order.
-func (h *HeatMap) FoldEpoch(decay, floor float64) (hot []PageStat, faded []uint64) {
+// appended to faded — the daemon's demotion candidates. Surviving pages
+// are appended to hot. Both results are sorted (hot by VPN, faded
+// ascending) so the fold is deterministic regardless of map iteration
+// order. Callers pass their previous results truncated to length zero to
+// fold without allocating.
+func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64) ([]PageStat, []uint64) {
 	for i := range h.shards {
 		sh := &h.shards[i]
 		sh.mu.Lock()
 		for vpn, ph := range sh.m {
 			total, best, bestNode := 0.0, 0.0, 0
-			for n := range ph.heat {
-				v := ph.heat[n]*decay + float64(ph.epoch[n])
-				ph.heat[n] = v
-				ph.epoch[n] = 0
+			for n := range ph {
+				v := ph[n].heat*decay + float64(ph[n].epoch)
+				ph[n] = nodeHeat{heat: v}
 				total += v
 				if v > best {
 					best, bestNode = v, n
@@ -141,7 +144,7 @@ func (h *HeatMap) FoldEpoch(decay, floor float64) (hot []PageStat, faded []uint6
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].VPN < hot[j].VPN })
-	sort.Slice(faded, func(i, j int) bool { return faded[i] < faded[j] })
+	slices.SortFunc(hot, func(a, b PageStat) int { return cmp.Compare(a.VPN, b.VPN) })
+	slices.Sort(faded)
 	return hot, faded
 }

@@ -18,7 +18,7 @@ func TestHeatMapFoldSemantics(t *testing.T) {
 	}
 	h.Sample(1, 9, false)
 
-	hot, faded := h.FoldEpoch(0.5, 0.5)
+	hot, faded := h.FoldEpoch(0.5, 0.5, nil, nil)
 	if len(faded) != 0 {
 		t.Fatalf("first fold faded %v", faded)
 	}
@@ -35,11 +35,11 @@ func TestHeatMapFoldSemantics(t *testing.T) {
 
 	// No further samples: heat halves each fold. Page 9 (heat 1) fades at
 	// the second idle fold (0.25 < 0.5); page 7 (heat 12) takes longer.
-	hot, faded = h.FoldEpoch(0.5, 0.5)
+	hot, faded = h.FoldEpoch(0.5, 0.5, nil, nil)
 	if len(faded) != 0 || len(hot) != 2 || hot[0].Heat != 6 || hot[1].Heat != 0.5 {
 		t.Fatalf("idle fold 1: hot=%+v faded=%v", hot, faded)
 	}
-	hot, faded = h.FoldEpoch(0.5, 0.5)
+	hot, faded = h.FoldEpoch(0.5, 0.5, nil, nil)
 	if len(hot) != 1 || hot[0].VPN != 7 || !reflect.DeepEqual(faded, []uint64{9}) {
 		t.Fatalf("idle fold 2: hot=%+v faded=%v, want page 9 faded", hot, faded)
 	}
@@ -53,7 +53,7 @@ func TestHeatMapDominantTie(t *testing.T) {
 	h := NewHeatMap(3)
 	h.Sample(2, 5, false)
 	h.Sample(1, 5, false)
-	hot, _ := h.FoldEpoch(0.5, 0.5)
+	hot, _ := h.FoldEpoch(0.5, 0.5, nil, nil)
 	if len(hot) != 1 || hot[0].Node != 1 || hot[0].Share != 0.5 {
 		t.Fatalf("tie fold = %+v, want node 1 (lowest id), share 0.5", hot)
 	}
@@ -95,8 +95,8 @@ func TestHeatMapFoldDeterministic(t *testing.T) {
 	for i := len(seq) - 1; i >= 0; i-- {
 		b.Sample(seq[i].node, seq[i].vpn, true)
 	}
-	hotA, fadedA := a.FoldEpoch(0.5, 0.5)
-	hotB, fadedB := b.FoldEpoch(0.5, 0.5)
+	hotA, fadedA := a.FoldEpoch(0.5, 0.5, nil, nil)
+	hotB, fadedB := b.FoldEpoch(0.5, 0.5, nil, nil)
 	if !reflect.DeepEqual(hotA, hotB) || !reflect.DeepEqual(fadedA, fadedB) {
 		t.Fatal("folds differ for identical sample multisets")
 	}
@@ -137,18 +137,55 @@ func TestHeatMapConcurrentSampling(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < foldRounds; i++ {
-			h.FoldEpoch(1.0, 0)
+			h.FoldEpoch(1.0, 0, nil, nil)
 		}
 	}()
 	wg.Wait()
 	<-done
 
-	hot, _ := h.FoldEpoch(1.0, 0)
+	hot, _ := h.FoldEpoch(1.0, 0, nil, nil)
 	total := 0.0
 	for _, p := range hot {
 		total += p.Heat
 	}
 	if want := float64(nodes * perNode); total != want {
 		t.Fatalf("conserved heat = %v, want %v: samples lost or duplicated", total, want)
+	}
+}
+
+// TestFoldEpochReusesBuffers: a fold appends into the caller's buffers, so
+// a daemon folding a fixed tracked set every step allocates nothing after
+// its first fold — and sampling a page already tracked allocates nothing
+// either. Pages 0-15 are sampled every epoch and stay hot; pages 16-31 are
+// sampled once before the first fold and fade out at the second.
+func TestFoldEpochReusesBuffers(t *testing.T) {
+	h := NewHeatMap(4)
+	epoch := func() {
+		for vpn := uint64(0); vpn < 16; vpn++ {
+			h.Sample(int(vpn%4), vpn, vpn%2 == 0)
+		}
+	}
+	for vpn := uint64(16); vpn < 32; vpn++ {
+		h.Sample(1, vpn, false)
+	}
+	epoch()
+	hot, faded := h.FoldEpoch(0.5, 1.0, nil, nil)
+	if len(hot) != 32 || len(faded) != 0 {
+		t.Fatalf("first fold: %d hot, %d faded; want 32, 0", len(hot), len(faded))
+	}
+	epoch()
+	hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0]) // pages 16-31 fade
+	if len(faded) != 16 || faded[0] != 16 {
+		t.Fatalf("second fold faded %v, want pages 16-31", faded)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		epoch()
+		hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("steady fold made %v allocations, want 0", allocs)
+	}
+	if len(hot) != 16 || len(faded) != 0 || hot[15].VPN != 15 {
+		t.Fatalf("steady fold: %d hot (last %+v), %d faded", len(hot), hot[len(hot)-1], len(faded))
 	}
 }
