@@ -49,12 +49,12 @@
 // word. A fetch reads that word first and the write-back stores it last,
 // so a reader that sees the new commit word sees every other word at least
 // as new as that write-back left it; a reader that sees the old one must
-// ignore the rest. (An owner that may republish while a reader is still
-// looking needs a check on top: membership and health re-read the
-// sequence and checksum the record.) A commit word anywhere else in the
-// line can be seen new beside old payload, and publication that spans
-// lines needs the payload lines written back before a fabric atomic
-// advances the commit word.
+// ignore the rest. A record one owner republishes is published and read
+// this way as a flacdk/ds published line (ds.PubTag), whose checksum also
+// rejects what a fetch sees when it overtakes the owner's next write-back.
+// A commit word anywhere else in the line can be seen new beside old
+// payload, and publication that spans lines needs the payload lines
+// written back before a fabric atomic advances the commit word.
 //
 // Global memory is addressed by GPtr offsets, never by Go pointers, so the
 // Go garbage collector never sees shared state — the same discipline a real

@@ -1,7 +1,8 @@
 // Package ds provides FlacDK's high-level concurrent data structures
 // (paper §3.2, the third synchronization library level): vector, hash
-// table, ring buffers, and radix tree, all usable concurrently from every
-// node of the rack without hardware cache coherence.
+// table, ring buffers, radix tree and published line, all usable
+// concurrently from every node of the rack without hardware cache
+// coherence.
 //
 // The structures CHANGE all cross-node-visible control state with fabric
 // atomics (which bypass the simulated caches) and restrict plain cached
@@ -13,4 +14,6 @@
 // reads its slots a cache line at a time with fabric.ReadFresh, which goes
 // to home memory like an atomic but brings a whole line for less than one
 // costs (HashMap's comment has the argument for why a line copy suffices).
+// A published line (PubTag) needs no atomic at all: one owner publishes
+// it with a write-back and readers fetch it fresh (publine.go).
 package ds

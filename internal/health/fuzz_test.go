@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"flacos/internal/flacdk/ds"
+)
+
+// Word offsets in the health line image (ds.PubLine).
+const (
+	offGen     = 8  // payload word 1
+	offLatEWMA = 16 // payload word 2
+	offSeq     = 56 // the commit sequence
 )
 
 // Health lines are read straight out of the arena, so under torture
-// faults the detector can see anything: half of one publish and half of
-// another, scrub-detectable bit flips, a retired generation's line. The
-// decoder is the only gate — FuzzHealthRecordDecode drives arbitrary
-// lines through it and checks that everything it accepts is exactly a
-// canonical encoding with in-range fields, the same contract membership
-// fuzzes for its heartbeat records.
+// faults the detector can see anything. ds's FuzzPubLineDecode fuzzes the
+// line itself; this target checks that every line DecodeRecord accepts
+// is a canonical encoding with in-range fields.
 func FuzzHealthRecordDecode(f *testing.F) {
 	// Canonical records at a few shapes.
 	f.Add(lineBytes(EncodeRecord(Record{Node: 1, Slot: 3, Generation: 1, LatEWMANS: 450, ErrEWMAMilli: 120, LeaseExpiries: 2, ClaimFails: 9, LinkHops: 0, Seq: 1})), 3)
@@ -78,15 +84,19 @@ func TestRecordRejections(t *testing.T) {
 		slot    int
 		wantErr error
 	}{
-		{"zero line", func(b *[recordBytes]byte) { *b = [recordBytes]byte{} }, 2, ErrZeroRecord},
+		{"zero line", func(b *[recordBytes]byte) { *b = [recordBytes]byte{} }, 2, ds.ErrPubEmpty},
 		{"torn zero line", func(b *[recordBytes]byte) {
 			*b = [recordBytes]byte{}
 			b[offGen] = 0x5a // payload word landed, seq word did not
-		}, 2, ErrBadChecksum},
-		{"bad magic", func(b *[recordBytes]byte) { b[7] ^= 0xff }, 2, ErrBadMagic},
-		{"flipped latency", func(b *[recordBytes]byte) { b[offLatEWMA] ^= 0x01 }, 2, ErrBadChecksum},
-		{"flipped seq", func(b *[recordBytes]byte) { b[offSeq+2] ^= 0x10 }, 2, ErrBadChecksum},
-		{"flipped reserved bits", func(b *[recordBytes]byte) { b[0] = 1 }, 2, ErrBadChecksum},
+		}, 2, ds.ErrPubCorrupt},
+		{"bad magic", func(b *[recordBytes]byte) {
+			// The kind tag seeding the checksum is the record's magic: a
+			// line of another kind with the same words is rejected.
+			*b = (sampleLine + 1).Encode(valid.Seq, valid.payload())
+		}, 2, ds.ErrPubCorrupt},
+		{"flipped latency", func(b *[recordBytes]byte) { b[offLatEWMA] ^= 0x01 }, 2, ds.ErrPubCorrupt},
+		{"flipped seq", func(b *[recordBytes]byte) { b[offSeq+2] ^= 0x10 }, 2, ds.ErrPubCorrupt},
+		{"flipped reserved bits", func(b *[recordBytes]byte) { b[7] = 1 }, 2, ds.ErrPubCorrupt},
 		{"wrong slot", nil, 3, ErrBadSlot},
 		{"zero generation", func(b *[recordBytes]byte) {
 			*b = EncodeRecord(Record{Node: 1, Slot: 2, Generation: 0, Seq: 77})

@@ -189,6 +189,16 @@ func (l *Layer) hstampG(slot int) fabric.GPtr {
 	return l.hctlG.Add(uint64(slot)*hctlLineBytes + offHStamp)
 }
 
+// transition moves slot's health control word from old to next with one
+// CAS64 and, when it wins, stamps the slot with n's virtual clock.
+func (l *Layer) transition(n *fabric.Node, slot int, old, next uint64) bool {
+	if !n.CAS64(l.hctlSlotG(slot), old, next) {
+		return false
+	}
+	n.AtomicStore64(l.hstampG(slot), n.VirtualNS())
+	return true
+}
+
 // Degraded reports whether node id is currently under a Degraded
 // verdict, as last observed by this host's agents. Pure host-side read,
 // safe on any hot path. Nodes with no verdict report false.
@@ -324,9 +334,7 @@ func (a *Agent) loop() {
 }
 
 // publishSample folds one window of the node's own signals into the
-// EWMAs and republishes the slot's health record — same single
-// write-back publication contract as the membership heartbeat, with the
-// seq counter as the line's last-committed publication word.
+// EWMAs and republishes the slot's health line under the next seq.
 func (a *Agent) publishSample() {
 	sg := a.src.Sample()
 	if sg.Ops > 0 {
@@ -334,7 +342,7 @@ func (a *Agent) publishSample() {
 	}
 	a.errP.Observe(sg.Errors)
 	a.seq++
-	line := EncodeRecord(Record{
+	r := Record{
 		Node:          uint8(a.n.ID()),
 		Slot:          uint8(a.m.Slot()),
 		Generation:    a.m.Generation(),
@@ -343,11 +351,8 @@ func (a *Agent) publishSample() {
 		LeaseExpiries: uint32(sg.LeaseExpiries),
 		ClaimFails:    uint32(sg.ClaimFails),
 		LinkHops:      sg.LinkHops,
-		Seq:           a.seq,
-	})
-	g := a.l.recSlotG(a.m.Slot())
-	a.n.Write(g, line[:])
-	a.n.WriteBackRange(g, recordBytes)
+	}
+	sampleLine.Publish(a.n, a.l.recSlotG(a.m.Slot()), a.seq, r.payload())
 }
 
 // observeAll runs one detector pass: read every live slot's record,
@@ -368,7 +373,7 @@ func (a *Agent) observeAll() {
 		if st != membership.StateJoining && st != membership.StateAlive && st != membership.StateSuspect {
 			continue
 		}
-		rec, err := a.readRecord(slot)
+		rec, err := a.l.readRecord(a.n, slot)
 		if err != nil || rec.Generation != mem[slot].Generation || int(rec.Node) != mem[slot].Node {
 			continue // torn, stale-generation, or recycled-slot record: no information
 		}
@@ -389,8 +394,8 @@ func (a *Agent) observeAll() {
 			// liveness wins, the stale verdict is cleared without an event
 			// (consumers hear about death from the membership stream).
 			delete(a.eval, slot)
-			if hw != 0 && a.n.CAS64(a.l.hctlSlotG(slot), hw, 0) {
-				a.n.AtomicStore64(a.l.hstampG(slot), a.n.VirtualNS())
+			if hw != 0 {
+				a.l.transition(a.n, slot, hw, 0)
 			}
 			cur = 0
 			a.diffHCtl(slot, cur)
@@ -423,8 +428,7 @@ func (a *Agent) observeAll() {
 			if ev.clears >= a.l.cfg.ExitStrikes {
 				ev.clears = 0
 				next := packHCtl(mem[slot].Generation, mem[slot].Node, HealthOK)
-				if a.n.CAS64(a.l.hctlSlotG(slot), hw, next) {
-					a.n.AtomicStore64(a.l.hstampG(slot), a.n.VirtualNS())
+				if a.l.transition(a.n, slot, hw, next) {
 					cur = next
 					if tw := a.tw(); tw != nil {
 						tw.Emit(trace.SubHealth, trace.KRecovered, 0, uint64(mem[slot].Node), mem[slot].Generation)
@@ -441,8 +445,7 @@ func (a *Agent) observeAll() {
 			if ev.strikes >= a.l.cfg.EnterStrikes {
 				ev.strikes = 0
 				next := packHCtl(mem[slot].Generation, mem[slot].Node, HealthDegraded)
-				if a.n.CAS64(a.l.hctlSlotG(slot), hw, next) {
-					a.n.AtomicStore64(a.l.hstampG(slot), a.n.VirtualNS())
+				if a.l.transition(a.n, slot, hw, next) {
 					cur = next
 					if tw := a.tw(); tw != nil {
 						tw.Emit(trace.SubHealth, trace.KDegraded, 0, uint64(mem[slot].Node), mem[slot].Generation)
@@ -495,15 +498,6 @@ func (a *Agent) diffHCtl(slot int, w uint64) {
 			})
 		}
 	}
-}
-
-// readRecord pulls slot's health record line through this node's cache.
-func (a *Agent) readRecord(slot int) (Record, error) {
-	g := a.l.recSlotG(slot)
-	a.n.InvalidateRange(g, recordBytes)
-	var line [recordBytes]byte
-	a.n.Read(g, line[:])
-	return DecodeRecord(line, slot)
 }
 
 // medianU64 returns the median of vs (mean of the middle pair for even

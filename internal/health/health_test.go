@@ -248,12 +248,7 @@ func TestSuspectNodeStillEmitsHealthSignals(t *testing.T) {
 
 	// The victim's health record must keep advancing while suspect...
 	read := func() uint64 {
-		n := r.f.Node(0)
-		g := r.layer.recSlotG(victim)
-		n.InvalidateRange(g, recordBytes)
-		var line [recordBytes]byte
-		n.Read(g, line[:])
-		rec, err := DecodeRecord(line, victim)
+		rec, err := r.layer.readRecord(r.f.Node(0), victim)
 		if err != nil {
 			return 0
 		}
@@ -623,4 +618,37 @@ func TestControllerJoinReopensGates(t *testing.T) {
 		"drained(1,false)", "serving(1,true)",
 	}
 	logEquals(t, g.Log(), want)
+}
+
+// TestReadRecordFabricBudget pins what reading a peer's health record
+// costs: one fresh line fetch — one load that misses, no atomic — that
+// leaves nothing resident.
+func TestReadRecordFabricBudget(t *testing.T) {
+	f := testFabric(2)
+	tb := membership.New(f, fastMemCfg())
+	l := New(tb, fastHealthCfg())
+	var agents []*Agent
+	for i := 0; i < 2; i++ {
+		m, err := tb.JoinSlot(f.Node(i), i)
+		if err != nil {
+			t.Fatalf("join node %d: %v", i, err)
+		}
+		agents = append(agents, l.Join(m, NewNodeSource(f.Node(i), nil)))
+	}
+	agents[1].publishSample()
+
+	n := f.Node(0)
+	resident := n.CacheResidentLines()
+	before := n.Stats()
+	rec, err := l.readRecord(n, 1)
+	d := n.Stats().Delta(before)
+	if err != nil || rec.Seq != 1 || rec.Node != 1 {
+		t.Fatalf("read %+v, %v; want node 1's first sample", rec, err)
+	}
+	if d.Loads != 1 || d.Misses != 1 || d.Atomics != 0 {
+		t.Fatalf("reading a record: %d loads, %d misses, %d atomics; want 1, 1, 0", d.Loads, d.Misses, d.Atomics)
+	}
+	if got := n.CacheResidentLines(); got != resident {
+		t.Fatalf("read left %d lines resident, want %d", got, resident)
+	}
 }

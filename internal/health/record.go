@@ -10,54 +10,36 @@
 // heartbeat perfectly healthy while its latency tail poisons the whole
 // rack. The health layer publishes each node's own view of its signals
 // (latency EWMA, error EWMA, sched anomaly counters, link degradation)
-// in one cache line per slot under the same publication contract as the
-// membership heartbeat table, and every agent independently evaluates
-// every slot against the rack median. Detection state transitions ride
-// a separate fabric-atomics-only control line, CAS-guarded exactly like
+// in one ds published line per slot, like membership's heartbeats, and
+// every agent independently evaluates every slot against the rack
+// median. Detection state transitions ride a separate
+// fabric-atomics-only control line, CAS-guarded exactly like
 // membership's, and surface as EvDegraded/EvRecovered events on the
 // membership event stream.
 package health
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
-// The health record reuses the heartbeat table's publication contract:
-// one cache line per node slot, republished by the owner as a single
-// full-line store plus one explicit write-back. fabric commits a
-// flushed line's words in ascending order, so the sequence counter —
-// the LAST word — lands at home only after every payload word of the
-// same flush; a reader observing a new seq observes the matching
-// payload, and a crash mid-publish loses the sample cleanly instead of
-// tearing it. Detection state lives on a separate fabric-atomics-only
-// control line (see health.go) — the two must never share a line.
+// The health record is a ds published line per node slot, republished by
+// the owner every tick and read by every agent like membership's heartbeat
+// line. Verdicts live on the control line (HCtlLine). Payload words (the
+// sample counter is the commit sequence):
 //
-// Record line layout (8 little-endian words):
-//
-//	w0 magic(32) | node(8) | slot(8) | reserved(16)
-//	w1 generation   (the slot's membership generation when sampled)
-//	w2 latency EWMA (ns per fabric op, owner-smoothed)
-//	w3 error EWMA   (errors per observation window, fixed-point millis)
-//	w4 leaseExpiries(32) | claimFails(32)  (cumulative sched counters)
-//	w5 linkHops     (the node's current extra fabric hops)
-//	w6 checksum     (mix of words 0-5 and the seq)
-//	w7 seq          (publication word: strictly increasing sample counter)
+//	p0 node(8) | slot(8)
+//	p1 generation   (the slot's membership generation when sampled)
+//	p2 latency EWMA (ns per fabric op, owner-smoothed)
+//	p3 error EWMA   (errors per observation window, fixed-point millis)
+//	p4 leaseExpiries(32) | claimFails(32)  (cumulative sched counters)
+//	p5 linkHops     (the node's current extra fabric hops)
 const (
 	recordBytes = fabric.LineSize
 
-	offMagic    = 0
-	offGen      = 8
-	offLatEWMA  = 16
-	offErrEWMA  = 24
-	offSched    = 32
-	offLinkHops = 40
-	offCkSum    = 48
-	offSeq      = 56
-
-	recordMagic = 0x464c484c // "FLHL"
+	sampleLine ds.PubTag = 0x6865616c74687265 // "healthre"
 )
 
 // ewmaScale is the fixed-point scale for the error EWMA word: the
@@ -67,8 +49,6 @@ const ewmaScale = 1000
 
 // Record is one decoded health observation: the owner's own smoothed
 // view of its signals at publish time.
-//
-//flac:shared
 type Record struct {
 	Node          uint8
 	Slot          uint8
@@ -81,109 +61,57 @@ type Record struct {
 	Seq           uint64 // strictly increasing sample counter
 }
 
-// Decode validation errors. The detector treats every one of them as
-// "no usable sample": a record torn by a crash, corrupted in transit,
-// or left over from an earlier generation must never drive a detection
-// transition.
+// Decode validation errors beyond ds.ErrPubEmpty and ds.ErrPubCorrupt.
+// The detector treats every one of them as "no usable sample": a record
+// torn by a crash, corrupted in transit, or left over from an earlier
+// generation must never drive a detection transition.
 var (
-	ErrBadMagic    = errors.New("health: record magic mismatch")
-	ErrBadSlot     = errors.New("health: record slot mismatch")
-	ErrBadChecksum = errors.New("health: record checksum mismatch")
-	ErrZeroRecord  = errors.New("health: record has no sample yet")
-	ErrBadGen      = errors.New("health: record generation invalid")
+	ErrBadSlot = errors.New("health: record slot mismatch")
+	ErrBadGen  = errors.New("health: record generation invalid")
 )
 
-// mix64 is the splitmix64 finalizer, the same mixing membership's
-// heartbeat checksum uses.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// recordSum folds the payload words and the seq into one checksum word.
-// An integrity check against torn and bit-flipped lines, not an
-// authentication code.
-func recordSum(w0, gen, lat, errw, sched, hops, seq uint64) uint64 {
-	h := mix64(w0 ^ 0x6865616c74687265)
-	h = mix64(h ^ gen)
-	h = mix64(h ^ lat)
-	h = mix64(h ^ errw)
-	h = mix64(h ^ sched)
-	h = mix64(h ^ hops)
-	h = mix64(h ^ seq)
-	return h
+func (r Record) payload() [ds.PubWords]uint64 {
+	return [ds.PubWords]uint64{uint64(r.Node)<<8 | uint64(r.Slot), r.Generation, r.LatEWMANS,
+		r.ErrEWMAMilli, uint64(r.LeaseExpiries)<<32 | uint64(r.ClaimFails), r.LinkHops}
 }
 
 // EncodeRecord packs r into its line image.
-func EncodeRecord(r Record) [recordBytes]byte {
-	var b [recordBytes]byte
-	w0 := uint64(recordMagic)<<32 | uint64(r.Node)<<24 | uint64(r.Slot)<<16
-	sched := uint64(r.LeaseExpiries)<<32 | uint64(r.ClaimFails)
-	binary.LittleEndian.PutUint64(b[offMagic:], w0)
-	binary.LittleEndian.PutUint64(b[offGen:], r.Generation)
-	binary.LittleEndian.PutUint64(b[offLatEWMA:], r.LatEWMANS)
-	binary.LittleEndian.PutUint64(b[offErrEWMA:], r.ErrEWMAMilli)
-	binary.LittleEndian.PutUint64(b[offSched:], sched)
-	binary.LittleEndian.PutUint64(b[offLinkHops:], r.LinkHops)
-	binary.LittleEndian.PutUint64(b[offCkSum:],
-		recordSum(w0, r.Generation, r.LatEWMANS, r.ErrEWMAMilli, sched, r.LinkHops, r.Seq))
-	binary.LittleEndian.PutUint64(b[offSeq:], r.Seq)
-	return b
-}
+func EncodeRecord(r Record) [recordBytes]byte { return sampleLine.Encode(r.Seq, r.payload()) }
 
 // DecodeRecord unpacks and validates a health line read from the arena
 // for slot wantSlot. A failed decode means the observation carries no
-// information — never that the node is healthy or degraded. Every
-// accepted line is exactly what EncodeRecord would produce (accepted =>
-// canonical round-trip), so corruption in reserved bits is rejected
-// even though the checksum does not cover them individually.
+// information — never that the node is healthy or degraded.
 func DecodeRecord(b [recordBytes]byte, wantSlot int) (Record, error) {
-	w0 := binary.LittleEndian.Uint64(b[offMagic:])
-	gen := binary.LittleEndian.Uint64(b[offGen:])
-	lat := binary.LittleEndian.Uint64(b[offLatEWMA:])
-	errw := binary.LittleEndian.Uint64(b[offErrEWMA:])
-	sched := binary.LittleEndian.Uint64(b[offSched:])
-	hops := binary.LittleEndian.Uint64(b[offLinkHops:])
-	sum := binary.LittleEndian.Uint64(b[offCkSum:])
-	seq := binary.LittleEndian.Uint64(b[offSeq:])
-	if seq == 0 {
-		// A slot that has never published is all-zero by construction;
-		// report it distinctly so callers can tell "empty" from "garbage".
-		for _, x := range b {
-			if x != 0 {
-				return Record{}, ErrBadChecksum
-			}
-		}
-		return Record{}, ErrZeroRecord
+	l, err := sampleLine.Decode(b)
+	return checkRecord(l, err, wantSlot)
+}
+
+// readRecord reads slot's health line fresh from home through n.
+func (l *Layer) readRecord(n *fabric.Node, slot int) (Record, error) {
+	pl, err := sampleLine.Read(n, l.recSlotG(slot))
+	return checkRecord(pl, err, slot)
+}
+
+func checkRecord(l ds.PubLine, err error, wantSlot int) (Record, error) {
+	if err != nil {
+		return Record{}, err
 	}
-	if w0>>32 != recordMagic {
-		return Record{}, ErrBadMagic
-	}
-	if sum != recordSum(w0, gen, lat, errw, sched, hops, seq) {
-		return Record{}, ErrBadChecksum
-	}
-	if w0&0xffff != 0 {
-		return Record{}, ErrBadChecksum
-	}
+	p := l.Payload
 	r := Record{
-		Node:          uint8(w0 >> 24),
-		Slot:          uint8(w0 >> 16),
-		Generation:    gen,
-		LatEWMANS:     lat,
-		ErrEWMAMilli:  errw,
-		LeaseExpiries: uint32(sched >> 32),
-		ClaimFails:    uint32(sched),
-		LinkHops:      hops,
-		Seq:           seq,
+		Node:          uint8(p[0] >> 8),
+		Slot:          uint8(p[0]),
+		Generation:    p[1],
+		LatEWMANS:     p[2],
+		ErrEWMAMilli:  p[3],
+		LeaseExpiries: uint32(p[4] >> 32),
+		ClaimFails:    uint32(p[4]),
+		LinkHops:      p[5],
+		Seq:           l.Seq,
 	}
-	if int(r.Slot) != wantSlot {
+	switch {
+	case int(r.Slot) != wantSlot:
 		return Record{}, ErrBadSlot
-	}
-	if gen == 0 || gen > 1<<32 {
+	case r.Generation == 0 || r.Generation > 1<<32:
 		return Record{}, ErrBadGen
 	}
 	return r, nil

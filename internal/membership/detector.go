@@ -109,11 +109,7 @@ func (m *Member) observeAll() {
 // observeSlot reads slot's heartbeat record and applies the detector's
 // transition rules against control word w (state Joining/Alive/Suspect).
 func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
-	g := m.t.hbSlotG(slot)
-	m.n.InvalidateRange(g, recordBytes)
-	var line [recordBytes]byte
-	m.n.Read(g, line[:])
-	rec, err := DecodeRecord(line, slot, maxVNS)
+	rec, err := m.t.readRecord(m.n, slot, maxVNS)
 
 	o := m.obs[slot]
 	if o == nil || (err == nil && o.gen != rec.Generation) {
@@ -139,10 +135,7 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 		// A beating Suspect is alive: lift the suspicion on its behalf
 		// (its own refutation may land first; either CAS winning is fine).
 		if ctlState(w) == StateSuspect && rec.Incarnation >= ctlInc(w) {
-			next := packCtl(ctlGen(w), rec.Incarnation, ctlNode(w), StateAlive)
-			if m.n.CAS64(m.t.ctlSlotG(slot), w, next) {
-				m.n.AtomicStore64(m.t.stampG(slot), m.n.VirtualNS())
-			}
+			m.t.transition(m.n, slot, w, packCtl(ctlGen(w), rec.Incarnation, ctlNode(w), StateAlive))
 		}
 		return
 	}
@@ -155,8 +148,7 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 		o.strikes = 0
 		if phi >= m.t.cfg.PhiSuspect && st == StateAlive {
 			next := packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateSuspect)
-			if m.n.CAS64(m.t.ctlSlotG(slot), w, next) {
-				m.n.AtomicStore64(m.t.stampG(slot), m.n.VirtualNS())
+			if m.t.transition(m.n, slot, w, next) {
 				if tw := m.tw(); tw != nil {
 					tw.Emit(trace.SubMembership, trace.KSuspect, 0, uint64(slot), uint64(ctlNode(w)))
 				}
@@ -172,8 +164,7 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 	if o.strikes >= m.t.cfg.DeadStrikes {
 		o.strikes = 0
 		next := packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateDead)
-		if m.n.CAS64(m.t.ctlSlotG(slot), w, next) {
-			m.n.AtomicStore64(m.t.stampG(slot), m.n.VirtualNS())
+		if m.t.transition(m.n, slot, w, next) {
 			if tw := m.tw(); tw != nil {
 				tw.Emit(trace.SubMembership, trace.KDead, 0, uint64(slot), uint64(ctlNode(w)))
 			}
@@ -194,12 +185,7 @@ func (t *Table) Suspect(n *fabric.Node, slot int) bool {
 	if ctlState(w) != StateAlive {
 		return false
 	}
-	next := packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateSuspect)
-	if !n.CAS64(t.ctlSlotG(slot), w, next) {
-		return false
-	}
-	n.AtomicStore64(t.stampG(slot), n.VirtualNS())
-	return true
+	return t.transition(n, slot, w, packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateSuspect))
 }
 
 // refuteIfSuspected handles the member's OWN slot: a live node that
@@ -211,10 +197,8 @@ func (m *Member) refuteIfSuspected(w uint64) {
 		return
 	}
 	newInc := ctlInc(w) + 1
-	next := packCtl(m.gen, newInc, m.n.ID(), StateAlive)
-	if m.n.CAS64(m.t.ctlSlotG(m.slot), w, next) {
+	if m.t.transition(m.n, m.slot, w, packCtl(m.gen, newInc, m.n.ID(), StateAlive)) {
 		atomic.StoreUint64(&m.inc, newInc)
-		m.n.AtomicStore64(m.t.stampG(m.slot), m.n.VirtualNS())
 		// Republish immediately so observers see the new incarnation's
 		// beat rather than re-suspecting off the old history.
 		m.publishBeat()

@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"flacos/internal/flacdk/ds"
+)
+
+// Word offsets in the heartbeat line image (ds.PubLine).
+const (
+	offGen      = 8  // payload word 1
+	offReserved = 32 // payload word 4, always zero
+	offBeat     = 56 // the commit sequence
 )
 
 // Heartbeat lines are read straight out of the arena, so after a crash
-// or under torture faults the detector can see anything: half of one
-// publish and half of another, random bit flips, a stale generation's
-// line, a record stamped by a clock that never existed. The decoder is
-// the only gate — FuzzHeartbeatRecordDecode drives arbitrary lines
-// through it and checks that everything it accepts is exactly a
-// canonical encoding with in-range fields.
+// or under torture faults the detector can see anything. ds's
+// FuzzPubLineDecode fuzzes the line itself; this target checks that
+// every line DecodeRecord accepts is a canonical encoding with in-range
+// fields.
 func FuzzHeartbeatRecordDecode(f *testing.F) {
 	// Canonical records at a few shapes.
 	f.Add(lineBytes(EncodeRecord(Record{Node: 1, Slot: 3, Generation: 1, Incarnation: 0, TS: 1000, Beat: 1})), 3, uint64(1<<40))
@@ -81,15 +88,19 @@ func TestRecordRejections(t *testing.T) {
 		max     uint64
 		wantErr error
 	}{
-		{"zero line", func(b *[recordBytes]byte) { *b = [recordBytes]byte{} }, 2, maxVNS, ErrZeroRecord},
+		{"zero line", func(b *[recordBytes]byte) { *b = [recordBytes]byte{} }, 2, maxVNS, ds.ErrPubEmpty},
 		{"torn zero line", func(b *[recordBytes]byte) {
 			*b = [recordBytes]byte{}
 			b[offGen] = 0x5a // payload word landed, beat word did not
-		}, 2, maxVNS, ErrBadChecksum},
-		{"bad magic", func(b *[recordBytes]byte) { b[7] ^= 0xff }, 2, maxVNS, ErrBadMagic},
-		{"flipped generation", func(b *[recordBytes]byte) { b[offGen] ^= 0x01 }, 2, maxVNS, ErrBadChecksum},
-		{"flipped beat", func(b *[recordBytes]byte) { b[offBeat+2] ^= 0x10 }, 2, maxVNS, ErrBadChecksum},
-		{"flipped reserved word", func(b *[recordBytes]byte) { b[offTS+8] = 1 }, 2, maxVNS, ErrBadChecksum},
+		}, 2, maxVNS, ds.ErrPubCorrupt},
+		{"bad magic", func(b *[recordBytes]byte) {
+			// The kind tag seeding the checksum is the record's magic: a
+			// line of another kind with the same words is rejected.
+			*b = (heartbeatLine + 1).Encode(valid.Beat, valid.payload())
+		}, 2, maxVNS, ds.ErrPubCorrupt},
+		{"flipped generation", func(b *[recordBytes]byte) { b[offGen] ^= 0x01 }, 2, maxVNS, ds.ErrPubCorrupt},
+		{"flipped beat", func(b *[recordBytes]byte) { b[offBeat+2] ^= 0x10 }, 2, maxVNS, ds.ErrPubCorrupt},
+		{"flipped reserved word", func(b *[recordBytes]byte) { b[offReserved] = 1 }, 2, maxVNS, ds.ErrPubCorrupt},
 		{"wrong slot", nil, 3, maxVNS, ErrBadSlot},
 		{"zero generation", func(b *[recordBytes]byte) {
 			*b = EncodeRecord(Record{Node: 1, Slot: 2, Generation: 0, TS: 1000, Beat: 77})

@@ -202,6 +202,16 @@ func (t *Table) hbSlotG(slot int) fabric.GPtr  { return t.hbG.Add(uint64(slot) *
 func (t *Table) ctlSlotG(slot int) fabric.GPtr { return t.ctlG.Add(uint64(slot)*ctlLineBytes + offCtl) }
 func (t *Table) stampG(slot int) fabric.GPtr   { return t.ctlG.Add(uint64(slot)*ctlLineBytes + offStamp) }
 
+// transition moves slot's control word from old to next with one CAS64
+// and, when it wins, stamps the slot with n's virtual clock.
+func (t *Table) transition(n *fabric.Node, slot int, old, next uint64) bool {
+	if !n.CAS64(t.ctlSlotG(slot), old, next) {
+		return false
+	}
+	n.AtomicStore64(t.stampG(slot), n.VirtualNS())
+	return true
+}
+
 // Alive reports whether node id is currently serving (Alive or Suspect
 // in some slot) as last observed by this host's agents. It is the
 // liveness oracle sched.SetLiveness consumes: a pure host-side read,
@@ -295,11 +305,9 @@ func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 				slot, st, ctlNode(w), ctlGen(w), n.ID())
 		}
 		gen := ctlGen(w) + 1
-		next := packCtl(gen, 0, n.ID(), StateJoining)
-		if !n.CAS64(t.ctlSlotG(slot), w, next) {
+		if !t.transition(n, slot, w, packCtl(gen, 0, n.ID(), StateJoining)) {
 			continue // raced with another joiner or a detector; re-read
 		}
-		n.AtomicStore64(t.stampG(slot), n.VirtualNS())
 		m := &Member{
 			t:    t,
 			n:    n,
@@ -380,13 +388,11 @@ func (m *Member) Subscribe(fn func(Event)) {
 // complete; the node is serving from this moment.
 func (m *Member) Activate() error {
 	want := packCtl(m.gen, 0, m.n.ID(), StateJoining)
-	next := packCtl(m.gen, 0, m.n.ID(), StateAlive)
-	if !m.n.CAS64(m.t.ctlSlotG(m.slot), want, next) {
+	if !m.t.transition(m.n, m.slot, want, packCtl(m.gen, 0, m.n.ID(), StateAlive)) {
 		w := m.n.AtomicLoad64(m.t.ctlSlotG(m.slot))
 		return fmt.Errorf("membership: activate lost slot %d: now %s node %d gen %d (joined gen %d)",
 			m.slot, ctlState(w), ctlNode(w), ctlGen(w), m.gen)
 	}
-	m.n.AtomicStore64(m.t.stampG(m.slot), m.n.VirtualNS())
 	m.t.alive[m.n.ID()].Store(true)
 	if tw := m.tw(); tw != nil {
 		tw.Emit(trace.SubMembership, trace.KJoin, 0, uint64(m.slot), m.gen)
@@ -421,8 +427,7 @@ func (m *Member) Stop() {
 func (m *Member) Leave() {
 	want := packCtl(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateAlive)
 	next := packCtl(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateLeft)
-	if m.n.CAS64(m.t.ctlSlotG(m.slot), want, next) {
-		m.n.AtomicStore64(m.t.stampG(m.slot), m.n.VirtualNS())
+	if m.t.transition(m.n, m.slot, want, next) {
 		m.t.alive[m.n.ID()].Store(false)
 		if tw := m.tw(); tw != nil {
 			tw.Emit(trace.SubMembership, trace.KLeft, 0, uint64(m.slot), m.gen)
@@ -431,23 +436,17 @@ func (m *Member) Leave() {
 	m.Stop()
 }
 
-// publishBeat composes the member's heartbeat record in its cache and
-// pushes the whole line home with one write-back. The beat counter is
-// the line's last word, so fabric's ascending commit order makes it the
-// publication word — observers never see a new beat with old payload.
+// publishBeat republishes the member's heartbeat line under the next beat.
 func (m *Member) publishBeat() {
 	beat := atomic.AddUint64(&m.beat, 1)
-	line := EncodeRecord(Record{
+	r := Record{
 		Node:        uint8(m.n.ID()),
 		Slot:        uint8(m.slot),
 		Generation:  m.gen,
 		Incarnation: atomic.LoadUint64(&m.inc),
 		TS:          m.n.VirtualNS(),
-		Beat:        beat,
-	})
-	g := m.t.hbSlotG(m.slot)
-	m.n.Write(g, line[:])
-	m.n.WriteBackRange(g, recordBytes)
+	}
+	heartbeatLine.Publish(m.n, m.t.hbSlotG(m.slot), beat, r.payload())
 }
 
 // heartbeatLoop republishes the record every tick until Stop or crash.

@@ -201,14 +201,11 @@ func TestFalseSuspicionIsRefuted(t *testing.T) {
 	f := testFabric(2)
 	tb := New(f, fastCfg())
 	ms := joinAll(t, tb, f, 2)
-	for _, m := range ms {
-		m.Start()
-	}
-	defer func() {
-		for _, m := range ms {
-			m.Stop()
-		}
-	}()
+	// Only node 1 runs: a running observer that sees node 1 beat while
+	// Suspect may lift the suspicion itself, without the incarnation
+	// bump this test waits for.
+	ms[1].Start()
+	defer ms[1].Stop()
 
 	// Falsely suspect node 1 by hand, as a detector with a stale view
 	// would: node 1's agent must refute with a bumped incarnation.
@@ -352,11 +349,7 @@ func TestSuspectHeldNodeKeepsHeartbeating(t *testing.T) {
 
 	n0 := f.Node(0)
 	readBeat := func() uint64 {
-		g := tb.hbSlotG(1)
-		n0.InvalidateRange(g, recordBytes)
-		var line [recordBytes]byte
-		n0.Read(g, line[:])
-		rec, err := DecodeRecord(line, 1, tb.maxVNS())
+		rec, err := tb.readRecord(n0, 1, tb.maxVNS())
 		if err != nil {
 			return 0
 		}
@@ -396,4 +389,30 @@ func TestSuspectHeldNodeKeepsHeartbeating(t *testing.T) {
 	waitFor(t, "final refutation", func() bool {
 		return tb.Snapshot(n0)[1].State == StateAlive
 	})
+}
+
+// TestObserveSlotFabricBudget pins what observing a peer's heartbeat
+// costs: one fresh line fetch — one load that misses, no atomic — that
+// leaves nothing resident.
+func TestObserveSlotFabricBudget(t *testing.T) {
+	f := testFabric(2)
+	tb := New(f, fastCfg())
+	m := joinAll(t, tb, f, 2)[0] // joining published each slot's first beat
+	m.obs = map[int]*slotObs{}
+	n := m.Node()
+	w := n.AtomicLoad64(tb.ctlSlotG(1))
+	maxVNS := tb.maxVNS()
+	resident := n.CacheResidentLines()
+	before := n.Stats()
+	m.observeSlot(1, w, maxVNS)
+	d := n.Stats().Delta(before)
+	if o := m.obs[1]; o == nil || o.beat != 1 {
+		t.Fatalf("observation %+v, want slot 1's first beat", o)
+	}
+	if d.Loads != 1 || d.Misses != 1 || d.Atomics != 0 {
+		t.Fatalf("observing a heartbeat: %d loads, %d misses, %d atomics; want 1, 1, 0", d.Loads, d.Misses, d.Atomics)
+	}
+	if got := n.CacheResidentLines(); got != resident {
+		t.Fatalf("observation left %d lines resident, want %d", got, resident)
+	}
 }

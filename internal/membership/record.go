@@ -1,54 +1,29 @@
 package membership
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
-// The heartbeat record is the membership hot path: one cache line per
-// node slot that the owner republishes every tick with a single
-// full-line store plus one explicit write-back, exactly the trace-ring
-// publication idiom. fabric commits a flushed line's words in ascending
-// order, so the beat counter — the LAST word of the line — lands at
-// home only after every payload word of the same flush. A reader that
-// observes a new beat therefore observes the matching payload; a crash
-// mid-publish loses the tick cleanly instead of tearing it.
+// The heartbeat record is the membership hot path: one ds published line
+// per node slot that the owner republishes every tick (one full-line store
+// and one write-back) and observers read with one fresh line fetch — no
+// fabric atomics on either side. State transitions live on the control
+// line (CtlLine). Payload words (the beat is the commit sequence):
 //
-// No per-slot fabric atomics anywhere on this path: publication is one
-// write-back, observation is one invalidate + one line read. All slow
-// state transitions (Joining/Alive/Suspect/Dead/Left) live on the
-// separate control line, which is fabric-atomics-only — the two MUST
-// NOT share a line, or a heartbeat write-back would clobber home words
-// that a concurrent control CAS just committed.
-//
-// Record line layout (8 little-endian words):
-//
-//	w0 magic(32) | node(8) | slot(8) | reserved(16)
-//	w1 generation   (bumped every time the slot is (re)claimed)
-//	w2 incarnation  (bumped by the owner to refute a false suspicion)
-//	w3 timestamp    (owner's virtual-clock ns at publish)
-//	w4 reserved 0
-//	w5 reserved 0
-//	w6 checksum     (mix of words 0-5 and the beat)
-//	w7 beat         (publication word: strictly increasing tick counter)
+//	p0 node(8) | slot(8)
+//	p1 generation   (bumped every time the slot is (re)claimed)
+//	p2 incarnation  (bumped by the owner to refute a false suspicion)
+//	p3 timestamp    (owner's virtual-clock ns at publish)
 const (
 	recordBytes = fabric.LineSize
 
-	offMagic = 0
-	offGen   = 8
-	offInc   = 16
-	offTS    = 24
-	offCkSum = 48
-	offBeat  = 56
-
-	recordMagic = 0x464c4d42 // "FLMB"
+	heartbeatLine ds.PubTag = 0x6d656d6265727368 // "membersh"
 )
 
 // Record is one decoded heartbeat observation.
-//
-//flac:shared
 type Record struct {
 	Node        uint8
 	Slot        uint8
@@ -58,53 +33,22 @@ type Record struct {
 	Beat        uint64 // strictly increasing tick counter
 }
 
-// Decode validation errors. The detector treats every one of them as
-// "no usable beat": a record torn by a crash, corrupted in transit, or
-// forged by a stale cache line must never drive a state transition.
+// Decode validation errors beyond ds.ErrPubEmpty and ds.ErrPubCorrupt.
+// The detector treats every one of them as "no usable beat": a record
+// torn by a crash, corrupted in transit, or left by an earlier occupant
+// must never drive a state transition.
 var (
-	ErrBadMagic    = errors.New("membership: record magic mismatch")
-	ErrBadSlot     = errors.New("membership: record slot mismatch")
-	ErrBadChecksum = errors.New("membership: record checksum mismatch")
-	ErrZeroRecord  = errors.New("membership: record has no beat yet")
-	ErrBadGen      = errors.New("membership: record generation invalid")
-	ErrFutureTS    = errors.New("membership: record timestamp in the future")
+	ErrBadSlot  = errors.New("membership: record slot mismatch")
+	ErrBadGen   = errors.New("membership: record generation invalid")
+	ErrFutureTS = errors.New("membership: record timestamp in the future")
 )
 
-// mix64 is the splitmix64 finalizer, the same mixing the ds and redis
-// layers use for hashing.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// recordSum folds the payload words and the beat into one checksum
-// word. It is an integrity check against torn and bit-flipped lines,
-// not an authentication code.
-func recordSum(w0, gen, inc, ts, beat uint64) uint64 {
-	h := mix64(w0 ^ 0x6d656d6265727368)
-	h = mix64(h ^ gen)
-	h = mix64(h ^ inc)
-	h = mix64(h ^ ts)
-	h = mix64(h ^ beat)
-	return h
+func (r Record) payload() [ds.PubWords]uint64 {
+	return [ds.PubWords]uint64{uint64(r.Node)<<8 | uint64(r.Slot), r.Generation, r.Incarnation, r.TS}
 }
 
 // EncodeRecord packs r into its line image.
-func EncodeRecord(r Record) [recordBytes]byte {
-	var b [recordBytes]byte
-	w0 := uint64(recordMagic)<<32 | uint64(r.Node)<<24 | uint64(r.Slot)<<16
-	binary.LittleEndian.PutUint64(b[offMagic:], w0)
-	binary.LittleEndian.PutUint64(b[offGen:], r.Generation)
-	binary.LittleEndian.PutUint64(b[offInc:], r.Incarnation)
-	binary.LittleEndian.PutUint64(b[offTS:], r.TS)
-	binary.LittleEndian.PutUint64(b[offCkSum:], recordSum(w0, r.Generation, r.Incarnation, r.TS, r.Beat))
-	binary.LittleEndian.PutUint64(b[offBeat:], r.Beat)
-	return b
-}
+func EncodeRecord(r Record) [recordBytes]byte { return heartbeatLine.Encode(r.Beat, r.payload()) }
 
 // DecodeRecord unpacks and validates a heartbeat line read from the
 // arena for slot wantSlot. maxVNS is the freshest virtual-clock value
@@ -113,51 +57,28 @@ func EncodeRecord(r Record) [recordBytes]byte {
 // owner and is rejected. A failed decode means the observation carries
 // no information — never that the node is alive or dead.
 func DecodeRecord(b [recordBytes]byte, wantSlot int, maxVNS uint64) (Record, error) {
-	w0 := binary.LittleEndian.Uint64(b[offMagic:])
-	gen := binary.LittleEndian.Uint64(b[offGen:])
-	inc := binary.LittleEndian.Uint64(b[offInc:])
-	ts := binary.LittleEndian.Uint64(b[offTS:])
-	sum := binary.LittleEndian.Uint64(b[offCkSum:])
-	beat := binary.LittleEndian.Uint64(b[offBeat:])
-	if beat == 0 {
-		// A slot that has never published is all-zero by construction;
-		// report it distinctly so callers can tell "empty" from "garbage".
-		for _, x := range b {
-			if x != 0 {
-				return Record{}, ErrBadChecksum
-			}
-		}
-		return Record{}, ErrZeroRecord
+	l, err := heartbeatLine.Decode(b)
+	return checkRecord(l, err, wantSlot, maxVNS)
+}
+
+// readRecord reads slot's heartbeat line fresh from home through n.
+func (t *Table) readRecord(n *fabric.Node, slot int, maxVNS uint64) (Record, error) {
+	l, err := heartbeatLine.Read(n, t.hbSlotG(slot))
+	return checkRecord(l, err, slot, maxVNS)
+}
+
+func checkRecord(l ds.PubLine, err error, wantSlot int, maxVNS uint64) (Record, error) {
+	if err != nil {
+		return Record{}, err
 	}
-	if w0>>32 != recordMagic {
-		return Record{}, ErrBadMagic
-	}
-	if sum != recordSum(w0, gen, inc, ts, beat) {
-		return Record{}, ErrBadChecksum
-	}
-	// The checksum covers only the meaningful words; reject corruption in
-	// the reserved ones too, so every accepted line is exactly what
-	// EncodeRecord would produce (accepted => canonical round-trip).
-	if w0&0xffff != 0 ||
-		binary.LittleEndian.Uint64(b[offTS+8:]) != 0 ||
-		binary.LittleEndian.Uint64(b[offTS+16:]) != 0 {
-		return Record{}, ErrBadChecksum
-	}
-	r := Record{
-		Node:        uint8(w0 >> 24),
-		Slot:        uint8(w0 >> 16),
-		Generation:  gen,
-		Incarnation: inc,
-		TS:          ts,
-		Beat:        beat,
-	}
-	if int(r.Slot) != wantSlot {
+	p := l.Payload
+	r := Record{Node: uint8(p[0] >> 8), Slot: uint8(p[0]), Generation: p[1], Incarnation: p[2], TS: p[3], Beat: l.Seq}
+	switch {
+	case int(r.Slot) != wantSlot:
 		return Record{}, ErrBadSlot
-	}
-	if gen == 0 || gen > 1<<32 {
+	case r.Generation == 0 || r.Generation > 1<<32:
 		return Record{}, ErrBadGen
-	}
-	if ts > maxVNS {
+	case r.TS > maxVNS:
 		return Record{}, ErrFutureTS
 	}
 	return r, nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // Collector extracts and merges trace rings. Any live node can collect
@@ -37,7 +38,9 @@ type NodeSnapshot struct {
 // collector advances the node's tail cursor past everything it saw,
 // freeing those slots for reuse; events still being written at that
 // moment may then be discarded unobserved — the flight-recorder
-// contract is at-most-once collection, not exactly-once delivery.
+// contract is at-most-once collection, not exactly-once delivery. Each
+// slot is read fresh, which drops the reader's own copy of it, so an
+// event that reader itself is writing at that moment is lost too.
 func (c *Collector) SnapshotNode(reader *fabric.Node, node int, consume bool) NodeSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -56,42 +59,34 @@ func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int, consume bo
 	maxTicket := uint64(0)
 	for i := uint64(0); i < r.cap; i++ {
 		g := base.Add(i * slotBytes)
-		seqG := g.Add(offSeq)
 		for attempt := 0; ; attempt++ {
 			if attempt == 4 {
-				snap.Skipped++ // never stabilized under live rewriting
+				snap.Skipped++ // never stabilized under live rewriting, or corrupt
 				break
 			}
-			s1 := reader.AtomicLoad64(seqG)
-			if s1 == 0 {
+			l, err := eventLine.Read(reader, g)
+			if err == ds.ErrPubEmpty {
 				break // never written
 			}
-			t := s1 - 1
+			if err != nil {
+				continue // a republish raced the fetch, or the line is corrupt; retry
+			}
+			t := l.Seq - 1
 			if t < tail || t&(r.cap-1) != i {
-				// Already consumed, or a sequence word mangled by fault
-				// injection: either way the slot holds nothing live.
+				// Already consumed, or a ticket that does not belong in
+				// this slot: either way the slot holds nothing live.
 				break
 			}
 			if t >= tail+r.cap {
 				// A ticket the writer could not have claimed while the
-				// cursor was at tail: the ring holds at most cap live
-				// events. Either the sequence word was mangled at home
-				// (torn line, fault injection) or the writer lapped this
-				// snapshot mid-scan; in both cases the slot is not data,
-				// and accepting the ticket would let a consume yank the
-				// tail cursor arbitrarily far forward and wedge the ring.
+				// cursor was at tail (the ring holds at most cap live
+				// events): the slot is not data, and accepting the ticket
+				// would let a consume yank the tail cursor arbitrarily far
+				// forward and wedge the ring.
 				snap.Skipped++
 				break
 			}
-			// The reader may hold a stale cached copy from an earlier
-			// snapshot; drop it so Read refetches from home.
-			reader.InvalidateRange(g, slotBytes)
-			var pb [payloadBytes]byte
-			reader.Read(g, pb[:])
-			if reader.AtomicLoad64(seqG) != s1 {
-				continue // overwritten mid-read; retry
-			}
-			ev := Decode(pb)
+			ev := Decode(l.Payload)
 			if int(ev.Node) != node || ev.Sub >= numSubsys || ev.Kind >= numKinds {
 				// Payload failed sanity checks: count it and move on
 				// rather than poisoning the merged timeline.

@@ -9,33 +9,23 @@ import (
 )
 
 // TestCrashBetweenComposeAndPublish kills the node in the window after
-// the record line is composed in the node's cache but before the
-// write-back publishes it. The event must vanish cleanly: everything
-// emitted earlier survives, nothing torn appears.
+// an event's line is composed in the node's cache but before the
+// write-back publishes it: that write-back is lost, then the node dies.
+// The event must vanish cleanly: everything emitted earlier survives,
+// nothing torn appears.
 func TestCrashBetweenComposeAndPublish(t *testing.T) {
 	f := testFabric(t, 2)
 	r := New(f, Config{RingCap: 64})
 	w := r.Writer(1)
 
 	const crashAt = 10
-	emitTestHook = func(node int, ticket uint64) {
-		if node == 1 && ticket == crashAt {
-			f.Node(1).Crash()
-		}
+	for i := uint64(0); i < crashAt; i++ {
+		w.Emit(SubSched, KDispatch, 0, i, i)
 	}
-	defer func() { emitTestHook = nil }()
-
-	emitted := 0
-	func() {
-		defer func() { recover() }() // the publish write-back panics
-		for i := uint64(0); i < 20; i++ {
-			w.Emit(SubSched, KDispatch, 0, i, i)
-			emitted++
-		}
-	}()
-	if emitted != crashAt {
-		t.Fatalf("emitted %d events before dying, want %d", emitted, crashAt)
-	}
+	f.Faults().SetDropWriteBackRate(1_000_000) // the next publish never reaches home
+	w.Emit(SubSched, KDispatch, 0, crashAt, crashAt)
+	f.Faults().SetDropWriteBackRate(0)
+	f.Node(1).Crash()
 
 	rt := r.Collector().Snapshot(f.Node(0), false)
 	var got []Event

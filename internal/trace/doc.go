@@ -4,27 +4,23 @@
 // crashed node's pre-crash events — post-mortem debugging across the
 // fabric, which is exactly what a partially-shared OS makes possible.
 //
-// Each node owns a fixed-size ring of 64-byte event records (one cache
-// line each: timestamp, subsystem/kind/node/flags, two operand words,
-// and a publication sequence). The writer never blocks and never takes a
-// lock: it claims a ticket with a node-local atomic, composes the whole
-// record as a single full-line store, and pushes it to home memory with
-// one explicit write-back. The record's sequence word is the line's LAST
-// word, and the fabric commits line words in ascending order, so a
-// record becomes visible at home atomically-enough: a reader either sees
-// the old sequence (and ignores the slot) or the new sequence with the
-// payload already landed. A node that crashes mid-emit loses at most the
-// records it had not yet written back; everything published survives in
-// home memory.
+// Each node owns a fixed-size ring of event records, each one ds
+// published line (timestamp, subsystem/kind/node/flags and two operand
+// words, committed under the event's ticket). The writer never blocks
+// and never takes a lock: it claims a ticket with a node-local atomic
+// and publishes the line with one full-line store and one explicit
+// write-back. A node that crashes mid-emit loses at most the records it
+// had not yet written back; everything published survives in home
+// memory.
 //
 // When the ring is full (the collector's consumption cursor has fallen a
 // full ring behind), new events are dropped and counted — the hot path
 // never waits for a reader.
 //
-// The Collector snapshots every node's ring through any live node,
-// invalidating its own cached copies first, validates each slot with a
-// sequence double-read (rejecting slots that are mid-overwrite or
-// corrupted by fault injection), merges all nodes by virtual timestamp,
+// The Collector snapshots every node's ring through any live node, one
+// fresh line fetch per slot whose checksum rejects a slot caught
+// mid-overwrite or corrupted by fault injection, merges all nodes by
+// virtual timestamp,
 // and renders a human-readable timeline or a Chrome trace_event JSON
 // blob (open via chrome://tracing or https://ui.perfetto.dev).
 //

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/metrics"
 )
 
@@ -224,37 +224,26 @@ type Event struct {
 	Arg1  uint64
 }
 
-// payloadBytes is the encoded size of an event inside its ring slot. The
-// slot's final word — outside the payload — is the publication sequence,
-// which makes a whole slot exactly one cache line.
-const payloadBytes = 56
-
-// Encode packs e's payload (everything but Seq, which lives in the
-// slot's publication word) into the binary slot image: word 0 the
+// Encode packs e (everything but Seq, which is its ring slot's commit
+// sequence) into the payload words of a ds published line: word 0 the
 // timestamp, word 1 the packed identity sub(8)|kind(8)|node(8)|flags(8)
-// in the high bytes, words 2-3 the operands, the rest reserved zero.
-func Encode(e Event) [payloadBytes]byte {
-	var b [payloadBytes]byte
-	binary.LittleEndian.PutUint64(b[0:], e.TS)
+// in the high bytes, words 2-3 the operands, the rest zero.
+func Encode(e Event) [ds.PubWords]uint64 {
 	meta := uint64(e.Sub)<<56 | uint64(e.Kind)<<48 | uint64(e.Node)<<40 | uint64(e.Flags)<<32
-	binary.LittleEndian.PutUint64(b[8:], meta)
-	binary.LittleEndian.PutUint64(b[16:], e.Arg0)
-	binary.LittleEndian.PutUint64(b[24:], e.Arg1)
-	return b
+	return [ds.PubWords]uint64{e.TS, meta, e.Arg0, e.Arg1}
 }
 
-// Decode unpacks a slot payload image written by Encode. Seq is left
-// zero; the collector fills it from the slot's publication word.
-func Decode(b [payloadBytes]byte) Event {
-	meta := binary.LittleEndian.Uint64(b[8:])
+// Decode unpacks payload words written by Encode. Seq is left zero; the
+// collector fills it from the slot's commit sequence.
+func Decode(p [ds.PubWords]uint64) Event {
 	return Event{
-		TS:    binary.LittleEndian.Uint64(b[0:]),
-		Sub:   Subsys(meta >> 56),
-		Kind:  Kind(meta >> 48),
-		Node:  uint8(meta >> 40),
-		Flags: Flags(meta >> 32),
-		Arg0:  binary.LittleEndian.Uint64(b[16:]),
-		Arg1:  binary.LittleEndian.Uint64(b[24:]),
+		TS:    p[0],
+		Sub:   Subsys(p[1] >> 56),
+		Kind:  Kind(p[1] >> 48),
+		Node:  uint8(p[1] >> 40),
+		Flags: Flags(p[1] >> 32),
+		Arg0:  p[2],
+		Arg1:  p[3],
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // FuzzTraceEventRoundTrip fuzzes the 64-byte slot format on three
@@ -34,19 +35,23 @@ func FuzzTraceEventRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mangled event:\n in  %+v\n out %+v", ev, got)
 		}
 
-		// 2. Decode of arbitrary bytes canonicalizes: whatever meaning
+		// 2. Decode of arbitrary words canonicalizes: whatever meaning
 		// Decode assigns to a hostile image, Encode preserves it.
-		var img [payloadBytes]byte
+		var img [ds.PubWords * 8]byte
 		copy(img[:], raw)
-		d1 := Decode(img)
+		var words [ds.PubWords]uint64
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(img[8*i:])
+		}
+		d1 := Decode(words)
 		if d2 := Decode(Encode(d1)); d2 != d1 {
 			t.Fatalf("canonicalization unstable:\n first  %+v\n second %+v", d1, d2)
 		}
 
 		// 3. Corrupt a genuinely published slot at home and collect. The
-		// fuzzer picks the byte and the mask, covering payload tears
-		// (sanity-check skips), sequence-word tears (ticket mapping
-		// rejects) and the identity flip (mask 0) which must still
+		// fuzzer picks the byte and the mask, covering payload,
+		// checksum and sequence-word tears (all rejected by the line's
+		// checksum) and the identity flip (mask 0) which must still
 		// collect cleanly.
 		fab := fabric.New(fabric.Config{GlobalSize: 1 << 16, Nodes: 1})
 		rec := New(fab, Config{RingCap: 2})
@@ -58,6 +63,7 @@ func FuzzTraceEventRoundTrip(f *testing.F) {
 		var line [slotBytes]byte
 		n.InvalidateRange(slot, slotBytes)
 		n.Read(slot, line[:])
+		published := line
 		line[corruptOff%slotBytes] ^= corruptXor
 		if len(raw) > 0 && raw[0]&1 == 1 {
 			// Truncate: zero the line from the corruption point on, the
@@ -70,6 +76,9 @@ func FuzzTraceEventRoundTrip(f *testing.F) {
 		n.WriteBackRange(slot, slotBytes)
 
 		snap := rec.Collector().SnapshotNode(n, 0, false)
+		if line != published && len(snap.Events) != 0 {
+			t.Fatalf("collector accepted a corrupted slot as %+v", snap.Events[0])
+		}
 		for _, got := range snap.Events {
 			if int(got.Node) != 0 || got.Sub >= numSubsys || got.Kind >= numKinds {
 				t.Fatalf("collector surfaced an insane event from a corrupt slot: %+v", got)
@@ -77,7 +86,7 @@ func FuzzTraceEventRoundTrip(f *testing.F) {
 			if got.Seq != 0 {
 				t.Fatalf("node 0 emitted only ticket 0, got seq %d", got.Seq)
 			}
-			seq := binary.LittleEndian.Uint64(line[offSeq:])
+			seq := binary.LittleEndian.Uint64(line[slotBytes-8:])
 			if seq != 1 {
 				t.Fatalf("collector accepted slot with sequence word %d as ticket 0", seq)
 			}

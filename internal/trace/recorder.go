@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // Config sizes the recorder.
@@ -21,12 +21,10 @@ type Config struct {
 }
 
 const (
-	slotBytes = fabric.LineSize
-	// offSeq is the slot's publication-sequence word: the LAST word of
-	// the line. fabric.writeLineHome commits words in ascending order,
-	// so when a reader observes the sequence at home, the payload words
-	// of the same flush have already landed.
-	offSeq = payloadBytes
+	// slotBytes is one ring slot: a ds published line whose commit
+	// sequence is the event's ticket + 1.
+	slotBytes           = fabric.LineSize
+	eventLine ds.PubTag = 0x7472616365657674 // "traceevt"
 
 	// Per-node header line words.
 	offDropped = 0 // events dropped because the ring was full
@@ -169,12 +167,6 @@ func (w *Writer) Dropped() uint64 {
 	return w.dropped.Load()
 }
 
-// emitTestHook, when set (tests only, before any writer runs), fires
-// after the record line is composed in the node cache but before the
-// write-back that publishes it — the window where a crash loses the
-// event entirely rather than tearing it.
-var emitTestHook func(node int, ticket uint64)
-
 func (w *Writer) now() uint64 {
 	if w.rec.wall {
 		return uint64(time.Since(w.rec.epoch))
@@ -208,7 +200,7 @@ func (w *Writer) Emit(sub Subsys, kind Kind, flags Flags, arg0, arg1 uint64) {
 			return
 		}
 	}
-	pb := Encode(Event{
+	p := Encode(Event{
 		TS:    w.now(),
 		Node:  uint8(w.n.ID()),
 		Sub:   sub,
@@ -217,22 +209,9 @@ func (w *Writer) Emit(sub Subsys, kind Kind, flags Flags, arg0, arg1 uint64) {
 		Arg0:  arg0,
 		Arg1:  arg1,
 	})
-	var line [slotBytes]byte
-	copy(line[:], pb[:])
-	binary.LittleEndian.PutUint64(line[offSeq:], t+1)
-	g := w.base.Add((t & (w.rec.cap - 1)) * slotBytes)
 	w.suppress.Add(1)
 	defer w.suppress.Add(-1)
-	// One full-line store (no write-allocate fetch), then one explicit
-	// write-back. The sequence word rides in the same line, last in
-	// commit order, so the record becomes visible at home only after its
-	// payload — and a crash right here loses the event cleanly instead
-	// of publishing a torn one.
-	w.n.Write(g, line[:])
-	if emitTestHook != nil {
-		emitTestHook(w.n.ID(), t)
-	}
-	w.n.WriteBackRange(g, slotBytes)
+	eventLine.Publish(w.n, w.base.Add((t&(w.rec.cap-1))*slotBytes), t+1, p)
 }
 
 // Begin emits a span-begin event; pair with End on the same (sub, arg0).

@@ -259,3 +259,27 @@ func TestFirehoseRangedWriteBack(t *testing.T) {
 		t.Errorf("got %d miss events, want %d (stores fetch each line once)", misses, lines)
 	}
 }
+
+// TestCollectSlotFabricBudget pins what collecting a live slot costs: one
+// fresh line fetch — one load that misses, no atomic, no invalidate — that
+// leaves nothing resident. The only atomics are the header's two words
+// (dropped count and tail cursor), read once per ring.
+func TestCollectSlotFabricBudget(t *testing.T) {
+	f := testFabric(t, 2)
+	r := New(f, Config{RingCap: 1})
+	r.Writer(1).Emit(SubApp, KMark, 0, 7, 0)
+	n := f.Node(0)
+	before := n.Stats()
+	snap := r.Collector().SnapshotNode(n, 1, false)
+	d := n.Stats().Delta(before)
+	if len(snap.Events) != 1 || snap.Events[0].Arg0 != 7 {
+		t.Fatalf("collected %v, want the one event", snap.Events)
+	}
+	if d.Atomics != 2 || d.Loads != 1 || d.Misses != 1 || d.Invalidates != 0 {
+		t.Fatalf("collecting one live slot: %d atomics (2 are the header's), %d loads, %d misses, %d invalidates; want 2, 1, 1, 0",
+			d.Atomics, d.Loads, d.Misses, d.Invalidates)
+	}
+	if got := n.CacheResidentLines(); got != 0 {
+		t.Fatalf("collection left %d lines resident, want 0", got)
+	}
+}
