@@ -12,6 +12,7 @@ func BenchmarkExecuteSet(b *testing.B) {
 	for i := range cmds {
 		cmds[i] = AppendCommand(nil, []byte("SET"), []byte(fmt.Sprintf("key-%d", i)), val)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.Execute(cmds[i%64])
@@ -22,6 +23,7 @@ func BenchmarkExecuteGet(b *testing.B) {
 	srv := NewServer(NewStore())
 	srv.Store().Set("key", make([]byte, 4096), 0)
 	cmd := AppendCommand(nil, []byte("GET"), []byte("key"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.Execute(cmd)
@@ -31,6 +33,7 @@ func BenchmarkExecuteGet(b *testing.B) {
 func BenchmarkRESPDecodeCommand(b *testing.B) {
 	cmd := AppendCommand(nil, []byte("SET"), []byte("some-key"), make([]byte, 4096))
 	b.SetBytes(int64(len(cmd)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(cmd); err != nil {

@@ -14,8 +14,9 @@ type Client struct {
 	buf  []byte
 	out  []byte
 
-	pipe  []byte // commands queued by Pipe* since the last Flush
-	pipeN int
+	pipe    []byte // commands queued by Pipe* since the last Flush
+	pipeN   int
+	replies []Value // FlushRecv's result, reused from call to call
 }
 
 // NewClient wraps an established connection.
@@ -35,18 +36,7 @@ func (c *Client) roundTrip(args ...[]byte) (Value, error) {
 	if err := c.conn.Send(c.out); err != nil {
 		return Value{}, err
 	}
-	n, err := c.conn.Recv(c.buf)
-	if err != nil {
-		return Value{}, err
-	}
-	v, _, err := Decode(c.buf[:n])
-	if err != nil {
-		return Value{}, err
-	}
-	if v.Kind == respError {
-		return Value{}, errors.New(v.Str)
-	}
-	return v, nil
+	return c.recvReply()
 }
 
 // SendSet transmits a SET without waiting for the reply. Paired with
@@ -75,7 +65,8 @@ func (c *Client) SendGet(key string) error {
 	return c.conn.Send(c.out)
 }
 
-// FinishGet consumes a GET's reply.
+// FinishGet consumes a GET's reply. The value aliases the client's
+// receive buffer: it is valid until the next call on the client.
 func (c *Client) FinishGet() ([]byte, bool, error) {
 	v, err := c.recvReply()
 	if err != nil {
@@ -87,6 +78,7 @@ func (c *Client) FinishGet() ([]byte, bool, error) {
 	return v.Bulk, true, nil
 }
 
+// recvReply receives one reply and decodes it in place in c.buf.
 func (c *Client) recvReply() (Value, error) {
 	n, err := c.conn.Recv(c.buf)
 	if err != nil {
@@ -157,8 +149,8 @@ func (c *Client) Pending() int { return c.pipeN }
 // Flush sends the queued pipeline and returns the replies in queue order.
 // Per-command errors come back as respError Values (check v.Kind); a
 // transport or framing failure returns a non-nil error and poisons the
-// batch. The returned Values alias the client's receive buffer and are
-// only valid until the next operation.
+// batch. The returned Values, and their bulk strings, alias the client's
+// buffers and are only valid until the next call on the client.
 func (c *Client) Flush() ([]Value, error) {
 	n, err := c.FlushSend()
 	if err != nil {
@@ -185,7 +177,7 @@ func (c *Client) FlushSend() (int, error) {
 }
 
 // FlushRecv receives one batched reply message and decodes exactly n
-// replies from it.
+// replies from it, with Flush's validity.
 func (c *Client) FlushRecv(n int) ([]Value, error) {
 	if n == 0 {
 		return nil, nil
@@ -194,20 +186,20 @@ func (c *Client) FlushRecv(n int) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	replies := make([]Value, 0, n)
+	c.replies = c.replies[:0]
 	rest := c.buf[:got]
 	for len(rest) > 0 {
 		v, used, err := Decode(rest)
 		if err != nil {
 			return nil, err
 		}
-		replies = append(replies, v)
+		c.replies = append(c.replies, v)
 		rest = rest[used:]
 	}
-	if len(replies) != n {
-		return nil, fmt.Errorf("redis: pipeline sent %d commands, got %d replies", n, len(replies))
+	if len(c.replies) != n {
+		return nil, fmt.Errorf("redis: pipeline sent %d commands, got %d replies", n, len(c.replies))
 	}
-	return replies, nil
+	return c.replies, nil
 }
 
 // Ping checks the connection.
@@ -226,7 +218,7 @@ func (c *Client) Ping() error {
 func (c *Client) Set(key string, value []byte, ttl time.Duration) error {
 	args := [][]byte{[]byte("SET"), []byte(key), value}
 	if ttl > 0 {
-		args = append(args, []byte("EX"), []byte(fmt.Sprintf("%d", int(ttl.Seconds()))))
+		args = append(args, []byte("EX"), []byte(strconv.Itoa(int(ttl.Seconds()))))
 	}
 	v, err := c.roundTrip(args...)
 	if err != nil {
@@ -238,7 +230,8 @@ func (c *Client) Set(key string, value []byte, ttl time.Duration) error {
 	return nil
 }
 
-// Get fetches key; ok is false on a miss.
+// Get fetches key; ok is false on a miss. The value aliases the client's
+// receive buffer: it is valid until the next call on the client.
 func (c *Client) Get(key string) ([]byte, bool, error) {
 	v, err := c.roundTrip([]byte("GET"), []byte(key))
 	if err != nil {
@@ -273,7 +266,9 @@ func (c *Client) IncrBy(key string, delta int64) (int64, error) {
 	return v.Int, err
 }
 
-// MGet fetches keys in one round trip (nil = miss).
+// MGet fetches keys in one round trip (nil = miss). The values alias the
+// client's receive buffer: they are valid until the next call on the
+// client.
 func (c *Client) MGet(keys ...string) ([][]byte, error) {
 	args := make([][]byte, 0, len(keys)+1)
 	args = append(args, []byte("MGET"))

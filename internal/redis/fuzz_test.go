@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // respSeeds is the shared corpus: every well-formed and malformed shape
@@ -200,14 +201,31 @@ func FuzzRESPRoundTrip(f *testing.F) {
 		if v.Kind != respArray || len(v.Array) != len(args) {
 			t.Fatalf("command round-trip: got kind %q with %d elements, want array of %d", v.Kind, len(v.Array), len(args))
 		}
+		encCopy := bytes.Clone(enc)
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(enc)))
 		for i, a := range args {
 			got := v.Array[i].Bulk
-			if got == nil {
-				got = []byte{}
+			if got == nil { // a nil argument encodes as the null bulk
+				if a != nil {
+					t.Fatalf("command round-trip: arg %d decoded as a null bulk", i)
+				}
+				continue
 			}
 			if !bytes.Equal(got, a) {
 				t.Fatalf("command round-trip: arg %d = %q, want %q", i, got, a)
 			}
+			// The bulk aliases enc, and its capacity ends where it does,
+			// so an append to it copies instead of overwriting enc.
+			if p := uintptr(unsafe.Pointer(unsafe.SliceData(got))); p < lo || p+uintptr(len(got)) > lo+uintptr(len(enc)) {
+				t.Fatalf("command round-trip: arg %d does not lie inside the encoded input", i)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("command round-trip: arg %d has cap %d, len %d", i, cap(got), len(got))
+			}
+			_ = append(got, 0xAA)
+		}
+		if !bytes.Equal(enc, encCopy) {
+			t.Fatalf("appending to decoded bulks changed the input: %q, was %q", enc, encCopy)
 		}
 
 		// Integer: the first 8 bytes (zero-padded) as an int64.

@@ -30,7 +30,7 @@ type Value struct {
 	Kind  byte
 	Str   string  // simple string or error text
 	Int   int64   // integer
-	Bulk  []byte  // bulk string (nil means null bulk)
+	Bulk  []byte  // bulk string (nil means null bulk), aliasing the decoded input
 	Array []Value // array elements
 }
 
@@ -107,7 +107,22 @@ func AppendInt(dst []byte, v int64) []byte {
 }
 
 // Decode parses one RESP value from b, returning it and the bytes consumed.
-func Decode(b []byte) (Value, int, error) {
+// A decoded bulk string aliases b, so it is valid only while b is. Its
+// capacity ends at its length: appending to it copies rather than writing
+// over the bytes of b that follow it.
+func Decode(b []byte) (Value, int, error) { return decode(b, nil) }
+
+// decodeElem is decode, called through a variable for an array's
+// elements. Escape analysis merges every direct recursive call's result
+// with the outer call's scratch, so storing an element would move each
+// caller's stack scratch to the heap.
+var decodeElem func(b []byte, scratch []Value) (Value, int, error)
+
+func init() { decodeElem = decode }
+
+// decode is Decode with a scratch slice: a top-level array decodes its
+// elements into scratch when they fit, and into a new slice otherwise.
+func decode(b []byte, scratch []Value) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, fmt.Errorf("%w: empty input", ErrProtocol)
 	}
@@ -118,7 +133,7 @@ func Decode(b []byte) (Value, int, error) {
 	consumed := 1 + n
 	switch b[0] {
 	case respSimple:
-		return Value{Kind: respSimple, Str: string(line)}, consumed, nil
+		return Value{Kind: respSimple, Str: simpleString(line)}, consumed, nil
 	case respError:
 		return Value{Kind: respError, Str: string(line)}, consumed, nil
 	case respInt:
@@ -141,12 +156,11 @@ func Decode(b []byte) (Value, int, error) {
 		if ln > len(b)-consumed-2 {
 			return Value{}, 0, fmt.Errorf("%w: truncated bulk", ErrProtocol)
 		}
-		bulk := make([]byte, ln)
-		copy(bulk, b[consumed:consumed+ln])
-		if b[consumed+ln] != '\r' || b[consumed+ln+1] != '\n' {
+		end := consumed + ln
+		if b[end] != '\r' || b[end+1] != '\n' {
 			return Value{}, 0, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
 		}
-		return Value{Kind: respBulk, Bulk: bulk}, consumed + ln + 2, nil
+		return Value{Kind: respBulk, Bulk: b[consumed:end:end]}, end + 2, nil
 	case respArray:
 		count, err := strconv.Atoi(string(line))
 		if err != nil || count < 0 {
@@ -157,10 +171,13 @@ func Decode(b []byte) (Value, int, error) {
 		if count > (len(b)-consumed)/3 {
 			return Value{}, 0, fmt.Errorf("%w: truncated array", ErrProtocol)
 		}
-		arr := make([]Value, 0, count)
+		arr := scratch[:0]
+		if count > cap(scratch) {
+			arr = make([]Value, 0, count)
+		}
 		off := consumed
 		for i := 0; i < count; i++ {
-			v, n, err := Decode(b[off:])
+			v, n, err := decodeElem(b[off:], nil)
 			if err != nil {
 				return Value{}, 0, err
 			}
@@ -170,6 +187,18 @@ func Decode(b []byte) (Value, int, error) {
 		return Value{Kind: respArray, Array: arr}, off, nil
 	}
 	return Value{}, 0, fmt.Errorf("%w: unknown type %q", ErrProtocol, b[0])
+}
+
+// simpleString converts a simple-string line, returning the replies of
+// SET and PING without allocating.
+func simpleString(line []byte) string {
+	switch string(line) {
+	case "OK":
+		return "OK"
+	case "PONG":
+		return "PONG"
+	}
+	return string(line)
 }
 
 // readLine returns the bytes before the next CRLF and the total consumed

@@ -20,6 +20,8 @@ type Conn interface {
 // *View (the global-arena store, one view per server session, same
 // dataset from every node).
 type Backend interface {
+	// Set must not keep value: a server passes bytes that alias its
+	// request buffer, so the backend's own copy is the copy of record.
 	Set(key string, value []byte, ttl time.Duration) error
 	Get(key string) ([]byte, bool)
 	// MGet resolves a whole key batch at once (nil = miss); the rack
@@ -42,6 +44,7 @@ type Backend interface {
 // Server executes commands against a Backend.
 type Server struct {
 	store Backend
+	reply []byte // Execute's reply, reused from call to call
 }
 
 // NewServer creates a server over store.
@@ -74,21 +77,25 @@ func (s *Server) ServeConn(c Conn, bufSize int) {
 	}
 }
 
-// Execute runs one RESP-encoded command and returns the RESP reply.
+// Execute runs the RESP-encoded command in req (every command, if req
+// packs several, as ExecuteBatch does) and returns the RESP reply. The
+// reply is the server's own buffer and is valid until the next Execute on
+// this server, so Execute is not safe for concurrent use; both transports
+// copy on Send.
 func (s *Server) Execute(req []byte) []byte {
-	v, _, err := Decode(req)
-	if err != nil {
-		return AppendError(nil, "ERR protocol error")
-	}
-	return s.executeValue(nil, v)
+	s.reply = s.ExecuteBatch(s.reply[:0], req)
+	return s.reply
 }
 
 // ExecuteBatch runs every RESP command packed in req, appending the
 // replies to out in order. A decode error poisons the remainder of the
 // batch (the stream boundary is lost) but replies already produced stand.
+// Its scratch lives on its own stack, so concurrent sessions may share a
+// server.
 func (s *Server) ExecuteBatch(out, req []byte) []byte {
+	var argv [8]Value // a command of up to 8 arguments decodes without allocating
 	for len(req) > 0 {
-		v, n, err := Decode(req)
+		v, n, err := decode(req, argv[:])
 		if err != nil {
 			return AppendError(out, "ERR protocol error")
 		}
@@ -109,8 +116,9 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 			return AppendError(out, "ERR protocol error: expected bulk string")
 		}
 	}
-	cmd := strings.ToUpper(string(args[0].Bulk))
-	switch cmd {
+	var name [16]byte
+	cmd := upperASCII(name[:0], args[0].Bulk)
+	switch string(cmd) {
 	case "PING":
 		return AppendSimple(out, "PONG")
 	case "SET":
@@ -202,7 +210,19 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 	case "DBSIZE":
 		return AppendInt(out, int64(s.store.Len()))
 	}
-	return AppendError(out, "ERR unknown command '"+cmd+"'")
+	return AppendError(out, "ERR unknown command '"+string(cmd)+"'")
+}
+
+// upperASCII appends b to dst with ASCII letters upper-cased, the way
+// Redis matches command names.
+func upperASCII(dst, b []byte) []byte {
+	for _, c := range b {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 func bulkKeys(args []Value) []string {

@@ -44,8 +44,9 @@ func (s *Store) expiredLocked(key string) bool {
 	return false
 }
 
-// Set stores key -> value with an optional TTL (0 means no expiry). The
-// error is always nil; the signature matches Backend, where the
+// Set stores key -> value with an optional TTL (0 means no expiry). It
+// keeps a copy of value: the server's value aliases the request buffer.
+// The error is always nil; the signature matches Backend, where the
 // rack-shared implementation can reject oversized entries.
 func (s *Store) Set(key string, value []byte, ttl time.Duration) error {
 	s.mu.Lock()
@@ -140,7 +141,7 @@ func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 		cur = parsed
 	}
 	cur += delta
-	s.data[key] = []byte(strconv.FormatInt(cur, 10))
+	s.data[key] = strconv.AppendInt(nil, cur, 10)
 	return cur, nil
 }
 
