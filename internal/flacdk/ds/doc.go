@@ -1,7 +1,7 @@
 // Package ds provides FlacDK's high-level concurrent data structures
 // (paper §3.2, the third synchronization library level): vector, hash
-// table, ring buffers, radix tree and published line, all usable
-// concurrently from every node of the rack without hardware cache
+// table, ring buffers, radix tree, published line and state word, all
+// usable concurrently from every node of the rack without hardware cache
 // coherence.
 //
 // The structures CHANGE all cross-node-visible control state with fabric
@@ -15,5 +15,9 @@
 // to home memory like an atomic but brings a whole line for less than one
 // costs (HashMap's comment has the argument for why a line copy suffices).
 // A published line (PubTag) needs no atomic at all: one owner publishes
-// it with a write-back and readers fetch it fresh (publine.go).
+// it with a write-back and readers fetch it fresh (publine.go). A state
+// word (StateWord) is the other half of the control plane: a slot's
+// gen|aux|owner|state packed in one word that changes only by CAS64, kept
+// with the virtual time of its last transition in a StateTable
+// (stateword.go).
 package ds

@@ -187,11 +187,6 @@ type Controller struct {
 	nodes    map[int]*nodeState
 	deadOnce membership.DeadOnce // one death sweep per (slot, gen)
 
-	// brokenSkipDrainFence is the planted self-test break: when set, the
-	// drain pipeline SKIPS the early-fence stage — exactly the bug the
-	// torture zombie-write checker exists to catch. See SetBroken*.
-	brokenSkipDrainFence atomic.Bool
-
 	stats struct {
 		drains, aborted, rejoins, deadSweeps atomic.Uint64
 	}
@@ -222,25 +217,17 @@ func (c *Controller) SetTrace(w *trace.Writer) { c.trw.Store(w) }
 
 func (c *Controller) tw() *trace.Writer { return c.trw.Load() }
 
-// SetBrokenSkipDrainFence plants the self-test bug: drains skip the
-// early-fence stage, so a drained-but-not-dead node can keep writing
-// through its old views — the fenced-zombie-write invariant checker
-// MUST catch this. Never set outside the planted-broken self-test.
-func (c *Controller) SetBrokenSkipDrainFence(v bool) { c.brokenSkipDrainFence.Store(v) }
-
-// brokenSkipDrainFencePkg is the package-wide form of the planted
-// break, flipped by the torture harness's ApplyBreak("drain-fence")
-// before any controller exists. Either flag bites.
-var brokenSkipDrainFencePkg atomic.Bool
+// brokenSkipDrainFence is the planted self-test break: when set, every
+// controller's drain pipeline SKIPS the early-fence stage, so a
+// drained-but-not-dead node can keep writing through its old views —
+// exactly the bug the torture zombie-write checker exists to catch.
+var brokenSkipDrainFence atomic.Bool
 
 // SetBrokenSkipDrainFence plants the skip-drain-fence bug for every
-// controller in the process — the torture break hook. Never set outside
-// the planted-broken self-test.
-func SetBrokenSkipDrainFence(v bool) { brokenSkipDrainFencePkg.Store(v) }
-
-func (c *Controller) drainFenceBroken() bool {
-	return c.brokenSkipDrainFence.Load() || brokenSkipDrainFencePkg.Load()
-}
+// controller in the process — the torture harness's
+// ApplyBreak("drain-fence"). Never set outside the planted-broken
+// self-test.
+func SetBrokenSkipDrainFence(v bool) { brokenSkipDrainFence.Store(v) }
 
 // Stats returns a snapshot of the controller's activity counters.
 func (c *Controller) Stats() ControllerStats {
@@ -333,7 +320,7 @@ func (c *Controller) drain(node int, gen uint64) {
 			mask |= maskEvict
 			if !abort() {
 				c.stage(StageFence, node, gen)
-				if c.cfg.Store != nil && !c.drainFenceBroken() {
+				if c.cfg.Store != nil && !brokenSkipDrainFence.Load() {
 					c.cfg.Store.FenceNode(c.cfg.From, node, gen)
 					if tw := c.tw(); tw != nil {
 						tw.Emit(trace.SubHealth, trace.KFenceEarly, 0, uint64(node), gen+1)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/flacdk/reliability"
 	"flacos/internal/membership"
 	"flacos/internal/trace"
@@ -43,37 +44,20 @@ func (s DetectState) String() string {
 	return fmt.Sprintf("health(%d)", uint8(s))
 }
 
-// The health control word packs gen(32) | node(8) | state(8), the same
-// shape as membership's control word minus the incarnation. The
-// generation ties every verdict to one membership incarnation of the
-// slot: a rejoin bumps the generation, so stale verdicts are
-// distinguishable and cleared rather than inherited.
-func packHCtl(gen uint64, node int, st DetectState) uint64 {
-	return gen<<32 | uint64(node&0xff)<<8 | uint64(st)
-}
-
-func hctlGen(w uint64) uint64        { return w >> 32 }
-func hctlNode(w uint64) int          { return int((w >> 8) & 0xff) }
-func hctlState(w uint64) DetectState { return DetectState(w & 0xff) }
-
-// Health control line: one per slot, fabric atomics ONLY — like
-// membership's control line it must never share a line with the plainly
-// written record, or a record write-back would clobber a concurrent CAS.
-//
-//	w0 ctl       gen|node|state (all transitions via CAS64)
-//	w1 stampVNS  rack virtual time of the last verdict transition
-//
-//flac:shared
-//flac:published-by=CAS64
-type HCtlLine struct {
-	Ctl      uint64
-	StampVNS uint64
-}
-
+// Detector constants no caller tunes. A node is degraded when its smoothed
+// ns per op exceeds latFactor times the rack median and also latFloorNS
+// (which guards the ratio against tiny absolute numbers), when its
+// published link degradation reaches linkHops extra hops (a direct
+// reading, so no smoothing), or when its smoothed errors per window reach
+// errMilli thousandths. It counts as healthy again only below exitFactor
+// times each threshold, so the two bands never touch.
 const (
-	hctlLineBytes = fabric.LineSize
-	offHCtl       = 0
-	offHStamp     = 8
+	alpha      = 0.3 // EWMA smoothing of the latency and error predictors
+	latFactor  = 3
+	latFloorNS = 1000
+	linkHops   = 4
+	errMilli   = 500
+	exitFactor = 0.75
 )
 
 // Config tunes the anomaly detector. Zero values get defaults sized for
@@ -82,24 +66,6 @@ type Config struct {
 	// Tick is the agent's sample-and-observe period (default 200µs,
 	// matching membership's heartbeat tick).
 	Tick time.Duration
-	// Alpha is the EWMA smoothing factor for the latency and error
-	// predictors (default 0.3; see reliability.NewPredictor).
-	Alpha float64
-	// LatFactor: a node is latency-degraded when its own smoothed
-	// ns-per-op exceeds LatFactor times the rack median (default 3).
-	LatFactor float64
-	// LatFloorNS guards the ratio test against tiny absolute numbers: a
-	// node is never latency-degraded below this many ns per op however
-	// the median compares (default 1000).
-	LatFloorNS uint64
-	// LinkHops: a node whose published link degradation reaches this
-	// many extra hops is degraded outright — the signal is a direct
-	// reading, no smoothing needed (default 4).
-	LinkHops uint64
-	// ErrMilli: a node is error-degraded when its smoothed errors per
-	// window reach this fixed-point-milli value (default 500 = 0.5
-	// errors per window).
-	ErrMilli uint64
 	// EnterStrikes is how many consecutive agent ticks the degraded
 	// condition must hold before the verdict flips (default 3); the
 	// strike counter is observer-local, exactly like membership's
@@ -110,39 +76,17 @@ type Config struct {
 	// you detect, or a flapping link saws the controller back and
 	// forth).
 	ExitStrikes int
-	// ExitFactor scales the enter thresholds for the recovery test so
-	// the two bands never touch: signals must fall below ExitFactor
-	// times the enter threshold to count as healthy (default 0.75).
-	ExitFactor float64
 }
 
 func (c *Config) fillDefaults() {
 	if c.Tick == 0 {
 		c.Tick = 200 * time.Microsecond
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.LatFactor == 0 {
-		c.LatFactor = 3
-	}
-	if c.LatFloorNS == 0 {
-		c.LatFloorNS = 1000
-	}
-	if c.LinkHops == 0 {
-		c.LinkHops = 4
-	}
-	if c.ErrMilli == 0 {
-		c.ErrMilli = 500
-	}
 	if c.EnterStrikes == 0 {
 		c.EnterStrikes = 3
 	}
 	if c.ExitStrikes == 0 {
 		c.ExitStrikes = 8
-	}
-	if c.ExitFactor == 0 {
-		c.ExitFactor = 0.75
 	}
 }
 
@@ -152,12 +96,14 @@ func (c *Config) fillDefaults() {
 // there — so a verdict and the liveness state it annotates always name
 // the same (node, generation).
 type Layer struct {
-	fab *fabric.Fabric
 	mem *membership.Table
 	cfg Config
 
-	recG  fabric.GPtr // health records, one line per slot (cached writes)
-	hctlG fabric.GPtr // health control lines, one per slot (atomics only)
+	recG fabric.GPtr // health records, one line per slot (cached writes)
+	// ctl holds each slot's verdict word (aux zero). Its generation is the
+	// slot's membership generation, so a rejoin's bumped generation marks
+	// the old verdict stale: it is cleared, never inherited.
+	ctl ds.StateTable[DetectState]
 
 	// degraded mirrors each NODE's verdict as this host's agents last
 	// observed it — the zero-fabric-cost oracle for placement paths;
@@ -170,34 +116,17 @@ type Layer struct {
 func New(mem *membership.Table, cfg Config) *Layer {
 	cfg.fillDefaults()
 	f := mem.Fabric()
-	slots := uint64(mem.Slots())
+	slots := mem.Slots()
 	return &Layer{
-		fab:      f,
 		mem:      mem,
 		cfg:      cfg,
-		recG:     f.Reserve(slots*recordBytes, fabric.LineSize),
-		hctlG:    f.Reserve(slots*hctlLineBytes, fabric.LineSize),
+		recG:     f.Reserve(uint64(slots)*recordBytes, fabric.LineSize),
+		ctl:      ds.NewStateTable[DetectState](f, slots),
 		degraded: make([]atomic.Bool, f.NumNodes()),
 	}
 }
 
 func (l *Layer) recSlotG(slot int) fabric.GPtr { return l.recG.Add(uint64(slot) * recordBytes) }
-func (l *Layer) hctlSlotG(slot int) fabric.GPtr {
-	return l.hctlG.Add(uint64(slot)*hctlLineBytes + offHCtl)
-}
-func (l *Layer) hstampG(slot int) fabric.GPtr {
-	return l.hctlG.Add(uint64(slot)*hctlLineBytes + offHStamp)
-}
-
-// transition moves slot's health control word from old to next with one
-// CAS64 and, when it wins, stamps the slot with n's virtual clock.
-func (l *Layer) transition(n *fabric.Node, slot int, old, next uint64) bool {
-	if !n.CAS64(l.hctlSlotG(slot), old, next) {
-		return false
-	}
-	n.AtomicStore64(l.hstampG(slot), n.VirtualNS())
-	return true
-}
 
 // Degraded reports whether node id is currently under a Degraded
 // verdict, as last observed by this host's agents. Pure host-side read,
@@ -229,13 +158,13 @@ type VerdictInfo struct {
 func (l *Layer) Verdicts(n *fabric.Node) []VerdictInfo {
 	out := make([]VerdictInfo, l.mem.Slots())
 	for i := range out {
-		w := n.AtomicLoad64(l.hctlSlotG(i))
+		w := l.ctl.Load(n, i)
 		out[i] = VerdictInfo{
 			Slot:       i,
-			State:      hctlState(w),
-			Node:       hctlNode(w),
-			Generation: hctlGen(w),
-			StampVNS:   n.AtomicLoad64(l.hstampG(i)),
+			State:      w.State(),
+			Node:       w.Owner(),
+			Generation: w.Gen(),
+			StampVNS:   l.ctl.Stamp(n, i),
 		}
 	}
 	return out
@@ -251,9 +180,9 @@ func (l *Layer) Join(m *membership.Member, src SignalSource) *Agent {
 		m:        m,
 		n:        m.Node(),
 		src:      src,
-		latP:     reliability.NewPredictor(l.cfg.Alpha),
-		errP:     reliability.NewPredictor(l.cfg.Alpha),
-		lastHCtl: make([]uint64, l.mem.Slots()),
+		latP:     reliability.NewPredictor(alpha),
+		errP:     reliability.NewPredictor(alpha),
+		lastHCtl: make([]ds.StateWord[DetectState], l.mem.Slots()),
 		eval:     make(map[int]*slotEval),
 		stop:     make(chan struct{}),
 	}
@@ -284,7 +213,7 @@ type Agent struct {
 	trw atomic.Pointer[trace.Writer]
 
 	// Detector state, all node-local host memory.
-	lastHCtl []uint64
+	lastHCtl []ds.StateWord[DetectState]
 	eval     map[int]*slotEval
 
 	stop     chan struct{}
@@ -384,18 +313,18 @@ func (a *Agent) observeAll() {
 
 	// Pass 2: per-slot verdicts and event synthesis.
 	for slot := 0; slot < slots; slot++ {
-		hw := a.n.AtomicLoad64(a.l.hctlSlotG(slot))
+		hw := a.l.ctl.Load(a.n, slot)
 		cur := hw
 		st := mem[slot].State
 		live := st == membership.StateJoining || st == membership.StateAlive || st == membership.StateSuspect
 
-		if !live || (hw != 0 && hctlGen(hw) != mem[slot].Generation) {
+		if !live || (hw != 0 && hw.Gen() != mem[slot].Generation) {
 			// The occupant died, left, or rejoined under a new generation:
 			// liveness wins, the stale verdict is cleared without an event
 			// (consumers hear about death from the membership stream).
 			delete(a.eval, slot)
 			if hw != 0 {
-				a.l.transition(a.n, slot, hw, 0)
+				a.l.ctl.Transition(a.n, slot, hw, 0)
 			}
 			cur = 0
 			a.diffHCtl(slot, cur)
@@ -415,9 +344,9 @@ func (a *Agent) observeAll() {
 			a.eval[slot] = ev
 		}
 		deg := a.degradedNow(rec, median, 1)
-		healthy := !a.degradedNow(rec, median, a.l.cfg.ExitFactor)
+		healthy := !a.degradedNow(rec, median, exitFactor)
 
-		switch hctlState(hw) {
+		switch hw.State() {
 		case HealthDegraded:
 			ev.strikes = 0
 			if healthy {
@@ -427,8 +356,8 @@ func (a *Agent) observeAll() {
 			}
 			if ev.clears >= a.l.cfg.ExitStrikes {
 				ev.clears = 0
-				next := packHCtl(mem[slot].Generation, mem[slot].Node, HealthOK)
-				if a.l.transition(a.n, slot, hw, next) {
+				next := ds.PackState(mem[slot].Generation, 0, mem[slot].Node, HealthOK)
+				if a.l.ctl.Transition(a.n, slot, hw, next) {
 					cur = next
 					if tw := a.tw(); tw != nil {
 						tw.Emit(trace.SubHealth, trace.KRecovered, 0, uint64(mem[slot].Node), mem[slot].Generation)
@@ -444,8 +373,8 @@ func (a *Agent) observeAll() {
 			}
 			if ev.strikes >= a.l.cfg.EnterStrikes {
 				ev.strikes = 0
-				next := packHCtl(mem[slot].Generation, mem[slot].Node, HealthDegraded)
-				if a.l.transition(a.n, slot, hw, next) {
+				next := ds.PackState(mem[slot].Generation, 0, mem[slot].Node, HealthDegraded)
+				if a.l.ctl.Transition(a.n, slot, hw, next) {
 					cur = next
 					if tw := a.tw(); tw != nil {
 						tw.Emit(trace.SubHealth, trace.KDegraded, 0, uint64(mem[slot].Node), mem[slot].Generation)
@@ -459,15 +388,14 @@ func (a *Agent) observeAll() {
 
 // degradedNow evaluates the instantaneous degraded condition for rec
 // against the rack median, with every threshold scaled by factor (1 for
-// the enter test, ExitFactor for the recovery test, so the bands never
+// the enter test, exitFactor for the recovery test, so the bands never
 // touch).
 func (a *Agent) degradedNow(rec Record, median uint64, factor float64) bool {
-	cfg := &a.l.cfg
 	latBad := median > 0 &&
-		float64(rec.LatEWMANS) > cfg.LatFactor*factor*float64(median) &&
-		float64(rec.LatEWMANS) >= factor*float64(cfg.LatFloorNS)
-	hopsBad := float64(rec.LinkHops) >= factor*float64(cfg.LinkHops)
-	errBad := float64(rec.ErrEWMAMilli) >= factor*float64(cfg.ErrMilli)
+		float64(rec.LatEWMANS) > latFactor*factor*float64(median) &&
+		float64(rec.LatEWMANS) >= factor*latFloorNS
+	hopsBad := float64(rec.LinkHops) >= factor*linkHops
+	errBad := float64(rec.ErrEWMAMilli) >= factor*errMilli
 	return latBad || hopsBad || errBad
 }
 
@@ -476,25 +404,25 @@ func (a *Agent) degradedNow(rec Record, median uint64, factor float64) bool {
 // host-side degraded mirror on the way. A word cleared by death or
 // rejoin delivers nothing: the membership stream already carries the
 // transition that killed the verdict, and dead beats degraded.
-func (a *Agent) diffHCtl(slot int, w uint64) {
+func (a *Agent) diffHCtl(slot int, w ds.StateWord[DetectState]) {
 	prev := a.lastHCtl[slot]
 	if w == prev {
 		return
 	}
 	a.lastHCtl[slot] = w
 	switch {
-	case hctlState(w) == HealthDegraded:
-		a.l.setDegradedMirror(hctlNode(w), true)
+	case w.State() == HealthDegraded:
+		a.l.setDegradedMirror(w.Owner(), true)
 		a.m.Publish(membership.Event{
 			Kind: membership.EvDegraded, Slot: slot,
-			Node: hctlNode(w), Generation: hctlGen(w),
+			Node: w.Owner(), Generation: w.Gen(),
 		})
-	case hctlState(prev) == HealthDegraded:
-		a.l.setDegradedMirror(hctlNode(prev), false)
-		if hctlState(w) == HealthOK && hctlGen(w) == hctlGen(prev) {
+	case prev.State() == HealthDegraded:
+		a.l.setDegradedMirror(prev.Owner(), false)
+		if w.State() == HealthOK && w.Gen() == prev.Gen() {
 			a.m.Publish(membership.Event{
 				Kind: membership.EvRecovered, Slot: slot,
-				Node: hctlNode(w), Generation: hctlGen(w),
+				Node: w.Owner(), Generation: w.Gen(),
 			})
 		}
 	}

@@ -23,7 +23,6 @@ func testFabric(nodes int) *fabric.Fabric {
 func fastMemCfg() membership.Config {
 	return membership.Config{
 		HeartbeatTick: 100 * time.Microsecond,
-		DetectTick:    100 * time.Microsecond,
 		DeadStrikes:   2,
 	}
 }
@@ -423,7 +422,8 @@ func TestControllerBrokenSkipDrainFence(t *testing.T) {
 	f := testFabric(2)
 	g := &fakeGates{}
 	c := newFakeController(f, g, nil)
-	c.SetBrokenSkipDrainFence(true)
+	SetBrokenSkipDrainFence(true)
+	t.Cleanup(func() { SetBrokenSkipDrainFence(false) })
 
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
 	logEquals(t, g.Log(), []string{

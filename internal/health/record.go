@@ -27,8 +27,8 @@ import (
 
 // The health record is a ds published line per node slot, republished by
 // the owner every tick and read by every agent like membership's heartbeat
-// line. Verdicts live on the control line (HCtlLine). Payload words (the
-// sample counter is the commit sequence):
+// line. Verdicts live in the slot's verdict word (Layer.ctl). Payload words
+// (the sample counter is the commit sequence):
 //
 //	p0 node(8) | slot(8)
 //	p1 generation   (the slot's membership generation when sampled)

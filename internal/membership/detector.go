@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/trace"
 )
 
@@ -64,7 +65,7 @@ func (t *Table) maxVNS() uint64 {
 			max = v
 		}
 	}
-	return max + t.cfg.ClockSlackNS
+	return max + clockSlackNS
 }
 
 // agentLoop is the member's detector: every tick it reads each other
@@ -76,7 +77,7 @@ func (m *Member) agentLoop() {
 	defer m.wg.Done()
 	defer m.n.AbsorbCrash() // this agent died with its node
 	m.obs = make(map[int]*slotObs)
-	tick := time.NewTicker(m.t.cfg.DetectTick)
+	tick := time.NewTicker(m.t.cfg.HeartbeatTick)
 	defer tick.Stop()
 	for {
 		select {
@@ -91,14 +92,13 @@ func (m *Member) agentLoop() {
 func (m *Member) observeAll() {
 	maxVNS := m.t.maxVNS()
 	for slot := 0; slot < m.t.cfg.Slots; slot++ {
-		w := m.n.AtomicLoad64(m.t.ctlSlotG(slot))
+		w := m.t.ctl.Load(m.n, slot)
 		m.diffCtl(slot, w)
 		if slot == m.slot {
 			m.refuteIfSuspected(w)
 			continue
 		}
-		st := ctlState(w)
-		if st == StateFree || st == StateDead || st == StateLeft {
+		if st := w.State(); st == StateFree || st == StateDead || st == StateLeft {
 			delete(m.obs, slot)
 			continue
 		}
@@ -108,7 +108,7 @@ func (m *Member) observeAll() {
 
 // observeSlot reads slot's heartbeat record and applies the detector's
 // transition rules against control word w (state Joining/Alive/Suspect).
-func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
+func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 	rec, err := m.t.readRecord(m.n, slot, maxVNS)
 
 	o := m.obs[slot]
@@ -123,19 +123,19 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 		return
 	}
 
-	if err == nil && rec.Generation == ctlGen(w) && rec.Beat > o.beat {
+	if err == nil && rec.Generation == w.Gen() && rec.Beat > o.beat {
 		// A live beat under the current generation: record the arrival.
 		now := time.Now()
 		iv := float64(now.Sub(o.lastBeatW).Nanoseconds())
 		o.intervals = append(o.intervals, iv)
-		if len(o.intervals) > m.t.cfg.Window {
+		if len(o.intervals) > phiWindow {
 			o.intervals = o.intervals[1:]
 		}
 		o.beat, o.lastBeatW, o.strikes = rec.Beat, now, 0
 		// A beating Suspect is alive: lift the suspicion on its behalf
 		// (its own refutation may land first; either CAS winning is fine).
-		if ctlState(w) == StateSuspect && rec.Incarnation >= ctlInc(w) {
-			m.t.transition(m.n, slot, w, packCtl(ctlGen(w), rec.Incarnation, ctlNode(w), StateAlive))
+		if w.State() == StateSuspect && rec.Incarnation >= w.Aux() {
+			m.t.ctl.Transition(m.n, slot, w, ds.PackState(w.Gen(), rec.Incarnation, w.Owner(), StateAlive))
 		}
 		return
 	}
@@ -143,14 +143,14 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 	// No usable beat this tick (frozen, torn, corrupt, or from a stale
 	// generation — all treated identically: zero information).
 	phi := m.t.phi(o, time.Since(o.lastBeatW))
-	st := ctlState(w)
+	st := w.State()
 	if st != StateSuspect {
 		o.strikes = 0
 		if phi >= m.t.cfg.PhiSuspect && st == StateAlive {
-			next := packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateSuspect)
-			if m.t.transition(m.n, slot, w, next) {
+			next := ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateSuspect)
+			if m.t.ctl.Transition(m.n, slot, w, next) {
 				if tw := m.tw(); tw != nil {
-					tw.Emit(trace.SubMembership, trace.KSuspect, 0, uint64(slot), uint64(ctlNode(w)))
+					tw.Emit(trace.SubMembership, trace.KSuspect, 0, uint64(slot), uint64(w.Owner()))
 				}
 			}
 		}
@@ -163,10 +163,10 @@ func (m *Member) observeSlot(slot int, w uint64, maxVNS uint64) {
 	}
 	if o.strikes >= m.t.cfg.DeadStrikes {
 		o.strikes = 0
-		next := packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateDead)
-		if m.t.transition(m.n, slot, w, next) {
+		next := ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateDead)
+		if m.t.ctl.Transition(m.n, slot, w, next) {
 			if tw := m.tw(); tw != nil {
-				tw.Emit(trace.SubMembership, trace.KDead, 0, uint64(slot), uint64(ctlNode(w)))
+				tw.Emit(trace.SubMembership, trace.KDead, 0, uint64(slot), uint64(w.Owner()))
 			}
 		}
 	}
@@ -181,23 +181,23 @@ func (t *Table) Suspect(n *fabric.Node, slot int) bool {
 	if slot < 0 || slot >= t.cfg.Slots {
 		return false
 	}
-	w := n.AtomicLoad64(t.ctlSlotG(slot))
-	if ctlState(w) != StateAlive {
+	w := t.ctl.Load(n, slot)
+	if w.State() != StateAlive {
 		return false
 	}
-	return t.transition(n, slot, w, packCtl(ctlGen(w), ctlInc(w), ctlNode(w), StateSuspect))
+	return t.ctl.Transition(n, slot, w, ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateSuspect))
 }
 
 // refuteIfSuspected handles the member's OWN slot: a live node that
 // finds itself Suspect bumps its incarnation and CASes back to Alive —
 // the SWIM refutation that distinguishes "slow" from "gone" without
 // any observer having to guess.
-func (m *Member) refuteIfSuspected(w uint64) {
-	if ctlState(w) != StateSuspect || ctlGen(w) != m.gen {
+func (m *Member) refuteIfSuspected(w ctlWord) {
+	if w.State() != StateSuspect || w.Gen() != m.gen {
 		return
 	}
-	newInc := ctlInc(w) + 1
-	if m.t.transition(m.n, m.slot, w, packCtl(m.gen, newInc, m.n.ID(), StateAlive)) {
+	newInc := w.Aux() + 1
+	if m.t.ctl.Transition(m.n, m.slot, w, ds.PackState(m.gen, newInc, m.n.ID(), StateAlive)) {
 		atomic.StoreUint64(&m.inc, newInc)
 		// Republish immediately so observers see the new incarnation's
 		// beat rather than re-suspecting off the old history.

@@ -97,20 +97,20 @@ func (d *DeadOnce) First(ev Event) bool {
 // means the node restarted faster than detection — the old incarnation
 // still gets its EvDead (under the OLD generation) so recovery runs,
 // followed by the new generation's own lifecycle events.
-func (m *Member) diffCtl(slot int, w uint64) {
+func (m *Member) diffCtl(slot int, w ctlWord) {
 	prev := m.lastCtl[slot]
 	if w == prev {
 		return
 	}
 	m.lastCtl[slot] = w
-	node, st, gen, inc := ctlNode(w), ctlState(w), ctlGen(w), ctlInc(w)
-	pst := ctlState(prev)
+	node, st, gen, inc := w.Owner(), w.State(), w.Gen(), w.Aux()
+	pst := prev.State()
 
-	if prev != 0 && gen > ctlGen(prev) && (pst == StateAlive || pst == StateSuspect || pst == StateJoining) {
+	if prev != 0 && gen > prev.Gen() && (pst == StateAlive || pst == StateSuspect || pst == StateJoining) {
 		// Restart-beats-detection: the slot was reclaimed under a new
 		// generation while the old one was still nominally serving. The
 		// old generation is gone exactly as if it had been declared Dead.
-		m.deliver(Event{Kind: EvDead, Slot: slot, Node: ctlNode(prev), Generation: ctlGen(prev), Incarnation: ctlInc(prev)})
+		m.deliver(Event{Kind: EvDead, Slot: slot, Node: prev.Owner(), Generation: prev.Gen(), Incarnation: prev.Aux()})
 	}
 
 	switch st {
@@ -119,7 +119,7 @@ func (m *Member) diffCtl(slot int, w uint64) {
 		m.t.setAliveMirror(node, false)
 	case StateAlive:
 		m.t.setAliveMirror(node, true)
-		if pst == StateSuspect && gen == ctlGen(prev) {
+		if pst == StateSuspect && gen == prev.Gen() {
 			m.deliver(Event{Kind: EvAlive, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
 		} else {
 			m.deliver(Event{Kind: EvJoin, Slot: slot, Node: node, Generation: gen, Incarnation: inc})

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/trace"
 )
 
@@ -58,39 +59,13 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// The control word packs gen(32) | incarnation(16) | node(8) | state(8).
-// It is the slow-path authority on a slot's identity and state; every
-// transition is a CAS, so exactly one contender wins each transition
-// rack-wide no matter how many detectors fire concurrently.
-func packCtl(gen, inc uint64, node int, st State) uint64 {
-	return gen<<32 | (inc&0xffff)<<16 | uint64(node&0xff)<<8 | uint64(st)
-}
-
-func ctlGen(w uint64) uint64  { return w >> 32 }
-func ctlInc(w uint64) uint64  { return (w >> 16) & 0xffff }
-func ctlNode(w uint64) int    { return int((w >> 8) & 0xff) }
-func ctlState(w uint64) State { return State(w & 0xff) }
-
-// Control line layout: one cache line per slot, fabric atomics ONLY —
-// it must never share a line with the plainly-written heartbeat record,
-// or a heartbeat write-back would clobber home words a concurrent
-// control CAS just committed. Words:
-//
-//	w0 ctl       gen|incarnation|node|state (all transitions via CAS64)
-//	w1 stampVNS  rack virtual time of the last state transition
-//
-//flac:shared
-//flac:published-by=CAS64
-type CtlLine struct {
-	Ctl      uint64
-	StampVNS uint64
-	_        [6]uint64
-}
-
+// Detector constants no caller tunes: the per-slot window of inter-beat
+// intervals the phi estimate is computed over, and how far beyond the
+// rack's max virtual clock a record timestamp may point before the
+// detector rejects it as corrupt.
 const (
-	ctlLineBytes = fabric.LineSize
-	offCtl       = 0
-	offStamp     = 8
+	phiWindow    = 16
+	clockSlackNS = uint64(time.Millisecond)
 )
 
 // Config tunes the membership layer. Zero values get defaults sized for
@@ -100,11 +75,9 @@ type Config struct {
 	// needs free headroom beyond the boot-time population (default
 	// f.NumNodes() + 2, max 255).
 	Slots int
-	// HeartbeatTick is how often each member republishes its record.
+	// HeartbeatTick is how often each member republishes its record and
+	// runs its detector pass.
 	HeartbeatTick time.Duration
-	// DetectTick is the detector's observation period (default
-	// HeartbeatTick).
-	DetectTick time.Duration
 	// PhiSuspect is the phi threshold at which an observer moves a slot
 	// Alive -> Suspect (default 3: roughly 7x the mean beat interval
 	// without an arrival).
@@ -118,13 +91,6 @@ type Config struct {
 	// a stalled observer cannot rush a verdict (same self-normalization
 	// as sched's lease keeper).
 	DeadStrikes int
-	// Window is the per-slot sliding window of inter-beat intervals the
-	// phi estimate is computed over (default 16).
-	Window int
-	// ClockSlackNS is how far beyond the rack's max virtual clock a
-	// record timestamp may point before the detector rejects it as
-	// corrupt (default 1ms).
-	ClockSlackNS uint64
 }
 
 func (c *Config) fillDefaults(f *fabric.Fabric) {
@@ -137,9 +103,6 @@ func (c *Config) fillDefaults(f *fabric.Fabric) {
 	if c.HeartbeatTick == 0 {
 		c.HeartbeatTick = 200 * time.Microsecond
 	}
-	if c.DetectTick == 0 {
-		c.DetectTick = c.HeartbeatTick
-	}
 	if c.PhiSuspect == 0 {
 		c.PhiSuspect = 3
 	}
@@ -149,13 +112,11 @@ func (c *Config) fillDefaults(f *fabric.Fabric) {
 	if c.DeadStrikes == 0 {
 		c.DeadStrikes = 3
 	}
-	if c.Window == 0 {
-		c.Window = 16
-	}
-	if c.ClockSlackNS == 0 {
-		c.ClockSlackNS = uint64(time.Millisecond.Nanoseconds())
-	}
 }
+
+// ctlWord is a slot's control word, the slow-path authority on its
+// identity and state: aux is the occupant's incarnation, owner its node.
+type ctlWord = ds.StateWord[State]
 
 // Table is the rack's membership table: the arena-resident slots plus
 // the host-side liveness mirror the hot paths consult.
@@ -163,17 +124,14 @@ type Table struct {
 	fab *fabric.Fabric
 	cfg Config
 
-	hbG  fabric.GPtr // heartbeat records, one line per slot (cached writes)
-	ctlG fabric.GPtr // control lines, one per slot (fabric atomics only)
+	hbG fabric.GPtr          // heartbeat records, one line per slot (cached writes)
+	ctl ds.StateTable[State] // control words, one line per slot (fabric atomics only)
 
 	// alive mirrors each NODE's serving state as the local agents last
 	// observed it (Alive or Suspect = true). It is the zero-fabric-cost
 	// oracle sched's placement hot path consults; authoritative state is
 	// always the control word.
 	alive []atomic.Bool
-
-	mu      sync.Mutex
-	members map[int]*Member // by slot
 }
 
 // New lays the membership table out in f's global memory. Every slot
@@ -181,15 +139,13 @@ type Table struct {
 // hot-plugged nodes join at runtime).
 func New(f *fabric.Fabric, cfg Config) *Table {
 	cfg.fillDefaults(f)
-	t := &Table{
-		fab:     f,
-		cfg:     cfg,
-		hbG:     f.Reserve(uint64(cfg.Slots)*recordBytes, fabric.LineSize),
-		ctlG:    f.Reserve(uint64(cfg.Slots)*ctlLineBytes, fabric.LineSize),
-		alive:   make([]atomic.Bool, f.NumNodes()),
-		members: make(map[int]*Member),
+	return &Table{
+		fab:   f,
+		cfg:   cfg,
+		hbG:   f.Reserve(uint64(cfg.Slots)*recordBytes, fabric.LineSize),
+		ctl:   ds.NewStateTable[State](f, cfg.Slots),
+		alive: make([]atomic.Bool, f.NumNodes()),
 	}
-	return t
 }
 
 // Slots returns the table capacity.
@@ -198,19 +154,7 @@ func (t *Table) Slots() int { return t.cfg.Slots }
 // Fabric returns the fabric the table lives on.
 func (t *Table) Fabric() *fabric.Fabric { return t.fab }
 
-func (t *Table) hbSlotG(slot int) fabric.GPtr  { return t.hbG.Add(uint64(slot) * recordBytes) }
-func (t *Table) ctlSlotG(slot int) fabric.GPtr { return t.ctlG.Add(uint64(slot)*ctlLineBytes + offCtl) }
-func (t *Table) stampG(slot int) fabric.GPtr   { return t.ctlG.Add(uint64(slot)*ctlLineBytes + offStamp) }
-
-// transition moves slot's control word from old to next with one CAS64
-// and, when it wins, stamps the slot with n's virtual clock.
-func (t *Table) transition(n *fabric.Node, slot int, old, next uint64) bool {
-	if !n.CAS64(t.ctlSlotG(slot), old, next) {
-		return false
-	}
-	n.AtomicStore64(t.stampG(slot), n.VirtualNS())
-	return true
-}
+func (t *Table) hbSlotG(slot int) fabric.GPtr { return t.hbG.Add(uint64(slot) * recordBytes) }
 
 // Alive reports whether node id is currently serving (Alive or Suspect
 // in some slot) as last observed by this host's agents. It is the
@@ -237,14 +181,14 @@ type SlotInfo struct {
 func (t *Table) Snapshot(n *fabric.Node) []SlotInfo {
 	out := make([]SlotInfo, t.cfg.Slots)
 	for i := range out {
-		w := n.AtomicLoad64(t.ctlSlotG(i))
+		w := t.ctl.Load(n, i)
 		out[i] = SlotInfo{
 			Slot:        i,
-			State:       ctlState(w),
-			Node:        ctlNode(w),
-			Generation:  ctlGen(w),
-			Incarnation: ctlInc(w),
-			StampVNS:    n.AtomicLoad64(t.stampG(i)),
+			State:       w.State(),
+			Node:        w.Owner(),
+			Generation:  w.Gen(),
+			Incarnation: w.Aux(),
+			StampVNS:    t.ctl.Stamp(n, i),
 		}
 	}
 	return out
@@ -261,22 +205,19 @@ func (t *Table) Join(n *fabric.Node) (*Member, error) {
 	// so every observer sees one (node, slot) history with a bumped
 	// generation rather than the same node in two slots.
 	for slot := 0; slot < t.cfg.Slots; slot++ {
-		w := n.AtomicLoad64(t.ctlSlotG(slot))
-		if ctlState(w) != StateFree && ctlNode(w) == n.ID() {
+		if w := t.ctl.Load(n, slot); w.State() != StateFree && w.Owner() == n.ID() {
 			return t.joinSlot(n, slot)
 		}
 	}
 	for slot := 0; slot < t.cfg.Slots; slot++ {
-		w := n.AtomicLoad64(t.ctlSlotG(slot))
-		if ctlState(w) == StateFree {
+		if t.ctl.Load(n, slot).State() == StateFree {
 			if m, err := t.joinSlot(n, slot); err == nil {
 				return m, nil
 			}
 		}
 	}
 	for slot := 0; slot < t.cfg.Slots; slot++ {
-		w := n.AtomicLoad64(t.ctlSlotG(slot))
-		if st := ctlState(w); st == StateDead || st == StateLeft {
+		if st := t.ctl.Load(n, slot).State(); st == StateDead || st == StateLeft {
 			if m, err := t.joinSlot(n, slot); err == nil {
 				return m, nil
 			}
@@ -297,15 +238,15 @@ func (t *Table) JoinSlot(n *fabric.Node, slot int) (*Member, error) {
 
 func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 	for {
-		w := n.AtomicLoad64(t.ctlSlotG(slot))
-		st := ctlState(w)
-		rejoin := st != StateFree && ctlNode(w) == n.ID()
+		w := t.ctl.Load(n, slot)
+		st := w.State()
+		rejoin := st != StateFree && w.Owner() == n.ID()
 		if !rejoin && st != StateFree && st != StateDead && st != StateLeft {
 			return nil, fmt.Errorf("membership: slot %d is %s (node %d gen %d), not joinable by node %d",
-				slot, st, ctlNode(w), ctlGen(w), n.ID())
+				slot, st, w.Owner(), w.Gen(), n.ID())
 		}
-		gen := ctlGen(w) + 1
-		if !t.transition(n, slot, w, packCtl(gen, 0, n.ID(), StateJoining)) {
+		gen := w.Gen() + 1
+		if !t.ctl.Transition(n, slot, w, ds.PackState(gen, 0, n.ID(), StateJoining)) {
 			continue // raced with another joiner or a detector; re-read
 		}
 		m := &Member{
@@ -316,10 +257,7 @@ func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 			inc:  0,
 			stop: make(chan struct{}),
 		}
-		m.lastCtl = make([]uint64, t.cfg.Slots)
-		t.mu.Lock()
-		t.members[slot] = m
-		t.mu.Unlock()
+		m.lastCtl = make([]ctlWord, t.cfg.Slots)
 		// Publish the first heartbeat immediately so detectors have a
 		// baseline for the new generation before the agent's first tick.
 		m.publishBeat()
@@ -345,7 +283,7 @@ type Member struct {
 
 	// Detector state, all node-local host memory: it costs nothing and
 	// legitimately dies with the node.
-	lastCtl []uint64
+	lastCtl []ctlWord
 	obs     map[int]*slotObs
 
 	stop     chan struct{}
@@ -387,11 +325,11 @@ func (m *Member) Subscribe(fn func(Event)) {
 // Activate transitions the member Joining -> Alive after its resync is
 // complete; the node is serving from this moment.
 func (m *Member) Activate() error {
-	want := packCtl(m.gen, 0, m.n.ID(), StateJoining)
-	if !m.t.transition(m.n, m.slot, want, packCtl(m.gen, 0, m.n.ID(), StateAlive)) {
-		w := m.n.AtomicLoad64(m.t.ctlSlotG(m.slot))
+	want := ds.PackState(m.gen, 0, m.n.ID(), StateJoining)
+	if !m.t.ctl.Transition(m.n, m.slot, want, ds.PackState(m.gen, 0, m.n.ID(), StateAlive)) {
+		w := m.t.ctl.Load(m.n, m.slot)
 		return fmt.Errorf("membership: activate lost slot %d: now %s node %d gen %d (joined gen %d)",
-			m.slot, ctlState(w), ctlNode(w), ctlGen(w), m.gen)
+			m.slot, w.State(), w.Owner(), w.Gen(), m.gen)
 	}
 	m.t.alive[m.n.ID()].Store(true)
 	if tw := m.tw(); tw != nil {
@@ -425,9 +363,9 @@ func (m *Member) Stop() {
 // stops the goroutines. Observers deliver EvLeft, not EvDead, so
 // consumers can skip crash recovery.
 func (m *Member) Leave() {
-	want := packCtl(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateAlive)
-	next := packCtl(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateLeft)
-	if m.t.transition(m.n, m.slot, want, next) {
+	want := ds.PackState(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateAlive)
+	next := ds.PackState(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateLeft)
+	if m.t.ctl.Transition(m.n, m.slot, want, next) {
 		m.t.alive[m.n.ID()].Store(false)
 		if tw := m.tw(); tw != nil {
 			tw.Emit(trace.SubMembership, trace.KLeft, 0, uint64(m.slot), m.gen)

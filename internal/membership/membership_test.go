@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 func testFabric(nodes int) *fabric.Fabric {
@@ -17,7 +18,6 @@ func testFabric(nodes int) *fabric.Fabric {
 func fastCfg() Config {
 	return Config{
 		HeartbeatTick: 100 * time.Microsecond,
-		DetectTick:    100 * time.Microsecond,
 		DeadStrikes:   2,
 	}
 }
@@ -210,11 +210,11 @@ func TestFalseSuspicionIsRefuted(t *testing.T) {
 	// Falsely suspect node 1 by hand, as a detector with a stale view
 	// would: node 1's agent must refute with a bumped incarnation.
 	n0 := f.Node(0)
-	w := n0.AtomicLoad64(tb.ctlSlotG(1))
-	if ctlState(w) != StateAlive {
-		t.Fatalf("precondition: slot 1 is %s", ctlState(w))
+	w := tb.ctl.Load(n0, 1)
+	if w.State() != StateAlive {
+		t.Fatalf("precondition: slot 1 is %s", w.State())
 	}
-	if !n0.CAS64(tb.ctlSlotG(1), w, packCtl(ctlGen(w), ctlInc(w), 1, StateSuspect)) {
+	if !tb.ctl.Transition(n0, 1, w, ds.PackState(w.Gen(), w.Aux(), 1, StateSuspect)) {
 		t.Fatal("suspect CAS lost")
 	}
 	waitFor(t, "refutation", func() bool {
@@ -400,7 +400,7 @@ func TestObserveSlotFabricBudget(t *testing.T) {
 	m := joinAll(t, tb, f, 2)[0] // joining published each slot's first beat
 	m.obs = map[int]*slotObs{}
 	n := m.Node()
-	w := n.AtomicLoad64(tb.ctlSlotG(1))
+	w := tb.ctl.Load(n, 1)
 	maxVNS := tb.maxVNS()
 	resident := n.CacheResidentLines()
 	before := n.Stats()

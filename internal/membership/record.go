@@ -10,8 +10,8 @@ import (
 // The heartbeat record is the membership hot path: one ds published line
 // per node slot that the owner republishes every tick (one full-line store
 // and one write-back) and observers read with one fresh line fetch — no
-// fabric atomics on either side. State transitions live on the control
-// line (CtlLine). Payload words (the beat is the commit sequence):
+// fabric atomics on either side. State transitions live in the slot's
+// control word (Table.ctl). Payload words (the beat is the commit sequence):
 //
 //	p0 node(8) | slot(8)
 //	p1 generation   (bumped every time the slot is (re)claimed)

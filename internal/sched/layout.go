@@ -4,32 +4,30 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
-// Task slot states. A slot cycles Free -> Init (submitter fills words) ->
-// Queued -> Running -> Free(gen+1); a reclaimed task detours
-// Running -> Init(attempt+1) -> Queued without changing generation.
+// slotState is a task slot's lifecycle state. A slot cycles Free -> Init
+// (submitter fills words) -> Queued -> Running -> Free(gen+1); a reclaimed
+// task detours Running -> Init(attempt+1) -> Queued without changing
+// generation.
+type slotState uint8
+
 const (
-	stFree    = 0
-	stInit    = 1
-	stQueued  = 2
-	stRunning = 3
+	stFree slotState = iota
+	stInit
+	stQueued
+	stRunning
 )
 
-// The state word packs gen(32) | attempt(16) | owner(8) | state(8). The
-// generation advances once per slot lifecycle (at completion), so a
-// Handle's generation comparison tells waiters when their task is done
-// even after the slot is reused; the attempt counter advances on every
-// lease reclaim so a stale runner's completion CAS can never succeed
-// against a re-dispatched incarnation of the same task.
-func packState(gen, attempt uint64, owner int, state uint64) uint64 {
-	return gen<<32 | (attempt&0xffff)<<16 | uint64(owner&0xff)<<8 | state&0xff
-}
-
-func stGen(w uint64) uint64     { return w >> 32 }
-func stAttempt(w uint64) uint64 { return (w >> 16) & 0xffff }
-func stOwner(w uint64) int      { return int((w >> 8) & 0xff) }
-func stState(w uint64) uint64   { return w & 0xff }
+// slotWord is a task slot's state word: aux is the attempt counter, owner
+// the node running the task. The generation advances once per slot
+// lifecycle (at completion), so a Handle's generation comparison tells
+// waiters when their task is done even after the slot is reused; the
+// attempt counter advances on every lease reclaim so a stale runner's
+// completion CAS can never succeed against a re-dispatched incarnation of
+// the same task.
+type slotWord = ds.StateWord[slotState]
 
 // noPreference is the preferred-node byte meaning "run anywhere".
 const noPreference = 0xff
@@ -37,7 +35,7 @@ const noPreference = 0xff
 // Slot layout: one cache line per task so fabric atomics on different
 // tasks never share a line. Words:
 //
-//	w0 state      gen|attempt|owner|state (all transitions via CAS)
+//	w0 state      slotWord (all transitions via CAS)
 //	w1 lease      owner's heartbeat value at claim time
 //	w2 fn         registered function index
 //	w3 arg0       first argument (often a GPtr to task state)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/trace"
 )
 
@@ -11,7 +12,8 @@ import (
 // word, the owner's heartbeat, and how many consecutive ticks both have
 // stayed frozen.
 type probe struct {
-	w, hb   uint64
+	w       slotWord
+	hb      uint64
 	strikes int
 }
 
@@ -46,12 +48,12 @@ func (s *Scheduler) keeper(id int) {
 			continue // nothing in flight anywhere
 		}
 		for i := uint64(0); i < s.cfg.TableCap; i++ {
-			w := n.AtomicLoad64(s.stateG(i))
-			if stState(w) != stRunning {
+			w := slotWord(n.AtomicLoad64(s.stateG(i)))
+			if w.State() != stRunning {
 				delete(seen, i)
 				continue
 			}
-			owner := stOwner(w)
+			owner := w.Owner()
 			if owner == id {
 				delete(seen, i) // our own lease; we just renewed it
 				continue
@@ -76,10 +78,10 @@ func (s *Scheduler) keeper(id int) {
 // reclaim re-queues slot i after its owner's lease expired: the task is
 // re-assigned to this node, its attempt bumped, and its enqueue clock
 // restarted so RedispatchHist measures crash-to-restart latency.
-func (s *Scheduler) reclaim(n *fabric.Node, id int, i, w uint64) {
-	owner := stOwner(w)
-	held := packState(stGen(w), stAttempt(w)+1, id, stInit)
-	if !n.CAS64(s.stateG(i), w, held) {
+func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) {
+	owner := w.Owner()
+	held := ds.PackState(w.Gen(), w.Aux()+1, id, stInit)
+	if !n.CAS64(s.stateG(i), uint64(w), uint64(held)) {
 		return // the owner finished after all, or another keeper won
 	}
 	route := n.AtomicLoad64(s.routeG(i))
@@ -88,7 +90,7 @@ func (s *Scheduler) reclaim(n *fabric.Node, id int, i, w uint64) {
 	n.Add64(s.loadG(owner), ^uint64(0))
 	n.Add64(s.loadG(id), 1)
 	n.Add64(s.queuedG(), 1)
-	n.AtomicStore64(s.stateG(i), packState(stGen(w), stAttempt(w)+1, 0, stQueued))
+	n.AtomicStore64(s.stateG(i), uint64(ds.PackState(w.Gen(), w.Aux()+1, 0, stQueued)))
 	s.reclaimed.Add(1)
 	if owner >= 0 && owner < len(s.nodeLeaseExp) {
 		s.nodeLeaseExp[owner].Add(1)
@@ -96,6 +98,6 @@ func (s *Scheduler) reclaim(n *fabric.Node, id int, i, w uint64) {
 	if tw := s.tw(id); tw != nil {
 		tw.Emit(trace.SubSched, trace.KLeaseExpiry, 0, i, uint64(owner))
 	}
-	s.noteReclaim(n, id, i, owner, stAttempt(w)+1)
+	s.noteReclaim(n, id, i, owner, w.Aux()+1)
 	s.announce(n, id, i)
 }

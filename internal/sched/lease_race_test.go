@@ -55,12 +55,12 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	// Wait until attempt 0 is inside the function, then freeze-frame its
 	// state word: Running, attempt 0, whoever claimed it.
 	<-entered
-	w := sub.AtomicLoad64(s.stateG(h.Slot))
-	if stState(w) != stRunning || stAttempt(w) != 0 || stGen(w) != h.Gen {
+	w := slotWord(sub.AtomicLoad64(s.stateG(h.Slot)))
+	if w.State() != stRunning || w.Aux() != 0 || w.Gen() != h.Gen {
 		t.Fatalf("unexpected state word before reclaim: state=%d owner=%d attempt=%d gen=%d",
-			stState(w), stOwner(w), stAttempt(w), stGen(w))
+			w.State(), w.Owner(), w.Aux(), w.Gen())
 	}
-	owner := stOwner(w)
+	owner := w.Owner()
 
 	// The other node's "keeper" declares the lease expired while the
 	// owner is in fact alive and mid-task — the false-suspicion case the

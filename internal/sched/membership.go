@@ -77,8 +77,8 @@ func (s *Scheduler) ReclaimNode(from *fabric.Node, dead int) int {
 	}
 	reclaimed := 0
 	for i := uint64(0); i < s.cfg.TableCap; i++ {
-		w := from.AtomicLoad64(s.stateG(i))
-		if stState(w) != stRunning || stOwner(w) != dead {
+		w := slotWord(from.AtomicLoad64(s.stateG(i)))
+		if w.State() != stRunning || w.Owner() != dead {
 			continue
 		}
 		before := s.reclaimed.Load()

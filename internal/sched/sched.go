@@ -66,17 +66,20 @@ const (
 	PolicyRandom
 )
 
+// Per-node queue capacities no caller tunes. The LocalTask queue's buffer
+// lets SubmitLocal return without waiting for a worker.
+const (
+	inboxCap      = 256 // announcement ring slots
+	localQueueCap = 256
+)
+
 // Config sizes and tunes a Scheduler. Zero values get workable defaults.
 type Config struct {
 	// TableCap is the number of task slots in the global run queue.
 	// Submit blocks (bounded-queue semantics) when all are in flight.
 	TableCap uint64
-	// InboxCap is the per-node announcement ring capacity.
-	InboxCap uint64
 	// WorkersPerNode is how many claiming goroutines each node runs.
 	WorkersPerNode int
-	// LocalQueueCap bounds each node's private LocalTask queue.
-	LocalQueueCap int
 	// Policy is the placement strategy.
 	Policy Policy
 	// LocalitySlack is how much extra load the preferred node may carry
@@ -110,14 +113,8 @@ func (c *Config) fillDefaults() {
 	if c.TableCap == 0 {
 		c.TableCap = 1024
 	}
-	if c.InboxCap == 0 {
-		c.InboxCap = 256
-	}
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = 4
-	}
-	if c.LocalQueueCap == 0 {
-		c.LocalQueueCap = 256
 	}
 	if c.LocalitySlack == 0 {
 		c.LocalitySlack = 8
@@ -231,8 +228,8 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 	s.inboxMu = make([]sync.Mutex, nn)
 	s.notify = make([]chan struct{}, nn)
 	for i := 0; i < nn; i++ {
-		s.inboxes[i] = ds.NewMPSCRing(f, f.Node(0), cfg.InboxCap, 8)
-		s.localQ[i] = make(chan LocalTask, cfg.LocalQueueCap)
+		s.inboxes[i] = ds.NewMPSCRing(f, f.Node(0), inboxCap, 8)
+		s.localQ[i] = make(chan LocalTask, localQueueCap)
 		s.notify[i] = make(chan struct{}, 1)
 	}
 	return s
@@ -338,7 +335,7 @@ func (s *Scheduler) Submit(from *fabric.Node, t Task) Handle {
 	from.Add64(s.loadG(target), 1)
 	from.Add64(s.queuedG(), 1)
 	from.Add64(s.submittedG(), 1)
-	from.AtomicStore64(s.stateG(slot), packState(gen, 0, 0, stQueued))
+	from.AtomicStore64(s.stateG(slot), uint64(ds.PackState(gen, 0, 0, stQueued)))
 	s.announce(from, target, slot)
 	return Handle{Slot: slot, Gen: gen}
 }
@@ -379,12 +376,12 @@ func (s *Scheduler) allocSlot(from *fabric.Node) (uint64, uint64) {
 		start := s.allocCursor.Add(1)
 		for k := uint64(0); k < s.cfg.TableCap; k++ {
 			i := (start + k) % s.cfg.TableCap
-			w := from.AtomicLoad64(s.stateG(i))
-			if stState(w) != stFree {
+			w := slotWord(from.AtomicLoad64(s.stateG(i)))
+			if w.State() != stFree {
 				continue
 			}
-			gen := stGen(w) + 1
-			if from.CAS64(s.stateG(i), w, packState(gen, 0, from.ID(), stInit)) {
+			gen := w.Gen() + 1
+			if from.CAS64(s.stateG(i), uint64(w), uint64(ds.PackState(gen, 0, from.ID(), stInit))) {
 				return i, gen
 			}
 		}
@@ -445,7 +442,7 @@ func (s *Scheduler) target(from *fabric.Node, pref int) int {
 // It returns false if the scheduler stops first.
 func (s *Scheduler) Wait(n *fabric.Node, h Handle) bool {
 	for i := 0; ; i++ {
-		if stGen(n.AtomicLoad64(s.stateG(h.Slot))) > h.Gen {
+		if slotWord(n.AtomicLoad64(s.stateG(h.Slot))).Gen() > h.Gen {
 			return true
 		}
 		select {

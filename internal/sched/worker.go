@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/trace"
 )
 
@@ -101,7 +102,7 @@ func (s *Scheduler) scanAndRun(n *fabric.Node, id int) bool {
 	fallback, haveFallback := uint64(0), false
 	for k := uint64(0); k < cap; k++ {
 		i := (start + k) % cap
-		if stState(n.AtomicLoad64(s.stateG(i))) != stQueued {
+		if slotWord(n.AtomicLoad64(s.stateG(i))).State() != stQueued {
 			continue
 		}
 		pref := routePreferred(n.AtomicLoad64(s.routeG(i)))
@@ -135,13 +136,13 @@ func (s *Scheduler) scanAndRun(n *fabric.Node, id int) bool {
 // CAS is the single point of ownership: announcements and scans are
 // only hints.
 func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
-	w := n.AtomicLoad64(s.stateG(slot))
-	if stState(w) != stQueued {
+	w := slotWord(n.AtomicLoad64(s.stateG(slot)))
+	if w.State() != stQueued {
 		s.nodeClaimFail[id].Add(1)
 		return false
 	}
-	running := packState(stGen(w), stAttempt(w), id, stRunning)
-	if !n.CAS64(s.stateG(slot), w, running) {
+	running := ds.PackState(w.Gen(), w.Aux(), id, stRunning)
+	if !n.CAS64(s.stateG(slot), uint64(w), uint64(running)) {
 		s.nodeClaimFail[id].Add(1)
 		return false
 	}
@@ -157,13 +158,13 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 	}
 	enq := n.AtomicLoad64(s.enqG(slot))
 	claimed := nowNS()
-	if stAttempt(w) > 0 {
+	if w.Aux() > 0 {
 		s.redispatch.Record(latencyNS(enq, claimed))
 	} else {
 		s.dispatch.Record(latencyNS(enq, claimed))
 	}
 	if tw := s.tw(id); tw != nil {
-		tw.Begin(trace.SubSched, trace.KDispatch, slot, stAttempt(w))
+		tw.Begin(trace.SubSched, trace.KDispatch, slot, w.Aux())
 		if assigned != id {
 			tw.Emit(trace.SubSched, trace.KSteal, 0, slot, uint64(assigned))
 		}
@@ -179,7 +180,7 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 	// word is still current may free the slot — a task re-dispatched
 	// after a (possibly false) lease expiry bumped the attempt, so a
 	// stale runner's CAS fails here and completion stays exactly-once.
-	if n.CAS64(s.stateG(slot), running, packState(stGen(w)+1, 0, 0, stFree)) {
+	if n.CAS64(s.stateG(slot), uint64(running), uint64(ds.PackState(w.Gen()+1, 0, 0, stFree))) {
 		if cell != 0 {
 			n.Add64(fabric.GPtr(cell), 1)
 		}
@@ -187,7 +188,7 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 		n.Add64(s.loadG(id), ^uint64(0))
 		s.service.Record(latencyNS(claimed, nowNS()))
 		if tw := s.tw(id); tw != nil {
-			tw.End(trace.SubSched, trace.KComplete, slot, stAttempt(w))
+			tw.End(trace.SubSched, trace.KComplete, slot, w.Aux())
 		}
 	}
 	return true
