@@ -27,7 +27,7 @@
 //     word, so it opens the same window an atomic load does.
 //
 //  4. grace-period-retention: an arena offset handed to a quiescence
-//     Retire (or freed directly with an allocator Free) may be reused as
+//     RetireTo (or freed directly with an allocator Free) may be reused as
 //     soon as the grace period expires; using the offset afterwards —
 //     directly or by capturing it in a closure that outlives the call —
 //     is a use-after-free against the arena.

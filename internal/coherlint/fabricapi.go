@@ -102,11 +102,11 @@ func classifyCall(info *types.Info, call *ast.CallExpr) (opClass, string) {
 }
 
 // isRetireCall recognizes quiescence grace-period retirement: a method
-// named Retire on a type from a quiescence package, taking the reclaim
-// callback closure.
+// named RetireTo on a type from a quiescence package, taking the freer
+// and the offset it will free.
 func isRetireCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Retire" {
+	if !ok || sel.Sel.Name != "RetireTo" || len(call.Args) != 2 {
 		return false
 	}
 	s := info.Selections[sel]

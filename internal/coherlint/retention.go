@@ -7,8 +7,8 @@ import (
 )
 
 // RetentionAnalyzer enforces rule 4 of the coherence contract: an arena
-// offset handed to a quiescence Retire callback (or released directly
-// with an allocator Free) may be handed to another writer the moment the
+// offset handed to a quiescence RetireTo (or released directly with an
+// allocator Free) may be handed to another writer the moment the
 // grace period expires. Any later use of that offset on this path —
 // directly, or captured by a closure that will run after the grace
 // period — is a use-after-free against the arena. The quiescence layer
@@ -23,7 +23,7 @@ var RetentionAnalyzer = &Analyzer{
 // retInfo records where and how an offset left this path's ownership.
 type retInfo struct {
 	pos token.Pos
-	how string // "Retire" or "Free"
+	how string // "RetireTo" or "Free"
 }
 
 // retState maps retired/freed fabric.GPtr variables to their release.
@@ -64,16 +64,11 @@ func (h *retHooks) Call(st flowState, call *ast.CallExpr) {
 	info := h.pass.TypesInfo
 	switch {
 	case isRetireCall(info, call):
-		// Every free fabric.GPtr variable the reclaim callback captures
-		// is dead to the enclosing function from here on: the callback
-		// will free it after the grace period, and "after the grace
-		// period" can be any moment from now.
-		if len(call.Args) == 1 {
-			if fl, ok := call.Args[0].(*ast.FuncLit); ok {
-				for obj := range freeGPtrVars(info, fl) {
-					s.retired[obj] = retInfo{pos: call.Pos(), how: "Retire"}
-				}
-			}
+		// The retired offset is dead to the enclosing function from here
+		// on: the freer will free it after the grace period, and "after
+		// the grace period" can be any moment from now.
+		if obj := rootVar(info, call.Args[1]); obj != nil && isGPtr(obj.Type()) {
+			s.retired[obj] = retInfo{pos: call.Pos(), how: "RetireTo"}
 		}
 	case isFreeCall(info, call):
 		if obj := rootVar(info, call.Args[0]); obj != nil && isGPtr(obj.Type()) {
@@ -122,30 +117,6 @@ func runRetention(pass *Pass) error {
 		hooks.w.walkBody(newRetState(), decl.Body)
 	})
 	return nil
-}
-
-// freeGPtrVars returns the fabric.GPtr variables fl's body references
-// that are declared OUTSIDE fl — the offsets the closure captures.
-func freeGPtrVars(info *types.Info, fl *ast.FuncLit) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil || !isGPtr(obj.Type()) {
-			return true
-		}
-		if _, isVar := obj.(*types.Var); !isVar {
-			return true
-		}
-		if obj.Pos() < fl.Pos() || obj.Pos() > fl.End() {
-			out[obj] = true
-		}
-		return true
-	})
-	return out
 }
 
 // rootVar unwraps parens and conversions around an expression and

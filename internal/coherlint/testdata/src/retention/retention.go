@@ -15,17 +15,25 @@ func useAfterRetire(n *fabric.Node, p *quiescence.Participant, a quiescence.Allo
 	n.Write(v, data)
 	n.WriteBackRange(v, uint64(len(data)))
 	old := fabric.GPtr(n.Swap64(headG, uint64(v)))
-	p.Retire(func() { a.Free(old) })
-	return n.AtomicLoad64(old) // want `used after being handed to Retire`
+	p.RetireTo(a, old)
+	return n.AtomicLoad64(old) // want `used after being handed to RetireTo`
 }
 
 // captureAfterRetire leaks the retired offset into a closure that will
 // run arbitrarily later — after the grace period has recycled it.
 func captureAfterRetire(n *fabric.Node, p *quiescence.Participant, a quiescence.Allocator, old fabric.GPtr) func() uint64 {
-	p.Retire(func() { a.Free(old) })
+	p.RetireTo(a, old)
 	return func() uint64 {
-		return n.AtomicLoad64(old) // want `used after being handed to Retire`
+		return n.AtomicLoad64(old) // want `used after being handed to RetireTo`
 	}
+}
+
+// useAfterConvertedRetire hands the offset over through a conversion, as
+// callers holding a raw word do; the variable under it is still retired.
+func useAfterConvertedRetire(n *fabric.Node, p *quiescence.Participant, a quiescence.Allocator, headG fabric.GPtr) {
+	old := fabric.GPtr(n.AtomicLoad64(headG))
+	p.RetireTo(a, fabric.GPtr(old))
+	n.AtomicStore64(old, 0) // want `used after being handed to RetireTo`
 }
 
 // useAfterFree skips the grace period entirely and still loses: the
@@ -35,14 +43,14 @@ func useAfterFree(n *fabric.Node, a quiescence.Allocator, g fabric.GPtr) {
 	n.AtomicStore64(g, 1) // want `used after being handed to Free`
 }
 
-// retireGood is the contract idiom: after Retire the old offset is
+// retireGood is the contract idiom: after RetireTo the old offset is
 // never touched again on this path. No diagnostic.
 func retireGood(n *fabric.Node, p *quiescence.Participant, a quiescence.Allocator, headG fabric.GPtr, data []byte) fabric.GPtr {
 	v := a.Alloc(uint64(len(data)))
 	n.Write(v, data)
 	n.WriteBackRange(v, uint64(len(data)))
 	old := fabric.GPtr(n.Swap64(headG, uint64(v)))
-	p.Retire(func() { a.Free(old) })
+	p.RetireTo(a, old)
 	return v
 }
 

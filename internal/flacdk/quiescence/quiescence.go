@@ -40,18 +40,26 @@
 // The load / store / re-load chase classic EBR runs on entry buys liveness
 // — a reader never holds back an advance it need not — and no safety.
 //
-// Retire makes no fabric operation either. All the argument above asks of
-// a retirement's epoch is that it was loaded AFTER the unlink, so Retire
-// queues the callback unstamped and the participant's next epoch load —
-// TryAdvance, Collect, Barrier, a refreshing Enter — stamps everything
-// queued with the value it loaded. A later stamp than the classic one
-// only delays the free. Collect stamps before it looks, and a fresh stamp
-// is never two epochs old, so an unstamped entry is never freed; whoever
-// retires also collects, so a block waits at most one tick longer than it
-// used to (with a single participant the stamp is the very same epoch).
-// The cached seen is NOT a usable stamp: it may predate the unlink by any
-// number of advances, and a block stamped two epochs low is freed under a
-// reader that entered before it was unlinked.
+// Retiring makes no fabric operation either. All the argument above asks
+// of a retirement's epoch is that it was loaded AFTER the unlink, so
+// RetireTo queues its (freer, offset) pair unstamped and the participant's
+// next epoch load — TryAdvance, Collect, Barrier, a refreshing Enter —
+// stamps everything queued with the value it loaded. A later stamp than
+// the classic one only delays the free. Collect stamps before it looks,
+// and a fresh stamp is never two epochs old, so an unstamped entry is
+// never freed; whoever retires also collects, so a block waits at most one
+// tick longer than it used to (with a single participant the stamp is the
+// very same epoch). The cached seen is NOT a usable stamp: it may predate
+// the unlink by any number of advances, and a block stamped two epochs low
+// is freed under a reader that entered before it was unlinked.
+//
+// Loads are made in order under the participant's lock, so stamps never
+// decrease along the queue and what a Collect may free is always a prefix
+// of it. Collect moves that prefix into a buffer it owns until the frees
+// are done, frees it in retirement order outside the lock, and hands the
+// buffer back for the next Collect. A retirement is a value (an interface
+// and an offset), not a closure, so retiring and collecting allocate
+// nothing once the queue and the buffer have grown to their working size.
 //
 // Liveness is kept by refreshing seen wherever the epoch is loaded anyway
 // (attach, TryAdvance including its successful CAS, Collect, Barrier) and
@@ -93,6 +101,17 @@
 // section that begins after Fence returns knows, one already open when
 // Fence lands does not until its Exit.
 //
+// One participant may serve several goroutines of its node (an fs mount
+// does). Their sections share the one reservation word the way nested
+// sections do: the first to enter publishes, the last to leave clears, and
+// the count of open sections and the swap that goes with its 0 <-> 1 edge
+// change under one lock, so an Exit's clear can never land behind a
+// concurrent Enter's publish and leave a reader unprotected. A reader that
+// enters while another holds the word is covered by a reservation
+// announced no later than its own entry, which is all the argument above
+// needs. A single goroutine makes exactly the fabric operations it made
+// before; it only takes an uncontended lock.
+//
 // Checkpointing integrates here exactly as §3.2 prescribes: a checkpointer
 // participates like a reader (Pin), so versions it is copying cannot be
 // reclaimed underneath it, and retired versions double as checkpoint data.
@@ -103,6 +122,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"flacos/internal/fabric"
 )
@@ -152,30 +172,42 @@ func (d *Domain) slotG(id int) fabric.GPtr { return d.resG.Add(uint64(id) * fabr
 // Epoch returns the current global epoch as seen by node n.
 func (d *Domain) Epoch(n *fabric.Node) uint64 { return n.AtomicLoad64(d.epochG) }
 
-// retired is one deferred reclamation. epoch is meaningful once the entry
-// is stamped (Participant.stamped).
-type retired struct {
-	epoch uint64
-	fn    func()
+// Freer releases a retired offset once its grace period has passed.
+// flacdk/alloc's node allocators and this package's Allocator satisfy it.
+type Freer interface {
+	Free(off fabric.GPtr)
 }
 
-// Participant is one thread-of-execution's attachment to the domain. Each
-// participant owns its reservation word exclusively; a Participant must not
-// be shared between goroutines (register one per worker).
+// retired is one deferred reclamation: f.Free(off) once two epochs have
+// passed. epoch is meaningful once the entry is stamped
+// (Participant.stamped).
+type retired struct {
+	epoch uint64
+	f     Freer
+	off   fabric.GPtr
+}
+
+// Participant is one node's attachment to the domain under one
+// reservation word. It is safe for concurrent use by the node's
+// goroutines (package comment); a worker that wants sections of its own
+// registers a participant of its own.
 type Participant struct {
 	d  *Domain
 	n  *fabric.Node
 	id int
 
-	seen   uint64 // last global epoch this participant loaded (node-local)
-	enters uint64 // outermost Enters, for the periodic refresh of seen
-	scan   []byte // TryAdvance's copy of the reservation block
-	fenced bool   // an Enter or Exit swapped the fence mark out (node-local, sticky)
+	fenced atomic.Bool // an Enter or Exit swapped the fence mark out (node-local, sticky)
 
-	mu      sync.Mutex // guards retired and stamped (local bookkeeping)
+	// mu guards everything below: node-local bookkeeping, and the swaps of
+	// the reservation word, which are made with it held.
+	mu      sync.Mutex
+	depth   int    // open sections, nested or on concurrent goroutines
+	seen    uint64 // last global epoch this participant loaded (node-local)
+	enters  uint64 // outermost Enters, for the periodic refresh of seen
+	scan    []byte // TryAdvance's copy of the reservation block
 	retired []retired
-	stamped int // retired[:stamped] carry an epoch; the rest await the next epoch load
-	depth   int
+	stamped int       // retired[:stamped] carry an epoch; the rest await the next epoch load
+	ready   []retired // Collect's buffer; nil while a Collect owns it
 }
 
 // ID returns the participant's slot in the domain (used to Fence it after
@@ -212,37 +244,42 @@ func (p *Participant) epochLocked() uint64 {
 	return p.seen
 }
 
-// Enter begins a read-side critical section. Sections nest; only the
-// outermost Enter publishes a reservation, with ONE fabric atomic (two on
-// every refreshEvery-th). The package comment argues why announcing the
-// last observed epoch, unchecked, is safe.
+// Enter begins a read-side critical section. Sections nest, and sections
+// of concurrent goroutines share the word; only the outermost Enter
+// publishes a reservation, with ONE fabric atomic (two on every
+// refreshEvery-th). The package comment argues why announcing the last
+// observed epoch, unchecked, is safe.
 func (p *Participant) Enter() {
+	p.mu.Lock()
+	defer p.mu.Unlock() // the node may crash under the swap
 	p.depth++
 	if p.depth > 1 {
 		return
 	}
 	p.enters++
 	if p.enters%refreshEvery == 0 {
-		p.epoch()
+		p.epochLocked()
 	}
 	p.reserve(p.seen + 1)
 }
 
 // reserve swaps r into the participant's reservation word and latches the
-// fence if what it displaced is the mark.
+// fence if what it displaced is the mark. Called with p.mu held.
 func (p *Participant) reserve(r uint64) {
 	if p.n.Swap64(p.d.slotG(p.id), r) == fencedMark {
-		p.fenced = true
+		p.fenced.Store(true)
 	}
 }
 
 // Fenced reports whether an Enter or Exit of this participant has met the
 // mark Fence leaves: the rack declared the participant dead, and it is
 // not. Once true it stays true. It makes no fabric operation.
-func (p *Participant) Fenced() bool { return p.fenced }
+func (p *Participant) Fenced() bool { return p.fenced.Load() }
 
 // Exit ends a read-side critical section.
 func (p *Participant) Exit() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.depth == 0 {
 		panic("quiescence: Exit without Enter")
 	}
@@ -259,15 +296,26 @@ func (p *Participant) Pin() { p.Enter() }
 // Unpin releases a Pin.
 func (p *Participant) Unpin() { p.Exit() }
 
-// Retire schedules fn to run once no participant can still hold a
+// RetireTo schedules f.Free(off) for once no participant can still hold a
 // reference obtained before this call (i.e. two epoch advances after the
-// participant's next epoch load). It touches no fabric word: the entry is
-// queued unstamped and the next load stamps it (package comment).
-func (p *Participant) Retire(fn func()) {
+// participant's next epoch load). It touches no fabric word and, once the
+// queue has grown, allocates nothing: the entry is queued unstamped and
+// the next load stamps it (package comment).
+func (p *Participant) RetireTo(f Freer, off fabric.GPtr) {
 	p.mu.Lock()
-	p.retired = append(p.retired, retired{fn: fn})
+	p.retired = append(p.retired, retired{f: f, off: off})
 	p.mu.Unlock()
 }
+
+// Retire schedules fn like RetireTo, for a retirement that frees no
+// offset. Every freeing caller uses RetireTo: a closure is an allocation
+// per call.
+func (p *Participant) Retire(fn func()) { p.RetireTo(funcFreer(fn), fabric.Nil) }
+
+// funcFreer adapts a callback to Freer; the offset is ignored.
+type funcFreer func()
+
+func (fn funcFreer) Free(fabric.GPtr) { fn() }
 
 // TryAdvance attempts to advance the global epoch. It succeeds only if
 // every active participant announces the current epoch. Returns whether
@@ -275,8 +323,10 @@ func (p *Participant) Retire(fn func()) {
 // (the epoch load and the CAS) and, between them, one fresh uncached read
 // of the packed reservation block.
 func (p *Participant) TryAdvance() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	n, d := p.n, p.d
-	e := p.epoch()
+	e := p.epochLocked()
 	n.ReadFresh(d.resG, p.scan)
 	for off := 0; off < len(p.scan); off += fabric.WordSize {
 		if r := binary.LittleEndian.Uint64(p.scan[off:]); r != 0 && r != e+1 && r != fencedMark {
@@ -303,41 +353,44 @@ func (d *Domain) Fence(n *fabric.Node, id int) {
 	n.AtomicStore64(d.slotG(id), fencedMark)
 }
 
-// Collect runs every retired callback whose grace period has elapsed and
-// returns how many ran.
+// Collect stamps what is queued, frees every retirement whose grace period
+// has elapsed, in retirement order, and returns how many it freed. Load,
+// stamp and sweep happen under one hold of the participant's lock, and the
+// entries swept are this Collect's alone, so concurrent Collects never
+// free one entry twice. The frees run outside the lock.
 func (p *Participant) Collect() int {
-	ready := p.takeReady()
-	for _, r := range ready {
-		r.fn()
-	}
-	return len(ready)
-}
-
-// takeReady stamps what is queued, then removes and returns every entry
-// two epochs old. Load, stamp and sweep happen under one lock, so the
-// sweep never meets an unstamped entry.
-func (p *Participant) takeReady() []retired {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	cur := p.epochLocked()
-	var ready []retired
-	keep := p.retired[:0]
-	for _, r := range p.retired {
-		if cur >= r.epoch+2 {
-			ready = append(ready, r)
-		} else {
-			keep = append(keep, r)
-		}
+	k := 0
+	for k < len(p.retired) && cur >= p.retired[k].epoch+2 {
+		k++
 	}
-	p.retired, p.stamped = keep, len(keep)
-	return ready
+	if k == 0 {
+		p.mu.Unlock()
+		return 0
+	}
+	ready := append(p.ready[:0], p.retired[:k]...)
+	p.ready = nil // ours until the frees are done; a concurrent Collect grows its own
+	p.retired = p.retired[:copy(p.retired, p.retired[k:])]
+	p.stamped = len(p.retired)
+	p.mu.Unlock()
+	for _, r := range ready {
+		r.f.Free(r.off)
+	}
+	p.mu.Lock()
+	p.ready = ready
+	p.mu.Unlock()
+	return k
 }
 
 // Barrier advances epochs until everything retired before the call is
 // reclaimable, then collects. It spins while other participants hold pins,
-// so it must not be called from inside a read section.
+// so it must not be called while a section of this participant is open.
 func (p *Participant) Barrier() {
-	if p.depth > 0 {
+	p.mu.Lock()
+	open := p.depth > 0
+	p.mu.Unlock()
+	if open {
 		panic("quiescence: Barrier inside read section would self-deadlock")
 	}
 	start := p.epoch()

@@ -3,6 +3,8 @@ package quiescence
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -49,6 +51,31 @@ func (a *bumpAlloc) Free(g fabric.GPtr) {
 	a.mu.Unlock()
 }
 
+// freeLog is a Freer that counts what it is handed, by offset.
+type freeLog struct {
+	mu    sync.Mutex
+	freed map[fabric.GPtr]int
+}
+
+func newFreeLog() *freeLog { return &freeLog{freed: map[fabric.GPtr]int{}} }
+
+func (l *freeLog) Free(g fabric.GPtr) {
+	l.mu.Lock()
+	l.freed[g]++
+	l.mu.Unlock()
+}
+
+// total returns how many frees the log has seen.
+func (l *freeLog) total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, c := range l.freed {
+		n += c
+	}
+	return n
+}
+
 func TestEpochAdvanceBlockedByReader(t *testing.T) {
 	f := rack(t, 2)
 	d := NewDomain(f, 2)
@@ -74,16 +101,16 @@ func TestRetireCollectGracePeriod(t *testing.T) {
 	d := NewDomain(f, 1)
 	p := d.Participant(f.Node(0), 0)
 
-	ran := false
-	p.Retire(func() { ran = true })
-	if p.Collect() != 0 || ran {
-		t.Fatal("retired callback ran before grace period")
+	log := newFreeLog()
+	p.RetireTo(log, 64)
+	if p.Collect() != 0 || log.total() != 0 {
+		t.Fatal("retired offset freed before grace period")
 	}
 	if !p.TryAdvance() || !p.TryAdvance() {
 		t.Fatal("advance failed with no readers")
 	}
-	if p.Collect() != 1 || !ran {
-		t.Fatal("retired callback did not run after two advances")
+	if p.Collect() != 1 || log.freed[64] != 1 {
+		t.Fatal("retired offset not freed after two advances")
 	}
 	if p.PendingRetired() != 0 {
 		t.Fatal("pending list not drained")
@@ -94,13 +121,13 @@ func TestBarrierReclaimsEverything(t *testing.T) {
 	f := rack(t, 1)
 	d := NewDomain(f, 1)
 	p := d.Participant(f.Node(0), 0)
-	count := 0
+	log := newFreeLog()
 	for i := 0; i < 5; i++ {
-		p.Retire(func() { count++ })
+		p.RetireTo(log, fabric.GPtr(64*(i+1)))
 	}
 	p.Barrier()
-	if count != 5 {
-		t.Fatalf("Barrier reclaimed %d of 5", count)
+	if n := log.total(); n != 5 || len(log.freed) != 5 {
+		t.Fatalf("Barrier reclaimed %d of 5", n)
 	}
 }
 
@@ -278,7 +305,7 @@ func TestWriteOversizedPanics(t *testing.T) {
 // TestBudgetFabricOps pins what the read side costs in fabric operations,
 // from Node.Stats() deltas under the default latency model: an outermost
 // Enter is one atomic (two on every refreshEvery-th), nested Enter/Exit
-// are free, Exit is one atomic, Fenced and Retire are nothing at all, and
+// are free, Exit is one atomic, Fenced and both retire forms are nothing at all, and
 // TryAdvance is two atomics and ONE fresh read of ceil(slots/8) lines,
 // whatever the slot count, that leaves nothing in the cache.
 func TestBudgetFabricOps(t *testing.T) {
@@ -311,7 +338,7 @@ func TestBudgetFabricOps(t *testing.T) {
 				t.Fatalf("slots=%d: outermost Exit: %d atomics, %d sim_ns; want 1 atomic and nothing else", slots, d.Atomics, d.VirtualNS)
 			}
 		}
-		if d := delta(func() { p.Retire(func() {}); p.Fenced() }); d != (fabric.NodeStatsSnapshot{}) {
+		if d := delta(func() { p.RetireTo(newFreeLog(), 64); p.Retire(func() {}); p.Fenced() }); d != (fabric.NodeStatsSnapshot{}) {
 			t.Fatalf("slots=%d: Retire or Fenced touched the fabric: %+v", slots, d)
 		}
 		lines := (slots + 7) / 8
@@ -358,13 +385,13 @@ func TestEpochStaleReaderIsSafe(t *testing.T) {
 	reader := staleBy(t, d, f.Node(0), 0, writer, 2)
 
 	reader.Enter()
-	freed := false
-	writer.Retire(func() { freed = true }) // unlinked after the reader's store
+	log := newFreeLog()
+	writer.RetireTo(log, 64) // unlinked after the reader's store
 	for i := 0; i < 10; i++ {
 		if writer.TryAdvance() {
 			t.Fatalf("attempt %d: epoch advanced past a reader announcing a stale epoch", i)
 		}
-		if got := writer.Collect(); got != 0 || freed {
+		if got := writer.Collect(); got != 0 || log.total() != 0 {
 			t.Fatalf("attempt %d: block freed under an active reader", i)
 		}
 	}
@@ -372,8 +399,8 @@ func TestEpochStaleReaderIsSafe(t *testing.T) {
 	if !writer.TryAdvance() || !writer.TryAdvance() {
 		t.Fatal("advance failed after the reader exited")
 	}
-	if got := writer.Collect(); got != 1 || !freed {
-		t.Fatalf("Collect = %d, freed = %v after two advances; want 1, true", got, freed)
+	if got := writer.Collect(); got != 1 || log.freed[64] != 1 {
+		t.Fatalf("Collect = %d, freed = %d after two advances; want 1, 1", got, log.total())
 	}
 }
 
@@ -403,19 +430,19 @@ func TestEpochInFlightAdvancerMovesOnce(t *testing.T) {
 			t.Fatalf("stale=%d: entered=%v advanced=%v; the script needs the in-flight CAS to land", stale, entered, advanced)
 		}
 
-		freed := false
-		writer.Retire(func() { freed = true })
+		log := newFreeLog()
+		writer.RetireTo(log, 64)
 		for i := 0; i < 10; i++ {
 			if writer.TryAdvance() {
 				t.Fatalf("stale=%d: a second advance followed the in-flight one under an active reader", stale)
 			}
-			if writer.Collect() != 0 || freed {
+			if writer.Collect() != 0 || log.total() != 0 {
 				t.Fatalf("stale=%d: block freed under an active reader", stale)
 			}
 		}
 		reader.Exit()
 		writer.Barrier()
-		if !freed {
+		if log.freed[64] != 1 {
 			t.Fatalf("stale=%d: block never freed after the reader exited", stale)
 		}
 	}
@@ -444,11 +471,11 @@ func TestBarrierBesidePureReader(t *testing.T) {
 			reader.Exit()
 		}
 	}()
+	log := newFreeLog()
 	for i := 0; i < 50; i++ {
-		ran := false
-		writer.Retire(func() { ran = true })
+		writer.RetireTo(log, fabric.GPtr(64*(i+1)))
 		writer.Barrier()
-		if !ran {
+		if log.total() != i+1 {
 			t.Fatalf("Barrier %d returned without reclaiming", i)
 		}
 	}
@@ -523,13 +550,13 @@ func TestFenceOutsideSection(t *testing.T) {
 		t.Fatal("Enter swapped the mark out and did not latch")
 	}
 	// The section is a real one.
-	freed := false
-	writer.Retire(func() { freed = true })
+	log := newFreeLog()
+	writer.RetireTo(log, 64)
 	for i := 0; i < 4; i++ {
 		writer.TryAdvance()
 		writer.Collect()
 	}
-	if freed {
+	if log.total() != 0 {
 		t.Fatal("a block retired while the fenced participant was inside a section was freed under it")
 	}
 	if writer.TryAdvance() {
@@ -537,7 +564,7 @@ func TestFenceOutsideSection(t *testing.T) {
 	}
 	zombie.Exit()
 	writer.Barrier()
-	if !freed {
+	if log.freed[64] != 1 {
 		t.Fatal("block not freed after the fenced participant left its section")
 	}
 	for i := 0; i < 3; i++ { // the mark is gone from the word; the latch is not
@@ -595,7 +622,7 @@ func TestFenceMarkIsNotInherited(t *testing.T) {
 	}
 }
 
-// TestRetireStampIsLoadedAfterTheUnlink: Retire queues its callback
+// TestRetireStampIsLoadedAfterTheUnlink: RetireTo queues its entry
 // unstamped and the next epoch load stamps it. The stamp must be that
 // fresh load, never the participant's cached seen: here the writer's seen
 // is two advances stale when it retires a block a reader — entered before
@@ -609,12 +636,12 @@ func TestRetireStampIsLoadedAfterTheUnlink(t *testing.T) {
 	reader := d.Participant(f.Node(0), 0) // attached now: announces the current epoch
 
 	reader.Enter()
-	freed := false
-	writer.Retire(func() { freed = true }) // the unlink: after the reader's store
+	log := newFreeLog()
+	writer.RetireTo(log, 64) // the unlink: after the reader's store
 	if writer.PendingRetired() != 1 {
 		t.Fatalf("PendingRetired = %d, want 1 (an unstamped entry counts)", writer.PendingRetired())
 	}
-	if got := writer.Collect(); got != 0 || freed {
+	if got := writer.Collect(); got != 0 || log.total() != 0 {
 		t.Fatal("Collect freed a block retired with a stale seen under a reader that entered before the unlink")
 	}
 	// The reader announces the current epoch, so ONE advance passes; the
@@ -626,7 +653,7 @@ func TestRetireStampIsLoadedAfterTheUnlink(t *testing.T) {
 		if writer.TryAdvance() {
 			t.Fatalf("attempt %d: a second advance passed an active reader", i)
 		}
-		if got := writer.Collect(); got != 0 || freed {
+		if got := writer.Collect(); got != 0 || log.total() != 0 {
 			t.Fatalf("attempt %d: block freed under an active reader", i)
 		}
 	}
@@ -634,8 +661,8 @@ func TestRetireStampIsLoadedAfterTheUnlink(t *testing.T) {
 	if !writer.TryAdvance() {
 		t.Fatal("advance failed after the reader exited")
 	}
-	if got := writer.Collect(); got != 1 || !freed || writer.PendingRetired() != 0 {
-		t.Fatalf("Collect = %d, freed = %v, pending = %d after the grace period; want 1, true, 0", got, freed, writer.PendingRetired())
+	if got := writer.Collect(); got != 1 || log.freed[64] != 1 || writer.PendingRetired() != 0 {
+		t.Fatalf("Collect = %d, freed = %d, pending = %d after the grace period; want 1, 1, 0", got, log.total(), writer.PendingRetired())
 	}
 }
 
@@ -650,17 +677,19 @@ func TestRetireOnlyParticipantReclaims(t *testing.T) {
 	p := d.Participant(f.Node(0), 0)
 	peer := d.Participant(f.Node(1), 1)
 	const ticks, perTick = 20, 8
-	freedAt := make([]int, ticks) // callbacks of tick i that have run
+	log := newFreeLog() // offset tick*perTick+i+1 is the i-th block of tick
 	for tick := 0; tick < ticks+2; tick++ {
 		if tick < ticks {
 			for i := 0; i < perTick; i++ {
-				p.Retire(func() { freedAt[tick]++ })
+				p.RetireTo(log, fabric.GPtr(tick*perTick+i+1))
 			}
 		}
 		p.Collect()
 		for i := 0; i <= tick-2 && i < ticks; i++ {
-			if freedAt[i] != perTick {
-				t.Fatalf("tick %d: %d of %d blocks retired at tick %d freed", tick, freedAt[i], perTick, i)
+			for j := 0; j < perTick; j++ {
+				if c := log.freed[fabric.GPtr(i*perTick+j+1)]; c != 1 {
+					t.Fatalf("tick %d: block %d of tick %d freed %d times, want 1", tick, j, i, c)
+				}
 			}
 		}
 		if !peer.TryAdvance() || !peer.TryAdvance() {
@@ -671,3 +700,150 @@ func TestRetireOnlyParticipantReclaims(t *testing.T) {
 		t.Fatalf("%d retirements still pending two ticks after the last", p.PendingRetired())
 	}
 }
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts are not the ones a normal build makes.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestRetireCollectAllocs: a retirement is a value, not a closure, and
+// Collect frees in place, so a participant that retires a tick's worth of
+// blocks and collects them, tick after tick, allocates nothing once its
+// queue has grown.
+func TestRetireCollectAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := rack(t, 1)
+	p := NewDomain(f, 1).Participant(f.Node(0), 0)
+	log := newFreeLog()
+	tick := func() {
+		for i := 0; i < 64; i++ {
+			p.RetireTo(log, fabric.GPtr(64*(i+1)))
+		}
+		p.Enter()
+		p.Exit()
+		p.TryAdvance()
+		p.Collect()
+	}
+	for i := 0; i < 4; i++ {
+		tick()
+	}
+	if got := testing.AllocsPerRun(100, tick); got != 0 {
+		t.Fatalf("retire, advance and collect: %.1f allocs per tick, want 0", got)
+	}
+	if log.total() == 0 {
+		t.Fatal("nothing was freed: the ticks never reached a grace period")
+	}
+}
+
+// TestConcurrentCollectFreesEachOnce shares ONE participant between
+// goroutines, the way an fs mount does: each enters and leaves sections,
+// retires offsets of its own, advances and collects, all at once. Every
+// retired offset must be freed exactly once, and none while a section of
+// the participant that could reach it is open.
+func TestConcurrentCollectFreesEachOnce(t *testing.T) {
+	const workers, perWorker = 4, 500
+	f := rack(t, 1)
+	p := NewDomain(f, 1).Participant(f.Node(0), 0)
+	var (
+		mu    sync.Mutex
+		freed = map[fabric.GPtr]int{}
+		live  = map[fabric.GPtr]bool{} // retired by a worker still inside the section that unlinked it
+	)
+	fr := freerFunc(func(g fabric.GPtr) {
+		mu.Lock()
+		if live[g] {
+			t.Errorf("offset %#x freed while the section that unlinked it is open", uint64(g))
+		}
+		freed[g]++
+		mu.Unlock()
+		runtime.Gosched() // let another goroutine's Collect overlap this one's frees
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				g := fabric.GPtr(uint64(w*perWorker+i+1) * 64)
+				p.Enter()
+				mu.Lock()
+				live[g] = true
+				mu.Unlock()
+				p.RetireTo(fr, g) // unlinked inside the section, so held until its Exit at least
+				p.TryAdvance()
+				p.Collect()
+				mu.Lock()
+				delete(live, g)
+				mu.Unlock()
+				p.Exit()
+				p.TryAdvance()
+				p.Collect()
+			}
+		}(w)
+	}
+	wg.Wait()
+	p.Barrier()
+	if len(freed) != workers*perWorker {
+		t.Fatalf("%d of %d retired offsets freed", len(freed), workers*perWorker)
+	}
+	for g, c := range freed {
+		if c != 1 {
+			t.Fatalf("offset %#x freed %d times", uint64(g), c)
+		}
+	}
+}
+
+// TestOverlappingCollectsOwnTheirEntries scripts the overlap the test
+// above leaves to the scheduler: a second Collect runs while the first is
+// still freeing what it swept (here from inside the first free, which the
+// lock-free free loop allows). Each must free only its own entries, once:
+// a sweep buffer shared between the two would have the second overwrite
+// the first's remaining entries, freeing 4 twice and 2 never.
+func TestOverlappingCollectsOwnTheirEntries(t *testing.T) {
+	f := rack(t, 1)
+	p := NewDomain(f, 1).Participant(f.Node(0), 0)
+	freed := map[fabric.GPtr]int{}
+	graceThenCollect := func() {
+		p.Collect() // stamps what is queued
+		p.TryAdvance()
+		p.TryAdvance()
+		p.Collect()
+	}
+	var fr freerFunc
+	fr = func(g fabric.GPtr) {
+		freed[g]++
+		if g == 1 { // the first Collect's first free: its sweep still holds 2
+			p.RetireTo(fr, 3)
+			p.RetireTo(fr, 4)
+			graceThenCollect()
+		}
+	}
+	p.RetireTo(fr, 5) // a first round leaves Collect a buffer to reuse
+	p.RetireTo(fr, 6)
+	graceThenCollect()
+	p.RetireTo(fr, 1)
+	p.RetireTo(fr, 2)
+	graceThenCollect()
+	for g := fabric.GPtr(1); g <= 6; g++ {
+		if freed[g] != 1 {
+			t.Fatalf("offset %d freed %d times, want once (all: %v)", g, freed[g], freed)
+		}
+	}
+}
+
+// freerFunc adapts a function to Freer.
+type freerFunc func(fabric.GPtr)
+
+func (fn freerFunc) Free(g fabric.GPtr) { fn(g) }

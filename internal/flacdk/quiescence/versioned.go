@@ -81,7 +81,7 @@ func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
 	n.Write(v, data)
 	n.WriteBackRange(v, uint64(len(data)))
 	old := fabric.GPtr(n.Swap64(c.headG, uint64(v)))
-	p.Retire(func() { a.Free(old) })
+	p.RetireTo(a, old)
 }
 
 // Update atomically transforms the cell: it reads the current version,
@@ -109,7 +109,7 @@ func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte))
 		won := n.CAS64(c.headG, uint64(oldG), uint64(v))
 		p.Exit()
 		if won {
-			p.Retire(func() { a.Free(oldG) })
+			p.RetireTo(a, oldG)
 			return
 		}
 		a.Free(v) // lost the race; our unpublished version is private, free now

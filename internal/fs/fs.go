@@ -172,11 +172,14 @@ func (s *inodeSM) Restore(b []byte) {
 }
 
 // Mount is one node's attachment to the file system. A Mount may be used
-// concurrently by the node's goroutines.
+// concurrently by the node's goroutines: they share its quiescence
+// participant, whose sections, epoch loads and retirement queue are safe
+// for concurrent use, and its cache counters are atomic.
 type Mount struct {
-	fs   *FS
-	node *fabric.Node
-	part *quiescence.Participant
+	fs    *FS
+	node  *fabric.Node
+	part  *quiescence.Participant
+	unref frameFreer // where part's retired frames go
 
 	meta    *inodeSM
 	metaRep *replication.Replica
@@ -196,14 +199,24 @@ func (fs *FS) Mount(n *fabric.Node) *Mount {
 	fs.nextPartID++
 	fs.mu.Unlock()
 	m := &Mount{
-		fs:   fs,
-		node: n,
-		part: fs.qdom.Participant(n, id),
-		meta: newInodeSM(),
+		fs:    fs,
+		node:  n,
+		part:  fs.qdom.Participant(n, id),
+		unref: frameFreer{frames: fs.frames, n: n},
+		meta:  newInodeSM(),
 	}
 	m.metaRep = fs.metaLog.Replica(n, m.meta)
 	return m
 }
+
+// frameFreer drops one node's reference to a retired page-cache frame:
+// the Freer a mount retires replaced and evicted frames to.
+type frameFreer struct {
+	frames *memsys.GlobalFrames
+	n      *fabric.Node
+}
+
+func (f *frameFreer) Free(g fabric.GPtr) { f.frames.Unref(f.n, uint64(g)) }
 
 // Node returns the mount's fabric node.
 func (m *Mount) Node() *fabric.Node { return m.node }
@@ -283,8 +296,7 @@ func (m *Mount) Unlink(name string) error {
 	})
 	for _, k := range keys {
 		if fk, ok := m.fs.index.Delete(m.node, k); ok {
-			phys := fk << memsys.PageShift
-			m.part.Retire(func() { m.fs.frames.Unref(m.node, phys) })
+			m.part.RetireTo(&m.unref, fabric.GPtr(fk<<memsys.PageShift))
 			m.fs.emit(m.node, trace.KEvict, k, fk)
 		}
 		m.fs.dirty.Delete(m.node, k)
@@ -425,8 +437,7 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 			}
 			if installed {
 				if exists {
-					oldPhys := oldFK << memsys.PageShift
-					m.part.Retire(func() { m.fs.frames.Unref(n, oldPhys) })
+					m.part.RetireTo(&m.unref, fabric.GPtr(oldFK<<memsys.PageShift))
 					m.fs.emit(n, trace.KEvict, key, oldFK)
 				}
 				m.fs.dirty.Put(n, key, newFK)
@@ -558,8 +569,7 @@ func (m *Mount) DropCaches() int {
 	dropped := 0
 	for _, k := range keys {
 		if fk, ok := m.fs.index.Delete(n, k); ok {
-			phys := fk << memsys.PageShift
-			m.part.Retire(func() { m.fs.frames.Unref(n, phys) })
+			m.part.RetireTo(&m.unref, fabric.GPtr(fk<<memsys.PageShift))
 			m.fs.emit(n, trace.KEvict, k, fk)
 			dropped++
 		}

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -181,6 +182,61 @@ func TestMultiVersionWriteDoesNotTearConcurrentReader(t *testing.T) {
 				t.Fatalf("torn page: byte 0 = %d, byte %d = %d", first, i, b)
 			}
 		}
+	}
+}
+
+// TestMountConcurrentReadersShareOneParticipant: a Mount is safe for
+// concurrent use, so two goroutines read through ONE mount, sharing its
+// quiescence participant, while another node rewrites the page. Each
+// reader's section must keep the version it reads from being freed and
+// reused under it however the two readers' sections interleave: an Exit
+// that clears the shared reservation while the other reader is still
+// inside leaves that reader unprotected. Under -race the shared section
+// count is what the detector watches.
+func TestMountConcurrentReadersShareOneParticipant(t *testing.T) {
+	f, fsys, _ := newFS(t, 2)
+	w := fsys.Mount(f.Node(0))
+	r := fsys.Mount(f.Node(1))
+	id, _ := w.Create("shared")
+	w.Write(id, 0, pageOf(1))
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := 2; v < 200; v++ {
+			w.Write(id, 0, pageOf(byte(v)))
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, PageSize)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if n, err := r.Read(id, 0, buf); err != nil || n != PageSize {
+					errs <- fmt.Sprintf("read = %d, %v", n, err)
+					return
+				}
+				for i, b := range buf {
+					if b != buf[0] {
+						errs <- fmt.Sprintf("torn page: byte 0 = %d, byte %d = %d", buf[0], i, b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

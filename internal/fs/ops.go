@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"flacos/internal/fabric"
 	"flacos/internal/flacdk/replication"
 	"flacos/internal/memsys"
 	"flacos/internal/trace"
@@ -91,8 +92,7 @@ func (m *Mount) Truncate(id uint64, size uint64) error {
 			})
 			for _, k := range keys {
 				if fk, ok := m.fs.index.Delete(n, k); ok {
-					phys := fk << memsys.PageShift
-					m.part.Retire(func() { m.fs.frames.Unref(n, phys) })
+					m.part.RetireTo(&m.unref, fabric.GPtr(fk<<memsys.PageShift))
 				}
 				m.fs.dirty.Delete(n, k)
 			}

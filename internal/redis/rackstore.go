@@ -1,6 +1,7 @@
 package redis
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -159,10 +160,11 @@ func (s *RackStore) AdvanceClock(n *fabric.Node, d time.Duration) uint64 {
 }
 
 // Attach creates node n's handle on the shared store. A View is bound to
-// ONE goroutine at a time (it owns a quiescence participant and a per-node
-// allocator, neither of which is concurrency-safe); attach one per server
-// session or client worker. Views of a crashed node must be abandoned:
-// FenceView the old id from any live node and Attach a fresh one.
+// ONE goroutine at a time (it owns a per-node allocator, which is not
+// concurrency-safe, and the buffers its results point into); attach one
+// per server session or client worker. Views of a crashed node must be
+// abandoned: FenceView the old id from any live node and Attach a fresh
+// one.
 //
 // A fresh attachment adopts the node's CURRENT fence level as its
 // generation: new views are definitionally not zombies, so a fence
@@ -220,6 +222,11 @@ func (s *RackStore) Len(n *fabric.Node) int { return int(n.AtomicLoad64(s.liveG)
 // View is one worker's attachment to the RackStore. It implements Backend,
 // so a redis.Server can execute commands directly against the shared
 // dataset from any node. Not safe for concurrent use — one per goroutine.
+//
+// A View's steady-state ops allocate nothing: entries are read into its
+// own buffer (so the value Get returns is valid until the next call on the
+// View), built in its own image buffer, and retired to its allocator as
+// values, not closures.
 type View struct {
 	s   *RackStore
 	n   *fabric.Node
@@ -229,8 +236,10 @@ type View struct {
 	gen uint64 // membership generation this view writes under (fence.go)
 	tw  *trace.Writer
 
-	ops uint64
-	img []byte // newEntry's scratch image, as large as the largest block written
+	ops  uint64
+	img  []byte   // newEntry's scratch image, as large as the largest block written
+	rbuf []byte   // fetch's key and value bytes, as large as the largest entry read
+	num  [20]byte // IncrBy's decimal result (an int64 is at most 20 characters)
 }
 
 // ID returns the view's participant slot (for FenceView after a crash).
@@ -340,7 +349,8 @@ func (v *View) readHeader(e fabric.GPtr) entryHdr {
 // invalidated or fetched twice: blocks are line-aligned, so the header's
 // line is fresh from readHeader and only the lines past it are
 // invalidated before the body is read. match reports whether e is bound
-// to key; val is nil unless withValue.
+// to key; val is nil unless withValue, and otherwise aliases v.rbuf until
+// the next fetch.
 func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, val []byte, match bool) {
 	hdr = v.readHeader(e)
 	if int(hdr.klen) != len(key) {
@@ -356,7 +366,10 @@ func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, v
 	if end := entryHdrSize + n; end > fabric.LineSize {
 		v.n.InvalidateRange(e.Add(fabric.LineSize), end-fabric.LineSize)
 	}
-	buf := make([]byte, n)
+	if uint64(cap(v.rbuf)) < n {
+		v.rbuf = make([]byte, alloc.ClassSize(entryHdrSize+n)) // grows at most once per class
+	}
+	buf := v.rbuf[:n]
 	v.n.Read(e.Add(entryHdrSize), buf)
 	if string(buf[:hdr.klen]) != key {
 		return hdr, nil, false
@@ -403,10 +416,7 @@ func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabr
 
 // retire schedules an unpublished-from-now block for reclamation once no
 // concurrent reader can still hold its address.
-func (v *View) retire(e fabric.GPtr) {
-	na := v.na
-	v.p.Retire(func() { na.Free(e) })
-}
+func (v *View) retire(e fabric.GPtr) { v.p.RetireTo(v.na, e) }
 
 // expired reports whether hdr's TTL deadline has passed on the shared
 // clock. now is loaded lazily (most entries carry no TTL).
@@ -534,7 +544,9 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 }
 
 // Get returns the value for key. A key whose TTL deadline has passed on
-// the shared clock is a miss on every node, deterministically.
+// the shared clock is a miss on every node, deterministically. The value
+// aliases the View's read buffer and is valid until the next call on this
+// View; copy it to keep it.
 func (v *View) Get(key string) ([]byte, bool) {
 	var (
 		val []byte
@@ -558,12 +570,14 @@ func (v *View) Get(key string) ([]byte, bool) {
 // whole batch inside ONE quiescence read section and one epoch tick — the
 // per-op overhead a pipelined client pays N times through Get is paid
 // once, which is what makes MGET cheaper than N GETs on the rack store.
+// Each value is the caller's own copy: the batch's probes share the
+// View's read buffer.
 func (v *View) MGet(keys ...string) [][]byte {
 	vals := make([][]byte, len(keys))
 	v.p.Enter()
 	for i, key := range keys {
 		if pr := v.probe(key, true); v.live(pr) {
-			vals[i] = pr.val
+			vals[i] = bytes.Clone(pr.val)
 		}
 	}
 	v.p.Exit()
@@ -662,7 +676,7 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 			exp = pr.hdr.exp
 		}
 		next := cur + delta
-		nblk := v.newEntry(key, []byte(strconv.FormatInt(next, 10)), exp, false)
+		nblk := v.newEntry(key, strconv.AppendInt(v.num[:0], next, 10), exp, false)
 		if pr.entry.IsNil() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(nblk)); inserted {
 				v.p.Exit()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime/debug"
 	"testing"
+
+	"flacos/internal/fabric"
 )
 
 // The RESP path allocates only what the backend keeps: a request's bulk
@@ -167,5 +169,90 @@ func TestFinishGetAliasesReceiveBuffer(t *testing.T) {
 	second := get()
 	if string(second) != "second" || bytes.Equal(first, []byte("first")) {
 		t.Fatalf("after the next GET the first value reads %q (second %q): FinishGet no longer decodes in place", first, second)
+	}
+}
+
+// TestViewAllocs: a warmed View reads entries into its own buffer, builds
+// them in its own image, formats INCRBY's number into its own array and
+// retires replaced blocks as values, so GET, SET of an existing key,
+// INCRBY and DEL of a live key allocate nothing — epoch ticks included.
+// The node cache is bounded, as the benchmark's is, and small enough to
+// be full before the measurement: until then it allocates a line object
+// for every line it has never held.
+func TestViewAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := fabric.New(fabric.Config{GlobalSize: 32 << 20, Nodes: 1, CacheCapacityLines: 64, Latency: fabric.DefaultLatency()})
+	v := NewRackStore(f, RackStoreConfig{ArenaBytes: 16 << 20}).Attach(f.Node(0))
+	val := bytes.Repeat([]byte{'v'}, 64)
+	ops := []struct {
+		name string
+		fn   func()
+	}{
+		{"SET", func() {
+			if err := v.Set("k", val, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"GET", func() {
+			if _, ok := v.Get("k"); !ok {
+				t.Fatal("GET missed")
+			}
+		}},
+		{"INCRBY", func() {
+			if _, err := v.IncrBy("n", 1<<40); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"DEL", func() {
+			v.Set("d", val, 0) // live again, so the DEL publishes a marker
+			if v.Del("d") != 1 {
+				t.Fatal("DEL found nothing")
+			}
+		}},
+	}
+	for i := 0; i < 256; i++ { // grow the buffers and the retirement queue
+		for _, op := range ops {
+			op.fn()
+		}
+	}
+	for _, op := range ops {
+		if got := testing.AllocsPerRun(500, op.fn); got != 0 {
+			t.Errorf("%s: %.2f allocs per op, want 0", op.name, got)
+		}
+	}
+}
+
+// TestViewGetAliasesReadBuffer pins the View's read contract: Get's value
+// aliases the View's read buffer and the next call overwrites it (so a
+// hidden copy does not creep back in), while MGet's values are the
+// caller's own and do not alias one another.
+func TestViewGetAliasesReadBuffer(t *testing.T) {
+	_, rs := newTestRackStore(t, 1, RackStoreConfig{})
+	v := rs.Attach(rs.fab.Node(0))
+	for _, kv := range [][2]string{{"a", "first"}, {"b", "other"}} {
+		if err := v.Set(kv[0], []byte(kv[1]), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, ok := v.Get("a")
+	if !ok || string(first) != "first" {
+		t.Fatalf("Get(a) = %q, %v", first, ok)
+	}
+	if second, _ := v.Get("b"); string(second) != "other" || string(first) != "other" {
+		t.Fatalf("after Get(b) = %q the first value reads %q: Get no longer returns the read buffer", second, first)
+	}
+	vals := v.MGet("a", "b")
+	if string(vals[0]) != "first" || string(vals[1]) != "other" {
+		t.Fatalf("MGet = %q", vals)
+	}
+	vals[0][0] = 'X'
+	v.Get("a")
+	if string(vals[1]) != "other" {
+		t.Fatalf("MGet's values alias each other or the read buffer: %q", vals)
+	}
+	if got, _ := v.Get("a"); string(got) != "first" {
+		t.Fatalf("writing into MGet's value reached the store: Get(a) = %q", got)
 	}
 }

@@ -49,8 +49,9 @@ type nodeHeat struct {
 }
 
 type heatShard struct {
-	mu sync.Mutex
-	m  map[uint64][]nodeHeat
+	mu   sync.Mutex
+	m    map[uint64][]nodeHeat
+	free [][]nodeHeat // faded pages' state, for the shard's next new pages
 }
 
 // HeatMap is the sharded per-page access-heat tracker fed by the MMU
@@ -76,7 +77,10 @@ func NewHeatMap(nodes int) *HeatMap {
 
 // Sample records one access to vpn from node. Safe for concurrent use
 // from every node; cost is one shard lock plus a map operation. Writes
-// and reads weigh the same — tier distance hurts both equally here.
+// and reads weigh the same — tier distance hurts both equally here. A
+// page new to the tracker takes the state of one that faded from its
+// shard when there is one, so a tracked set that turns over allocates
+// nothing once it has reached its largest size.
 func (h *HeatMap) Sample(node int, vpn uint64, write bool) {
 	if node < 0 || node >= h.nodes {
 		return
@@ -85,7 +89,13 @@ func (h *HeatMap) Sample(node int, vpn uint64, write bool) {
 	sh.mu.Lock()
 	ph := sh.m[vpn]
 	if ph == nil {
-		ph = make([]nodeHeat, h.nodes)
+		if k := len(sh.free) - 1; k >= 0 {
+			ph = sh.free[k]
+			sh.free = sh.free[:k]
+			clear(ph)
+		} else {
+			ph = make([]nodeHeat, h.nodes)
+		}
 		sh.m[vpn] = ph
 	}
 	ph[node].epoch++
@@ -115,12 +125,12 @@ type PageStat struct {
 
 // FoldEpoch ends the current sampling epoch: every page's heat becomes
 // heat*decay + epochCount (per node), epoch counters reset, and pages
-// whose total heat fell below floor are dropped from the tracker and
-// appended to faded — the daemon's demotion candidates. Surviving pages
-// are appended to hot. Both results are sorted (hot by VPN, faded
-// ascending) so the fold is deterministic regardless of map iteration
-// order. Callers pass their previous results truncated to length zero to
-// fold without allocating.
+// whose total heat fell below floor are dropped from the tracker (their
+// state kept for the shard's next new pages) and appended to faded — the
+// daemon's demotion candidates. Surviving pages are appended to hot. Both
+// results are sorted (hot by VPN, faded ascending) so the fold is
+// deterministic regardless of map iteration order. Callers pass their
+// previous results truncated to length zero to fold without allocating.
 func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64) ([]PageStat, []uint64) {
 	for i := range h.shards {
 		sh := &h.shards[i]
@@ -137,6 +147,7 @@ func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64
 			}
 			if total < floor {
 				delete(sh.m, vpn)
+				sh.free = append(sh.free, ph)
 				faded = append(faded, vpn)
 				continue
 			}

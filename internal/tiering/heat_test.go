@@ -2,6 +2,7 @@ package tiering
 
 import (
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -187,5 +188,51 @@ func TestFoldEpochReusesBuffers(t *testing.T) {
 	}
 	if len(hot) != 16 || len(faded) != 0 || hot[15].VPN != 15 {
 		t.Fatalf("steady fold: %d hot (last %+v), %d faded", len(hot), hot[len(hot)-1], len(faded))
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts are not the ones a normal build makes.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestHeatMapSampleAllocs: a page that fades leaves its state to the next
+// new page of its shard, so a tracked set that turns over — here sixteen
+// pages sampled once, faded two folds later and sampled again as new
+// pages — allocates nothing once it has reached its largest size.
+func TestHeatMapSampleAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	h := NewHeatMap(4)
+	var (
+		hot   []PageStat
+		faded []uint64
+	)
+	wave := func() {
+		for vpn := uint64(16); vpn < 32; vpn++ {
+			h.Sample(int(vpn%4), vpn, false)
+		}
+		for i := 0; i < 2; i++ {
+			hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0])
+		}
+		if len(faded) != 16 || h.Tracked() != 0 {
+			t.Fatalf("wave: %d faded, %d still tracked; want 16, 0", len(faded), h.Tracked())
+		}
+	}
+	wave()
+	wave()
+	if a := testing.AllocsPerRun(20, wave); a != 0 {
+		t.Fatalf("a wave of new pages made %v allocations, want 0", a)
 	}
 }
