@@ -75,9 +75,10 @@ var healthRampHops = []int{4, 10, 24}
 //     the drained generation must observe ErrFenced before any death),
 //     recovery rejoin when the ramp clears, and a crash round (dead
 //     sweep, restart, rejoin, post-death fence).
-//   - Reactive baseline: membership only. Phi-accrual never declares the
-//     gray node dead — it heartbeats on time, just slowly — so every
-//     task placed there pays the degraded link for the whole ramp.
+//   - Reactive baseline: membership and the controller's death sweep,
+//     no health agents. Phi-accrual never declares the gray node dead —
+//     it heartbeats on time, just slowly — so every task placed there
+//     pays the degraded link for the whole ramp.
 //
 // It fails when the drain or rejoin never completes, a zombie write
 // leaks through the early or post-death fence, the baseline's gray node
@@ -151,7 +152,7 @@ func Health(cfg HealthConfig) *Result {
 	auditExactlyOnce(res, pro.rack, "proactive")
 	pro.rack.Stop()
 
-	// --- Reactive baseline: membership only. ---
+	// --- Reactive baseline: membership and the death sweep, no health layer. ---
 	rea := newHealthRack(cfg, false)
 	reaHealthy := metrics.NewHistogram()
 	rea.runPhase(cfg.TasksPerLevel, reaHealthy)
@@ -208,10 +209,10 @@ func awaitStage(ch <-chan struct{}) bool {
 }
 
 // healthRack is one mode's control rack — accounting fabric, membership
-// on every node, plus the health layer and the self-healing controller in
-// proactive mode (the baseline's only remediator is the classic
-// phi-accrual Dead sweep, which never fires for a gray node: that is the
-// point) — and the experiment's probes.
+// on every node and the self-healing controller on node 0, plus the
+// health layer in proactive mode (the baseline's only remediation is the
+// controller's phi-accrual Dead sweep, which never fires for a gray node:
+// that is the point) — and the experiment's probes.
 type healthRack struct {
 	rack      *torture.ControlRack
 	scratch   fabric.GPtr

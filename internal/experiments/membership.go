@@ -48,9 +48,10 @@ const memRecoveryGate = 1.2
 // the honest clock for them (virtual time does not advance while a
 // failure sits undetected).
 //
-//   - Membership mode: heartbeats + phi detection; ONE Dead event
-//     sweeps the dead node's leases and generation-fences its store
-//     views. Measured: crash->Dead detection, crash->sweep completion,
+//   - Membership mode: heartbeats + phi detection; ONE Dead event runs
+//     the self-healing controller's death sweep, which gates the dead
+//     node out of scheduling until it rejoins, sweeps its leases and
+//     generation-fences its store views. Measured: crash->Dead detection, crash->sweep completion,
 //     and crash->burst completion; plus the hot-plug join->serving
 //     time for the held-out node, and a zombie-write probe after every
 //     restart (a pre-death view must observe ErrFenced forever).
@@ -210,7 +211,7 @@ func newMemRack(cfg MembershipConfig, withMembership bool) *memRack {
 	}
 	if withMembership {
 		// Subscribers run in subscription order, so this stamp lands after
-		// the rack's own Dead sweep returned.
+		// the controller's Dead sweep returned.
 		r.rack.Member(0).Subscribe(func(ev membership.Event) {
 			if ev.Kind != membership.EvDead {
 				return

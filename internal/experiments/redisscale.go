@@ -88,7 +88,7 @@ const (
 //     publishes that retry against each other, so per-node throughput
 //     decays as nodes are added — the hot-key wall.
 //   - Combining: the identical op stream, but keys classified hot online
-//     (flacdk/alloc hotness counters) are routed through flacdk/delegation
+//     (redis.HotTracker's decaying counters) are routed through flacdk/delegation
 //     to the key's owner node, which serves a whole sweep's fan-in with
 //     ONE store operation per key: one Get answers every gathered read,
 //     one IncrBy of the summed delta answers every gathered increment.

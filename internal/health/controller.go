@@ -137,7 +137,7 @@ type ControllerConfig struct {
 	// Tests use it to hold a drain mid-stage and to observe completion.
 	OnStage func(st Stage, node int, gen uint64)
 	// From is the live node the controller's fabric operations (fence
-	// CASes, lease-reclaim sweeps) execute through.
+	// CASes, lease-reclaim sweeps) execute through. Required.
 	From *fabric.Node
 }
 
@@ -173,13 +173,12 @@ type ControllerStats struct {
 	DeadSweeps    uint64 // death sweeps run
 }
 
-// Controller is the self-healing controller. One instance subscribes to
-// one member's event stream; run it on a node expected to stay up (or
-// one per node — every action it takes is idempotent or CAS/fence
+// Controller is the self-healing controller. One instance consumes one
+// member's event stream; run it on a node expected to stay up (or one
+// per node — every action it takes is idempotent or CAS/fence
 // protected, so duplicated controllers are safe, merely wasteful).
 type Controller struct {
 	cfg ControllerConfig
-	m   *membership.Member
 
 	trw atomic.Pointer[trace.Writer]
 
@@ -192,24 +191,14 @@ type Controller struct {
 	}
 }
 
-// NewController builds a controller over m's event stream and
-// subscribes it. Events are handled inline on whichever goroutine
-// delivers them (the member's agent, a health agent, or a test). m may
-// be nil — cfg.From must then be set and the caller feeds OnEvent
-// directly (tests, racks with their own event plumbing).
-func NewController(m *membership.Member, cfg ControllerConfig) *Controller {
+// NewController builds a controller; the caller feeds it events through
+// OnEvent, usually by subscribing OnEvent to one member's stream. Events
+// are handled inline on the delivering goroutine. cfg.From must be set.
+func NewController(cfg ControllerConfig) *Controller {
 	if cfg.From == nil {
-		cfg.From = m.Node()
+		panic("health: ControllerConfig.From is required")
 	}
-	c := &Controller{
-		cfg:   cfg,
-		m:     m,
-		nodes: make(map[int]*nodeState),
-	}
-	if m != nil {
-		m.Subscribe(c.OnEvent)
-	}
-	return c
+	return &Controller{cfg: cfg, nodes: make(map[int]*nodeState)}
 }
 
 // SetTrace attaches a flight-recorder writer for the remediation spans.
@@ -254,11 +243,12 @@ func (c *Controller) stage(st Stage, node int, gen uint64) {
 	}
 }
 
-// OnEvent is the controller's subscriber. Exported so tests (and racks
-// wiring the controller to a different stream) can inject events
-// directly; concurrent calls are exactly the production situation — the
-// member's agent, every health agent, and the death path all deliver
-// from their own goroutines.
+// OnEvent is the controller's subscriber. Subscribed to one member, it
+// runs on that member's agent goroutine and sees the member's liveness
+// and health events in one order, each handled to completion before the
+// next. It is exported so tests can inject events directly, and it stays
+// safe under concurrent calls: a death delivered while a drain runs
+// aborts the drain at its next stage boundary.
 func (c *Controller) OnEvent(ev membership.Event) {
 	switch ev.Kind {
 	case membership.EvDegraded:

@@ -3,9 +3,7 @@ package health
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
@@ -51,44 +49,22 @@ func (s DetectState) String() string {
 // reading, so no smoothing), or when its smoothed errors per window reach
 // errMilli thousandths. It counts as healthy again only below exitFactor
 // times each threshold, so the two bands never touch.
+//
+// The degraded condition must hold for enterStrikes consecutive agent
+// ticks before the verdict flips; the strike counter is observer-local,
+// exactly like membership's DeadStrikes, so a stalled observer cannot
+// rush a verdict. exitStrikes is the recovery hysteresis — recover slower
+// than you detect, or a flapping link saws the controller back and forth.
 const (
-	alpha      = 0.3 // EWMA smoothing of the latency and error predictors
-	latFactor  = 3
-	latFloorNS = 1000
-	linkHops   = 4
-	errMilli   = 500
-	exitFactor = 0.75
+	alpha        = 0.3 // EWMA smoothing of the latency and error predictors
+	latFactor    = 3
+	latFloorNS   = 1000
+	linkHops     = 4
+	errMilli     = 500
+	exitFactor   = 0.75
+	enterStrikes = 2
+	exitStrikes  = 4
 )
-
-// Config tunes the anomaly detector. Zero values get defaults sized for
-// the simulated rack's microsecond ticks and its latency model.
-type Config struct {
-	// Tick is the agent's sample-and-observe period (default 200µs,
-	// matching membership's heartbeat tick).
-	Tick time.Duration
-	// EnterStrikes is how many consecutive agent ticks the degraded
-	// condition must hold before the verdict flips (default 3); the
-	// strike counter is observer-local, exactly like membership's
-	// DeadStrikes, so a stalled observer cannot rush a verdict.
-	EnterStrikes int
-	// ExitStrikes is the recovery hysteresis: consecutive healthy ticks
-	// before Degraded flips back to OK (default 8 — recover slower than
-	// you detect, or a flapping link saws the controller back and
-	// forth).
-	ExitStrikes int
-}
-
-func (c *Config) fillDefaults() {
-	if c.Tick == 0 {
-		c.Tick = 200 * time.Microsecond
-	}
-	if c.EnterStrikes == 0 {
-		c.EnterStrikes = 3
-	}
-	if c.ExitStrikes == 0 {
-		c.ExitStrikes = 8
-	}
-}
 
 // Layer is the rack's health table: one record line and one control
 // line per membership slot, plus the host-side degraded mirror. It
@@ -97,7 +73,6 @@ func (c *Config) fillDefaults() {
 // the same (node, generation).
 type Layer struct {
 	mem *membership.Table
-	cfg Config
 
 	recG fabric.GPtr // health records, one line per slot (cached writes)
 	// ctl holds each slot's verdict word (aux zero). Its generation is the
@@ -113,13 +88,11 @@ type Layer struct {
 
 // New lays the health table out in the fabric's global memory alongside
 // mem's slots.
-func New(mem *membership.Table, cfg Config) *Layer {
-	cfg.fillDefaults()
+func New(mem *membership.Table) *Layer {
 	f := mem.Fabric()
 	slots := mem.Slots()
 	return &Layer{
 		mem:      mem,
-		cfg:      cfg,
 		recG:     f.Reserve(uint64(slots)*recordBytes, fabric.LineSize),
 		ctl:      ds.NewStateTable[DetectState](f, slots),
 		degraded: make([]atomic.Bool, f.NumNodes()),
@@ -170,10 +143,11 @@ func (l *Layer) Verdicts(n *fabric.Node) []VerdictInfo {
 	return out
 }
 
-// Join attaches a health agent to membership member m: the agent
-// publishes m's node's own signals into the slot's health record and
-// runs the anomaly detector over every slot, raising EvDegraded /
-// EvRecovered through m's event stream. Call Start to boot it.
+// Join attaches a health agent to membership member m as a step of m's
+// agent loop: every heartbeat tick the agent publishes m's node's own
+// signals into the slot's health record and runs the anomaly detector
+// over every slot, raising EvDegraded / EvRecovered through m's event
+// stream. It runs from m.Start until m stops or its node crashes.
 func (l *Layer) Join(m *membership.Member, src SignalSource) *Agent {
 	a := &Agent{
 		l:        l,
@@ -184,16 +158,16 @@ func (l *Layer) Join(m *membership.Member, src SignalSource) *Agent {
 		errP:     reliability.NewPredictor(alpha),
 		lastHCtl: make([]ds.StateWord[DetectState], l.mem.Slots()),
 		eval:     make(map[int]*slotEval),
-		stop:     make(chan struct{}),
 	}
+	m.OnTick(a.step)
 	return a
 }
 
 // slotEval is one agent's running evaluation state for a slot.
 type slotEval struct {
 	gen     uint64 // generation the strike history belongs to
-	strikes int    // consecutive degraded ticks (toward EnterStrikes)
-	clears  int    // consecutive healthy ticks (toward ExitStrikes)
+	strikes int    // consecutive degraded ticks (toward enterStrikes)
+	clears  int    // consecutive healthy ticks (toward exitStrikes)
 }
 
 // Agent is one node's live participation in the health layer: its
@@ -215,11 +189,6 @@ type Agent struct {
 	// Detector state, all node-local host memory.
 	lastHCtl []ds.StateWord[DetectState]
 	eval     map[int]*slotEval
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	started  atomic.Bool
-	wg       sync.WaitGroup
 }
 
 // SetTrace attaches a flight-recorder writer; verdict transitions this
@@ -228,38 +197,13 @@ func (a *Agent) SetTrace(w *trace.Writer) { a.trw.Store(w) }
 
 func (a *Agent) tw() *trace.Writer { return a.trw.Load() }
 
-// Start boots the agent's sample-and-observe loop. Idempotent. The
-// goroutine absorbs the fabric panic of its own node's crash — the
-// record freezes exactly at the crash, and the other agents' generation
-// guard retires it with the membership state.
-func (a *Agent) Start() {
-	if !a.started.CompareAndSwap(false, true) {
-		return
-	}
-	a.wg.Add(1)
-	go a.loop()
-}
-
-// Stop halts the agent (idempotent; safe after the node crashed).
-func (a *Agent) Stop() {
-	a.stopOnce.Do(func() { close(a.stop) })
-	a.wg.Wait()
-}
-
-func (a *Agent) loop() {
-	defer a.wg.Done()
-	defer a.n.AbsorbCrash() // this agent died with its node
-	tick := time.NewTicker(a.l.cfg.Tick)
-	defer tick.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-tick.C:
-			a.publishSample()
-			a.observeAll()
-		}
-	}
+// step is the agent's tick on its member's agent loop: sample, then
+// observe. A crash mid-step stops the loop it runs on — the record
+// freezes exactly at the crash, and the other agents' generation guard
+// retires it with the membership state.
+func (a *Agent) step() {
+	a.publishSample()
+	a.observeAll()
 }
 
 // publishSample folds one window of the node's own signals into the
@@ -354,7 +298,7 @@ func (a *Agent) observeAll() {
 			} else {
 				ev.clears = 0
 			}
-			if ev.clears >= a.l.cfg.ExitStrikes {
+			if ev.clears >= exitStrikes {
 				ev.clears = 0
 				next := ds.PackState(mem[slot].Generation, 0, mem[slot].Node, HealthOK)
 				if a.l.ctl.Transition(a.n, slot, hw, next) {
@@ -371,7 +315,7 @@ func (a *Agent) observeAll() {
 			} else {
 				ev.strikes = 0
 			}
-			if ev.strikes >= a.l.cfg.EnterStrikes {
+			if ev.strikes >= enterStrikes {
 				ev.strikes = 0
 				next := ds.PackState(mem[slot].Generation, 0, mem[slot].Node, HealthDegraded)
 				if a.l.ctl.Transition(a.n, slot, hw, next) {

@@ -27,14 +27,6 @@ func fastMemCfg() membership.Config {
 	}
 }
 
-func fastHealthCfg() Config {
-	return Config{
-		Tick:         100 * time.Microsecond,
-		EnterStrikes: 2,
-		ExitStrikes:  2,
-	}
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -47,21 +39,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// rack boots n members with health agents on every node.
+// rack boots n members with a health agent on every member's loop.
 type rack struct {
-	f      *fabric.Fabric
-	tb     *membership.Table
-	layer  *Layer
-	ms     []*membership.Member
-	agents []*Agent
-	srcs   []*NodeSource
+	f     *fabric.Fabric
+	tb    *membership.Table
+	layer *Layer
+	ms    []*membership.Member
+	srcs  []*NodeSource
 }
 
 func bootRack(t *testing.T, nodes int) *rack {
 	t.Helper()
 	f := testFabric(nodes)
 	tb := membership.New(f, fastMemCfg())
-	l := New(tb, fastHealthCfg())
+	l := New(tb)
 	r := &rack{f: f, tb: tb, layer: l}
 	for i := 0; i < nodes; i++ {
 		m, err := tb.JoinSlot(f.Node(i), i)
@@ -72,24 +63,19 @@ func bootRack(t *testing.T, nodes int) *rack {
 			t.Fatalf("activate node %d: %v", i, err)
 		}
 		src := NewNodeSource(f.Node(i), nil)
-		a := l.Join(m, src)
+		l.Join(m, src)
 		r.ms = append(r.ms, m)
-		r.agents = append(r.agents, a)
 		r.srcs = append(r.srcs, src)
 	}
-	for i := range r.ms {
-		r.ms[i].Start()
-		r.agents[i].Start()
+	for _, m := range r.ms {
+		m.Start()
 	}
-	t.Cleanup(r.stopAll)
+	t.Cleanup(func() {
+		for _, m := range r.ms {
+			m.Stop()
+		}
+	})
 	return r
-}
-
-func (r *rack) stopAll() {
-	for i := range r.ms {
-		r.agents[i].Stop()
-		r.ms[i].Stop()
-	}
 }
 
 // TestLinkDegradationRaisesDegradedAndRecovers: the core detection loop
@@ -265,6 +251,142 @@ func TestSuspectNodeStillEmitsHealthSignals(t *testing.T) {
 	})
 }
 
+// feedProbe subscribes to a member's stream and holds the first event
+// hold accepts until release is closed, counting every delivery that
+// overlaps another one (only a second delivering goroutine can make one).
+type feedProbe struct {
+	hold     func(membership.Event) bool
+	held     bool // touched only inside a delivery
+	entered  chan struct{}
+	release  chan struct{}
+	inside   atomic.Bool
+	overlaps atomic.Int64
+
+	mu  sync.Mutex
+	got []membership.Event
+}
+
+func newFeedProbe(m *membership.Member, hold func(membership.Event) bool) *feedProbe {
+	p := &feedProbe{hold: hold, entered: make(chan struct{}), release: make(chan struct{})}
+	m.Subscribe(p.deliver)
+	return p
+}
+
+func (p *feedProbe) deliver(ev membership.Event) {
+	p.mu.Lock()
+	p.got = append(p.got, ev)
+	p.mu.Unlock()
+	if !p.inside.CompareAndSwap(false, true) {
+		p.overlaps.Add(1)
+		return
+	}
+	defer p.inside.Store(false)
+	if !p.held && p.hold(ev) {
+		p.held = true
+		close(p.entered)
+		<-p.release
+	}
+}
+
+func (p *feedProbe) saw(kind membership.EventKind, node int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ev := range p.got {
+		if ev.Kind == kind && ev.Node == node {
+			return true
+		}
+	}
+	return false
+}
+
+// heldOverlaps runs start until the probe holds an event, runs raise,
+// waits for landed (the raised transition is in the arena, so a second
+// delivering goroutine would now be delivering it), gives that goroutine
+// a few more ticks, and returns how many deliveries overlapped. The held
+// subscriber is released on return.
+func (p *feedProbe) heldOverlaps(t *testing.T, start, raise func(), what string, landed func() bool) int64 {
+	t.Helper()
+	defer close(p.release)
+	waitFor(t, "subscriber holding an event", func() bool {
+		start()
+		select {
+		case <-p.entered:
+			return true
+		default:
+			return false
+		}
+	})
+	raise()
+	waitFor(t, what, landed)
+	time.Sleep(2 * time.Millisecond)
+	return p.overlaps.Load()
+}
+
+// TestMemberFeedIsOrdered: a member's liveness and health events reach
+// its subscribers from one goroutine. While a subscriber on member 0 is
+// held inside one event, no other delivery from member 0 may arrive —
+// neither a health event raised behind a liveness event nor a liveness
+// event raised behind a health event — and the held-back event is
+// delivered once the subscriber returns.
+func TestMemberFeedIsOrdered(t *testing.T) {
+	t.Run("health behind liveness", func(t *testing.T) {
+		r := bootRack(t, 4)
+		const suspect, victim = 1, 3
+		p := newFeedProbe(r.ms[0], func(ev membership.Event) bool {
+			return ev.Kind == membership.EvSuspect && ev.Node == suspect
+		})
+		n := p.heldOverlaps(t,
+			func() { r.tb.Suspect(r.f.Node(0), suspect) },
+			func() { r.f.Node(victim).SetLinkDegradation(8) },
+			"Degraded verdict in the arena", func() bool {
+				return r.layer.Verdicts(r.f.Node(1))[victim].State == HealthDegraded
+			})
+		if n != 0 {
+			t.Fatalf("%d deliveries overlapped a held liveness event", n)
+		}
+		waitFor(t, "EvDegraded after release", func() bool { return p.saw(membership.EvDegraded, victim) })
+	})
+	t.Run("liveness behind health", func(t *testing.T) {
+		r := bootRack(t, 4)
+		const degraded, victim = 3, 2
+		p := newFeedProbe(r.ms[0], func(ev membership.Event) bool { return ev.Kind == membership.EvDegraded })
+		n := p.heldOverlaps(t,
+			func() { r.f.Node(degraded).SetLinkDegradation(8) },
+			func() { r.f.Node(victim).Crash() },
+			"crashed node suspected in the arena", func() bool {
+				st := r.tb.Snapshot(r.f.Node(1))[victim].State
+				return st == membership.StateSuspect || st == membership.StateDead
+			})
+		if n != 0 {
+			t.Fatalf("%d deliveries overlapped a held health event", n)
+		}
+		waitFor(t, "EvSuspect or EvDead after release", func() bool {
+			return p.saw(membership.EvSuspect, victim) || p.saw(membership.EvDead, victim)
+		})
+	})
+}
+
+// TestMemberStopStopsHealthAgent: the health agent lives on its member's
+// loop, so Member.Stop alone freezes the slot's health record.
+func TestMemberStopStopsHealthAgent(t *testing.T) {
+	r := bootRack(t, 3)
+	const victim = 2
+	seq := func() uint64 {
+		rec, err := r.layer.readRecord(r.f.Node(0), victim)
+		if err != nil {
+			return 0
+		}
+		return rec.Seq
+	}
+	waitFor(t, "health record publishing", func() bool { return seq() > 1 })
+	r.ms[victim].Stop()
+	stopped := seq()
+	time.Sleep(20 * fastMemCfg().HeartbeatTick)
+	if got := seq(); got != stopped {
+		t.Fatalf("health record seq advanced %d -> %d after Member.Stop", stopped, got)
+	}
+}
+
 // ---- controller unit tests with scripted gates ----
 
 type fakeGates struct {
@@ -310,7 +432,7 @@ func (g *fakeGates) SetNodeDrained(node int, drained bool) {
 }
 
 func newFakeController(f *fabric.Fabric, g *fakeGates, onStage func(Stage, int, uint64)) *Controller {
-	return NewController(nil, ControllerConfig{
+	return NewController(ControllerConfig{
 		Sched:      g,
 		Store:      g,
 		Serverless: []ServerlessGate{g},
@@ -449,7 +571,8 @@ func TestControllerBrokenSkipDrainFence(t *testing.T) {
 // the boundary, the node must end fenced EXACTLY once (by the death
 // path, at the dead generation), and no rejoin may run afterward. Run
 // under -race: the controller state machine is exercised from two
-// goroutines exactly as the member agent + health agent would.
+// goroutines exactly as two members' agent loops would be if one
+// controller were subscribed to both.
 func TestRaceDegradedVsDead(t *testing.T) {
 	f := testFabric(2)
 	rec := trace.New(f, trace.Config{RingCap: 1 << 10})
@@ -626,7 +749,8 @@ func TestControllerJoinReopensGates(t *testing.T) {
 func TestReadRecordFabricBudget(t *testing.T) {
 	f := testFabric(2)
 	tb := membership.New(f, fastMemCfg())
-	l := New(tb, fastHealthCfg())
+	l := New(tb)
+	// The members never Start: no agent loop runs beside the measurement.
 	var agents []*Agent
 	for i := 0; i < 2; i++ {
 		m, err := tb.JoinSlot(f.Node(i), i)

@@ -15,7 +15,10 @@
 // median. Detection state transitions ride a separate
 // fabric-atomics-only control line, CAS-guarded exactly like
 // membership's, and surface as EvDegraded/EvRecovered events on the
-// membership event stream.
+// membership event stream. A node's health agent has no goroutine of its
+// own: it is a step of its membership member's agent loop, run once per
+// heartbeat tick after the liveness pass, so liveness and health events
+// reach a member's subscribers as one ordered feed.
 package health
 
 import (

@@ -68,11 +68,11 @@ func (t *Table) maxVNS() uint64 {
 	return max + clockSlackNS
 }
 
-// agentLoop is the member's detector: every tick it reads each other
-// slot's control word and heartbeat record, updates the phi estimate,
-// performs Suspect/Dead transitions it is entitled to, refutes
+// agentLoop is the member's agent: every tick its detector reads each
+// other slot's control word and heartbeat record, updates the phi
+// estimate, performs Suspect/Dead transitions it is entitled to, refutes
 // suspicions against itself, and synthesizes the rack-wide event stream
-// from control-word diffs.
+// from control-word diffs; then the OnTick steps run.
 func (m *Member) agentLoop() {
 	defer m.wg.Done()
 	defer m.n.AbsorbCrash() // this agent died with its node
@@ -85,6 +85,20 @@ func (m *Member) agentLoop() {
 			return
 		case <-tick.C:
 			m.observeAll()
+			m.subMu.Lock()
+			steps := m.steps // append-only: this prefix never changes
+			m.subMu.Unlock()
+			for _, step := range steps {
+				step()
+			}
+			// A pass that overran the tick left the next one due: drop it,
+			// so the loop always waits and yields its CPU. Back-to-back
+			// passes on a loaded host starve the heartbeat goroutines
+			// until live nodes are declared dead.
+			select {
+			case <-tick.C:
+			default:
+			}
 		}
 	}
 }

@@ -151,10 +151,11 @@ func (t *Table) setAliveMirror(node int, alive bool) {
 // own agent had observed it. It is how companion layers extend the
 // rack-wide stream with transitions the membership control table does
 // not carry — internal/health raises EvDegraded/EvRecovered through it
-// — so consumers subscribe once and see liveness AND health in one
-// ordered feed. Same contract as agent-delivered events: when several
-// members' companions publish the same rack-wide transition, consumers
-// must dedup on (Slot, Generation).
+// from its OnTick step — so consumers subscribe once and see liveness
+// AND health in one ordered feed, delivered by the agent goroutine alone.
+// Same contract as agent-delivered events: when several members'
+// companions publish the same rack-wide transition, consumers must dedup
+// on (Slot, Generation).
 func (m *Member) Publish(ev Event) { m.deliver(ev) }
 
 func (m *Member) deliver(ev Event) {

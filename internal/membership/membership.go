@@ -76,7 +76,8 @@ type Config struct {
 	// f.NumNodes() + 2, max 255).
 	Slots int
 	// HeartbeatTick is how often each member republishes its record and
-	// runs its detector pass.
+	// runs its detector pass, and with it every step attached by OnTick
+	// (the health layer's sample-and-observe pass).
 	HeartbeatTick time.Duration
 	// PhiSuspect is the phi threshold at which an observer moves a slot
 	// Alive -> Suspect (default 3: roughly 7x the mean beat interval
@@ -266,8 +267,9 @@ func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 }
 
 // Member is one node's live participation in the table: its heartbeat
-// publisher, its detector agent over the other slots, and its local
-// subscriber list for the rack-wide event stream.
+// publisher, its agent loop (the detector over the other slots plus the
+// steps companion layers attach), and its local subscriber list for the
+// rack-wide event stream.
 type Member struct {
 	t    *Table
 	n    *fabric.Node
@@ -280,6 +282,7 @@ type Member struct {
 
 	subMu sync.Mutex
 	subs  []func(Event)
+	steps []func() // OnTick steps, append-only
 
 	// Detector state, all node-local host memory: it costs nothing and
 	// legitimately dies with the node.
@@ -313,12 +316,24 @@ func (m *Member) SetTrace(w *trace.Writer) { m.trw.Store(w) }
 func (m *Member) tw() *trace.Writer { return m.trw.Load() }
 
 // Subscribe registers fn on this member's event stream. fn runs on the
-// member's agent goroutine; EVERY member's agent observes and delivers
-// the same rack-wide transitions, so cross-member consumers must be
-// idempotent (or dedup on (Slot, Generation), as core does).
+// member's agent goroutine, the only goroutine that delivers this
+// member's events, so one member's feed is ordered; EVERY member's agent
+// observes and delivers the same rack-wide transitions, so cross-member
+// consumers must be idempotent (or dedup on (Slot, Generation), as core
+// does).
 func (m *Member) Subscribe(fn func(Event)) {
 	m.subMu.Lock()
 	m.subs = append(m.subs, fn)
+	m.subMu.Unlock()
+}
+
+// OnTick attaches step to the member's agent loop: every tick, after the
+// detector pass, the steps run in registration order on the agent
+// goroutine. They stop with Stop and die with the node, like the
+// detector, and events they Publish join the member's one ordered feed.
+func (m *Member) OnTick(step func()) {
+	m.subMu.Lock()
+	m.steps = append(m.steps, step)
 	m.subMu.Unlock()
 }
 
@@ -338,7 +353,7 @@ func (m *Member) Activate() error {
 	return nil
 }
 
-// Start boots the member's heartbeat publisher and detector agent.
+// Start boots the member's heartbeat publisher and agent loop.
 // Idempotent. Both goroutines absorb the fabric panic of their own
 // node's crash — the heartbeat freezes exactly at the crash, which is
 // precisely the signal the other detectors key on.
@@ -388,6 +403,12 @@ func (m *Member) publishBeat() {
 }
 
 // heartbeatLoop republishes the record every tick until Stop or crash.
+// It is the one loop kept apart from the agent loop: subscribers run
+// inline there, and on the controller's node that includes a whole
+// drain, fence or rejoin. A beat that waited on that work could get a
+// live node declared dead (at PhiDead 6 with 100µs ticks, in about
+// 1.4ms) — sched's lease keeper beats apart from its workers for the
+// same reason.
 func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
 	defer m.n.AbsorbCrash() // the beat freezes exactly at the crash

@@ -391,6 +391,46 @@ func TestSuspectHeldNodeKeepsHeartbeating(t *testing.T) {
 	})
 }
 
+// TestOnTickStepsRunOnTheAgentLoop: steps attached before and after
+// Start run every tick in registration order, and stop with the member.
+func TestOnTickStepsRunOnTheAgentLoop(t *testing.T) {
+	f := testFabric(2)
+	tb := New(f, fastCfg())
+	m := joinAll(t, tb, f, 1)[0]
+	var mu sync.Mutex
+	var ran []int
+	step := func(i int) func() {
+		return func() {
+			mu.Lock()
+			ran = append(ran, i)
+			mu.Unlock()
+		}
+	}
+	snapshot := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), ran...)
+	}
+	m.OnTick(step(1))
+	m.Start()
+	m.OnTick(step(2))
+	waitFor(t, "the step attached after Start", func() bool {
+		got := snapshot()
+		return len(got) > 0 && got[len(got)-1] == 2
+	})
+	m.Stop()
+	got := snapshot()
+	for i, v := range got {
+		if v == 2 && (i == 0 || got[i-1] != 1) {
+			t.Fatalf("step 2 ran without step 1 just before it: %v", got)
+		}
+	}
+	time.Sleep(10 * fastCfg().HeartbeatTick)
+	if n := len(snapshot()); n != len(got) {
+		t.Fatalf("%d steps ran after Stop", n-len(got))
+	}
+}
+
 // TestObserveSlotFabricBudget pins what observing a peer's heartbeat
 // costs: one fresh line fetch — one load that misses, no atomic — that
 // leaves nothing resident.

@@ -149,8 +149,8 @@ type Space struct {
 
 // Sampler observes the MMU translate path. Implementations must be safe
 // for concurrent use from every attached node and cheap enough for the
-// hot path (the tiering daemon's sharded heat map is the intended one;
-// alloc.HotnessTracker's single mutex-guarded map is not).
+// hot path (the tiering daemon's sharded heat map is the intended one; a
+// single mutex-guarded map would serialize every node's MMU).
 type Sampler interface {
 	// Sample is called once per successful translation (TLB hit or miss)
 	// with the accessing node, the page, and whether the access wrote.

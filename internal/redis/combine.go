@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"flacos/internal/fabric"
-	"flacos/internal/flacdk/alloc"
 	"flacos/internal/flacdk/delegation"
 	"flacos/internal/trace"
 )
@@ -56,36 +55,45 @@ const CombineKeyMax = delegation.PayloadMax - 8
 const CombineValueMax = delegation.PayloadMax
 
 // HotTracker decides online which keys are hot enough to route through a
-// combiner. It is a thin keyed front end over flacdk/alloc's decaying
-// HotnessTracker — the same EWMA machinery the allocator uses to pack hot
-// objects, here keyed by the store's 64-bit key hash. Not concurrency
+// combiner: a decaying access count per 64-bit key hash. Not concurrency
 // safe: one per worker, like a View.
 type HotTracker struct {
-	h         *alloc.HotnessTracker
+	heat      map[uint64]float64
+	decay     float64
 	threshold float64
 }
 
-// NewHotTracker creates a tracker: heat decays by decay per Decay() call,
-// and a key counts as hot once its heat reaches threshold.
+// NewHotTracker creates a tracker: heat decays by decay (in (0,1]) per
+// Decay() call, and a key counts as hot once its heat reaches threshold.
 func NewHotTracker(decay, threshold float64) *HotTracker {
+	if decay <= 0 || decay > 1 {
+		panic("redis: HotTracker decay must be in (0,1]")
+	}
 	if threshold <= 0 {
 		panic("redis: HotTracker threshold must be positive")
 	}
-	return &HotTracker{h: alloc.NewHotnessTracker(decay), threshold: threshold}
+	return &HotTracker{heat: make(map[uint64]float64), decay: decay, threshold: threshold}
 }
 
 // Touch records one access to key.
-func (t *HotTracker) Touch(key string) { t.h.Touch(fabric.GPtr(keyHash(key))) }
+func (t *HotTracker) Touch(key string) { t.heat[keyHash(key)]++ }
 
 // Hot reports whether key's decayed access frequency has crossed the
 // combining threshold.
-func (t *HotTracker) Hot(key string) bool {
-	return t.h.Heat(fabric.GPtr(keyHash(key))) >= t.threshold
-}
+func (t *HotTracker) Hot(key string) bool { return t.heat[keyHash(key)] >= t.threshold }
 
-// Decay ages every key's heat; call it once per sampling interval so a
-// key that cools off stops being combined.
-func (t *HotTracker) Decay() { t.h.Decay() }
+// Decay ages every key's heat and forgets keys gone cold (below 0.5); call
+// it once per sampling interval so a key that cools off stops being
+// combined.
+func (t *HotTracker) Decay() {
+	for k, v := range t.heat {
+		if v *= t.decay; v < 0.5 {
+			delete(t.heat, k)
+		} else {
+			t.heat[k] = v
+		}
+	}
+}
 
 // Combiner is the owner side of hot-key combining: a delegation server
 // whose sweep gathers every pending request, groups them by key, and

@@ -126,6 +126,42 @@ func TestHotTrackerClassifies(t *testing.T) {
 	}
 }
 
+// TestHotTrackerDecayDropsCold pins the decay arithmetic: a touch adds
+// one, Decay multiplies by the factor, and a key whose heat falls below
+// 0.5 is forgotten.
+func TestHotTrackerDecayDropsCold(t *testing.T) {
+	ht := NewHotTracker(0.5, 4)
+	for i := 0; i < 10; i++ {
+		ht.Touch("a")
+	}
+	if h := ht.heat[keyHash("a")]; h != 10 {
+		t.Fatalf("heat after 10 touches = %v, want 10", h)
+	}
+	for i := 0; i < 4; i++ {
+		ht.Decay()
+	}
+	if h := ht.heat[keyHash("a")]; h != 0.625 {
+		t.Fatalf("heat after 4 decays = %v, want 0.625", h)
+	}
+	ht.Decay() // 0.3125 < 0.5
+	if len(ht.heat) != 0 {
+		t.Fatalf("cold key kept: %v", ht.heat)
+	}
+}
+
+func TestHotTrackerBadParamsPanic(t *testing.T) {
+	for _, p := range [][2]float64{{0, 4}, {1.5, 4}, {0.5, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHotTracker(%v, %v) did not panic", p[0], p[1])
+				}
+			}()
+			NewHotTracker(p[0], p[1])
+		}()
+	}
+}
+
 func TestCombineOwnerStable(t *testing.T) {
 	for n := 1; n <= 16; n *= 2 {
 		for i := 0; i < 64; i++ {

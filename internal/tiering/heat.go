@@ -9,8 +9,8 @@
 //
 //   - HeatMap is the sampling mechanism: a sharded, epoch-decayed,
 //     concurrency-safe per-page heat tracker cheap enough to sit on the
-//     translate hot path (alloc.HotnessTracker's single mutex-guarded map
-//     is not — one lock would serialize every node's MMU).
+//     translate hot path (a single mutex-guarded map is not — one lock
+//     would serialize every node's MMU).
 //   - Daemon is the policy: it folds the heat epochs, decides promotions
 //     and demotions under per-tier capacity budgets and promote/demote
 //     hysteresis, coordinates with sched through placement hints so the

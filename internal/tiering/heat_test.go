@@ -108,9 +108,9 @@ func TestHeatMapFoldDeterministic(t *testing.T) {
 	}
 }
 
-// TestHeatMapConcurrentSampling is the -race proof behind ISSUE 8's
-// satellite 1: the sharded HeatMap (which replaces alloc.HotnessTracker
-// on per-access hot paths) takes concurrent Sample traffic from every
+// TestHeatMapConcurrentSampling is the -race proof that the sharded
+// HeatMap (the per-access heat tracker; no single-lock map sits on the
+// translate path) takes concurrent Sample traffic from every
 // node while FoldEpoch runs, without races and without losing a sample.
 // decay=1 and floor=0 make heat a conserved quantity, so the final fold
 // must account for every access exactly.

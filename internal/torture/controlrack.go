@@ -16,10 +16,11 @@ import (
 // ControlRack is the control plane every membership / health harness
 // stands up on a fabric: a scheduler tuned so that timely crash recovery
 // must come from the membership path, an audited task ledger, the
-// fenced RackStore, and — by configuration — the membership table with
-// its coordinated Dead sweep, or the health layer with its self-healing
-// controller. Node 0 hosts the sweep (or the controller) and must never
-// be crashed.
+// fenced RackStore, and — by configuration — the membership table whose
+// node-0 event stream feeds a self-healing controller (its death sweep
+// is the rack's one Dead sweep), plus the health layer that lets the
+// controller drain degrading nodes too. Node 0 hosts the controller and
+// must never be crashed.
 type ControlRack struct {
 	Fab   *fabric.Fabric
 	Sched *sched.Scheduler
@@ -28,15 +29,13 @@ type ControlRack struct {
 	Table *membership.Table // nil without a membership layer
 
 	layer  *health.Layer      // nil without ControlConfig.Health
-	ctl    *health.Controller // nil without ControlConfig.Health
+	ctl    *health.Controller // nil without a membership layer
 	trace  *trace.Recorder
-	dead   membership.DeadOnce
 	joinMu sync.Mutex // serializes whole-node (re)join sequences
-	mu     sync.Mutex // guards members/agents across rejoins
-	// members and agents are by node id, nil until joined; srcs are
-	// stable across rejoins.
+	mu     sync.Mutex // guards members across rejoins
+	// members are by node id, nil until joined; srcs are stable across
+	// rejoins.
 	members []*membership.Member
-	agents  []*health.Agent
 	srcs    []*health.NodeSource
 }
 
@@ -57,9 +56,9 @@ type ControlConfig struct {
 	// HoldOutLast keeps the last node out of the boot population and
 	// gated out of scheduling until Join hot-plugs it.
 	HoldOutLast bool
-	// Health adds a health agent beside every member and hands node 0's
-	// event stream to a self-healing controller (which then owns the
-	// Dead sweep too); OnStage is that controller's stage hook.
+	// Health attaches a health agent to every member, so the controller
+	// on node 0's event stream drains degrading nodes as well as sweeping
+	// dead ones; OnStage is that controller's stage hook.
 	Health  bool
 	OnStage func(st health.Stage, node int, gen uint64)
 	// Trace, when set, wires every component into the flight recorder.
@@ -71,7 +70,7 @@ func NewControlRack(f *fabric.Fabric, cfg ControlConfig) *ControlRack {
 	r := &ControlRack{Fab: f, trace: cfg.Trace}
 	// ProbeRounds x ReclaimTick = 20ms: the keeper's lease expiry is the
 	// conservative per-subsystem backstop. Timely crash recovery comes
-	// from the membership Dead sweep, and torture's 25ms stall detector
+	// from the controller's Dead sweep, and torture's 25ms stall detector
 	// keeps a broken membership path from hiding behind the backstop.
 	r.Sched = sched.New(f, sched.Config{
 		TableCap:    128,
@@ -98,27 +97,22 @@ func NewControlRack(f *fabric.Fabric, cfg ControlConfig) *ControlRack {
 		DeadStrikes:   cfg.DeadStrikes,
 	})
 	r.members = make([]*membership.Member, nodes)
-	r.agents = make([]*health.Agent, nodes)
+	// Join subscribes the controller to every new node-0 member, so it
+	// outlives a node-0 rejoin. Its death sweep is the rack's Dead sweep.
+	r.ctl = health.NewController(health.ControllerConfig{
+		Sched:   r.Sched,
+		Store:   r.Store,
+		Rejoin:  r.ctlRejoin,
+		OnStage: cfg.OnStage,
+		From:    f.Node(0),
+	})
+	r.ctl.SetTrace(cfg.Trace.Writer(0))
 	if cfg.Health {
-		r.layer = health.New(r.Table, health.Config{
-			Tick:         100 * time.Microsecond,
-			EnterStrikes: 2,
-			ExitStrikes:  4,
-		})
+		r.layer = health.New(r.Table)
 		r.srcs = make([]*health.NodeSource, nodes)
 		for id := range r.srcs {
 			r.srcs[id] = health.NewNodeSource(f.Node(id), r.Sched)
 		}
-		// The controller is fed node 0's stream by onEvent rather than
-		// subscribed to one member, so it survives node 0 rejoining.
-		r.ctl = health.NewController(nil, health.ControllerConfig{
-			Sched:   r.Sched,
-			Store:   r.Store,
-			Rejoin:  r.ctlRejoin,
-			OnStage: cfg.OnStage,
-			From:    f.Node(0),
-		})
-		r.ctl.SetTrace(cfg.Trace.Writer(0))
 	}
 	boot := nodes
 	if cfg.HoldOutLast {
@@ -136,26 +130,26 @@ func NewControlRack(f *fabric.Fabric, cfg ControlConfig) *ControlRack {
 	return r
 }
 
-// Join (re)joins node id under a bumped generation: it reaps the node's
-// previous member and health agent (an agent publishes records stamped
-// with its member's generation, so the two always rejoin together),
+// Join (re)joins node id under a bumped generation: it stops the node's
+// previous member (and with it the health agent that runs on its loop),
 // claims the node's slot, runs resync while the member is still Joining,
-// activates, and starts the loops. Boot, hot-plug, crash restart,
-// controller recovery and quiescent repair of a false Dead verdict are
-// all this one protocol action. A node that crashes mid-join fails it
-// with a fabric.CrashedError.
+// activates, attaches the health agent, and starts the loops. Boot,
+// hot-plug, crash restart, controller recovery and quiescent repair of a
+// false Dead verdict are all this one protocol action. A node that
+// crashes mid-join fails it with a fabric.CrashedError.
 func (r *ControlRack) Join(id int, resync func()) error {
+	// Stop the previous member before queueing for joinMu as well as
+	// after: member 0's loop runs the controller, whose rejoins take
+	// joinMu, so a rejoin of node 0 that held joinMu while it waited for
+	// that loop would never get it back.
+	if oldM := r.Member(id); oldM != nil {
+		oldM.Stop()
+	}
 	r.joinMu.Lock()
 	defer r.joinMu.Unlock()
 	n := r.Fab.Node(id)
-	r.mu.Lock()
-	oldM, oldA := r.members[id], r.agents[id]
-	r.mu.Unlock()
-	if oldA != nil {
-		oldA.Stop()
-	}
-	if oldM != nil {
-		oldM.Stop()
+	if oldM := r.Member(id); oldM != nil {
+		oldM.Stop() // a concurrent Join of id started it while we queued
 	}
 	var m *membership.Member
 	var err error
@@ -175,17 +169,14 @@ func (r *ControlRack) Join(id int, resync func()) error {
 		return err
 	}
 	if id == 0 {
-		m.Subscribe(r.onEvent)
+		m.Subscribe(r.ctl.OnEvent)
+	}
+	if r.layer != nil {
+		r.layer.Join(m, r.srcs[id]).SetTrace(r.trace.Writer(id))
 	}
 	m.Start()
-	var a *health.Agent
-	if r.layer != nil {
-		a = r.layer.Join(m, r.srcs[id])
-		a.SetTrace(r.trace.Writer(id))
-		a.Start()
-	}
 	r.mu.Lock()
-	r.members[id], r.agents[id] = m, a
+	r.members[id] = m
 	r.mu.Unlock()
 	return nil
 }
@@ -212,30 +203,8 @@ func (r *ControlRack) Member(id int) *membership.Member {
 // Source returns node id's health signal source (Health racks only).
 func (r *ControlRack) Source(id int) *health.NodeSource { return r.srcs[id] }
 
-// onEvent consumes node 0's view of the rack-wide event stream.
-func (r *ControlRack) onEvent(ev membership.Event) {
-	if r.ctl != nil {
-		r.ctl.OnEvent(ev)
-		return
-	}
-	r.SweepDead(ev)
-}
-
-// SweepDead is the rack's coordinated recovery, once per (slot,
-// generation): reclaim every lease the dead node held, then fence its
-// store views at the dead generation so zombie writes bounce with
-// ErrFenced. It runs through node 0, so the sweep always has a live home.
-func (r *ControlRack) SweepDead(ev membership.Event) {
-	if !r.dead.First(ev) {
-		return
-	}
-	n0 := r.Fab.Node(0)
-	r.Sched.ReclaimNode(n0, ev.Node)
-	r.Store.FenceNode(n0, ev.Node, ev.Generation)
-}
-
 // ctlRejoin is the controller's recovery callback. It runs inline on the
-// controller's event goroutine — node 0's agents — so node 0 cannot
+// controller's event goroutine — node 0's agent loop — so node 0 cannot
 // rejoin through it: Join would wait for that very goroutine to stop.
 func (r *ControlRack) ctlRejoin(node int, gen uint64) error {
 	if node == 0 {
@@ -273,18 +242,17 @@ func (r *ControlRack) Converge() []string {
 	}
 }
 
-// Stop halts every agent, member and scheduler goroutine so consecutive
-// runs don't leak detector loops into each other.
+// Stop halts every member (and the health agents on their loops) and
+// scheduler goroutine so consecutive runs don't leak detector loops into
+// each other. Member 0 stops first: the controller runs on its loop, and
+// a rejoin it has in flight replaces another node's member.
 func (r *ControlRack) Stop() {
+	if r.Table != nil {
+		r.Member(0).Stop()
+	}
 	r.mu.Lock()
-	agents := append([]*health.Agent(nil), r.agents...)
 	members := append([]*membership.Member(nil), r.members...)
 	r.mu.Unlock()
-	for _, a := range agents {
-		if a != nil {
-			a.Stop()
-		}
-	}
 	for _, m := range members {
 		if m != nil {
 			m.Stop()

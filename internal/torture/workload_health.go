@@ -79,8 +79,7 @@ func (w *healthWorkload) Prepare(env *Env) {
 	nodes := env.Cfg.Nodes
 	// The controller rides node 0's event stream (node 0 never crashes,
 	// and its health agent evaluates every slot, so one stream carries
-	// the whole rack's verdicts). It owns the death sweep too — the
-	// classic EvDead hook lives inside the same pipeline here.
+	// the whole rack's verdicts, in order, beside its liveness events).
 	w.rack = NewControlRack(f, ControlConfig{
 		Store: redis.RackStoreConfig{
 			// Extra slot headroom for the zombie-probe keys a broken fence
@@ -156,8 +155,9 @@ func (w *healthWorkload) onStage(st health.Stage, node int, gen uint64) {
 }
 
 // HandleRestart reboots a restarted node's scheduler workers and
-// rejoins member+agent under a bumped generation; the controller's
-// EvJoin hook then reopens whatever gates the death sweep closed.
+// rejoins its member (health agent included) under a bumped generation;
+// the controller's EvJoin hook then reopens whatever gates the death
+// sweep closed.
 func (w *healthWorkload) HandleRestart(env *Env, node int) {
 	if err := w.rack.Restarted(node); err != nil {
 		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
