@@ -126,8 +126,7 @@ type Bench struct {
 	Rows []loadgen.Row `json:"rows,omitempty"`
 	// Ops, when set, holds per-operation cost rows (the fabric
 	// micro-benchmark: one row per op kind). VirtualNS comes from the
-	// deterministic cost model and is bit-stable across runs and hosts;
-	// WallNS is host-dependent and omitted from committed artifacts.
+	// deterministic cost model and is bit-stable across runs and hosts.
 	Ops []OpCost `json:"ops,omitempty"`
 }
 
@@ -135,7 +134,6 @@ type Bench struct {
 type OpCost struct {
 	Op        string  `json:"op"`
 	VirtualNS float64 `json:"virtual_ns"`
-	WallNS    float64 `json:"wall_ns,omitempty"`
 }
 
 // Validate checks a Bench is a publishable artifact: named, with positive
@@ -170,9 +168,6 @@ func (b *Bench) Validate() error {
 		seen[op.Op] = true
 		if !(op.VirtualNS > 0) || math.IsInf(op.VirtualNS, 0) {
 			return fmt.Errorf("bench %s: op %q virtual_ns %v is not positive and finite", b.Name, op.Op, op.VirtualNS)
-		}
-		if op.WallNS < 0 || math.IsInf(op.WallNS, 0) || math.IsNaN(op.WallNS) {
-			return fmt.Errorf("bench %s: op %q wall_ns %v is malformed", b.Name, op.Op, op.WallNS)
 		}
 	}
 	return nil

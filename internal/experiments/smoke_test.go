@@ -330,9 +330,6 @@ func TestFabricBenchHeadline(t *testing.T) {
 		if op.Op != name {
 			t.Errorf("op row %d is %q, want %q", i, op.Op, name)
 		}
-		if op.WallNS != 0 {
-			t.Errorf("op %q carries wall_ns %v; committed rows must be virtual-only", op.Op, op.WallNS)
-		}
 		if op.VirtualNS <= 0 {
 			t.Errorf("op %q virtual_ns %v not positive", op.Op, op.VirtualNS)
 		}
@@ -357,7 +354,7 @@ func TestFabricBenchHeadline(t *testing.T) {
 func TestBenchValidateOpRows(t *testing.T) {
 	base := Bench{Name: "x", OpsPerSec: 10, P50NS: 5, P99NS: 9}
 	ok := base
-	ok.Ops = []OpCost{{Op: "read-hit", VirtualNS: 100}, {Op: "fence", VirtualNS: 30, WallNS: 18}}
+	ok.Ops = []OpCost{{Op: "read-hit", VirtualNS: 100}, {Op: "fence", VirtualNS: 30}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed op rows rejected: %v", err)
 	}
@@ -366,8 +363,6 @@ func TestBenchValidateOpRows(t *testing.T) {
 		{{Op: "a", VirtualNS: 0}},
 		{{Op: "a", VirtualNS: -1}},
 		{{Op: "a", VirtualNS: math.Inf(1)}},
-		{{Op: "a", VirtualNS: 100, WallNS: -1}},
-		{{Op: "a", VirtualNS: 100, WallNS: math.NaN()}},
 		{{Op: "a", VirtualNS: 100}, {Op: "a", VirtualNS: 200}}, // duplicate name
 	}
 	for i, ops := range bad {

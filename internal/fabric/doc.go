@@ -33,8 +33,7 @@
 //   - A bounded node cache evicts first in, first out: which line leaves
 //     depends on the access stream alone, never on the host.
 //   - Global accesses are slower than node-local memory; the latency model
-//     charges a per-operation cost (optionally as a real calibrated spin so
-//     wall-clock benchmarks reproduce the paper's shapes).
+//     charges a per-operation cost to the issuing node's virtual clock.
 //   - Faults happen: bit flips in home memory, node crashes that discard all
 //     not-yet-written-back cache lines, and degraded links. The reliability
 //     layers above detect and recover from these.

@@ -541,19 +541,3 @@ func TestQuickWriteFlushReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSpinLatencyMode(t *testing.T) {
-	lat := DefaultLatency()
-	lat.Mode = LatencySpin
-	f := New(Config{GlobalSize: 1 << 20, Nodes: 1, Latency: lat})
-	n := f.Node(0)
-	g := f.Reserve(64, 64)
-	// Just exercise the spin path; timing assertions would be flaky.
-	for i := 0; i < 10; i++ {
-		n.Store64(g, uint64(i))
-		n.FlushRange(g, 8)
-	}
-	if n.VirtualNS() == 0 {
-		t.Fatal("spin mode should still account virtual time")
-	}
-}

@@ -1,10 +1,5 @@
 package fabric
 
-import (
-	"sync/atomic"
-	"time"
-)
-
 // LatencyMode selects how the latency model charges memory-operation costs.
 type LatencyMode int
 
@@ -14,9 +9,6 @@ const (
 	// LatencyAccount accumulates virtual nanoseconds in per-node counters
 	// without delaying execution. Deterministic experiments use this.
 	LatencyAccount
-	// LatencySpin both accounts and busy-waits for the charged duration so
-	// wall-clock benchmark comparisons reproduce the modeled cost ratios.
-	LatencySpin
 )
 
 // LatencyModel describes the cost, in nanoseconds, of the rack's memory
@@ -51,8 +43,7 @@ type LatencyModel struct {
 }
 
 // DefaultLatency returns the latency model used by the experiment harness:
-// accounting-only by default so results are deterministic; benchmarks flip
-// Mode to LatencySpin.
+// accounting only, so results are deterministic.
 func DefaultLatency() LatencyModel {
 	return LatencyModel{
 		Mode:      LatencyAccount,
@@ -66,73 +57,13 @@ func DefaultLatency() LatencyModel {
 	}
 }
 
-// spinCalibration is the number of iterations of the calibration loop that
-// take one nanosecond, fixed-point scaled by spinScale. Calibrated once, at
-// first use.
-var (
-	spinPerNS   atomic.Uint64 // iterations per ns, scaled by spinScale
-	spinOnce    atomic.Bool
-	spinSink    atomic.Uint64
-	spinPending atomic.Bool
-)
-
-const spinScale = 1024
-
-func calibrateSpin() {
-	if !spinPending.CompareAndSwap(false, true) {
-		// Another goroutine is calibrating; spin until done.
-		for !spinOnce.Load() {
-		}
-		return
-	}
-	const iters = 4 << 20
-	start := time.Now()
-	var s uint64
-	for i := 0; i < iters; i++ {
-		s += uint64(i) ^ (s >> 3)
-	}
-	spinSink.Add(s)
-	el := time.Since(start).Nanoseconds()
-	if el < 1 {
-		el = 1
-	}
-	per := uint64(iters) * spinScale / uint64(el)
-	if per == 0 {
-		per = 1
-	}
-	spinPerNS.Store(per)
-	spinOnce.Store(true)
-}
-
-// spinWait busy-loops for approximately ns nanoseconds using a calibrated
-// arithmetic loop (no syscalls, no timer churn).
-func spinWait(ns int64) {
-	if ns <= 0 {
-		return
-	}
-	if !spinOnce.Load() {
-		calibrateSpin()
-	}
-	iters := uint64(ns) * spinPerNS.Load() / spinScale
-	var s uint64
-	for i := uint64(0); i < iters; i++ {
-		s += i ^ (s >> 3)
-	}
-	spinSink.Add(s)
-}
-
 // charge applies the latency model for a cost of ns nanoseconds on behalf of
-// node n: it always accumulates virtual time, and in LatencySpin mode it
-// also busy-waits.
+// node n: it accumulates virtual time unless the model is off.
 func (n *Node) charge(ns int) {
 	if ns <= 0 || n.fab.lat.Mode == LatencyOff {
 		return
 	}
 	n.stats.VirtualNS.Add(uint64(ns))
-	if n.fab.lat.Mode == LatencySpin {
-		n.stats.Stalls.Add(1)
-		spinWait(int64(ns))
-	}
 }
 
 // ChargeColdAccess charges node n the cold-tier surcharge for one access

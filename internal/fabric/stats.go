@@ -16,10 +16,6 @@ type NodeStats struct {
 	BulkBytesRead    atomic.Uint64
 	BulkBytesWritten atomic.Uint64
 	VirtualNS        atomic.Uint64
-	// Stalls counts charges the node actually waited out: in LatencySpin
-	// mode every nonzero charge busy-waits and bumps this counter. In the
-	// other modes it stays zero (nothing stalls).
-	Stalls atomic.Uint64
 	// FaultsInjected counts injector hits this node observed on its
 	// write-back path: dropped lines count one each, plus one per
 	// corrupted word.
@@ -39,7 +35,6 @@ type NodeStatsSnapshot struct {
 	BulkBytesRead    uint64
 	BulkBytesWritten uint64
 	VirtualNS        uint64
-	Stalls           uint64
 	FaultsInjected   uint64
 }
 
@@ -59,7 +54,6 @@ func (s NodeStatsSnapshot) Delta(prev NodeStatsSnapshot) NodeStatsSnapshot {
 		BulkBytesRead:    s.BulkBytesRead - prev.BulkBytesRead,
 		BulkBytesWritten: s.BulkBytesWritten - prev.BulkBytesWritten,
 		VirtualNS:        s.VirtualNS - prev.VirtualNS,
-		Stalls:           s.Stalls - prev.Stalls,
 		FaultsInjected:   s.FaultsInjected - prev.FaultsInjected,
 	}
 }
@@ -77,7 +71,6 @@ func (s *NodeStats) snapshot() NodeStatsSnapshot {
 		BulkBytesRead:    s.BulkBytesRead.Load(),
 		BulkBytesWritten: s.BulkBytesWritten.Load(),
 		VirtualNS:        s.VirtualNS.Load(),
-		Stalls:           s.Stalls.Load(),
 		FaultsInjected:   s.FaultsInjected.Load(),
 	}
 }
@@ -94,7 +87,6 @@ func (s *NodeStats) reset() {
 	s.BulkBytesRead.Store(0)
 	s.BulkBytesWritten.Store(0)
 	s.VirtualNS.Store(0)
-	s.Stalls.Store(0)
 	s.FaultsInjected.Store(0)
 }
 
@@ -114,7 +106,6 @@ func (f *Fabric) RackStats() NodeStatsSnapshot {
 		agg.BulkBytesRead += s.BulkBytesRead
 		agg.BulkBytesWritten += s.BulkBytesWritten
 		agg.VirtualNS += s.VirtualNS
-		agg.Stalls += s.Stalls
 		agg.FaultsInjected += s.FaultsInjected
 	}
 	return agg

@@ -40,26 +40,6 @@ func TestStatsDelta(t *testing.T) {
 	}
 }
 
-func TestStallsCountOnlyInSpinMode(t *testing.T) {
-	lat := DefaultLatency()
-	lat.Mode = LatencySpin
-	lat.LocalNS, lat.GlobalNS, lat.HopNS, lat.AtomicNS = 1, 1, 0, 1 // don't waste wall time
-	f := statsFabric(lat)
-	n := f.Node(0)
-	g := f.Reserve(LineSize, LineSize)
-	n.Load64(g)
-	if s := n.Stats().Stalls; s == 0 {
-		t.Error("spin mode charged an access but counted no stalls")
-	}
-
-	fa := statsFabric(DefaultLatency()) // accounting only
-	na := fa.Node(0)
-	na.Load64(fa.Reserve(LineSize, LineSize))
-	if s := na.Stats().Stalls; s != 0 {
-		t.Errorf("accounting mode counted %d stalls, want 0 (nothing waits)", s)
-	}
-}
-
 func TestFaultsInjectedCountsDroppedWriteBacks(t *testing.T) {
 	f := statsFabric(LatencyModel{})
 	n := f.Node(0)

@@ -232,34 +232,6 @@ func TestWriteFreshBudget(t *testing.T) {
 	}
 }
 
-// TestWriteFreshStallsLikeTheTriple: the fused op charges the triple's
-// three parts as three charges, so under LatencySpin it waits out as many
-// stalls as the triple does.
-func TestWriteFreshStallsLikeTheTriple(t *testing.T) {
-	lat := DefaultLatency()
-	lat.Mode = LatencySpin
-	lat.LocalNS, lat.GlobalNS, lat.HopNS, lat.PerLineNS = 1, 2, 0, 1 // don't waste wall time
-	stalls := func(fused bool) uint64 {
-		f := New(Config{GlobalSize: 1 << 20, Nodes: 1, CacheCapacityLines: -1, Latency: lat})
-		n := f.Node(0)
-		g := f.Reserve(4*LineSize, LineSize)
-		n.Store64(g.Add(LineSize), 1)
-		before := n.Stats().Stalls
-		data := make([]byte, 2*LineSize)
-		if fused {
-			n.WriteFresh(g.Add(24), data)
-		} else {
-			n.Write(g.Add(24), data)
-			n.WriteBackRange(g.Add(24), uint64(len(data)))
-			n.InvalidateRange(g.Add(24), uint64(len(data)))
-		}
-		return n.Stats().Stalls - before
-	}
-	if fused, triple := stalls(true), stalls(false); fused != triple || fused != 3 {
-		t.Errorf("WriteFresh stalled %d times, the triple %d; want 3 each", fused, triple)
-	}
-}
-
 // TestWriteFreshKeepsAFullCache pins the one stated difference from the
 // triple: WriteFresh inserts no line, so a bounded cache at capacity keeps
 // every resident, dirty ones still dirty and not written back — where the

@@ -47,7 +47,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"flacos/internal/fabric"
 )
@@ -95,15 +94,15 @@ const (
 type Handler func(op uint32, req []byte, resp []byte) (respLen int, status uint32)
 
 // Domain is one delegation domain: slot regions in global memory serving
-// one partition. Create it with NewDomain, attach the owner with Serve (or
-// Server/ServeOnce), and attach callers with Client or ClientGroup.
+// one partition. Create it with NewDomain, attach the owner with Server
+// (whose caller sweeps with ServeOnce or CollectOnce), and attach callers
+// with Client or ClientGroup.
 type Domain struct {
 	fab     *fabric.Fabric
 	slots   int
 	seqBase fabric.GPtr // packed request sequence words, 8 per line
 	reqBase fabric.GPtr // request region, 2 lines per slot
 	rspBase fabric.GPtr // response region, 2 lines per slot
-	stopped atomic.Bool
 }
 
 // NewDomain reserves global memory for numSlots client slots.
@@ -132,9 +131,6 @@ func (d *Domain) rspMetaG(s int) fabric.GPtr   { return d.rspBase.Add(uint64(s) 
 func (d *Domain) rspInlineG(s int) fabric.GPtr { return d.rspMetaG(s).Add(rspInlineOff) }
 func (d *Domain) rspSeqG(s int) fabric.GPtr    { return d.rspMetaG(s).Add(rspSeqOff) }
 func (d *Domain) rspSpillG(s int) fabric.GPtr  { return d.rspMetaG(s).Add(fabric.LineSize) }
-
-// Stop makes the owner's Serve loop return after its current sweep.
-func (d *Domain) Stop() { d.stopped.Store(true) }
 
 // Server is the owner's polling state: the last sequence served per slot.
 type Server struct {
@@ -363,18 +359,6 @@ func (sv *Server) FlushReplies() {
 	}
 	sv.deferred = false
 	sv.node.WriteBackRange(sv.d.rspBase, uint64(sv.d.slots)*rspSlotSize)
-}
-
-// Serve runs the owner loop on node n, polling every slot and executing
-// pending requests with handler, until Stop is called. It is the partition
-// owner's dedicated "server thread" in the delegation design.
-func (d *Domain) Serve(n *fabric.Node, handler Handler) {
-	sv := d.Server(n, handler)
-	for !d.stopped.Load() {
-		if sv.ServeOnce() == 0 {
-			runtime.Gosched()
-		}
-	}
 }
 
 // Client is one caller's exclusive binding to a slot. A Client must not be

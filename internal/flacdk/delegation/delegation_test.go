@@ -3,7 +3,9 @@ package delegation
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flacos/internal/fabric"
@@ -14,25 +16,39 @@ func rack(t *testing.T, nodes int) *fabric.Fabric {
 	return fabric.New(fabric.Config{GlobalSize: 4 << 20, Nodes: nodes})
 }
 
+// serve runs the owner's ServeOnce sweeps on node n in a goroutine until
+// the returned stop function is called; stop returns once it has exited.
+func serve(d *Domain, n *fabric.Node, handler Handler) (stop func()) {
+	sv := d.Server(n, handler)
+	var quit atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !quit.Load() {
+			if sv.ServeOnce() == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() {
+		quit.Store(true)
+		<-done
+	}
+}
+
 func TestEchoAcrossNodes(t *testing.T) {
 	f := rack(t, 2)
 	d := NewDomain(f, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.Serve(f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
-			return copy(resp, req), op * 2
-		})
-	}()
+	stop := serve(d, f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
+		return copy(resp, req), op * 2
+	})
+	defer stop()
 	c := d.Client(f.Node(1), 0)
 	resp := make([]byte, PayloadMax)
 	n, status := c.Call(21, []byte("hello delegation"), resp)
 	if string(resp[:n]) != "hello delegation" || status != 42 {
 		t.Fatalf("echo = %q status %d", resp[:n], status)
 	}
-	d.Stop()
-	wg.Wait()
 }
 
 func TestDelegatedCounterExactUnderConcurrency(t *testing.T) {
@@ -43,16 +59,11 @@ func TestDelegatedCounterExactUnderConcurrency(t *testing.T) {
 	f := rack(t, 2)
 	d := NewDomain(f, clients)
 	var counter uint64 // owner-local state
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.Serve(f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
-			counter += uint64(op)
-			binary.LittleEndian.PutUint64(resp, counter)
-			return 8, 0
-		})
-	}()
+	stop := serve(d, f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
+		counter += uint64(op)
+		binary.LittleEndian.PutUint64(resp, counter)
+		return 8, 0
+	})
 	var cwg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		cwg.Add(1)
@@ -66,8 +77,7 @@ func TestDelegatedCounterExactUnderConcurrency(t *testing.T) {
 		}(i)
 	}
 	cwg.Wait()
-	d.Stop()
-	wg.Wait()
+	stop()
 	if counter != clients*perClient {
 		t.Fatalf("counter = %d, want %d", counter, clients*perClient)
 	}
@@ -77,26 +87,22 @@ func TestDelegatedMapPartition(t *testing.T) {
 	f := rack(t, 3)
 	d := NewDomain(f, 2)
 	m := map[string]string{} // owner-local partition
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.Serve(f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
-			switch op {
-			case 1: // put: klen byte, key, value
-				klen := int(req[0])
-				m[string(req[1:1+klen])] = string(req[1+klen:])
-				return 0, 0
-			case 2: // get: key
-				v, ok := m[string(req)]
-				if !ok {
-					return 0, 1
-				}
-				return copy(resp, v), 0
+	stop := serve(d, f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
+		switch op {
+		case 1: // put: klen byte, key, value
+			klen := int(req[0])
+			m[string(req[1:1+klen])] = string(req[1+klen:])
+			return 0, 0
+		case 2: // get: key
+			v, ok := m[string(req)]
+			if !ok {
+				return 0, 1
 			}
-			return 0, 2
-		})
-	}()
+			return copy(resp, v), 0
+		}
+		return 0, 2
+	})
+	defer stop()
 	put := func(c *Client, k, v string) {
 		req := append([]byte{byte(len(k))}, k...)
 		req = append(req, v...)
@@ -115,8 +121,6 @@ func TestDelegatedMapPartition(t *testing.T) {
 	if st != 1 || n != 0 {
 		t.Fatalf("get missing: n=%d st=%d", n, st)
 	}
-	d.Stop()
-	wg.Wait()
 }
 
 func TestClientSlotBounds(t *testing.T) {
@@ -159,14 +163,10 @@ func TestZeroSlotDomainPanics(t *testing.T) {
 func TestManySequentialCallsSameSlot(t *testing.T) {
 	f := rack(t, 2)
 	d := NewDomain(f, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		d.Serve(f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
-			return copy(resp, fmt.Sprintf("r%d", op)), 0
-		})
-	}()
+	stop := serve(d, f.Node(0), func(op uint32, req, resp []byte) (int, uint32) {
+		return copy(resp, fmt.Sprintf("r%d", op)), 0
+	})
+	defer stop()
 	c := d.Client(f.Node(1), 0)
 	resp := make([]byte, PayloadMax)
 	for i := uint32(0); i < 200; i++ {
@@ -175,6 +175,4 @@ func TestManySequentialCallsSameSlot(t *testing.T) {
 			t.Fatalf("call %d got %q", i, resp[:n])
 		}
 	}
-	d.Stop()
-	wg.Wait()
 }

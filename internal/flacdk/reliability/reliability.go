@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"time"
 
 	"flacos/internal/fabric"
 )
@@ -106,34 +105,6 @@ func (s *Scrubber) Stats() (scrubs, detected uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.scrubs, s.detected
-}
-
-// StartMonitor runs ScrubOnce every interval, invoking onFault for each
-// corrupted region found. The returned stop function halts the monitor.
-// This is the paper's "system monitoring" loop.
-func (s *Scrubber) StartMonitor(interval time.Duration, onFault func(Region)) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				for _, r := range s.ScrubOnce() {
-					onFault(r)
-				}
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // Predictor forecasts failures from the stream of correctable-error

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/quiescence"
@@ -73,37 +71,6 @@ func TestScrubberSealAfterLegitimateWrite(t *testing.T) {
 	f.Faults().FlipBitAtHome(f, g, 1)
 	if bad := s.ScrubOnce(); len(bad) != 0 {
 		t.Fatal("unprotected region still scrubbed")
-	}
-}
-
-func TestMonitorInvokesCallback(t *testing.T) {
-	f := rack(t, 1)
-	s := NewScrubber(f)
-	g := f.Reserve(64, 64)
-	r := Region{G: g, Size: 64}
-	s.Protect(r)
-
-	var mu sync.Mutex
-	var hits []Region
-	stop := s.StartMonitor(time.Millisecond, func(r Region) {
-		mu.Lock()
-		hits = append(hits, r)
-		mu.Unlock()
-	})
-	defer stop()
-	f.Faults().FlipBitAtHome(f, g, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		got := len(hits)
-		mu.Unlock()
-		if got > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("monitor never reported the fault")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

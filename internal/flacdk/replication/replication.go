@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"flacos/internal/fabric"
 )
@@ -236,8 +235,7 @@ func (r *Replica) Execute(op uint32, payload []byte) uint64 {
 // Sync replays published log entries into the local replica, stopping at
 // the first entry that has been reserved but not yet published (so it never
 // blocks on a stalled appender — including this node's own pending append).
-// Nodes that only read must still call Sync (or run a pump) so the log can
-// recycle.
+// Nodes that only read must still call Sync so the log can recycle.
 func (r *Replica) Sync() {
 	l, n := r.log, r.node
 	r.mu.Lock()
@@ -312,32 +310,6 @@ func (r *Replica) ReadLocal(fn func(StateMachine)) {
 	r.mu.Lock()
 	fn(r.sm)
 	r.mu.Unlock()
-}
-
-// StartPump launches a goroutine that calls Sync every interval, keeping an
-// otherwise-idle replica from stalling log recycling. The returned stop
-// function halts the pump and waits for it to exit.
-func (r *Replica) StartPump(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				r.Sync()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // EntryAt returns the opcode and payload of log index idx if it is still

@@ -2,9 +2,10 @@ package replication
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"flacos/internal/fabric"
 )
@@ -136,13 +137,9 @@ func TestConcurrentExecutorsAllNodesConverge(t *testing.T) {
 	reps := make([]*Replica, nodes)
 	for i := range reps {
 		reps[i] = log.Replica(f.Node(i), &counterSM{})
-		// A replica that stops executing must still pump, or the log cannot
-		// recycle past it (the same liveness requirement node replication
-		// has); workers finish at different times, so run pumps.
-		stop := reps[i].StartPump(100 * time.Microsecond)
-		defer stop()
 	}
 	var wg sync.WaitGroup
+	var finished atomic.Int32
 	for i := 0; i < nodes; i++ {
 		wg.Add(1)
 		go func(r *Replica) {
@@ -151,6 +148,15 @@ func TestConcurrentExecutorsAllNodesConverge(t *testing.T) {
 			binary.LittleEndian.PutUint64(buf[:], 1)
 			for j := 0; j < perNode; j++ {
 				r.Execute(1, buf[:])
+			}
+			// A replica that stops executing must keep syncing, or the log
+			// cannot recycle past it (the same liveness requirement node
+			// replication has); workers finish at different times, so each
+			// syncs until all are done.
+			finished.Add(1)
+			for finished.Load() < nodes {
+				r.Sync()
+				runtime.Gosched()
 			}
 		}(reps[i])
 	}
@@ -196,13 +202,12 @@ func TestLogWrapRecyclesSlots(t *testing.T) {
 	log := NewLog(f, 8) // tiny: every 8 appends wrap
 	r0 := log.Replica(f.Node(0), &counterSM{})
 	r1 := log.Replica(f.Node(1), &counterSM{})
-	stop := r1.StartPump(time.Millisecond)
-	defer stop()
 
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], 1)
 	for i := 0; i < 100; i++ {
 		r0.Execute(1, buf[:])
+		r1.Sync() // r1 only reads: it must sync for the log to recycle past it
 	}
 	r0.ReadLinearizable(func(sm StateMachine) {
 		if v := sm.(*counterSM).v; v != 100 {

@@ -9,7 +9,8 @@
 //     pages with a race-free PutIfAbsent protocol; updates are
 //     multi-version (writers publish a new immutable page version and the
 //     old one is reclaimed after a quiescence grace period), and dirty
-//     pages reach the device through an asynchronous write-back daemon.
+//     pages reach the device in write-back passes off the write path
+//     (WriteBackOnce), run whenever the caller schedules one.
 //   - METADATA (the name space and inode attributes) is node-local: each
 //     mount holds a replica, bulk-synchronized through a FlacDK
 //     replication log. The log doubles as the journal — §3.4's plan of

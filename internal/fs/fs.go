@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
@@ -524,31 +523,6 @@ func (m *Mount) WriteBackOnce() int {
 		}
 	}
 	return written
-}
-
-// StartWriteBack runs WriteBackOnce every interval until the returned stop
-// function is called — the asynchronous dirty-data handling of §3.4.
-func (m *Mount) StartWriteBack(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				m.WriteBackOnce()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // DirtyPages returns how many pages currently await write-back.

@@ -91,8 +91,8 @@ func (c *Controller) SendIPI(from *fabric.Node, to int, v Vector, arg uint64) er
 }
 
 // DispatchOnce drains node's inbox, invoking handlers; returns how many
-// interrupts were handled. Deterministic harnesses call it directly;
-// StartDispatcher wraps it in the node's interrupt thread.
+// interrupts were handled. The caller decides when node n takes its
+// interrupts.
 func (c *Controller) DispatchOnce(n *fabric.Node) int {
 	var buf [24]byte
 	handled := 0
@@ -120,28 +120,6 @@ func (c *Controller) DispatchOnce(n *fabric.Node) int {
 		c.delivered.Add(1)
 		handled++
 	}
-}
-
-// StartDispatcher runs node n's interrupt thread until the returned stop
-// function is called.
-func (c *Controller) StartDispatcher(n *fabric.Node) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if c.DispatchOnce(n) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }
 
 // Stats returns (sent, delivered, spurious) counters.

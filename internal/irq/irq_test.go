@@ -2,7 +2,6 @@ package irq
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,27 +56,6 @@ func TestIPIBadTarget(t *testing.T) {
 	c := NewController(f, f.Node(0), 0)
 	if err := c.SendIPI(f.Node(0), 5, 1, 0); err == nil {
 		t.Fatal("bad target should fail")
-	}
-}
-
-func TestDispatcherGoroutine(t *testing.T) {
-	f := rack(t, 2)
-	c := NewController(f, f.Node(0), 0)
-	var count atomic.Int64
-	c.Register(1, 3, func(from int, v Vector, arg uint64) { count.Add(1) })
-	stop := c.StartDispatcher(f.Node(1))
-	defer stop()
-	for i := 0; i < 20; i++ {
-		for c.SendIPI(f.Node(0), 1, 3, uint64(i)) != nil {
-			time.Sleep(time.Millisecond) // inbox momentarily full
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for count.Load() != 20 {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of 20", count.Load())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

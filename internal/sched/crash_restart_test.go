@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,5 +85,64 @@ func TestCrashRestartSameNodeNoResurrection(t *testing.T) {
 	}
 	if got := n0.AtomicLoad64(ranOn); got != 2 {
 		t.Fatalf("post-restart task ran on node %d, want 1 (the rebooted node)", got-1)
+	}
+}
+
+// TestRestartBeforeLeaseExpiryReclaimsRunningTasks: a node crashes under a
+// task it is running and restarts before any keeper has counted enough
+// frozen heartbeats to expire the lease. The restarted node's keeper
+// renews the same heartbeat word, so the lease never expires; RebootNode
+// must void the dead incarnation's leases itself, or the task stays
+// Running under owner 1 and Wait never returns.
+func TestRestartBeforeLeaseExpiryReclaimsRunningTasks(t *testing.T) {
+	f := testFabric(2)
+	s := testSched(t, f, Config{
+		Policy: PolicyLocality, LocalitySlack: 1 << 40,
+		ProbeRounds: 50, ReclaimTick: time.Millisecond, IdleTick: 100 * time.Microsecond,
+		StealGrace: time.Hour, // node 0 must not steal the task off node 1
+	})
+	runs := f.Reserve(8, fabric.LineSize)
+	var quit atomic.Bool
+	t.Cleanup(func() { quit.Store(true) }) // runs before testSched's Stop
+	// The first attempt keeps touching the fabric until the crash kills
+	// it; a re-run returns at once and releases a first attempt the crash
+	// happened to miss.
+	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
+		if n.Add64(runs, 1) != 1 {
+			return
+		}
+		for n.AtomicLoad64(runs) == 1 && !quit.Load() {
+			runtime.Gosched()
+		}
+	})
+	s.Start()
+
+	n0 := f.Node(0)
+	h := s.Submit(n0, Task{Fn: fn, Preferred: 1})
+	for n0.AtomicLoad64(runs) == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if w := slotWord(n0.AtomicLoad64(s.stateG(h.Slot))); w.State() != stRunning || w.Owner() != 1 {
+		t.Fatalf("before the crash: slot state %d owner %d, want Running on node 1", w.State(), w.Owner())
+	}
+	f.Node(1).Crash()
+	time.Sleep(2 * time.Millisecond) // far inside ProbeRounds x ReclaimTick
+	f.Node(1).Restart()
+	s.RebootNode(1)
+
+	done := make(chan bool, 1)
+	go func() { done <- s.Wait(n0, h) }()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Wait aborted")
+		}
+	case <-time.After(5 * time.Second):
+		w := slotWord(n0.AtomicLoad64(s.stateG(h.Slot)))
+		t.Fatalf("task stranded after restart: %+v, slot state %d owner %d",
+			s.StatsFrom(n0), w.State(), w.Owner())
+	}
+	if st := s.StatsFrom(n0); st.Completed != 1 || st.Queued != 0 {
+		t.Fatalf("after Wait: %+v, want 1 completed and nothing queued", st)
 	}
 }

@@ -278,12 +278,14 @@ func (s *Scheduler) Stop() {
 }
 
 // RebootNode spawns a fresh worker pool and keeper for node id after a
-// fabric.Node Restart. The node rejoins the rack under its original ID:
-// its new keeper resumes advancing the same heartbeat word, and any task
-// the pre-crash incarnation still thinks it owns was fenced by the
-// attempt bump when its lease was reclaimed, so a stale completion CAS
-// cannot resurrect it. Call only after the node has been restarted and
-// only while the scheduler is running.
+// fabric.Node Restart. The node rejoins the rack under its original ID.
+// Its CPUs died in the crash, so every lease it still holds is void:
+// RebootNode reclaims them first, because the new keeper resumes
+// advancing the same heartbeat word and no keeper would ever see those
+// leases expire. A pre-crash runner still asleep is fenced by the attempt
+// bump, so a stale completion CAS cannot resurrect its task. Call only
+// after the node has been restarted and only while the scheduler is
+// running.
 func (s *Scheduler) RebootNode(id int) {
 	if !s.started.Load() {
 		return
@@ -293,6 +295,7 @@ func (s *Scheduler) RebootNode(id int) {
 		return
 	default:
 	}
+	s.ReclaimNode(s.fab.Node(id), id)
 	for w := 0; w < s.cfg.WorkersPerNode; w++ {
 		s.wg.Add(1)
 		go s.worker(id)

@@ -45,9 +45,6 @@ type Config struct {
 	// MaxMovesPerStep bounds one step's page moves so a policy swing
 	// cannot monopolize the fabric.
 	MaxMovesPerStep int
-	// Interval is the background cadence of Start. Experiments call Step
-	// directly instead, keeping the policy on deterministic virtual time.
-	Interval time.Duration
 	// HintMaxAge is how long a sched placement hint protects a node from
 	// demotions.
 	HintMaxAge time.Duration
@@ -74,9 +71,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxMovesPerStep <= 0 {
 		c.MaxMovesPerStep = 4096
-	}
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
 	}
 	if c.HintMaxAge <= 0 {
 		c.HintMaxAge = 10 * time.Millisecond
@@ -112,7 +106,8 @@ type pageState struct {
 	node int16 // owning node for TierLocal, -1 otherwise
 }
 
-// Daemon is the background tiering policy for one address space.
+// Daemon is the tiering policy for one address space. It moves pages
+// only when its caller runs a Step.
 type Daemon struct {
 	cfg   Config
 	sp    *memsys.Space
@@ -143,10 +138,6 @@ type Daemon struct {
 	}
 
 	tw atomic.Pointer[trace.Writer]
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
 // New builds a daemon for sp. mmus is indexed by node id (nil entries for
@@ -165,7 +156,6 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		drained:    make([]atomic.Bool, len(mmus)),
 		state:      make(map[uint64]pageState),
 		localCount: make([]int, len(mmus)),
-		stop:       make(chan struct{}),
 		scratch: stepScratch{
 			heatOf:      make(map[uint64]float64),
 			planned:     make(map[uint64]bool),
@@ -247,31 +237,6 @@ func (d *Daemon) Stats() Stats {
 		Displaced:     d.stats.displaced.Load(),
 		DrainEvicted:  d.stats.drainEvicted.Load(),
 	}
-}
-
-// Start runs Step every cfg.Interval until Stop. Background mode trades
-// determinism for hands-off operation; experiments call Step themselves.
-func (d *Daemon) Start() {
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		t := time.NewTicker(d.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-t.C:
-				d.Step()
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop (idempotent) and waits for it.
-func (d *Daemon) Stop() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.wg.Wait()
 }
 
 // setState records a page's tier, keeping the budget counters consistent.

@@ -436,35 +436,6 @@ func TestDaemonDeterministic(t *testing.T) {
 	}
 }
 
-// TestDaemonStartStop: background mode promotes a hot page without manual
-// Step calls, and Stop is idempotent.
-func TestDaemonStartStop(t *testing.T) {
-	e := newTierEnv(t, 2)
-	e.mapPages(t, 1)
-	d := New(e.s, e.mmus, Config{Interval: time.Millisecond}, nil)
-	d.Attach()
-	defer d.Detach()
-	d.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for i := 0; i < 8; i++ {
-			e.read(t, 1, 0)
-		}
-		if tier, node := e.tierOf(0); tier == memsys.TierLocal && node == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background daemon never promoted the hot page")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	d.Stop()
-	d.Stop()
-	if d.Stats().Steps == 0 {
-		t.Fatal("no steps recorded")
-	}
-}
-
 // TestDaemonDrainSpillsAndBlocksPromotion: marking a node drained spills
 // its managed local pages back to warm, refuses new local promotions
 // toward it (even for a blazing-hot dominant page), and clearing the

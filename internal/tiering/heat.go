@@ -19,9 +19,9 @@
 //     batch).
 //
 // Every policy decision is deterministic: epoch folds return vpn-sorted
-// snapshots, move lists sort by (heat desc, vpn asc), and the daemon's
-// synchronous Step form lets experiments drive it under seeded virtual
-// time for bit-reproducible results.
+// snapshots, move lists sort by (heat desc, vpn asc), and the daemon runs
+// only when its caller calls Step, so experiments drive it under seeded
+// virtual time for bit-reproducible results.
 package tiering
 
 import (
