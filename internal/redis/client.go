@@ -104,11 +104,22 @@ func (c *Client) PipeCommand(args ...[]byte) {
 	c.pipeN++
 }
 
-// PipeSet queues a SET (ttl 0 = no expiry).
+// ttlSeconds formats a positive ttl as SET's EX argument, rounded up to
+// whole seconds: a sub-second TTL still expires rather than becoming the
+// EX 0 the server rejects.
+func ttlSeconds(ttl time.Duration) []byte {
+	secs := ttl / time.Second
+	if ttl%time.Second != 0 {
+		secs++
+	}
+	return strconv.AppendInt(nil, int64(secs), 10)
+}
+
+// PipeSet queues a SET (ttl 0 = no expiry; a TTL is rounded up to whole
+// seconds).
 func (c *Client) PipeSet(key string, value []byte, ttl time.Duration) {
 	if ttl > 0 {
-		c.PipeCommand([]byte("SET"), []byte(key), value,
-			[]byte("EX"), []byte(strconv.Itoa(int(ttl.Seconds()))))
+		c.PipeCommand([]byte("SET"), []byte(key), value, []byte("EX"), ttlSeconds(ttl))
 		return
 	}
 	c.PipeCommand([]byte("SET"), []byte(key), value)
@@ -214,11 +225,12 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Set stores key -> value with optional TTL (0 = none).
+// Set stores key -> value with optional TTL (0 = none), rounded up to whole
+// seconds.
 func (c *Client) Set(key string, value []byte, ttl time.Duration) error {
 	args := [][]byte{[]byte("SET"), []byte(key), value}
 	if ttl > 0 {
-		args = append(args, []byte("EX"), []byte(strconv.Itoa(int(ttl.Seconds()))))
+		args = append(args, []byte("EX"), ttlSeconds(ttl))
 	}
 	v, err := c.roundTrip(args...)
 	if err != nil {

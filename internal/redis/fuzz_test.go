@@ -3,10 +3,12 @@ package redis
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -242,6 +244,136 @@ func FuzzRESPRoundTrip(f *testing.F) {
 		v, _, err = Decode(AppendSimple(nil, s))
 		if err != nil || v.Kind != respSimple || v.Str != s {
 			t.Fatalf("simple round-trip: %q gave (%+v, %v)", s, v, err)
+		}
+	})
+}
+
+// FuzzServerAgainstModel runs a fuzz-chosen stream of SET (with and
+// without EX), GET, DEL, INCRBY and EXPIRE commands, and clock advances,
+// through a server over a Store and through a map model of it, and
+// compares every reply and, at the end, every key and DBSIZE. Each request
+// is scribbled over after it runs, so a key or value the store kept
+// without copying turns up as a wrong later reply. The keys differ in
+// length and the values in length and kind, so SETs overwrite buffers
+// that are too small, just large enough and larger than needed, and
+// INCRBY meets integers, non-integers and its overflow bounds.
+func FuzzServerAgainstModel(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 1, 1, 0, 0, 1, 200, 1, 1, 0})
+	f.Add([]byte{3, 2, 3, 3, 2, 3, 1, 2, 0, 0, 2, 8, 4, 2, 3, 5, 0, 2, 1, 2, 0})
+	f.Add([]byte{0, 0, 9, 4, 0, 4, 5, 0, 3, 1, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 3, 0, 3, 3, 4, 3, 3, 0, 3, 3, 5, 1, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := NewStore()
+		now := time.Unix(1000, 0)
+		st.SetClock(func() time.Time { return now })
+		srv := NewServer(st)
+
+		type entry struct {
+			val string
+			exp time.Time // zero = no TTL
+		}
+		model := map[string]entry{}
+		// live mirrors the store's lazy expiry: an expired key is purged
+		// when an op touches it, and not before.
+		live := func(k string) (entry, bool) {
+			e, ok := model[k]
+			if ok && !e.exp.IsZero() && now.After(e.exp) {
+				delete(model, k)
+				return entry{}, false
+			}
+			return e, ok
+		}
+		keys := []string{"", "k", "key:1", "a rather longer key name"}
+		deltas := []int64{1, -1, 1000, math.MaxInt64, math.MinInt64, 7}
+		var out []byte
+		for ; len(data) >= 3; data = data[3:] {
+			op, k, arg := data[0]%6, keys[int(data[1])%len(keys)], data[2]
+			var req []byte
+			var want string
+			switch op {
+			case 0: // SET, EX on every second arg
+				val := strings.Repeat(string(rune('a'+arg%26)), int(arg))
+				if arg%4 == 0 {
+					val = strconv.Itoa((int(arg) - 128) * 1000)
+				}
+				if arg%2 == 0 {
+					req = AppendCommand(nil, []byte("SET"), []byte(k), []byte(val))
+					model[k] = entry{val: val}
+					want = "+OK\r\n"
+					break
+				}
+				secs := int64(arg%5) - 1
+				req = AppendCommand(nil, []byte("SET"), []byte(k), []byte(val), []byte("EX"), []byte(strconv.FormatInt(secs, 10)))
+				want = "-ERR invalid expire time in 'set' command\r\n"
+				if secs > 0 {
+					model[k] = entry{val: val, exp: now.Add(time.Duration(secs) * time.Second)}
+					want = "+OK\r\n"
+				}
+			case 1: // GET
+				req = AppendCommand(nil, []byte("GET"), []byte(k))
+				want = "$-1\r\n"
+				if e, ok := live(k); ok {
+					want = string(AppendBulk(nil, []byte(e.val)))
+				}
+			case 2: // DEL
+				req = AppendCommand(nil, []byte("DEL"), []byte(k))
+				want = ":0\r\n"
+				if _, ok := live(k); ok {
+					delete(model, k)
+					want = ":1\r\n"
+				}
+			case 3: // INCRBY
+				delta := deltas[int(arg)%len(deltas)]
+				req = AppendCommand(nil, []byte("INCRBY"), []byte(k), []byte(strconv.FormatInt(delta, 10)))
+				e, ok := live(k)
+				cur, err := int64(0), error(nil)
+				if ok {
+					cur, err = strconv.ParseInt(e.val, 10, 64)
+				}
+				switch {
+				case err != nil:
+					want = "-ERR value is not an integer or out of range\r\n"
+				case delta > 0 && cur > math.MaxInt64-delta || delta < 0 && cur < math.MinInt64-delta:
+					want = "-ERR increment or decrement would overflow\r\n"
+				default:
+					e.val = strconv.FormatInt(cur+delta, 10)
+					model[k] = e
+					want = string(AppendInt(nil, cur+delta))
+				}
+			case 4: // EXPIRE
+				secs := int64(arg%7) - 2
+				req = AppendCommand(nil, []byte("EXPIRE"), []byte(k), []byte(strconv.FormatInt(secs, 10)))
+				want = ":0\r\n"
+				if e, ok := live(k); ok {
+					want = ":1\r\n"
+					if secs <= 0 {
+						delete(model, k)
+					} else {
+						e.exp = now.Add(time.Duration(secs) * time.Second)
+						model[k] = e
+					}
+				}
+			case 5: // the clock moves on
+				now = now.Add(time.Duration(arg%4) * time.Second)
+				continue
+			}
+			out = srv.ExecuteBatch(out[:0], req)
+			if string(out) != want {
+				t.Fatalf("%q = %q, want %q", req, out, want)
+			}
+			scribble(req)
+		}
+		for _, k := range keys {
+			want := "$-1\r\n"
+			if e, ok := live(k); ok {
+				want = string(AppendBulk(nil, []byte(e.val)))
+			}
+			if got := string(srv.Execute(AppendCommand(nil, []byte("GET"), []byte(k)))); got != want {
+				t.Fatalf("final GET %q = %q, want %q", k, got, want)
+			}
+		}
+		if got, want := st.Len(), len(model); got != want {
+			t.Fatalf("final DBSIZE = %d, want %d", got, want)
 		}
 	})
 }

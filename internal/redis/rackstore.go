@@ -566,6 +566,19 @@ func (v *View) Get(key string) ([]byte, bool) {
 	return val, ok
 }
 
+// AppendGet appends the reply to a GET of key to dst, copying Get's value
+// out of the View's read buffer.
+func (v *View) AppendGet(dst []byte, key string) []byte {
+	val, ok := v.Get(key)
+	if !ok {
+		return AppendBulk(dst, nil)
+	}
+	if val == nil {
+		val = []byte{} // a live empty value under an empty key, not a miss
+	}
+	return AppendBulk(dst, val)
+}
+
 // MGet returns the values for keys in order (nil = miss), resolving the
 // whole batch inside ONE quiescence read section and one epoch tick — the
 // per-op overhead a pipelined client pays N times through Get is paid
@@ -653,7 +666,8 @@ func (v *View) del1(key string) bool {
 func (v *View) Incr(key string) (int64, error) { return v.IncrBy(key, 1) }
 
 // IncrBy atomically adds delta to the integer stored at key, returning
-// the new value. One IncrBy publishes ONE fresh entry block however large
+// the new value (ErrOverflow, publishing nothing, if the sum does not fit
+// in an int64). One IncrBy publishes ONE fresh entry block however large
 // delta is — it is the combining primitive: an owner that has gathered N
 // delegated increments applies them with a single probe/alloc/publish
 // round instead of N contended ones.
@@ -675,7 +689,12 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 			cur = parsed
 			exp = pr.hdr.exp
 		}
-		next := cur + delta
+		next, err := addInt64(cur, delta)
+		if err != nil {
+			v.p.Exit()
+			v.tick()
+			return 0, err
+		}
 		nblk := v.newEntry(key, strconv.AppendInt(v.num[:0], next, 10), exp, false)
 		if pr.entry.IsNil() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(nblk)); inserted {

@@ -2,6 +2,9 @@ package redis
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -317,10 +320,163 @@ func TestExecuteExpire(t *testing.T) {
 	if v := exec("EXPIRE", "a"); v.Kind != respError {
 		t.Fatalf("EXPIRE arity = %+v, want error", v)
 	}
+	if v := exec("EXPIRE", "a", "9223372036854775807"); v.Str != "ERR invalid expire time in 'expire' command" {
+		t.Fatalf("EXPIRE past a Duration's range = %+v, want the invalid expire time error", v)
+	}
 	if v := exec("EXPIRE", "a", "-1"); v.Kind != respInt || v.Int != 1 {
 		t.Fatalf("EXPIRE -1 = %+v, want :1 (delete-now)", v)
 	}
 	if v := exec("GET", "a"); v.Kind != respBulk || v.Bulk != nil {
 		t.Fatalf("GET after delete-now EXPIRE = %+v, want nil bulk", v)
+	}
+}
+
+// TestExecuteSetOptions: SET honours exactly `SET k v [EX seconds]`. Any
+// other option is a syntax error and a non-positive EX an invalid expire
+// time, with Redis's own replies, and neither stores the value.
+func TestExecuteSetOptions(t *testing.T) {
+	st := NewStore()
+	now := time.Unix(1000, 0)
+	st.SetClock(func() time.Time { return now })
+	srv := NewServer(st)
+	exec := func(args ...string) string { return string(srv.Execute(cmd(args...))) }
+	const (
+		syntax   = "-ERR syntax error\r\n"
+		badTTL   = "-ERR invalid expire time in 'set' command\r\n"
+		notAnInt = "-ERR value is not an integer or out of range\r\n"
+	)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"SET", "k", "v", "NX"}, syntax},
+		{[]string{"SET", "k", "v", "XX"}, syntax},
+		{[]string{"SET", "k", "v", "KEEPTTL"}, syntax},
+		{[]string{"SET", "k", "v", "PX", "100"}, syntax},
+		{[]string{"SET", "k", "v", "EX"}, syntax},
+		{[]string{"SET", "k", "v", "EX", "10", "NX"}, syntax},
+		{[]string{"SET", "k", "v", "EX", "0"}, badTTL},
+		{[]string{"SET", "k", "v", "EX", "-5"}, badTTL},
+		{[]string{"SET", "k", "v", "EX", "9223372036854775807"}, badTTL},
+		{[]string{"SET", "k", "v", "EX", "ten"}, notAnInt},
+	} {
+		if got := exec(c.args...); got != c.want {
+			t.Errorf("%q = %q, want %q", c.args, got, c.want)
+		}
+		if got := exec("GET", "k"); got != "$-1\r\n" {
+			t.Fatalf("after %q, GET k = %q: the rejected SET stored its value", c.args, got)
+		}
+	}
+	if got := exec("SET", "k", "v", "ex", "10"); got != "+OK\r\n" {
+		t.Fatalf("SET k v ex 10 = %q", got)
+	}
+	now = now.Add(10 * time.Second)
+	if got := exec("GET", "k"); got != "$1\r\nv\r\n" {
+		t.Fatalf("GET k at its deadline = %q, want v", got)
+	}
+	now = now.Add(time.Second)
+	if got := exec("GET", "k"); got != "$-1\r\n" {
+		t.Fatalf("GET k past its EX deadline = %q, want a miss", got)
+	}
+}
+
+// TestClientRoundsTTLUp: Set and PipeSet send a TTL as whole seconds
+// rounded up, so a sub-second TTL is EX 1, not the EX 0 the server rejects.
+func TestClientRoundsTTLUp(t *testing.T) {
+	conn := &replayConn{reply: []byte("+OK\r\n")}
+	cl := NewClient(conn, 0)
+	sentEX := func() string {
+		v, _, err := Decode(conn.sent)
+		if err != nil || len(v.Array) != 5 || string(v.Array[3].Bulk) != "EX" {
+			t.Fatalf("sent %q: not SET k v EX n", conn.sent)
+		}
+		return string(v.Array[4].Bulk)
+	}
+	for _, c := range []struct {
+		ttl  time.Duration
+		want string
+	}{{time.Nanosecond, "1"}, {500 * time.Millisecond, "1"}, {time.Second, "1"}, {1500 * time.Millisecond, "2"}, {time.Hour, "3600"}} {
+		if err := cl.Set("k", []byte("v"), c.ttl); err != nil {
+			t.Fatal(err)
+		}
+		if got := sentEX(); got != c.want {
+			t.Errorf("Set with ttl %v sent EX %s, want EX %s", c.ttl, got, c.want)
+		}
+		cl.PipeSet("k", []byte("v"), c.ttl)
+		if _, err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sentEX(); got != c.want {
+			t.Errorf("PipeSet with ttl %v sent EX %s, want EX %s", c.ttl, got, c.want)
+		}
+	}
+
+	// End to end: a sub-second TTL reaches the store as a deadline.
+	st := NewStore()
+	now := time.Unix(1000, 0)
+	st.SetClock(func() time.Time { return now })
+	srv := NewServer(st)
+	if err := cl.Set("k", []byte("v"), 500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if reply := srv.Execute(conn.sent); string(reply) != "+OK\r\n" {
+		t.Fatalf("server rejected the client's rounded TTL: %q", reply)
+	}
+	now = now.Add(2 * time.Second)
+	if _, ok := st.Get("k"); ok {
+		t.Fatal("a key set with a sub-second TTL never expired")
+	}
+}
+
+// TestIncrByOverflow: an INCRBY whose sum does not fit in an int64 fails
+// with ErrOverflow and leaves the value unchanged, on both backends, and
+// the server replies with Redis's overflow error.
+func TestIncrByOverflow(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	cases := []struct {
+		start    string // "" = missing key
+		delta    int64
+		want     int64
+		overflow bool
+	}{
+		{"9223372036854775806", 1, maxI, false},
+		{"9223372036854775807", 1, 0, true},
+		{"1", maxI, 0, true},
+		{"-1", maxI, maxI - 1, false},
+		{"-9223372036854775807", -1, minI, false},
+		{"-9223372036854775808", -1, 0, true},
+		{"-1", minI, 0, true},
+		{"0", minI, minI, false},
+		{"", minI, minI, false},
+		{"", maxI, maxI, false},
+	}
+	_, rs := newTestRackStore(t, 1, RackStoreConfig{})
+	for name, b := range map[string]Backend{"Store": NewStore(), "View": rs.Attach(rs.fab.Node(0))} {
+		srv := NewServer(b)
+		for i, c := range cases {
+			key := "ctr" + strconv.Itoa(i)
+			if c.start != "" {
+				if err := b.Set(key, []byte(c.start), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := b.IncrBy(key, c.delta)
+			if c.overflow != errors.Is(err, ErrOverflow) || !c.overflow && (err != nil || got != c.want) {
+				t.Errorf("%s: IncrBy(%s, %d) = %d, %v; want %d, overflow %v", name, c.start, c.delta, got, err, c.want, c.overflow)
+			}
+			wantVal := strconv.FormatInt(c.want, 10)
+			if c.overflow {
+				wantVal = c.start
+			}
+			if reply := string(srv.Execute(cmd("GET", key))); reply != string(AppendBulk(nil, []byte(wantVal))) {
+				t.Errorf("%s: after IncrBy(%s, %d) the key reads %q, want %q", name, c.start, c.delta, reply, wantVal)
+			}
+		}
+		srv.Execute(cmd("SET", "top", "9223372036854775807"))
+		for _, req := range [][]byte{cmd("INCR", "top"), cmd("INCRBY", "top", "1")} {
+			if got := string(srv.Execute(req)); got != "-ERR increment or decrement would overflow\r\n" {
+				t.Errorf("%s: %q = %q, want the overflow error", name, req, got)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"unsafe"
 )
 
 // RESP value kinds.
@@ -111,6 +112,11 @@ func AppendInt(dst []byte, v int64) []byte {
 // capacity ends at its length: appending to it copies rather than writing
 // over the bytes of b that follow it.
 func Decode(b []byte) (Value, int, error) { return decode(b, nil) }
+
+// bulkString returns a decoded bulk string as a string that aliases it: a
+// key passed to a Backend without a copy. It is valid only while the
+// decoded input is, so a backend copies a key it keeps.
+func bulkString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // decodeElem is decode, called through a variable for an array's
 // elements. Escape analysis merges every direct recursive call's result

@@ -1,6 +1,8 @@
 package redis
 
 import (
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -19,20 +21,28 @@ type Conn interface {
 // the single-node *Store (Go map behind a mutex) and the rack-shared
 // *View (the global-arena store, one view per server session, same
 // dataset from every node).
+//
+// Keys and values are lent, not given: a server passes key strings and
+// value bytes that alias its request buffer, which the next request
+// overwrites. A backend copies a key it keeps, and its own copy of a
+// value is the copy of record.
 type Backend interface {
-	// Set must not keep value: a server passes bytes that alias its
-	// request buffer, so the backend's own copy is the copy of record.
 	Set(key string, value []byte, ttl time.Duration) error
-	Get(key string) ([]byte, bool)
+	// AppendGet appends the RESP reply to a GET of key (the null bulk on
+	// a miss) to dst. The value is copied under the backend's own
+	// synchronisation, so a concurrent SET cannot tear it.
+	AppendGet(dst []byte, key string) []byte
 	// MGet resolves a whole key batch at once (nil = miss); the rack
 	// store answers it inside one epoch section, so MGET is genuinely
-	// cheaper than N GETs, not just one transport round trip.
+	// cheaper than N GETs, not just one transport round trip. The values
+	// are the caller's own.
 	MGet(keys ...string) [][]byte
 	Del(keys ...string) int
 	Exists(keys ...string) int
 	Incr(key string) (int64, error)
 	// IncrBy adds delta in one published write — the primitive a
-	// combining owner uses to apply a gathered increment batch.
+	// combining owner uses to apply a gathered increment batch. A sum
+	// that overflows an int64 returns ErrOverflow and changes nothing.
 	IncrBy(key string, delta int64) (int64, error)
 	// Expire sets a fresh TTL on a live key, reporting whether it
 	// existed; a non-positive ttl deletes the key immediately, matching
@@ -126,14 +136,21 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 			return AppendError(out, "ERR wrong number of arguments for 'set'")
 		}
 		ttl := time.Duration(0)
-		if len(args) == 5 && strings.EqualFold(string(args[3].Bulk), "EX") {
-			secs, err := strconv.Atoi(string(args[4].Bulk))
+		switch {
+		case len(args) == 3:
+		case len(args) == 5 && strings.EqualFold(bulkString(args[3].Bulk), "EX"):
+			secs, err := strconv.ParseInt(bulkString(args[4].Bulk), 10, 64)
 			if err != nil {
-				return AppendError(out, "ERR invalid expire time")
+				return AppendError(out, "ERR value is not an integer or out of range")
+			}
+			if secs <= 0 || secs > maxTTLSeconds {
+				return AppendError(out, "ERR invalid expire time in 'set' command")
 			}
 			ttl = time.Duration(secs) * time.Second
+		default:
+			return AppendError(out, "ERR syntax error")
 		}
-		if err := s.store.Set(string(args[1].Bulk), args[2].Bulk, ttl); err != nil {
+		if err := s.store.Set(bulkString(args[1].Bulk), args[2].Bulk, ttl); err != nil {
 			return AppendError(out, "ERR "+err.Error())
 		}
 		return AppendSimple(out, "OK")
@@ -141,11 +158,7 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 		if len(args) != 2 {
 			return AppendError(out, "ERR wrong number of arguments for 'get'")
 		}
-		val, ok := s.store.Get(string(args[1].Bulk))
-		if !ok {
-			return AppendBulk(out, nil)
-		}
-		return AppendBulk(out, val)
+		return s.store.AppendGet(out, bulkString(args[1].Bulk))
 	case "MGET":
 		if len(args) < 2 {
 			return AppendError(out, "ERR wrong number of arguments for 'mget'")
@@ -162,7 +175,7 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 			return AppendError(out, "ERR wrong number of arguments for 'mset'")
 		}
 		for i := 1; i < len(args); i += 2 {
-			if err := s.store.Set(string(args[i].Bulk), args[i+1].Bulk, 0); err != nil {
+			if err := s.store.Set(bulkString(args[i].Bulk), args[i+1].Bulk, 0); err != nil {
 				return AppendError(out, "ERR "+err.Error())
 			}
 		}
@@ -177,33 +190,30 @@ func (s *Server) executeValue(out []byte, v Value) []byte {
 		if len(args) != 2 {
 			return AppendError(out, "ERR wrong number of arguments for 'incr'")
 		}
-		v, err := s.store.Incr(string(args[1].Bulk))
-		if err != nil {
-			return AppendError(out, "ERR value is not an integer or out of range")
-		}
-		return AppendInt(out, v)
+		v, err := s.store.Incr(bulkString(args[1].Bulk))
+		return appendIncrReply(out, v, err)
 	case "INCRBY":
 		if len(args) != 3 {
 			return AppendError(out, "ERR wrong number of arguments for 'incrby'")
 		}
-		delta, err := strconv.ParseInt(string(args[2].Bulk), 10, 64)
+		delta, err := strconv.ParseInt(bulkString(args[2].Bulk), 10, 64)
 		if err != nil {
 			return AppendError(out, "ERR value is not an integer or out of range")
 		}
-		v, err := s.store.IncrBy(string(args[1].Bulk), delta)
-		if err != nil {
-			return AppendError(out, "ERR value is not an integer or out of range")
-		}
-		return AppendInt(out, v)
+		v, err := s.store.IncrBy(bulkString(args[1].Bulk), delta)
+		return appendIncrReply(out, v, err)
 	case "EXPIRE":
 		if len(args) != 3 {
 			return AppendError(out, "ERR wrong number of arguments for 'expire'")
 		}
-		secs, err := strconv.ParseInt(string(args[2].Bulk), 10, 64)
+		secs, err := strconv.ParseInt(bulkString(args[2].Bulk), 10, 64)
 		if err != nil {
 			return AppendError(out, "ERR value is not an integer or out of range")
 		}
-		if s.store.Expire(string(args[1].Bulk), time.Duration(secs)*time.Second) {
+		if secs > maxTTLSeconds {
+			return AppendError(out, "ERR invalid expire time in 'expire' command")
+		}
+		if s.store.Expire(bulkString(args[1].Bulk), time.Duration(max(secs, 0))*time.Second) {
 			return AppendInt(out, 1)
 		}
 		return AppendInt(out, 0)
@@ -225,10 +235,25 @@ func upperASCII(dst, b []byte) []byte {
 	return dst
 }
 
+// maxTTLSeconds is the longest TTL, in seconds, a time.Duration holds.
+const maxTTLSeconds = math.MaxInt64 / int64(time.Second)
+
+// appendIncrReply appends the reply to an INCR or INCRBY.
+func appendIncrReply(out []byte, v int64, err error) []byte {
+	switch {
+	case errors.Is(err, ErrOverflow):
+		return AppendError(out, "ERR increment or decrement would overflow")
+	case err != nil:
+		return AppendError(out, "ERR value is not an integer or out of range")
+	}
+	return AppendInt(out, v)
+}
+
+// bulkKeys returns the arguments' bulk strings as keys aliasing the request.
 func bulkKeys(args []Value) []string {
 	keys := make([]string, len(args))
 	for i, a := range args {
-		keys[i] = string(a.Bulk)
+		keys[i] = bulkString(a.Bulk)
 	}
 	return keys
 }

@@ -1,10 +1,26 @@
 package redis
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
+
+// ErrOverflow reports an INCRBY whose result does not fit in an int64;
+// the stored value is left unchanged.
+var ErrOverflow = errors.New("redis: increment or decrement would overflow")
+
+// addInt64 returns cur+delta, or ErrOverflow if the sum wraps.
+func addInt64(cur, delta int64) (int64, error) {
+	if delta > 0 && cur > math.MaxInt64-delta || delta < 0 && cur < math.MinInt64-delta {
+		return 0, ErrOverflow
+	}
+	return cur + delta, nil
+}
 
 // Store is the single-node keyspace: string keys to byte values with
 // optional expiry, guarded by a mutex exactly like real Redis's
@@ -12,65 +28,92 @@ import (
 // clock is NODE-LOCAL — fine for one node, but a rack serving one
 // dataset needs the shared-virtual-clock TTLs of RackStore, where
 // expiry is the same event on every node.
+//
+// A key's entry is allocated once, when the key is inserted, and every
+// later write goes through the pointer: a SET overwrites the value's
+// buffer in place and never assigns into the map, whose key for an
+// existing entry would otherwise become the caller's (request-aliasing)
+// string.
 type Store struct {
-	mu      sync.Mutex
-	data    map[string][]byte
-	expires map[string]time.Time
-	clock   func() time.Time
+	mu    sync.Mutex
+	data  map[string]*entry
+	clock func() time.Time
+}
+
+// entry is one key's value and expiry deadline (zero = no TTL).
+type entry struct {
+	val []byte
+	exp time.Time
 }
 
 // NewStore creates an empty keyspace.
 func NewStore() *Store {
-	return &Store{
-		data:    make(map[string][]byte),
-		expires: make(map[string]time.Time),
-		clock:   time.Now,
-	}
+	return &Store{data: make(map[string]*entry), clock: time.Now}
 }
 
 // SetClock overrides the expiry clock (tests).
 func (s *Store) SetClock(fn func() time.Time) { s.clock = fn }
 
-func (s *Store) expiredLocked(key string) bool {
-	exp, ok := s.expires[key]
-	if !ok {
-		return false
-	}
-	if s.clock().After(exp) {
+// liveLocked returns key's entry, or nil if it is missing or its TTL has
+// passed (an expired entry is purged on the way).
+func (s *Store) liveLocked(key string) *entry {
+	e := s.data[key]
+	if e != nil && !e.exp.IsZero() && s.clock().After(e.exp) {
 		delete(s.data, key)
-		delete(s.expires, key)
-		return true
+		return nil
 	}
-	return false
+	return e
 }
 
-// Set stores key -> value with an optional TTL (0 means no expiry). It
-// keeps a copy of value: the server's value aliases the request buffer.
-// The error is always nil; the signature matches Backend, where the
-// rack-shared implementation can reject oversized entries.
+// insertLocked binds a fresh entry to a copy of key, which may alias the
+// caller's request. Its value is empty but not nil: nil is a miss.
+func (s *Store) insertLocked(key string) *entry {
+	e := &entry{val: []byte{}}
+	s.data[strings.Clone(key)] = e
+	return e
+}
+
+// Set stores key -> value with an optional TTL (0 means no expiry). The
+// value is copied into the key's own buffer, which is reused while it is
+// large enough: the server's value aliases the request buffer. The error
+// is always nil; the signature matches Backend, where the rack-shared
+// implementation can reject oversized entries.
 func (s *Store) Set(key string, value []byte, ttl time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.data[key] = cp
+	e := s.liveLocked(key)
+	if e == nil {
+		e = s.insertLocked(key)
+	}
+	e.val = append(e.val[:0], value...)
+	e.exp = time.Time{}
 	if ttl > 0 {
-		s.expires[key] = s.clock().Add(ttl)
-	} else {
-		delete(s.expires, key)
+		e.exp = s.clock().Add(ttl)
 	}
 	return nil
 }
 
-// Get returns the value for key.
+// Get returns a copy of key's value.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
+	e := s.liveLocked(key)
+	if e == nil {
 		return nil, false
 	}
-	v, ok := s.data[key]
-	return v, ok
+	return bytes.Clone(e.val), true
+}
+
+// AppendGet appends the reply to a GET of key to dst, copying the value
+// under the store's lock: a concurrent SET overwrites it in place.
+func (s *Store) AppendGet(dst []byte, key string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.liveLocked(key)
+	if e == nil {
+		return AppendBulk(dst, nil)
+	}
+	return AppendBulk(dst, e.val)
 }
 
 // Del removes keys, returning how many existed.
@@ -79,12 +122,8 @@ func (s *Store) Del(keys ...string) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		if s.expiredLocked(k) {
-			continue
-		}
-		if _, ok := s.data[k]; ok {
+		if s.liveLocked(k) != nil {
 			delete(s.data, k)
-			delete(s.expires, k)
 			n++
 		}
 	}
@@ -97,27 +136,23 @@ func (s *Store) Exists(keys ...string) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		if s.expiredLocked(k) {
-			continue
-		}
-		if _, ok := s.data[k]; ok {
+		if s.liveLocked(k) != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// MGet returns the values for keys in order (nil = miss) under one lock
-// acquisition, matching the rack store's batched read.
+// MGet returns copies of the values for keys in order (nil = miss) under
+// one lock acquisition, matching the rack store's batched read.
 func (s *Store) MGet(keys ...string) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vals := make([][]byte, len(keys))
 	for i, k := range keys {
-		if s.expiredLocked(k) {
-			continue
+		if e := s.liveLocked(k); e != nil {
+			vals[i] = bytes.Clone(e.val)
 		}
-		vals[i] = s.data[k]
 	}
 	return vals
 }
@@ -127,22 +162,29 @@ func (s *Store) MGet(keys ...string) [][]byte {
 func (s *Store) Incr(key string) (int64, error) { return s.IncrBy(key, 1) }
 
 // IncrBy atomically adds delta to the integer stored at key, returning
-// the new value.
+// the new value. A live key keeps its TTL. A sum that does not fit in an
+// int64 returns ErrOverflow and leaves the value unchanged.
 func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expiredLocked(key)
+	e := s.liveLocked(key)
 	cur := int64(0)
-	if v, ok := s.data[key]; ok {
-		parsed, err := strconv.ParseInt(string(v), 10, 64)
+	if e != nil {
+		parsed, err := strconv.ParseInt(string(e.val), 10, 64)
 		if err != nil {
 			return 0, err
 		}
 		cur = parsed
 	}
-	cur += delta
-	s.data[key] = strconv.AppendInt(nil, cur, 10)
-	return cur, nil
+	next, err := addInt64(cur, delta)
+	if err != nil {
+		return 0, err
+	}
+	if e == nil {
+		e = s.insertLocked(key)
+	}
+	e.val = strconv.AppendInt(e.val[:0], next, 10)
+	return next, nil
 }
 
 // Expire sets a fresh TTL on key, reporting whether it existed. A
@@ -150,18 +192,15 @@ func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 func (s *Store) Expire(key string, ttl time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
-		return false
-	}
-	if _, ok := s.data[key]; !ok {
+	e := s.liveLocked(key)
+	if e == nil {
 		return false
 	}
 	if ttl <= 0 {
 		delete(s.data, key)
-		delete(s.expires, key)
 		return true
 	}
-	s.expires[key] = s.clock().Add(ttl)
+	e.exp = s.clock().Add(ttl)
 	return true
 }
 
