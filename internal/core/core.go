@@ -26,8 +26,10 @@ import (
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/flacdk/reliability"
 	"flacos/internal/fs"
+	"flacos/internal/health"
 	"flacos/internal/ipc"
 	"flacos/internal/irq"
+	"flacos/internal/membership"
 	"flacos/internal/memsys"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
@@ -136,7 +138,11 @@ type Rack struct {
 	redisCfg    redis.RackStoreConfig
 	redisBooted atomic.Bool
 
-	mem membershipState // coordinated failure detection (membership.go)
+	// Coordinated failure detection (membership.go): nil before
+	// EnableMembership.
+	memMu sync.Mutex
+	table *membership.Table
+	plane *health.Plane
 
 	ctlMu sync.Mutex
 	ctls  []*serverless.Controller // control planes wired for Dead eviction
@@ -218,16 +224,14 @@ func (r *Rack) EnableTrace(cfg trace.Config) *trace.Recorder {
 	if r.schedBooted.Load() {
 		r.sched.SetTrace(rec)
 	}
-	// Membership members may already be running (EnableMembership before
-	// EnableTrace): attach their writers now. Member.SetTrace is
-	// hot-swap safe.
-	r.mem.mu.Lock()
-	members := r.mem.members
-	r.mem.mu.Unlock()
-	for i, m := range members {
-		if m != nil {
-			m.SetTrace(rec.Writer(i))
-		}
+	// The control plane may already be running (EnableMembership before
+	// EnableTrace): attach its writers now. Plane.SetTrace is hot-swap
+	// safe.
+	r.memMu.Lock()
+	p := r.plane
+	r.memMu.Unlock()
+	if p != nil {
+		p.SetTrace(rec)
 	}
 	return rec
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/membership"
+	"flacos/internal/health"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
@@ -204,23 +204,20 @@ func newMemRack(cfg MembershipConfig, withMembership bool) *memRack {
 	}
 	if withMembership {
 		ccfg.PhiDead, ccfg.DeadStrikes = 6, 2
-	}
-	r.rack = torture.NewControlRack(fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: memNodes}), ccfg)
-	if err := r.rack.Store.Attach(r.rack.Fab.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
-		panic(err)
-	}
-	if withMembership {
-		// Subscribers run in subscription order, so this stamp lands after
-		// the controller's Dead sweep returned.
-		r.rack.Member(0).Subscribe(func(ev membership.Event) {
-			if ev.Kind != membership.EvDead {
+		// StageDead fires once the controller's Dead sweep completed.
+		ccfg.OnStage = func(st health.Stage, _ int, _ uint64) {
+			if st != health.StageDead {
 				return
 			}
 			select {
 			case r.recovered <- time.Now():
 			default:
 			}
-		})
+		}
+	}
+	r.rack = torture.NewControlRack(fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: memNodes}), ccfg)
+	if err := r.rack.Store.Attach(r.rack.Fab.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
+		panic(err)
 	}
 	return r
 }

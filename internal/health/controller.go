@@ -58,7 +58,7 @@ const (
 	StageRejoin
 	// StageRejoined: the rejoin pipeline completed; the node serves.
 	StageRejoined
-	// StageDead: the death sweep ran for the node.
+	// StageDead: the death sweep for the node completed.
 	StageDead
 )
 
@@ -182,9 +182,9 @@ type Controller struct {
 
 	trw atomic.Pointer[trace.Writer]
 
-	mu       sync.Mutex
-	nodes    map[int]*nodeState
-	deadOnce membership.DeadOnce // one death sweep per (slot, gen)
+	mu    sync.Mutex
+	nodes map[int]*nodeState
+	swept map[[2]uint64]bool // (slot, gen) deaths already swept
 
 	stats struct {
 		drains, aborted, rejoins, deadSweeps atomic.Uint64
@@ -198,7 +198,7 @@ func NewController(cfg ControllerConfig) *Controller {
 	if cfg.From == nil {
 		panic("health: ControllerConfig.From is required")
 	}
-	return &Controller{cfg: cfg, nodes: make(map[int]*nodeState)}
+	return &Controller{cfg: cfg, nodes: make(map[int]*nodeState), swept: make(map[[2]uint64]bool)}
 }
 
 // SetTrace attaches a flight-recorder writer for the remediation spans.
@@ -443,10 +443,13 @@ func (c *Controller) runRejoin(node int, gen uint64) {
 // at its next stage boundary) and run the classic death sweep exactly
 // once per (slot, generation).
 func (c *Controller) dead(ev membership.Event) {
-	if !c.deadOnce.First(ev) {
+	key := [2]uint64{uint64(ev.Slot), ev.Generation}
+	c.mu.Lock()
+	if c.swept[key] {
+		c.mu.Unlock()
 		return
 	}
-	c.mu.Lock()
+	c.swept[key] = true
 	st := c.node(ev.Node)
 	if ev.Generation > st.deadGen {
 		st.deadGen = ev.Generation
@@ -462,7 +465,6 @@ func (c *Controller) dead(ev membership.Event) {
 	gate := st.seenGen <= ev.Generation
 	c.mu.Unlock()
 
-	c.stage(StageDead, ev.Node, ev.Generation)
 	if c.cfg.Sched != nil {
 		if gate {
 			c.cfg.Sched.SetNodeServing(ev.Node, false)
@@ -473,6 +475,9 @@ func (c *Controller) dead(ev membership.Event) {
 		// The death fence is NOT subject to the planted break: the break
 		// models forgetting the early fence, not the classic one.
 		c.cfg.Store.FenceNode(c.cfg.From, ev.Node, ev.Generation)
+		if tw := c.tw(); tw != nil {
+			tw.Emit(trace.SubRedis, trace.KViewFence, 0, uint64(ev.Node), ev.Generation)
+		}
 	}
 	for _, sv := range c.cfg.Serverless {
 		if sv != nil {
@@ -485,6 +490,7 @@ func (c *Controller) dead(ev membership.Event) {
 		c.cfg.Tiering.SetNodeDrained(ev.Node, false)
 	}
 	c.stats.deadSweeps.Add(1)
+	c.stage(StageDead, ev.Node, ev.Generation)
 }
 
 // joined reacts to EvJoin: a node rejoining under a NEWER generation

@@ -184,18 +184,14 @@ type Agent struct {
 	errP *reliability.Predictor // smoothed own errors-per-window
 	seq  uint64
 
-	trw atomic.Pointer[trace.Writer]
-
 	// Detector state, all node-local host memory.
 	lastHCtl []ds.StateWord[DetectState]
 	eval     map[int]*slotEval
 }
 
-// SetTrace attaches a flight-recorder writer; verdict transitions this
-// agent wins then land in the rack timeline as SubHealth events.
-func (a *Agent) SetTrace(w *trace.Writer) { a.trw.Store(w) }
-
-func (a *Agent) tw() *trace.Writer { return a.trw.Load() }
+// tw is the member's flight-recorder writer: verdict transitions this
+// agent wins land in the rack timeline as SubHealth events.
+func (a *Agent) tw() *trace.Writer { return a.m.Trace() }
 
 // step is the agent's tick on its member's agent loop: sample, then
 // observe. A crash mid-step stops the loop it runs on — the record

@@ -55,7 +55,7 @@ func bootRack(t *testing.T, nodes int) *rack {
 	l := New(tb)
 	r := &rack{f: f, tb: tb, layer: l}
 	for i := 0; i < nodes; i++ {
-		m, err := tb.JoinSlot(f.Node(i), i)
+		m, err := tb.Join(f.Node(i))
 		if err != nil {
 			t.Fatalf("join node %d: %v", i, err)
 		}
@@ -628,8 +628,11 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	// Trace timeline: the KDrain span closed with the abort bit, and no
 	// KRejoin span exists anywhere after it.
 	evs := rec.Collector().Snapshot(f.Node(0), false).Events
-	sawAbortEnd := false
+	sawAbortEnd, sawViewFence := false, false
 	for _, e := range evs {
+		if e.Sub == trace.SubRedis && e.Kind == trace.KViewFence && e.Arg0 == 1 && e.Arg1 == 5 {
+			sawViewFence = true // the death sweep's fence, at the dead generation
+		}
 		if e.Sub != trace.SubHealth {
 			continue
 		}
@@ -645,6 +648,9 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	}
 	if !sawAbortEnd {
 		t.Fatal("no aborted KDrain end span in the timeline")
+	}
+	if !sawViewFence {
+		t.Fatal("no KViewFence for the death sweep's fence in the timeline")
 	}
 }
 
@@ -726,18 +732,25 @@ func TestRaceRecoveredVsRunningDrain(t *testing.T) {
 
 // TestControllerJoinReopensGates: the crash-restart path — a node the
 // controller drained dies, restarts, and rejoins under a bumped
-// generation outside the controller's own rejoin pipeline. The EvJoin
+// generation outside the controller's own rejoin pipeline. StageDead
+// reports the death sweep done, after its last action, and the EvJoin
 // must reopen the gates.
 func TestControllerJoinReopensGates(t *testing.T) {
 	f := testFabric(2)
 	g := &fakeGates{}
-	c := newFakeController(f, g, nil)
+	c := newFakeController(f, g, func(st Stage, node int, gen uint64) {
+		if st == StageDead {
+			g.record(fmt.Sprintf("stage(%v,%d,%d)", st, node, gen))
+		}
+	})
 
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
+	c.OnEvent(membership.Event{Kind: membership.EvDead, Slot: 1, Node: 1, Generation: 5})
 	c.OnEvent(membership.Event{Kind: membership.EvJoin, Slot: 1, Node: 1, Generation: 6})
 
 	want := []string{
 		"serving(1,false)", "evict(1)", "fence(1,5)", "drained(1,true)",
+		"serving(1,false)", "reclaim(1)", "fence(1,5)", "evict(1)", "drained(1,false)", "stage(dead,1,5)",
 		"drained(1,false)", "serving(1,true)",
 	}
 	logEquals(t, g.Log(), want)
@@ -753,7 +766,7 @@ func TestReadRecordFabricBudget(t *testing.T) {
 	// The members never Start: no agent loop runs beside the measurement.
 	var agents []*Agent
 	for i := 0; i < 2; i++ {
-		m, err := tb.JoinSlot(f.Node(i), i)
+		m, err := tb.Join(f.Node(i))
 		if err != nil {
 			t.Fatalf("join node %d: %v", i, err)
 		}

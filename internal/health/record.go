@@ -18,7 +18,9 @@
 // membership event stream. A node's health agent has no goroutine of its
 // own: it is a step of its membership member's agent loop, run once per
 // heartbeat tick after the liveness pass, so liveness and health events
-// reach a member's subscribers as one ordered feed.
+// reach a member's subscribers as one ordered feed. Plane assembles the
+// rack's whole control plane on these parts: the membership (re)join
+// protocol, the controller on node 0's stream, and the agents.
 package health
 
 import (

@@ -163,7 +163,7 @@ func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 		if phi >= m.t.cfg.PhiSuspect && st == StateAlive {
 			next := ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateSuspect)
 			if m.t.ctl.Transition(m.n, slot, w, next) {
-				if tw := m.tw(); tw != nil {
+				if tw := m.Trace(); tw != nil {
 					tw.Emit(trace.SubMembership, trace.KSuspect, 0, uint64(slot), uint64(w.Owner()))
 				}
 			}
@@ -179,7 +179,7 @@ func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 		o.strikes = 0
 		next := ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateDead)
 		if m.t.ctl.Transition(m.n, slot, w, next) {
-			if tw := m.tw(); tw != nil {
+			if tw := m.Trace(); tw != nil {
 				tw.Emit(trace.SubMembership, trace.KDead, 0, uint64(slot), uint64(w.Owner()))
 			}
 		}
@@ -216,7 +216,7 @@ func (m *Member) refuteIfSuspected(w ctlWord) {
 		// Republish immediately so observers see the new incarnation's
 		// beat rather than re-suspecting off the old history.
 		m.publishBeat()
-		if tw := m.tw(); tw != nil {
+		if tw := m.Trace(); tw != nil {
 			tw.Emit(trace.SubMembership, trace.KRefute, 0, uint64(m.slot), newInc)
 		}
 	}

@@ -227,16 +227,6 @@ func (t *Table) Join(n *fabric.Node) (*Member, error) {
 	return nil, fmt.Errorf("membership: no joinable slot among %d for node %d", t.cfg.Slots, n.ID())
 }
 
-// JoinSlot claims an explicit slot (deterministic boot layout: core
-// joins node i into slot i). The slot must be Free, previously owned by
-// this node, or Dead/Left.
-func (t *Table) JoinSlot(n *fabric.Node, slot int) (*Member, error) {
-	if slot < 0 || slot >= t.cfg.Slots {
-		return nil, fmt.Errorf("membership: slot %d out of range [0,%d)", slot, t.cfg.Slots)
-	}
-	return t.joinSlot(n, slot)
-}
-
 func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 	for {
 		w := t.ctl.Load(n, slot)
@@ -313,14 +303,16 @@ func (m *Member) Incarnation() uint64 { return atomic.LoadUint64(&m.inc) }
 // Safe while the member is running (core's EnableTrace may come late).
 func (m *Member) SetTrace(w *trace.Writer) { m.trw.Store(w) }
 
-func (m *Member) tw() *trace.Writer { return m.trw.Load() }
+// Trace returns the member's flight-recorder writer (nil untraced): the
+// steps on its agent loop emit through it.
+func (m *Member) Trace() *trace.Writer { return m.trw.Load() }
 
 // Subscribe registers fn on this member's event stream. fn runs on the
 // member's agent goroutine, the only goroutine that delivers this
 // member's events, so one member's feed is ordered; EVERY member's agent
 // observes and delivers the same rack-wide transitions, so cross-member
-// consumers must be idempotent (or dedup on (Slot, Generation), as core
-// does).
+// consumers must be idempotent (or dedup on (Slot, Generation), as
+// health.Controller's death sweep does).
 func (m *Member) Subscribe(fn func(Event)) {
 	m.subMu.Lock()
 	m.subs = append(m.subs, fn)
@@ -347,7 +339,7 @@ func (m *Member) Activate() error {
 			m.slot, w.State(), w.Owner(), w.Gen(), m.gen)
 	}
 	m.t.alive[m.n.ID()].Store(true)
-	if tw := m.tw(); tw != nil {
+	if tw := m.Trace(); tw != nil {
 		tw.Emit(trace.SubMembership, trace.KJoin, 0, uint64(m.slot), m.gen)
 	}
 	return nil
@@ -382,7 +374,7 @@ func (m *Member) Leave() {
 	next := ds.PackState(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateLeft)
 	if m.t.ctl.Transition(m.n, m.slot, want, next) {
 		m.t.alive[m.n.ID()].Store(false)
-		if tw := m.tw(); tw != nil {
+		if tw := m.Trace(); tw != nil {
 			tw.Emit(trace.SubMembership, trace.KLeft, 0, uint64(m.slot), m.gen)
 		}
 	}

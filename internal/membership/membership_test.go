@@ -39,7 +39,7 @@ func joinAll(t *testing.T, tb *Table, f *fabric.Fabric, n int) []*Member {
 	t.Helper()
 	ms := make([]*Member, n)
 	for i := 0; i < n; i++ {
-		m, err := tb.JoinSlot(f.Node(i), i)
+		m, err := tb.Join(f.Node(i))
 		if err != nil {
 			t.Fatalf("join node %d: %v", i, err)
 		}
