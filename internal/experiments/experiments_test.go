@@ -125,12 +125,14 @@ func TestTraceShape(t *testing.T) {
 	if res.Failed() {
 		t.Fatalf("trace experiment failed its acceptance bounds:\n%s", res)
 	}
+	// Each message carries the table: its dispatch rows give both arms'
+	// node-1 atomics per task.
 	r := res.Ratios["traced/untraced dispatch cost"]
 	if r <= 1.0 {
-		t.Errorf("traced/untraced = %.3fx: tracing cannot be free", r)
+		t.Errorf("traced/untraced = %.3fx: tracing cannot be free\n%s", r, res)
 	}
 	if r > 1+traceOverheadBudgetPct/100 {
-		t.Errorf("traced/untraced = %.3fx exceeds the %.0f%% budget", r, traceOverheadBudgetPct)
+		t.Errorf("traced/untraced = %.3fx exceeds the %.0f%% budget\n%s", r, traceOverheadBudgetPct, res)
 	}
 }
 

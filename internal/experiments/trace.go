@@ -95,7 +95,9 @@ func Trace(cfg TraceConfig) *Result {
 	}
 
 	// ---- Phase B: scheduler dispatch hot path, traced vs untraced ----
-	runDispatch := func(traced bool) (perTaskNS float64, dropped uint64) {
+	// Node 1's fabric atomics per task ride along in both rows: a traced
+	// run that also paid for a table scan shows about TableCap more.
+	runDispatch := func(traced bool) (perTaskNS, atomicsPerTask float64, dropped uint64) {
 		f := fabric.New(fabric.Config{
 			GlobalSize: 64 << 20, Nodes: 2,
 			CacheCapacityLines: -1, Latency: fabric.DefaultLatency(),
@@ -132,14 +134,16 @@ func Trace(cfg TraceConfig) *Result {
 		if rec != nil {
 			dropped = rec.Collector().Snapshot(n0, false).TotalDropped()
 		}
-		return float64(d.VirtualNS) / float64(cfg.Tasks), dropped
+		return float64(d.VirtualNS) / float64(cfg.Tasks), float64(d.Atomics) / float64(cfg.Tasks), dropped
 	}
-	plainNS, _ := runDispatch(false)
-	tracedNS, dropped := runDispatch(true)
+	plainNS, plainAtomics, _ := runDispatch(false)
+	tracedNS, tracedAtomics, dropped := runDispatch(true)
 	overheadPct := 100 * (tracedNS - plainNS) / plainNS
-	res.Table.AddRow("dispatch", "untraced", ns(plainNS)+"/task", "worker-node virtual time")
+	res.Table.AddRow("dispatch", "untraced", ns(plainNS)+"/task",
+		fmt.Sprintf("worker-node virtual time, %.1f atomics/task", plainAtomics))
 	res.Table.AddRow("dispatch", "traced", ns(tracedNS)+"/task",
-		fmt.Sprintf("+%.1f%% (budget %.0f%%), dropped=%d", overheadPct, traceOverheadBudgetPct, dropped))
+		fmt.Sprintf("+%.1f%% (budget %.0f%%), dropped=%d, %.1f atomics/task",
+			overheadPct, traceOverheadBudgetPct, dropped, tracedAtomics))
 	res.Ratios["traced/untraced dispatch cost"] = tracedNS / plainNS
 	if overheadPct > traceOverheadBudgetPct {
 		res.Fail("traced dispatch costs +%.1f%% virtual time per task, budget %.0f%%", overheadPct, traceOverheadBudgetPct)

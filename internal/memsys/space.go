@@ -239,25 +239,6 @@ func (s *Space) Attach(n *fabric.Node, pta *alloc.NodeAllocator, ls *LocalStore,
 	return m
 }
 
-// AttachedNodes returns the IDs of nodes holding a live MMU attachment,
-// deduplicated, in attach order. The scheduler uses it as the locality
-// oracle: a node attached to the space has its page-table walks cached
-// and its local frames mapped, so work against the space runs cheapest
-// there (sched.SubmitToSpace).
-func (s *Space) AttachedNodes() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := make(map[int]bool, len(s.mmus))
-	out := make([]int, 0, len(s.mmus))
-	for _, m := range s.mmus {
-		if id := m.node.ID(); !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Detach removes an MMU from the shootdown registry and the VMA log's
 // recycle constraint.
 func (s *Space) Detach(m *MMU) {

@@ -13,8 +13,17 @@
 //     cache coherence): a fixed-size task table whose slots carry a
 //     packed state word (generation | attempt | owner | state), a lease
 //     word, function/argument words and instrumentation words; a per-node
-//     load board (queued+running count, heartbeat); and global
-//     submitted/completed/queued counters.
+//     load board (queued+running count, heartbeat); and one global
+//     queued word.
+//
+// A slot's state word is the only record of its task: every lifecycle
+// step is one write of it (layout.go lists them), and Stats, Drain and
+// the lease keeper read task counts from the table. The load board and
+// the queued word are hints. Each is incremented before the transition
+// that creates the work it counts and decremented after the one that
+// retires it, so a node that dies between the two leaves a hint that
+// over-counts: that costs idle table scans or a placement skew, never a
+// lost, stranded or miscounted task.
 //
 // Placement is locality-aware: a task may carry a preferred node (e.g.
 // the node whose cache is warm with the task's memsys.Space pages), and
@@ -31,12 +40,13 @@
 // board every tick. When the fault injector crashes a node, its
 // heartbeat freezes; surviving keepers observe a Running task whose
 // owner's beat has not advanced for ProbeRounds consecutive ticks,
-// declare the lease expired, and re-queue the task (attempt+1) for any
-// survivor to claim. Completion is published with a generation-checked
-// CAS, so even if a slow node is falsely declared dead and its task
-// re-dispatched, exactly one completion is recorded and the completion
-// cell (if any) is bumped exactly once. Task bodies should therefore be
-// idempotent or publish their effects through their own global-memory
-// protocol: the scheduler guarantees at-least-once execution and
-// exactly-once completion.
+// declare the lease expired, and re-queue the task (attempt+1) on
+// themselves with one CAS. Completion is published with a
+// generation-checked CAS, so even if a slow node is falsely declared dead
+// and its task re-dispatched, exactly one completion is recorded and the
+// completion cell (if any) is bumped at most once: the bump follows the
+// CAS, so a runner that dies between the two loses it. Task bodies should
+// therefore be idempotent or publish their effects through their own
+// global-memory protocol: the scheduler guarantees at-least-once
+// execution and exactly-once completion.
 package sched

@@ -7,10 +7,18 @@ import (
 	"flacos/internal/flacdk/ds"
 )
 
-// slotState is a task slot's lifecycle state. A slot cycles Free -> Init
-// (submitter fills words) -> Queued -> Running -> Free(gen+1); a reclaimed
-// task detours Running -> Init(attempt+1) -> Queued without changing
-// generation.
+// slotState is a task slot's lifecycle state. The slot's state word is the
+// only record of its task; every transition is one write of that word, a
+// CAS except where Submit publishes the Init slot it alone holds:
+//
+//	Free(g)             -> Init(g+1, 0, submitter)   allocSlot
+//	Init(g, 0, _)       -> Queued(g, 0, target)      Submit
+//	Queued(g, a, o)     -> Running(g, a, claimer)    claimAndRun
+//	Running(g, a, o)    -> Free(g+1)                 completion
+//	Running(g, a, dead) -> Queued(g, a+1, reclaimer) reclaim
+//
+// The generation advances once at allocSlot and once at completion, so
+// gen>>1 is how many tasks the slot has completed (see StatsFrom).
 type slotState uint8
 
 const (
@@ -21,10 +29,10 @@ const (
 )
 
 // slotWord is a task slot's state word: aux is the attempt counter, owner
-// the node running the task. The generation advances once per slot
-// lifecycle (at completion), so a Handle's generation comparison tells
-// waiters when their task is done even after the slot is reused; the
-// attempt counter advances on every lease reclaim so a stale runner's
+// the node the task is assigned to (Queued) or running on (Running). A
+// Handle holds the odd generation allocSlot gave its task, so a larger
+// generation tells waiters the task is done even after the slot is reused;
+// the attempt counter advances on every lease reclaim so a stale runner's
 // completion CAS can never succeed against a re-dispatched incarnation of
 // the same task.
 type slotWord = ds.StateWord[slotState]
@@ -40,9 +48,9 @@ const noPreference = 0xff
 //	w2 fn         registered function index
 //	w3 arg0       first argument (often a GPtr to task state)
 //	w4 arg1       second argument
-//	w5 routing    assigned<<8 | preferred (bytes)
+//	w5 preferred  preferred node (noPreference: any), written at Submit
 //	w6 enqueueNS  wall-clock ns at (re-)queue, for dispatch latency
-//	w7 doneCell   optional GPtr FAA'd exactly once at completion
+//	w7 doneCell   optional GPtr FAA'd once, after the completion CAS
 const (
 	slotBytes = fabric.LineSize
 
@@ -51,24 +59,18 @@ const (
 	offFn      = 16
 	offArg0    = 24
 	offArg1    = 32
-	offRouting = 40
+	offPref    = 40
 	offEnqueue = 48
 	offCell    = 56
 )
 
-// Load-board layout: one line per node. w0 is the node's load (tasks
-// queued for or running on it), w1 its heartbeat (lease renewal beat).
+// Load-board layout: one line per node. w0 is the node's load, a hint
+// that over-counts the tasks queued for or running on it, w1 its
+// heartbeat (lease renewal beat).
 const (
 	boardBytes = fabric.LineSize
 	offLoad    = 0
 	offBeat    = 8
-)
-
-// Global counter line words.
-const (
-	offSubmitted = 0
-	offCompleted = 8
-	offQueuedCnt = 16
 )
 
 func (s *Scheduler) slotG(i uint64) fabric.GPtr  { return s.tableG.Add(i * slotBytes) }
@@ -77,7 +79,7 @@ func (s *Scheduler) leaseG(i uint64) fabric.GPtr { return s.slotG(i).Add(offLeas
 func (s *Scheduler) fnG(i uint64) fabric.GPtr    { return s.slotG(i).Add(offFn) }
 func (s *Scheduler) arg0G(i uint64) fabric.GPtr  { return s.slotG(i).Add(offArg0) }
 func (s *Scheduler) arg1G(i uint64) fabric.GPtr  { return s.slotG(i).Add(offArg1) }
-func (s *Scheduler) routeG(i uint64) fabric.GPtr { return s.slotG(i).Add(offRouting) }
+func (s *Scheduler) prefG(i uint64) fabric.GPtr  { return s.slotG(i).Add(offPref) }
 func (s *Scheduler) enqG(i uint64) fabric.GPtr   { return s.slotG(i).Add(offEnqueue) }
 func (s *Scheduler) cellG(i uint64) fabric.GPtr  { return s.slotG(i).Add(offCell) }
 
@@ -87,17 +89,6 @@ func (s *Scheduler) loadG(node int) fabric.GPtr {
 func (s *Scheduler) beatG(node int) fabric.GPtr {
 	return s.boardG.Add(uint64(node)*boardBytes + offBeat)
 }
-
-func (s *Scheduler) submittedG() fabric.GPtr { return s.ctrG.Add(offSubmitted) }
-func (s *Scheduler) completedG() fabric.GPtr { return s.ctrG.Add(offCompleted) }
-func (s *Scheduler) queuedG() fabric.GPtr    { return s.ctrG.Add(offQueuedCnt) }
-
-func packRoute(assigned, preferred int) uint64 {
-	return uint64(assigned&0xff)<<8 | uint64(preferred&0xff)
-}
-
-func routeAssigned(w uint64) int  { return int((w >> 8) & 0xff) }
-func routePreferred(w uint64) int { return int(w & 0xff) }
 
 // nowNS is the wall clock used for dispatch-latency instrumentation. It
 // is measurement only: no scheduling decision depends on it.

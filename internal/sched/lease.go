@@ -26,8 +26,7 @@ type probe struct {
 // keeps beating (its keeper is an independent goroutine), so a frozen
 // beat means the node is gone, exactly as Node.Crash leaves it.
 //
-// Reclaim detours the slot through Init so the routing word and board
-// accounting are fixed before the task becomes claimable again; the
+// Reclaim is one CAS that re-queues the task on the reclaiming node; the
 // bumped attempt counter fences out the dead (or falsely-suspected)
 // owner's completion CAS.
 func (s *Scheduler) keeper(id int) {
@@ -44,7 +43,7 @@ func (s *Scheduler) keeper(id int) {
 		case <-tick.C:
 		}
 		n.Add64(s.beatG(id), 1)
-		if n.AtomicLoad64(s.submittedG()) == n.AtomicLoad64(s.completedG()) {
+		if s.boardIdle(n) {
 			continue // nothing in flight anywhere
 		}
 		for i := uint64(0); i < s.cfg.TableCap; i++ {
@@ -75,22 +74,34 @@ func (s *Scheduler) keeper(id int) {
 	}
 }
 
-// reclaim re-queues slot i after its owner's lease expired: the task is
-// re-assigned to this node, its attempt bumped, and its enqueue clock
-// restarted so RedispatchHist measures crash-to-restart latency.
-func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) {
-	owner := w.Owner()
-	held := ds.PackState(w.Gen(), w.Aux()+1, id, stInit)
-	if !n.CAS64(s.stateG(i), uint64(w), uint64(held)) {
-		return // the owner finished after all, or another keeper won
+// boardIdle reports whether the load board sums to zero. The board only
+// ever over-counts, so a zero sum means no slot is Queued or Running.
+func (s *Scheduler) boardIdle(n *fabric.Node) bool {
+	var sum uint64
+	for id := 0; id < s.fab.NumNodes(); id++ {
+		sum += n.AtomicLoad64(s.loadG(id))
 	}
-	route := n.AtomicLoad64(s.routeG(i))
-	n.AtomicStore64(s.routeG(i), packRoute(id, routePreferred(route)))
-	n.AtomicStore64(s.enqG(i), nowNS())
-	n.Add64(s.loadG(owner), ^uint64(0))
+	return sum == 0
+}
+
+// reclaim re-queues slot i after its owner's lease expired, in one CAS
+// Running(gen, a, owner) -> Queued(gen, a+1, id): the task is assigned to
+// this node, its attempt bumped, and its enqueue clock restarted so
+// RedispatchHist measures crash-to-restart latency. The hints count the
+// re-queued task before the CAS and the owner's load comes off after it.
+// It reports whether its CAS won.
+func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) bool {
+	owner := w.Owner()
 	n.Add64(s.loadG(id), 1)
-	n.Add64(s.queuedG(), 1)
-	n.AtomicStore64(s.stateG(i), uint64(ds.PackState(w.Gen(), w.Aux()+1, 0, stQueued)))
+	n.Add64(s.queuedG, 1)
+	n.AtomicStore64(s.enqG(i), nowNS())
+	if !n.CAS64(s.stateG(i), uint64(w), uint64(ds.PackState(w.Gen(), w.Aux()+1, id, stQueued))) {
+		// The owner finished after all, or another keeper won.
+		n.Add64(s.loadG(id), ^uint64(0))
+		n.Add64(s.queuedG, ^uint64(0))
+		return false
+	}
+	n.Add64(s.loadG(owner), ^uint64(0))
 	s.reclaimed.Add(1)
 	if owner >= 0 && owner < len(s.nodeLeaseExp) {
 		s.nodeLeaseExp[owner].Add(1)
@@ -100,4 +111,5 @@ func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) {
 	}
 	s.noteReclaim(n, id, i, owner, w.Aux()+1)
 	s.announce(n, id, i)
+	return true
 }

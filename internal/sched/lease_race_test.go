@@ -80,7 +80,7 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	if got := sub.AtomicLoad64(cell); got != 1 {
 		t.Fatalf("DoneCell = %d after re-dispatched completion, want 1", got)
 	}
-	if done := sub.AtomicLoad64(s.completedG()); done != 1 {
+	if done := s.StatsFrom(sub).Completed; done != 1 {
 		t.Fatalf("completed counter = %d, want 1", done)
 	}
 
@@ -93,7 +93,7 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 		if got := sub.AtomicLoad64(cell); got != 1 {
 			t.Fatalf("DoneCell = %d after stale runner woke, want 1 (double completion!)", got)
 		}
-		if got := sub.AtomicLoad64(s.completedG()); got != 1 {
+		if got := s.StatsFrom(sub).Completed; got != 1 {
 			t.Fatalf("completed counter = %d after stale runner woke, want 1", got)
 		}
 		time.Sleep(time.Millisecond)

@@ -18,7 +18,7 @@ import (
 //     lease to expire individually under the keeper's probe cadence.
 
 // SetLiveness installs a liveness oracle consulted by every placement
-// decision (Submit targeting, SubmitToSpace, PickNode, steal grace). A
+// decision (Submit targeting, PickNode, steal grace). A
 // node is placeable only if it is not crashed AND the oracle approves.
 // A nil oracle (the default) restores crash-check-only behavior. The
 // oracle runs on hot paths: it must be a cheap host-side read, like
@@ -64,9 +64,8 @@ func (s *Scheduler) placeable(id int) bool {
 }
 
 // ReclaimNode reclaims every lease node dead currently holds: each
-// Running slot owned by it is detoured through Init with a bumped
-// attempt (fencing the dead owner's completion CAS) and re-queued on
-// node from. It is the membership Dead event's recovery hook — one
+// Running slot owned by it is re-queued on node from with a bumped
+// attempt (fencing the dead owner's completion CAS), one CAS per slot. It is the membership Dead event's recovery hook — one
 // detection, all leases at once — and returns how many were reclaimed.
 // Idempotent: a second sweep finds nothing Running under that owner.
 // The keeper's per-lease expiry stays on as the backstop for racks
@@ -81,9 +80,7 @@ func (s *Scheduler) ReclaimNode(from *fabric.Node, dead int) int {
 		if w.State() != stRunning || w.Owner() != dead {
 			continue
 		}
-		before := s.reclaimed.Load()
-		s.reclaim(from, from.ID(), i, w)
-		if s.reclaimed.Load() > before {
+		if s.reclaim(from, from.ID(), i, w) {
 			reclaimed++
 		}
 	}

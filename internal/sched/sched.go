@@ -11,7 +11,6 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
-	"flacos/internal/memsys"
 	"flacos/internal/metrics"
 	"flacos/internal/trace"
 )
@@ -40,7 +39,8 @@ type Task struct {
 	// the task's working set. Negative means "run anywhere".
 	Preferred int
 	// DoneCell, when non-nil, is a global-memory word the scheduler
-	// increments exactly once when the task completes.
+	// increments once, right after the task's completion CAS; a runner
+	// that dies between the two loses the increment.
 	DoneCell fabric.GPtr
 }
 
@@ -147,7 +147,7 @@ type Scheduler struct {
 
 	tableG  fabric.GPtr // task slots, one line each
 	boardG  fabric.GPtr // per-node load + heartbeat lines
-	ctrG    fabric.GPtr // submitted / completed / queued counters
+	queuedG fabric.GPtr // scan hint: at least the number of Queued slots
 	inboxes []*ds.MPSCRing
 
 	fnMu sync.RWMutex
@@ -166,7 +166,6 @@ type Scheduler struct {
 	allocCursor atomic.Uint64
 	stolen      atomic.Uint64
 	reclaimed   atomic.Uint64
-	localRun    atomic.Uint64
 	localSub    atomic.Uint64
 	localDone   atomic.Uint64
 
@@ -180,11 +179,8 @@ type Scheduler struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	hints hintTable // recent per-space placements (see hints.go)
-
 	dispatch   *metrics.Histogram // submit -> first claim
 	redispatch *metrics.Histogram // lease reclaim -> re-claim
-	service    *metrics.Histogram // claim -> completion
 
 	tr tracing // flight-recorder hooks (see trace.go)
 
@@ -206,17 +202,15 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 		cfg:        cfg,
 		tableG:     f.Reserve(cfg.TableCap*slotBytes, fabric.LineSize),
 		boardG:     f.Reserve(uint64(f.NumNodes())*boardBytes, fabric.LineSize),
-		ctrG:       f.Reserve(fabric.LineSize, fabric.LineSize),
+		queuedG:    f.Reserve(fabric.LineSize, fabric.LineSize),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		dispatch:   metrics.NewHistogram(),
 		redispatch: metrics.NewHistogram(),
-		service:    metrics.NewHistogram(),
 		stop:       make(chan struct{}),
 	}
 	if cfg.HistCap > 0 {
 		s.dispatch.SetReservoir(cfg.HistCap, cfg.Seed)
 		s.redispatch.SetReservoir(cfg.HistCap, cfg.Seed+1)
-		s.service.SetReservoir(cfg.HistCap, cfg.Seed+2)
 	}
 	nn := f.NumNodes()
 	s.notServing = make([]atomic.Bool, nn)
@@ -329,39 +323,17 @@ func (s *Scheduler) Submit(from *fabric.Node, t Task) Handle {
 	from.AtomicStore64(s.fnG(slot), uint64(t.Fn))
 	from.AtomicStore64(s.arg0G(slot), t.Arg0)
 	from.AtomicStore64(s.arg1G(slot), t.Arg1)
-	from.AtomicStore64(s.routeG(slot), packRoute(target, pref))
+	from.AtomicStore64(s.prefG(slot), uint64(pref))
 	from.AtomicStore64(s.enqG(slot), nowNS())
 	from.AtomicStore64(s.cellG(slot), uint64(t.DoneCell))
 	from.AtomicStore64(s.leaseG(slot), 0)
-	// Account before publishing so the load board and queued counter
-	// never under-read a claimable task.
+	// Hints count before publishing, so they never under-read a
+	// claimable task.
 	from.Add64(s.loadG(target), 1)
-	from.Add64(s.queuedG(), 1)
-	from.Add64(s.submittedG(), 1)
-	from.AtomicStore64(s.stateG(slot), uint64(ds.PackState(gen, 0, 0, stQueued)))
+	from.Add64(s.queuedG, 1)
+	from.AtomicStore64(s.stateG(slot), uint64(ds.PackState(gen, 0, target, stQueued)))
 	s.announce(from, target, slot)
 	return Handle{Slot: slot, Gen: gen}
-}
-
-// SubmitToSpace submits t preferring the node that owns sp's pages: the
-// least-loaded node holding a live MMU attachment to the space (whose
-// cache and local frames are warm with it). Any Preferred already set on
-// t is overridden.
-func (s *Scheduler) SubmitToSpace(from *fabric.Node, sp *memsys.Space, t Task) Handle {
-	t.Preferred = -1
-	best := ^uint64(0)
-	for _, id := range sp.AttachedNodes() {
-		if !s.placeable(id) {
-			continue
-		}
-		if l := from.AtomicLoad64(s.loadG(id)); l < best {
-			best, t.Preferred = l, id
-		}
-	}
-	if t.Preferred >= 0 {
-		s.noteSpacePlacement(sp.ID, t.Preferred)
-	}
-	return s.Submit(from, t)
 }
 
 // SubmitLocal runs fn on node id's private run queue: the hot path for
@@ -462,11 +434,20 @@ func (s *Scheduler) Wait(n *fabric.Node, h Handle) bool {
 }
 
 // Drain blocks until every submitted task (global and local) has
-// completed. It returns false if the scheduler stops first.
+// completed: every table slot is Free and the local queues are done. Each
+// poll resumes at the last busy slot it saw, so a poll while that task is
+// in flight costs one load. It returns false if the scheduler stops first.
 func (s *Scheduler) Drain(n *fabric.Node) bool {
+	busy := uint64(0)
 	for i := 0; ; i++ {
-		if n.AtomicLoad64(s.submittedG()) == n.AtomicLoad64(s.completedG()) &&
-			s.localSub.Load() == s.localDone.Load() {
+		k := uint64(0)
+		for ; k < s.cfg.TableCap; k++ {
+			if slotWord(n.AtomicLoad64(s.stateG(busy))).State() != stFree {
+				break
+			}
+			busy = (busy + 1) % s.cfg.TableCap
+		}
+		if k == s.cfg.TableCap && s.localSub.Load() == s.localDone.Load() {
 			return true
 		}
 		select {
@@ -480,16 +461,6 @@ func (s *Scheduler) Drain(n *fabric.Node) bool {
 			runtime.Gosched()
 		}
 	}
-}
-
-// Loads returns the load board as seen by node n: per node, the count of
-// tasks queued for or running on it.
-func (s *Scheduler) Loads(n *fabric.Node) []uint64 {
-	out := make([]uint64, s.fab.NumNodes())
-	for i := range out {
-		out[i] = n.AtomicLoad64(s.loadG(i))
-	}
-	return out
 }
 
 // PickNode scores each live node as density[i] + scheduler load and
@@ -526,26 +497,37 @@ func (s *Scheduler) anyAlive() *fabric.Node {
 	return nil
 }
 
-// Stats is a snapshot of scheduler activity.
+// Stats is a snapshot of scheduler activity. Submitted, Completed and
+// Queued are read from the task table's state words, so no crash can make
+// them disagree with the slots; the rest are host-side counters.
 type Stats struct {
-	Submitted uint64 // global tasks submitted
-	Completed uint64 // global tasks completed (exactly-once)
-	Queued    uint64 // currently claimable
+	Submitted uint64 // global tasks that took a slot: Completed + busy slots
+	Completed uint64 // global tasks whose completion CAS won (gen>>1 summed)
+	Queued    uint64 // slots Queued (claimable) right now
 	Stolen    uint64 // claims by a node other than the assigned one
 	Reclaimed uint64 // lease expiries (crash re-dispatch)
 	LocalRun  uint64 // node-private LocalTasks executed
 }
 
-// StatsFrom reads the counters through node n.
+// StatsFrom scans the task table through node n, one load per slot.
 func (s *Scheduler) StatsFrom(n *fabric.Node) Stats {
-	return Stats{
-		Submitted: n.AtomicLoad64(s.submittedG()),
-		Completed: n.AtomicLoad64(s.completedG()),
-		Queued:    n.AtomicLoad64(s.queuedG()),
+	st := Stats{
 		Stolen:    s.stolen.Load(),
 		Reclaimed: s.reclaimed.Load(),
-		LocalRun:  s.localRun.Load(),
+		LocalRun:  s.localDone.Load(),
 	}
+	for i := uint64(0); i < s.cfg.TableCap; i++ {
+		w := slotWord(n.AtomicLoad64(s.stateG(i)))
+		st.Completed += w.Gen() >> 1
+		if w.State() != stFree {
+			st.Submitted++
+		}
+		if w.State() == stQueued {
+			st.Queued++
+		}
+	}
+	st.Submitted += st.Completed
+	return st
 }
 
 // DispatchHist is the submit->claim latency histogram (first attempts).
@@ -554,6 +536,3 @@ func (s *Scheduler) DispatchHist() *metrics.Histogram { return s.dispatch }
 // RedispatchHist is the reclaim->re-claim latency histogram (tasks
 // re-dispatched after their owner's lease expired).
 func (s *Scheduler) RedispatchHist() *metrics.Histogram { return s.redispatch }
-
-// ServiceHist is the claim->completion latency histogram.
-func (s *Scheduler) ServiceHist() *metrics.Histogram { return s.service }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/flacdk/alloc"
-	"flacos/internal/memsys"
 )
 
 func testFabric(nodes int) *fabric.Fabric {
@@ -205,28 +203,6 @@ func TestPickNodeSkipsCrashedAndAddsLoad(t *testing.T) {
 	f.Node(1).Crash()
 	if got := s.PickNode([]int{5, 0, 3}); got != 2 {
 		t.Fatalf("PickNode = %d, want 2 (node 1 is down)", got)
-	}
-}
-
-func TestSubmitToSpacePrefersAttachedNode(t *testing.T) {
-	f := testFabric(3)
-	s := testSched(t, f, Config{Policy: PolicyLocality, StealGrace: 100 * time.Millisecond})
-	ranOn := f.Reserve(8, 8)
-	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.AtomicStore64(fabric.GPtr(arg0), uint64(n.ID())+1)
-	})
-	s.Start()
-
-	arena := alloc.NewArena(f, 8<<20)
-	frames := memsys.NewGlobalFrames(f, 128)
-	sp := memsys.NewSpace(f, 1, frames, arena.NodeAllocator(f.Node(0), 0), 64)
-	sp.Attach(f.Node(2), arena.NodeAllocator(f.Node(2), 0), nil, 16)
-
-	n0 := f.Node(0)
-	h := s.SubmitToSpace(n0, sp, Task{Fn: fn, Arg0: uint64(ranOn)})
-	s.Wait(n0, h)
-	if got := n0.AtomicLoad64(ranOn); got != 3 {
-		t.Fatalf("space task ran on node %d, want 2 (the attached node)", got-1)
 	}
 }
 

@@ -31,7 +31,6 @@ func (s *Scheduler) worker(id int) {
 		select {
 		case t := <-s.localQ[id]:
 			t(n)
-			s.localRun.Add(1)
 			s.localDone.Add(1)
 			continue
 		default:
@@ -46,7 +45,7 @@ func (s *Scheduler) worker(id int) {
 				continue
 			}
 			// 3. Global table: own-preferred first, then cross-node steal.
-			if n.AtomicLoad64(s.queuedG()) > 0 && s.scanAndRun(n, id) {
+			if n.AtomicLoad64(s.queuedG) > 0 && s.scanAndRun(n, id) {
 				continue
 			}
 		}
@@ -65,7 +64,6 @@ func (s *Scheduler) worker(id int) {
 		case <-timer.C:
 		case t := <-s.localQ[id]:
 			t(n)
-			s.localRun.Add(1)
 			s.localDone.Add(1)
 		}
 	}
@@ -105,7 +103,7 @@ func (s *Scheduler) scanAndRun(n *fabric.Node, id int) bool {
 		if slotWord(n.AtomicLoad64(s.stateG(i))).State() != stQueued {
 			continue
 		}
-		pref := routePreferred(n.AtomicLoad64(s.routeG(i)))
+		pref := int(n.AtomicLoad64(s.prefG(i)))
 		if pref == id {
 			if s.claimAndRun(n, id, i) {
 				return true
@@ -141,27 +139,34 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 		s.nodeClaimFail[id].Add(1)
 		return false
 	}
+	// The Queued word's owner is the node the task is assigned to. A steal
+	// moves its load to this node: counted here before the claim, taken
+	// off the assigned node after it, so the board never under-counts.
+	assigned := w.Owner()
+	if assigned != id {
+		n.Add64(s.loadG(id), 1)
+	}
 	running := ds.PackState(w.Gen(), w.Aux(), id, stRunning)
 	if !n.CAS64(s.stateG(slot), uint64(w), uint64(running)) {
+		if assigned != id {
+			n.Add64(s.loadG(id), ^uint64(0))
+		}
 		s.nodeClaimFail[id].Add(1)
 		return false
 	}
 	// Lease: record the beat this claim starts at; the node's keeper
 	// renews it by advancing the heartbeat every tick.
 	n.AtomicStore64(s.leaseG(slot), n.AtomicLoad64(s.beatG(id)))
-	n.Add64(s.queuedG(), ^uint64(0))
-	assigned := routeAssigned(n.AtomicLoad64(s.routeG(slot)))
+	n.Add64(s.queuedG, ^uint64(0))
 	if assigned != id {
 		n.Add64(s.loadG(assigned), ^uint64(0))
-		n.Add64(s.loadG(id), 1)
 		s.stolen.Add(1)
 	}
-	enq := n.AtomicLoad64(s.enqG(slot))
-	claimed := nowNS()
+	lat := latencyNS(n.AtomicLoad64(s.enqG(slot)), nowNS())
 	if w.Aux() > 0 {
-		s.redispatch.Record(latencyNS(enq, claimed))
+		s.redispatch.Record(lat)
 	} else {
-		s.dispatch.Record(latencyNS(enq, claimed))
+		s.dispatch.Record(lat)
 	}
 	if tw := s.tw(id); tw != nil {
 		tw.Begin(trace.SubSched, trace.KDispatch, slot, w.Aux())
@@ -180,13 +185,13 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 	// word is still current may free the slot — a task re-dispatched
 	// after a (possibly false) lease expiry bumped the attempt, so a
 	// stale runner's CAS fails here and completion stays exactly-once.
+	// The DoneCell increment follows the CAS, so a runner that dies
+	// between the two loses it.
 	if n.CAS64(s.stateG(slot), uint64(running), uint64(ds.PackState(w.Gen()+1, 0, 0, stFree))) {
 		if cell != 0 {
 			n.Add64(fabric.GPtr(cell), 1)
 		}
-		n.Add64(s.completedG(), 1)
 		n.Add64(s.loadG(id), ^uint64(0))
-		s.service.Record(latencyNS(claimed, nowNS()))
 		if tw := s.tw(id); tw != nil {
 			tw.End(trace.SubSched, trace.KComplete, slot, w.Aux())
 		}

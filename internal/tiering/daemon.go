@@ -45,7 +45,7 @@ type Config struct {
 	// MaxMovesPerStep bounds one step's page moves so a policy swing
 	// cannot monopolize the fabric.
 	MaxMovesPerStep int
-	// HintMaxAge is how long a sched placement hint protects a node from
+	// HintMaxAge is how long a placement hint protects a node from
 	// demotions.
 	HintMaxAge time.Duration
 }
@@ -77,9 +77,9 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Hints is the slice of sched the daemon consults before demoting: where
-// did the scheduler just place this space's work? *sched.Scheduler
-// satisfies it.
+// Hints is what the daemon consults before demoting: where was this
+// space's work just placed? No placer implements it any more (every
+// caller passes nil); it goes once the last four-argument New call does.
 type Hints interface {
 	SpacePlacementHint(spaceID uint64, maxAge time.Duration) (node int, ok bool)
 }

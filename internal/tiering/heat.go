@@ -13,8 +13,8 @@
 //     would serialize every node's MMU).
 //   - Daemon is the policy: it folds the heat epochs, decides promotions
 //     and demotions under per-tier capacity budgets and promote/demote
-//     hysteresis, coordinates with sched through placement hints so the
-//     two never fight over a node, and executes the moves through the
+//     hysteresis, skips demotions on a node a placement hint names
+//     (when a placer supplies Hints), and executes the moves through the
 //     memsys batch tier operations (one shootdown IPI per remote MMU per
 //     batch).
 //

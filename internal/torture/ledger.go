@@ -3,7 +3,6 @@ package torture
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"flacos/internal/fabric"
 	"flacos/internal/sched"
@@ -74,23 +73,19 @@ func (a LedgerAudit) String() string {
 		a.Once, a.Tasks, a.Stats.Submitted, a.Stats.Completed, a.Stats.Queued)
 }
 
-// Audit reads the scheduler's ledger through node from and checks the
-// whole task history.
+// Audit ends the task history and checks it through node from. It stops
+// the scheduler first: Stop waits for every live runner, so each one whose
+// completion CAS won has also incremented its DoneCell.
 func (l *Ledger) Audit(from *fabric.Node) LedgerAudit {
+	l.s.Stop()
 	a := LedgerAudit{Tasks: l.next.Load()}
 	violatef := func(format string, args ...any) {
 		a.Violations = append(a.Violations, fmt.Sprintf(format, args...))
 	}
-	// Callers audit after waiting on their handles, so the scheduler's
-	// ledger only has to settle. The wait is bounded: a completion the
-	// scheduler lost (a runner dying between freeing its slot and counting
-	// it) must surface as a violation, not hang the harness.
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		a.Stats = l.s.StatsFrom(from)
-		if a.Stats.Completed >= a.Stats.Submitted || time.Now().After(deadline) {
-			break
-		}
-	}
+	// Callers audit after waiting on their handles, and a returned Wait
+	// means the slot's generation, which is what StatsFrom counts, has
+	// moved past the task: one read of the table is the whole ledger.
+	a.Stats = l.s.StatsFrom(from)
 	if a.Stats.Submitted != a.Tasks || a.Stats.Completed != a.Tasks {
 		violatef("lost tasks: submitted=%d completed=%d want %d", a.Stats.Submitted, a.Stats.Completed, a.Tasks)
 	}

@@ -146,22 +146,10 @@ func (s *storeStream) writer(env *Env, node, ci int) {
 		keyIdx := node*s.kpw + j
 		key := s.key(keyIdx)
 		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = s.reattach(env, n, v)
+			var synced bool
+			if v, vers[j], synced = s.syncKey(env, n, v, ci, keyIdx, vers[j]); !synced {
 				continue
 			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			s.floors[keyIdx].Store(seq)
 			needSync[j] = false
 		}
 		next := vers[j] + 1
@@ -186,9 +174,38 @@ func (s *storeStream) writer(env *Env, node, ci int) {
 		completed++
 		env.OpDone()
 	}
+	// A key whose last SET a crash cut is synced before its sequence is
+	// recorded as final, even if the writer never picked it again.
 	for j := range vers {
+		for synced := !needSync[j]; !synced; {
+			v, vers[j], synced = s.syncKey(env, n, v, ci, node*s.kpw+j, vers[j])
+		}
 		s.finalVer[node*s.kpw+j] = vers[j]
 	}
+}
+
+// syncKey re-reads key keyIdx through v after a crash cut its writer's
+// last SET, which either published or did not, and returns the view to
+// go on with and the sequence it found as the key's new committed floor:
+// committed or committed+1, anything else a violation. A crash during the
+// read reattaches and returns false, leaving the key unsynced.
+func (s *storeStream) syncKey(env *Env, n *fabric.Node, v *redis.View, ci, keyIdx int, committed uint64) (*redis.View, uint64, bool) {
+	key := s.key(keyIdx)
+	var val []byte
+	var ok bool
+	if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
+		return s.reattach(env, n, v), committed, false
+	}
+	seq, intact := uint64(0), false
+	if ok {
+		seq, intact = redisDecode(keyIdx, val)
+	}
+	if !ok || !intact || seq < committed || seq > committed+1 {
+		env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, committed)
+		seq = committed
+	}
+	s.floors[keyIdx].Store(seq)
+	return v, seq, true
 }
 
 // reader GETs random keys rack-wide through node's views and checks
