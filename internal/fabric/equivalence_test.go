@@ -16,16 +16,19 @@ import (
 // implementation each twin uses. Afterward home memory must match byte
 // for byte, every node's charged virtual time must match to the
 // nanosecond, the full stats snapshots must be equal, and the caches must
-// hold the same number of resident lines.
-//
-// Caches are unlimited here on purpose: the pinned legacy invalidate
-// deletes lines from the map without unlinking them from a bounded
-// cache's eviction order.
+// hold the same number of resident lines. Every property runs twice: on
+// unlimited caches, and on caches of eqBoundedLines lines, where most
+// misses evict and a dropped line must leave the eviction order with the
+// cache.
 
 const (
-	eqArenaLines = 48
-	eqArenaBytes = eqArenaLines * LineSize
+	eqArenaLines   = 48
+	eqArenaBytes   = eqArenaLines * LineSize
+	eqBoundedLines = 4
 )
+
+// eqCapacities are the cache sizes every equivalence property runs at.
+var eqCapacities = []int{-1, eqBoundedLines}
 
 type eqTwin struct {
 	f *Fabric
@@ -175,26 +178,30 @@ func runEqWorkload(tw eqTwin, r *rand.Rand, ops int, ranged bool) {
 	}
 }
 
-func diffTwins(t *testing.T, seed int64, corruptPPM, dropPPM uint64, straddle bool) {
+// diffTwins runs one seeded workload on a legacy and a ranged twin whose
+// caches hold capLines lines (-1: unlimited) and reports every difference.
+func diffTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint64, straddle bool) {
 	t.Helper()
-	legacy := newEqTwin(seed, -1, straddle)
-	ranged := newEqTwin(seed, -1, straddle)
+	legacy := newEqTwin(seed, capLines, straddle)
+	ranged := newEqTwin(seed, capLines, straddle)
 	legacy.armFaults(corruptPPM, dropPPM)
 	ranged.armFaults(corruptPPM, dropPPM)
 
 	runEqWorkload(legacy, rand.New(rand.NewSource(seed)), 400, false)
 	runEqWorkload(ranged, rand.New(rand.NewSource(seed)), 400, true)
-	sameTwins(t, fmt.Sprintf("seed %d, legacy vs ranged", seed), legacy, ranged)
+	sameTwins(t, fmt.Sprintf("seed %d, cache %d lines, legacy vs ranged", seed, capLines), legacy, ranged)
 }
 
 func TestRangedEquivalentToPerLine(t *testing.T) {
-	check := func(seed int64) bool {
-		diffTwins(t, seed, 0, 0, false)
-		return !t.Failed()
-	}
-	cfg := &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(7))}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Error(err)
+	for _, capLines := range eqCapacities {
+		check := func(seed int64) bool {
+			diffTwins(t, seed, capLines, 0, 0, false)
+			return !t.Failed()
+		}
+		cfg := &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(7))}
+		if err := quick.Check(check, cfg); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -203,14 +210,16 @@ func TestRangedEquivalentToPerLine(t *testing.T) {
 // them, so both twins consume the same PRNG draw sequence and corrupt or
 // drop the same lines.
 func TestRangedEquivalentToPerLineWithFaults(t *testing.T) {
-	check := func(seed int64) bool {
-		// Rates high enough that a 400-op workload reliably takes hits.
-		diffTwins(t, seed, 20_000, 50_000, false)
-		return !t.Failed()
-	}
-	cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(11))}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Error(err)
+	for _, capLines := range eqCapacities {
+		check := func(seed int64) bool {
+			// Rates high enough that a 400-op workload reliably takes hits.
+			diffTwins(t, seed, capLines, 20_000, 50_000, false)
+			return !t.Failed()
+		}
+		cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(11))}
+		if err := quick.Check(check, cfg); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -219,14 +228,16 @@ func TestRangedEquivalentToPerLineWithFaults(t *testing.T) {
 // zero lines written back into an untouched chunk store nothing, and none
 // of that may show in home memory, virtual time, stats or fault draws.
 func TestRangedEquivalentToPerLineAcrossChunks(t *testing.T) {
-	for _, rates := range [][2]uint64{{0, 0}, {20_000, 50_000}} {
-		check := func(seed int64) bool {
-			diffTwins(t, seed, rates[0], rates[1], true)
-			return !t.Failed()
-		}
-		cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(13))}
-		if err := quick.Check(check, cfg); err != nil {
-			t.Error(err)
+	for _, capLines := range eqCapacities {
+		for _, rates := range [][2]uint64{{0, 0}, {20_000, 50_000}} {
+			check := func(seed int64) bool {
+				diffTwins(t, seed, capLines, rates[0], rates[1], true)
+				return !t.Failed()
+			}
+			cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(13))}
+			if err := quick.Check(check, cfg); err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }

@@ -24,8 +24,8 @@ func evictionRun(t *testing.T, seed int64) ([]uint64, NodeStatsSnapshot) {
 	resident := func() []uint64 {
 		n.cache.mu.Lock()
 		defer n.cache.mu.Unlock()
-		ls := make([]uint64, 0, len(n.cache.lines))
-		for li := range n.cache.lines {
+		var ls []uint64
+		for li := range n.cache.all() {
 			ls = append(ls, li)
 		}
 		return ls
@@ -149,6 +149,27 @@ func TestEvictionOrderSurvivesReset(t *testing.T) {
 	for l := uint64(8); l < 13; l++ {
 		if got, want := n.cache.lookup(g.Add(l*LineSize).Line()) != nil, l != 8; got != want {
 			t.Fatalf("after a reset and five loads, line %d resident=%v, want %v", l, got, want)
+		}
+	}
+}
+
+// TestPerLineInvalidateLeavesEvictionOrder: the pinned per-line invalidate
+// takes a dropped line out of a bounded cache's eviction order too, so
+// the misses that follow evict resident lines, first in first out.
+func TestPerLineInvalidateLeavesEvictionOrder(t *testing.T) {
+	f := New(Config{GlobalSize: 1 << 20, Nodes: 1, CacheCapacityLines: 4})
+	n := f.Node(0)
+	g := f.Reserve(16*LineSize, LineSize)
+	for l := uint64(0); l < 4; l++ {
+		n.Store64(g.Add(l*LineSize), l+1)
+	}
+	n.InvalidateRangePerLine(g.Add(LineSize), LineSize)
+	for l := uint64(4); l < 12; l++ {
+		n.Store64(g.Add(l*LineSize), l+1)
+	}
+	for l := uint64(0); l < 12; l++ {
+		if got, want := n.cache.lookup(g.Add(l*LineSize).Line()) != nil, l >= 8; got != want {
+			t.Fatalf("line %d resident=%v, want %v", l, got, want)
 		}
 	}
 }

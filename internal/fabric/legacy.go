@@ -51,7 +51,9 @@ func (n *Node) WriteBackRangePerLine(g GPtr, size uint64) {
 }
 
 // InvalidateRangePerLine is the pre-batching InvalidateRange: one lock
-// acquisition, but a per-line atomic Invalidates bump under the lock.
+// acquisition, but a per-line atomic Invalidates bump under the lock. It
+// drops each line through the cache like the ranged path, so a bounded
+// cache's eviction order forgets the line with it.
 func (n *Node) InvalidateRangePerLine(g GPtr, size uint64) {
 	n.checkAlive()
 	if size == 0 {
@@ -62,8 +64,7 @@ func (n *Node) InvalidateRangePerLine(g GPtr, size uint64) {
 	first, last := LineSpan(g, size)
 	c.mu.Lock()
 	for li := first; li <= last; li++ {
-		if _, ok := c.lines[li]; ok {
-			delete(c.lines, li)
+		if c.drop(li) {
 			n.stats.Invalidates.Add(1)
 		}
 	}

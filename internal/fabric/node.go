@@ -119,7 +119,7 @@ func (n *Node) CacheResidentLines() int { return n.cache.resident() }
 
 // fill returns resident line li, faulting it in from home memory on a
 // miss, and reports whether it missed. If the insert evicted a dirty line,
-// that line is returned unlinked for the caller to write home.
+// that line is returned unlinked for the caller to write home and recycle.
 // Caller holds n.cache.mu.
 func (n *Node) fill(li uint64, wholeStore bool) (ln *cacheLine, miss bool, victimIdx uint64, victim *cacheLine) {
 	c := n.cache
@@ -143,8 +143,9 @@ func (n *Node) fill(li uint64, wholeStore bool) (ln *cacheLine, miss bool, victi
 // line in from home memory on a miss, and reports whether it missed. size
 // must not cross a line boundary. If write is true the line is marked
 // dirty. The access is counted as a load or store and a dirty victim is
-// written back after the unlock, but the hit or miss is the caller's
-// (withLine's) to count and charge.
+// written back after the unlock — from a copy taken under the lock, so its
+// line object goes back on the free list at once — but the hit or miss is
+// the caller's (withLine's) to count and charge.
 func (n *Node) lineAccess(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) (miss bool) {
 	n.checkAlive()
 	n.fab.checkRange(g, size)
@@ -155,13 +156,18 @@ func (n *Node) lineAccess(g GPtr, size uint64, write bool, fn func(data *[LineSi
 	c := n.cache
 	c.mu.Lock()
 	ln, miss, victimIdx, victim := n.fill(g.Line(), write && size == LineSize)
+	var victimData [LineSize]byte
+	if victim != nil {
+		victimData = victim.data
+		c.recycle(victim)
+	}
 	if write {
 		ln.dirty = true
 	}
 	fn(&ln.data, off)
 	c.mu.Unlock()
 	if victim != nil {
-		if fl := n.fab.writeLineHome(victimIdx, &victim.data); fl > 0 {
+		if fl := n.fab.writeLineHome(victimIdx, &victimData); fl > 0 {
 			n.stats.FaultsInjected.Add(fl)
 		}
 		n.stats.WriteBacks.Add(1)
@@ -435,11 +441,11 @@ func (n *Node) WriteFresh(g GPtr, data []byte) {
 	for li := first; li <= last; li++ {
 		chunk := min(LineSize-off, total-done)
 		src := data[done : done+chunk]
-		switch ln := c.lookup(li); {
+		switch ln := c.unlink(li); {
 		case ln != nil:
 			copy(ln.data[off:], src)
 			faults += n.fab.commitLine(li, &ln.data, armed)
-			c.drop(li, ln)
+			c.recycle(ln)
 			hits++
 		case chunk == LineSize:
 			faults += n.fab.commitLine(li, (*[LineSize]byte)(src), armed)
@@ -588,7 +594,12 @@ func (n *Node) harvestRange(first, last uint64, buf []wbEntry, drop bool) ([]wbE
 	c.mu.Lock()
 	c.maintLocks++
 	for li := first; li <= last; li++ {
-		ln := c.lines[li]
+		var ln *cacheLine
+		if drop {
+			ln = c.unlink(li)
+		} else {
+			ln = c.lookup(li)
+		}
 		if ln == nil {
 			continue
 		}
@@ -597,7 +608,7 @@ func (n *Node) harvestRange(first, last uint64, buf []wbEntry, drop bool) ([]wbE
 			buf = append(buf, wbEntry{li: li, data: ln.data})
 		}
 		if drop {
-			c.drop(li, ln)
+			c.recycle(ln)
 			dropped++
 		}
 	}
@@ -673,8 +684,7 @@ func (n *Node) dropRange(first, last uint64) {
 	c.mu.Lock()
 	c.maintLocks++
 	for li := first; li <= last; li++ {
-		if ln, ok := c.lines[li]; ok {
-			c.drop(li, ln)
+		if c.drop(li) {
 			dropped++
 		}
 	}
@@ -722,14 +732,15 @@ func (n *Node) FlushRange(g GPtr, size uint64) {
 
 // WriteBackAll pushes every dirty line in the node's cache to home memory.
 // The batch streams home in ascending line order — deterministic, unlike
-// the map's iteration order, so fault-injection replays are stable.
+// the index's table order, which follows the hash and the table's size —
+// so fault-injection replays are stable.
 func (n *Node) WriteBackAll() {
 	n.checkAlive()
 	c := n.cache
 	c.mu.Lock()
 	c.maintLocks++
-	buf := make([]wbEntry, 0, len(c.lines))
-	for li, ln := range c.lines {
+	buf := make([]wbEntry, 0, c.size())
+	for li, ln := range c.all() {
 		if ln.dirty {
 			ln.dirty = false
 			buf = append(buf, wbEntry{li: li, data: ln.data})
@@ -746,8 +757,7 @@ func (n *Node) InvalidateAll() {
 	c := n.cache
 	c.mu.Lock()
 	c.maintLocks++
-	dropped := len(c.lines)
-	c.reset()
+	dropped := c.reset()
 	c.mu.Unlock()
 	n.stats.Invalidates.Add(uint64(dropped))
 	n.charge(n.fab.lat.LocalNS)

@@ -145,7 +145,7 @@ func TestDroppedLinesAreRecycledClean(t *testing.T) {
 	n := f.Node(0)
 	g := f.Reserve(2*LineSize, LineSize)
 	dirtyLines(n, g, 1)
-	dropped := n.cache.lines[g.Line()]
+	dropped := n.cache.lookup(g.Line())
 	n.InvalidateRange(g, LineSize) // the dirty word is lost, by contract
 
 	c := n.cache
