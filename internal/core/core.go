@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"flacos/internal/boot"
-	"flacos/internal/devshare"
 	"flacos/internal/fabric"
 	"flacos/internal/faultbox"
 	"flacos/internal/flacdk/alloc"
@@ -28,7 +27,6 @@ import (
 	"flacos/internal/fs"
 	"flacos/internal/health"
 	"flacos/internal/ipc"
-	"flacos/internal/irq"
 	"flacos/internal/membership"
 	"flacos/internal/memsys"
 	"flacos/internal/redis"
@@ -118,10 +116,6 @@ type Rack struct {
 	Boxes *faultbox.Manager
 	// Scrubber guards protected global regions.
 	Scrubber *reliability.Scrubber
-	// IRQ is the rack-wide interrupt controller (§5 extension).
-	IRQ *irq.Controller
-	// Devices is the rack's global device namespace (§5 extension).
-	Devices *devshare.Registry
 	// HWTable is the shared-memory hardware description (§5 extension);
 	// every OS instance discovers the rack through it.
 	HWTable fabric.GPtr
@@ -291,11 +285,6 @@ func Boot(cfg Config) *Rack {
 	r.Services = ipc.NewServiceTable(f)
 	r.Boxes = faultbox.NewManager(f, r.Frames, r.Arena, r.Services)
 	r.Scrubber = reliability.NewScrubber(f)
-	r.IRQ = irq.NewController(f, f.Node(0), 64)
-	r.Devices = devshare.NewRegistry()
-	if _, err := r.Devices.Register("blk0", 0, r.Dev); err != nil {
-		panic(err)
-	}
 
 	// Publish the hardware description into shared memory; every node's OS
 	// instance bootstraps from this single table.

@@ -7,7 +7,6 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/faultbox"
-	"flacos/internal/irq"
 	"flacos/internal/memsys"
 	"flacos/internal/serverless"
 	"flacos/internal/trace"
@@ -159,30 +158,6 @@ func TestHardwareDiscoveryFromEveryNode(t *testing.T) {
 	}
 }
 
-func TestIRQAndDeviceNamespaceWired(t *testing.T) {
-	r := Boot(Config{Nodes: 2, GlobalMemory: 160 << 20})
-	// Cross-node IPI through the facade.
-	fired := false
-	r.IRQ.Register(1, 5, func(from int, v irqVector, arg uint64) { fired = from == 0 && arg == 9 })
-	if err := r.IRQ.SendIPI(r.Fabric.Node(0), 1, 5, 9); err != nil {
-		t.Fatal(err)
-	}
-	r.IRQ.DispatchOnce(r.Fabric.Node(1))
-	if !fired {
-		t.Fatal("IPI not delivered")
-	}
-	// The FS's device is reachable by rack-wide name from any node.
-	dev, err := r.Devices.Open("blk0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	dev.WritePage(r.Fabric.Node(1), 77, 0, buf) // remote node
-	if !dev.ReadPage(r.Fabric.Node(0), 77, 0, buf) {
-		t.Fatal("device write from remote node not visible to owner")
-	}
-}
-
 func TestScrubberWiredToFabric(t *testing.T) {
 	r := Boot(Config{Nodes: 1, GlobalMemory: 160 << 20})
 	g := r.Fabric.Reserve(64, 64)
@@ -203,9 +178,6 @@ func TestScrubberWiredToFabric(t *testing.T) {
 		t.Fatal("corruption not detected through facade")
 	}
 }
-
-// irqVector aliases the irq package's vector type for the test above.
-type irqVector = irq.Vector
 
 func TestRedisStoreSharedThroughFacade(t *testing.T) {
 	r := Boot(Config{Nodes: 2})

@@ -7,9 +7,9 @@ import (
 	"flacos/internal/fabric"
 )
 
-// Lock-variant benchmarks: wall-clock here measures simulator speed; the
-// interesting comparison is the virtual-cost profile each variant leaves
-// in the fabric ledger, reported as fabric-atomics-per-acquire.
+// Lock benchmarks: wall-clock here measures simulator speed; the
+// interesting figure is the virtual-cost profile each leaves in the fabric
+// ledger, reported as fabric-atomics-per-acquire.
 
 func benchLockRack() *fabric.Fabric {
 	return fabric.New(fabric.Config{GlobalSize: 8 << 20, Nodes: 4})
@@ -27,79 +27,33 @@ func BenchmarkSpinLockUncontended(b *testing.B) {
 	reportAtomicsPerOp(b, f)
 }
 
-func BenchmarkTicketLockUncontended(b *testing.B) {
-	f := benchLockRack()
-	l := NewTicketLock(f)
-	n := f.Node(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Lock(n)
-		l.Unlock(n)
-	}
-	reportAtomicsPerOp(b, f)
-}
-
-func BenchmarkMCSLockUncontended(b *testing.B) {
-	f := benchLockRack()
-	l := NewMCSLock(f)
-	n := f.Node(0)
-	q := NewMCSNode(f)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Lock(n, q)
-		l.Unlock(n, q)
-	}
-	reportAtomicsPerOp(b, f)
-}
-
 func reportAtomicsPerOp(b *testing.B, f *fabric.Fabric) {
 	b.Helper()
 	s := f.RackStats()
 	b.ReportMetric(float64(s.Atomics)/float64(b.N), "fabric-atomics/op")
 }
 
-// Contended variants: 4 nodes hammer one lock; MCS should issue far fewer
-// atomic probes per acquisition than test-and-set spinning, because each
-// waiter spins on its own line.
-func contendedBench(b *testing.B, lock func(n *fabric.Node, worker int), unlock func(n *fabric.Node, worker int), f *fabric.Fabric) {
-	b.Helper()
+// BenchmarkSpinLockContended has 4 nodes hammer one lock: every failed
+// test-and-set is another fabric atomic.
+func BenchmarkSpinLockContended(b *testing.B) {
+	f := benchLockRack()
+	l := NewSpinLock(f)
 	const workers = 4
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	per := b.N/workers + 1
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(n *fabric.Node) {
 			defer wg.Done()
-			n := f.Node(w)
 			for i := 0; i < per; i++ {
-				lock(n, w)
-				unlock(n, w)
+				l.Lock(n)
+				l.Unlock(n)
 			}
-		}(w)
+		}(f.Node(w))
 	}
 	wg.Wait()
 	reportAtomicsPerOp(b, f)
-}
-
-func BenchmarkSpinLockContended(b *testing.B) {
-	f := benchLockRack()
-	l := NewSpinLock(f)
-	contendedBench(b,
-		func(n *fabric.Node, _ int) { l.Lock(n) },
-		func(n *fabric.Node, _ int) { l.Unlock(n) }, f)
-}
-
-func BenchmarkMCSLockContended(b *testing.B) {
-	f := benchLockRack()
-	l := NewMCSLock(f)
-	qs := make([]*MCSNode, 4)
-	for i := range qs {
-		qs[i] = NewMCSNode(f)
-	}
-	contendedBench(b,
-		func(n *fabric.Node, w int) { l.Lock(n, qs[w]) },
-		func(n *fabric.Node, w int) { l.Unlock(n, qs[w]) }, f)
 }
 
 func BenchmarkLockedRegionCriticalSection(b *testing.B) {

@@ -1,12 +1,12 @@
 // Package dksync is FlacDK's synchronization layer over the non-coherent
 // fabric (paper §3.2).
 //
-// It provides the level-1/level-2 primitives: spin and ticket locks built on
-// fabric atomics, sequence locks, and the LockedRegion discipline that makes
-// lock-based critical sections *correct* on incoherent memory — at the cost
-// the paper calls out: every critical section must invalidate the protected
-// data on entry and flush it on exit, turning each section into multiple
-// global-memory round trips. The replication, delegation and quiescence
+// It provides the level-1/level-2 primitives: a spin lock built on fabric
+// atomics, and the LockedRegion discipline that makes lock-based critical
+// sections *correct* on incoherent memory — at the cost the paper calls
+// out: every critical section must invalidate the protected data on entry
+// and flush it on exit, turning each section into multiple global-memory
+// round trips. The replication, delegation and quiescence
 // packages are the lock-free alternatives FlacOS actually prefers.
 package dksync
 
@@ -70,83 +70,6 @@ func (l SpinLock) Holder(n *fabric.Node) int {
 		return -1
 	}
 	return int(v - 1)
-}
-
-// TicketLock is a fair FIFO lock: two fabric words, next-ticket and
-// now-serving, each on its own cache line.
-type TicketLock struct {
-	next    fabric.GPtr
-	serving fabric.GPtr
-}
-
-// NewTicketLock reserves the lock's two cache lines.
-func NewTicketLock(f *fabric.Fabric) TicketLock {
-	return TicketLock{
-		next:    f.Reserve(fabric.LineSize, fabric.LineSize),
-		serving: f.Reserve(fabric.LineSize, fabric.LineSize),
-	}
-}
-
-// Lock takes a ticket and spins until served.
-func (l TicketLock) Lock(n *fabric.Node) {
-	t := n.Add64(l.next, 1) - 1
-	for n.AtomicLoad64(l.serving) != t {
-		runtime.Gosched()
-	}
-}
-
-// Unlock admits the next ticket holder.
-func (l TicketLock) Unlock(n *fabric.Node) {
-	n.Add64(l.serving, 1)
-}
-
-// SeqLock is a writer-versioned lock for read-mostly data: writers bump the
-// version to odd on entry and even on exit; readers retry if the version was
-// odd or changed across their read. Readers never write shared state.
-type SeqLock struct {
-	g fabric.GPtr
-}
-
-// NewSeqLock reserves the version word's cache line.
-func NewSeqLock(f *fabric.Fabric) SeqLock {
-	return SeqLock{g: f.Reserve(fabric.LineSize, fabric.LineSize)}
-}
-
-// WriteBegin enters the writer's critical section. Writers must already be
-// mutually excluded (e.g. by a SpinLock) — SeqLock orders readers only.
-func (l SeqLock) WriteBegin(n *fabric.Node) {
-	v := n.Add64(l.g, 1)
-	if v%2 == 0 {
-		panic("dksync: SeqLock.WriteBegin with concurrent writer")
-	}
-	n.Fence()
-}
-
-// WriteEnd leaves the writer's critical section.
-func (l SeqLock) WriteEnd(n *fabric.Node) {
-	n.Fence()
-	v := n.Add64(l.g, 1)
-	if v%2 != 0 {
-		panic("dksync: SeqLock.WriteEnd without WriteBegin")
-	}
-}
-
-// ReadBegin returns a version token; spin until no writer is active.
-func (l SeqLock) ReadBegin(n *fabric.Node) uint64 {
-	for {
-		v := n.AtomicLoad64(l.g)
-		if v%2 == 0 {
-			return v
-		}
-		runtime.Gosched()
-	}
-}
-
-// ReadRetry reports whether a read section that began at version v must be
-// retried because a writer intervened.
-func (l SeqLock) ReadRetry(n *fabric.Node, v uint64) bool {
-	n.Fence()
-	return n.AtomicLoad64(l.g) != v
 }
 
 // LockedRegion couples a SpinLock with the cache-maintenance discipline a

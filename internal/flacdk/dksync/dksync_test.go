@@ -84,91 +84,6 @@ func TestSpinLockAtAlignment(t *testing.T) {
 	SpinLockAt(fabric.GPtr(8))
 }
 
-func TestTicketLockExclusionAndProgress(t *testing.T) {
-	f := rack(t, 4)
-	l := NewTicketLock(f)
-	data := f.Reserve(fabric.LineSize, fabric.LineSize)
-	const perNode = 150
-	var wg sync.WaitGroup
-	for i := 0; i < f.NumNodes(); i++ {
-		wg.Add(1)
-		go func(n *fabric.Node) {
-			defer wg.Done()
-			for j := 0; j < perNode; j++ {
-				l.Lock(n)
-				n.InvalidateRange(data, 8)
-				v := n.Load64(data)
-				n.Store64(data, v+1)
-				n.FlushRange(data, 8)
-				l.Unlock(n)
-			}
-		}(f.Node(i))
-	}
-	wg.Wait()
-	n := f.Node(0)
-	n.InvalidateRange(data, 8)
-	if got := n.Load64(data); got != uint64(f.NumNodes()*perNode) {
-		t.Fatalf("counter = %d, want %d", got, f.NumNodes()*perNode)
-	}
-}
-
-func TestSeqLockReaderNeverSeesTornWrite(t *testing.T) {
-	f := rack(t, 2)
-	sl := NewSeqLock(f)
-	// Two paired words that a writer always keeps equal. They are accessed
-	// with fabric atomics so visibility is immediate; SeqLock must still
-	// prevent a reader from observing the mid-update state a!=b.
-	a := f.Reserve(fabric.LineSize, fabric.LineSize)
-	b := f.Reserve(fabric.LineSize, fabric.LineSize)
-	w, r := f.Node(0), f.Node(1)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := uint64(1); i <= 300; i++ {
-			sl.WriteBegin(w)
-			w.AtomicStore64(a, i)
-			w.AtomicStore64(b, i)
-			sl.WriteEnd(w)
-		}
-	}()
-	reads := 0
-	for {
-		select {
-		case <-done:
-			if reads == 0 {
-				t.Log("no successful concurrent reads; timing-dependent but not a failure")
-			}
-			return
-		default:
-		}
-		v := sl.ReadBegin(r)
-		x := r.AtomicLoad64(a)
-		y := r.AtomicLoad64(b)
-		if !sl.ReadRetry(r, v) {
-			if x != y {
-				t.Fatalf("torn read: a=%d b=%d at version %d", x, y, v)
-			}
-			reads++
-		}
-	}
-}
-
-func TestSeqLockMisuse(t *testing.T) {
-	f := rack(t, 1)
-	sl := NewSeqLock(f)
-	n := f.Node(0)
-	sl.WriteBegin(n)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("nested WriteBegin should panic")
-			}
-		}()
-		sl.WriteBegin(n)
-	}()
-}
-
 func TestLockedRegionPublishesAcrossNodes(t *testing.T) {
 	f := rack(t, 2)
 	r := NewLockedRegion(f, 128)

@@ -35,16 +35,6 @@ func BenchmarkHashMapGet(b *testing.B) {
 	}
 }
 
-func BenchmarkVectorAppend(b *testing.B) {
-	f := benchRack(b)
-	v := NewVector(f, uint64(b.N)+1)
-	n := f.Node(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Append(n, uint64(i))
-	}
-}
-
 func BenchmarkSPSCRingRoundTrip(b *testing.B) {
 	f := benchRack(b)
 	r := NewSPSCRing(f, 8, 256)

@@ -1,7 +1,7 @@
 // Package ds provides FlacDK's high-level concurrent data structures
-// (paper §3.2, the third synchronization library level): vector, hash
-// table, ring buffers, radix tree, published line and state word, all
-// usable concurrently from every node of the rack without hardware cache
+// (paper §3.2, the third synchronization library level): hash table, ring
+// buffers, radix tree, published line and state word, all usable
+// concurrently from every node of the rack without hardware cache
 // coherence.
 //
 // The structures CHANGE all cross-node-visible control state with fabric

@@ -17,85 +17,6 @@ func rack(t *testing.T, nodes int, mb uint64) *fabric.Fabric {
 	return fabric.New(fabric.Config{GlobalSize: mb << 20, Nodes: nodes})
 }
 
-// --- Vector ---
-
-func TestVectorAppendGetSet(t *testing.T) {
-	f := rack(t, 1, 4)
-	v := NewVector(f, 16)
-	n := f.Node(0)
-	if v.Cap() != 16 || v.Len(n) != 0 {
-		t.Fatal("fresh vector wrong")
-	}
-	for i := uint64(0); i < 10; i++ {
-		if idx := v.Append(n, i*i); idx != i {
-			t.Fatalf("Append idx = %d, want %d", idx, i)
-		}
-	}
-	if v.Len(n) != 10 {
-		t.Fatalf("Len = %d", v.Len(n))
-	}
-	if v.Get(n, 3) != 9 {
-		t.Fatalf("Get(3) = %d", v.Get(n, 3))
-	}
-	v.Set(n, 3, 42)
-	if v.Get(n, 3) != 42 {
-		t.Fatal("Set failed")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Get beyond commit should panic")
-			}
-		}()
-		v.Get(n, 10)
-	}()
-}
-
-func TestVectorConcurrentAppendFromAllNodes(t *testing.T) {
-	const nodes, perNode = 4, 200
-	f := rack(t, nodes, 4)
-	v := NewVector(f, nodes*perNode)
-	var wg sync.WaitGroup
-	for w := 0; w < nodes; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n := f.Node(w)
-			for i := 0; i < perNode; i++ {
-				v.Append(n, uint64(w)<<32|uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	n := f.Node(0)
-	if v.Len(n) != nodes*perNode {
-		t.Fatalf("Len = %d", v.Len(n))
-	}
-	// Every (worker, i) pair must appear exactly once.
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < nodes*perNode; i++ {
-		x := v.Get(n, i)
-		if seen[x] {
-			t.Fatalf("duplicate element %#x", x)
-		}
-		seen[x] = true
-	}
-}
-
-func TestVectorFullPanics(t *testing.T) {
-	f := rack(t, 1, 4)
-	v := NewVector(f, 2)
-	n := f.Node(0)
-	v.Append(n, 1)
-	v.Append(n, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflow should panic")
-		}
-	}()
-	v.Append(n, 3)
-}
-
 // --- HashMap ---
 
 func TestHashMapBasics(t *testing.T) {

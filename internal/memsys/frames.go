@@ -20,6 +20,12 @@ type GlobalFrames struct {
 	bumpG  fabric.GPtr // atomic: next never-used frame index
 	headG  fabric.GPtr // atomic: free-list head (tagged)
 	refs   *ds.HashMap // frame phys >> PageShift -> refcount
+
+	// nodeMu[i] is node i's frame lock, host-side: node i's global frame
+	// reads and write-and-write-back pairs take it (MMU.readFrame,
+	// writeFrame), and a shootdown of node i takes it once to wait out the
+	// stores it overtook (Space.ackStores).
+	nodeMu []sync.Mutex
 }
 
 const frameAddrBits = 40
@@ -36,6 +42,7 @@ func NewGlobalFrames(f *fabric.Fabric, frames uint64) *GlobalFrames {
 		bumpG:  f.Reserve(fabric.LineSize, fabric.LineSize),
 		headG:  f.Reserve(fabric.LineSize, fabric.LineSize),
 		refs:   ds.NewHashMap(f, frames*2),
+		nodeMu: make([]sync.Mutex, f.NumNodes()),
 	}
 }
 

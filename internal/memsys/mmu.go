@@ -396,8 +396,16 @@ func (m *MMU) migrateToGlobal(vpn uint64, old PTE) {
 // readFrame copies [off, off+len(buf)) of the frame behind p into buf.
 // Cold-tier frames pay the fabric's ColdNS surcharge on top of the
 // ordinary global cost — the access still works, it is just far.
+//
+// A global frame is read under the node's frame lock: ReadFresh drops the
+// node's cached lines of the range, dirty ones included, so it must not
+// land between writeFrame's Write and its write-back, or those lines
+// would never reach home.
 func (m *MMU) readFrame(p PTE, off uint64, buf []byte) {
 	if p.Global() {
+		mu := &m.space.frames.nodeMu[m.node.ID()]
+		mu.Lock()
+		defer mu.Unlock() // a crashed node's ReadFresh panics
 		m.node.ReadFresh(fabric.GPtr(p.GlobalPhys()+off), buf)
 		if p.Cold() {
 			m.node.ChargeColdAccess(len(buf)/fabric.LineSize + 1)
@@ -412,16 +420,34 @@ func (m *MMU) readFrame(p PTE, off uint64, buf []byte) {
 	m.node.ChargeNS((len(buf)/fabric.LineSize + 1) * localAccessNS)
 }
 
-// writeFrame copies data into the frame behind p at off.
-func (m *MMU) writeFrame(p PTE, off uint64, data []byte) {
+// writeFrame copies data into the frame behind p, vpn's translation read
+// after the TLB generation was gen, at off. It reports false, having
+// stored nothing, when a shootdown took the translation first.
+//
+// A global frame is stored and written back home under the node's frame
+// lock (see readFrame), and only if vpn still translates to p: a path
+// that retires a frame changes the PTE, shoots it down and then takes the
+// frame lock of every node it shot (Space.ackStores), so a store through
+// the old translation lands before that or not at all — never after the
+// path has compared, copied or freed the frame. The lock is host-side and
+// charges nothing.
+func (m *MMU) writeFrame(vpn uint64, p PTE, gen, off uint64, data []byte) bool {
 	if p.Global() {
+		mu := &m.space.frames.nodeMu[m.node.ID()]
+		mu.Lock()
+		defer mu.Unlock()
+		if m.tlb.gen.Load() != gen {
+			if q, ok := m.tlb.get(vpn); !ok || q != p {
+				return false
+			}
+		}
 		g := fabric.GPtr(p.GlobalPhys() + off)
 		m.node.Write(g, data)
 		m.node.WriteBackRange(g, uint64(len(data)))
 		if p.Cold() {
 			m.node.ChargeColdAccess(len(data)/fabric.LineSize + 1)
 		}
-		return
+		return true
 	}
 	nodeID, idx := p.LocalFrame()
 	if nodeID != m.node.ID() {
@@ -429,6 +455,7 @@ func (m *MMU) writeFrame(p PTE, off uint64, data []byte) {
 	}
 	m.local.writeAt(idx, off, data)
 	m.node.ChargeNS((len(data)/fabric.LineSize + 1) * localAccessNS)
+	return true
 }
 
 // localAccessNS models one line's worth of node-local DRAM access.
@@ -464,9 +491,11 @@ func (m *MMU) Read(va uint64, buf []byte) error {
 // re-walked (the retry a core performs after a shootdown IPI). This is
 // sound because every PTE-changing path invalidates TLBs, and the
 // frame-moving paths purge ALL TLBs before copying the old frame
-// (unmap-before-copy): a store that passed the generation check either
-// used the live mapping or finished before the purge — and therefore
-// before the copy, which captures it.
+// (unmap-before-copy). The purge waits for the stores it overtook
+// (Space.ackStores), and a store re-checks its TLB entry under the node's
+// frame lock (writeFrame): so a store either used the live mapping or
+// finished before the purge — and therefore before the copy, which
+// captures it — or stores nothing and translates again.
 func (m *MMU) Write(va uint64, data []byte) error {
 	for done := 0; done < len(data); {
 		vpn := (va + uint64(done)) >> PageShift
@@ -477,7 +506,9 @@ func (m *MMU) Write(va uint64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		m.writeFrame(p, off, data[done:done+int(chunk)])
+		if !m.writeFrame(vpn, p, gen, off, data[done:done+int(chunk)]) {
+			continue // shot down before the store: translate again
+		}
 		if m.tlb.gen.Load() != gen && PTE(m.space.pt.Get(m.node, vpn)) != p {
 			m.tlb.invalidate(vpn)
 			continue // mapping changed under the store: redo this chunk

@@ -280,6 +280,7 @@ func (s *Space) shootdown(from *MMU, vpn uint64) {
 		m.stats.ShootdownsReceived.Add(1)
 		from.node.ChargeNS(ipiCostNS)
 	}
+	s.ackStores(from, targets)
 	from.stats.ShootdownsSent.Add(uint64(len(targets)))
 	s.emit(from.node, trace.KShootdown, vpn, uint64(len(targets)))
 }
@@ -307,8 +308,22 @@ func (s *Space) shootdownBatch(from *MMU, vpns []uint64) {
 		m.stats.ShootdownsReceived.Add(1)
 		from.node.ChargeNS(ipiCostNS)
 	}
+	s.ackStores(from, targets)
 	from.stats.ShootdownsSent.Add(uint64(len(targets)))
 	s.emit(from.node, trace.KShootdown, vpns[0], uint64(len(targets)))
+}
+
+// ackStores is the shootdown IPI's acknowledgement: it takes and drops the
+// frame lock of from's node and of every target's, so each store that
+// checked its translation before the invalidation has landed when it
+// returns (MMU.writeFrame). The caller has invalidated from's own TLB
+// already. Host-side; it charges nothing.
+func (s *Space) ackStores(from *MMU, targets []*MMU) {
+	for _, m := range append(targets, from) {
+		mu := &s.frames.nodeMu[m.node.ID()]
+		mu.Lock()
+		mu.Unlock()
+	}
 }
 
 // ipiCostNS is the modeled cost of one cross-node interrupt.

@@ -3,10 +3,9 @@
 // large multi-core machine. Its state is strategically split exactly as
 // the paper prescribes for kernel structures:
 //
-//   - Hot, node-private state stays local: each node's run queue of
-//     purely local tasks is a plain Go channel, and the consumer side of
-//     the node's announcement inbox is guarded by a node-private mutex.
-//     None of it ever crosses the fabric.
+//   - Hot, node-private state stays local: the consumer side of each
+//     node's announcement inbox is guarded by a node-private mutex that
+//     never crosses the fabric.
 //
 //   - Coordination state lives in global memory and is manipulated ONLY
 //     with fabric atomics (no Go pointers cross nodes, no reliance on

@@ -3,6 +3,7 @@ package sched
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"flacos/internal/fabric"
 )
@@ -122,5 +123,63 @@ func TestNodeServingGatePlacement(t *testing.T) {
 	s.SetNodeServing(1, true)
 	if got := s.target(n0, 1); got != 1 {
 		t.Fatalf("after serving gate lifted, preferred node 1 should win, got %d", got)
+	}
+}
+
+// The same gate in the worker loop of a started scheduler: while node 1
+// is not serving, its workers claim nothing — not the tasks preferring
+// it, not by stealing — even while node 0's only worker is busy and the
+// table holds queued work. Once the gate opens, a task preferred at
+// node 1 runs there. The keeper never probes (ReclaimTick): a lease
+// expiry would re-queue the held task on node 1's keeper, and node 0
+// taking it back would count as a steal.
+func TestNodeServingGateStopsWorkers(t *testing.T) {
+	f := testFabric(2)
+	s := testSched(t, f, Config{
+		WorkersPerNode: 1, IdleTick: 100 * time.Microsecond,
+		StealGrace: time.Hour, ReclaimTick: time.Hour,
+	})
+	ranOn := f.Reserve(8*16, fabric.LineSize)
+	release := make(chan struct{})
+	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
+		if arg1 == 0 {
+			<-release // hold node 0's only worker
+		}
+		n.AtomicStore64(fabric.GPtr(arg0).Add(arg1*8), uint64(n.ID())+1)
+	})
+	s.SetNodeServing(1, false)
+	s.Start()
+
+	n0 := f.Node(0)
+	const gated = 8
+	var hs []Handle
+	for i := uint64(0); i < gated; i++ {
+		hs = append(hs, s.Submit(n0, Task{Fn: fn, Arg0: uint64(ranOn), Arg1: i, Preferred: 1}))
+	}
+	// Many idle ticks: an ungated node 1 would have claimed the queued
+	// tasks that prefer it by now.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	for _, h := range hs {
+		if !s.Wait(n0, h) {
+			t.Fatal("Wait aborted")
+		}
+	}
+	for i := uint64(0); i < gated; i++ {
+		if got := n0.AtomicLoad64(ranOn.Add(i * 8)); got != 1 {
+			t.Fatalf("gated phase: task %d ran on node %d, want 0", i, int(got)-1)
+		}
+	}
+	if st := s.StatsFrom(n0); st.Stolen != 0 {
+		t.Fatalf("gated phase: Stolen = %d, want 0", st.Stolen)
+	}
+
+	s.SetNodeServing(1, true)
+	h := s.Submit(n0, Task{Fn: fn, Arg0: uint64(ranOn), Arg1: gated, Preferred: 1})
+	if !s.Wait(n0, h) {
+		t.Fatal("Wait aborted")
+	}
+	if got := n0.AtomicLoad64(ranOn.Add(gated * 8)); got != 2 {
+		t.Fatalf("open gate: task preferred at node 1 ran on node %d", int(got)-1)
 	}
 }

@@ -32,9 +32,9 @@ func (s *Scheduler) SetLiveness(fn func(int) bool) {
 }
 
 // SetNodeServing gates node id's work-pulling paths. While not serving,
-// the node's workers run only the node-private local queue: they do not
-// pop announcements, scan the table, or steal — the state of a
-// hot-plugged node that has joined the fabric but not yet activated.
+// the node's workers claim nothing: they do not pop announcements, scan
+// the table, or steal — the state of a hot-plugged node that has joined
+// the fabric but not yet activated.
 // Placement likewise skips non-serving nodes. Nodes default to serving.
 func (s *Scheduler) SetNodeServing(id int, serving bool) {
 	if id < 0 || id >= len(s.notServing) {

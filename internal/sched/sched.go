@@ -25,11 +25,6 @@ type Func func(n *fabric.Node, arg0, arg1 uint64)
 // FuncID names a registered function in the shared code-context table.
 type FuncID uint64
 
-// LocalTask is a node-private task: it runs on its submission node's
-// local run queue with zero global-memory traffic, and is NOT crash
-// recoverable. Use Submit for anything that must survive its host.
-type LocalTask func(n *fabric.Node)
-
 // Task describes one crash-recoverable unit of work.
 type Task struct {
 	Fn   FuncID
@@ -66,12 +61,8 @@ const (
 	PolicyRandom
 )
 
-// Per-node queue capacities no caller tunes. The LocalTask queue's buffer
-// lets SubmitLocal return without waiting for a worker.
-const (
-	inboxCap      = 256 // announcement ring slots
-	localQueueCap = 256
-)
+// inboxCap is each node's announcement ring size; no caller tunes it.
+const inboxCap = 256
 
 // Config sizes and tunes a Scheduler. Zero values get workable defaults.
 type Config struct {
@@ -153,7 +144,6 @@ type Scheduler struct {
 	fnMu sync.RWMutex
 	fns  []Func
 
-	localQ  []chan LocalTask
 	inboxMu []sync.Mutex // node-private consumer locks
 	notify  []chan struct{}
 
@@ -166,8 +156,6 @@ type Scheduler struct {
 	allocCursor atomic.Uint64
 	stolen      atomic.Uint64
 	reclaimed   atomic.Uint64
-	localSub    atomic.Uint64
-	localDone   atomic.Uint64
 
 	// Per-node anomaly counters the health layer samples (see health.go
 	// in this package): lease expiries are charged to the node whose
@@ -218,12 +206,10 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 	s.nodeClaimFail = make([]atomic.Uint64, nn)
 	s.tr.trw = make([]atomic.Pointer[trace.Writer], nn)
 	s.inboxes = make([]*ds.MPSCRing, nn)
-	s.localQ = make([]chan LocalTask, nn)
 	s.inboxMu = make([]sync.Mutex, nn)
 	s.notify = make([]chan struct{}, nn)
 	for i := 0; i < nn; i++ {
 		s.inboxes[i] = ds.NewMPSCRing(f, f.Node(0), inboxCap, 8)
-		s.localQ[i] = make(chan LocalTask, localQueueCap)
 		s.notify[i] = make(chan struct{}, 1)
 	}
 	return s
@@ -300,7 +286,7 @@ func (s *Scheduler) RebootNode(id int) {
 }
 
 // wake nudges node id's workers (the software stand-in for an IPI /
-// mwait wakeup on a global doorbell word — see internal/irq).
+// mwait wakeup on a global doorbell word).
 func (s *Scheduler) wake(id int) {
 	select {
 	case s.notify[id] <- struct{}{}:
@@ -334,14 +320,6 @@ func (s *Scheduler) Submit(from *fabric.Node, t Task) Handle {
 	from.AtomicStore64(s.stateG(slot), uint64(ds.PackState(gen, 0, target, stQueued)))
 	s.announce(from, target, slot)
 	return Handle{Slot: slot, Gen: gen}
-}
-
-// SubmitLocal runs fn on node id's private run queue: the hot path for
-// node-local work, no global-memory traffic, no crash recovery.
-func (s *Scheduler) SubmitLocal(id int, fn LocalTask) {
-	s.localSub.Add(1)
-	s.localQ[id] <- fn
-	s.wake(id)
 }
 
 // allocSlot claims a Free slot (Init state) and returns it with the new
@@ -433,10 +411,10 @@ func (s *Scheduler) Wait(n *fabric.Node, h Handle) bool {
 	}
 }
 
-// Drain blocks until every submitted task (global and local) has
-// completed: every table slot is Free and the local queues are done. Each
-// poll resumes at the last busy slot it saw, so a poll while that task is
-// in flight costs one load. It returns false if the scheduler stops first.
+// Drain blocks until every submitted task has completed: every table slot
+// is Free. Each poll resumes at the last busy slot it saw, so a poll while
+// that task is in flight costs one load. It returns false if the scheduler
+// stops first.
 func (s *Scheduler) Drain(n *fabric.Node) bool {
 	busy := uint64(0)
 	for i := 0; ; i++ {
@@ -447,7 +425,7 @@ func (s *Scheduler) Drain(n *fabric.Node) bool {
 			}
 			busy = (busy + 1) % s.cfg.TableCap
 		}
-		if k == s.cfg.TableCap && s.localSub.Load() == s.localDone.Load() {
+		if k == s.cfg.TableCap {
 			return true
 		}
 		select {
@@ -506,7 +484,6 @@ type Stats struct {
 	Queued    uint64 // slots Queued (claimable) right now
 	Stolen    uint64 // claims by a node other than the assigned one
 	Reclaimed uint64 // lease expiries (crash re-dispatch)
-	LocalRun  uint64 // node-private LocalTasks executed
 }
 
 // StatsFrom scans the task table through node n, one load per slot.
@@ -514,7 +491,6 @@ func (s *Scheduler) StatsFrom(n *fabric.Node) Stats {
 	st := Stats{
 		Stolen:    s.stolen.Load(),
 		Reclaimed: s.reclaimed.Load(),
-		LocalRun:  s.localDone.Load(),
 	}
 	for i := uint64(0); i < s.cfg.TableCap; i++ {
 		w := slotWord(n.AtomicLoad64(s.stateG(i)))

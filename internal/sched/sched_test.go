@@ -168,31 +168,6 @@ func TestCrashReclaimExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestSubmitLocalStaysOnNode(t *testing.T) {
-	f := testFabric(2)
-	s := testSched(t, f, Config{})
-	s.Start()
-	done := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		s.SubmitLocal(1, func(n *fabric.Node) { done <- n.ID() })
-	}
-	s.Drain(f.Node(0))
-	close(done)
-	count := 0
-	for id := range done {
-		count++
-		if id != 1 {
-			t.Fatalf("local task ran on node %d, want 1", id)
-		}
-	}
-	if count != 8 {
-		t.Fatalf("ran %d local tasks, want 8", count)
-	}
-	if st := s.StatsFrom(f.Node(0)); st.LocalRun != 8 {
-		t.Fatalf("LocalRun = %d", st.LocalRun)
-	}
-}
-
 func TestPickNodeSkipsCrashedAndAddsLoad(t *testing.T) {
 	f := testFabric(3)
 	s := testSched(t, f, Config{})

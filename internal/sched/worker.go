@@ -10,11 +10,10 @@ import (
 )
 
 // worker is one claiming goroutine of node id — one of the node's CPUs
-// from the scheduler's point of view. It drains the node-private local
-// queue first (hottest path), then the announcement inbox, then scans
-// the global table (own-preferred tasks first, then stealing). When the
-// node crashes, the fabric panics on its next memory operation and the
-// worker dies with its node.
+// from the scheduler's point of view. It takes the announcement inbox
+// first, then scans the global table (own-preferred tasks first, then
+// stealing). When the node crashes, the fabric panics on its next memory
+// operation and the worker dies with its node.
 func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
 	n := s.fab.Node(id)
@@ -27,29 +26,21 @@ func (s *Scheduler) worker(id int) {
 			return
 		default:
 		}
-		// 1. Node-private run queue: plain Go, zero fabric traffic.
-		select {
-		case t := <-s.localQ[id]:
-			t(n)
-			s.localDone.Add(1)
-			continue
-		default:
-		}
 		// A node gated off by membership (hot-plug in progress: joined
-		// the fabric, not yet resynced/activated) runs only its local
-		// queue — it must not claim rack work it cannot yet serve.
+		// the fabric, not yet resynced/activated) claims nothing — it
+		// must not take rack work it cannot yet serve.
 		if !s.notServing[id].Load() {
-			// 2. Announcement inbox: the fast path for tasks placed here.
+			// 1. Announcement inbox: the fast path for tasks placed here.
 			if slot, ok := s.popInbox(n, id); ok {
 				s.claimAndRun(n, id, slot)
 				continue
 			}
-			// 3. Global table: own-preferred first, then cross-node steal.
+			// 2. Global table: own-preferred first, then cross-node steal.
 			if n.AtomicLoad64(s.queuedG) > 0 && s.scanAndRun(n, id) {
 				continue
 			}
 		}
-		// 4. Idle: wait for a doorbell or the next steal tick.
+		// 3. Idle: wait for a doorbell or the next steal tick.
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -62,9 +53,6 @@ func (s *Scheduler) worker(id int) {
 			return
 		case <-s.notify[id]:
 		case <-timer.C:
-		case t := <-s.localQ[id]:
-			t(n)
-			s.localDone.Add(1)
 		}
 	}
 }
