@@ -2,6 +2,7 @@ package ds
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"flacos/internal/fabric"
 )
@@ -15,14 +16,42 @@ type Allocator interface {
 // RadixTree is a lock-free radix tree in global memory mapping fixed-width
 // keys to uint64 values, usable concurrently from every node. Interior
 // nodes are 256-way fan-out tables of child pointers installed with CAS;
-// leaf tables hold raw value words. FlacOS uses the same shape for its
-// shared page table (memsys builds its own, hardware-layout one) and for
-// file page indexes.
+// leaf tables hold raw value words. memsys keeps its shared page table in
+// one (VPN -> PTE).
 //
 // The value 0 means "absent"; store v+1 style encodings if 0 is meaningful.
+//
+// Each node keeps a walk cache from a key's leaf-table prefix (key >> 8)
+// to the leaf table, the software twin of an MMU's paging-structure
+// cache: a hit costs one node-local access instead of Levels()-1 fabric
+// atomics, and the leaf word's atomic follows as before. The cache needs
+// no invalidation, shootdown or purge on crash. An interior slot is
+// written exactly once (descend's CAS from 0) and interior tables are
+// never freed, so a pointer the walk read or installed by atomic stays
+// the pointer in home memory for the tree's lifetime. Only such pointers
+// are cached: never nil, never a partial walk, and after a lost install
+// race the winner's table. Interior slots are never read through the node
+// cache, where a line left from an earlier use of the arena memory would
+// decode as a pointer.
 type RadixTree struct {
 	rootG  fabric.GPtr // the root table (allocated eagerly)
 	levels int         // number of 8-bit levels
+	walk   []walkEntry // walkEntries per node, node i's at [i*walkEntries:]; nil with one level
+}
+
+// walkEntries is the number of direct-mapped walk-cache entries per node.
+// Each maps one leaf table of 256 keys, so with page numbers as keys a
+// node reaches 256 entries × 256 pages = 256 MiB of VA.
+const walkEntries = 256
+
+// walkEntry caches one prefix's leaf table. seq is a per-entry seqlock,
+// odd while one of the node's CPUs fills the entry: a reader that sees
+// the same even seq before and after loading prefix and leaf read one
+// fill's pair. leaf 0 (fabric.Nil) marks an empty entry.
+type walkEntry struct {
+	seq    atomic.Uint64
+	prefix atomic.Uint64
+	leaf   atomic.Uint64
 }
 
 const radixFanout = 256
@@ -33,7 +62,11 @@ func NewRadixTree(f *fabric.Fabric, a Allocator, keyBits int) *RadixTree {
 	if keyBits < 8 || keyBits > 64 || keyBits%8 != 0 {
 		panic(fmt.Sprintf("ds: radix keyBits %d must be a multiple of 8 in [8,64]", keyBits))
 	}
-	return &RadixTree{rootG: a.Alloc(radixNodeSize), levels: keyBits / 8}
+	t := &RadixTree{rootG: a.Alloc(radixNodeSize), levels: keyBits / 8}
+	if t.levels > 1 {
+		t.walk = make([]walkEntry, f.NumNodes()*walkEntries)
+	}
+	return t
 }
 
 // Levels returns the number of 8-bit levels.
@@ -45,9 +78,45 @@ func (t *RadixTree) slot(node fabric.GPtr, key uint64, level int) fabric.GPtr {
 	return node.Add(idx * fabric.WordSize)
 }
 
+// lookup returns the leaf table cached for prefix, or fabric.Nil.
+func (e *walkEntry) lookup(prefix uint64) fabric.GPtr {
+	s := e.seq.Load()
+	if s&1 != 0 {
+		return fabric.Nil
+	}
+	p, leaf := e.prefix.Load(), fabric.GPtr(e.leaf.Load())
+	if e.seq.Load() != s || p != prefix {
+		return fabric.Nil
+	}
+	return leaf
+}
+
+// fill caches leaf for prefix. If another CPU of the node is filling the
+// entry, this fill is dropped: the entry is a cache.
+func (e *walkEntry) fill(prefix uint64, leaf fabric.GPtr) {
+	s := e.seq.Load()
+	if s&1 != 0 || !e.seq.CompareAndSwap(s, s+1) {
+		return
+	}
+	e.prefix.Store(prefix)
+	e.leaf.Store(uint64(leaf))
+	e.seq.Store(s + 2)
+}
+
 // descend walks to the leaf slot for key, creating interior nodes with a
-// (alloc may be nil for read-only walks; missing nodes end the walk).
+// (alloc may be nil for read-only walks; missing nodes end the walk). A
+// hit in n's walk cache skips the interior levels; a completed walk fills
+// the entry.
 func (t *RadixTree) descend(n *fabric.Node, a Allocator, key uint64) fabric.GPtr {
+	prefix := key >> 8
+	var e *walkEntry
+	if t.walk != nil {
+		e = &t.walk[n.ID()*walkEntries+int(prefix%walkEntries)]
+		if leaf := e.lookup(prefix); !leaf.IsNil() {
+			n.ChargeLocal()
+			return t.slot(leaf, key, t.levels-1)
+		}
+	}
 	node := t.rootG
 	for level := 0; level < t.levels-1; level++ {
 		s := t.slot(node, key, level)
@@ -68,6 +137,9 @@ func (t *RadixTree) descend(n *fabric.Node, a Allocator, key uint64) fabric.GPtr
 			}
 		}
 		node = child
+	}
+	if e != nil {
+		e.fill(prefix, node)
 	}
 	return t.slot(node, key, t.levels-1)
 }

@@ -464,6 +464,51 @@ func TestTLBHitsRecorded(t *testing.T) {
 	}
 }
 
+// TestTranslateWarmPrefixOneTableAtomic pins the TLB-miss budget: once a
+// node has walked a page's leaf-table prefix, a miss on that page reads
+// the PTE with one fabric atomic and finds the leaf table with one
+// node-local access, instead of walking all four levels over the fabric.
+func TestTranslateWarmPrefixOneTableAtomic(t *testing.T) {
+	e := newEnv(t, 1)
+	s := e.space(1)
+	m := e.attach(s, 0)
+	const va = 0x80000
+	if err := m.MMap(va, 2, ProtRead|ProtWrite, BackGlobal); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(va, make([]byte, 2*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	n := e.fab.Node(0)
+	read := func() (atomics, ns uint64) {
+		before := n.Stats()
+		if err := m.Read(va, make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+		after := n.Stats()
+		return after.Atomics - before.Atomics, after.VirtualNS - before.VirtualNS
+	}
+	hitAtomics, hitNS := read()
+	m.FlushTLB()
+	missAtomics, missNS := read()
+	if m.Stats().TLBMisses == 0 {
+		t.Fatal("the flushed read did not miss the TLB")
+	}
+	probe := e.arena.NodeAllocator(n, 0).Alloc(fabric.WordSize)
+	v := n.VirtualNS()
+	n.AtomicLoad64(probe)
+	atomicNS := n.VirtualNS() - v
+	v = n.VirtualNS()
+	n.ChargeLocal()
+	localNS := n.VirtualNS() - v
+	if d := missAtomics - hitAtomics; d != 1 {
+		t.Fatalf("a TLB miss on a warm prefix issued %d page-table atomics, want 1", d)
+	}
+	if d := missNS - hitNS; d != atomicNS+localNS {
+		t.Fatalf("a TLB miss on a warm prefix cost %d sim_ns over a hit, want %d (one atomic, one local access)", d, atomicNS+localNS)
+	}
+}
+
 // TestTLBKeepsNoMappingAShootdownRaced: a page-table walk that a shootdown
 // overtakes (the shootdown finds no entry to drop, the walk then caches
 // what it read) must not leave the killed mapping in the TLB, where every

@@ -12,14 +12,19 @@ import (
 // worker is one claiming goroutine of node id — one of the node's CPUs
 // from the scheduler's point of view. It takes the announcement inbox
 // first, then scans the global table (own-preferred tasks first, then
-// stealing). When the node crashes, the fabric panics on its next memory
-// operation and the worker dies with its node.
+// stealing). It scans only after a steal tick: a worker woken by its
+// doorbell drains its inbox and sleeps again until its next IdleTick, so
+// a Submit caught between its queued count and its Queued store never
+// sends it through a TableCap scan at fabric-atomic cost. When the
+// node crashes, the fabric panics on its next memory operation and the
+// worker dies with its node.
 func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
 	n := s.fab.Node(id)
 	defer n.AbsorbCrash() // this CPU died with its node
 	timer := time.NewTimer(s.cfg.IdleTick)
 	defer timer.Stop()
+	scan := true
 	for {
 		select {
 		case <-s.stop:
@@ -35,8 +40,9 @@ func (s *Scheduler) worker(id int) {
 				s.claimAndRun(n, id, slot)
 				continue
 			}
-			// 2. Global table: own-preferred first, then cross-node steal.
-			if n.AtomicLoad64(s.queuedG) > 0 && s.scanAndRun(n, id) {
+			// 2. Global table, on a steal tick: own-preferred first, then
+			// cross-node steal.
+			if scan && n.AtomicLoad64(s.queuedG) > 0 && s.scanAndRun(n, id) {
 				continue
 			}
 		}
@@ -52,7 +58,9 @@ func (s *Scheduler) worker(id int) {
 		case <-s.stop:
 			return
 		case <-s.notify[id]:
+			scan = false
 		case <-timer.C:
+			scan = true
 		}
 	}
 }
