@@ -528,6 +528,42 @@ func TestTLBKeepsNoMappingAShootdownRaced(t *testing.T) {
 	}
 }
 
+// TestTLBEvictionDeterministic: a TLB smaller than the pages a node reads
+// evicts on most misses, and which entry it evicts decides which later
+// reads miss again, and so the node's virtual clock. Identical runs must
+// end on identical clocks; an eviction in Go map order does not.
+func TestTLBEvictionDeterministic(t *testing.T) {
+	const pages, reads, runs = 64, 4000, 8
+	run := func() (uint64, uint64) {
+		f := fabric.New(fabric.Config{GlobalSize: 48 << 20, Nodes: 1, Latency: fabric.DefaultLatency()})
+		arena := alloc.NewArena(f, 24<<20)
+		s := NewSpace(f, 1, NewGlobalFrames(f, 2048), arena.NodeAllocator(f.Node(0), 0), 1024)
+		m := s.Attach(f.Node(0), arena.NodeAllocator(f.Node(0), 0), NewLocalStore(f.Node(0)), 8)
+		const va = 0x80000
+		if err := m.MMap(va, pages, ProtRead|ProtWrite, BackGlobal); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 8)
+		x := uint64(7)
+		for i := 0; i < reads; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			if err := m.Read(va+(x>>40)%pages*PageSize, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.Node(0).VirtualNS(), m.Stats().TLBMisses
+	}
+	ns0, miss0 := run()
+	if miss0 <= pages {
+		t.Fatalf("%d TLB misses over %d pages: nothing was evicted, the test proves nothing", miss0, pages)
+	}
+	for i := 1; i < runs; i++ {
+		if ns, miss := run(); ns != ns0 || miss != miss0 {
+			t.Fatalf("run %d ended at %d sim_ns after %d TLB misses, run 0 at %d after %d", i, ns, miss, ns0, miss0)
+		}
+	}
+}
+
 func TestDetachDeregistersVMALog(t *testing.T) {
 	e := newEnv(t, 2)
 	s := e.space(1)

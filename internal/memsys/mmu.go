@@ -50,25 +50,38 @@ type MMUStatsSnapshot struct {
 // whole store and the expensive page-table re-walk can be skipped — the
 // software analogue of a core that re-checks its mapping only after a
 // shootdown IPI, not after every store.
+//
+// A full TLB replaces the entry under a hand that sweeps its fill order
+// round-robin, so which translation it evicts follows from the sequence
+// of puts and invalidations alone, never from Go's map iteration order,
+// and a run that evicts replays bit for bit.
 type tlb struct {
-	gen atomic.Uint64
-	mu  sync.Mutex
-	cap int
-	m   map[uint64]PTE
+	gen   atomic.Uint64
+	mu    sync.Mutex
+	cap   int
+	m     map[uint64]tlbEntry
+	order []uint64 // the VPN cached at each position, filled in order
+	free  []int    // positions an invalidation emptied, refilled first
+	hand  int      // the position a put into a full TLB replaces
+}
+
+type tlbEntry struct {
+	pte PTE
+	pos int
 }
 
 func newTLB(capacity int) *tlb {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &tlb{cap: capacity, m: make(map[uint64]PTE)}
+	return &tlb{cap: capacity, m: make(map[uint64]tlbEntry)}
 }
 
 func (t *tlb) get(vpn uint64) (PTE, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p, ok := t.m[vpn]
-	return p, ok
+	e, ok := t.m[vpn]
+	return e.pte, ok
 }
 
 // put caches p, read from the page table after the TLB's generation was
@@ -82,26 +95,45 @@ func (t *tlb) put(vpn uint64, p PTE, gen uint64) {
 	if t.gen.Load() != gen {
 		return
 	}
-	if len(t.m) >= t.cap {
-		for k := range t.m { // arbitrary eviction
-			delete(t.m, k)
-			break
-		}
+	if e, ok := t.m[vpn]; ok {
+		t.m[vpn] = tlbEntry{p, e.pos}
+		return
 	}
-	t.m[vpn] = p
+	var i int
+	switch {
+	case len(t.free) > 0:
+		i = t.free[len(t.free)-1]
+		t.free = t.free[:len(t.free)-1]
+		t.order[i] = vpn
+	case len(t.order) < t.cap:
+		i = len(t.order)
+		t.order = append(t.order, vpn)
+	default: // full: every position holds a live entry
+		i = t.hand
+		t.hand = (t.hand + 1) % t.cap
+		delete(t.m, t.order[i])
+		t.order[i] = vpn
+	}
+	t.m[vpn] = tlbEntry{p, i}
 }
 
 func (t *tlb) invalidate(vpn uint64) {
 	t.mu.Lock()
-	t.gen.Add(1)     // bump BEFORE the delete: an unchanged gen observed by a
-	delete(t.m, vpn) // store proves the invalidation had not begun
+	// Bump BEFORE the delete: an unchanged gen observed by a store proves
+	// the invalidation had not begun.
+	t.gen.Add(1)
+	if e, ok := t.m[vpn]; ok {
+		delete(t.m, vpn)
+		t.free = append(t.free, e.pos)
+	}
 	t.mu.Unlock()
 }
 
 func (t *tlb) flush() {
 	t.mu.Lock()
 	t.gen.Add(1)
-	t.m = make(map[uint64]PTE)
+	clear(t.m)
+	t.order, t.free, t.hand = t.order[:0], t.free[:0], 0
 	t.mu.Unlock()
 }
 

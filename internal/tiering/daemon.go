@@ -157,10 +157,9 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		state:      make(map[uint64]pageState),
 		localCount: make([]int, len(mmus)),
 		scratch: stepScratch{
-			heatOf:      make(map[uint64]float64),
-			planned:     make(map[uint64]bool),
-			warmPlanned: make(map[uint64]bool),
-			landed:      make(map[uint64]bool),
+			planned:  make(map[uint64]bool),
+			sentCold: make(map[uint64]bool),
+			landed:   make(map[uint64]bool),
 		},
 	}
 }
@@ -305,9 +304,9 @@ func (pl *plan) reset(nodes int) {
 	pl.moves = 0
 }
 
-func emptyByNode[T any](s [][]T, nodes int) [][]T {
+func emptyByNode[S ~[]T, T any](s []S, nodes int) []S {
 	if len(s) != nodes {
-		return make([][]T, nodes)
+		return make([]S, nodes)
 	}
 	for i := range s {
 		s[i] = s[i][:0]
@@ -316,20 +315,23 @@ func emptyByNode[T any](s [][]T, nodes int) [][]T {
 }
 
 // stepScratch is what Step works in, kept across steps so that a step
-// over a tracked set no larger than before allocates nothing. Guarded by
-// stepMu; nothing in it outlives the step that filled it.
+// over a tracked set no larger than before allocates nothing. Buffers
+// whose size the daemon knows before filling them (the tracked count, a
+// tier's managed pages) are sized once from it, so a fresh daemon does
+// not pay an append-growth chain for them. Guarded by stepMu; nothing in
+// it outlives the step that filled it.
 type stepScratch struct {
 	mig         []uint64
-	hot         []PageStat
+	hot         []PageStat // the step's fold, VPN ascending: its heat of record
 	faded       []uint64
-	byHeat      []PageStat
-	heatOf      map[uint64]float64
+	movers      []PageStat      // hot pages planPromotions acts on, hottest first
 	planned     map[uint64]bool // pages some stage of this step moves
-	warmPlanned map[uint64]bool // pages planWarmBudget must not pick
-	coldest     [][]PageStat    // by node: managed local pages, coldest first
-	displace    [][]PageStat    // by node: what is left of coldest to displace
-	coldestWarm []PageStat
-	cands       []PageStat
+	sentCold    map[uint64]bool // warm pages planPromotions demotes to cold
+	residents   bool            // warm and coldest are this step's
+	warm        []victim        // managed warm pages
+	coldest     []victimHeap    // by node: managed local pages
+	coldestWarm victimHeap      // managed warm pages
+	cands       victimHeap      // managed warm pages planWarmBudget may evict
 	landed      map[uint64]bool // pages a batch in execute moved
 	plan        plan
 }
@@ -342,13 +344,72 @@ func hotterFirst(a, b PageStat) int {
 	return cmp.Compare(a.VPN, b.VPN)
 }
 
-// colderFirst orders pages by heat ascending, then VPN ascending: the
-// eviction and displacement order.
-func colderFirst(a, b PageStat) int {
-	if c := cmp.Compare(a.Heat, b.Heat); c != 0 {
-		return c
+// victim is a managed page and its heat this step: a candidate for
+// eviction or displacement.
+type victim struct {
+	vpn  uint64
+	heat float64
+}
+
+// colder is the eviction and displacement order: heat ascending, then
+// VPN ascending. It is total, since no two victims share a page.
+func colder(a, b victim) bool {
+	return a.heat < b.heat || a.heat == b.heat && a.vpn < b.vpn
+}
+
+// victimHeap is a binary min-heap in colder order. init builds it in
+// O(n) and pop takes the coldest page in O(log n), so the pages a step
+// pops come out in the order a full sort would give, and the step pays
+// only for the ones it takes.
+type victimHeap []victim
+
+func (h victimHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return cmp.Compare(a.VPN, b.VPN)
+}
+
+func (h *victimHeap) pop() victim {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s[:n].down(0)
+	*h = s[:n]
+	return s[n]
+}
+
+func (h victimHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && colder(h[r], h[c]) {
+			c = r
+		}
+		if !colder(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// skipPlanned pops the pages some stage of this step already moves.
+func (h *victimHeap) skipPlanned(planned map[uint64]bool) {
+	for len(*h) > 0 && planned[(*h)[0].vpn] {
+		h.pop()
+	}
+}
+
+// heatIn returns vpn's heat in hot, a fold sorted by VPN: zero for a page
+// the fold did not return, untracked or faded.
+func heatIn(hot []PageStat, vpn uint64) float64 {
+	i, ok := slices.BinarySearchFunc(hot, vpn, func(ps PageStat, v uint64) int { return cmp.Compare(ps.VPN, v) })
+	if !ok {
+		return 0
+	}
+	return hot[i].Heat
 }
 
 // Step runs one policy epoch synchronously: fold the heat map, decide
@@ -359,10 +420,24 @@ func (d *Daemon) Step() {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
 	step := d.stats.steps.Add(1)
+	hot, veto := d.foldEpoch()
+	if w := d.tw.Load(); w != nil {
+		w.Begin(trace.SubMemsys, trace.KPromote, step, uint64(len(hot)))
+	}
+	pl := d.planStep(hot, veto)
+	d.execute(pl)
+	if w := d.tw.Load(); w != nil {
+		w.End(trace.SubMemsys, trace.KPromote, step, uint64(pl.moves))
+	}
+}
+
+// foldEpoch ends the sampling epoch. It returns the step's hot pages, VPN
+// ascending, and the node the sched truce protects (-1 for none).
+func (d *Daemon) foldEpoch() (hot []PageStat, veto int) {
 	sc := &d.scratch
 
-	// 1. Fold demand-migration feedback into the model: those pages now
-	// sit in warm global memory whatever we believed before.
+	// Demand-migration feedback first: those pages now sit in warm global
+	// memory whatever we believed before.
 	d.migMu.Lock()
 	sc.mig = sc.mig[:0]
 	for vpn := range d.migrated {
@@ -375,42 +450,36 @@ func (d *Daemon) Step() {
 		d.setState(vpn, memsys.TierWarm, -1)
 	}
 
-	// 2. End the sampling epoch. Faded pages just leave the tracker; with
-	// zero heat they become the preferred victims of budget pressure, but
-	// nothing demotes them while the space is uncontended.
+	// Faded pages just leave the tracker; with zero heat they become the
+	// preferred victims of budget pressure, but nothing demotes them while
+	// the space is uncontended.
 	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, d.cfg.Floor, sc.hot[:0], sc.faded[:0])
-	hot := sc.hot
-	clear(sc.heatOf)
-	for _, ps := range hot {
-		sc.heatOf[ps.VPN] = ps.Heat
-	}
 
-	// 3. The sched truce: a node that just received placements keeps its
+	// The sched truce: a node that just received placements keeps its
 	// pages this step — unless the health layer drained it, in which case
 	// the truce yields (the drain already decided the node loses its
 	// work, so protecting its pages would only delay the re-place).
-	veto := -1
+	veto = -1
 	if d.hints != nil {
 		if n, ok := d.hints.SpacePlacementHint(d.sp.ID, d.cfg.HintMaxAge); ok && !d.NodeDrained(n) {
 			veto = n
 		}
 	}
+	return sc.hot, veto
+}
 
-	if w := d.tw.Load(); w != nil {
-		w.Begin(trace.SubMemsys, trace.KPromote, step, uint64(len(hot)))
-	}
-
+// planStep decides the step's moves: the drain spill, then promotions
+// hottest first, then warm-budget evictions.
+func (d *Daemon) planStep(hot []PageStat, veto int) *plan {
+	sc := &d.scratch
 	pl := &sc.plan
 	pl.reset(len(d.mmus))
 	clear(sc.planned)
+	sc.residents = false
 	d.planDrainEvictions(pl)
 	d.planPromotions(pl, hot, veto)
-	d.planWarmBudget(pl)
-	d.execute(pl)
-
-	if w := d.tw.Load(); w != nil {
-		w.End(trace.SubMemsys, trace.KPromote, step, uint64(pl.moves))
-	}
+	d.planWarmBudget(pl, hot)
+	return pl
 }
 
 // planDrainEvictions spills every managed local page off drained nodes
@@ -445,69 +514,102 @@ func (d *Daemon) planDrainEvictions(pl *plan) {
 	}
 }
 
-// planPromotions walks the hot pages hottest-first and plans upward moves.
+// collectResidents gathers, with this step's heat, the managed warm pages
+// and each node's managed local pages, the latter as the per-node
+// displacement order (coldest first). Planning changes no page's state,
+// so one pass over the model serves the whole step; it is made at most
+// once a step, and only when a full tier needs a victim.
+func (d *Daemon) collectResidents(hot []PageStat) {
+	sc := &d.scratch
+	if sc.residents {
+		return
+	}
+	sc.residents = true
+	sc.warm = slices.Grow(sc.warm[:0], d.warmCount)
+	sc.coldest = emptyByNode(sc.coldest, len(d.mmus))
+	for n := range sc.coldest {
+		sc.coldest[n] = slices.Grow(sc.coldest[n], d.localCount[n])
+	}
+	for vpn, st := range d.state {
+		switch st.tier {
+		case memsys.TierWarm:
+			sc.warm = append(sc.warm, victim{vpn, heatIn(hot, vpn)})
+		case memsys.TierLocal:
+			sc.coldest[st.node] = append(sc.coldest[st.node], victim{vpn, heatIn(hot, vpn)})
+		}
+	}
+	for _, h := range sc.coldest {
+		h.init()
+	}
+}
+
+// arm is what planPromotions does with a hot page.
+type arm uint8
+
+const (
+	armNone   arm = iota // already where it belongs, or not hot enough to move
+	armRehome            // pinned local on the wrong node
+	armLocal             // wants a local frame on its dominant node
+	armWarm              // cold or unknown, and hot enough for premium capacity
+)
+
+// armOf decides ps's arm from its heat and the daemon's model, neither
+// of which planning changes. A page whose arm is armNone leaves the plan
+// and the counters as they are, so planPromotions drops it before it
+// sorts.
+func (d *Daemon) armOf(ps PageStat) (a arm, st pageState, managed bool) {
+	dom := ps.Node
+	// A drained node never qualifies as a local home, however hot the
+	// page: the self-healing controller is moving work off it.
+	wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= d.cfg.DominantShare &&
+		dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil && !d.drained[dom].Load()
+	if !wantLocal && ps.Heat < d.cfg.PromoteHeat {
+		return armNone, st, false
+	}
+	st, managed = d.state[ps.VPN]
+	switch {
+	case wantLocal && managed && st.tier == memsys.TierLocal && int(st.node) == dom:
+		return armNone, st, managed
+	case wantLocal && managed && st.tier == memsys.TierLocal:
+		return armRehome, st, managed
+	case wantLocal:
+		return armLocal, st, managed
+	case !managed || st.tier == memsys.TierCold:
+		// Cold (or unknown — assumed cold; the move resyncs if not).
+		return armWarm, st, managed
+	}
+	return armNone, st, managed
+}
+
+// planPromotions walks the hot pages that can move, hottest first, and
+// plans upward moves.
 func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 	sc := &d.scratch
-	heatOf, planned := sc.heatOf, sc.planned
-	sc.byHeat = append(sc.byHeat[:0], hot...)
-	byHeat := sc.byHeat
-	slices.SortFunc(byHeat, hotterFirst)
-
-	// coldest is built lazily per node: managed local pages coldest
-	// first, the displacement order.
-	var coldest [][]PageStat
-	buildColdest := func() {
-		sc.coldest = emptyByNode(sc.coldest, len(d.mmus))
-		for vpn, st := range d.state {
-			if st.tier == memsys.TierLocal {
-				sc.coldest[st.node] = append(sc.coldest[st.node], PageStat{VPN: vpn, Heat: heatOf[vpn]})
-			}
+	planned := sc.planned
+	sc.movers = sc.movers[:0]
+	for _, ps := range hot {
+		if a, _, _ := d.armOf(ps); a != armNone {
+			sc.movers = append(sc.movers, ps)
 		}
-		sc.displace = emptyByNode(sc.displace, len(d.mmus))
-		for n, s := range sc.coldest {
-			slices.SortFunc(s, colderFirst)
-			sc.displace[n] = s
-		}
-		coldest = sc.displace
 	}
-
-	// coldestWarm, same idea rack-wide: the eviction order when a cold
-	// page asks for a slot in a full premium tier.
-	var coldestWarm []PageStat
-	warmBuilt := false
-	buildColdestWarm := func() {
-		warmBuilt = true
-		sc.coldestWarm = sc.coldestWarm[:0]
-		for vpn, st := range d.state {
-			if st.tier == memsys.TierWarm {
-				sc.coldestWarm = append(sc.coldestWarm, PageStat{VPN: vpn, Heat: heatOf[vpn]})
-			}
-		}
-		slices.SortFunc(sc.coldestWarm, colderFirst)
-		coldestWarm = sc.coldestWarm
-	}
+	slices.SortFunc(sc.movers, hotterFirst)
 
 	// projWarm tracks what warm occupancy will be once this plan executes,
 	// so admission decisions see the step's own earlier moves.
 	projWarm := d.warmCount
+	warmBuilt := false // coldestWarm holds this step's warm pages
 
-	for _, ps := range byHeat {
+	for _, ps := range sc.movers {
 		if pl.moves >= d.cfg.MaxMovesPerStep {
 			return
 		}
 		if planned[ps.VPN] {
-			continue // already moving this step (drain spill)
+			continue // already moving this step (drain spill, or displaced above)
 		}
-		st, managed := d.state[ps.VPN]
+		a, st, managed := d.armOf(ps)
 		dom := ps.Node
-		// A drained node never qualifies as a local home, however hot the
-		// page: the self-healing controller is moving work off it.
-		wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= d.cfg.DominantShare &&
-			dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil && !d.drained[dom].Load()
-		switch {
-		case wantLocal && managed && st.tier == memsys.TierLocal && int(st.node) == dom:
-			// Already where it belongs.
-		case wantLocal && managed && st.tier == memsys.TierLocal:
+		switch a {
+		case armRehome:
 			// Pinned on the wrong node: pull it down this step, the next
 			// step promotes it home (one move per step per page).
 			if int(st.node) == veto {
@@ -518,7 +620,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 			planned[ps.VPN] = true
 			pl.moves++
 			projWarm++
-		case wantLocal:
+		case armLocal:
 			if d.cfg.LocalBudgetPages > 0 && d.localCount[dom] >= d.cfg.LocalBudgetPages {
 				// Full: displace the coldest resident only if this page is
 				// clearly hotter (DisplaceFactor hysteresis).
@@ -526,19 +628,13 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 					d.stats.vetoes.Add(1)
 					continue
 				}
-				if coldest == nil {
-					buildColdest()
-				}
-				q := coldest[dom]
-				for len(q) > 0 && (planned[q[0].VPN] || d.state[q[0].VPN].tier != memsys.TierLocal) {
-					q = q[1:]
-				}
-				coldest[dom] = q
-				if len(q) > 0 && q[0].Heat*d.cfg.DisplaceFactor < ps.Heat {
-					v := q[0]
-					coldest[dom] = q[1:]
-					pl.demoteWarm[dom] = append(pl.demoteWarm[dom], v.VPN)
-					planned[v.VPN] = true
+				d.collectResidents(hot)
+				q := &sc.coldest[dom]
+				q.skipPlanned(planned)
+				if len(*q) > 0 && (*q)[0].heat*d.cfg.DisplaceFactor < ps.Heat {
+					v := q.pop()
+					pl.demoteWarm[dom] = append(pl.demoteWarm[dom], v.vpn)
+					planned[v.vpn] = true
 					pl.moves++
 					projWarm++
 					d.stats.displaced.Add(1)
@@ -551,33 +647,31 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 			if managed && st.tier == memsys.TierWarm {
 				projWarm-- // leaves premium capacity for local DRAM
 			}
-		case ps.Heat >= d.cfg.PromoteHeat && (!managed || st.tier == memsys.TierCold):
-			// Cold (or unknown — assumed cold; the move resyncs if not)
-			// and hot enough for premium capacity.
+		case armWarm:
 			if d.cfg.WarmBudgetPages > 0 && projWarm >= d.cfg.WarmBudgetPages {
 				// Premium is full: swap only when the candidate is clearly
 				// hotter than the coldest resident (the same DisplaceFactor
 				// hysteresis local placement uses). A page moves warm<->cold
 				// at full-page copy cost, so near-ties must never churn.
 				if !warmBuilt {
-					buildColdestWarm()
+					// Rack-wide, managed warm pages coldest first.
+					warmBuilt = true
+					d.collectResidents(hot)
+					sc.coldestWarm = append(sc.coldestWarm[:0], sc.warm...)
+					sc.coldestWarm.init()
 				}
-				q := coldestWarm
-				for len(q) > 0 && (planned[q[0].VPN] || d.state[q[0].VPN].tier != memsys.TierWarm) {
-					q = q[1:]
-				}
-				coldestWarm = q
-				if len(q) == 0 || q[0].Heat*d.cfg.DisplaceFactor >= ps.Heat {
+				q := &sc.coldestWarm
+				q.skipPlanned(planned)
+				if len(*q) == 0 || (*q)[0].heat*d.cfg.DisplaceFactor >= ps.Heat {
 					continue // not clearly hotter than any resident
 				}
-				v := q[0]
-				coldestWarm = q[1:]
-				m := d.execMMU(v.VPN)
+				v := q.pop()
+				m := d.execMMU(v.vpn)
 				if m == nil {
 					continue
 				}
-				pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], v.VPN)
-				planned[v.VPN] = true
+				pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], v.vpn)
+				planned[v.vpn] = true
 				pl.moves++
 				projWarm--
 				d.stats.displaced.Add(1)
@@ -598,7 +692,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 // the hottest pages ever observed. The daemon
 // only evicts what it placed (or was told about via Prime/Migrated), so it
 // never cold-demotes another subsystem's pages on no evidence.
-func (d *Daemon) planWarmBudget(pl *plan) {
+func (d *Daemon) planWarmBudget(pl *plan, hot []PageStat) {
 	if d.cfg.WarmBudgetPages <= 0 {
 		return
 	}
@@ -616,33 +710,29 @@ func (d *Daemon) planWarmBudget(pl *plan) {
 	if over <= 0 {
 		return
 	}
+	// The candidates are every managed warm page but those planPromotions
+	// already sends cold. (Its warm promotions come from the cold tier, so
+	// they are not managed warm pages; a warm page it promotes to local
+	// stays a candidate.)
 	sc := &d.scratch
-	planned := sc.warmPlanned
-	clear(planned)
-	for _, vs := range pl.promoteWarm {
-		for _, v := range vs {
-			planned[v] = true
-		}
-	}
+	d.collectResidents(hot)
+	clear(sc.sentCold)
 	for _, vs := range pl.demoteCold {
 		for _, v := range vs {
-			planned[v] = true
+			sc.sentCold[v] = true
 		}
 	}
-	cands := sc.cands[:0]
-	for vpn, st := range d.state {
-		if st.tier == memsys.TierWarm && !planned[vpn] {
-			cands = append(cands, PageStat{VPN: vpn, Heat: sc.heatOf[vpn]})
+	sc.cands = slices.Grow(sc.cands[:0], len(sc.warm))
+	for _, v := range sc.warm {
+		if !sc.sentCold[v.vpn] {
+			sc.cands = append(sc.cands, v)
 		}
 	}
-	sc.cands = cands
-	slices.SortFunc(cands, colderFirst)
-	for _, c := range cands {
-		if over <= 0 || pl.moves >= d.cfg.MaxMovesPerStep {
-			return
-		}
-		if m := d.execMMU(c.VPN); m != nil {
-			pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], c.VPN)
+	sc.cands.init()
+	for over > 0 && pl.moves < d.cfg.MaxMovesPerStep && len(sc.cands) > 0 {
+		c := sc.cands.pop()
+		if m := d.execMMU(c.vpn); m != nil {
+			pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], c.vpn)
 			pl.moves++
 			over--
 			d.stats.displaced.Add(1)

@@ -1,6 +1,7 @@
 package tiering
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -556,5 +557,55 @@ func TestStepAllocationsSteady(t *testing.T) {
 	}
 	if st := d.Stats(); st.PromotedLocal+st.PromotedWarm+st.DemotedWarm+st.DemotedCold+st.FailedMoves != 0 {
 		t.Fatalf("the stream moved pages: %+v", st)
+	}
+}
+
+// TestFreshStepAllocationsFlat: a fresh daemon sizes each step buffer
+// once, from a bound it already knows, instead of growing it append by
+// append, so its first two steps make as many allocations over 16,384
+// primed pages as over 1,024. The stream is the same shape at both spans:
+// every page sampled once, a quarter of them (and eight more) warm over a
+// warm budget of a quarter, and sixteen cold pages hot enough to displace
+// warm ones, so the first step folds the whole span, builds both warm
+// victim orders and evicts to the budget. The pages are primed, not
+// mapped: every move fails and resyncs, which costs the same at both
+// spans.
+func TestFreshStepAllocationsFlat(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	mallocs := func(pages int) uint64 {
+		e := newTierEnv(t, 2)
+		d := New(e.s, e.mmus, Config{LocalBudgetPages: 4, WarmBudgetPages: pages / 4}, nil)
+		for i := 0; i < pages; i++ {
+			tier := memsys.TierCold
+			if i < pages/4+8 {
+				tier = memsys.TierWarm
+			}
+			d.Prime(basePage+uint64(i), tier, -1)
+			d.Sample(i%2, basePage+uint64(i), false)
+		}
+		for i := pages - 16; i < pages; i++ {
+			for k := 0; k < 3; k++ {
+				d.Sample(i%2, basePage+uint64(i), false)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.Step()
+		d.Step()
+		runtime.ReadMemStats(&after)
+		if st := d.Stats(); st.Displaced != 24 {
+			t.Fatalf("%d pages: %d displaced, want 16 warm admissions and 8 budget evictions", pages, st.Displaced)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// The least of three fresh daemons, so a stray allocation by another
+	// goroutine of the test binary does not count against a span.
+	least := func(pages int) uint64 {
+		return min(mallocs(pages), mallocs(pages), mallocs(pages))
+	}
+	if small, large := least(1024), least(16384); small != large {
+		t.Fatalf("a fresh daemon's first two steps made %d allocations over 1,024 pages and %d over 16,384", small, large)
 	}
 }

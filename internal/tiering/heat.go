@@ -22,36 +22,118 @@
 // snapshots, move lists sort by (heat desc, vpn asc), and the daemon runs
 // only when its caller calls Step, so experiments drive it under seeded
 // virtual time for bit-reproducible results.
+//
+// A step costs the host what its moves need, not what the tracker holds.
+// The fold is one pass over the tracked pages plus a sort of the
+// survivors by page number; planning is O(movers · log movers): it sorts
+// only the hot pages some rule would move, and each full tier's victims
+// come off a heap built in linear time over that tier's managed pages,
+// paying a logarithm only per victim taken.
 package tiering
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 )
 
-// shardCount is the number of independently locked heat shards. 64 keeps
-// cross-node contention negligible at rack node counts.
-const shardCount = 64
+// shardBits is log2 of the number of independently locked heat shards.
+// 64 shards keep cross-node contention negligible at rack node counts.
+const shardBits = 6
 
-// shardOf spreads contiguous page numbers across shards so a sequential
-// scan does not convoy on one lock (Fibonacci hashing).
-func shardOf(vpn uint64) uint64 {
-	return (vpn * 0x9E3779B97F4A7C15) >> (64 - 6)
-}
+// pageHash spreads contiguous page numbers over the whole word (Fibonacci
+// hashing): its top shardBits bits pick the shard, so a sequential scan
+// does not convoy on one lock, and the bits below pick the home slot in
+// the shard's table.
+func pageHash(vpn uint64) uint64 { return vpn * 0x9E3779B97F4A7C15 }
 
 // nodeHeat is one node's share of a tracked page's state: its raw access
 // count for the current epoch plus its exponentially decayed heat from
-// prior epochs. A tracked page is one []nodeHeat indexed by node.
+// prior epochs.
 type nodeHeat struct {
 	epoch uint32
 	heat  float64
 }
 
+// heatShard holds one lock's share of the tracked pages in an
+// open-addressed table, in the style of the fabric cache's line index: a
+// power-of-two number of slots, linear probing from a page's home slot,
+// doubling before the table is more than three quarters full, and
+// backward-shift removal, so the table holds live pages only. A page's
+// per-node state sits inline, nodes entries from heat[slot*nodes], and
+// moves with it. A tracked set that turns over reuses the slots it
+// vacates and, once the shard has held its largest set, allocates
+// nothing.
 type heatShard struct {
-	mu   sync.Mutex
-	m    map[uint64][]nodeHeat
-	free [][]nodeHeat // faded pages' state, for the shard's next new pages
+	mu    sync.Mutex
+	keys  []uint64   // vpn+1 per slot (page numbers never reach 2^64-1); 0 is empty
+	heat  []nodeHeat // nodes entries per slot, zero in an empty slot
+	count int
+	shift uint // 64 - log2(len(keys)): hash<<shardBits>>shift is a home slot
+}
+
+// shardMinSlots is a shard table's size at its first insert.
+const shardMinSlots = 16
+
+// home returns vpn's home slot.
+func (sh *heatShard) home(vpn uint64) uint64 { return pageHash(vpn) << shardBits >> sh.shift }
+
+// slot returns vpn's slot, inserting vpn with zero heat if it is absent.
+func (sh *heatShard) slot(vpn uint64, nodes int) int {
+	for {
+		if len(sh.keys) > 0 {
+			mask := uint64(len(sh.keys) - 1)
+			i := sh.home(vpn)
+			for ; sh.keys[i] != 0; i = (i + 1) & mask {
+				if sh.keys[i] == vpn+1 {
+					return int(i)
+				}
+			}
+			if 4*(sh.count+1) <= 3*len(sh.keys) {
+				sh.keys[i] = vpn + 1
+				sh.count++
+				return int(i)
+			}
+		}
+		sh.grow(nodes)
+	}
+}
+
+// grow doubles the table (the first one has shardMinSlots) and puts every
+// page back at its new home, with its heat.
+func (sh *heatShard) grow(nodes int) {
+	keys, heat := sh.keys, sh.heat
+	size := max(2*len(keys), shardMinSlots)
+	sh.keys, sh.heat, sh.count = make([]uint64, size), make([]nodeHeat, size*nodes), 0
+	sh.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for j, k := range keys {
+		if k != 0 {
+			i := sh.slot(k-1, nodes)
+			copy(sh.heat[i*nodes:(i+1)*nodes], heat[j*nodes:(j+1)*nodes])
+		}
+	}
+}
+
+// remove drops vpn, which must be present. Backward shift: each later page
+// of the run whose probe distance reaches back to the hole moves into it,
+// heat and all, and the hole moves to where that page was.
+func (sh *heatShard) remove(vpn uint64, nodes int) {
+	mask := uint64(len(sh.keys) - 1)
+	i := sh.home(vpn)
+	for sh.keys[i] != vpn+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; sh.keys[j] != 0; j = (j + 1) & mask {
+		if (j-sh.home(sh.keys[j]-1))&mask >= (j-i)&mask {
+			sh.keys[i] = sh.keys[j]
+			copy(sh.heat[int(i)*nodes:int(i+1)*nodes], sh.heat[int(j)*nodes:int(j+1)*nodes])
+			i = j
+		}
+	}
+	sh.keys[i] = 0
+	clear(sh.heat[int(i)*nodes : int(i+1)*nodes])
+	sh.count--
 }
 
 // HeatMap is the sharded per-page access-heat tracker fed by the MMU
@@ -60,7 +142,7 @@ type heatShard struct {
 // a deterministic snapshot.
 type HeatMap struct {
 	nodes  int
-	shards [shardCount]heatShard
+	shards [1 << shardBits]heatShard
 }
 
 // NewHeatMap creates a tracker for a rack of the given node count.
@@ -68,37 +150,21 @@ func NewHeatMap(nodes int) *HeatMap {
 	if nodes <= 0 {
 		panic("tiering: NewHeatMap needs a positive node count")
 	}
-	h := &HeatMap{nodes: nodes}
-	for i := range h.shards {
-		h.shards[i].m = make(map[uint64][]nodeHeat)
-	}
-	return h
+	return &HeatMap{nodes: nodes}
 }
 
 // Sample records one access to vpn from node. Safe for concurrent use
-// from every node; cost is one shard lock plus a map operation. Writes
-// and reads weigh the same — tier distance hurts both equally here. A
-// page new to the tracker takes the state of one that faded from its
-// shard when there is one, so a tracked set that turns over allocates
-// nothing once it has reached its largest size.
+// from every node; the cost is one shard lock and a probe of the shard's
+// table, which allocates only when the shard holds more pages than it
+// ever has. Writes and reads weigh the same — tier distance hurts both
+// equally here.
 func (h *HeatMap) Sample(node int, vpn uint64, write bool) {
 	if node < 0 || node >= h.nodes {
 		return
 	}
-	sh := &h.shards[shardOf(vpn)]
+	sh := &h.shards[pageHash(vpn)>>(64-shardBits)]
 	sh.mu.Lock()
-	ph := sh.m[vpn]
-	if ph == nil {
-		if k := len(sh.free) - 1; k >= 0 {
-			ph = sh.free[k]
-			sh.free = sh.free[:k]
-			clear(ph)
-		} else {
-			ph = make([]nodeHeat, h.nodes)
-		}
-		sh.m[vpn] = ph
-	}
-	ph[node].epoch++
+	sh.heat[sh.slot(vpn, h.nodes)*h.nodes+node].epoch++
 	sh.mu.Unlock()
 }
 
@@ -107,7 +173,7 @@ func (h *HeatMap) Tracked() int {
 	n := 0
 	for i := range h.shards {
 		h.shards[i].mu.Lock()
-		n += len(h.shards[i].m)
+		n += h.shards[i].count
 		h.shards[i].mu.Unlock()
 	}
 	return n
@@ -125,17 +191,29 @@ type PageStat struct {
 
 // FoldEpoch ends the current sampling epoch: every page's heat becomes
 // heat*decay + epochCount (per node), epoch counters reset, and pages
-// whose total heat fell below floor are dropped from the tracker (their
-// state kept for the shard's next new pages) and appended to faded — the
-// daemon's demotion candidates. Surviving pages are appended to hot. Both
-// results are sorted (hot by VPN, faded ascending) so the fold is
-// deterministic regardless of map iteration order. Callers pass their
-// previous results truncated to length zero to fold without allocating.
+// whose total heat fell below floor are dropped from the tracker and
+// appended to faded — the daemon's demotion candidates. Surviving pages
+// are appended to hot. Both results are sorted (hot by VPN, faded
+// ascending) so the fold is deterministic regardless of table order.
+//
+// A fold is one pass over the tracked pages and a sort of each result.
+// Both buffers first grow to room for every tracked page, so a caller
+// that passes its previous results truncated to length zero allocates at
+// most once per buffer, and not at all once they have held the largest
+// tracked set.
 func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64) ([]PageStat, []uint64) {
-	for i := range h.shards {
-		sh := &h.shards[i]
+	tracked := h.Tracked()
+	hot, faded = slices.Grow(hot, tracked), slices.Grow(faded, tracked)
+	nodes := h.nodes
+	for s := range h.shards {
+		sh := &h.shards[s]
 		sh.mu.Lock()
-		for vpn, ph := range sh.m {
+		from := len(faded)
+		for i, k := range sh.keys {
+			if k == 0 {
+				continue
+			}
+			ph := sh.heat[i*nodes : (i+1)*nodes]
 			total, best, bestNode := 0.0, 0.0, 0
 			for n := range ph {
 				v := ph[n].heat*decay + float64(ph[n].epoch)
@@ -146,12 +224,13 @@ func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64
 				}
 			}
 			if total < floor {
-				delete(sh.m, vpn)
-				sh.free = append(sh.free, ph)
-				faded = append(faded, vpn)
+				faded = append(faded, k-1)
 				continue
 			}
-			hot = append(hot, PageStat{VPN: vpn, Heat: total, Node: bestNode, Share: best / total})
+			hot = append(hot, PageStat{VPN: k - 1, Heat: total, Node: bestNode, Share: best / total})
+		}
+		for _, vpn := range faded[from:] {
+			sh.remove(vpn, nodes)
 		}
 		sh.mu.Unlock()
 	}

@@ -1,8 +1,10 @@
 package tiering
 
 import (
+	"cmp"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -234,5 +236,75 @@ func TestHeatMapSampleAllocs(t *testing.T) {
 	wave()
 	if a := testing.AllocsPerRun(20, wave); a != 0 {
 		t.Fatalf("a wave of new pages made %v allocations, want 0", a)
+	}
+}
+
+// TestHeatMapAgainstModel holds the sharded open-addressed tracker to a
+// plain map over a seeded stream: pages enter, fade out and come back
+// while their neighbours in the probe runs stay, so growth, collisions
+// and backward-shift removal are all exercised. Every fold must return
+// exactly the model's pages, heats, dominant nodes and faded pages.
+func TestHeatMapAgainstModel(t *testing.T) {
+	const nodes, pages, rounds = 3, 4096, 30
+	h := NewHeatMap(nodes)
+	type state struct {
+		epoch [nodes]uint32
+		heat  [nodes]float64
+	}
+	model := map[uint64]*state{}
+	fadedTotal := 0
+	x := uint64(42)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 16
+	}
+	for round := 0; round < rounds; round++ {
+		// Each round samples a different window of the pages, so most of
+		// the tracked set fades within a few folds and is replaced.
+		lo := next() % pages
+		for i := 0; i < 3000; i++ {
+			vpn := (lo + next()%512) % pages * 7 // spaced page numbers
+			node := int(next() % nodes)
+			h.Sample(node, vpn, false)
+			st := model[vpn]
+			if st == nil {
+				st = &state{}
+				model[vpn] = st
+			}
+			st.epoch[node]++
+		}
+		var want []PageStat
+		var wantFaded []uint64
+		for vpn, st := range model {
+			total, best, bestNode := 0.0, 0.0, 0
+			for n := range st.heat {
+				v := st.heat[n]*0.5 + float64(st.epoch[n])
+				st.heat[n], st.epoch[n] = v, 0
+				total += v
+				if v > best {
+					best, bestNode = v, n
+				}
+			}
+			if total < 1 {
+				delete(model, vpn)
+				wantFaded = append(wantFaded, vpn)
+				continue
+			}
+			want = append(want, PageStat{VPN: vpn, Heat: total, Node: bestNode, Share: best / total})
+		}
+		slices.SortFunc(want, func(a, b PageStat) int { return cmp.Compare(a.VPN, b.VPN) })
+		slices.Sort(wantFaded)
+		hot, faded := h.FoldEpoch(0.5, 1, nil, nil)
+		fadedTotal += len(faded)
+		if !slices.Equal(hot, want) || !slices.Equal(faded, wantFaded) {
+			t.Fatalf("round %d: fold returned %d hot and %d faded pages, the model %d and %d (or their values differ)",
+				round, len(hot), len(faded), len(want), len(wantFaded))
+		}
+		if h.Tracked() != len(model) {
+			t.Fatalf("round %d: tracked %d, model %d", round, h.Tracked(), len(model))
+		}
+	}
+	if fadedTotal < pages {
+		t.Fatalf("only %d pages faded in %d rounds: the removal path is barely exercised", fadedTotal, rounds)
 	}
 }
