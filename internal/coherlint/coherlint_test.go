@@ -38,14 +38,7 @@ func TestCorpus(t *testing.T) {
 // same gate CI's flacvet job applies. Production arena code must carry
 // zero coherence-contract diagnostics (testdata is excluded by ./...).
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole repository; skipped in -short")
-	}
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading repository: %v", err)
-	}
-	diags, err := Run(All(), pkgs)
+	diags, err := Run(All(), loadRepo(t))
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

@@ -15,8 +15,8 @@ type opClass int
 
 const (
 	opNone       opClass = iota
-	opPlainRead          // Load8/16/32/64, Read: through the private cache
-	opPlainWrite         // Store8/16/32/64, Write: dirty lines, not yet home
+	opPlainRead          // Load64, Read: through the private cache
+	opPlainWrite         // Store64, Write: dirty lines, not yet home
 	opWriteBack          // WriteBackRange/WriteBackAll: dirty lines -> home
 	opInvalidate         // InvalidateRange/InvalidateAll: drop cached lines
 	opFlush              // FlushRange/FlushAll: write back then invalidate
@@ -29,9 +29,7 @@ const (
 )
 
 var nodeMethodClass = map[string]opClass{
-	"Load8": opPlainRead, "Load16": opPlainRead, "Load32": opPlainRead,
 	"Load64": opPlainRead, "Read": opPlainRead,
-	"Store8": opPlainWrite, "Store16": opPlainWrite, "Store32": opPlainWrite,
 	"Store64": opPlainWrite, "Write": opPlainWrite,
 	"WriteBackRange": opWriteBack, "WriteBackAll": opWriteBack,
 	"InvalidateRange": opInvalidate, "InvalidateAll": opInvalidate,

@@ -25,9 +25,7 @@ import (
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/flacdk/reliability"
 	"flacos/internal/fs"
-	"flacos/internal/health"
 	"flacos/internal/ipc"
-	"flacos/internal/membership"
 	"flacos/internal/memsys"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
@@ -127,19 +125,9 @@ type Rack struct {
 	sched       *sched.Scheduler
 	schedBooted atomic.Bool
 
-	redisOnce   sync.Once
-	redis       *redis.RackStore
-	redisCfg    redis.RackStoreConfig
-	redisBooted atomic.Bool
-
-	// Coordinated failure detection (membership.go): nil before
-	// EnableMembership.
-	memMu sync.Mutex
-	table *membership.Table
-	plane *health.Plane
-
-	ctlMu sync.Mutex
-	ctls  []*serverless.Controller // control planes wired for Dead eviction
+	redisOnce sync.Once
+	redis     *redis.RackStore
+	redisCfg  redis.RackStoreConfig
 
 	traceMu sync.Mutex
 	tracer  *trace.Recorder
@@ -176,7 +164,6 @@ func (r *Rack) RedisStore() *redis.RackStore {
 		cfg := r.redisCfg
 		cfg.Arena = r.Arena
 		r.redis = redis.NewRackStore(r.Fabric, cfg)
-		r.redisBooted.Store(true)
 	})
 	return r.redis
 }
@@ -191,14 +178,6 @@ func (o *OS) RedisView() *redis.View {
 		v.SetTrace(t.Writer(o.Node.ID()))
 	}
 	return v
-}
-
-// RedisServer stands up a Redis server on this node over a fresh view of
-// the rack-shared store. Servers on different nodes execute against the
-// same dataset; each accepted connection needs its own server (sessions
-// execute on the server's single view).
-func (o *OS) RedisServer() *redis.Server {
-	return redis.NewServer(o.RedisView())
 }
 
 // EnableTrace boots the rack-wide flight recorder (internal/trace) and
@@ -218,15 +197,6 @@ func (r *Rack) EnableTrace(cfg trace.Config) *trace.Recorder {
 	if r.schedBooted.Load() {
 		r.sched.SetTrace(rec)
 	}
-	// The control plane may already be running (EnableMembership before
-	// EnableTrace): attach its writers now. Plane.SetTrace is hot-swap
-	// safe.
-	r.memMu.Lock()
-	p := r.plane
-	r.memMu.Unlock()
-	if p != nil {
-		p.SetTrace(rec)
-	}
 	return rec
 }
 
@@ -241,7 +211,6 @@ func (r *Rack) Trace() *trace.Recorder {
 // lease keepers). The fabric itself needs no teardown; a Rack is garbage
 // once unreferenced. Safe to call more than once.
 func (r *Rack) Shutdown() {
-	r.StopMembership()
 	r.schedOnce.Do(func() {}) // settle: either it booted or it never will
 	if r.sched != nil {
 		r.sched.Stop()
@@ -256,8 +225,6 @@ type OS struct {
 	Mount    *fs.Mount
 	Endpoint *ipc.Endpoint
 	Local    *memsys.LocalStore
-
-	alloc *alloc.NodeAllocator
 }
 
 // Boot brings the rack up.
@@ -288,7 +255,7 @@ func Boot(cfg Config) *Rack {
 
 	// Publish the hardware description into shared memory; every node's OS
 	// instance bootstraps from this single table.
-	r.HWTable = f.Reserve(boot.TableCap(16<<10), fabric.LineSize)
+	r.HWTable = f.Reserve(boot.TableCap(boot.DefaultPayloadCap), fabric.LineSize)
 	desc := boot.HWDesc{GlobalMemBytes: f.Size(), BootSeq: 1}
 	for i := 0; i < cfg.Nodes; i++ {
 		desc.Nodes = append(desc.Nodes, boot.NodeDesc{
@@ -308,7 +275,6 @@ func Boot(cfg Config) *Rack {
 			Mount:    r.FS.Mount(n),
 			Endpoint: r.Switchboard.Endpoint(n),
 			Local:    memsys.NewLocalStore(n),
-			alloc:    r.Arena.NodeAllocator(n, 0),
 		})
 	}
 	return r
@@ -337,17 +303,6 @@ func (r *Rack) NewSpace() *memsys.Space {
 	return s
 }
 
-// Allocator returns the instance's kernel-object allocator. It is bound to
-// one goroutine's use at a time; spawn more with Rack.Arena.NodeAllocator
-// for concurrent workers.
-func (o *OS) Allocator() *alloc.NodeAllocator { return o.alloc }
-
-// DiscoverHardware reads the rack's shared hardware description table —
-// the §5 bootstrapping flow every node runs as it comes up.
-func (o *OS) DiscoverHardware() (boot.HWDesc, error) {
-	return boot.Discover(o.Node, o.Rack.HWTable)
-}
-
 // Attach joins this node to a shared address space.
 func (o *OS) Attach(s *memsys.Space) *memsys.MMU {
 	return s.Attach(o.Node, o.Rack.Arena.NodeAllocator(o.Node, 0), o.Local, 256)
@@ -364,16 +319,12 @@ func (r *Rack) Serverless(reg *serverless.Registry, rtCfg serverless.RuntimeConf
 	ctl := serverless.NewController(runtimes, r.Services)
 	// Container placement goes through the coordinated scheduler: its
 	// global load board sees work the control plane's own density count
-	// doesn't, and it skips crashed nodes (and, with EnableMembership,
-	// nodes the rack has declared dead).
+	// doesn't, and it skips crashed nodes. A core rack runs no failure
+	// detector; the control plane that declares nodes dead and re-places
+	// their containers is health.Plane, booted by torture.ControlRack.
 	ctl.SetPlacer(r.Scheduler().PickNode)
 	if t := r.Trace(); t != nil {
 		ctl.SetTrace(t)
 	}
-	// Register for membership-driven recovery: a Dead event re-places
-	// this control plane's containers off the dead node.
-	r.ctlMu.Lock()
-	r.ctls = append(r.ctls, ctl)
-	r.ctlMu.Unlock()
 	return ctl
 }

@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"flacos/internal/boot"
 	"flacos/internal/fabric"
 	"flacos/internal/faultbox"
 	"flacos/internal/memsys"
+	"flacos/internal/redis"
 	"flacos/internal/serverless"
 	"flacos/internal/trace"
 )
@@ -145,7 +147,7 @@ func TestServerlessThroughFacade(t *testing.T) {
 func TestHardwareDiscoveryFromEveryNode(t *testing.T) {
 	r := Boot(Config{Nodes: 2, GlobalMemory: 160 << 20})
 	for i := 0; i < r.Nodes(); i++ {
-		desc, err := r.OS(i).DiscoverHardware()
+		desc, err := boot.Discover(r.OS(i).Node, r.HWTable)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -197,7 +199,7 @@ func TestRedisStoreSharedThroughFacade(t *testing.T) {
 	}
 
 	// A per-node server executes against the same keyspace.
-	srv := r.OS(1).RedisServer()
+	srv := redis.NewServer(r.OS(1).RedisView())
 	if resp := srv.Execute([]byte("*2\r\n$3\r\nGET\r\n$6\r\nfacade\r\n")); !bytes.Contains(resp, []byte("shared")) {
 		t.Fatalf("server on node 1: %q", resp)
 	}

@@ -292,19 +292,3 @@ func (c *cache) reset() int {
 // size returns the number of lines currently cached.
 // Caller holds c.mu.
 func (c *cache) size() int { return c.index.len() }
-
-// resident returns the number of lines currently cached.
-func (c *cache) resident() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size()
-}
-
-// maintLockCount returns how many times a maintenance path has acquired
-// the cache lock. Test-only observability for the one-lock-per-call
-// contract of the ranged operations.
-func (c *cache) maintLockCount() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maintLocks
-}

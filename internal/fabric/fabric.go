@@ -125,13 +125,6 @@ func (f *Fabric) Reserve(size, align uint64) GPtr {
 	return GPtr(off)
 }
 
-// Reserved returns how many bytes of global memory Reserve has handed out.
-func (f *Fabric) Reserved() uint64 {
-	f.reserveMu.Lock()
-	defer f.reserveMu.Unlock()
-	return f.reserveOff
-}
-
 // checkRange panics unless [g, g+n) lies inside global memory and g != nil.
 func (f *Fabric) checkRange(g GPtr, n uint64) {
 	if g.IsNil() {

@@ -17,12 +17,6 @@ func TestGPtrHelpers(t *testing.T) {
 	if g.Line() != 2 {
 		t.Fatalf("Line() = %d, want 2", g.Line())
 	}
-	if g.LineStart() != GPtr(128) {
-		t.Fatalf("LineStart() = %v, want 128", g.LineStart())
-	}
-	if g.AlignUp(64) != GPtr(192) {
-		t.Fatalf("AlignUp(64) = %v, want 192", g.AlignUp(64))
-	}
 	if !GPtr(128).AlignedTo(64) || GPtr(129).AlignedTo(64) {
 		t.Fatal("AlignedTo wrong")
 	}
@@ -46,17 +40,11 @@ func TestStoreLoadRoundTripSameNode(t *testing.T) {
 	if got := n.Load64(g); got != 0xdeadbeefcafe {
 		t.Fatalf("Load64 = %#x", got)
 	}
-	n.Store32(g.Add(8), 0x1234)
-	if got := n.Load32(g.Add(8)); got != 0x1234 {
-		t.Fatalf("Load32 = %#x", got)
-	}
-	n.Store16(g.Add(12), 0xbeef)
-	if got := n.Load16(g.Add(12)); got != 0xbeef {
-		t.Fatalf("Load16 = %#x", got)
-	}
-	n.Store8(g.Add(14), 0x7f)
-	if got := n.Load8(g.Add(14)); got != 0x7f {
-		t.Fatalf("Load8 = %#x", got)
+	n.Write(g.Add(8), []byte{0x34, 0x12, 0xef, 0xbe, 0x7f})
+	got := make([]byte, 5)
+	n.Read(g.Add(8), got)
+	if !bytes.Equal(got, []byte{0x34, 0x12, 0xef, 0xbe, 0x7f}) {
+		t.Fatalf("Read = % x", got)
 	}
 }
 
@@ -309,7 +297,7 @@ func TestBoundsAndAlignmentPanics(t *testing.T) {
 	mustPanic("out of range", func() { n.Load64(GPtr(f.Size())) })
 	mustPanic("unaligned 64", func() { n.Load64(GPtr(65)) })
 	mustPanic("unaligned atomic", func() { n.AtomicLoad64(GPtr(68)) })
-	mustPanic("unaligned 32", func() { n.Load32(GPtr(66)) })
+	mustPanic("unaligned store 64", func() { n.Store64(GPtr(66), 1) })
 	mustPanic("zero nodes", func() { New(Config{GlobalSize: 1 << 20}) })
 	mustPanic("tiny memory", func() { New(Config{GlobalSize: 64, Nodes: 1}) })
 	mustPanic("bad hops", func() { New(Config{GlobalSize: 1 << 20, Nodes: 2, Hops: []int{1}}) })
@@ -375,7 +363,7 @@ func TestFaultCorruptionOnWrite(t *testing.T) {
 	// Every written-back word had one bit flipped; at least one of the
 	// line's eight words must differ from zero.
 	var buf [64]byte
-	f.ReadAtHome(g.LineStart(), buf[:])
+	f.ReadAtHome(g, buf[:])
 	allZero := true
 	for _, b := range buf {
 		if b != 0 {

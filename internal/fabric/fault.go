@@ -42,12 +42,6 @@ func (fi *FaultInjector) SetCorruptionRate(ppm uint64) { fi.corruptRate.Store(pp
 // silently lost, in parts per million. Zero disables drops.
 func (fi *FaultInjector) SetDropWriteBackRate(ppm uint64) { fi.dropRate.Store(ppm) }
 
-// CorruptionRate returns the current bit-flip rate in parts per million.
-func (fi *FaultInjector) CorruptionRate() uint64 { return fi.corruptRate.Load() }
-
-// DropWriteBackRate returns the current write-back drop rate in ppm.
-func (fi *FaultInjector) DropWriteBackRate() uint64 { return fi.dropRate.Load() }
-
 // BitFlips returns how many bits the injector has flipped so far.
 func (fi *FaultInjector) BitFlips() uint64 { return fi.bitFlips.Load() }
 

@@ -42,11 +42,6 @@ func (g GPtr) Diff(h GPtr) uint64 {
 // AlignedTo reports whether g is a multiple of align (a power of two).
 func (g GPtr) AlignedTo(align uint64) bool { return uint64(g)&(align-1) == 0 }
 
-// AlignUp rounds g up to the next multiple of align (a power of two).
-func (g GPtr) AlignUp(align uint64) GPtr {
-	return GPtr((uint64(g) + align - 1) &^ (align - 1))
-}
-
 // Line returns the index of the cache line containing g.
 func (g GPtr) Line() uint64 { return uint64(g) / LineSize }
 
@@ -59,9 +54,6 @@ func (g GPtr) Line() uint64 { return uint64(g) / LineSize }
 func LineSpan(g GPtr, size uint64) (first, last uint64) {
 	return g.Line(), g.Add(size - 1).Line()
 }
-
-// LineStart returns the address of the first byte of g's cache line.
-func (g GPtr) LineStart() GPtr { return GPtr(g.Line() * LineSize) }
 
 // String formats g as a hexadecimal global address.
 func (g GPtr) String() string {

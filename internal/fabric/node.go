@@ -115,7 +115,11 @@ func (n *Node) Restart() {
 func (n *Node) Crashed() bool { return n.crashed.Load() }
 
 // CacheResidentLines returns how many lines the node's cache holds.
-func (n *Node) CacheResidentLines() int { return n.cache.resident() }
+func (n *Node) CacheResidentLines() int {
+	n.cache.mu.Lock()
+	defer n.cache.mu.Unlock()
+	return n.cache.size()
+}
 
 // fill returns resident line li, faulting it in from home memory on a
 // miss, and reports whether it missed. If the insert evicted a dirty line,
@@ -204,29 +208,6 @@ func (n *Node) checkAligned(g GPtr, size uint64) {
 	}
 }
 
-// Load8 reads one byte through the node's cache.
-func (n *Node) Load8(g GPtr) byte {
-	var v byte
-	n.withLine(g, 1, false, func(d *[LineSize]byte, off uint64) { v = d[off] })
-	return v
-}
-
-// Load16 reads an aligned 16-bit value through the node's cache.
-func (n *Node) Load16(g GPtr) uint16 {
-	n.checkAligned(g, 2)
-	var v uint16
-	n.withLine(g, 2, false, func(d *[LineSize]byte, off uint64) { v = binary.LittleEndian.Uint16(d[off:]) })
-	return v
-}
-
-// Load32 reads an aligned 32-bit value through the node's cache.
-func (n *Node) Load32(g GPtr) uint32 {
-	n.checkAligned(g, 4)
-	var v uint32
-	n.withLine(g, 4, false, func(d *[LineSize]byte, off uint64) { v = binary.LittleEndian.Uint32(d[off:]) })
-	return v
-}
-
 // Load64 reads an aligned 64-bit value through the node's cache. The value
 // may be stale if another node wrote it and this node has not invalidated.
 func (n *Node) Load64(g GPtr) uint64 {
@@ -234,24 +215,6 @@ func (n *Node) Load64(g GPtr) uint64 {
 	var v uint64
 	n.withLine(g, 8, false, func(d *[LineSize]byte, off uint64) { v = binary.LittleEndian.Uint64(d[off:]) })
 	return v
-}
-
-// Store8 writes one byte into the node's cache. The byte does not reach
-// home memory until the line is written back.
-func (n *Node) Store8(g GPtr, v byte) {
-	n.withLine(g, 1, true, func(d *[LineSize]byte, off uint64) { d[off] = v })
-}
-
-// Store16 writes an aligned 16-bit value into the node's cache.
-func (n *Node) Store16(g GPtr, v uint16) {
-	n.checkAligned(g, 2)
-	n.withLine(g, 2, true, func(d *[LineSize]byte, off uint64) { binary.LittleEndian.PutUint16(d[off:], v) })
-}
-
-// Store32 writes an aligned 32-bit value into the node's cache.
-func (n *Node) Store32(g GPtr, v uint32) {
-	n.checkAligned(g, 4)
-	n.withLine(g, 4, true, func(d *[LineSize]byte, off uint64) { binary.LittleEndian.PutUint32(d[off:], v) })
 }
 
 // Store64 writes an aligned 64-bit value into the node's cache.

@@ -260,8 +260,8 @@ type Request struct {
 // reqs WITHOUT executing them, returning the extended slice. It is the
 // gathering half of a combining server: the owner collects a whole sweep's
 // requests, coalesces them (one data-structure operation for N requests on
-// the same key), and answers each with Reply or ReplyDeferred +
-// FlushReplies. Every collected request MUST eventually get a reply; its
+// the same key), and answers each with ReplyDeferred + FlushReplies.
+// Every collected request MUST eventually get a reply; its
 // client slot stays blocked until then.
 func (sv *Server) CollectOnce(reqs []Request) []Request {
 	sv.FlushReplies() // deferred replies must be home before a new sweep
@@ -319,15 +319,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Reply publishes one response for a request collected by CollectOnce,
-// immediately: the ServeOnce publication protocol.
-func (sv *Server) Reply(slot int, seq uint64, status uint32, resp []byte) {
-	if len(resp) > PayloadMax {
-		panic("delegation: reply exceeds PayloadMax")
-	}
-	sv.publishReply(slot, seq, status, resp)
 }
 
 // ReplyDeferred stages one response with plain stores and NO write-back;

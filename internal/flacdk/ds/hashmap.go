@@ -103,9 +103,6 @@ func NewHashMap(f *fabric.Fabric, capacity uint64) *HashMap {
 	}
 }
 
-// Cap returns the table's slot capacity.
-func (m *HashMap) Cap() uint64 { return m.capacity }
-
 // Len returns the number of live entries.
 func (m *HashMap) Len(n *fabric.Node) uint64 { return n.AtomicLoad64(m.countG) }
 

@@ -69,9 +69,6 @@ func NewRadixTree(f *fabric.Fabric, a Allocator, keyBits int) *RadixTree {
 	return t
 }
 
-// Levels returns the number of 8-bit levels.
-func (t *RadixTree) Levels() int { return t.levels }
-
 func (t *RadixTree) slot(node fabric.GPtr, key uint64, level int) fabric.GPtr {
 	shift := uint((t.levels - 1 - level) * 8)
 	idx := (key >> shift) & 0xff

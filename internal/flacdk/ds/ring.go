@@ -89,9 +89,6 @@ func NewSPSCRing(f *fabric.Fabric, capacity, msgMax uint64) *SPSCRing {
 // MsgMax returns the largest message the ring accepts.
 func (r *SPSCRing) MsgMax() uint64 { return r.slotSize - 8 }
 
-// Cap returns the ring's slot capacity.
-func (r *SPSCRing) Cap() uint64 { return r.capacity }
-
 func (r *SPSCRing) slotG(pos uint64) fabric.GPtr {
 	return r.slots.Add((pos & (r.capacity - 1)) * r.slotSize)
 }

@@ -36,9 +36,6 @@ func NewCheckpointer(f *fabric.Fabric, n *fabric.Node, dataCap uint64) *Checkpoi
 	return c
 }
 
-// Cap returns the largest snapshot the checkpointer can hold.
-func (c *Checkpointer) Cap() uint64 { return c.dataCap }
-
 // Save stores one snapshot tagged with appliedIdx (the operation-log cursor
 // the snapshot reflects). If pin is non-nil the copy runs inside a
 // quiescence pin, integrating with multi-version reclamation exactly as

@@ -59,13 +59,6 @@ func (s *Scrubber) Protect(r Region) {
 // writer must have written the update back to home memory first).
 func (s *Scrubber) Seal(r Region) { s.Protect(r) }
 
-// Unprotect stops guarding r.
-func (s *Scrubber) Unprotect(r Region) {
-	s.mu.Lock()
-	delete(s.sums, r)
-	s.mu.Unlock()
-}
-
 // ScrubOnce verifies every protected region against home memory and
 // returns the corrupted ones.
 func (s *Scrubber) ScrubOnce() []Region {

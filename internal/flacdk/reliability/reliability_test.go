@@ -67,11 +67,6 @@ func TestScrubberSealAfterLegitimateWrite(t *testing.T) {
 	if bad := s.ScrubOnce(); len(bad) != 0 {
 		t.Fatal("sealed region reported corrupt")
 	}
-	s.Unprotect(r)
-	f.Faults().FlipBitAtHome(f, g, 1)
-	if bad := s.ScrubOnce(); len(bad) != 0 {
-		t.Fatal("unprotected region still scrubbed")
-	}
 }
 
 func TestPredictorEWMA(t *testing.T) {

@@ -88,9 +88,6 @@ func NewLog(f *fabric.Fabric, capEntries uint64) *Log {
 	return l
 }
 
-// Capacity returns the log's entry capacity.
-func (l *Log) Capacity() uint64 { return l.capacity }
-
 func (l *Log) stateG(idx uint64) fabric.GPtr {
 	return l.entries.Add((idx % l.capacity) * entrySize)
 }

@@ -66,18 +66,3 @@ func BenchmarkPartialPageRMW(b *testing.B) {
 		m.Write(id, uint64(i%50)*64, small)
 	}
 }
-
-func BenchmarkAppend(b *testing.B) {
-	f, fsys := benchFS(b)
-	m := fsys.Mount(f.Node(0))
-	id, _ := m.Create("log")
-	rec := make([]byte, 128)
-	b.SetBytes(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%30000 == 0 && i > 0 {
-			m.Truncate(id, 0) // keep the cache bounded
-		}
-		m.Append(id, rec)
-	}
-}

@@ -15,7 +15,7 @@
 //     mount holds a replica, bulk-synchronized through a FlacDK
 //     replication log. The log doubles as the journal — §3.4's plan of
 //     integrating journaling with the synchronization mechanism — so
-//     metadata recovery after a node crash is checkpoint + log replay.
+//     metadata recovery after a node crash is log replay.
 //   - The BLOCK LAYER is node-local and device-shaped (BlockDev), keeping
 //     compatibility with traditional non-memory-semantic storage.
 package fs
@@ -38,8 +38,6 @@ type BlockDev interface {
 	ReadPage(n *fabric.Node, fileID uint64, page uint32, buf []byte) (ok bool)
 	// WritePage persists one page of a file.
 	WritePage(n *fabric.Node, fileID uint64, page uint32, data []byte)
-	// DeleteFile drops every stored page of a file.
-	DeleteFile(n *fabric.Node, fileID uint64)
 }
 
 // MemDev is an in-memory BlockDev with configurable access latency,
@@ -91,17 +89,6 @@ func (d *MemDev) WritePage(n *fabric.Node, fileID uint64, page uint32, data []by
 	d.mu.Lock()
 	d.pages[devKey(fileID, page)] = cp
 	d.mu.Unlock()
-}
-
-// DeleteFile implements BlockDev.
-func (d *MemDev) DeleteFile(n *fabric.Node, fileID uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for k := range d.pages {
-		if k>>32 == fileID {
-			delete(d.pages, k)
-		}
-	}
 }
 
 // Reads returns how many page reads the device has served (cache-miss

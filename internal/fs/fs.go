@@ -81,10 +81,6 @@ func New(f *fabric.Fabric, dev BlockDev, cfg Config) *FS {
 	}
 }
 
-// Journal exposes the metadata operation log (which doubles as the
-// journal) for recovery integration.
-func (fs *FS) Journal() *replication.Log { return fs.metaLog }
-
 // CachedPages returns how many pages the shared cache currently holds, as
 // seen by node n. Rack-wide memory consumption is CachedPages()*PageSize
 // regardless of how many nodes use the cache — the point of §3.4.
@@ -101,10 +97,9 @@ const cleanMark = 0
 
 // --- metadata state machine (node-local replica, replicated via log) ---
 
-const (
-	metaOpCreate = 1
-	metaOpUnlink = 2
-)
+// metaOpCreate creates a file in the replicated namespace.
+// Payload: u64 id, name. Result: the id, or 0 if the name exists.
+const metaOpCreate = 1
 
 type inodeSM struct {
 	names map[string]uint64
@@ -113,61 +108,16 @@ type inodeSM struct {
 func newInodeSM() *inodeSM { return &inodeSM{names: make(map[string]uint64)} }
 
 func (s *inodeSM) Apply(op uint32, payload []byte) uint64 {
-	switch op {
-	case metaOpCreate:
-		id := binary.LittleEndian.Uint64(payload)
-		name := string(payload[8:])
-		if _, exists := s.names[name]; exists {
-			return 0
-		}
-		s.names[name] = id
-		return id
-	case metaOpUnlink:
-		name := string(payload)
-		id, exists := s.names[name]
-		if !exists {
-			return 0
-		}
-		delete(s.names, name)
-		return id
-	case metaOpRename:
-		oldLen := binary.LittleEndian.Uint32(payload)
-		oldName := string(payload[4 : 4+oldLen])
-		newName := string(payload[4+oldLen:])
-		id, exists := s.names[oldName]
-		if !exists {
-			return 0
-		}
-		if _, taken := s.names[newName]; taken {
-			return 0
-		}
-		delete(s.names, oldName)
-		s.names[newName] = id
-		return id
+	if op != metaOpCreate {
+		return 0
 	}
-	return 0
-}
-
-func (s *inodeSM) Snapshot() []byte {
-	var out []byte
-	for name, id := range s.names {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(name)))
-		binary.LittleEndian.PutUint64(hdr[4:], id)
-		out = append(out, hdr[:]...)
-		out = append(out, name...)
+	id := binary.LittleEndian.Uint64(payload)
+	name := string(payload[8:])
+	if _, exists := s.names[name]; exists {
+		return 0
 	}
-	return out
-}
-
-func (s *inodeSM) Restore(b []byte) {
-	s.names = make(map[string]uint64)
-	for len(b) >= 12 {
-		nlen := binary.LittleEndian.Uint32(b[:4])
-		id := binary.LittleEndian.Uint64(b[4:12])
-		s.names[string(b[12:12+nlen])] = id
-		b = b[12+nlen:]
-	}
+	s.names[name] = id
+	return id
 }
 
 // Mount is one node's attachment to the file system. A Mount may be used
@@ -232,17 +182,6 @@ func (fs *FS) FenceMount(from *fabric.Node, dead *Mount) {
 	fs.qdom.Fence(from, dead.part.ID())
 }
 
-// MetaReplica exposes the metadata replica for journal-recovery flows.
-func (m *Mount) MetaReplica() *replication.Replica { return m.metaRep }
-
-// MetaState exposes the metadata state machine for checkpointing.
-func (m *Mount) MetaState() interface {
-	replication.StateMachine
-	replication.Snapshotter
-} {
-	return m.meta
-}
-
 // CacheStats returns the mount's page-cache hit/miss counters.
 func (m *Mount) CacheStats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
@@ -275,35 +214,6 @@ func (m *Mount) Lookup(name string) (uint64, bool) {
 		id, ok = m.meta.names[name]
 	})
 	return id, ok
-}
-
-// Unlink removes a file: its name, cached pages, device pages and size.
-func (m *Mount) Unlink(name string) error {
-	payload := []byte(name)
-	id := m.metaRep.Execute(metaOpUnlink, payload)
-	if id == 0 {
-		return fmt.Errorf("fs: unlink %q: no such file", name)
-	}
-	m.fs.emit(m.node, trace.KJournalCommit, id, metaOpUnlink)
-	// Collect and drop the file's cached pages.
-	var keys []uint64
-	m.fs.index.Range(m.node, func(k, v uint64) bool {
-		if k>>32 == id {
-			keys = append(keys, k)
-		}
-		return true
-	})
-	for _, k := range keys {
-		if fk, ok := m.fs.index.Delete(m.node, k); ok {
-			m.part.RetireTo(&m.unref, fabric.GPtr(fk<<memsys.PageShift))
-			m.fs.emit(m.node, trace.KEvict, k, fk)
-		}
-		m.fs.dirty.Delete(m.node, k)
-	}
-	m.fs.sizes.Delete(m.node, id)
-	m.fs.dev.DeleteFile(m.node, id)
-	m.housekeep()
-	return nil
 }
 
 // Size returns the file's current size in bytes.
@@ -524,9 +434,6 @@ func (m *Mount) WriteBackOnce() int {
 	}
 	return written
 }
-
-// DirtyPages returns how many pages currently await write-back.
-func (m *Mount) DirtyPages() uint64 { return uint64(len(m.dirtyKeys())) }
 
 // DropCaches evicts every page from the shared cache after writing dirty
 // data to the device — `echo 3 > drop_caches` for the rack. Returns the

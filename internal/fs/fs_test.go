@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flacos/internal/fabric"
-	"flacos/internal/flacdk/reliability"
 )
 
 func newFS(t *testing.T, nodes int) (*fabric.Fabric, *FS, *MemDev) {
@@ -17,7 +16,7 @@ func newFS(t *testing.T, nodes int) (*fabric.Fabric, *FS, *MemDev) {
 	return f, New(f, dev, Config{CacheFrames: 2048, MetaLogCap: 512}), dev
 }
 
-func TestCreateLookupUnlink(t *testing.T) {
+func TestCreateLookup(t *testing.T) {
 	f, fsys, _ := newFS(t, 2)
 	m0 := fsys.Mount(f.Node(0))
 	m1 := fsys.Mount(f.Node(1))
@@ -36,14 +35,8 @@ func TestCreateLookupUnlink(t *testing.T) {
 	if !ok || got != id {
 		t.Fatalf("Lookup = %d,%v", got, ok)
 	}
-	if err := m1.Unlink("/etc/config"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m0.Lookup("/etc/config"); ok {
-		t.Fatal("unlinked file still visible")
-	}
-	if err := m0.Unlink("/etc/config"); err == nil {
-		t.Fatal("double unlink should fail")
+	if _, ok := m1.Lookup("/etc/other"); ok {
+		t.Fatal("Lookup of a name never created succeeded")
 	}
 }
 
@@ -315,33 +308,28 @@ func TestConcurrentWritersDistinctRegions(t *testing.T) {
 	}
 }
 
+// TestMetadataJournalRecovery crashes the node that created every file:
+// the namespace lives on in the replication log, which doubles as the
+// journal, and a mount attached afterwards on a survivor replays it.
 func TestMetadataJournalRecovery(t *testing.T) {
 	f, fsys, _ := newFS(t, 2)
 	m0 := fsys.Mount(f.Node(0))
-	ck := reliability.NewCheckpointer(f, f.Node(0), 1<<16)
-
-	m0.Create("a.txt")
-	m0.Create("b.txt")
-	reliability.CheckpointReplica(ck, m0.MetaReplica(), m0.MetaState(), nil)
-	m0.Create("c.txt") // after the checkpoint: only in the journal
-	m0.Unlink("a.txt")
+	ids := map[string]uint64{}
+	for _, name := range []string{"a.txt", "b.txt", "c.txt"} {
+		id, err := m0.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = id
+	}
 
 	f.Node(0).Crash()
 
-	sm := newInodeSM()
-	rep, err := reliability.RecoverReplica(fsys.Journal(), f.Node(1), sm, ck)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	_ = rep
-	if _, ok := sm.names["a.txt"]; ok {
-		t.Fatal("unlink lost in recovery")
-	}
-	if _, ok := sm.names["b.txt"]; !ok {
-		t.Fatal("checkpointed file lost")
-	}
-	if _, ok := sm.names["c.txt"]; !ok {
-		t.Fatal("journaled file lost")
+	m1 := fsys.Mount(f.Node(1))
+	for name, want := range ids {
+		if got, ok := m1.Lookup(name); !ok || got != want {
+			t.Fatalf("after the crash, Lookup(%s) = %d, %v; want %d", name, got, ok, want)
+		}
 	}
 }
 
@@ -375,24 +363,5 @@ func TestLocalCacheBaselineDuplicatesPages(t *testing.T) {
 	}
 	if shared := fsys.CachedPages(f.Node(0)); shared != pages {
 		t.Fatalf("shared rack-wide pages = %d, want %d", shared, pages)
-	}
-}
-
-func TestUnlinkReleasesCacheFrames(t *testing.T) {
-	f, fsys, _ := newFS(t, 1)
-	m := fsys.Mount(f.Node(0))
-	id, _ := m.Create("temp")
-	m.Write(id, 0, make([]byte, 4*PageSize))
-	if fsys.CachedPages(f.Node(0)) != 4 {
-		t.Fatalf("cached = %d", fsys.CachedPages(f.Node(0)))
-	}
-	if err := m.Unlink("temp"); err != nil {
-		t.Fatal(err)
-	}
-	if fsys.CachedPages(f.Node(0)) != 0 {
-		t.Fatal("unlink left pages cached")
-	}
-	if m.Size(id) != 0 {
-		t.Fatal("size survived unlink")
 	}
 }

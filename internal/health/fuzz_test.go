@@ -142,3 +142,12 @@ func TestTornPublishNeverYieldsNewFields(t *testing.T) {
 		}
 	}
 }
+
+// EncodeRecord packs r into its line image.
+func EncodeRecord(r Record) [recordBytes]byte { return sampleLine.Encode(r.Seq, r.payload()) }
+
+// DecodeRecord unpacks a line image and validates it as checkRecord does.
+func DecodeRecord(b [recordBytes]byte, wantSlot int) (Record, error) {
+	l, err := sampleLine.Decode(b)
+	return checkRecord(l, err, wantSlot)
+}

@@ -118,31 +118,6 @@ func (l *Layer) setDegradedMirror(node int, deg bool) {
 	l.degraded[node].Store(deg)
 }
 
-// VerdictInfo is one slot's decoded health control state (debug, tests).
-type VerdictInfo struct {
-	Slot       int
-	State      DetectState
-	Node       int
-	Generation uint64
-	StampVNS   uint64
-}
-
-// Verdicts reads every slot's health control word through node n.
-func (l *Layer) Verdicts(n *fabric.Node) []VerdictInfo {
-	out := make([]VerdictInfo, l.mem.Slots())
-	for i := range out {
-		w := l.ctl.Load(n, i)
-		out[i] = VerdictInfo{
-			Slot:       i,
-			State:      w.State(),
-			Node:       w.Owner(),
-			Generation: w.Gen(),
-			StampVNS:   l.ctl.Stamp(n, i),
-		}
-	}
-	return out
-}
-
 // Join attaches a health agent to membership member m as a step of m's
 // agent loop: every heartbeat tick the agent publishes m's node's own
 // signals into the slot's health record and runs the anomaly detector

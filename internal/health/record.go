@@ -80,23 +80,15 @@ func (r Record) payload() [ds.PubWords]uint64 {
 		r.ErrEWMAMilli, uint64(r.LeaseExpiries)<<32 | uint64(r.ClaimFails), r.LinkHops}
 }
 
-// EncodeRecord packs r into its line image.
-func EncodeRecord(r Record) [recordBytes]byte { return sampleLine.Encode(r.Seq, r.payload()) }
-
-// DecodeRecord unpacks and validates a health line read from the arena
-// for slot wantSlot. A failed decode means the observation carries no
-// information — never that the node is healthy or degraded.
-func DecodeRecord(b [recordBytes]byte, wantSlot int) (Record, error) {
-	l, err := sampleLine.Decode(b)
-	return checkRecord(l, err, wantSlot)
-}
-
 // readRecord reads slot's health line fresh from home through n.
 func (l *Layer) readRecord(n *fabric.Node, slot int) (Record, error) {
 	pl, err := sampleLine.Read(n, l.recSlotG(slot))
 	return checkRecord(pl, err, slot)
 }
 
+// checkRecord validates a health line read from the arena for slot
+// wantSlot. A failed check means the observation carries no information
+// — never that the node is healthy or degraded.
 func checkRecord(l ds.PubLine, err error, wantSlot int) (Record, error) {
 	if err != nil {
 		return Record{}, err

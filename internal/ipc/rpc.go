@@ -28,10 +28,6 @@ type Service struct {
 	ctxG    fabric.GPtr // word0: activation count
 }
 
-// Activations returns how many times the service has been invoked,
-// rack-wide.
-func (s *Service) Activations(n *fabric.Node) uint64 { return n.AtomicLoad64(s.ctxG) }
-
 // ServiceTable holds the rack's shared code contexts. In a real FlacOS the
 // text and context descriptors live in global memory; the simulation keeps
 // the Go function values in a process-wide table (all nodes share the
@@ -92,6 +88,3 @@ func (t *ServiceTable) Call(n *fabric.Node, name string, req []byte) ([]byte, er
 	t.calls.Add(1)
 	return resp, nil
 }
-
-// Calls returns the table's lifetime call count.
-func (t *ServiceTable) Calls() uint64 { return t.calls.Load() }

@@ -35,9 +35,6 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	return &Zipf{r: r, cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws one rank.
 func (z *Zipf) Next() int {
 	u := z.r.Float64()
@@ -52,13 +49,4 @@ func (z *Zipf) Next() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the analytic probability of rank k — the expected head
-// frequencies the chi-squared property test checks draws against.
-func (z *Zipf) Prob(k int) float64 {
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
 }

@@ -112,7 +112,7 @@ func (m *Member) observeAll() {
 			m.refuteIfSuspected(w)
 			continue
 		}
-		if st := w.State(); st == StateFree || st == StateDead || st == StateLeft {
+		if st := w.State(); st == StateFree || st == StateDead {
 			delete(m.obs, slot)
 			continue
 		}

@@ -16,8 +16,6 @@ const (
 	// recovery (lease reclaim, view fencing, container eviction) keyed
 	// on (Slot, Generation) for idempotence.
 	EvDead
-	// EvLeft: a clean departure; no crash recovery needed.
-	EvLeft
 	// EvDegraded: the health layer's anomaly detector concluded the
 	// slot's occupant is degrading (gray failure) while still alive.
 	// Raised by internal/health onto the same stream so consumers see
@@ -39,8 +37,6 @@ func (k EventKind) String() string {
 		return "alive"
 	case EvDead:
 		return "dead"
-	case EvLeft:
-		return "left"
 	case EvDegraded:
 		return "degraded"
 	case EvRecovered:
@@ -64,7 +60,7 @@ type Event struct {
 
 // diffCtl synthesizes events by comparing slot's control word against
 // what this agent last saw, updating the host-side liveness mirror on
-// the way. A generation bump observed without an intervening Dead/Left
+// the way. A generation bump observed without an intervening Dead
 // means the node restarted faster than detection — the old incarnation
 // still gets its EvDead (under the OLD generation) so recovery runs,
 // followed by the new generation's own lifecycle events.
@@ -102,9 +98,6 @@ func (m *Member) diffCtl(slot int, w ctlWord) {
 	case StateDead:
 		m.t.setAliveMirror(node, false)
 		m.deliver(Event{Kind: EvDead, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
-	case StateLeft:
-		m.t.setAliveMirror(node, false)
-		m.deliver(Event{Kind: EvLeft, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
 	}
 }
 

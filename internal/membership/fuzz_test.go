@@ -147,3 +147,12 @@ func TestTornPublishNeverYieldsNewFields(t *testing.T) {
 		}
 	}
 }
+
+// EncodeRecord packs r into its line image.
+func EncodeRecord(r Record) [recordBytes]byte { return heartbeatLine.Encode(r.Beat, r.payload()) }
+
+// DecodeRecord unpacks a line image and validates it as checkRecord does.
+func DecodeRecord(b [recordBytes]byte, wantSlot int, maxVNS uint64) (Record, error) {
+	l, err := heartbeatLine.Decode(b)
+	return checkRecord(l, err, wantSlot, maxVNS)
+}

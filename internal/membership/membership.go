@@ -2,7 +2,7 @@
 // self-healing layer: an arena-resident membership table (one heartbeat
 // line and one control line per node slot), a phi-accrual-style
 // suspicion detector every member runs over the other slots, and a
-// rack-wide event stream (Join/Suspect/Alive/Dead/Left) that the other
+// rack-wide event stream (Join/Suspect/Alive/Dead) that the other
 // subsystems subscribe to so ONE detection drives recovery everywhere
 // — sched reclaims a dead node's leases, the redis RackStore fences its
 // views, serverless re-places its containers — instead of each
@@ -38,7 +38,6 @@ const (
 	StateAlive
 	StateSuspect
 	StateDead
-	StateLeft
 )
 
 func (s State) String() string {
@@ -53,8 +52,6 @@ func (s State) String() string {
 		return "suspect"
 	case StateDead:
 		return "dead"
-	case StateLeft:
-		return "left"
 	}
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
@@ -199,8 +196,8 @@ func (t *Table) Snapshot(n *fabric.Node) []SlotInfo {
 // Joining state: the caller resyncs (scheduler board, redis index,
 // trace registration, whatever its role needs) and then Activates. Slot
 // preference order: the slot this node previously occupied (restart
-// rejoin, generation bumped), then a Free slot, then a Dead or Left
-// slot of some other node (slot recycling under a bumped generation).
+// rejoin, generation bumped), then a Free slot, then a Dead slot of
+// some other node (slot recycling under a bumped generation).
 func (t *Table) Join(n *fabric.Node) (*Member, error) {
 	// Rejoin first: a restarted node must reclaim its old identity slot
 	// so every observer sees one (node, slot) history with a bumped
@@ -218,7 +215,7 @@ func (t *Table) Join(n *fabric.Node) (*Member, error) {
 		}
 	}
 	for slot := 0; slot < t.cfg.Slots; slot++ {
-		if st := t.ctl.Load(n, slot).State(); st == StateDead || st == StateLeft {
+		if st := t.ctl.Load(n, slot).State(); st == StateDead {
 			if m, err := t.joinSlot(n, slot); err == nil {
 				return m, nil
 			}
@@ -232,7 +229,7 @@ func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 		w := t.ctl.Load(n, slot)
 		st := w.State()
 		rejoin := st != StateFree && w.Owner() == n.ID()
-		if !rejoin && st != StateFree && st != StateDead && st != StateLeft {
+		if !rejoin && st != StateFree && st != StateDead {
 			return nil, fmt.Errorf("membership: slot %d is %s (node %d gen %d), not joinable by node %d",
 				slot, st, w.Owner(), w.Gen(), n.ID())
 		}
@@ -295,9 +292,6 @@ func (m *Member) Slot() int { return m.slot }
 // fencing token consumers compare zombie writes against.
 func (m *Member) Generation() uint64 { return m.gen }
 
-// Incarnation returns the member's current incarnation number.
-func (m *Member) Incarnation() uint64 { return atomic.LoadUint64(&m.inc) }
-
 // SetTrace attaches a flight-recorder writer; membership transitions
 // this member performs or observes then land in the rack timeline.
 // Safe while the member is running (core's EnableTrace may come late).
@@ -358,27 +352,12 @@ func (m *Member) Start() {
 	go m.agentLoop()
 }
 
-// Stop halts the member's goroutines without a Leave: the slot keeps
-// its state (a crash-like disappearance as far as observers care).
-// Idempotent; safe on members whose node already crashed.
+// Stop halts the member's goroutines: the slot keeps its state (a
+// crash-like disappearance as far as observers care). Idempotent; safe on
+// members whose node already crashed.
 func (m *Member) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	m.wg.Wait()
-}
-
-// Leave performs a clean departure: Alive -> Left (best effort), then
-// stops the goroutines. Observers deliver EvLeft, not EvDead, so
-// consumers can skip crash recovery.
-func (m *Member) Leave() {
-	want := ds.PackState(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateAlive)
-	next := ds.PackState(m.gen, atomic.LoadUint64(&m.inc), m.n.ID(), StateLeft)
-	if m.t.ctl.Transition(m.n, m.slot, want, next) {
-		m.t.alive[m.n.ID()].Store(false)
-		if tw := m.Trace(); tw != nil {
-			tw.Emit(trace.SubMembership, trace.KLeft, 0, uint64(m.slot), m.gen)
-		}
-	}
-	m.Stop()
 }
 
 // publishBeat republishes the member's heartbeat line under the next beat.

@@ -290,50 +290,6 @@ func TestRestartBeatingDetectionStillDeliversDead(t *testing.T) {
 	})
 }
 
-func TestLeaveDeliversLeftNotDead(t *testing.T) {
-	f := testFabric(3)
-	tb := New(f, fastCfg())
-	ms := joinAll(t, tb, f, 3)
-	var mu sync.Mutex
-	kinds := map[EventKind]int{}
-	ms[0].Subscribe(func(ev Event) {
-		if ev.Slot == 2 {
-			mu.Lock()
-			kinds[ev.Kind]++
-			mu.Unlock()
-		}
-	})
-	for _, m := range ms {
-		m.Start()
-	}
-	defer func() {
-		for _, m := range ms {
-			m.Stop()
-		}
-	}()
-	ms[2].Leave()
-	waitFor(t, "left event", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return kinds[EvLeft] >= 1
-	})
-	mu.Lock()
-	dead := kinds[EvDead]
-	mu.Unlock()
-	if dead != 0 {
-		t.Errorf("clean leave delivered %d dead event(s)", dead)
-	}
-	if tb.Alive(2) {
-		t.Error("left node still alive in mirror")
-	}
-}
-
-// TestSuspectHeldNodeKeepsHeartbeating: a node pinned at StateSuspect
-// by repeated scripted suspicion never stops publishing — its beat
-// keeps advancing and its incarnation keeps bumping through refutation.
-// This is the contract internal/health builds on: a Suspect node is a
-// live signal source, not a silent one, so gray-failure detection keeps
-// working exactly when the liveness layer is unsure about the node.
 func TestSuspectHeldNodeKeepsHeartbeating(t *testing.T) {
 	f := testFabric(2)
 	tb := New(f, fastCfg())

@@ -47,26 +47,18 @@ func (r Record) payload() [ds.PubWords]uint64 {
 	return [ds.PubWords]uint64{uint64(r.Node)<<8 | uint64(r.Slot), r.Generation, r.Incarnation, r.TS}
 }
 
-// EncodeRecord packs r into its line image.
-func EncodeRecord(r Record) [recordBytes]byte { return heartbeatLine.Encode(r.Beat, r.payload()) }
-
-// DecodeRecord unpacks and validates a heartbeat line read from the
-// arena for slot wantSlot. maxVNS is the freshest virtual-clock value
-// the reader can vouch for rack-wide (plus any slack it tolerates); a
-// record stamped beyond it cannot have been produced by a well-behaved
-// owner and is rejected. A failed decode means the observation carries
-// no information — never that the node is alive or dead.
-func DecodeRecord(b [recordBytes]byte, wantSlot int, maxVNS uint64) (Record, error) {
-	l, err := heartbeatLine.Decode(b)
-	return checkRecord(l, err, wantSlot, maxVNS)
-}
-
 // readRecord reads slot's heartbeat line fresh from home through n.
 func (t *Table) readRecord(n *fabric.Node, slot int, maxVNS uint64) (Record, error) {
 	l, err := heartbeatLine.Read(n, t.hbSlotG(slot))
 	return checkRecord(l, err, slot, maxVNS)
 }
 
+// checkRecord validates a heartbeat line read from the arena for slot
+// wantSlot. maxVNS is the freshest virtual-clock value the reader can
+// vouch for rack-wide (plus any slack it tolerates); a record stamped
+// beyond it cannot have been produced by a well-behaved owner and is
+// rejected. A failed check means the observation carries no information
+// — never that the node is alive or dead.
 func checkRecord(l ds.PubLine, err error, wantSlot int, maxVNS uint64) (Record, error) {
 	if err != nil {
 		return Record{}, err

@@ -40,7 +40,7 @@ func BenchmarkTranslateTLBMissPTWalk(b *testing.B) {
 	m.Read(0x100000, buf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.FlushTLB()
+		m.tlb.flush()
 		m.Read(0x100000, buf)
 	}
 }

@@ -46,11 +46,6 @@ func NewGlobalFrames(f *fabric.Fabric, frames uint64) *GlobalFrames {
 	}
 }
 
-// Contains reports whether phys lies in this allocator's region.
-func (gf *GlobalFrames) Contains(phys uint64) bool {
-	return phys >= uint64(gf.base) && phys < uint64(gf.base)+gf.frames*PageSize
-}
-
 // zeroPage is the source every frame is zero-filled from. Nothing writes it.
 var zeroPage [PageSize]byte
 
@@ -190,15 +185,6 @@ func (ls *LocalStore) Free(idx uint32) {
 	ls.free = append(ls.free, idx)
 }
 
-// Page returns the frame's backing bytes. Only single-goroutine tests may
-// touch the slice directly; the MMU paths go through readAt/writeAt/copyOut
-// so concurrent access and migration serialize on the store's mutex.
-func (ls *LocalStore) page(idx uint32) []byte {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.frames[idx]
-}
-
 // readAt copies frame bytes [off, off+len(buf)) into buf under the lock,
 // so a concurrent migration or tiering demotion copying the frame out
 // never races the byte transfer (the model's atomic line transfers).
@@ -221,11 +207,4 @@ func (ls *LocalStore) copyOut(idx uint32, dst *[PageSize]byte) {
 	ls.mu.Lock()
 	copy(dst[:], ls.frames[idx])
 	ls.mu.Unlock()
-}
-
-// Allocated returns how many frames the store has ever created.
-func (ls *LocalStore) Allocated() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.frames)
 }

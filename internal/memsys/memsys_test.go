@@ -456,7 +456,7 @@ func TestTLBHitsRecorded(t *testing.T) {
 	if hits < 3 || misses == 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
-	m.FlushTLB()
+	m.tlb.flush()
 	m.Read(0x80000, buf)
 	misses2 := m.Stats().TLBMisses
 	if misses2 <= misses {
@@ -489,7 +489,7 @@ func TestTranslateWarmPrefixOneTableAtomic(t *testing.T) {
 		return after.Atomics - before.Atomics, after.VirtualNS - before.VirtualNS
 	}
 	hitAtomics, hitNS := read()
-	m.FlushTLB()
+	m.tlb.flush()
 	missAtomics, missNS := read()
 	if m.Stats().TLBMisses == 0 {
 		t.Fatal("the flushed read did not miss the TLB")

@@ -129,14 +129,6 @@ func (t *tlb) invalidate(vpn uint64) {
 	t.mu.Unlock()
 }
 
-func (t *tlb) flush() {
-	t.mu.Lock()
-	t.gen.Add(1)
-	clear(t.m)
-	t.order, t.free, t.hand = t.order[:0], t.free[:0], 0
-	t.mu.Unlock()
-}
-
 // MMU is one node's attachment to a Space: TLB, fault handling, and the
 // load/store paths. Safe for concurrent use by the node's goroutines.
 type MMU struct {
@@ -152,9 +144,6 @@ type MMU struct {
 
 // Node returns the fabric node this MMU belongs to.
 func (m *MMU) Node() *fabric.Node { return m.node }
-
-// Space returns the address space this MMU translates for.
-func (m *MMU) Space() *Space { return m.space }
 
 // Stats returns a snapshot of the MMU's counters.
 func (m *MMU) Stats() MMUStatsSnapshot {
@@ -549,9 +538,6 @@ func (m *MMU) Write(va uint64, data []byte) error {
 	}
 	return nil
 }
-
-// FlushTLB empties this MMU's TLB (context switch, space teardown).
-func (m *MMU) FlushTLB() { m.tlb.flush() }
 
 // PTEOf returns the current page-table entry for va (diagnostics/tests).
 func (m *MMU) PTEOf(va uint64) PTE { return PTE(m.space.pt.Get(m.node, va>>PageShift)) }

@@ -207,9 +207,6 @@ func f2frames(gf *GlobalFrames) *GlobalFrames {
 	return gf
 }
 
-// Frames returns the space's global frame allocator.
-func (s *Space) Frames() *GlobalFrames { return s.frames }
-
 // Attach creates node n's MMU for this space. pta allocates page-table
 // nodes on faults; ls is the node's local frame pool (may be nil if the
 // space never uses BackLocal). A node attaches to a space at most once

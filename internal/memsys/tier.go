@@ -263,23 +263,3 @@ func (m *MMU) DemoteToColdBatch(vpns []uint64) []uint64 {
 func (m *MMU) DemoteToGlobalBatch(vpns []uint64) []uint64 {
 	return m.batchMove(vpns, m.demoteGlobalBegin, m.demoteGlobalFinish)
 }
-
-// PromoteToLocal is the single-page form of PromoteToLocalBatch.
-func (m *MMU) PromoteToLocal(vpn uint64) bool {
-	return len(m.PromoteToLocalBatch([]uint64{vpn})) == 1
-}
-
-// PromoteFromCold is the single-page form of PromoteFromColdBatch.
-func (m *MMU) PromoteFromCold(vpn uint64) bool {
-	return len(m.PromoteFromColdBatch([]uint64{vpn})) == 1
-}
-
-// DemoteToCold is the single-page form of DemoteToColdBatch.
-func (m *MMU) DemoteToCold(vpn uint64) bool {
-	return len(m.DemoteToColdBatch([]uint64{vpn})) == 1
-}
-
-// DemoteToGlobal is the single-page form of DemoteToGlobalBatch.
-func (m *MMU) DemoteToGlobal(vpn uint64) bool {
-	return len(m.DemoteToGlobalBatch([]uint64{vpn})) == 1
-}

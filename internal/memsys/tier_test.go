@@ -47,31 +47,31 @@ func TestTierPromoteDemoteCycle(t *testing.T) {
 	}
 
 	check("initial", TierWarm, 0, 0)
-	if !m0.DemoteToCold(vpn) {
+	if !movedOne(m0.DemoteToColdBatch([]uint64{vpn})) {
 		t.Fatal("DemoteToCold failed")
 	}
 	check("after cold demote", TierCold, 0, 1)
-	if m0.DemoteToCold(vpn) {
+	if movedOne(m0.DemoteToColdBatch([]uint64{vpn})) {
 		t.Fatal("double cold demote should be a no-op")
 	}
-	if !m0.PromoteFromCold(vpn) {
+	if !movedOne(m0.PromoteFromColdBatch([]uint64{vpn})) {
 		t.Fatal("PromoteFromCold failed")
 	}
 	check("after cold promote", TierWarm, 1, 1)
-	if !m0.PromoteToLocal(vpn) {
+	if !movedOne(m0.PromoteToLocalBatch([]uint64{vpn})) {
 		t.Fatal("PromoteToLocal failed")
 	}
 	check("after local promote", TierLocal, 2, 1)
 	if tier, node := m0.TierOf(vpn); tier != TierLocal || node != 0 {
 		t.Fatalf("local tier owner = %v/%d", tier, node)
 	}
-	if !m0.DemoteToGlobal(vpn) {
+	if !movedOne(m0.DemoteToGlobalBatch([]uint64{vpn})) {
 		t.Fatal("DemoteToGlobal failed")
 	}
 	check("after local demote", TierWarm, 2, 2)
 
 	// Cold pages stay writable; a later read must see the write.
-	if !m0.DemoteToCold(vpn) {
+	if !movedOne(m0.DemoteToColdBatch([]uint64{vpn})) {
 		t.Fatal("re-demote failed")
 	}
 	msg = []byte("written while cold!")
@@ -107,7 +107,7 @@ func TestColdTierCharged(t *testing.T) {
 		return f.Node(0).Stats().VirtualNS - before
 	}
 	warm := cost()
-	if !m.DemoteToCold(uint64(va >> PageShift)) {
+	if !movedOne(m.DemoteToColdBatch([]uint64{uint64(va >> PageShift)})) {
 		t.Fatal("DemoteToCold failed")
 	}
 	cold := cost()
@@ -182,10 +182,10 @@ func TestPromoteSharedFrameRefused(t *testing.T) {
 	if merged := m.DedupPass(); merged != 1 {
 		t.Fatalf("dedup merged %d", merged)
 	}
-	if m.PromoteToLocal(0) {
+	if movedOne(m.PromoteToLocalBatch([]uint64{0})) {
 		t.Fatal("promoted a dedup-shared frame")
 	}
-	if m.DemoteToCold(0) {
+	if movedOne(m.DemoteToColdBatch([]uint64{0})) {
 		t.Fatal("cold-demoted a COW frame")
 	}
 }
@@ -323,7 +323,7 @@ func TestMigrateRacingWriter(t *testing.T) {
 
 	// Same protocol under a tiering move: a concurrent writer's store
 	// races DemoteToCold's CAS; the re-validation redo keeps it.
-	if !m1.DemoteToCold(uint64(va >> PageShift)) {
+	if !movedOne(m1.DemoteToColdBatch([]uint64{uint64(va >> PageShift)})) {
 		t.Fatal("DemoteToCold failed")
 	}
 	write(m0)
@@ -411,8 +411,8 @@ func TestMigrateRacingWriterStress(t *testing.T) {
 	go func() { // tiering daemon stand-in: bounce the page between tiers
 		defer wg.Done()
 		for !stop.Load() {
-			m1.DemoteToCold(vpn)
-			m1.PromoteFromCold(vpn)
+			m1.DemoteToColdBatch([]uint64{vpn})
+			m1.PromoteFromColdBatch([]uint64{vpn})
 		}
 	}()
 	wg.Wait()
@@ -459,7 +459,7 @@ func TestMigratePlantedBrokenShootdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	vpn := uint64(va >> PageShift)
-	if !m1.DemoteToCold(vpn) {
+	if !movedOne(m1.DemoteToColdBatch([]uint64{vpn})) {
 		t.Fatal("demote failed")
 	}
 	// With the broken shootdown, node 2 still translates to the stale
@@ -469,7 +469,7 @@ func TestMigratePlantedBrokenShootdown(t *testing.T) {
 	}
 	SetBrokenSkipShootdown(false)
 	// With shootdowns restored, the same move invalidates the peer TLB.
-	if !m1.PromoteFromCold(vpn) {
+	if !movedOne(m1.PromoteFromColdBatch([]uint64{vpn})) {
 		t.Fatal("promote failed")
 	}
 	if _, ok := m2.tlbPeek(vpn); ok {
@@ -486,7 +486,7 @@ func TestTierOpsRefuseBogusPages(t *testing.T) {
 	s := e.space(1)
 	m0 := e.attach(s, 0)
 	m1 := e.attach(s, 1)
-	if m0.DemoteToCold(999) || m0.PromoteFromCold(999) || m0.PromoteToLocal(999) || m0.DemoteToGlobal(999) {
+	if movedOne(m0.DemoteToColdBatch([]uint64{999})) || movedOne(m0.PromoteFromColdBatch([]uint64{999})) || movedOne(m0.PromoteToLocalBatch([]uint64{999})) || movedOne(m0.DemoteToGlobalBatch([]uint64{999})) {
 		t.Fatal("tier op succeeded on unmapped page")
 	}
 	const va = 0xb0000
@@ -497,10 +497,13 @@ func TestTierOpsRefuseBogusPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	vpn := uint64(va >> PageShift)
-	if m1.DemoteToGlobal(vpn) {
+	if movedOne(m1.DemoteToGlobalBatch([]uint64{vpn})) {
 		t.Fatal("node 1 demoted node 0's local frame")
 	}
 	if tier, node := m1.TierOf(vpn); tier != TierLocal || node != 0 {
 		t.Fatalf("TierOf = %v/%d", tier, node)
 	}
 }
+
+// movedOne reports whether a one-page batch moved its page.
+func movedOne(moved []uint64) bool { return len(moved) == 1 }

@@ -128,35 +128,6 @@ func (c *Client) PipeSet(key string, value []byte, ttl time.Duration) {
 // PipeGet queues a GET.
 func (c *Client) PipeGet(key string) { c.PipeCommand([]byte("GET"), []byte(key)) }
 
-// PipeMGet queues an MGET for keys; its Flush reply is one array Value.
-func (c *Client) PipeMGet(keys ...string) {
-	args := make([][]byte, 0, len(keys)+1)
-	args = append(args, []byte("MGET"))
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	c.PipeCommand(args...)
-}
-
-// PipeMSet queues an MSET of the key/value pairs.
-func (c *Client) PipeMSet(pairs ...[]byte) {
-	if len(pairs)%2 != 0 {
-		panic("redis: PipeMSet needs key/value pairs")
-	}
-	args := make([][]byte, 0, len(pairs)+1)
-	args = append(args, []byte("MSET"))
-	args = append(args, pairs...)
-	c.PipeCommand(args...)
-}
-
-// PipeIncrBy queues an INCRBY.
-func (c *Client) PipeIncrBy(key string, delta int64) {
-	c.PipeCommand([]byte("INCRBY"), []byte(key), []byte(strconv.FormatInt(delta, 10)))
-}
-
-// Pending returns how many commands are queued for the next Flush.
-func (c *Client) Pending() int { return c.pipeN }
-
 // Flush sends the queued pipeline and returns the replies in queue order.
 // Per-command errors come back as respError Values (check v.Kind); a
 // transport or framing failure returns a non-nil error and poisons the
@@ -211,18 +182,6 @@ func (c *Client) FlushRecv(n int) ([]Value, error) {
 		return nil, fmt.Errorf("redis: pipeline sent %d commands, got %d replies", n, len(c.replies))
 	}
 	return c.replies, nil
-}
-
-// Ping checks the connection.
-func (c *Client) Ping() error {
-	v, err := c.roundTrip([]byte("PING"))
-	if err != nil {
-		return err
-	}
-	if v.Str != "PONG" {
-		return fmt.Errorf("redis: unexpected PING reply %q", v.Str)
-	}
-	return nil
 }
 
 // Set stores key -> value with optional TTL (0 = none), rounded up to whole
@@ -301,24 +260,6 @@ func (c *Client) MGet(keys ...string) ([][]byte, error) {
 	return vals, nil
 }
 
-// MSet stores the key/value pairs in one round trip.
-func (c *Client) MSet(pairs ...[]byte) error {
-	if len(pairs) == 0 || len(pairs)%2 != 0 {
-		return errors.New("redis: MSet needs key/value pairs")
-	}
-	args := make([][]byte, 0, len(pairs)+1)
-	args = append(args, []byte("MSET"))
-	args = append(args, pairs...)
-	v, err := c.roundTrip(args...)
-	if err != nil {
-		return err
-	}
-	if v.Str != "OK" {
-		return fmt.Errorf("redis: unexpected MSET reply %q", v.Str)
-	}
-	return nil
-}
-
 // Exists reports how many of keys exist.
 func (c *Client) Exists(keys ...string) (int64, error) {
 	args := [][]byte{[]byte("EXISTS")}
@@ -326,11 +267,5 @@ func (c *Client) Exists(keys ...string) (int64, error) {
 		args = append(args, []byte(k))
 	}
 	v, err := c.roundTrip(args...)
-	return v.Int, err
-}
-
-// DBSize returns the server's key count.
-func (c *Client) DBSize() (int64, error) {
-	v, err := c.roundTrip([]byte("DBSIZE"))
 	return v.Int, err
 }

@@ -121,9 +121,6 @@ func NewCombiner(view *View, dom *delegation.Domain) *Combiner {
 	return &Combiner{view: view, sv: dom.Server(view.Node(), nil)}
 }
 
-// View returns the owner's store attachment.
-func (cb *Combiner) View() *View { return cb.view }
-
 // SetBrokenSkipCombineFlush toggles a DELIBERATE bug for the checker
 // self-test: combined increments are applied to an owner-private shadow
 // map and the arena publish is skipped, so replies report states no other

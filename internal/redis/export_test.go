@@ -1,0 +1,27 @@
+package redis
+
+import (
+	"time"
+
+	"flacos/internal/fabric"
+)
+
+// AdvanceClock moves the shared virtual clock forward by d (from node n)
+// and returns the new time. The clock is one global-memory word advanced
+// with fabric atomics, so every node observes the same timeline — TTL
+// expiry is a rack-wide deterministic event.
+func (s *RackStore) AdvanceClock(n *fabric.Node, d time.Duration) uint64 {
+	if d <= 0 {
+		return s.Now(n)
+	}
+	return n.Add64(s.clockG, uint64(d.Nanoseconds()))
+}
+
+// AdvanceClock moves the shared virtual clock forward by d.
+func (v *View) AdvanceClock(d time.Duration) uint64 { return v.s.AdvanceClock(v.n, d) }
+
+// SetClock overrides the expiry clock (tests).
+func (s *Store) SetClock(fn func() time.Time) { s.clock = fn }
+
+// View returns the owner's store attachment.
+func (cb *Combiner) View() *View { return cb.view }

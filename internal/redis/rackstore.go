@@ -148,17 +148,6 @@ func NewRackStore(f *fabric.Fabric, cfg RackStoreConfig) *RackStore {
 // Now reads the shared virtual clock from node n.
 func (s *RackStore) Now(n *fabric.Node) uint64 { return n.AtomicLoad64(s.clockG) }
 
-// AdvanceClock moves the shared virtual clock forward by d (from node n)
-// and returns the new time. The clock is one global-memory word advanced
-// with fabric atomics, so every node observes the same timeline — TTL
-// expiry is a rack-wide deterministic event.
-func (s *RackStore) AdvanceClock(n *fabric.Node, d time.Duration) uint64 {
-	if d <= 0 {
-		return s.Now(n)
-	}
-	return n.Add64(s.clockG, uint64(d.Nanoseconds()))
-}
-
 // Attach creates node n's handle on the shared store. A View is bound to
 // ONE goroutine at a time (it owns a per-node allocator, which is not
 // concurrency-safe, and the buffers its results point into); attach one
@@ -257,9 +246,6 @@ func (v *View) SetTrace(w *trace.Writer) { v.tw = w }
 
 // Now reads the shared virtual clock.
 func (v *View) Now() uint64 { return v.s.Now(v.n) }
-
-// AdvanceClock moves the shared virtual clock forward by d.
-func (v *View) AdvanceClock(d time.Duration) uint64 { return v.s.AdvanceClock(v.n, d) }
 
 // tick amortizes epoch maintenance over the op stream: every 64th
 // operation tries to advance the global epoch and collects any of this

@@ -234,7 +234,7 @@ func TestServerPipelineOverRackStore(t *testing.T) {
 
 	cconn, sconn := newPipePair()
 	done := make(chan struct{})
-	go func() { defer close(done); srv.ServeConn(sconn, 0) }()
+	go func() { defer close(done); serveConn(srv, sconn) }()
 
 	cl := NewClient(cconn, 0)
 	cl.PipeSet("a", []byte("1"), 0)

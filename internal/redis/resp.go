@@ -38,14 +38,6 @@ type Value struct {
 // IsError reports whether v is a RESP error reply.
 func (v Value) IsError() bool { return v.Kind == respError }
 
-// Err returns the reply as a Go error (nil unless v is a RESP error).
-func (v Value) Err() error {
-	if v.Kind != respError {
-		return nil
-	}
-	return errors.New(v.Str)
-}
-
 // AppendCommand encodes a command (array of bulk strings) onto dst.
 func AppendCommand(dst []byte, args ...[]byte) []byte {
 	dst = append(dst, respArray)

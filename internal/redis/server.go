@@ -63,30 +63,6 @@ func NewServer(store Backend) *Server { return &Server{store: store} }
 // Store returns the server's keyspace.
 func (s *Server) Store() Backend { return s.store }
 
-// ServeConn runs one session: decode commands, execute, reply, until the
-// connection closes. Run it in a goroutine per accepted connection. Each
-// received message is executed as a BATCH: a pipelining client packs N
-// commands per Send, the server drains all of them and replies with the
-// concatenated replies in one Send — one transport round trip, N store
-// operations, the amortization the fig4/redisrack experiments measure.
-func (s *Server) ServeConn(c Conn, bufSize int) {
-	if bufSize <= 0 {
-		bufSize = 64 << 10
-	}
-	req := make([]byte, bufSize)
-	var resp []byte
-	for {
-		n, err := c.Recv(req)
-		if err != nil {
-			return
-		}
-		resp = s.ExecuteBatch(resp[:0], req[:n])
-		if err := c.Send(resp); err != nil {
-			return
-		}
-	}
-}
-
 // Execute runs the RESP-encoded command in req (every command, if req
 // packs several, as ExecuteBatch does) and returns the RESP reply. The
 // reply is the server's own buffer and is valid until the next Execute on

@@ -51,9 +51,6 @@ func NewStore() *Store {
 	return &Store{data: make(map[string]*entry), clock: time.Now}
 }
 
-// SetClock overrides the expiry clock (tests).
-func (s *Store) SetClock(fn func() time.Time) { s.clock = fn }
-
 // liveLocked returns key's entry, or nil if it is missing or its TTL has
 // passed (an expired entry is purged on the way).
 func (s *Store) liveLocked(key string) *entry {

@@ -131,6 +131,6 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	}
 	if dispatches != 2 || expiries != 1 || completes != 1 {
 		t.Fatalf("trace shows %d dispatches, %d expiries, %d completions; want 2, 1, 1\n%s",
-			dispatches, expiries, completes, rt.Timeline())
+			dispatches, expiries, completes, rt.TimelineTail(0))
 	}
 }

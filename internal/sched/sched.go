@@ -53,9 +53,6 @@ const (
 	// PolicyLocality honors Task.Preferred unless that node's load
 	// exceeds the rack minimum by more than LocalitySlack.
 	PolicyLocality Policy = iota
-	// PolicyLeastLoaded ignores locality and targets the least-loaded
-	// live node (the density-style baseline).
-	PolicyLeastLoaded
 	// PolicyRandom places uniformly at random over live nodes (the
 	// ablation baseline for the sched experiment).
 	PolicyRandom

@@ -70,7 +70,7 @@ func TestTraceEventsOnHotPaths(t *testing.T) {
 		t.Error("no lease-expiry event despite a reclaim")
 	}
 	if snap.TotalDropped() != 0 {
-		t.Errorf("dropped %d events at ring cap %d", snap.TotalDropped(), rec.Cap())
+		t.Errorf("dropped %d events at ring cap %d", snap.TotalDropped(), 1<<12)
 	}
 
 	log := s.ReclaimLog()

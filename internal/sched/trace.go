@@ -48,11 +48,3 @@ func (s *Scheduler) noteReclaim(n *fabric.Node, keeper int, slot uint64, owner i
 	s.tr.reclaimLog = append(s.tr.reclaimLog, entry)
 	s.tr.reclaimMu.Unlock()
 }
-
-// ReclaimLog returns the most recent lease-expiry records (oldest
-// first, at most reclaimLogCap), each formatted with trace.VNS.
-func (s *Scheduler) ReclaimLog() []string {
-	s.tr.reclaimMu.Lock()
-	defer s.tr.reclaimMu.Unlock()
-	return append([]string(nil), s.tr.reclaimLog...)
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"flacos/internal/memsys"
-	"flacos/internal/trace"
 )
 
 // Config tunes the daemon's policy. Zero values select the defaults.
@@ -136,8 +135,6 @@ type Daemon struct {
 		steps, promLocal, promWarm, demWarm, demCold atomic.Uint64
 		failed, vetoes, displaced, drainEvicted      atomic.Uint64
 	}
-
-	tw atomic.Pointer[trace.Writer]
 }
 
 // New builds a daemon for sp. mmus is indexed by node id (nil entries for
@@ -163,12 +160,6 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		},
 	}
 }
-
-// Heat exposes the daemon's tracker (tests, diagnostics).
-func (d *Daemon) Heat() *HeatMap { return d.heat }
-
-// SetTraceWriter points step spans at a flight-recorder writer.
-func (d *Daemon) SetTraceWriter(w *trace.Writer) { d.tw.Store(w) }
 
 // Attach installs the daemon as the space's access sampler. Detach
 // removes it; samples stop immediately, tracked heat persists.
@@ -419,16 +410,9 @@ func heatIn(hot []PageStat, vpn uint64) float64 {
 func (d *Daemon) Step() {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
-	step := d.stats.steps.Add(1)
+	d.stats.steps.Add(1)
 	hot, veto := d.foldEpoch()
-	if w := d.tw.Load(); w != nil {
-		w.Begin(trace.SubMemsys, trace.KPromote, step, uint64(len(hot)))
-	}
-	pl := d.planStep(hot, veto)
-	d.execute(pl)
-	if w := d.tw.Load(); w != nil {
-		w.End(trace.SubMemsys, trace.KPromote, step, uint64(pl.moves))
-	}
+	d.execute(d.planStep(hot, veto))
 }
 
 // foldEpoch ends the sampling epoch. It returns the step's hot pages, VPN

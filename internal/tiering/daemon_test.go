@@ -154,7 +154,7 @@ func TestDaemonPressureDemotion(t *testing.T) {
 func TestDaemonColdPromotion(t *testing.T) {
 	e := newTierEnv(t, 2)
 	e.mapPages(t, 1)
-	if !e.mmus[0].DemoteToCold(basePage) {
+	if len(e.mmus[0].DemoteToColdBatch([]uint64{basePage})) != 1 {
 		t.Fatal("setup demote failed")
 	}
 	d := New(e.s, e.mmus, Config{}, nil)

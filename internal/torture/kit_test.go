@@ -9,6 +9,7 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
+	"flacos/internal/trace"
 )
 
 // TestRunOpAbsorbsCrashAcrossRestart: the crash panic is matched on its
@@ -161,5 +162,87 @@ func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	v.Del(s.key(3))
 	if got := observe(3, 1); !strings.Contains(got, "vanished") {
 		t.Errorf("vanished key not flagged; got %q", got)
+	}
+}
+
+// TestStoreStreamResyncsKeyLeftUnsynced scripts the final-state case a
+// crash makes: a writer's last SET to key j is cut by a crash after its
+// publish landed, and the writer never picks j again. The writer must
+// resync j before recording its final sequence, so check sees the
+// published value as expected and reports nothing.
+func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
+	const node, ci, kpw, ops = 1, 0, 2, 24
+	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
+	env := &Env{
+		Fab:      f,
+		Cfg:      Config{Seed: 3, Nodes: 2, OpsPerClient: ops},
+		Trace:    trace.New(f, trace.Config{RingCap: 256}),
+		inflight: make([]atomic.Int64, 2),
+	}
+	s := newStoreStream(env, redis.NewRackStore(f, redis.RackStoreConfig{ArenaBytes: 4 << 20}), kpw)
+
+	// Replay the writer's key choices. One SET is cut, so the writer runs
+	// ops+1 iterations. Cut the last SET to the key the final iteration
+	// does not pick: every iteration after the cut picks the other key.
+	rng := env.Rand(ci)
+	picks := make([]int, ops+1)
+	for i := range picks {
+		picks[i] = rng.Intn(kpw)
+	}
+	j := 1 - picks[ops]
+	cut := -1
+	for i, p := range picks[:ops] {
+		if p == j {
+			cut = i
+		}
+	}
+	if cut < 0 {
+		t.Fatalf("key %d is never picked in %v; pick another seed", j, picks)
+	}
+	want := uint64(1) // the seeded sequence, then one per SET up to the cut one
+	for _, p := range picks[:cut+1] {
+		if p == j {
+			want++
+		}
+	}
+	keyIdx := node*kpw + j
+
+	// Crash node 1 at its first fabric event after the cut SET's publish
+	// landed (its trace end span). The hook's own fabric op on the dead
+	// node makes the crash take effect there, inside the SET, rather than
+	// at the node's next operation.
+	v0 := s.attach(env, f.Node(0))
+	var crashed atomic.Bool
+	n := f.Node(node)
+	n.SetOpHook(func(fabric.OpKind, uint64, uint64) {
+		if crashed.Load() {
+			return
+		}
+		if val, ok := v0.Get(s.key(keyIdx)); ok {
+			if seq, _ := redisDecode(keyIdx, val); seq == want {
+				crashed.Store(true)
+				n.SetOpHook(nil)
+				n.Crash()
+				n.Fence()
+			}
+		}
+	})
+	restarted := make(chan struct{})
+	go func() {
+		defer close(restarted)
+		for !crashed.Load() || !n.Crashed() {
+			time.Sleep(20 * time.Microsecond)
+		}
+		env.restart(node)
+	}()
+	s.writer(env, node, ci)
+	<-restarted
+
+	if got := s.finalVer[keyIdx]; got != want {
+		t.Errorf("final sequence of key %s = %d, want the cut SET's %d", s.key(keyIdx), got, want)
+	}
+	s.check(env)
+	for _, v := range env.takeViolations() {
+		t.Errorf("violation: %s", v)
 	}
 }

@@ -33,7 +33,7 @@ type NodeSnapshot struct {
 	Skipped int     // slots rejected as unstable or corrupt
 }
 
-// SnapshotNode reads node's ring through reader (any live node) and
+// snapshotNodeLocked reads node's ring through reader (any live node) and
 // returns every published, still-live event. With consume set the
 // collector advances the node's tail cursor past everything it saw,
 // freeing those slots for reuse; events still being written at that
@@ -41,12 +41,7 @@ type NodeSnapshot struct {
 // contract is at-most-once collection, not exactly-once delivery. Each
 // slot is read fresh, which drops the reader's own copy of it, so an
 // event that reader itself is writing at that moment is lost too.
-func (c *Collector) SnapshotNode(reader *fabric.Node, node int, consume bool) NodeSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshotNodeLocked(reader, node, consume)
-}
-
+// Caller holds c.mu.
 func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int, consume bool) NodeSnapshot {
 	r := c.rec
 	hdr := r.hdrG.Add(uint64(node) * fabric.LineSize)
@@ -171,12 +166,9 @@ func (t *RackTrace) TotalSkipped() int {
 // Count returns how many events survived the merge.
 func (t *RackTrace) Count() int { return len(t.Events) }
 
-// Timeline renders the whole merged trace as human-readable text, one
-// line per event, timestamped relative to the earliest event.
-func (t *RackTrace) Timeline() string { return t.timeline(t.Events) }
-
 // TimelineTail renders only the last max events — the moments before a
-// failure, which is what post-mortems read first.
+// failure, which is what post-mortems read first. A max of 0 or less
+// renders the whole merged trace.
 func (t *RackTrace) TimelineTail(max int) string {
 	evs := t.Events
 	if max > 0 && len(evs) > max {

@@ -75,8 +75,8 @@ const (
 	// memsys: arg0 = virtual page number.
 	KShootdown // TLB shootdown broadcast; arg1 = peers signaled
 	KMigrate   // page relocated local -> global; arg1 = owner node
-	KPromote   // tiering promotion; instant: arg1 = dest node (^0 = warm tier); span: arg0 = step
-	KDemote    // tiering demotion; instant: arg1 = dest tier (0 warm, 1 cold); span: arg0 = step
+	KPromote   // tiering promotion; arg1 = dest node (^0 = warm tier)
+	KDemote    // tiering demotion; arg1 = dest tier (0 warm, 1 cold)
 	// serverless: arg0 = function-name hash.
 	KInvoke // begin/end: one invocation; arg1 = payload bytes
 	KPlace  // placement decision; arg1 = chosen node
@@ -93,7 +93,6 @@ const (
 	KSuspect // a detector suspected the slot; arg1 = suspected node
 	KRefute  // the occupant refuted a suspicion; arg1 = new incarnation
 	KDead    // the rack declared the slot dead; arg1 = dead node
-	KLeft    // clean departure; arg1 = generation
 	KResync  // begin/end: a hot-plugged node's resync span; arg1 = node
 	// redis (membership-driven): arg0 = fenced node.
 	KViewFence // a dead node's views were fenced; arg1 = fence generation
@@ -164,8 +163,6 @@ func (k Kind) String() string {
 		return "refute"
 	case KDead:
 		return "dead"
-	case KLeft:
-		return "left"
 	case KResync:
 		return "resync"
 	case KViewFence:

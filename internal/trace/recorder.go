@@ -83,9 +83,6 @@ func New(f *fabric.Fabric, cfg Config) *Recorder {
 	return r
 }
 
-// Cap returns the per-node ring capacity in events.
-func (r *Recorder) Cap() uint64 { return r.cap }
-
 // Fabric returns the fabric the recorder is attached to.
 func (r *Recorder) Fabric() *fabric.Fabric { return r.fab }
 
@@ -128,13 +125,6 @@ func (r *Recorder) InstallFabricHooks() {
 	}
 }
 
-// RemoveFabricHooks uninstalls the op hooks installed above.
-func (r *Recorder) RemoveFabricHooks() {
-	for i := 0; i < r.fab.NumNodes(); i++ {
-		r.fab.Node(i).SetOpHook(nil)
-	}
-}
-
 // Writer is one node's lock-free emitter. All goroutines playing that
 // node's CPUs share it; a ticket counter serializes slot claims without
 // any lock, and each record is published with a single explicit
@@ -158,14 +148,6 @@ type Writer struct {
 
 // Node returns the node this writer emits for.
 func (w *Writer) Node() *fabric.Node { return w.n }
-
-// Dropped returns how many events this writer discarded ring-full.
-func (w *Writer) Dropped() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.dropped.Load()
-}
 
 func (w *Writer) now() uint64 {
 	if w.rec.wall {
