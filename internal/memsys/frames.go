@@ -61,7 +61,6 @@ func (gf *GlobalFrames) Alloc(n *fabric.Node) uint64 {
 // to overwrite the whole page (page-cache installs, COW copies) — skipping
 // the zeroing pass.
 func (gf *GlobalFrames) AllocUninit(n *fabric.Node) uint64 {
-	var phys uint64
 	for {
 		h := n.AtomicLoad64(gf.headG)
 		addr := h & (1<<frameAddrBits - 1)
@@ -70,32 +69,46 @@ func (gf *GlobalFrames) AllocUninit(n *fabric.Node) uint64 {
 			if idx >= gf.frames {
 				panic(fmt.Sprintf("memsys: out of global frames (%d)", gf.frames))
 			}
-			phys = uint64(gf.base) + idx*PageSize
-			break
+			// A never-used frame has no refcount slot yet: Put claims one.
+			phys := uint64(gf.base) + idx*PageSize
+			gf.refs.Put(n, phys>>PageShift, 1)
+			return phys
 		}
 		next := n.AtomicLoad64(fabric.GPtr(addr))
-		if n.CAS64(gf.headG, h, (h>>frameAddrBits+1)<<frameAddrBits|next) {
-			phys = addr
-			break
+		if !n.CAS64(gf.headG, h, (h>>frameAddrBits+1)<<frameAddrBits|next) {
+			continue
+		}
+		// A popped frame is exclusively ours and its slot still holds the 0
+		// its last Unref left (the table never deletes a key). Nothing
+		// changes a 0 count, so the one CAS from it cannot lose.
+		if s, c, ok := gf.refs.Find(n, addr>>PageShift); !ok || c != 0 || !gf.refs.CompareAndSwapAt(n, s, 0, 1) {
+			panic(fmt.Sprintf("memsys: free frame %#x has references", addr))
+		}
+		return addr
+	}
+}
+
+// adjust adds delta to a live frame's refcount: one probe of its slot and
+// one CAS from the count the probe saw, probing again only after a lost
+// CAS. It returns the count it replaced, or 0, changing nothing, when the
+// frame is free.
+func (gf *GlobalFrames) adjust(n *fabric.Node, phys, delta uint64) uint64 {
+	key := phys >> PageShift
+	for {
+		s, c, ok := gf.refs.Find(n, key)
+		if !ok || c == 0 {
+			return 0
+		}
+		if gf.refs.CompareAndSwapAt(n, s, c, c+delta) {
+			return c
 		}
 	}
-	// A popped/bumped frame is exclusively ours; its refcount entry is
-	// either absent (fresh) or 0 (previously freed).
-	gf.refs.Put(n, phys>>PageShift, 1)
-	return phys
 }
 
 // Ref increments the frame's refcount (sharing via dedup or COW fork).
 func (gf *GlobalFrames) Ref(n *fabric.Node, phys uint64) {
-	key := phys >> PageShift
-	for {
-		c, ok := gf.refs.Get(n, key)
-		if !ok || c == 0 {
-			panic(fmt.Sprintf("memsys: Ref on unallocated frame %#x", phys))
-		}
-		if gf.refs.CompareAndSwap(n, key, c, c+1) {
-			return
-		}
+	if gf.adjust(n, phys, 1) == 0 {
+		panic(fmt.Sprintf("memsys: Ref on unallocated frame %#x", phys))
 	}
 }
 
@@ -104,33 +117,16 @@ func (gf *GlobalFrames) Ref(n *fabric.Node, phys uint64) {
 // frame, which every sharer can concurrently COW-break away from and
 // free: losing that race must skip the merge, not panic.
 func (gf *GlobalFrames) TryRef(n *fabric.Node, phys uint64) bool {
-	key := phys >> PageShift
-	for {
-		c, ok := gf.refs.Get(n, key)
-		if !ok || c == 0 {
-			return false
-		}
-		if gf.refs.CompareAndSwap(n, key, c, c+1) {
-			return true
-		}
-	}
+	return gf.adjust(n, phys, 1) != 0
 }
 
 // Unref decrements the refcount, pushing the frame onto the free list when
 // it reaches zero. Returns true when the frame was actually freed.
 func (gf *GlobalFrames) Unref(n *fabric.Node, phys uint64) bool {
-	key := phys >> PageShift
-	for {
-		c, ok := gf.refs.Get(n, key)
-		if !ok || c == 0 {
-			panic(fmt.Sprintf("memsys: Unref on unallocated frame %#x", phys))
-		}
-		if !gf.refs.CompareAndSwap(n, key, c, c-1) {
-			continue
-		}
-		if c != 1 {
-			return false
-		}
+	switch gf.adjust(n, phys, ^uint64(0)) { // -1
+	case 0:
+		panic(fmt.Sprintf("memsys: Unref on unallocated frame %#x", phys))
+	case 1:
 		for {
 			h := n.AtomicLoad64(gf.headG)
 			n.AtomicStore64(fabric.GPtr(phys), h&(1<<frameAddrBits-1))
@@ -139,6 +135,7 @@ func (gf *GlobalFrames) Unref(n *fabric.Node, phys uint64) bool {
 			}
 		}
 	}
+	return false
 }
 
 // RefCount returns the frame's current refcount (0 if unallocated).

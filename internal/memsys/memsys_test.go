@@ -166,6 +166,117 @@ func TestGlobalFramesConcurrentRefUnref(t *testing.T) {
 	}
 }
 
+// TestFrameTableOneProbe pins the refcount table's budget: every refcount
+// op probes the frame's slot once (one fresh line fetch) and sets the count
+// with one CAS from what the probe saw. Ref, TryRef and an Unref that is
+// not the last pay exactly that; the last Unref adds the free-list push
+// (head load, link store, head CAS). A popped frame's AllocUninit is the
+// pop (head load, link load, head CAS) plus the probe and CAS; a bumped,
+// never-used frame is the empty-list check and the bump, then Put's claim
+// of a new slot (key CAS, value store, count add).
+func TestFrameTableOneProbe(t *testing.T) {
+	f := fabric.New(fabric.Config{GlobalSize: 16 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
+	gf := NewGlobalFrames(f, 64)
+	n := f.Node(1)
+	line := f.Reserve(fabric.LineSize, fabric.LineSize)
+	v := n.VirtualNS()
+	n.ReadFresh(line, make([]byte, 8))
+	fetchNS := n.VirtualNS() - v
+	v = n.VirtualNS()
+	n.AtomicLoad64(line)
+	atomicNS := n.VirtualNS() - v
+
+	check := func(op string, fetches, atomics uint64, fn func()) {
+		t.Helper()
+		before := n.Stats()
+		fn()
+		d := n.Stats().Delta(before)
+		if d.Loads != fetches || d.Atomics != atomics || d.VirtualNS != fetches*fetchNS+atomics*atomicNS {
+			t.Fatalf("%s: %d line fetches, %d atomics, %d sim_ns; want %d, %d, %d",
+				op, d.Loads, d.Atomics, d.VirtualNS, fetches, atomics, fetches*fetchNS+atomics*atomicNS)
+		}
+	}
+	var phys uint64
+	check("AllocUninit of a bumped frame", 1, 5, func() { phys = gf.AllocUninit(n) })
+	check("Ref", 1, 1, func() { gf.Ref(n, phys) })
+	check("TryRef", 1, 1, func() {
+		if !gf.TryRef(n, phys) {
+			t.Fatal("TryRef refused a live frame")
+		}
+	})
+	check("Unref, not the last", 1, 1, func() { gf.Unref(n, phys) })
+	gf.Unref(n, phys)
+	check("Unref, the last", 1, 4, func() {
+		if !gf.Unref(n, phys) {
+			t.Fatal("the last Unref did not free the frame")
+		}
+	})
+	check("AllocUninit of a popped frame", 1, 4, func() {
+		if got := gf.AllocUninit(n); got != phys {
+			t.Fatalf("popped %#x, want %#x", got, phys)
+		}
+	})
+	if c := gf.RefCount(n, phys); c != 1 {
+		t.Fatalf("a popped frame's refcount is %d, want 1", c)
+	}
+}
+
+// TestGlobalFramesRacingRefsFreeOnce: four nodes' goroutines Ref, TryRef
+// and Unref one frame at once, each holding a reference of its own the
+// whole time, then drop that reference together. The frame is freed by
+// exactly one Unref, its count ends at exactly 0, and it sits on the free
+// list exactly once.
+func TestGlobalFramesRacingRefsFreeOnce(t *testing.T) {
+	const nodes, rounds = 4, 300
+	e := newEnv(t, nodes)
+	phys := e.frames.Alloc(e.fab.Node(0))
+	for i := 1; i < nodes; i++ {
+		e.frames.Ref(e.fab.Node(0), phys) // one reference per goroutine
+	}
+	var freed [nodes]bool
+	var wg sync.WaitGroup
+	for w := 0; w < nodes; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			n := e.fab.Node(w)
+			for i := 0; i < rounds; i++ {
+				e.frames.Ref(n, phys)
+				if !e.frames.TryRef(n, phys) {
+					t.Error("TryRef refused a frame this goroutine holds")
+					return
+				}
+				e.frames.Unref(n, phys)
+				e.frames.Unref(n, phys)
+			}
+			freed[w] = e.frames.Unref(n, phys)
+		}(w)
+	}
+	wg.Wait()
+	n0 := e.fab.Node(0)
+	if c := e.frames.RefCount(n0, phys); c != 0 {
+		t.Fatalf("refcount = %d after every reference was dropped, want 0", c)
+	}
+	frees := 0
+	for _, f := range freed {
+		if f {
+			frees++
+		}
+	}
+	if frees != 1 {
+		t.Fatalf("%d Unrefs freed the frame, want exactly 1", frees)
+	}
+	onList := 0
+	for addr := n0.AtomicLoad64(e.frames.headG) & (1<<frameAddrBits - 1); addr != 0; addr = n0.AtomicLoad64(fabric.GPtr(addr)) {
+		if addr == phys {
+			onList++
+		}
+	}
+	if onList != 1 {
+		t.Fatalf("the frame is on the free list %d times, want once", onList)
+	}
+}
+
 func TestLocalStore(t *testing.T) {
 	e := newEnv(t, 1)
 	ls := NewLocalStore(e.fab.Node(0))

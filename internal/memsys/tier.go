@@ -102,9 +102,9 @@ func (m *MMU) promoteLocalBegin(vpn uint64) (PTE, bool) {
 
 // promoteLocalFinish copies the frame and installs the local mapping for a
 // page promoteLocalBegin marked busy. Fails only if the page was unmapped
-// mid-move.
+// mid-move. The global frame the page leaves keeps its reference: the
+// caller releases it (PromoteToLocalBatch hands it back).
 func (m *MMU) promoteLocalFinish(vpn uint64, old PTE) bool {
-	phys := old.GlobalPhys()
 	buf := make([]byte, PageSize)
 	m.readFrame(old, 0, buf) // pays global (+cold) read for the transfer
 	idx := m.local.Alloc()
@@ -114,7 +114,6 @@ func (m *MMU) promoteLocalFinish(vpn uint64, old PTE) bool {
 	if m.space.pt.CompareAndSwap(m.node, m.pta, vpn, uint64(old|PteBusy), uint64(neu)) {
 		m.stats.Promotions.Add(1)
 		m.space.emit(m.node, trace.KPromote, vpn, uint64(m.node.ID()))
-		m.space.frames.Unref(m.node, phys)
 		return true
 	}
 	m.local.Free(idx)
@@ -240,10 +239,27 @@ func (m *MMU) batchMove(vpns []uint64, begin func(uint64) (PTE, bool), finish fu
 }
 
 // PromoteToLocalBatch pulls the given global pages into this node's local
-// store, one shootdown IPI per remote MMU for the whole batch. Returns the
-// pages that moved.
-func (m *MMU) PromoteToLocalBatch(vpns []uint64) []uint64 {
-	return m.batchMove(vpns, m.promoteLocalBegin, m.promoteLocalFinish)
+// store, one shootdown IPI per remote MMU for the whole batch. It returns
+// the pages that moved, and vacated with the global frames they left
+// appended: those frames are unmapped but still hold their reference,
+// which the caller drops with ReleaseFrames, from any node.
+func (m *MMU) PromoteToLocalBatch(vpns, vacated []uint64) ([]uint64, []uint64) {
+	moved := m.batchMove(vpns, m.promoteLocalBegin, func(vpn uint64, old PTE) bool {
+		if !m.promoteLocalFinish(vpn, old) {
+			return false
+		}
+		vacated = append(vacated, old.GlobalPhys())
+		return true
+	})
+	return moved, vacated
+}
+
+// ReleaseFrames drops one reference to each of the given global frames on
+// this node's clock, freeing a frame whose last reference it was.
+func (m *MMU) ReleaseFrames(phys []uint64) {
+	for _, p := range phys {
+		m.space.frames.Unref(m.node, p)
+	}
 }
 
 // PromoteFromColdBatch moves the given cold pages back to the warm global

@@ -58,7 +58,7 @@ func TestTierPromoteDemoteCycle(t *testing.T) {
 		t.Fatal("PromoteFromCold failed")
 	}
 	check("after cold promote", TierWarm, 1, 1)
-	if !movedOne(m0.PromoteToLocalBatch([]uint64{vpn})) {
+	if !movedOne(promoteLocal(m0, []uint64{vpn})) {
 		t.Fatal("PromoteToLocal failed")
 	}
 	check("after local promote", TierLocal, 2, 1)
@@ -182,7 +182,7 @@ func TestPromoteSharedFrameRefused(t *testing.T) {
 	if merged := m.DedupPass(); merged != 1 {
 		t.Fatalf("dedup merged %d", merged)
 	}
-	if movedOne(m.PromoteToLocalBatch([]uint64{0})) {
+	if movedOne(promoteLocal(m, []uint64{0})) {
 		t.Fatal("promoted a dedup-shared frame")
 	}
 	if movedOne(m.DemoteToColdBatch([]uint64{0})) {
@@ -486,7 +486,7 @@ func TestTierOpsRefuseBogusPages(t *testing.T) {
 	s := e.space(1)
 	m0 := e.attach(s, 0)
 	m1 := e.attach(s, 1)
-	if movedOne(m0.DemoteToColdBatch([]uint64{999})) || movedOne(m0.PromoteFromColdBatch([]uint64{999})) || movedOne(m0.PromoteToLocalBatch([]uint64{999})) || movedOne(m0.DemoteToGlobalBatch([]uint64{999})) {
+	if movedOne(m0.DemoteToColdBatch([]uint64{999})) || movedOne(m0.PromoteFromColdBatch([]uint64{999})) || movedOne(promoteLocal(m0, []uint64{999})) || movedOne(m0.DemoteToGlobalBatch([]uint64{999})) {
 		t.Fatal("tier op succeeded on unmapped page")
 	}
 	const va = 0xb0000
@@ -507,3 +507,11 @@ func TestTierOpsRefuseBogusPages(t *testing.T) {
 
 // movedOne reports whether a one-page batch moved its page.
 func movedOne(moved []uint64) bool { return len(moved) == 1 }
+
+// promoteLocal is PromoteToLocalBatch with the frames it vacated released
+// on the promoting node.
+func promoteLocal(m *MMU, vpns []uint64) []uint64 {
+	moved, vacated := m.PromoteToLocalBatch(vpns, nil)
+	m.ReleaseFrames(vacated)
+	return moved
+}

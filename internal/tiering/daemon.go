@@ -124,6 +124,11 @@ type Daemon struct {
 	// decision to give up the node's locality, hints notwithstanding.
 	drained []atomic.Bool
 
+	// attached is each node's virtual clock and translation count when
+	// Attach ran: the executor of a step's owner-less work is chosen by
+	// what the nodes have done since. Guarded by stepMu.
+	attached []nodeMark
+
 	// Step-private placement model (Step is single-flight under stepMu).
 	stepMu     sync.Mutex
 	state      map[uint64]pageState
@@ -138,9 +143,13 @@ type Daemon struct {
 }
 
 // New builds a daemon for sp. mmus is indexed by node id (nil entries for
-// unattached nodes); moves execute through the MMU of the node that
-// benefits, so their fabric cost lands on the right virtual clock. hints
-// may be nil.
+// unattached nodes). A move that changes a page's home runs on the node
+// at either end of it: a local promotion on the node that receives the
+// page, a local demotion on the node that gives it up. Everything else a
+// step does belongs to no node — warm<->cold moves, which flip a bit on a
+// frame that stays put, and the release of the frames local promotions
+// vacate — and runs on the step's executor (see executor). hints may be
+// nil.
 func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon {
 	cfg.fillDefaults()
 	return &Daemon{
@@ -151,6 +160,7 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		hints:      hints,
 		migrated:   make(map[uint64]struct{}),
 		drained:    make([]atomic.Bool, len(mmus)),
+		attached:   make([]nodeMark, len(mmus)),
 		state:      make(map[uint64]pageState),
 		localCount: make([]int, len(mmus)),
 		scratch: stepScratch{
@@ -161,9 +171,19 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 	}
 }
 
-// Attach installs the daemon as the space's access sampler. Detach
-// removes it; samples stop immediately, tracked heat persists.
-func (d *Daemon) Attach() { d.sp.SetSampler(d) }
+// Attach installs the daemon as the space's access sampler and marks the
+// clocks and translation counts the executor is chosen by. Detach removes
+// it; samples stop immediately, tracked heat persists.
+func (d *Daemon) Attach() {
+	d.stepMu.Lock()
+	for n, m := range d.mmus {
+		if m != nil {
+			d.attached[n] = markNode(m)
+		}
+	}
+	d.stepMu.Unlock()
+	d.sp.SetSampler(d)
+}
 
 // Detach removes the daemon from the space's translate path.
 func (d *Daemon) Detach() { d.sp.SetSampler(nil) }
@@ -263,25 +283,75 @@ func (d *Daemon) resync(m *memsys.MMU, vpn uint64) {
 	d.stats.failed.Add(1)
 }
 
-// execMMU picks the MMU that should execute a move with no natural owner
-// (warm<->cold transitions): deterministic spread by page number.
-func (d *Daemon) execMMU(vpn uint64) *memsys.MMU {
-	n := len(d.mmus)
-	for i := 0; i < n; i++ {
-		if m := d.mmus[(int(vpn)+i)%n]; m != nil {
-			return m
-		}
-	}
-	return nil
+// nodeMark is a node's virtual clock and its MMU's translation count.
+type nodeMark struct{ ns, translations uint64 }
+
+func markNode(m *memsys.MMU) nodeMark {
+	st := m.Stats()
+	return nodeMark{ns: m.Node().VirtualNS(), translations: st.TLBHits + st.TLBMisses}
 }
 
-// plan is one step's decided moves, grouped per executing node (indexed
-// by node id) so each group becomes one batched (single-IPI) memsys call.
+// sinceAttach is what node n, whose MMU is m, has done since Attach. A
+// clock reset after Attach (fabric.Node.ResetStats) wraps to a huge
+// figure, so that node is passed over unless nothing else can run.
+func (d *Daemon) sinceAttach(n int, m *memsys.MMU) nodeMark {
+	now, at := markNode(m), d.attached[n]
+	return nodeMark{ns: now.ns - at.ns, translations: now.translations - at.translations}
+}
+
+// executor picks the node that runs a step's owner-less work from the
+// attached nodes neither crashed nor drained, by what each has done since
+// Attach. Two measures of a node's load disagree when the nodes serve
+// unequal shares of the accesses. By its clock, a node that served few
+// accesses looks idle. By its time per access, which is its load if the
+// accesses were dealt out evenly, the same node can be the slowest, the
+// one an even deal saturates first. So the node slowest per access never
+// runs the work, unless it is the only candidate; of the rest, the one
+// whose clock has advanced least does. Ties go to the lowest id. It is
+// nil when no node qualifies. Caller holds stepMu.
+func (d *Daemon) executor() *memsys.MMU {
+	slowest, slowestNS := -1, 0.0
+	for n, m := range d.mmus {
+		if d.canExecute(n) {
+			s := d.sinceAttach(n, m)
+			if per := float64(s.ns) / float64(max(s.translations, 1)); slowest < 0 || per > slowestNS {
+				slowest, slowestNS = n, per
+			}
+		}
+	}
+	best, bestNS := -1, uint64(0)
+	for n, m := range d.mmus {
+		if n != slowest && d.canExecute(n) {
+			if ns := d.sinceAttach(n, m).ns; best < 0 || ns < bestNS {
+				best, bestNS = n, ns
+			}
+		}
+	}
+	if best < 0 {
+		best = slowest
+	}
+	if best < 0 {
+		return nil
+	}
+	return d.mmus[best]
+}
+
+// canExecute reports whether node n can run owner-less work: attached,
+// not crashed and not drained.
+func (d *Daemon) canExecute(n int) bool {
+	m := d.mmus[n]
+	return m != nil && !m.Node().Crashed() && !d.drained[n].Load()
+}
+
+// plan is one step's decided moves. A move with an owner is grouped under
+// its node (indexed by node id), so each group becomes one batched
+// (single-IPI) memsys call on that node; the owner-less moves are one
+// batch each, for the step's executor.
 type plan struct {
 	promoteLocal [][]uint64 // by dest node: pages warm/cold -> local
-	promoteWarm  [][]uint64 // by exec node: pages cold -> warm
 	demoteWarm   [][]uint64 // by owner node: pages local -> warm
-	demoteCold   [][]uint64 // by exec node: pages warm -> cold
+	promoteWarm  []uint64   // pages cold -> warm
+	demoteCold   []uint64   // pages warm -> cold
 	moves        int
 }
 
@@ -289,9 +359,9 @@ type plan struct {
 // every list's storage.
 func (pl *plan) reset(nodes int) {
 	pl.promoteLocal = emptyByNode(pl.promoteLocal, nodes)
-	pl.promoteWarm = emptyByNode(pl.promoteWarm, nodes)
 	pl.demoteWarm = emptyByNode(pl.demoteWarm, nodes)
-	pl.demoteCold = emptyByNode(pl.demoteCold, nodes)
+	pl.promoteWarm = pl.promoteWarm[:0]
+	pl.demoteCold = pl.demoteCold[:0]
 	pl.moves = 0
 }
 
@@ -324,6 +394,7 @@ type stepScratch struct {
 	coldestWarm victimHeap      // managed warm pages
 	cands       victimHeap      // managed warm pages planWarmBudget may evict
 	landed      map[uint64]bool // pages a batch in execute moved
+	vacated     []uint64        // global frames this step's local promotions left
 	plan        plan
 }
 
@@ -650,17 +721,12 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 					continue // not clearly hotter than any resident
 				}
 				v := q.pop()
-				m := d.execMMU(v.vpn)
-				if m == nil {
-					continue
-				}
-				pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], v.vpn)
+				pl.demoteCold = append(pl.demoteCold, v.vpn)
 				planned[v.vpn] = true
 				pl.moves++
 				projWarm--
-				d.stats.displaced.Add(1)
 			}
-			pl.promoteWarm[dom] = append(pl.promoteWarm[dom], ps.VPN)
+			pl.promoteWarm = append(pl.promoteWarm, ps.VPN)
 			planned[ps.VPN] = true
 			pl.moves++
 			projWarm++
@@ -680,15 +746,9 @@ func (d *Daemon) planWarmBudget(pl *plan, hot []PageStat) {
 	if d.cfg.WarmBudgetPages <= 0 {
 		return
 	}
-	projected := d.warmCount
-	for _, v := range pl.promoteWarm {
-		projected += len(v)
-	}
+	projected := d.warmCount + len(pl.promoteWarm) - len(pl.demoteCold)
 	for _, v := range pl.demoteWarm {
 		projected += len(v) // local -> warm also lands in premium
-	}
-	for _, v := range pl.demoteCold {
-		projected -= len(v)
 	}
 	over := projected - d.cfg.WarmBudgetPages
 	if over <= 0 {
@@ -701,10 +761,8 @@ func (d *Daemon) planWarmBudget(pl *plan, hot []PageStat) {
 	sc := &d.scratch
 	d.collectResidents(hot)
 	clear(sc.sentCold)
-	for _, vs := range pl.demoteCold {
-		for _, v := range vs {
-			sc.sentCold[v] = true
-		}
+	for _, v := range pl.demoteCold {
+		sc.sentCold[v] = true
 	}
 	sc.cands = slices.Grow(sc.cands[:0], len(sc.warm))
 	for _, v := range sc.warm {
@@ -714,67 +772,75 @@ func (d *Daemon) planWarmBudget(pl *plan, hot []PageStat) {
 	}
 	sc.cands.init()
 	for over > 0 && pl.moves < d.cfg.MaxMovesPerStep && len(sc.cands) > 0 {
-		c := sc.cands.pop()
-		if m := d.execMMU(c.vpn); m != nil {
-			pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], c.vpn)
-			pl.moves++
-			over--
-			d.stats.displaced.Add(1)
-		}
+		pl.demoteCold = append(pl.demoteCold, sc.cands.pop().vpn)
+		pl.moves++
+		over--
 	}
 }
 
-// execute runs the plan as per-node batches in node order — deterministic
-// and one shootdown IPI per remote MMU per batch — then folds outcomes
-// back into the model.
+// execute runs the plan as batches — each owned group on its node in node
+// order, the owner-less moves on the step's executor — deterministic and
+// one shootdown IPI per remote MMU per batch, then folds outcomes back
+// into the model. With no executor (every node drained or crashed) only
+// the local demotions run; the other moves wait, and since nothing ran
+// them the model still holds.
 func (d *Daemon) execute(pl *plan) {
-	ok := d.scratch.landed
-	run := func(byNode [][]uint64,
-		exec func(*memsys.MMU, []uint64) []uint64,
-		apply func(vpn uint64, node int)) {
-		for n := 0; n < len(d.mmus); n++ {
-			vpns := byNode[n]
-			if len(vpns) == 0 || d.mmus[n] == nil {
-				continue
-			}
-			slices.Sort(vpns)
-			moved := exec(d.mmus[n], vpns)
-			clear(ok)
-			for _, v := range moved {
-				ok[v] = true
-				apply(v, n)
-			}
-			for _, v := range vpns {
-				if !ok[v] {
-					d.resync(d.mmus[n], v)
-				}
-			}
-		}
-	}
+	sc := &d.scratch
+	exec := d.executor()
 
 	// Demotions first: they free the budget the promotions rely on.
-	run(pl.demoteWarm,
-		func(m *memsys.MMU, v []uint64) []uint64 { return m.DemoteToGlobalBatch(v) },
-		func(vpn uint64, node int) {
-			d.setState(vpn, memsys.TierWarm, -1)
-			d.stats.demWarm.Add(1)
-		})
-	run(pl.demoteCold,
-		func(m *memsys.MMU, v []uint64) []uint64 { return m.DemoteToColdBatch(v) },
-		func(vpn uint64, node int) {
-			d.setState(vpn, memsys.TierCold, -1)
-			d.stats.demCold.Add(1)
-		})
-	run(pl.promoteWarm,
-		func(m *memsys.MMU, v []uint64) []uint64 { return m.PromoteFromColdBatch(v) },
-		func(vpn uint64, node int) {
-			d.setState(vpn, memsys.TierWarm, -1)
-			d.stats.promWarm.Add(1)
-		})
-	run(pl.promoteLocal,
-		func(m *memsys.MMU, v []uint64) []uint64 { return m.PromoteToLocalBatch(v) },
-		func(vpn uint64, node int) {
-			d.setState(vpn, memsys.TierLocal, node)
-			d.stats.promLocal.Add(1)
-		})
+	for n, vpns := range pl.demoteWarm {
+		if m := d.mmus[n]; len(vpns) > 0 && m != nil {
+			slices.Sort(vpns)
+			d.land(m, vpns, m.DemoteToGlobalBatch(vpns), memsys.TierWarm, -1, &d.stats.demWarm)
+		}
+	}
+	if exec == nil {
+		return
+	}
+	if len(pl.demoteCold) > 0 {
+		// Every warm->cold move is a budget eviction, counted here, where
+		// it runs.
+		d.stats.displaced.Add(uint64(len(pl.demoteCold)))
+		slices.Sort(pl.demoteCold)
+		d.land(exec, pl.demoteCold, exec.DemoteToColdBatch(pl.demoteCold), memsys.TierCold, -1, &d.stats.demCold)
+	}
+	if len(pl.promoteWarm) > 0 {
+		slices.Sort(pl.promoteWarm)
+		d.land(exec, pl.promoteWarm, exec.PromoteFromColdBatch(pl.promoteWarm), memsys.TierWarm, -1, &d.stats.promWarm)
+	}
+	sc.vacated = sc.vacated[:0]
+	for n, vpns := range pl.promoteLocal {
+		if m := d.mmus[n]; len(vpns) > 0 && m != nil {
+			slices.Sort(vpns)
+			var moved []uint64
+			moved, sc.vacated = m.PromoteToLocalBatch(vpns, sc.vacated)
+			d.land(m, vpns, moved, memsys.TierLocal, n, &d.stats.promLocal)
+		}
+	}
+	// The frames the promotions vacated go back in one call on the
+	// executor. From a page's install in local DRAM until here its old
+	// frame is in no page-table entry and no TLB (the batch purged every
+	// TLB before it copied), so nothing reads or writes it: the frame
+	// only keeps its reference a little longer, and global memory is this
+	// step's promotions fuller in the meantime.
+	exec.ReleaseFrames(sc.vacated)
+}
+
+// land folds one batch's outcome into the model: a page in moved is now
+// at tier t (on node, for TierLocal) and counts once in ctr; any other
+// page of vpns is resynced through m.
+func (d *Daemon) land(m *memsys.MMU, vpns, moved []uint64, t memsys.Tier, node int, ctr *atomic.Uint64) {
+	ok := d.scratch.landed
+	clear(ok)
+	for _, v := range moved {
+		ok[v] = true
+		d.setState(v, t, node)
+	}
+	ctr.Add(uint64(len(moved)))
+	for _, v := range vpns {
+		if !ok[v] {
+			d.resync(m, v)
+		}
+	}
 }

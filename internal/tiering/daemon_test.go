@@ -609,3 +609,245 @@ func TestFreshStepAllocationsFlat(t *testing.T) {
 		t.Fatalf("a fresh daemon's first two steps made %d allocations over 1,024 pages and %d over 16,384", small, large)
 	}
 }
+
+// ownerlessRack is a rack of the given size whose pages 0-3 are warm and
+// 4-7 cold, under a daemon with a warm budget of four attached after
+// set-up. Node n's clock is then charged charge[n] sim_ns, so the nodes
+// stand in that order of idleness since Attach; with no translation since
+// Attach, each node's time per access is its charge too.
+func ownerlessRack(t *testing.T, charge ...int) (*tierEnv, *Daemon) {
+	t.Helper()
+	e := newTierEnv(t, len(charge))
+	e.mapPages(t, 8)
+	cold := []uint64{basePage + 4, basePage + 5, basePage + 6, basePage + 7}
+	if got := e.mmus[0].DemoteToColdBatch(cold); len(got) != len(cold) {
+		t.Fatalf("set-up demoted %d of %d pages", len(got), len(cold))
+	}
+	d := New(e.s, e.mmus, Config{WarmBudgetPages: 4}, nil)
+	for i := 0; i < 8; i++ {
+		tier := memsys.TierWarm
+		if i >= 4 {
+			tier = memsys.TierCold
+		}
+		d.Prime(basePage+uint64(i), tier, -1)
+	}
+	d.Attach()
+	for n, ns := range charge {
+		e.f.Node(n).ChargeNS(ns)
+	}
+	return e, d
+}
+
+// toggleStep warms pages 0-2 a little from node 0 and heats cold pages 4
+// and 5 from node past PromoteHeat but short of LocalHeat, then steps:
+// against the full warm budget the planner promotes both to warm and
+// displaces the two coldest warm pages, 3 and then 0, to cold — four
+// owner-less moves and nothing else. Node is the promoted pages'
+// dominant accessor, and on a four-node rack page 3's number picks node 3
+// by page number mod 4, so a step that charged either of those would
+// run work on them.
+func toggleStep(d *Daemon, node int) {
+	for i := 0; i < 3; i++ {
+		d.Sample(0, basePage+uint64(i), false)
+	}
+	for i := 0; i < 3; i++ {
+		d.Sample(node, basePage+4, false)
+		d.Sample(node, basePage+5, false)
+	}
+	d.Step()
+}
+
+// localStep makes warm page 2 hot on node 0 and cold page 3 hot on node
+// 1, then steps: the planner promotes each to local DRAM on its node,
+// two owned moves whose vacated frames are the step's only owner-less
+// work.
+func localStep(d *Daemon) {
+	for i := 0; i < 16; i++ {
+		d.Sample(0, basePage+2, false)
+		d.Sample(1, basePage+3, false)
+	}
+	d.Step()
+}
+
+// wantTiers checks every page's tier (and owner, for a local page).
+func wantTiers(t *testing.T, e *tierEnv, stage string, want [8]memsys.Tier) {
+	t.Helper()
+	for i := range want {
+		if tier, node := e.tierOf(i); tier != want[i] || tier == memsys.TierLocal && node != localOwners[i] {
+			t.Fatalf("%s: page %d is %v on node %d, want %v on node %d", stage, i, tier, node, want[i], localOwners[i])
+		}
+	}
+}
+
+// The tiers toggleStep and then localStep leave, as the planner decides
+// them.
+var (
+	afterToggles = [8]memsys.Tier{memsys.TierCold, memsys.TierWarm, memsys.TierWarm, memsys.TierCold,
+		memsys.TierWarm, memsys.TierWarm, memsys.TierCold, memsys.TierCold}
+	afterLocals = [8]memsys.Tier{memsys.TierCold, memsys.TierWarm, memsys.TierLocal, memsys.TierLocal,
+		memsys.TierWarm, memsys.TierWarm, memsys.TierCold, memsys.TierCold}
+	localOwners = [8]int{2: 0, 3: 1}
+)
+
+// stepDeltas runs step and returns each node's fabric counters over it.
+func stepDeltas(e *tierEnv, step func()) []fabric.NodeStatsSnapshot {
+	before := make([]fabric.NodeStatsSnapshot, len(e.mmus))
+	for n := range before {
+		before[n] = e.f.Node(n).Stats()
+	}
+	step()
+	for n := range before {
+		before[n] = e.f.Node(n).Stats().Delta(before[n])
+	}
+	return before
+}
+
+// TestOwnerlessWorkRunsOnIdlestNode: on a three-node rack where node 0 is
+// the busiest (and the slowest per access) and node 2 the idlest since
+// Attach, the warm<->cold moves and the release of the frames local
+// promotions vacate run on node 2, while each local promotion is charged
+// to its destination and to it alone. The pages land where the planner
+// put them.
+func TestOwnerlessWorkRunsOnIdlestNode(t *testing.T) {
+	lat := fabric.DefaultLatency()
+	coldCopy := uint64(lat.ColdNS + (memsys.PageSize/fabric.LineSize-1)*lat.PerLineNS)
+	e, d := ownerlessRack(t, 1_000_000_000, 100_000_000, 0)
+
+	got := stepDeltas(e, func() { toggleStep(d, 0) })
+	wantTiers(t, e, "after the toggles", afterToggles)
+	if got[0] != (fabric.NodeStatsSnapshot{}) || got[1] != (fabric.NodeStatsSnapshot{}) {
+		t.Fatalf("the toggles charged a busier node: node 0 %+v, node 1 %+v", got[0], got[1])
+	}
+	if got[2].VirtualNS < 4*coldCopy {
+		t.Fatalf("node 2 was charged %d sim_ns for four toggles, under their cold copies alone (%d)", got[2].VirtualNS, 4*coldCopy)
+	}
+
+	// The destinations' charge for the promotions, from a twin rack that
+	// makes the same two moves by hand and keeps the frames they vacate.
+	twin, td := ownerlessRack(t, 1_000_000_000, 100_000_000, 0)
+	toggleStep(td, 0)
+	bare := stepDeltas(twin, func() {
+		for n, vpn := range []uint64{basePage + 2, basePage + 3} {
+			if moved, vacated := twin.mmus[n].PromoteToLocalBatch([]uint64{vpn}, nil); len(moved) != 1 || len(vacated) != 1 {
+				t.Fatalf("twin: node %d promoted %d pages and vacated %d frames, want 1 and 1", n, len(moved), len(vacated))
+			}
+		}
+	})
+
+	// The executor's charge for two last Unrefs: a probe and a CAS each,
+	// and a free-list push of a load, a store and a CAS.
+	n2 := e.f.Node(2)
+	line := e.f.Reserve(fabric.LineSize, fabric.LineSize)
+	v := n2.VirtualNS()
+	n2.ReadFresh(line, make([]byte, 8))
+	fetchNS := n2.VirtualNS() - v
+	v = n2.VirtualNS()
+	n2.AtomicLoad64(line)
+	atomicNS := n2.VirtualNS() - v
+
+	got = stepDeltas(e, func() { localStep(d) })
+	wantTiers(t, e, "after the local promotions", afterLocals)
+	for n := 0; n < 2; n++ {
+		if got[n] != bare[n] {
+			t.Fatalf("node %d was charged %+v for its promotion, want the bare promotion's %+v", n, got[n], bare[n])
+		}
+	}
+	if g := got[2]; g.Loads != 2 || g.Atomics != 8 || g.VirtualNS != 2*fetchNS+8*atomicNS {
+		t.Fatalf("node 2 was charged %d line fetches, %d atomics, %d sim_ns; want the two releases' 2, 8, %d",
+			g.Loads, g.Atomics, g.VirtualNS, 2*fetchNS+8*atomicNS)
+	}
+	if st := d.Stats(); st.FailedMoves != 0 || st.PromotedWarm != 2 || st.DemotedCold != 2 || st.PromotedLocal != 2 {
+		t.Fatalf("stats = %+v, want two moves of each kind and no failure", st)
+	}
+}
+
+// TestOwnerlessWorkSkipsDrainedAndCrashedNodes: a drained node and a
+// crashed node stay the idlest by clock, yet no step runs owner-less work
+// on them, though the drained node is the dominant accessor of the pages
+// promoted to warm and the crashed one's number is a demoted page's (its
+// MMU would panic); the executor is the idlest node that can take the
+// work, and the pages move exactly as on a rack where every node is up.
+// With every live node drained nothing can take the work and it waits:
+// the drained nodes spill their local pages, but no warm<->cold move runs
+// and nothing is counted as failed.
+func TestOwnerlessWorkSkipsDrainedAndCrashedNodes(t *testing.T) {
+	e, d := ownerlessRack(t, 1_000_000_000, 100_000_000, 0, 0)
+	d.SetNodeDrained(2, true)
+	e.f.Node(3).Crash()
+	twin, td := ownerlessRack(t, 1_000_000_000, 100_000_000, 0, 0)
+
+	for _, s := range []struct {
+		name string
+		step func(*Daemon)
+		want [8]memsys.Tier
+	}{
+		{"the toggles", func(d *Daemon) { toggleStep(d, 2) }, afterToggles},
+		{"the local promotions", localStep, afterLocals},
+	} {
+		got := stepDeltas(e, func() { s.step(d) })
+		s.step(td)
+		wantTiers(t, e, "after "+s.name, s.want)
+		wantTiers(t, twin, "twin, after "+s.name, s.want)
+		if got[2] != (fabric.NodeStatsSnapshot{}) || got[3] != (fabric.NodeStatsSnapshot{}) {
+			t.Fatalf("%s charged the drained or the crashed node: node 2 %+v, node 3 %+v", s.name, got[2], got[3])
+		}
+		if got[1].VirtualNS == 0 {
+			t.Fatalf("%s charged node 1, the idlest node that can take the work, nothing", s.name)
+		}
+		if idle := e.f.Node(1).VirtualNS() - 100_000_000; e.f.Node(2).VirtualNS() >= idle || e.f.Node(3).VirtualNS() >= idle {
+			t.Fatalf("after %s the drained or the crashed node is no longer idler than node 1", s.name)
+		}
+		if a, b := d.Stats(), td.Stats(); a != b {
+			t.Fatalf("after %s: stats %+v, twin %+v", s.name, a, b)
+		}
+	}
+
+	d.SetNodeDrained(0, true)
+	d.SetNodeDrained(1, true)
+	before := d.Stats()
+	for i := 0; i < 3; i++ {
+		d.Sample(0, basePage+6, false)
+	}
+	d.Step()
+	st := d.Stats()
+	if st.PromotedWarm != before.PromotedWarm || st.DemotedCold != before.DemotedCold ||
+		st.FailedMoves != before.FailedMoves || st.Displaced != before.Displaced {
+		t.Fatalf("with no node to run it, owner-less work ran, failed or was counted: %+v, before %+v", st, before)
+	}
+	if st.DemotedWarm != before.DemotedWarm+2 {
+		t.Fatalf("the drained nodes spilled %d local pages, want 2", st.DemotedWarm-before.DemotedWarm)
+	}
+	if tier, _ := e.tierOf(6); tier != memsys.TierCold {
+		t.Fatalf("page 6 is %v with no executor, want it still cold", tier)
+	}
+}
+
+// TestOwnerlessWorkSkipsSlowestPerAccess: the node idlest by its clock is
+// passed over when it is also the slowest per access, the node an even
+// deal of the accesses would saturate first, and the idlest of the others
+// runs the work. Node 2 here served no access since Attach, so all of its
+// 100 M sim_ns count against one access, while nodes 0 and 1 served a
+// thousand each (reads the daemon does not sample, so the plan is
+// toggleStep's).
+func TestOwnerlessWorkSkipsSlowestPerAccess(t *testing.T) {
+	e, d := ownerlessRack(t, 1_000_000_000, 500_000_000, 100_000_000)
+	e.s.SetSampler(nil)
+	buf := make([]byte, 8)
+	for n := 0; n < 2; n++ {
+		for i := 0; i < 1000; i++ {
+			if err := e.mmus[n].Read((basePage+7)<<memsys.PageShift, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.s.SetSampler(d)
+
+	got := stepDeltas(e, func() { toggleStep(d, 0) })
+	wantTiers(t, e, "after the toggles", afterToggles)
+	if got[0] != (fabric.NodeStatsSnapshot{}) || got[2] != (fabric.NodeStatsSnapshot{}) {
+		t.Fatalf("the toggles charged the busiest or the slowest node: node 0 %+v, node 2 %+v", got[0], got[2])
+	}
+	if got[1].VirtualNS == 0 {
+		t.Fatal("the toggles charged node 1, the idlest node not the slowest per access, nothing")
+	}
+}

@@ -16,7 +16,14 @@
 //     hysteresis, skips demotions on a node a placement hint names
 //     (when a placer supplies Hints), and executes the moves through the
 //     memsys batch tier operations (one shootdown IPI per remote MMU per
-//     batch).
+//     batch). A move that changes a page's home runs on the node that
+//     gains or gives up the page; the work that belongs to no node —
+//     warm<->cold moves and freeing the frames local promotions vacate —
+//     runs on one executor per step, because any node can work on the
+//     shared page table and the busiest node's clock is the rack's
+//     throughput. The executor is the node, neither crashed nor drained,
+//     whose clock has advanced least since Attach, passing over the one
+//     with the highest time per access (Daemon.executor).
 //
 // Every policy decision is deterministic: epoch folds return vpn-sorted
 // snapshots, move lists sort by (heat desc, vpn asc), and the daemon runs

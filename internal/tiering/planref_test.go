@@ -159,17 +159,12 @@ func (r *refPlanner) promotions(d *Daemon, pl *plan, hot []PageStat, veto int) {
 				}
 				v := q[0]
 				coldestWarm = q[1:]
-				m := d.execMMU(v.VPN)
-				if m == nil {
-					continue
-				}
-				pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], v.VPN)
+				pl.demoteCold = append(pl.demoteCold, v.VPN)
 				planned[v.VPN] = true
 				pl.moves++
 				projWarm--
-				d.stats.displaced.Add(1)
 			}
-			pl.promoteWarm[dom] = append(pl.promoteWarm[dom], ps.VPN)
+			pl.promoteWarm = append(pl.promoteWarm, ps.VPN)
 			planned[ps.VPN] = true
 			pl.moves++
 			projWarm++
@@ -183,15 +178,9 @@ func (r *refPlanner) warmBudget(d *Daemon, pl *plan) {
 	if d.cfg.WarmBudgetPages <= 0 {
 		return
 	}
-	projected := d.warmCount
-	for _, v := range pl.promoteWarm {
-		projected += len(v)
-	}
+	projected := d.warmCount + len(pl.promoteWarm) - len(pl.demoteCold)
 	for _, v := range pl.demoteWarm {
 		projected += len(v)
-	}
-	for _, v := range pl.demoteCold {
-		projected -= len(v)
 	}
 	over := projected - d.cfg.WarmBudgetPages
 	if over <= 0 {
@@ -199,15 +188,11 @@ func (r *refPlanner) warmBudget(d *Daemon, pl *plan) {
 	}
 	planned := r.warmPlanned
 	clear(planned)
-	for _, vs := range pl.promoteWarm {
-		for _, v := range vs {
-			planned[v] = true
-		}
+	for _, v := range pl.promoteWarm {
+		planned[v] = true
 	}
-	for _, vs := range pl.demoteCold {
-		for _, v := range vs {
-			planned[v] = true
-		}
+	for _, v := range pl.demoteCold {
+		planned[v] = true
 	}
 	cands := r.cands[:0]
 	for vpn, st := range d.state {
@@ -221,12 +206,9 @@ func (r *refPlanner) warmBudget(d *Daemon, pl *plan) {
 		if over <= 0 || pl.moves >= d.cfg.MaxMovesPerStep {
 			return
 		}
-		if m := d.execMMU(c.VPN); m != nil {
-			pl.demoteCold[m.Node().ID()] = append(pl.demoteCold[m.Node().ID()], c.VPN)
-			pl.moves++
-			over--
-			d.stats.displaced.Add(1)
-		}
+		pl.demoteCold = append(pl.demoteCold, c.VPN)
+		pl.moves++
+		over--
 	}
 }
 
@@ -238,13 +220,12 @@ func stepWith(d *Daemon, planner func(hot []PageStat, veto int) *plan) plan {
 	d.stats.steps.Add(1)
 	hot, veto := d.foldEpoch()
 	pl := planner(hot, veto)
-	cp := plan{moves: pl.moves}
+	cp := plan{moves: pl.moves, promoteWarm: slices.Clone(pl.promoteWarm), demoteCold: slices.Clone(pl.demoteCold)}
 	for _, l := range []struct {
 		dst *[][]uint64
 		src [][]uint64
 	}{
-		{&cp.promoteLocal, pl.promoteLocal}, {&cp.promoteWarm, pl.promoteWarm},
-		{&cp.demoteWarm, pl.demoteWarm}, {&cp.demoteCold, pl.demoteCold},
+		{&cp.promoteLocal, pl.promoteLocal}, {&cp.demoteWarm, pl.demoteWarm},
 	} {
 		for _, vs := range l.src {
 			*l.dst = append(*l.dst, slices.Clone(vs))
@@ -258,8 +239,8 @@ func samePlan(a, b plan) bool {
 	same := func(x, y [][]uint64) bool {
 		return slices.EqualFunc(x, y, func(p, q []uint64) bool { return slices.Equal(p, q) })
 	}
-	return a.moves == b.moves && same(a.promoteLocal, b.promoteLocal) && same(a.promoteWarm, b.promoteWarm) &&
-		same(a.demoteWarm, b.demoteWarm) && same(a.demoteCold, b.demoteCold)
+	return a.moves == b.moves && same(a.promoteLocal, b.promoteLocal) && slices.Equal(a.promoteWarm, b.promoteWarm) &&
+		same(a.demoteWarm, b.demoteWarm) && slices.Equal(a.demoteCold, b.demoteCold)
 }
 
 // TestPlannerMatchesReference drives the daemon's planner and the
