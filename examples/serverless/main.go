@@ -66,6 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("chain from node 1: %q\n", out)
-	fmt.Printf("registry requests total: %d (scale-out added only manifest checks)\n",
+	fmt.Printf("registry manifest requests: %d (scale-out added only manifest checks)\n",
 		registry.LayerPulls())
 }

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Histogram records latency samples and reports summary statistics. By
@@ -69,9 +68,6 @@ func (h *Histogram) Record(v float64) {
 	h.mu.Unlock()
 }
 
-// RecordDuration adds one sample in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(float64(d.Nanoseconds())) }
-
 // Count returns the number of recorded samples (exact even when a
 // reservoir cap is set).
 func (h *Histogram) Count() int {
@@ -119,63 +115,6 @@ func (h *Histogram) Min() float64 { return h.Percentile(0.0001) }
 
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// Merge folds other's samples into h so per-node histograms can be
-// combined into one rack-wide view. Count, Mean and sums stay exact.
-// With no reservoir cap on h the sample sets are concatenated and
-// percentiles remain exact. With a cap, the combined set is downsampled
-// by weighted reservoir sampling (Efraimidis–Spirakis): each retained
-// sample stands in for total/len originals of its source histogram, so
-// a 1M-sample node is not drowned out by a 1k-sample node that happens
-// to retain as many reservoir slots. other is read under its own lock
-// and is not modified.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == other {
-		panic("metrics: Histogram.Merge with itself")
-	}
-	other.mu.Lock()
-	oSamples := append([]float64(nil), other.samples...)
-	oSum, oTotal := other.sum, other.total
-	other.mu.Unlock()
-	if oTotal == 0 {
-		return
-	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hTotal := h.total
-	h.sum += oSum
-	h.total += oTotal
-	h.sorted = false
-	if h.cap <= 0 || len(h.samples)+len(oSamples) <= h.cap {
-		h.samples = append(h.samples, oSamples...)
-		return
-	}
-	// Downsample the pooled samples to cap, weighting each by how many
-	// originals it represents: key = u^(1/w), keep the cap largest keys.
-	type keyed struct{ v, key float64 }
-	pool := make([]keyed, 0, len(h.samples)+len(oSamples))
-	weigh := func(samples []float64, total int) {
-		if len(samples) == 0 {
-			return
-		}
-		w := float64(total) / float64(len(samples))
-		for _, v := range samples {
-			u := h.rng.Float64()
-			for u == 0 {
-				u = h.rng.Float64()
-			}
-			pool = append(pool, keyed{v, math.Pow(u, 1/w)})
-		}
-	}
-	weigh(h.samples, hTotal)
-	weigh(oSamples, oTotal)
-	sort.Slice(pool, func(i, j int) bool { return pool[i].key > pool[j].key })
-	h.samples = h.samples[:0]
-	for i := 0; i < h.cap && i < len(pool); i++ {
-		h.samples = append(h.samples, pool[i].v)
-	}
-}
 
 // Reset discards all samples (the reservoir configuration persists).
 func (h *Histogram) Reset() {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -67,14 +66,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("Count = %d", h.Count())
-	}
-}
-
-func TestRecordDuration(t *testing.T) {
-	h := NewHistogram()
-	h.RecordDuration(2 * time.Microsecond)
-	if got := h.Mean(); got != 2000 {
-		t.Fatalf("Mean = %v", got)
 	}
 }
 

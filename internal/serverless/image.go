@@ -66,9 +66,10 @@ type Registry struct {
 	// image in ~20 s).
 	BytesPerNS float64
 
-	mu     sync.Mutex
-	images map[string]Image
-	pulls  uint64
+	mu           sync.Mutex
+	images       map[string]Image
+	pulls        uint64 // manifest requests
+	layerBatches uint64 // PullLayers calls
 }
 
 // NewRegistry creates a registry with the given cost model.
@@ -97,20 +98,46 @@ func (r *Registry) PullManifest(n *fabric.Node, name string) (Image, error) {
 	return img, nil
 }
 
-// PullLayer streams one layer's bytes through buf, invoking sink once per
-// len(buf) bytes; sink must not keep the slice it is handed. The transfer
-// cost (RTT + size/bandwidth) is charged to n.
-func (r *Registry) PullLayer(n *fabric.Node, l Layer, buf []byte, sink func(off uint64, data []byte)) {
-	n.ChargeNS(r.RTTNS + int(float64(l.Size)/r.BytesPerNS))
+// PullLayers fetches layers in one batch, as a stock runtime pulls an
+// image's missing layers: every request goes out together, so the batch
+// pays one round trip, and the bytes share the one link, so the transfer
+// takes Σsize/BytesPerNS. The bytes stream through buf: sink(i, off, data)
+// is called once per len(buf) bytes of layers[i] and must not keep data.
+// Each chunk is installed by sink while the next one is on the wire, so n
+// is charged
+//
+//	RTTNS + max(Σsize/BytesPerNS, install)
+//
+// where install is n's VirtualNS delta across the sink calls. That measure
+// is exact when nothing else charges n during the pull, as in bench and
+// flacbench, which run one start at a time. It over-counts when other
+// goroutines charge the same node meanwhile, which only torture and core
+// racks do; a per-CPU clock (ROADMAP item 16) would make it exact there.
+func (r *Registry) PullLayers(n *fabric.Node, layers []Layer, buf []byte, sink func(i int, off uint64, data []byte)) {
+	r.mu.Lock()
+	r.layerBatches++
+	r.mu.Unlock()
+	n.ChargeNS(r.RTTNS)
+	var total uint64
+	installStart := n.VirtualNS()
 	chunk := uint64(len(buf))
-	for off := uint64(0); off < l.Size; off += chunk {
-		sz := min(chunk, l.Size-off)
-		l.Content(off, buf[:sz])
-		sink(off, buf[:sz])
+	for i, l := range layers {
+		total += l.Size
+		for off := uint64(0); off < l.Size; off += chunk {
+			sz := min(chunk, l.Size-off)
+			l.Content(off, buf[:sz])
+			sink(i, off, buf[:sz])
+		}
+	}
+	install := n.VirtualNS() - installStart
+	if transfer := uint64(float64(total) / r.BytesPerNS); transfer > install {
+		n.ChargeNS(int(transfer - install))
 	}
 }
 
-// LayerPulls returns how many registry requests have been served.
+// LayerPulls returns how many manifest requests the registry has served.
+// Despite its name it counts no layer transfer: PullLayers batches are
+// counted apart.
 func (r *Registry) LayerPulls() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

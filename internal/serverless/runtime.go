@@ -126,17 +126,22 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 	}
 	rep.ManifestNS = n.VirtualNS() - t0
 
-	// Materialize layers: through the shared page cache if some node
-	// already fetched them, otherwise from the registry (also populating
-	// the cache for the rest of the rack).
+	// Materialize layers in two passes. The first serves every layer some
+	// node already fetched through the shared page cache, and creates the
+	// files of the rest. The second pulls the rest from the registry in one
+	// batch, populating the cache for the rest of the rack. The missing
+	// layers and their file ids sit in arrays on the stack: an image of up
+	// to 16 layers makes no heap allocation here.
 	fetchStart := n.VirtualNS()
-	usedRegistry := false
 	bp := chunkBufs.Get().(*[]byte)
 	defer chunkBufs.Put(bp)
 	if uint64(cap(*bp)) < rt.cfg.PullChunk {
 		*bp = make([]byte, rt.cfg.PullChunk)
 	}
 	buf := (*bp)[:rt.cfg.PullChunk]
+	var missingArr [16]Layer
+	var idArr [16]uint64
+	missing, ids := missingArr[:0], idArr[:0]
 	for _, l := range img.Layers {
 		if id, ok := rt.mount.Lookup(layerPath(l)); ok && rt.mount.Size(id) == l.Size {
 			// Shared-cache path: stream the layer out of global memory.
@@ -148,18 +153,24 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 			}
 			continue
 		}
-		usedRegistry = true
 		id, err := rt.mount.Create(layerPath(l))
 		if err != nil {
-			// Racing node created it; read it instead.
+			// The file exists: an interrupted pull left it short, or a
+			// racing node created it since the lookup. Pull the layer again
+			// and write it over the file: its content is digest-addressed,
+			// so the re-pull writes identical bytes.
 			if id2, ok := rt.mount.Lookup(layerPath(l)); ok {
 				id = id2
 			} else {
 				return rep, err
 			}
 		}
-		rt.registry.PullLayer(n, l, buf, func(off uint64, data []byte) {
-			rt.mount.Write(id, off, data)
+		missing = append(missing, l)
+		ids = append(ids, id)
+	}
+	if len(missing) > 0 {
+		rt.registry.PullLayers(n, missing, buf, func(i int, off uint64, data []byte) {
+			rt.mount.Write(ids[i], off, data)
 		})
 	}
 	rep.FetchNS = n.VirtualNS() - fetchStart
@@ -177,7 +188,7 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 	rt.unpacked[imageName] = true
 	rt.mu.Unlock()
 
-	if usedRegistry {
+	if len(missing) > 0 {
 		rep.Source = SourceRegistry
 	} else {
 		rep.Source = SourceSharedCache

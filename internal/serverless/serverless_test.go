@@ -2,8 +2,10 @@ package serverless
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"flacos/internal/fabric"
@@ -90,6 +92,10 @@ func TestContainerStartupThreePaths(t *testing.T) {
 		t.Fatalf("first start source = %v", cold.Source)
 	}
 
+	if got := env.registry.LayerBatches(); got != 1 {
+		t.Fatalf("cold start made %d layer batches, want 1", got)
+	}
+
 	// Node 1: FlacOS start — image bytes come from the shared page cache.
 	pullsBefore := env.registry.LayerPulls()
 	flac, err := env.runtimes[1].StartContainer("pytorch")
@@ -103,6 +109,9 @@ func TestContainerStartupThreePaths(t *testing.T) {
 	if env.registry.LayerPulls() != pullsBefore+1 {
 		t.Fatalf("registry pulls during FlacOS start = %d", env.registry.LayerPulls()-pullsBefore)
 	}
+	if got := env.registry.LayerBatches(); got != 1 {
+		t.Fatalf("FlacOS start pulled layers: %d batches in all, want the cold start's 1", got)
+	}
 
 	// Node 1 again: hot start.
 	hot, err := env.runtimes[1].StartContainer("pytorch")
@@ -111,6 +120,9 @@ func TestContainerStartupThreePaths(t *testing.T) {
 	}
 	if hot.Source != SourceLocal {
 		t.Fatalf("third start source = %v", hot.Source)
+	}
+	if got := env.registry.LayerBatches(); got != 1 {
+		t.Fatalf("hot start pulled layers: %d batches in all, want the cold start's 1", got)
 	}
 
 	// The paper's ordering: hot < FlacOS shared-cache < cold, with a
@@ -121,6 +133,147 @@ func TestContainerStartupThreePaths(t *testing.T) {
 	if cold.TotalNS < 2*flac.TotalNS {
 		t.Fatalf("shared cache speedup too small: cold=%s flac=%s", cold, flac)
 	}
+}
+
+// TestColdStartOneRegistryRoundTrip pins the batch pull's cost: one round
+// trip, then the larger of the link-shared transfer and the installs that
+// overlap it. So a cold start's fetch does not grow with the layer count.
+func TestColdStartOneRegistryRoundTrip(t *testing.T) {
+	env := newTestEnv(t, 1)
+	reg, n := env.registry, env.fab.Node(0)
+	layers := SyntheticImage("budget", 4, 1<<20).Layers
+	buf := make([]byte, 64<<10)
+	transfer := int(float64(1<<20) / reg.BytesPerNS)
+
+	t0 := n.VirtualNS()
+	reg.PullLayers(n, layers, buf, func(int, uint64, []byte) {})
+	if got, want := n.VirtualNS()-t0, uint64(reg.RTTNS+transfer); got != want {
+		t.Fatalf("free installs: batch charged %d ns, want RTT + transfer = %d", got, want)
+	}
+
+	// 16 chunks each charging a 16th of twice the transfer: the installs
+	// outlast the transfer, which then hides entirely behind them.
+	perChunk := 2 * transfer / 16
+	chunks := 0
+	t0 = n.VirtualNS()
+	reg.PullLayers(n, layers, buf, func(int, uint64, []byte) {
+		chunks++
+		n.ChargeNS(perChunk)
+	})
+	if chunks != 16 {
+		t.Fatalf("sink called %d times, want 16", chunks)
+	}
+	if got, want := n.VirtualNS()-t0, uint64(reg.RTTNS+16*perChunk); got != want {
+		t.Fatalf("slow installs: batch charged %d ns, want RTT + installs = %d", got, want)
+	}
+
+	// Equal total size, 1, 4 and 8 layers (and 20, more than the start
+	// keeps on its stack): each cold start pays one RTT.
+	var fetch []uint64
+	for _, count := range []int{1, 4, 8, 20} {
+		env := newTestEnv(t, 1)
+		img := SyntheticImage(fmt.Sprintf("layers%d", count), count, testImageBytes)
+		env.registry.Push(img)
+		rep, err := env.runtimes[0].StartContainer(img.Name)
+		if err != nil || rep.Source != SourceRegistry {
+			t.Fatalf("%d layers: start = %v, %v; want a registry start", count, rep.Source, err)
+		}
+		fetch = append(fetch, rep.FetchNS)
+	}
+	lo, hi := slices.Min(fetch), slices.Max(fetch)
+	if hi-lo >= uint64(reg.RTTNS) {
+		t.Fatalf("fetch for 1, 4, 8 and 20 layers = %v ns: spread %d >= one RTT (%d)", fetch, hi-lo, reg.RTTNS)
+	}
+}
+
+// checkLayers reads every layer of img back through m and compares it with
+// the layer's content.
+func checkLayers(t *testing.T, m *fs.Mount, img Image) {
+	t.Helper()
+	got := make([]byte, 1<<20)
+	want := make([]byte, 1<<20)
+	for _, l := range img.Layers {
+		id, ok := m.Lookup(layerPath(l))
+		if !ok || m.Size(id) != l.Size {
+			t.Fatalf("layer %s missing or short after the start", l.Digest)
+		}
+		for off := uint64(0); off < l.Size; off += uint64(len(got)) {
+			sz := min(uint64(len(got)), l.Size-off)
+			if _, err := m.Read(id, off, got[:sz]); err != nil {
+				t.Fatal(err)
+			}
+			l.Content(off, want[:sz])
+			if !bytes.Equal(got[:sz], want[:sz]) {
+				t.Fatalf("layer %s differs from its content at [%d, %d)", l.Digest, off, off+sz)
+			}
+		}
+	}
+}
+
+// TestPartiallyCachedImagePullsOnlyMissingLayers starts an image whose
+// first layer another image already brought into the shared page cache:
+// that layer is read from the cache, and the rest come in one batch.
+func TestPartiallyCachedImagePullsOnlyMissingLayers(t *testing.T) {
+	env := newTestEnv(t, 2)
+	if _, err := env.runtimes[0].StartContainer("pytorch"); err != nil {
+		t.Fatal(err)
+	}
+	base := SyntheticImage("pytorch", 4, testImageBytes)
+	img := SyntheticImage("derived", 4, testImageBytes)
+	img.Layers[0] = base.Layers[0]
+	env.registry.Push(img)
+
+	batches := env.registry.LayerBatches()
+	rep, err := env.runtimes[1].StartContainer(img.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Source != SourceRegistry {
+		t.Fatalf("start source = %v, want %v", rep.Source, SourceRegistry)
+	}
+	if got := env.registry.LayerBatches() - batches; got != 1 {
+		t.Fatalf("start made %d layer batches, want 1", got)
+	}
+	// The cached layer's transfer is not paid: the fetch costs less than
+	// pulling the whole image, and at least pulling the three others.
+	reg := env.registry
+	whole := uint64(reg.RTTNS) + uint64(float64(img.TotalBytes())/reg.BytesPerNS)
+	rest := uint64(reg.RTTNS) + uint64(float64(img.TotalBytes()-img.Layers[0].Size)/reg.BytesPerNS)
+	if rep.FetchNS >= whole || rep.FetchNS < rest {
+		t.Fatalf("fetch = %d ns, want in [%d, %d): the three missing layers' pull, not the image's", rep.FetchNS, rest, whole)
+	}
+	checkLayers(t, env.runtimes[1].mount, img)
+}
+
+// TestShortLayerFileCompletedByNextColdStart leaves a layer file half
+// written, as an interrupted pull would: the next cold start pulls that
+// layer again over it, and it reads back byte-exact.
+func TestShortLayerFileCompletedByNextColdStart(t *testing.T) {
+	env := newTestEnv(t, 2)
+	img := SyntheticImage("pytorch", 4, testImageBytes)
+	short := img.Layers[1]
+	m := env.runtimes[0].mount
+	id, err := m.Create(layerPath(short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, short.Size/2)
+	short.Content(0, half)
+	if _, err := m.Write(id, 0, half); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := env.runtimes[1].StartContainer(img.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Source != SourceRegistry {
+		t.Fatalf("start source = %v, want %v", rep.Source, SourceRegistry)
+	}
+	if got, ok := env.runtimes[1].mount.Lookup(layerPath(short)); !ok || got != id {
+		t.Fatalf("short layer's file id = %d, %v; want the interrupted pull's %d", got, ok, id)
+	}
+	checkLayers(t, env.runtimes[1].mount, img)
 }
 
 func TestStartUnknownImage(t *testing.T) {
