@@ -1,7 +1,8 @@
 // Command flacvet vets arena code against the coherence discipline of
 // the non-coherent fabric: no Go pointers in the arena, write-back
 // before publishing atomics, invalidate before decoding published
-// bytes, no arena offsets retained past their grace period. See
+// bytes, no arena offsets retained past their grace period, and ranged
+// cache maintenance only through the ds publication primitives. See
 // internal/coherlint for the rules and the annotation syntax, and
 // DESIGN.md "The coherence contract".
 //

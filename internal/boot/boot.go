@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // Magic identifies a published hardware description table.
@@ -151,8 +152,7 @@ func TableCap(payloadCap uint64) uint64 {
 // higher BootSeq is allowed (hardware hotplug).
 func Publish(n *fabric.Node, g fabric.GPtr, desc HWDesc) error {
 	payload := desc.encode()
-	n.Write(g.Add(fabric.LineSize), payload)
-	n.WriteBackRange(g.Add(fabric.LineSize), uint64(len(payload)))
+	ds.PublishRange(n, g.Add(fabric.LineSize), payload)
 	n.AtomicStore64(g.Add(8), uint64(Version)<<32|uint64(uint32(len(payload))))
 	n.AtomicStore64(g.Add(16), uint64(crc32.ChecksumIEEE(payload)))
 	n.AtomicStore64(g, Magic) // publish last
@@ -183,8 +183,7 @@ func DiscoverCapped(n *fabric.Node, g fabric.GPtr, payloadCap uint64) (HWDesc, e
 		return HWDesc{}, fmt.Errorf("boot: table length %d exceeds reservation %d (corrupted?)", ln, payloadCap)
 	}
 	payload := make([]byte, ln)
-	n.InvalidateRange(g.Add(fabric.LineSize), ln)
-	n.Read(g.Add(fabric.LineSize), payload)
+	ds.ReadRange(n, g.Add(fabric.LineSize), payload)
 	if uint64(crc32.ChecksumIEEE(payload)) != n.AtomicLoad64(g.Add(16)) {
 		return HWDesc{}, fmt.Errorf("boot: hardware table checksum mismatch (corrupted?)")
 	}

@@ -9,14 +9,27 @@ import (
 // (invisible to ./... wildcards, so the repo stays buildable and
 // flacvet-clean) and checks the full analyzer suite reports exactly the
 // diagnostics marked by // want comments — nothing more, nothing less.
+// The corpora of rules 1 to 4 hand-roll maintenance on purpose, since
+// that is what rules 2 and 3 check, so they run without rule 5, which
+// would flag every such call; rule 5's own corpus runs the whole suite.
 func TestCorpus(t *testing.T) {
-	for _, name := range []string{"escape", "publish", "invalidate", "retention"} {
+	var rules1to4 []*Analyzer
+	for _, a := range All() {
+		if a != RawMaintenanceAnalyzer {
+			rules1to4 = append(rules1to4, a)
+		}
+	}
+	for _, name := range []string{"escape", "publish", "invalidate", "retention", "rawmaint"} {
 		t.Run(name, func(t *testing.T) {
 			pkgs, err := Load(".", "./testdata/src/"+name)
 			if err != nil {
 				t.Fatalf("loading corpus package: %v", err)
 			}
-			diags, err := Run(All(), pkgs)
+			analyzers := rules1to4
+			if name == "rawmaint" {
+				analyzers = All()
+			}
+			diags, err := Run(analyzers, pkgs)
 			if err != nil {
 				t.Fatalf("running analyzers: %v", err)
 			}
@@ -34,16 +47,48 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
+// rawMaintenanceIgnores is how many sites of the repository carry a
+// raw-maintenance ignore. It may only fall: move a site onto
+// ds.PublishRange or ds.ReadRange and lower it with the count.
+const rawMaintenanceIgnores = 14
+
 // TestRepoIsClean runs the whole suite over the repository proper — the
 // same gate CI's flacvet job applies. Production arena code must carry
-// zero coherence-contract diagnostics (testdata is excluded by ./...).
+// zero coherence-contract diagnostics (testdata is excluded by ./...),
+// and exactly rawMaintenanceIgnores raw-maintenance ignores, each with
+// its reason.
 func TestRepoIsClean(t *testing.T) {
-	diags, err := Run(All(), loadRepo(t))
+	pkgs := loadRepo(t)
+	diags, err := Run(All(), pkgs)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
 	for _, d := range diags {
 		t.Errorf("coherence-contract violation in production code: %s", d)
+	}
+	ignores := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					reason, ok := strings.CutPrefix(c.Text, "//flacvet:ignore "+RawMaintenanceAnalyzer.Name)
+					if !ok {
+						continue
+					}
+					ignores++
+					if strings.TrimSpace(reason) == "" {
+						t.Errorf("%s: raw-maintenance ignore without a reason", pkg.Fset.Position(c.Pos()))
+					}
+				}
+			}
+		}
+	}
+	switch {
+	case ignores > rawMaintenanceIgnores:
+		t.Errorf("%d raw-maintenance ignores, want at most %d: publish with ds.PublishRange and read with ds.ReadRange",
+			ignores, rawMaintenanceIgnores)
+	case ignores < rawMaintenanceIgnores:
+		t.Errorf("%d raw-maintenance ignores: lower rawMaintenanceIgnores from %d to %d", ignores, rawMaintenanceIgnores, ignores)
 	}
 }
 

@@ -32,6 +32,15 @@
 //     directly or by capturing it in a closure that outlives the call —
 //     is a use-after-free against the arena.
 //
+//  5. raw-maintenance: rules 2 and 3 have one implementation each, the
+//     two publication primitives in flacdk/ds's publine.go:
+//     ds.PublishRange (write a range, write it back; the caller's atomic
+//     commits it) and ds.ReadRange (invalidate a range, read it). A bare
+//     WriteBackRange, InvalidateRange or FlushRange anywhere but the
+//     fabric package, that file and experiments/fabric.go is reported.
+//     Rules 2 and 3 stay: a publication with no write-back, or a read
+//     with no invalidate, has no maintenance call for rule 5 to see.
+//
 // Recognition is driven by the fabric package's API (methods on
 // fabric.Node), the quiescence/alloc reclamation entry points, and two
 // source annotations on arena-layout types:
@@ -42,7 +51,8 @@
 // A diagnostic that is a understood-and-accepted exception (for example
 // the torture harness's deliberately-broken sync paths) is suppressed
 // with a "//flacvet:ignore <rule> <reason>" comment on, or immediately
-// above, the offending line.
+// above, the offending line. TestRepoIsClean pins how many
+// raw-maintenance ignores the repository carries, and the pin only falls.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // surface (Analyzer, Pass, Diagnostic) so analyzers can migrate to the

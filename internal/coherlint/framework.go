@@ -56,6 +56,7 @@ func All() []*Analyzer {
 		PublishAnalyzer,
 		InvalidateAnalyzer,
 		RetentionAnalyzer,
+		RawMaintenanceAnalyzer,
 	}
 }
 

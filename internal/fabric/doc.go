@@ -29,7 +29,8 @@
 //     because the writer does not read them again through its cache. A
 //     range that is read back soon, or written again before it is
 //     published, belongs in the cache: use Write and WriteBackRange (or
-//     InvalidateRange and Read), the retaining pairs.
+//     InvalidateRange and Read), the retaining pairs, which other packages
+//     call as ds.PublishRange and ds.ReadRange.
 //   - A bounded node cache evicts first in, first out: which line leaves
 //     depends on the access stream alone, never on the host.
 //   - Global accesses are slower than node-local memory; the latency model
@@ -54,6 +55,17 @@
 // A commit word anywhere else in the line can be seen new beside old
 // payload, and publication that spans lines needs the payload lines
 // written back before a fabric atomic advances the commit word.
+//
+// Ranged publication. The second shape is a published range:
+// ds.PublishRange writes the payload through the cache and writes it
+// back, the caller's AtomicStore64, CAS64 or Swap64 commits it, and a
+// reader that observed the commit reads the payload with ds.ReadRange,
+// which invalidates the range and then reads it. Both shapes live in
+// flacdk/ds's publine.go. Outside this package, that file and the fabric
+// experiment that prices them, coherlint's raw-maintenance rule reports
+// every bare WriteBackRange, InvalidateRange and FlushRange; the few
+// sites whose protocol neither shape expresses carry an ignore with the
+// reason.
 //
 // Global memory is addressed by GPtr offsets, never by Go pointers, so the
 // Go garbage collector never sees shared state — the same discipline a real

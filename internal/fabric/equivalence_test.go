@@ -9,6 +9,35 @@ import (
 	"testing/quick"
 )
 
+// InvalidateRangePerLine is the pre-batching InvalidateRange: one lock
+// acquisition, but a per-line atomic Invalidates bump under the lock. It
+// drops each line through the cache like the ranged path, so a bounded
+// cache's eviction order forgets the line with it.
+func (n *Node) InvalidateRangePerLine(g GPtr, size uint64) {
+	n.checkAlive()
+	if size == 0 {
+		return
+	}
+	n.fab.checkRange(g, size)
+	c := n.cache
+	first, last := LineSpan(g, size)
+	c.mu.Lock()
+	for li := first; li <= last; li++ {
+		if c.drop(li) {
+			n.stats.Invalidates.Add(1)
+		}
+	}
+	c.mu.Unlock()
+	n.charge(n.fab.lat.LocalNS)
+}
+
+// FlushRangePerLine is the pre-batching FlushRange: two full passes (and
+// at least lines+1 lock acquisitions) where the ranged path makes one.
+func (n *Node) FlushRangePerLine(g GPtr, size uint64) {
+	n.WriteBackRangePerLine(g, size)
+	n.InvalidateRangePerLine(g, size)
+}
+
 // Differential equivalence: the pinned legacy per-line maintenance paths
 // (legacy.go) and the ranged fast path must be observationally identical.
 // Twin fabrics with identical configuration and fault seed run the same

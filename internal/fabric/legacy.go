@@ -7,10 +7,12 @@ import "encoding/binary"
 // they exist so the differential equivalence suite can drive the old
 // semantics against the new ranged fast path on twin fabrics, and so the
 // fabric benchmark can report an honest "per-line baseline" for the
-// ranged speedup gate. They deliberately keep every cost the rewrite
-// removed — one cache-lock acquisition per line, per-line atomic stats
-// bumps, and an unconditional hook-pointer load per event — and they do
-// not count toward cache.maintLocks, which pins the NEW paths' contract.
+// ranged speedup gate. The invalidate and flush forms, which only the
+// suite drives, live in equivalence_test.go. They deliberately keep every
+// cost the rewrite removed — one cache-lock acquisition per line,
+// per-line atomic stats bumps, and an unconditional hook-pointer load per
+// event — and they do not count toward cache.maintLocks, which pins the
+// NEW paths' contract.
 
 // WriteBackRangePerLine is the pre-batching WriteBackRange: lock, harvest
 // and write back one line at a time, bumping atomic stats and firing a
@@ -48,35 +50,6 @@ func (n *Node) WriteBackRangePerLine(g GPtr, size uint64) {
 	if written > 0 {
 		n.charge(n.globalCost(written))
 	}
-}
-
-// InvalidateRangePerLine is the pre-batching InvalidateRange: one lock
-// acquisition, but a per-line atomic Invalidates bump under the lock. It
-// drops each line through the cache like the ranged path, so a bounded
-// cache's eviction order forgets the line with it.
-func (n *Node) InvalidateRangePerLine(g GPtr, size uint64) {
-	n.checkAlive()
-	if size == 0 {
-		return
-	}
-	n.fab.checkRange(g, size)
-	c := n.cache
-	first, last := LineSpan(g, size)
-	c.mu.Lock()
-	for li := first; li <= last; li++ {
-		if c.drop(li) {
-			n.stats.Invalidates.Add(1)
-		}
-	}
-	c.mu.Unlock()
-	n.charge(n.fab.lat.LocalNS)
-}
-
-// FlushRangePerLine is the pre-batching FlushRange: two full passes (and
-// at least lines+1 lock acquisitions) where the ranged path makes one.
-func (n *Node) FlushRangePerLine(g GPtr, size uint64) {
-	n.WriteBackRangePerLine(g, size)
-	n.InvalidateRangePerLine(g, size)
 }
 
 // writeLineHomePerWord is the pre-batching writeLineHome: it consults the

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // Classes are the supported allocation sizes. An allocation is rounded up
@@ -224,9 +225,7 @@ func (na *NodeAllocator) AllocUninit(size uint64) fabric.GPtr {
 func (na *NodeAllocator) Alloc(size uint64) fabric.GPtr {
 	g := na.AllocUninit(size)
 	cs := Classes[classFor(size)]
-	zero := make([]byte, cs)
-	na.node.Write(g, zero)
-	na.node.WriteBackRange(g, cs)
+	ds.PublishRange(na.node, g, make([]byte, cs))
 	return g
 }
 
@@ -280,22 +279,4 @@ func (na *NodeAllocator) FlushMagazines() {
 // Stats returns the allocator's lifetime alloc and free counts.
 func (na *NodeAllocator) Stats() (allocs, frees uint64) {
 	return na.allocs.Load(), na.frees.Load()
-}
-
-// Relocate moves a live object of size bytes to a freshly allocated block
-// (reducing fragmentation, improving packing, or changing tier placement —
-// §3.2's "runtime object movement"). It copies the contents, calls update
-// with the new address (the caller republishes every reference there), and
-// returns a release function that frees the OLD block — to be called
-// directly if no concurrent readers exist, or passed to quiescence.Retire.
-func (na *NodeAllocator) Relocate(g fabric.GPtr, size uint64, update func(fabric.GPtr)) (release func()) {
-	dst := na.AllocUninit(size)
-	buf := make([]byte, size)
-	na.node.InvalidateRange(g, size)
-	na.node.Read(g, buf)
-	na.node.Write(dst, buf)
-	na.node.WriteBackRange(dst, size)
-	update(dst)
-	old := g
-	return func() { na.Free(old) }
 }

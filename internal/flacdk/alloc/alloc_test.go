@@ -201,38 +201,6 @@ func TestArenaExhaustionPanics(t *testing.T) {
 	}
 }
 
-func TestRelocatePreservesContents(t *testing.T) {
-	f, a := arena(t, 1, 2)
-	n := f.Node(0)
-	na := a.NodeAllocator(n, 0)
-	g := na.Alloc(512)
-	data := make([]byte, 512)
-	for i := range data {
-		data[i] = byte(i * 3)
-	}
-	n.Write(g, data)
-	n.WriteBackRange(g, 512)
-
-	var newG fabric.GPtr
-	release := na.Relocate(g, 512, func(ng fabric.GPtr) { newG = ng })
-	if newG.IsNil() || newG == g {
-		t.Fatalf("relocate gave %v", newG)
-	}
-	got := make([]byte, 512)
-	n.InvalidateRange(newG, 512)
-	n.Read(newG, got)
-	for i := range got {
-		if got[i] != data[i] {
-			t.Fatalf("byte %d = %d, want %d", i, got[i], data[i])
-		}
-	}
-	release()
-	_, frees := na.Stats()
-	if frees != 1 {
-		t.Fatalf("frees = %d", frees)
-	}
-}
-
 func TestQuickAllocWriteReadFree(t *testing.T) {
 	f, a := arena(t, 1, 8)
 	n := f.Node(0)

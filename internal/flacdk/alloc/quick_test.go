@@ -87,56 +87,3 @@ func TestAllocQuickSlabInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestAllocQuickRelocateStaleCache is the stale-cache interleaving
-// property: node B caches a block's old content, the block is freed and
-// reallocated by node A with new content, then B relocates it. Relocate's
-// copy MUST invalidate before reading — remove that InvalidateRange and B
-// copies its stale lines, which this property detects as the old pattern
-// surfacing at the new address.
-func TestAllocQuickRelocateStaleCache(t *testing.T) {
-	prop := func(sizeRaw uint16, seed byte) bool {
-		size := clampSize(sizeRaw)
-		cs := ClassSize(size)
-		f, a := arena(t, 2, 32)
-		nA, nB := f.Node(0), f.Node(1)
-		allocA := a.NodeAllocator(nA, 4)
-		allocB := a.NodeAllocator(nB, 4)
-
-		// B owns the block first and caches its content X.
-		g := allocB.AllocUninit(size)
-		x := pattern(seed, cs)
-		nB.Write(g, x)
-		nB.WriteBackRange(g, cs)
-		buf := make([]byte, cs)
-		nB.Read(g, buf) // B's cache now holds X's lines
-
-		// The block dies and is immediately recycled by A with content Y.
-		allocB.Free(g)
-		allocB.FlushMagazines()
-		g2 := allocA.AllocUninit(size)
-		if g2 != g {
-			t.Logf("expected central-list recycle of %#x, got %#x", g, g2)
-			return false
-		}
-		y := pattern(seed+1, cs)
-		nA.Write(g2, y)
-		nA.WriteBackRange(g2, cs)
-
-		// B relocates the live object. Its cache still holds X; only the
-		// invalidate inside Relocate lets it copy the real content Y.
-		var dst fabric.GPtr
-		release := allocB.Relocate(g2, cs, func(ng fabric.GPtr) { dst = ng })
-		nA.InvalidateRange(dst, cs)
-		nA.Read(dst, buf)
-		if !bytes.Equal(buf, y) {
-			t.Logf("relocated copy at %#x holds stale content (size %d)", dst, cs)
-			return false
-		}
-		release()
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

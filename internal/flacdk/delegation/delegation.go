@@ -49,6 +49,7 @@ import (
 	"runtime"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // PayloadMax is the largest request or response payload, one cache line.
@@ -132,6 +133,17 @@ func (d *Domain) rspInlineG(s int) fabric.GPtr { return d.rspMetaG(s).Add(rspInl
 func (d *Domain) rspSeqG(s int) fabric.GPtr    { return d.rspMetaG(s).Add(rspSeqOff) }
 func (d *Domain) rspSpillG(s int) fabric.GPtr  { return d.rspMetaG(s).Add(fabric.LineSize) }
 
+// stageRequest stores one request into slot s with plain stores: op|len,
+// the inline payload, and the spill when there is one.
+func (d *Domain) stageRequest(n *fabric.Node, s int, op uint32, req []byte) {
+	n.Store64(d.reqMetaG(s), uint64(op)<<32|uint64(uint32(len(req))))
+	inl := min(len(req), reqInlineMax)
+	n.Write(d.reqInlineG(s), req[:inl])
+	if len(req) > reqInlineMax {
+		n.Write(d.reqSpillG(s), req[inl:])
+	}
+}
+
 // Server is the owner's polling state: the last sequence served per slot.
 type Server struct {
 	d          *Domain
@@ -164,8 +176,7 @@ func (d *Domain) Server(n *fabric.Node, handler Handler) *Server {
 // from costing a full line round trip per slot.
 func (sv *Server) scanSeqs() {
 	d, n := sv.d, sv.node
-	n.InvalidateRange(d.seqBase, uint64(len(sv.seqBuf)))
-	n.Read(d.seqBase, sv.seqBuf)
+	ds.ReadRange(n, d.seqBase, sv.seqBuf)
 }
 
 // readRequest fetches slot s's posted request into buf (capacity
@@ -174,17 +185,12 @@ func (sv *Server) scanSeqs() {
 // spilled.
 func (sv *Server) readRequest(s int, buf []byte) (op uint32, reqLen int) {
 	d, n := sv.d, sv.node
+	//flacvet:ignore raw-maintenance one invalidate for the slot's two lines, then the meta word is decoded with Load64
 	n.InvalidateRange(d.reqMetaG(s), reqSlotSize)
 	meta := n.Load64(d.reqMetaG(s))
-	op = uint32(meta >> 32)
-	reqLen = int(uint32(meta))
-	inl := reqLen
-	if inl > reqInlineMax {
-		inl = reqInlineMax
-	}
-	if inl > 0 {
-		n.Read(d.reqInlineG(s), buf[:inl])
-	}
+	op, reqLen = uint32(meta>>32), int(uint32(meta))
+	inl := min(reqLen, reqInlineMax)
+	n.Read(d.reqInlineG(s), buf[:inl])
 	if reqLen > reqInlineMax {
 		n.Read(d.reqSpillG(s), buf[inl:reqLen])
 	}
@@ -203,12 +209,14 @@ func (sv *Server) publishReply(slot int, seq uint64, status uint32, resp []byte)
 	d, n := sv.d, sv.node
 	if len(resp) <= rspInlineMax {
 		sv.writeReplyLine(slot, seq, status, resp)
+		//flacvet:ignore raw-maintenance an inline reply is one line staged by plain stores with its sequence word last; this write-back publishes it
 		n.WriteBackRange(d.rspMetaG(slot), fabric.LineSize)
 		return
 	}
 	n.Store64(d.rspMetaG(slot), uint64(status)<<32|uint64(uint32(len(resp))))
 	n.Write(d.rspInlineG(slot), resp[:rspInlineMax])
 	n.Write(d.rspSpillG(slot), resp[rspInlineMax:])
+	//flacvet:ignore raw-maintenance a spilled reply is a Store64 header and two writes around the sequence word; one write-back takes both lines home
 	n.WriteBackRange(d.rspMetaG(slot), 2*fabric.LineSize)
 	n.AtomicStore64(d.rspSeqG(slot), seq)
 }
@@ -282,8 +290,7 @@ func (sv *Server) CollectOnce(reqs []Request) []Request {
 	// bulk wins once more than ~a sixteenth of the slots are pending.
 	bulk := pending*16 > sv.d.slots
 	if bulk {
-		sv.node.InvalidateRange(sv.d.reqBase, uint64(len(sv.reqBuf)))
-		sv.node.Read(sv.d.reqBase, sv.reqBuf)
+		ds.ReadRange(sv.node, sv.d.reqBase, sv.reqBuf)
 	}
 	for s := 0; s < sv.d.slots; s++ {
 		seq := binary.LittleEndian.Uint64(sv.seqBuf[s*8:])
@@ -299,7 +306,7 @@ func (sv *Server) CollectOnce(reqs []Request) []Request {
 			op = uint32(meta >> 32)
 			reqLen = int(uint32(meta))
 			pay = make([]byte, reqLen)
-			inl := copy(pay, line[8:8+minInt(reqLen, reqInlineMax)])
+			inl := copy(pay, line[8:8+min(reqLen, reqInlineMax)])
 			if reqLen > reqInlineMax {
 				copy(pay[inl:], line[fabric.LineSize:])
 			}
@@ -312,13 +319,6 @@ func (sv *Server) CollectOnce(reqs []Request) []Request {
 		reqs = append(reqs, Request{Slot: s, Op: op, Seq: seq, Payload: pay})
 	}
 	return reqs
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReplyDeferred stages one response with plain stores and NO write-back;
@@ -349,6 +349,7 @@ func (sv *Server) FlushReplies() {
 		return
 	}
 	sv.deferred = false
+	//flacvet:ignore raw-maintenance one burst publishes every reply ReplyDeferred staged
 	sv.node.WriteBackRange(sv.d.rspBase, uint64(sv.d.slots)*rspSlotSize)
 }
 
@@ -380,19 +381,12 @@ func (c *Client) Post(op uint32, req []byte) {
 	}
 	d, n, s := c.d, c.n, c.slot
 	c.seq++
-	n.Store64(d.reqMetaG(s), uint64(op)<<32|uint64(uint32(len(req))))
-	inl := len(req)
-	if inl > reqInlineMax {
-		inl = reqInlineMax
-	}
-	if inl > 0 {
-		n.Write(d.reqInlineG(s), req[:inl])
-	}
+	d.stageRequest(n, s, op, req)
 	lines := uint64(fabric.LineSize)
 	if len(req) > reqInlineMax {
-		n.Write(d.reqSpillG(s), req[reqInlineMax:])
 		lines = 2 * fabric.LineSize
 	}
+	//flacvet:ignore raw-maintenance the meta word is a plain Store64 and an empty request writes no payload, so the write-back starts at the header
 	n.WriteBackRange(d.reqMetaG(s), lines)
 	n.AtomicStore64(d.reqSeqG(s), c.seq)
 }
@@ -406,20 +400,15 @@ func (c *Client) Post(op uint32, req []byte) {
 // atomic only after its payload lines are home.
 func (c *Client) TryComplete(resp []byte) (respLen int, status uint32, done bool) {
 	d, n, s := c.d, c.n, c.slot
+	//flacvet:ignore raw-maintenance one invalidate for the slot's two lines, then the sequence word is checked with Load64
 	n.InvalidateRange(d.rspMetaG(s), rspSlotSize)
 	if n.Load64(d.rspSeqG(s)) != c.seq {
 		return 0, 0, false
 	}
 	meta := n.Load64(d.rspMetaG(s))
-	status = uint32(meta >> 32)
-	respLen = int(uint32(meta))
-	inl := respLen
-	if inl > rspInlineMax {
-		inl = rspInlineMax
-	}
-	if inl > 0 {
-		n.Read(d.rspInlineG(s), resp[:inl])
-	}
+	status, respLen = uint32(meta>>32), int(uint32(meta))
+	inl := min(respLen, rspInlineMax)
+	n.Read(d.rspInlineG(s), resp[:inl])
 	if respLen > rspInlineMax {
 		n.Read(d.rspSpillG(s), resp[inl:respLen])
 	}
@@ -496,18 +485,7 @@ func (g *ClientGroup) Post(op uint32, req []byte) int {
 	i := g.next
 	g.next++
 	g.seqs[i]++
-	d, n, s := g.d, g.n, g.lo+i
-	n.Store64(d.reqMetaG(s), uint64(op)<<32|uint64(uint32(len(req))))
-	inl := len(req)
-	if inl > reqInlineMax {
-		inl = reqInlineMax
-	}
-	if inl > 0 {
-		n.Write(d.reqInlineG(s), req[:inl])
-	}
-	if len(req) > reqInlineMax {
-		n.Write(d.reqSpillG(s), req[reqInlineMax:])
-	}
+	g.d.stageRequest(g.n, g.lo+i, op, req)
 	g.staged = true
 	return i
 }
@@ -523,6 +501,7 @@ func (g *ClientGroup) Flush() {
 	}
 	g.staged = false
 	d, n := g.d, g.n
+	//flacvet:ignore raw-maintenance one burst publishes every request Post staged in the group's stripe
 	n.WriteBackRange(d.reqMetaG(g.lo), uint64(g.count)*reqSlotSize)
 	if g.sharedSeqs {
 		for i := 0; i < g.next; i++ {
@@ -533,6 +512,7 @@ func (g *ClientGroup) Flush() {
 	for i := 0; i < g.next; i++ {
 		n.Store64(d.reqSeqG(g.lo+i), g.seqs[i])
 	}
+	//flacvet:ignore raw-maintenance one burst publishes the sequence words the group owns outright, stored plainly
 	n.WriteBackRange(d.reqSeqG(g.lo), uint64(g.count)*fabric.WordSize)
 }
 
@@ -541,8 +521,7 @@ func (g *ClientGroup) Flush() {
 // observes a fresh snapshot.
 func (g *ClientGroup) Refresh() {
 	d, n := g.d, g.n
-	n.InvalidateRange(d.rspMetaG(g.lo), uint64(g.count)*rspSlotSize)
-	n.Read(d.rspMetaG(g.lo), g.rspBuf)
+	ds.ReadRange(n, d.rspMetaG(g.lo), g.rspBuf)
 }
 
 // TryComplete checks the refreshed snapshot for slot i's response; if
@@ -563,7 +542,7 @@ func (g *ClientGroup) TryComplete(i int, resp []byte) (respLen int, status uint3
 	meta := binary.LittleEndian.Uint64(line)
 	status = uint32(meta >> 32)
 	respLen = int(uint32(meta))
-	inl := copy(resp[:minInt(respLen, rspInlineMax)], line[rspInlineOff:])
+	inl := copy(resp[:min(respLen, rspInlineMax)], line[rspInlineOff:])
 	if respLen > rspInlineMax {
 		copy(resp[inl:respLen], line[fabric.LineSize:])
 	}

@@ -28,14 +28,6 @@ func NewSpinLock(f *fabric.Fabric) SpinLock {
 	return SpinLock{g: f.Reserve(fabric.LineSize, fabric.LineSize)}
 }
 
-// SpinLockAt places a lock at an existing, zeroed, line-aligned address.
-func SpinLockAt(g fabric.GPtr) SpinLock {
-	if !g.AlignedTo(fabric.LineSize) {
-		panic("dksync: SpinLockAt requires line alignment")
-	}
-	return SpinLock{g: g}
-}
-
 // Lock acquires the lock on behalf of node n, spinning with exponential
 // backoff. The stored value records the owner node (id+1) for debugging.
 func (l SpinLock) Lock(n *fabric.Node) {
@@ -50,26 +42,12 @@ func (l SpinLock) Lock(n *fabric.Node) {
 	}
 }
 
-// TryLock attempts one acquisition and reports success.
-func (l SpinLock) TryLock(n *fabric.Node) bool {
-	return n.CAS64(l.g, 0, uint64(n.ID())+1)
-}
-
 // Unlock releases the lock. It panics if n does not hold it, because an
 // unlock-by-non-owner is always a bug worth failing loudly on.
 func (l SpinLock) Unlock(n *fabric.Node) {
 	if !n.CAS64(l.g, uint64(n.ID())+1, 0) {
 		panic("dksync: SpinLock.Unlock by non-owner")
 	}
-}
-
-// Holder returns the node id currently holding the lock, or -1 if free.
-func (l SpinLock) Holder(n *fabric.Node) int {
-	v := n.AtomicLoad64(l.g)
-	if v == 0 {
-		return -1
-	}
-	return int(v - 1)
 }
 
 // LockedRegion couples a SpinLock with the cache-maintenance discipline a
@@ -101,8 +79,10 @@ func NewLockedRegion(f *fabric.Fabric, size uint64) *LockedRegion {
 // latest committed contents and its writes are published before unlock.
 func (r *LockedRegion) Do(n *fabric.Node, fn func()) {
 	r.lock.Lock(n)
+	//flacvet:ignore raw-maintenance the lock-based baseline Ablation A prices: whatever fn reads is dropped on entry
 	n.InvalidateRange(r.Data, r.Size)
 	fn()
+	//flacvet:ignore raw-maintenance and whatever fn wrote is flushed before the unlock
 	n.FlushRange(r.Data, r.Size)
 	r.lock.Unlock(n)
 }
@@ -111,6 +91,7 @@ func (r *LockedRegion) Do(n *fabric.Node, fn func()) {
 // entry but skips the exit flush (fn must not write the region).
 func (r *LockedRegion) DoRead(n *fabric.Node, fn func()) {
 	r.lock.Lock(n)
+	//flacvet:ignore raw-maintenance the lock-based baseline Ablation A prices: whatever fn reads is dropped on entry
 	n.InvalidateRange(r.Data, r.Size)
 	fn()
 	r.lock.Unlock(n)

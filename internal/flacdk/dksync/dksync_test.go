@@ -39,29 +39,6 @@ func TestSpinLockMutualExclusionAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestSpinLockTryLockAndHolder(t *testing.T) {
-	f := rack(t, 2)
-	l := NewSpinLock(f)
-	a, b := f.Node(0), f.Node(1)
-	if l.Holder(a) != -1 {
-		t.Fatal("fresh lock should be free")
-	}
-	if !l.TryLock(a) {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.Holder(b) != 0 {
-		t.Fatalf("Holder = %d, want 0", l.Holder(b))
-	}
-	if l.TryLock(b) {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock(a)
-	if !l.TryLock(b) {
-		t.Fatal("TryLock after unlock failed")
-	}
-	l.Unlock(b)
-}
-
 func TestSpinLockUnlockByNonOwnerPanics(t *testing.T) {
 	f := rack(t, 2)
 	l := NewSpinLock(f)
@@ -73,15 +50,6 @@ func TestSpinLockUnlockByNonOwnerPanics(t *testing.T) {
 		l.Unlock(f.Node(0))
 	}()
 	l.Unlock(f.Node(1))
-}
-
-func TestSpinLockAtAlignment(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned SpinLockAt should panic")
-		}
-	}()
-	SpinLockAt(fabric.GPtr(8))
 }
 
 func TestLockedRegionPublishesAcrossNodes(t *testing.T) {

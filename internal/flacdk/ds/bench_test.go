@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flacos/internal/fabric"
-	"flacos/internal/flacdk/alloc"
 )
 
 func benchRack(b *testing.B) *fabric.Fabric {
@@ -60,19 +59,5 @@ func BenchmarkMPSCRingRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Push(prod, msg)
 		r.Pop(cons, buf)
-	}
-}
-
-func BenchmarkRadixPutGet(b *testing.B) {
-	f := fabric.New(fabric.Config{GlobalSize: 256 << 20, Nodes: 1})
-	a := alloc.NewArena(f, 192<<20)
-	n := f.Node(0)
-	na := a.NodeAllocator(n, 0)
-	tr := NewRadixTree(f, na, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i%100_000)*7919 + 1
-		tr.Put(n, na, k, uint64(i)+1)
-		tr.Get(n, k)
 	}
 }

@@ -1,5 +1,13 @@
 package ds
 
+import "flacos/internal/fabric"
+
+// WalkEntries is how many entries a node's radix walk cache holds.
+const WalkEntries = walkEntries
+
+// Root returns the root table's address.
+func (t *RadixTree) Root() fabric.GPtr { return t.rootG }
+
 // Levels returns the number of 8-bit levels.
 func (t *RadixTree) Levels() int { return t.levels }
 

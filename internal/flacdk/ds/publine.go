@@ -95,8 +95,7 @@ func (t PubTag) Decode(b [fabric.LineSize]byte) (PubLine, error) {
 // and writes the line back.
 func (t PubTag) Publish(n *fabric.Node, g fabric.GPtr, seq uint64, p [PubWords]uint64) {
 	b := t.Encode(seq, p)
-	n.Write(g, b[:])
-	n.WriteBackRange(g, fabric.LineSize)
+	PublishRange(n, g, b[:])
 }
 
 // Read fetches line g fresh from home memory and decodes it.
@@ -104,4 +103,26 @@ func (t PubTag) Read(n *fabric.Node, g fabric.GPtr) (PubLine, error) {
 	var b [fabric.LineSize]byte
 	n.ReadFresh(g, b[:])
 	return t.Decode(b)
+}
+
+// A published range is the multi-line half of the publication contract
+// (fabric/doc.go): the payload goes home before the fabric atomic that
+// commits it, and a reader that observed the commit drops its cached copy
+// before it reads the payload. The commit atomic (AtomicStore64, CAS64 or
+// Swap64) and the observation stay at the call site. Both primitives leave
+// the range resident; a range nobody reads back through the cache moves
+// with fabric's WriteFresh or ReadFresh instead.
+
+// PublishRange writes data to [g, g+len(data)) through n's cache and
+// writes the range back home.
+func PublishRange(n *fabric.Node, g fabric.GPtr, data []byte) {
+	n.Write(g, data)
+	n.WriteBackRange(g, uint64(len(data)))
+}
+
+// ReadRange drops [g, g+len(buf)) from n's cache and reads it into buf
+// through the cache, fetching every line from home memory.
+func ReadRange(n *fabric.Node, g fabric.GPtr, buf []byte) {
+	n.InvalidateRange(g, uint64(len(buf)))
+	n.Read(g, buf)
 }

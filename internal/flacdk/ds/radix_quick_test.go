@@ -1,10 +1,11 @@
-package ds
+package ds_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"flacos/internal/flacdk/alloc"
+	"flacos/internal/flacdk/ds"
 )
 
 // radixOp is one model-checked operation; testing/quick generates random
@@ -28,7 +29,7 @@ func TestRadixQuickModel(t *testing.T) {
 		for i := range as {
 			as[i] = arena.NodeAllocator(f.Node(i), 0)
 		}
-		tree := NewRadixTree(f, as[0], 16)
+		tree := ds.NewRadixTree(f, as[0], 16)
 		model := make(map[uint64]uint64)
 		for i, op := range ops {
 			n := f.Node(i % nodes)

@@ -1,4 +1,4 @@
-package ds
+package ds_test
 
 import (
 	"sync"
@@ -6,6 +6,7 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/alloc"
+	"flacos/internal/flacdk/ds"
 )
 
 // walkCost is what node n is charged for one fabric atomic and for one
@@ -22,7 +23,7 @@ func walkCost(n *fabric.Node, probe fabric.GPtr) (atomicNS, localNS uint64) {
 
 // getCost runs tr.Get(n, key) and returns its value, the fabric atomics it
 // issued and the virtual ns it was charged.
-func getCost(tr *RadixTree, n *fabric.Node, key uint64) (v, atomics, ns uint64) {
+func getCost(tr *ds.RadixTree, n *fabric.Node, key uint64) (v, atomics, ns uint64) {
 	before := n.Stats()
 	v = tr.Get(n, key)
 	after := n.Stats()
@@ -37,13 +38,13 @@ func TestRadixWalkCacheCost(t *testing.T) {
 	f := rack(t, 2, 16)
 	a := alloc.NewArena(f, 8<<20)
 	na := a.NodeAllocator(f.Node(0), 0)
-	tr := NewRadixTree(f, na, 32)
+	tr := ds.NewRadixTree(f, na, 32)
 	n0, n1 := f.Node(0), f.Node(1)
 	const key = 0x01020304
 	tr.Put(n0, na, key, 11)
 	tr.Put(n0, na, key^0x7f, 12)
 
-	atomicNS, localNS := walkCost(n1, tr.rootG)
+	atomicNS, localNS := walkCost(n1, tr.Root())
 	levels := uint64(tr.Levels())
 	if v, atomics, ns := getCost(tr, n1, key); v != 11 || atomics != levels || ns != levels*atomicNS {
 		t.Fatalf("cold Get = %d with %d atomics, %d ns; want 11 with %d atomics, %d ns",
@@ -74,7 +75,7 @@ func TestRadixWalkCachesNoAbsentPrefix(t *testing.T) {
 	f := rack(t, 2, 16)
 	a := alloc.NewArena(f, 8<<20)
 	n0, n1 := f.Node(0), f.Node(1)
-	tr := NewRadixTree(f, a.NodeAllocator(n0, 0), 32)
+	tr := ds.NewRadixTree(f, a.NodeAllocator(n0, 0), 32)
 	const key = 0x0a0b0c0d
 	levels := uint64(tr.Levels())
 	// Absent at the root, then absent only at the leaf table's level.
@@ -97,7 +98,7 @@ func TestRadixWalkCachesNoAbsentPrefix(t *testing.T) {
 // racingAlloc runs race once, inside the first Alloc: between the walk's
 // load of an empty slot and its install CAS.
 type racingAlloc struct {
-	Allocator
+	ds.Allocator
 	race func()
 }
 
@@ -117,7 +118,7 @@ func TestRadixWalkLostInstallRaceCachesWinner(t *testing.T) {
 	a := alloc.NewArena(f, 8<<20)
 	n0, n1 := f.Node(0), f.Node(1)
 	a0 := a.NodeAllocator(n0, 0)
-	tr := NewRadixTree(f, a0, 32)
+	tr := ds.NewRadixTree(f, a0, 32)
 	const mine, theirs = 0x01020304, 0x01020399 // one leaf table
 	tr.Put(n0, a0, 0x01020504, 1)               // the interior levels above it
 	ra := &racingAlloc{Allocator: a.NodeAllocator(n1, 0), race: func() { tr.Put(n0, a0, theirs, 7) }}
@@ -141,9 +142,9 @@ func TestRadixWalkConcurrentSameNode(t *testing.T) {
 	f := rack(t, 2, 64)
 	a := alloc.NewArena(f, 48<<20)
 	n := f.Node(0)
-	tr := NewRadixTree(f, a.NodeAllocator(n, 0), 32)
+	tr := ds.NewRadixTree(f, a.NodeAllocator(n, 0), 32)
 	key := func(cpu, i int) uint64 {
-		prefix := uint64(i%prefixes)*walkEntries + 3
+		prefix := uint64(i%prefixes)*ds.WalkEntries + 3
 		return prefix<<8 | uint64(cpu*perCPU/prefixes+i/prefixes)
 	}
 	var wg sync.WaitGroup

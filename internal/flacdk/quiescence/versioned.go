@@ -1,6 +1,9 @@
 package quiescence
 
-import "flacos/internal/fabric"
+import (
+	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
+)
 
 // Allocator is the memory source for version buffers. flacdk/alloc
 // satisfies it; tests may use a trivial bump allocator.
@@ -47,10 +50,7 @@ func NewVersionedCell(f *fabric.Fabric, n *fabric.Node, a Allocator, size uint64
 		size:  size,
 	}
 	v := a.Alloc(size)
-	if initial != nil {
-		n.Write(v, initial)
-		n.WriteBackRange(v, uint64(len(initial)))
-	}
+	ds.PublishRange(n, v, initial)
 	n.AtomicStore64(c.headG, uint64(v))
 	return c
 }
@@ -65,8 +65,7 @@ func (c *VersionedCell) Size() uint64 { return c.size }
 func (c *VersionedCell) Read(p *Participant, buf []byte) {
 	p.Enter()
 	v := fabric.GPtr(p.n.AtomicLoad64(c.headG))
-	p.n.InvalidateRange(v, uint64(len(buf)))
-	p.n.Read(v, buf)
+	ds.ReadRange(p.n, v, buf)
 	p.Exit()
 }
 
@@ -78,8 +77,7 @@ func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
 	}
 	n := p.n
 	v := allocVersion(a, c.size, uint64(len(data)) == c.size)
-	n.Write(v, data)
-	n.WriteBackRange(v, uint64(len(data)))
+	ds.PublishRange(n, v, data)
 	old := fabric.GPtr(n.Swap64(c.headG, uint64(v)))
 	p.RetireTo(a, old)
 }
@@ -100,12 +98,10 @@ func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte))
 	for {
 		p.Enter()
 		oldG := fabric.GPtr(n.AtomicLoad64(c.headG))
-		n.InvalidateRange(oldG, c.size)
-		n.Read(oldG, buf)
+		ds.ReadRange(n, oldG, buf)
 		fn(buf)
 		v := allocVersion(a, c.size, true)
-		n.Write(v, buf)
-		n.WriteBackRange(v, c.size)
+		ds.PublishRange(n, v, buf)
 		won := n.CAS64(c.headG, uint64(oldG), uint64(v))
 		p.Exit()
 		if won {

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/flacdk/quiescence"
 	"flacos/internal/flacdk/replication"
 )
@@ -52,10 +53,7 @@ func (c *Checkpointer) Save(data []byte, appliedIdx uint64, pin *quiescence.Part
 	c.seq++
 	slot := c.slots[c.seq%2]
 	n := c.node
-	if len(data) > 0 {
-		n.Write(slot.Add(fabric.LineSize), data)
-		n.WriteBackRange(slot.Add(fabric.LineSize), uint64(len(data)))
-	}
+	ds.PublishRange(n, slot.Add(fabric.LineSize), data)
 	crc := crc32.ChecksumIEEE(data)
 	n.AtomicStore64(slot.Add(8), uint64(len(data))<<32|uint64(crc))
 	n.AtomicStore64(slot.Add(16), appliedIdx)
@@ -89,10 +87,7 @@ func (c *Checkpointer) Latest(n *fabric.Node) (data []byte, appliedIdx uint64, o
 		ln := meta >> 32
 		crc := uint32(meta)
 		buf := make([]byte, ln)
-		if ln > 0 {
-			n.InvalidateRange(slot.Add(fabric.LineSize), ln)
-			n.Read(slot.Add(fabric.LineSize), buf)
-		}
+		ds.ReadRange(n, slot.Add(fabric.LineSize), buf)
 		if crc32.ChecksumIEEE(buf) == crc {
 			return buf, n.AtomicLoad64(slot.Add(16)), true
 		}

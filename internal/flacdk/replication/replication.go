@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // PayloadMax is the largest operation payload an entry can carry. Larger
@@ -218,10 +219,7 @@ func (r *Replica) Execute(op uint32, payload []byte) uint64 {
 		runtime.Gosched()
 	}
 
-	if len(payload) > 0 {
-		n.Write(l.payloadG(idx), payload)
-		n.WriteBackRange(l.payloadG(idx), uint64(len(payload)))
-	}
+	ds.PublishRange(n, l.payloadG(idx), payload)
 	n.AtomicStore64(l.metaG(idx), uint64(op)<<32|uint64(len(payload)))
 	n.AtomicStore64(l.stateG(idx), idx+1) // publish
 
@@ -280,8 +278,7 @@ func (r *Replica) applyLocked(idx uint64) uint64 {
 	var payload []byte
 	if plen > 0 {
 		payload = make([]byte, plen)
-		n.InvalidateRange(l.payloadG(idx), plen)
-		n.Read(l.payloadG(idx), payload)
+		ds.ReadRange(n, l.payloadG(idx), payload)
 	}
 	res := r.sm.Apply(op, payload)
 	r.localApplied = idx + 1
@@ -307,27 +304,4 @@ func (r *Replica) ReadLocal(fn func(StateMachine)) {
 	r.mu.Lock()
 	fn(r.sm)
 	r.mu.Unlock()
-}
-
-// EntryAt returns the opcode and payload of log index idx if it is still
-// resident in the log window, for recovery replay. ok is false if the entry
-// has been overwritten (idx too old) or not yet published.
-func (l *Log) EntryAt(n *fabric.Node, idx uint64) (op uint32, payload []byte, ok bool) {
-	if n.AtomicLoad64(l.stateG(idx)) != idx+1 {
-		return 0, nil, false
-	}
-	meta := n.AtomicLoad64(l.metaG(idx))
-	op = uint32(meta >> 32)
-	plen := uint64(uint32(meta))
-	if plen > 0 {
-		payload = make([]byte, plen)
-		n.InvalidateRange(l.payloadG(idx), plen)
-		n.Read(l.payloadG(idx), payload)
-	}
-	// Re-check the state word: the slot might have been recycled while we
-	// were copying the payload.
-	if n.AtomicLoad64(l.stateG(idx)) != idx+1 {
-		return 0, nil, false
-	}
-	return op, payload, true
 }

@@ -219,24 +219,6 @@ func TestLogWrapRecyclesSlots(t *testing.T) {
 	}
 }
 
-func TestEntryAt(t *testing.T) {
-	f := rack(t, 1)
-	log := NewLog(f, 16)
-	r := log.Replica(f.Node(0), newKV())
-	r.Execute(1, putPayload("k", 9))
-
-	op, payload, ok := log.EntryAt(f.Node(0), 0)
-	if !ok || op != 1 {
-		t.Fatalf("EntryAt(0) = op %d ok %v", op, ok)
-	}
-	if binary.LittleEndian.Uint64(payload) != 9 || string(payload[8:]) != "k" {
-		t.Fatalf("payload = %x", payload)
-	}
-	if _, _, ok := log.EntryAt(f.Node(0), 5); ok {
-		t.Fatal("EntryAt beyond tail should not be ok")
-	}
-}
-
 func TestPayloadTooLargePanics(t *testing.T) {
 	f := rack(t, 1)
 	log := NewLog(f, 16)

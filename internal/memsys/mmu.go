@@ -9,6 +9,7 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/alloc"
+	"flacos/internal/flacdk/ds"
 	"flacos/internal/flacdk/replication"
 	"flacos/internal/trace"
 )
@@ -463,8 +464,7 @@ func (m *MMU) writeFrame(vpn uint64, p PTE, gen, off uint64, data []byte) bool {
 			}
 		}
 		g := fabric.GPtr(p.GlobalPhys() + off)
-		m.node.Write(g, data)
-		m.node.WriteBackRange(g, uint64(len(data)))
+		ds.PublishRange(m.node, g, data)
 		if p.Cold() {
 			m.node.ChargeColdAccess(len(data)/fabric.LineSize + 1)
 		}

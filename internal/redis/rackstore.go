@@ -319,9 +319,8 @@ func (h entryHdr) liveLen() uint32 {
 // then reading always observes the published bytes; the invalidate only
 // guards against stale lines from a previous residency of the block.
 func (v *View) readHeader(e fabric.GPtr) entryHdr {
-	v.n.InvalidateRange(e, entryHdrSize)
 	var b [entryHdrSize]byte
-	v.n.Read(e, b[:])
+	ds.ReadRange(v.n, e, b[:])
 	return entryHdr{
 		klen: binary.LittleEndian.Uint32(b[0:]),
 		vlen: binary.LittleEndian.Uint32(b[4:]),
@@ -350,6 +349,7 @@ func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, v
 		return hdr, nil, true
 	}
 	if end := entryHdrSize + n; end > fabric.LineSize {
+		//flacvet:ignore raw-maintenance only the lines past the header's, which readHeader has just read fresh; the body read starts inside that line
 		v.n.InvalidateRange(e.Add(fabric.LineSize), end-fabric.LineSize)
 	}
 	if uint64(cap(v.rbuf)) < n {
@@ -395,8 +395,7 @@ func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabr
 	binary.LittleEndian.PutUint64(buf[8:], exp)
 	copy(buf[entryHdrSize:], key)
 	copy(buf[entryHdrSize+len(key):], value)
-	v.n.Write(blk, buf)
-	v.n.WriteBackRange(blk, uint64(padded))
+	ds.PublishRange(v.n, blk, buf)
 	return blk
 }
 

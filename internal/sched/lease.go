@@ -109,7 +109,6 @@ func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) bool {
 	if tw := s.tw(id); tw != nil {
 		tw.Emit(trace.SubSched, trace.KLeaseExpiry, 0, i, uint64(owner))
 	}
-	s.noteReclaim(n, id, i, owner, w.Aux()+1)
 	s.announce(n, id, i)
 	return true
 }

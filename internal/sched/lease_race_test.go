@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,31 +99,29 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	if st := s.StatsFrom(sub); st.Reclaimed != 1 {
 		t.Fatalf("Stats.Reclaimed = %d, want 1", st.Reclaimed)
 	}
-	if lg := s.ReclaimLog(); len(lg) != 1 || !strings.Contains(lg[0], fmt.Sprintf("owner=n%d", owner)) {
-		t.Fatalf("ReclaimLog = %q, want one entry blaming n%d", lg, owner)
-	}
-
 	// The flight recorder must tell the same story: two dispatches of the
-	// slot (attempts 0 and 1), one lease expiry naming the old owner, and
-	// exactly one completion — the stale attempt leaves no trace event.
+	// slot (attempts 0 and 1), one lease expiry of any slot, naming this
+	// slot and its old owner, and exactly one completion — the stale
+	// attempt leaves no trace event.
 	rt := rec.Collector().Snapshot(sub, false)
 	var dispatches, expiries, completes int
 	for _, ev := range rt.Events {
-		if ev.Sub != trace.SubSched || ev.Arg0 != h.Slot {
+		if ev.Sub != trace.SubSched {
 			continue
 		}
-		switch ev.Kind {
-		case trace.KDispatch:
-			dispatches++
-		case trace.KLeaseExpiry:
+		switch {
+		case ev.Kind == trace.KLeaseExpiry:
 			expiries++
-			if int(ev.Arg1) != owner {
-				t.Fatalf("lease expiry blames node %d, want %d", ev.Arg1, owner)
+			if ev.Arg0 != h.Slot || int(ev.Arg1) != owner {
+				t.Fatalf("lease expiry of slot %d blames node %d, want slot %d and node %d", ev.Arg0, ev.Arg1, h.Slot, owner)
 			}
 			if int(ev.Node) != keeperID {
 				t.Fatalf("lease expiry emitted by node %d, want keeper node %d", ev.Node, keeperID)
 			}
-		case trace.KComplete:
+		case ev.Arg0 != h.Slot: // another slot's dispatch or completion
+		case ev.Kind == trace.KDispatch:
+			dispatches++
+		case ev.Kind == trace.KComplete:
 			completes++
 		}
 	}

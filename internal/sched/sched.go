@@ -167,7 +167,10 @@ type Scheduler struct {
 	dispatch   *metrics.Histogram // submit -> first claim
 	redispatch *metrics.Histogram // lease reclaim -> re-claim
 
-	tr tracing // flight-recorder hooks (see trace.go)
+	// trw holds each node's flight-recorder writer, swappable at runtime
+	// (trace.go). A lease expiry is its KLeaseExpiry event, which names
+	// the slot and the old owner.
+	trw []atomic.Pointer[trace.Writer]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -201,7 +204,7 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 	s.notServing = make([]atomic.Bool, nn)
 	s.nodeLeaseExp = make([]atomic.Uint64, nn)
 	s.nodeClaimFail = make([]atomic.Uint64, nn)
-	s.tr.trw = make([]atomic.Pointer[trace.Writer], nn)
+	s.trw = make([]atomic.Pointer[trace.Writer], nn)
 	s.inboxes = make([]*ds.MPSCRing, nn)
 	s.inboxMu = make([]sync.Mutex, nn)
 	s.notify = make([]chan struct{}, nn)

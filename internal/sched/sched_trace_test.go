@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 // TestTraceEventsOnHotPaths: with a recorder attached, every dispatched
 // task leaves a Begin(KDispatch)/End(KComplete) pair on the worker
 // node's ring, and a crash-driven reclaim leaves a KLeaseExpiry event
-// plus a human-readable "vt=" line in the reclaim log.
+// that blames the crashed node.
 func TestTraceEventsOnHotPaths(t *testing.T) {
 	f := testFabric(2)
 	rec := trace.New(f, trace.Config{RingCap: 1 << 12})
@@ -55,9 +54,14 @@ func TestTraceEventsOnHotPaths(t *testing.T) {
 
 	snap := rec.Collector().Snapshot(n0, false)
 	counts := map[trace.Kind]int{}
+	blamedCrashed := false
 	for _, e := range snap.Events {
 		if e.Sub == trace.SubSched {
 			counts[e.Kind]++
+			// Under heavy instrumentation the keeper may also falsely
+			// suspect a live node (the fence makes that benign), so only
+			// require that at least one expiry blames the crashed node.
+			blamedCrashed = blamedCrashed || e.Kind == trace.KLeaseExpiry && e.Arg1 == 1
 		}
 	}
 	if counts[trace.KDispatch] < tasks {
@@ -72,25 +76,8 @@ func TestTraceEventsOnHotPaths(t *testing.T) {
 	if snap.TotalDropped() != 0 {
 		t.Errorf("dropped %d events at ring cap %d", snap.TotalDropped(), 1<<12)
 	}
-
-	log := s.ReclaimLog()
-	if len(log) == 0 {
-		t.Fatal("reclaim log is empty despite a reclaim")
-	}
-	// Under heavy instrumentation the keeper may also falsely suspect a
-	// live node (the fence makes that benign), so only require that every
-	// line is well-formed and at least one blames the node that crashed.
-	blamedCrashed := false
-	for _, line := range log {
-		if !strings.Contains(line, "vt=") || !strings.Contains(line, "owner=n") {
-			t.Errorf("reclaim log line %q missing vt=/owner fields", line)
-		}
-		if strings.Contains(line, "owner=n1") {
-			blamedCrashed = true
-		}
-	}
 	if !blamedCrashed {
-		t.Errorf("no reclaim log line blames crashed node n1: %q", log)
+		t.Error("no lease-expiry event blames crashed node n1")
 	}
 }
 

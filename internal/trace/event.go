@@ -255,6 +255,6 @@ func (e Event) String() string {
 
 // VNS formats a virtual-nanosecond quantity with an adaptive unit
 // ("1.75us", "21.07ms"). It is the one shared formatter for virtual
-// time: sched's lease-expiry log and torture's event log both use it,
-// so rack timelines read consistently across subsystems.
+// time: trace timelines and torture's event log both use it, so rack
+// timelines read consistently across subsystems.
 func VNS(ns uint64) string { return metrics.FormatNS(float64(ns)) }
