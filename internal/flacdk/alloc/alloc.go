@@ -197,35 +197,52 @@ func (na *NodeAllocator) Node() *fabric.Node { return na.node }
 // contents. The block is line-aligned (every class is a multiple of the
 // line size).
 func (na *NodeAllocator) AllocUninit(size uint64) fabric.GPtr {
-	ci := classFor(size)
+	g, _ := na.take(classFor(size))
+	return g
+}
+
+// take returns a block of class ci and whether it is fresh: carved from a
+// slab this node grabbed and never handed out before. Magazine and
+// central-list blocks are recycled.
+func (na *NodeAllocator) take(ci int) (g fabric.GPtr, fresh bool) {
 	na.allocs.Add(1)
 	if m := na.mags[ci]; len(m) > 0 {
 		g := m[len(m)-1]
 		na.mags[ci] = m[:len(m)-1]
-		return g
+		return g, false
 	}
 	if r := na.reserve[ci]; len(r) > 0 {
 		g := r[len(r)-1]
 		na.reserve[ci] = r[:len(r)-1]
-		return g
+		return g, true
 	}
 	if g := na.arena.pop(na.node, ci); !g.IsNil() {
-		return g
+		return g, false
 	}
 	base := na.arena.grabSlab(na.node, ci)
 	bs := Classes[ci]
 	for off := bs; off+bs <= SlabSize; off += bs {
 		na.reserve[ci] = append(na.reserve[ci], base.Add(off))
 	}
-	return base
+	return base, true
 }
 
-// Alloc returns a zero-initialized block of at least size bytes. It
-// implements quiescence.Allocator.
+// zeroBlock is the source every recycled block is zero-filled from.
+// Nothing writes it.
+var zeroBlock [MaxAlloc]byte
+
+// Alloc returns a zero-initialized block of at least size bytes. Only a
+// recycled block (a magazine or central-list pop, whose first word may
+// hold a list link and whose lines may sit dirty in some cache) is
+// zero-filled. A fresh block is known zero: nothing stores into a slab
+// before it is grabbed, so its home memory reads zero and no cache holds
+// its lines. It implements quiescence.Allocator.
 func (na *NodeAllocator) Alloc(size uint64) fabric.GPtr {
-	g := na.AllocUninit(size)
-	cs := Classes[classFor(size)]
-	ds.PublishRange(na.node, g, make([]byte, cs))
+	ci := classFor(size)
+	g, fresh := na.take(ci)
+	if !fresh {
+		ds.PublishRange(na.node, g, zeroBlock[:Classes[ci]])
+	}
 	return g
 }
 
@@ -263,17 +280,6 @@ func (na *NodeAllocator) Free(g fabric.GPtr) {
 		na.arena.push(na.node, ci, b)
 	}
 	na.mags[ci] = append(m[:len(m)-spill], g)
-}
-
-// FlushMagazines returns every locally cached block to the central lists
-// (e.g. before the node goes idle, or in fault-box teardown).
-func (na *NodeAllocator) FlushMagazines() {
-	for ci, m := range na.mags {
-		for _, b := range m {
-			na.arena.push(na.node, ci, b)
-		}
-		na.mags[ci] = na.mags[ci][:0]
-	}
 }
 
 // Stats returns the allocator's lifetime alloc and free counts.

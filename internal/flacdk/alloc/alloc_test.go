@@ -127,6 +127,17 @@ func TestFreeFabricBudget(t *testing.T) {
 	}
 }
 
+// FlushMagazines returns every locally cached block to the central lists,
+// so a test can watch a block freed on one node come back on another.
+func (na *NodeAllocator) FlushMagazines() {
+	for ci, m := range na.mags {
+		for _, b := range m {
+			na.arena.push(na.node, ci, b)
+		}
+		na.mags[ci] = na.mags[ci][:0]
+	}
+}
+
 func TestCrossNodeAllocFree(t *testing.T) {
 	// A block allocated on node 0, published, and freed on node 1 must be
 	// reusable: class recovery and the central lists are all atomics-based.

@@ -46,21 +46,36 @@ func NewGlobalFrames(f *fabric.Fabric, frames uint64) *GlobalFrames {
 	}
 }
 
-// zeroPage is the source every frame is zero-filled from. Nothing writes it.
+// zeroPage is the source every recycled frame is zero-filled from. Nothing
+// writes it.
 var zeroPage [PageSize]byte
 
 // Alloc returns one zeroed global frame's physical address with refcount 1.
+// Only a recycled frame (a free-list pop, whose word 0 still holds the
+// list link and whose lines may sit dirty in some cache) is zero-filled.
+// A frame the bump path hands out for the first time since boot is known
+// zero: nothing stores into the frame region before a frame's first
+// allocation, so its home memory reads zero and no cache holds its lines.
 // It panics when global memory is exhausted (a rack sizing error).
 func (gf *GlobalFrames) Alloc(n *fabric.Node) uint64 {
-	phys := gf.AllocUninit(n)
-	n.WriteFresh(fabric.GPtr(phys), zeroPage[:])
+	phys, fresh := gf.take(n)
+	if !fresh {
+		n.WriteFresh(fabric.GPtr(phys), zeroPage[:])
+	}
 	return phys
 }
 
 // AllocUninit returns a frame with unspecified contents, for callers about
-// to overwrite the whole page (page-cache installs, COW copies) — skipping
-// the zeroing pass.
+// to overwrite the whole page (page-cache installs, COW copies): neither
+// path fills.
 func (gf *GlobalFrames) AllocUninit(n *fabric.Node) uint64 {
+	phys, _ := gf.take(n)
+	return phys
+}
+
+// take pops a recycled frame off the free list, or bumps a fresh one when
+// the list is empty, and reports which.
+func (gf *GlobalFrames) take(n *fabric.Node) (phys uint64, fresh bool) {
 	for {
 		h := n.AtomicLoad64(gf.headG)
 		addr := h & (1<<frameAddrBits - 1)
@@ -72,7 +87,7 @@ func (gf *GlobalFrames) AllocUninit(n *fabric.Node) uint64 {
 			// A never-used frame has no refcount slot yet: Put claims one.
 			phys := uint64(gf.base) + idx*PageSize
 			gf.refs.Put(n, phys>>PageShift, 1)
-			return phys
+			return phys, true
 		}
 		next := n.AtomicLoad64(fabric.GPtr(addr))
 		if !n.CAS64(gf.headG, h, (h>>frameAddrBits+1)<<frameAddrBits|next) {
@@ -84,7 +99,7 @@ func (gf *GlobalFrames) AllocUninit(n *fabric.Node) uint64 {
 		if s, c, ok := gf.refs.Find(n, addr>>PageShift); !ok || c != 0 || !gf.refs.CompareAndSwapAt(n, s, 0, 1) {
 			panic(fmt.Sprintf("memsys: free frame %#x has references", addr))
 		}
-		return addr
+		return addr, false
 	}
 }
 
