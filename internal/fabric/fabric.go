@@ -39,6 +39,9 @@ type Fabric struct {
 	reserveMu  sync.Mutex
 	reserveOff uint64
 
+	homeMu sync.Mutex // orders installs into home memory and sparse reservations
+	sparse atomic.Pointer[sparseHome]
+
 	faults *FaultInjector
 }
 
@@ -135,86 +138,228 @@ func (f *Fabric) checkRange(g GPtr, n uint64) {
 	}
 }
 
-// Home memory is a table of fixed-size chunks, each allocated the first
-// time something nonzero is written into it. A chunk that was never
-// written reads as zero and costs one nil pointer, so a rack's host
-// footprint is what its workload touches, not what it configures. A chunk
-// is 1 MiB: it is line-aligned, so no line straddles two chunks and a line
-// transfer looks its chunk up once, and it is large enough that a workload
-// touching fresh memory inside its measured ops (a cold container start
-// writes 4 MiB of frames) pays a handful of chunk allocations per op, not
-// dozens.
+// ReserveSparse is Reserve for a region most of whose lines stay zero —
+// page frames that each hold a record. Home memory in a MiB such a region
+// touches is installed a 512-byte block at a time, on the first nonzero
+// store into the block, where elsewhere it is installed a 1 MiB chunk at a
+// time; a MiB whose chunk is already installed keeps it.
+func (f *Fabric) ReserveSparse(size, align uint64) GPtr {
+	g := f.Reserve(size, align)
+	if size == 0 {
+		return g
+	}
+	f.homeMu.Lock()
+	defer f.homeMu.Unlock()
+	s := f.sparse.Load()
+	if s == nil {
+		s = &sparseHome{
+			dirs:  make([]atomic.Pointer[blockDir], len(f.home)),
+			slabs: make([]atomic.Pointer[chunk], len(f.home)),
+		}
+		f.sparse.Store(s)
+	}
+	for i := uint64(g) / WordSize >> chunkShift; i <= (uint64(g)+size-1)/WordSize>>chunkShift; i++ {
+		if f.home[i].Load() == nil && s.dirs[i].Load() == nil {
+			s.dirs[i].Store(&noBlocks)
+			s.pending++
+		}
+	}
+	return g
+}
+
+// Home memory is a table of 1 MiB chunks, each allocated the first time
+// something nonzero is written into it. A chunk that was never written
+// reads as zero and costs one nil pointer, so a rack's host footprint is
+// what its workload touches, not what it configures. A MiB that a
+// ReserveSparse region touches has a block directory instead, and its
+// 512-byte blocks are installed one at a time, carved in first-touch order
+// from shared 1 MiB slabs, so a dense writer still pays one allocation per
+// MiB. Chunks and blocks are line-aligned: no line straddles two, and a
+// line transfer looks its memory up once. Everywhere else a chunk is the
+// unit because a set-up that fills memory and an op that then
+// first-touches a few words of it should not pay for blocks inside the op:
+// `rackstore-write` does that 2,300 times a repetition.
 const (
-	chunkShift = 17 // words per chunk, log2
-	chunkWords = 1 << chunkShift
-	chunkMask  = chunkWords - 1
-	lineWords  = LineSize / WordSize
+	chunkShift  = 17 // words per chunk, log2
+	chunkWords  = 1 << chunkShift
+	chunkMask   = chunkWords - 1
+	blockShift  = 6 // words per block, log2
+	blockWords  = 1 << blockShift
+	blockMask   = blockWords - 1
+	chunkBlocks = chunkWords / blockWords
+	lineWords   = LineSize / WordSize
 )
 
 type chunk [chunkWords]uint64
 
-// chunkAt returns the chunk holding word w, or nil if nothing nonzero was
-// ever written into it.
-func (f *Fabric) chunkAt(w uint64) *chunk { return f.home[w>>chunkShift].Load() }
-
-// installChunk returns the chunk holding word w, allocating it on first
-// use with one CAS on its pointer; a loser adopts the winner's chunk.
-func (f *Fabric) installChunk(w uint64) *chunk {
-	p := &f.home[w>>chunkShift]
-	if c := p.Load(); c != nil {
-		return c
-	}
-	if c := new(chunk); p.CompareAndSwap(nil, c) {
-		return c
-	}
-	return p.Load()
+// sparseHome is the home memory of the ReserveSparse regions, allocated by
+// the first call: a block directory per MiB they touch, and the slabs their
+// blocks are carved from. Each block is carved once, so the slabs never
+// outnumber the chunks. A MiB's directory is noBlocks until its first
+// block (allocating every directory at reservation made container-start's
+// set-up 7% slower); the directories are allocated up to 128 (1 MiB) at a
+// time, so first touches allocate about as often as dense ones, and never
+// more than the reservations have MiBs waiting for one. Under homeMu:
+// carved counts the blocks handed out, spare holds the directories
+// allocated and not handed out, and pending counts the MiBs still at
+// noBlocks.
+type sparseHome struct {
+	dirs    []atomic.Pointer[blockDir]
+	slabs   []atomic.Pointer[chunk]
+	carved  uint32
+	spare   []blockDir
+	pending int
 }
 
-// homeWord returns word w's address, installing its chunk: the target of
-// every read-modify-write on home memory.
-func (f *Fabric) homeWord(w uint64) *uint64 { return &f.installChunk(w)[w&chunkMask] }
+// blockDir maps the blocks of one MiB to the slabs: block b is block
+// blocks[b]-1 of the slabs taken in order, 0 until installed.
+type blockDir struct {
+	blocks [chunkBlocks]atomic.Uint32
+}
+
+// noBlocks is the directory of every sparse MiB with no block installed.
+// It is only ever read.
+var noBlocks blockDir
+
+// chunkAt returns the chunk holding word w, or nil if w's MiB has none:
+// nothing nonzero was ever written into it, or it is block-granular.
+func (f *Fabric) chunkAt(w uint64) *chunk { return f.home[w>>chunkShift].Load() }
+
+// homeAt returns home memory from word w to the end of its chunk or block:
+// the one lookup behind every home access. Memory that was never written
+// has none; homeAt installs it when install is set and returns nil
+// otherwise. A chunk answers with one load.
+func (f *Fabric) homeAt(w uint64, install bool) []uint64 {
+	if c := f.chunkAt(w); c != nil {
+		return c[w&chunkMask:]
+	}
+	return f.homeMiss(w, install)
+}
+
+// homeMiss is homeAt for a word whose MiB has no chunk: w's block, if the
+// MiB has a directory.
+func (f *Fabric) homeMiss(w uint64, install bool) []uint64 {
+	var d *blockDir
+	s := f.sparse.Load()
+	if s != nil {
+		d = s.dirs[w>>chunkShift].Load()
+	}
+	if d == nil {
+		if !install {
+			return nil
+		}
+		return f.installChunk(w)
+	}
+	i := w & chunkMask >> blockShift
+	b := d.blocks[i].Load()
+	if b == 0 {
+		if !install {
+			return nil
+		}
+		f.installBlock(s, w)
+		return f.homeMiss(w, false)
+	}
+	// The blocks after w's in its 4 KiB that were carved right after it, as
+	// a dense writer's are, lie right after it in its slab: one lookup
+	// covers them.
+	n := uint32(1)
+	for (i+uint64(n))%8 != 0 && (b+n-1)%chunkBlocks != 0 && d.blocks[i+uint64(n)].Load() == b+n {
+		n++
+	}
+	b--
+	at := uint64(b%chunkBlocks) * blockWords
+	return s.slabs[b/chunkBlocks].Load()[at|w&blockMask : at+uint64(n)*blockWords]
+}
+
+// Installs and sparse reservations serialize on homeMu, so racing first
+// writers install one chunk or block, and no MiB gets both a chunk and a
+// directory.
+
+// installChunk installs the chunk holding word w, unless a racing writer
+// did or a racing ReserveSparse gave its MiB a directory, and returns what
+// homeAt then finds.
+func (f *Fabric) installChunk(w uint64) []uint64 {
+	f.homeMu.Lock()
+	if s := f.sparse.Load(); f.chunkAt(w) == nil && (s == nil || s.dirs[w>>chunkShift].Load() == nil) {
+		f.home[w>>chunkShift].Store(new(chunk))
+	}
+	f.homeMu.Unlock()
+	return f.homeAt(w, true)
+}
+
+// installBlock carves the next block for word w, unless a racing writer
+// did, giving w's MiB a directory first if it has none.
+func (f *Fabric) installBlock(s *sparseHome, w uint64) {
+	f.homeMu.Lock()
+	defer f.homeMu.Unlock()
+	p := &s.dirs[w>>chunkShift]
+	if p.Load() == &noBlocks {
+		if len(s.spare) == 0 {
+			s.spare = make([]blockDir, min(s.pending, 128))
+		}
+		p.Store(&s.spare[0])
+		s.spare, s.pending = s.spare[1:], s.pending-1
+	}
+	if e := &p.Load().blocks[w&chunkMask>>blockShift]; e.Load() == 0 {
+		if s.carved%chunkBlocks == 0 {
+			s.slabs[s.carved/chunkBlocks].Store(new(chunk))
+		}
+		s.carved++
+		e.Store(s.carved)
+	}
+}
+
+// homeWord returns word w's address, installing its chunk or block: the
+// target of every read-modify-write on home memory.
+func (f *Fabric) homeWord(w uint64) *uint64 { return &f.homeAt(w, true)[0] }
 
 // homeLoadWord reads one aligned word from home memory.
 func (f *Fabric) homeLoadWord(w uint64) uint64 {
-	if c := f.chunkAt(w); c != nil {
-		return atomic.LoadUint64(&c[w&chunkMask])
+	if ws := f.homeAt(w, false); ws != nil {
+		return atomic.LoadUint64(&ws[0])
 	}
 	return 0
 }
 
 // homeStoreWord writes one aligned word to home memory. Zero into a chunk
-// that was never written stores nothing: the word already reads as zero.
+// or block that was never written stores nothing: the word already reads
+// as zero.
 func (f *Fabric) homeStoreWord(w uint64, v uint64) {
-	c := f.chunkAt(w)
-	if c == nil {
-		if v == 0 {
-			return
-		}
-		c = f.installChunk(w)
+	if ws := f.homeAt(w, v != 0); ws != nil {
+		atomic.StoreUint64(&ws[0], v)
 	}
-	atomic.StoreUint64(&c[w&chunkMask], v)
 }
 
-// homeLine returns the home words of line li, or nil when install is false
-// and the line's chunk was never written.
-func (f *Fabric) homeLine(li uint64, install bool) *[lineWords]uint64 {
+// homeRun looks up the home memory of a run of lines in ascending order.
+// It keeps the chunk or block its last line was found in, so the lines
+// that share one cost one lookup; a zero homeRun for f starts empty.
+// Chunks and blocks are never freed, so what it keeps stays valid.
+type homeRun struct {
+	f  *Fabric
+	w  uint64   // the word ws starts at
+	ws []uint64 // home memory from word w to the end of its chunk or block
+}
+
+// line returns the home words of line li, or nil when install is false
+// and the line's chunk or block was never written.
+func (r *homeRun) line(li uint64, install bool) *[lineWords]uint64 {
 	w := li * lineWords
-	c := f.chunkAt(w)
-	if c == nil {
-		if !install {
-			return nil
-		}
-		c = f.installChunk(w)
+	if i := w - r.w; i < uint64(len(r.ws)) {
+		return (*[lineWords]uint64)(r.ws[i:])
 	}
-	return (*[lineWords]uint64)(c[w&chunkMask:])
+	if r.ws = r.f.homeAt(w, install); r.ws == nil {
+		return nil
+	}
+	r.w = w
+	return (*[lineWords]uint64)(r.ws)
 }
 
-// fetchLineHome copies the line with index li from home memory into dst.
-// Words are read in DESCENDING order, the reader's half of the line
-// publication contract in doc.go: a fetch that sees a line's last word
-// as new sees every earlier word at least as new.
-func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
-	ws := f.homeLine(li, false)
+// fetch copies the line with index li from home memory into dst. Words
+// are read in DESCENDING order, the reader's half of the line publication
+// contract in doc.go: a fetch that sees a line's last word as new sees
+// every earlier word at least as new.
+func (r *homeRun) fetch(li uint64, dst *[LineSize]byte) {
+	ws := r.line(li, false)
 	if ws == nil {
 		*dst = [LineSize]byte{}
 		return
@@ -224,19 +369,19 @@ func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
 	}
 }
 
-// storeLineHome writes src to line li with no fault injection. Words land
-// in ASCENDING order, the writer's half of the line publication contract
-// in doc.go. An all-zero line into a chunk that was never written stores
-// nothing, and a word that already holds its new value is not stored
-// again: no reader can tell either from a store, and a load costs the host
-// a fraction of an atomic store.
-func (f *Fabric) storeLineHome(li uint64, src *[LineSize]byte) {
-	ws := f.homeLine(li, false)
+// store writes src to line li with no fault injection. Words land in
+// ASCENDING order, the writer's half of the line publication contract in
+// doc.go. An all-zero line into a chunk or block that was never written
+// stores nothing, and a word that already holds its new value is not
+// stored again: no reader can tell either from a store, and a load costs
+// the host a fraction of an atomic store.
+func (r *homeRun) store(li uint64, src *[LineSize]byte) {
+	ws := r.line(li, false)
 	if ws == nil {
 		if *src == [LineSize]byte{} {
 			return
 		}
-		ws = f.homeLine(li, true)
+		ws = r.line(li, true)
 	}
 	for w := range ws {
 		if v := binary.LittleEndian.Uint64(src[w*WordSize:]); atomic.LoadUint64(&ws[w]) != v {
@@ -245,10 +390,27 @@ func (f *Fabric) storeLineHome(li uint64, src *[LineSize]byte) {
 	}
 }
 
+// commit writes one line of a batch home: straight with the injector
+// disarmed, through writeLineHome's drop and corrupt draws when armed.
+func (r *homeRun) commit(li uint64, src *[LineSize]byte, armed bool) (faults uint64) {
+	if !armed {
+		r.store(li, src)
+		return 0
+	}
+	return r.f.writeLineHome(li, src)
+}
+
+// fetchLineHome copies the line with index li from home memory into dst,
+// as homeRun.fetch does.
+func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
+	r := homeRun{f: f}
+	r.fetch(li, dst)
+}
+
 // writeLineHome copies src into home memory at line index li, applying any
 // write-path fault injection, and returns how many injector hits the line
 // took (1 for a dropped line, 1 per corrupted word) so the node can
-// account them. Words land in ASCENDING order, as storeLineHome's do.
+// account them. Words land in ASCENDING order, as homeRun.store's do.
 func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 	if f.faults.dropWriteBack() {
 		return 1 // the line silently never reaches home memory
@@ -257,7 +419,8 @@ func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 		// Fast path: with corruption disarmed the injector draws nothing
 		// from its PRNG, so skipping the per-word roll is observationally
 		// identical — and saves eight atomic rate loads per line.
-		f.storeLineHome(li, src)
+		r := homeRun{f: f}
+		r.store(li, src)
 		return 0
 	}
 	base := li * lineWords
@@ -280,16 +443,6 @@ func (f *Fabric) faultsArmed() bool {
 	return f.faults.dropRate.Load() != 0 || f.faults.corruptRate.Load() != 0
 }
 
-// commitLine writes one line of a batch home: straight with the injector
-// disarmed, through writeLineHome's drop and corrupt draws when armed.
-func (f *Fabric) commitLine(li uint64, src *[LineSize]byte, armed bool) (faults uint64) {
-	if !armed {
-		f.storeLineHome(li, src)
-		return 0
-	}
-	return f.writeLineHome(li, src)
-}
-
 // writeLinesHome commits a harvested write-back batch to home memory in
 // buf order (callers pass ascending line index — load-bearing for the
 // fault injector's deterministic replay and trace's sequence-last line
@@ -297,8 +450,9 @@ func (f *Fabric) commitLine(li uint64, src *[LineSize]byte, armed bool) (faults 
 // per-line path.
 func (f *Fabric) writeLinesHome(buf []wbEntry) (faults uint64) {
 	armed := f.faultsArmed()
+	r := homeRun{f: f}
 	for i := range buf {
-		faults += f.commitLine(buf[i].li, &buf[i].data, armed)
+		faults += r.commit(buf[i].li, &buf[i].data, armed)
 	}
 	return faults
 }
@@ -326,7 +480,7 @@ func (f *Fabric) WriteAtHome(g GPtr, buf []byte) {
 		w := addr / WordSize
 		sh := (addr % WordSize) * 8
 		// Read-modify-write one byte at a time; fine for a provisioning path.
-		if buf[i] != 0 || f.chunkAt(w) != nil {
+		if buf[i] != 0 || f.homeAt(w, false) != nil {
 			p := f.homeWord(w)
 			for {
 				old := atomic.LoadUint64(p)

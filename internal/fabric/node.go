@@ -347,14 +347,15 @@ func (n *Node) ReadFresh(g GPtr, buf []byte) {
 	first, last := LineSpan(g, total)
 	n.dropRange(first, last)
 	off, done := uint64(g)%LineSize, uint64(0)
+	home := homeRun{f: n.fab}
 	for li := first; li <= last; li++ {
 		if off == 0 && total-done >= LineSize {
-			n.fab.fetchLineHome(li, (*[LineSize]byte)(buf[done:]))
+			home.fetch(li, (*[LineSize]byte)(buf[done:]))
 			done += LineSize
 			continue
 		}
 		var line [LineSize]byte
-		n.fab.fetchLineHome(li, &line)
+		home.fetch(li, &line)
 		done += uint64(copy(buf[done:], line[off:]))
 		off = 0
 	}
@@ -398,6 +399,7 @@ func (n *Node) WriteFresh(g GPtr, data []byte) {
 	var faults uint64
 	hits, misses := 0, 0
 	off, done := uint64(g)%LineSize, uint64(0)
+	home := homeRun{f: n.fab}
 	c := n.cache
 	c.mu.Lock()
 	c.maintLocks++
@@ -407,17 +409,17 @@ func (n *Node) WriteFresh(g GPtr, data []byte) {
 		switch ln := c.unlink(li); {
 		case ln != nil:
 			copy(ln.data[off:], src)
-			faults += n.fab.commitLine(li, &ln.data, armed)
+			faults += home.commit(li, &ln.data, armed)
 			c.recycle(ln)
 			hits++
 		case chunk == LineSize:
-			faults += n.fab.commitLine(li, (*[LineSize]byte)(src), armed)
+			faults += home.commit(li, (*[LineSize]byte)(src), armed)
 			hits++
 		default:
 			var line [LineSize]byte
-			n.fab.fetchLineHome(li, &line)
+			home.fetch(li, &line)
 			copy(line[off:], src)
-			faults += n.fab.commitLine(li, &line, armed)
+			faults += home.commit(li, &line, armed)
 			missed[misses] = li
 			misses++
 		}

@@ -8,7 +8,7 @@
 // consolidates ONE application's state VERTICALLY along its execution
 // flow — its page table and pages, its execution context, its
 // communication endpoints, its stack and heap — so the complete state set
-// can be snapshotted, destroyed, migrated or recovered as a single unit,
+// can be snapshotted, destroyed or recovered on another node as a unit,
 // bounding the blast radius of a fault to the box it hit.
 //
 // Adaptive redundancy (§3.6) layers on top: by task criticality a box gets
@@ -307,23 +307,5 @@ func (b *Box) RecoverOn(target *fabric.Node, app AppState, handlers map[string]i
 	for name, h := range handlers {
 		b.mgr.services.Register(name, h)
 	}
-	return nb, nil
-}
-
-// MigrateTo live-migrates the box: checkpoint on the source, recover on
-// the target, destroy the source instance. The shared code context (§3.5)
-// makes the service instantly invocable on the target.
-func (b *Box) MigrateTo(target *fabric.Node, app AppState, handlers map[string]ipc.Handler) (*Box, error) {
-	if err := b.Checkpoint(); err != nil {
-		return nil, err
-	}
-	old := *b // keep teardown info
-	nb, err := b.RecoverOn(target, app, handlers)
-	if err != nil {
-		return nil, err
-	}
-	// Tear down the source instance's resources (not the registry entry —
-	// RecoverOn already moved it).
-	old.releaseResources()
 	return nb, nil
 }

@@ -177,38 +177,6 @@ func TestFaultIsolationBetweenBoxes(t *testing.T) {
 	}
 }
 
-func TestMigrateTo(t *testing.T) {
-	e := newEnv(t, 2)
-	app := &counterApp{v: 7}
-	b, _ := e.mgr.Create("mobile", e.fab.Node(0), Config{HeapPages: 2, StackPages: 1, Criticality: 1,
-		Services: []string{"mobile.svc"}}, app)
-	e.svcs.Register("mobile.svc", func(n *fabric.Node, req []byte) []byte { return []byte("v1") })
-	b.MMU().Write(HeapVA, []byte("moving state"))
-
-	nb, err := b.MigrateTo(e.fab.Node(1), app, map[string]ipc.Handler{
-		"mobile.svc": func(n *fabric.Node, req []byte) []byte { return []byte("v1") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb.Node().ID() != 1 {
-		t.Fatalf("host = %d", nb.Node().ID())
-	}
-	buf := make([]byte, 12)
-	nb.MMU().Read(HeapVA, buf)
-	if string(buf) != "moving state" {
-		t.Fatalf("migrated heap = %q", buf)
-	}
-	// Service remains callable (shared code context) from either node.
-	resp, err := e.svcs.Call(e.fab.Node(0), "mobile.svc", nil)
-	if err != nil || string(resp) != "v1" {
-		t.Fatalf("call after migration = %q, %v", resp, err)
-	}
-	if e.mgr.Boxes() != 1 {
-		t.Fatalf("boxes = %d", e.mgr.Boxes())
-	}
-}
-
 func TestNModularVoting(t *testing.T) {
 	e := newEnv(t, 3)
 	nodes := []*fabric.Node{e.fab.Node(0), e.fab.Node(1), e.fab.Node(2)}

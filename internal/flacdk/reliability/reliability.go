@@ -139,6 +139,3 @@ func (p *Predictor) Rate() float64 {
 	defer p.mu.Unlock()
 	return p.rate
 }
-
-// AtRisk reports whether the smoothed rate exceeds threshold.
-func (p *Predictor) AtRisk(threshold float64) bool { return p.Rate() > threshold }

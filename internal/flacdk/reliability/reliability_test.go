@@ -79,12 +79,9 @@ func TestPredictorEWMA(t *testing.T) {
 	if p.Rate() != 4 {
 		t.Fatalf("rate = %v, want 4", p.Rate())
 	}
-	if p.AtRisk(5) {
-		t.Fatal("below threshold reported at risk")
-	}
-	p.Observe(8) // 6
-	if !p.AtRisk(5) {
-		t.Fatal("above threshold not reported")
+	p.Observe(8) // 0.5*8 + 0.5*4 = 6
+	if p.Rate() != 6 {
+		t.Fatalf("rate = %v, want 6", p.Rate())
 	}
 	func() {
 		defer func() {

@@ -243,66 +243,6 @@ func TestCrashDuringIPCDoesNotWedgePeers(t *testing.T) {
 	}
 }
 
-// TestPredictiveMigrationBeforeFailure wires the failure predictor to the
-// fault box: a node whose correctable-error rate trends up gets its
-// critical boxes migrated away BEFORE it dies — §3.2's failure prediction
-// feeding §3.6's migration, with zero data loss when the failure arrives.
-func TestPredictiveMigrationBeforeFailure(t *testing.T) {
-	rack := boot(t, 2)
-	app := struct{ appStateBytes }{appStateBytes("session-table")}
-	box, err := rack.Boxes.Create("critical", rack.Fabric.Node(0), faultbox.Config{
-		HeapPages: 4, StackPages: 1, Criticality: 1,
-	}, &app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	box.MMU().Write(faultbox.HeapVA, []byte("hot working set"))
-
-	// Node 0's DIMMs degrade: correctable-error counts climb window after
-	// window. The predictor smooths them; crossing the threshold triggers
-	// proactive migration.
-	pred := reliability.NewPredictor(0.4)
-	errorsPerWindow := []uint64{0, 1, 1, 3, 6, 14, 30}
-	migrated := false
-	for _, e := range errorsPerWindow {
-		pred.Observe(e)
-		if pred.AtRisk(5) && !migrated {
-			nb, err := box.MigrateTo(rack.Fabric.Node(1), &app, nil)
-			if err != nil {
-				t.Fatalf("proactive migration: %v", err)
-			}
-			box = nb
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Fatalf("predictor never crossed threshold (rate %.1f)", pred.Rate())
-	}
-	if box.Node().ID() != 1 {
-		t.Fatalf("box still on failing node %d", box.Node().ID())
-	}
-
-	// The failure the predictor foresaw arrives; nothing is lost because
-	// nothing critical lives there anymore.
-	rack.Fabric.Node(0).Crash()
-	buf := make([]byte, 15)
-	if err := box.MMU().Read(faultbox.HeapVA, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hot working set" {
-		t.Fatalf("migrated state = %q", buf)
-	}
-	if string(app.appStateBytes) != "session-table" {
-		t.Fatalf("app state = %q", app.appStateBytes)
-	}
-}
-
-// appStateBytes is a minimal AppState for the predictive-migration test.
-type appStateBytes []byte
-
-func (a *appStateBytes) Snapshot() []byte { return *a }
-func (a *appStateBytes) Restore(b []byte) { *a = append((*a)[:0], b...) }
-
 // TestScheduledWorkSurvivesNodeCrash is the coordinated-scheduling flow:
 // tasks dispatched rack-wide through core.Rack's scheduler keep their
 // exactly-once completion guarantee when a node dies mid-run — the

@@ -30,14 +30,16 @@ type GlobalFrames struct {
 
 const frameAddrBits = 40
 
-// NewGlobalFrames reserves a region of the given number of frames.
+// NewGlobalFrames reserves a region of the given number of frames. The
+// region is sparse (fabric.ReserveSparse): a frame that holds one record
+// costs the host the block around the record, not the MiB around it.
 func NewGlobalFrames(f *fabric.Fabric, frames uint64) *GlobalFrames {
 	if frames == 0 {
 		panic("memsys: zero frames")
 	}
 	return &GlobalFrames{
 		fab:    f,
-		base:   f.Reserve(frames*PageSize, PageSize),
+		base:   f.ReserveSparse(frames*PageSize, PageSize),
 		frames: frames,
 		bumpG:  f.Reserve(fabric.LineSize, fabric.LineSize),
 		headG:  f.Reserve(fabric.LineSize, fabric.LineSize),
