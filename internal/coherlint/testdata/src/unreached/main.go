@@ -1,6 +1,8 @@
-// Command unreached is the reachability check's corpus: three planted
-// dead declarations (DeadExported, deadHelper, liveType.DeadMethod)
-// beside each way a declaration stays live without a direct call.
+// Command unreached is the reachability check's corpus: four planted
+// dead declarations (DeadExported, deadHelper, deadSetter,
+// liveType.DeadMethod) beside each way a declaration stays live without a
+// direct call, and a Config whose fields are written each way a program
+// can and cannot turn a knob.
 package main
 
 import "fmt"
@@ -44,11 +46,30 @@ var registered []string
 
 func init() { registered = append(registered, "corpus") }
 
+// Config's Never, Filled and DeadSet are planted: no live code writes
+// them, except Filled's own default fill.
+type Config struct {
+	Never    int
+	Filled   int
+	Literal  int
+	Assigned int
+	DeadSet  int
+}
+
+func (c *Config) fill() {
+	if c.Filled == 0 {
+		c.Filled = 4
+	}
+}
+
 func main() {
 	var sh shape = square{side: 3}
 	v := &liveType{}
 	each(v.Visit)
-	fmt.Println(sh.area(), label("x"), v.seen, registered)
+	c := Config{Literal: 1}
+	c.Assigned = 2
+	c.fill()
+	fmt.Println(sh.area(), label("x"), v.seen, registered, c)
 }
 
 // DeadExported is planted: nothing calls it.
@@ -56,3 +77,6 @@ func DeadExported() int { return deadHelper() }
 
 // deadHelper is planted: only DeadExported calls it.
 func deadHelper() int { return 1 }
+
+// deadSetter is planted: nothing calls it, so its write turns no knob.
+func deadSetter(c *Config) { c.DeadSet = 1 }

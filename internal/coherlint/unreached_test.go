@@ -29,6 +29,10 @@ import (
 //     selected somewhere in live code or the standard library calls that
 //     name through an interface (stdlibMethods).
 //
+// The same walk then asks which knobs no program turns: an exported field
+// of a live exported *Config struct type that no live declaration writes
+// (findUnturned).
+//
 // Declarations are keyed by text (package path, receiver, name), never by
 // types.Object: a package sees its imports through export data, so the
 // object it uses is not the one its defining package was checked with.
@@ -51,6 +55,7 @@ type unreachedDecl struct {
 	Key   string // module-relative package path, then [Recv.]Name
 	Pos   token.Position
 	Lines int
+	Field bool // an exported Config field no program writes; Key ends Type.Field
 }
 
 // declNode is one top-level declaration: a func or method, or one name of
@@ -78,7 +83,7 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 		}
 	}
 	for _, pkg := range pkgs {
-		prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.PkgPath, module), "/") + "."
+		prefix := relPath(pkg.PkgPath, module) + "."
 		add := func(d *declNode, root bool) {
 			if d.name != "_" && !(d.name == "init" && d.recv == "") {
 				byKey[d.key] = d
@@ -165,8 +170,7 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 						obj = fn.Origin() // an instantiation's generic function
 					}
 					if obj == obj.Pkg().Scope().Lookup(obj.Name()) {
-						path := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), module), "/")
-						mark(byKey[path+"."+obj.Name()])
+						mark(byKey[relPath(obj.Pkg().Path(), module)+"."+obj.Name()])
 					}
 					return true
 				})
@@ -194,8 +198,161 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 		end := d.pkg.Fset.Position(d.end)
 		out = append(out, unreachedDecl{Key: d.key, Pos: pos, Lines: end.Line - pos.Line + 1})
 	}
+	out = append(out, findUnturned(all, live, module)...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// findUnturned returns every exported field of a live exported *Config
+// struct type that no live declaration writes: a knob no program turns.
+// A field is written by a composite-literal key, by a positional literal
+// (which writes every field), or on the left of an assignment or ++/--.
+// One write does not count: an assignment in the field's own package
+// inside an if whose condition reads the same field, the default fill
+// `if c.F == 0 { c.F = d }`.
+func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unreachedDecl {
+	fields := map[string]token.Position{}
+	for _, d := range all {
+		spec, ok := d.nodes[0].(*ast.TypeSpec)
+		if !ok || !live[d] || !isConfigName(d.name) {
+			continue
+		}
+		st, ok := spec.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			names := f.Names
+			if len(names) == 0 { // embedded: the field is named after its type
+				names = []*ast.Ident{{Name: recvTypeName(f.Type), NamePos: f.Type.Pos()}}
+			}
+			for _, id := range names {
+				if id.IsExported() {
+					fields[d.key+"."+id.Name] = d.pkg.Fset.Position(id.Pos())
+				}
+			}
+		}
+	}
+
+	turned := map[string]bool{}
+	for _, d := range all {
+		if !live[d] {
+			continue
+		}
+		info := d.pkg.TypesInfo
+		pkgPath := relPath(d.pkg.PkgPath, module)
+		// selKey keys the Config field a selector selects, if it selects one.
+		selKey := func(e ast.Expr) (key, fieldPkg string) {
+			se, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return "", ""
+			}
+			sel := info.Selections[se]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return "", ""
+			}
+			t := sel.Recv()
+			idx := sel.Index()
+			for _, i := range idx[:len(idx)-1] {
+				t = deref(t).Underlying().(*types.Struct).Field(i).Type()
+			}
+			named, ok := types.Unalias(deref(t)).(*types.Named)
+			if !ok || named.Obj().Pkg() == nil {
+				return "", ""
+			}
+			fieldPkg = relPath(named.Obj().Pkg().Path(), module)
+			return fieldPkg + "." + named.Obj().Name() + "." + se.Sel.Name, fieldPkg
+		}
+		// readsField reports whether cond selects the field key.
+		readsField := func(cond ast.Expr, key string) bool {
+			found := false
+			ast.Inspect(cond, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok && !found {
+					if k, _ := selKey(e); k == key {
+						found = true
+					}
+				}
+				return !found
+			})
+			return found
+		}
+		var stack []ast.Node
+		write := func(lhs ast.Expr) {
+			key, fieldPkg := selKey(lhs)
+			if key == "" {
+				return
+			}
+			if fieldPkg == pkgPath {
+				for i := len(stack) - 1; i >= 0; i-- {
+					ifs, ok := stack[i].(*ast.IfStmt)
+					if ok && lhs.Pos() >= ifs.Body.Pos() && readsField(ifs.Cond, key) {
+						return // the field's own default fill
+					}
+				}
+			}
+			turned[key] = true
+		}
+		for _, n := range d.nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CompositeLit:
+					named, ok := types.Unalias(deref(info.TypeOf(n))).(*types.Named)
+					if !ok || named.Obj().Pkg() == nil || len(n.Elts) == 0 {
+						break
+					}
+					st, ok := named.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					prefix := relPath(named.Obj().Pkg().Path(), module) + "." + named.Obj().Name() + "."
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							turned[prefix+kv.Key.(*ast.Ident).Name] = true
+						} else {
+							turned[prefix+st.Field(i).Name()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []unreachedDecl
+	for key, pos := range fields {
+		if !turned[key] {
+			out = append(out, unreachedDecl{Key: key, Pos: pos, Lines: 1, Field: true})
+		}
+	}
+	return out
+}
+
+// isConfigName reports whether a type name is an exported *Config name.
+func isConfigName(name string) bool {
+	return ast.IsExported(name) && strings.HasSuffix(name, "Config")
+}
+
+// relPath is a package path relative to the module.
+func relPath(path, module string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(path, module), "/")
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // docStart is where n begins, counting its doc comment.
@@ -292,9 +449,10 @@ func loadRepo(t *testing.T) []*Package {
 }
 
 // TestNothingUnreached is the ratchet on code no program runs: every
-// declaration no package main reaches must be listed in UNREACHED.txt with
-// the reason it stays, and every listed declaration must still be
-// unreached, so the list only shrinks.
+// declaration no package main reaches, and every Config field no program
+// sets, must be listed in UNREACHED.txt with the reason it stays, and
+// every listed one must still be unreached or unset, so the list only
+// shrinks.
 func TestNothingUnreached(t *testing.T) {
 	pkgs := loadRepo(t)
 	const listPath = "../../UNREACHED.txt"
@@ -306,7 +464,13 @@ func TestNothingUnreached(t *testing.T) {
 	unreached := map[string]bool{}
 	for _, d := range dead {
 		unreached[d.Key] = true
-		if _, ok := list[d.Key]; !ok {
+		if _, ok := list[d.Key]; ok {
+			continue
+		}
+		if d.Field {
+			t.Errorf("%s:%d: %s is set by no program, only by its default fill or by tests: make it a constant or derive it, or list it in UNREACHED.txt with its reason",
+				d.Pos.Filename, d.Pos.Line, d.Key)
+		} else {
 			t.Errorf("%s:%d: %s (%d lines) is reached by no program: delete it, move it to a _test.go file, or list it in UNREACHED.txt with its reason",
 				d.Pos.Filename, d.Pos.Line, d.Key, d.Lines)
 		}
@@ -319,22 +483,25 @@ func TestNothingUnreached(t *testing.T) {
 	}
 	sort.Strings(stale)
 	for _, key := range stale {
-		t.Errorf("UNREACHED.txt lists %s, which a program now reaches or which no longer exists: remove its line", key)
+		t.Errorf("UNREACHED.txt lists %s, which a program now reaches (or, for a field, sets) or which no longer exists: remove its line", key)
 	}
 }
 
-// TestUnreachedCorpus runs the check on a package main that plants three
+// TestUnreachedCorpus runs the check on a package main that plants four
 // dead declarations beside each way a declaration stays live without a
 // direct call: a method called through an interface, a String only fmt
 // calls, a method value passed as a callback, a //flac:shared layout
-// type, and an init.
+// type, and an init. Its Config has a field nothing writes, one only its
+// default fill writes, one only a dead function writes, and two that main
+// writes, by a literal and by an assignment.
 func TestUnreachedCorpus(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/unreached")
 	if err != nil {
 		t.Fatalf("loading corpus package: %v", err)
 	}
 	const pkg = "internal/coherlint/testdata/src/unreached."
-	want := []string{pkg + "deadHelper", pkg + "DeadExported", pkg + "liveType.DeadMethod"}
+	want := []string{pkg + "deadHelper", pkg + "deadSetter", pkg + "DeadExported", pkg + "liveType.DeadMethod",
+		pkg + "Config.Never", pkg + "Config.Filled", pkg + "Config.DeadSet"}
 	sort.Strings(want)
 	var got []string
 	for _, d := range findUnreached(pkgs, "flacos") {

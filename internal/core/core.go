@@ -40,31 +40,26 @@ type Config struct {
 	// two-node Kunpeng rack).
 	Nodes int
 	// GlobalMemory is the interconnect-attached memory size in bytes
-	// (default 256 MiB).
+	// (default 256 MiB). A quarter of it is the kernel object arena.
 	GlobalMemory uint64
-	// Latency is the fabric cost model (default: accounting-only).
-	Latency fabric.LatencyModel
-	// CacheCapacityLines bounds each node's simulated cache (0=unbounded).
-	CacheCapacityLines int
 	// PageCacheFrames sizes the shared page cache (default 4096 pages).
 	PageCacheFrames uint64
-	// AnonFrames sizes the anonymous-memory frame pool (default 4096).
-	AnonFrames uint64
-	// ArenaBytes sizes the kernel object arena (default 1/4 of global).
-	ArenaBytes uint64
-	// DeviceReadNS / DeviceWriteNS model the backing storage device
-	// (default 50/60 us, NVMe-class).
-	DeviceReadNS, DeviceWriteNS int
 	// IPC sizes the switchboard.
 	IPC ipc.Config
 	// FaultSeed seeds the deterministic fault injector.
 	FaultSeed int64
-	// RedisSlots sizes the rack-shared Redis index (distinct keys ever
-	// stored; default 1<<15). Only consumed if RedisStore is used.
-	RedisSlots uint64
 	// RedisViews bounds concurrent rack-shared Redis views (default 128).
 	RedisViews int
 }
+
+// The rack's fixed sizes and costs.
+const (
+	// anonFrames sizes the anonymous-memory frame pool.
+	anonFrames = 4096
+	// deviceReadNS and deviceWriteNS model the backing storage device
+	// (50/60 us, NVMe-class).
+	deviceReadNS, deviceWriteNS = 50_000, 60_000
+)
 
 func (c *Config) fillDefaults() {
 	if c.Nodes == 0 {
@@ -73,23 +68,8 @@ func (c *Config) fillDefaults() {
 	if c.GlobalMemory == 0 {
 		c.GlobalMemory = 256 << 20
 	}
-	if c.Latency == (fabric.LatencyModel{}) {
-		c.Latency = fabric.DefaultLatency()
-	}
 	if c.PageCacheFrames == 0 {
 		c.PageCacheFrames = 4096
-	}
-	if c.AnonFrames == 0 {
-		c.AnonFrames = 4096
-	}
-	if c.ArenaBytes == 0 {
-		c.ArenaBytes = c.GlobalMemory / 4
-	}
-	if c.DeviceReadNS == 0 {
-		c.DeviceReadNS = 50_000
-	}
-	if c.DeviceWriteNS == 0 {
-		c.DeviceWriteNS = 60_000
 	}
 }
 
@@ -230,19 +210,20 @@ type OS struct {
 // Boot brings the rack up.
 func Boot(cfg Config) *Rack {
 	cfg.fillDefaults()
+	// The default latency model (accounting-only) and the fabric's default
+	// cache bound.
 	f := fabric.New(fabric.Config{
-		GlobalSize:         cfg.GlobalMemory,
-		Nodes:              cfg.Nodes,
-		CacheCapacityLines: cfg.CacheCapacityLines,
-		Latency:            cfg.Latency,
-		FaultSeed:          cfg.FaultSeed,
+		GlobalSize: cfg.GlobalMemory,
+		Nodes:      cfg.Nodes,
+		Latency:    fabric.DefaultLatency(),
+		FaultSeed:  cfg.FaultSeed,
 	})
-	r := &Rack{Fabric: f, redisCfg: redis.RackStoreConfig{Slots: cfg.RedisSlots, MaxViews: cfg.RedisViews}}
+	r := &Rack{Fabric: f, redisCfg: redis.RackStoreConfig{MaxViews: cfg.RedisViews}}
 	// One frame pool serves both anonymous memory and the page cache, so
 	// file-backed mappings can move frames between them (COW breaks).
-	r.Frames = memsys.NewGlobalFrames(f, cfg.AnonFrames+cfg.PageCacheFrames)
-	r.Arena = alloc.NewArena(f, cfg.ArenaBytes)
-	r.Dev = fs.NewMemDev(cfg.DeviceReadNS, cfg.DeviceWriteNS)
+	r.Frames = memsys.NewGlobalFrames(f, anonFrames+cfg.PageCacheFrames)
+	r.Arena = alloc.NewArena(f, cfg.GlobalMemory/4)
+	r.Dev = fs.NewMemDev(deviceReadNS, deviceWriteNS)
 	r.FS = fs.New(f, r.Dev, fs.Config{
 		CacheFrames: cfg.PageCacheFrames,
 		MaxMounts:   2 * cfg.Nodes,
@@ -319,9 +300,10 @@ func (r *Rack) Serverless(reg *serverless.Registry, rtCfg serverless.RuntimeConf
 	ctl := serverless.NewController(runtimes, r.Services)
 	// Container placement goes through the coordinated scheduler: its
 	// global load board sees work the control plane's own density count
-	// doesn't, and it skips crashed nodes. A core rack runs no failure
-	// detector; the control plane that declares nodes dead and re-places
-	// their containers is health.Plane, booted by torture.ControlRack.
+	// doesn't, and it skips crashed nodes. Nothing evicts or re-places a
+	// container once started: a core rack runs no failure detector, and
+	// the control plane that declares nodes dead (health.Plane, booted by
+	// torture.ControlRack) gates and fences nodes, not containers.
 	ctl.SetPlacer(r.Scheduler().PickNode)
 	if t := r.Trace(); t != nil {
 		ctl.SetTrace(t)

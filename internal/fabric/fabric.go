@@ -20,9 +20,6 @@ type Config struct {
 	CacheCapacityLines int
 	// Latency is the cost model. Zero value disables latency charging.
 	Latency LatencyModel
-	// Hops gives each node's distance (interconnect hops) to home memory.
-	// Nil means one hop for every node. Length must equal Nodes otherwise.
-	Hops []int
 	// FaultSeed seeds the deterministic fault injector.
 	FaultSeed int64
 }
@@ -55,9 +52,6 @@ func New(cfg Config) *Fabric {
 		panic("fabric: Config.GlobalSize too small")
 	}
 	size := AlignUp64(cfg.GlobalSize, LineSize)
-	if cfg.Hops != nil && len(cfg.Hops) != cfg.Nodes {
-		panic("fabric: Config.Hops length must equal Config.Nodes")
-	}
 	cacheCap := cfg.CacheCapacityLines
 	switch {
 	case cacheCap == 0:
@@ -75,14 +69,9 @@ func New(cfg Config) *Fabric {
 	f.faults = newFaultInjector(cfg.FaultSeed)
 	f.nodes = make([]*Node, cfg.Nodes)
 	for i := range f.nodes {
-		hops := 1
-		if cfg.Hops != nil {
-			hops = cfg.Hops[i]
-		}
 		f.nodes[i] = &Node{
 			id:    i,
 			fab:   f,
-			hops:  hops,
 			cache: newCache(cacheCap),
 		}
 	}

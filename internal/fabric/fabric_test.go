@@ -300,7 +300,6 @@ func TestBoundsAndAlignmentPanics(t *testing.T) {
 	mustPanic("unaligned store 64", func() { n.Store64(GPtr(66), 1) })
 	mustPanic("zero nodes", func() { New(Config{GlobalSize: 1 << 20}) })
 	mustPanic("tiny memory", func() { New(Config{GlobalSize: 64, Nodes: 1}) })
-	mustPanic("bad hops", func() { New(Config{GlobalSize: 1 << 20, Nodes: 2, Hops: []int{1}}) })
 	mustPanic("bad align", func() { f.Reserve(8, 3) })
 }
 
@@ -404,8 +403,9 @@ func TestStatsCounters(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	lat := DefaultLatency()
-	f := New(Config{GlobalSize: 1 << 20, Nodes: 2, Latency: lat, Hops: []int{1, 3}})
+	f := New(Config{GlobalSize: 1 << 20, Nodes: 2, Latency: lat})
 	near, far := f.Node(0), f.Node(1)
+	far.SetLinkDegradation(2)
 	g := f.Reserve(64, 64)
 	near.Load64(g) // miss: GlobalNS + 1 hop
 	far.Load64(g)  // miss: GlobalNS + 3 hops

@@ -15,7 +15,6 @@ import (
 type Node struct {
 	id      int
 	fab     *Fabric
-	hops    int
 	extra   atomic.Int64 // runtime link degradation, in additional hops
 	cache   *cache
 	crashed atomic.Bool
@@ -31,8 +30,12 @@ type Node struct {
 // ID returns the node's index within the rack.
 func (n *Node) ID() int { return n.id }
 
+// baseHops is every node's interconnect distance to home memory, before link
+// degradation.
+const baseHops = 1
+
 // Hops returns the node's interconnect distance to home memory.
-func (n *Node) Hops() int { return n.hops }
+func (n *Node) Hops() int { return baseHops }
 
 // SetLinkDegradation adds extra (>= 0) hops to every home-memory access
 // from this node, modeling a degraded or rerouted interconnect link. It is
@@ -48,7 +51,7 @@ func (n *Node) SetLinkDegradation(extra int) {
 func (n *Node) LinkDegradation() int { return int(n.extra.Load()) }
 
 // totalHops is the effective interconnect distance including degradation.
-func (n *Node) totalHops() int { return n.hops + int(n.extra.Load()) }
+func (n *Node) totalHops() int { return baseHops + int(n.extra.Load()) }
 
 // Fabric returns the fabric this node is attached to.
 func (n *Node) Fabric() *Fabric { return n.fab }

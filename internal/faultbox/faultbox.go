@@ -72,8 +72,6 @@ type Config struct {
 	HeapPages   uint64
 	StackPages  uint64
 	Criticality int
-	// Services the box offers; re-registered on recovery.
-	Services []string
 }
 
 // Manager owns the rack's boxes and the shared resources they draw from.
@@ -255,17 +253,14 @@ func (b *Box) releaseResources() {
 }
 
 // Destroy tears down the complete box in one operation: unmap every
-// region (releasing frames), detach the MMU, deregister services. Other
-// boxes are untouched — the isolation property.
+// region (releasing frames) and detach the MMU. Other boxes are
+// untouched — the isolation property.
 func (b *Box) Destroy() {
 	if b.destroyed {
 		return
 	}
 	b.destroyed = true
 	b.releaseResources()
-	for _, svc := range b.cfg.Services {
-		b.mgr.services.Unregister(svc)
-	}
 	b.mgr.mu.Lock()
 	delete(b.mgr.boxes, b.Name)
 	b.mgr.mu.Unlock()

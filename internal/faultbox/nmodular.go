@@ -68,12 +68,6 @@ func HorizontalRecovery(mgr *Manager, faulty *Box, target *fabric.Node, app AppS
 			}
 		}
 	}
-	// "IPC subsystem" pass: walk every box's service registrations.
-	for _, b := range all {
-		for range b.cfg.Services {
-			target.ChargeNS(500)
-		}
-	}
 	// Only now restore the faulty application, same as the vertical path.
 	return faulty.RecoverOn(target, app, nil)
 }

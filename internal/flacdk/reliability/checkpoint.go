@@ -7,7 +7,6 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
 	"flacos/internal/flacdk/quiescence"
-	"flacos/internal/flacdk/replication"
 )
 
 // Checkpointer stores double-buffered, checksummed snapshots in global
@@ -94,43 +93,4 @@ func (c *Checkpointer) Latest(n *fabric.Node) (data []byte, appliedIdx uint64, o
 		cands = append(cands[:best], cands[best+1:]...)
 	}
 	return nil, 0, false
-}
-
-// ReplicaState is a replicated state machine that also supports
-// checkpoint-based recovery.
-type ReplicaState interface {
-	replication.StateMachine
-	replication.Snapshotter
-}
-
-// CheckpointReplica snapshots a replica's state machine into c. The
-// snapshot is taken under the replica's read path so it is consistent with
-// its applied index.
-func CheckpointReplica(c *Checkpointer, rep *replication.Replica, sm ReplicaState, pin *quiescence.Participant) {
-	var data []byte
-	var idx uint64
-	rep.ReadLocal(func(replication.StateMachine) {
-		data = sm.Snapshot()
-	})
-	idx = rep.AppliedIndex()
-	c.Save(data, idx, pin)
-}
-
-// RecoverReplica rebuilds a crashed node's replica on node n: restore the
-// newest intact checkpoint, verify the operation log still covers the gap,
-// attach a replica at the checkpoint's cursor, and replay the suffix. This
-// is the paper's "operation logs used for synchronization ... utilized to
-// achieve state replay during fault recovery".
-func RecoverReplica(l *replication.Log, n *fabric.Node, sm ReplicaState, c *Checkpointer) (*replication.Replica, error) {
-	var from uint64
-	if data, idx, ok := c.Latest(n); ok {
-		sm.Restore(data)
-		from = idx
-	}
-	if err := l.CheckReplayable(n, from); err != nil {
-		return nil, fmt.Errorf("recover from checkpoint at %d: %w", from, err)
-	}
-	rep := l.ReplicaAt(n, sm, from)
-	rep.Sync()
-	return rep, nil
 }

@@ -2,13 +2,10 @@ package reliability
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"testing"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/quiescence"
-	"flacos/internal/flacdk/replication"
 )
 
 func rack(t *testing.T, nodes int) *fabric.Fabric {
@@ -136,117 +133,6 @@ func TestCheckpointOversizedPanics(t *testing.T) {
 		}
 	}()
 	c.Save(make([]byte, 65), 0, nil)
-}
-
-// kvState is a ReplicaState for recovery tests: op 1 = put(8-byte value +
-// key), returns previous value.
-type kvState struct{ m map[string]uint64 }
-
-func newKVState() *kvState { return &kvState{m: make(map[string]uint64)} }
-
-func (k *kvState) Apply(op uint32, payload []byte) uint64 {
-	if op == 1 {
-		v := binary.LittleEndian.Uint64(payload)
-		key := string(payload[8:])
-		prev := k.m[key]
-		k.m[key] = v
-		return prev
-	}
-	return 0
-}
-
-func (k *kvState) Snapshot() []byte {
-	var out []byte
-	for key, v := range k.m {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
-		binary.LittleEndian.PutUint64(hdr[4:], v)
-		out = append(out, hdr[:]...)
-		out = append(out, key...)
-	}
-	return out
-}
-
-func (k *kvState) Restore(b []byte) {
-	k.m = make(map[string]uint64)
-	for len(b) >= 12 {
-		klen := binary.LittleEndian.Uint32(b[:4])
-		v := binary.LittleEndian.Uint64(b[4:12])
-		k.m[string(b[12:12+klen])] = v
-		b = b[12+klen:]
-	}
-}
-
-func put(r *replication.Replica, key string, v uint64) {
-	p := make([]byte, 8+len(key))
-	binary.LittleEndian.PutUint64(p, v)
-	copy(p[8:], key)
-	r.Execute(1, p)
-}
-
-func TestCrashRecoveryViaCheckpointAndLogReplay(t *testing.T) {
-	f := rack(t, 2)
-	log := replication.NewLog(f, 64)
-	c := NewCheckpointer(f, f.Node(0), 4096)
-
-	sm0 := newKVState()
-	rep0 := log.Replica(f.Node(0), sm0)
-	put(rep0, "a", 1)
-	put(rep0, "b", 2)
-	CheckpointReplica(c, rep0, sm0, nil)
-	put(rep0, "c", 3) // after the checkpoint: must come from log replay
-	put(rep0, "a", 9)
-
-	// Node 0 dies. Its cache (and local replica) are gone; the log and the
-	// checkpoint live in global memory.
-	f.Node(0).Crash()
-
-	sm1 := newKVState()
-	rep1, err := RecoverReplica(log, f.Node(1), sm1, c)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	rep1.ReadLinearizable(func(replication.StateMachine) {})
-	if sm1.m["a"] != 9 || sm1.m["b"] != 2 || sm1.m["c"] != 3 {
-		t.Fatalf("recovered state = %v", sm1.m)
-	}
-}
-
-func TestRecoveryWithoutCheckpointReplaysFromZero(t *testing.T) {
-	f := rack(t, 2)
-	log := replication.NewLog(f, 64)
-	c := NewCheckpointer(f, f.Node(0), 4096) // never saved
-
-	sm0 := newKVState()
-	rep0 := log.Replica(f.Node(0), sm0)
-	put(rep0, "only", 5)
-	f.Node(0).Crash()
-
-	sm1 := newKVState()
-	if _, err := RecoverReplica(log, f.Node(1), sm1, c); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if sm1.m["only"] != 5 {
-		t.Fatalf("recovered = %v", sm1.m)
-	}
-}
-
-func TestRecoveryDetectsTruncatedLog(t *testing.T) {
-	f := rack(t, 2)
-	log := replication.NewLog(f, 8)
-	c := NewCheckpointer(f, f.Node(0), 4096) // no checkpoint -> replay from 0
-
-	sm0 := newKVState()
-	rep0 := log.Replica(f.Node(0), sm0)
-	// Wrap the log: entries 0.. recycled, replay-from-0 is impossible.
-	for i := 0; i < 20; i++ {
-		put(rep0, "k", uint64(i))
-	}
-	sm1 := newKVState()
-	_, err := RecoverReplica(log, f.Node(1), sm1, c)
-	if !errors.Is(err, replication.ErrLogTruncated) {
-		t.Fatalf("err = %v, want ErrLogTruncated", err)
-	}
 }
 
 func TestCheckpointWithQuiescencePin(t *testing.T) {

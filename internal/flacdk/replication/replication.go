@@ -46,14 +46,6 @@ type StateMachine interface {
 	Apply(op uint32, payload []byte) uint64
 }
 
-// Snapshotter is optionally implemented by state machines that support
-// checkpoint-based recovery (used by flacdk/reliability): Snapshot
-// serializes the full state, Restore replaces the state.
-type Snapshotter interface {
-	Snapshot() []byte
-	Restore([]byte)
-}
-
 // Log is the shared operation log. One Log is created in global memory and
 // every node attaches a Replica to it.
 type Log struct {
@@ -127,7 +119,7 @@ func (l *Log) register(n *fabric.Node, id int) {
 
 // Deregister removes node id from the recycle constraint — fault handling
 // calls it when a node dies so its stalled applied counter cannot wedge the
-// rack's appenders. A later ReplicaAt/Replica for the node re-registers it.
+// rack's appenders. A later Replica for the node re-registers it.
 func (l *Log) Deregister(n *fabric.Node, id int) {
 	for {
 		old := n.AtomicLoad64(l.regG)
@@ -157,49 +149,8 @@ func (l *Log) Replica(n *fabric.Node, sm StateMachine) *Replica {
 	return &Replica{log: l, node: n, sm: sm}
 }
 
-// ReplicaAt attaches a replica whose state machine already reflects the
-// first appliedIdx log operations (restored from a checkpoint). Recovery
-// paths use it so replay starts at the checkpoint's cursor instead of 0.
-func (l *Log) ReplicaAt(n *fabric.Node, sm StateMachine, appliedIdx uint64) *Replica {
-	r := &Replica{log: l, node: n, sm: sm, localApplied: appliedIdx}
-	n.AtomicStore64(l.appliedG[n.ID()], appliedIdx)
-	l.register(n, n.ID())
-	return r
-}
-
-// ErrLogTruncated reports that recovery needs log entries that have already
-// been recycled: the checkpoint is too old for the log window.
-var ErrLogTruncated = errLogTruncated{}
-
-type errLogTruncated struct{}
-
-func (errLogTruncated) Error() string {
-	return "replication: log entries needed for replay have been recycled"
-}
-
-// CheckReplayable reports whether every entry in [from, Tail) is still
-// resident in the log window (i.e. a replica restored at cursor `from` can
-// catch up by replay).
-func (l *Log) CheckReplayable(n *fabric.Node, from uint64) error {
-	tail := l.Tail(n)
-	for idx := from; idx < tail; idx++ {
-		st := n.AtomicLoad64(l.stateG(idx))
-		if st > idx+1 {
-			return ErrLogTruncated // slot already reused by a later index
-		}
-	}
-	return nil
-}
-
 // Node returns the fabric node this replica runs on.
 func (r *Replica) Node() *fabric.Node { return r.node }
-
-// AppliedIndex returns how many log entries this replica has applied.
-func (r *Replica) AppliedIndex() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.localApplied
-}
 
 // Execute appends one operation to the shared log and replays the log until
 // the operation has been applied locally, returning its Apply result. It is

@@ -45,29 +45,6 @@ func (k *kvSM) Apply(op uint32, payload []byte) uint64 {
 	return 0
 }
 
-func (k *kvSM) Snapshot() []byte {
-	var out []byte
-	for key, v := range k.m {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
-		binary.LittleEndian.PutUint64(hdr[4:], v)
-		out = append(out, hdr[:]...)
-		out = append(out, key...)
-	}
-	return out
-}
-
-func (k *kvSM) Restore(b []byte) {
-	k.m = make(map[string]uint64)
-	for len(b) >= 12 {
-		klen := binary.LittleEndian.Uint32(b[:4])
-		v := binary.LittleEndian.Uint64(b[4:12])
-		key := string(b[12 : 12+klen])
-		k.m[key] = v
-		b = b[12+klen:]
-	}
-}
-
 func putPayload(key string, v uint64) []byte {
 	p := make([]byte, 8+len(key))
 	binary.LittleEndian.PutUint64(p, v)
@@ -250,18 +227,6 @@ type countOpsSM struct{ n int }
 func (c *countOpsSM) Apply(op uint32, payload []byte) uint64 {
 	c.n++
 	return uint64(c.n)
-}
-
-func TestSnapshotterRoundTrip(t *testing.T) {
-	kv := newKV()
-	kv.Apply(1, putPayload("x", 1))
-	kv.Apply(1, putPayload("y", 2))
-	snap := kv.Snapshot()
-	kv2 := newKV()
-	kv2.Restore(snap)
-	if kv2.m["x"] != 1 || kv2.m["y"] != 2 || len(kv2.m) != 2 {
-		t.Fatalf("restored map = %v", kv2.m)
-	}
 }
 
 func TestReadLinearizableSeesOwnNodeConcurrentWrites(t *testing.T) {

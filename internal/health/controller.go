@@ -14,13 +14,11 @@ import (
 // it consumes the unified membership+health event stream and runs the
 // remediation pipeline against a live, loaded rack.
 //
-//	EvDegraded  -> drain: gate the scheduler, evict serverless
-//	               instances, fence the store EARLY (before the node is
-//	               dead — a gray-failing node's writes are the zombie
-//	               writes most worth stopping), and re-place memory by
-//	               draining the node in the tiering daemon.
+//	EvDegraded  -> drain: gate the scheduler and fence the store EARLY
+//	               (before the node is dead — a gray-failing node's
+//	               writes are the zombie writes most worth stopping).
 //	EvDead      -> abort any in-flight drain and run the classic death
-//	               sweep (lease reclaim, fence, evict); dead beats
+//	               sweep (gate, lease reclaim, fence); dead beats
 //	               degraded, always.
 //	EvRecovered -> rejoin: membership rejoin under a bumped generation
 //	               (the early fence made the old generation unusable by
@@ -39,15 +37,9 @@ const (
 	// StageGate: sched.SetNodeServing(node, false) — the node stops
 	// pulling rack work; in-flight tasks run to completion.
 	StageGate Stage = iota
-	// StageEvict: serverless controllers evict and re-place the node's
-	// warm instances.
-	StageEvict
 	// StageFence: the store fences the node's CURRENT generation —
 	// before death, not after. From here the degraded node cannot write.
 	StageFence
-	// StageRePlace: the tiering daemon marks the node drained — stops
-	// promoting pages toward it and spills its local pages.
-	StageRePlace
 	// StageDrained: the drain pipeline completed; the node idles fenced.
 	StageDrained
 	// StageAbort: an EvDead (or a newer generation) interrupted the
@@ -66,12 +58,8 @@ func (s Stage) String() string {
 	switch s {
 	case StageGate:
 		return "gate"
-	case StageEvict:
-		return "evict"
 	case StageFence:
 		return "fence"
-	case StageRePlace:
-		return "re-place"
 	case StageDrained:
 		return "drained"
 	case StageAbort:
@@ -89,9 +77,7 @@ func (s Stage) String() string {
 // Stage-completion bits reported in the KDrain end span's arg1.
 const (
 	maskGate = 1 << iota
-	maskEvict
 	maskFence
-	maskRePlace
 	maskAborted
 )
 
@@ -108,24 +94,14 @@ type StoreGate interface {
 	FenceNode(from *fabric.Node, nodeID int, gen uint64) int
 }
 
-// ServerlessGate is the slice of serverless the controller drives.
-type ServerlessGate interface {
-	EvictNode(id int) int
-}
-
-// TieringGate is the slice of tiering the controller drives.
-type TieringGate interface {
-	SetNodeDrained(node int, drained bool)
-}
-
 // ControllerConfig wires the controller to the subsystems it remediates
-// through. Every field except From is optional: nil gates are skipped,
-// so a rack running only sched+redis still self-heals what it has.
+// through: the scheduler it gates and reclaims leases in, and the store
+// it fences. Every field except From is optional: a nil gate is skipped.
+// Serverless containers and tiered pages are not the controller's: a
+// drained node keeps its warm instances and its local pages.
 type ControllerConfig struct {
-	Sched      SchedGate
-	Store      StoreGate
-	Serverless []ServerlessGate
-	Tiering    TieringGate
+	Sched SchedGate
+	Store StoreGate
 	// Rejoin performs the node-side recovery rejoin: membership rejoin
 	// under a bumped generation, resync, re-attach fresh store views.
 	// It runs on the controller's event goroutine; returning an error
@@ -272,10 +248,10 @@ func (c *Controller) aborted(node int, gen uint64) bool {
 }
 
 // drain runs the proactive pipeline for a degraded node. Stages execute
-// in a fixed order with an abort check between each: gate -> evict ->
-// fence -> re-place. A concurrent EvDead flips deadGen and the pipeline
-// stops at the next boundary — remediation continuity is the death
-// sweep's job from that point.
+// in a fixed order with an abort check between each: gate -> fence. A
+// concurrent EvDead flips deadGen and the pipeline stops at the next
+// boundary — remediation continuity is the death sweep's job from that
+// point.
 func (c *Controller) drain(node int, gen uint64) {
 	c.mu.Lock()
 	st := c.node(node)
@@ -301,34 +277,15 @@ func (c *Controller) drain(node int, gen uint64) {
 		}
 		mask |= maskGate
 		if !abort() {
-			c.stage(StageEvict, node, gen)
-			for _, sv := range c.cfg.Serverless {
-				if sv != nil {
-					sv.EvictNode(node)
+			c.stage(StageFence, node, gen)
+			if c.cfg.Store != nil && !brokenSkipDrainFence.Load() {
+				c.cfg.Store.FenceNode(c.cfg.From, node, gen)
+				if tw := c.tw(); tw != nil {
+					tw.Emit(trace.SubHealth, trace.KFenceEarly, 0, uint64(node), gen+1)
 				}
 			}
-			mask |= maskEvict
-			if !abort() {
-				c.stage(StageFence, node, gen)
-				if c.cfg.Store != nil && !brokenSkipDrainFence.Load() {
-					c.cfg.Store.FenceNode(c.cfg.From, node, gen)
-					if tw := c.tw(); tw != nil {
-						tw.Emit(trace.SubHealth, trace.KFenceEarly, 0, uint64(node), gen+1)
-					}
-				}
-				mask |= maskFence
-				if !abort() {
-					c.stage(StageRePlace, node, gen)
-					if c.cfg.Tiering != nil {
-						c.cfg.Tiering.SetNodeDrained(node, true)
-						if tw := c.tw(); tw != nil {
-							tw.Emit(trace.SubHealth, trace.KRePlace, 0, uint64(node), gen)
-						}
-					}
-					mask |= maskRePlace
-					done = true
-				}
-			}
+			mask |= maskFence
+			done = true
 		}
 	}
 
@@ -412,13 +369,8 @@ func (c *Controller) runRejoin(node int, gen uint64) {
 	if ok {
 		ok = !c.aborted(node, gen)
 	}
-	if ok {
-		if c.cfg.Tiering != nil {
-			c.cfg.Tiering.SetNodeDrained(node, false)
-		}
-		if c.cfg.Sched != nil {
-			c.cfg.Sched.SetNodeServing(node, true)
-		}
+	if ok && c.cfg.Sched != nil {
+		c.cfg.Sched.SetNodeServing(node, true)
 	}
 	c.mu.Lock()
 	st := c.node(node)
@@ -459,8 +411,8 @@ func (c *Controller) dead(ev membership.Event) {
 	}
 	// Restart can beat detection: if the controller has already seen the
 	// node alive under a NEWER generation, this death names a finished
-	// incarnation — run the generation-scoped sweep (reclaim, fence,
-	// evict are all idempotent or fenced by gen) but leave the serving
+	// incarnation — run the generation-scoped sweep (reclaim and fence
+	// are idempotent or fenced by gen) but leave the serving
 	// gate alone, or a late verdict would bench a live, rejoined node.
 	gate := st.seenGen <= ev.Generation
 	c.mu.Unlock()
@@ -478,16 +430,6 @@ func (c *Controller) dead(ev membership.Event) {
 		if tw := c.tw(); tw != nil {
 			tw.Emit(trace.SubRedis, trace.KViewFence, 0, uint64(ev.Node), ev.Generation)
 		}
-	}
-	for _, sv := range c.cfg.Serverless {
-		if sv != nil {
-			sv.EvictNode(ev.Node)
-		}
-	}
-	if c.cfg.Tiering != nil {
-		// Stop the drain spill: moving pages through a dead node's MMU
-		// can only fail. Rejoin re-primes placement organically.
-		c.cfg.Tiering.SetNodeDrained(ev.Node, false)
 	}
 	c.stats.deadSweeps.Add(1)
 	c.stage(StageDead, ev.Node, ev.Generation)
@@ -509,13 +451,7 @@ func (c *Controller) joined(node int, gen uint64) {
 		st.phase, st.gen, st.pendingRecover = phaseIdle, 0, false
 	}
 	c.mu.Unlock()
-	if !reopen {
-		return
-	}
-	if c.cfg.Tiering != nil {
-		c.cfg.Tiering.SetNodeDrained(node, false)
-	}
-	if c.cfg.Sched != nil {
+	if reopen && c.cfg.Sched != nil {
 		c.cfg.Sched.SetNodeServing(node, true)
 	}
 }

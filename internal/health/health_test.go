@@ -423,22 +423,12 @@ func (g *fakeGates) FenceNode(from *fabric.Node, nodeID int, gen uint64) int {
 	g.mu.Unlock()
 	return 0
 }
-func (g *fakeGates) EvictNode(id int) int {
-	g.record(fmt.Sprintf("evict(%d)", id))
-	return 0
-}
-func (g *fakeGates) SetNodeDrained(node int, drained bool) {
-	g.record(fmt.Sprintf("drained(%d,%v)", node, drained))
-}
-
 func newFakeController(f *fabric.Fabric, g *fakeGates, onStage func(Stage, int, uint64)) *Controller {
 	return NewController(ControllerConfig{
-		Sched:      g,
-		Store:      g,
-		Serverless: []ServerlessGate{g},
-		Tiering:    g,
-		OnStage:    onStage,
-		From:       f.Node(0),
+		Sched:   g,
+		Store:   g,
+		OnStage: onStage,
+		From:    f.Node(0),
 	})
 }
 
@@ -455,9 +445,8 @@ func logEquals(t *testing.T, got, want []string) {
 }
 
 // TestControllerDrainPipelineOrder: one EvDegraded runs the full drain
-// in stage order — gate, evict, fence (at the node's CURRENT
-// generation, before any death), re-place — and the trace timeline
-// carries the matching span.
+// in stage order — gate, then fence (at the node's CURRENT generation,
+// before any death) — and the trace timeline carries the matching span.
 func TestControllerDrainPipelineOrder(t *testing.T) {
 	f := testFabric(2)
 	rec := trace.New(f, trace.Config{RingCap: 1 << 10})
@@ -468,7 +457,7 @@ func TestControllerDrainPipelineOrder(t *testing.T) {
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
 
 	logEquals(t, g.Log(), []string{
-		"serving(1,false)", "evict(1)", "fence(1,5)", "drained(1,true)",
+		"serving(1,false)", "fence(1,5)",
 	})
 	st := c.Stats()
 	if st.Drains != 1 || st.DrainsAborted != 0 {
@@ -523,8 +512,8 @@ func TestControllerRecoverRunsRejoin(t *testing.T) {
 	c.OnEvent(membership.Event{Kind: membership.EvRecovered, Slot: 1, Node: 1, Generation: 5})
 
 	logEquals(t, g.Log(), []string{
-		"serving(1,false)", "evict(1)", "fence(1,5)", "drained(1,true)",
-		"rejoin(1,5)", "drained(1,false)", "serving(1,true)",
+		"serving(1,false)", "fence(1,5)",
+		"rejoin(1,5)", "serving(1,true)",
 	})
 	if rejoined != 1 || c.Stats().Rejoins != 1 {
 		t.Fatalf("rejoin ran %d times (stats %+v), want 1", rejoined, c.Stats())
@@ -549,7 +538,7 @@ func TestControllerBrokenSkipDrainFence(t *testing.T) {
 
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
 	logEquals(t, g.Log(), []string{
-		"serving(1,false)", "evict(1)", "drained(1,true)", // no fence!
+		"serving(1,false)", // no fence!
 	})
 
 	// The classic death fence is NOT subject to the break.
@@ -567,7 +556,7 @@ func TestControllerBrokenSkipDrainFence(t *testing.T) {
 
 // TestRaceDegradedVsDead: EvDegraded's drain racing EvDead on the same
 // node, deterministically interleaved — the death lands while the drain
-// is held between its evict and fence stages. The drain must abort at
+// is held between its gate and fence stages. The drain must abort at
 // the boundary, the node must end fenced EXACTLY once (by the death
 // path, at the dead generation), and no rejoin may run afterward. Run
 // under -race: the controller state machine is exercised from two
@@ -578,13 +567,13 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	rec := trace.New(f, trace.Config{RingCap: 1 << 10})
 	g := &fakeGates{}
 
-	holdEvict := make(chan struct{})
-	releaseEvict := make(chan struct{})
+	holdGate := make(chan struct{})
+	releaseGate := make(chan struct{})
 	var held atomic.Bool
 	c := newFakeController(f, g, func(st Stage, node int, gen uint64) {
-		if st == StageEvict && held.CompareAndSwap(false, true) {
-			close(holdEvict) // signal: drain reached mid-pipeline
-			<-releaseEvict   // hold it there until the death lands
+		if st == StageGate && held.CompareAndSwap(false, true) {
+			close(holdGate) // signal: drain reached mid-pipeline
+			<-releaseGate   // hold it there until the death lands
 		}
 	})
 	c.SetTrace(rec.Writer(0))
@@ -601,9 +590,9 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		<-holdEvict // the drain is provably mid-pipeline
+		<-holdGate // the drain is provably mid-pipeline
 		c.OnEvent(membership.Event{Kind: membership.EvDead, Slot: 1, Node: 1, Generation: 5})
-		close(releaseEvict)
+		close(releaseGate)
 	}()
 	wg.Wait()
 
@@ -749,9 +738,9 @@ func TestControllerJoinReopensGates(t *testing.T) {
 	c.OnEvent(membership.Event{Kind: membership.EvJoin, Slot: 1, Node: 1, Generation: 6})
 
 	want := []string{
-		"serving(1,false)", "evict(1)", "fence(1,5)", "drained(1,true)",
-		"serving(1,false)", "reclaim(1)", "fence(1,5)", "evict(1)", "drained(1,false)", "stage(dead,1,5)",
-		"drained(1,false)", "serving(1,true)",
+		"serving(1,false)", "fence(1,5)",
+		"serving(1,false)", "reclaim(1)", "fence(1,5)", "stage(dead,1,5)",
+		"serving(1,true)",
 	}
 	logEquals(t, g.Log(), want)
 }

@@ -17,9 +17,8 @@ func TestPlaneOneDeadSweepAndRejoin(t *testing.T) {
 	f := testFabric(3)
 	g := &fakeGates{}
 	p := NewPlane(membership.New(f, fastMemCfg()), ControllerConfig{
-		Sched:      g,
-		Store:      g,
-		Serverless: []ServerlessGate{g},
+		Sched: g,
+		Store: g,
 	}, nil, nil)
 	t.Cleanup(p.Stop)
 	for id := 0; id < 3; id++ {

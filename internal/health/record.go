@@ -1,8 +1,7 @@
 // Package health is the rack's gray-failure layer: an anomaly detector
 // that folds per-node performance signals into arena-resident health
-// records, and a self-healing controller that drains, fences, re-places
-// and rejoins degrading nodes BEFORE the liveness detector declares them
-// dead.
+// records, and a self-healing controller that drains, fences and rejoins
+// degrading nodes BEFORE the liveness detector declares them dead.
 //
 // Membership answers "is the node there?"; health answers "is the node
 // still pulling its weight?". A gray-failing node — a flaky interconnect

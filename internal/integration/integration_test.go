@@ -39,7 +39,7 @@ func TestServiceSurvivesNodeCrash(t *testing.T) {
 	_ = app
 
 	box, err := rack.Boxes.Create("svc", rack.Fabric.Node(0), faultbox.Config{
-		HeapPages: 2, StackPages: 1, Criticality: 2, Services: []string{"count"},
+		HeapPages: 2, StackPages: 1, Criticality: 2,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -94,8 +94,10 @@ type Config struct {
 	MaxListeners int    // listener slot pool
 	RingSlots    uint64 // per-direction ring capacity (messages)
 	MsgMax       uint64 // largest message in bytes
-	RegLogCap    uint64 // registry operation log entries
 }
+
+// regLogCap is the name registry's operation log capacity in entries.
+const regLogCap = 256
 
 // Switchboard is the rack-wide IPC fabric: pre-laid-out connection and
 // listener slots in global memory plus the replicated name registry. One
@@ -123,10 +125,7 @@ func NewSwitchboard(f *fabric.Fabric, node *fabric.Node, cfg Config) *Switchboar
 	if cfg.MsgMax == 0 {
 		cfg.MsgMax = 16 << 10
 	}
-	if cfg.RegLogCap == 0 {
-		cfg.RegLogCap = 256
-	}
-	sb := &Switchboard{fab: f, cfg: cfg, regLog: replication.NewLog(f, cfg.RegLogCap)}
+	sb := &Switchboard{fab: f, cfg: cfg, regLog: replication.NewLog(f, regLogCap)}
 	sb.conns = make([]connSlot, cfg.MaxConns)
 	for i := range sb.conns {
 		sb.conns[i] = connSlot{

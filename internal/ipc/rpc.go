@@ -63,13 +63,6 @@ func (t *ServiceTable) Register(name string, h Handler) *Service {
 	return s
 }
 
-// Unregister removes a service.
-func (t *ServiceTable) Unregister(name string) {
-	t.mu.Lock()
-	delete(t.services, name)
-	t.mu.Unlock()
-}
-
 // Call performs a migration-based RPC from node n: the calling thread
 // switches into the service's shared code context, executes the handler
 // itself, and switches back. No thread switch, no queueing, no copies of

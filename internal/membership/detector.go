@@ -105,7 +105,7 @@ func (m *Member) agentLoop() {
 
 func (m *Member) observeAll() {
 	maxVNS := m.t.maxVNS()
-	for slot := 0; slot < m.t.cfg.Slots; slot++ {
+	for slot := 0; slot < m.t.slots; slot++ {
 		w := m.t.ctl.Load(m.n, slot)
 		m.diffCtl(slot, w)
 		if slot == m.slot {
@@ -192,7 +192,7 @@ func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 // of waiting out a real beat gap; the suspected node refutes it like
 // any other suspicion. Returns whether the CAS won.
 func (t *Table) Suspect(n *fabric.Node, slot int) bool {
-	if slot < 0 || slot >= t.cfg.Slots {
+	if slot < 0 || slot >= t.slots {
 		return false
 	}
 	w := t.ctl.Load(n, slot)

@@ -68,10 +68,6 @@ const (
 // Config tunes the membership layer. Zero values get defaults sized for
 // the simulated rack's microsecond-scale ticks.
 type Config struct {
-	// Slots is the table capacity. Hot-plugging a node into a NEW slot
-	// needs free headroom beyond the boot-time population (default
-	// f.NumNodes() + 2, max 255).
-	Slots int
 	// HeartbeatTick is how often each member republishes its record and
 	// runs its detector pass, and with it every step attached by OnTick
 	// (the health layer's sample-and-observe pass).
@@ -91,13 +87,7 @@ type Config struct {
 	DeadStrikes int
 }
 
-func (c *Config) fillDefaults(f *fabric.Fabric) {
-	if c.Slots == 0 {
-		c.Slots = f.NumNodes() + 2
-	}
-	if c.Slots > 255 {
-		panic("membership: at most 255 slots (slot is a packed byte)")
-	}
+func (c *Config) fillDefaults() {
 	if c.HeartbeatTick == 0 {
 		c.HeartbeatTick = 200 * time.Microsecond
 	}
@@ -119,8 +109,9 @@ type ctlWord = ds.StateWord[State]
 // Table is the rack's membership table: the arena-resident slots plus
 // the host-side liveness mirror the hot paths consult.
 type Table struct {
-	fab *fabric.Fabric
-	cfg Config
+	fab   *fabric.Fabric
+	cfg   Config
+	slots int // capacity: the fabric's nodes, plus two free for hot-plugging into a new slot
 
 	hbG fabric.GPtr          // heartbeat records, one line per slot (cached writes)
 	ctl ds.StateTable[State] // control words, one line per slot (fabric atomics only)
@@ -136,18 +127,23 @@ type Table struct {
 // starts Free; nodes join explicitly (core joins the boot population,
 // hot-plugged nodes join at runtime).
 func New(f *fabric.Fabric, cfg Config) *Table {
-	cfg.fillDefaults(f)
+	cfg.fillDefaults()
+	slots := f.NumNodes() + 2
+	if slots > 255 {
+		panic("membership: at most 255 slots (slot is a packed byte)")
+	}
 	return &Table{
 		fab:   f,
 		cfg:   cfg,
-		hbG:   f.Reserve(uint64(cfg.Slots)*recordBytes, fabric.LineSize),
-		ctl:   ds.NewStateTable[State](f, cfg.Slots),
+		slots: slots,
+		hbG:   f.Reserve(uint64(slots)*recordBytes, fabric.LineSize),
+		ctl:   ds.NewStateTable[State](f, slots),
 		alive: make([]atomic.Bool, f.NumNodes()),
 	}
 }
 
 // Slots returns the table capacity.
-func (t *Table) Slots() int { return t.cfg.Slots }
+func (t *Table) Slots() int { return t.slots }
 
 // Fabric returns the fabric the table lives on.
 func (t *Table) Fabric() *fabric.Fabric { return t.fab }
@@ -177,7 +173,7 @@ type SlotInfo struct {
 
 // Snapshot reads every slot's control word through node n.
 func (t *Table) Snapshot(n *fabric.Node) []SlotInfo {
-	out := make([]SlotInfo, t.cfg.Slots)
+	out := make([]SlotInfo, t.slots)
 	for i := range out {
 		w := t.ctl.Load(n, i)
 		out[i] = SlotInfo{
@@ -202,26 +198,26 @@ func (t *Table) Join(n *fabric.Node) (*Member, error) {
 	// Rejoin first: a restarted node must reclaim its old identity slot
 	// so every observer sees one (node, slot) history with a bumped
 	// generation rather than the same node in two slots.
-	for slot := 0; slot < t.cfg.Slots; slot++ {
+	for slot := 0; slot < t.slots; slot++ {
 		if w := t.ctl.Load(n, slot); w.State() != StateFree && w.Owner() == n.ID() {
 			return t.joinSlot(n, slot)
 		}
 	}
-	for slot := 0; slot < t.cfg.Slots; slot++ {
+	for slot := 0; slot < t.slots; slot++ {
 		if t.ctl.Load(n, slot).State() == StateFree {
 			if m, err := t.joinSlot(n, slot); err == nil {
 				return m, nil
 			}
 		}
 	}
-	for slot := 0; slot < t.cfg.Slots; slot++ {
+	for slot := 0; slot < t.slots; slot++ {
 		if st := t.ctl.Load(n, slot).State(); st == StateDead {
 			if m, err := t.joinSlot(n, slot); err == nil {
 				return m, nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("membership: no joinable slot among %d for node %d", t.cfg.Slots, n.ID())
+	return nil, fmt.Errorf("membership: no joinable slot among %d for node %d", t.slots, n.ID())
 }
 
 func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
@@ -245,7 +241,7 @@ func (t *Table) joinSlot(n *fabric.Node, slot int) (*Member, error) {
 			inc:  0,
 			stop: make(chan struct{}),
 		}
-		m.lastCtl = make([]ctlWord, t.cfg.Slots)
+		m.lastCtl = make([]ctlWord, t.slots)
 		// Publish the first heartbeat immediately so detectors have a
 		// baseline for the new generation before the agent's first tick.
 		m.publishBeat()

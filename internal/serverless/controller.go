@@ -91,21 +91,20 @@ func (c *Controller) Deploy(name, image string, handler ipc.Handler) (*Function,
 	return f, nil
 }
 
-// pickNode returns the next placement target other than node avoid (-1
-// avoids none): the installed placer's answer when one is set and sane,
-// otherwise the least-loaded runtime (density-aware placement). It returns
-// -1 only when avoid is the rack's one node. Callers hold c.mu.
-func (c *Controller) pickNode(avoid int) int {
+// pickNode returns the next placement target: the installed placer's
+// answer when one is set and sane, otherwise the least-loaded runtime
+// (density-aware placement). Callers hold c.mu.
+func (c *Controller) pickNode() int {
 	if c.placer != nil {
 		density := make([]int, len(c.load))
 		copy(density, c.load)
-		if id := c.placer(density); id >= 0 && id < len(c.runtimes) && id != avoid {
+		if id := c.placer(density); id >= 0 && id < len(c.runtimes) {
 			return id
 		}
 	}
-	best := -1
+	best := 0
 	for i := range c.load {
-		if i != avoid && (best < 0 || c.load[i] < c.load[best]) {
+		if c.load[i] < c.load[best] {
 			best = i
 		}
 	}
@@ -117,22 +116,14 @@ func (c *Controller) pickNode(avoid int) int {
 // shared page cache, every instance after the rack's first skips the
 // registry.
 func (c *Controller) ScaleUp(name string) (StartupReport, error) {
-	return c.scaleUp(name, -1)
-}
-
-// scaleUp is ScaleUp placing on any node but avoid.
-func (c *Controller) scaleUp(name string, avoid int) (StartupReport, error) {
 	c.mu.Lock()
 	f, ok := c.fns[name]
 	if !ok {
 		c.mu.Unlock()
 		return StartupReport{}, fmt.Errorf("serverless: function %q not deployed", name)
 	}
-	nodeID := c.pickNode(avoid)
+	nodeID := c.pickNode()
 	c.mu.Unlock()
-	if nodeID < 0 {
-		return StartupReport{}, fmt.Errorf("serverless: no node to place %q on", name)
-	}
 
 	if tw := c.tw(nodeID); tw != nil {
 		tw.Emit(trace.SubServerless, trace.KPlace, 0, fnHash(name), uint64(nodeID))
@@ -225,50 +216,6 @@ func (c *Controller) InvokeChain(caller *fabric.Node, names []string, req []byte
 		cur = out
 	}
 	return cur, nil
-}
-
-// EvictNode drops every warm instance on node id after placing one
-// replacement instance per affected function on another node (the
-// installed placer skips nodes the rack considers dead). It is the
-// membership Dead event's recovery hook for the control plane: containers
-// on a dead node are gone, so the density books must say so and capacity
-// must come back up somewhere live. Make before break: a function's
-// instance on id is dropped only once its replacement has started, so no
-// observer sees it at zero replicas because of the move, and Density()[id]
-// reading 0 means every replacement exists. Returns how many functions
-// lost an instance. Idempotent — a second call finds nothing on the node.
-func (c *Controller) EvictNode(id int) int {
-	if id < 0 || id >= len(c.runtimes) {
-		return 0
-	}
-	c.mu.Lock()
-	var affected []*Function
-	for _, f := range c.fns {
-		f.mu.Lock()
-		if f.instances[id] {
-			affected = append(affected, f)
-		}
-		f.mu.Unlock()
-	}
-	c.mu.Unlock()
-	evicted := 0
-	for _, f := range affected {
-		// Start the replacement outside the lock: scaleUp takes c.mu
-		// itself, and its cold start goes through the shared page cache
-		// anyway. A failed start leaves the function to scale from zero
-		// on its next Invoke; the dead node's instance goes regardless.
-		_, _ = c.scaleUp(f.Name, id)
-		c.mu.Lock()
-		f.mu.Lock()
-		if f.instances[id] {
-			delete(f.instances, id)
-			c.load[id]--
-			evicted++
-		}
-		f.mu.Unlock()
-		c.mu.Unlock()
-	}
-	return evicted
 }
 
 // Density returns warm instances per node.

@@ -424,42 +424,3 @@ func TestSharedCacheStartAllocations(t *testing.T) {
 		t.Fatalf("shared-cache start allocated %d bytes, want < 64 KiB (no chunk buffer)", perStart)
 	}
 }
-
-// TestEvictNodeReplacesBeforeRemoving scripts the window between
-// EvictNode's two steps, with the placer consulted for the replacement
-// as the observer: while the replacement is being placed, the dead node's
-// instance is still on the books, so the function is never at zero
-// replicas. The placer names the dead node, as one that has not yet heard
-// of the death would; the replacement must go elsewhere regardless.
-func TestEvictNodeReplacesBeforeRemoving(t *testing.T) {
-	env := newTestEnv(t, 3)
-	ctl := NewController(env.runtimes, env.services)
-	fn, err := ctl.Deploy("fn", "pytorch", func(n *fabric.Node, req []byte) []byte { return req })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.ScaleUpOn("fn", 2); err != nil {
-		t.Fatal(err)
-	}
-	consulted := 0
-	ctl.SetPlacer(func(density []int) int {
-		consulted++
-		if density[2] != 1 || fn.Instances() != 1 {
-			t.Errorf("replacement placed while density = %v and the function has %d instances: it was at zero replicas",
-				density, fn.Instances())
-		}
-		return 2
-	})
-	if got := ctl.EvictNode(2); got != 1 {
-		t.Fatalf("EvictNode(2) = %d, want 1", got)
-	}
-	if consulted != 1 {
-		t.Fatalf("placer consulted %d times, want 1", consulted)
-	}
-	if d := ctl.Density(); d[2] != 0 || d[0]+d[1] != 1 || fn.Instances() != 1 {
-		t.Fatalf("after eviction density = %v, %d instances; want one instance off node 2", d, fn.Instances())
-	}
-	if got := ctl.EvictNode(2); got != 0 {
-		t.Fatalf("second EvictNode(2) = %d, want 0", got)
-	}
-}

@@ -17,25 +17,11 @@ type Config struct {
 	PromoteHeat float64
 	// LocalHeat is the decayed heat at which a page qualifies for a
 	// node-local DRAM frame on its dominant accessor. Keep LocalHeat >
-	// PromoteHeat > Floor: the gap is the promote/demote hysteresis that
-	// stops a page oscillating between tiers on epoch noise.
+	// PromoteHeat > fadeFloor: the gap is the promote/demote hysteresis
+	// that stops a page oscillating between tiers on epoch noise.
 	LocalHeat float64
-	// DominantShare is the fraction of a page's heat its dominant node
-	// must hold before the page is pinned locally — pages shared evenly
-	// across nodes belong in global memory, not in one node's DRAM.
-	DominantShare float64
-	// Decay multiplies heat each epoch; Floor is the heat below which a
-	// page fades out of the tracker. Fading prunes the tracker, it does
-	// NOT demote: an idle page keeps its placement until a hotter page
-	// needs the space (pressure-driven demotion), so an uncontended fast
-	// tier never empties itself. Faded pages carry zero heat, making them
-	// the first victims of budget eviction and displacement.
+	// Decay multiplies heat each epoch.
 	Decay float64
-	Floor float64
-	// DisplaceFactor is how much hotter a candidate must be than the
-	// coldest resident before it displaces that resident from a full
-	// local store (more hysteresis: ties never churn).
-	DisplaceFactor float64
 	// LocalBudgetPages caps managed node-local pages per node;
 	// WarmBudgetPages caps managed warm global pages rack-wide. <= 0
 	// means uncapped.
@@ -44,10 +30,29 @@ type Config struct {
 	// MaxMovesPerStep bounds one step's page moves so a policy swing
 	// cannot monopolize the fabric.
 	MaxMovesPerStep int
-	// HintMaxAge is how long a placement hint protects a node from
-	// demotions.
-	HintMaxAge time.Duration
 }
+
+// The policy's fixed constants.
+const (
+	// dominantShare is the fraction of a page's heat its dominant node
+	// must hold before the page is pinned locally — pages shared evenly
+	// across nodes belong in global memory, not in one node's DRAM.
+	dominantShare = 0.6
+	// fadeFloor is the heat below which a page fades out of the tracker.
+	// Fading prunes the tracker, it does NOT demote: an idle page keeps
+	// its placement until a hotter page needs the space (pressure-driven
+	// demotion), so an uncontended fast tier never empties itself. Faded
+	// pages carry zero heat, making them the first victims of budget
+	// eviction and displacement.
+	fadeFloor = 0.5
+	// displaceFactor is how much hotter a candidate must be than the
+	// coldest resident before it displaces that resident from a full
+	// tier (more hysteresis: ties never churn).
+	displaceFactor = 1.5
+	// hintMaxAge is how long a placement hint protects a node from
+	// demotions.
+	hintMaxAge = 10 * time.Millisecond
+)
 
 func (c *Config) fillDefaults() {
 	if c.PromoteHeat <= 0 {
@@ -56,23 +61,11 @@ func (c *Config) fillDefaults() {
 	if c.LocalHeat <= 0 {
 		c.LocalHeat = 8
 	}
-	if c.DominantShare <= 0 {
-		c.DominantShare = 0.6
-	}
 	if c.Decay <= 0 || c.Decay > 1 {
 		c.Decay = 0.5
 	}
-	if c.Floor <= 0 {
-		c.Floor = 0.5
-	}
-	if c.DisplaceFactor <= 1 {
-		c.DisplaceFactor = 1.5
-	}
 	if c.MaxMovesPerStep <= 0 {
 		c.MaxMovesPerStep = 4096
-	}
-	if c.HintMaxAge <= 0 {
-		c.HintMaxAge = 10 * time.Millisecond
 	}
 }
 
@@ -93,7 +86,6 @@ type Stats struct {
 	FailedMoves   uint64 // CAS losses / stale model, resynced via TierOf
 	HintVetoes    uint64 // demotions skipped for a sched-hinted node
 	Displaced     uint64 // budget evictions (both tiers)
-	DrainEvicted  uint64 // local pages pushed off a drained node
 }
 
 // pageState is what the daemon believes about one managed page. The
@@ -117,13 +109,6 @@ type Daemon struct {
 	migMu    sync.Mutex
 	migrated map[uint64]struct{}
 
-	// drained marks nodes the health layer's self-healing controller is
-	// moving work off: the daemon stops promoting pages toward them and
-	// actively spills their local pages back to warm global memory. The
-	// flag outranks the sched hint truce — a drain is a deliberate
-	// decision to give up the node's locality, hints notwithstanding.
-	drained []atomic.Bool
-
 	// attached is each node's virtual clock and translation count when
 	// Attach ran: the executor of a step's owner-less work is chosen by
 	// what the nodes have done since. Guarded by stepMu.
@@ -138,7 +123,7 @@ type Daemon struct {
 
 	stats struct {
 		steps, promLocal, promWarm, demWarm, demCold atomic.Uint64
-		failed, vetoes, displaced, drainEvicted      atomic.Uint64
+		failed, vetoes, displaced                    atomic.Uint64
 	}
 }
 
@@ -159,7 +144,6 @@ func New(sp *memsys.Space, mmus []*memsys.MMU, cfg Config, hints Hints) *Daemon 
 		heat:       NewHeatMap(len(mmus)),
 		hints:      hints,
 		migrated:   make(map[uint64]struct{}),
-		drained:    make([]atomic.Bool, len(mmus)),
 		attached:   make([]nodeMark, len(mmus)),
 		state:      make(map[uint64]pageState),
 		localCount: make([]int, len(mmus)),
@@ -212,28 +196,6 @@ func (d *Daemon) Prime(vpn uint64, t memsys.Tier, node int) {
 	d.stepMu.Unlock()
 }
 
-// SetNodeDrained marks node as a (non-)target for placement: while
-// drained, the node is demoted as a promotion target — no page is
-// pulled into its local DRAM, the sched hint truce no longer protects
-// its pages, and each Step spills its managed local pages back to warm
-// global memory (under the usual per-step move budget). The health
-// layer's self-healing controller raises the flag when it drains a
-// degrading node and clears it on rejoin. Safe from any goroutine.
-func (d *Daemon) SetNodeDrained(node int, drained bool) {
-	if node < 0 || node >= len(d.drained) {
-		return
-	}
-	d.drained[node].Store(drained)
-}
-
-// NodeDrained reports whether node is currently marked drained.
-func (d *Daemon) NodeDrained(node int) bool {
-	if node < 0 || node >= len(d.drained) {
-		return false
-	}
-	return d.drained[node].Load()
-}
-
 // Stats returns a snapshot of the daemon's counters.
 func (d *Daemon) Stats() Stats {
 	return Stats{
@@ -245,7 +207,6 @@ func (d *Daemon) Stats() Stats {
 		FailedMoves:   d.stats.failed.Load(),
 		HintVetoes:    d.stats.vetoes.Load(),
 		Displaced:     d.stats.displaced.Load(),
-		DrainEvicted:  d.stats.drainEvicted.Load(),
 	}
 }
 
@@ -300,7 +261,7 @@ func (d *Daemon) sinceAttach(n int, m *memsys.MMU) nodeMark {
 }
 
 // executor picks the node that runs a step's owner-less work from the
-// attached nodes neither crashed nor drained, by what each has done since
+// attached nodes that have not crashed, by what each has done since
 // Attach. Two measures of a node's load disagree when the nodes serve
 // unequal shares of the accesses. By its clock, a node that served few
 // accesses looks idle. By its time per access, which is its load if the
@@ -336,11 +297,11 @@ func (d *Daemon) executor() *memsys.MMU {
 	return d.mmus[best]
 }
 
-// canExecute reports whether node n can run owner-less work: attached,
-// not crashed and not drained.
+// canExecute reports whether node n can run owner-less work: attached
+// and not crashed.
 func (d *Daemon) canExecute(n int) bool {
 	m := d.mmus[n]
-	return m != nil && !m.Node().Crashed() && !d.drained[n].Load()
+	return m != nil && !m.Node().Crashed()
 }
 
 // plan is one step's decided moves. A move with an owner is grouped under
@@ -508,65 +469,30 @@ func (d *Daemon) foldEpoch() (hot []PageStat, veto int) {
 	// Faded pages just leave the tracker; with zero heat they become the
 	// preferred victims of budget pressure, but nothing demotes them while
 	// the space is uncontended.
-	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, d.cfg.Floor, sc.hot[:0], sc.faded[:0])
+	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, fadeFloor, sc.hot[:0], sc.faded[:0])
 
 	// The sched truce: a node that just received placements keeps its
-	// pages this step — unless the health layer drained it, in which case
-	// the truce yields (the drain already decided the node loses its
-	// work, so protecting its pages would only delay the re-place).
+	// pages this step.
 	veto = -1
 	if d.hints != nil {
-		if n, ok := d.hints.SpacePlacementHint(d.sp.ID, d.cfg.HintMaxAge); ok && !d.NodeDrained(n) {
+		if n, ok := d.hints.SpacePlacementHint(d.sp.ID, hintMaxAge); ok {
 			veto = n
 		}
 	}
 	return sc.hot, veto
 }
 
-// planStep decides the step's moves: the drain spill, then promotions
-// hottest first, then warm-budget evictions.
+// planStep decides the step's moves: promotions hottest first, then
+// warm-budget evictions.
 func (d *Daemon) planStep(hot []PageStat, veto int) *plan {
 	sc := &d.scratch
 	pl := &sc.plan
 	pl.reset(len(d.mmus))
 	clear(sc.planned)
 	sc.residents = false
-	d.planDrainEvictions(pl)
 	d.planPromotions(pl, hot, veto)
 	d.planWarmBudget(pl, hot)
 	return pl
-}
-
-// planDrainEvictions spills every managed local page off drained nodes
-// back to warm global memory — the "re-place" stage of the self-healing
-// pipeline. It runs before promotion planning and marks what it plans in
-// the step's planned set so later stages never double-move the same page.
-func (d *Daemon) planDrainEvictions(pl *plan) {
-	planned := d.scratch.planned
-	for n := range d.mmus {
-		if !d.drained[n].Load() || d.localCount[n] == 0 {
-			continue
-		}
-		vpns := pl.demoteWarm[n]
-		for vpn, st := range d.state {
-			if st.tier == memsys.TierLocal && int(st.node) == n {
-				vpns = append(vpns, vpn)
-			}
-		}
-		slices.Sort(vpns)
-		if room := d.cfg.MaxMovesPerStep - pl.moves; len(vpns) > room {
-			vpns = vpns[:room]
-		}
-		for _, vpn := range vpns {
-			planned[vpn] = true
-		}
-		pl.demoteWarm[n] = vpns
-		pl.moves += len(vpns)
-		d.stats.drainEvicted.Add(uint64(len(vpns)))
-		if pl.moves >= d.cfg.MaxMovesPerStep {
-			return
-		}
-	}
 }
 
 // collectResidents gathers, with this step's heat, the managed warm pages
@@ -614,10 +540,8 @@ const (
 // sorts.
 func (d *Daemon) armOf(ps PageStat) (a arm, st pageState, managed bool) {
 	dom := ps.Node
-	// A drained node never qualifies as a local home, however hot the
-	// page: the self-healing controller is moving work off it.
-	wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= d.cfg.DominantShare &&
-		dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil && !d.drained[dom].Load()
+	wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= dominantShare &&
+		dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil
 	if !wantLocal && ps.Heat < d.cfg.PromoteHeat {
 		return armNone, st, false
 	}
@@ -659,7 +583,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 			return
 		}
 		if planned[ps.VPN] {
-			continue // already moving this step (drain spill, or displaced above)
+			continue // already moving this step (displaced above)
 		}
 		a, st, managed := d.armOf(ps)
 		dom := ps.Node
@@ -678,7 +602,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 		case armLocal:
 			if d.cfg.LocalBudgetPages > 0 && d.localCount[dom] >= d.cfg.LocalBudgetPages {
 				// Full: displace the coldest resident only if this page is
-				// clearly hotter (DisplaceFactor hysteresis).
+				// clearly hotter (displaceFactor hysteresis).
 				if dom == veto {
 					d.stats.vetoes.Add(1)
 					continue
@@ -686,7 +610,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 				d.collectResidents(hot)
 				q := &sc.coldest[dom]
 				q.skipPlanned(planned)
-				if len(*q) > 0 && (*q)[0].heat*d.cfg.DisplaceFactor < ps.Heat {
+				if len(*q) > 0 && (*q)[0].heat*displaceFactor < ps.Heat {
 					v := q.pop()
 					pl.demoteWarm[dom] = append(pl.demoteWarm[dom], v.vpn)
 					planned[v.vpn] = true
@@ -705,7 +629,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 		case armWarm:
 			if d.cfg.WarmBudgetPages > 0 && projWarm >= d.cfg.WarmBudgetPages {
 				// Premium is full: swap only when the candidate is clearly
-				// hotter than the coldest resident (the same DisplaceFactor
+				// hotter than the coldest resident (the same displaceFactor
 				// hysteresis local placement uses). A page moves warm<->cold
 				// at full-page copy cost, so near-ties must never churn.
 				if !warmBuilt {
@@ -717,7 +641,7 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 				}
 				q := &sc.coldestWarm
 				q.skipPlanned(planned)
-				if len(*q) == 0 || (*q)[0].heat*d.cfg.DisplaceFactor >= ps.Heat {
+				if len(*q) == 0 || (*q)[0].heat*displaceFactor >= ps.Heat {
 					continue // not clearly hotter than any resident
 				}
 				v := q.pop()
@@ -781,8 +705,8 @@ func (d *Daemon) planWarmBudget(pl *plan, hot []PageStat) {
 // execute runs the plan as batches — each owned group on its node in node
 // order, the owner-less moves on the step's executor — deterministic and
 // one shootdown IPI per remote MMU per batch, then folds outcomes back
-// into the model. With no executor (every node drained or crashed) only
-// the local demotions run; the other moves wait, and since nothing ran
+// into the model. With no executor (every node crashed) only the local
+// demotions run; the other moves wait, and since nothing ran
 // them the model still holds.
 func (d *Daemon) execute(pl *plan) {
 	sc := &d.scratch

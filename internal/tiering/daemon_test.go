@@ -210,7 +210,7 @@ func TestDaemonWarmBudgetEviction(t *testing.T) {
 }
 
 // TestDaemonLocalDisplacement: a full local store only gives up a frame
-// when the challenger is DisplaceFactor hotter than the coldest resident,
+// when the challenger is displaceFactor hotter than the coldest resident,
 // and the displaced page's slot goes to the challenger next step.
 func TestDaemonLocalDisplacement(t *testing.T) {
 	e := newTierEnv(t, 2)
@@ -227,7 +227,7 @@ func TestDaemonLocalDisplacement(t *testing.T) {
 		t.Fatal("setup: page 0 not local")
 	}
 
-	// Page 1 gets modest heat — above LocalHeat but NOT DisplaceFactor
+	// Page 1 gets modest heat — above LocalHeat but NOT displaceFactor
 	// beyond page 0's decayed heat (8): no churn.
 	for i := 0; i < 9; i++ {
 		e.read(t, 0, 1)
@@ -434,88 +434,6 @@ func TestDaemonDeterministic(t *testing.T) {
 	}
 	if a.stats.PromotedLocal == 0 {
 		t.Fatal("workload produced no local promotions; test proves nothing")
-	}
-}
-
-// TestDaemonDrainSpillsAndBlocksPromotion: marking a node drained spills
-// its managed local pages back to warm, refuses new local promotions
-// toward it (even for a blazing-hot dominant page), and clearing the
-// flag restores normal placement — the tiering half of the self-healing
-// re-place stage.
-func TestDaemonDrainSpillsAndBlocksPromotion(t *testing.T) {
-	e := newTierEnv(t, 2)
-	e.mapPages(t, 2)
-	d := New(e.s, e.mmus, Config{}, nil)
-	d.Attach()
-	defer d.Detach()
-
-	// Page 0 earns a local frame on node 1 the normal way.
-	for i := 0; i < 16; i++ {
-		e.read(t, 1, 0)
-	}
-	d.Step()
-	if tier, node := e.tierOf(0); tier != memsys.TierLocal || node != 1 {
-		t.Fatalf("setup: tier=%v node=%d, want local on node 1", tier, node)
-	}
-
-	// Drain node 1: the next step must spill page 0 to warm even though
-	// nothing else wants the frame, and page 1 — hot and dominated by
-	// node 1 — must NOT be promoted there.
-	d.SetNodeDrained(1, true)
-	if !d.NodeDrained(1) {
-		t.Fatal("NodeDrained(1) = false after SetNodeDrained(1, true)")
-	}
-	for i := 0; i < 16; i++ {
-		e.read(t, 1, 1)
-	}
-	d.Step()
-	if tier, _ := e.tierOf(0); tier != memsys.TierWarm {
-		t.Fatalf("drained node's local page not spilled (tier=%v)", tier)
-	}
-	if tier, _ := e.tierOf(1); tier == memsys.TierLocal {
-		t.Fatal("page promoted to a drained node")
-	}
-	if st := d.Stats(); st.DrainEvicted != 1 {
-		t.Fatalf("DrainEvicted = %d, want 1", st.DrainEvicted)
-	}
-
-	// Rejoin: clearing the flag lets the hot page take its local frame.
-	d.SetNodeDrained(1, false)
-	for i := 0; i < 16; i++ {
-		e.read(t, 1, 1)
-	}
-	d.Step()
-	if tier, node := e.tierOf(1); tier != memsys.TierLocal || node != 1 {
-		t.Fatalf("after rejoin: tier=%v node=%d, want local on node 1", tier, node)
-	}
-	if st := d.Stats(); st.DrainEvicted != 1 {
-		t.Fatalf("DrainEvicted grew after rejoin: %d", st.DrainEvicted)
-	}
-}
-
-// TestDaemonDrainOutranksHintVeto: a sched placement hint normally
-// protects a node's pages from demotion, but a drained node forfeits the
-// truce — the spill proceeds hints notwithstanding.
-func TestDaemonDrainOutranksHintVeto(t *testing.T) {
-	e := newTierEnv(t, 2)
-	e.mapPages(t, 1)
-	h := &fakeHints{node: 1, ok: true}
-	d := New(e.s, e.mmus, Config{}, h)
-	d.Attach()
-	defer d.Detach()
-
-	for i := 0; i < 16; i++ {
-		e.read(t, 1, 0)
-	}
-	d.Step()
-	if tier, node := e.tierOf(0); tier != memsys.TierLocal || node != 1 {
-		t.Fatalf("setup: tier=%v node=%d, want local on node 1", tier, node)
-	}
-
-	d.SetNodeDrained(1, true)
-	d.Step()
-	if tier, _ := e.tierOf(0); tier != memsys.TierWarm {
-		t.Fatalf("hinted drain spill blocked (tier=%v)", tier)
 	}
 }
 
@@ -761,18 +679,17 @@ func TestOwnerlessWorkRunsOnIdlestNode(t *testing.T) {
 	}
 }
 
-// TestOwnerlessWorkSkipsDrainedAndCrashedNodes: a drained node and a
-// crashed node stay the idlest by clock, yet no step runs owner-less work
-// on them, though the drained node is the dominant accessor of the pages
-// promoted to warm and the crashed one's number is a demoted page's (its
-// MMU would panic); the executor is the idlest node that can take the
-// work, and the pages move exactly as on a rack where every node is up.
-// With every live node drained nothing can take the work and it waits:
-// the drained nodes spill their local pages, but no warm<->cold move runs
-// and nothing is counted as failed.
-func TestOwnerlessWorkSkipsDrainedAndCrashedNodes(t *testing.T) {
+// TestOwnerlessWorkSkipsCrashedNodes: two crashed nodes stay the idlest
+// by clock, yet no step runs owner-less work on them, though one is the
+// dominant accessor of the pages promoted to warm and the other's number
+// is a demoted page's (its MMU would panic); the executor is the idlest
+// node that can take the work, and the pages move exactly as on a rack
+// where every node is up. With every node crashed nothing can take the
+// work and it waits: no warm<->cold move runs and nothing is counted as
+// failed.
+func TestOwnerlessWorkSkipsCrashedNodes(t *testing.T) {
 	e, d := ownerlessRack(t, 1_000_000_000, 100_000_000, 0, 0)
-	d.SetNodeDrained(2, true)
+	e.f.Node(2).Crash()
 	e.f.Node(3).Crash()
 	twin, td := ownerlessRack(t, 1_000_000_000, 100_000_000, 0, 0)
 
@@ -789,34 +706,31 @@ func TestOwnerlessWorkSkipsDrainedAndCrashedNodes(t *testing.T) {
 		wantTiers(t, e, "after "+s.name, s.want)
 		wantTiers(t, twin, "twin, after "+s.name, s.want)
 		if got[2] != (fabric.NodeStatsSnapshot{}) || got[3] != (fabric.NodeStatsSnapshot{}) {
-			t.Fatalf("%s charged the drained or the crashed node: node 2 %+v, node 3 %+v", s.name, got[2], got[3])
+			t.Fatalf("%s charged a crashed node: node 2 %+v, node 3 %+v", s.name, got[2], got[3])
 		}
 		if got[1].VirtualNS == 0 {
 			t.Fatalf("%s charged node 1, the idlest node that can take the work, nothing", s.name)
 		}
 		if idle := e.f.Node(1).VirtualNS() - 100_000_000; e.f.Node(2).VirtualNS() >= idle || e.f.Node(3).VirtualNS() >= idle {
-			t.Fatalf("after %s the drained or the crashed node is no longer idler than node 1", s.name)
+			t.Fatalf("after %s a crashed node is no longer idler than node 1", s.name)
 		}
 		if a, b := d.Stats(), td.Stats(); a != b {
 			t.Fatalf("after %s: stats %+v, twin %+v", s.name, a, b)
 		}
 	}
 
-	d.SetNodeDrained(0, true)
-	d.SetNodeDrained(1, true)
+	e.f.Node(0).Crash()
+	e.f.Node(1).Crash()
 	before := d.Stats()
 	for i := 0; i < 3; i++ {
 		d.Sample(0, basePage+6, false)
 	}
 	d.Step()
-	st := d.Stats()
-	if st.PromotedWarm != before.PromotedWarm || st.DemotedCold != before.DemotedCold ||
+	if st := d.Stats(); st.PromotedWarm != before.PromotedWarm || st.DemotedCold != before.DemotedCold ||
 		st.FailedMoves != before.FailedMoves || st.Displaced != before.Displaced {
 		t.Fatalf("with no node to run it, owner-less work ran, failed or was counted: %+v, before %+v", st, before)
 	}
-	if st.DemotedWarm != before.DemotedWarm+2 {
-		t.Fatalf("the drained nodes spilled %d local pages, want 2", st.DemotedWarm-before.DemotedWarm)
-	}
+	e.f.Node(0).Restart()
 	if tier, _ := e.tierOf(6); tier != memsys.TierCold {
 		t.Fatalf("page 6 is %v with no executor, want it still cold", tier)
 	}

@@ -21,9 +21,9 @@
 //     warm<->cold moves and freeing the frames local promotions vacate —
 //     runs on one executor per step, because any node can work on the
 //     shared page table and the busiest node's clock is the rack's
-//     throughput. The executor is the node, neither crashed nor drained,
-//     whose clock has advanced least since Attach, passing over the one
-//     with the highest time per access (Daemon.executor).
+//     throughput. The executor is the live node whose clock has advanced
+//     least since Attach, passing over the one with the highest time per
+//     access (Daemon.executor).
 //
 // Every policy decision is deterministic: epoch folds return vpn-sorted
 // snapshots, move lists sort by (heat desc, vpn asc), and the daemon runs

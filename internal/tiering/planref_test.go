@@ -37,7 +37,6 @@ func (r *refPlanner) plan(d *Daemon, hot []PageStat, veto int) *plan {
 	pl := &d.scratch.plan
 	pl.reset(len(d.mmus))
 	clear(d.scratch.planned)
-	d.planDrainEvictions(pl)
 	r.promotions(d, pl, hot, veto)
 	r.warmBudget(d, pl)
 	return pl
@@ -100,8 +99,8 @@ func (r *refPlanner) promotions(d *Daemon, pl *plan, hot []PageStat, veto int) {
 		}
 		st, managed := d.state[ps.VPN]
 		dom := ps.Node
-		wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= d.cfg.DominantShare &&
-			dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil && !d.drained[dom].Load()
+		wantLocal := ps.Heat >= d.cfg.LocalHeat && ps.Share >= dominantShare &&
+			dom >= 0 && dom < len(d.mmus) && d.mmus[dom] != nil
 		switch {
 		case wantLocal && managed && st.tier == memsys.TierLocal && int(st.node) == dom:
 		case wantLocal && managed && st.tier == memsys.TierLocal:
@@ -127,7 +126,7 @@ func (r *refPlanner) promotions(d *Daemon, pl *plan, hot []PageStat, veto int) {
 					q = q[1:]
 				}
 				coldest[dom] = q
-				if len(q) > 0 && q[0].Heat*d.cfg.DisplaceFactor < ps.Heat {
+				if len(q) > 0 && q[0].Heat*displaceFactor < ps.Heat {
 					v := q[0]
 					coldest[dom] = q[1:]
 					pl.demoteWarm[dom] = append(pl.demoteWarm[dom], v.VPN)
@@ -154,7 +153,7 @@ func (r *refPlanner) promotions(d *Daemon, pl *plan, hot []PageStat, veto int) {
 					q = q[1:]
 				}
 				coldestWarm = q
-				if len(q) == 0 || q[0].Heat*d.cfg.DisplaceFactor >= ps.Heat {
+				if len(q) == 0 || q[0].Heat*displaceFactor >= ps.Heat {
 					continue
 				}
 				v := q[0]
@@ -247,9 +246,8 @@ func samePlan(a, b plan) bool {
 // reference planner, each on its own identical rack, with the same seeded
 // sample stream, and requires the same plan, in the same order, and the
 // same counters at every step. The stream keeps the local and the warm
-// tier full, caps the moves of a step, drains a node for a while, vetoes
-// another (and, once, the drained one, which the drain outranks), and
-// reports demand migrations the model has to take on trust.
+// tier full, caps the moves of a step, vetoes one node and then another,
+// and reports demand migrations the model has to take on trust.
 func TestPlannerMatchesReference(t *testing.T) {
 	const (
 		nodes = 3
@@ -308,14 +306,12 @@ func TestPlannerMatchesReference(t *testing.T) {
 				a.d.Migrated(vpn, 0)
 				b.d.Migrated(vpn, 0)
 			}
-			drained := step >= 12 && step < 18
 			vetoed := step >= 6 && step < 10 || step >= 14 && step < 16 || step >= 24 && step < 30
 			veto := 1
 			if step >= 14 && step < 16 {
-				veto = 2 // the drained node: the drain outranks the truce
+				veto = 2
 			}
 			for _, s := range []side{a, b} {
-				s.d.SetNodeDrained(2, drained)
 				s.hints.node, s.hints.ok = veto, vetoed
 			}
 			pa := stepWith(a.d, a.d.planStep)
@@ -328,7 +324,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 			}
 		}
 		st := a.d.Stats()
-		if st.Displaced == 0 || st.HintVetoes == 0 || st.DrainEvicted == 0 || st.PromotedLocal == 0 || st.PromotedWarm == 0 {
+		if st.Displaced == 0 || st.HintVetoes == 0 || st.PromotedLocal == 0 || st.PromotedWarm == 0 {
 			t.Fatalf("seed %d: the stream left a path unexercised: %+v", seed, st)
 		}
 	}

@@ -122,18 +122,18 @@ func buildSchedule(cfg Config, mask FaultClass, totalOps uint64) []Event {
 				Event{AtOp: a, Kind: EvCrash, Node: victim},
 				Event{AtOp: b, Kind: EvRestart, Node: victim})
 		case EvCorruptOn:
-			ppm := cfg.CorruptPPM / uint64(1<<rng.Intn(3))
+			ppm := corruptPPM / uint64(1<<rng.Intn(3))
 			out = append(out,
 				Event{AtOp: a, Kind: EvCorruptOn, Arg: ppm},
 				Event{AtOp: b, Kind: EvCorruptOff})
 		case EvDropOn:
-			ppm := cfg.DropPPM / uint64(1<<rng.Intn(3))
+			ppm := dropPPM / uint64(1<<rng.Intn(3))
 			out = append(out,
 				Event{AtOp: a, Kind: EvDropOn, Arg: ppm},
 				Event{AtOp: b, Kind: EvDropOff})
 		case EvDegradeOn:
 			victim = 1 + (victim+rng.Intn(cfg.Nodes-1))%(cfg.Nodes-1)
-			hops := uint64(1 + rng.Intn(cfg.DegradeHops))
+			hops := uint64(1 + rng.Intn(degradeHops))
 			out = append(out,
 				Event{AtOp: a, Kind: EvDegradeOn, Node: victim, Arg: hops},
 				Event{AtOp: b, Kind: EvDegradeOff, Node: victim})
@@ -185,9 +185,7 @@ func drive(env *Env, w Workload, schedule []Event, done <-chan struct{}) {
 func apply(env *Env, w Workload, ev *Event) {
 	f := env.Fab
 	ev.FiredVNS = rackVNS(f)
-	if env.Trace != nil {
-		env.Trace.Writer(0).Emit(trace.SubTorture, trace.KFault, 0, uint64(ev.Kind), uint64(ev.Node))
-	}
+	env.Trace.Writer(0).Emit(trace.SubTorture, trace.KFault, 0, uint64(ev.Kind), uint64(ev.Node))
 	var n *fabric.Node
 	if ev.Node >= 0 && ev.Node < f.NumNodes() {
 		n = f.Node(ev.Node)

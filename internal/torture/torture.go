@@ -80,40 +80,37 @@ type Config struct {
 	Seed int64
 	// Nodes sizes the rack (default 3; node 0 never crashes).
 	Nodes int
-	// ClientsPerNode is how many client goroutines each node runs
-	// (default 2; workloads may interpret roles per client).
-	ClientsPerNode int
 	// OpsPerClient is how many completed operations each client performs
 	// (default 250). The fault schedule is laid out over the total.
 	OpsPerClient int
-	// Faults enables fault classes; each workload additionally masks it
-	// with what it tolerates. Default FaultAll.
-	Faults FaultClass
 	// Events is how many fault windows the schedule contains (each is an
 	// on/off or crash/restart pair; default 6).
 	Events int
-	// CorruptPPM and DropPPM are the peak injector rates used inside
-	// corrupt/dropwb windows (defaults 400/400).
-	CorruptPPM, DropPPM uint64
-	// DegradeHops is the link degradation applied inside degrade windows
-	// (default 6 extra hops).
-	DegradeHops int
 	// Break names a deliberately broken sync path to enable for the run
 	// ("" = none). See ApplyBreak.
 	Break string
-	// GlobalMemBytes sizes the fabric (default 256 MiB).
-	GlobalMemBytes uint64
-	// CacheLines bounds each node cache (default -1: unbounded, so stale
-	// lines stay resident and missing invalidates are observable).
-	CacheLines int
-	// NoTrace disables the rack flight recorder. Tracing is on by default:
-	// a failing sweep's report carries the merged pre-failure timeline
-	// (Report.TraceTimeline / TraceJSON), including whatever a crashed
-	// node published before dying.
-	NoTrace bool
-	// TraceRingCap sizes each node's event ring (default 32768 slots).
-	TraceRingCap uint64
 }
+
+// A sweep's fixed rack and fault rates. Every fault class a workload
+// tolerates is enabled, and the flight recorder is always on: a failing
+// sweep's report carries the merged pre-failure timeline
+// (Report.TraceTimeline / TraceJSON), including whatever a crashed node
+// published before dying.
+const (
+	// corruptPPM and dropPPM are the peak injector rates used inside
+	// corrupt/dropwb windows.
+	corruptPPM, dropPPM = 400, 400
+	// degradeHops is the most link degradation a degrade window applies,
+	// in extra hops.
+	degradeHops = 6
+	// globalMemBytes sizes the fabric.
+	globalMemBytes = 256 << 20
+	// cacheLines bounds each node cache: unbounded, so stale lines stay
+	// resident and missing invalidates are observable.
+	cacheLines = -1
+	// traceRingCap sizes each node's event ring, in events.
+	traceRingCap = 1 << 15
+)
 
 func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
@@ -122,35 +119,11 @@ func (c *Config) fillDefaults() {
 	if c.Nodes == 0 {
 		c.Nodes = 3
 	}
-	if c.ClientsPerNode == 0 {
-		c.ClientsPerNode = 2
-	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 250
 	}
-	if c.Faults == 0 {
-		c.Faults = FaultAll
-	}
 	if c.Events == 0 {
 		c.Events = 6
-	}
-	if c.CorruptPPM == 0 {
-		c.CorruptPPM = 400
-	}
-	if c.DropPPM == 0 {
-		c.DropPPM = 400
-	}
-	if c.DegradeHops == 0 {
-		c.DegradeHops = 6
-	}
-	if c.GlobalMemBytes == 0 {
-		c.GlobalMemBytes = 256 << 20
-	}
-	if c.CacheLines == 0 {
-		c.CacheLines = -1
-	}
-	if c.TraceRingCap == 0 {
-		c.TraceRingCap = 1 << 15
 	}
 }
 
@@ -187,9 +160,8 @@ type RestartHandler interface {
 type Env struct {
 	Fab *fabric.Fabric
 	Cfg Config
-	// Trace is the rack flight recorder, nil when Cfg.NoTrace is set.
-	// Workloads attach their subsystems to it in Prepare (SetTrace is
-	// nil-recorder safe, so unconditional attachment is fine).
+	// Trace is the rack flight recorder. Workloads attach their
+	// subsystems to it in Prepare.
 	Trace *trace.Recorder
 
 	ops    atomic.Uint64
@@ -270,7 +242,7 @@ func WaitAlive(n *fabric.Node) {
 type Report struct {
 	Workload   string
 	Seed       int64
-	Faults     FaultClass // classes actually enabled (config ∩ tolerated)
+	Faults     FaultClass // classes enabled: the ones the workload tolerates
 	Ops        uint64
 	Events     []Event
 	BitFlips   uint64
@@ -391,19 +363,21 @@ func ByName(name string) Workload {
 // Run executes one workload sweep under cfg and returns its report.
 func Run(w Workload, cfg Config) *Report {
 	cfg.fillDefaults()
-	mask := w.Tolerates() & cfg.Faults
+	mask := w.Tolerates()
 	f := fabric.New(fabric.Config{
-		GlobalSize:         cfg.GlobalMemBytes,
+		GlobalSize:         globalMemBytes,
 		Nodes:              cfg.Nodes,
-		CacheCapacityLines: cfg.CacheLines,
+		CacheCapacityLines: cacheLines,
 		// Accounting-only latency gives the flight recorder deterministic
 		// virtual timestamps; it adds no real delay to the sweep.
 		Latency:   fabric.DefaultLatency(),
 		FaultSeed: cfg.Seed,
 	})
-	env := &Env{Fab: f, Cfg: cfg, inflight: make([]atomic.Int64, cfg.Nodes)}
-	if !cfg.NoTrace {
-		env.Trace = trace.New(f, trace.Config{RingCap: cfg.TraceRingCap})
+	env := &Env{
+		Fab:      f,
+		Cfg:      cfg,
+		Trace:    trace.New(f, trace.Config{RingCap: traceRingCap}),
+		inflight: make([]atomic.Int64, cfg.Nodes),
 	}
 	if cfg.Break != "" {
 		if err := ApplyBreak(cfg.Break); err != nil {
@@ -469,7 +443,7 @@ func Run(w Workload, cfg Config) *Report {
 		DroppedWBs: f.Faults().DroppedWriteBacks(),
 		Violations: viols,
 	}
-	if !rep.Passed() && env.Trace != nil {
+	if !rep.Passed() {
 		// Post-mortem: extract every node's ring — crashed nodes' published
 		// events are still in global memory — and attach the merged tail.
 		rt := env.Trace.Collector().Snapshot(f.Node(0), false)

@@ -101,7 +101,6 @@ const (
 	KRecovered  // the node's signals returned to normal; arg1 = generation
 	KDrain      // begin/end: the self-healing drain pipeline; arg1 = generation (end: stage mask)
 	KFenceEarly // the store was fenced BEFORE node death; arg1 = fenced generation
-	KRePlace    // tiering stopped promoting toward the node; arg1 = generation
 	KRejoin     // begin/end: recovery rejoin span; arg1 = generation
 	// fabric (firehose, opt-in), ranged: one event per maintenance burst.
 	// arg0 = first (lowest) line index written, arg1 = lines written.
@@ -175,8 +174,6 @@ func (k Kind) String() string {
 		return "drain"
 	case KFenceEarly:
 		return "fence-early"
-	case KRePlace:
-		return "re-place"
 	case KRejoin:
 		return "rejoin"
 	case KWriteBackRange:
