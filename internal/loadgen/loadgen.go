@@ -15,6 +15,8 @@
 // Everything is deterministic: streams are seeded splitmix64, so the same
 // seed replays the identical arrival schedule and key sequence, and a
 // perf regression bisects against a byte-identical workload.
+// TestZipfGoldenRanks pins the rank stream of every sampler a program
+// builds by hash, so a sampler change that moves one rank fails there.
 package loadgen
 
 import "math"

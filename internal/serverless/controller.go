@@ -124,26 +124,7 @@ func (c *Controller) ScaleUp(name string) (StartupReport, error) {
 	}
 	nodeID := c.pickNode()
 	c.mu.Unlock()
-
-	if tw := c.tw(nodeID); tw != nil {
-		tw.Emit(trace.SubServerless, trace.KPlace, 0, fnHash(name), uint64(nodeID))
-	}
-	rep, err := c.runtimes[nodeID].StartContainer(f.Image)
-	if err != nil {
-		return rep, err
-	}
-	c.mu.Lock()
-	f.mu.Lock()
-	if !f.instances[nodeID] {
-		f.instances[nodeID] = true
-		c.load[nodeID]++
-	}
-	if rep.Source == SourceRegistry {
-		f.coldStart++
-	}
-	f.mu.Unlock()
-	c.mu.Unlock()
-	return rep, nil
+	return c.startOn(f, nodeID)
 }
 
 // ScaleUpOn starts a warm instance on an explicit node (operator-pinned
@@ -158,8 +139,15 @@ func (c *Controller) ScaleUpOn(name string, nodeID int) (StartupReport, error) {
 	if nodeID < 0 || nodeID >= len(c.runtimes) {
 		return StartupReport{}, fmt.Errorf("serverless: no node %d", nodeID)
 	}
+	return c.startOn(f, nodeID)
+}
+
+// startOn starts an instance of f on nodeID and books it: one more
+// instance on the node's load the first time f lands there, and a cold
+// start when the image came from the registry.
+func (c *Controller) startOn(f *Function, nodeID int) (StartupReport, error) {
 	if tw := c.tw(nodeID); tw != nil {
-		tw.Emit(trace.SubServerless, trace.KPlace, 0, fnHash(name), uint64(nodeID))
+		tw.Emit(trace.SubServerless, trace.KPlace, 0, fnHash(f.Name), uint64(nodeID))
 	}
 	rep, err := c.runtimes[nodeID].StartContainer(f.Image)
 	if err != nil {
