@@ -1,6 +1,9 @@
 package coherlint
 
 import (
+	"go/ast"
+	"go/types"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,6 +92,28 @@ func TestRepoIsClean(t *testing.T) {
 			ignores, rawMaintenanceIgnores)
 	case ignores < rawMaintenanceIgnores:
 		t.Errorf("%d raw-maintenance ignores: lower rawMaintenanceIgnores from %d to %d", ignores, rawMaintenanceIgnores, ignores)
+	}
+}
+
+// TestOneWayToWait is the wait ratchet: a CPU that waits for another
+// node waits in fabric.Node.Await, which records what it waits on, so no
+// non-test file but the primitive's own (fabric's wait.go) names
+// runtime.Gosched.
+func TestOneWayToWait(t *testing.T) {
+	for _, pkg := range loadRepo(t) {
+		for _, f := range pkg.Files {
+			if pkg.PkgPath == fabricPkgPath && filepath.Base(pkg.Fset.Position(f.Pos()).Filename) == "wait.go" {
+				continue
+			}
+			ast.Inspect(f, func(nd ast.Node) bool {
+				if sel, ok := nd.(*ast.SelectorExpr); ok {
+					if fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == "runtime.Gosched" {
+						t.Errorf("%s: runtime.Gosched outside fabric's wait.go: wait with fabric.Node.Await", pkg.Fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 

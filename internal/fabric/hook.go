@@ -33,6 +33,11 @@ const (
 	// a script that acts on it lands between the fetch and whatever the
 	// reader does with the copy.
 	OpReadFresh
+	// OpAwait: a poll of Node.Await failed and the CPU is about to yield.
+	// arg0 = the Wait's word (0 when it has none), arg1 = what the poll
+	// saw. It moves no memory; a script that acts on it lands before the
+	// next poll.
+	OpAwait
 )
 
 func (k OpKind) String() string {
@@ -47,6 +52,8 @@ func (k OpKind) String() string {
 		return "write-back-range"
 	case OpReadFresh:
 		return "read-fresh"
+	case OpAwait:
+		return "await"
 	}
 	return "op(?)"
 }

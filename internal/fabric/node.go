@@ -25,6 +25,10 @@ type Node struct {
 	// single load when no hook is installed — the common case for every
 	// subsystem outside forensic trace windows.
 	hooked atomic.Bool
+	// waitMu guards the open waits, keyed by an id from waitID (Await).
+	waitMu sync.Mutex
+	waits  map[uint64]WaitRecord
+	waitID uint64
 }
 
 // ID returns the node's index within the rack.
@@ -106,11 +110,15 @@ func (n *Node) Crash() {
 	n.cache.mu.Unlock()
 }
 
-// Restart revives a crashed node with a cold, empty cache.
+// Restart revives a crashed node with a cold, empty cache and an empty
+// wait table.
 func (n *Node) Restart() {
 	n.cache.mu.Lock()
 	n.cache.reset()
 	n.cache.mu.Unlock()
+	n.waitMu.Lock()
+	clear(n.waits)
+	n.waitMu.Unlock()
 	n.crashed.Store(false)
 }
 

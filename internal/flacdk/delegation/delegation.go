@@ -46,7 +46,6 @@ package delegation
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
@@ -420,13 +419,12 @@ func (c *Client) TryComplete(resp []byte) (respLen int, status uint32, done bool
 // length and the handler's status code.
 func (c *Client) Call(op uint32, req []byte, resp []byte) (respLen int, status uint32) {
 	c.Post(op, req)
-	for {
-		n, st, done := c.TryComplete(resp)
-		if done {
-			return n, st
-		}
-		runtime.Gosched()
-	}
+	c.n.Await(fabric.Wait{Site: "delegation.Client.Call", Arg: uint64(c.slot)}, func() (uint64, bool) {
+		var done bool
+		respLen, status, done = c.TryComplete(resp)
+		return 0, done
+	})
+	return respLen, status
 }
 
 // ClientGroup is one caller's exclusive binding to a CONTIGUOUS range of

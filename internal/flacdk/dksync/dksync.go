@@ -10,11 +10,7 @@
 // packages are the lock-free alternatives FlacOS actually prefers.
 package dksync
 
-import (
-	"runtime"
-
-	"flacos/internal/fabric"
-)
+import "flacos/internal/fabric"
 
 // SpinLock is a test-and-set lock on one dedicated global cache line.
 // It is correct on non-coherent memory because fabric atomics bypass the
@@ -28,18 +24,12 @@ func NewSpinLock(f *fabric.Fabric) SpinLock {
 	return SpinLock{g: f.Reserve(fabric.LineSize, fabric.LineSize)}
 }
 
-// Lock acquires the lock on behalf of node n, spinning with exponential
-// backoff. The stored value records the owner node (id+1) for debugging.
+// Lock acquires the lock on behalf of node n, waiting while another
+// holds it. The stored value records the owner node (id+1) for debugging.
 func (l SpinLock) Lock(n *fabric.Node) {
-	backoff := 1
-	for !n.CAS64(l.g, 0, uint64(n.ID())+1) {
-		for i := 0; i < backoff; i++ {
-			runtime.Gosched()
-		}
-		if backoff < 64 {
-			backoff <<= 1
-		}
-	}
+	n.Await(fabric.Wait{Site: "dksync.SpinLock.Lock", Word: l.g}, func() (uint64, bool) {
+		return 0, n.CAS64(l.g, 0, uint64(n.ID())+1)
+	})
 }
 
 // Unlock releases the lock. It panics if n does not hold it, because an

@@ -2,7 +2,6 @@ package ds
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"flacos/internal/fabric"
@@ -146,11 +145,12 @@ func (r *SPSCRing) TryPush(n *fabric.Node, msg []byte) bool {
 	return true
 }
 
-// Push enqueues msg, spinning while the ring is full.
+// Push enqueues msg, waiting while the ring is full.
 func (r *SPSCRing) Push(n *fabric.Node, msg []byte) {
-	for !r.TryPush(n, msg) {
-		runtime.Gosched()
-	}
+	n.Await(fabric.Wait{Site: "ds.SPSCRing.Push", Word: r.headG}, func() (uint64, bool) {
+		ok := r.TryPush(n, msg)
+		return r.prod.headSeen, ok
+	})
 }
 
 // TryPop dequeues one message into buf, returning its length and whether a
@@ -193,14 +193,14 @@ func (r *SPSCRing) TryPop(n *fabric.Node, buf []byte) (int, bool) {
 	return int(ln), true
 }
 
-// Pop dequeues one message, spinning while the ring is empty.
-func (r *SPSCRing) Pop(n *fabric.Node, buf []byte) int {
-	for {
-		if ln, ok := r.TryPop(n, buf); ok {
-			return ln
-		}
-		runtime.Gosched()
-	}
+// Pop dequeues one message, waiting while the ring is empty.
+func (r *SPSCRing) Pop(n *fabric.Node, buf []byte) (ln int) {
+	n.Await(fabric.Wait{Site: "ds.SPSCRing.Pop", Word: r.tailG}, func() (uint64, bool) {
+		var ok bool
+		ln, ok = r.TryPop(n, buf)
+		return r.cons.tailSeen, ok
+	})
+	return ln
 }
 
 // Len returns the number of queued messages.
@@ -253,32 +253,48 @@ func (r *MPSCRing) TryPush(n *fabric.Node, msg []byte) bool {
 	if uint64(len(msg)) > r.MsgMax() {
 		panic(fmt.Sprintf("ds: message %d exceeds ring max %d", len(msg), r.MsgMax()))
 	}
+	pos, ok := r.Claim(n)
+	if ok {
+		r.Publish(n, pos, msg)
+	}
+	return ok
+}
+
+// Claim takes the next ticket with a CAS on the tail and returns its
+// position, or false if the ring is full. The consumer stops at the
+// ticket's slot until Publish fills it, so a producer that dies between
+// the two stops the ring there.
+func (r *MPSCRing) Claim(n *fabric.Node) (uint64, bool) {
 	pos := n.AtomicLoad64(r.tailG)
 	for {
-		i := pos & (r.capacity - 1)
-		seq := n.AtomicLoad64(r.seqG(i))
+		seq := n.AtomicLoad64(r.seqG(pos & (r.capacity - 1)))
 		switch {
 		case seq == pos:
 			if n.CAS64(r.tailG, pos, pos+1) {
-				PublishRange(n, r.payG(i), msg)
-				n.AtomicStore64(r.lenG(i), uint64(len(msg)))
-				n.AtomicStore64(r.seqG(i), pos+1)
-				return true
+				return pos, true
 			}
 			pos = n.AtomicLoad64(r.tailG)
 		case seq < pos:
-			return false // slot not yet consumed: full
+			return 0, false // slot not yet consumed: full
 		default:
 			pos = n.AtomicLoad64(r.tailG)
 		}
 	}
 }
 
-// Push enqueues msg, spinning while the ring is full.
+// Publish fills ticket pos's slot with msg and hands it to the consumer.
+func (r *MPSCRing) Publish(n *fabric.Node, pos uint64, msg []byte) {
+	i := pos & (r.capacity - 1)
+	PublishRange(n, r.payG(i), msg)
+	n.AtomicStore64(r.lenG(i), uint64(len(msg)))
+	n.AtomicStore64(r.seqG(i), pos+1)
+}
+
+// Push enqueues msg, waiting while the ring is full.
 func (r *MPSCRing) Push(n *fabric.Node, msg []byte) {
-	for !r.TryPush(n, msg) {
-		runtime.Gosched()
-	}
+	n.Await(fabric.Wait{Site: "ds.MPSCRing.Push"}, func() (uint64, bool) {
+		return 0, r.TryPush(n, msg)
+	})
 }
 
 // TryPop dequeues one message; single consumer only.
@@ -298,12 +314,12 @@ func (r *MPSCRing) TryPop(n *fabric.Node, buf []byte) (int, bool) {
 	return int(ln), true
 }
 
-// Pop dequeues one message, spinning while the ring is empty.
-func (r *MPSCRing) Pop(n *fabric.Node, buf []byte) int {
-	for {
-		if ln, ok := r.TryPop(n, buf); ok {
-			return ln
-		}
-		runtime.Gosched()
-	}
+// Pop dequeues one message, waiting while the ring is empty.
+func (r *MPSCRing) Pop(n *fabric.Node, buf []byte) (ln int) {
+	n.Await(fabric.Wait{Site: "ds.MPSCRing.Pop"}, func() (uint64, bool) {
+		var ok bool
+		ln, ok = r.TryPop(n, buf)
+		return 0, ok
+	})
+	return ln
 }

@@ -120,7 +120,6 @@ package quiescence
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -394,11 +393,17 @@ func (p *Participant) Barrier() {
 		panic("quiescence: Barrier inside read section would self-deadlock")
 	}
 	start := p.epoch()
-	for p.epoch() < start+2 {
-		if !p.TryAdvance() {
-			runtime.Gosched()
+	p.n.Await(fabric.Wait{Site: "quiescence.Barrier", Word: p.d.epochG, Arg: start + 2}, func() (uint64, bool) {
+		for {
+			e := p.epoch()
+			if e >= start+2 {
+				return e, true
+			}
+			if !p.TryAdvance() {
+				return e, false
+			}
 		}
-	}
+	})
 	p.Collect()
 }
 

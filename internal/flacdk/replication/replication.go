@@ -25,7 +25,6 @@ package replication
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"flacos/internal/fabric"
@@ -165,10 +164,14 @@ func (r *Replica) Execute(op uint32, payload []byte) uint64 {
 	// Wait for the slot to be recycled: every replica must have applied the
 	// previous occupant. Help ourselves along by syncing while we wait so a
 	// self-lag never deadlocks the append.
-	for idx >= l.minApplied(n)+l.capacity {
+	n.Await(fabric.Wait{Site: "replication.Execute", Arg: idx}, func() (uint64, bool) {
+		m := l.minApplied(n)
+		if idx < m+l.capacity {
+			return m, true
+		}
 		r.Sync()
-		runtime.Gosched()
-	}
+		return m, false
+	})
 
 	ds.PublishRange(n, l.payloadG(idx), payload)
 	n.AtomicStore64(l.metaG(idx), uint64(op)<<32|uint64(len(payload)))
@@ -207,9 +210,11 @@ func (r *Replica) syncUntil(target uint64) uint64 {
 	for r.localApplied < target {
 		idx := r.localApplied
 		// The entry at idx was reserved by some appender; wait for publish.
-		for n.AtomicLoad64(l.stateG(idx)) != idx+1 {
-			runtime.Gosched()
-		}
+		st := l.stateG(idx)
+		n.Await(fabric.Wait{Site: "replication.syncUntil", Word: st, Arg: idx}, func() (uint64, bool) {
+			v := n.AtomicLoad64(st)
+			return v, v == idx+1
+		})
 		res := r.applyLocked(idx)
 		if idx == target-1 {
 			result = res

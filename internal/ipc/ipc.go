@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"flacos/internal/fabric"
@@ -203,8 +202,13 @@ func (l *Listener) Close() {
 // Accept waits for the next incoming connection.
 func (l *Listener) Accept() *Conn {
 	var buf [16]byte
-	n := l.ep.node
-	ln := l.ep.sb.lsts[l.slot].accept.Pop(n, buf[:])
+	var ln int
+	n, ring := l.ep.node, l.ep.sb.lsts[l.slot].accept
+	n.Await(fabric.Wait{Site: "ipc.Listener.Accept", Arg: uint64(l.slot)}, func() (uint64, bool) {
+		var ok bool
+		ln, ok = ring.TryPop(n, buf[:])
+		return 0, ok
+	})
 	idx := binary.LittleEndian.Uint64(buf[:ln])
 	slot := &l.ep.sb.conns[idx]
 	n.AtomicStore64(slot.stateG, connEstablished)
@@ -245,9 +249,10 @@ func (e *Endpoint) Connect(name string) (*Conn, error) {
 	binary.LittleEndian.PutUint64(msg[:], uint64(idx))
 	e.sb.lsts[lslot].accept.Push(n, msg[:])
 	slot := &e.sb.conns[idx]
-	for n.AtomicLoad64(slot.stateG) == connConnecting {
-		runtime.Gosched()
-	}
+	n.Await(fabric.Wait{Site: "ipc.Endpoint.Connect", Word: slot.stateG, Arg: uint64(idx)}, func() (uint64, bool) {
+		st := n.AtomicLoad64(slot.stateG)
+		return st, st != connConnecting
+	})
 	if n.AtomicLoad64(slot.stateG) != connEstablished {
 		return nil, ErrClosed
 	}
@@ -279,33 +284,36 @@ func (c *Conn) recvRing() *ds.SPSCRing {
 
 // Send transmits msg: one write of the payload into the shared ring, no
 // intermediate copies.
-func (c *Conn) Send(msg []byte) error {
-	for {
-		if c.node.AtomicLoad64(c.slot.stateG) != connEstablished {
-			return ErrClosed
+func (c *Conn) Send(msg []byte) (err error) {
+	c.node.Await(fabric.Wait{Site: "ipc.Conn.Send", Word: c.slot.stateG}, func() (uint64, bool) {
+		st := c.node.AtomicLoad64(c.slot.stateG)
+		if st != connEstablished {
+			err = ErrClosed
+			return st, true
 		}
-		if c.sendRing().TryPush(c.node, msg) {
-			return nil
-		}
-		runtime.Gosched()
-	}
+		return st, c.sendRing().TryPush(c.node, msg)
+	})
+	return err
 }
 
 // Recv receives the next message into buf, returning its length.
-func (c *Conn) Recv(buf []byte) (int, error) {
-	for {
-		if n, ok := c.recvRing().TryPop(c.node, buf); ok {
-			return n, nil
+func (c *Conn) Recv(buf []byte) (n int, err error) {
+	c.node.Await(fabric.Wait{Site: "ipc.Conn.Recv", Word: c.slot.stateG}, func() (uint64, bool) {
+		var ok bool
+		if n, ok = c.recvRing().TryPop(c.node, buf); ok {
+			return 0, true
 		}
-		if c.node.AtomicLoad64(c.slot.stateG) != connEstablished {
+		st := c.node.AtomicLoad64(c.slot.stateG)
+		if st != connEstablished {
 			// Drain anything that raced with close.
-			if n, ok := c.recvRing().TryPop(c.node, buf); ok {
-				return n, nil
+			if n, ok = c.recvRing().TryPop(c.node, buf); !ok {
+				err = ErrClosed
 			}
-			return 0, ErrClosed
+			return st, true
 		}
-		runtime.Gosched()
-	}
+		return st, false
+	})
+	return n, err
 }
 
 // Close tears the connection down for both sides and recycles the slot

@@ -3,7 +3,6 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -259,8 +258,14 @@ func (m *MMU) translate(vpn uint64, write bool) (PTE, error) {
 	}
 	m.stats.TLBMisses.Add(1)
 	for {
-		gen := m.tlb.gen.Load()
-		p := PTE(m.space.pt.Get(m.node, vpn))
+		var gen uint64
+		var p PTE
+		// A page mid-move is Busy: wait for its final entry.
+		m.node.Await(fabric.Wait{Site: "memsys.MMU.translate", Arg: vpn}, func() (uint64, bool) {
+			gen = m.tlb.gen.Load()
+			p = PTE(m.space.pt.Get(m.node, vpn))
+			return uint64(p), !p.Busy()
+		})
 		switch {
 		case !p.Valid():
 			var err error
@@ -268,9 +273,6 @@ func (m *MMU) translate(vpn uint64, write bool) (PTE, error) {
 				return 0, err
 			}
 			continue // re-check the installed entry
-		case p.Busy():
-			runtime.Gosched() // page mid-move: wait for the final entry
-			continue
 		case write && p.COW():
 			m.breakCOW(vpn, p)
 			continue

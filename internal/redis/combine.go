@@ -3,7 +3,6 @@ package redis
 import (
 	"encoding/binary"
 	"errors"
-	"runtime"
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/delegation"
@@ -287,12 +286,13 @@ func CombineOwner(key string, nodes int) int {
 // delegation slot plus frame encoding. Not safe for concurrent use.
 type CombineClient struct {
 	c    *delegation.Client
+	n    *fabric.Node
 	resp []byte
 }
 
 // NewCombineClient binds node n to slot of dom.
 func NewCombineClient(dom *delegation.Domain, n *fabric.Node, slot int) *CombineClient {
-	return &CombineClient{c: dom.Client(n, slot), resp: make([]byte, delegation.PayloadMax)}
+	return &CombineClient{c: dom.Client(n, slot), n: n, resp: make([]byte, delegation.PayloadMax)}
 }
 
 // PostGet publishes a GET for key without waiting (barriered harnesses
@@ -427,25 +427,23 @@ func (cg *CombineGroup) TryIncr(i int) (val int64, done bool, err error) {
 // Get posts a GET and spins until the owner answers. Spinning charges
 // nondeterministic virtual time, so this is for correctness tests; the
 // measured experiments use the Post/Try split under barriers.
-func (cc *CombineClient) Get(key string) ([]byte, bool, error) {
+func (cc *CombineClient) Get(key string) (val []byte, ok bool, err error) {
 	cc.PostGet(key)
-	for {
-		val, ok, done, err := cc.TryGet()
-		if done {
-			return val, ok, err
-		}
-		runtime.Gosched()
-	}
+	cc.n.Await(fabric.Wait{Site: "redis.CombineClient.Get"}, func() (uint64, bool) {
+		var done bool
+		val, ok, done, err = cc.TryGet()
+		return 0, done
+	})
+	return val, ok, err
 }
 
 // IncrBy posts an INCRBY and spins until the owner answers.
-func (cc *CombineClient) IncrBy(key string, delta int64) (int64, error) {
+func (cc *CombineClient) IncrBy(key string, delta int64) (val int64, err error) {
 	cc.PostIncrBy(key, delta)
-	for {
-		val, done, err := cc.TryIncr()
-		if done {
-			return val, err
-		}
-		runtime.Gosched()
-	}
+	cc.n.Await(fabric.Wait{Site: "redis.CombineClient.IncrBy"}, func() (uint64, bool) {
+		var done bool
+		val, done, err = cc.TryIncr()
+		return 0, done
+	})
+	return val, err
 }

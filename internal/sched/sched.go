@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,13 +266,8 @@ func (s *Scheduler) Stop() {
 // after the node has been restarted and only while the scheduler is
 // running.
 func (s *Scheduler) RebootNode(id int) {
-	if !s.started.Load() {
+	if !s.started.Load() || s.stopped() {
 		return
-	}
-	select {
-	case <-s.stop:
-		return
-	default:
 	}
 	s.ReclaimNode(s.fab.Node(id), id)
 	for w := 0; w < s.cfg.WorkersPerNode; w++ {
@@ -323,9 +317,9 @@ func (s *Scheduler) Submit(from *fabric.Node, t Task) Handle {
 }
 
 // allocSlot claims a Free slot (Init state) and returns it with the new
-// generation. Spins with backoff while the table is full.
-func (s *Scheduler) allocSlot(from *fabric.Node) (uint64, uint64) {
-	for {
+// generation. Waits while the table is full.
+func (s *Scheduler) allocSlot(from *fabric.Node) (slot, gen uint64) {
+	from.Await(fabric.Wait{Site: "sched.allocSlot"}, func() (uint64, bool) {
 		start := s.allocCursor.Add(1)
 		for k := uint64(0); k < s.cfg.TableCap; k++ {
 			i := (start + k) % s.cfg.TableCap
@@ -333,13 +327,14 @@ func (s *Scheduler) allocSlot(from *fabric.Node) (uint64, uint64) {
 			if w.State() != stFree {
 				continue
 			}
-			gen := w.Gen() + 1
+			slot, gen = i, w.Gen()+1
 			if from.CAS64(s.stateG(i), uint64(w), uint64(ds.PackState(gen, 0, from.ID(), stInit))) {
-				return i, gen
+				return 0, true
 			}
 		}
-		runtime.Gosched()
-	}
+		return 0, false
+	})
+	return slot, gen
 }
 
 // announce posts slot to node target's inbox ring and rings its
@@ -392,53 +387,44 @@ func (s *Scheduler) target(from *fabric.Node, pref int) int {
 }
 
 // Wait blocks until h's task completes (its slot generation advances).
-// It returns false if the scheduler stops first.
-func (s *Scheduler) Wait(n *fabric.Node, h Handle) bool {
-	for i := 0; ; i++ {
-		if slotWord(n.AtomicLoad64(s.stateG(h.Slot))).Gen() > h.Gen {
-			return true
-		}
-		select {
-		case <-s.stop:
-			return false
-		default:
-		}
-		if i%64 == 63 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+// It returns false if the scheduler stops first. Every 64th pause sleeps
+// 20 us, so submitters waiting on a busy host leave the heartbeats room.
+func (s *Scheduler) Wait(n *fabric.Node, h Handle) (done bool) {
+	g := s.stateG(h.Slot)
+	n.Await(fabric.Wait{Site: "sched.Wait", Word: g, Arg: h.Slot, Every: 64, Sleep: 20 * time.Microsecond}, func() (uint64, bool) {
+		w := n.AtomicLoad64(g)
+		done = slotWord(w).Gen() > h.Gen
+		return w, done || s.stopped()
+	})
+	return done
+}
+
+func (s *Scheduler) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
 }
 
 // Drain blocks until every submitted task has completed: every table slot
 // is Free. Each poll resumes at the last busy slot it saw, so a poll while
 // that task is in flight costs one load. It returns false if the scheduler
-// stops first.
-func (s *Scheduler) Drain(n *fabric.Node) bool {
+// stops first. Every 16th pause sleeps 50 us, as Wait's do.
+func (s *Scheduler) Drain(n *fabric.Node) (done bool) {
 	busy := uint64(0)
-	for i := 0; ; i++ {
-		k := uint64(0)
-		for ; k < s.cfg.TableCap; k++ {
+	n.Await(fabric.Wait{Site: "sched.Drain", Every: 16, Sleep: 50 * time.Microsecond}, func() (uint64, bool) {
+		for k := uint64(0); k < s.cfg.TableCap; k++ {
 			if slotWord(n.AtomicLoad64(s.stateG(busy))).State() != stFree {
-				break
+				return busy, s.stopped()
 			}
 			busy = (busy + 1) % s.cfg.TableCap
 		}
-		if k == s.cfg.TableCap {
-			return true
-		}
-		select {
-		case <-s.stop:
-			return false
-		default:
-		}
-		if i%16 == 15 {
-			time.Sleep(50 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
-	}
+		done = true
+		return busy, true
+	})
+	return done
 }
 
 // PickNode scores each live node as density[i] + scheduler load and

@@ -147,35 +147,43 @@ func buildSchedule(cfg Config, mask FaultClass, totalOps uint64) []Event {
 // restart is the very event being waited for.
 const stallTimeout = 25 * time.Millisecond
 
+// watchdogTimeout is how long a sweep may go without a completed client
+// op before the watchdog stops it as stuck (halt). It is a var only so
+// that the watchdog's own test need not wait this long.
+var watchdogTimeout = 3 * time.Second
+
 // drive applies the schedule as the op counter crosses event thresholds,
 // then drains whatever remains once every client finished, so each run
-// applies exactly len(schedule) events regardless of interleaving.
-func drive(env *Env, w Workload, schedule []Event, done <-chan struct{}) {
+// applies exactly len(schedule) events regardless of interleaving. It
+// reports stuck, with events perhaps left unapplied, when no client
+// completed an op for watchdogTimeout.
+func drive(env *Env, w Workload, schedule []Event, done <-chan struct{}) (stuck bool) {
 	idx := 0
-	lastOps := env.Ops()
-	lastProgress := time.Now()
-	for idx < len(schedule) {
+	lastOps, lastOp := env.Ops(), time.Now()
+	lastProgress := lastOp
+	for {
 		select {
 		case <-done:
 			for ; idx < len(schedule); idx++ {
 				apply(env, w, &schedule[idx])
 			}
-			return
+			return false
 		default:
 		}
-		cur := env.Ops()
-		if cur >= schedule[idx].AtOp || (cur == lastOps && time.Since(lastProgress) > stallTimeout) {
+		cur, now := env.Ops(), time.Now()
+		if cur != lastOps {
+			lastOps, lastOp, lastProgress = cur, now, now
+		}
+		switch {
+		case now.Sub(lastOp) > watchdogTimeout:
+			return true
+		case idx < len(schedule) && (cur >= schedule[idx].AtOp || now.Sub(lastProgress) > stallTimeout):
 			apply(env, w, &schedule[idx])
 			idx++
-			lastOps = cur
 			lastProgress = time.Now()
-			continue
+		default:
+			time.Sleep(200 * time.Microsecond)
 		}
-		if cur != lastOps {
-			lastOps = cur
-			lastProgress = time.Now()
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 

@@ -110,7 +110,7 @@ func (s *storeStream) attachLoop(env *Env, n *fabric.Node) *redis.View {
 		if env.RunOp(n, func() { v = s.attach(env, n) }) {
 			return v
 		}
-		WaitAlive(n)
+		env.WaitAlive(n)
 	}
 }
 
@@ -121,7 +121,7 @@ func (s *storeStream) attachLoop(env *Env, n *fabric.Node) *redis.View {
 // reclaimable when a restart beats detection), and attach fresh under
 // the current fence level.
 func (s *storeStream) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	WaitAlive(n)
+	env.WaitAlive(n)
 	s.store.FenceView(env.Fab.Node(0), dead.ID())
 	return s.attachLoop(env, n)
 }

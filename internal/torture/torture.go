@@ -24,6 +24,7 @@ package torture
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,6 +171,8 @@ type Env struct {
 	// inflight counts, per node, the Env.RunOp calls in progress: a
 	// restart waits for them (see restart).
 	inflight []atomic.Int64
+	// halted is set when the watchdog stops a stuck sweep (see halt).
+	halted atomic.Bool
 }
 
 // OpDone counts one completed client operation; the schedule driver fires
@@ -231,9 +234,13 @@ func (e *Env) restart(i int) {
 	e.Fab.Node(i).Restart()
 }
 
-// WaitAlive blocks until n has been restarted.
-func WaitAlive(n *fabric.Node) {
+// WaitAlive blocks until n has been restarted. In a sweep the watchdog
+// halted, whose nodes stay down, it ends the calling goroutine.
+func (e *Env) WaitAlive(n *fabric.Node) {
 	for n.Crashed() {
+		if e.halted.Load() {
+			runtime.Goexit()
+		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -253,6 +260,11 @@ type Report struct {
 	// only for failing runs with tracing enabled.
 	TraceTimeline string
 	TraceJSON     []byte
+	// Waits and Stacks are filled when the watchdog stops a stuck sweep:
+	// every node's open waits, and every goroutine's stack cut to the
+	// frames of this module.
+	Waits  []fabric.WaitRecord
+	Stacks string
 }
 
 // Passed reports whether every invariant held.
@@ -287,6 +299,12 @@ func (r *Report) String() string {
 		}
 		if len(r.Violations) > max {
 			fmt.Fprintf(&b, "  ... and %d more violations\n", len(r.Violations)-max)
+		}
+		for _, w := range r.Waits {
+			fmt.Fprintf(&b, "  open wait: %s\n", w)
+		}
+		if r.Stacks != "" {
+			fmt.Fprintf(&b, "  stacks (flacos frames):\n%s", r.Stacks)
 		}
 	}
 	return b.String()
@@ -400,7 +418,8 @@ func Run(w Workload, cfg Config) *Report {
 			// injected bug manifesting: record it and let the sweep finish.
 			// Without a break it is a harness/subsystem bug and must blow up.
 			defer func() {
-				if r := recover(); r != nil {
+				// A halted sweep's crash unwinds its waiting clients.
+				if r := recover(); r != nil && !env.halted.Load() {
 					if cfg.Break == "" {
 						panic(r)
 					}
@@ -416,33 +435,30 @@ func Run(w Workload, cfg Config) *Report {
 		close(done)
 	}()
 
-	drive(env, w, schedule, done)
-	<-done
-	quiesce(env, w)
-
-	viols := env.takeViolations()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if cfg.Break == "" {
-					panic(r)
+	rep := &Report{Workload: w.Name(), Seed: cfg.Seed, Faults: mask, Events: schedule}
+	stuck := drive(env, w, schedule, done)
+	if stuck {
+		env.Violatef(-1, "watchdog: no client completed an op for %v", watchdogTimeout)
+		for i := 0; i < f.NumNodes(); i++ {
+			rep.Waits = append(rep.Waits, f.Node(i).Waits()...)
+		}
+		rep.Stacks = flacosStacks()
+	} else {
+		quiesce(env, w)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if cfg.Break == "" {
+						panic(r)
+					}
+					env.Violatef(-1, "final check panicked (broken %q path bit): %v", cfg.Break, r)
 				}
-				env.Violatef(-1, "final check panicked (broken %q path bit): %v", cfg.Break, r)
-			}
+			}()
+			w.Check(env)
 		}()
-		w.Check(env)
-	}()
-	viols = append(viols, env.takeViolations()...)
-	rep := &Report{
-		Workload:   w.Name(),
-		Seed:       cfg.Seed,
-		Faults:     mask,
-		Ops:        env.Ops(),
-		Events:     schedule,
-		BitFlips:   f.Faults().BitFlips(),
-		DroppedWBs: f.Faults().DroppedWriteBacks(),
-		Violations: viols,
 	}
+	rep.Ops, rep.Violations = env.Ops(), env.takeViolations()
+	rep.BitFlips, rep.DroppedWBs = f.Faults().BitFlips(), f.Faults().DroppedWriteBacks()
 	if !rep.Passed() {
 		// Post-mortem: extract every node's ring — crashed nodes' published
 		// events are still in global memory — and attach the merged tail.
@@ -450,7 +466,48 @@ func Run(w Workload, cfg Config) *Report {
 		rep.TraceTimeline = rt.TimelineTail(256)
 		rep.TraceJSON = rt.ChromeJSON()
 	}
+	if stuck {
+		halt(env, rep, done)
+	}
 	return rep
+}
+
+// halt ends a sweep the watchdog found stuck, once its report is made.
+// Every node crashes and stays down: a client waiting on the fabric
+// unwinds at its next poll, and one waiting for a restart ends in
+// WaitAlive. halt returns when every client has ended, or after one more
+// watchdog period. The workload's Check never runs.
+func halt(env *Env, rep *Report, done <-chan struct{}) {
+	env.halted.Store(true)
+	for i := 0; i < env.Fab.NumNodes(); i++ {
+		env.Fab.Node(i).Crash()
+	}
+	select {
+	case <-done:
+	case <-time.After(watchdogTimeout):
+		rep.Violations = append(rep.Violations, Violation{Client: -1, Detail: "watchdog: a halted client did not end"})
+	}
+}
+
+// flacosStacks returns every goroutine's stack cut to the frames of this
+// module, leaving out goroutines that have none.
+func flacosStacks() string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var b strings.Builder
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(g, "\n")
+		var keep []string
+		for i := 1; i+1 < len(lines); i += 2 {
+			if strings.HasPrefix(lines[i], "flacos/") {
+				keep = append(keep, lines[i], lines[i+1])
+			}
+		}
+		if len(keep) > 0 {
+			fmt.Fprintf(&b, "%s\n%s\n", lines[0], strings.Join(keep, "\n"))
+		}
+	}
+	return b.String()
 }
 
 // quiesce restores the rack to a fault-free, fully-alive state so final

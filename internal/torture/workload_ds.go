@@ -2,9 +2,9 @@ package torture
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync/atomic"
 
+	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
 )
 
@@ -108,7 +108,7 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 			var v uint64
 			var ok bool
 			if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
-				WaitAlive(n)
+				env.WaitAlive(n)
 				continue
 			}
 			if !ok || v < vers[j] {
@@ -130,7 +130,7 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 			}
 		}) {
 			needSync[j] = true
-			WaitAlive(n)
+			env.WaitAlive(n)
 			continue
 		}
 		if !casOK {
@@ -161,7 +161,7 @@ func (w *dsWorkload) mapReader(env *Env, node int) {
 		var v uint64
 		var ok bool
 		if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
-			WaitAlive(n)
+			env.WaitAlive(n)
 			continue
 		}
 		if !ok {
@@ -184,19 +184,18 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 	buf := make([]byte, ringMsgBytes)
 	for seq := uint64(1); seq <= uint64(env.Cfg.OpsPerClient); seq++ {
 		fillRingMsg(buf, node, seq)
-		for {
-			if w.ringDead[node].Load() {
-				return // consumer gave up (break-catching run): don't spin on a full ring
-			}
-			pushed := false
-			if !env.RunOp(n, func() { pushed = r.TryPush(n, buf) }) {
-				WaitAlive(n)
-				continue
-			}
-			if pushed {
-				break
-			}
-			runtime.Gosched() // ring full: consumer is behind (or down)
+		dead := false
+		// A full ring waits for the consumer, which is behind (or down).
+		for !env.RunOp(n, func() {
+			n.Await(fabric.Wait{Site: "torture.ringProducer", Arg: seq}, func() (uint64, bool) {
+				dead = w.ringDead[node].Load()
+				return 0, dead || r.TryPush(n, buf)
+			})
+		}) {
+			env.WaitAlive(n)
+		}
+		if dead {
+			return // consumer gave up (break-catching run): don't wait on a full ring
 		}
 		env.OpDone()
 	}
@@ -215,13 +214,8 @@ func (w *dsWorkload) ringConsumer(env *Env, node int) {
 	ops := uint64(env.Cfg.OpsPerClient)
 	for expected <= ops {
 		var ln int
-		var ok bool
-		if !env.RunOp(n, func() { ln, ok = r.TryPop(n, buf) }) {
-			WaitAlive(n)
-			continue
-		}
-		if !ok {
-			runtime.Gosched()
+		if !env.RunOp(n, func() { ln = r.Pop(n, buf) }) {
+			env.WaitAlive(n)
 			continue
 		}
 		bad := false

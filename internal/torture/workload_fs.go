@@ -123,7 +123,7 @@ func (w *fsWorkload) mount(env *Env, n *fabric.Node) *fs.Mount {
 		if env.RunOp(n, func() { m = w.fsys.Mount(n) }) {
 			return m
 		}
-		WaitAlive(n)
+		env.WaitAlive(n)
 	}
 }
 
@@ -131,7 +131,7 @@ func (w *fsWorkload) mount(env *Env, n *fabric.Node) *fs.Mount {
 // restart, fence the dead participant, attach fresh.
 func (w *fsWorkload) remount(env *Env, n *fabric.Node, dead *fs.Mount) *fs.Mount {
 	for {
-		WaitAlive(n)
+		env.WaitAlive(n)
 		if env.RunOp(n, func() { w.fsys.FenceMount(n, dead) }) {
 			return w.mount(env, n)
 		}

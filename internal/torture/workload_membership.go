@@ -121,7 +121,7 @@ func (w *membershipWorkload) hotplug(env *Env) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	for {
-		WaitAlive(n)
+		env.WaitAlive(n)
 		err := w.rack.Join(w.hot, func() { w.stream.resync(env, n, ci) })
 		if err == nil {
 			break

@@ -135,7 +135,7 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		content := makeMemPage(node, pair, v)
 		var err error
 		if !env.RunOp(n, func() { err = mmu.Write(memVA(base), content) }) {
-			WaitAlive(n)
+			env.WaitAlive(n)
 			continue
 		}
 		if err != nil {
@@ -143,7 +143,7 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		}
 		w.pub[base].Store(v)
 		if !env.RunOp(n, func() { err = mmu.Write(memVA(base+1), content) }) {
-			WaitAlive(n)
+			env.WaitAlive(n)
 			continue // retries page base at v too: identical image, harmless
 		}
 		if err != nil {
@@ -176,7 +176,7 @@ func (w *memsysWorkload) readHeader(env *Env, node, p int) (hdr uint64, ok bool)
 			err = mmu.Read(memVA(p), b8[:])
 			p2 = mmu.PTEOf(memVA(p))
 		}) {
-			WaitAlive(n)
+			env.WaitAlive(n)
 			continue
 		}
 		if err != nil {
