@@ -56,7 +56,7 @@ func Torture(quick bool, fl TortureFlags) *Result {
 	}
 
 	var reports strings.Builder
-	failed := 0
+	failed, caught := 0, 0
 	for _, name := range names {
 		for _, seed := range seeds {
 			cfg.Seed = seed
@@ -79,7 +79,12 @@ func Torture(quick bool, fl TortureFlags) *Result {
 			if rep.TraceJSON != nil {
 				res.Artifacts = append(res.Artifacts, Artifact{base + ".json", rep.TraceJSON})
 			}
-			if fl.Break == "" {
+			if rep.Caught() {
+				caught++
+			}
+			// A stuck sweep fails even under a break: the checkers caught
+			// nothing, and something stopped every client.
+			if fl.Break == "" || !rep.Caught() {
 				res.Fail("sweep failed:\n%s", rep)
 			}
 		}
@@ -87,11 +92,11 @@ func Torture(quick bool, fl TortureFlags) *Result {
 	switch {
 	case fl.Break == "" && failed > 0:
 		res.Artifacts = append(res.Artifacts, Artifact{"torture-failures.txt", []byte(reports.String())})
-	case fl.Break != "" && failed == 0:
+	case fl.Break != "" && caught == 0:
 		res.Fail("broken path %q was NOT caught by any sweep", fl.Break)
 	case fl.Break != "":
 		res.Table.AddRow("break:"+fl.Break, "", "", "", "", "", "",
-			fmt.Sprintf("caught by %d sweep(s), as required", failed))
+			fmt.Sprintf("caught by %d sweep(s), as required", caught))
 	}
 	return res
 }

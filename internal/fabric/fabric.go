@@ -73,7 +73,6 @@ func New(cfg Config) *Fabric {
 			id:    i,
 			fab:   f,
 			cache: newCache(cacheCap),
-			waits: map[uint64]WaitRecord{},
 		}
 	}
 	return f

@@ -25,10 +25,9 @@ type Node struct {
 	// single load when no hook is installed — the common case for every
 	// subsystem outside forensic trace windows.
 	hooked atomic.Bool
-	// waitMu guards the open waits, keyed by an id from waitID (Await).
+	// waitMu guards the open waits, oldest first (Await).
 	waitMu sync.Mutex
-	waits  map[uint64]WaitRecord
-	waitID uint64
+	waits  []*WaitRecord
 }
 
 // ID returns the node's index within the rack.
@@ -117,7 +116,7 @@ func (n *Node) Restart() {
 	n.cache.reset()
 	n.cache.mu.Unlock()
 	n.waitMu.Lock()
-	clear(n.waits)
+	n.waits = nil
 	n.waitMu.Unlock()
 	n.crashed.Store(false)
 }

@@ -3,7 +3,8 @@ package fabric
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,18 +20,18 @@ type Wait struct {
 	Sleep time.Duration
 }
 
-// WaitRecord is one open wait: what it waits for, what its last failed
-// poll saw (Word's value when the poll reads one), how many polls failed,
-// and the node's virtual ns at the first.
+// WaitRecord is one open wait: its node, the node's virtual ns at the
+// first failed poll, and what the last failed poll saw (Word's value when
+// the poll reads one).
 type WaitRecord struct {
 	Wait
-	Node                 int
-	Last, Polls, StartNS uint64
+	Node    int
+	StartNS uint64
+	Last    atomic.Uint64
 }
 
-func (r WaitRecord) String() string {
-	return fmt.Sprintf("node %d %s arg=%d word=%v last=%d polls=%d since=%dns",
-		r.Node, r.Site, r.Arg, r.Word, r.Last, r.Polls, r.StartNS)
+func (r *WaitRecord) String() string {
+	return fmt.Sprintf("node %d %s arg=%d word=%v last=%d since=%dns", r.Node, r.Site, r.Arg, r.Word, r.Last.Load(), r.StartNS)
 }
 
 // Await is the one way a CPU of n waits for another node: it calls poll
@@ -39,7 +40,8 @@ func (r WaitRecord) String() string {
 // operations. From the first failed poll until Await returns, or a crash
 // of n unwinds it, n's wait table holds w's record (Waits): simulator
 // instrumentation, never read by modelled code. After each failed poll n's
-// op hook sees OpAwait. A wait whose first poll succeeds allocates nothing.
+// op hook sees OpAwait. A wait whose first poll succeeds allocates nothing,
+// and a failed poll takes no lock.
 func (n *Node) Await(w Wait, poll func() (last uint64, done bool)) {
 	if last, done := poll(); !done {
 		n.await(w, last, poll)
@@ -47,17 +49,17 @@ func (n *Node) Await(w Wait, poll func() (last uint64, done bool)) {
 }
 
 func (n *Node) await(w Wait, last uint64, poll func() (uint64, bool)) {
+	r := &WaitRecord{Wait: w, Node: n.id, StartNS: n.VirtualNS()}
 	n.waitMu.Lock()
-	n.waitID++
-	id := n.waitID
-	n.waits[id] = WaitRecord{Wait: w, Node: n.id, Last: last, Polls: 1, StartNS: n.VirtualNS()}
+	n.waits = append(n.waits, r)
 	n.waitMu.Unlock()
 	defer func() {
 		n.waitMu.Lock()
-		delete(n.waits, id)
+		n.waits = slices.DeleteFunc(n.waits, func(o *WaitRecord) bool { return o == r })
 		n.waitMu.Unlock()
 	}()
-	for k := 1; ; k++ {
+	for k, done := 1, false; !done; k++ {
+		r.Last.Store(last)
 		if n.hooked.Load() {
 			n.fireOp(OpAwait, uint64(w.Word), last)
 		}
@@ -66,27 +68,13 @@ func (n *Node) await(w Wait, last uint64, poll func() (uint64, bool)) {
 		} else {
 			runtime.Gosched()
 		}
-		var done bool
-		if last, done = poll(); done {
-			return
-		}
-		n.waitMu.Lock()
-		if r, ok := n.waits[id]; ok { // a Restart empties the table
-			r.Last, r.Polls = last, r.Polls+1
-			n.waits[id] = r
-		}
-		n.waitMu.Unlock()
+		last, done = poll()
 	}
 }
 
 // Waits returns n's open waits, oldest first.
-func (n *Node) Waits() []WaitRecord {
+func (n *Node) Waits() []*WaitRecord {
 	n.waitMu.Lock()
 	defer n.waitMu.Unlock()
-	var out []WaitRecord
-	for _, r := range n.waits {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
-	return out
+	return slices.Clone(n.waits)
 }

@@ -59,15 +59,17 @@ func TestAwaitAllocatesNothingOnTheFastPath(t *testing.T) {
 }
 
 // TestAwaitRecordsEachFailedPoll scripts k failed polls: the record opens
-// at the first, tracks the last value and the count, and closes on
-// return; the wait charges exactly the polls' atomics.
+// at the first, is the same record at every later one, tracks the last
+// value, and closes on return; the wait charges exactly the polls'
+// atomics.
 func TestAwaitRecordsEachFailedPoll(t *testing.T) {
 	const k = 5
 	f := New(Config{GlobalSize: 1 << 20, Nodes: 2, Latency: DefaultLatency()})
 	n, other := f.Node(0), f.Node(1)
 	g := f.Reserve(LineSize, LineSize)
 	w := Wait{Site: "test.word", Word: g, Arg: 42}
-	var seen []WaitRecord
+	var seen []*WaitRecord
+	var lasts []uint64
 	polls := 0
 	n.SetOpHook(func(kind OpKind, word, last uint64) {
 		if kind != OpAwait {
@@ -77,7 +79,9 @@ func TestAwaitRecordsEachFailedPoll(t *testing.T) {
 		if GPtr(word) != g || last != uint64(polls) {
 			t.Errorf("OpAwait %d: word %v last %d, want %v and %d", polls, GPtr(word), last, g, polls)
 		}
-		seen = append(seen, n.Waits()...)
+		for _, r := range n.Waits() {
+			seen, lasts = append(seen, r), append(lasts, r.Last.Load())
+		}
 		if polls == k {
 			other.AtomicStore64(g, 100)
 		}
@@ -97,8 +101,8 @@ func TestAwaitRecordsEachFailedPoll(t *testing.T) {
 		t.Fatalf("%d polls and %d records seen, want %d and %d", calls, len(seen), k+1, k)
 	}
 	for i, r := range seen {
-		if r.Wait != w || r.Node != 0 || r.Polls != uint64(i+1) || r.Last != uint64(i+1) || r.StartNS != start+uint64(DefaultLatency().AtomicNS+DefaultLatency().HopNS) {
-			t.Errorf("record at failed poll %d = %+v", i+1, r)
+		if r != seen[0] || r.Wait != w || r.Node != 0 || lasts[i] != uint64(i+1) || r.StartNS != start+uint64(DefaultLatency().AtomicNS+DefaultLatency().HopNS) {
+			t.Errorf("record at failed poll %d = %v (last %d)", i+1, r, lasts[i])
 		}
 	}
 	if len(n.Waits()) != 0 {

@@ -58,6 +58,6 @@ func BenchmarkMPSCRingRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Push(prod, msg)
-		r.Pop(cons, buf)
+		popMPSC(r, cons, buf)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -303,7 +304,7 @@ func TestMPSCRingMultipleProducers(t *testing.T) {
 	buf := make([]byte, 64)
 	next := make([]uint64, producers)
 	for got := 0; got < producers*perProducer; got++ {
-		ln := r.Pop(consumer, buf)
+		ln := popMPSC(r, consumer, buf)
 		if ln != 12 {
 			t.Fatalf("message %d: len %d", got, ln)
 		}
@@ -315,6 +316,16 @@ func TestMPSCRingMultipleProducers(t *testing.T) {
 		next[w]++
 	}
 	wg.Wait()
+}
+
+// popMPSC dequeues one message from r, yielding while it is empty.
+func popMPSC(r *MPSCRing, n *fabric.Node, buf []byte) int {
+	for {
+		if ln, ok := r.TryPop(n, buf); ok {
+			return ln
+		}
+		runtime.Gosched()
+	}
 }
 
 func ExampleHashMap() {

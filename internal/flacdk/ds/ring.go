@@ -253,41 +253,25 @@ func (r *MPSCRing) TryPush(n *fabric.Node, msg []byte) bool {
 	if uint64(len(msg)) > r.MsgMax() {
 		panic(fmt.Sprintf("ds: message %d exceeds ring max %d", len(msg), r.MsgMax()))
 	}
-	pos, ok := r.Claim(n)
-	if ok {
-		r.Publish(n, pos, msg)
-	}
-	return ok
-}
-
-// Claim takes the next ticket with a CAS on the tail and returns its
-// position, or false if the ring is full. The consumer stops at the
-// ticket's slot until Publish fills it, so a producer that dies between
-// the two stops the ring there.
-func (r *MPSCRing) Claim(n *fabric.Node) (uint64, bool) {
 	pos := n.AtomicLoad64(r.tailG)
 	for {
-		seq := n.AtomicLoad64(r.seqG(pos & (r.capacity - 1)))
+		i := pos & (r.capacity - 1)
+		seq := n.AtomicLoad64(r.seqG(i))
 		switch {
 		case seq == pos:
 			if n.CAS64(r.tailG, pos, pos+1) {
-				return pos, true
+				PublishRange(n, r.payG(i), msg)
+				n.AtomicStore64(r.lenG(i), uint64(len(msg)))
+				n.AtomicStore64(r.seqG(i), pos+1)
+				return true
 			}
 			pos = n.AtomicLoad64(r.tailG)
 		case seq < pos:
-			return 0, false // slot not yet consumed: full
+			return false // slot not yet consumed: full
 		default:
 			pos = n.AtomicLoad64(r.tailG)
 		}
 	}
-}
-
-// Publish fills ticket pos's slot with msg and hands it to the consumer.
-func (r *MPSCRing) Publish(n *fabric.Node, pos uint64, msg []byte) {
-	i := pos & (r.capacity - 1)
-	PublishRange(n, r.payG(i), msg)
-	n.AtomicStore64(r.lenG(i), uint64(len(msg)))
-	n.AtomicStore64(r.seqG(i), pos+1)
 }
 
 // Push enqueues msg, waiting while the ring is full.
@@ -312,14 +296,4 @@ func (r *MPSCRing) TryPop(n *fabric.Node, buf []byte) (int, bool) {
 	n.AtomicStore64(r.seqG(i), pos+r.capacity)
 	n.AtomicStore64(r.headG, pos+1)
 	return int(ln), true
-}
-
-// Pop dequeues one message, waiting while the ring is empty.
-func (r *MPSCRing) Pop(n *fabric.Node, buf []byte) (ln int) {
-	n.Await(fabric.Wait{Site: "ds.MPSCRing.Pop"}, func() (uint64, bool) {
-		var ok bool
-		ln, ok = r.TryPop(n, buf)
-		return 0, ok
-	})
-	return ln
 }

@@ -90,13 +90,6 @@ func TestRingWaitsMatchTheirLoops(t *testing.T) {
 			return waitRig{n: p, wait: func() { r.Push(p, msg) }, poll: func() bool { return r.TryPush(p, msg) },
 				release: func() { r.TryPop(c, buf) }}
 		},
-		"MPSCRing.Pop": func() waitRig {
-			f := newRack()
-			p, c := f.Node(0), f.Node(1)
-			r := NewMPSCRing(f, c, 2, 64)
-			return waitRig{n: c, wait: func() { r.Pop(c, buf) }, poll: func() bool { _, ok := r.TryPop(c, buf); return ok },
-				release: func() { r.TryPush(p, msg) }}
-		},
 	}
 	for name, build := range sites {
 		t.Run(name, func(t *testing.T) {

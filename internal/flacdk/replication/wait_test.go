@@ -140,7 +140,7 @@ func TestHoleIsNamedByTheWaitRecord(t *testing.T) {
 	done := make(chan uint64)
 	go func() { done <- r1.Execute(1, one()) }()
 
-	var rec fabric.WaitRecord
+	var rec *fabric.WaitRecord
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if w := f.Node(1).Waits(); len(w) == 1 {
 			rec = w[0]
@@ -150,7 +150,7 @@ func TestHoleIsNamedByTheWaitRecord(t *testing.T) {
 			t.Fatal("no wait record opened within 5 s")
 		}
 	}
-	if rec.Site != "replication.syncUntil" || rec.Arg != hole || rec.Word != l.stateG(hole) || rec.Last != 0 || rec.Node != 1 {
+	if rec.Site != "replication.syncUntil" || rec.Arg != hole || rec.Word != l.stateG(hole) || rec.Last.Load() != 0 || rec.Node != 1 {
 		t.Fatalf("record %v, want replication.syncUntil at index %d, word %v, last 0, node 1", rec, hole, l.stateG(hole))
 	}
 	select {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/flacdk/ds"
 )
 
 // releaseAt installs a hook on n that calls release at n's k-th failed
@@ -215,7 +216,7 @@ func TestSendRecvWithAReadyPeerAllocateNothing(t *testing.T) {
 
 // waitFor polls node n's wait table until a record of site opens, for at
 // most five seconds.
-func waitFor(t *testing.T, n *fabric.Node, site string) fabric.WaitRecord {
+func waitFor(t *testing.T, n *fabric.Node, site string) *fabric.WaitRecord {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		for _, r := range n.Waits() {
@@ -225,23 +226,45 @@ func waitFor(t *testing.T, n *fabric.Node, site string) fabric.WaitRecord {
 		}
 	}
 	t.Fatalf("no open %s wait on node %d; open: %v", site, n.ID(), n.Waits())
-	return fabric.WaitRecord{}
+	return nil
+}
+
+// stallAfterTicket pushes msg onto ring from node n on its own goroutine
+// and holds that producer at its payload's write-back: after the tail CAS
+// that took its ticket, before the slot is published. It returns once the
+// ticket is taken; calling the returned func lets the producer publish
+// and waits for it.
+func stallAfterTicket(ring *ds.MPSCRing, n *fabric.Node, msg []byte) (publish func()) {
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	n.SetOpHook(func(kind fabric.OpKind, _, _ uint64) {
+		if kind == fabric.OpWriteBackRange {
+			n.SetOpHook(nil)
+			close(held)
+			<-release
+		}
+	})
+	go func() {
+		defer close(done)
+		ring.TryPush(n, msg)
+	}()
+	<-held
+	return func() { close(release); <-done }
 }
 
 // TestDeadAcceptProducerStopsTheListener scripts a producer that takes a
-// ticket on a listener's accept ring with the ring's bare tail CAS and
-// never publishes it. Accept waits at that slot, named by its open record,
-// and a Connect behind the dead ticket waits too, though its own
-// connection request is in the ring. Publishing the dead slot releases
-// both, in ring order.
+// ticket on a listener's accept ring with the ring's tail CAS and does not
+// publish it. Accept waits at that slot, named by its open record, and a
+// Connect behind the dead ticket waits too, though its own connection
+// request is in the ring. Publishing the dead slot releases both, in ring
+// order.
 func TestDeadAcceptProducerStopsTheListener(t *testing.T) {
 	p := newPair(t)
 	n1 := p.f.Node(1)
-	ring := p.sb.lsts[p.l.slot].accept
-	pos, ok := ring.Claim(n1)
-	if !ok {
-		t.Fatal("claiming a ticket on an empty accept ring failed")
-	}
+	const dead = 9 // the connection slot the dead producer announces
+	n1.CAS64(p.sb.conns[dead].stateG, connFree, connConnecting)
+	var m [8]byte
+	binary.LittleEndian.PutUint64(m[:], dead)
+	publish := stallAfterTicket(p.sb.lsts[p.l.slot].accept, n1, m[:])
 	accepted := make(chan *Conn, 2)
 	go func() { accepted <- p.l.Accept() }()
 	rec := waitFor(t, p.srv.node, "ipc.Listener.Accept")
@@ -263,11 +286,7 @@ func TestDeadAcceptProducerStopsTheListener(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	const dead = 9 // the connection slot the dead producer was announcing
-	n1.CAS64(p.sb.conns[dead].stateG, connFree, connConnecting)
-	var m [8]byte
-	binary.LittleEndian.PutUint64(m[:], dead)
-	ring.Publish(n1, pos, m[:])
+	publish()
 	if c := <-accepted; c.slot != &p.sb.conns[dead] {
 		t.Fatal("Accept did not return the published slot's connection first")
 	}

@@ -159,9 +159,31 @@ func TestWaitOnACompletedHandleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// stallAfterTicket pushes msg onto ring from node n on its own goroutine
+// and holds that producer at its payload's write-back: after the tail CAS
+// that took its ticket, before the slot is published. It returns once the
+// ticket is taken; calling the returned func lets the producer publish
+// and waits for it.
+func stallAfterTicket(ring *ds.MPSCRing, n *fabric.Node, msg []byte) (publish func()) {
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	n.SetOpHook(func(kind fabric.OpKind, _, _ uint64) {
+		if kind == fabric.OpWriteBackRange {
+			n.SetOpHook(nil)
+			close(held)
+			<-release
+		}
+	})
+	go func() {
+		defer close(done)
+		ring.TryPush(n, msg)
+	}()
+	<-held
+	return func() { close(release); <-done }
+}
+
 // TestDeadInboxProducerStrandsNoTask scripts a producer that takes a
-// ticket on node 1's inbox with the ring's bare tail CAS and never
-// publishes it. The inbox's consumer stops at that slot for good, so
+// ticket on node 1's inbox with the ring's tail CAS and does not publish
+// it before the scheduler stops. The inbox's consumer stops at that slot for good, so
 // every later announcement to node 1 is lost behind it, the ring fills,
 // and Submit's best-effort push fails; each task preferred at node 1
 // still completes, claimed by a table scan on a steal tick.
@@ -171,9 +193,7 @@ func TestDeadInboxProducerStrandsNoTask(t *testing.T) {
 	done := f.Reserve(8, fabric.LineSize)
 	fn := s.Register(func(n *fabric.Node, arg0, _ uint64) { n.Add64(fabric.GPtr(arg0), 1) })
 	n := f.Node(0)
-	if _, ok := s.inboxes[1].Claim(n); !ok {
-		t.Fatal("claiming a ticket on an empty inbox failed")
-	}
+	publish := stallAfterTicket(s.inboxes[1], n, make([]byte, 8))
 	s.Start()
 	const tasks = inboxCap + 8 // enough to fill the wedged ring
 	var hs []Handle
@@ -185,11 +205,15 @@ func TestDeadInboxProducerStrandsNoTask(t *testing.T) {
 			t.Fatal("Wait aborted")
 		}
 	}
-	if got := n.AtomicLoad64(done); got != tasks {
+	// Execution is at-least-once (a lease that expires under a slow host
+	// runs a task again), so only a count below tasks is a lost task.
+	if got := n.AtomicLoad64(done); got < tasks {
 		t.Fatalf("%d of %d tasks preferred at the wedged node ran", got, tasks)
 	}
 	var buf [8]byte
 	if _, ok := s.inboxes[1].TryPop(f.Node(1), buf[:]); ok {
 		t.Fatal("the inbox moved past the unpublished ticket")
 	}
+	s.Stop()
+	publish()
 }

@@ -151,6 +151,11 @@ type Workload interface {
 	Check(env *Env)
 }
 
+// Stopper is implemented by workloads that run goroutines of their own
+// beside the clients (a scheduler, a control plane). Run stops them when
+// the sweep is over: after Check, or once the watchdog halted it.
+type Stopper interface{ Stop() }
+
 // RestartHandler is implemented by workloads that must re-integrate a
 // restarted node (e.g. reboot its scheduler workers).
 type RestartHandler interface {
@@ -260,15 +265,20 @@ type Report struct {
 	// only for failing runs with tracing enabled.
 	TraceTimeline string
 	TraceJSON     []byte
-	// Waits and Stacks are filled when the watchdog stops a stuck sweep:
-	// every node's open waits, and every goroutine's stack cut to the
-	// frames of this module.
-	Waits  []fabric.WaitRecord
+	// Stuck says why the watchdog stopped the sweep, "" if it did not.
+	// Waits and Stacks then hold every node's open waits and every
+	// goroutine's stack cut to the frames of this module.
+	Stuck  string
+	Waits  []*fabric.WaitRecord
 	Stacks string
 }
 
-// Passed reports whether every invariant held.
-func (r *Report) Passed() bool { return len(r.Violations) == 0 }
+// Passed reports whether every invariant held and the sweep ran to its end.
+func (r *Report) Passed() bool { return len(r.Violations) == 0 && r.Stuck == "" }
+
+// Caught reports whether a checker found a violation. A stuck sweep with
+// none fails, but catches nothing.
+func (r *Report) Caught() bool { return len(r.Violations) > 0 }
 
 // Verdict is "PASS" or "FAIL".
 func (r *Report) Verdict() string {
@@ -300,10 +310,11 @@ func (r *Report) String() string {
 		if len(r.Violations) > max {
 			fmt.Fprintf(&b, "  ... and %d more violations\n", len(r.Violations)-max)
 		}
-		for _, w := range r.Waits {
-			fmt.Fprintf(&b, "  open wait: %s\n", w)
-		}
-		if r.Stacks != "" {
+		if r.Stuck != "" {
+			fmt.Fprintf(&b, "  watchdog: %s\n", r.Stuck)
+			for _, w := range r.Waits {
+				fmt.Fprintf(&b, "  open wait: %s\n", w)
+			}
 			fmt.Fprintf(&b, "  stacks (flacos frames):\n%s", r.Stacks)
 		}
 	}
@@ -438,7 +449,7 @@ func Run(w Workload, cfg Config) *Report {
 	rep := &Report{Workload: w.Name(), Seed: cfg.Seed, Faults: mask, Events: schedule}
 	stuck := drive(env, w, schedule, done)
 	if stuck {
-		env.Violatef(-1, "watchdog: no client completed an op for %v", watchdogTimeout)
+		rep.Stuck = fmt.Sprintf("no client completed an op for %v", watchdogTimeout)
 		for i := 0; i < f.NumNodes(); i++ {
 			rep.Waits = append(rep.Waits, f.Node(i).Waits()...)
 		}
@@ -469,6 +480,9 @@ func Run(w Workload, cfg Config) *Report {
 	if stuck {
 		halt(env, rep, done)
 	}
+	if s, ok := w.(Stopper); ok {
+		s.Stop()
+	}
 	return rep
 }
 
@@ -476,7 +490,8 @@ func Run(w Workload, cfg Config) *Report {
 // Every node crashes and stays down: a client waiting on the fabric
 // unwinds at its next poll, and one waiting for a restart ends in
 // WaitAlive. halt returns when every client has ended, or after one more
-// watchdog period. The workload's Check never runs.
+// watchdog period. The workload's Check never runs; Run then stops its
+// goroutines (Stopper), which crashed with their nodes.
 func halt(env *Env, rep *Report, done <-chan struct{}) {
 	env.halted.Store(true)
 	for i := 0; i < env.Fab.NumNodes(); i++ {
@@ -485,7 +500,7 @@ func halt(env *Env, rep *Report, done <-chan struct{}) {
 	select {
 	case <-done:
 	case <-time.After(watchdogTimeout):
-		rep.Violations = append(rep.Violations, Violation{Client: -1, Detail: "watchdog: a halted client did not end"})
+		rep.Stuck += "; a halted client did not end"
 	}
 }
 
@@ -493,18 +508,17 @@ func halt(env *Env, rep *Report, done <-chan struct{}) {
 // module, leaving out goroutines that have none.
 func flacosStacks() string {
 	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
 	var b strings.Builder
-	for _, g := range strings.Split(string(buf), "\n\n") {
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 		lines := strings.Split(g, "\n")
-		var keep []string
+		keep := []string{lines[0]}
 		for i := 1; i+1 < len(lines); i += 2 {
 			if strings.HasPrefix(lines[i], "flacos/") {
 				keep = append(keep, lines[i], lines[i+1])
 			}
 		}
-		if len(keep) > 0 {
-			fmt.Fprintf(&b, "%s\n%s\n", lines[0], strings.Join(keep, "\n"))
+		if len(keep) > 1 {
+			b.WriteString(strings.Join(keep, "\n") + "\n")
 		}
 	}
 	return b.String()

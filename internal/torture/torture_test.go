@@ -73,7 +73,8 @@ func TestTortureDeterminism(t *testing.T) {
 
 // requireCaught runs the workload with a deliberately broken sync path and
 // demands that some seed produces violations — proving the checkers catch
-// the bug class they exist for.
+// the bug class they exist for. A sweep the watchdog stopped catches
+// nothing and fails the test, as the hang it replaces did.
 func requireCaught(t *testing.T, workload, breakName string) {
 	t.Helper()
 	for _, seed := range []int64{1, 2, 3} {
@@ -81,9 +82,12 @@ func requireCaught(t *testing.T, workload, breakName string) {
 		cfg.OpsPerClient = 250 // more laps/merges: give the break time to bite
 		cfg.Break = breakName
 		rep := Run(ByName(workload), cfg)
-		if !rep.Passed() {
+		if rep.Caught() {
 			t.Logf("seed %d caught it:\n%s", seed, rep)
 			return
+		}
+		if rep.Stuck != "" {
+			t.Fatalf("seed %d got stuck with nothing caught:\n%s", seed, rep)
 		}
 	}
 	t.Fatalf("break %q was never caught by the %s checkers", breakName, workload)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/redis"
 )
 
 // TestRingProducerWaitMatchesItsLoop: the ds workload's producer on node 0
@@ -67,16 +68,37 @@ func TestRingProducerWaitMatchesItsLoop(t *testing.T) {
 }
 
 // stuckWorkload has one client that completes an op and then waits on a
-// word nobody writes, beside one that finishes its ops.
+// word nobody writes, beside one that finishes its ops. With control set
+// it also stands up a ControlRack, whose scheduler and control plane run
+// goroutines of their own.
 type stuckWorkload struct {
+	control bool
 	g       fabric.GPtr
+	rack    *ControlRack
 	checked atomic.Bool
+	stopped atomic.Bool
 }
 
 func (w *stuckWorkload) Name() string          { return "stuck" }
 func (w *stuckWorkload) Tolerates() FaultClass { return 0 }
-func (w *stuckWorkload) Prepare(env *Env)      { w.g = env.Fab.Reserve(fabric.LineSize, fabric.LineSize) }
 func (w *stuckWorkload) Check(env *Env)        { w.checked.Store(true) }
+
+func (w *stuckWorkload) Prepare(env *Env) {
+	w.g = env.Fab.Reserve(fabric.LineSize, fabric.LineSize)
+	if w.control {
+		w.rack = NewControlRack(env.Fab, ControlConfig{
+			Store: redis.RackStoreConfig{Slots: 16, MaxViews: 16, ArenaBytes: 1 << 20},
+			Tasks: 16, Body: linger, PhiDead: 6, DeadStrikes: 2, Health: true,
+		})
+	}
+}
+
+func (w *stuckWorkload) Stop() {
+	w.stopped.Store(true)
+	if w.rack != nil {
+		w.rack.Stop()
+	}
+}
 
 func (w *stuckWorkload) Clients(env *Env) []func() {
 	return []func(){
@@ -99,35 +121,52 @@ func (w *stuckWorkload) Clients(env *Env) []func() {
 // TestWatchdogNamesAStuckClient: a sweep whose client waits forever fails
 // within the watchdog bound instead of hanging. Its report names the open
 // wait (site, word, node) and carries the waiter's flacos frames, and no
-// goroutine of the sweep outlives it.
+// goroutine of the sweep outlives it, the control rack's among them.
 func TestWatchdogNamesAStuckClient(t *testing.T) {
 	defer func(d time.Duration) { watchdogTimeout = d }(watchdogTimeout)
 	watchdogTimeout = 200 * time.Millisecond
-	before := runtime.NumGoroutine()
-	w := &stuckWorkload{}
-	start := time.Now()
-	rep := Run(w, Config{Seed: 1, Nodes: 2, OpsPerClient: 5})
-	if elapsed := time.Since(start); elapsed > 2*watchdogTimeout+time.Second {
-		t.Errorf("the stuck sweep took %v, want about the %v watchdog bound", elapsed, watchdogTimeout)
-	}
-	if rep.Passed() || w.checked.Load() {
-		t.Fatalf("a stuck sweep passed=%v, checked=%v; want a failure without Check:\n%s", rep.Passed(), w.checked.Load(), rep)
-	}
-	if len(rep.Waits) != 1 || rep.Waits[0].Site != "torture.stuckClient" || rep.Waits[0].Word != w.g || rep.Waits[0].Node != 1 || rep.Waits[0].Arg != 7 {
-		t.Fatalf("open waits %v, want the stuck client's one record", rep.Waits)
-	}
-	out := rep.String()
-	for _, want := range []string{"watchdog: no client completed an op", "open wait: node 1 torture.stuckClient", "flacos/internal/fabric.(*Node).await", "flacos/internal/torture.(*stuckWorkload).Clients"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report lacks %q:\n%s", want, out)
+	for _, control := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		w := &stuckWorkload{control: control}
+		start := time.Now()
+		rep := Run(w, Config{Seed: 1, Nodes: 2, OpsPerClient: 5})
+		if elapsed := time.Since(start); elapsed > 2*watchdogTimeout+time.Second {
+			t.Errorf("the stuck sweep took %v, want about the %v watchdog bound", elapsed, watchdogTimeout)
+		}
+		if rep.Passed() || rep.Caught() || w.checked.Load() || !w.stopped.Load() {
+			t.Fatalf("a stuck sweep passed=%v, caught=%v, checked=%v, stopped=%v; want a failure, stopped without Check:\n%s",
+				rep.Passed(), rep.Caught(), w.checked.Load(), w.stopped.Load(), rep)
+		}
+		if len(rep.Waits) != 1 || rep.Waits[0].Site != "torture.stuckClient" || rep.Waits[0].Word != w.g || rep.Waits[0].Node != 1 || rep.Waits[0].Arg != 7 {
+			t.Fatalf("open waits %v, want the stuck client's one record", rep.Waits)
+		}
+		out := rep.String()
+		for _, want := range []string{"watchdog: no client completed an op", "open wait: node 1 torture.stuckClient", "flacos/internal/fabric.(*Node).await", "flacos/internal/torture.(*stuckWorkload).Clients"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("report lacks %q:\n%s", want, out)
+			}
+		}
+		if strings.Contains(rep.Stacks, "runtime.") {
+			t.Errorf("stacks keep frames outside flacos:\n%s", rep.Stacks)
+		}
+		// Run returns only once the sweep's goroutines have ended; the
+		// grace covers their last deferred calls.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("control=%v: %d goroutines outlive the halted sweep (%d before)", control, runtime.NumGoroutine()-before, before)
+			}
 		}
 	}
-	if strings.Contains(rep.Stacks, "runtime.") {
-		t.Errorf("stacks keep frames outside flacos:\n%s", rep.Stacks)
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlive the halted sweep (%d before)", runtime.NumGoroutine()-before, before)
-		}
+}
+
+// TestStuckSweepUnderABreakCatchesNothing: with a planted break enabled, a
+// sweep the watchdog stops fails, but it does not count as the checkers
+// catching the break.
+func TestStuckSweepUnderABreakCatchesNothing(t *testing.T) {
+	defer func(d time.Duration) { watchdogTimeout = d }(watchdogTimeout)
+	watchdogTimeout = 200 * time.Millisecond
+	rep := Run(&stuckWorkload{}, Config{Seed: 1, Nodes: 2, OpsPerClient: 5, Break: Breaks()[0]})
+	if rep.Stuck == "" || rep.Passed() || rep.Caught() {
+		t.Fatalf("stuck=%q passed=%v caught=%v; want a stuck failure that caught nothing:\n%s", rep.Stuck, rep.Passed(), rep.Caught(), rep)
 	}
 }

@@ -221,8 +221,9 @@ func (w *healthWorkload) graygen(env *Env) {
 // write), then convergence — with faults off every node returns to Alive
 // and every Degraded verdict clears (the EWMAs decay, the recovery
 // hysteresis flips the verdict, the controller rejoins).
+func (w *healthWorkload) Stop() { w.rack.Stop() }
+
 func (w *healthWorkload) Check(env *Env) {
-	defer w.rack.Stop()
 	auditTasks(env, w.rack.Tasks)
 	w.stream.check(env)
 	for _, v := range w.rack.Converge() {

@@ -135,8 +135,9 @@ func (w *membershipWorkload) hotplug(env *Env) {
 	w.stream.writer(env, w.hot, 0x800+w.hot)
 }
 
+func (w *membershipWorkload) Stop() { w.rack.Stop() }
+
 func (w *membershipWorkload) Check(env *Env) {
-	defer w.rack.Stop()
 	auditTasks(env, w.rack.Tasks)
 	w.stream.check(env)
 	for _, v := range w.rack.Converge() {

@@ -89,6 +89,8 @@ func submitStorm(env *Env, s *sched.Scheduler, tasks *Ledger, ci int) {
 
 func (w *schedWorkload) Check(env *Env) { auditTasks(env, w.tasks) }
 
+func (w *schedWorkload) Stop() { w.s.Stop() }
+
 // auditTasks folds the ledger's exactly-once audit into the sweep's
 // violations.
 func auditTasks(env *Env, tasks *Ledger) {
