@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"flacos/internal/core"
 	"flacos/internal/ipc"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
+	"flacos/internal/torture"
 )
 
 // RedisRackConfig parameterizes the rack-shared Redis serving ablation.
@@ -51,12 +48,12 @@ const (
 //     serving nodes. The store is in the global arena, so adding server
 //     nodes divides the serving work without any replication or routing
 //     by key — the makespan (max per-node virtual time) drops.
-//   - Integrity: a hot key written by one client through node 0 and read
-//     by the others through other nodes; every observed GET must be
-//     fresh (not older than the last flush-acknowledged write), intact
-//     (never torn) and monotone (never going backwards). Private keys
-//     are single-writer and every GET must return exactly the last
-//     acknowledged SET.
+//   - Integrity: every key is a register (torture.Registers). A hot key
+//     written by one client through node 0 and read by the others through
+//     other nodes; every observed GET must be fresh (not older than the
+//     last flush-acknowledged write), intact (never torn) and monotone
+//     (never going backwards). Private keys are single-writer and every
+//     GET must return exactly the last SET its client queued.
 //
 // It fails on any stale/torn/backwards/mismatched read, or a multi-node
 // speedup below rrSpeedupGate.
@@ -99,9 +96,8 @@ func RedisRack(cfg RedisRackConfig) *Result {
 		config := fmt.Sprintf("%d server node(s)", m.serveNodes)
 		res.Table.AddRow("throughput", config, "ops/s (virtual)", fmt.Sprintf("%.0f", m.opsPerSec))
 		res.Table.AddRow("throughput", config, "makespan", ns(float64(m.makespanNS)))
-		res.Table.AddRow("integrity", config, "stale/torn/backwards/mismatch",
-			fmt.Sprintf("%d / %d / %d / %d", m.stale, m.torn, m.backwards, m.mismatch))
-		if v := m.stale + m.torn + m.backwards + m.mismatch; v > 0 {
+		res.Table.AddRow("integrity", config, integrityColumns, m.viol.String())
+		if v := m.viol.total(); v > 0 {
 			res.Fail("%s: %d stale/torn/backwards/mismatched reads", config, v)
 		}
 	}
@@ -131,7 +127,7 @@ func redisRackLatency(rack *core.Rack, cfg RedisRackConfig, batch int) *metrics.
 	defer closeAll()
 
 	h := metrics.NewHistogram()
-	value := patternValue(0, "warm", 1, rrValueBytes)
+	value := torture.Payload(0, 1, rrValueBytes)
 	rackNS := func() uint64 { return f.RackStats().VirtualNS }
 	for op := 0; op < cfg.LatencyOps; op++ {
 		before := rackNS()
@@ -161,10 +157,7 @@ type serveOutcome struct {
 	serveNodes int
 	opsPerSec  float64
 	makespanNS uint64
-	stale      int
-	torn       int
-	backwards  int
-	mismatch   int
+	viol       integrity
 }
 
 // session is one server-side connection: a Server over its own view of
@@ -203,35 +196,44 @@ func redisRackConnect(rack *core.Rack, name string, srvNode, clientNode int) (*s
 	return sess, redis.NewClient(cconn, 256<<10), closeAll
 }
 
-// patternValue builds a self-checking payload: 8 bytes of sequence
-// followed by bytes derived from (seq, key, salt). A torn read — any mix
-// of two payloads — fails the byte check.
-func patternValue(seq uint64, key string, salt byte, size int) []byte {
-	if size < 9 {
-		size = 9
+// integrityColumns heads the integrity rows: the register checker's
+// verdicts (torture.Classify) as counted by integrity.note.
+const integrityColumns = "stale/torn/backwards/mismatch"
+
+// integrity counts an experiment's bad reads and replies: stale (absent,
+// or behind the committed floor), torn, backwards (behind what the reader
+// saw before) and mismatch (another key's value, a version its writer
+// never left there, or a rejected write).
+type integrity struct{ stale, torn, backwards, mismatch int }
+
+func (c *integrity) note(v torture.Verdict) {
+	switch v {
+	case torture.Absent, torture.BehindFloor:
+		c.stale++
+	case torture.Torn:
+		c.torn++
+	case torture.BehindLast:
+		c.backwards++
+	case torture.WrongID, torture.Ahead:
+		c.mismatch++
 	}
-	v := make([]byte, size)
-	binary.LittleEndian.PutUint64(v, seq)
-	for i := 8; i < size; i++ {
-		v[i] = byte(uint64(i)+seq) ^ byte(len(key)) ^ salt
-	}
-	return v
 }
 
-// checkPattern validates a payload against patternValue's construction,
-// returning the sequence it carries and whether every byte is consistent
-// with it.
-func checkPattern(v []byte, key string, salt byte) (seq uint64, intact bool) {
-	if len(v) < 9 {
-		return 0, false
+// expectOK counts a SET reply other than OK as a mismatch.
+func (c *integrity) expectOK(v redis.Value) {
+	if v.IsError() || v.Str != "OK" {
+		c.mismatch++
 	}
-	seq = binary.LittleEndian.Uint64(v)
-	for i := 8; i < len(v); i++ {
-		if v[i] != byte(uint64(i)+seq)^byte(len(key))^salt {
-			return seq, false
-		}
-	}
-	return seq, true
+}
+
+func (c *integrity) add(o integrity) {
+	c.stale, c.torn, c.backwards, c.mismatch = c.stale+o.stale, c.torn+o.torn, c.backwards+o.backwards, c.mismatch+o.mismatch
+}
+
+func (c integrity) total() int { return c.stale + c.torn + c.backwards + c.mismatch }
+
+func (c integrity) String() string {
+	return fmt.Sprintf("%d / %d / %d / %d", c.stale, c.torn, c.backwards, c.mismatch)
 }
 
 // redisRackServe runs the full client fleet against serveNodes servers in
@@ -245,24 +247,20 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 	hotKey := "hot-" + mode
 
 	type clientState struct {
-		cl       *redis.Client
-		sess     *session
-		lastVal  map[string][]byte
-		setCount map[string]uint64
-		expect   []func(v redis.Value) // reply checkers, queue order
-		pending  int
+		cl      *redis.Client
+		sess    *session
+		expect  []func(v redis.Value) // reply checkers, queue order
+		pending int
+		viol    integrity
 
-		hotSeq     uint64 // writer: last queued hot sequence
-		floorAtTx  uint64 // reader: floor loaded before FlushSend
-		lastHotSeq uint64 // reader: monotonicity floor
+		hotSeq     uint64 // writer: last queued hot version
+		lastHotSeq uint64 // reader: highest hot version seen
 	}
 
-	var floor atomic.Uint64 // hot sequences acknowledged to the writer
+	// Register 0 is the hot key, 1+j*rrKeysPerClient+i client j's private
+	// key i. The hot key's floor is the version acknowledged to its writer.
+	regs := torture.NewRegisters(1+rrClients*rrKeysPerClient, 1, nil)
 	out := &serveOutcome{serveNodes: serveNodes}
-	var viol struct {
-		sync.Mutex
-		stale, torn, backwards, mismatch int
-	}
 
 	clients := make([]*clientState, rrClients)
 	closers := make([]func(), 0, rrClients)
@@ -270,12 +268,7 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 		sess, cl, cl0 := redisRackConnect(rack, fmt.Sprintf("redis-%s-%d", mode, j),
 			j%serveNodes, rrServeNodes+j%rrClientNodes)
 		closers = append(closers, cl0)
-		clients[j] = &clientState{
-			cl:       cl,
-			sess:     sess,
-			lastVal:  map[string][]byte{},
-			setCount: map[string]uint64{},
-		}
+		clients[j] = &clientState{cl: cl, sess: sess}
 	}
 	defer func() {
 		for _, c := range closers {
@@ -292,38 +285,21 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			if j == 0 && r == rrBatchSize-1 {
 				// The hot writer: one hot SET per round, last in the batch.
 				c.hotSeq++
-				c.cl.PipeSet(hotKey, patternValue(c.hotSeq, hotKey, 7, rrValueBytes), 0)
-				c.expect = append(c.expect, expectOK(&viol.Mutex, &viol.mismatch))
+				c.cl.PipeSet(hotKey, torture.Payload(regs.ID(0), c.hotSeq, rrValueBytes), 0)
+				c.expect = append(c.expect, c.viol.expectOK)
 				continue
 			}
 			if j != 0 && r == 0 {
 				// Hot readers: one hot GET per round, first in the batch,
 				// with the freshness floor loaded before transmission.
-				c.floorAtTx = floor.Load()
+				fl := regs.Floor(0)
 				c.cl.PipeGet(hotKey)
-				fl, last := c.floorAtTx, c.lastHotSeq
 				c.expect = append(c.expect, func(v redis.Value) {
-					var seq uint64
-					intact := false
-					if v.Bulk != nil {
-						seq, intact = checkPattern(v.Bulk, hotKey, 7)
-					}
-					viol.Lock()
-					switch {
-					case v.Bulk == nil:
-						if fl > 0 {
-							viol.stale++ // an acknowledged write vanished
-						}
-					case !intact:
-						viol.torn++
-					case seq < fl:
-						viol.stale++
-					case seq < last:
-						viol.backwards++
-					}
-					viol.Unlock()
-					if seq > c.lastHotSeq {
-						c.lastHotSeq = seq
+					g := torture.Decode(v.Bulk)
+					vd := torture.Classify(regs.ID(0), torture.Bounds{Floor: fl, Last: c.lastHotSeq}, g)
+					c.viol.note(vd)
+					if vd == torture.OK && g.Ver > c.lastHotSeq {
+						c.lastHotSeq = g.Ver
 					}
 				})
 				continue
@@ -331,22 +307,16 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			// Private single-writer keys: every GET must return exactly the
 			// last SET this client flushed or queued earlier in this batch.
 			opIdx := b*rrBatchSize + r
+			k := 1 + j*rrKeysPerClient + opIdx%rrKeysPerClient
 			key := fmt.Sprintf("k-%s-%d-%d", mode, j, opIdx%rrKeysPerClient)
-			if c.setCount[key] == 0 || opIdx%2 == 0 {
-				c.setCount[key]++
-				val := patternValue(c.setCount[key], key, byte(j), rrValueBytes)
-				c.cl.PipeSet(key, val, 0)
-				c.lastVal[key] = val
-				c.expect = append(c.expect, expectOK(&viol.Mutex, &viol.mismatch))
+			if n := regs.Floor(k); n == 0 || opIdx%2 == 0 {
+				regs.Commit(k, n+1)
+				c.cl.PipeSet(key, torture.Payload(regs.ID(k), n+1, rrValueBytes), 0)
+				c.expect = append(c.expect, c.viol.expectOK)
 			} else {
-				want := c.lastVal[key]
 				c.cl.PipeGet(key)
 				c.expect = append(c.expect, func(v redis.Value) {
-					if v.Bulk == nil || !bytes.Equal(v.Bulk, want) {
-						viol.Lock()
-						viol.mismatch++
-						viol.Unlock()
-					}
+					c.viol.note(torture.Classify(regs.ID(k), torture.Bounds{Floor: n, Ceil: n}, torture.Decode(v.Bulk)))
 				})
 			}
 		}
@@ -365,7 +335,7 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			c.expect[i](v)
 		}
 		if j == 0 {
-			floor.Store(c.hotSeq) // round barrier: the whole batch is applied
+			regs.Commit(0, c.hotSeq) // round barrier: the whole batch is applied
 		}
 	}
 
@@ -377,24 +347,9 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 	}
 	_, out.makespanNS = mark.since(f)
 	out.opsPerSec = opsPerSec(rrClients*cfg.Batches*rrBatchSize, out.makespanNS)
-	out.stale = viol.stale
-	out.torn = viol.torn
-	out.backwards = viol.backwards
-	out.mismatch = viol.mismatch
 	for _, c := range clients {
+		out.viol.add(c.viol)
 		c.sess.view.Barrier() // reclaim this phase's replaced blocks
 	}
 	return out
-}
-
-// expectOK returns a checker that counts any non-OK SET reply as a
-// mismatch.
-func expectOK(mu *sync.Mutex, counter *int) func(v redis.Value) {
-	return func(v redis.Value) {
-		if v.IsError() || v.Str != "OK" {
-			mu.Lock()
-			*counter++
-			mu.Unlock()
-		}
-	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"flacos/internal/core"
@@ -11,6 +10,7 @@ import (
 	"flacos/internal/flacdk/delegation"
 	"flacos/internal/loadgen"
 	"flacos/internal/redis"
+	"flacos/internal/torture"
 )
 
 // RedisScaleConfig parameterizes the open-loop RackStore scaling sweep.
@@ -129,10 +129,9 @@ func RedisScale(cfg RedisScaleConfig) *Result {
 		res.Table.AddRow("scaling", config, "combining ops/s (virtual)", fmt.Sprintf("%.0f", comb.opsPerSec))
 		res.Table.AddRow("scaling", config, "combining/baseline", fmt.Sprintf("%.2fx", speedup))
 		for _, ph := range []*scalePhase{base, comb} {
-			res.Table.AddRow("integrity", config+" "+ph.mode(),
-				"stale/torn/backwards", fmt.Sprintf("%d / %d / %d", ph.stale, ph.torn, ph.backwards))
-			if v := ph.stale + ph.torn + ph.backwards; v > 0 {
-				res.Fail("%s %s: %d stale/torn/backwards observations", config, ph.mode(), v)
+			res.Table.AddRow("integrity", config+" "+ph.mode(), integrityColumns, ph.viol.String())
+			if v := ph.viol.total(); v > 0 {
+				res.Fail("%s %s: %d stale/torn/backwards/mismatched observations", config, ph.mode(), v)
 			}
 		}
 		res.Ratios[fmt.Sprintf("combining/baseline @%d nodes", s)] = speedup
@@ -190,7 +189,7 @@ type scalePhase struct {
 	makespanNS uint64
 	opsPerSec  float64
 
-	stale, torn, backwards int
+	viol integrity
 
 	// meanServiceNS is each worker node's mean per-op virtual service
 	// time, the open-loop replay's service model.
@@ -232,8 +231,8 @@ type scaleWorker struct {
 	lastSeen map[string]int64 // per counter key, highest value observed
 	setSeq   uint64
 
-	executed                int
-	pendTorn, pendBackwards int // deferred violation counts (flushViolations)
+	executed int
+	viol     integrity
 }
 
 // redisScaleServe runs one (node count, mode) phase: cfg.Rounds barriered
@@ -250,10 +249,6 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 	ph := &scalePhase{nodes: nodes, combine: combine}
 	pfx := fmt.Sprintf("%s%d", ph.mode(), nodes)
 
-	var viol struct {
-		sync.Mutex
-		stale, torn, backwards int
-	}
 	tally := make([]int64, rsKeySpace) // host-side truth: acknowledged increments per counter id
 	const depth = rsCombineDepth
 
@@ -292,7 +287,7 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 
 	for round := 0; round < cfg.Rounds; round++ {
 		parallel(func(sw *scaleWorker) { sw.generate(cfg, pfx, tally) })
-		parallel(func(sw *scaleWorker) { sw.execBatch(&viol.Mutex, &viol.torn, &viol.backwards) })
+		parallel(func(sw *scaleWorker) { sw.execBatch() })
 		for {
 			remaining := false
 			for _, sw := range workers {
@@ -307,9 +302,9 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 			if combine {
 				parallel(func(sw *scaleWorker) { sw.postMany(nodes, depth) })
 				parallel(func(sw *scaleWorker) { sw.comb.ServeSweep() })
-				parallel(func(sw *scaleWorker) { sw.completeAll(&viol.Mutex, &viol.torn, &viol.backwards) })
+				parallel(func(sw *scaleWorker) { sw.completeAll() })
 			} else {
-				parallel(func(sw *scaleWorker) { sw.execHotOne(&viol.Mutex, &viol.torn, &viol.backwards) })
+				parallel(func(sw *scaleWorker) { sw.execHotOne() })
 			}
 		}
 	}
@@ -321,7 +316,6 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 	// Final ground-truth pass: every counter's value must equal the exact
 	// sum of acknowledged increments — a combined increment that was
 	// never published (or published twice) lands here as stale.
-	finalStale := 0
 	v0 := workers[0].view
 	for id := 0; id < rsKeySpace; id += 2 {
 		want := atomic.LoadInt64(&tally[id])
@@ -330,12 +324,12 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 		}
 		val, ok := v0.Get(counterKey(pfx, id))
 		if !ok {
-			finalStale++
+			ph.viol.stale++
 			continue
 		}
 		got, err := strconv.ParseInt(string(val), 10, 64)
 		if err != nil || got != want {
-			finalStale++
+			ph.viol.stale++
 		}
 	}
 
@@ -343,12 +337,10 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 	ph.meanServiceNS = meanService(perNode, func(w int) int { return workers[w].executed })
 	for _, sw := range workers {
 		ph.opsTotal += sw.executed
+		ph.viol.add(sw.viol)
 		sw.view.Barrier() // reclaim this phase's replaced blocks
 	}
 	ph.opsPerSec = opsPerSec(ph.opsTotal, ph.makespanNS)
-	ph.stale = viol.stale + finalStale
-	ph.torn = viol.torn
-	ph.backwards = viol.backwards
 	return ph
 }
 
@@ -414,7 +406,7 @@ func (sw *scaleWorker) generate(cfg RedisScaleConfig, pfx string, tally []int64)
 		switch op.kind {
 		case opDataSet:
 			sw.setSeq++
-			val := patternValue(sw.setSeq, op.key, byte(op.id), rsValueBytes)
+			val := torture.Payload(uint64(op.id), sw.setSeq, rsValueBytes)
 			msetArgs = append(msetArgs, []byte(op.key), val)
 		case opDataGet:
 			mgetKeys = append(mgetKeys, op.key)
@@ -465,7 +457,7 @@ func (sw *scaleWorker) expectCtr(key string, incr bool) func(redis.Value) {
 		if !incr {
 			parsed, err := strconv.ParseInt(string(v.Bulk), 10, 64)
 			if err != nil {
-				sw.noteTorn()
+				sw.viol.torn++
 				return
 			}
 			val = parsed
@@ -475,38 +467,38 @@ func (sw *scaleWorker) expectCtr(key string, incr bool) func(redis.Value) {
 }
 
 // observeCtr folds one counter observation into the per-worker
-// monotonicity check. Deferred violation counters are summed in
-// execBatch/completeOne under the shared lock.
+// monotonicity check. A counter is not a single-writer register: every
+// worker increments it, so its check is its own.
 func (sw *scaleWorker) observeCtr(key string, val int64, incr bool) {
 	last := sw.lastSeen[key]
 	if val < last || (incr && val == last) {
-		sw.pendBackwards++
+		sw.viol.backwards++
 	}
 	if val > last {
 		sw.lastSeen[key] = val
 	}
 }
 
-// checkMGet validates one MGET reply array against its keys' patterns.
+// checkMGet checks one MGET reply array, value by value.
 func (sw *scaleWorker) checkMGet(v redis.Value, ops []scaleOp) {
 	if v.IsError() || len(v.Array) != len(ops) {
 		panic("redisscale: malformed MGET reply")
 	}
 	for i, e := range v.Array {
-		if e.Bulk == nil {
-			continue
-		}
-		if _, intact := checkPattern(e.Bulk, ops[i].key, byte(ops[i].id)); !intact {
-			sw.pendTorn++
-		}
+		sw.checkData(ops[i], e.Bulk)
 	}
 }
 
-func (sw *scaleWorker) noteTorn() { sw.pendTorn++ }
+// checkData checks one read of a data key, a register every worker
+// writes with versions of its own: present or not, it must be intact and
+// about op's key (torture.Classify with no floor).
+func (sw *scaleWorker) checkData(op scaleOp, val []byte) {
+	sw.viol.note(torture.Classify(uint64(op.id), torture.Bounds{}, torture.Decode(val)))
+}
 
 // execBatch runs the round's cold batch through the worker's own server
 // session and applies the queued reply checks.
-func (sw *scaleWorker) execBatch(mu *sync.Mutex, torn, backwards *int) {
+func (sw *scaleWorker) execBatch() {
 	if len(sw.batch) > 0 {
 		out := sw.srv.ExecuteBatch(nil, sw.batch)
 		rest := out
@@ -520,13 +512,12 @@ func (sw *scaleWorker) execBatch(mu *sync.Mutex, torn, backwards *int) {
 		}
 	}
 	sw.executed += len(sw.ops) - len(sw.hotOps)
-	sw.flushViolations(mu, torn, backwards)
 }
 
 // execHotOne is the baseline hot path: one hot op per lockstep cycle,
 // executed directly on the worker's own view — the contended publish the
 // combining mode eliminates.
-func (sw *scaleWorker) execHotOne(mu *sync.Mutex, torn, backwards *int) {
+func (sw *scaleWorker) execHotOne() {
 	if sw.hotNext >= len(sw.hotOps) {
 		return
 	}
@@ -534,11 +525,8 @@ func (sw *scaleWorker) execHotOne(mu *sync.Mutex, torn, backwards *int) {
 	sw.hotNext++
 	switch op.kind {
 	case opDataGet:
-		if val, ok := sw.view.Get(op.key); ok {
-			if _, intact := checkPattern(val, op.key, byte(op.id)); !intact {
-				sw.pendTorn++
-			}
-		}
+		val, _ := sw.view.Get(op.key)
+		sw.checkData(op, val)
 	case opCtrIncr:
 		val, err := sw.view.IncrBy(op.key, op.delta)
 		if err != nil {
@@ -549,14 +537,13 @@ func (sw *scaleWorker) execHotOne(mu *sync.Mutex, torn, backwards *int) {
 		if val, ok := sw.view.Get(op.key); ok {
 			parsed, err := strconv.ParseInt(string(val), 10, 64)
 			if err != nil {
-				sw.pendTorn++
+				sw.viol.torn++
 			} else {
 				sw.observeCtr(op.key, parsed, false)
 			}
 		}
 	}
 	sw.executed++
-	sw.flushViolations(mu, torn, backwards)
 }
 
 // postMany publishes up to depth hot ops per owner domain this cycle
@@ -599,7 +586,7 @@ func (sw *scaleWorker) postMany(nodes, depth int) {
 // posted order — so the values this worker folds into its monotonicity
 // check arrive in the same order the owner linearized them. The owners
 // swept between the barriers, so the replies must be present.
-func (sw *scaleWorker) completeAll(mu *sync.Mutex, torn, backwards *int) {
+func (sw *scaleWorker) completeAll() {
 	if len(sw.posted) == 0 {
 		return
 	}
@@ -626,7 +613,6 @@ func (sw *scaleWorker) completeAll(mu *sync.Mutex, torn, backwards *int) {
 		}
 	}
 	sw.posted = sw.posted[:0]
-	sw.flushViolations(mu, torn, backwards)
 }
 
 // completePosted consumes one posted op's reply from its owner group's
@@ -654,37 +640,20 @@ func (sw *scaleWorker) completePosted(p postedOp) {
 		if ok {
 			parsed, perr := strconv.ParseInt(string(val), 10, 64)
 			if perr != nil {
-				sw.pendTorn++
+				sw.viol.torn++
 			} else {
 				sw.observeCtr(op.key, parsed, false)
 			}
 		}
 	case opDataGet:
-		val, ok, done, err := cg.TryGet(p.idx)
+		val, _, done, err := cg.TryGet(p.idx)
 		if err != nil {
 			panic(err)
 		}
 		if !done {
 			panic("redisscale: combined GET not served after owner sweep")
 		}
-		if ok {
-			if _, intact := checkPattern(val, op.key, byte(op.id)); !intact {
-				sw.pendTorn++
-			}
-		}
+		sw.checkData(op, val)
 	}
 	sw.executed++
-}
-
-// flushViolations folds the worker's deferred violation counts into the
-// phase totals.
-func (sw *scaleWorker) flushViolations(mu *sync.Mutex, torn, backwards *int) {
-	if sw.pendTorn == 0 && sw.pendBackwards == 0 {
-		return
-	}
-	mu.Lock()
-	*torn += sw.pendTorn
-	*backwards += sw.pendBackwards
-	mu.Unlock()
-	sw.pendTorn, sw.pendBackwards = 0, 0
 }

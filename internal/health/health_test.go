@@ -21,10 +21,7 @@ func testFabric(nodes int) *fabric.Fabric {
 }
 
 func fastMemCfg() membership.Config {
-	return membership.Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		DeadStrikes:   2,
-	}
+	return membership.Config{DeadStrikes: 2}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -381,7 +378,7 @@ func TestMemberStopStopsHealthAgent(t *testing.T) {
 	waitFor(t, "health record publishing", func() bool { return seq() > 1 })
 	r.ms[victim].Stop()
 	stopped := seq()
-	time.Sleep(20 * fastMemCfg().HeartbeatTick)
+	time.Sleep(20 * membership.HeartbeatTick)
 	if got := seq(); got != stopped {
 		t.Fatalf("health record seq advanced %d -> %d after Member.Stop", stopped, got)
 	}

@@ -316,34 +316,12 @@ func (c *Conn) Recv(buf []byte) (n int, err error) {
 	return n, err
 }
 
-// Close tears the connection down for both sides and recycles the slot
-// once both rings are drained. (The slot returns to the free pool on the
-// next Connect scan; rings carry per-slot cursors so reuse is safe.)
+// Close tears the connection down for both sides. The slot stays closed
+// for good: Connect claims only free slots, so MaxConns bounds every
+// connection a rack ever opens.
 func (c *Conn) Close() {
 	n := c.node
 	if n.AtomicLoad64(c.slot.stateG) == connEstablished {
 		n.AtomicStore64(c.slot.stateG, connClosed)
 	}
-}
-
-// Release returns a fully closed connection slot to the free pool. The
-// side that observes the close calls it after both sides are done: the
-// rings are single-consumer, and draining the send ring makes this node
-// its consumer in the peer's place.
-func (c *Conn) Release() {
-	n := c.node
-	// Drain leftovers so the next user starts clean. Whichever nodes use
-	// the slot next, each ring side re-attaches to them on first use.
-	buf := make([]byte, c.recvRing().MsgMax())
-	for {
-		if _, ok := c.recvRing().TryPop(n, buf); !ok {
-			break
-		}
-	}
-	for {
-		if _, ok := c.sendRing().TryPop(n, buf); !ok {
-			break
-		}
-	}
-	n.CAS64(c.slot.stateG, connClosed, connFree)
 }

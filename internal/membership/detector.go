@@ -14,7 +14,7 @@ import (
 // with the frozen-beat strike counting sched's lease keeper proved out:
 // each agent keeps a sliding window of observed inter-beat intervals
 // per slot and converts "time since the last beat" into a suspicion
-// level phi; crossing PhiSuspect proposes Suspect, and a slot is only
+// level phi; crossing phiSuspect proposes Suspect, and a slot is only
 // declared Dead after phi has stayed above PhiDead for DeadStrikes
 // consecutive ticks OF THIS OBSERVER — the strike counter advances with
 // the observer's own loop, so an observer that was itself descheduled
@@ -42,7 +42,7 @@ type slotObs struct {
 // inter-arrival model, i.e. elapsed/mean * log10(e). Fresh windows fall
 // back to 4 heartbeat ticks as the mean.
 func (t *Table) phi(o *slotObs, elapsed time.Duration) float64 {
-	mean := 4 * float64(t.cfg.HeartbeatTick.Nanoseconds())
+	mean := 4 * float64(HeartbeatTick.Nanoseconds())
 	if len(o.intervals) >= 2 {
 		sum := 0.0
 		for _, v := range o.intervals {
@@ -51,7 +51,7 @@ func (t *Table) phi(o *slotObs, elapsed time.Duration) float64 {
 		mean = sum / float64(len(o.intervals))
 	}
 	if mean <= 0 {
-		mean = float64(t.cfg.HeartbeatTick.Nanoseconds())
+		mean = float64(HeartbeatTick.Nanoseconds())
 	}
 	return float64(elapsed.Nanoseconds()) / mean * math.Log10E
 }
@@ -77,7 +77,7 @@ func (m *Member) agentLoop() {
 	defer m.wg.Done()
 	defer m.n.AbsorbCrash() // this agent died with its node
 	m.obs = make(map[int]*slotObs)
-	tick := time.NewTicker(m.t.cfg.HeartbeatTick)
+	tick := time.NewTicker(HeartbeatTick)
 	defer tick.Stop()
 	for {
 		select {
@@ -160,7 +160,7 @@ func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 	st := w.State()
 	if st != StateSuspect {
 		o.strikes = 0
-		if phi >= m.t.cfg.PhiSuspect && st == StateAlive {
+		if phi >= phiSuspect && st == StateAlive {
 			next := ds.PackState(w.Gen(), w.Aux(), w.Owner(), StateSuspect)
 			if m.t.ctl.Transition(m.n, slot, w, next) {
 				if tw := m.Trace(); tw != nil {
@@ -187,7 +187,7 @@ func (m *Member) observeSlot(slot int, w ctlWord, maxVNS uint64) {
 }
 
 // Suspect forces slot Alive -> Suspect through node n — exactly the
-// CAS the detector performs when phi crosses PhiSuspect, minus the phi.
+// CAS the detector performs when phi crosses phiSuspect, minus the phi.
 // For tests and fault-injection tooling that script suspicion instead
 // of waiting out a real beat gap; the suspected node refutes it like
 // any other suspicion. Returns whether the CAS won.

@@ -56,26 +56,26 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// Detector constants no caller tunes: the per-slot window of inter-beat
-// intervals the phi estimate is computed over, and how far beyond the
-// rack's max virtual clock a record timestamp may point before the
-// detector rejects it as corrupt.
+// HeartbeatTick is how often each member republishes its record and runs
+// its detector pass, and with it every step attached by OnTick (the
+// health layer's sample-and-observe pass), sized for the simulated rack's
+// microsecond-scale ticks.
+const HeartbeatTick = 100 * time.Microsecond
+
+// Detector constants no caller tunes: the phi at which an observer moves
+// a slot Alive -> Suspect (roughly 7x the mean beat interval without an
+// arrival), the per-slot window of inter-beat intervals the phi estimate
+// is computed over, and how far beyond the rack's max virtual clock a
+// record timestamp may point before the detector rejects it as corrupt.
 const (
+	phiSuspect   = 3
 	phiWindow    = 16
 	clockSlackNS = uint64(time.Millisecond)
 )
 
-// Config tunes the membership layer. Zero values get defaults sized for
-// the simulated rack's microsecond-scale ticks.
+// Config tunes the membership layer's verdict of Dead. Zero values get
+// the defaults.
 type Config struct {
-	// HeartbeatTick is how often each member republishes its record and
-	// runs its detector pass, and with it every step attached by OnTick
-	// (the health layer's sample-and-observe pass).
-	HeartbeatTick time.Duration
-	// PhiSuspect is the phi threshold at which an observer moves a slot
-	// Alive -> Suspect (default 3: roughly 7x the mean beat interval
-	// without an arrival).
-	PhiSuspect float64
 	// PhiDead is the phi threshold required (together with DeadStrikes)
 	// to move Suspect -> Dead (default 8).
 	PhiDead float64
@@ -88,12 +88,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.HeartbeatTick == 0 {
-		c.HeartbeatTick = 200 * time.Microsecond
-	}
-	if c.PhiSuspect == 0 {
-		c.PhiSuspect = 3
-	}
 	if c.PhiDead == 0 {
 		c.PhiDead = 8
 	}
@@ -379,7 +373,7 @@ func (m *Member) publishBeat() {
 func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
 	defer m.n.AbsorbCrash() // the beat freezes exactly at the crash
-	tick := time.NewTicker(m.t.cfg.HeartbeatTick)
+	tick := time.NewTicker(HeartbeatTick)
 	defer tick.Stop()
 	for {
 		select {

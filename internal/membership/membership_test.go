@@ -16,10 +16,7 @@ func testFabric(nodes int) *fabric.Fabric {
 // fastCfg returns detector timings quick enough for tests but with the
 // production transition rules intact.
 func fastCfg() Config {
-	return Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		DeadStrikes:   2,
-	}
+	return Config{DeadStrikes: 2}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -230,7 +227,6 @@ func TestRestartBeatingDetectionStillDeliversDead(t *testing.T) {
 	f := testFabric(3)
 	cfg := fastCfg()
 	// Make detection effectively impossible: the restart must win.
-	cfg.PhiSuspect = 1e12
 	cfg.PhiDead = 1e12
 	tb := New(f, cfg)
 	ms := joinAll(t, tb, f, 3)
@@ -381,7 +377,7 @@ func TestOnTickStepsRunOnTheAgentLoop(t *testing.T) {
 			t.Fatalf("step 2 ran without step 1 just before it: %v", got)
 		}
 	}
-	time.Sleep(10 * fastCfg().HeartbeatTick)
+	time.Sleep(10 * HeartbeatTick)
 	if n := len(snapshot()); n != len(got) {
 		t.Fatalf("%d steps ran after Stop", n-len(got))
 	}

@@ -83,12 +83,7 @@ func NewControlRack(f *fabric.Fabric, cfg ControlConfig) *ControlRack {
 		return r
 	}
 
-	r.Table = membership.New(f, membership.Config{
-		HeartbeatTick: 100 * time.Microsecond,
-		PhiSuspect:    3,
-		PhiDead:       cfg.PhiDead,
-		DeadStrikes:   cfg.DeadStrikes,
-	})
+	r.Table = membership.New(f, membership.Config{PhiDead: cfg.PhiDead, DeadStrikes: cfg.DeadStrikes})
 	if cfg.Health {
 		r.srcs = make([]*health.NodeSource, f.NumNodes())
 		for id := range r.srcs {

@@ -125,17 +125,17 @@ func TestLedgerFlagsDoubleAndLostCompletion(t *testing.T) {
 }
 
 // TestStoreStreamFlagsTornAndBackwards is the store checker's self-test:
-// a value whose bytes do not match its sequence, a value behind the
-// committed floor, and a vanished key must each be flagged; an intact
-// current value must not.
+// a value whose bytes do not match its version, a value behind the
+// committed floor, a vanished key and another key's value must each be
+// flagged; an intact current value must not.
 func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
 	env := &Env{Fab: f, Cfg: Config{Seed: 1, Nodes: 2}}
-	s := newStoreStream(env, redis.NewRackStore(f, redis.RackStoreConfig{ArenaBytes: 4 << 20}), 2)
+	s := newStoreStream(env, redis.NewRackStore(f, redis.RackStoreConfig{ArenaBytes: 4 << 20}), 3)
 	v := s.attach(env, f.Node(1))
-	observe := func(keyIdx int, floor uint64) string {
-		val, ok := v.Get(s.key(keyIdx))
-		s.observe(env, 7, keyIdx, floor, val, ok)
+	observe := func(k int, floor uint64) string {
+		val, _ := v.Get(s.key(k))
+		s.regs.check(env, 7, k, Bounds{Floor: floor}, Decode(val))
 		var out []string
 		for _, viol := range env.takeViolations() {
 			out = append(out, viol.Detail)
@@ -145,23 +145,29 @@ func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	if got := observe(0, 1); got != "" {
 		t.Errorf("intact seeded value flagged: %s", got)
 	}
-	torn := redisVal(1, 5)
+	torn := Payload(s.regs.ID(1), 5, redisValBytes)
 	torn[redisValBytes-1] ^= 0xff
 	if err := v.Set(s.key(1), torn, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := observe(1, 1); !strings.Contains(got, "torn value") {
+	if got := observe(1, 1); !strings.Contains(got, "torn") {
 		t.Errorf("torn value not flagged; got %q", got)
 	}
-	if err := v.Set(s.key(2), redisVal(2, 3), 0); err != nil {
+	if err := v.Set(s.key(2), Payload(s.regs.ID(2), 3, redisValBytes), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := observe(2, 5); !strings.Contains(got, "went backwards") {
+	if got := observe(2, 5); !strings.Contains(got, "behind the committed floor") {
 		t.Errorf("read behind the committed floor not flagged; got %q", got)
 	}
 	v.Del(s.key(3))
-	if got := observe(3, 1); !strings.Contains(got, "vanished") {
+	if got := observe(3, 1); !strings.Contains(got, "absent") {
 		t.Errorf("vanished key not flagged; got %q", got)
+	}
+	if err := v.Set(s.key(4), Payload(s.regs.ID(5), 2, redisValBytes), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := observe(4, 1); !strings.Contains(got, "wrong identity") {
+		t.Errorf("another key's value not flagged; got %q", got)
 	}
 }
 
@@ -219,7 +225,7 @@ func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
 			return
 		}
 		if val, ok := v0.Get(s.key(keyIdx)); ok {
-			if seq, _ := redisDecode(keyIdx, val); seq == want {
+			if Decode(val).Ver == want {
 				crashed.Store(true)
 				n.SetOpHook(nil)
 				n.Crash()
@@ -238,7 +244,7 @@ func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
 	s.writer(env, node, ci)
 	<-restarted
 
-	if got := s.finalVer[keyIdx]; got != want {
+	if got := s.regs.final[keyIdx]; got != want {
 		t.Errorf("final sequence of key %s = %d, want the cut SET's %d", s.key(keyIdx), got, want)
 	}
 	s.check(env)

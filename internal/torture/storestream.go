@@ -1,89 +1,49 @@
 package torture
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"flacos/internal/fabric"
 	"flacos/internal/redis"
 )
 
 // storeStream is the single-writer / any-reader RackStore checker under
-// every workload that tortures the rack-shared store: each writer owns
-// kpw keys and SETs strictly increasing sequences, readers GET
-// everyone's keys, and the schedule driver crashes (and the recovery
-// layers fence) serving nodes mid-SET.
+// every workload that tortures the rack-shared store: each key is a
+// register (register.go) whose writer SETs strictly increasing versions,
+// readers GET everyone's keys, and the schedule driver crashes (and the
+// recovery layers fence) serving nodes mid-SET. Every GET must pass the
+// register checker against the floor loaded before it: entry blocks are
+// written back before the index publish, so a crash between the two
+// leaves the previous intact value in place, never a torn one. The
+// quiescent store holds exactly each writer's final value.
 //
-// Invariants (the redisrack acceptance property under faults):
-//   - A GET observed by any survivor never returns a TORN value: entry
-//     blocks are written back before the index publish, so a crash
-//     between the two leaves the previous intact value in place, never a
-//     half-written one.
-//   - A GET never goes BACKWARDS: it must carry a sequence >= the
-//     highest flush-acknowledged write for that key (host-side committed
-//     floor, the same linearizability style dsWorkload uses).
-//   - Keys never vanish (no stream deletes), a view fenced at a dead or
-//     drained generation never applies another write, and the quiescent
-//     final state holds exactly each writer's last committed value.
-//
-// A writer whose node crashed cannot know whether its in-flight SET
-// published, so it re-reads the key and adopts whichever of {committed,
-// attempted} sequence it finds — the same resync protocol as dsWorkload's
-// mapWriter. Crashed views are fenced (their epoch reservation cleared on
-// their behalf) and abandoned; the replacement is a fresh Attach.
+// What is the store's own: a writer whose node crashed cannot know
+// whether its in-flight SET published, so it re-reads the key
+// (Registers.resync). Crashed views are fenced (their epoch reservation
+// cleared on their behalf) and abandoned; the replacement is a fresh
+// Attach. A view fenced at a dead or drained generation never applies
+// another write: the SET returns ErrFenced and the writer reattaches.
 type storeStream struct {
 	store *redis.RackStore
-	kpw   int // keys per writer (per node)
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq (0: never served)
+	kpw   int        // keys per writer (per node)
+	regs  *Registers // register k is key s.key(k)
 }
 
-const redisValBytes = 40 // 8-byte seq + 32 pattern bytes
+const redisValBytes = 40
 
 func redisKey(node, j int) string { return fmt.Sprintf("rk-%d-%d", node, j) }
 
-func redisVal(keyIdx int, seq uint64) []byte {
-	v := make([]byte, redisValBytes)
-	binary.LittleEndian.PutUint64(v, seq)
-	for i := 8; i < redisValBytes; i++ {
-		v[i] = byte(seq*13 + uint64(keyIdx)*7 + uint64(i))
-	}
-	return v
-}
-
-// redisDecode returns the sequence a value carries and whether every
-// byte matches the pattern for it (false = torn or corrupt).
-func redisDecode(keyIdx int, v []byte) (seq uint64, intact bool) {
-	if len(v) != redisValBytes {
-		return 0, false
-	}
-	seq = binary.LittleEndian.Uint64(v)
-	for i := 8; i < redisValBytes; i++ {
-		if v[i] != byte(seq*13+uint64(keyIdx)*7+uint64(i)) {
-			return seq, false
-		}
-	}
-	return seq, true
-}
-
-// newStoreStream seeds kpw keys per node at sequence 1 through node 0.
+// newStoreStream seeds kpw keys per node at version 1 through node 0.
 func newStoreStream(env *Env, store *redis.RackStore, kpw int) *storeStream {
-	keys := env.Cfg.Nodes * kpw
-	s := &storeStream{
-		store:    store,
-		kpw:      kpw,
-		floors:   make([]atomic.Uint64, keys),
-		finalVer: make([]uint64, keys),
-	}
+	s := &storeStream{store: store, kpw: kpw}
+	s.regs = NewRegisters(env.Cfg.Nodes*kpw, 1, s.key)
 	v0 := s.attach(env, env.Fab.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(s.key(k), redisVal(k, 1), 0); err != nil {
+	for k := 0; k < s.regs.Len(); k++ {
+		if err := v0.Set(s.key(k), Payload(s.regs.ID(k), 1, redisValBytes), 0); err != nil {
 			panic(err)
 		}
-		s.floors[k].Store(1)
+		s.regs.Commit(k, 1)
 	}
 	v0.Barrier()
 	return s
@@ -127,8 +87,8 @@ func (s *storeStream) reattach(env *Env, n *fabric.Node, dead *redis.View) *redi
 }
 
 // writer owns keys [node*kpw, node*kpw+kpw) and SETs strictly increasing
-// sequences; ci is its client id and rng stream. Two recovery paths: a
-// crash mid-SET makes the applied sequence uncertain (resync with a GET
+// versions; ci is its client id and rng stream. Two recovery paths: a
+// crash mid-SET makes the applied version uncertain (resync with a GET
 // after reattaching), and ErrFenced means a Dead sweep or a proactive
 // drain fenced this view's generation — the SET never applied, so
 // reattach under the current fence and retry.
@@ -136,25 +96,20 @@ func (s *storeStream) writer(env *Env, node, ci int) {
 	n := env.Fab.Node(node)
 	v := s.attachLoop(env, n)
 	rng := env.Rand(uint64(ci))
-	vers := make([]uint64, s.kpw)
 	needSync := make([]bool, s.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		j := rng.Intn(s.kpw)
-		keyIdx := node*s.kpw + j
-		key := s.key(keyIdx)
+		k := node*s.kpw + j
 		if needSync[j] {
 			var synced bool
-			if v, vers[j], synced = s.syncKey(env, n, v, ci, keyIdx, vers[j]); !synced {
+			if v, synced = s.syncKey(env, n, v, ci, k); !synced {
 				continue
 			}
 			needSync[j] = false
 		}
-		next := vers[j] + 1
+		next := s.regs.Floor(k) + 1
 		var err error
-		if !env.RunOp(n, func() { err = v.Set(key, redisVal(keyIdx, next), 0) }) {
+		if !env.RunOp(n, func() { err = v.Set(s.key(k), Payload(s.regs.ID(k), next, redisValBytes), 0) }) {
 			// Crashed mid-SET: the publish either landed or it didn't.
 			needSync[j] = true
 			v = s.reattach(env, n, v)
@@ -169,43 +124,31 @@ func (s *storeStream) writer(env *Env, node, ci int) {
 		if err != nil {
 			panic(err)
 		}
-		vers[j] = next
-		s.floors[keyIdx].Store(next)
+		s.regs.Commit(k, next)
 		completed++
 		env.OpDone()
 	}
-	// A key whose last SET a crash cut is synced before its sequence is
+	// A key whose last SET a crash cut is synced before its version is
 	// recorded as final, even if the writer never picked it again.
-	for j := range vers {
+	for j := range needSync {
 		for synced := !needSync[j]; !synced; {
-			v, vers[j], synced = s.syncKey(env, n, v, ci, node*s.kpw+j, vers[j])
+			v, synced = s.syncKey(env, n, v, ci, node*s.kpw+j)
 		}
-		s.finalVer[node*s.kpw+j] = vers[j]
+		s.regs.Finish(node*s.kpw + j)
 	}
 }
 
-// syncKey re-reads key keyIdx through v after a crash cut its writer's
-// last SET, which either published or did not, and returns the view to
-// go on with and the sequence it found as the key's new committed floor:
-// committed or committed+1, anything else a violation. A crash during the
-// read reattaches and returns false, leaving the key unsynced.
-func (s *storeStream) syncKey(env *Env, n *fabric.Node, v *redis.View, ci, keyIdx int, committed uint64) (*redis.View, uint64, bool) {
-	key := s.key(keyIdx)
+// syncKey re-reads key k through v after a crash cut its writer's last
+// SET, which either published or did not, and commits what it found
+// (Registers.resync). It returns the view to go on with; a crash during
+// the read reattaches and returns false, leaving the key unsynced.
+func (s *storeStream) syncKey(env *Env, n *fabric.Node, v *redis.View, ci, k int) (*redis.View, bool) {
 	var val []byte
-	var ok bool
-	if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-		return s.reattach(env, n, v), committed, false
+	if !env.RunOp(n, func() { val, _ = v.Get(s.key(k)) }) {
+		return s.reattach(env, n, v), false
 	}
-	seq, intact := uint64(0), false
-	if ok {
-		seq, intact = redisDecode(keyIdx, val)
-	}
-	if !ok || !intact || seq < committed || seq > committed+1 {
-		env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, committed)
-		seq = committed
-	}
-	s.floors[keyIdx].Store(seq)
-	return v, seq, true
+	s.regs.resync(env, ci, k, Decode(val))
+	return v, true
 }
 
 // reader GETs random keys rack-wide through node's views and checks
@@ -215,30 +158,16 @@ func (s *storeStream) reader(env *Env, node, ci int) {
 	v := s.attachLoop(env, n)
 	rng := env.Rand(uint64(ci))
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		keyIdx := rng.Intn(len(s.floors))
-		f0 := s.floors[keyIdx].Load()
+		k := rng.Intn(s.regs.Len())
+		f0 := s.regs.Floor(k)
 		var val []byte
-		var ok bool
-		if !env.RunOp(n, func() { val, ok = v.Get(s.key(keyIdx)) }) {
+		if !env.RunOp(n, func() { val, _ = v.Get(s.key(k)) }) {
 			v = s.reattach(env, n, v)
 			continue
 		}
-		s.observe(env, ci, keyIdx, f0, val, ok)
+		s.regs.check(env, ci, k, Bounds{Floor: f0}, Decode(val))
 		completed++
 		env.OpDone()
-	}
-}
-
-// observe checks one GET result against the committed floor f0 loaded
-// before the read began: present, intact, and not behind the floor.
-func (s *storeStream) observe(env *Env, ci, keyIdx int, f0 uint64, val []byte, ok bool) {
-	key := s.key(keyIdx)
-	if !ok {
-		env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-	} else if seq, intact := redisDecode(keyIdx, val); !intact {
-		env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-	} else if seq < f0 {
-		env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
 	}
 }
 
@@ -246,10 +175,10 @@ func (s *storeStream) observe(env *Env, ci, keyIdx int, f0 uint64, val []byte, o
 // be readable and intact through n BEFORE the node serves.
 func (s *storeStream) resync(env *Env, n *fabric.Node, ci int) {
 	v := s.attach(env, n)
-	for k := range s.floors {
-		f0 := s.floors[k].Load()
-		val, ok := v.Get(s.key(k))
-		s.observe(env, ci, k, f0, val, ok)
+	for k := 0; k < s.regs.Len(); k++ {
+		f0 := s.regs.Floor(k)
+		val, _ := v.Get(s.key(k))
+		s.regs.check(env, ci, k, Bounds{Floor: f0}, Decode(val))
 	}
 }
 
@@ -257,18 +186,9 @@ func (s *storeStream) resync(env *Env, n *fabric.Node, ci int) {
 // writer's final committed value, intact.
 func (s *storeStream) check(env *Env) {
 	v0 := s.attach(env, env.Fab.Node(0))
-	for k, want := range s.finalVer {
-		if want == 0 {
-			continue // writer bailed before serving (already recorded)
-		}
-		val, ok := v0.Get(s.key(k))
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", s.key(k), want)
-			continue
-		}
-		if seq, intact := redisDecode(k, val); !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", s.key(k), seq, intact, want)
-		}
-	}
+	s.regs.checkFinal(env, "final state", func(k int) (Read, error) {
+		val, _ := v0.Get(s.key(k))
+		return Decode(val), nil
+	})
 	v0.Barrier()
 }

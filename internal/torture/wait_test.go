@@ -47,7 +47,7 @@ func TestRingProducerWaitMatchesItsLoop(t *testing.T) {
 		rn, r := renv.Fab.Node(0), rw.rings[0]
 		before = rn.Stats()
 		for seq := uint64(1); seq <= 9; seq++ {
-			fillRingMsg(buf, 0, seq)
+			PutPayload(buf, rw.msgs.ID(0), seq)
 			for i := 1; ; i++ {
 				pushed := false
 				if !renv.RunOp(rn, func() { pushed = r.TryPush(rn, buf) }) {

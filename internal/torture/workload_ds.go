@@ -1,7 +1,7 @@
 package torture
 
 import (
-	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 
 	"flacos/internal/fabric"
@@ -9,29 +9,29 @@ import (
 )
 
 // dsWorkload tortures the FlacDK shared data structures: a hash table
-// driven by per-key single-writer version counters, and a ring of SPSC
-// rings carrying checksummed messages between neighbor nodes.
+// whose keys are single-writer registers, and a ring of SPSC rings
+// carrying register payloads between neighbor nodes.
 //
-// Invariants (linearizability-style over concurrent client histories):
-//   - hash table: single-writer per key, so any Get must return a version
-//     >= the highest version whose Put/CAS completed before the Get began
-//     (tracked as a host-side committed floor) — per-key monotonicity;
-//     writer CAS from a synced version must succeed. The CAS goes through
-//     a slot handle (Find, then CompareAndSwapAt), so every fault sweep
-//     covers the handle path: Find must see the writer's own last version.
-//   - ring: strict FIFO with no loss and no duplication (publication is
-//     the producer's last fabric op, so a crashed push never half-lands),
-//     and every payload matches the pattern derived from its sequence
-//     number — a consumer that skips its invalidate reads a stale lap and
-//     fails both checks.
+// Invariants (register.go's checker over concurrent client histories):
+//   - hash table: each key's value is its register's header word, so a
+//     Get must find it present, about the right key, and at or above the
+//     version committed before the Get began; writer CAS from a synced
+//     version must succeed. The CAS goes through a slot handle (Find,
+//     then CompareAndSwapAt), so every fault sweep covers the handle
+//     path: Find must see the writer's own last version.
+//   - ring: each ring is one register whose payloads must arrive intact
+//     and in strict FIFO order, with no loss and no duplication
+//     (publication is the producer's last fabric op, so a crashed push
+//     never half-lands) — a consumer that skips its invalidate reads a
+//     stale lap and fails both checks.
 type dsWorkload struct {
 	hm    *ds.HashMap
+	keys  *Registers     // register k-1 is key k
 	rings []*ds.SPSCRing // rings[i]: producer node i -> consumer node (i+1)%N
+	msgs  *Registers     // register i is ring i's message stream
 
-	floors   []atomic.Uint64 // per key (1-based), committed version floor
-	finalVer []uint64        // per key, writer's final version
-	ringDead []atomic.Bool   // consumer i aborted (too many violations)
-	kpw      int             // keys per writer
+	ringDead []atomic.Bool // consumer i aborted (too many violations)
+	kpw      int           // keys per writer
 }
 
 func newDSWorkload() *dsWorkload { return &dsWorkload{kpw: 4} }
@@ -43,30 +43,19 @@ func (w *dsWorkload) Name() string { return "ds" }
 // legitimately destroy — those classes are out of contract here.
 func (w *dsWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-const ringMsgBytes = 24 // 8-byte seq + 16 pattern bytes
-
-func ringPattern(ring int, seq uint64, k int) byte {
-	return byte(seq*31 + uint64(ring)*17 + uint64(k)*7)
-}
-
-func fillRingMsg(buf []byte, ring int, seq uint64) {
-	binary.LittleEndian.PutUint64(buf, seq)
-	for k := 8; k < ringMsgBytes; k++ {
-		buf[k] = ringPattern(ring, seq, k)
-	}
-}
+const ringMsgBytes = 24 // header + 16 body bytes
 
 func (w *dsWorkload) Prepare(env *Env) {
 	n := env.Cfg.Nodes
 	keys := n * w.kpw
 	w.hm = ds.NewHashMap(env.Fab, uint64(keys)*8+64)
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
+	w.keys = NewRegisters(keys, 1, func(r int) string { return fmt.Sprintf("key %d", r+1) })
 	n0 := env.Fab.Node(0)
-	for k := 1; k <= keys; k++ {
-		w.hm.Put(n0, uint64(k), 1)
-		w.floors[k-1].Store(1)
+	for r := 0; r < keys; r++ {
+		w.hm.Put(n0, uint64(r+1), Word(w.keys.ID(r), 1))
+		w.keys.Commit(r, 1)
 	}
+	w.msgs = NewRegisters(n, 1, func(r int) string { return fmt.Sprintf("ring %d", r) })
 	w.rings = make([]*ds.SPSCRing, n)
 	w.ringDead = make([]atomic.Bool, n)
 	for i := 0; i < n; i++ {
@@ -91,42 +80,42 @@ func (w *dsWorkload) Clients(env *Env) []func() {
 // mapWriter owns keys [node*kpw+1, node*kpw+kpw] and bumps their versions
 // with alternating Put and read-then-CAS at the slot the read found. A
 // crash mid-op makes the applied version uncertain, so the writer resyncs
-// with a Get before continuing.
+// with a Get before continuing, also for a key it does not pick again.
 func (w *dsWorkload) mapWriter(env *Env, node int) {
 	n := env.Fab.Node(node)
 	rng := env.Rand(uint64(0x10 + node))
 	ci := 0x100 + node
-	vers := make([]uint64, w.kpw)
 	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
+	resync := func(r int) bool {
+		var v uint64
+		if !env.RunOp(n, func() { v, _ = w.hm.Get(n, uint64(r+1)) }) {
+			env.WaitAlive(n)
+			return false
+		}
+		w.keys.resync(env, ci, r, DecodeWord(v))
+		return true
 	}
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		j := rng.Intn(w.kpw)
-		key := uint64(node*w.kpw + j + 1)
+		r := node*w.kpw + j
+		key := uint64(r + 1)
 		if needSync[j] {
-			var v uint64
-			var ok bool
-			if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
-				env.WaitAlive(n)
+			if !resync(r) {
 				continue
 			}
-			if !ok || v < vers[j] {
-				env.Violatef(ci, "key %d: resync read v=%d ok=%v below committed %d", key, v, ok, vers[j])
-				v = vers[j]
-			}
-			vers[j] = v
 			needSync[j] = false
 		}
-		next := vers[j] + 1
+		cur := w.keys.Floor(r)
+		next := cur + 1
+		old, val := Word(w.keys.ID(r), cur), Word(w.keys.ID(r), next)
 		useCAS := rng.Intn(2) == 0
 		casOK := true
 		if !env.RunOp(n, func() {
 			if useCAS {
-				slot, cur, ok := w.hm.Find(n, key)
-				casOK = ok && cur == vers[j] && w.hm.CompareAndSwapAt(n, slot, cur, next)
+				slot, got, ok := w.hm.Find(n, key)
+				casOK = ok && got == old && w.hm.CompareAndSwapAt(n, slot, got, val)
 			} else {
-				w.hm.Put(n, key, next)
+				w.hm.Put(n, key, val)
 			}
 		}) {
 			needSync[j] = true
@@ -134,41 +123,37 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 			continue
 		}
 		if !casOK {
-			env.Violatef(ci, "key %d: single-writer read-then-CAS %d->%d lost", key, vers[j], next)
+			env.Violatef(ci, "key %d: single-writer read-then-CAS %d->%d lost", key, cur, next)
 			needSync[j] = true
 			continue
 		}
-		vers[j] = next
-		w.floors[key-1].Store(next)
+		w.keys.Commit(r, next)
 		completed++
 		env.OpDone()
 	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
+	for j := range needSync {
+		for needSync[j] {
+			needSync[j] = !resync(node*w.kpw + j)
+		}
+		w.keys.Finish(node*w.kpw + j)
 	}
 }
 
-// mapReader reads random keys and checks per-key monotonicity against the
-// committed floor loaded before the read began.
+// mapReader reads random keys and checks each against the committed
+// floor loaded before the read began.
 func (w *dsWorkload) mapReader(env *Env, node int) {
 	n := env.Fab.Node(node)
 	rng := env.Rand(uint64(0x20 + node))
 	ci := 0x200 + node
-	keys := len(w.floors)
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		key := uint64(rng.Intn(keys) + 1)
-		v0 := w.floors[key-1].Load()
+		r := rng.Intn(w.keys.Len())
+		f0 := w.keys.Floor(r)
 		var v uint64
-		var ok bool
-		if !env.RunOp(n, func() { v, ok = w.hm.Get(n, key) }) {
+		if !env.RunOp(n, func() { v, _ = w.hm.Get(n, uint64(r+1)) }) {
 			env.WaitAlive(n)
 			continue
 		}
-		if !ok {
-			env.Violatef(ci, "key %d: vanished (committed floor %d)", key, v0)
-		} else if v < v0 {
-			env.Violatef(ci, "key %d: non-monotonic read %d after committed %d", key, v, v0)
-		}
+		w.keys.check(env, ci, r, Bounds{Floor: f0}, DecodeWord(v))
 		completed++
 		env.OpDone()
 	}
@@ -183,7 +168,7 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 	r := w.rings[node]
 	buf := make([]byte, ringMsgBytes)
 	for seq := uint64(1); seq <= uint64(env.Cfg.OpsPerClient); seq++ {
-		fillRingMsg(buf, node, seq)
+		PutPayload(buf, w.msgs.ID(node), seq)
 		dead := false
 		// A full ring waits for the consumer, which is behind (or down).
 		for !env.RunOp(n, func() {
@@ -201,8 +186,8 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 	}
 }
 
-// ringConsumer drains ring (node-1+N)%N, checking strict FIFO and the
-// per-sequence payload pattern.
+// ringConsumer drains ring (node-1+N)%N: each message must be exactly
+// the next version of the ring's register.
 func (w *dsWorkload) ringConsumer(env *Env, node int) {
 	ringID := (node - 1 + env.Cfg.Nodes) % env.Cfg.Nodes
 	n := env.Fab.Node(node)
@@ -218,30 +203,15 @@ func (w *dsWorkload) ringConsumer(env *Env, node int) {
 			env.WaitAlive(n)
 			continue
 		}
-		bad := false
-		if ln != ringMsgBytes {
-			env.Violatef(ci, "ring %d: message length %d, want %d", ringID, ln, ringMsgBytes)
-			bad = true
-		}
-		seq := binary.LittleEndian.Uint64(buf)
-		if seq != expected {
-			env.Violatef(ci, "ring %d: FIFO broken: got seq %d, want %d", ringID, seq, expected)
-			bad = true
-		}
-		for k := 8; k < ringMsgBytes && !bad; k++ {
-			if buf[k] != ringPattern(ringID, seq, k) {
-				env.Violatef(ci, "ring %d: stale/corrupt payload for seq %d at byte %d", ringID, seq, k)
-				bad = true
-			}
-		}
-		if bad {
+		got := Decode(buf[:ln])
+		if w.msgs.check(env, ci, ringID, Bounds{Floor: expected, Ceil: expected}, got) != OK {
 			if myViols++; myViols > 16 {
 				env.Violatef(ci, "ring %d: aborting consumer after %d violations", ringID, myViols)
 				w.ringDead[ringID].Store(true)
 				return
 			}
-			if seq >= expected {
-				expected = seq + 1 // resync forward so the run terminates
+			if got.Ver >= expected {
+				expected = got.Ver + 1 // resync forward so the run terminates
 			}
 			continue
 		}
@@ -254,11 +224,8 @@ func (w *dsWorkload) ringConsumer(env *Env, node int) {
 // writer's final committed version.
 func (w *dsWorkload) Check(env *Env) {
 	n0 := env.Fab.Node(0)
-	for k := 1; k <= len(w.finalVer); k++ {
-		want := w.finalVer[k-1]
-		got, ok := w.hm.Get(n0, uint64(k))
-		if !ok || got != want {
-			env.Violatef(-1, "final state: key %d = %d (present=%v), want %d", k, got, ok, want)
-		}
-	}
+	w.keys.checkFinal(env, "final state", func(r int) (Read, error) {
+		v, _ := w.hm.Get(n0, uint64(r+1))
+		return DecodeWord(v), nil
+	})
 }

@@ -1,11 +1,8 @@
 package torture
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"flacos/internal/fabric"
 	"flacos/internal/fs"
@@ -16,28 +13,25 @@ import (
 // fsync and create extra files to churn the metadata journal, while
 // readers on every node re-read random pages.
 //
-// Invariants:
-//   - durability: a page version whose Write completed before a read began
-//     (the committed floor) is never lost — the read may see a newer
-//     version, never an older or zero page;
-//   - no torn reads: a full-page read decodes to exactly one version's
-//     content (page writes install a fresh frame, so readers must always
-//     land on a frame-consistent image, even across crash-recovery);
-//   - journal durability: every created file resolves through a fresh
-//     mount whose metadata replica replays the journal from scratch.
+// Each page is a register (register.go): a full-page read must pass the
+// register checker against the version committed before it began — never
+// lost, never older, never torn (page writes install a fresh frame, so
+// readers must always land on a frame-consistent image, even across
+// crash-recovery). The fs's own invariant is journal durability: every
+// created file resolves through a fresh mount whose metadata replica
+// replays the journal from scratch.
 //
 // A client whose op was interrupted by its node's crash fences its dead
 // mount (freeing the stuck quiescence reservation) and re-mounts — the
-// same recovery dance a rebooted FlacOS node performs.
+// same recovery dance a rebooted FlacOS node performs. A writer cut
+// mid-write rewrites the same image, which is idempotent.
 type fsWorkload struct {
 	fsys *fs.FS
 
-	names []string // per writer file name
-	ids   []uint64 // per writer file id
-	pages int      // pages per file
-
-	pub      [][]atomic.Uint64 // [writer][page] committed version floor
-	finalVer [][]uint64        // [writer][page] writer's final version
+	names []string   // per writer file name
+	ids   []uint64   // per writer file id
+	pages int        // pages per file
+	regs  *Registers // register file*pages+page
 
 	extraMu sync.Mutex
 	extras  map[string]uint64 // published extra files: name -> id
@@ -52,21 +46,8 @@ func (w *fsWorkload) Name() string { return "fs" }
 // and link degradation are the faults the FS is designed to survive.
 func (w *fsWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-// makeFilePage builds the deterministic full-page image for (file, page,
-// version). Word 0 is the header; every body byte depends on the offset so
-// any mix of two versions is detectable.
-func makeFilePage(file, page int, ver uint64) []byte {
-	buf := make([]byte, fs.PageSize)
-	binary.LittleEndian.PutUint64(buf, ver<<24|uint64(file)<<12|uint64(page))
-	for k := 8; k < fs.PageSize; k++ {
-		buf[k] = byte(uint64(k)*2654435761 + ver*97 + uint64(file)*31 + uint64(page)*17)
-	}
-	return buf
-}
-
-func decodeFileHeader(h uint64) (ver uint64, file, page int) {
-	return h >> 24, int(h >> 12 & 0xfff), int(h & 0xfff)
-}
+// page returns the image of register r at version ver.
+func (w *fsWorkload) page(r int, ver uint64) []byte { return Payload(w.regs.ID(r), ver, fs.PageSize) }
 
 func (w *fsWorkload) Prepare(env *Env) {
 	n := env.Cfg.Nodes
@@ -82,8 +63,9 @@ func (w *fsWorkload) Prepare(env *Env) {
 	w.extras = make(map[string]uint64)
 	w.names = make([]string, n)
 	w.ids = make([]uint64, n)
-	w.pub = make([][]atomic.Uint64, n)
-	w.finalVer = make([][]uint64, n)
+	w.regs = NewRegisters(n*w.pages, 1, func(r int) string {
+		return fmt.Sprintf("file %d page %d", r/w.pages, r%w.pages)
+	})
 	m0 := w.fsys.Mount(env.Fab.Node(0))
 	for i := 0; i < n; i++ {
 		w.names[i] = fmt.Sprintf("torture-%d", i)
@@ -92,13 +74,12 @@ func (w *fsWorkload) Prepare(env *Env) {
 			panic(err)
 		}
 		w.ids[i] = id
-		w.pub[i] = make([]atomic.Uint64, w.pages)
-		w.finalVer[i] = make([]uint64, w.pages)
 		for p := 0; p < w.pages; p++ {
-			if _, err := m0.Write(id, uint64(p)*fs.PageSize, makeFilePage(i, p, 1)); err != nil {
+			r := i*w.pages + p
+			if _, err := m0.Write(id, uint64(p)*fs.PageSize, w.page(r, 1)); err != nil {
 				panic(err)
 			}
-			w.pub[i][p].Store(1)
+			w.regs.Commit(r, 1)
 		}
 	}
 }
@@ -144,18 +125,15 @@ func (w *fsWorkload) writer(env *Env, node int) {
 	ci := 0x500 + node
 	m := w.mount(env, n)
 	id := w.ids[node]
-	vers := make([]uint64, w.pages)
-	for p := range vers {
-		vers[p] = 1
-	}
 	attempt := 0
 	p := -1 // the page being written; -1 once it is done
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		if p < 0 {
 			p = rng.Intn(w.pages)
 		}
-		v := vers[p] + 1
-		buf := makeFilePage(node, p, v)
+		r := node*w.pages + p
+		v := w.regs.Floor(r) + 1
+		buf := w.page(r, v)
 		var err error
 		if !env.RunOp(n, func() { _, err = m.Write(id, uint64(p)*fs.PageSize, buf) }) {
 			// Crash mid-write: the version may or may not have landed;
@@ -166,8 +144,7 @@ func (w *fsWorkload) writer(env *Env, node int) {
 		if err != nil {
 			env.Violatef(ci, "file %d page %d: write v%d failed: %v", node, p, v, err)
 		}
-		vers[p] = v
-		w.pub[node][p].Store(v)
+		w.regs.Commit(r, v)
 		p = -1
 		completed++
 		env.OpDone()
@@ -205,7 +182,9 @@ func (w *fsWorkload) writer(env *Env, node int) {
 			}
 		}
 	}
-	copy(w.finalVer[node], vers)
+	for p := 0; p < w.pages; p++ {
+		w.regs.Finish(node*w.pages + p)
+	}
 }
 
 func (w *fsWorkload) reader(env *Env, node int) {
@@ -217,7 +196,8 @@ func (w *fsWorkload) reader(env *Env, node int) {
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		target := rng.Intn(len(w.ids))
 		p := rng.Intn(w.pages)
-		v0 := w.pub[target][p].Load()
+		r := target*w.pages + p
+		f0 := w.regs.Floor(r)
 		var err error
 		if !env.RunOp(n, func() { _, err = m.Read(w.ids[target], uint64(p)*fs.PageSize, buf) }) {
 			m = w.remount(env, n, m)
@@ -226,7 +206,7 @@ func (w *fsWorkload) reader(env *Env, node int) {
 		if err != nil {
 			env.Violatef(ci, "file %d page %d: read failed: %v", target, p, err)
 		} else {
-			w.checkPage(env, ci, buf, target, p, v0)
+			w.regs.check(env, ci, r, Bounds{Floor: f0}, Decode(buf))
 		}
 		completed++
 		env.OpDone()
@@ -243,31 +223,6 @@ func (w *fsWorkload) reader(env *Env, node int) {
 	}
 }
 
-// checkPage verifies one full-page image against the durability and
-// no-torn-read invariants, given the committed floor v0 loaded before the
-// read began.
-func (w *fsWorkload) checkPage(env *Env, ci int, buf []byte, file, page int, v0 uint64) {
-	hdr := binary.LittleEndian.Uint64(buf)
-	if hdr == 0 {
-		if v0 > 0 {
-			env.Violatef(ci, "file %d page %d: lost write: zero page after committed v%d", file, page, v0)
-		}
-		return
-	}
-	ver, gotFile, gotPage := decodeFileHeader(hdr)
-	if gotFile != file || gotPage != page {
-		env.Violatef(ci, "file %d page %d: wrong identity (%d,%d) v%d", file, page, gotFile, gotPage, ver)
-		return
-	}
-	if ver < v0 {
-		env.Violatef(ci, "file %d page %d: stale read v%d after committed v%d", file, page, ver, v0)
-		return
-	}
-	if !bytes.Equal(buf, makeFilePage(file, page, ver)) {
-		env.Violatef(ci, "file %d page %d: torn read at v%d", file, page, ver)
-	}
-}
-
 // Check attaches a brand-new mount on the last node — its metadata replica
 // replays the journal from entry zero, standing in for a rebooted node —
 // and verifies names, final page versions, and full page content.
@@ -275,23 +230,14 @@ func (w *fsWorkload) Check(env *Env) {
 	m := w.fsys.Mount(env.Fab.Node(env.Cfg.Nodes - 1))
 	buf := make([]byte, fs.PageSize)
 	for i, name := range w.names {
-		id, ok := m.Lookup(name)
-		if !ok || id != w.ids[i] {
+		if id, ok := m.Lookup(name); !ok || id != w.ids[i] {
 			env.Violatef(-1, "final: lookup %q = (%d,%v), want id %d", name, id, ok, w.ids[i])
-			continue
-		}
-		for p := 0; p < w.pages; p++ {
-			want := w.finalVer[i][p]
-			if _, err := m.Read(id, uint64(p)*fs.PageSize, buf); err != nil {
-				env.Violatef(-1, "final: read file %d page %d: %v", i, p, err)
-				continue
-			}
-			if !bytes.Equal(buf, makeFilePage(i, p, want)) {
-				env.Violatef(-1, "final: file %d page %d does not match committed v%d (header %#x)",
-					i, p, want, binary.LittleEndian.Uint64(buf))
-			}
 		}
 	}
+	w.regs.checkFinal(env, "final", func(r int) (Read, error) {
+		_, err := m.Read(w.ids[r/w.pages], uint64(r%w.pages)*fs.PageSize, buf)
+		return Decode(buf), err
+	})
 	w.extraMu.Lock()
 	defer w.extraMu.Unlock()
 	for name, id := range w.extras {

@@ -1,8 +1,8 @@
 package torture
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 
 	"flacos/internal/flacdk/alloc"
@@ -15,13 +15,14 @@ import (
 // them), a dedicated client on node 0 loops DedupPass, and readers on
 // every node check page headers through their own MMU.
 //
-// Invariants:
-//   - no stale mapping: a reader never observes a page header whose
-//     version is below the committed floor or whose identity words name a
-//     different page pair — both happen only if an MMU keeps translating
+// Each page is a register (register.go) whose identity its pair shares,
+// so both pages carry one image:
+//   - no stale mapping: a page header read must pass the register checker
+//     against the floor committed before it — a version below the floor or
+//     another pair's identity happens only if an MMU keeps translating
 //     through a TLB entry that a remap's shootdown should have killed;
 //   - dedup preserves content: the final quiescent sweep (plus one more
-//     DedupPass) must reproduce every page's exact committed image.
+//     DedupPass) must find every page's exact final image.
 //
 // Reader protocol: page writes are in-place after the COW break, so a
 // header read is sandwiched between two page-table lookups and retried
@@ -35,10 +36,9 @@ type memsysWorkload struct {
 	space  *memsys.Space
 	mmus   []*memsys.MMU
 
-	pub      []atomic.Uint64 // per page, committed version floor
-	finalVer []uint64        // per page, writer's final version
-	merges   atomic.Uint64
-	pp       int // pages per writer (pairs of two)
+	regs   *Registers // register p is page p; pages 2i and 2i+1 are pair i
+	merges atomic.Uint64
+	pp     int // pages per writer (pairs of two)
 }
 
 func newMemsysWorkload() *memsysWorkload { return &memsysWorkload{pp: 4} }
@@ -49,25 +49,11 @@ func (w *memsysWorkload) Name() string { return "memsys" }
 // write-backs are out of contract.
 func (w *memsysWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-func (w *memsysWorkload) writerOf(page int) int { return page / w.pp }
-func (w *memsysWorkload) pairOf(page int) int   { return (page % w.pp) / 2 }
-
 func memVA(page int) uint64 { return uint64(page) * memsys.PageSize }
 
-// makeMemPage builds the image for one page of (writer, pair) at version
-// v. Both pages of a pair carry the identical image, which is what makes
-// them dedup candidates.
-func makeMemPage(writer, pair int, v uint64) []byte {
-	buf := make([]byte, memsys.PageSize)
-	binary.LittleEndian.PutUint64(buf, v<<32|uint64(writer)<<16|uint64(pair))
-	for k := 8; k < memsys.PageSize; k++ {
-		buf[k] = byte(v*29 + uint64(writer)*13 + uint64(pair)*7 + uint64(k)*3)
-	}
-	return buf
-}
-
-func decodeMemHeader(h uint64) (v uint64, writer, pair int) {
-	return h >> 32, int(h >> 16 & 0xffff), int(h & 0xffff)
+// page returns the image of page p at version v: its pair's payload.
+func (w *memsysWorkload) page(p int, v uint64) []byte {
+	return Payload(w.regs.ID(p), v, memsys.PageSize)
 }
 
 func (w *memsysWorkload) Prepare(env *Env) {
@@ -85,16 +71,15 @@ func (w *memsysWorkload) Prepare(env *Env) {
 	if err := w.mmus[0].MMap(0, uint64(totalPages), memsys.ProtRead|memsys.ProtWrite, memsys.BackGlobal); err != nil {
 		panic(err)
 	}
-	w.pub = make([]atomic.Uint64, totalPages)
-	w.finalVer = make([]uint64, totalPages)
+	w.regs = NewRegisters(totalPages, 2, func(p int) string { return fmt.Sprintf("page %d", p) })
 	// Pre-fault every page at v1 from node 0: installs all PTEs (and the
 	// radix interior nodes), so no client ever demand-faults concurrently
 	// through a shared node allocator.
 	for p := 0; p < totalPages; p++ {
-		if err := w.mmus[0].Write(memVA(p), makeMemPage(w.writerOf(p), w.pairOf(p), 1)); err != nil {
+		if err := w.mmus[0].Write(memVA(p), w.page(p, 1)); err != nil {
 			panic(err)
 		}
-		w.pub[p].Store(1)
+		w.regs.Commit(p, 1)
 	}
 }
 
@@ -121,18 +106,14 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 	mmu := w.mmus[node]
 	rng := env.Rand(uint64(0x70 + node))
 	ci := 0x700 + node
-	vers := make([]uint64, w.pp/2)
-	for j := range vers {
-		vers[j] = 1
-	}
 	pair := -1 // the pair being written; -1 once it is done
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		if pair < 0 {
 			pair = rng.Intn(w.pp / 2)
 		}
 		base := node*w.pp + pair*2
-		v := vers[pair] + 1
-		content := makeMemPage(node, pair, v)
+		v := w.regs.Floor(base+1) + 1
+		content := w.page(base, v)
 		var err error
 		if !env.RunOp(n, func() { err = mmu.Write(memVA(base), content) }) {
 			env.WaitAlive(n)
@@ -141,7 +122,7 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		if err != nil {
 			env.Violatef(ci, "page %d: write v%d failed: %v", base, v, err)
 		}
-		w.pub[base].Store(v)
+		w.regs.Commit(base, v)
 		if !env.RunOp(n, func() { err = mmu.Write(memVA(base+1), content) }) {
 			env.WaitAlive(n)
 			continue // retries page base at v too: identical image, harmless
@@ -149,14 +130,13 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		if err != nil {
 			env.Violatef(ci, "page %d: write v%d failed: %v", base+1, v, err)
 		}
-		w.pub[base+1].Store(v)
-		vers[pair], pair = v, -1
+		w.regs.Commit(base+1, v)
+		pair = -1
 		completed++
 		env.OpDone()
 	}
-	for j := range vers {
-		w.finalVer[node*w.pp+j*2] = vers[j]
-		w.finalVer[node*w.pp+j*2+1] = vers[j]
+	for p := node * w.pp; p < (node+1)*w.pp; p++ {
+		w.regs.Finish(p)
 	}
 }
 
@@ -190,26 +170,14 @@ func (w *memsysWorkload) readHeader(env *Env, node, p int) (hdr uint64, ok bool)
 	return 0, false
 }
 
-func (w *memsysWorkload) checkHeader(env *Env, ci, p int, hdr, v0 uint64) {
-	ver, writer, pair := decodeMemHeader(hdr)
-	if writer != w.writerOf(p) || pair != w.pairOf(p) {
-		env.Violatef(ci, "page %d: stale mapping: header names (writer %d, pair %d) v%d", p, writer, pair, ver)
-		return
-	}
-	if ver < v0 {
-		env.Violatef(ci, "page %d: stale version v%d after committed v%d", p, ver, v0)
-	}
-}
-
 func (w *memsysWorkload) reader(env *Env, node int) {
 	rng := env.Rand(uint64(0x80 + node))
 	ci := 0x800 + node
-	totalPages := len(w.pub)
 	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
-		p := rng.Intn(totalPages)
-		v0 := w.pub[p].Load()
+		p := rng.Intn(w.regs.Len())
+		f0 := w.regs.Floor(p)
 		if hdr, ok := w.readHeader(env, node, p); ok {
-			w.checkHeader(env, ci, p, hdr, v0)
+			w.regs.check(env, ci, p, Bounds{Floor: f0}, DecodeWord(hdr))
 		}
 		env.OpDone()
 	}
@@ -220,15 +188,14 @@ func (w *memsysWorkload) reader(env *Env, node int) {
 func (w *memsysWorkload) dedupClient(env *Env) {
 	rng := env.Rand(0x90)
 	n := env.Fab.Node(0)
-	totalPages := len(w.pub)
 	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
 		if completed%4 == 0 {
 			env.RunOp(n, func() { w.merges.Add(uint64(w.mmus[0].DedupPass())) })
 		} else {
-			p := rng.Intn(totalPages)
-			v0 := w.pub[p].Load()
+			p := rng.Intn(w.regs.Len())
+			f0 := w.regs.Floor(p)
 			if hdr, ok := w.readHeader(env, 0, p); ok {
-				w.checkHeader(env, 0x900, p, hdr, v0)
+				w.regs.check(env, 0x900, p, Bounds{Floor: f0}, DecodeWord(hdr))
 			}
 		}
 		env.OpDone()
@@ -247,29 +214,24 @@ func (w *memsysWorkload) dedupClient(env *Env) {
 func (w *memsysWorkload) Check(env *Env) {
 	buf := make([]byte, memsys.PageSize)
 	sweep := func(tag string, mmus []*memsys.MMU) {
-		for p := range w.finalVer {
-			want := makeMemPage(w.writerOf(p), w.pairOf(p), w.finalVer[p])
-			for i, mmu := range mmus {
-				if err := mmu.Read(memVA(p), buf); err != nil {
-					env.Violatef(-1, "%s: page %d read on node %d failed: %v", tag, p, i, err)
-					continue
-				}
-				if !bytes.Equal(buf, want) {
-					env.Violatef(-1, "%s: page %d on node %d does not match committed v%d (header %#x)",
-						tag, p, i, w.finalVer[p], binary.LittleEndian.Uint64(buf))
-				}
-			}
+		for i, mmu := range mmus {
+			w.regs.checkFinal(env, fmt.Sprintf("%s on node %d", tag, i), func(p int) (Read, error) {
+				err := mmu.Read(memVA(p), buf)
+				return Decode(buf), err
+			})
 		}
 	}
 	sweep("final", w.mmus[:1])
 	w.merges.Add(uint64(w.mmus[0].DedupPass()))
 	sweep("post-dedup", w.mmus[:1])
 
-	for p := range w.finalVer {
-		w.finalVer[p]++
-		if err := w.mmus[w.writerOf(p)].Write(memVA(p), makeMemPage(w.writerOf(p), w.pairOf(p), w.finalVer[p])); err != nil {
+	for p := 0; p < w.regs.Len(); p++ {
+		v := w.regs.Floor(p) + 1
+		if err := w.mmus[p/w.pp].Write(memVA(p), w.page(p, v)); err != nil {
 			env.Violatef(-1, "remap: page %d rewrite failed: %v", p, err)
 		}
+		w.regs.Commit(p, v)
+		w.regs.Finish(p)
 	}
 	sweep("remap warm-up", w.mmus)
 	n0 := env.Fab.Node(0)
