@@ -126,8 +126,8 @@ func TestLedgerFlagsDoubleAndLostCompletion(t *testing.T) {
 
 // TestStoreStreamFlagsTornAndBackwards is the store checker's self-test:
 // a value whose bytes do not match its version, a value behind the
-// committed floor, a vanished key and another key's value must each be
-// flagged; an intact current value must not.
+// committed floor, a vanished key, another key's value and a zeroed value
+// must each be flagged; an intact current value must not.
 func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
 	env := &Env{Fab: f, Cfg: Config{Seed: 1, Nodes: 2}}
@@ -169,13 +169,20 @@ func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	if got := observe(4, 1); !strings.Contains(got, "wrong identity") {
 		t.Errorf("another key's value not flagged; got %q", got)
 	}
+	// A publish that overtook its value's write into fresh, zeroed memory.
+	if err := v.Set(s.key(5), make([]byte, redisValBytes), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := observe(5, 1); !strings.Contains(got, "torn") {
+		t.Errorf("zeroed value not flagged; got %q", got)
+	}
 }
 
 // TestStoreStreamResyncsKeyLeftUnsynced scripts the final-state case a
 // crash makes: a writer's last SET to key j is cut by a crash after its
 // publish landed, and the writer never picks j again. The writer must
-// resync j before recording its final sequence, so check sees the
-// published value as expected and reports nothing.
+// resync j before it ends, so j's committed sequence is the published one
+// and check sees it as expected and reports nothing.
 func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
 	const node, ci, kpw, ops = 1, 0, 2, 24
 	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
@@ -244,7 +251,7 @@ func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
 	s.writer(env, node, ci)
 	<-restarted
 
-	if got := s.regs.final[keyIdx]; got != want {
+	if got := s.regs.Floor(keyIdx); got != want {
 		t.Errorf("final sequence of key %s = %d, want the cut SET's %d", s.key(keyIdx), got, want)
 	}
 	s.check(env)

@@ -19,7 +19,9 @@ import (
 // the header, ver<<32 | id (both below 2^32); the bytes after it are
 // derived from the header, the payload's length and the offset, so any
 // mix of two payloads, or a payload cut short, fails the byte check.
-// Versions start at 1, so a zero header is no payload at all.
+// Versions start at 1, so a payload with a zero header is torn: an
+// all-zero value is what a reader finds when a publish overtook the write
+// of its value into fresh, zeroed memory.
 
 // Payload returns register id's payload at version ver, size bytes long
 // (at least 9).
@@ -62,15 +64,20 @@ type Read struct {
 	ID, Ver uint64
 }
 
-// Decode reads a payload. A nil, empty or zero-headed one is absent; one
-// shorter than 9 bytes, or with a body byte off, is torn.
+// Decode reads a payload. Only nil is absent (a store miss, RESP's null
+// bulk); any other payload shorter than 9 bytes, with a zero header or
+// with a body byte off is torn.
 func Decode(p []byte) Read {
+	if p == nil {
+		return Read{}
+	}
 	if len(p) < 8 {
-		return Read{Present: len(p) > 0}
+		return Read{Present: true}
 	}
 	h := binary.LittleEndian.Uint64(p)
 	g := DecodeWord(h)
-	g.Intact = g.Present && len(p) > 8
+	g.Present = true
+	g.Intact = h != 0 && len(p) > 8
 	for k := 8; k < len(p) && g.Intact; k++ {
 		g.Intact = p[k] == bodyByte(h, len(p), k)
 	}
@@ -107,8 +114,8 @@ const (
 	// BehindLast: older than a version this reader already saw.
 	BehindLast
 	// Ahead: newer than any version its writer may have left there: a
-	// crash resync past committed+1, a quiescent register past its final
-	// version.
+	// crash resync past committed+1, a quiescent register past its last
+	// commit.
 	Ahead
 )
 
@@ -140,13 +147,11 @@ func Classify(id uint64, b Bounds, g Read) Verdict {
 	return OK
 }
 
-// Registers is a set of single-writer registers: for each, the committed
-// floor (the version its writer last had acknowledged) and the final
-// version (what the quiescent register must hold; 0 until its writer
-// finished).
+// Registers is a set of single-writer registers, each with its committed
+// floor: the version its writer last had acknowledged, which the
+// quiescent register must hold exactly.
 type Registers struct {
 	floor []atomic.Uint64
-	final []uint64
 	share int
 	name  func(r int) string
 }
@@ -156,7 +161,7 @@ type Registers struct {
 // writes both pages of a pair identically so that dedup merges them);
 // name names register r in a violation.
 func NewRegisters(n, share int, name func(r int) string) *Registers {
-	return &Registers{floor: make([]atomic.Uint64, n), final: make([]uint64, n), share: share, name: name}
+	return &Registers{floor: make([]atomic.Uint64, n), share: share, name: name}
 }
 
 // Len is the number of registers.
@@ -170,9 +175,6 @@ func (rs *Registers) Floor(r int) uint64 { return rs.floor[r].Load() }
 
 // Commit records that r's writer had version ver acknowledged.
 func (rs *Registers) Commit(r int, ver uint64) { rs.floor[r].Store(ver) }
-
-// Finish records that r's writer is done: its committed version is final.
-func (rs *Registers) Finish(r int) { rs.final[r] = rs.Floor(r) }
 
 // check classifies read g of register r against b, recording a violation
 // for client ci.
@@ -194,14 +196,13 @@ func (rs *Registers) resync(env *Env, ci, r int, g Read) {
 	}
 }
 
-// checkFinal reads every register of the quiescent set whose writer
-// finished through read, and records a violation, prefixed by tag, for
-// each that does not hold exactly its final version.
+// checkFinal reads every register of the quiescent set through read, and
+// records a violation, prefixed by tag, for each that does not hold
+// exactly its committed version. Every writer has run to completion (a
+// halted sweep is not checked), so its last commit is final.
 func (rs *Registers) checkFinal(env *Env, tag string, read func(r int) (Read, error)) {
-	for r, want := range rs.final {
-		if want == 0 {
-			continue
-		}
+	for r := range rs.floor {
+		want := rs.Floor(r)
 		g, err := read(r)
 		if err != nil {
 			env.Violatef(-1, "%s: %s: read failed: %v", tag, rs.name(r), err)

@@ -128,13 +128,12 @@ func (s *storeStream) writer(env *Env, node, ci int) {
 		completed++
 		env.OpDone()
 	}
-	// A key whose last SET a crash cut is synced before its version is
-	// recorded as final, even if the writer never picked it again.
+	// A key whose last SET a crash cut is synced before the writer ends,
+	// even if it never picked the key again: its commit is then final.
 	for j := range needSync {
 		for synced := !needSync[j]; !synced; {
 			v, synced = s.syncKey(env, n, v, ci, node*s.kpw+j)
 		}
-		s.regs.Finish(node*s.kpw + j)
 	}
 }
 

@@ -135,7 +135,6 @@ func (w *dsWorkload) mapWriter(env *Env, node int) {
 		for needSync[j] {
 			needSync[j] = !resync(node*w.kpw + j)
 		}
-		w.keys.Finish(node*w.kpw + j)
 	}
 }
 

@@ -182,9 +182,6 @@ func (w *fsWorkload) writer(env *Env, node int) {
 			}
 		}
 	}
-	for p := 0; p < w.pages; p++ {
-		w.regs.Finish(node*w.pages + p)
-	}
 }
 
 func (w *fsWorkload) reader(env *Env, node int) {

@@ -135,9 +135,6 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 		completed++
 		env.OpDone()
 	}
-	for p := node * w.pp; p < (node+1)*w.pp; p++ {
-		w.regs.Finish(p)
-	}
 }
 
 // readHeader performs one stable header read of page p through mmu: the
@@ -231,7 +228,6 @@ func (w *memsysWorkload) Check(env *Env) {
 			env.Violatef(-1, "remap: page %d rewrite failed: %v", p, err)
 		}
 		w.regs.Commit(p, v)
-		w.regs.Finish(p)
 	}
 	sweep("remap warm-up", w.mmus)
 	n0 := env.Fab.Node(0)
