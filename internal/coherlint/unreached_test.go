@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"sort"
 	"strings"
@@ -24,14 +25,18 @@ import (
 //     carrying a //flac: annotation (the coherence analyzers read those);
 //   - a live declaration makes live every package-level object its syntax
 //     uses (TypesInfo.Uses, which also holds every selector's method), and
-//     every method name it selects;
-//   - a method is live when its receiver type is live and either its name is
-//     selected somewhere in live code or the standard library calls that
-//     name through an interface (stdlibMethods).
+//     the methods it selects:
+//   - a selection of a method whose receiver is a concrete (or generic)
+//     type makes that type's method live, and no other (methodKey); a
+//     selection through an interface or a type-parameter constraint only
+//     records the method's name;
+//   - a method is also live when its receiver type is live and either an
+//     interface selection in live code names it or the standard library
+//     calls that name through an interface (stdlibMethods).
 //
 // The same walk then asks which knobs no program turns: an exported field
-// of a live exported *Config struct type that no live declaration writes
-// (findUnturned).
+// of a live exported *Config struct type that every program sets to one
+// value, by its writes and by its default fill (findOneValued).
 //
 // Declarations are keyed by text (package path, receiver, name), never by
 // types.Object: a package sees its imports through export data, so the
@@ -55,7 +60,8 @@ type unreachedDecl struct {
 	Key   string // module-relative package path, then [Recv.]Name
 	Pos   token.Position
 	Lines int
-	Field bool // an exported Config field no program writes; Key ends Type.Field
+	Field bool   // an exported Config field every program sets alike; Key ends Type.Field
+	Value string // the one value such a field takes
 }
 
 // declNode is one top-level declaration: a func or method, or one name of
@@ -164,7 +170,11 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 					}
 					if fn, ok := obj.(*types.Func); ok {
 						if fn.Type().(*types.Signature).Recv() != nil {
-							selected[fn.Name()] = true
+							if key := methodKey(fn, module); key != "" {
+								mark(byKey[key])
+							} else {
+								selected[fn.Name()] = true
+							}
 							return true
 						}
 						obj = fn.Origin() // an instantiation's generic function
@@ -198,20 +208,41 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 		end := d.pkg.Fset.Position(d.end)
 		out = append(out, unreachedDecl{Key: d.key, Pos: pos, Lines: end.Line - pos.Line + 1})
 	}
-	out = append(out, findUnturned(all, live, module)...)
+	out = append(out, findOneValued(all, live, module)...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-// findUnturned returns every exported field of a live exported *Config
-// struct type that no live declaration writes: a knob no program turns.
-// A field is written by a composite-literal key, by a positional literal
-// (which writes every field), or on the left of an assignment or ++/--.
-// One write does not count: an assignment in the field's own package
-// inside an if whose condition reads the same field, the default fill
-// `if c.F == 0 { c.F = d }`.
-func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unreachedDecl {
-	fields := map[string]token.Position{}
+// findOneValued returns every exported field of a live exported *Config
+// struct type that takes one value in every program: a knob no program
+// turns, which should be a constant. Live code gives a field a value in
+// three ways:
+//
+//   - it writes it: a composite-literal key, a positional literal (which
+//     writes every field), or the left of an assignment; the value is the
+//     constant written, and any other write (a variable, ++, +=, &c.F)
+//     turns the knob;
+//   - it omits it: a literal that leaves the field out, `var c T` and
+//     new(T), for T the Config or a struct holding one by value, and an
+//     explicit write of the zero value; the field then holds its default
+//     fill's value, or zero if it has none;
+//   - its default fill writes it: an assignment in the field's own
+//     package inside an if whose condition reads the same field,
+//     `if c.F == 0 { c.F = d }`, which only an omission reaches.
+//
+// A field is flagged when no write turns it and those values are at most
+// one: every write is the same constant, and every omission gets that
+// same value (a field no program writes at all takes only its default).
+func findOneValued(all []*declNode, live map[*declNode]bool, module string) []unreachedDecl {
+	type field struct {
+		pos    token.Position
+		zero   string            // the value key of the field type's zero value
+		set    map[string]string // its constant writes: value key -> as written
+		fills  map[string]string // its default fills' values, the same way
+		omit   bool
+		turned bool // a write that is not a constant
+	}
+	fields := map[string]*field{}
 	for _, d := range all {
 		spec, ok := d.nodes[0].(*ast.TypeSpec)
 		if !ok || !live[d] || !isConfigName(d.name) {
@@ -228,47 +259,82 @@ func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unr
 			}
 			for _, id := range names {
 				if id.IsExported() {
-					fields[d.key+"."+id.Name] = d.pkg.Fset.Position(id.Pos())
+					fields[d.key+"."+id.Name] = &field{pos: d.pkg.Fset.Position(id.Pos()),
+						zero: zeroKey(d.pkg.TypesInfo.TypeOf(f.Type)), set: map[string]string{}, fills: map[string]string{}}
 				}
 			}
 		}
 	}
+	// omitAll records that a zero value of t leaves every field of t, and
+	// of each struct t holds by value, at its default.
+	var omitAll func(t types.Type)
+	omitAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			prefix := typeKey(t, module) + "."
+			for i := range u.NumFields() {
+				if f := fields[prefix+u.Field(i).Name()]; f != nil {
+					f.omit = true
+				}
+				omitAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			omitAll(u.Elem())
+		}
+	}
 
-	turned := map[string]bool{}
 	for _, d := range all {
 		if !live[d] {
 			continue
 		}
 		info := d.pkg.TypesInfo
 		pkgPath := relPath(d.pkg.PkgPath, module)
-		// selKey keys the Config field a selector selects, if it selects one.
-		selKey := func(e ast.Expr) (key, fieldPkg string) {
+		// value keys the constant an expression writes, with the way it
+		// reads; ok is false when the expression is not a constant.
+		value := func(e ast.Expr) (key, show string, ok bool) {
+			if e == nil {
+				return "", "", false
+			}
+			tv := info.Types[e]
+			if tv.IsNil() {
+				return "zero", "nil", true
+			}
+			if tv.Value == nil {
+				return "", "", false
+			}
+			return tv.Value.ExactString(), tv.Value.String(), true
+		}
+		// set records that f is written e (nil: not a constant).
+		set := func(f *field, e ast.Expr) {
+			if key, show, ok := value(e); ok {
+				f.set[key] = show
+			} else {
+				f.turned = true
+			}
+		}
+		// selKey keys the struct field a selector selects, if it selects one.
+		selKey := func(e ast.Expr) string {
 			se, ok := ast.Unparen(e).(*ast.SelectorExpr)
 			if !ok {
-				return "", ""
+				return ""
 			}
 			sel := info.Selections[se]
 			if sel == nil || sel.Kind() != types.FieldVal {
-				return "", ""
+				return ""
 			}
 			t := sel.Recv()
 			idx := sel.Index()
 			for _, i := range idx[:len(idx)-1] {
 				t = deref(t).Underlying().(*types.Struct).Field(i).Type()
 			}
-			named, ok := types.Unalias(deref(t)).(*types.Named)
-			if !ok || named.Obj().Pkg() == nil {
-				return "", ""
-			}
-			fieldPkg = relPath(named.Obj().Pkg().Path(), module)
-			return fieldPkg + "." + named.Obj().Name() + "." + se.Sel.Name, fieldPkg
+			return typeKey(deref(t), module) + "." + se.Sel.Name
 		}
 		// readsField reports whether cond selects the field key.
 		readsField := func(cond ast.Expr, key string) bool {
 			found := false
 			ast.Inspect(cond, func(n ast.Node) bool {
 				if e, ok := n.(ast.Expr); ok && !found {
-					if k, _ := selKey(e); k == key {
+					if selKey(e) == key {
 						found = true
 					}
 				}
@@ -277,20 +343,30 @@ func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unr
 			return found
 		}
 		var stack []ast.Node
-		write := func(lhs ast.Expr) {
-			key, fieldPkg := selKey(lhs)
-			if key == "" {
+		// write records that lhs is given rhs (nil: not a constant).
+		write := func(lhs, rhs ast.Expr) {
+			key := selKey(lhs)
+			f := fields[key]
+			if f == nil {
 				return
 			}
-			if fieldPkg == pkgPath {
+			if strings.HasPrefix(key, pkgPath+".") {
 				for i := len(stack) - 1; i >= 0; i-- {
 					ifs, ok := stack[i].(*ast.IfStmt)
 					if ok && lhs.Pos() >= ifs.Body.Pos() && readsField(ifs.Cond, key) {
-						return // the field's own default fill
+						// The field's own default fill: a value that is not a
+						// constant is derived, one value of its own.
+						k, show, ok := value(rhs)
+						if !ok {
+							k = d.pkg.Fset.Position(lhs.Pos()).String()
+							show = "its default fill at " + k
+						}
+						f.fills[k] = show
+						return
 					}
 				}
 			}
-			turned[key] = true
+			set(f, rhs)
 		}
 		for _, n := range d.nodes {
 			ast.Inspect(n, func(n ast.Node) bool {
@@ -301,26 +377,55 @@ func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unr
 				stack = append(stack, n)
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						write(lhs)
+					for i, lhs := range n.Lhs {
+						var rhs ast.Expr
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							rhs = n.Rhs[i]
+						}
+						write(lhs, rhs)
 					}
 				case *ast.IncDecStmt:
-					write(n.X)
-				case *ast.CompositeLit:
-					named, ok := types.Unalias(deref(info.TypeOf(n))).(*types.Named)
-					if !ok || named.Obj().Pkg() == nil || len(n.Elts) == 0 {
-						break
+					write(n.X, nil)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X, nil)
 					}
-					st, ok := named.Underlying().(*types.Struct)
+				case *ast.ValueSpec:
+					if len(n.Values) == 0 && n.Type != nil {
+						omitAll(info.TypeOf(n.Type))
+					}
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 1 {
+						if _, ok := info.Uses[id].(*types.Builtin); ok && id.Name == "new" {
+							omitAll(info.TypeOf(n.Args[0]))
+						}
+					}
+				case *ast.CompositeLit:
+					t := deref(info.TypeOf(n))
+					st, ok := t.Underlying().(*types.Struct)
 					if !ok {
 						break
 					}
-					prefix := relPath(named.Obj().Pkg().Path(), module) + "." + named.Obj().Name() + "."
+					prefix := typeKey(t, module) + "."
+					keyed := map[string]bool{}
 					for i, elt := range n.Elts {
+						name, val := "", elt
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							turned[prefix+kv.Key.(*ast.Ident).Name] = true
+							name, val = kv.Key.(*ast.Ident).Name, kv.Value
 						} else {
-							turned[prefix+st.Field(i).Name()] = true
+							name = st.Field(i).Name()
+						}
+						keyed[name] = true
+						if f := fields[prefix+name]; f != nil {
+							set(f, val)
+						}
+					}
+					for i := range st.NumFields() {
+						if name := st.Field(i).Name(); !keyed[name] {
+							if f := fields[prefix+name]; f != nil {
+								f.omit = true
+							}
+							omitAll(st.Field(i).Type())
 						}
 					}
 				}
@@ -330,12 +435,71 @@ func findUnturned(all []*declNode, live map[*declNode]bool, module string) []unr
 	}
 
 	var out []unreachedDecl
-	for key, pos := range fields {
-		if !turned[key] {
-			out = append(out, unreachedDecl{Key: key, Pos: pos, Lines: 1, Field: true})
+	for key, f := range fields {
+		if f.turned {
+			continue
+		}
+		values := map[string]string{}
+		for k, show := range f.set {
+			if k == f.zero {
+				f.omit = true // a written zero gets the default fill too
+			} else {
+				values[k] = show
+			}
+		}
+		if f.omit {
+			if len(f.fills) == 0 {
+				values[f.zero] = "its zero value"
+			}
+			maps.Copy(values, f.fills)
+		}
+		if len(values) <= 1 {
+			d := unreachedDecl{Key: key, Pos: f.pos, Lines: 1, Field: true, Value: "its zero value"}
+			for _, show := range values {
+				d.Value = show
+			}
+			out = append(out, d)
 		}
 	}
 	return out
+}
+
+// zeroKey is the value key of t's zero value, as findOneValued keys a
+// constant write.
+func zeroKey(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsNumeric != 0:
+			return "0"
+		case b.Info()&types.IsString != 0:
+			return `""`
+		case b.Info()&types.IsBoolean != 0:
+			return "false"
+		}
+	}
+	return "zero"
+}
+
+// typeKey is a named type's key (module-relative package path, then its
+// name), or "" for an unnamed or predeclared type.
+func typeKey(t types.Type, module string) string {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return relPath(named.Obj().Pkg().Path(), module) + "." + named.Obj().Name()
+}
+
+// methodKey keys the method a selection names when its receiver is a
+// concrete type, so a call marks that type's method alone. It is "" when
+// the call goes through an interface or a type-parameter constraint,
+// which can reach the method of that name on any live type.
+func methodKey(fn *types.Func, module string) string {
+	recv := deref(fn.Type().(*types.Signature).Recv().Type())
+	if types.IsInterface(recv) || typeKey(recv, module) == "" {
+		return ""
+	}
+	return typeKey(recv, module) + "." + fn.Name()
 }
 
 // isConfigName reports whether a type name is an exported *Config name.
@@ -468,8 +632,8 @@ func TestNothingUnreached(t *testing.T) {
 			continue
 		}
 		if d.Field {
-			t.Errorf("%s:%d: %s is set by no program, only by its default fill or by tests: make it a constant or derive it, or list it in UNREACHED.txt with its reason",
-				d.Pos.Filename, d.Pos.Line, d.Key)
+			t.Errorf("%s:%d: %s is set to %s in every program: make it a constant or derive it, or list it in UNREACHED.txt with its reason",
+				d.Pos.Filename, d.Pos.Line, d.Key, d.Value)
 		} else {
 			t.Errorf("%s:%d: %s (%d lines) is reached by no program: delete it, move it to a _test.go file, or list it in UNREACHED.txt with its reason",
 				d.Pos.Filename, d.Pos.Line, d.Key, d.Lines)
@@ -487,13 +651,20 @@ func TestNothingUnreached(t *testing.T) {
 	}
 }
 
-// TestUnreachedCorpus runs the check on a package main that plants four
+// TestUnreachedCorpus runs the check on a package main that plants five
 // dead declarations beside each way a declaration stays live without a
-// direct call: a method called through an interface, a String only fmt
-// calls, a method value passed as a callback, a //flac:shared layout
-// type, and an init. Its Config has a field nothing writes, one only its
-// default fill writes, one only a dead function writes, and two that main
-// writes, by a literal and by an assignment.
+// direct call: a method called through an interface, through a
+// type-parameter constraint, by promotion from an embedded type, on a
+// generic type's instantiation, as a method value and as a method
+// expression, a String only fmt calls, a //flac:shared layout type, and an
+// init. One dead method shares its name with a live method of another
+// type. Its Config has a field nothing writes, one only its default fill
+// writes, one only a dead function writes, two that every program sets to
+// the same value (a literal writes it, and its fill gives the literal
+// that omits it the same; a literal writes it 0, which its fill turns
+// into what the omitting literal gets), and two that are turned: one
+// literal sets Literal while another leaves it at zero, and Assigned is
+// assigned a value that is not a constant.
 func TestUnreachedCorpus(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/unreached")
 	if err != nil {
@@ -501,7 +672,7 @@ func TestUnreachedCorpus(t *testing.T) {
 	}
 	const pkg = "internal/coherlint/testdata/src/unreached."
 	want := []string{pkg + "deadHelper", pkg + "deadSetter", pkg + "DeadExported", pkg + "liveType.DeadMethod",
-		pkg + "Config.Never", pkg + "Config.Filled", pkg + "Config.DeadSet"}
+		pkg + "tally.Visit", pkg + "Config.Never", pkg + "Config.Filled", pkg + "Config.DeadSet", pkg + "Config.Seed", pkg + "Config.Zeroed"}
 	sort.Strings(want)
 	var got []string
 	for _, d := range findUnreached(pkgs, "flacos") {

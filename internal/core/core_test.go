@@ -194,8 +194,8 @@ func TestRedisStoreSharedThroughFacade(t *testing.T) {
 	if got, ok := b.Get("facade"); !ok || string(got) != "shared" {
 		t.Fatalf("node 1 view: %q ok=%v", got, ok)
 	}
-	if r.RedisStore() != a.Store() || a.Store() != b.Store() {
-		t.Fatal("views not attached to the rack's one store")
+	if n := r.RedisStore().Len(r.OS(1).Node); n != 1 {
+		t.Fatalf("the rack's store holds %d keys, want the views' one", n)
 	}
 
 	// A per-node server executes against the same keyspace.

@@ -19,39 +19,18 @@ type RedisScaleConfig struct {
 	// that many serving nodes (one worker per node) over ONE shared store.
 	NodeCounts []int
 	// CombineNodes is the node count at which the combining-vs-baseline
-	// throughput gate (>= CombineGate) is enforced.
+	// throughput gate (>= rsCombineGate) is enforced.
 	CombineNodes int
-	// Rounds is barriered measurement rounds per phase.
-	Rounds int
-	// OpsPerRound is operations per worker per round.
-	OpsPerRound int
-	// CombineGate is the combining/baseline throughput ratio that must be
-	// met at CombineNodes.
-	CombineGate float64
 }
 
 // DefaultRedisScale is the acceptance setup: 1..16 serving nodes, the
-// combining gate at 8 nodes. 1.05x is what combining must prove against
-// the hot-key wall alone (contended publishes that retry against each
-// other); it measures 1.15x. What one summed IncrBy saves shrinks with
-// what an IncrBy costs: the gate was 1.25x when the uncombined publish
-// re-walked the index, 1.15x while an IncrBy still paid two atomics to
-// read its index slot and one to check the fence (EXPERIMENTS.md has both
-// arms, before and after each step, and the measured ratios).
+// combining gate at 8 nodes.
 func DefaultRedisScale() RedisScaleConfig {
-	return RedisScaleConfig{
-		NodeCounts:   []int{1, 2, 4, 8, 16},
-		CombineNodes: 8,
-		Rounds:       30,
-		OpsPerRound:  64,
-		CombineGate:  1.05,
-	}
+	return RedisScaleConfig{NodeCounts: []int{1, 2, 4, 8, 16}, CombineNodes: 8}
 }
 
-// QuickRedisScale is the CI-sized sweep: the full run's rounds and ops at
-// its three smallest node counts, gated at the largest of them. Fewer
-// rounds or ops gather too little fan-in per sweep for the ratio to mean
-// anything, and fewer arrivals than 30 x 64 trip the 1-node low-load gate.
+// QuickRedisScale is the CI-sized sweep: the full run's three smallest
+// node counts, gated at the largest of them.
 func QuickRedisScale() RedisScaleConfig {
 	cfg := DefaultRedisScale()
 	cfg.NodeCounts, cfg.CombineNodes = []int{1, 2, 4}, 4
@@ -76,6 +55,21 @@ const (
 	rsCombineDepth = 32
 	// rsSeed drives every workload stream; same seed, same workload.
 	rsSeed = 1
+	// rsRounds is barriered measurement rounds per phase, and
+	// rsOpsPerRound operations per worker per round. Fewer rounds or ops
+	// gather too little fan-in per sweep for the combining ratio to mean
+	// anything, and fewer arrivals than 30 x 64 trip the 1-node low-load
+	// gate.
+	rsRounds, rsOpsPerRound = 30, 64
+	// rsCombineGate is the combining/baseline throughput ratio that must
+	// be met at CombineNodes. 1.05x is what combining must prove against
+	// the hot-key wall alone (contended publishes that retry against each
+	// other); it measures 1.15x. What one summed IncrBy saves shrinks with
+	// what an IncrBy costs: the gate was 1.25x when the uncombined publish
+	// re-walked the index, 1.15x while an IncrBy still paid two atomics to
+	// read its index slot and one to check the fence (EXPERIMENTS.md has
+	// both arms, before and after each step, and the measured ratios).
+	rsCombineGate = 1.05
 )
 
 // RedisScale measures RackStore serving capacity as nodes are added, with
@@ -104,7 +98,7 @@ const (
 //     combining path gets no slack on the coherence contract.
 //
 // It fails on any integrity violation, a combining speedup below
-// CombineGate at CombineNodes, or low-load achieved throughput under
+// rsCombineGate at CombineNodes, or low-load achieved throughput under
 // 0.95x offered.
 func RedisScale(cfg RedisScaleConfig) *Result {
 	res := newResult("Open-loop RackStore scaling: hot-key combining vs per-node CAS",
@@ -122,8 +116,8 @@ func RedisScale(cfg RedisScaleConfig) *Result {
 	res.Bench = &Bench{Name: "redisscale"}
 	for _, s := range cfg.NodeCounts {
 		config := fmt.Sprintf("%d node(s)", s)
-		base := redisScaleServe(rack, cfg, s, false)
-		comb := redisScaleServe(rack, cfg, s, true)
+		base := redisScaleServe(rack, s, false)
+		comb := redisScaleServe(rack, s, true)
 		speedup := ratio(comb.opsPerSec, base.opsPerSec)
 		res.Table.AddRow("scaling", config, "baseline ops/s (virtual)", fmt.Sprintf("%.0f", base.opsPerSec))
 		res.Table.AddRow("scaling", config, "combining ops/s (virtual)", fmt.Sprintf("%.0f", comb.opsPerSec))
@@ -135,8 +129,8 @@ func RedisScale(cfg RedisScaleConfig) *Result {
 			}
 		}
 		res.Ratios[fmt.Sprintf("combining/baseline @%d nodes", s)] = speedup
-		if s == cfg.CombineNodes && speedup < cfg.CombineGate {
-			res.Fail("combining reached %.2fx the baseline at %d nodes, want >= %.2fx", speedup, s, cfg.CombineGate)
+		if s == cfg.CombineNodes && speedup < rsCombineGate {
+			res.Fail("combining reached %.2fx the baseline at %d nodes, want >= %.2fx", speedup, s, rsCombineGate)
 		}
 
 		// Open-loop replay of the combined capacity at each offered load.
@@ -235,7 +229,7 @@ type scaleWorker struct {
 	viol     integrity
 }
 
-// redisScaleServe runs one (node count, mode) phase: cfg.Rounds barriered
+// redisScaleServe runs one (node count, mode) phase: rsRounds barriered
 // rounds of the seeded Zipfian workload, one worker per serving node, all
 // against the one shared store. Rounds are two-phased: cold ops execute as
 // ONE RESP batch per worker per round (MSET/MGET/INCRBY through
@@ -244,7 +238,7 @@ type scaleWorker struct {
 // overlaps (baseline) or gathers into combinable sweeps (combining mode).
 // No worker ever spin-waits, so per-node virtual time is pure serving work
 // and the makespan is an honest capacity measure.
-func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine bool) *scalePhase {
+func redisScaleServe(rack *core.Rack, nodes int, combine bool) *scalePhase {
 	f := rack.Fabric
 	ph := &scalePhase{nodes: nodes, combine: combine}
 	pfx := fmt.Sprintf("%s%d", ph.mode(), nodes)
@@ -285,8 +279,8 @@ func redisScaleServe(rack *core.Rack, cfg RedisScaleConfig, nodes int, combine b
 	}
 	mark := markClocks(f, nodes)
 
-	for round := 0; round < cfg.Rounds; round++ {
-		parallel(func(sw *scaleWorker) { sw.generate(cfg, pfx, tally) })
+	for round := 0; round < rsRounds; round++ {
+		parallel(func(sw *scaleWorker) { sw.generate(pfx, tally) })
 		parallel(func(sw *scaleWorker) { sw.execBatch() })
 		for {
 			remaining := false
@@ -353,13 +347,13 @@ func counterKey(pfx string, id int) string { return fmt.Sprintf("c-%s-%d", pfx, 
 // odd ranks are data keys (patterned SET/GET). Classification is pure
 // function of the streams, so baseline and combining phases run the
 // IDENTICAL op sequence and differ only in execution path.
-func (sw *scaleWorker) generate(cfg RedisScaleConfig, pfx string, tally []int64) {
+func (sw *scaleWorker) generate(pfx string, tally []int64) {
 	sw.tracker.Decay()
 	sw.ops = sw.ops[:0]
 	sw.hotOps = sw.hotOps[:0]
 	sw.hotNext = 0
 	sw.hotQ = sw.hotQ[:0]
-	for i := 0; i < cfg.OpsPerRound; i++ {
+	for i := 0; i < rsOpsPerRound; i++ {
 		id := sw.zipf.Next()
 		var op scaleOp
 		op.id = id

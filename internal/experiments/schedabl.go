@@ -33,7 +33,6 @@ const (
 	schedRegionLines    = 512
 	// schedCrashTaskNS is each crash-phase task's modeled service time.
 	schedCrashTaskNS = 200_000
-	schedSeed        = 1
 )
 
 // sleepScale stretches each task's modeled (virtual-ns) memory cost into
@@ -78,7 +77,6 @@ func SchedAblation(cfg SchedConfig) *Result {
 			// scheduling jitter from triggering false reclaims that would
 			// re-run (and re-time) tasks.
 			ReclaimTick: 50 * time.Millisecond,
-			Seed:        schedSeed,
 		})
 		defer s.Stop()
 
@@ -151,7 +149,7 @@ func SchedAblation(cfg SchedConfig) *Result {
 	s := sched.New(f, sched.Config{
 		Policy: sched.PolicyLocality, LocalitySlack: 1 << 40,
 		ProbeRounds: 3, ReclaimTick: 100 * time.Microsecond,
-		IdleTick: 100 * time.Microsecond, Seed: schedSeed,
+		IdleTick: 100 * time.Microsecond,
 	})
 	defer s.Stop()
 	taskNS := time.Duration(schedCrashTaskNS) * time.Nanosecond

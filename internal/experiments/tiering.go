@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"flacos/internal/fabric"
@@ -9,6 +8,7 @@ import (
 	"flacos/internal/loadgen"
 	"flacos/internal/memsys"
 	"flacos/internal/tiering"
+	"flacos/internal/torture"
 )
 
 // TieringConfig parameterizes the hotness-tiered placement experiment.
@@ -93,6 +93,8 @@ type tierPlan struct {
 	total   int
 }
 
+// tierRecordBytes is the record each page holds: the register payload
+// (torture.PutPayload) of the page at its current version.
 const tierRecordBytes = 64
 
 func mix64(x uint64) uint64 {
@@ -167,36 +169,12 @@ func (p *tierPhase) mode() string {
 	return "static"
 }
 
-// tierRecord builds the page's 64-byte record: 8 words, every one the
-// page's current sequence number. Cross-node line transfers are atomic at
-// word granularity, and no two nodes ever access a page in the same round,
-// so a correct run reads records whose every word equals the page's shadow
-// sequence — anything else is a stale or torn read, counted exactly.
-func tierRecord(buf []byte, seq uint64) {
-	for w := 0; w < tierRecordBytes; w += 8 {
-		binary.LittleEndian.PutUint64(buf[w:], seq)
-	}
-}
-
-// checkTierRecord classifies one read record against the expected seq:
-// 0 = intact, 1 = stale (uniform but wrong seq), 2 = torn (mixed words).
-func checkTierRecord(buf []byte, want uint64) int {
-	w0 := binary.LittleEndian.Uint64(buf)
-	uniform := true
-	for w := 8; w < tierRecordBytes; w += 8 {
-		if binary.LittleEndian.Uint64(buf[w:]) != w0 {
-			uniform = false
-			break
-		}
-	}
-	switch {
-	case uniform && w0 == want:
-		return 0
-	case uniform:
-		return 1
-	default:
-		return 2
-	}
+// tierVerdict judges the record read from page against the page's floor,
+// its last version written. No two nodes ever access a page in the same
+// round, so a correct run reads exactly that version: anything else is
+// counted, exactly.
+func tierVerdict(buf []byte, page uint32, floor uint64) torture.Verdict {
+	return torture.Classify(uint64(page), torture.Bounds{Floor: floor, Ceil: floor}, torture.Decode(buf))
 }
 
 const tierBaseVA = uint64(4) << 30
@@ -240,14 +218,14 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	// Prefault every page with seq 1 from its home node, then demote the
 	// span's tail to the cold tier: pages [0, warmPages) are the static
 	// policy's entire placement decision. All outside the measurement.
-	shadow := make([]uint64, span)
+	floor := make([]uint64, span)
 	var rec [tierRecordBytes]byte
-	tierRecord(rec[:], 1)
 	for p := 0; p < span; p++ {
+		torture.PutPayload(rec[:], uint64(p), 1)
 		if err := mmus[tierHome(uint32(p))].Write(tierVA(uint32(p)), rec[:]); err != nil {
 			panic(err)
 		}
-		shadow[p] = 1
+		floor[p] = 1
 	}
 	const demoteChunk = 4096
 	for lo := warmPages; lo < span; lo += demoteChunk {
@@ -312,22 +290,23 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 				busy = true
 				op := ops[i]
 				if op.write {
-					seq := shadow[op.page] + 1
-					tierRecord(buf[:], seq)
+					seq := floor[op.page] + 1
+					torture.PutPayload(buf[:], uint64(op.page), seq)
 					if err := mmus[n].Write(tierVA(op.page), buf[:]); err != nil {
 						panic(err)
 					}
-					shadow[op.page] = seq
+					floor[op.page] = seq
 					continue
 				}
 				if err := mmus[n].Read(tierVA(op.page), buf[:]); err != nil {
 					panic(err)
 				}
-				switch checkTierRecord(buf[:], shadow[op.page]) {
-				case 1:
-					ph.stale++
-				case 2:
+				switch tierVerdict(buf[:], op.page, floor[op.page]) {
+				case torture.OK:
+				case torture.Torn:
 					ph.torn++
+				default: // absent, another page's, or not the last version
+					ph.stale++
 				}
 			}
 		}
@@ -348,8 +327,8 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 	}
 
 	// Post-measurement audit: the final tier census, then every page read
-	// back against its shadow sequence — a write that vanished in a tier
-	// move (or a page serving stale content) lands here as lost.
+	// back against its floor — a write that vanished in a tier move (or a
+	// page serving stale content) lands here as lost.
 	for p := 0; p < span; p++ {
 		tier, _ := mmus[0].TierOf(tierVA(uint32(p)) >> memsys.PageShift)
 		ph.census[tier]++
@@ -358,7 +337,7 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 		if err := mmus[tierHome(uint32(p))].Read(tierVA(uint32(p)), buf[:]); err != nil {
 			panic(err)
 		}
-		if checkTierRecord(buf[:], shadow[p]) != 0 {
+		if tierVerdict(buf[:], uint32(p), floor[p]) != torture.OK {
 			ph.lost++
 		}
 	}
@@ -377,8 +356,9 @@ func runTierPhase(cfg *TieringConfig, plan *tierPlan, daemonOn bool) *tierPhase 
 //     with observed-hot (not address-lucky) pages, and demotes faded
 //     pages back to cold — under promote/demote hysteresis, per-tier
 //     budgets and a bounded per-step move batch.
-//   - Integrity: every page carries a sequence-stamped record audited on
-//     every read and again in a full-span sweep after the run; a tier
+//   - Integrity: every page carries a register payload naming the page
+//     and its version, audited by the register checker on every read and
+//     again in a full-span sweep after the run; a tier
 //     move that loses a write, serves stale bytes, or tears a record is
 //     counted, and the gate tolerates exactly zero.
 //   - Open loop: the daemon phase's measured per-node service times are

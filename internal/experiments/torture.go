@@ -42,7 +42,7 @@ func Torture(quick bool, fl TortureFlags) *Result {
 	res := newResult("torture: seeded rack-wide fault sweep",
 		"workload", "seed", "faults", "ops", "events", "flips", "drops", "verdict")
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	cfg := torture.Config{Nodes: 3, OpsPerClient: 400, Events: 6, Break: fl.Break}
+	cfg := torture.Config{OpsPerClient: 400, Events: 6, Break: fl.Break}
 	if quick {
 		seeds = []int64{1, 7}
 		cfg.OpsPerClient, cfg.Events = 120, 4

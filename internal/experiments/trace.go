@@ -108,7 +108,6 @@ func Trace(cfg TraceConfig) *Result {
 			// so idle scans don't pollute the per-task virtual cost.
 			ReclaimTick: 50 * time.Millisecond,
 			IdleTick:    50 * time.Millisecond,
-			Seed:        1,
 		})
 		defer s.Stop()
 		var rec *trace.Recorder

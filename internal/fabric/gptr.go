@@ -28,9 +28,6 @@ func (g GPtr) IsNil() bool { return g == Nil }
 // Add returns g advanced by off bytes.
 func (g GPtr) Add(off uint64) GPtr { return g + GPtr(off) }
 
-// Sub returns g moved back by off bytes.
-func (g GPtr) Sub(off uint64) GPtr { return g - GPtr(off) }
-
 // Diff returns the byte distance g-h. It panics if h > g.
 func (g GPtr) Diff(h GPtr) uint64 {
 	if h > g {

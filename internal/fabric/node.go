@@ -56,9 +56,6 @@ func (n *Node) LinkDegradation() int { return int(n.extra.Load()) }
 // totalHops is the effective interconnect distance including degradation.
 func (n *Node) totalHops() int { return baseHops + int(n.extra.Load()) }
 
-// Fabric returns the fabric this node is attached to.
-func (n *Node) Fabric() *Fabric { return n.fab }
-
 // Stats returns a snapshot of the node's memory-traffic counters.
 func (n *Node) Stats() NodeStatsSnapshot { return n.stats.snapshot() }
 

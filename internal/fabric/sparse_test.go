@@ -136,7 +136,7 @@ func TestSparseSharedMiBs(t *testing.T) {
 		{after, 3},                             // a block of the last MiB
 		{g.Add(chunkWords * WordSize), 4},      // a block of the second MiB
 		{second.Add(4096), 5},                  // a block of the second region
-		{after.Sub(blockWords * WordSize), 6},  // the block below after's
+		{after - blockWords*WordSize, 6},       // the block below after's
 		{g.Add(chunkWords*WordSize + 4096), 7}, // carved after all of them
 		{g.Add(chunkWords*WordSize + 8), 8},    // into block 4's
 	}

@@ -211,7 +211,7 @@ func (b *Box) Checkpoint() error {
 	out = append(out, body...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(appBytes)))
 	out = append(out, appBytes...)
-	b.ck.Save(out, 0, nil)
+	b.ck.Save(out, 0)
 	return nil
 }
 

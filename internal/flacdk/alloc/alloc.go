@@ -190,9 +190,6 @@ func (a *Arena) NodeAllocator(n *fabric.Node, magCap int) *NodeAllocator {
 	}
 }
 
-// Node returns the fabric node this allocator runs on.
-func (na *NodeAllocator) Node() *fabric.Node { return na.node }
-
 // AllocUninit returns a block of at least size bytes with unspecified
 // contents. The block is line-aligned (every class is a multiple of the
 // line size).

@@ -106,9 +106,9 @@ func TestFreeFabricBudget(t *testing.T) {
 	atomicNS := uint64(f.Latency().AtomicNS + n0.Hops()*f.Latency().HopNS)
 	free := func(na *NodeAllocator, g fabric.GPtr, atomics uint64, what string) {
 		t.Helper()
-		before := na.Node().Stats()
+		before := na.node.Stats()
 		na.Free(g)
-		if d := na.Node().Stats().Delta(before); d.Atomics != atomics || d.VirtualNS != atomics*atomicNS {
+		if d := na.node.Stats().Delta(before); d.Atomics != atomics || d.VirtualNS != atomics*atomicNS {
 			t.Fatalf("%s: %d atomics, %d sim_ns; want %d atomics and nothing else", what, d.Atomics, d.VirtualNS, atomics)
 		}
 	}

@@ -120,9 +120,6 @@ func NewDomain(f *fabric.Fabric, numSlots int) *Domain {
 	}
 }
 
-// Slots returns the number of client slots in the domain.
-func (d *Domain) Slots() int { return d.slots }
-
 func (d *Domain) reqSeqG(s int) fabric.GPtr    { return d.seqBase.Add(uint64(s) * fabric.WordSize) }
 func (d *Domain) reqMetaG(s int) fabric.GPtr   { return d.reqBase.Add(uint64(s) * reqSlotSize) }
 func (d *Domain) reqInlineG(s int) fabric.GPtr { return d.reqMetaG(s).Add(8) }
@@ -463,9 +460,6 @@ func (d *Domain) ClientGroup(n *fabric.Node, lo, count int) *ClientGroup {
 		rspBuf:     make([]byte, count*rspSlotSize),
 	}
 }
-
-// Count returns the number of slots in the group.
-func (g *ClientGroup) Count() int { return g.count }
 
 // Free returns how many slots remain for Post before Recycle.
 func (g *ClientGroup) Free() int { return g.count - g.next }

@@ -13,3 +13,10 @@ func (t *RadixTree) Levels() int { return t.levels }
 
 // Cap returns the ring's slot capacity.
 func (r *SPSCRing) Cap() uint64 { return r.capacity }
+
+// Put maps key -> value (value 0 erases). Returns the previous value.
+func (t *RadixTree) Put(n *fabric.Node, a Allocator, key, value uint64) uint64 {
+	t.checkKey(key)
+	leaf := t.descend(n, a, key)
+	return n.Swap64(leaf, value)
+}

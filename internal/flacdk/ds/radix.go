@@ -141,13 +141,6 @@ func (t *RadixTree) descend(n *fabric.Node, a Allocator, key uint64) fabric.GPtr
 	return t.slot(node, key, t.levels-1)
 }
 
-// Put maps key -> value (value 0 erases). Returns the previous value.
-func (t *RadixTree) Put(n *fabric.Node, a Allocator, key, value uint64) uint64 {
-	t.checkKey(key)
-	leaf := t.descend(n, a, key)
-	return n.Swap64(leaf, value)
-}
-
 // CompareAndSwap installs value only if the slot currently holds old.
 func (t *RadixTree) CompareAndSwap(n *fabric.Node, a Allocator, key, old, value uint64) bool {
 	t.checkKey(key)

@@ -168,9 +168,6 @@ func (d *Domain) checkID(id int) {
 // slotG is participant id's reservation word.
 func (d *Domain) slotG(id int) fabric.GPtr { return d.resG.Add(uint64(id) * fabric.WordSize) }
 
-// Epoch returns the current global epoch as seen by node n.
-func (d *Domain) Epoch(n *fabric.Node) uint64 { return n.AtomicLoad64(d.epochG) }
-
 // Freer releases a retired offset once its grace period has passed.
 // flacdk/alloc's node allocators and this package's Allocator satisfy it.
 type Freer interface {
@@ -287,13 +284,6 @@ func (p *Participant) Exit() {
 		p.reserve(0)
 	}
 }
-
-// Pin is Enter under the name the checkpoint integration uses: a pinned
-// epoch guarantees versions retired at or after it survive until Unpin.
-func (p *Participant) Pin() { p.Enter() }
-
-// Unpin releases a Pin.
-func (p *Participant) Unpin() { p.Exit() }
 
 // RetireTo schedules f.Free(off) for once no participant can still hold a
 // reference obtained before this call (i.e. two epoch advances after the

@@ -55,13 +55,11 @@ func NewVersionedCell(f *fabric.Fabric, n *fabric.Node, a Allocator, size uint64
 	return c
 }
 
-// Size returns the version payload size in bytes.
-func (c *VersionedCell) Size() uint64 { return c.size }
-
-// Read copies the current version into buf (len(buf) <= Size) on behalf of
-// participant p. It enters a read section around the dereference so the
-// version cannot be reclaimed mid-copy, and invalidates before reading so
-// no stale lines from a previous residency of the buffer are observed.
+// Read copies the current version into buf (at most the cell's size) on
+// behalf of participant p. It enters a read section around the dereference
+// so the version cannot be reclaimed mid-copy, and invalidates before
+// reading so no stale lines from a previous residency of the buffer are
+// observed.
 func (c *VersionedCell) Read(p *Participant, buf []byte) {
 	p.Enter()
 	v := fabric.GPtr(p.n.AtomicLoad64(c.headG))

@@ -6,7 +6,6 @@ import (
 
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
-	"flacos/internal/flacdk/quiescence"
 )
 
 // Checkpointer stores double-buffered, checksummed snapshots in global
@@ -37,17 +36,10 @@ func NewCheckpointer(f *fabric.Fabric, n *fabric.Node, dataCap uint64) *Checkpoi
 }
 
 // Save stores one snapshot tagged with appliedIdx (the operation-log cursor
-// the snapshot reflects). If pin is non-nil the copy runs inside a
-// quiescence pin, integrating with multi-version reclamation exactly as
-// §3.2 prescribes: versions referenced by the data being checkpointed
-// cannot be reclaimed mid-copy.
-func (c *Checkpointer) Save(data []byte, appliedIdx uint64, pin *quiescence.Participant) {
+// the snapshot reflects).
+func (c *Checkpointer) Save(data []byte, appliedIdx uint64) {
 	if uint64(len(data)) > c.dataCap {
 		panic(fmt.Sprintf("reliability: snapshot %d exceeds checkpoint capacity %d", len(data), c.dataCap))
-	}
-	if pin != nil {
-		pin.Pin()
-		defer pin.Unpin()
 	}
 	c.seq++
 	slot := c.slots[c.seq%2]

@@ -1,10 +1,8 @@
 // Package reliability provides FlacDK's fault-tolerance mechanisms (paper
-// §3.2): system monitoring, failure prediction, fault detection,
-// checkpointing, and recovery. Per the paper's co-design principle, the
-// mechanisms reuse synchronization state instead of adding redundancy of
-// their own: checkpoints integrate with quiescence pins (a version being
-// checkpointed cannot be reclaimed), and recovery replays the replication
-// package's operation log.
+// §3.2): failure prediction, fault detection and checkpointing. Per the
+// paper's co-design principle, a checkpoint is published the way every
+// shared structure is, data home before the header's fabric atomics, so a
+// crash mid-checkpoint leaves the previous generation intact.
 package reliability
 
 import (
@@ -24,16 +22,13 @@ type Region struct {
 // Scrubber detects silent corruption in global memory: Protect records a
 // CRC of a region's home contents; ScrubOnce re-reads home memory (the
 // device scrub path, bypassing all caches) and reports every region whose
-// contents no longer match. Mutators must call Seal after legitimately
-// updating a protected region.
+// contents no longer match. Mutators must Protect a region again after
+// legitimately updating it.
 type Scrubber struct {
 	fab *fabric.Fabric
 
 	mu   sync.Mutex
 	sums map[Region]uint32
-
-	scrubs   uint64
-	detected uint64
 }
 
 // NewScrubber creates a scrubber for f.
@@ -47,17 +42,15 @@ func (s *Scrubber) crcOf(r Region) uint32 {
 	return crc32.ChecksumIEEE(buf)
 }
 
-// Protect starts guarding r with its current home contents as ground truth.
+// Protect starts guarding r with its current home contents as ground
+// truth, or refreshes its checksum after a legitimate update (the writer
+// must have written the update back to home memory first).
 func (s *Scrubber) Protect(r Region) {
 	sum := s.crcOf(r)
 	s.mu.Lock()
 	s.sums[r] = sum
 	s.mu.Unlock()
 }
-
-// Seal refreshes r's recorded checksum after a legitimate update (the
-// writer must have written the update back to home memory first).
-func (s *Scrubber) Seal(r Region) { s.Protect(r) }
 
 // ScrubOnce verifies every protected region against home memory and
 // returns the corrupted ones.
@@ -77,27 +70,17 @@ func (s *Scrubber) ScrubOnce() []Region {
 			bad = append(bad, r)
 		}
 	}
-	s.mu.Lock()
-	s.scrubs++
-	s.detected += uint64(len(bad))
-	s.mu.Unlock()
 	return bad
 }
 
-// Repair rewrites r's home contents from known-good data and reseals it.
+// Repair rewrites r's home contents from known-good data and protects it
+// again.
 func (s *Scrubber) Repair(r Region, data []byte) {
 	if uint64(len(data)) != r.Size {
 		panic(fmt.Sprintf("reliability: Repair data %d != region size %d", len(data), r.Size))
 	}
 	s.fab.WriteAtHome(r.G, data)
-	s.Seal(r)
-}
-
-// Stats returns lifetime scrub passes and detected corruptions.
-func (s *Scrubber) Stats() (scrubs, detected uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scrubs, s.detected
+	s.Protect(r)
 }
 
 // Predictor forecasts failures from the stream of correctable-error

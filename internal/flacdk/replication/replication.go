@@ -148,9 +148,6 @@ func (l *Log) Replica(n *fabric.Node, sm StateMachine) *Replica {
 	return &Replica{log: l, node: n, sm: sm}
 }
 
-// Node returns the fabric node this replica runs on.
-func (r *Replica) Node() *fabric.Node { return r.node }
-
 // Execute appends one operation to the shared log and replays the log until
 // the operation has been applied locally, returning its Apply result. It is
 // linearizable across the rack.

@@ -167,9 +167,6 @@ type frameFreer struct {
 
 func (f *frameFreer) Free(g fabric.GPtr) { f.frames.Unref(f.n, uint64(g)) }
 
-// Node returns the mount's fabric node.
-func (m *Mount) Node() *fabric.Node { return m.node }
-
 // FenceMount recovers from the crash of dead's node: acting from live
 // node `from`, it clears the dead mount's quiescence reservation so a
 // participant that died inside a read section cannot stall epoch advance

@@ -96,7 +96,7 @@ func TestPartialPageWriteKeepsConcurrentInstall(t *testing.T) {
 				m.Read(id, 0, got)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("node %d: A's half %x.., B's half %x.., rest %x; want %x.., %x.., %x",
-						m.Node().ID(), got[:2], got[PageSize/2:PageSize/2+2], got[PageSize-1], aHalf[:2], bHalf[:2], want[PageSize-1])
+						m.node.ID(), got[:2], got[PageSize/2:PageSize/2+2], got[PageSize-1], aHalf[:2], bHalf[:2], want[PageSize-1])
 				}
 			}
 		})

@@ -141,14 +141,6 @@ func (st *nodeState) sawGen(gen uint64) {
 	}
 }
 
-// ControllerStats counts the controller's remediation activity.
-type ControllerStats struct {
-	Drains        uint64 // drain pipelines completed
-	DrainsAborted uint64 // drains interrupted by death / newer generation
-	Rejoins       uint64 // rejoin pipelines completed
-	DeadSweeps    uint64 // death sweeps run
-}
-
 // Controller is the self-healing controller. One instance consumes one
 // member's event stream; run it on a node expected to stay up (or one
 // per node — every action it takes is idempotent or CAS/fence
@@ -162,7 +154,7 @@ type Controller struct {
 	nodes map[int]*nodeState
 	swept map[[2]uint64]bool // (slot, gen) deaths already swept
 
-	stats struct {
+	stats struct { // activity counters, read by the tests
 		drains, aborted, rejoins, deadSweeps atomic.Uint64
 	}
 }
@@ -193,16 +185,6 @@ var brokenSkipDrainFence atomic.Bool
 // ApplyBreak("drain-fence"). Never set outside the planted-broken
 // self-test.
 func SetBrokenSkipDrainFence(v bool) { brokenSkipDrainFence.Store(v) }
-
-// Stats returns a snapshot of the controller's activity counters.
-func (c *Controller) Stats() ControllerStats {
-	return ControllerStats{
-		Drains:        c.stats.drains.Load(),
-		DrainsAborted: c.stats.aborted.Load(),
-		Rejoins:       c.stats.rejoins.Load(),
-		DeadSweeps:    c.stats.deadSweeps.Load(),
-	}
-}
 
 func (c *Controller) node(id int) *nodeState {
 	st := c.nodes[id]

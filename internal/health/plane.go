@@ -21,10 +21,10 @@ type Plane struct {
 	layer  *Layer // nil without signal sources
 	srcs   []*NodeSource
 	joinMu sync.Mutex // serializes whole-node (re)join sequences
-	mu     sync.Mutex // guards members and rec across rejoins
+	mu     sync.Mutex // guards members across rejoins
 	// members are by node id, nil until joined.
 	members []*membership.Member
-	rec     *trace.Recorder
+	rec     *trace.Recorder // fixed at NewPlane
 }
 
 // NewPlane builds the control plane over table. cfg's gates and OnStage
@@ -73,16 +73,13 @@ func (p *Plane) Join(id int, resync func()) error {
 	if oldM := p.Member(id); oldM != nil {
 		oldM.Stop() // a concurrent Join of id started it while we queued
 	}
-	p.mu.Lock()
-	rec := p.rec
-	p.mu.Unlock()
 	var m *membership.Member
 	err := fmt.Errorf("join: %w", fabric.CrashedError{Node: id}) // unless the sequence completes
 	func() {
 		defer n.AbsorbCrash()
 		jm, jerr := p.table.Join(n)
 		if jerr == nil {
-			jm.SetTrace(rec.Writer(id))
+			jm.SetTrace(p.rec.Writer(id))
 			if resync != nil {
 				resync()
 			}
@@ -101,7 +98,6 @@ func (p *Plane) Join(id int, resync func()) error {
 	}
 	m.Start()
 	p.mu.Lock()
-	m.SetTrace(p.rec.Writer(id)) // in case SetTrace ran during the join
 	p.members[id] = m
 	p.mu.Unlock()
 	return nil
@@ -127,21 +123,6 @@ func (p *Plane) Member(id int) *membership.Member {
 // Degraded reports whether node id stands under a Degraded verdict
 // (always false on a plane without health agents).
 func (p *Plane) Degraded(id int) bool { return p.layer != nil && p.layer.Degraded(id) }
-
-// SetTrace wires the controller, every joined member (and the health
-// agent on its loop) and every later join into rec. Safe while the plane
-// runs.
-func (p *Plane) SetTrace(rec *trace.Recorder) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rec = rec
-	p.ctl.SetTrace(rec.Writer(0))
-	for id, m := range p.members {
-		if m != nil {
-			m.SetTrace(rec.Writer(id))
-		}
-	}
-}
 
 // Stop halts every member and the health agents on their loops. Member 0
 // stops first: the controller runs on its loop, and a rejoin it has in

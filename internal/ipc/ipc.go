@@ -160,9 +160,6 @@ func (sb *Switchboard) Endpoint(n *fabric.Node) *Endpoint {
 	return e
 }
 
-// Node returns the endpoint's fabric node.
-func (e *Endpoint) Node() *fabric.Node { return e.node }
-
 // Listener accepts connections for a bound name.
 type Listener struct {
 	ep   *Endpoint

@@ -34,16 +34,19 @@ type Config struct {
 	StackProcessNS int
 	// BufferAllocNS is the allocation cost of a send/receive buffer (skb).
 	BufferAllocNS int
-	// CopyNSPerByte is the memcpy rate for one data copy.
-	CopyNSPerByte float64
 	// CopiesPerSide is the number of data copies each side performs
 	// (user<->socket buffer, socket buffer<->NIC ring: classically 2).
 	CopiesPerSide int
 	// MTU is the maximum payload per packet.
 	MTU int
-	// QueueDepth is the per-connection in-flight message budget.
-	QueueDepth int
 }
+
+const (
+	// copyNSPerByte is the memcpy rate for one data copy.
+	copyNSPerByte = 0.05
+	// queueDepth is the per-connection in-flight message budget.
+	queueDepth = 64
+)
 
 // DefaultTCP returns a cost model for TCP over direct-connected 25 GbE —
 // the "networking" bars of Figure 4.
@@ -53,10 +56,8 @@ func DefaultTCP() Config {
 		BandwidthBytesPerNS: 3.125, // 25 Gbit/s
 		StackProcessNS:      4_500, // header+checksum+IRQ+softirq+wakeup per packet
 		BufferAllocNS:       700,
-		CopyNSPerByte:       0.05,
 		CopiesPerSide:       2,
 		MTU:                 1500,
-		QueueDepth:          64,
 	}
 }
 
@@ -69,10 +70,8 @@ func DefaultRDMA() Config {
 		BandwidthBytesPerNS: 12.5, // 100 Gbit/s
 		StackProcessNS:      600,  // verb post + completion polling
 		BufferAllocNS:       0,    // pre-registered MRs
-		CopyNSPerByte:       0.05,
 		CopiesPerSide:       1,
 		MTU:                 4096,
-		QueueDepth:          64,
 	}
 }
 
@@ -84,7 +83,7 @@ func (c Config) sendCost(size int) int {
 	}
 	cost := c.BufferAllocNS +
 		packets*c.StackProcessNS +
-		int(float64(size)*c.CopyNSPerByte)*c.CopiesPerSide +
+		int(float64(size)*copyNSPerByte)*c.CopiesPerSide +
 		int(float64(size)/c.BandwidthBytesPerNS)
 	return cost
 }
@@ -99,7 +98,7 @@ func (c Config) recvCost(size int) int {
 	return c.WireLatencyNS +
 		c.BufferAllocNS +
 		packets*c.StackProcessNS +
-		int(float64(size)*c.CopyNSPerByte)*c.CopiesPerSide
+		int(float64(size)*copyNSPerByte)*c.CopiesPerSide
 }
 
 // Network is one simulated fabric of links between the rack's nodes.
@@ -177,12 +176,8 @@ func (nw *Network) Dial(n *fabric.Node, addr string) (*Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("netstack: dial %s: connection refused", addr)
 	}
-	depth := nw.cfg.QueueDepth
-	if depth == 0 {
-		depth = 64
-	}
-	cIn := make(chan []byte, depth)
-	sIn := make(chan []byte, depth)
+	cIn := make(chan []byte, queueDepth)
+	sIn := make(chan []byte, queueDepth)
 	once := new(sync.Once)
 	closedCh := make(chan struct{})
 	client := &Conn{nw: nw, node: n, in: cIn, peerIn: sIn, closeOnce: once, closedCh: closedCh}

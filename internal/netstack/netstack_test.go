@@ -163,9 +163,6 @@ func TestRDMAOneSided(t *testing.T) {
 	f := rack(t)
 	r := NewRDMA(DefaultRDMA())
 	mr := NewMemoryRegion(4096)
-	if mr.Size() != 4096 {
-		t.Fatalf("size = %d", mr.Size())
-	}
 	init := f.Node(1) // initiator
 	data := bytes.Repeat([]byte{0x3C}, 1024)
 	if err := r.Write(init, mr, 100, data); err != nil {
@@ -184,15 +181,6 @@ func TestRDMAOneSided(t *testing.T) {
 	}
 	if err := r.Read(init, mr, 4000, make([]byte, 200)); err == nil {
 		t.Fatal("out-of-region read should fail")
-	}
-	// Atomics.
-	ok, err := r.CompareAndSwap(init, mr, 0, 0, 42)
-	if err != nil || !ok {
-		t.Fatalf("cas = %v %v", ok, err)
-	}
-	ok, _ = r.CompareAndSwap(init, mr, 0, 0, 99)
-	if ok {
-		t.Fatal("stale cas should fail")
 	}
 	if init.VirtualNS() == 0 {
 		t.Fatal("rdma ops charged nothing")

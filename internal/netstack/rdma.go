@@ -20,9 +20,6 @@ func NewMemoryRegion(size int) *MemoryRegion {
 	return &MemoryRegion{data: make([]byte, size)}
 }
 
-// Size returns the region's length.
-func (mr *MemoryRegion) Size() int { return len(mr.data) }
-
 // RDMA is the one-sided verbs transport over the network's RDMA cost
 // model. It represents the "disaggregated memory over RDMA" baseline: data
 // is reachable remotely, but every access is a full NIC round trip, unlike
@@ -60,25 +57,4 @@ func (r *RDMA) Read(n *fabric.Node, mr *MemoryRegion, off int, buf []byte) error
 	copy(buf, mr.data[off:off+len(buf)])
 	mr.mu.Unlock()
 	return nil
-}
-
-// CompareAndSwap performs an 8-byte RDMA atomic on the region.
-func (r *RDMA) CompareAndSwap(n *fabric.Node, mr *MemoryRegion, off int, old, new uint64) (bool, error) {
-	if off+8 > len(mr.data) {
-		return false, fmt.Errorf("netstack: rdma cas at %d outside region", off)
-	}
-	n.ChargeNS(2*r.cfg.WireLatencyNS + r.cfg.StackProcessNS)
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	cur := uint64(0)
-	for i := 0; i < 8; i++ {
-		cur |= uint64(mr.data[off+i]) << (8 * i)
-	}
-	if cur != old {
-		return false, nil
-	}
-	for i := 0; i < 8; i++ {
-		mr.data[off+i] = byte(new >> (8 * i))
-	}
-	return true, nil
 }

@@ -21,7 +21,7 @@ func BenchmarkExecuteSet(b *testing.B) {
 
 func BenchmarkExecuteGet(b *testing.B) {
 	srv := NewServer(NewStore())
-	srv.Store().Set("key", make([]byte, 4096), 0)
+	srv.store.Set("key", make([]byte, 4096), 0)
 	cmd := AppendCommand(nil, []byte("GET"), []byte("key"))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,7 +14,7 @@ type Client struct {
 	buf  []byte
 	out  []byte
 
-	pipe    []byte // commands queued by Pipe* since the last Flush
+	pipe    []byte // commands queued by Pipe* since the last FlushSend
 	pipeN   int
 	replies []Value // FlushRecv's result, reused from call to call
 }
@@ -94,11 +94,11 @@ func (c *Client) recvReply() (Value, error) {
 	return v, nil
 }
 
-// PipeCommand queues one command without sending it. Flush transmits the
-// whole queue as ONE message and collects the replies in order — one
-// transport round trip for N commands, which is how the rack-shared
-// serving experiments amortize fabric latency (the server executes the
-// batch with ExecuteBatch).
+// PipeCommand queues one command without sending it. FlushSend transmits
+// the whole queue as ONE message and FlushRecv collects the replies in
+// order — one transport round trip for N commands, which is how the
+// rack-shared serving experiments amortize fabric latency (the server
+// executes the batch with ExecuteBatch).
 func (c *Client) PipeCommand(args ...[]byte) {
 	c.pipe = AppendCommand(c.pipe, args...)
 	c.pipeN++
@@ -128,19 +128,6 @@ func (c *Client) PipeSet(key string, value []byte, ttl time.Duration) {
 // PipeGet queues a GET.
 func (c *Client) PipeGet(key string) { c.PipeCommand([]byte("GET"), []byte(key)) }
 
-// Flush sends the queued pipeline and returns the replies in queue order.
-// Per-command errors come back as respError Values (check v.Kind); a
-// transport or framing failure returns a non-nil error and poisons the
-// batch. The returned Values, and their bulk strings, alias the client's
-// buffers and are only valid until the next call on the client.
-func (c *Client) Flush() ([]Value, error) {
-	n, err := c.FlushSend()
-	if err != nil {
-		return nil, err
-	}
-	return c.FlushRecv(n)
-}
-
 // FlushSend transmits the queued pipeline without waiting for replies,
 // returning how many commands were sent. Deterministic harnesses use the
 // FlushSend/FlushRecv split to run the server's turn in between.
@@ -159,7 +146,8 @@ func (c *Client) FlushSend() (int, error) {
 }
 
 // FlushRecv receives one batched reply message and decodes exactly n
-// replies from it, with Flush's validity.
+// replies from it. A command's error is a respError Value; the Values
+// alias the client's buffers until its next call.
 func (c *Client) FlushRecv(n int) ([]Value, error) {
 	if n == 0 {
 		return nil, nil
@@ -199,19 +187,6 @@ func (c *Client) Set(key string, value []byte, ttl time.Duration) error {
 		return fmt.Errorf("redis: unexpected SET reply %q", v.Str)
 	}
 	return nil
-}
-
-// Get fetches key; ok is false on a miss. The value aliases the client's
-// receive buffer: it is valid until the next call on the client.
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	v, err := c.roundTrip([]byte("GET"), []byte(key))
-	if err != nil {
-		return nil, false, err
-	}
-	if v.Bulk == nil {
-		return nil, false, nil
-	}
-	return v.Bulk, true, nil
 }
 
 // Del removes keys, returning how many existed.

@@ -1,6 +1,7 @@
 package redis
 
 import (
+	"bytes"
 	"time"
 
 	"flacos/internal/fabric"
@@ -25,3 +26,24 @@ func (s *Store) SetClock(fn func() time.Time) { s.clock = fn }
 
 // View returns the owner's store attachment.
 func (cb *Combiner) View() *View { return cb.view }
+
+// Get returns a copy of key's value.
+func (s *Store) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.liveLocked(key)
+	if e == nil {
+		return nil, false
+	}
+	return bytes.Clone(e.val), true
+}
+
+// Flush sends the queued pipeline and returns the replies in queue order,
+// as FlushRecv returns them.
+func (c *Client) Flush() ([]Value, error) {
+	n, err := c.FlushSend()
+	if err != nil {
+		return nil, err
+	}
+	return c.FlushRecv(n)
+}

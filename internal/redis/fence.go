@@ -53,9 +53,6 @@ func (s *RackStore) fenceSlotG(node int) fabric.GPtr {
 // rack has already fenced: the view is a zombie from its first write.
 func (s *RackStore) AttachGen(n *fabric.Node, gen uint64) *View { return s.attach(n, gen, false) }
 
-// Generation returns the membership generation this view writes under.
-func (v *View) Generation() uint64 { return v.gen }
-
 // enterWrite opens the read section a mutation runs in and reports
 // whether the view may write. A fenced view is left outside the section.
 func (v *View) enterWrite() bool {

@@ -83,7 +83,7 @@ func TestAttachAdoptsFenceLevel(t *testing.T) {
 	if err := fresh.Set("k", []byte("x"), 0); err != nil {
 		t.Fatalf("fresh view Set: %v", err)
 	}
-	if fresh.Generation() == old.Generation() {
+	if fresh.gen == old.gen {
 		t.Fatal("fresh view did not adopt the raised fence level")
 	}
 }
@@ -275,8 +275,8 @@ func TestAttachOrdersAgainstFenceNode(t *testing.T) {
 	if v := s.AttachGen(n1, 2); fencedSet(v) {
 		t.Fatal("a view at the generation above the fence was fenced")
 	}
-	if v := s.Attach(n1); fencedSet(v) || v.Generation() != 2 {
-		t.Fatalf("plain Attach after the fence: generation %d, fenced %v; want the fence level 2, serving", v.Generation(), fencedSet(v))
+	if v := s.Attach(n1); fencedSet(v) || v.gen != 2 {
+		t.Fatalf("plain Attach after the fence: generation %d, fenced %v; want the fence level 2, serving", v.gen, fencedSet(v))
 	}
 
 	for gen := uint64(10); gen < 10+rounds; gen++ {

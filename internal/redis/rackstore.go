@@ -237,9 +237,6 @@ func (v *View) ID() int { return v.id }
 // Node returns the fabric node this view runs on.
 func (v *View) Node() *fabric.Node { return v.n }
 
-// Store returns the shared store this view is attached to.
-func (v *View) Store() *RackStore { return v.s }
-
 // SetTrace attaches a flight-recorder writer; SET and GET then emit
 // begin/end spans (subsystem "redis", arg0 = key hash, arg1 = bytes).
 func (v *View) SetTrace(w *trace.Writer) { v.tw = w }

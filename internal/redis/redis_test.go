@@ -237,11 +237,17 @@ func exerciseClient(t *testing.T, cl *Client) {
 	if err := cl.Set("big", val, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := cl.Get("big")
+	get := func(key string) ([]byte, bool, error) {
+		if err := cl.SendGet(key); err != nil {
+			return nil, false, err
+		}
+		return cl.FinishGet()
+	}
+	got, ok, err := get("big")
 	if err != nil || !ok || !bytes.Equal(got, val) {
 		t.Fatalf("GET big: ok=%v err=%v", ok, err)
 	}
-	if _, ok, _ := cl.Get("missing"); ok {
+	if _, ok, _ := get("missing"); ok {
 		t.Fatal("missing key found")
 	}
 	if n, _ := cl.Incr("ctr"); n != 1 {

@@ -60,9 +60,6 @@ type Server struct {
 // NewServer creates a server over store.
 func NewServer(store Backend) *Server { return &Server{store: store} }
 
-// Store returns the server's keyspace.
-func (s *Server) Store() Backend { return s.store }
-
 // Execute runs the RESP-encoded command in req (every command, if req
 // packs several, as ExecuteBatch does) and returns the RESP reply. The
 // reply is the server's own buffer and is valid until the next Execute on

@@ -90,17 +90,6 @@ func (s *Store) Set(key string, value []byte, ttl time.Duration) error {
 	return nil
 }
 
-// Get returns a copy of key's value.
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.liveLocked(key)
-	if e == nil {
-		return nil, false
-	}
-	return bytes.Clone(e.val), true
-}
-
 // AppendGet appends the reply to a GET of key to dst, copying the value
 // under the store's lock: a concurrent SET overwrites it in place.
 func (s *Store) AppendGet(dst []byte, key string) []byte {

@@ -89,9 +89,10 @@ type Config struct {
 	// sampling (0 keeps exact samples; long-running schedulers should
 	// cap — see metrics.Histogram.SetReservoir).
 	HistCap int
-	// Seed seeds PolicyRandom and the histogram reservoirs.
-	Seed int64
 }
+
+// seed seeds PolicyRandom and the histogram reservoirs.
+const seed = 1
 
 // DefaultConfig returns the configuration core.Rack boots with.
 func DefaultConfig() Config { return Config{} }
@@ -120,9 +121,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.HistCap == 0 {
 		c.HistCap = 16384
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -190,14 +188,14 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 		tableG:     f.Reserve(cfg.TableCap*slotBytes, fabric.LineSize),
 		boardG:     f.Reserve(uint64(f.NumNodes())*boardBytes, fabric.LineSize),
 		queuedG:    f.Reserve(fabric.LineSize, fabric.LineSize),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		rng:        rand.New(rand.NewSource(seed)),
 		dispatch:   metrics.NewHistogram(),
 		redispatch: metrics.NewHistogram(),
 		stop:       make(chan struct{}),
 	}
 	if cfg.HistCap > 0 {
-		s.dispatch.SetReservoir(cfg.HistCap, cfg.Seed)
-		s.redispatch.SetReservoir(cfg.HistCap, cfg.Seed+1)
+		s.dispatch.SetReservoir(cfg.HistCap, seed)
+		s.redispatch.SetReservoir(cfg.HistCap, seed+1)
 	}
 	nn := f.NumNodes()
 	s.notServing = make([]atomic.Bool, nn)

@@ -18,8 +18,6 @@ type Function struct {
 
 	mu        sync.Mutex
 	instances map[int]bool // node id -> warm instance present
-	invokes   uint64
-	coldStart uint64
 }
 
 // Instances returns how many warm instances exist.
@@ -27,13 +25,6 @@ func (f *Function) Instances() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.instances)
-}
-
-// Stats returns invocation and cold-start counts.
-func (f *Function) Stats() (invokes, coldStarts uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.invokes, f.coldStart
 }
 
 // Controller is the rack-level serverless control plane of Figure 3: it
@@ -159,9 +150,6 @@ func (c *Controller) startOn(f *Function, nodeID int) (StartupReport, error) {
 		f.instances[nodeID] = true
 		c.load[nodeID]++
 	}
-	if rep.Source == SourceRegistry {
-		f.coldStart++
-	}
 	f.mu.Unlock()
 	c.mu.Unlock()
 	return rep, nil
@@ -184,9 +172,6 @@ func (c *Controller) Invoke(caller *fabric.Node, name string, req []byte) ([]byt
 				return nil, err
 			}
 		}
-		f.mu.Lock()
-		f.invokes++
-		f.mu.Unlock()
 		return c.services.Call(caller, name, req)
 	})
 }

@@ -59,7 +59,6 @@ func (c *Controller) InvokeOn(caller *fabric.Node, name string, req []byte, im I
 		}
 	}
 	c.mu.Unlock()
-	f.invokes++
 	f.mu.Unlock()
 
 	caller.ChargeNS(im.CostOn(bestLoad))
@@ -73,7 +72,7 @@ func (c *Controller) InvokeOn(caller *fabric.Node, name string, req []byte, im I
 // moving its state over the network).
 func (c *Controller) InvokePinned(caller *fabric.Node, name string, req []byte, host int, im InterferenceModel) ([]byte, error) {
 	c.mu.Lock()
-	f, ok := c.fns[name]
+	_, ok := c.fns[name]
 	var density int
 	if host >= 0 && host < len(c.load) {
 		density = c.load[host]
@@ -82,9 +81,6 @@ func (c *Controller) InvokePinned(caller *fabric.Node, name string, req []byte, 
 	if !ok {
 		return nil, fmt.Errorf("serverless: function %q not deployed", name)
 	}
-	f.mu.Lock()
-	f.invokes++
-	f.mu.Unlock()
 	caller.ChargeNS(im.CostOn(density))
 	return c.services.Call(caller, name, req)
 }

@@ -47,26 +47,23 @@ type StartupReport struct {
 
 // RuntimeConfig models the node-local container runtime costs.
 type RuntimeConfig struct {
-	// UnpackBytesPerNS is layer unpack (decompress + untar) throughput.
-	// 2.0 = 2 GB/s.
-	UnpackBytesPerNS float64
 	// InitNS is runtime initialization: namespaces, cgroups, guest/runtime
 	// boot — the floor every start pays (the paper's 3.02 s hot start is
 	// dominated by it).
 	InitNS uint64
-	// PullChunk is the registry streaming granularity.
-	PullChunk uint64
 }
 
 // DefaultRuntimeConfig reproduces the paper's container experiment scale:
 // 4 GB image, ~200 MB/s registry, ~2.8 s runtime init.
-func DefaultRuntimeConfig() RuntimeConfig {
-	return RuntimeConfig{
-		UnpackBytesPerNS: 4.0,
-		PullChunk:        1 << 20,
-		InitNS:           2_800_000_000,
-	}
-}
+func DefaultRuntimeConfig() RuntimeConfig { return RuntimeConfig{InitNS: 2_800_000_000} }
+
+const (
+	// unpackBytesPerNS is layer unpack (decompress + untar) throughput:
+	// 4 GB/s.
+	unpackBytesPerNS = 4.0
+	// pullChunk is the registry streaming granularity.
+	pullChunk = 1 << 20
+)
 
 // NodeRuntime is one node's container runtime, sharing the FlacOS file
 // system (and therefore the rack-wide page cache) with every other node.
@@ -91,9 +88,6 @@ var chunkBufs = sync.Pool{New: func() any { return new([]byte) }}
 func NewNodeRuntime(n *fabric.Node, mount *fs.Mount, reg *Registry, cfg RuntimeConfig) *NodeRuntime {
 	return &NodeRuntime{node: n, cfg: cfg, mount: mount, registry: reg, unpacked: make(map[string]bool)}
 }
-
-// Node returns the runtime's fabric node.
-func (rt *NodeRuntime) Node() *fabric.Node { return rt.node }
 
 func layerPath(l Layer) string { return "/images/" + l.Digest }
 
@@ -135,18 +129,18 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 	fetchStart := n.VirtualNS()
 	bp := chunkBufs.Get().(*[]byte)
 	defer chunkBufs.Put(bp)
-	if uint64(cap(*bp)) < rt.cfg.PullChunk {
-		*bp = make([]byte, rt.cfg.PullChunk)
+	if uint64(cap(*bp)) < pullChunk {
+		*bp = make([]byte, pullChunk)
 	}
-	buf := (*bp)[:rt.cfg.PullChunk]
+	buf := (*bp)[:pullChunk]
 	var missingArr [16]Layer
 	var idArr [16]uint64
 	missing, ids := missingArr[:0], idArr[:0]
 	for _, l := range img.Layers {
 		if id, ok := rt.mount.Lookup(layerPath(l)); ok && rt.mount.Size(id) == l.Size {
 			// Shared-cache path: stream the layer out of global memory.
-			for off := uint64(0); off < l.Size; off += rt.cfg.PullChunk {
-				sz := min(rt.cfg.PullChunk, l.Size-off)
+			for off := uint64(0); off < l.Size; off += pullChunk {
+				sz := min(pullChunk, l.Size-off)
 				if _, err := rt.mount.Read(id, off, buf[:sz]); err != nil {
 					return rep, err
 				}
@@ -177,7 +171,7 @@ func (rt *NodeRuntime) StartContainer(imageName string) (StartupReport, error) {
 
 	// Unpack into the node-local rootfs.
 	unpackStart := n.VirtualNS()
-	n.ChargeNS(int(float64(img.TotalBytes()) / rt.cfg.UnpackBytesPerNS))
+	n.ChargeNS(int(float64(img.TotalBytes()) / unpackBytesPerNS))
 	rep.UnpackNS = n.VirtualNS() - unpackStart
 
 	// Boot the runtime.

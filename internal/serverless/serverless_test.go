@@ -310,10 +310,6 @@ func TestControllerDeployInvokeScale(t *testing.T) {
 	if f.Instances() != 1 {
 		t.Fatalf("instances = %d", f.Instances())
 	}
-	inv, colds := f.Stats()
-	if inv != 1 || colds != 1 {
-		t.Fatalf("stats = %d/%d", inv, colds)
-	}
 
 	// Scale out to the second node: the shared page cache makes it a
 	// non-registry start.
@@ -387,7 +383,7 @@ func raceEnabled() bool {
 }
 
 // TestSharedCacheStartAllocations pins a warmed shared-cache start's host
-// cost: it streams the image through one pooled PullChunk buffer, so it
+// cost: it streams the image through one pooled pullChunk buffer, so it
 // makes next to no allocations (none, when this was written) and none of
 // them is the 1 MiB chunk.
 func TestSharedCacheStartAllocations(t *testing.T) {

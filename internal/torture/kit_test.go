@@ -41,7 +41,7 @@ func TestRunOpAbsorbsCrashAcrossRestart(t *testing.T) {
 // slot its payload never reached. It must die with its node instead.
 func TestRestartWaitsForInFlightOps(t *testing.T) {
 	f := fabric.New(fabric.Config{GlobalSize: 1 << 20, Nodes: 2})
-	env := &Env{Fab: f, Cfg: Config{Seed: 1, Nodes: 2}, inflight: make([]atomic.Int64, 2)}
+	env := &Env{Fab: f, Cfg: Config{Seed: 1}, inflight: make([]atomic.Int64, 2)}
 	n := f.Node(1)
 	g := f.Reserve(fabric.LineSize, fabric.LineSize)
 	stored, resume, completed := make(chan struct{}), make(chan struct{}), make(chan bool)
@@ -130,7 +130,7 @@ func TestLedgerFlagsDoubleAndLostCompletion(t *testing.T) {
 // must each be flagged; an intact current value must not.
 func TestStoreStreamFlagsTornAndBackwards(t *testing.T) {
 	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
-	env := &Env{Fab: f, Cfg: Config{Seed: 1, Nodes: 2}}
+	env := &Env{Fab: f, Cfg: Config{Seed: 1}}
 	s := newStoreStream(env, redis.NewRackStore(f, redis.RackStoreConfig{ArenaBytes: 4 << 20}), 3)
 	v := s.attach(env, f.Node(1))
 	observe := func(k int, floor uint64) string {
@@ -188,7 +188,7 @@ func TestStoreStreamResyncsKeyLeftUnsynced(t *testing.T) {
 	f := fabric.New(fabric.Config{GlobalSize: 64 << 20, Nodes: 2})
 	env := &Env{
 		Fab:      f,
-		Cfg:      Config{Seed: 3, Nodes: 2, OpsPerClient: ops},
+		Cfg:      Config{Seed: 3, OpsPerClient: ops},
 		Trace:    trace.New(f, trace.Config{RingCap: 256}),
 		inflight: make([]atomic.Int64, 2),
 	}

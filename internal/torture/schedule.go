@@ -87,7 +87,7 @@ func buildSchedule(cfg Config, mask FaultClass, totalOps uint64) []Event {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed*0x5deece66d + 0xb))
 	var kinds []EventKind
-	if mask&FaultCrash != 0 && cfg.Nodes > 1 {
+	if mask&FaultCrash != 0 {
 		kinds = append(kinds, EvCrash)
 	}
 	if mask&FaultCorrupt != 0 {
@@ -117,7 +117,7 @@ func buildSchedule(cfg Config, mask FaultClass, totalOps uint64) []Event {
 		kind := kinds[rng.Intn(len(kinds))]
 		switch kind {
 		case EvCrash:
-			victim = 1 + (victim+rng.Intn(cfg.Nodes-1))%(cfg.Nodes-1)
+			victim = 1 + (victim+rng.Intn(nodes-1))%(nodes-1)
 			out = append(out,
 				Event{AtOp: a, Kind: EvCrash, Node: victim},
 				Event{AtOp: b, Kind: EvRestart, Node: victim})
@@ -132,7 +132,7 @@ func buildSchedule(cfg Config, mask FaultClass, totalOps uint64) []Event {
 				Event{AtOp: a, Kind: EvDropOn, Arg: ppm},
 				Event{AtOp: b, Kind: EvDropOff})
 		case EvDegradeOn:
-			victim = 1 + (victim+rng.Intn(cfg.Nodes-1))%(cfg.Nodes-1)
+			victim = 1 + (victim+rng.Intn(nodes-1))%(nodes-1)
 			hops := uint64(1 + rng.Intn(degradeHops))
 			out = append(out,
 				Event{AtOp: a, Kind: EvDegradeOn, Node: victim, Arg: hops},

@@ -37,7 +37,7 @@ func redisKey(node, j int) string { return fmt.Sprintf("rk-%d-%d", node, j) }
 // newStoreStream seeds kpw keys per node at version 1 through node 0.
 func newStoreStream(env *Env, store *redis.RackStore, kpw int) *storeStream {
 	s := &storeStream{store: store, kpw: kpw}
-	s.regs = NewRegisters(env.Cfg.Nodes*kpw, 1, s.key)
+	s.regs = NewRegisters(env.Fab.NumNodes()*kpw, 1, s.key)
 	v0 := s.attach(env, env.Fab.Node(0))
 	for k := 0; k < s.regs.Len(); k++ {
 		if err := v0.Set(s.key(k), Payload(s.regs.ID(k), 1, redisValBytes), 0); err != nil {

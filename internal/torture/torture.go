@@ -79,8 +79,6 @@ type Config struct {
 	// Seed drives the fault schedule, the fabric's fault injector, and
 	// every client's op stream. Same seed, same schedule.
 	Seed int64
-	// Nodes sizes the rack (default 3; node 0 never crashes).
-	Nodes int
 	// OpsPerClient is how many completed operations each client performs
 	// (default 250). The fault schedule is laid out over the total.
 	OpsPerClient int
@@ -98,6 +96,8 @@ type Config struct {
 // (Report.TraceTimeline / TraceJSON), including whatever a crashed node
 // published before dying.
 const (
+	// nodes sizes the rack; node 0 never crashes.
+	nodes = 3
 	// corruptPPM and dropPPM are the peak injector rates used inside
 	// corrupt/dropwb windows.
 	corruptPPM, dropPPM = 400, 400
@@ -116,9 +116,6 @@ const (
 func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
 	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 250
@@ -395,7 +392,7 @@ func Run(w Workload, cfg Config) *Report {
 	mask := w.Tolerates()
 	f := fabric.New(fabric.Config{
 		GlobalSize:         globalMemBytes,
-		Nodes:              cfg.Nodes,
+		Nodes:              nodes,
 		CacheCapacityLines: cacheLines,
 		// Accounting-only latency gives the flight recorder deterministic
 		// virtual timestamps; it adds no real delay to the sweep.
@@ -406,7 +403,7 @@ func Run(w Workload, cfg Config) *Report {
 		Fab:      f,
 		Cfg:      cfg,
 		Trace:    trace.New(f, trace.Config{RingCap: traceRingCap}),
-		inflight: make([]atomic.Int64, cfg.Nodes),
+		inflight: make([]atomic.Int64, nodes),
 	}
 	if cfg.Break != "" {
 		if err := ApplyBreak(cfg.Break); err != nil {

@@ -12,7 +12,6 @@ import (
 func smokeConfig(seed int64) Config {
 	return Config{
 		Seed:         seed,
-		Nodes:        3,
 		OpsPerClient: 120,
 		Events:       4,
 	}

@@ -18,7 +18,7 @@ import (
 func TestRingProducerWaitMatchesItsLoop(t *testing.T) {
 	build := func() (*Env, *dsWorkload) {
 		f := fabric.New(fabric.Config{GlobalSize: 16 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
-		env := &Env{Fab: f, Cfg: Config{Seed: 1, Nodes: 2, OpsPerClient: 9}, inflight: make([]atomic.Int64, 2)}
+		env := &Env{Fab: f, Cfg: Config{Seed: 1, OpsPerClient: 9}, inflight: make([]atomic.Int64, 2)}
 		w := newDSWorkload()
 		w.Prepare(env)
 		return env, w
@@ -129,7 +129,7 @@ func TestWatchdogNamesAStuckClient(t *testing.T) {
 		before := runtime.NumGoroutine()
 		w := &stuckWorkload{control: control}
 		start := time.Now()
-		rep := Run(w, Config{Seed: 1, Nodes: 2, OpsPerClient: 5})
+		rep := Run(w, Config{Seed: 1, OpsPerClient: 5})
 		if elapsed := time.Since(start); elapsed > 2*watchdogTimeout+time.Second {
 			t.Errorf("the stuck sweep took %v, want about the %v watchdog bound", elapsed, watchdogTimeout)
 		}
@@ -165,7 +165,7 @@ func TestWatchdogNamesAStuckClient(t *testing.T) {
 func TestStuckSweepUnderABreakCatchesNothing(t *testing.T) {
 	defer func(d time.Duration) { watchdogTimeout = d }(watchdogTimeout)
 	watchdogTimeout = 200 * time.Millisecond
-	rep := Run(&stuckWorkload{}, Config{Seed: 1, Nodes: 2, OpsPerClient: 5, Break: Breaks()[0]})
+	rep := Run(&stuckWorkload{}, Config{Seed: 1, OpsPerClient: 5, Break: Breaks()[0]})
 	if rep.Stuck == "" || rep.Passed() || rep.Caught() {
 		t.Fatalf("stuck=%q passed=%v caught=%v; want a stuck failure that caught nothing:\n%s", rep.Stuck, rep.Passed(), rep.Caught(), rep)
 	}

@@ -46,7 +46,7 @@ func (w *dsWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 const ringMsgBytes = 24 // header + 16 body bytes
 
 func (w *dsWorkload) Prepare(env *Env) {
-	n := env.Cfg.Nodes
+	n := env.Fab.NumNodes()
 	keys := n * w.kpw
 	w.hm = ds.NewHashMap(env.Fab, uint64(keys)*8+64)
 	w.keys = NewRegisters(keys, 1, func(r int) string { return fmt.Sprintf("key %d", r+1) })
@@ -65,7 +65,7 @@ func (w *dsWorkload) Prepare(env *Env) {
 
 func (w *dsWorkload) Clients(env *Env) []func() {
 	var out []func()
-	for i := 0; i < env.Cfg.Nodes; i++ {
+	for i := 0; i < env.Fab.NumNodes(); i++ {
 		node := i
 		out = append(out,
 			func() { w.mapWriter(env, node) },
@@ -188,7 +188,7 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 // ringConsumer drains ring (node-1+N)%N: each message must be exactly
 // the next version of the ring's register.
 func (w *dsWorkload) ringConsumer(env *Env, node int) {
-	ringID := (node - 1 + env.Cfg.Nodes) % env.Cfg.Nodes
+	ringID := (node - 1 + env.Fab.NumNodes()) % env.Fab.NumNodes()
 	n := env.Fab.Node(node)
 	r := w.rings[ringID]
 	ci := 0x400 + node

@@ -50,7 +50,7 @@ func (w *fsWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 func (w *fsWorkload) page(r int, ver uint64) []byte { return Payload(w.regs.ID(r), ver, fs.PageSize) }
 
 func (w *fsWorkload) Prepare(env *Env) {
-	n := env.Cfg.Nodes
+	n := env.Fab.NumNodes()
 	writes := n * env.Cfg.OpsPerClient
 	w.fsys = fs.New(env.Fab, fs.NewMemDev(0, 0), fs.Config{
 		// Headroom for the worst case: reclamation stalls while a crashed
@@ -86,7 +86,7 @@ func (w *fsWorkload) Prepare(env *Env) {
 
 func (w *fsWorkload) Clients(env *Env) []func() {
 	var out []func()
-	for i := 0; i < env.Cfg.Nodes; i++ {
+	for i := 0; i < env.Fab.NumNodes(); i++ {
 		node := i
 		out = append(out,
 			func() { w.writer(env, node) },
@@ -224,7 +224,7 @@ func (w *fsWorkload) reader(env *Env, node int) {
 // replays the journal from entry zero, standing in for a rebooted node —
 // and verifies names, final page versions, and full page content.
 func (w *fsWorkload) Check(env *Env) {
-	m := w.fsys.Mount(env.Fab.Node(env.Cfg.Nodes - 1))
+	m := w.fsys.Mount(env.Fab.Node(env.Fab.NumNodes() - 1))
 	buf := make([]byte, fs.PageSize)
 	for i, name := range w.names {
 		if id, ok := m.Lookup(name); !ok || id != w.ids[i] {

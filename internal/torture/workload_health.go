@@ -76,7 +76,7 @@ func (w *healthWorkload) Prepare(env *Env) {
 	const kpw = 2
 	f := env.Fab
 	w.env = env
-	nodes := env.Cfg.Nodes
+	nodes := env.Fab.NumNodes()
 	// The controller rides node 0's event stream (node 0 never crashes,
 	// and its health agent evaluates every slot, so one stream carries
 	// the whole rack's verdicts, in order, beside its liveness events).
@@ -175,7 +175,7 @@ func (w *healthWorkload) Clients(env *Env) []func() {
 		ci := 0xD0 + i
 		out = append(out, func() { submitStorm(env, w.rack.Sched, w.rack.Tasks, ci) })
 	}
-	for id := 0; id < env.Cfg.Nodes; id++ {
+	for id := 0; id < env.Fab.NumNodes(); id++ {
 		node := id
 		out = append(out, func() { w.stream.writer(env, node, 0xE00+node) })
 	}
@@ -193,7 +193,7 @@ func (w *healthWorkload) Clients(env *Env) []func() {
 func (w *healthWorkload) graygen(env *Env) {
 	rng := env.Rand(0xC3)
 	ci := 0xC00
-	nodes := env.Cfg.Nodes
+	nodes := env.Fab.NumNodes()
 	completed := 0
 	for completed < env.Cfg.OpsPerClient {
 		victim := 1 + rng.Intn(nodes-1) // node 0 hosts the controller

@@ -61,15 +61,15 @@ func (w *membershipWorkload) clients() int { return membershipSubmitters + w.hot
 
 func (w *membershipWorkload) Prepare(env *Env) {
 	const kpw = 2
-	w.hot = env.Cfg.Nodes - 1
+	w.hot = env.Fab.NumNodes() - 1
 	// Hot-plug once the sweep is well under way: a quarter of all ops in,
 	// the rack is loaded and the fault windows have opened.
 	w.hotAt = uint64(w.clients()) * uint64(env.Cfg.OpsPerClient) / 4
 	w.rack = NewControlRack(env.Fab, ControlConfig{
 		Store: redis.RackStoreConfig{
-			Slots: uint64(env.Cfg.Nodes*kpw) * 8,
+			Slots: uint64(env.Fab.NumNodes()*kpw) * 8,
 			// Crashes and fences abandon views; size for the sweep's churn.
-			MaxViews:   4*env.Cfg.Nodes*(env.Cfg.Events+2) + 16,
+			MaxViews:   4*env.Fab.NumNodes()*(env.Cfg.Events+2) + 16,
 			ArenaBytes: 16 << 20,
 		},
 		Tasks:       membershipSubmitters * env.Cfg.OpsPerClient,

@@ -58,7 +58,7 @@ func (w *memsysWorkload) page(p int, v uint64) []byte {
 
 func (w *memsysWorkload) Prepare(env *Env) {
 	f := env.Fab
-	n := env.Cfg.Nodes
+	n := env.Fab.NumNodes()
 	totalPages := n * w.pp
 	arena := alloc.NewArena(f, 8<<20)
 	w.frames = memsys.NewGlobalFrames(f, uint64(totalPages*4+128))
@@ -85,7 +85,7 @@ func (w *memsysWorkload) Prepare(env *Env) {
 
 func (w *memsysWorkload) Clients(env *Env) []func() {
 	var out []func()
-	for i := 0; i < env.Cfg.Nodes; i++ {
+	for i := 0; i < env.Fab.NumNodes(); i++ {
 		node := i
 		out = append(out,
 			func() { w.writer(env, node) },

@@ -24,17 +24,17 @@ func (w *redisWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrad
 func (w *redisWorkload) Prepare(env *Env) {
 	const kpw = 4
 	w.stream = newStoreStream(env, redis.NewRackStore(env.Fab, redis.RackStoreConfig{
-		Slots: uint64(env.Cfg.Nodes*kpw) * 8,
+		Slots: uint64(env.Fab.NumNodes()*kpw) * 8,
 		// Every crash abandons the victim node's views; size for the
 		// worst-case reattach churn of the whole sweep.
-		MaxViews:   2*env.Cfg.Nodes*(env.Cfg.Events+2) + 8,
+		MaxViews:   2*env.Fab.NumNodes()*(env.Cfg.Events+2) + 8,
 		ArenaBytes: 16 << 20,
 	}), kpw)
 }
 
 func (w *redisWorkload) Clients(env *Env) []func() {
 	var out []func()
-	for i := 0; i < env.Cfg.Nodes; i++ {
+	for i := 0; i < env.Fab.NumNodes(); i++ {
 		node := i
 		out = append(out,
 			func() { w.stream.writer(env, node, 0x500+node) },

@@ -79,7 +79,7 @@ func submitStorm(env *Env, s *sched.Scheduler, tasks *Ledger, ci int) {
 	rng := env.Rand(uint64(ci))
 	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
 	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		handles = append(handles, tasks.Submit(n0, 0, rng.Intn(env.Cfg.Nodes)))
+		handles = append(handles, tasks.Submit(n0, 0, rng.Intn(env.Fab.NumNodes())))
 		env.OpDone()
 	}
 	for _, h := range handles {

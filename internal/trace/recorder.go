@@ -83,9 +83,6 @@ func New(f *fabric.Fabric, cfg Config) *Recorder {
 	return r
 }
 
-// Fabric returns the fabric the recorder is attached to.
-func (r *Recorder) Fabric() *fabric.Fabric { return r.fab }
-
 // Writer returns node's writer. Writers are created eagerly; this is a
 // slice index, cheap enough for hot paths to call per event.
 func (r *Recorder) Writer(node int) *Writer {
@@ -145,9 +142,6 @@ type Writer struct {
 	// does not trace the recorder's own cache traffic.
 	suppress atomic.Int32
 }
-
-// Node returns the node this writer emits for.
-func (w *Writer) Node() *fabric.Node { return w.n }
 
 func (w *Writer) now() uint64 {
 	if w.rec.wall {
