@@ -130,3 +130,44 @@ func BenchmarkWriteBackRange64(b *testing.B) {
 func BenchmarkWriteBackRange16PerLine(b *testing.B) {
 	benchWBR(b, 16, (*Node).WriteBackRangePerLine)
 }
+
+// BenchmarkWriteFreshSparsePage is the shared page cache's fill path: a
+// 4 KiB WriteFresh into a frame of a sparse region. "fresh" writes into
+// never-written blocks, which the write installs with their contents;
+// "installed" rewrites frames whose blocks are installed. A fresh run
+// takes a new fabric every 4096 pages, off the clock.
+func BenchmarkWriteFreshSparsePage(b *testing.B) {
+	const pages, page = 4096, 4096
+	buf := make([]byte, page)
+	for i := range buf {
+		buf[i] = byte(i) | 1
+	}
+	for _, fresh := range []bool{true, false} {
+		name := map[bool]string{true: "fresh", false: "installed"}[fresh]
+		b.Run(name, func(b *testing.B) {
+			var n *Node
+			var g GPtr
+			setup := func() {
+				f := New(Config{GlobalSize: 2 * pages * page, Nodes: 1})
+				n, g = f.Node(0), f.ReserveSparse(pages*page, page)
+				if !fresh {
+					for p := uint64(0); p < pages; p++ {
+						n.WriteFresh(g.Add(p*page), buf)
+					}
+				}
+			}
+			setup()
+			b.SetBytes(page)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := uint64(i % pages)
+				if p == 0 && i > 0 && fresh {
+					b.StopTimer()
+					setup()
+					b.StartTimer()
+				}
+				n.WriteFresh(g.Add(p*page), buf)
+			}
+		})
+	}
+}

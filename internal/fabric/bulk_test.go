@@ -107,8 +107,8 @@ func runBulkWorkload(tw eqTwin, r *rand.Rand, ops int, oneLock bool) []byte {
 
 func checkBulkTwins(t *testing.T, randSeed int64, corruptPPM, dropPPM uint64) {
 	check := func(seed int64) bool {
-		oracle := newEqTwin(seed, bulkCapLines, false)
-		oneLock := newEqTwin(seed, bulkCapLines, false)
+		oracle := newEqTwin(seed, bulkCapLines, eqFlat)
+		oneLock := newEqTwin(seed, bulkCapLines, eqFlat)
 		oracle.armFaults(corruptPPM, dropPPM)
 		oneLock.armFaults(corruptPPM, dropPPM)
 		var oracleOps, oneLockOps []opRecord

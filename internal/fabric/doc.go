@@ -54,7 +54,12 @@
 // rejects what a fetch sees when it overtakes the owner's next write-back.
 // A commit word anywhere else in the line can be seen new beside old
 // payload, and publication that spans lines needs the payload lines
-// written back before a fabric atomic advances the commit word.
+// written back before a fabric atomic advances the commit word. One write
+// is whole at home: memory never written reads as zero, and the whole
+// lines a WriteFresh, fault injector disarmed, is first to send into a
+// never-written 512-byte block of a ReserveSparse region install the block
+// with them already in it, so a fetch racing it finds the block all zero
+// or all written. No other write promises more than the word order above.
 //
 // Ranged publication. The second shape is a published range:
 // ds.PublishRange writes the payload through the cache and writes it

@@ -64,11 +64,25 @@ type eqTwin struct {
 	g GPtr
 }
 
+// eqLayout is where a twin's arena lies in home memory.
+type eqLayout int
+
+const (
+	// eqFlat: in the first chunk, beside the lines other tests reserve.
+	eqFlat eqLayout = iota
+	// eqStraddle: the arena's first half is the last lines of one
+	// home-memory chunk and its second half the first lines of the next,
+	// both untouched until the workload writes them.
+	eqStraddle
+	// eqSparse: a ReserveSparse region, untouched, after a sparse region
+	// whose blocks fill the first slab but for three, so the arena's
+	// blocks straddle two slabs.
+	eqSparse
+)
+
 // newEqTwin builds one twin whose node caches hold capLines lines (-1:
-// unlimited). With straddle set, the arena's first half is the last lines
-// of one home-memory chunk and its second half the first lines of the
-// next, both untouched until the workload writes them.
-func newEqTwin(faultSeed int64, capLines int, straddle bool) eqTwin {
+// unlimited), its arena laid out as layout says.
+func newEqTwin(faultSeed int64, capLines int, layout eqLayout) eqTwin {
 	f := New(Config{
 		GlobalSize:         4 << 20,
 		Nodes:              2,
@@ -76,10 +90,23 @@ func newEqTwin(faultSeed int64, capLines int, straddle bool) eqTwin {
 		Latency:            DefaultLatency(),
 		FaultSeed:          faultSeed,
 	})
-	if straddle {
+	switch layout {
+	case eqStraddle:
 		f.Reserve(chunkWords*WordSize-eqArenaBytes/2-f.Reserved(), LineSize)
+	case eqSparse:
+		carveBlocks(f, chunkBlocks-3)
+		return eqTwin{f: f, g: f.ReserveSparse(eqArenaBytes, LineSize)}
 	}
 	return eqTwin{f: f, g: f.Reserve(eqArenaBytes, LineSize)}
+}
+
+// carveBlocks installs n blocks of a new sparse region of f, a byte into
+// each, bypassing every node.
+func carveBlocks(f *Fabric, n uint64) {
+	pre := f.ReserveSparse(n*blockWords*WordSize, blockWords*WordSize)
+	for b := uint64(0); b < n; b++ {
+		f.WriteAtHome(pre.Add(b*blockWords*WordSize), []byte{1})
+	}
 }
 
 // armFaults sets both write-path injector rates of tw's fabric.
@@ -125,14 +152,21 @@ func sameOps(t *testing.T, what string, a, b []opRecord) {
 }
 
 // sameTwins reports every way twin b's arena differs from twin a's: home
-// memory byte for byte, each node's virtual time, full stats snapshot and
-// resident line count.
+// memory byte for byte, the chunks installed and the blocks carved, in
+// order; each node's virtual time, full stats snapshot, resident line
+// count and cached copy of every arena line.
 func sameTwins(t *testing.T, what string, a, b eqTwin) {
 	t.Helper()
-	ah := make([]byte, eqArenaBytes)
-	bh := make([]byte, eqArenaBytes)
-	a.f.ReadAtHome(a.g, ah)
-	b.f.ReadAtHome(b.g, bh)
+	sameArena(t, what, a.f, b.f, a.g, eqArenaBytes)
+}
+
+// sameArena is sameTwins for an arena of size bytes at g in both fabrics.
+func sameArena(t *testing.T, what string, a, b *Fabric, g GPtr, size uint64) {
+	t.Helper()
+	ah := make([]byte, size)
+	bh := make([]byte, size)
+	a.ReadAtHome(g, ah)
+	b.ReadAtHome(g, bh)
 	if !bytes.Equal(ah, bh) {
 		i := 0
 		for ah[i] == bh[i] {
@@ -140,8 +174,15 @@ func sameTwins(t *testing.T, what string, a, b eqTwin) {
 		}
 		t.Errorf("%s: home memory diverges at byte %d (line %d): %#x vs %#x", what, i, i/LineSize, ah[i], bh[i])
 	}
-	for i := 0; i < a.f.NumNodes(); i++ {
-		an, bn := a.f.Node(i), b.f.Node(i)
+	if ac, bc := installedChunks(a), installedChunks(b); ac != bc {
+		t.Errorf("%s: %d vs %d chunks installed", what, ac, bc)
+	}
+	if ab, bb := carvedBlocks(a), carvedBlocks(b); !slices.Equal(ab, bb) {
+		t.Errorf("%s: %d vs %d blocks installed, or carved in another order", what, installedBlocks(a), installedBlocks(b))
+	}
+	first, last := LineSpan(g, size)
+	for i := 0; i < a.NumNodes(); i++ {
+		an, bn := a.Node(i), b.Node(i)
 		if av, bv := an.VirtualNS(), bn.VirtualNS(); av != bv {
 			t.Errorf("%s node %d: virtual time diverges: %d ns vs %d ns", what, i, av, bv)
 		}
@@ -151,7 +192,48 @@ func sameTwins(t *testing.T, what string, a, b eqTwin) {
 		if ar, br := an.cache.resident(), bn.cache.resident(); ar != br {
 			t.Errorf("%s node %d: resident lines diverge: %d vs %d", what, i, ar, br)
 		}
+		for li := first; li <= last; li++ {
+			if al, bl := cachedLine(an, li), cachedLine(bn, li); al != bl {
+				t.Errorf("%s node %d: cached line %d diverges: %+v vs %+v", what, i, li-first, al, bl)
+				break
+			}
+		}
 	}
+}
+
+// lineCopy is what a node's cache holds of one line.
+type lineCopy struct {
+	resident, dirty bool
+	data            [LineSize]byte
+}
+
+// cachedLine returns n's copy of line li, the zero lineCopy if li is not
+// resident.
+func cachedLine(n *Node, li uint64) lineCopy {
+	n.cache.mu.Lock()
+	defer n.cache.mu.Unlock()
+	if ln := n.cache.lookup(li); ln != nil {
+		return lineCopy{true, ln.dirty, ln.data}
+	}
+	return lineCopy{}
+}
+
+// carvedBlocks lists every directory entry of f's sparse regions, MiB by
+// MiB: which blocks are installed and the order they were carved in.
+func carvedBlocks(f *Fabric) []uint32 {
+	s := f.sparse.Load()
+	if s == nil {
+		return nil
+	}
+	var out []uint32
+	for i := range s.dirs {
+		if d := s.dirs[i].Load(); d != nil {
+			for b := range d.blocks {
+				out = append(out, d.blocks[b].Load())
+			}
+		}
+	}
+	return out
 }
 
 // runEqWorkload applies ops random operations drawn from r to tw. ranged
@@ -209,10 +291,10 @@ func runEqWorkload(tw eqTwin, r *rand.Rand, ops int, ranged bool) {
 
 // diffTwins runs one seeded workload on a legacy and a ranged twin whose
 // caches hold capLines lines (-1: unlimited) and reports every difference.
-func diffTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint64, straddle bool) {
+func diffTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint64, layout eqLayout) {
 	t.Helper()
-	legacy := newEqTwin(seed, capLines, straddle)
-	ranged := newEqTwin(seed, capLines, straddle)
+	legacy := newEqTwin(seed, capLines, layout)
+	ranged := newEqTwin(seed, capLines, layout)
 	legacy.armFaults(corruptPPM, dropPPM)
 	ranged.armFaults(corruptPPM, dropPPM)
 
@@ -224,7 +306,7 @@ func diffTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint6
 func TestRangedEquivalentToPerLine(t *testing.T) {
 	for _, capLines := range eqCapacities {
 		check := func(seed int64) bool {
-			diffTwins(t, seed, capLines, 0, 0, false)
+			diffTwins(t, seed, capLines, 0, 0, eqFlat)
 			return !t.Failed()
 		}
 		cfg := &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(7))}
@@ -242,7 +324,7 @@ func TestRangedEquivalentToPerLineWithFaults(t *testing.T) {
 	for _, capLines := range eqCapacities {
 		check := func(seed int64) bool {
 			// Rates high enough that a 400-op workload reliably takes hits.
-			diffTwins(t, seed, capLines, 20_000, 50_000, false)
+			diffTwins(t, seed, capLines, 20_000, 50_000, eqFlat)
 			return !t.Failed()
 		}
 		cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(11))}
@@ -260,7 +342,7 @@ func TestRangedEquivalentToPerLineAcrossChunks(t *testing.T) {
 	for _, capLines := range eqCapacities {
 		for _, rates := range [][2]uint64{{0, 0}, {20_000, 50_000}} {
 			check := func(seed int64) bool {
-				diffTwins(t, seed, capLines, rates[0], rates[1], true)
+				diffTwins(t, seed, capLines, rates[0], rates[1], eqStraddle)
 				return !t.Failed()
 			}
 			cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(13))}

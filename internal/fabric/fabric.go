@@ -163,11 +163,16 @@ func (f *Fabric) ReserveSparse(size, align uint64) GPtr {
 // ReserveSparse region touches has a block directory instead, and its
 // 512-byte blocks are installed one at a time, carved in first-touch order
 // from shared 1 MiB slabs, so a dense writer still pays one allocation per
-// MiB. Chunks and blocks are line-aligned: no line straddles two, and a
-// line transfer looks its memory up once. Everywhere else a chunk is the
-// unit because a set-up that fills memory and an op that then
-// first-touches a few words of it should not pay for blocks inside the op:
-// `rackstore-write` does that 2,300 times a repetition.
+// MiB. A line written home whole installs a never-written block with its
+// contents, and a WriteFresh's run of whole lines installs every block it
+// lands in that way under one hold of homeMu (homeRun.store); a fabric
+// atomic, WriteAtHome or a line that the corruption injector draws for
+// installs a zero block and then stores into it. Chunks and blocks are
+// line-aligned: no line straddles two, and a line transfer looks its
+// memory up once. Everywhere else a chunk is the unit because a set-up
+// that fills memory and an op that then first-touches a few words of it
+// should not pay for blocks inside the op: `rackstore-write` does that
+// 2,300 times a repetition.
 const (
 	chunkShift  = 17 // words per chunk, log2
 	chunkWords  = 1 << chunkShift
@@ -276,11 +281,21 @@ func (f *Fabric) installChunk(w uint64) []uint64 {
 	return f.homeAt(w, true)
 }
 
-// installBlock carves the next block for word w, unless a racing writer
-// did, giving w's MiB a directory first if it has none.
+// installBlock installs word w's block, unless a racing writer did.
 func (f *Fabric) installBlock(s *sparseHome, w uint64) {
 	f.homeMu.Lock()
 	defer f.homeMu.Unlock()
+	if _, e, b := s.carve(w); e != nil {
+		e.Store(b)
+	}
+}
+
+// carve hands out the next block for word w under homeMu, giving w's MiB
+// a directory first if it has none, and returns the block's words, its
+// directory entry and the number that publishes it there. Until the entry
+// is stored no other node can reach the block. The entry is nil if w's
+// block is installed.
+func (s *sparseHome) carve(w uint64) ([]uint64, *atomic.Uint32, uint32) {
 	p := &s.dirs[w>>chunkShift]
 	if p.Load() == &noBlocks {
 		if len(s.spare) == 0 {
@@ -289,13 +304,17 @@ func (f *Fabric) installBlock(s *sparseHome, w uint64) {
 		p.Store(&s.spare[0])
 		s.spare, s.pending = s.spare[1:], s.pending-1
 	}
-	if e := &p.Load().blocks[w&chunkMask>>blockShift]; e.Load() == 0 {
-		if s.carved%chunkBlocks == 0 {
-			s.slabs[s.carved/chunkBlocks].Store(new(chunk))
-		}
-		s.carved++
-		e.Store(s.carved)
+	e := &p.Load().blocks[w&chunkMask>>blockShift]
+	if e.Load() != 0 {
+		return nil, nil, 0
 	}
+	if s.carved%chunkBlocks == 0 {
+		s.slabs[s.carved/chunkBlocks].Store(new(chunk))
+	}
+	at := uint64(s.carved%chunkBlocks) * blockWords
+	ws := s.slabs[s.carved/chunkBlocks].Load()[at : at+blockWords]
+	s.carved++
+	return ws, e, s.carved
 }
 
 // homeWord returns word w's address, installing its chunk or block: the
@@ -324,9 +343,10 @@ func (f *Fabric) homeStoreWord(w uint64, v uint64) {
 // that share one cost one lookup; a zero homeRun for f starts empty.
 // Chunks and blocks are never freed, so what it keeps stays valid.
 type homeRun struct {
-	f  *Fabric
-	w  uint64   // the word ws starts at
-	ws []uint64 // home memory from word w to the end of its chunk or block
+	f    *Fabric
+	w    uint64   // the word ws starts at
+	ws   []uint64 // home memory from word w to the end of its chunk or block
+	none uint64   // with ws nil: how many words from w on a fetch found never written
 }
 
 // line returns the home words of line li, or nil when install is false
@@ -336,6 +356,7 @@ func (r *homeRun) line(li uint64, install bool) *[lineWords]uint64 {
 	if i := w - r.w; i < uint64(len(r.ws)) {
 		return (*[lineWords]uint64)(r.ws[i:])
 	}
+	r.none = 0
 	if r.ws = r.f.homeAt(w, install); r.ws == nil {
 		return nil
 	}
@@ -346,10 +367,19 @@ func (r *homeRun) line(li uint64, install bool) *[lineWords]uint64 {
 // fetch copies the line with index li from home memory into dst. Words
 // are read in DESCENDING order, the reader's half of the line publication
 // contract in doc.go: a fetch that sees a line's last word as new sees
-// every earlier word at least as new.
+// every earlier word at least as new. Once a fetch finds a block never
+// written, the run's later lines in it read as zero without another
+// lookup, so a ranged read sees a block that store installs with its
+// contents whole or not at all.
 func (r *homeRun) fetch(li uint64, dst *[LineSize]byte) {
+	w := li * lineWords
+	if r.ws == nil && w-r.w < r.none {
+		*dst = [LineSize]byte{}
+		return
+	}
 	ws := r.line(li, false)
 	if ws == nil {
+		r.w, r.none = w, blockWords-w&blockMask
 		*dst = [LineSize]byte{}
 		return
 	}
@@ -358,20 +388,64 @@ func (r *homeRun) fetch(li uint64, dst *[LineSize]byte) {
 	}
 }
 
-// store writes src to line li with no fault injection. Words land in
-// ASCENDING order, the writer's half of the line publication contract in
-// doc.go. An all-zero line into a chunk or block that was never written
-// stores nothing, and a word that already holds its new value is not
-// stored again: no reader can tell either from a store, and a load costs
-// the host a fraction of an atomic store.
-func (r *homeRun) store(li uint64, src *[LineSize]byte) {
-	ws := r.line(li, false)
-	if ws == nil {
-		if *src == [LineSize]byte{} {
-			return
+// store writes src, whole lines, to the lines from li on with no fault
+// injection. Words land in ASCENDING order, the writer's half of the line
+// publication contract in doc.go. An all-zero line into a chunk or block
+// that was never written stores nothing, and a word that already holds its
+// new value is not stored again: no reader can tell either from a store,
+// and a load costs the host a fraction of an atomic store. A nonzero line
+// that lands in a never-written block of a sparse region installs the
+// block with its contents: the block is carved under homeMu, taken at
+// most once for src; src's lines in it are copied in with plain stores;
+// and only then does its directory entry publish it, so a racing fetch
+// finds the whole block or none of it. Blocks are still carved in
+// ascending order, and only where a nonzero line lands.
+func (r *homeRun) store(li uint64, src []byte) {
+	f := r.f
+	locked := false
+	for len(src) > 0 {
+		w := li * lineWords
+		line := (*[LineSize]byte)(src)
+		k := uint64(1) // lines of src this pass writes or skips
+		switch ws := r.line(li, false); {
+		case ws != nil: // and src's next lines in the same chunk or block
+			k = min(uint64(len(src))/LineSize, uint64(len(r.ws))/lineWords-(w-r.w)/lineWords)
+			storeWords(r.ws[w-r.w:][:k*lineWords], src)
+		case *line == [LineSize]byte{}:
+		case f.sparseMiB(w):
+			if !locked {
+				f.homeMu.Lock()
+				locked = true
+			}
+			block, e, b := f.sparse.Load().carve(w)
+			if e == nil {
+				continue // a racing writer installed it: look again
+			}
+			k = min(uint64(len(src))/LineSize, (blockWords-w&blockMask)/lineWords)
+			words := block[w&blockMask:]
+			for i := range k * lineWords {
+				words[i] = binary.LittleEndian.Uint64(src[i*WordSize:])
+			}
+			e.Store(b)
+			r.w, r.ws = w, words
+		default: // a never-written chunk, installed under homeMu
+			if locked {
+				f.homeMu.Unlock()
+				locked = false
+			}
+			storeWords(r.line(li, true)[:], src[:LineSize])
 		}
-		ws = r.line(li, true)
+		li += k
+		src = src[k*LineSize:]
 	}
+	if locked {
+		f.homeMu.Unlock()
+	}
+}
+
+// storeWords writes src's words to ws in ascending order, each only if it
+// changes the word.
+func storeWords(ws []uint64, src []byte) {
 	for w := range ws {
 		if v := binary.LittleEndian.Uint64(src[w*WordSize:]); atomic.LoadUint64(&ws[w]) != v {
 			atomic.StoreUint64(&ws[w], v)
@@ -379,11 +453,17 @@ func (r *homeRun) store(li uint64, src *[LineSize]byte) {
 	}
 }
 
+// sparseMiB reports whether word w's MiB has a block directory.
+func (f *Fabric) sparseMiB(w uint64) bool {
+	s := f.sparse.Load()
+	return s != nil && s.dirs[w>>chunkShift].Load() != nil
+}
+
 // commit writes one line of a batch home: straight with the injector
 // disarmed, through writeLineHome's drop and corrupt draws when armed.
 func (r *homeRun) commit(li uint64, src *[LineSize]byte, armed bool) (faults uint64) {
 	if !armed {
-		r.store(li, src)
+		r.store(li, src[:])
 		return 0
 	}
 	return r.f.writeLineHome(li, src)
@@ -409,7 +489,7 @@ func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 		// from its PRNG, so skipping the per-word roll is observationally
 		// identical — and saves eight atomic rate loads per line.
 		r := homeRun{f: f}
-		r.store(li, src)
+		r.store(li, src[:])
 		return 0
 	}
 	base := li * lineWords

@@ -387,11 +387,14 @@ func (n *Node) ReadFresh(g GPtr, buf []byte) {
 // invalidate's LocalNS. Under one hold of the cache lock the lines go home
 // in ascending order, through the fault injector when it is armed; a
 // resident line is merged, sent home and dropped (its dirty bytes outside
-// data go home with it). One difference, deliberately: nothing is
-// inserted, so a bounded cache at capacity evicts nothing where the
-// triple's Write would have evicted up to one resident per line — a
-// non-allocating store, like a non-temporal write. A range the writer
-// reads back belongs in the cache: use Write and WriteBackRange.
+// data go home with it). With the injector disarmed, the whole lines
+// between two resident or partial ones go home as one run, which installs
+// a never-written sparse block with its contents. One difference,
+// deliberately: nothing is inserted, so a bounded cache at capacity evicts
+// nothing where the triple's Write would have evicted up to one resident
+// per line — a non-allocating store, like a non-temporal write. A range
+// the writer reads back belongs in the cache: use Write and
+// WriteBackRange.
 func (n *Node) WriteFresh(g GPtr, data []byte) {
 	n.checkAlive()
 	total := uint64(len(data))
@@ -407,32 +410,43 @@ func (n *Node) WriteFresh(g GPtr, data []byte) {
 	hits, misses := 0, 0
 	off, done := uint64(g)%LineSize, uint64(0)
 	home := homeRun{f: n.fab}
+	// data[runAt:done] is whole lines from line runLi on, none resident,
+	// that go home together when the injector is disarmed.
+	runLi, runAt := first, done
 	c := n.cache
 	c.mu.Lock()
 	c.maintLocks++
 	for li := first; li <= last; li++ {
 		chunk := min(LineSize-off, total-done)
 		src := data[done : done+chunk]
-		switch ln := c.unlink(li); {
-		case ln != nil:
-			copy(ln.data[off:], src)
-			faults += home.commit(li, &ln.data, armed)
-			c.recycle(ln)
+		ln := c.unlink(li)
+		if ln == nil && chunk == LineSize && !armed {
 			hits++
-		case chunk == LineSize:
-			faults += home.commit(li, (*[LineSize]byte)(src), armed)
-			hits++
-		default:
-			var line [LineSize]byte
-			home.fetch(li, &line)
-			copy(line[off:], src)
-			faults += home.commit(li, &line, armed)
-			missed[misses] = li
-			misses++
+		} else {
+			home.store(runLi, data[runAt:done])
+			switch {
+			case ln != nil:
+				copy(ln.data[off:], src)
+				faults += home.commit(li, &ln.data, armed)
+				c.recycle(ln)
+				hits++
+			case chunk == LineSize:
+				faults += home.commit(li, (*[LineSize]byte)(src), armed)
+				hits++
+			default:
+				var line [LineSize]byte
+				home.fetch(li, &line)
+				copy(line[off:], src)
+				faults += home.commit(li, &line, armed)
+				missed[misses] = li
+				misses++
+			}
+			runLi, runAt = li+1, done+chunk
 		}
 		done += chunk
 		off = 0
 	}
+	home.store(runLi, data[runAt:done])
 	c.mu.Unlock()
 	hooked := n.hooked.Load()
 	n.stats.Stores.Add(lines)

@@ -248,3 +248,77 @@ func TestSparseRunsReadBack(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseFirstWriteWholeOrNothing: node 1 polls a page with ReadFresh
+// while node 0 writes it with WriteFresh into never-written blocks. A
+// block is installed with its contents and published after them, so every
+// 512-byte block of every poll reads all zero or all written.
+func TestSparseFirstWriteWholeOrNothing(t *testing.T) {
+	const page, block = 4096, blockWords * WordSize
+	want := make([]byte, page)
+	for i := range want {
+		want[i] = byte(i*13) | 1
+	}
+	zero := make([]byte, block)
+	for round := 0; round < 50; round++ {
+		f := newLazyFabric(16 << 20)
+		g := f.ReserveSparse(4*page, page).Add(page)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f.Node(0).WriteFresh(g, want)
+		}()
+		got := make([]byte, page)
+		for polls, finished := 0, false; !finished; polls++ {
+			select {
+			case <-done:
+				finished = true // one more poll sees the whole page
+			default:
+			}
+			f.Node(1).ReadFresh(g, got)
+			for b := 0; b < page; b += block {
+				if !bytes.Equal(got[b:b+block], zero) && !bytes.Equal(got[b:b+block], want[b:b+block]) {
+					t.Fatalf("round %d, poll %d: block %d reads neither all zero nor all written", round, polls, b/block)
+				}
+			}
+			runtime.Gosched()
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the page reads wrong after the write", round)
+		}
+	}
+}
+
+// TestSparseFirstWritesRacingInstallOneBlock: two nodes write the two
+// halves of the same never-written blocks at once with WriteFresh, so the
+// first to reach a block installs it and the other finds it installed,
+// sometimes only once it holds homeMu. Both writes land, in one block each.
+func TestSparseFirstWritesRacingInstallOneBlock(t *testing.T) {
+	const block = blockWords * WordSize
+	for round := 0; round < 50; round++ {
+		f := newLazyFabric(16 << 20)
+		g := f.ReserveSparse(4*block, block)
+		halves := [2][]byte{bytes.Repeat([]byte{0xa1}, 2*block), bytes.Repeat([]byte{0xb2}, 2*block)}
+		var wg sync.WaitGroup
+		for w := range halves {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := uint64(0); b < 4; b += 2 {
+					f.Node(w).WriteFresh(g.Add(b*block+uint64(w)*block/2), halves[w][:block/2])
+				}
+			}()
+		}
+		wg.Wait()
+		if got := installedBlocks(f); got != 2 {
+			t.Fatalf("round %d: %d blocks installed, want 2", round, got)
+		}
+		got := make([]byte, block)
+		for b := uint64(0); b < 4; b += 2 {
+			f.ReadAtHome(g.Add(b*block), got)
+			if !bytes.Equal(got[:block/2], halves[0][:block/2]) || !bytes.Equal(got[block/2:], halves[1][:block/2]) {
+				t.Fatalf("round %d: block %d reads %x", round, b, got)
+			}
+		}
+	}
+}

@@ -84,10 +84,10 @@ func runFreshWorkload(t *testing.T, tw eqTwin, r *rand.Rand, ops int, fused bool
 	}
 }
 
-func diffFreshTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint64, straddle bool) {
+func diffFreshTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM uint64, layout eqLayout) {
 	t.Helper()
-	triple := newEqTwin(seed, capLines, straddle)
-	fused := newEqTwin(seed, capLines, straddle)
+	triple := newEqTwin(seed, capLines, layout)
+	fused := newEqTwin(seed, capLines, layout)
 	triple.armFaults(corruptPPM, dropPPM)
 	fused.armFaults(corruptPPM, dropPPM)
 	var tripleOps, fusedOps []opRecord
@@ -101,10 +101,10 @@ func diffFreshTwins(t *testing.T, seed int64, capLines int, corruptPPM, dropPPM 
 	sameOps(t, what, tripleOps, fusedOps)
 }
 
-func checkFreshTwins(t *testing.T, randSeed int64, corruptPPM, dropPPM uint64, straddle bool) {
+func checkFreshTwins(t *testing.T, randSeed int64, corruptPPM, dropPPM uint64, layout eqLayout) {
 	check := func(seed int64) bool {
 		for _, capLines := range []int{-1, freshCapLines} {
-			diffFreshTwins(t, seed, capLines, corruptPPM, dropPPM, straddle)
+			diffFreshTwins(t, seed, capLines, corruptPPM, dropPPM, layout)
 		}
 		return !t.Failed()
 	}
@@ -115,20 +115,28 @@ func checkFreshTwins(t *testing.T, randSeed int64, corruptPPM, dropPPM uint64, s
 }
 
 func TestWriteFreshEquivalentToTriple(t *testing.T) {
-	checkFreshTwins(t, 17, 0, 0, false)
+	checkFreshTwins(t, 17, 0, 0, eqFlat)
 }
 
 // With the injector armed the lines go home in the triple's ascending
 // order, so both twins draw the same drops and bit flips.
 func TestWriteFreshEquivalentToTripleWithFaults(t *testing.T) {
-	checkFreshTwins(t, 19, 20_000, 50_000, false)
+	checkFreshTwins(t, 19, 20_000, 50_000, eqFlat)
 }
 
 // Over an arena that straddles a home-memory chunk boundary and starts
 // untouched: zero lines into an untouched chunk store nothing either way.
 func TestWriteFreshEquivalentToTripleAcrossChunks(t *testing.T) {
-	checkFreshTwins(t, 23, 0, 0, true)
-	checkFreshTwins(t, 29, 20_000, 50_000, true)
+	checkFreshTwins(t, 23, 0, 0, eqStraddle)
+	checkFreshTwins(t, 29, 20_000, 50_000, eqStraddle)
+}
+
+// Over a sparse arena whose blocks straddle two slabs: a run of whole lines
+// that installs a never-written block with its contents installs the
+// blocks the triple's write-back installs, in the same order.
+func TestWriteFreshEquivalentToTripleSparse(t *testing.T) {
+	checkFreshTwins(t, 31, 0, 0, eqSparse)
+	checkFreshTwins(t, 37, 20_000, 50_000, eqSparse)
 }
 
 // TestWriteFreshBudget pins what the fused write costs and leaves behind,
@@ -317,4 +325,95 @@ func TestWriteFreshOnCrashedNodePanics(t *testing.T) {
 		}
 	}()
 	n.WriteFresh(g, make([]byte, 8))
+}
+
+// TestWriteFreshEquivalentToTripleSparsePages: page-sized writes into a
+// sparse region, case by case, against the triple on twin fabrics. The
+// region's eight pages end at a MiB boundary, and a dense region that no
+// sparse one touches follows them. Home memory, the chunks and blocks
+// installed and their carve order, stats, cache contents and op events
+// must all agree.
+func TestWriteFreshEquivalentToTripleSparsePages(t *testing.T) {
+	const page, block = 4096, blockWords * WordSize
+	data := func(seed byte) []byte {
+		b := make([]byte, page)
+		for i := range b {
+			b[i] = byte(i*7) + seed | 1
+		}
+		return b
+	}
+	holey := data(3) // zero lines inside a run: a whole block, a block's head, a block's last line
+	clear(holey[1*block : 2*block])
+	clear(holey[2*block : 2*block+3*LineSize])
+	clear(holey[5*block-LineSize : 5*block])
+
+	cases := []struct {
+		name       string
+		preCarve   uint64 // blocks carved before the region, in a region of their own
+		armed      bool
+		setup      func(f *Fabric, g GPtr)
+		off        uint64
+		data       []byte
+		wantBlocks int // blocks installed in the region afterwards
+	}{
+		{name: "a page into never-written blocks", data: data(1), wantBlocks: 8},
+		{name: "a page whose block holds a record", setup: func(f *Fabric, g GPtr) {
+			f.Node(1).WriteFresh(g.Add(3*block+2*LineSize), data(9)[:LineSize])
+		}, data: data(1), wantBlocks: 8},
+		{name: "a page over a page", setup: func(f *Fabric, g GPtr) {
+			f.Node(1).WriteFresh(g, data(9))
+		}, data: holey, wantBlocks: 8},
+		{name: "a clean line of a never-written block cached on the writer", setup: func(f *Fabric, g GPtr) {
+			f.Node(0).Load64(g.Add(2*block + 3*LineSize))
+		}, data: data(1), wantBlocks: 8},
+		{name: "a dirty line of a never-written block cached on the writer", setup: func(f *Fabric, g GPtr) {
+			f.Node(0).Store64(g.Add(2*block+3*LineSize+8), 0xD1D1D1D1D1D1D1D1)
+		}, data: data(1), wantBlocks: 8},
+		{name: "zero lines over a dirty line", setup: func(f *Fabric, g GPtr) {
+			f.Node(0).Store64(g.Add(1*block+5*LineSize), 0xD1D1D1D1D1D1D1D1)
+		}, data: holey, wantBlocks: 7},
+		{name: "zero lines inside a run", data: holey, wantBlocks: 7},
+		{name: "a run starting mid-block", off: 3 * LineSize, data: data(1)[:20*LineSize], wantBlocks: 3},
+		{name: "unaligned, with partial edge lines", off: 40, data: data(1), wantBlocks: 9},
+		{name: "a run crossing a slab boundary", preCarve: chunkBlocks - 3, data: data(1), wantBlocks: 8},
+		{name: "a run from the sparse region into a dense one", off: 8*page - 10*LineSize, data: data(1)[:20*LineSize], wantBlocks: 2},
+		{name: "the injector armed", armed: true, data: data(1), wantBlocks: 8},
+	}
+	for _, c := range cases {
+		var twins [2]*Fabric
+		var logs [2][]opRecord
+		var g GPtr
+		for i, fused := range []bool{false, true} {
+			f := New(Config{GlobalSize: 8 << 20, Nodes: 2, CacheCapacityLines: -1, Latency: DefaultLatency(), FaultSeed: 5})
+			if c.preCarve > 0 {
+				carveBlocks(f, c.preCarve)
+			}
+			f.Reserve(2<<20-8*page-f.Reserved(), LineSize)
+			g = f.ReserveSparse(8*page, page)
+			f.Reserve(4*page, page) // the dense region
+			if c.setup != nil {
+				c.setup(f, g)
+			}
+			if c.armed {
+				eqTwin{f: f}.armFaults(200_000, 100_000)
+			}
+			eqTwin{f: f}.recordOps(&logs[i])
+			n := f.Node(0)
+			for round := 0; round < 3; round++ { // armed, each round draws other faults
+				if fused {
+					n.WriteFresh(g.Add(c.off), c.data)
+				} else {
+					n.Write(g.Add(c.off), c.data)
+					n.WriteBackRange(g.Add(c.off), uint64(len(c.data)))
+					n.InvalidateRange(g.Add(c.off), uint64(len(c.data)))
+				}
+			}
+			twins[i] = f
+		}
+		sameArena(t, c.name, twins[0], twins[1], g, 12*page)
+		sameOps(t, c.name, logs[0], logs[1])
+		if got := installedBlocks(twins[1]) - int(c.preCarve); got != c.wantBlocks {
+			t.Errorf("%s: %d blocks installed in the region, want %d", c.name, got, c.wantBlocks)
+		}
+	}
 }

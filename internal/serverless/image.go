@@ -14,6 +14,7 @@
 package serverless
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -28,16 +29,29 @@ type Layer struct {
 	Size   uint64
 }
 
-// Content fills buf with the layer's bytes at offset off.
+// Content fills buf with the layer's bytes at offset off. The layer is a
+// sequence of little-endian 64-bit words, word k a mix of the digest's
+// hash plus k, so each word is computed once and stored whole; only an
+// unaligned head and tail take bytes of a word one at a time.
 func (l Layer) Content(off uint64, buf []byte) {
 	h := fnv.New64a()
 	h.Write([]byte(l.Digest))
 	seed := h.Sum64()
-	for i := range buf {
-		x := seed + (off+uint64(i))/8
+	word := func(k uint64) uint64 {
+		x := seed + k
 		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		buf[i] = byte(x >> ((off + uint64(i)) % 8 * 8))
+		return x * 0xff51afd7ed558ccd
+	}
+	byteAt := func(a uint64) byte { return byte(word(a/8) >> (a % 8 * 8)) }
+	i := 0
+	for ; i < len(buf) && (off+uint64(i))%8 != 0; i++ {
+		buf[i] = byteAt(off + uint64(i))
+	}
+	for ; len(buf)-i >= 8; i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], word((off+uint64(i))/8))
+	}
+	for ; i < len(buf); i++ {
+		buf[i] = byteAt(off + uint64(i))
 	}
 }
 
