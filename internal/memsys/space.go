@@ -264,14 +264,8 @@ func (s *Space) shootdown(from *MMU, vpn uint64) {
 	if brokenSkipShootdown.Load() {
 		return
 	}
-	s.mu.Lock()
-	targets := make([]*MMU, 0, len(s.mmus))
-	for _, m := range s.mmus {
-		if m != from {
-			targets = append(targets, m)
-		}
-	}
-	s.mu.Unlock()
+	var buf [shootdownStackMMUs]*MMU
+	targets := s.peers(from, buf[:0])
 	for _, m := range targets {
 		m.tlb.invalidate(vpn)
 		m.stats.ShootdownsReceived.Add(1)
@@ -290,14 +284,8 @@ func (s *Space) shootdownBatch(from *MMU, vpns []uint64) {
 	if len(vpns) == 0 || brokenSkipShootdown.Load() {
 		return
 	}
-	s.mu.Lock()
-	targets := make([]*MMU, 0, len(s.mmus))
-	for _, m := range s.mmus {
-		if m != from {
-			targets = append(targets, m)
-		}
-	}
-	s.mu.Unlock()
+	var buf [shootdownStackMMUs]*MMU
+	targets := s.peers(from, buf[:0])
 	for _, m := range targets {
 		for _, vpn := range vpns {
 			m.tlb.invalidate(vpn)
@@ -310,17 +298,41 @@ func (s *Space) shootdownBatch(from *MMU, vpns []uint64) {
 	s.emit(from.node, trace.KShootdown, vpns[0], uint64(len(targets)))
 }
 
+// shootdownStackMMUs is how many shootdown targets fit in the array a
+// shootdown gathers them into on its stack; a larger rack's list is
+// allocated.
+const shootdownStackMMUs = 8
+
+// peers appends every attached MMU but from to dst: the targets of from's
+// shootdown.
+func (s *Space) peers(from *MMU, dst []*MMU) []*MMU {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.mmus {
+		if m != from {
+			dst = append(dst, m)
+		}
+	}
+	return dst
+}
+
 // ackStores is the shootdown IPI's acknowledgement: it takes and drops the
-// frame lock of from's node and of every target's, so each store that
-// checked its translation before the invalidation has landed when it
+// frame lock of every target's node and then of from's, so each store
+// that checked its translation before the invalidation has landed when it
 // returns (MMU.writeFrame). The caller has invalidated from's own TLB
 // already. Host-side; it charges nothing.
 func (s *Space) ackStores(from *MMU, targets []*MMU) {
-	for _, m := range append(targets, from) {
-		mu := &s.frames.nodeMu[m.node.ID()]
-		mu.Lock()
-		mu.Unlock()
+	for _, m := range targets {
+		s.ackNode(m)
 	}
+	s.ackNode(from)
+}
+
+// ackNode takes and drops the frame lock of m's node.
+func (s *Space) ackNode(m *MMU) {
+	mu := &s.frames.nodeMu[m.node.ID()]
+	mu.Lock()
+	mu.Unlock()
 }
 
 // ipiCostNS is the modeled cost of one cross-node interrupt.

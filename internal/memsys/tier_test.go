@@ -117,6 +117,40 @@ func TestColdTierCharged(t *testing.T) {
 	}
 }
 
+// TestShootdownAllocatesNothing: a one-page shootdown and a batched one
+// on a 4-MMU space gather their targets on the stack, so neither
+// allocates, and each still interrupts all three peers.
+func TestShootdownAllocatesNothing(t *testing.T) {
+	e := newEnv(t, 4)
+	s := e.space(1)
+	mmus := make([]*MMU, 4)
+	for i := range mmus {
+		mmus[i] = e.attach(s, i)
+	}
+	if err := mmus[0].MMap(0, 1, ProtRead|ProtWrite, BackGlobal); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	for _, m := range mmus {
+		if err := m.Read(0, buf); err != nil { // everyone caches the translation
+			t.Fatal(err)
+		}
+	}
+	vpns := []uint64{0}
+	for name, fn := range map[string]func(){
+		"shootdown":      func() { s.shootdown(mmus[0], 0) },
+		"shootdownBatch": func() { s.shootdownBatch(mmus[0], vpns) },
+	} {
+		sent := mmus[0].Stats().ShootdownsSent
+		if a := testing.AllocsPerRun(100, fn); a != 0 {
+			t.Errorf("%s to 3 peers: %v allocations, want 0", name, a)
+		}
+		if got := mmus[0].Stats().ShootdownsSent - sent; got != 3*101 {
+			t.Errorf("%s: %d IPIs sent over 101 calls, want %d", name, got, 3*101)
+		}
+	}
+}
+
 // TestBatchShootdownOneIPI asserts the batched tier moves interrupt each
 // remote MMU once per batch, not once per page.
 func TestBatchShootdownOneIPI(t *testing.T) {

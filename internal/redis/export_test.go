@@ -2,6 +2,7 @@ package redis
 
 import (
 	"bytes"
+	"slices"
 	"time"
 
 	"flacos/internal/fabric"
@@ -46,4 +47,15 @@ func (c *Client) Flush() ([]Value, error) {
 		return nil, err
 	}
 	return c.FlushRecv(n)
+}
+
+// freeLists returns a copy of each size class's free list.
+func (s *Store) freeLists() [numClasses][][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out [numClasses][][]byte
+	for c, l := range s.free {
+		out[c] = slices.Clone(l)
+	}
+	return out
 }

@@ -254,14 +254,19 @@ func FuzzRESPRoundTrip(f *testing.F) {
 // compares every reply and, at the end, every key and DBSIZE. Each request
 // is scribbled over after it runs, so a key or value the store kept
 // without copying turns up as a wrong later reply. The keys differ in
-// length and the values in length and kind, so SETs overwrite buffers
-// that are too small, just large enough and larger than needed, and
-// INCRBY meets integers, non-integers and its overflow bounds.
+// length and the values in length and kind: lengths run from 0 to 6,096
+// bytes, so a SET stays in its buffer's size class or trades the buffer
+// for one of another class, below and above 64 bytes, a DEL or expiry
+// frees a buffer that a later SET or INCRBY takes up, and INCRBY meets
+// integers, non-integers and its overflow bounds. After every command the
+// Store's buffers must pass checkStoreBuffers.
 func FuzzServerAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 1, 0, 0, 1, 200, 1, 1, 0})
 	f.Add([]byte{3, 2, 3, 3, 2, 3, 1, 2, 0, 0, 2, 8, 4, 2, 3, 5, 0, 2, 1, 2, 0})
 	f.Add([]byte{0, 0, 9, 4, 0, 4, 5, 0, 3, 1, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 3, 0, 3, 3, 4, 3, 3, 0, 3, 3, 5, 1, 3, 0})
+	// Class swaps down and up, a DEL, and INCRBYs into recycled buffers.
+	f.Add([]byte{0, 1, 150, 0, 1, 2, 0, 2, 254, 0, 2, 70, 2, 2, 0, 3, 2, 0, 0, 1, 254, 1, 1, 0, 2, 1, 0, 3, 1, 0, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewStore()
 		now := time.Unix(1000, 0)
@@ -292,7 +297,11 @@ func FuzzServerAgainstModel(f *testing.F) {
 			var want string
 			switch op {
 			case 0: // SET, EX on every second arg
-				val := strings.Repeat(string(rune('a'+arg%26)), int(arg))
+				n := int(arg)
+				if arg >= 128 {
+					n = (n - 128) * 48
+				}
+				val := strings.Repeat(string(rune('a'+arg%26)), n)
 				if arg%4 == 0 {
 					val = strconv.Itoa((int(arg) - 128) * 1000)
 				}
@@ -362,6 +371,7 @@ func FuzzServerAgainstModel(f *testing.F) {
 				t.Fatalf("%q = %q, want %q", req, out, want)
 			}
 			scribble(req)
+			checkStoreBuffers(t, st)
 		}
 		for _, k := range keys {
 			want := "$-1\r\n"

@@ -3,7 +3,9 @@ package redis
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -376,5 +378,53 @@ func TestConcurrentSessionsSetGet(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStoreSetRecyclesBuffers: SETs drawn from Fig. 4's nine-step value
+// ladders (half to one and a half times 64 B and 4 KiB) over 4,096 keys
+// trade their buffers through the class free lists, so after a warm-up
+// fewer than one SET in twenty allocates: only a class whose live count
+// climbs past what its list holds makes a buffer. A DEL of every key
+// then gives every buffer back, which fills each of the ladder's class
+// lists to its cap and no further.
+func TestStoreSetRecyclesBuffers(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	const keys, sets = 4096, 20000
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = "key:" + strconv.Itoa(i)
+	}
+	for _, nominal := range []int{64, 4096} {
+		ladder := make([][]byte, 9)
+		for i := range ladder {
+			ladder[i] = bytes.Repeat([]byte{byte('0' + i)}, nominal/2+i*nominal/8)
+		}
+		st := NewStore()
+		r := rand.New(rand.NewPCG(uint64(nominal), 1))
+		for _, k := range names {
+			st.Set(k, ladder[r.IntN(len(ladder))], 0)
+		}
+		// AllocsPerRun's warm-up run is a first pass of SETs.
+		got := testing.AllocsPerRun(1, func() {
+			for i := 0; i < sets; i++ {
+				st.Set(names[r.IntN(keys)], ladder[r.IntN(len(ladder))], 0)
+			}
+		}) / sets
+		if got > 0.05 {
+			t.Errorf("%d B ladder: %.4f mallocs per SET, want <= 0.05", nominal, got)
+		}
+		if st.Del(names...) != keys {
+			t.Fatalf("%d B ladder: DEL of every key missed some", nominal)
+		}
+		checkStoreBuffers(t, st)
+		free := st.freeLists()
+		for _, v := range ladder { // every class held far more than the cap
+			if c := sizeClass(len(v)); len(free[c]) != freeListCap {
+				t.Errorf("%d B ladder: after DEL of every key class %d's free list holds %d buffers, want %d", nominal, c, len(free[c]), freeListCap)
+			}
+		}
 	}
 }
