@@ -96,9 +96,10 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestOneWayToWait is the wait ratchet: a CPU that waits for another
-// node waits in fabric.Node.Await, which records what it waits on, so no
+// node waits in fabric.Node.Await, which records what it waits on. So no
 // non-test file but the primitive's own (fabric's wait.go) names
-// runtime.Gosched.
+// runtime.Gosched, or has a for loop that sleeps (time.Sleep) while its
+// condition reads fabric memory through a *fabric.Node.
 func TestOneWayToWait(t *testing.T) {
 	for _, pkg := range loadRepo(t) {
 		for _, f := range pkg.Files {
@@ -106,15 +107,59 @@ func TestOneWayToWait(t *testing.T) {
 				continue
 			}
 			ast.Inspect(f, func(nd ast.Node) bool {
-				if sel, ok := nd.(*ast.SelectorExpr); ok {
-					if fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == "runtime.Gosched" {
-						t.Errorf("%s: runtime.Gosched outside fabric's wait.go: wait with fabric.Node.Await", pkg.Fset.Position(sel.Pos()))
+				switch nd := nd.(type) {
+				case *ast.SelectorExpr:
+					if calls(pkg.TypesInfo, nd, "runtime.Gosched") {
+						t.Errorf("%s: runtime.Gosched outside fabric's wait.go: wait with fabric.Node.Await", pkg.Fset.Position(nd.Pos()))
+					}
+				case *ast.ForStmt:
+					if nd.Cond != nil && readsFabric(pkg.TypesInfo, nd.Cond) && sleeps(pkg.TypesInfo, nd.Body) {
+						t.Errorf("%s: a loop that sleeps until fabric memory changes: wait with fabric.Node.Await", pkg.Fset.Position(nd.Pos()))
 					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// calls reports whether sel names the function full ("pkg.Func").
+func calls(info *types.Info, sel *ast.SelectorExpr, full string) bool {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.FullName() == full
+}
+
+// sleeps reports whether body calls time.Sleep.
+func sleeps(info *types.Info, body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(nd ast.Node) bool {
+		if sel, ok := nd.(*ast.SelectorExpr); ok && calls(info, sel, "time.Sleep") {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// fabricReads are the fabric.Node methods that read fabric memory: the
+// loads, the reads and the read-modify-writes.
+var fabricReads = map[string]bool{
+	"Load64": true, "Read": true, "ReadFresh": true, "AtomicLoad64": true,
+	"CAS64": true, "Swap64": true, "Add64": true,
+}
+
+// readsFabric reports whether e calls a *fabric.Node method that reads
+// fabric memory.
+func readsFabric(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(nd ast.Node) bool {
+		if sel, ok := nd.(*ast.SelectorExpr); ok && fabricReads[sel.Sel.Name] {
+			s := info.Selections[sel]
+			found = s != nil && s.Kind() == types.MethodVal && isFabricType(s.Recv(), "Node")
+		}
+		return !found
+	})
+	return found
 }
 
 func TestByName(t *testing.T) {

@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"flacos/internal/fabric"
+	"flacos/internal/sched"
 )
 
 // These tests assert the SHAPES the paper claims — who wins and by
@@ -133,6 +138,37 @@ func TestTraceShape(t *testing.T) {
 	}
 	if r > 1+traceOverheadBudgetPct/100 {
 		t.Errorf("traced/untraced = %.3fx exceeds the %.0f%% budget\n%s", r, traceOverheadBudgetPct, res)
+	}
+}
+
+// TestSchedCrashWithNode1Held scripts the crash phase's host race: node
+// 1's workers are held (gated out of serving) until node 0 has polled
+// the phase's wait for node 1's first task 50 times, which is long enough
+// for node 0's workers to run every task if they may. The phase must
+// still crash node 1 mid-task and finish every task, within seconds.
+func TestSchedCrashWithNode1Held(t *testing.T) {
+	cfg := QuickSched()
+	res := newResult("crash phase", "phase", "policy", "tasks", "throughput", "p50 dispatch", "p99 dispatch")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		schedCrash(res, cfg, func(f *fabric.Fabric, s *sched.Scheduler) {
+			s.SetNodeServing(1, false)
+			var polls atomic.Int64
+			f.Node(0).SetOpHook(func(k fabric.OpKind, _, _ uint64) {
+				if k == fabric.OpAwait && polls.Add(1) == 50 {
+					s.SetNodeServing(1, true)
+				}
+			})
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("schedCrash: node 1 never started a task in 5s; node 0 ran them all while node 1 was held")
+	}
+	if r := res.Ratios["tasks surviving node crash"]; r != 1 {
+		t.Fatalf("tasks surviving node crash = %.2f, want 1:\n%s", r, res)
 	}
 }
 

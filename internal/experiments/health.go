@@ -87,91 +87,8 @@ var healthRampHops = []int{4, 10, 24}
 func Health(cfg HealthConfig) *Result {
 	res := newResult("Health: gray-failure anomaly detection and self-healing drain vs liveness-only baseline",
 		"phase", "mode", "metric", "value")
-	const victim = healthNodes - 1
-	// since reports a wall duration measured from t, or fails the gate.
-	since := func(ok bool, phase, metric string, t time.Time, gate string) {
-		if ok {
-			res.Table.AddRow(phase, "proactive", metric, ns(float64(time.Since(t).Nanoseconds())))
-		} else {
-			res.Fail("%s", gate)
-		}
-	}
-
-	// --- Proactive mode: health layer + controller. ---
-	pro := newHealthRack(cfg, true)
-	proHealthy := metrics.NewHistogram()
-	pro.runPhase(cfg.TasksPerLevel, proHealthy)
-
-	preGen := pro.rack.Member(victim).Generation()
-	degradeAt := time.Now()
-	pro.node(victim).SetLinkDegradation(healthRampHops[0])
-	since(awaitStage(pro.drained), "detect", "degrade -> drained (wall)", degradeAt,
-		"proactive drain never completed after the first ramp level")
-	// The early-fence zombie probe, BEFORE any death: the drained node is
-	// alive, but a view carrying its pre-drain generation must already be
-	// write-dead.
-	if err := pro.rack.Store.AttachGen(pro.node(victim), preGen).Set("warm", []byte("necro"), 0); !errors.Is(err, redis.ErrFenced) {
-		res.Fail("early fence leaked: pre-drain view wrote through while the node was still alive (err=%v)", err)
-	}
-	res.Table.AddRow("fencing", "proactive", "zombie write while drained node still alive", "fenced")
-
-	proDeg := metrics.NewHistogram()
-	for _, hops := range healthRampHops {
-		pro.node(victim).SetLinkDegradation(hops)
-		pro.runPhase(cfg.TasksPerLevel, proDeg)
-	}
-
-	// Ramp clears: the detector's hysteresis flips the verdict back and
-	// the controller rejoins the victim under a bumped generation.
-	recoverAt := time.Now()
-	pro.node(victim).SetLinkDegradation(0)
-	since(awaitStage(pro.rejoined), "recover", "ramp clear -> rejoined (wall)", recoverAt,
-		"proactive rejoin never completed after the ramp cleared")
-	servesAt := time.Now()
-	since(pro.waitServes(victim), "recover", "rejoined -> victim serving again (wall)", servesAt,
-		"rejoined victim never served a task again")
-
-	// Crash round: dead beats degraded — the controller's death sweep
-	// (gate, reclaim, post-death fence) and the crash-restart rejoin.
-	if detect, complete, leak, ok := pro.crashRound(victim); ok {
-		res.Table.AddRow("crash", "proactive", "crash -> Dead (wall)",
-			ns(float64(detect.Nanoseconds())))
-		res.Table.AddRow("crash", "proactive", "crash -> burst complete (wall)",
-			ns(float64(complete.Nanoseconds())))
-		if leak {
-			res.Fail("post-death fence leaked: dead-generation view wrote through after restart")
-		} else {
-			res.Table.AddRow("fencing", "proactive", "zombie write after crash+restart", "fenced")
-		}
-	} else {
-		res.Fail("crash round timed out (detection, completion, or restart rejoin)")
-	}
-	servesAt = time.Now()
-	since(pro.waitServes(victim), "crash", "restart rejoin -> victim serving again (wall)", servesAt,
-		"crash-restarted victim never served a task again")
-	auditExactlyOnce(res, pro.rack, "proactive")
-	pro.rack.Stop()
-
-	// --- Reactive baseline: membership and the death sweep, no health layer. ---
-	rea := newHealthRack(cfg, false)
-	reaHealthy := metrics.NewHistogram()
-	rea.runPhase(cfg.TasksPerLevel, reaHealthy)
-	reaDeg := metrics.NewHistogram()
-	for _, hops := range healthRampHops {
-		rea.node(victim).SetLinkDegradation(hops)
-		rea.runPhase(cfg.TasksPerLevel, reaDeg)
-	}
-	if rea.rack.Table.Alive(victim) {
-		res.Table.AddRow("detect", "liveness-only baseline", "gray victim declared Dead",
-			"never (heartbeats keep flowing)")
-	} else {
-		// A dead verdict on a slow-but-beating node would mean the
-		// baseline measured crash recovery, not gray failure.
-		res.Fail("baseline declared the gray (alive, heartbeating) victim dead")
-	}
-	rea.node(victim).SetLinkDegradation(0)
-	auditExactlyOnce(res, rea.rack, "liveness-only baseline")
-	rea.rack.Stop()
+	proHealthy, proDeg := healthMode(res, cfg, true)
+	reaHealthy, reaDeg := healthMode(res, cfg, false)
 
 	for _, row := range []struct {
 		phase, mode string
@@ -198,41 +115,14 @@ func Health(cfg HealthConfig) *Result {
 	return res
 }
 
-// awaitStage waits for the controller to signal a pipeline stage.
-func awaitStage(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	case <-time.After(memWaitTimeout):
-		return false
-	}
-}
-
-// healthRack is one mode's control rack — accounting fabric, membership
-// on every node and the self-healing controller on node 0, plus the
-// health layer in proactive mode (the baseline's only remediation is the
-// controller's phi-accrual Dead sweep, which never fires for a gray node:
-// that is the point) — and the experiment's probes.
-type healthRack struct {
-	rack      *torture.ControlRack
-	scratch   fabric.GPtr
-	started   []atomic.Uint64 // per node: tasks that began executing there
-	nextPref  atomic.Uint64   // round-robin preferred-node cursor
-	phaseHist atomic.Pointer[metrics.Histogram]
-
-	drained  chan struct{}
-	rejoined chan struct{}
-}
-
-func newHealthRack(cfg HealthConfig, proactive bool) *healthRack {
-	// The controller signals each stage at most once per pipeline run and
-	// the experiment consumes every signal before triggering the next, so
-	// one slot is never overrun; a few spare absorb a flapping verdict.
-	r := &healthRack{
-		started:  make([]atomic.Uint64, healthNodes),
-		drained:  make(chan struct{}, 4),
-		rejoined: make(chan struct{}, 4),
-	}
+// healthMode runs one mode on its own control rack — accounting fabric,
+// membership on every node and the self-healing controller on node 0,
+// plus the health layer in proactive mode (the baseline's only
+// remediation is the controller's phi-accrual Dead sweep, which never
+// fires for a gray node: that is the point) — and returns the task-cost
+// histograms of its healthy warm-up and of its ramp.
+func healthMode(res *Result, cfg HealthConfig, proactive bool) (healthy, degraded *metrics.Histogram) {
+	const victim = healthNodes - 1
 	f := fabric.New(fabric.Config{
 		GlobalSize: 64 << 20,
 		Nodes:      healthNodes,
@@ -241,141 +131,172 @@ func newHealthRack(cfg HealthConfig, proactive bool) *healthRack {
 		// would starve the heartbeat tickers on small CI machines).
 		Latency: fabric.DefaultLatency(),
 	})
-	r.scratch = f.Reserve(fabric.LineSize, fabric.LineSize)
-	r.rack = torture.NewControlRack(f, torture.ControlConfig{
+	scratch := f.Reserve(fabric.LineSize, fabric.LineSize)
+	var phaseHist atomic.Pointer[metrics.Histogram]
+	rack := torture.NewControlRack(f, torture.ControlConfig{
 		Store: redis.RackStoreConfig{ArenaBytes: 4 << 20, MaxViews: 64},
 		// Every task the experiment will ever submit (phases, serving
 		// probes, the crash burst) gets its own DoneCell for the audit.
-		Tasks:       (len(healthRampHops)+2)*cfg.TasksPerLevel + 2*servesProbeCap + healthCrashBurst + 64,
-		Body:        r.task,
+		Tasks: (len(healthRampHops)+2)*cfg.TasksPerLevel + 2*servesProbeCap + healthCrashBurst + 64,
+		// The closed-loop request: linger == 1 marks the crash burst,
+		// which stays mid-task long enough for the crash to land while
+		// its node holds the lease. Its fabric work always reaches home
+		// memory, so it pays the full hop cost of whichever node
+		// executes it.
+		Body: func(n *fabric.Node, linger uint64) {
+			if linger == 1 {
+				time.Sleep(200 * time.Microsecond)
+			}
+			v0 := n.VirtualNS()
+			for i := 0; i < healthAtomicsPerTask; i++ {
+				n.AtomicLoad64(scratch)
+			}
+			if h := phaseHist.Load(); h != nil {
+				h.Record(float64(n.VirtualNS() - v0))
+			}
+		},
 		PhiDead:     8,
 		DeadStrikes: 3,
 		Health:      proactive,
-		OnStage:     r.onStage,
 	})
-	if err := r.rack.Store.Attach(f.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
+	if err := rack.Store.Attach(f.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
 		panic(err)
 	}
-	return r
-}
-
-func (r *healthRack) node(id int) *fabric.Node { return r.rack.Fab.Node(id) }
-
-// task is the closed-loop request: linger == 1 marks the crash burst,
-// which stays mid-task long enough for the crash to land while this node
-// holds the lease. Its fabric work always reaches home memory, so it
-// pays the full hop cost of whichever node executes it.
-func (r *healthRack) task(n *fabric.Node, linger uint64) {
-	r.started[n.ID()].Add(1)
-	if linger == 1 {
-		time.Sleep(200 * time.Microsecond)
+	n0 := f.Node(0)
+	// Tasks cycle their preferred node over the whole rack — the victim
+	// included — so placement policy, not the submitter, decides who pays
+	// for the ramp.
+	var nextPref atomic.Uint64
+	submit := func(linger uint64) sched.Handle {
+		return rack.Tasks.Submit(n0, linger, int(nextPref.Add(1)%healthNodes))
 	}
-	v0 := n.VirtualNS()
-	for i := 0; i < healthAtomicsPerTask; i++ {
-		n.AtomicLoad64(r.scratch)
+	// runPhase runs count closed-loop tasks across healthClients
+	// submitters; each task records its own fabric cost into hist from
+	// whichever node executed it.
+	runPhase := func(count int, hist *metrics.Histogram) error {
+		phaseHist.Store(hist)
+		defer phaseHist.Store(nil)
+		errs := make([]error, healthClients)
+		fanOut(healthClients, func(c int) {
+			for i := 0; i < count/healthClients && errs[c] == nil; i++ {
+				errs[c] = rack.WaitTasks(submit(0))
+			}
+		})
+		return errors.Join(errs...)
 	}
-	if h := r.phaseHist.Load(); h != nil {
-		h.Record(float64(n.VirtualNS() - v0))
+	mode := "liveness-only baseline"
+	if proactive {
+		mode = "proactive"
 	}
-}
-
-func (r *healthRack) onStage(st health.Stage, node int, gen uint64) {
-	switch st {
-	case health.StageDrained:
-		select {
-		case r.drained <- struct{}{}:
-		default:
+	healthy, degraded = metrics.NewHistogram(), metrics.NewHistogram()
+	err := func() error {
+		if err := runPhase(cfg.TasksPerLevel, healthy); err != nil {
+			return err
 		}
-	case health.StageRejoined:
-		select {
-		case r.rejoined <- struct{}{}:
-		default:
+		if proactive {
+			// Degrade to the ramp's first level, wait for the drain, then
+			// probe the early fence BEFORE any death: the drained node is
+			// alive, but a view carrying its pre-drain generation must
+			// already be write-dead.
+			preGen := rack.Member(victim).Generation()
+			degradeAt := time.Now()
+			f.Node(victim).SetLinkDegradation(healthRampHops[0])
+			drainedAt, err := rack.WaitStage(health.StageDrained, victim, preGen)
+			if err != nil {
+				return fmt.Errorf("proactive drain never completed after the first ramp level: %w", err)
+			}
+			res.Table.AddRow("detect", mode, "degrade -> drained (wall)", ns(float64(drainedAt.Sub(degradeAt).Nanoseconds())))
+			if fenced, err := rack.Fenced(victim, preGen); !fenced {
+				res.Fail("early fence leaked: pre-drain view wrote through while the node was still alive (err=%v)", err)
+			} else {
+				res.Table.AddRow("fencing", mode, "zombie write while drained node still alive", "fenced")
+			}
 		}
+		for _, hops := range healthRampHops {
+			f.Node(victim).SetLinkDegradation(hops)
+			if err := runPhase(cfg.TasksPerLevel, degraded); err != nil {
+				return err
+			}
+		}
+		if proactive {
+			return healthRecover(res, rack, victim, submit)
+		}
+		if rack.Table.Alive(victim) {
+			res.Table.AddRow("detect", mode, "gray victim declared Dead",
+				"never (heartbeats keep flowing)")
+		} else {
+			// A dead verdict on a slow-but-beating node would mean the
+			// baseline measured crash recovery, not gray failure.
+			res.Fail("baseline declared the gray (alive, heartbeating) victim dead")
+		}
+		f.Node(victim).SetLinkDegradation(0)
+		return nil
+	}()
+	auditMode(res, rack, mode, err)
+	return healthy, degraded
+}
+
+// healthRecover clears the ramp and waits for the controller's rejoin
+// (the detector's hysteresis flips the verdict back, and the victim
+// rejoins under a bumped generation), then runs the crash round: dead
+// beats degraded — the controller's death sweep (gate, reclaim,
+// post-death fence) and the crash-restart rejoin. After each rejoin the
+// victim must serve again.
+func healthRecover(res *Result, rack *torture.ControlRack, victim int, submit func(linger uint64) sched.Handle) error {
+	// The rejoin reports the generation its drain fenced.
+	drainedGen, _ := rack.Stage(health.StageDrained, victim)
+	recoverAt := time.Now()
+	rack.Fab.Node(victim).SetLinkDegradation(0)
+	rejoinedAt, err := rack.WaitStage(health.StageRejoined, victim, drainedGen)
+	if err != nil {
+		return fmt.Errorf("proactive rejoin never completed after the ramp cleared: %w", err)
 	}
-}
+	res.Table.AddRow("recover", "proactive", "ramp clear -> rejoined (wall)", ns(float64(rejoinedAt.Sub(recoverAt).Nanoseconds())))
+	if err := healthServes(res, rack, victim, "recover", "rejoined -> victim serving again (wall)", "rejoined victim"); err != nil {
+		return err
+	}
 
-// submit queues one task through node 0. Tasks cycle their preferred
-// node over the whole rack — the victim included — so placement policy,
-// not the submitter, decides who pays for the ramp.
-func (r *healthRack) submit(linger uint64) sched.Handle {
-	return r.rack.Tasks.Submit(r.node(0), linger, int(r.nextPref.Add(1)%healthNodes))
-}
-
-// runPhase runs count closed-loop tasks across healthClients submitters;
-// each task records its own fabric cost into hist from whichever node
-// executed it.
-func (r *healthRack) runPhase(count int, hist *metrics.Histogram) {
-	r.phaseHist.Store(hist)
-	defer r.phaseHist.Store(nil)
-	fanOut(healthClients, func(int) {
-		for i := 0; i < count/healthClients; i++ {
-			r.rack.Sched.Wait(r.node(0), r.submit(0))
+	c, err := rack.CrashRound(victim, func() []sched.Handle {
+		hs := make([]sched.Handle, 0, healthCrashBurst)
+		for i := 0; i < healthCrashBurst; i++ {
+			hs = append(hs, submit(1)) // lingering tasks: the crash lands mid-task
 		}
+		return hs
 	})
+	if err != nil {
+		return err
+	}
+	res.Table.AddRow("crash", "proactive", "crash -> Dead (wall)", ns(float64(c.Detect.Nanoseconds())))
+	res.Table.AddRow("crash", "proactive", "crash -> burst complete (wall)", ns(float64(c.Done.Nanoseconds())))
+	if c.Leaked {
+		res.Fail("post-death fence leaked: dead-generation view wrote through after restart")
+	} else {
+		res.Table.AddRow("fencing", "proactive", "zombie write after crash+restart", "fenced")
+	}
+	return healthServes(res, rack, victim, "crash", "restart rejoin -> victim serving again (wall)", "crash-restarted victim")
 }
 
-// servesProbeCap bounds waitServes' probe submissions so the DoneCell
+// servesProbeCap bounds healthServes' probe submissions so the DoneCell
 // arena stays sized even if the gate never reopens.
 const servesProbeCap = 2000
 
-// waitServes proves node id is pulling rack work again: it submits probe
-// tasks preferred there until one actually begins executing on it.
-func (r *healthRack) waitServes(id int) bool {
+// healthServes proves node id, who, is pulling rack work again: it
+// submits probe tasks preferred there until one actually begins
+// executing on it, and reports the wall time that took.
+func healthServes(res *Result, rack *torture.ControlRack, id int, phase, metric, who string) error {
 	start := time.Now()
-	s0 := r.started[id].Load()
-	for i := 0; i < servesProbeCap && time.Since(start) <= memWaitTimeout; i++ {
-		r.rack.Sched.Wait(r.node(0), r.rack.Tasks.Submit(r.node(0), 0, id))
-		if r.started[id].Load() > s0 {
-			return true
+	s0 := rack.Tasks.Started(id)
+	for i := 0; i < servesProbeCap; i++ {
+		if err := rack.WaitTasks(rack.Tasks.Submit(rack.Fab.Node(0), 0, id)); err != nil {
+			return err
+		}
+		if rack.Tasks.Started(id) > s0 {
+			res.Table.AddRow(phase, "proactive", metric, ns(float64(time.Since(start).Nanoseconds())))
+			return nil
 		}
 	}
-	return false
-}
-
-// crashRound crashes the victim mid-task under load and returns
-// (crash->Dead, crash->burst complete, post-restart zombie leak, ok).
-// The controller's death sweep owns remediation; afterwards the node is
-// restarted, rebooted in sched, and rejoined under a fresh generation.
-func (r *healthRack) crashRound(victim int) (detect, complete time.Duration, leak, ok bool) {
-	tb := r.rack.Table
-	if !waitFor(50*time.Microsecond, func() bool { return tb.Alive(victim) }) {
-		return 0, 0, false, false
-	}
-	deadGen := r.rack.Member(victim).Generation()
-
-	s0 := r.started[victim].Load()
-	hs := make([]sched.Handle, 0, healthCrashBurst)
-	for i := 0; i < healthCrashBurst; i++ {
-		hs = append(hs, r.submit(1)) // lingering tasks: the crash lands mid-task
-	}
-	if !waitFor(10*time.Microsecond, func() bool { return r.started[victim].Load() != s0 }) {
-		return 0, 0, false, false
-	}
-	crashAt := time.Now()
-	r.node(victim).Crash()
-	if !waitFor(20*time.Microsecond, func() bool { return !tb.Alive(victim) }) {
-		return 0, 0, false, false
-	}
-	detect = time.Since(crashAt)
-	for _, h := range hs {
-		r.rack.Sched.Wait(r.node(0), h)
-	}
-	complete = time.Since(crashAt)
-
-	r.node(victim).Restart()
-	if r.rack.Restarted(victim) != nil {
-		return 0, 0, false, false
-	}
-	// The controller's death sweep runs on its own event path (it needs
-	// its observer's Dead strikes, not just the table's verdict), so the
-	// fence may rise an instant after the burst completes: poll. A leak
-	// is a dead-generation write still going through once the sweep has
-	// had memWaitTimeout to fire.
-	view := r.rack.Store.AttachGen(r.node(victim), deadGen)
-	leak = !waitFor(50*time.Microsecond, func() bool {
-		return errors.Is(view.Set("warm", []byte("necro"), 0), redis.ErrFenced)
-	})
-	return detect, complete, leak, true
+	res.Fail("%s never served a task again", who)
+	return nil
 }
 
 // healthBench computes the experiment's machine-readable headline on a

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/health"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
 	"flacos/internal/sched"
@@ -66,61 +63,51 @@ func Membership(cfg MembershipConfig) *Result {
 	res := newResult("Membership: coordinated failure detection vs per-subsystem recovery",
 		"phase", "mode", "metric", "value")
 
-	mem := newMemRack(cfg, true)
-	if hotNS, ok := mem.hotPlug(cfg); ok {
-		res.Table.AddRow("hot-plug", "membership", "join -> serving under load (wall)", ns(hotNS))
-	} else {
-		res.Fail("hot-plug resync read missing/corrupt committed state")
-	}
-
-	detect := metrics.NewHistogram()
-	sweep := metrics.NewHistogram()
-	complete := metrics.NewHistogram()
+	// Per mode, membership then the baseline: crash -> detection, -> sweep
+	// done (membership only) and -> burst complete.
+	var detect, sweep, complete [2]*metrics.Histogram
 	leaks := 0
-	memStart := time.Now()
-	for r := 0; r < cfg.Rounds; r++ {
-		victim := 1 + r%(memNodes-1)
-		d, s, c, leak, ok := mem.crashRound(cfg, victim)
-		if !ok {
-			res.Fail("membership round %d (victim %d): detection/recovery timed out", r, victim)
-			continue
-		}
-		detect.Record(float64(d.Nanoseconds()))
-		sweep.Record(float64(s.Nanoseconds()))
-		complete.Record(float64(c.Nanoseconds()))
-		if leak {
-			leaks++
-		}
+	var memElapsed time.Duration
+	for m, mode := range []string{"membership", "lease-expiry baseline"} {
+		detect[m], sweep[m], complete[m] = metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()
+		rack := membershipRack(cfg, m == 0)
+		err := func() error {
+			if m == 0 {
+				if err := memHotPlug(res, rack, cfg); err != nil {
+					return err
+				}
+			}
+			start := time.Now()
+			for r := 0; r < cfg.Rounds; r++ {
+				victim := 1 + r%(memNodes-1)
+				c, err := rack.CrashRound(victim, func() []sched.Handle { return memBurst(rack, cfg.TasksPerRound, memNodes) })
+				if err != nil {
+					return fmt.Errorf("round %d (victim %d): %w", r, victim, err)
+				}
+				detect[m].Record(float64(c.Detect.Nanoseconds()))
+				sweep[m].Record(float64(c.Sweep.Nanoseconds()))
+				complete[m].Record(float64(c.Done.Nanoseconds()))
+				if c.Leaked {
+					leaks++
+				}
+			}
+			if m == 0 {
+				memElapsed = time.Since(start)
+			}
+			return nil
+		}()
+		auditMode(res, rack, mode, err)
 	}
-	memElapsed := time.Since(memStart)
-	auditExactlyOnce(res, mem.rack, "membership")
-	mem.rack.Stop()
-
-	base := newMemRack(cfg, false)
-	baseDetect := metrics.NewHistogram()
-	baseComplete := metrics.NewHistogram()
-	for r := 0; r < cfg.Rounds; r++ {
-		victim := 1 + r%(memNodes-1)
-		d, c, ok := base.baselineRound(cfg, victim)
-		if !ok {
-			res.Fail("baseline round %d (victim %d): lease reclaim timed out", r, victim)
-			continue
-		}
-		baseDetect.Record(float64(d.Nanoseconds()))
-		baseComplete.Record(float64(c.Nanoseconds()))
-	}
-	auditExactlyOnce(res, base.rack, "lease-expiry baseline")
-	base.rack.Stop()
 
 	for _, row := range []struct {
 		phase, mode, metric string
 		h                   *metrics.Histogram
 	}{
-		{"detect", "membership", "crash -> Dead (wall) p50/p99", detect},
-		{"detect", "lease-expiry baseline", "crash -> first reclaim (wall) p50/p99", baseDetect},
-		{"recover", "membership", "crash -> sweep done (wall) p50/p99", sweep},
-		{"recover", "membership", "crash -> burst complete (wall) p50/p99", complete},
-		{"recover", "lease-expiry baseline", "crash -> burst complete (wall) p50/p99", baseComplete},
+		{"detect", "membership", "crash -> Dead (wall) p50/p99", detect[0]},
+		{"detect", "lease-expiry baseline", "crash -> first reclaim (wall) p50/p99", detect[1]},
+		{"recover", "membership", "crash -> sweep done (wall) p50/p99", sweep[0]},
+		{"recover", "membership", "crash -> burst complete (wall) p50/p99", complete[0]},
+		{"recover", "lease-expiry baseline", "crash -> burst complete (wall) p50/p99", complete[1]},
 	} {
 		s := row.h.Summarize()
 		res.Table.AddRow(row.phase, row.mode, row.metric,
@@ -132,14 +119,14 @@ func Membership(cfg MembershipConfig) *Result {
 		res.Fail("%d zombie write(s) leaked through a generation fence", leaks)
 	}
 
-	recoverRatio := ratio(baseComplete.Mean(), complete.Mean())
-	res.Ratios["baseline/membership detection"] = ratio(baseDetect.Mean(), detect.Mean())
+	recoverRatio := ratio(complete[1].Mean(), complete[0].Mean())
+	res.Ratios["baseline/membership detection"] = ratio(detect[1].Mean(), detect[0].Mean())
 	res.Ratios["baseline/membership recovery"] = recoverRatio
 	if recoverRatio < memRecoveryGate {
 		res.Fail("membership recovery %.2fx the baseline, want >= %.1fx", recoverRatio, memRecoveryGate)
 	}
 
-	ds := detect.Summarize()
+	ds := detect[0].Summarize()
 	res.Bench = &Bench{
 		Name:      "membership",
 		OpsPerSec: ratio(float64(cfg.Rounds*cfg.TasksPerRound), memElapsed.Seconds()),
@@ -149,10 +136,17 @@ func Membership(cfg MembershipConfig) *Result {
 	return res
 }
 
-// auditExactlyOnce audits a mode's entire task history after all its
-// rounds: the scheduler ledger balances and every task completed exactly
-// once despite crashes mid-task, drains and reclaim re-dispatch.
-func auditExactlyOnce(res *Result, rack *torture.ControlRack, mode string) {
+// auditMode ends a mode: a kit wait that ran out (err) fails the run with
+// its open waits; otherwise the mode's entire task history is audited —
+// the scheduler ledger balances and every task completed exactly once
+// despite crashes mid-task, drains and reclaim re-dispatch. Either way
+// the rack stops.
+func auditMode(res *Result, rack *torture.ControlRack, mode string, err error) {
+	defer rack.Stop()
+	if err != nil {
+		res.Fail("%s mode: %v", mode, err)
+		return
+	}
 	a := rack.Tasks.Audit(rack.Fab.Node(0))
 	res.Table.AddRow("invariant", mode, "tasks exactly-once", a.String())
 	if !a.OK() {
@@ -160,193 +154,66 @@ func auditExactlyOnce(res *Result, rack *torture.ControlRack, mode string) {
 	}
 }
 
-// memWaitTimeout bounds every detection/recovery poll: crossing it means
-// the path under test is broken, not slow.
-const memWaitTimeout = 10 * time.Second
-
-// waitFor polls cond until it holds or memWaitTimeout passes.
-func waitFor(every time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(memWaitTimeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(every)
-	}
-	return true
-}
-
-// memRack is one mode's control rack plus the experiment's probes.
-type memRack struct {
-	rack      *torture.ControlRack
-	started   []atomic.Uint64 // per node: tasks that began executing there
-	recovered chan time.Time  // wall time each Dead sweep finished
-}
-
-func newMemRack(cfg MembershipConfig, withMembership bool) *memRack {
-	r := &memRack{
-		started: make([]atomic.Uint64, memNodes),
-		// Rounds drain the channel before every crash, so it only ever
-		// holds one round's sweeps; 64 leaves room for false Dead verdicts.
-		recovered: make(chan time.Time, 64),
-	}
+// membershipRack builds one mode's control rack. Its tasks linger
+// off-fabric once begun, long enough for a crash to land mid-task.
+func membershipRack(cfg MembershipConfig, withMembership bool) *torture.ControlRack {
 	ccfg := torture.ControlConfig{
-		Store: redis.RackStoreConfig{ArenaBytes: 8 << 20, MaxViews: 8*cfg.Rounds + 32},
-		Tasks: cfg.Rounds*cfg.TasksPerRound + cfg.TasksPerRound + 64,
-		Body: func(n *fabric.Node, _ uint64) {
-			// Announce the start (rounds crash a node only once it is
-			// observably mid-task), then linger off-fabric long enough
-			// for the crash to land.
-			r.started[n.ID()].Add(1)
-			time.Sleep(200 * time.Microsecond)
-		},
+		Store:       redis.RackStoreConfig{ArenaBytes: 8 << 20, MaxViews: 8*cfg.Rounds + 32},
+		Tasks:       cfg.Rounds*cfg.TasksPerRound + cfg.TasksPerRound + 64,
+		Body:        func(*fabric.Node, uint64) { time.Sleep(200 * time.Microsecond) },
 		HoldOutLast: true,
 	}
 	if withMembership {
 		ccfg.PhiDead, ccfg.DeadStrikes = 6, 2
-		// StageDead fires once the controller's Dead sweep completed.
-		ccfg.OnStage = func(st health.Stage, _ int, _ uint64) {
-			if st != health.StageDead {
-				return
-			}
-			select {
-			case r.recovered <- time.Now():
-			default:
-			}
-		}
 	}
-	r.rack = torture.NewControlRack(fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: memNodes}), ccfg)
-	if err := r.rack.Store.Attach(r.rack.Fab.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
+	rack := torture.NewControlRack(fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: memNodes}), ccfg)
+	if err := rack.Store.Attach(rack.Fab.Node(0)).Set("warm", []byte("committed"), 0); err != nil {
 		panic(err)
 	}
-	return r
+	return rack
 }
 
-// burst submits count background tasks from node 0, preferred round-
+// memBurst submits count background tasks from node 0, preferred round-
 // robin across nodes [0, nodes) (the victim included).
-func (r *memRack) burst(count, nodes int) []sched.Handle {
-	n0 := r.rack.Fab.Node(0)
+func memBurst(rack *torture.ControlRack, count, nodes int) []sched.Handle {
+	n0 := rack.Fab.Node(0)
 	hs := make([]sched.Handle, 0, count)
 	for i := 0; i < count; i++ {
-		hs = append(hs, r.rack.Tasks.Submit(n0, 0, i%nodes))
+		hs = append(hs, rack.Tasks.Submit(n0, 0, i%nodes))
 	}
 	return hs
 }
 
-func (r *memRack) waitHandles(hs []sched.Handle) {
-	n0 := r.rack.Fab.Node(0)
-	for _, h := range hs {
-		r.rack.Sched.Wait(n0, h)
-	}
-}
-
-// hotPlug joins the held-out last node under background load and
-// returns the wall time from Join to its first served task.
-func (r *memRack) hotPlug(cfg MembershipConfig) (float64, bool) {
+// memHotPlug joins the held-out last node under background load and
+// reports the wall time from Join to its first served task.
+func memHotPlug(res *Result, rack *torture.ControlRack, cfg MembershipConfig) error {
 	const hot = memNodes - 1
-	bg := r.burst(cfg.TasksPerRound, hot) // load on the existing population
+	bg := memBurst(rack, cfg.TasksPerRound, hot) // load on the existing population
 	start := time.Now()
 	synced := false
-	err := r.rack.Join(hot, func() {
+	err := rack.Join(hot, func() {
 		// Resync while Joining: the shared store must serve committed
 		// state to the joiner before it activates.
-		v, ok := r.rack.Store.Attach(r.rack.Fab.Node(hot)).Get("warm")
+		v, ok := rack.Store.Attach(rack.Fab.Node(hot)).Get("warm")
 		synced = ok && string(v) == "committed"
 	})
 	if err != nil {
 		panic(err)
 	}
 	if !synced {
-		return 0, false
+		res.Fail("hot-plug resync read missing/corrupt committed state")
+		return nil
 	}
-	r.rack.Sched.SetNodeServing(hot, true)
+	rack.Sched.SetNodeServing(hot, true)
 	// A burst preferred ONLY at the joiner closes the measurement: its
 	// completion proves the new node is claiming and serving work.
-	n0 := r.rack.Fab.Node(0)
-	probe := make([]sched.Handle, 0, 4)
-	for i := 0; i < 4; i++ {
-		probe = append(probe, r.rack.Tasks.Submit(n0, 0, hot))
+	probe := make([]sched.Handle, 4)
+	for i := range probe {
+		probe[i] = rack.Tasks.Submit(rack.Fab.Node(0), 0, hot)
 	}
-	r.waitHandles(probe)
-	elapsed := float64(time.Since(start).Nanoseconds())
-	r.waitHandles(bg)
-	return elapsed, true
-}
-
-// crashMidTask submits a burst across every node and crashes victim only
-// once it is observably mid-task, so it holds a lease the recovery path
-// under test must reclaim.
-func (r *memRack) crashMidTask(cfg MembershipConfig, victim int) (hs []sched.Handle, crashAt time.Time, ok bool) {
-	s0 := r.started[victim].Load()
-	hs = r.burst(cfg.TasksPerRound, memNodes)
-	if !waitFor(10*time.Microsecond, func() bool { return r.started[victim].Load() != s0 }) {
-		return nil, time.Time{}, false
+	if err := rack.WaitTasks(probe...); err != nil {
+		return err
 	}
-	crashAt = time.Now()
-	r.rack.Fab.Node(victim).Crash()
-	return hs, crashAt, true
-}
-
-// crashRound runs one membership-mode cycle against victim and returns
-// (crash->Dead, crash->sweep, crash->burst complete, zombieLeak, ok).
-func (r *memRack) crashRound(cfg MembershipConfig, victim int) (detect, sweep, complete time.Duration, leak, ok bool) {
-	tb := r.rack.Table
-	// The previous round's victim may still be converging back to Alive;
-	// crashing a node the detector already counts dead would measure
-	// nothing.
-	if !waitFor(50*time.Microsecond, func() bool { return tb.Alive(victim) }) {
-		return 0, 0, 0, false, false
-	}
-	for len(r.recovered) > 0 { // stale recovery stamps from earlier rounds
-		<-r.recovered
-	}
-	gen := r.rack.Member(victim).Generation()
-
-	hs, crashAt, ok := r.crashMidTask(cfg, victim)
-	if !ok || !waitFor(20*time.Microsecond, func() bool { return !tb.Alive(victim) }) {
-		return 0, 0, 0, false, false
-	}
-	detect = time.Since(crashAt)
-	select {
-	case ts := <-r.recovered:
-		sweep = ts.Sub(crashAt)
-	case <-time.After(memWaitTimeout):
-		return 0, 0, 0, false, false
-	}
-	r.waitHandles(hs)
-	complete = time.Since(crashAt)
-
-	// Hot-plug the victim back: restart the fabric node, respawn its
-	// runners, rejoin with a bumped generation — then probe the fence. A
-	// view carrying the dead generation must stay write-dead forever,
-	// even though the node underneath it is back.
-	r.rack.Fab.Node(victim).Restart()
-	if err := r.rack.Restarted(victim); err != nil {
-		panic(err)
-	}
-	zombie := r.rack.Store.AttachGen(r.rack.Fab.Node(victim), gen)
-	leak = !errors.Is(zombie.Set("warm", []byte("necro"), 0), redis.ErrFenced)
-	return detect, sweep, complete, leak, true
-}
-
-// baselineRound is the per-subsystem path: no membership layer, so
-// "detection" is sched's lease-expiry keeper noticing on its own
-// (ProbeRounds x ReclaimTick later), and the store is never fenced.
-func (r *memRack) baselineRound(cfg MembershipConfig, victim int) (detect, complete time.Duration, ok bool) {
-	n0 := r.rack.Fab.Node(0)
-	s := r.rack.Sched
-	before := s.StatsFrom(n0).Reclaimed
-	hs, crashAt, ok := r.crashMidTask(cfg, victim)
-	if !ok || !waitFor(50*time.Microsecond, func() bool { return s.StatsFrom(n0).Reclaimed != before }) {
-		return 0, 0, false
-	}
-	detect = time.Since(crashAt)
-	r.waitHandles(hs)
-	complete = time.Since(crashAt)
-
-	r.rack.Fab.Node(victim).Restart()
-	if err := r.rack.Restarted(victim); err != nil {
-		panic(err)
-	}
-	return detect, complete, true
+	res.Table.AddRow("hot-plug", "membership", "join -> serving under load (wall)", ns(float64(time.Since(start).Nanoseconds())))
+	return rack.WaitTasks(bg...)
 }

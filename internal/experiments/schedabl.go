@@ -141,7 +141,17 @@ func SchedAblation(cfg SchedConfig) *Result {
 	res.Ratios["random/locality dispatch p99"] = rndP99 / locP99
 	res.Ratios["locality/random throughput"] = locThr / rndThr
 
-	// ---- Phase B: node crash and failure-aware re-dispatch ----
+	schedCrash(res, cfg, nil)
+	return res
+}
+
+// schedCrash is phase B: every task targets node 1, node 1 crashes once
+// it is observably mid-task, and node 0's keeper reclaims the in-flight
+// tasks. Node 0 serves nothing until then: its workers would otherwise
+// steal every task while node 1's were descheduled past the steal grace,
+// and node 1 would never start one to crash under. hold, when set, runs
+// once the scheduler has started and before any task is submitted.
+func schedCrash(res *Result, cfg SchedConfig, hold func(*fabric.Fabric, *sched.Scheduler)) {
 	f := fabric.New(fabric.Config{
 		GlobalSize: 64 << 20, Nodes: 2,
 		CacheCapacityLines: -1, Latency: fabric.DefaultLatency(),
@@ -160,14 +170,20 @@ func SchedAblation(cfg SchedConfig) *Result {
 		n.Load64(fabric.GPtr(started)) // a dead CPU dies on this touch
 	})
 	s.Start()
+	if hold != nil {
+		hold(f, s)
+	}
 	n0 := f.Node(0)
+	s.SetNodeServing(0, false)
 	for j := 0; j < cfg.CrashTasks; j++ {
 		s.Submit(n0, sched.Task{Fn: fn, Preferred: 1})
 	}
-	for n0.AtomicLoad64(started.Add(8)) == 0 {
-		time.Sleep(20 * time.Microsecond)
-	}
+	n0.Await(fabric.Wait{Site: "experiments.schedCrash", Word: started.Add(8), Every: 1, Sleep: 20 * time.Microsecond}, func() (uint64, bool) {
+		v := n0.AtomicLoad64(started.Add(8))
+		return v, v != 0
+	})
 	f.Node(1).Crash()
+	s.SetNodeServing(0, true)
 	if !s.Drain(n0) {
 		panic("sched experiment: crash drain aborted")
 	}
@@ -176,5 +192,4 @@ func SchedAblation(cfg SchedConfig) *Result {
 	res.Table.AddRow("crash", "failure-aware", fmt.Sprintf("%d/%d done", st.Completed, cfg.CrashTasks),
 		fmt.Sprintf("%d reclaimed", st.Reclaimed), ns(rh.Percentile(50)), ns(rh.Percentile(99)))
 	res.Ratios["tasks surviving node crash"] = float64(st.Completed) / float64(cfg.CrashTasks)
-	return res
 }

@@ -153,10 +153,6 @@ type Controller struct {
 	mu    sync.Mutex
 	nodes map[int]*nodeState
 	swept map[[2]uint64]bool // (slot, gen) deaths already swept
-
-	stats struct { // activity counters, read by the tests
-		drains, aborted, rejoins, deadSweeps atomic.Uint64
-	}
 }
 
 // NewController builds a controller; the caller feeds it events through
@@ -294,11 +290,9 @@ func (c *Controller) drain(node int, gen uint64) {
 		tw.End(trace.SubHealth, trace.KDrain, uint64(node), mask)
 	}
 	if mask&maskAborted != 0 {
-		c.stats.aborted.Add(1)
 		c.stage(StageAbort, node, gen)
 		return
 	}
-	c.stats.drains.Add(1)
 	c.stage(StageDrained, node, gen)
 	if rejoin {
 		// An EvRecovered landed while the drain was still running: the
@@ -368,7 +362,6 @@ func (c *Controller) runRejoin(node int, gen uint64) {
 		tw.End(trace.SubHealth, trace.KRejoin, uint64(node), boolU64(ok))
 	}
 	if ok {
-		c.stats.rejoins.Add(1)
 		c.stage(StageRejoined, node, gen)
 	}
 }
@@ -413,7 +406,6 @@ func (c *Controller) dead(ev membership.Event) {
 			tw.Emit(trace.SubRedis, trace.KViewFence, 0, uint64(ev.Node), ev.Generation)
 		}
 	}
-	c.stats.deadSweeps.Add(1)
 	c.stage(StageDead, ev.Node, ev.Generation)
 }
 

@@ -26,21 +26,3 @@ func (l *Layer) Verdicts(n *fabric.Node) []VerdictInfo {
 	}
 	return out
 }
-
-// ControllerStats counts the controller's remediation activity.
-type ControllerStats struct {
-	Drains        uint64 // drain pipelines completed
-	DrainsAborted uint64 // drains interrupted by death / newer generation
-	Rejoins       uint64 // rejoin pipelines completed
-	DeadSweeps    uint64 // death sweeps run
-}
-
-// Stats returns a snapshot of the controller's activity counters.
-func (c *Controller) Stats() ControllerStats {
-	return ControllerStats{
-		Drains:        c.stats.drains.Load(),
-		DrainsAborted: c.stats.aborted.Load(),
-		Rejoins:       c.stats.rejoins.Load(),
-		DeadSweeps:    c.stats.deadSweeps.Load(),
-	}
-}

@@ -429,6 +429,26 @@ func newFakeController(f *fabric.Fabric, g *fakeGates, onStage func(Stage, int, 
 	})
 }
 
+// stageCounts counts the stages a controller reports through its OnStage
+// hook.
+type stageCounts [StageDead + 1]atomic.Uint64
+
+// hook counts each stage, then passes it on to then, if set.
+func (c *stageCounts) hook(then func(Stage, int, uint64)) func(Stage, int, uint64) {
+	return func(st Stage, node int, gen uint64) {
+		c[st].Add(1)
+		if then != nil {
+			then(st, node, gen)
+		}
+	}
+}
+
+// String lists the terminal stages' counts.
+func (c *stageCounts) String() string {
+	return fmt.Sprintf("drained=%d abort=%d rejoined=%d dead=%d",
+		c[StageDrained].Load(), c[StageAbort].Load(), c[StageRejoined].Load(), c[StageDead].Load())
+}
+
 func logEquals(t *testing.T, got, want []string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -448,7 +468,8 @@ func TestControllerDrainPipelineOrder(t *testing.T) {
 	f := testFabric(2)
 	rec := trace.New(f, trace.Config{RingCap: 1 << 10})
 	g := &fakeGates{}
-	c := newFakeController(f, g, nil)
+	var st stageCounts
+	c := newFakeController(f, g, st.hook(nil))
 	c.SetTrace(rec.Writer(0))
 
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
@@ -456,14 +477,13 @@ func TestControllerDrainPipelineOrder(t *testing.T) {
 	logEquals(t, g.Log(), []string{
 		"serving(1,false)", "fence(1,5)",
 	})
-	st := c.Stats()
-	if st.Drains != 1 || st.DrainsAborted != 0 {
-		t.Fatalf("stats = %+v, want one clean drain", st)
+	if st[StageDrained].Load() != 1 || st[StageAbort].Load() != 0 {
+		t.Fatalf("stages %v, want one clean drain", &st)
 	}
 	// A duplicate EvDegraded (another agent's delivery) is a no-op.
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 5})
-	if st := c.Stats(); st.Drains != 1 {
-		t.Fatalf("duplicate EvDegraded re-ran the drain: %+v", st)
+	if st[StageDrained].Load() != 1 {
+		t.Fatalf("duplicate EvDegraded re-ran the drain: %v", &st)
 	}
 
 	evs := rec.Collector().Snapshot(f.Node(0), false).Events
@@ -498,7 +518,8 @@ func TestControllerRecoverRunsRejoin(t *testing.T) {
 	f := testFabric(2)
 	g := &fakeGates{}
 	rejoined := 0
-	c := newFakeController(f, g, nil)
+	var st stageCounts
+	c := newFakeController(f, g, st.hook(nil))
 	c.cfg.Rejoin = func(node int, gen uint64) error {
 		g.record(fmt.Sprintf("rejoin(%d,%d)", node, gen))
 		rejoined++
@@ -512,13 +533,13 @@ func TestControllerRecoverRunsRejoin(t *testing.T) {
 		"serving(1,false)", "fence(1,5)",
 		"rejoin(1,5)", "serving(1,true)",
 	})
-	if rejoined != 1 || c.Stats().Rejoins != 1 {
-		t.Fatalf("rejoin ran %d times (stats %+v), want 1", rejoined, c.Stats())
+	if rejoined != 1 || st[StageRejoined].Load() != 1 {
+		t.Fatalf("rejoin ran %d times (stages %v), want 1", rejoined, &st)
 	}
 	// The node can degrade and drain again under a later generation.
 	c.OnEvent(membership.Event{Kind: membership.EvDegraded, Slot: 1, Node: 1, Generation: 6})
-	if st := c.Stats(); st.Drains != 2 {
-		t.Fatalf("re-drain after rejoin did not run: %+v", st)
+	if st[StageDrained].Load() != 2 {
+		t.Fatalf("re-drain after rejoin did not run: %v", &st)
 	}
 }
 
@@ -567,12 +588,13 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	holdGate := make(chan struct{})
 	releaseGate := make(chan struct{})
 	var held atomic.Bool
-	c := newFakeController(f, g, func(st Stage, node int, gen uint64) {
+	var stages stageCounts
+	c := newFakeController(f, g, stages.hook(func(st Stage, node int, gen uint64) {
 		if st == StageGate && held.CompareAndSwap(false, true) {
 			close(holdGate) // signal: drain reached mid-pipeline
 			<-releaseGate   // hold it there until the death lands
 		}
-	})
+	}))
 	c.SetTrace(rec.Writer(0))
 	c.cfg.Rejoin = func(node int, gen uint64) error {
 		t.Error("rejoin ran after death")
@@ -601,13 +623,12 @@ func TestRaceDegradedVsDead(t *testing.T) {
 	if len(fences) != 1 || fences[0] != 5 {
 		t.Fatalf("fence calls = %v, want exactly [5]", fences)
 	}
-	st := c.Stats()
-	if st.DrainsAborted != 1 || st.Drains != 0 || st.DeadSweeps != 1 {
-		t.Fatalf("stats = %+v, want 1 aborted drain + 1 dead sweep", st)
+	if stages[StageAbort].Load() != 1 || stages[StageDrained].Load() != 0 || stages[StageDead].Load() != 1 {
+		t.Fatalf("stages %v, want 1 aborted drain + 1 dead sweep", &stages)
 	}
 	// A late EvRecovered for the dead generation must not resurrect.
 	c.OnEvent(membership.Event{Kind: membership.EvRecovered, Slot: 1, Node: 1, Generation: 5})
-	if c.Stats().Rejoins != 0 {
+	if stages[StageRejoined].Load() != 0 {
 		t.Fatal("EvRecovered after death ran a rejoin")
 	}
 
@@ -652,12 +673,13 @@ func TestRaceRecoveredVsRunningDrain(t *testing.T) {
 	holdFence := make(chan struct{})
 	releaseFence := make(chan struct{})
 	var held atomic.Bool
-	c := newFakeController(f, g, func(st Stage, node int, gen uint64) {
+	var stages stageCounts
+	c := newFakeController(f, g, stages.hook(func(st Stage, node int, gen uint64) {
 		if st == StageFence && held.CompareAndSwap(false, true) {
 			close(holdFence)
 			<-releaseFence
 		}
-	})
+	}))
 	c.SetTrace(rec.Writer(0))
 	var rejoins atomic.Int64
 	c.cfg.Rejoin = func(node int, gen uint64) error {
@@ -685,9 +707,8 @@ func TestRaceRecoveredVsRunningDrain(t *testing.T) {
 	if n := rejoins.Load(); n != 1 {
 		t.Fatalf("rejoin ran %d times, want exactly 1 (after drain completion)", n)
 	}
-	st := c.Stats()
-	if st.Drains != 1 || st.DrainsAborted != 0 || st.Rejoins != 1 {
-		t.Fatalf("stats = %+v, want one clean drain then one rejoin", st)
+	if stages[StageDrained].Load() != 1 || stages[StageAbort].Load() != 0 || stages[StageRejoined].Load() != 1 {
+		t.Fatalf("stages %v, want one clean drain then one rejoin", &stages)
 	}
 
 	// Timeline order: KDrain end strictly precedes KRejoin begin. Both

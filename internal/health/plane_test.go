@@ -16,9 +16,11 @@ import (
 func TestPlaneOneDeadSweepAndRejoin(t *testing.T) {
 	f := testFabric(3)
 	g := &fakeGates{}
+	var stages stageCounts
 	p := NewPlane(membership.New(f, fastMemCfg()), ControllerConfig{
-		Sched: g,
-		Store: g,
+		Sched:   g,
+		Store:   g,
+		OnStage: stages.hook(nil),
 	}, nil, nil)
 	t.Cleanup(p.Stop)
 	for id := 0; id < 3; id++ {
@@ -47,10 +49,10 @@ func TestPlaneOneDeadSweepAndRejoin(t *testing.T) {
 
 	f.Node(2).Crash()
 	waitFor(t, "both survivors deliver node 2's death", func() bool {
-		return delivered[0].Load() > 0 && delivered[1].Load() > 0 && p.ctl.Stats().DeadSweeps > 0
+		return delivered[0].Load() > 0 && delivered[1].Load() > 0 && stages[StageDead].Load() > 0
 	})
-	if st := p.ctl.Stats(); st.DeadSweeps != 1 {
-		t.Fatalf("DeadSweeps = %d, want exactly 1", st.DeadSweeps)
+	if n := stages[StageDead].Load(); n != 1 {
+		t.Fatalf("%d death sweeps, want exactly 1", n)
 	}
 	if n := countEntry(g.Log(), "reclaim(2)"); n != 1 {
 		t.Fatalf("lease reclaim ran %d times, want 1 (log %v)", n, g.Log())

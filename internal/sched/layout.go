@@ -49,7 +49,8 @@ const noPreference = 0xff
 //	w3 arg0       first argument (often a GPtr to task state)
 //	w4 arg1       second argument
 //	w5 preferred  preferred node (noPreference: any), written at Submit
-//	w6 enqueueNS  wall-clock ns at (re-)queue, for dispatch latency
+//	w6 enqueueNS  wall-clock ns at (re-)queue: dispatch latency, and the
+//	              steal grace (scanAndRun) compares it (ROADMAP item 1)
 //	w7 doneCell   optional GPtr FAA'd once, after the completion CAS
 const (
 	slotBytes = fabric.LineSize
@@ -90,8 +91,9 @@ func (s *Scheduler) beatG(node int) fabric.GPtr {
 	return s.boardG.Add(uint64(node)*boardBytes + offBeat)
 }
 
-// nowNS is the wall clock used for dispatch-latency instrumentation. It
-// is measurement only: no scheduling decision depends on it.
+// nowNS is the wall clock stamped into a slot's enqueueNS. It times
+// dispatch latency, and it decides: scanAndRun's steal grace compares it,
+// so whether a node steals a task depends on host time (ROADMAP item 1).
 func nowNS() uint64 { return uint64(time.Now().UnixNano()) }
 
 func latencyNS(from, to uint64) float64 {

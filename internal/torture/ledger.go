@@ -22,6 +22,9 @@ type Ledger struct {
 	exec  fabric.GPtr // per task: how many times the body began
 	cells uint64
 	next  atomic.Uint64
+	// started counts, per node, the bodies that began there: a harness
+	// crashes a node only once it is observably mid-task.
+	started []atomic.Uint64
 }
 
 // NewLedger reserves cells tasks' worth of audit state and registers
@@ -31,11 +34,12 @@ type Ledger struct {
 // Submit from a node that never crashes, so the submission history
 // itself is reliable ground truth.
 func NewLedger(f *fabric.Fabric, s *sched.Scheduler, cells int, body func(n *fabric.Node, arg0 uint64)) *Ledger {
-	l := &Ledger{s: s, cells: uint64(cells)}
+	l := &Ledger{s: s, cells: uint64(cells), started: make([]atomic.Uint64, f.NumNodes())}
 	l.done = f.Reserve(l.cells*8, fabric.LineSize)
 	l.exec = f.Reserve(l.cells*8, fabric.LineSize)
 	l.fn = s.Register(func(n *fabric.Node, arg0, idx uint64) {
 		n.Add64(l.exec.Add(idx*8), 1)
+		l.started[n.ID()].Add(1)
 		body(n, arg0)
 		n.Load64(l.done.Add(idx * 8))
 	})
@@ -56,6 +60,9 @@ func (l *Ledger) Submit(from *fabric.Node, arg0 uint64, preferred int) sched.Han
 		DoneCell:  l.done.Add(idx * 8),
 	})
 }
+
+// Started returns how many task bodies have begun on node id.
+func (l *Ledger) Started(id int) uint64 { return l.started[id].Load() }
 
 // LedgerAudit is one Audit's outcome.
 type LedgerAudit struct {

@@ -170,3 +170,60 @@ func TestStuckSweepUnderABreakCatchesNothing(t *testing.T) {
 		t.Fatalf("stuck=%q passed=%v caught=%v; want a stuck failure that caught nothing:\n%s", rep.Stuck, rep.Passed(), rep.Caught(), rep)
 	}
 }
+
+// TestKitWaitRunsOut: a kit wait on a condition that never holds, and a
+// kit task wait on a task no node may claim, each fail within the wait
+// bound instead of hanging. The error names the wait's site and lists the
+// open waits, the scheduler is stopped, and once the rack stops no
+// goroutine of it is left.
+func TestKitWaitRunsOut(t *testing.T) {
+	defer func(d time.Duration) { waitBound = d }(waitBound)
+	waitBound = 200 * time.Millisecond
+	for name, tc := range map[string]struct {
+		wait  func(r *ControlRack) error
+		wants []string
+	}{
+		"await": {
+			wait: func(r *ControlRack) error {
+				return r.Await("torture.neverHolds", 50*time.Microsecond, func() bool { return false })
+			},
+			wants: []string{"torture.neverHolds: still waiting after 200ms", "node 0 torture.neverHolds"},
+		},
+		"tasks": {
+			wait: func(r *ControlRack) error {
+				r.Sched.SetNodeServing(0, false)
+				r.Sched.SetNodeServing(1, false)
+				return r.WaitTasks(r.Tasks.Submit(r.Fab.Node(0), 0, 1))
+			},
+			wants: []string{"torture.ControlRack.WaitTasks: still waiting after 200ms", "node 0 sched.Wait"},
+		},
+	} {
+		before := runtime.NumGoroutine()
+		rack := NewControlRack(fabric.New(fabric.Config{GlobalSize: 16 << 20, Nodes: 2}), ControlConfig{
+			Store: redis.RackStoreConfig{Slots: 16, MaxViews: 16, ArenaBytes: 1 << 20},
+			Tasks: 16, Body: linger, PhiDead: 6, DeadStrikes: 2,
+		})
+		start := time.Now()
+		err := tc.wait(rack)
+		if elapsed := time.Since(start); elapsed < waitBound || elapsed > waitBound+time.Second {
+			t.Errorf("%s: the wait ran out after %v, want about the %v bound", name, elapsed, waitBound)
+		}
+		if err == nil {
+			t.Fatalf("%s: a wait that never ends returned no error", name)
+		}
+		for _, want := range tc.wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error lacks %q:\n%v", name, want, err)
+			}
+		}
+		if rack.Sched.Wait(rack.Fab.Node(0), rack.Tasks.Submit(rack.Fab.Node(0), 0, 0)) {
+			t.Errorf("%s: the scheduler still runs tasks after the wait ran out", name)
+		}
+		rack.Stop()
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines outlive the stopped rack (%d before)", name, runtime.NumGoroutine()-before, before)
+			}
+		}
+	}
+}

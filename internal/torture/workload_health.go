@@ -1,8 +1,6 @@
 package torture
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"flacos/internal/fabric"
@@ -45,11 +43,10 @@ import (
 //   - convergence: the quiescent rack returns to every node Alive with
 //     no Degraded verdict standing.
 type healthWorkload struct {
-	env    *Env
-	rack   *ControlRack
-	stream *storeStream
-	scrub  *reliability.Scrubber
-	sentG  fabric.GPtr
+	controlWorkload
+	env   *Env
+	scrub *reliability.Scrubber
+	sentG fabric.GPtr
 }
 
 const healthSubmitters = 2
@@ -133,34 +130,15 @@ func (w *healthWorkload) onStage(st health.Stage, node int, gen uint64) {
 	if st != health.StageDrained {
 		return
 	}
-	env := w.env
-	n := env.Fab.Node(node)
-	store := w.rack.Store
+	var fenced bool
 	var err error
-	if !env.RunOp(n, func() {
-		pv := store.AttachGen(n, gen)
-		err = pv.Set(fmt.Sprintf("zk-%d", node), []byte("zombie"), 0)
-		// Release the probe's quiescence reservation; the view is never
-		// used again. (Through node 0: the schedule never crashes it, so
-		// RunOp has only n's crash to absorb.)
-		store.FenceView(env.Fab.Node(0), pv.ID())
-	}) {
+	if !w.env.RunOp(w.env.Fab.Node(node), func() { fenced, err = w.rack.Fenced(node, gen) }) {
 		return // node died mid-probe; the death sweep owns it now
 	}
 	if err == nil {
-		env.Violatef(-1, "fenced-zombie write applied: node %d gen %d accepted a SET after its drain's fence stage", node, gen)
-	} else if !errors.Is(err, redis.ErrFenced) {
-		env.Violatef(-1, "zombie probe node %d gen %d: want ErrFenced, got %v", node, gen, err)
-	}
-}
-
-// HandleRestart reboots a restarted node's scheduler workers and
-// rejoins its member (health agent included) under a bumped generation;
-// the controller's EvJoin hook then reopens whatever gates the death
-// sweep closed.
-func (w *healthWorkload) HandleRestart(env *Env, node int) {
-	if err := w.rack.Restarted(node); err != nil {
-		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
+		w.env.Violatef(-1, "fenced-zombie write applied: node %d gen %d accepted a SET after its drain's fence stage", node, gen)
+	} else if !fenced {
+		w.env.Violatef(-1, "zombie probe node %d gen %d: want ErrFenced, got %v", node, gen, err)
 	}
 }
 
@@ -214,19 +192,5 @@ func (w *healthWorkload) graygen(env *Env) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// Check: exactly-once, the quiescent store (drains fence views, never
-// write), then convergence — with faults off every node returns to Alive
-// and every Degraded verdict clears (the EWMAs decay, the recovery
-// hysteresis flips the verdict, the controller rejoins).
-func (w *healthWorkload) Stop() { w.rack.Stop() }
-
-func (w *healthWorkload) Check(env *Env) {
-	auditTasks(env, w.rack.Tasks)
-	w.stream.check(env)
-	for _, v := range w.rack.Converge() {
-		env.Violatef(-1, "%s", v)
 	}
 }

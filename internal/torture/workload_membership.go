@@ -36,11 +36,40 @@ import (
 //     intact before it activates, and the quiescent rack converges to
 //     every node Alive in the table.
 type membershipWorkload struct {
-	rack   *ControlRack
-	stream *storeStream
-
+	controlWorkload
 	hot   int    // hot-plug node (the last); not in the boot population
 	hotAt uint64 // global op count at which the hot node joins
+}
+
+// controlWorkload is what the membership and health workloads share: a
+// ControlRack, and store writers and readers over its RackStore.
+type controlWorkload struct {
+	rack   *ControlRack
+	stream *storeStream
+}
+
+// HandleRestart reboots a restarted node's scheduler workers and rejoins
+// it to its original membership slot under a bumped generation (the
+// restart-same-slot path), health agent included; the controller's
+// EvJoin hook then reopens whatever gates the death sweep closed.
+func (w *controlWorkload) HandleRestart(env *Env, node int) {
+	if err := w.rack.Restarted(node); err != nil {
+		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
+	}
+}
+
+func (w *controlWorkload) Stop() { w.rack.Stop() }
+
+// Check: exactly-once, the quiescent store (fences and drains fence
+// views, never write), then convergence — with faults off every node
+// returns to Alive and every Degraded verdict clears (the EWMAs decay,
+// the recovery hysteresis flips the verdict, the controller rejoins).
+func (w *controlWorkload) Check(env *Env) {
+	auditTasks(env, w.rack.Tasks)
+	w.stream.check(env)
+	for _, v := range w.rack.Converge() {
+		env.Violatef(-1, "%s", v)
+	}
 }
 
 const membershipSubmitters = 2
@@ -80,15 +109,6 @@ func (w *membershipWorkload) Prepare(env *Env) {
 		Trace:       env.Trace,
 	})
 	w.stream = newStoreStream(env, w.rack.Store, kpw)
-}
-
-// HandleRestart reboots a restarted node's scheduler workers and rejoins
-// it to its original membership slot (the restart-same-slot path: same
-// node, same slot, bumped generation).
-func (w *membershipWorkload) HandleRestart(env *Env, node int) {
-	if err := w.rack.Restarted(node); err != nil {
-		env.Violatef(-1, "restart rejoin node %d: %v", node, err)
-	}
 }
 
 func (w *membershipWorkload) Clients(env *Env) []func() {
@@ -133,14 +153,4 @@ func (w *membershipWorkload) hotplug(env *Env) {
 	}
 	w.rack.Sched.SetNodeServing(w.hot, true)
 	w.stream.writer(env, w.hot, 0x800+w.hot)
-}
-
-func (w *membershipWorkload) Stop() { w.rack.Stop() }
-
-func (w *membershipWorkload) Check(env *Env) {
-	auditTasks(env, w.rack.Tasks)
-	w.stream.check(env)
-	for _, v := range w.rack.Converge() {
-		env.Violatef(-1, "%s", v)
-	}
 }
