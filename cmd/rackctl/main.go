@@ -111,7 +111,7 @@ func main() {
 		rack.Fabric.Node(0).Crash()
 		fmt.Println("node 0 crashed; recovering the box on node 1...")
 		target := rack.Fabric.Node(1 % rack.Nodes())
-		nb, err := b.RecoverOn(target, nil, nil)
+		nb, err := b.RecoverOn(target, nil)
 		if err != nil {
 			return err
 		}

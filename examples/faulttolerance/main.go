@@ -62,7 +62,7 @@ func main() {
 	fmt.Println("node 0 crashed (its caches and local state are gone)")
 
 	app2 := &appState{}
-	recovered, err := box.RecoverOn(rack.Fabric.Node(1), app2, nil)
+	recovered, err := box.RecoverOn(rack.Fabric.Node(1), app2)
 	if err != nil {
 		log.Fatal(err)
 	}

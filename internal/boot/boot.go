@@ -138,14 +138,13 @@ func decode(b []byte) (HWDesc, error) {
 }
 
 // DefaultPayloadCap is the conventional payload budget for the table
-// reservation (core.Boot reserves TableCap(DefaultPayloadCap)).
+// reservation, a whole number of lines.
 const DefaultPayloadCap = 16 << 10
 
-// TableCap returns the reservation size needed for a table whose payload
-// is at most payloadCap bytes.
-func TableCap(payloadCap uint64) uint64 {
-	return fabric.LineSize + fabric.AlignUp64(payloadCap, fabric.LineSize)
-}
+// TableCap is the reservation size of a table whose payload is at most
+// DefaultPayloadCap bytes: a header line, then the payload (core.Boot
+// reserves it).
+const TableCap = fabric.LineSize + DefaultPayloadCap
 
 // Publish writes desc to the table at g (reserved with TableCap space) and
 // makes it discoverable. The boot node calls it once; republishing with a
@@ -165,11 +164,11 @@ func Discover(n *fabric.Node, g fabric.GPtr) (HWDesc, error) {
 	return DiscoverCapped(n, g, DefaultPayloadCap)
 }
 
-// DiscoverCapped reads and validates a table reserved with
-// TableCap(payloadCap) space. Every header word comes from shared memory
-// a corrupted or hostile node may have scribbled on, so nothing in it is
-// trusted: an implausible length is rejected before it can drive reads
-// outside the reservation.
+// DiscoverCapped reads and validates a table whose reservation holds a
+// header line and payloadCap bytes. Every header word comes from shared
+// memory a corrupted or hostile node may have scribbled on, so nothing in
+// it is trusted: an implausible length is rejected before it can drive
+// reads outside the reservation.
 func DiscoverCapped(n *fabric.Node, g fabric.GPtr, payloadCap uint64) (HWDesc, error) {
 	if n.AtomicLoad64(g) != Magic {
 		return HWDesc{}, ErrNoTable

@@ -12,7 +12,7 @@ import (
 func rack(t *testing.T) (*fabric.Fabric, fabric.GPtr) {
 	t.Helper()
 	f := fabric.New(fabric.Config{GlobalSize: 4 << 20, Nodes: 2})
-	return f, f.Reserve(TableCap(64<<10), fabric.LineSize)
+	return f, f.Reserve(TableCap, fabric.LineSize)
 }
 
 func sample() HWDesc {

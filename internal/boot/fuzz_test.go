@@ -58,7 +58,7 @@ func FuzzBootDiscoverCorrupted(f *testing.F) {
 		const payloadCap = 4096
 		fab := fabric.New(fabric.Config{GlobalSize: 1 << 16, Nodes: 1, CacheCapacityLines: -1})
 		n := fab.Node(0)
-		g := fab.Reserve(TableCap(payloadCap), fabric.LineSize)
+		g := fab.Reserve(TableCap, fabric.LineSize)
 		if err := Publish(n, g, fuzzDesc); err != nil {
 			t.Fatal(err)
 		}

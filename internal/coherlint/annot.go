@@ -9,9 +9,7 @@ import (
 
 // annotation is the parsed //flac: contract of one arena-layout type.
 type annotation struct {
-	Shared      bool   // //flac:shared: bytes of this type live in the arena
-	PublishedBy string // //flac:published-by=<atomic>: the publishing atomic
-	Pos         token.Pos
+	Shared bool // //flac:shared: bytes of this type live in the arena
 }
 
 // badDirective is a //flac: or //flacvet: comment the parser rejected;
@@ -92,7 +90,7 @@ func parseAnnotations(pass *Pass) *annotations {
 func (an *annotations) applyDirective(obj types.Object, c *ast.Comment) {
 	a := an.byType[obj]
 	if a == nil {
-		a = &annotation{Pos: c.Pos()}
+		a = &annotation{}
 		an.byType[obj] = a
 	}
 	body := strings.TrimPrefix(c.Text, "//flac:")
@@ -107,9 +105,7 @@ func (an *annotations) applyDirective(obj types.Object, c *ast.Comment) {
 				Pos: c.Pos(),
 				Msg: "//flac:published-by must name a fabric atomic (AtomicStore64, CAS64, Swap64 or Add64), not " + strconvQuote(name),
 			})
-			return
 		}
-		a.PublishedBy = name
 	default:
 		an.bad = append(an.bad, badDirective{
 			Pos: c.Pos(),

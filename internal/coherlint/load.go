@@ -20,7 +20,6 @@ import (
 // Package is one type-checked target package ready for analysis.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -123,7 +122,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			PkgPath:   lp.ImportPath,
-			Dir:       lp.Dir,
 			Fset:      fset,
 			Files:     files,
 			Types:     tpkg,

@@ -1,11 +1,17 @@
 // Command unreached is the reachability check's corpus: five planted
 // dead declarations (DeadExported, deadHelper, deadSetter,
 // liveType.DeadMethod, tally.Visit) beside each way a declaration stays
-// live without a direct call, and a Config whose fields are written each
-// way a program can and cannot turn a knob.
+// live without a direct call, a Config whose fields are written each way
+// a program can and cannot turn a knob, three write-only fields beside
+// each way a field is read, and four one-value parameters beside each
+// way a parameter stays free.
 package main
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"sync/atomic"
+)
 
 // shape is called only through its interface.
 type shape interface{ area() int }
@@ -122,7 +128,10 @@ func main() {
 	c.fill()
 	d := Config{}
 	d.fill()
-	fmt.Println(sh.area(), label("x"), v.seen, tally{n: 1}, s.items, outer{}.ping(), registered, c, d)
+	t := tally{n: 1}
+	fmt.Println(sh.area(), label("x"), v.seen, t.n, s.items, outer{}.ping(), registered, c.Literal, d.Assigned)
+	fields()
+	params()
 }
 
 // DeadExported is planted: nothing calls it.
@@ -133,3 +142,83 @@ func deadHelper() int { return 1 }
 
 // deadSetter is planted: nothing calls it, so its write turns no knob.
 func deadSetter(c *Config) { c.DeadSet = 1 }
+
+// counters plants three write-only fields: assigned is only assigned,
+// literal only set in a composite literal, and added an atomic that is
+// only Added. The rest are read: tagged by reflection, id through the
+// struct that embeds base, and buf by the function its address goes to.
+type counters struct {
+	assigned int
+	literal  int
+	added    atomic.Uint64
+	Tagged   string `json:"tagged"`
+	buf      [8]byte
+	read     atomic.Uint64
+}
+
+type base struct{ id int }
+
+type derived struct{ base }
+
+func zero(b *[8]byte) { clear(b[:]) }
+
+func fields() {
+	c := &counters{literal: 1, Tagged: "t"}
+	c.assigned++
+	c.added.Add(1)
+	zero(&c.buf)
+	c.read.Store(2)
+	d := derived{base{id: 7}}
+	out, _ := json.Marshal(c)
+	fmt.Println(string(out), d.id, c.read.Add(1))
+}
+
+// withHook's hook is nil at every call, scale's factor is 3 at every call,
+// and describe's verbose and pad's blank string are never used: the four
+// planted one-value parameters. The rest stay free: offset is passed two constants, n a
+// variable, double is also used as a callback, put is called through an
+// interface, and rename's signature is fixed by namer.
+func withHook(n int, hook func()) int {
+	if hook != nil {
+		hook()
+	}
+	return n
+}
+
+func scale(n, factor int) int { return n * factor }
+
+func describe(n int, verbose bool) string { return fmt.Sprint(n) }
+
+func pad(n int, _ string) int { return n + 1 }
+
+func shift(n, offset int) int { return n + offset }
+
+func double(n int) int { return 2 * n }
+
+func apply(f func(int) int, n int) int { return f(n) }
+
+type sink interface{ put(v int) }
+
+type bucket struct{ sum int }
+
+func (b *bucket) put(v int) { b.sum += v }
+
+type namer interface{ rename(s string) }
+
+type file struct{ name string }
+
+func (f *file) rename(s string) { f.name = s }
+
+var _ namer = (*file)(nil)
+
+func params() {
+	n := len(registered)
+	var k sink = &bucket{}
+	k.put(1)
+	k.put(1)
+	f := &file{}
+	f.rename("a")
+	f.rename("a")
+	fmt.Println(withHook(n, nil), withHook(1, nil), scale(n, 3), scale(2, 3), describe(n, true), describe(n, false), pad(n, "x"),
+		shift(n, 1), shift(n, 2), double(2), double(2), apply(double, n), f.name, k.(*bucket).sum)
+}

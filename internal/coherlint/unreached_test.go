@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,9 +35,15 @@ import (
 //     interface selection in live code names it or the standard library
 //     calls that name through an interface (stdlibMethods).
 //
-// The same walk then asks which knobs no program turns: an exported field
-// of a live exported *Config struct type that every program sets to one
-// value, by its writes and by its default fill (findOneValued).
+// The same live set then answers three more questions, each a rule of its
+// own:
+//
+//   - rule 2, which knobs no program turns: an exported field of a live
+//     exported *Config struct type that every program sets to one value,
+//     by its writes and by its default fill (findOneValued);
+//   - rule 3, which fields live code writes and never reads (findWriteOnly);
+//   - rule 4, which parameters of functions called only statically take
+//     one constant at every live call, or are never used (findOneValueParams).
 //
 // Declarations are keyed by text (package path, receiver, name), never by
 // types.Object: a package sees its imports through export data, so the
@@ -55,13 +62,24 @@ var stdlibMethods = map[string]bool{
 	"MarshalText": true, "UnmarshalText": true,
 }
 
-// unreachedDecl is one top-level declaration no program reaches.
+// findingKind says which rule flagged a finding.
+type findingKind int
+
+const (
+	unreachedDeclaration findingKind = iota // rule 1: Key is [Recv.]Name
+	oneValueField                           // rule 2: Key ends Type.Field
+	writeOnlyField                          // rule 3: Key ends Type.Field
+	oneValueParam                           // rule 4: Key ends [Recv.]Func(param)
+)
+
+// unreachedDecl is one finding: a top-level declaration no program
+// reaches, or a field or parameter no program needs.
 type unreachedDecl struct {
-	Key   string // module-relative package path, then [Recv.]Name
+	Key   string // module-relative package path, then the rest as Kind says
 	Pos   token.Position
 	Lines int
-	Field bool   // an exported Config field every program sets alike; Key ends Type.Field
-	Value string // the one value such a field takes
+	Kind  findingKind
+	Value string // the one value a one-value field or parameter takes; "" for an unused parameter
 }
 
 // declNode is one top-level declaration: a func or method, or one name of
@@ -74,6 +92,9 @@ type declNode struct {
 	nodes []ast.Node // syntax whose uses the declaration depends on
 	start token.Pos  // its first line, doc comment included
 	end   token.Pos
+	// layout marks a type carrying a //flac: annotation: a layout the
+	// coherence analyzers read, whose fields stay as the fabric sees them.
+	layout bool
 }
 
 // findUnreached returns every declaration of pkgs that no package main of
@@ -122,8 +143,9 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							d := &declNode{pkg: pkg, key: prefix + spec.Name.Name, name: spec.Name.Name,
-								nodes: []ast.Node{spec}, start: min(start, docStart(spec, spec.Doc)), end: end}
-							add(d, hasFlacDirective(decl.Doc, spec.Doc, spec.Comment))
+								nodes: []ast.Node{spec}, start: min(start, docStart(spec, spec.Doc)), end: end,
+								layout: hasFlacDirective(decl.Doc, spec.Doc, spec.Comment)}
+							add(d, d.layout)
 						case *ast.ValueSpec:
 							nodes := []ast.Node{spec}
 							if spec.Type != nil || len(spec.Values) > 0 {
@@ -209,8 +231,11 @@ func findUnreached(pkgs []*Package, module string) []unreachedDecl {
 		out = append(out, unreachedDecl{Key: d.key, Pos: pos, Lines: end.Line - pos.Line + 1})
 	}
 	out = append(out, findOneValued(all, live, module)...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	out = append(out, findWriteOnly(all, live, module)...)
+	out = append(out, findOneValueParams(all, live, module)...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	// A Config field can be both one-valued and write-only; report it once.
+	return slices.CompactFunc(out, func(a, b unreachedDecl) bool { return a.Key == b.Key })
 }
 
 // findOneValued returns every exported field of a live exported *Config
@@ -289,52 +314,20 @@ func findOneValued(all []*declNode, live map[*declNode]bool, module string) []un
 		}
 		info := d.pkg.TypesInfo
 		pkgPath := relPath(d.pkg.PkgPath, module)
-		// value keys the constant an expression writes, with the way it
-		// reads; ok is false when the expression is not a constant.
-		value := func(e ast.Expr) (key, show string, ok bool) {
-			if e == nil {
-				return "", "", false
-			}
-			tv := info.Types[e]
-			if tv.IsNil() {
-				return "zero", "nil", true
-			}
-			if tv.Value == nil {
-				return "", "", false
-			}
-			return tv.Value.ExactString(), tv.Value.String(), true
-		}
 		// set records that f is written e (nil: not a constant).
 		set := func(f *field, e ast.Expr) {
-			if key, show, ok := value(e); ok {
+			if key, show, ok := constValue(info, e); ok {
 				f.set[key] = show
 			} else {
 				f.turned = true
 			}
-		}
-		// selKey keys the struct field a selector selects, if it selects one.
-		selKey := func(e ast.Expr) string {
-			se, ok := ast.Unparen(e).(*ast.SelectorExpr)
-			if !ok {
-				return ""
-			}
-			sel := info.Selections[se]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return ""
-			}
-			t := sel.Recv()
-			idx := sel.Index()
-			for _, i := range idx[:len(idx)-1] {
-				t = deref(t).Underlying().(*types.Struct).Field(i).Type()
-			}
-			return typeKey(deref(t), module) + "." + se.Sel.Name
 		}
 		// readsField reports whether cond selects the field key.
 		readsField := func(cond ast.Expr, key string) bool {
 			found := false
 			ast.Inspect(cond, func(n ast.Node) bool {
 				if e, ok := n.(ast.Expr); ok && !found {
-					if selKey(e) == key {
+					if fieldKey(info, e, module) == key {
 						found = true
 					}
 				}
@@ -345,7 +338,7 @@ func findOneValued(all []*declNode, live map[*declNode]bool, module string) []un
 		var stack []ast.Node
 		// write records that lhs is given rhs (nil: not a constant).
 		write := func(lhs, rhs ast.Expr) {
-			key := selKey(lhs)
+			key := fieldKey(info, lhs, module)
 			f := fields[key]
 			if f == nil {
 				return
@@ -356,7 +349,7 @@ func findOneValued(all []*declNode, live map[*declNode]bool, module string) []un
 					if ok && lhs.Pos() >= ifs.Body.Pos() && readsField(ifs.Cond, key) {
 						// The field's own default fill: a value that is not a
 						// constant is derived, one value of its own.
-						k, show, ok := value(rhs)
+						k, show, ok := constValue(info, rhs)
 						if !ok {
 							k = d.pkg.Fset.Position(lhs.Pos()).String()
 							show = "its default fill at " + k
@@ -454,7 +447,7 @@ func findOneValued(all []*declNode, live map[*declNode]bool, module string) []un
 			maps.Copy(values, f.fills)
 		}
 		if len(values) <= 1 {
-			d := unreachedDecl{Key: key, Pos: f.pos, Lines: 1, Field: true, Value: "its zero value"}
+			d := unreachedDecl{Key: key, Pos: f.pos, Lines: 1, Kind: oneValueField, Value: "its zero value"}
 			for _, show := range values {
 				d.Value = show
 			}
@@ -462,6 +455,429 @@ func findOneValued(all []*declNode, live map[*declNode]bool, module string) []un
 		}
 	}
 	return out
+}
+
+// findWriteOnly returns every field of a live struct type declared in the
+// module that live code writes and never reads (rule 3). A write is the
+// left of an assignment or of ++ and --, a composite-literal key (a
+// positional literal writes every field), or a sync/atomic Add or Store
+// on the field whose result is dropped. Any other selection of the field
+// reads it, &x.f handed to anything but an atomic Add or Store included.
+// A field with a struct tag (reflection reads it), a field of a //flac:
+// layout type, an embedded field and _ are exempt.
+func findWriteOnly(all []*declNode, live map[*declNode]bool, module string) []unreachedDecl {
+	type field struct {
+		pos           token.Position
+		written, read bool
+	}
+	fields := map[string]*field{}
+	for _, d := range all {
+		spec, ok := d.nodes[0].(*ast.TypeSpec)
+		if !ok || !live[d] || d.layout {
+			continue
+		}
+		st, ok := spec.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			if f.Tag != nil {
+				continue
+			}
+			for _, id := range f.Names { // an embedded field has none
+				if id.Name != "_" {
+					fields[d.key+"."+id.Name] = &field{pos: d.pkg.Fset.Position(id.Pos())}
+				}
+			}
+		}
+	}
+	for _, d := range all {
+		if !live[d] {
+			continue
+		}
+		info := d.pkg.TypesInfo
+		var stack []ast.Node
+		for _, n := range d.nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if f := fields[fieldKey(info, n, module)]; f != nil {
+						if isFieldWrite(info, stack) {
+							f.written = true
+						} else {
+							f.read = true
+						}
+					}
+				case *ast.CompositeLit:
+					t := deref(info.TypeOf(n))
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					prefix := typeKey(t, module) + "."
+					for i, elt := range n.Elts {
+						name := st.Field(i).Name()
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							name = kv.Key.(*ast.Ident).Name
+						}
+						if f := fields[prefix+name]; f != nil {
+							f.written = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []unreachedDecl
+	for key, f := range fields {
+		if f.written && !f.read {
+			out = append(out, unreachedDecl{Key: key, Pos: f.pos, Lines: 1, Kind: writeOnlyField})
+		}
+	}
+	return out
+}
+
+// isFieldWrite reports whether the field selection on top of stack (the
+// path from a declaration down to it) writes the field rather than reads
+// it, as findWriteOnly counts writes.
+func isFieldWrite(info *types.Info, stack []ast.Node) bool {
+	// up returns the i-th enclosing node above the selection, parentheses
+	// skipped, and the child it was reached from.
+	i := len(stack) - 1
+	up := func() (parent, child ast.Node) {
+		child = stack[i]
+		for i--; i >= 0; i-- {
+			if _, ok := stack[i].(*ast.ParenExpr); !ok {
+				return stack[i], child
+			}
+			child = stack[i]
+		}
+		return nil, child
+	}
+	dropped := func() bool { // the call above is a statement of its own
+		p, _ := up()
+		_, ok := p.(*ast.ExprStmt)
+		return ok
+	}
+	switch p, child := up(); p := p.(type) {
+	case *ast.AssignStmt:
+		return slices.Contains(p.Lhs, child.(ast.Expr))
+	case *ast.IncDecStmt:
+		return true
+	case *ast.SelectorExpr: // x.f.Add(1), x.f.Store(v) on an atomic type
+		sel := info.Selections[p]
+		if sel == nil || sel.Kind() != types.MethodVal || !isAtomicWrite(sel.Obj()) {
+			return false
+		}
+		call, _ := up()
+		return isCallOf(call, p) && dropped()
+	case *ast.UnaryExpr: // atomic.AddUint64(&x.f, 1), atomic.StoreInt32(&x.f, v)
+		if p.Op != token.AND {
+			return false
+		}
+		call, _ := up()
+		c, ok := call.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fn := calleeFunc(info, c.Fun)
+		return fn != nil && isAtomicWrite(fn) && dropped()
+	}
+	return false
+}
+
+// isAtomicWrite reports whether obj is a sync/atomic Add or Store, as a
+// function or as a method of one of its types.
+func isAtomicWrite(obj types.Object) bool {
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" &&
+		(strings.HasPrefix(obj.Name(), "Add") || strings.HasPrefix(obj.Name(), "Store"))
+}
+
+// isCallOf reports whether n is a call whose function is fun.
+func isCallOf(n ast.Node, fun ast.Expr) bool {
+	c, ok := n.(*ast.CallExpr)
+	return ok && ast.Unparen(c.Fun) == fun
+}
+
+// calleeFunc is the function or method a call's function expression
+// names, or nil when it names none (a func value, a conversion, a builtin).
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	case *ast.IndexExpr: // an explicit instantiation
+		return calleeFunc(info, f.X)
+	case *ast.IndexListExpr:
+		return calleeFunc(info, f.X)
+	}
+	return nil
+}
+
+// findOneValueParams returns every parameter of a live function or method
+// called only statically that takes one constant at every live call, or
+// that its body never uses (rule 4): findOneValued's rule for Config
+// fields, applied to parameters. Exempt are a function used as a value
+// (a callback, a method value or expression), a method whose name and
+// signature an interface the module sees fixes, or that the standard
+// library calls by name (stdlibMethods), and a variadic parameter.
+func findOneValueParams(all []*declNode, live map[*declNode]bool, module string) []unreachedDecl {
+	type param struct {
+		name   string
+		pos    token.Position
+		unused bool
+		values map[string]string // the constants calls pass: value key -> as written
+		turned bool              // a call passes something that is not a constant
+	}
+	type function struct {
+		params []*param
+		calls  int
+		value  bool // live code uses it other than by calling it
+	}
+	fixed := interfaceMethods(all)
+	used := map[types.Object]bool{}
+	seenPkg := map[*Package]bool{}
+	funcs := map[string]*function{}
+	for _, d := range all {
+		fd, ok := d.nodes[0].(*ast.FuncDecl)
+		if !ok || !live[d] || fd.Body == nil {
+			continue
+		}
+		fn := d.pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+		if d.recv != "" && (stdlibMethods[d.name] || fixed[methodSig(fn)]) {
+			continue
+		}
+		if !seenPkg[d.pkg] {
+			seenPkg[d.pkg] = true
+			for _, obj := range d.pkg.TypesInfo.Uses {
+				used[obj] = true
+			}
+		}
+		sig := fn.Type().(*types.Signature)
+		f := &function{}
+		for i := range sig.Params().Len() {
+			v := sig.Params().At(i)
+			if sig.Variadic() && i == sig.Params().Len()-1 {
+				f.params = append(f.params, nil)
+				continue
+			}
+			name := v.Name()
+			if name == "" || name == "_" { // never used, so keyed by position
+				name = fmt.Sprintf("#%d", i)
+			}
+			f.params = append(f.params, &param{name: name, pos: d.pkg.Fset.Position(v.Pos()),
+				unused: !used[v], values: map[string]string{}})
+		}
+		funcs[d.key] = f
+	}
+	for _, d := range all {
+		if !live[d] {
+			continue
+		}
+		info := d.pkg.TypesInfo
+		var stack []ast.Node
+		for _, n := range d.nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				key := relPath(fn.Pkg().Path(), module) + "." + fn.Name()
+				if fn.Type().(*types.Signature).Recv() != nil {
+					key = methodKey(fn, module)
+				}
+				f := funcs[key]
+				if f == nil {
+					return true
+				}
+				// Climb from the name to the expression a call would call
+				// (through a selector, an instantiation, parentheses); the
+				// node above that is the call, if it is one.
+				callee, i := ast.Node(id), len(stack)-2
+			climb:
+				for ; i >= 0; i-- {
+					switch p := stack[i].(type) {
+					case *ast.SelectorExpr:
+						if sel := info.Selections[p]; sel != nil && sel.Kind() == types.MethodExpr {
+							break climb // (*T).M: a value, called or not
+						}
+					case *ast.IndexExpr:
+						if p.X != callee {
+							break climb
+						}
+					case *ast.IndexListExpr, *ast.ParenExpr:
+					default:
+						break climb
+					}
+					callee = stack[i]
+				}
+				var call *ast.CallExpr
+				if i >= 0 {
+					call, _ = stack[i].(*ast.CallExpr)
+				}
+				if call == nil || call.Fun != callee {
+					f.value = true
+					return true
+				}
+				f.calls++
+				var spread bool // f(g()), g returning several values
+				if len(call.Args) == 1 {
+					_, spread = info.TypeOf(call.Args[0]).(*types.Tuple)
+				}
+				for j, p := range f.params {
+					switch {
+					case p == nil:
+					case spread || j >= len(call.Args):
+						p.turned = true
+					default:
+						if k, show, ok := constValue(info, call.Args[j]); ok {
+							p.values[k] = show
+						} else {
+							p.turned = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []unreachedDecl
+	for key, f := range funcs {
+		if f.value {
+			continue
+		}
+		for _, p := range f.params {
+			if p == nil {
+				continue
+			}
+			d := unreachedDecl{Key: key + "(" + p.name + ")", Pos: p.pos, Lines: 1, Kind: oneValueParam}
+			switch {
+			case p.unused:
+			case f.calls > 0 && !p.turned && len(p.values) == 1:
+				for _, show := range p.values {
+					d.Value = show
+				}
+			default:
+				continue
+			}
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// interfaceMethods keys (methodSig) every method of every interface type
+// the module's code sees: one it declares or names, and one a function it
+// uses takes or returns (sort.Sort's sort.Interface). A concrete method
+// with one of these names and signatures may be called through that
+// interface, so its parameters are fixed.
+func interfaceMethods(all []*declNode) map[string]bool {
+	fixed := map[string]bool{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for m := range it.Methods() {
+				fixed[methodSig(m)] = true
+			}
+		}
+	}
+	seen := map[*Package]bool{}
+	for _, d := range all {
+		if seen[d.pkg] {
+			continue
+		}
+		seen[d.pkg] = true
+		info := d.pkg.TypesInfo
+		for _, tv := range info.Types {
+			add(tv.Type)
+		}
+		for _, objs := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
+			for _, obj := range objs {
+				if obj == nil {
+					continue
+				}
+				add(obj.Type())
+				if sig, ok := obj.Type().(*types.Signature); ok {
+					for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+						for v := range tup.Variables() {
+							add(v.Type())
+						}
+					}
+				}
+			}
+		}
+	}
+	return fixed
+}
+
+// methodSig keys a method by its name and its parameter and result types,
+// so a concrete method and an interface's method of the same shape match
+// across packages type-checked apart.
+func methodSig(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	var b strings.Builder
+	b.WriteString(fn.Name())
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for v := range tup.Variables() {
+			b.WriteString(types.TypeString(v.Type(), nil) + ",")
+		}
+		b.WriteByte(')')
+	}
+	return b.String()
+}
+
+// constValue keys the constant e is, with the way it reads; ok is false
+// when e is not a constant (or is nil).
+func constValue(info *types.Info, e ast.Expr) (key, show string, ok bool) {
+	if e == nil {
+		return "", "", false
+	}
+	tv := info.Types[e]
+	if tv.IsNil() {
+		return "zero", "nil", true
+	}
+	if tv.Value == nil {
+		return "", "", false
+	}
+	return tv.Value.ExactString(), tv.Value.String(), true
+}
+
+// fieldKey keys the struct field a selector selects (the type that
+// declares it, then its name), or is "" when e selects no field. A field
+// promoted from an embedded struct is keyed by the struct that declares it.
+func fieldKey(info *types.Info, e ast.Expr, module string) string {
+	se, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	sel := info.Selections[se]
+	if sel == nil || sel.Kind() != types.FieldVal {
+		return ""
+	}
+	t := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		t = deref(t).Underlying().(*types.Struct).Field(i).Type()
+	}
+	return typeKey(deref(t), module) + "." + se.Sel.Name
 }
 
 // zeroKey is the value key of t's zero value, as findOneValued keys a
@@ -631,10 +1047,21 @@ func TestNothingUnreached(t *testing.T) {
 		if _, ok := list[d.Key]; ok {
 			continue
 		}
-		if d.Field {
+		switch d.Kind {
+		case oneValueField:
 			t.Errorf("%s:%d: %s is set to %s in every program: make it a constant or derive it, or list it in UNREACHED.txt with its reason",
 				d.Pos.Filename, d.Pos.Line, d.Key, d.Value)
-		} else {
+		case writeOnlyField:
+			t.Errorf("%s:%d: %s is written and never read by any program: delete it with what feeds it, or list it in UNREACHED.txt with its reason",
+				d.Pos.Filename, d.Pos.Line, d.Key)
+		case oneValueParam:
+			what := "is never used"
+			if d.Value != "" {
+				what = "is passed " + d.Value + " by every call"
+			}
+			t.Errorf("%s:%d: parameter %s %s: delete it or fold it to its constant, or list it in UNREACHED.txt with its reason",
+				d.Pos.Filename, d.Pos.Line, d.Key, what)
+		default:
 			t.Errorf("%s:%d: %s (%d lines) is reached by no program: delete it, move it to a _test.go file, or list it in UNREACHED.txt with its reason",
 				d.Pos.Filename, d.Pos.Line, d.Key, d.Lines)
 		}
@@ -664,7 +1091,15 @@ func TestNothingUnreached(t *testing.T) {
 // that omits it the same; a literal writes it 0, which its fill turns
 // into what the omitting literal gets), and two that are turned: one
 // literal sets Literal while another leaves it at zero, and Assigned is
-// assigned a value that is not a constant.
+// assigned a value that is not a constant. Rule 3's plants are a field
+// only assigned, one only set in a literal and an atomic only Added,
+// beside a JSON-tagged field, a field read through an embedded struct, a
+// field whose address a function takes and an atomic whose Add result is
+// used. Rule 4's are a parameter every call passes nil, one every call
+// passes the same number, one never used and a blank one, beside a parameter passed
+// two constants, one passed a variable, a function also used as a
+// callback, a method called through an interface and a method whose
+// signature an interface fixes.
 func TestUnreachedCorpus(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/unreached")
 	if err != nil {
@@ -672,7 +1107,9 @@ func TestUnreachedCorpus(t *testing.T) {
 	}
 	const pkg = "internal/coherlint/testdata/src/unreached."
 	want := []string{pkg + "deadHelper", pkg + "deadSetter", pkg + "DeadExported", pkg + "liveType.DeadMethod",
-		pkg + "tally.Visit", pkg + "Config.Never", pkg + "Config.Filled", pkg + "Config.DeadSet", pkg + "Config.Seed", pkg + "Config.Zeroed"}
+		pkg + "tally.Visit", pkg + "Config.Never", pkg + "Config.Filled", pkg + "Config.DeadSet", pkg + "Config.Seed", pkg + "Config.Zeroed",
+		pkg + "counters.assigned", pkg + "counters.literal", pkg + "counters.added",
+		pkg + "withHook(hook)", pkg + "scale(factor)", pkg + "describe(verbose)", pkg + "pad(#1)"}
 	sort.Strings(want)
 	var got []string
 	for _, d := range findUnreached(pkgs, "flacos") {

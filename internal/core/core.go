@@ -231,12 +231,12 @@ func Boot(cfg Config) *Rack {
 	})
 	r.Switchboard = ipc.NewSwitchboard(f, f.Node(0), cfg.IPC)
 	r.Services = ipc.NewServiceTable(f)
-	r.Boxes = faultbox.NewManager(f, r.Frames, r.Arena, r.Services)
+	r.Boxes = faultbox.NewManager(f, r.Frames, r.Arena)
 	r.Scrubber = reliability.NewScrubber(f)
 
 	// Publish the hardware description into shared memory; every node's OS
 	// instance bootstraps from this single table.
-	r.HWTable = f.Reserve(boot.TableCap(boot.DefaultPayloadCap), fabric.LineSize)
+	r.HWTable = f.Reserve(boot.TableCap, fabric.LineSize)
 	desc := boot.HWDesc{GlobalMemBytes: f.Size(), BootSeq: 1}
 	for i := 0; i < cfg.Nodes; i++ {
 		desc.Nodes = append(desc.Nodes, boot.NodeDesc{

@@ -117,7 +117,7 @@ func TestFaultBoxThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Fabric.Node(0).Crash()
-	nb, err := b.RecoverOn(r.Fabric.Node(1), nil, nil)
+	nb, err := b.RecoverOn(r.Fabric.Node(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRedisStoreSharedThroughFacade(t *testing.T) {
 	}
 
 	// EnableTrace ran first, so SET/GET emit redis spans.
-	rt := rec.Collector().Snapshot(r.Fabric.Node(0), false)
+	rt := rec.Collector().Snapshot(r.Fabric.Node(0))
 	found := false
 	for _, ev := range rt.Events {
 		if ev.Sub == trace.SubRedis && (ev.Kind == trace.KSet || ev.Kind == trace.KGet) {

@@ -82,7 +82,7 @@ func DensityAblation(cfg DensityConfig) *Result {
 	}
 
 	pinned := measure(func() error {
-		_, err := ctl.InvokePinned(caller, "target", []byte("x"), 0, im)
+		_, err := ctl.InvokePinned(caller, "target", []byte("x"), im)
 		return err
 	})
 	var routedHost int

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
-	"flacos/internal/sched"
 )
 
 // These tests assert the SHAPES the paper claims — who wins and by
@@ -152,15 +151,15 @@ func TestSchedCrashWithNode1Held(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		schedCrash(res, cfg, func(f *fabric.Fabric, s *sched.Scheduler) {
-			s.SetNodeServing(1, false)
-			var polls atomic.Int64
-			f.Node(0).SetOpHook(func(k fabric.OpKind, _, _ uint64) {
-				if k == fabric.OpAwait && polls.Add(1) == 50 {
-					s.SetNodeServing(1, true)
-				}
-			})
+		f, s := schedCrashRack()
+		s.SetNodeServing(1, false)
+		var polls atomic.Int64
+		f.Node(0).SetOpHook(func(k fabric.OpKind, _, _ uint64) {
+			if k == fabric.OpAwait && polls.Add(1) == 50 {
+				s.SetNodeServing(1, true)
+			}
 		})
+		schedCrash(res, cfg, f, s)
 	}()
 	select {
 	case <-done:

@@ -6,7 +6,6 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/faultbox"
 	"flacos/internal/flacdk/alloc"
-	"flacos/internal/ipc"
 	"flacos/internal/memsys"
 )
 
@@ -59,8 +58,7 @@ func runFaultBoxRecovery(apps int, horizontal bool) float64 {
 	})
 	frames := memsys.NewGlobalFrames(f, (faultBoxPagesEach+8)*uint64(apps)*4)
 	arena := alloc.NewArena(f, 24<<20)
-	services := ipc.NewServiceTable(f)
-	mgr := faultbox.NewManager(f, frames, arena, services)
+	mgr := faultbox.NewManager(f, frames, arena)
 
 	page := make([]byte, memsys.PageSize)
 	var victim *faultbox.Box
@@ -93,9 +91,9 @@ func runFaultBoxRecovery(apps int, horizontal bool) float64 {
 	before := target.VirtualNS()
 	var err error
 	if horizontal {
-		_, err = faultbox.HorizontalRecovery(mgr, victim, target, nil)
+		_, err = faultbox.HorizontalRecovery(mgr, victim, target)
 	} else {
-		_, err = victim.RecoverOn(target, nil, nil)
+		_, err = victim.RecoverOn(target, nil)
 	}
 	if err != nil {
 		panic(err)

@@ -33,6 +33,8 @@ const (
 	// healthNodes sizes the rack. The last node is the gray-failure
 	// victim; node 0 hosts the self-healing controller and never degrades.
 	healthNodes = 4
+	// healthVictim is the node the ramp degrades.
+	healthVictim = healthNodes - 1
 	// healthClients is the closed-loop submitter parallelism.
 	healthClients = 4
 	// healthAtomicsPerTask is each task's fabric work: home-memory atomics
@@ -122,7 +124,7 @@ func Health(cfg HealthConfig) *Result {
 // fires for a gray node: that is the point) — and returns the task-cost
 // histograms of its healthy warm-up and of its ramp.
 func healthMode(res *Result, cfg HealthConfig, proactive bool) (healthy, degraded *metrics.Histogram) {
-	const victim = healthNodes - 1
+	const victim = healthVictim
 	f := fabric.New(fabric.Config{
 		GlobalSize: 64 << 20,
 		Nodes:      healthNodes,
@@ -219,7 +221,7 @@ func healthMode(res *Result, cfg HealthConfig, proactive bool) (healthy, degrade
 			}
 		}
 		if proactive {
-			return healthRecover(res, rack, victim, submit)
+			return healthRecover(res, rack, submit)
 		}
 		if rack.Table.Alive(victim) {
 			res.Table.AddRow("detect", mode, "gray victim declared Dead",
@@ -242,7 +244,8 @@ func healthMode(res *Result, cfg HealthConfig, proactive bool) (healthy, degrade
 // beats degraded — the controller's death sweep (gate, reclaim,
 // post-death fence) and the crash-restart rejoin. After each rejoin the
 // victim must serve again.
-func healthRecover(res *Result, rack *torture.ControlRack, victim int, submit func(linger uint64) sched.Handle) error {
+func healthRecover(res *Result, rack *torture.ControlRack, submit func(linger uint64) sched.Handle) error {
+	const victim = healthVictim
 	// The rejoin reports the generation its drain fenced.
 	drainedGen, _ := rack.Stage(health.StageDrained, victim)
 	recoverAt := time.Now()
@@ -252,7 +255,7 @@ func healthRecover(res *Result, rack *torture.ControlRack, victim int, submit fu
 		return fmt.Errorf("proactive rejoin never completed after the ramp cleared: %w", err)
 	}
 	res.Table.AddRow("recover", "proactive", "ramp clear -> rejoined (wall)", ns(float64(rejoinedAt.Sub(recoverAt).Nanoseconds())))
-	if err := healthServes(res, rack, victim, "recover", "rejoined -> victim serving again (wall)", "rejoined victim"); err != nil {
+	if err := healthServes(res, rack, "recover", "rejoined -> victim serving again (wall)", "rejoined victim"); err != nil {
 		return err
 	}
 
@@ -273,17 +276,18 @@ func healthRecover(res *Result, rack *torture.ControlRack, victim int, submit fu
 	} else {
 		res.Table.AddRow("fencing", "proactive", "zombie write after crash+restart", "fenced")
 	}
-	return healthServes(res, rack, victim, "crash", "restart rejoin -> victim serving again (wall)", "crash-restarted victim")
+	return healthServes(res, rack, "crash", "restart rejoin -> victim serving again (wall)", "crash-restarted victim")
 }
 
 // servesProbeCap bounds healthServes' probe submissions so the DoneCell
 // arena stays sized even if the gate never reopens.
 const servesProbeCap = 2000
 
-// healthServes proves node id, who, is pulling rack work again: it
+// healthServes proves the victim, who, is pulling rack work again: it
 // submits probe tasks preferred there until one actually begins
 // executing on it, and reports the wall time that took.
-func healthServes(res *Result, rack *torture.ControlRack, id int, phase, metric, who string) error {
+func healthServes(res *Result, rack *torture.ControlRack, phase, metric, who string) error {
+	const id = healthVictim
 	start := time.Now()
 	s0 := rack.Tasks.Started(id)
 	for i := 0; i < servesProbeCap; i++ {

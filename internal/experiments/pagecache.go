@@ -44,7 +44,7 @@ func PageCacheAblation(cfg PageCacheConfig) *Result {
 		for i := range mounts {
 			mounts[i] = fsys.Mount(f.Node(i))
 		}
-		ids := prepareFiles(mounts[0], dev, cfg)
+		ids := prepareFiles(mounts[0], cfg)
 		// Start cache-cold, like the baseline: the working set lives on the
 		// device; the first reader faults it into the shared cache once.
 		mounts[0].DropCaches()
@@ -119,7 +119,7 @@ func PageCacheAblation(cfg PageCacheConfig) *Result {
 
 // prepareFiles writes the shared working set through mount m and fsyncs it
 // to the device, returning the file ids.
-func prepareFiles(m *fs.Mount, dev *fs.MemDev, cfg PageCacheConfig) []uint64 {
+func prepareFiles(m *fs.Mount, cfg PageCacheConfig) []uint64 {
 	ids := make([]uint64, cfg.Files)
 	page := make([]byte, fs.PageSize)
 	for i := 0; i < cfg.Files; i++ {

@@ -134,7 +134,7 @@ func redisRackLatency(rack *core.Rack, cfg RedisRackConfig, batch int) *metrics.
 		for r := 0; r < batch; r++ {
 			key := fmt.Sprintf("lat-%d", (op*batch+r)%rrKeysPerClient)
 			if (op+r)%2 == 0 {
-				cl.PipeSet(key, value, 0)
+				cl.PipeSet(key, value)
 			} else {
 				cl.PipeGet(key)
 			}
@@ -285,7 +285,7 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			if j == 0 && r == rrBatchSize-1 {
 				// The hot writer: one hot SET per round, last in the batch.
 				c.hotSeq++
-				c.cl.PipeSet(hotKey, torture.Payload(regs.ID(0), c.hotSeq, rrValueBytes), 0)
+				c.cl.PipeSet(hotKey, torture.Payload(regs.ID(0), c.hotSeq, rrValueBytes))
 				c.expect = append(c.expect, c.viol.expectOK)
 				continue
 			}
@@ -311,7 +311,7 @@ func redisRackServe(rack *core.Rack, cfg RedisRackConfig, serveNodes int) *serve
 			key := fmt.Sprintf("k-%s-%d-%d", mode, j, opIdx%rrKeysPerClient)
 			if n := regs.Floor(k); n == 0 || opIdx%2 == 0 {
 				regs.Commit(k, n+1)
-				c.cl.PipeSet(key, torture.Payload(regs.ID(k), n+1, rrValueBytes), 0)
+				c.cl.PipeSet(key, torture.Payload(regs.ID(k), n+1, rrValueBytes))
 				c.expect = append(c.expect, c.viol.expectOK)
 			} else {
 				c.cl.PipeGet(key)

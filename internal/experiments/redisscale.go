@@ -176,7 +176,6 @@ type postedOp struct {
 
 // scalePhase is one (node count, mode) measurement.
 type scalePhase struct {
-	nodes    int
 	combine  bool
 	opsTotal int
 
@@ -200,7 +199,6 @@ func (p *scalePhase) mode() string {
 // scaleWorker is one serving node's worker: a view (and server) on its own
 // node, workload streams, combining plumbing, and per-worker check state.
 type scaleWorker struct {
-	w    int
 	node *fabric.Node
 	view *redis.View
 	srv  *redis.Server
@@ -240,7 +238,7 @@ type scaleWorker struct {
 // and the makespan is an honest capacity measure.
 func redisScaleServe(rack *core.Rack, nodes int, combine bool) *scalePhase {
 	f := rack.Fabric
-	ph := &scalePhase{nodes: nodes, combine: combine}
+	ph := &scalePhase{combine: combine}
 	pfx := fmt.Sprintf("%s%d", ph.mode(), nodes)
 
 	tally := make([]int64, rsKeySpace) // host-side truth: acknowledged increments per counter id
@@ -257,7 +255,6 @@ func redisScaleServe(rack *core.Rack, nodes int, combine bool) *scalePhase {
 	for w := range workers {
 		view := rack.OS(w).RedisView()
 		sw := &scaleWorker{
-			w:        w,
 			node:     f.Node(w),
 			view:     view,
 			srv:      redis.NewServer(view),
@@ -294,7 +291,7 @@ func redisScaleServe(rack *core.Rack, nodes int, combine bool) *scalePhase {
 				break
 			}
 			if combine {
-				parallel(func(sw *scaleWorker) { sw.postMany(nodes, depth) })
+				parallel(func(sw *scaleWorker) { sw.postMany(nodes) })
 				parallel(func(sw *scaleWorker) { sw.comb.ServeSweep() })
 				parallel(func(sw *scaleWorker) { sw.completeAll() })
 			} else {
@@ -540,17 +537,17 @@ func (sw *scaleWorker) execHotOne() {
 	sw.executed++
 }
 
-// postMany publishes up to depth hot ops per owner domain this cycle
-// (owner = key hash mod nodes), in stream order. Everything posted into
-// one sweep is pairwise concurrent, the combiner serves sweeps in
-// canonical order (increments before reads), and completeAll consumes
-// replies in the same canonical order — so mixed INCRBY/GET traffic on
-// one key can share a sweep and still observe monotone values. The only
-// reason to defer an op to the next cycle is a full owner domain; a
-// deferred key blocks its later ops too, preserving per-key program
-// order, while ops on other keys keep flowing (the checks are per key,
-// so cross-key reordering is unobservable).
-func (sw *scaleWorker) postMany(nodes, depth int) {
+// postMany publishes up to a group's depth of hot ops per owner domain
+// this cycle (owner = key hash mod nodes), in stream order. Everything
+// posted into one sweep is pairwise concurrent, the combiner serves
+// sweeps in canonical order (increments before reads), and completeAll
+// consumes replies in the same canonical order — so mixed INCRBY/GET
+// traffic on one key can share a sweep and still observe monotone values.
+// The only reason to defer an op to the next cycle is a full owner
+// domain; a deferred key blocks its later ops too, preserving per-key
+// program order, while ops on other keys keep flowing (the checks are per
+// key, so cross-key reordering is unobservable).
+func (sw *scaleWorker) postMany(nodes int) {
 	sw.posted = sw.posted[:0]
 	sw.deferQ = sw.deferQ[:0]
 	blocked := make(map[string]bool)

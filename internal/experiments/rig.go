@@ -147,7 +147,7 @@ func openLoop(res *Result, what string, label func(factor float64) string, kneeL
 		}
 	}
 	knee := "none"
-	if k := loadgen.Knee(sweep, 0.9); k >= 0 {
+	if k := loadgen.Knee(sweep); k >= 0 {
 		knee = fmt.Sprintf("%.1fx capacity", openLoopFactors[k])
 	}
 	res.Table.AddRow("open-loop", kneeLabel, "saturation knee", knee)

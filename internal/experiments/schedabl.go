@@ -141,17 +141,14 @@ func SchedAblation(cfg SchedConfig) *Result {
 	res.Ratios["random/locality dispatch p99"] = rndP99 / locP99
 	res.Ratios["locality/random throughput"] = locThr / rndThr
 
-	schedCrash(res, cfg, nil)
+	f, s := schedCrashRack()
+	schedCrash(res, cfg, f, s)
 	return res
 }
 
-// schedCrash is phase B: every task targets node 1, node 1 crashes once
-// it is observably mid-task, and node 0's keeper reclaims the in-flight
-// tasks. Node 0 serves nothing until then: its workers would otherwise
-// steal every task while node 1's were descheduled past the steal grace,
-// and node 1 would never start one to crash under. hold, when set, runs
-// once the scheduler has started and before any task is submitted.
-func schedCrash(res *Result, cfg SchedConfig, hold func(*fabric.Fabric, *sched.Scheduler)) {
+// schedCrashRack is phase B's rack: two nodes sharing a locality
+// scheduler, not yet started, whose keepers reclaim a dead node's tasks.
+func schedCrashRack() (*fabric.Fabric, *sched.Scheduler) {
 	f := fabric.New(fabric.Config{
 		GlobalSize: 64 << 20, Nodes: 2,
 		CacheCapacityLines: -1, Latency: fabric.DefaultLatency(),
@@ -161,6 +158,16 @@ func schedCrash(res *Result, cfg SchedConfig, hold func(*fabric.Fabric, *sched.S
 		ProbeRounds: 3, ReclaimTick: 100 * time.Microsecond,
 		IdleTick: 100 * time.Microsecond,
 	})
+	return f, s
+}
+
+// schedCrash is phase B on schedCrashRack's rack, which it starts and
+// stops: every task targets node 1, node 1 crashes once it is observably
+// mid-task, and node 0's keeper reclaims the in-flight tasks. Node 0
+// serves nothing until then: its workers would otherwise steal every task
+// while node 1's were descheduled past the steal grace, and node 1 would
+// never start one to crash under.
+func schedCrash(res *Result, cfg SchedConfig, f *fabric.Fabric, s *sched.Scheduler) {
 	defer s.Stop()
 	taskNS := time.Duration(schedCrashTaskNS) * time.Nanosecond
 	started := f.Reserve(8*2, fabric.LineSize)
@@ -170,9 +177,6 @@ func schedCrash(res *Result, cfg SchedConfig, hold func(*fabric.Fabric, *sched.S
 		n.Load64(fabric.GPtr(started)) // a dead CPU dies on this touch
 	})
 	s.Start()
-	if hold != nil {
-		hold(f, s)
-	}
 	n0 := f.Node(0)
 	s.SetNodeServing(0, false)
 	for j := 0; j < cfg.CrashTasks; j++ {

@@ -151,7 +151,7 @@ func runSyncMethod(method string, nodes, readPct, ops int) float64 {
 		}
 		cells := make([]*quiescence.VersionedCell, nodes)
 		for s := range cells {
-			cells[s] = quiescence.NewVersionedCell(f, f.Node(0), allocs[0], 64, nil)
+			cells[s] = quiescence.NewVersionedCell(f, f.Node(0), allocs[0])
 		}
 		buf := make([]byte, 8)
 		updates := 0

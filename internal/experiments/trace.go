@@ -81,7 +81,7 @@ func Trace(cfg TraceConfig) *Result {
 		d := f.Node(0).Stats().Delta(before)
 		perEvent := float64(d.VirtualNS) / float64(cfg.EmitEvents)
 		rate := float64(cfg.EmitEvents) / wall.Seconds()
-		snap := rec.Collector().Snapshot(f.Node(0), false)
+		snap := rec.Collector().Snapshot(f.Node(0))
 		res.Table.AddRow("emit", "throughput", fmt.Sprintf("%.2gM ev/s", rate/1e6), "wall clock, one writer")
 		res.Table.AddRow("emit", "virtual cost", ns(perEvent)+"/event", "full-line write + write-back")
 		res.Table.AddRow("emit", "dropped", fmt.Sprintf("%d", snap.TotalDropped()),
@@ -131,7 +131,7 @@ func Trace(cfg TraceConfig) *Result {
 		}
 		d := f.Node(1).Stats().Delta(before)
 		if rec != nil {
-			dropped = rec.Collector().Snapshot(n0, false).TotalDropped()
+			dropped = rec.Collector().Snapshot(n0).TotalDropped()
 		}
 		return float64(d.VirtualNS) / float64(cfg.Tasks), float64(d.Atomics) / float64(cfg.Tasks), dropped
 	}
@@ -178,7 +178,7 @@ func Trace(cfg TraceConfig) *Result {
 			panic("trace experiment: smoke drain aborted")
 		}
 		rack.Shutdown()
-		snap := rec.Collector().Snapshot(n0, false)
+		snap := rec.Collector().Snapshot(n0)
 		bySub := map[trace.Subsys]int{}
 		for _, e := range snap.Events {
 			bySub[e.Sub]++

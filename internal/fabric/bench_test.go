@@ -149,7 +149,7 @@ func BenchmarkWriteFreshSparsePage(b *testing.B) {
 			var g GPtr
 			setup := func() {
 				f := New(Config{GlobalSize: 2 * pages * page, Nodes: 1})
-				n, g = f.Node(0), f.ReserveSparse(pages*page, page)
+				n, g = f.Node(0), f.ReserveSparse(pages*page)
 				if !fresh {
 					for p := uint64(0); p < pages; p++ {
 						n.WriteFresh(g.Add(p*page), buf)

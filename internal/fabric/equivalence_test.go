@@ -95,7 +95,7 @@ func newEqTwin(faultSeed int64, capLines int, layout eqLayout) eqTwin {
 		f.Reserve(chunkWords*WordSize-eqArenaBytes/2-f.Reserved(), LineSize)
 	case eqSparse:
 		carveBlocks(f, chunkBlocks-3)
-		return eqTwin{f: f, g: f.ReserveSparse(eqArenaBytes, LineSize)}
+		return eqTwin{f: f, g: f.ReserveSparse(eqArenaBytes)}
 	}
 	return eqTwin{f: f, g: f.Reserve(eqArenaBytes, LineSize)}
 }
@@ -103,7 +103,7 @@ func newEqTwin(faultSeed int64, capLines int, layout eqLayout) eqTwin {
 // carveBlocks installs n blocks of a new sparse region of f, a byte into
 // each, bypassing every node.
 func carveBlocks(f *Fabric, n uint64) {
-	pre := f.ReserveSparse(n*blockWords*WordSize, blockWords*WordSize)
+	pre := f.ReserveSparse(n * blockWords * WordSize)
 	for b := uint64(0); b < n; b++ {
 		f.WriteAtHome(pre.Add(b*blockWords*WordSize), []byte{1})
 	}

@@ -27,7 +27,6 @@ type Config struct {
 // Fabric is the rack's memory interconnect: home global memory plus the
 // per-node caches and the fault domain that sits between nodes and memory.
 type Fabric struct {
-	cfg   Config
 	lat   LatencyModel
 	home  []atomic.Pointer[chunk] // home memory, accessed only with atomic word ops
 	size  uint64
@@ -60,7 +59,6 @@ func New(cfg Config) *Fabric {
 		cacheCap = 0 // unlimited
 	}
 	f := &Fabric{
-		cfg:        cfg,
 		lat:        cfg.Latency,
 		home:       make([]atomic.Pointer[chunk], (size/WordSize+chunkMask)>>chunkShift),
 		size:       size,
@@ -127,13 +125,13 @@ func (f *Fabric) checkRange(g GPtr, n uint64) {
 	}
 }
 
-// ReserveSparse is Reserve for a region most of whose lines stay zero —
-// page frames that each hold a record. Home memory in a MiB such a region
-// touches is installed a 512-byte block at a time, on the first nonzero
-// store into the block, where elsewhere it is installed a 1 MiB chunk at a
-// time; a MiB whose chunk is already installed keeps it.
-func (f *Fabric) ReserveSparse(size, align uint64) GPtr {
-	g := f.Reserve(size, align)
+// ReserveSparse is Reserve, 4 KiB-aligned, for a region most of whose
+// lines stay zero — page frames that each hold a record. Home memory in a
+// MiB such a region touches is installed a 512-byte block at a time, on
+// the first nonzero store into the block, where elsewhere it is installed
+// a 1 MiB chunk at a time; a MiB whose chunk is already installed keeps it.
+func (f *Fabric) ReserveSparse(size uint64) GPtr {
+	g := f.Reserve(size, 4096)
 	if size == 0 {
 		return g
 	}

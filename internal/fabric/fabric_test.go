@@ -17,8 +17,8 @@ func TestGPtrHelpers(t *testing.T) {
 	if g.Line() != 2 {
 		t.Fatalf("Line() = %d, want 2", g.Line())
 	}
-	if !GPtr(128).AlignedTo(64) || GPtr(129).AlignedTo(64) {
-		t.Fatal("AlignedTo wrong")
+	if !GPtr(128).WordAligned() || GPtr(129).WordAligned() {
+		t.Fatal("WordAligned wrong")
 	}
 	if g.Add(6).Diff(g) != 6 {
 		t.Fatal("Add/Diff mismatch")
@@ -262,7 +262,7 @@ func TestReserveLayout(t *testing.T) {
 	f := testFabric(t, 1)
 	a := f.Reserve(10, 64)
 	b := f.Reserve(10, 64)
-	if !a.AlignedTo(64) || !b.AlignedTo(64) {
+	if a%64 != 0 || b%64 != 0 {
 		t.Fatal("Reserve alignment violated")
 	}
 	if a == b || b < a {

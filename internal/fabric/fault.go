@@ -85,7 +85,7 @@ func (fi *FaultInjector) dropWriteBack() bool {
 // experiments use it to place faults precisely.
 func (fi *FaultInjector) FlipBitAtHome(f *Fabric, g GPtr, bit uint) {
 	f.checkRange(g, WordSize)
-	if !g.AlignedTo(WordSize) {
+	if !g.WordAligned() {
 		panic("fabric: FlipBitAtHome requires word alignment")
 	}
 	p := f.homeWord(uint64(g) / WordSize)

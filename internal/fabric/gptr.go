@@ -36,8 +36,8 @@ func (g GPtr) Diff(h GPtr) uint64 {
 	return uint64(g - h)
 }
 
-// AlignedTo reports whether g is a multiple of align (a power of two).
-func (g GPtr) AlignedTo(align uint64) bool { return uint64(g)&(align-1) == 0 }
+// WordAligned reports whether g is a multiple of WordSize.
+func (g GPtr) WordAligned() bool { return uint64(g)%WordSize == 0 }
 
 // Line returns the index of the cache line containing g.
 func (g GPtr) Line() uint64 { return uint64(g) / LineSize }

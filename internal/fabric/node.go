@@ -196,8 +196,8 @@ func (n *Node) lineAccess(g GPtr, size uint64, write bool, fn func(data *[LineSi
 
 // withLine is one word-granularity access: a lineAccess charged as an
 // independent hit or miss.
-func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) {
-	if n.lineAccess(g, size, write, fn) {
+func (n *Node) withLine(g GPtr, write bool, fn func(data *[LineSize]byte, off uint64)) {
+	if n.lineAccess(g, WordSize, write, fn) {
 		n.stats.Misses.Add(1)
 		n.charge(n.globalCost(1))
 		if n.hooked.Load() {
@@ -209,25 +209,25 @@ func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize
 	}
 }
 
-func (n *Node) checkAligned(g GPtr, size uint64) {
-	if !g.AlignedTo(size) {
-		panic(fmt.Sprintf("fabric: %d-byte access at unaligned address %v", size, g))
+func (n *Node) checkAligned(g GPtr) {
+	if !g.WordAligned() {
+		panic(fmt.Sprintf("fabric: %d-byte access at unaligned address %v", WordSize, g))
 	}
 }
 
 // Load64 reads an aligned 64-bit value through the node's cache. The value
 // may be stale if another node wrote it and this node has not invalidated.
 func (n *Node) Load64(g GPtr) uint64 {
-	n.checkAligned(g, 8)
+	n.checkAligned(g)
 	var v uint64
-	n.withLine(g, 8, false, func(d *[LineSize]byte, off uint64) { v = binary.LittleEndian.Uint64(d[off:]) })
+	n.withLine(g, false, func(d *[LineSize]byte, off uint64) { v = binary.LittleEndian.Uint64(d[off:]) })
 	return v
 }
 
 // Store64 writes an aligned 64-bit value into the node's cache.
 func (n *Node) Store64(g GPtr, v uint64) {
-	n.checkAligned(g, 8)
-	n.withLine(g, 8, true, func(d *[LineSize]byte, off uint64) { binary.LittleEndian.PutUint64(d[off:], v) })
+	n.checkAligned(g)
+	n.withLine(g, true, func(d *[LineSize]byte, off uint64) { binary.LittleEndian.PutUint64(d[off:], v) })
 }
 
 // opEvent is one op event a bulk transfer fires after its unlock.
@@ -482,7 +482,7 @@ func (n *Node) WriteFresh(g GPtr, data []byte) {
 func (n *Node) atomicPre(g GPtr) uint64 {
 	n.checkAlive()
 	n.fab.checkRange(g, WordSize)
-	n.checkAligned(g, WordSize)
+	n.checkAligned(g)
 	n.stats.Atomics.Add(1)
 	n.charge(n.fab.lat.AtomicNS + n.totalHops()*n.fab.lat.HopNS)
 	return uint64(g) / WordSize

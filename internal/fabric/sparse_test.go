@@ -42,7 +42,7 @@ func TestSparseOneRecordPerPageCostsOneBlock(t *testing.T) {
 	record := bytes.Repeat([]byte{0x5a}, LineSize)
 	var g GPtr
 	b := heapGrowth(func() {
-		g = f.ReserveSparse(pages*pageSize, pageSize)
+		g = f.ReserveSparse(pages * pageSize)
 		for p := uint64(0); p < pages; p++ {
 			n.WriteFresh(g.Add(p*pageSize), record)
 		}
@@ -75,7 +75,7 @@ func TestSparseRacingFirstStoresInstallOneBlock(t *testing.T) {
 	const workers, perWorker = blockWords/lineWords - 1, 64
 	for round := 0; round < 20; round++ {
 		f := New(Config{GlobalSize: 4 << 20, Nodes: workers, CacheCapacityLines: -1})
-		g := f.ReserveSparse(2*blockWords*WordSize, blockWords*WordSize)
+		g := f.ReserveSparse(2 * blockWords * WordSize)
 		counter := g.Add(workers * LineSize)
 		var start, wg sync.WaitGroup
 		start.Add(1)
@@ -124,9 +124,9 @@ func TestSparseSharedMiBs(t *testing.T) {
 	n := f.Node(0)
 	before := f.Reserve(LineSize, LineSize)
 	n.AtomicStore64(before, 1) // installs chunk 0
-	g := f.ReserveSparse(2*chunkWords*WordSize, 4096)
+	g := f.ReserveSparse(2 * chunkWords * WordSize)
 	after := f.Reserve(LineSize, LineSize)
-	second := f.ReserveSparse(2*4096, 4096) // shares the last MiB's directory
+	second := f.ReserveSparse(2 * 4096) // shares the last MiB's directory
 	stores := []struct {
 		g GPtr
 		v uint64
@@ -160,7 +160,7 @@ func TestSparseSharedMiBs(t *testing.T) {
 func TestSparseZeroPageCopyInstallsNothing(t *testing.T) {
 	f := newLazyFabric(64 << 20)
 	n := f.Node(1)
-	g := f.ReserveSparse(16*4096, 4096)
+	g := f.ReserveSparse(16 * 4096)
 	zero := make([]byte, 4096)
 	if b := heapGrowth(func() { n.WriteFresh(g.Add(4096), zero) }); b != 0 {
 		t.Fatalf("an all-zero page copy allocated %d heap bytes, want none", b)
@@ -185,7 +185,7 @@ func TestSparseDenseWriteAllocatesPerMiB(t *testing.T) {
 	for try := 0; try < 5; try++ {
 		f := newLazyFabric(64 << 20)
 		n := f.Node(0)
-		g := f.ReserveSparse(8<<20, 4096)
+		g := f.ReserveSparse(8 << 20)
 		var a, b runtime.MemStats
 		runtime.ReadMemStats(&a)
 		for p := uint64(0); p < 1024; p++ {
@@ -215,7 +215,7 @@ func TestSparseDenseWriteAllocatesPerMiB(t *testing.T) {
 func TestSparseRunsReadBack(t *testing.T) {
 	f := newLazyFabric(64 << 20)
 	n := f.Node(0)
-	g := f.ReserveSparse(8<<20, 4096)
+	g := f.ReserveSparse(8 << 20)
 	pages := [3][]byte{}
 	for p := range pages {
 		pages[p] = make([]byte, 4096)
@@ -262,7 +262,7 @@ func TestSparseFirstWriteWholeOrNothing(t *testing.T) {
 	zero := make([]byte, block)
 	for round := 0; round < 50; round++ {
 		f := newLazyFabric(16 << 20)
-		g := f.ReserveSparse(4*page, page).Add(page)
+		g := f.ReserveSparse(4 * page).Add(page)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -297,7 +297,7 @@ func TestSparseFirstWritesRacingInstallOneBlock(t *testing.T) {
 	const block = blockWords * WordSize
 	for round := 0; round < 50; round++ {
 		f := newLazyFabric(16 << 20)
-		g := f.ReserveSparse(4*block, block)
+		g := f.ReserveSparse(4 * block)
 		halves := [2][]byte{bytes.Repeat([]byte{0xa1}, 2*block), bytes.Repeat([]byte{0xb2}, 2*block)}
 		var wg sync.WaitGroup
 		for w := range halves {

@@ -389,7 +389,7 @@ func TestWriteFreshEquivalentToTripleSparsePages(t *testing.T) {
 				carveBlocks(f, c.preCarve)
 			}
 			f.Reserve(2<<20-8*page-f.Reserved(), LineSize)
-			g = f.ReserveSparse(8*page, page)
+			g = f.ReserveSparse(8 * page)
 			f.Reserve(4*page, page) // the dense region
 			if c.setup != nil {
 				c.setup(f, g)

@@ -24,7 +24,6 @@ import (
 	"flacos/internal/fabric"
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/flacdk/reliability"
-	"flacos/internal/ipc"
 	"flacos/internal/memsys"
 )
 
@@ -76,10 +75,9 @@ type Config struct {
 
 // Manager owns the rack's boxes and the shared resources they draw from.
 type Manager struct {
-	fab      *fabric.Fabric
-	frames   *memsys.GlobalFrames
-	arena    *alloc.Arena
-	services *ipc.ServiceTable
+	fab    *fabric.Fabric
+	frames *memsys.GlobalFrames
+	arena  *alloc.Arena
 
 	mu     sync.Mutex
 	boxes  map[string]*Box
@@ -87,13 +85,12 @@ type Manager struct {
 }
 
 // NewManager creates a box manager over the rack's memory resources.
-func NewManager(f *fabric.Fabric, frames *memsys.GlobalFrames, arena *alloc.Arena, services *ipc.ServiceTable) *Manager {
+func NewManager(f *fabric.Fabric, frames *memsys.GlobalFrames, arena *alloc.Arena) *Manager {
 	return &Manager{
-		fab:      f,
-		frames:   frames,
-		arena:    arena,
-		services: services,
-		boxes:    make(map[string]*Box),
+		fab:    f,
+		frames: frames,
+		arena:  arena,
+		boxes:  make(map[string]*Box),
 	}
 }
 
@@ -267,11 +264,10 @@ func (b *Box) Destroy() {
 }
 
 // RecoverOn rebuilds the box on target from its newest checkpoint: fresh
-// address space, restored pages, restored application state, services
-// re-registered by the caller's handlers. The old box (whose host may have
-// crashed) is abandoned; its global frames are released when possible.
-// Returns the replacement box.
-func (b *Box) RecoverOn(target *fabric.Node, app AppState, handlers map[string]ipc.Handler) (*Box, error) {
+// address space, restored pages, restored application state. The old box
+// (whose host may have crashed) is abandoned; its global frames are
+// released when possible. Returns the replacement box.
+func (b *Box) RecoverOn(target *fabric.Node, app AppState) (*Box, error) {
 	data, _, ok := b.ck.Latest(target)
 	if !ok {
 		return nil, fmt.Errorf("faultbox: box %q has no checkpoint", b.Name)
@@ -298,9 +294,6 @@ func (b *Box) RecoverOn(target *fabric.Node, app AppState, handlers map[string]i
 	off += 4
 	if app != nil && appLen > 0 {
 		app.Restore(data[off : off+int(appLen)])
-	}
-	for name, h := range handlers {
-		b.mgr.services.Register(name, h)
 	}
 	return nb, nil
 }

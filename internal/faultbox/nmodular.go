@@ -44,7 +44,7 @@ func NModularCall(nodes []*fabric.Node, fn func(n *fabric.Node) []byte) ([]byte,
 // application to find and repair the faulty one's pieces. The scan cost —
 // proportional to total system state, not the faulty box's state — is what
 // ablation C measures against Box.RecoverOn.
-func HorizontalRecovery(mgr *Manager, faulty *Box, target *fabric.Node, app AppState) (*Box, error) {
+func HorizontalRecovery(mgr *Manager, faulty *Box, target *fabric.Node) (*Box, error) {
 	mgr.mu.Lock()
 	all := make([]*Box, 0, len(mgr.boxes))
 	for _, b := range mgr.boxes {
@@ -69,5 +69,5 @@ func HorizontalRecovery(mgr *Manager, faulty *Box, target *fabric.Node, app AppS
 		}
 	}
 	// Only now restore the faulty application, same as the vertical path.
-	return faulty.RecoverOn(target, app, nil)
+	return faulty.RecoverOn(target, nil)
 }

@@ -55,7 +55,6 @@ func headTag(h uint64) uint64          { return h >> addrBits }
 // Arena is the shared allocator state. One Arena is created at boot; every
 // node derives a NodeAllocator from it.
 type Arena struct {
-	fab      *fabric.Fabric
 	base     fabric.GPtr
 	slabs    uint64
 	nextSlab fabric.GPtr // atomic: next unassigned slab index
@@ -71,7 +70,6 @@ func NewArena(f *fabric.Fabric, size uint64) *Arena {
 		panic("alloc: arena smaller than one slab")
 	}
 	a := &Arena{
-		fab:      f,
 		slabs:    slabs,
 		nextSlab: f.Reserve(fabric.LineSize, fabric.LineSize),
 		classTab: f.Reserve(slabs*fabric.WordSize, fabric.LineSize),

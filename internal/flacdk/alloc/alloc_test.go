@@ -39,7 +39,7 @@ func TestAllocZeroedAndAligned(t *testing.T) {
 	seen := map[fabric.GPtr]bool{}
 	for i := 0; i < 100; i++ {
 		g := na.Alloc(100)
-		if !g.AlignedTo(fabric.LineSize) {
+		if g%fabric.LineSize != 0 {
 			t.Fatalf("block %v not line aligned", g)
 		}
 		if seen[g] {

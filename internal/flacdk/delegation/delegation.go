@@ -98,7 +98,6 @@ type Handler func(op uint32, req []byte, resp []byte) (respLen int, status uint3
 // (whose caller sweeps with ServeOnce or CollectOnce), and attach callers
 // with Client or ClientGroup.
 type Domain struct {
-	fab     *fabric.Fabric
 	slots   int
 	seqBase fabric.GPtr // packed request sequence words, 8 per line
 	reqBase fabric.GPtr // request region, 2 lines per slot
@@ -112,7 +111,6 @@ func NewDomain(f *fabric.Fabric, numSlots int) *Domain {
 	}
 	seqLines := (numSlots + wordsPerLine - 1) / wordsPerLine
 	return &Domain{
-		fab:     f,
 		slots:   numSlots,
 		seqBase: f.Reserve(uint64(seqLines)*fabric.LineSize, fabric.LineSize),
 		reqBase: f.Reserve(uint64(numSlots)*reqSlotSize, fabric.LineSize),

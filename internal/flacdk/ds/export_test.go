@@ -9,7 +9,7 @@ const WalkEntries = walkEntries
 func (t *RadixTree) Root() fabric.GPtr { return t.rootG }
 
 // Levels returns the number of 8-bit levels.
-func (t *RadixTree) Levels() int { return t.levels }
+func (t *RadixTree) Levels() int { return radixLevels }
 
 // Cap returns the ring's slot capacity.
 func (r *SPSCRing) Cap() uint64 { return r.capacity }

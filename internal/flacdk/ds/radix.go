@@ -23,7 +23,7 @@ type Allocator interface {
 //
 // Each node keeps a walk cache from a key's leaf-table prefix (key >> 8)
 // to the leaf table, the software twin of an MMU's paging-structure
-// cache: a hit costs one node-local access instead of Levels()-1 fabric
+// cache: a hit costs one node-local access instead of radixLevels-1 fabric
 // atomics, and the leaf word's atomic follows as before. The cache needs
 // no invalidation, shootdown or purge on crash. An interior slot is
 // written exactly once (descend's CAS from 0) and interior tables are
@@ -34,10 +34,13 @@ type Allocator interface {
 // cache, where a line left from an earlier use of the arena memory would
 // decode as a pointer.
 type RadixTree struct {
-	rootG  fabric.GPtr // the root table (allocated eagerly)
-	levels int         // number of 8-bit levels
-	walk   []walkEntry // walkEntries per node, node i's at [i*walkEntries:]; nil with one level
+	rootG fabric.GPtr // the root table (allocated eagerly)
+	walk  []walkEntry // walkEntries per node, node i's at [i*walkEntries:]
 }
+
+// radixLevels is the tree's depth: 32-bit keys (page numbers: 16 TiB of
+// VA), 8 bits a level.
+const radixLevels = 4
 
 // walkEntries is the number of direct-mapped walk-cache entries per node.
 // Each maps one leaf table of 256 keys, so with page numbers as keys a
@@ -57,20 +60,13 @@ type walkEntry struct {
 const radixFanout = 256
 const radixNodeSize = radixFanout * fabric.WordSize // 2 KiB
 
-// NewRadixTree creates a tree for keys of keyBits (8..64, multiple of 8).
-func NewRadixTree(f *fabric.Fabric, a Allocator, keyBits int) *RadixTree {
-	if keyBits < 8 || keyBits > 64 || keyBits%8 != 0 {
-		panic(fmt.Sprintf("ds: radix keyBits %d must be a multiple of 8 in [8,64]", keyBits))
-	}
-	t := &RadixTree{rootG: a.Alloc(radixNodeSize), levels: keyBits / 8}
-	if t.levels > 1 {
-		t.walk = make([]walkEntry, f.NumNodes()*walkEntries)
-	}
-	return t
+// NewRadixTree creates a tree for 32-bit keys.
+func NewRadixTree(f *fabric.Fabric, a Allocator) *RadixTree {
+	return &RadixTree{rootG: a.Alloc(radixNodeSize), walk: make([]walkEntry, f.NumNodes()*walkEntries)}
 }
 
 func (t *RadixTree) slot(node fabric.GPtr, key uint64, level int) fabric.GPtr {
-	shift := uint((t.levels - 1 - level) * 8)
+	shift := uint((radixLevels - 1 - level) * 8)
 	idx := (key >> shift) & 0xff
 	return node.Add(idx * fabric.WordSize)
 }
@@ -106,16 +102,13 @@ func (e *walkEntry) fill(prefix uint64, leaf fabric.GPtr) {
 // the entry.
 func (t *RadixTree) descend(n *fabric.Node, a Allocator, key uint64) fabric.GPtr {
 	prefix := key >> 8
-	var e *walkEntry
-	if t.walk != nil {
-		e = &t.walk[n.ID()*walkEntries+int(prefix%walkEntries)]
-		if leaf := e.lookup(prefix); !leaf.IsNil() {
-			n.ChargeLocal()
-			return t.slot(leaf, key, t.levels-1)
-		}
+	e := &t.walk[n.ID()*walkEntries+int(prefix%walkEntries)]
+	if leaf := e.lookup(prefix); !leaf.IsNil() {
+		n.ChargeLocal()
+		return t.slot(leaf, key, radixLevels-1)
 	}
 	node := t.rootG
-	for level := 0; level < t.levels-1; level++ {
+	for level := 0; level < radixLevels-1; level++ {
 		s := t.slot(node, key, level)
 		child := fabric.GPtr(n.AtomicLoad64(s))
 		if child.IsNil() {
@@ -135,10 +128,8 @@ func (t *RadixTree) descend(n *fabric.Node, a Allocator, key uint64) fabric.GPtr
 		}
 		node = child
 	}
-	if e != nil {
-		e.fill(prefix, node)
-	}
-	return t.slot(node, key, t.levels-1)
+	e.fill(prefix, node)
+	return t.slot(node, key, radixLevels-1)
 }
 
 // CompareAndSwap installs value only if the slot currently holds old.
@@ -169,7 +160,7 @@ func (t *RadixTree) Delete(n *fabric.Node, key uint64) uint64 {
 }
 
 func (t *RadixTree) checkKey(key uint64) {
-	if t.levels < 8 && key>>(uint(t.levels)*8) != 0 {
-		panic(fmt.Sprintf("ds: radix key %#x exceeds %d-bit keyspace", key, t.levels*8))
+	if key>>(radixLevels*8) != 0 {
+		panic(fmt.Sprintf("ds: radix key %#x exceeds %d-bit keyspace", key, radixLevels*8))
 	}
 }

@@ -29,7 +29,7 @@ func TestRadixQuickModel(t *testing.T) {
 		for i := range as {
 			as[i] = arena.NodeAllocator(f.Node(i), 0)
 		}
-		tree := ds.NewRadixTree(f, as[0], 16)
+		tree := ds.NewRadixTree(f, as[0])
 		model := make(map[uint64]uint64)
 		for i, op := range ops {
 			n := f.Node(i % nodes)

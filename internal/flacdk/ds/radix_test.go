@@ -22,7 +22,7 @@ func TestRadixTreeBasics(t *testing.T) {
 	f := rack(t, 2, 16)
 	a := alloc.NewArena(f, 8<<20)
 	na := a.NodeAllocator(f.Node(0), 0)
-	tr := ds.NewRadixTree(f, na, 32)
+	tr := ds.NewRadixTree(f, na)
 	n0, n1 := f.Node(0), f.Node(1)
 
 	if tr.Get(n0, 0xdead) != 0 {
@@ -49,7 +49,7 @@ func TestRadixTreeCAS(t *testing.T) {
 	f := rack(t, 1, 16)
 	a := alloc.NewArena(f, 8<<20)
 	na := a.NodeAllocator(f.Node(0), 0)
-	tr := ds.NewRadixTree(f, na, 16)
+	tr := ds.NewRadixTree(f, na)
 	n := f.Node(0)
 	if !tr.CompareAndSwap(n, na, 9, 0, 5) {
 		t.Fatal("CAS on empty slot failed")
@@ -69,28 +69,20 @@ func TestRadixTreeKeyBoundsPanics(t *testing.T) {
 	f := rack(t, 1, 16)
 	a := alloc.NewArena(f, 8<<20)
 	na := a.NodeAllocator(f.Node(0), 0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("bad keyBits should panic")
-			}
-		}()
-		ds.NewRadixTree(f, na, 12)
-	}()
-	tr := ds.NewRadixTree(f, na, 16)
+	tr := ds.NewRadixTree(f, na)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("key beyond keyspace should panic")
 		}
 	}()
-	tr.Get(f.Node(0), 1<<16)
+	tr.Get(f.Node(0), 1<<32)
 }
 
 func TestRadixTreeConcurrentInstall(t *testing.T) {
 	const nodes, perNode = 4, 200
 	f := rack(t, nodes, 64)
 	a := alloc.NewArena(f, 48<<20)
-	tr := ds.NewRadixTree(f, a.NodeAllocator(f.Node(0), 0), 32)
+	tr := ds.NewRadixTree(f, a.NodeAllocator(f.Node(0), 0))
 	var wg sync.WaitGroup
 	for w := 0; w < nodes; w++ {
 		wg.Add(1)
@@ -121,7 +113,7 @@ func TestRadixTreeQuickVsModel(t *testing.T) {
 	a := alloc.NewArena(f, 48<<20)
 	n := f.Node(0)
 	na := a.NodeAllocator(n, 0)
-	tr := ds.NewRadixTree(f, na, 24)
+	tr := ds.NewRadixTree(f, na)
 	model := map[uint64]uint64{}
 	prop := func(key uint32, val uint32) bool {
 		k := uint64(key) % (1 << 24)
@@ -148,7 +140,7 @@ func BenchmarkRadixPutGet(b *testing.B) {
 	a := alloc.NewArena(f, 192<<20)
 	n := f.Node(0)
 	na := a.NodeAllocator(n, 0)
-	tr := ds.NewRadixTree(f, na, 32)
+	tr := ds.NewRadixTree(f, na)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(i%100_000)*7919 + 1

@@ -38,7 +38,7 @@ func TestRadixWalkCacheCost(t *testing.T) {
 	f := rack(t, 2, 16)
 	a := alloc.NewArena(f, 8<<20)
 	na := a.NodeAllocator(f.Node(0), 0)
-	tr := ds.NewRadixTree(f, na, 32)
+	tr := ds.NewRadixTree(f, na)
 	n0, n1 := f.Node(0), f.Node(1)
 	const key = 0x01020304
 	tr.Put(n0, na, key, 11)
@@ -75,7 +75,7 @@ func TestRadixWalkCachesNoAbsentPrefix(t *testing.T) {
 	f := rack(t, 2, 16)
 	a := alloc.NewArena(f, 8<<20)
 	n0, n1 := f.Node(0), f.Node(1)
-	tr := ds.NewRadixTree(f, a.NodeAllocator(n0, 0), 32)
+	tr := ds.NewRadixTree(f, a.NodeAllocator(n0, 0))
 	const key = 0x0a0b0c0d
 	levels := uint64(tr.Levels())
 	// Absent at the root, then absent only at the leaf table's level.
@@ -118,7 +118,7 @@ func TestRadixWalkLostInstallRaceCachesWinner(t *testing.T) {
 	a := alloc.NewArena(f, 8<<20)
 	n0, n1 := f.Node(0), f.Node(1)
 	a0 := a.NodeAllocator(n0, 0)
-	tr := ds.NewRadixTree(f, a0, 32)
+	tr := ds.NewRadixTree(f, a0)
 	const mine, theirs = 0x01020304, 0x01020399 // one leaf table
 	tr.Put(n0, a0, 0x01020504, 1)               // the interior levels above it
 	ra := &racingAlloc{Allocator: a.NodeAllocator(n1, 0), race: func() { tr.Put(n0, a0, theirs, 7) }}
@@ -142,7 +142,7 @@ func TestRadixWalkConcurrentSameNode(t *testing.T) {
 	f := rack(t, 2, 64)
 	a := alloc.NewArena(f, 48<<20)
 	n := f.Node(0)
-	tr := ds.NewRadixTree(f, a.NodeAllocator(n, 0), 32)
+	tr := ds.NewRadixTree(f, a.NodeAllocator(n, 0))
 	key := func(cpu, i int) uint64 {
 		prefix := uint64(i%prefixes)*ds.WalkEntries + 3
 		return prefix<<8 | uint64(cpu*perCPU/prefixes+i/prefixes)

@@ -138,7 +138,6 @@ const fencedMark = ^uint64(0)
 // Domain is one reclamation domain shared by up to maxParticipants
 // participants across the rack.
 type Domain struct {
-	fab    *fabric.Fabric
 	epochG fabric.GPtr
 	resG   fabric.GPtr // slots packed reservation words
 	slots  int
@@ -152,7 +151,6 @@ func NewDomain(f *fabric.Fabric, maxParticipants int) *Domain {
 		panic("quiescence: maxParticipants must be positive")
 	}
 	return &Domain{
-		fab:    f,
 		epochG: f.Reserve(fabric.LineSize, fabric.LineSize),
 		resG:   f.Reserve(fabric.AlignUp64(uint64(maxParticipants)*fabric.WordSize, fabric.LineSize), fabric.LineSize),
 		slots:  maxParticipants,

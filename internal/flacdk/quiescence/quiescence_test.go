@@ -192,11 +192,10 @@ func TestVersionedCellBasicReadWrite(t *testing.T) {
 	w := d.Participant(f.Node(0), 0)
 	r := d.Participant(f.Node(1), 1)
 
-	init := bytes.Repeat([]byte{1}, 64)
-	c := NewVersionedCell(f, f.Node(0), a, 64, init)
+	c := NewVersionedCell(f, f.Node(0), a)
 	buf := make([]byte, 64)
 	c.Read(r, buf)
-	if !bytes.Equal(buf, init) {
+	if !bytes.Equal(buf, make([]byte, 64)) {
 		t.Fatalf("initial read = %v", buf[:4])
 	}
 	c.Write(w, a, bytes.Repeat([]byte{2}, 64))
@@ -226,7 +225,7 @@ func TestVersionedCellNoUseAfterFree(t *testing.T) {
 		}
 		return b
 	}
-	c := NewVersionedCell(f, f.Node(0), a, vsize, mk(0))
+	c := NewVersionedCell(f, f.Node(0), a) // version 0: mk(0), all zeroes
 
 	done := make(chan struct{})
 	go func() {
@@ -263,7 +262,7 @@ func TestVersionedCellUpdateContention(t *testing.T) {
 	a := newBumpAlloc(f, 64)
 	p0 := d.Participant(f.Node(0), 0)
 	p1 := d.Participant(f.Node(1), 1)
-	c := NewVersionedCell(f, f.Node(0), a, 64, make([]byte, 64))
+	c := NewVersionedCell(f, f.Node(0), a)
 
 	incr := func(p *Participant, times int) {
 		for i := 0; i < times; i++ {
@@ -293,7 +292,7 @@ func TestWriteOversizedPanics(t *testing.T) {
 	d := NewDomain(f, 1)
 	a := newBumpAlloc(f, 64)
 	p := d.Participant(f.Node(0), 0)
-	c := NewVersionedCell(f, f.Node(0), a, 64, nil)
+	c := NewVersionedCell(f, f.Node(0), a)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversized Write should panic")

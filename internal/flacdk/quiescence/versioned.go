@@ -22,13 +22,13 @@ type uninitAllocator interface {
 	AllocUninit(size uint64) fabric.GPtr
 }
 
-func allocVersion(a Allocator, size uint64, fullOverwrite bool) fabric.GPtr {
+func allocVersion(a Allocator, fullOverwrite bool) fabric.GPtr {
 	if fullOverwrite {
 		if ua, ok := a.(uninitAllocator); ok {
-			return ua.AllocUninit(size)
+			return ua.AllocUninit(versionSize)
 		}
 	}
-	return a.Alloc(size)
+	return a.Alloc(versionSize)
 }
 
 // VersionedCell is a multi-version shared object: a single atomic head word
@@ -39,23 +39,20 @@ func allocVersion(a Allocator, size uint64, fullOverwrite bool) fabric.GPtr {
 // shared page cache (§3.4) and the checkpoint mechanism reuses (§3.2).
 type VersionedCell struct {
 	headG fabric.GPtr
-	size  uint64
 }
 
-// NewVersionedCell creates a cell whose versions are size bytes, with an
-// initial version holding initial (nil means zeroes), allocated from a.
-func NewVersionedCell(f *fabric.Fabric, n *fabric.Node, a Allocator, size uint64, initial []byte) *VersionedCell {
-	c := &VersionedCell{
-		headG: f.Reserve(fabric.LineSize, fabric.LineSize),
-		size:  size,
-	}
-	v := a.Alloc(size)
-	ds.PublishRange(n, v, initial)
-	n.AtomicStore64(c.headG, uint64(v))
+// versionSize is the size of a VersionedCell's versions.
+const versionSize = 64
+
+// NewVersionedCell creates a cell whose initial version, allocated from
+// a, holds zeroes.
+func NewVersionedCell(f *fabric.Fabric, n *fabric.Node, a Allocator) *VersionedCell {
+	c := &VersionedCell{headG: f.Reserve(fabric.LineSize, fabric.LineSize)}
+	n.AtomicStore64(c.headG, uint64(a.Alloc(versionSize)))
 	return c
 }
 
-// Read copies the current version into buf (at most the cell's size) on
+// Read copies the current version into buf (at most versionSize bytes) on
 // behalf of participant p. It enters a read section around the dereference
 // so the version cannot be reclaimed mid-copy, and invalidates before
 // reading so no stale lines from a previous residency of the buffer are
@@ -70,11 +67,11 @@ func (c *VersionedCell) Read(p *Participant, buf []byte) {
 // Write publishes a new version containing data, retiring the old version
 // back to a after its grace period.
 func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
-	if uint64(len(data)) > c.size {
+	if len(data) > versionSize {
 		panic("quiescence: VersionedCell.Write data exceeds version size")
 	}
 	n := p.n
-	v := allocVersion(a, c.size, uint64(len(data)) == c.size)
+	v := allocVersion(a, len(data) == versionSize)
 	ds.PublishRange(n, v, data)
 	old := fabric.GPtr(n.Swap64(c.headG, uint64(v)))
 	p.RetireTo(a, old)
@@ -92,13 +89,13 @@ func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
 // version". fn runs inside the section and must not call Barrier.
 func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte)) {
 	n := p.n
-	buf := make([]byte, c.size)
+	buf := make([]byte, versionSize)
 	for {
 		p.Enter()
 		oldG := fabric.GPtr(n.AtomicLoad64(c.headG))
 		ds.ReadRange(n, oldG, buf)
 		fn(buf)
-		v := allocVersion(a, c.size, true)
+		v := allocVersion(a, true)
 		ds.PublishRange(n, v, buf)
 		won := n.CAS64(c.headG, uint64(oldG), uint64(v))
 		p.Exit()

@@ -19,7 +19,6 @@ import (
 // Slot layout: one header line (word0: seq, word1: len<<32|crc32,
 // word2: applied-index) followed by the data area.
 type Checkpointer struct {
-	fab     *fabric.Fabric
 	node    *fabric.Node
 	slots   [2]fabric.GPtr
 	dataCap uint64
@@ -28,7 +27,7 @@ type Checkpointer struct {
 
 // NewCheckpointer reserves two checkpoint slots able to hold dataCap bytes.
 func NewCheckpointer(f *fabric.Fabric, n *fabric.Node, dataCap uint64) *Checkpointer {
-	c := &Checkpointer{fab: f, node: n, dataCap: dataCap}
+	c := &Checkpointer{node: n, dataCap: dataCap}
 	slotSize := fabric.LineSize + fabric.AlignUp64(dataCap, fabric.LineSize)
 	c.slots[0] = f.Reserve(slotSize, fabric.LineSize)
 	c.slots[1] = f.Reserve(slotSize, fabric.LineSize)

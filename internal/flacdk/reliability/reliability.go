@@ -89,20 +89,17 @@ func (s *Scrubber) Repair(r Region, data []byte) {
 // failure-prediction signal (e.g. schedule migration off a failing DIMM
 // before it dies).
 type Predictor struct {
-	mu    sync.Mutex
-	alpha float64
-	rate  float64
-	obs   uint64
+	mu   sync.Mutex
+	rate float64
+	obs  uint64
 }
 
-// NewPredictor creates a predictor with smoothing factor alpha in (0,1]:
-// higher alpha weighs recent windows more.
-func NewPredictor(alpha float64) *Predictor {
-	if alpha <= 0 || alpha > 1 {
-		panic("reliability: alpha must be in (0,1]")
-	}
-	return &Predictor{alpha: alpha}
-}
+// predictorAlpha is the EWMA's smoothing factor: the weight of the newest
+// window.
+const predictorAlpha = 0.3
+
+// NewPredictor creates a predictor.
+func NewPredictor() *Predictor { return &Predictor{} }
 
 // Observe feeds one window's error count.
 func (p *Predictor) Observe(errors uint64) {
@@ -111,7 +108,7 @@ func (p *Predictor) Observe(errors uint64) {
 	if p.obs == 0 {
 		p.rate = float64(errors)
 	} else {
-		p.rate = p.alpha*float64(errors) + (1-p.alpha)*p.rate
+		p.rate = predictorAlpha*float64(errors) + (1-predictorAlpha)*p.rate
 	}
 	p.obs++
 }

@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"flacos/internal/fabric"
@@ -62,27 +63,19 @@ func TestScrubberSealAfterLegitimateWrite(t *testing.T) {
 }
 
 func TestPredictorEWMA(t *testing.T) {
-	p := NewPredictor(0.5)
+	p := NewPredictor()
 	p.Observe(0)
 	if p.Rate() != 0 {
 		t.Fatalf("rate = %v", p.Rate())
 	}
-	p.Observe(8) // 0.5*8 + 0.5*0 = 4
-	if p.Rate() != 4 {
-		t.Fatalf("rate = %v, want 4", p.Rate())
+	p.Observe(8) // 0.3*8 + 0.7*0 = 2.4
+	if math.Abs(p.Rate()-2.4) > 1e-9 {
+		t.Fatalf("rate = %v, want 2.4", p.Rate())
 	}
-	p.Observe(8) // 0.5*8 + 0.5*4 = 6
-	if p.Rate() != 6 {
-		t.Fatalf("rate = %v, want 6", p.Rate())
+	p.Observe(8) // 0.3*8 + 0.7*2.4 = 4.08
+	if math.Abs(p.Rate()-4.08) > 1e-9 {
+		t.Fatalf("rate = %v, want 4.08", p.Rate())
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("alpha 0 should panic")
-			}
-		}()
-		NewPredictor(0)
-	}()
 }
 
 func TestCheckpointSaveLatest(t *testing.T) {

@@ -48,7 +48,6 @@ type StateMachine interface {
 // Log is the shared operation log. One Log is created in global memory and
 // every node attaches a Replica to it.
 type Log struct {
-	fab      *fabric.Fabric
 	capacity uint64
 	tailG    fabric.GPtr   // atomic: next log index to allocate
 	regG     fabric.GPtr   // atomic bitmap: which nodes have live replicas
@@ -67,7 +66,6 @@ func NewLog(f *fabric.Fabric, capEntries uint64) *Log {
 		panic("replication: at most 64 nodes (registration bitmap is one word)")
 	}
 	l := &Log{
-		fab:      f,
 		capacity: capE,
 		tailG:    f.Reserve(fabric.LineSize, fabric.LineSize),
 		regG:     f.Reserve(fabric.LineSize, fabric.LineSize),

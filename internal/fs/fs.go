@@ -32,7 +32,6 @@ type Config struct {
 
 // FS is one rack-wide FlacOS file system instance.
 type FS struct {
-	fab    *fabric.Fabric
 	dev    BlockDev
 	frames *memsys.GlobalFrames
 	index  *ds.HashMap // pageKey -> frame phys >> 12
@@ -67,7 +66,6 @@ func New(f *fabric.Fabric, dev BlockDev, cfg Config) *FS {
 		frames = memsys.NewGlobalFrames(f, cfg.CacheFrames)
 	}
 	return &FS{
-		fab:       f,
 		dev:       dev,
 		frames:    frames,
 		index:     ds.NewHashMap(f, cfg.CacheFrames*2),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"flacos/internal/fabric"
 	"flacos/internal/flacdk/ds"
 )
 
@@ -21,16 +22,16 @@ const (
 // is a canonical encoding with in-range fields.
 func FuzzHealthRecordDecode(f *testing.F) {
 	// Canonical records at a few shapes.
-	f.Add(lineBytes(EncodeRecord(Record{Node: 1, Slot: 3, Generation: 1, LatEWMANS: 450, ErrEWMAMilli: 120, LeaseExpiries: 2, ClaimFails: 9, LinkHops: 0, Seq: 1})), 3)
-	f.Add(lineBytes(EncodeRecord(Record{Node: 0, Slot: 0, Generation: 1 << 32, LatEWMANS: 1 << 50, ErrEWMAMilli: 0, LeaseExpiries: ^uint32(0), ClaimFails: ^uint32(0), LinkHops: 255, Seq: 1 << 50})), 0)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 1, Slot: 3, Generation: 1, LatEWMANS: 450, ErrEWMAMilli: 120, LeaseExpiries: 2, ClaimFails: 9, LinkHops: 0}, 1})), 3)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 0, Slot: 0, Generation: 1 << 32, LatEWMANS: 1 << 50, ErrEWMAMilli: 0, LeaseExpiries: ^uint32(0), ClaimFails: ^uint32(0), LinkHops: 255}, 1 << 50})), 0)
 	// Never-published slot (all zero) and a torn variant of it.
 	f.Add(make([]byte, recordBytes), 0)
-	torn := lineBytes(EncodeRecord(Record{Node: 2, Slot: 2, Generation: 7, LatEWMANS: 900, Seq: 9}))
+	torn := lineBytes(EncodeRecord(sample{Record{Node: 2, Slot: 2, Generation: 7, LatEWMANS: 900}, 9}))
 	torn[offLatEWMA] ^= 0x01 // latency word from a different publish
 	f.Add(torn, 2)
 	// Valid checksum but out-of-policy fields.
-	f.Add(lineBytes(EncodeRecord(Record{Node: 4, Slot: 4, Generation: 0, Seq: 3})), 4)
-	f.Add(lineBytes(EncodeRecord(Record{Node: 5, Slot: 5, Generation: 1<<32 + 1, Seq: 3})), 5)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 4, Slot: 4, Generation: 0}, 3})), 4)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 5, Slot: 5, Generation: 1<<32 + 1}, 3})), 5)
 
 	f.Fuzz(func(t *testing.T, data []byte, wantSlot int) {
 		var line [recordBytes]byte
@@ -63,8 +64,8 @@ func FuzzHealthRecordDecode(f *testing.F) {
 func lineBytes(b [recordBytes]byte) []byte { return b[:] }
 
 func TestRecordRoundTrip(t *testing.T) {
-	r := Record{Node: 7, Slot: 9, Generation: 42, LatEWMANS: 1234, ErrEWMAMilli: 567,
-		LeaseExpiries: 8, ClaimFails: 90, LinkHops: 6, Seq: 1000}
+	r := sample{Record{Node: 7, Slot: 9, Generation: 42, LatEWMANS: 1234, ErrEWMAMilli: 567,
+		LeaseExpiries: 8, ClaimFails: 90, LinkHops: 6}, 1000}
 	got, err := DecodeRecord(EncodeRecord(r), 9)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -75,8 +76,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordRejections(t *testing.T) {
-	valid := Record{Node: 1, Slot: 2, Generation: 5, LatEWMANS: 800, ErrEWMAMilli: 10,
-		LeaseExpiries: 1, ClaimFails: 2, LinkHops: 3, Seq: 77}
+	valid := sample{Record{Node: 1, Slot: 2, Generation: 5, LatEWMANS: 800, ErrEWMAMilli: 10,
+		LeaseExpiries: 1, ClaimFails: 2, LinkHops: 3}, 77}
 
 	cases := []struct {
 		name    string
@@ -99,10 +100,10 @@ func TestRecordRejections(t *testing.T) {
 		{"flipped reserved bits", func(b *[recordBytes]byte) { b[7] = 1 }, 2, ds.ErrPubCorrupt},
 		{"wrong slot", nil, 3, ErrBadSlot},
 		{"zero generation", func(b *[recordBytes]byte) {
-			*b = EncodeRecord(Record{Node: 1, Slot: 2, Generation: 0, Seq: 77})
+			*b = EncodeRecord(sample{Record{Node: 1, Slot: 2, Generation: 0}, 77})
 		}, 2, ErrBadGen},
 		{"oversized generation", func(b *[recordBytes]byte) {
-			*b = EncodeRecord(Record{Node: 1, Slot: 2, Generation: 1<<32 + 1, Seq: 77})
+			*b = EncodeRecord(sample{Record{Node: 1, Slot: 2, Generation: 1<<32 + 1}, 77})
 		}, 2, ErrBadGen},
 	}
 	for _, tc := range cases {
@@ -125,8 +126,8 @@ func TestRecordRejections(t *testing.T) {
 // flushed words in ascending order and the seq (last word) is the
 // publication gate.
 func TestTornPublishNeverYieldsNewFields(t *testing.T) {
-	old := EncodeRecord(Record{Node: 1, Slot: 0, Generation: 3, LatEWMANS: 500, LinkHops: 0, Seq: 10})
-	next := EncodeRecord(Record{Node: 1, Slot: 0, Generation: 3, LatEWMANS: 5000, LinkHops: 12, Seq: 11})
+	old := EncodeRecord(sample{Record{Node: 1, Slot: 0, Generation: 3, LatEWMANS: 500, LinkHops: 0}, 10})
+	next := EncodeRecord(sample{Record{Node: 1, Slot: 0, Generation: 3, LatEWMANS: 5000, LinkHops: 12}, 11})
 	for cut := 0; cut < recordBytes; cut++ { // cut=recordBytes would be a full publish
 		line := old
 		copy(line[:cut], next[:cut])
@@ -143,11 +144,25 @@ func TestTornPublishNeverYieldsNewFields(t *testing.T) {
 	}
 }
 
-// EncodeRecord packs r into its line image.
-func EncodeRecord(r Record) [recordBytes]byte { return sampleLine.Encode(r.Seq, r.payload()) }
+// sample is a health record with the sequence its line carries.
+type sample struct {
+	Record
+	Seq uint64
+}
+
+// EncodeRecord packs s into its line image.
+func EncodeRecord(s sample) [recordBytes]byte { return sampleLine.Encode(s.Seq, s.payload()) }
 
 // DecodeRecord unpacks a line image and validates it as checkRecord does.
-func DecodeRecord(b [recordBytes]byte, wantSlot int) (Record, error) {
+func DecodeRecord(b [recordBytes]byte, wantSlot int) (sample, error) {
 	l, err := sampleLine.Decode(b)
-	return checkRecord(l, err, wantSlot)
+	r, err := checkRecord(l, err, wantSlot)
+	return sample{r, l.Seq}, err
+}
+
+// readSample is readRecord with the line's sequence.
+func (l *Layer) readSample(n *fabric.Node, slot int) (sample, error) {
+	pl, err := sampleLine.Read(n, l.recSlotG(slot))
+	r, err := checkRecord(pl, err, slot)
+	return sample{r, pl.Seq}, err
 }

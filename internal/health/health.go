@@ -56,7 +56,6 @@ func (s DetectState) String() string {
 // rush a verdict. exitStrikes is the recovery hysteresis — recover slower
 // than you detect, or a flapping link saws the controller back and forth.
 const (
-	alpha        = 0.3 // EWMA smoothing of the latency and error predictors
 	latFactor    = 3
 	latFloorNS   = 1000
 	linkHops     = 4
@@ -129,8 +128,8 @@ func (l *Layer) Join(m *membership.Member, src SignalSource) *Agent {
 		m:        m,
 		n:        m.Node(),
 		src:      src,
-		latP:     reliability.NewPredictor(alpha),
-		errP:     reliability.NewPredictor(alpha),
+		latP:     reliability.NewPredictor(),
+		errP:     reliability.NewPredictor(),
 		lastHCtl: make([]ds.StateWord[DetectState], l.mem.Slots()),
 		eval:     make(map[int]*slotEval),
 	}

@@ -148,7 +148,8 @@ func TestErrorEWMARaisesDegraded(t *testing.T) {
 			case <-stop:
 				return
 			case <-tick.C:
-				r.srcs[victim].AddErrors(2)
+				r.srcs[victim].AddError()
+				r.srcs[victim].AddError()
 			}
 		}
 	}()
@@ -230,7 +231,7 @@ func TestSuspectNodeStillEmitsHealthSignals(t *testing.T) {
 
 	// The victim's health record must keep advancing while suspect...
 	read := func() uint64 {
-		rec, err := r.layer.readRecord(r.f.Node(0), victim)
+		rec, err := r.layer.readSample(r.f.Node(0), victim)
 		if err != nil {
 			return 0
 		}
@@ -369,7 +370,7 @@ func TestMemberStopStopsHealthAgent(t *testing.T) {
 	r := bootRack(t, 3)
 	const victim = 2
 	seq := func() uint64 {
-		rec, err := r.layer.readRecord(r.f.Node(0), victim)
+		rec, err := r.layer.readSample(r.f.Node(0), victim)
 		if err != nil {
 			return 0
 		}
@@ -486,7 +487,7 @@ func TestControllerDrainPipelineOrder(t *testing.T) {
 		t.Fatalf("duplicate EvDegraded re-ran the drain: %v", &st)
 	}
 
-	evs := rec.Collector().Snapshot(f.Node(0), false).Events
+	evs := rec.Collector().Snapshot(f.Node(0)).Events
 	var begin, end, fence int
 	for _, e := range evs {
 		if e.Sub != trace.SubHealth {
@@ -634,7 +635,7 @@ func TestRaceDegradedVsDead(t *testing.T) {
 
 	// Trace timeline: the KDrain span closed with the abort bit, and no
 	// KRejoin span exists anywhere after it.
-	evs := rec.Collector().Snapshot(f.Node(0), false).Events
+	evs := rec.Collector().Snapshot(f.Node(0)).Events
 	sawAbortEnd, sawViewFence := false, false
 	for _, e := range evs {
 		if e.Sub == trace.SubRedis && e.Kind == trace.KViewFence && e.Arg0 == 1 && e.Arg1 == 5 {
@@ -714,7 +715,7 @@ func TestRaceRecoveredVsRunningDrain(t *testing.T) {
 	// Timeline order: KDrain end strictly precedes KRejoin begin. Both
 	// spans are emitted by the one controller writer, so Seq gives a
 	// total order.
-	evs := rec.Collector().Snapshot(f.Node(0), false).Events
+	evs := rec.Collector().Snapshot(f.Node(0)).Events
 	var drainEnd, rejoinBegin *trace.Event
 	for i := range evs {
 		e := &evs[i]
@@ -784,7 +785,7 @@ func TestReadRecordFabricBudget(t *testing.T) {
 	n := f.Node(0)
 	resident := n.CacheResidentLines()
 	before := n.Stats()
-	rec, err := l.readRecord(n, 1)
+	rec, err := l.readSample(n, 1)
 	d := n.Stats().Delta(before)
 	if err != nil || rec.Seq != 1 || rec.Node != 1 {
 		t.Fatalf("read %+v, %v; want node 1's first sample", rec, err)

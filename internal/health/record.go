@@ -62,7 +62,6 @@ type Record struct {
 	LeaseExpiries uint32 // cumulative sched lease expiries charged to the node
 	ClaimFails    uint32 // cumulative claim-CAS losses
 	LinkHops      uint64 // extra fabric hops on the node's links
-	Seq           uint64 // strictly increasing sample counter
 }
 
 // Decode validation errors beyond ds.ErrPubEmpty and ds.ErrPubCorrupt.
@@ -102,7 +101,6 @@ func checkRecord(l ds.PubLine, err error, wantSlot int) (Record, error) {
 		LeaseExpiries: uint32(p[4] >> 32),
 		ClaimFails:    uint32(p[4]),
 		LinkHops:      p[5],
-		Seq:           l.Seq,
 	}
 	switch {
 	case int(r.Slot) != wantSlot:

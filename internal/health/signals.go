@@ -62,12 +62,12 @@ func NewNodeSource(n *fabric.Node, sched SchedCounters) *NodeSource {
 	return &NodeSource{n: n, sched: sched, prev: n.Stats()}
 }
 
-// AddErrors charges k externally-detected errors to the node — the
+// AddError charges one externally-detected error to the node — the
 // scrubber attribution path: a scrub pass that repairs a corrupt region
-// homed on (or written by) this node calls AddErrors so the corruption
+// homed on (or written by) this node calls AddError so the corruption
 // shows up in the node's error EWMA even though the node itself never
 // observed the fault.
-func (s *NodeSource) AddErrors(k uint64) { s.extErr.Add(k) }
+func (s *NodeSource) AddError() { s.extErr.Add(1) }
 
 // Sample implements SignalSource. Not reentrant: the health agent is
 // the only caller.

@@ -68,7 +68,7 @@ func TestServiceSurvivesNodeCrash(t *testing.T) {
 
 	rack.Fabric.Node(0).Crash()
 
-	nb, err := box.RecoverOn(rack.Fabric.Node(1), nil, map[string]ipc.Handler{})
+	nb, err := box.RecoverOn(rack.Fabric.Node(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

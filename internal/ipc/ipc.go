@@ -102,11 +102,9 @@ const regLogCap = 256
 // listener slots in global memory plus the replicated name registry. One
 // Switchboard is created at boot; each node derives Endpoints from it.
 type Switchboard struct {
-	fab    *fabric.Fabric
 	conns  []connSlot
 	lsts   []listenerSlot
 	regLog *replication.Log
-	cfg    Config
 }
 
 // NewSwitchboard lays out the IPC fabric in f's global memory. node
@@ -124,7 +122,7 @@ func NewSwitchboard(f *fabric.Fabric, node *fabric.Node, cfg Config) *Switchboar
 	if cfg.MsgMax == 0 {
 		cfg.MsgMax = 16 << 10
 	}
-	sb := &Switchboard{fab: f, cfg: cfg, regLog: replication.NewLog(f, regLogCap)}
+	sb := &Switchboard{regLog: replication.NewLog(f, regLogCap)}
 	sb.conns = make([]connSlot, cfg.MaxConns)
 	for i := range sb.conns {
 		sb.conns[i] = connSlot{

@@ -236,8 +236,8 @@ func TestMigrationRPC(t *testing.T) {
 	if svc.Activations(f.Node(0)) != 2 {
 		t.Fatalf("activations = %d", svc.Activations(f.Node(0)))
 	}
-	if tbl.Calls() != 2 {
-		t.Fatalf("calls = %d", tbl.Calls())
+	if calls := tbl.Calls(f.Node(1)); calls != 2 {
+		t.Fatalf("calls = %d", calls)
 	}
 	if _, err := tbl.Call(f.Node(0), "missing", nil); !errors.Is(err, ErrNoService) {
 		t.Fatalf("err = %v", err)

@@ -3,7 +3,6 @@ package ipc
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"flacos/internal/fabric"
 )
@@ -23,7 +22,6 @@ type Handler func(caller *fabric.Node, req []byte) []byte
 // activation counter (in global memory) records rack-wide usage — the
 // basis for the elastic scale-out and fast migration §3.5 describes.
 type Service struct {
-	Name    string
 	handler Handler
 	ctxG    fabric.GPtr // word0: activation count
 }
@@ -37,7 +35,6 @@ type ServiceTable struct {
 
 	mu       sync.RWMutex
 	services map[string]*Service
-	calls    atomic.Uint64
 }
 
 // NewServiceTable creates the rack's RPC service table.
@@ -55,7 +52,6 @@ func (t *ServiceTable) Register(name string, h Handler) *Service {
 		return s
 	}
 	s := &Service{
-		Name:    name,
 		handler: h,
 		ctxG:    t.fab.Reserve(fabric.LineSize, fabric.LineSize),
 	}
@@ -78,6 +74,5 @@ func (t *ServiceTable) Call(n *fabric.Node, name string, req []byte) ([]byte, er
 	n.Add64(s.ctxG, 1)
 	resp := s.handler(n, req)
 	n.ChargeNS(asSwitchNS) // switch back
-	t.calls.Add(1)
 	return resp, nil
 }

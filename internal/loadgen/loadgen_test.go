@@ -179,7 +179,7 @@ func TestReplaySaturationKnee(t *testing.T) {
 		t.Fatalf("overload p99 %d not above low-load p99 %d", high.P99NS, low.P99NS)
 	}
 	rows := []Row{low, high}
-	if got := Knee(rows, 0.9); got != 1 {
+	if got := Knee(rows); got != 1 {
 		t.Fatalf("Knee = %d, want 1", got)
 	}
 }

@@ -73,11 +73,11 @@ func MeasureRow(nodes int, offered float64, ops []Op, servers int) Row {
 }
 
 // Knee returns the index of the first row whose achieved throughput falls
-// below frac of its offered load — the saturation knee of a sweep ordered
+// below 90% of its offered load — the saturation knee of a sweep ordered
 // by increasing offered load — or -1 if the sweep never saturates.
-func Knee(rows []Row, frac float64) int {
+func Knee(rows []Row) int {
 	for i, r := range rows {
-		if r.AchievedOpsPerSec < frac*r.OfferedLoad {
+		if r.AchievedOpsPerSec < 0.9*r.OfferedLoad {
 			return i
 		}
 	}

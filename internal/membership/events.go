@@ -51,11 +51,10 @@ func (k EventKind) String() string {
 // event ring to wedge or tear), so subscribers shared across members
 // must be idempotent or dedup on (Slot, Generation).
 type Event struct {
-	Kind        EventKind
-	Slot        int
-	Node        int    // the slot's occupant at the transition
-	Generation  uint64 // the occupant's generation (fencing token)
-	Incarnation uint64
+	Kind       EventKind
+	Slot       int
+	Node       int    // the slot's occupant at the transition
+	Generation uint64 // the occupant's generation (fencing token)
 }
 
 // diffCtl synthesizes events by comparing slot's control word against
@@ -70,14 +69,14 @@ func (m *Member) diffCtl(slot int, w ctlWord) {
 		return
 	}
 	m.lastCtl[slot] = w
-	node, st, gen, inc := w.Owner(), w.State(), w.Gen(), w.Aux()
+	node, st, gen := w.Owner(), w.State(), w.Gen()
 	pst := prev.State()
 
 	if prev != 0 && gen > prev.Gen() && (pst == StateAlive || pst == StateSuspect || pst == StateJoining) {
 		// Restart-beats-detection: the slot was reclaimed under a new
 		// generation while the old one was still nominally serving. The
 		// old generation is gone exactly as if it had been declared Dead.
-		m.deliver(Event{Kind: EvDead, Slot: slot, Node: prev.Owner(), Generation: prev.Gen(), Incarnation: prev.Aux()})
+		m.deliver(Event{Kind: EvDead, Slot: slot, Node: prev.Owner(), Generation: prev.Gen()})
 	}
 
 	switch st {
@@ -87,17 +86,17 @@ func (m *Member) diffCtl(slot int, w ctlWord) {
 	case StateAlive:
 		m.t.setAliveMirror(node, true)
 		if pst == StateSuspect && gen == prev.Gen() {
-			m.deliver(Event{Kind: EvAlive, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
+			m.deliver(Event{Kind: EvAlive, Slot: slot, Node: node, Generation: gen})
 		} else {
-			m.deliver(Event{Kind: EvJoin, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
+			m.deliver(Event{Kind: EvJoin, Slot: slot, Node: node, Generation: gen})
 		}
 	case StateSuspect:
 		// Suspicion does NOT stop placement: a suspect is probably slow,
 		// and a wrong verdict is fenced anyway.
-		m.deliver(Event{Kind: EvSuspect, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
+		m.deliver(Event{Kind: EvSuspect, Slot: slot, Node: node, Generation: gen})
 	case StateDead:
 		m.t.setAliveMirror(node, false)
-		m.deliver(Event{Kind: EvDead, Slot: slot, Node: node, Generation: gen, Incarnation: inc})
+		m.deliver(Event{Kind: EvDead, Slot: slot, Node: node, Generation: gen})
 	}
 }
 

@@ -157,26 +157,23 @@ func (t *Table) Alive(id int) bool {
 
 // SlotInfo is one slot's decoded control state (debug and tests).
 type SlotInfo struct {
-	Slot        int
-	State       State
-	Node        int
-	Generation  uint64
-	Incarnation uint64
-	StampVNS    uint64
+	State      State
+	Node       int
+	Generation uint64
+	StampVNS   uint64
 }
 
-// Snapshot reads every slot's control word through node n.
+// Snapshot reads every slot's control word through node n; slot i's is
+// out[i].
 func (t *Table) Snapshot(n *fabric.Node) []SlotInfo {
 	out := make([]SlotInfo, t.slots)
 	for i := range out {
 		w := t.ctl.Load(n, i)
 		out[i] = SlotInfo{
-			Slot:        i,
-			State:       w.State(),
-			Node:        w.Owner(),
-			Generation:  w.Gen(),
-			Incarnation: w.Aux(),
-			StampVNS:    t.ctl.Stamp(n, i),
+			State:      w.State(),
+			Node:       w.Owner(),
+			Generation: w.Gen(),
+			StampVNS:   t.ctl.Stamp(n, i),
 		}
 	}
 	return out

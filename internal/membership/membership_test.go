@@ -69,9 +69,9 @@ func TestJoinActivatePopulatesTable(t *testing.T) {
 	if tb.Alive(99) {
 		t.Error("out-of-range node reported alive")
 	}
-	for _, si := range tb.Snapshot(f.Node(0))[3:] {
+	for i, si := range tb.Snapshot(f.Node(0))[3:] {
 		if si.State != StateFree {
-			t.Errorf("slot %d: %s, want free", si.Slot, si.State)
+			t.Errorf("slot %d: %s, want free", 3+i, si.State)
 		}
 	}
 }
@@ -215,8 +215,8 @@ func TestFalseSuspicionIsRefuted(t *testing.T) {
 		t.Fatal("suspect CAS lost")
 	}
 	waitFor(t, "refutation", func() bool {
-		si := tb.Snapshot(n0)[1]
-		return si.State == StateAlive && si.Incarnation >= 1
+		w := tb.ctl.Load(n0, 1)
+		return w.State() == StateAlive && w.Aux() >= 1 // Aux: the incarnation
 	})
 	if !tb.Alive(1) {
 		t.Error("refuted node lost host-side liveness")
@@ -316,12 +316,12 @@ func TestSuspectHeldNodeKeepsHeartbeating(t *testing.T) {
 	var maxInc uint64
 	for time.Now().Before(deadline) && !(sawSuspect && advanced && maxInc > 0) {
 		tb.Suspect(n0, 1)
-		si := tb.Snapshot(n0)[1]
-		if si.State == StateSuspect {
+		w := tb.ctl.Load(n0, 1)
+		if w.State() == StateSuspect {
 			sawSuspect = true
 		}
-		if si.Incarnation > maxInc {
-			maxInc = si.Incarnation
+		if w.Aux() > maxInc { // Aux: the incarnation
+			maxInc = w.Aux()
 		}
 		if b := readBeat(); b > start {
 			advanced = true

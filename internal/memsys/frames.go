@@ -14,7 +14,6 @@ import (
 // with a global refcount table so deduplicated and COW-shared frames are
 // freed exactly once.
 type GlobalFrames struct {
-	fab    *fabric.Fabric
 	base   fabric.GPtr
 	frames uint64
 	bumpG  fabric.GPtr // atomic: next never-used frame index
@@ -38,8 +37,7 @@ func NewGlobalFrames(f *fabric.Fabric, frames uint64) *GlobalFrames {
 		panic("memsys: zero frames")
 	}
 	return &GlobalFrames{
-		fab:    f,
-		base:   f.ReserveSparse(frames*PageSize, PageSize),
+		base:   f.ReserveSparse(frames * PageSize),
 		frames: frames,
 		bumpG:  f.Reserve(fabric.LineSize, fabric.LineSize),
 		headG:  f.Reserve(fabric.LineSize, fabric.LineSize),
@@ -166,8 +164,6 @@ func (gf *GlobalFrames) RefCount(n *fabric.Node, phys uint64) uint64 {
 // page into global memory — exactly the constraint real node-local DRAM
 // has in a rack).
 type LocalStore struct {
-	node *fabric.Node
-
 	mu     sync.Mutex
 	frames [][]byte
 	free   []uint32
@@ -175,7 +171,7 @@ type LocalStore struct {
 
 // NewLocalStore creates the node's local frame pool.
 func NewLocalStore(n *fabric.Node) *LocalStore {
-	return &LocalStore{node: n}
+	return &LocalStore{}
 }
 
 // Alloc returns a zeroed local frame index.

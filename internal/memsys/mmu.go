@@ -15,30 +15,28 @@ import (
 
 // MMUStats counts one MMU's translation activity.
 type MMUStats struct {
-	TLBHits            atomic.Uint64
-	TLBMisses          atomic.Uint64
-	PageFaults         atomic.Uint64
-	COWBreaks          atomic.Uint64
-	Migrations         atomic.Uint64
-	Promotions         atomic.Uint64
-	Demotions          atomic.Uint64
-	ShootdownsSent     atomic.Uint64
-	ShootdownsReceived atomic.Uint64
+	TLBHits        atomic.Uint64
+	TLBMisses      atomic.Uint64
+	PageFaults     atomic.Uint64
+	COWBreaks      atomic.Uint64
+	Migrations     atomic.Uint64
+	Promotions     atomic.Uint64
+	Demotions      atomic.Uint64
+	ShootdownsSent atomic.Uint64
 }
 
 // MMUStatsSnapshot is a point-in-time copy of MMUStats, the value form
 // Stats returns (the old 7-tuple form could not grow without breaking
 // every call site; the tiering counters forced the switch).
 type MMUStatsSnapshot struct {
-	TLBHits            uint64
-	TLBMisses          uint64
-	PageFaults         uint64
-	COWBreaks          uint64
-	Migrations         uint64
-	Promotions         uint64 // tiering: pages moved cold->warm or ->node-local
-	Demotions          uint64 // tiering: pages moved local->warm or warm->cold
-	ShootdownsSent     uint64
-	ShootdownsReceived uint64
+	TLBHits        uint64
+	TLBMisses      uint64
+	PageFaults     uint64
+	COWBreaks      uint64
+	Migrations     uint64
+	Promotions     uint64 // tiering: pages moved cold->warm or ->node-local
+	Demotions      uint64 // tiering: pages moved local->warm or warm->cold
+	ShootdownsSent uint64
 }
 
 // tlb is a per-node translation cache: node-local, coherent Go memory, so
@@ -148,15 +146,14 @@ func (m *MMU) Node() *fabric.Node { return m.node }
 // Stats returns a snapshot of the MMU's counters.
 func (m *MMU) Stats() MMUStatsSnapshot {
 	return MMUStatsSnapshot{
-		TLBHits:            m.stats.TLBHits.Load(),
-		TLBMisses:          m.stats.TLBMisses.Load(),
-		PageFaults:         m.stats.PageFaults.Load(),
-		COWBreaks:          m.stats.COWBreaks.Load(),
-		Migrations:         m.stats.Migrations.Load(),
-		Promotions:         m.stats.Promotions.Load(),
-		Demotions:          m.stats.Demotions.Load(),
-		ShootdownsSent:     m.stats.ShootdownsSent.Load(),
-		ShootdownsReceived: m.stats.ShootdownsReceived.Load(),
+		TLBHits:        m.stats.TLBHits.Load(),
+		TLBMisses:      m.stats.TLBMisses.Load(),
+		PageFaults:     m.stats.PageFaults.Load(),
+		COWBreaks:      m.stats.COWBreaks.Load(),
+		Migrations:     m.stats.Migrations.Load(),
+		Promotions:     m.stats.Promotions.Load(),
+		Demotions:      m.stats.Demotions.Load(),
+		ShootdownsSent: m.stats.ShootdownsSent.Load(),
 	}
 }
 

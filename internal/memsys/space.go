@@ -134,7 +134,6 @@ func (s *vmaSM) lookup(vpn uint64) (VMA, bool) {
 // rack".
 type Space struct {
 	ID     uint64
-	fab    *fabric.Fabric
 	pt     *ds.RadixTree
 	frames *GlobalFrames
 	vmaLog *replication.Log
@@ -192,8 +191,7 @@ func (s *Space) pageSource() PageSource {
 func NewSpace(f *fabric.Fabric, id uint64, frames *GlobalFrames, pta *alloc.NodeAllocator, vmaLogCap uint64) *Space {
 	return &Space{
 		ID:     id,
-		fab:    f,
-		pt:     ds.NewRadixTree(f, pta, 32), // 32-bit VPNs: 16 TiB of VA
+		pt:     ds.NewRadixTree(f, pta), // 32-bit VPNs: 16 TiB of VA
 		frames: f2frames(frames),
 		vmaLog: replication.NewLog(f, vmaLogCap),
 		trw:    make([]atomic.Pointer[trace.Writer], f.NumNodes()),
@@ -268,7 +266,6 @@ func (s *Space) shootdown(from *MMU, vpn uint64) {
 	targets := s.peers(from, buf[:0])
 	for _, m := range targets {
 		m.tlb.invalidate(vpn)
-		m.stats.ShootdownsReceived.Add(1)
 		from.node.ChargeNS(ipiCostNS)
 	}
 	s.ackStores(from, targets)
@@ -290,7 +287,6 @@ func (s *Space) shootdownBatch(from *MMU, vpns []uint64) {
 		for _, vpn := range vpns {
 			m.tlb.invalidate(vpn)
 		}
-		m.stats.ShootdownsReceived.Add(1)
 		from.node.ChargeNS(ipiCostNS)
 	}
 	s.ackStores(from, targets)

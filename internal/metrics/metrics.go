@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -68,14 +69,6 @@ func (h *Histogram) Record(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of recorded samples (exact even when a
-// reservoir cap is set).
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // Mean returns the arithmetic mean, or 0 with no samples. It is exact
 // even when a reservoir cap is set.
 func (h *Histogram) Mean() float64 {
@@ -110,12 +103,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[rank-1]
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Percentile(0.0001) }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
 // Reset discards all samples (the reservoir configuration persists).
 func (h *Histogram) Reset() {
 	h.mu.Lock()
@@ -128,20 +115,15 @@ func (h *Histogram) Reset() {
 
 // Summary is a point-in-time digest of a histogram.
 type Summary struct {
-	Count          int
 	Mean, P50, P99 float64
-	Min, Max       float64
 }
 
 // Summarize extracts a Summary.
 func (h *Histogram) Summarize() Summary {
 	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P99:   h.Percentile(99),
-		Min:   h.Min(),
-		Max:   h.Max(),
+		Mean: h.Mean(),
+		P50:  h.Percentile(50),
+		P99:  h.Percentile(99),
 	}
 }
 
@@ -204,19 +186,11 @@ func (t *Table) String() string {
 	out += line(t.header)
 	sep := make([]string, len(t.header))
 	for i := range sep {
-		sep[i] = repeat('-', width[i])
+		sep[i] = strings.Repeat("-", width[i])
 	}
 	out += line(sep)
 	for _, r := range t.rows {
 		out += line(r)
 	}
 	return out
-}
-
-func repeat(b byte, n int) string {
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = b
-	}
-	return string(s)
 }

@@ -32,7 +32,7 @@ func TestHistogramBasics(t *testing.T) {
 		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
 	}
 	s := h.Summarize()
-	if s.Count != 100 || s.P50 != 50 {
+	if h.Count() != 100 || s.P50 != 50 {
 		t.Fatalf("Summary = %+v", s)
 	}
 	h.Reset()

@@ -115,13 +115,8 @@ func ttlSeconds(ttl time.Duration) []byte {
 	return strconv.AppendInt(nil, int64(secs), 10)
 }
 
-// PipeSet queues a SET (ttl 0 = no expiry; a TTL is rounded up to whole
-// seconds).
-func (c *Client) PipeSet(key string, value []byte, ttl time.Duration) {
-	if ttl > 0 {
-		c.PipeCommand([]byte("SET"), []byte(key), value, []byte("EX"), ttlSeconds(ttl))
-		return
-	}
+// PipeSet queues a SET with no expiry.
+func (c *Client) PipeSet(key string, value []byte) {
 	c.PipeCommand([]byte("SET"), []byte(key), value)
 }
 

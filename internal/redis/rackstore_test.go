@@ -237,8 +237,8 @@ func TestServerPipelineOverRackStore(t *testing.T) {
 	go func() { defer close(done); serveConn(srv, sconn) }()
 
 	cl := NewClient(cconn, 0)
-	cl.PipeSet("a", []byte("1"), 0)
-	cl.PipeSet("b", []byte("2"), 0)
+	cl.PipeSet("a", []byte("1"))
+	cl.PipeSet("b", []byte("2"))
 	cl.PipeGet("a")
 	cl.PipeCommand([]byte("INCR"), []byte("n"))
 	cl.PipeGet("missing")
@@ -268,7 +268,7 @@ func TestServerPipelineOverRackStore(t *testing.T) {
 		t.Fatalf("node 1 server reply: %q", resp)
 	}
 	// An oversize SET surfaces as a RESP error, not a dropped write.
-	cl.PipeSet("big", make([]byte, MaxEntryBytes+1), 0)
+	cl.PipeSet("big", make([]byte, MaxEntryBytes+1))
 	replies, err = cl.Flush()
 	if err != nil || len(replies) != 1 {
 		t.Fatalf("oversize flush: %v (%d replies)", err, len(replies))

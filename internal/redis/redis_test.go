@@ -419,13 +419,6 @@ func TestClientRoundsTTLUp(t *testing.T) {
 		if got := sentEX(); got != c.want {
 			t.Errorf("Set with ttl %v sent EX %s, want EX %s", c.ttl, got, c.want)
 		}
-		cl.PipeSet("k", []byte("v"), c.ttl)
-		if _, err := cl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := sentEX(); got != c.want {
-			t.Errorf("PipeSet with ttl %v sent EX %s, want EX %s", c.ttl, got, c.want)
-		}
 	}
 
 	// End to end: a sub-second TTL reaches the store as a deadline.

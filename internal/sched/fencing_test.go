@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/trace"
 )
 
 // Zombie fencing, deterministically: a node the rack declared Dead is
@@ -139,6 +140,8 @@ func TestNodeServingGateStopsWorkers(t *testing.T) {
 		WorkersPerNode: 1, IdleTick: 100 * time.Microsecond,
 		StealGrace: time.Hour, ReclaimTick: time.Hour,
 	})
+	rec := trace.New(f, trace.Config{RingCap: 1 << 10})
+	s.SetTrace(rec)
 	ranOn := f.Reserve(8*16, fabric.LineSize)
 	release := make(chan struct{})
 	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
@@ -170,8 +173,8 @@ func TestNodeServingGateStopsWorkers(t *testing.T) {
 			t.Fatalf("gated phase: task %d ran on node %d, want 0", i, int(got)-1)
 		}
 	}
-	if st := s.StatsFrom(n0); st.Stolen != 0 {
-		t.Fatalf("gated phase: Stolen = %d, want 0", st.Stolen)
+	if steals := stealEvents(rec, n0); len(steals) != 0 {
+		t.Fatalf("gated phase: %d steals, want 0", len(steals))
 	}
 
 	s.SetNodeServing(1, true)

@@ -103,7 +103,7 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	// slot (attempts 0 and 1), one lease expiry of any slot, naming this
 	// slot and its old owner, and exactly one completion — the stale
 	// attempt leaves no trace event.
-	rt := rec.Collector().Snapshot(sub, false)
+	rt := rec.Collector().Snapshot(sub)
 	var dispatches, expiries, completes int
 	for _, ev := range rt.Events {
 		if ev.Sub != trace.SubSched {
@@ -127,6 +127,6 @@ func TestLeaseExpiryRacesLateCompletion(t *testing.T) {
 	}
 	if dispatches != 2 || expiries != 1 || completes != 1 {
 		t.Fatalf("trace shows %d dispatches, %d expiries, %d completions; want 2, 1, 1\n%s",
-			dispatches, expiries, completes, rt.TimelineTail(0))
+			dispatches, expiries, completes, rt.TimelineTail())
 	}
 }

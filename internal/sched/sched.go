@@ -148,7 +148,6 @@ type Scheduler struct {
 	notServing []atomic.Bool
 
 	allocCursor atomic.Uint64
-	stolen      atomic.Uint64
 	reclaimed   atomic.Uint64
 
 	// Per-node anomaly counters the health layer samples (see health.go
@@ -466,16 +465,12 @@ type Stats struct {
 	Submitted uint64 // global tasks that took a slot: Completed + busy slots
 	Completed uint64 // global tasks whose completion CAS won (gen>>1 summed)
 	Queued    uint64 // slots Queued (claimable) right now
-	Stolen    uint64 // claims by a node other than the assigned one
 	Reclaimed uint64 // lease expiries (crash re-dispatch)
 }
 
 // StatsFrom scans the task table through node n, one load per slot.
 func (s *Scheduler) StatsFrom(n *fabric.Node) Stats {
-	st := Stats{
-		Stolen:    s.stolen.Load(),
-		Reclaimed: s.reclaimed.Load(),
-	}
+	st := Stats{Reclaimed: s.reclaimed.Load()}
 	for i := uint64(0); i < s.cfg.TableCap; i++ {
 		w := slotWord(n.AtomicLoad64(s.stateG(i)))
 		st.Completed += w.Gen() >> 1

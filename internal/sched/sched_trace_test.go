@@ -52,7 +52,7 @@ func TestTraceEventsOnHotPaths(t *testing.T) {
 		t.Fatal("Drain aborted")
 	}
 
-	snap := rec.Collector().Snapshot(n0, false)
+	snap := rec.Collector().Snapshot(n0)
 	counts := map[trace.Kind]int{}
 	blamedCrashed := false
 	for _, e := range snap.Events {
@@ -104,31 +104,32 @@ func TestTraceStealEvent(t *testing.T) {
 		s.Submit(n0, Task{Fn: fn, Preferred: 1})
 	}
 	snapDeadline := time.Now().Add(10 * time.Second)
-	for {
-		steals := s.StatsFrom(n0).Stolen
-		if steals > 0 {
-			break
-		}
-		if time.Now().After(snapDeadline) {
-			break // let the assertions below report what happened
-		}
-		time.Sleep(100 * time.Microsecond)
+	for len(stealEvents(rec, n0)) == 0 && time.Now().Before(snapDeadline) {
+		time.Sleep(100 * time.Microsecond) // past the deadline, the assertions below report
 	}
 	close(release)
 	if !s.Wait(n0, bh) || !s.Drain(n0) {
 		t.Fatal("Drain aborted")
 	}
-	snap := rec.Collector().Snapshot(n0, false)
-	steals := 0
-	for _, e := range snap.Events {
-		if e.Sub == trace.SubSched && e.Kind == trace.KSteal {
-			steals++
-			if e.Node != 0 || e.Arg1 != 1 {
-				t.Errorf("steal event node=%d arg1=%d, want thief=0 assignee=1", e.Node, e.Arg1)
-			}
+	steals := stealEvents(rec, n0)
+	for _, e := range steals {
+		if e.Node != 0 || e.Arg1 != 1 {
+			t.Errorf("steal event node=%d arg1=%d, want thief=0 assignee=1", e.Node, e.Arg1)
 		}
 	}
-	if steals == 0 {
+	if len(steals) == 0 {
 		t.Error("no steal events recorded")
 	}
+}
+
+// stealEvents returns the KSteal events on rec's rings, read through n: a
+// claim by a node other than the task's assignee.
+func stealEvents(rec *trace.Recorder, n *fabric.Node) []trace.Event {
+	var steals []trace.Event
+	for _, e := range rec.Collector().Snapshot(n).Events {
+		if e.Sub == trace.SubSched && e.Kind == trace.KSteal {
+			steals = append(steals, e)
+		}
+	}
+	return steals
 }

@@ -156,7 +156,6 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 	n.Add64(s.queuedG, ^uint64(0))
 	if assigned != id {
 		n.Add64(s.loadG(assigned), ^uint64(0))
-		s.stolen.Add(1)
 	}
 	lat := latencyNS(n.AtomicLoad64(s.enqG(slot)), nowNS())
 	if w.Aux() > 0 {

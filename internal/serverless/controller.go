@@ -12,9 +12,8 @@ import (
 
 // Function is a deployed serverless function.
 type Function struct {
-	Name    string
-	Image   string
-	Handler ipc.Handler
+	Name  string
+	Image string
 
 	mu        sync.Mutex
 	instances map[int]bool // node id -> warm instance present
@@ -74,7 +73,7 @@ func (c *Controller) Deploy(name, image string, handler ipc.Handler) (*Function,
 	if _, dup := c.fns[name]; dup {
 		return nil, fmt.Errorf("serverless: function %q already deployed", name)
 	}
-	f := &Function{Name: name, Image: image, Handler: handler, instances: make(map[int]bool)}
+	f := &Function{Name: name, Image: image, instances: make(map[int]bool)}
 	c.fns[name] = f
 	// The code context is shared rack-wide immediately (§3.5): any node
 	// can execute the function once an instance's state exists.

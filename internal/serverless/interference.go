@@ -67,15 +67,15 @@ func (c *Controller) InvokeOn(caller *fabric.Node, name string, req []byte, im I
 }
 
 // InvokePinned is the baseline without routing freedom: the invocation
-// always executes against the instance on `host` regardless of its
+// always executes against the instance on node 0 regardless of its
 // density (the disaggregated world, where moving an invocation means
 // moving its state over the network).
-func (c *Controller) InvokePinned(caller *fabric.Node, name string, req []byte, host int, im InterferenceModel) ([]byte, error) {
+func (c *Controller) InvokePinned(caller *fabric.Node, name string, req []byte, im InterferenceModel) ([]byte, error) {
 	c.mu.Lock()
 	_, ok := c.fns[name]
 	var density int
-	if host >= 0 && host < len(c.load) {
-		density = c.load[host]
+	if len(c.load) > 0 {
+		density = c.load[0]
 	}
 	c.mu.Unlock()
 	if !ok {

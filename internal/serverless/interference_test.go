@@ -69,7 +69,7 @@ func TestInvokeOnRoutesToLeastLoadedInstance(t *testing.T) {
 	// Pinned to the hot node costs more virtual time.
 	caller := env.fab.Node(1)
 	before := caller.VirtualNS()
-	if _, err := ctl.InvokePinned(caller, "target", []byte("x"), 0, im); err != nil {
+	if _, err := ctl.InvokePinned(caller, "target", []byte("x"), im); err != nil {
 		t.Fatal(err)
 	}
 	pinned := caller.VirtualNS() - before
@@ -85,7 +85,7 @@ func TestInvokeOnRoutesToLeastLoadedInstance(t *testing.T) {
 	if _, _, err := ctl.InvokeOn(caller, "ghost", nil, im); err == nil {
 		t.Fatal("unknown function should fail")
 	}
-	if _, err := ctl.InvokePinned(caller, "ghost", nil, 0, im); err == nil {
+	if _, err := ctl.InvokePinned(caller, "ghost", nil, im); err == nil {
 		t.Fatal("unknown function should fail")
 	}
 }

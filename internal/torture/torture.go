@@ -470,8 +470,8 @@ func Run(w Workload, cfg Config) *Report {
 	if !rep.Passed() {
 		// Post-mortem: extract every node's ring — crashed nodes' published
 		// events are still in global memory — and attach the merged tail.
-		rt := env.Trace.Collector().Snapshot(f.Node(0), false)
-		rep.TraceTimeline = rt.TimelineTail(256)
+		rt := env.Trace.Collector().Snapshot(f.Node(0))
+		rep.TraceTimeline = rt.TimelineTail()
 		rep.TraceJSON = rt.ChromeJSON()
 	}
 	if stuck {

@@ -184,7 +184,7 @@ func (w *healthWorkload) graygen(env *Env) {
 			}
 			for _, r := range bad {
 				id := int(uint64(r.G-w.sentG) / fabric.LineSize)
-				w.rack.Source(id).AddErrors(1)
+				w.rack.Source(id).AddError()
 				w.scrub.Repair(r, w.sentPattern(id))
 			}
 			completed++

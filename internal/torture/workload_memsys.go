@@ -3,7 +3,6 @@ package torture
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"flacos/internal/flacdk/alloc"
 	"flacos/internal/memsys"
@@ -36,9 +35,8 @@ type memsysWorkload struct {
 	space  *memsys.Space
 	mmus   []*memsys.MMU
 
-	regs   *Registers // register p is page p; pages 2i and 2i+1 are pair i
-	merges atomic.Uint64
-	pp     int // pages per writer (pairs of two)
+	regs *Registers // register p is page p; pages 2i and 2i+1 are pair i
+	pp   int        // pages per writer (pairs of two)
 }
 
 func newMemsysWorkload() *memsysWorkload { return &memsysWorkload{pp: 4} }
@@ -187,7 +185,7 @@ func (w *memsysWorkload) dedupClient(env *Env) {
 	n := env.Fab.Node(0)
 	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
 		if completed%4 == 0 {
-			env.RunOp(n, func() { w.merges.Add(uint64(w.mmus[0].DedupPass())) })
+			env.RunOp(n, func() { w.mmus[0].DedupPass() })
 		} else {
 			p := rng.Intn(w.regs.Len())
 			f0 := w.regs.Floor(p)
@@ -219,7 +217,7 @@ func (w *memsysWorkload) Check(env *Env) {
 		}
 	}
 	sweep("final", w.mmus[:1])
-	w.merges.Add(uint64(w.mmus[0].DedupPass()))
+	w.mmus[0].DedupPass()
 	sweep("post-dedup", w.mmus[:1])
 
 	for p := 0; p < w.regs.Len(); p++ {

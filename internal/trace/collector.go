@@ -15,8 +15,7 @@ import (
 // any ring — including a crashed node's, which is the whole point: the
 // rings live in home global memory, so whatever a dead node published
 // before crashing is still there for its peers to read. One collector
-// at a time: snapshots are serialized by an internal mutex, and the
-// consumption cursor assumes a single consumer.
+// at a time: snapshots are serialized by an internal mutex.
 type Collector struct {
 	rec *Recorder
 	mu  sync.Mutex
@@ -27,31 +26,23 @@ func (r *Recorder) Collector() *Collector { return &Collector{rec: r} }
 
 // NodeSnapshot is one ring's extracted contents.
 type NodeSnapshot struct {
-	Node    int
 	Events  []Event // ticket order
 	Dropped uint64  // ring-full drops the node counted (from the header)
 	Skipped int     // slots rejected as unstable or corrupt
 }
 
 // snapshotNodeLocked reads node's ring through reader (any live node) and
-// returns every published, still-live event. With consume set the
-// collector advances the node's tail cursor past everything it saw,
-// freeing those slots for reuse; events still being written at that
-// moment may then be discarded unobserved — the flight-recorder
-// contract is at-most-once collection, not exactly-once delivery. Each
-// slot is read fresh, which drops the reader's own copy of it, so an
-// event that reader itself is writing at that moment is lost too.
+// returns every published, still-live event. Collecting consumes nothing:
+// the tail cursor stays where it is, so a ring keeps the oldest events it
+// has room for. Each slot is read fresh, which drops the reader's own copy
+// of it, so an event that reader itself is writing at that moment is lost.
 // Caller holds c.mu.
-func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int, consume bool) NodeSnapshot {
+func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int) NodeSnapshot {
 	r := c.rec
 	hdr := r.hdrG.Add(uint64(node) * fabric.LineSize)
 	base := r.ringG.Add(uint64(node) * r.cap * slotBytes)
-	snap := NodeSnapshot{
-		Node:    node,
-		Dropped: reader.AtomicLoad64(hdr.Add(offDropped)),
-	}
+	snap := NodeSnapshot{Dropped: reader.AtomicLoad64(hdr.Add(offDropped))}
 	tail := reader.AtomicLoad64(hdr.Add(offTail))
-	maxTicket := uint64(0)
 	for i := uint64(0); i < r.cap; i++ {
 		g := base.Add(i * slotBytes)
 		for attempt := 0; ; attempt++ {
@@ -68,16 +59,15 @@ func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int, consume bo
 			}
 			t := l.Seq - 1
 			if t < tail || t&(r.cap-1) != i {
-				// Already consumed, or a ticket that does not belong in
-				// this slot: either way the slot holds nothing live.
+				// A ticket below the tail cursor, or one that does not
+				// belong in this slot: either way the slot holds nothing
+				// live.
 				break
 			}
 			if t >= tail+r.cap {
 				// A ticket the writer could not have claimed while the
 				// cursor was at tail (the ring holds at most cap live
-				// events): the slot is not data, and accepting the ticket
-				// would let a consume yank the tail cursor arbitrarily far
-				// forward and wedge the ring.
+				// events): the slot is not data.
 				snap.Skipped++
 				break
 			}
@@ -90,45 +80,27 @@ func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int, consume bo
 			}
 			ev.Seq = t
 			snap.Events = append(snap.Events, ev)
-			if t > maxTicket {
-				maxTicket = t
-			}
 			break
 		}
 	}
 	sort.Slice(snap.Events, func(a, b int) bool { return snap.Events[a].Seq < snap.Events[b].Seq })
-	if consume {
-		newTail := tail
-		if len(snap.Events) > 0 && maxTicket+1 > newTail {
-			newTail = maxTicket + 1
-		}
-		// Dropped tickets never land in a slot; the writer's drop path
-		// records how far its claims reached so the cursor can skip the
-		// holes and un-wedge a ring that filled up.
-		if claimed := reader.AtomicLoad64(hdr.Add(offClaimed)); claimed > newTail {
-			newTail = claimed
-		}
-		if newTail != tail {
-			reader.AtomicStore64(hdr.Add(offTail), newTail)
-		}
-	}
 	return snap
 }
 
 // RackTrace is every node's snapshot merged into one timeline.
 type RackTrace struct {
-	Nodes  []NodeSnapshot
-	Events []Event // merged: by timestamp, then node, then ticket
+	Nodes  []NodeSnapshot // node i's at Nodes[i]
+	Events []Event        // merged: by timestamp, then node, then ticket
 }
 
 // Snapshot captures all rings through reader and merges them by virtual
 // timestamp (node then ticket break ties deterministically).
-func (c *Collector) Snapshot(reader *fabric.Node, consume bool) *RackTrace {
+func (c *Collector) Snapshot(reader *fabric.Node) *RackTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rt := &RackTrace{}
 	for node := 0; node < c.rec.fab.NumNodes(); node++ {
-		ns := c.snapshotNodeLocked(reader, node, consume)
+		ns := c.snapshotNodeLocked(reader, node)
 		rt.Nodes = append(rt.Nodes, ns)
 		rt.Events = append(rt.Events, ns.Events...)
 	}
@@ -166,18 +138,10 @@ func (t *RackTrace) TotalSkipped() int {
 // Count returns how many events survived the merge.
 func (t *RackTrace) Count() int { return len(t.Events) }
 
-// TimelineTail renders only the last max events — the moments before a
-// failure, which is what post-mortems read first. A max of 0 or less
-// renders the whole merged trace.
-func (t *RackTrace) TimelineTail(max int) string {
-	evs := t.Events
-	if max > 0 && len(evs) > max {
-		evs = evs[len(evs)-max:]
-	}
-	return t.timeline(evs)
-}
-
-func (t *RackTrace) timeline(evs []Event) string {
+// TimelineTail renders only the last 256 events — the moments before a
+// failure, which is what post-mortems read first.
+func (t *RackTrace) TimelineTail() string {
+	evs := t.Events[max(0, len(t.Events)-256):]
 	var b strings.Builder
 	fmt.Fprintf(&b, "rack trace: %d/%d events, %d nodes, dropped=%d skipped=%d\n",
 		len(evs), len(t.Events), len(t.Nodes), t.TotalDropped(), t.TotalSkipped())

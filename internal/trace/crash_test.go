@@ -27,7 +27,7 @@ func TestCrashBetweenComposeAndPublish(t *testing.T) {
 	f.Faults().SetDropWriteBackRate(0)
 	f.Node(1).Crash()
 
-	rt := r.Collector().Snapshot(f.Node(0), false)
+	rt := r.Collector().Snapshot(f.Node(0))
 	var got []Event
 	for _, ev := range rt.Events {
 		if ev.Node == 1 {
@@ -112,7 +112,7 @@ func TestHammerWhileSnapshotting(t *testing.T) {
 				return
 			default:
 			}
-			checkSnap(c.SnapshotNode(f.Node(0), 1, false))
+			checkSnap(c.SnapshotNode(f.Node(0), 1))
 		}
 	}()
 
@@ -124,7 +124,7 @@ func TestHammerWhileSnapshotting(t *testing.T) {
 	close(stop)
 	snapWG.Wait()
 
-	final := c.SnapshotNode(f.Node(0), 1, false)
+	final := c.SnapshotNode(f.Node(0), 1)
 	checkSnap(final)
 	if len(final.Events) == 0 {
 		t.Fatal("no events survived the crash")

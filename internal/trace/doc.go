@@ -13,9 +13,9 @@
 // had not yet written back; everything published survives in home
 // memory.
 //
-// When the ring is full (the collector's consumption cursor has fallen a
-// full ring behind), new events are dropped and counted — the hot path
-// never waits for a reader.
+// Collecting reads a ring without consuming it, so a ring keeps its
+// oldest events: once it is full, new events are dropped and counted —
+// the hot path never waits for a reader.
 //
 // The Collector snapshots every node's ring through any live node, one
 // fresh line fetch per slot whose checksum rejects a slot caught

@@ -75,7 +75,7 @@ func FuzzTraceEventRoundTrip(f *testing.F) {
 		n.Write(slot, line[:])
 		n.WriteBackRange(slot, slotBytes)
 
-		snap := rec.Collector().SnapshotNode(n, 0, false)
+		snap := rec.Collector().SnapshotNode(n, 0)
 		if line != published && len(snap.Events) != 0 {
 			t.Fatalf("collector accepted a corrupted slot as %+v", snap.Events[0])
 		}

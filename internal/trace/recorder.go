@@ -28,11 +28,10 @@ const (
 
 	// Per-node header line words.
 	offDropped = 0 // events dropped because the ring was full
-	offTail    = 8 // collector's consumption cursor (first live ticket)
+	offTail    = 8 // the first live ticket; no collector advances it
 	// offClaimed is a high-watermark (ticket+1) published by the DROP
-	// path only: dropped tickets never occupy a slot, so without this
-	// hint a consume could not advance the tail past them and a ring
-	// that filled once would stay full forever.
+	// path only: dropped tickets never occupy a slot, so it is how far
+	// the writer's claims reached.
 	offClaimed = 16
 )
 
@@ -137,7 +136,6 @@ type Writer struct {
 	// costs nothing to bump.
 	reserve  atomic.Uint64
 	tailSeen atomic.Uint64 // local cache of the header tail cursor
-	dropped  atomic.Uint64 // local mirror of the header dropped count
 	// suppress marks the writer as inside Emit so the fabric op hook
 	// does not trace the recorder's own cache traffic.
 	suppress atomic.Int32
@@ -165,7 +163,6 @@ func (w *Writer) Emit(sub Subsys, kind Kind, flags Flags, arg0, arg1 uint64) {
 		tail := w.n.AtomicLoad64(w.hdr.Add(offTail))
 		w.tailSeen.Store(tail)
 		if t >= tail+w.rec.cap {
-			w.dropped.Add(1)
 			w.n.Add64(w.hdr.Add(offDropped), 1)
 			for { // publish the claimed high-watermark (CAS-max)
 				cur := w.n.AtomicLoad64(w.hdr.Add(offClaimed))

@@ -47,26 +47,26 @@ func TestEmitCollectRoundTrip(t *testing.T) {
 		w0.Emit(SubApp, KMark, 0, i, i*2)
 		w1.Emit(SubSched, KDispatch, FlagBegin, i, 7)
 	}
-	rt := r.Collector().Snapshot(f.Node(0), false)
+	rt := r.Collector().Snapshot(f.Node(0))
 	if rt.Count() != 100 {
 		t.Fatalf("merged %d events, want 100", rt.Count())
 	}
 	if d := rt.TotalDropped(); d != 0 {
 		t.Fatalf("dropped %d events, want 0", d)
 	}
-	for _, ns := range rt.Nodes {
+	for node, ns := range rt.Nodes {
 		if len(ns.Events) != 50 {
-			t.Fatalf("node %d: %d events, want 50", ns.Node, len(ns.Events))
+			t.Fatalf("node %d: %d events, want 50", node, len(ns.Events))
 		}
 		for i, ev := range ns.Events {
 			if ev.Seq != uint64(i) {
-				t.Fatalf("node %d: event %d has seq %d", ns.Node, i, ev.Seq)
+				t.Fatalf("node %d: event %d has seq %d", node, i, ev.Seq)
 			}
-			if int(ev.Node) != ns.Node {
-				t.Fatalf("node %d: event attributed to node %d", ns.Node, ev.Node)
+			if int(ev.Node) != node {
+				t.Fatalf("node %d: event attributed to node %d", node, ev.Node)
 			}
 			if ev.Arg0 != uint64(i) {
-				t.Fatalf("node %d event %d: arg0=%d", ns.Node, i, ev.Arg0)
+				t.Fatalf("node %d event %d: arg0=%d", node, i, ev.Arg0)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestCrashRecovery(t *testing.T) {
 	r.Writer(0).Emit(SubApp, KMark, 0, 1, 1)
 	f.Node(1).Crash()
 
-	rt := r.Collector().Snapshot(f.Node(0), false)
+	rt := r.Collector().Snapshot(f.Node(0))
 	var fromDead []Event
 	for _, ev := range rt.Events {
 		if ev.Node == 1 {
@@ -114,7 +114,7 @@ func TestRingFullDropsNewest(t *testing.T) {
 		t.Fatalf("Dropped() = %d, want 12", d)
 	}
 	c := r.Collector()
-	rt := c.Snapshot(f.Node(0), true)
+	rt := c.Snapshot(f.Node(0))
 	if rt.Count() != 8 || rt.TotalDropped() != 12 {
 		t.Fatalf("snapshot: %d events dropped=%d, want 8/12", rt.Count(), rt.TotalDropped())
 	}
@@ -122,13 +122,6 @@ func TestRingFullDropsNewest(t *testing.T) {
 		if ev.Arg0 != uint64(i) {
 			t.Fatalf("survivor %d is arg0=%d; drop-newest should keep the oldest 8", i, ev.Arg0)
 		}
-	}
-	// Consuming freed the ring: the writer can publish again.
-	w.Emit(SubApp, KMark, 0, 99, 0)
-	rt = c.Snapshot(f.Node(0), false)
-	if rt.Count() != 1 || rt.Events[0].Arg0 != 99 {
-		t.Fatalf("after consume: %d events (first arg0=%v), want the single new event",
-			rt.Count(), rt.Events)
 	}
 }
 
@@ -141,7 +134,7 @@ func TestSpansAndChromeJSON(t *testing.T) {
 	w.Begin(SubServerless, KInvoke, 7, 0) // left open: runner "crashed"
 	w.Emit(SubMemsys, KShootdown, 0, 0x1000, 2)
 
-	rt := r.Collector().Snapshot(f.Node(1), false)
+	rt := r.Collector().Snapshot(f.Node(1))
 	blob := rt.ChromeJSON()
 	if !json.Valid(blob) {
 		t.Fatalf("ChromeJSON is not valid JSON: %s", blob)
@@ -168,7 +161,7 @@ func TestSpansAndChromeJSON(t *testing.T) {
 		t.Fatalf("chrome events: %d spans %d instants, want 1 and 2", complete, instants)
 	}
 
-	tl := rt.TimelineTail(0)
+	tl := rt.TimelineTail()
 	for _, want := range []string{"sched/dispatch", "memsys/shootdown", "begin"} {
 		if !strings.Contains(tl, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, tl)
@@ -204,7 +197,7 @@ func TestVirtualTimestamps(t *testing.T) {
 	w.Emit(SubApp, KMark, 0, 0, 0)
 	n.ChargeNS(5000)
 	w.Emit(SubApp, KMark, 0, 1, 0)
-	rt := r.Collector().Snapshot(n, false)
+	rt := r.Collector().Snapshot(n)
 	if rt.Count() != 2 {
 		t.Fatalf("got %d events", rt.Count())
 	}
@@ -231,7 +224,7 @@ func TestFirehoseRangedWriteBack(t *testing.T) {
 	n.WriteBackRange(g, lines*fabric.LineSize)
 	n.SetOpHook(nil) // the snapshot's own misses are not the burst's
 
-	rt := r.Collector().Snapshot(n, false)
+	rt := r.Collector().Snapshot(n)
 	var ranged, perLine, misses int
 	for _, ns := range rt.Nodes {
 		for _, ev := range ns.Events {
@@ -270,7 +263,7 @@ func TestCollectSlotFabricBudget(t *testing.T) {
 	r.Writer(1).Emit(SubApp, KMark, 0, 7, 0)
 	n := f.Node(0)
 	before := n.Stats()
-	snap := r.Collector().SnapshotNode(n, 1, false)
+	snap := r.Collector().SnapshotNode(n, 1)
 	d := n.Stats().Delta(before)
 	if len(snap.Events) != 1 || snap.Events[0].Arg0 != 7 {
 		t.Fatalf("collected %v, want the one event", snap.Events)
