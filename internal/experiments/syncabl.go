@@ -167,8 +167,7 @@ func runSyncMethod(method string, nodes, readPct, ops int) float64 {
 				// Epoch housekeeping is amortized over updates, as real
 				// quiescence deployments do.
 				if updates++; updates%8 == 0 {
-					p.TryAdvance()
-					p.Collect()
+					p.Tick()
 				}
 			}
 		}

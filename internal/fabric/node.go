@@ -336,7 +336,7 @@ func (n *Node) Write(g GPtr, data []byte) {
 // ReadFresh copies len(buf) bytes starting at g into buf straight from home
 // memory and leaves none of the range in the cache: any resident line of
 // [g, g+len(buf)) is dropped exactly as InvalidateRange drops it (dirty
-// data lost), the home lines stream into buf in fetch order, and nothing
+// data lost), the home lines stream into buf in ascending order, and nothing
 // is inserted — no line object, no eviction, no allocation. It is
 // InvalidateRange followed by Read for a reader that will not look at the
 // range again before it next needs it fresh — a word other nodes change

@@ -31,21 +31,22 @@
 // from the instant a reader's store is home, with the global epoch at g0,
 // the epoch can move at most once more: an advance that scans the slot
 // afterwards passes only as g0 -> g0+1 and only if the reservation is
-// g0+1; an advancer that scanned the slot before the store loaded its
-// epoch e <= g0 before that, and its CAS lands at most at g0+1 too, after
-// which every other such CAS fails. Everything the reader can reach was
-// still linked when its store landed, so it is retired (stamped with an
-// epoch loaded after the unlink, see below) at an epoch >= g0 and freed
-// only at >= g0+2, which the epoch cannot reach until the reader exits.
+// g0+1; an advancer that scanned the slot before the store fetched the
+// epoch line before the reservation lines of the same read, so it read
+// e <= g0 and its CAS lands at most at g0+1 too, after which every other
+// such CAS fails. Everything the reader can reach was still linked when
+// its store landed, so it is retired (stamped with an epoch read after
+// the unlink, see below) at an epoch >= g0 and freed only at >= g0+2,
+// which the epoch cannot reach until the reader exits.
 // The load / store / re-load chase classic EBR runs on entry buys liveness
 // — a reader never holds back an advance it need not — and no safety.
 //
 // Retiring makes no fabric operation either. All the argument above asks
-// of a retirement's epoch is that it was loaded AFTER the unlink, so
+// of a retirement's epoch is that it was read AFTER the unlink, so
 // RetireTo queues its (freer, offset) pair unstamped and the participant's
-// next epoch load — TryAdvance, Collect, Barrier, a refreshing Enter —
-// stamps everything queued with the value it loaded. A later stamp than
-// the classic one only delays the free. Collect stamps before it looks,
+// next epoch read — Tick, TryAdvance, Collect, Barrier, a refreshing
+// Enter — stamps everything queued with the value it read. A later stamp
+// than the classic one only delays the free. Collect stamps before it looks,
 // and a fresh stamp is never two epochs old, so an unstamped entry is
 // never freed; whoever retires also collects, so a block waits at most one
 // tick longer than it used to (with a single participant the stamp is the
@@ -53,7 +54,7 @@
 // the unlink by any number of advances, and a block stamped two epochs low
 // is freed under a reader that entered before it was unlinked.
 //
-// Loads are made in order under the participant's lock, so stamps never
+// Reads are made in order under the participant's lock, so stamps never
 // decrease along the queue and what a Collect may free is always a prefix
 // of it. Collect moves that prefix into a buffer it owns until the frees
 // are done, frees it in retirement order outside the lock, and hands the
@@ -61,29 +62,29 @@
 // and an offset), not a closure, so retiring and collecting allocate
 // nothing once the queue and the buffer have grown to their working size.
 //
-// Liveness is kept by refreshing seen wherever the epoch is loaded anyway
-// (attach, TryAdvance including its successful CAS, Collect, Barrier) and
-// on every refreshEvery-th outermost Enter. A pure reader
-// (an fs mount, VersionedCell.Read, a pinned checkpointer) therefore
-// announces the current epoch within refreshEvery sections of any
-// advance; until then it can fail an advance only while it is actually
-// inside a section, exactly as a reader that entered before the advance
-// does. An attached participant outside a section holds 0 and blocks
-// nothing.
+// Liveness is kept by refreshing seen wherever the epoch is read anyway
+// (attach, an advance and its CAS, Collect, Barrier) and by the first
+// outermost Enter after refreshEvery sections without such a read, which a
+// participant that ticks that often never pays. A pure reader (an fs
+// mount, VersionedCell.Read) announces the current epoch within about
+// refreshEvery sections of any advance; until then it can fail an advance
+// only while it is inside a section, exactly as a reader that entered
+// before the advance does. An idle participant holds 0 and blocks nothing.
 //
 // Reservations are not sticky: leaving the word set on Exit would save
 // the second atomic, but an idle participant would then stall every
 // advance — and with it all reclamation, rack-wide — until its next
 // section. Exit always clears.
 //
-// The reservation words are packed, one word per participant, in one
-// contiguous block, and TryAdvance reads them all with one fresh, uncached
-// bulk transfer (fabric.ReadFresh) instead of one fabric atomic per word. Participants on
-// different nodes therefore share cache lines, which breaks no rule of the
-// coherence contract: the words are written only by fabric atomics, which
-// act on home memory and never leave a dirty line in any cache, so there
-// is no write-back that could carry a neighbour's stale word home; the
-// scan reads past the cache, and a line fetch reads each word atomically.
+// The domain is one block: the epoch line, then the reservation words
+// packed one per participant. An advance reads it with one fresh, uncached
+// transfer (fabric.ReadFresh), which fetches lines in ascending order, so
+// the epoch is read before any reservation, as the argument above needs: a
+// maintenance step costs one fresh read of the epoch and reservation lines
+// and one CAS, whatever the participant count. Participants on different
+// nodes share lines, which the coherence contract allows: every word is
+// written only by fabric atomics, which act on home memory and leave no
+// dirty line in any cache to carry a neighbour's stale word home.
 //
 // Fencing rides on the same word. Fence, which recovery runs against a
 // participant the rack has declared dead, does not clear the reservation
@@ -126,8 +127,8 @@ import (
 	"flacos/internal/fabric"
 )
 
-// refreshEvery is how many outermost Enters a participant makes between
-// refreshes of its observed epoch when nothing else refreshes it.
+// refreshEvery is how many outermost Enters a participant makes after its
+// last read of the epoch before the next Enter reads it again.
 const refreshEvery = 64
 
 // fencedMark is the reservation word Fence leaves behind: no epoch ever
@@ -138,21 +139,19 @@ const fencedMark = ^uint64(0)
 // Domain is one reclamation domain shared by up to maxParticipants
 // participants across the rack.
 type Domain struct {
-	epochG fabric.GPtr
-	resG   fabric.GPtr // slots packed reservation words
+	epochG fabric.GPtr // the epoch line, then slots packed reservation words
 	slots  int
 }
 
-// NewDomain reserves the domain's epoch and reservation words. The
-// reservation block takes whole lines: the scan's invalidate must never
-// drop a line that holds anybody else's data.
+// NewDomain reserves the domain's block: the epoch line, then the
+// reservation words. The block takes whole lines: the scan's invalidate
+// must never drop a line that holds anybody else's data.
 func NewDomain(f *fabric.Fabric, maxParticipants int) *Domain {
 	if maxParticipants <= 0 {
 		panic("quiescence: maxParticipants must be positive")
 	}
 	return &Domain{
-		epochG: f.Reserve(fabric.LineSize, fabric.LineSize),
-		resG:   f.Reserve(fabric.AlignUp64(uint64(maxParticipants)*fabric.WordSize, fabric.LineSize), fabric.LineSize),
+		epochG: f.Reserve(fabric.LineSize+fabric.AlignUp64(uint64(maxParticipants)*fabric.WordSize, fabric.LineSize), fabric.LineSize),
 		slots:  maxParticipants,
 	}
 }
@@ -164,7 +163,9 @@ func (d *Domain) checkID(id int) {
 }
 
 // slotG is participant id's reservation word.
-func (d *Domain) slotG(id int) fabric.GPtr { return d.resG.Add(uint64(id) * fabric.WordSize) }
+func (d *Domain) slotG(id int) fabric.GPtr {
+	return d.epochG.Add(fabric.LineSize + uint64(id)*fabric.WordSize)
+}
 
 // Freer releases a retired offset once its grace period has passed.
 // flacdk/alloc's node allocators and this package's Allocator satisfy it.
@@ -194,14 +195,14 @@ type Participant struct {
 
 	// mu guards everything below: node-local bookkeeping, and the swaps of
 	// the reservation word, which are made with it held.
-	mu      sync.Mutex
-	depth   int    // open sections, nested or on concurrent goroutines
-	seen    uint64 // last global epoch this participant loaded (node-local)
-	enters  uint64 // outermost Enters, for the periodic refresh of seen
-	scan    []byte // TryAdvance's copy of the reservation block
-	retired []retired
-	stamped int       // retired[:stamped] carry an epoch; the rest await the next epoch load
-	ready   []retired // Collect's buffer; nil while a Collect owns it
+	mu       sync.Mutex
+	depth    int    // open sections, nested or on concurrent goroutines
+	seen     uint64 // last global epoch this participant read (node-local)
+	sections int    // outermost Enters since seen was read, for the periodic refresh
+	scan     []byte // an advance's copy of the domain block
+	retired  []retired
+	stamped  int       // retired[:stamped] carry an epoch; the rest await the next epoch read
+	ready    []retired // the sweep buffer; nil while a Collect or Tick owns it
 }
 
 // ID returns the participant's slot in the domain (used to Fence it after
@@ -213,36 +214,39 @@ func (p *Participant) ID() int { return p.id }
 // of the id is not this one's.
 func (d *Domain) Participant(n *fabric.Node, id int) *Participant {
 	d.checkID(id)
-	p := &Participant{d: d, n: n, id: id, scan: make([]byte, d.slots*fabric.WordSize)}
+	p := &Participant{d: d, n: n, id: id, scan: make([]byte, fabric.LineSize+d.slots*fabric.WordSize)}
 	n.AtomicStore64(d.slotG(id), 0)
 	p.epoch()
 	return p
 }
 
-// epoch loads the global epoch, refreshes seen with it and stamps every
-// retirement queued since the last load. The load is made with the list
-// locked, so whatever it stamps was queued — and therefore unlinked —
-// before it.
+// epoch loads the global epoch and observes it.
 func (p *Participant) epoch() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.epochLocked()
 }
 
-func (p *Participant) epochLocked() uint64 {
-	p.seen = p.n.AtomicLoad64(p.d.epochG)
+func (p *Participant) epochLocked() uint64 { return p.observe(p.n.AtomicLoad64(p.d.epochG)) }
+
+// observe takes e, just read from the global epoch word, as seen and
+// stamps every retirement queued since the last read with it. Called with
+// p.mu held, so whatever it stamps was queued — and therefore unlinked —
+// before the read.
+func (p *Participant) observe(e uint64) uint64 {
+	p.seen, p.sections = e, 0
 	for i := p.stamped; i < len(p.retired); i++ {
-		p.retired[i].epoch = p.seen
+		p.retired[i].epoch = e
 	}
 	p.stamped = len(p.retired)
-	return p.seen
+	return e
 }
 
 // Enter begins a read-side critical section. Sections nest, and sections
 // of concurrent goroutines share the word; only the outermost Enter
-// publishes a reservation, with ONE fabric atomic (two on every
-// refreshEvery-th). The package comment argues why announcing the last
-// observed epoch, unchecked, is safe.
+// publishes a reservation, with ONE fabric atomic (two on the first after
+// refreshEvery sections without an epoch read). The package comment
+// argues why announcing the last observed epoch, unchecked, is safe.
 func (p *Participant) Enter() {
 	p.mu.Lock()
 	defer p.mu.Unlock() // the node may crash under the swap
@@ -250,10 +254,10 @@ func (p *Participant) Enter() {
 	if p.depth > 1 {
 		return
 	}
-	p.enters++
-	if p.enters%refreshEvery == 0 {
+	if p.sections >= refreshEvery {
 		p.epochLocked()
 	}
+	p.sections++
 	p.reserve(p.seen + 1)
 }
 
@@ -285,9 +289,9 @@ func (p *Participant) Exit() {
 
 // RetireTo schedules f.Free(off) for once no participant can still hold a
 // reference obtained before this call (i.e. two epoch advances after the
-// participant's next epoch load). It touches no fabric word and, once the
+// participant's next epoch read). It touches no fabric word and, once the
 // queue has grown, allocates nothing: the entry is queued unstamped and
-// the next load stamps it (package comment).
+// the next read stamps it (package comment).
 func (p *Participant) RetireTo(f Freer, off fabric.GPtr) {
 	p.mu.Lock()
 	p.retired = append(p.retired, retired{f: f, off: off})
@@ -306,25 +310,30 @@ func (fn funcFreer) Free(fabric.GPtr) { fn() }
 
 // TryAdvance attempts to advance the global epoch. It succeeds only if
 // every active participant announces the current epoch. Returns whether
-// the epoch advanced. Whatever the slot count it costs two fabric atomics
-// (the epoch load and the CAS) and, between them, one fresh uncached read
-// of the packed reservation block.
+// the epoch advanced. It costs one fresh read of the domain block and, if
+// every reservation allows it, one CAS.
 func (p *Participant) TryAdvance() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n, d := p.n, p.d
-	e := p.epochLocked()
-	n.ReadFresh(d.resG, p.scan)
-	for off := 0; off < len(p.scan); off += fabric.WordSize {
+	_, ok := p.advanceLocked()
+	return ok
+}
+
+// advanceLocked is TryAdvance with p.mu held, also returning the epoch it
+// read or, if its CAS landed, the one it installed.
+func (p *Participant) advanceLocked() (uint64, bool) {
+	p.n.ReadFresh(p.d.epochG, p.scan)
+	e := p.observe(binary.LittleEndian.Uint64(p.scan))
+	for off := fabric.LineSize; off < len(p.scan); off += fabric.WordSize {
 		if r := binary.LittleEndian.Uint64(p.scan[off:]); r != 0 && r != e+1 && r != fencedMark {
-			return false // someone reads in an epoch other than the current one
+			return e, false // someone reads in an epoch other than the current one
 		}
 	}
-	if !n.CAS64(d.epochG, e, e+1) {
-		return false
+	if !p.n.CAS64(p.d.epochG, e, e+1) {
+		return e, false
 	}
 	p.seen = e + 1
-	return true
+	return e + 1, true
 }
 
 // Fence cuts participant id off on behalf of a node the rack has declared
@@ -341,33 +350,54 @@ func (d *Domain) Fence(n *fabric.Node, id int) {
 }
 
 // Collect stamps what is queued, frees every retirement whose grace period
-// has elapsed, in retirement order, and returns how many it freed. Load,
-// stamp and sweep happen under one hold of the participant's lock, and the
-// entries swept are this Collect's alone, so concurrent Collects never
-// free one entry twice. The frees run outside the lock.
-func (p *Participant) Collect() int {
+// has elapsed, in retirement order, and returns how many it freed. It
+// loads the epoch to do so; Tick sweeps with the epoch its advance read.
+func (p *Participant) Collect() int { return p.free(p.due(false)) }
+
+// Tick is one maintenance step: TryAdvance, then Collect by the epoch the
+// advance read or installed — a value the epoch held after every queued
+// unlink. It costs what TryAdvance costs and nothing more.
+func (p *Participant) Tick() { p.free(p.due(true)) }
+
+// due reads the epoch (by an advance or a load), stamps what is queued and
+// takes the prefix whose grace period has elapsed, all under one hold of
+// the lock; the entries taken are the caller's alone, so concurrent
+// collectors never free one entry twice.
+func (p *Participant) due(advance bool) []retired {
 	p.mu.Lock()
-	cur := p.epochLocked()
+	defer p.mu.Unlock()
+	var cur uint64
+	if advance {
+		cur, _ = p.advanceLocked()
+	} else {
+		cur = p.epochLocked()
+	}
 	k := 0
 	for k < len(p.retired) && cur >= p.retired[k].epoch+2 {
 		k++
 	}
 	if k == 0 {
-		p.mu.Unlock()
-		return 0
+		return nil
 	}
 	ready := append(p.ready[:0], p.retired[:k]...)
-	p.ready = nil // ours until the frees are done; a concurrent Collect grows its own
+	p.ready = nil // ours until the frees are done; a concurrent collector grows its own
 	p.retired = p.retired[:copy(p.retired, p.retired[k:])]
 	p.stamped = len(p.retired)
-	p.mu.Unlock()
+	return ready
+}
+
+// free frees what due took, outside the lock, hands the buffer back for
+// the next sweep and returns how many it freed.
+func (p *Participant) free(ready []retired) int {
 	for _, r := range ready {
 		r.f.Free(r.off)
 	}
-	p.mu.Lock()
-	p.ready = ready
-	p.mu.Unlock()
-	return k
+	if ready != nil {
+		p.mu.Lock()
+		p.ready = ready
+		p.mu.Unlock()
+	}
+	return len(ready)
 }
 
 // Barrier advances epochs until everything retired before the call is

@@ -301,12 +301,15 @@ func TestWriteOversizedPanics(t *testing.T) {
 	c.Write(p, a, make([]byte, 65))
 }
 
-// TestBudgetFabricOps pins what the read side costs in fabric operations,
-// from Node.Stats() deltas under the default latency model: an outermost
-// Enter is one atomic (two on every refreshEvery-th), nested Enter/Exit
-// are free, Exit is one atomic, Fenced and both retire forms are nothing at all, and
-// TryAdvance is two atomics and ONE fresh read of ceil(slots/8) lines,
-// whatever the slot count, that leaves nothing in the cache.
+// TestBudgetFabricOps pins what the read side and a maintenance step cost
+// in fabric operations, from Node.Stats() deltas under the default latency
+// model: an outermost Enter is one atomic (two on the first after
+// refreshEvery sections without an epoch read), nested Enter/Exit are
+// free, Exit is one atomic, Fenced and both retire forms are nothing at
+// all, and TryAdvance and Tick are each ONE fresh read of the epoch line
+// and ceil(slots/8) reservation lines, whatever the slot count, plus one
+// CAS, leaving nothing in the cache. After either, refreshEvery sections
+// make no refresh.
 func TestBudgetFabricOps(t *testing.T) {
 	lat := fabric.DefaultLatency()
 	for _, slots := range []int{1, 8, 9, 128, 130} {
@@ -322,11 +325,8 @@ func TestBudgetFabricOps(t *testing.T) {
 			fn()
 			return n.Stats().Delta(before)
 		}
-		for i := 1; i <= 2*refreshEvery+2; i++ {
-			want := uint64(1)
-			if i%refreshEvery == 0 {
-				want = 2
-			}
+		section := func(i int, want uint64) {
+			t.Helper()
 			if d := delta(p.Enter); d.Atomics != want || d.VirtualNS != want*atomicNS {
 				t.Fatalf("slots=%d: outermost Enter #%d: %d atomics, %d sim_ns; want %d atomics and nothing else", slots, i, d.Atomics, d.VirtualNS, want)
 			}
@@ -337,25 +337,91 @@ func TestBudgetFabricOps(t *testing.T) {
 				t.Fatalf("slots=%d: outermost Exit: %d atomics, %d sim_ns; want 1 atomic and nothing else", slots, d.Atomics, d.VirtualNS)
 			}
 		}
+		for i := 1; i <= 2*refreshEvery+2; i++ { // attach read the epoch
+			want := uint64(1)
+			if i > 1 && (i-1)%refreshEvery == 0 {
+				want = 2
+			}
+			section(i, want)
+		}
 		if d := delta(func() { p.RetireTo(newFreeLog(), 64); p.Retire(func() {}); p.Fenced() }); d != (fabric.NodeStatsSnapshot{}) {
 			t.Fatalf("slots=%d: Retire or Fenced touched the fabric: %+v", slots, d)
 		}
-		lines := (slots + 7) / 8
-		for round := 0; round < 3; round++ {
-			d := delta(func() {
-				if !p.TryAdvance() {
-					t.Fatalf("slots=%d: advance failed with no reader", slots)
-				}
-			})
-			wantNS := 2*atomicNS + uint64(lat.LocalNS) + missNS(lines)
-			if d.Atomics != 2 || d.Loads != 1 || d.Misses != uint64(lines) || d.Hits != 0 || d.VirtualNS != wantNS {
-				t.Fatalf("slots=%d: TryAdvance: %d atomics, %d reads, %d line fetches, %d hits, %d sim_ns; want 2, 1, %d, 0, %d",
-					slots, d.Atomics, d.Loads, d.Misses, d.Hits, d.VirtualNS, lines, wantNS)
+		lines := 1 + (slots+7)/8
+		for round, step := range []func(){func() { p.TryAdvance() }, p.Tick, func() { p.TryAdvance() }, p.Tick} {
+			e := p.seen
+			d := delta(step)
+			if p.seen != e+1 {
+				t.Fatalf("slots=%d: step %d moved the epoch from %d to %d with no reader; want one advance", slots, round, e, p.seen)
+			}
+			wantNS := atomicNS + uint64(lat.LocalNS) + missNS(lines)
+			if d.Atomics != 1 || d.Loads != 1 || d.Misses != uint64(lines) || d.Hits != 0 || d.VirtualNS != wantNS {
+				t.Fatalf("slots=%d: step %d: %d atomics, %d reads, %d line fetches, %d hits, %d sim_ns; want 1, 1, %d, 0, %d",
+					slots, round, d.Atomics, d.Loads, d.Misses, d.Hits, d.VirtualNS, lines, wantNS)
 			}
 			if res := n.CacheResidentLines(); res != 0 {
-				t.Fatalf("slots=%d: TryAdvance left %d lines resident, want 0", slots, res)
+				t.Fatalf("slots=%d: step %d left %d lines resident, want 0", slots, round, res)
+			}
+			for i := 1; i <= refreshEvery; i++ {
+				section(i, 1)
 			}
 		}
+	}
+}
+
+// TestEpochLineLeadsTheDomainBlock pins the layout the safety argument
+// rests on: an advance's one fresh read starts at the epoch line, which
+// holds no reservation, and covers every reservation word after it, so the
+// epoch word is fetched before any of them.
+func TestEpochLineLeadsTheDomainBlock(t *testing.T) {
+	for _, slots := range []int{1, 8, 9, 130} {
+		f := rack(t, 1)
+		n := f.Node(0)
+		d := NewDomain(f, slots)
+		p := d.Participant(n, 0)
+		var first, lines uint64
+		n.SetOpHook(func(k fabric.OpKind, arg0, arg1 uint64) {
+			if k == fabric.OpReadFresh {
+				first, lines = arg0, arg1
+			}
+		})
+		p.TryAdvance()
+		n.SetOpHook(nil)
+		if first != d.epochG.Line() || lines != uint64(1+(slots+7)/8) {
+			t.Fatalf("slots=%d: the advance read lines [%d,+%d); want the epoch line %d and %d more", slots, first, lines, d.epochG.Line(), (slots+7)/8)
+		}
+		for id := 0; id < slots; id++ {
+			if l := d.slotG(id).Line(); l <= first || l >= first+lines {
+				t.Fatalf("slots=%d: reservation %d on line %d, outside the lines after the epoch's (%d,%d)", slots, id, l, first, first+lines)
+			}
+		}
+	}
+}
+
+// TestTickSweepsByTheEpochItRead: Tick collects by the epoch its advance
+// read when a reader refuses the CAS, and by the one it installed when the
+// CAS lands — never by one the epoch has not held. A block retired before
+// a stale reader's section is not freed while the section is open, and is
+// freed by the first Tick after it closes.
+func TestTickSweepsByTheEpochItRead(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	writer := d.Participant(f.Node(0), 0)
+	reader := d.Participant(f.Node(1), 1) // observed epoch 0
+	log := newFreeLog()
+	writer.RetireTo(log, 64)
+	writer.Tick() // stamps 0, installs 1
+	reader.Enter()
+	for i := 0; i < 5; i++ {
+		writer.Tick() // reads 1; the reservation announces 0 and refuses the CAS
+		if log.total() != 0 {
+			t.Fatalf("tick %d freed a block stamped 0 with the epoch at 1", i)
+		}
+	}
+	reader.Exit()
+	writer.Tick() // installs 2
+	if log.freed[64] != 1 || writer.PendingRetired() != 0 {
+		t.Fatalf("freed %d, pending %d after the tick that installed epoch 2; want 1, 0", log.freed[64], writer.PendingRetired())
 	}
 }
 
@@ -404,8 +470,8 @@ func TestEpochStaleReaderIsSafe(t *testing.T) {
 }
 
 // TestEpochInFlightAdvancerMovesOnce covers the one advance a reader
-// cannot stop: the advancer has already scanned the reader's slot (seen 0)
-// when the reader enters, and its CAS lands. The epoch has then moved once
+// cannot stop: the advancer's one fresh read has already fetched the epoch
+// and the reader's slot (seen 0) when the reader enters, and its CAS lands. The epoch has then moved once
 // since the reader's store — and must not move again until the reader
 // exits, whether the reader announced the current epoch or a stale one.
 func TestEpochInFlightAdvancerMovesOnce(t *testing.T) {
@@ -418,9 +484,9 @@ func TestEpochInFlightAdvancerMovesOnce(t *testing.T) {
 
 		entered := false
 		an.SetOpHook(func(k fabric.OpKind, arg0, _ uint64) {
-			if k == fabric.OpReadFresh && arg0 == d.resG.Line() && !entered {
+			if k == fabric.OpReadFresh && arg0 == d.epochG.Line() && !entered {
 				entered = true
-				reader.Enter() // after the scan fetched the line, before the CAS
+				reader.Enter() // after the fused read fetched the epoch and every reservation, before the CAS
 			}
 		})
 		advanced := writer.TryAdvance()

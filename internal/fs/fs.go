@@ -352,14 +352,8 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 		done += chunk
 	}
 	m.bumpSize(id, off+uint64(len(data)))
-	m.housekeep()
+	m.part.Tick()
 	return len(data), nil
-}
-
-// housekeep advances the quiescence epoch and reclaims retired frames.
-func (m *Mount) housekeep() {
-	m.part.TryAdvance()
-	m.part.Collect()
 }
 
 // Fsync synchronously writes every cached page of the file to the device.
@@ -451,6 +445,6 @@ func (m *Mount) DropCaches() int {
 		}
 		m.fs.dirty.Delete(n, k)
 	}
-	m.housekeep()
+	m.part.Tick()
 	return dropped
 }

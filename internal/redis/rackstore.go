@@ -246,12 +246,12 @@ func (v *View) Now() uint64 { return v.s.Now(v.n) }
 
 // tick amortizes epoch maintenance over the op stream: every 64th
 // operation tries to advance the global epoch and collects any of this
-// view's retired blocks whose grace period has elapsed.
+// view's retired blocks whose grace period has elapsed, for one fresh read
+// and one CAS.
 func (v *View) tick() {
 	v.ops++
 	if v.ops&63 == 0 {
-		v.p.TryAdvance()
-		v.p.Collect()
+		v.p.Tick()
 	}
 }
 

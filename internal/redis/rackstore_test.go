@@ -398,6 +398,50 @@ func TestRackStoreGetFabricBudget(t *testing.T) {
 	}
 }
 
+// TestRackStoreTickBudget pins the rack store's tail: 640 GETs of one key
+// by one view cost the same every op except every 64th, which also ticks the
+// quiescence domain, and the tick adds exactly one fresh read of the
+// epoch line and the reservation lines plus one CAS — no epoch load, no
+// refresh of the view's observed epoch.
+func TestRackStoreTickBudget(t *testing.T) {
+	const maxViews = 128
+	f, s := newTestRackStore(t, 2, RackStoreConfig{MaxViews: maxViews})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	if err := a.Set("key:0000000000017", bytes.Repeat([]byte{7}, 128), 0); err != nil {
+		t.Fatal(err)
+	}
+	n, lat := f.Node(1), f.Latency()
+	block := uint64(fabric.LineSize + maxViews*fabric.WordSize)
+	lines := 1 + maxViews/8
+	tick := fabric.NodeStatsSnapshot{
+		Loads: 1, Misses: uint64(lines), Atomics: 1, BulkBytesRead: block,
+		VirtualNS: uint64(lat.AtomicNS + n.Hops()*lat.HopNS + lat.LocalNS + lat.GlobalNS + n.Hops()*lat.HopNS + (lines-1)*lat.PerLineNS),
+	}
+	b.Get("key:0000000000017") // the view's first op: its first invalidate finds nothing resident
+	var plain fabric.NodeStatsSnapshot
+	ticks := 0
+	for i := 2; i <= 641; i++ { // i is the view's op count
+		before := n.Stats()
+		if _, ok := b.Get("key:0000000000017"); !ok {
+			t.Fatalf("GET %d missed", i)
+		}
+		d := n.Stats().Delta(before)
+		if i == 2 {
+			plain = d
+		}
+		if d == plain {
+			continue
+		}
+		ticks++
+		if i%64 != 0 || d.Delta(plain) != tick {
+			t.Fatalf("GET %d cost %+v, a plain GET %+v; only every 64th may differ, by exactly %+v", i, d, plain, tick)
+		}
+	}
+	if ticks != 10 {
+		t.Fatalf("%d of 640 GETs ticked, want 10", ticks)
+	}
+}
+
 // TestRackStoreSetFabricBudget pins what a mutation of a live key costs,
 // with the benchmark's shape (7 B key, 128 B value: a three-line entry)
 // and every key at its index home slot. A SET is THREE fabric atomics —

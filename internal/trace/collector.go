@@ -32,17 +32,16 @@ type NodeSnapshot struct {
 }
 
 // snapshotNodeLocked reads node's ring through reader (any live node) and
-// returns every published, still-live event. Collecting consumes nothing:
-// the tail cursor stays where it is, so a ring keeps the oldest events it
-// has room for. Each slot is read fresh, which drops the reader's own copy
-// of it, so an event that reader itself is writing at that moment is lost.
+// returns every published event. Collecting consumes nothing, so a ring
+// keeps the oldest events it has room for: tickets 0 to cap-1. Each slot
+// is read fresh, which drops the reader's own copy of it, so an event that
+// reader itself is writing at that moment is lost.
 // Caller holds c.mu.
 func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int) NodeSnapshot {
 	r := c.rec
 	hdr := r.hdrG.Add(uint64(node) * fabric.LineSize)
 	base := r.ringG.Add(uint64(node) * r.cap * slotBytes)
 	snap := NodeSnapshot{Dropped: reader.AtomicLoad64(hdr.Add(offDropped))}
-	tail := reader.AtomicLoad64(hdr.Add(offTail))
 	for i := uint64(0); i < r.cap; i++ {
 		g := base.Add(i * slotBytes)
 		for attempt := 0; ; attempt++ {
@@ -58,17 +57,11 @@ func (c *Collector) snapshotNodeLocked(reader *fabric.Node, node int) NodeSnapsh
 				continue // a republish raced the fetch, or the line is corrupt; retry
 			}
 			t := l.Seq - 1
-			if t < tail || t&(r.cap-1) != i {
-				// A ticket below the tail cursor, or one that does not
-				// belong in this slot: either way the slot holds nothing
-				// live.
-				break
+			if t&(r.cap-1) != i {
+				break // a ticket that does not belong in this slot: nothing live
 			}
-			if t >= tail+r.cap {
-				// A ticket the writer could not have claimed while the
-				// cursor was at tail (the ring holds at most cap live
-				// events): the slot is not data.
-				snap.Skipped++
+			if t >= r.cap {
+				snap.Skipped++ // a ticket the writer drops, never publishes: not data
 				break
 			}
 			ev := Decode(l.Payload)

@@ -26,13 +26,7 @@ const (
 	slotBytes           = fabric.LineSize
 	eventLine ds.PubTag = 0x7472616365657674 // "traceevt"
 
-	// Per-node header line words.
-	offDropped = 0 // events dropped because the ring was full
-	offTail    = 8 // the first live ticket; no collector advances it
-	// offClaimed is a high-watermark (ticket+1) published by the DROP
-	// path only: dropped tickets never occupy a slot, so it is how far
-	// the writer's claims reached.
-	offClaimed = 16
+	offDropped = 0 // the per-node header line's word: events dropped ring-full
 )
 
 // Recorder owns the rack's trace arena: one header line and one event
@@ -134,8 +128,7 @@ type Writer struct {
 	// reserve is node-local CPU state (a ticket counter in the node's
 	// private memory), not fabric state: it does not survive a crash and
 	// costs nothing to bump.
-	reserve  atomic.Uint64
-	tailSeen atomic.Uint64 // local cache of the header tail cursor
+	reserve atomic.Uint64
 	// suppress marks the writer as inside Emit so the fabric op hook
 	// does not trace the recorder's own cache traffic.
 	suppress atomic.Int32
@@ -149,8 +142,9 @@ func (w *Writer) now() uint64 {
 }
 
 // Emit records one event. Nil-safe: a nil writer (tracing disabled)
-// does nothing. When the ring is full — the collector's cursor a whole
-// ring behind — the event is dropped and counted instead of blocking.
+// does nothing. When the ring is full — it has held cap events, and no
+// collector consumes any — the event is dropped and counted, with one
+// fabric atomic, instead of blocking.
 // Emitting on a crashed node panics like any other fabric op; callers
 // on crash-tolerant paths already absorb that panic.
 func (w *Writer) Emit(sub Subsys, kind Kind, flags Flags, arg0, arg1 uint64) {
@@ -158,20 +152,9 @@ func (w *Writer) Emit(sub Subsys, kind Kind, flags Flags, arg0, arg1 uint64) {
 		return
 	}
 	t := w.reserve.Add(1) - 1
-	if t >= w.tailSeen.Load()+w.rec.cap {
-		// Apparently full: refresh the cursor once, then really drop.
-		tail := w.n.AtomicLoad64(w.hdr.Add(offTail))
-		w.tailSeen.Store(tail)
-		if t >= tail+w.rec.cap {
-			w.n.Add64(w.hdr.Add(offDropped), 1)
-			for { // publish the claimed high-watermark (CAS-max)
-				cur := w.n.AtomicLoad64(w.hdr.Add(offClaimed))
-				if t+1 <= cur || w.n.CAS64(w.hdr.Add(offClaimed), cur, t+1) {
-					break
-				}
-			}
-			return
-		}
+	if t >= w.rec.cap {
+		w.n.Add64(w.hdr.Add(offDropped), 1)
+		return
 	}
 	p := Encode(Event{
 		TS:    w.now(),

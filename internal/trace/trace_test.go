@@ -107,8 +107,14 @@ func TestRingFullDropsNewest(t *testing.T) {
 	f := testFabric(t, 1)
 	r := New(f, Config{RingCap: 8})
 	w := r.Writer(0)
+	n, lat := f.Node(0), f.Latency()
 	for i := uint64(0); i < 20; i++ {
+		before := n.Stats()
 		w.Emit(SubApp, KMark, 0, i, 0)
+		// A drop is the dropped count's one atomic and nothing else.
+		if d := n.Stats().Delta(before); i >= 8 && d != (fabric.NodeStatsSnapshot{Atomics: 1, VirtualNS: uint64(lat.AtomicNS + n.Hops()*lat.HopNS)}) {
+			t.Fatalf("drop %d cost %+v, want one atomic", i-8, d)
+		}
 	}
 	if d := w.Dropped(); d != 12 {
 		t.Fatalf("Dropped() = %d, want 12", d)
@@ -255,8 +261,8 @@ func TestFirehoseRangedWriteBack(t *testing.T) {
 
 // TestCollectSlotFabricBudget pins what collecting a live slot costs: one
 // fresh line fetch — one load that misses, no atomic, no invalidate — that
-// leaves nothing resident. The only atomics are the header's two words
-// (dropped count and tail cursor), read once per ring.
+// leaves nothing resident. The only atomic is the header's dropped count,
+// read once per ring.
 func TestCollectSlotFabricBudget(t *testing.T) {
 	f := testFabric(t, 2)
 	r := New(f, Config{RingCap: 1})
@@ -268,8 +274,8 @@ func TestCollectSlotFabricBudget(t *testing.T) {
 	if len(snap.Events) != 1 || snap.Events[0].Arg0 != 7 {
 		t.Fatalf("collected %v, want the one event", snap.Events)
 	}
-	if d.Atomics != 2 || d.Loads != 1 || d.Misses != 1 || d.Invalidates != 0 {
-		t.Fatalf("collecting one live slot: %d atomics (2 are the header's), %d loads, %d misses, %d invalidates; want 2, 1, 1, 0",
+	if d.Atomics != 1 || d.Loads != 1 || d.Misses != 1 || d.Invalidates != 0 {
+		t.Fatalf("collecting one live slot: %d atomics (1 is the header's), %d loads, %d misses, %d invalidates; want 1, 1, 1, 0",
 			d.Atomics, d.Loads, d.Misses, d.Invalidates)
 	}
 	if got := n.CacheResidentLines(); got != 0 {
