@@ -313,10 +313,15 @@ func (fn funcFreer) Free(fabric.GPtr) { fn() }
 // the epoch advanced. It costs one fresh read of the domain block and, if
 // every reservation allows it, one CAS.
 func (p *Participant) TryAdvance() bool {
+	_, ok := p.advance()
+	return ok
+}
+
+// advance is advanceLocked under p.mu.
+func (p *Participant) advance() (uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.advanceLocked()
-	return ok
+	return p.advanceLocked()
 }
 
 // advanceLocked is TryAdvance with p.mu held, also returning the epoch it
@@ -403,6 +408,7 @@ func (p *Participant) free(ready []retired) int {
 // Barrier advances epochs until everything retired before the call is
 // reclaimable, then collects. It spins while other participants hold pins,
 // so it must not be called while a section of this participant is open.
+// A poll is one advance, judged by the epoch it read or installed.
 func (p *Participant) Barrier() {
 	p.mu.Lock()
 	open := p.depth > 0
@@ -413,11 +419,11 @@ func (p *Participant) Barrier() {
 	start := p.epoch()
 	p.n.Await(fabric.Wait{Site: "quiescence.Barrier", Word: p.d.epochG, Arg: start + 2}, func() (uint64, bool) {
 		for {
-			e := p.epoch()
+			e, ok := p.advance()
 			if e >= start+2 {
 				return e, true
 			}
-			if !p.TryAdvance() {
+			if !ok {
 				return e, false
 			}
 		}

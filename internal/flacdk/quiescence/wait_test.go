@@ -7,9 +7,10 @@ import (
 )
 
 // TestBarrierWaitMatchesItsLoop: node 1 holds a read section open while
-// node 0 runs a Barrier. Through k failed polls (each one epoch read and a
-// refused advance) the Barrier charges node 0 exactly what the loop it
-// replaced charged, with node 1's Exit scripted at the k-th.
+// node 0 runs a Barrier. Through k failed polls (each one fresh read of
+// the domain block, its advance refused) the Barrier charges node 0
+// exactly what the loop it replaced charged — one fresh read, plus the
+// CAS when it lands, per poll — with node 1's Exit scripted at the k-th.
 func TestBarrierWaitMatchesItsLoop(t *testing.T) {
 	build := func() (p0, p1 *Participant) {
 		f := fabric.New(fabric.Config{GlobalSize: 8 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
@@ -39,8 +40,12 @@ func TestBarrierWaitMatchesItsLoop(t *testing.T) {
 		r0, r1 := build()
 		before = r0.n.Stats()
 		start := r0.epoch()
-		for i := 0; r0.epoch() < start+2; {
-			if !r0.TryAdvance() {
+		for i := 0; ; {
+			e, ok := r0.advance()
+			if e >= start+2 {
+				break
+			}
+			if !ok {
 				if i++; i == k {
 					r1.Exit()
 				}

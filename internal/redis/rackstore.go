@@ -24,7 +24,8 @@ import (
 // Layout and coherence protocol:
 //
 //   - The index is a flacdk/ds.HashMap mapping a salted 64-bit key hash to
-//     the global address of an immutable entry block.
+//     an immutable entry block's global address and line count (entryRef),
+//     so a reader fetches the whole entry it needs in one transfer.
 //   - Entry blocks (header | key bytes | value bytes) come from
 //     flacdk/alloc. A writer fills the block through its cache, WRITES THE
 //     LINES BACK explicitly, and only then publishes the address with a
@@ -125,8 +126,21 @@ const MaxEntryBytes = alloc.MaxAlloc - entryHdrSize
 // like index exhaustion (a sizing error), not limped through.
 const maxProbeSalts = 16
 
+// entryRef is an index value, built by newEntry: an entry block's address
+// below bit refLineShift and its line count above. The largest entry is
+// 1,024 lines, so a ref stays below the 2^63 the index accepts.
+type entryRef uint64
+
+const refLineShift = 48
+
+func (r entryRef) block() fabric.GPtr { return fabric.GPtr(r & (1<<refLineShift - 1)) }
+func (r entryRef) lines() uint64      { return uint64(r >> refLineShift) }
+
 // NewRackStore lays the store out in f's global memory.
 func NewRackStore(f *fabric.Fabric, cfg RackStoreConfig) *RackStore {
+	if f.Size() > 1<<refLineShift {
+		panic(fmt.Sprintf("redis: a %d-byte global memory has addresses an entryRef cannot hold", f.Size()))
+	}
 	cfg.fillDefaults()
 	ar := cfg.Arena
 	if ar == nil {
@@ -227,7 +241,7 @@ type View struct {
 
 	ops  uint64
 	img  []byte   // newEntry's scratch image, as large as the largest block written
-	rbuf []byte   // fetch's key and value bytes, as large as the largest entry read
+	rbuf []byte   // fetch's entry bytes, as large as the largest entry read
 	num  [20]byte // IncrBy's decimal result (an int64 is at most 20 characters)
 }
 
@@ -311,54 +325,33 @@ func (h entryHdr) liveLen() uint32 {
 	return h.vlen
 }
 
-// readHeader fetches an entry's header with a fresh line. Entry blocks are
-// immutable and fully written back before publication, so invalidating
-// then reading always observes the published bytes; the invalidate only
-// guards against stale lines from a previous residency of the block.
-func (v *View) readHeader(e fabric.GPtr) entryHdr {
-	var b [entryHdrSize]byte
-	ds.ReadRange(v.n, e, b[:])
-	return entryHdr{
-		klen: binary.LittleEndian.Uint32(b[0:]),
-		vlen: binary.LittleEndian.Uint32(b[4:]),
-		exp:  binary.LittleEndian.Uint64(b[8:]),
-	}
-}
-
-// fetch reads entry e once for an op on key: the header, then — only if
-// the key length matches — the key bytes and, when the op returns the
-// value, the value bytes behind them in the same transfer. No line is
-// invalidated or fetched twice: blocks are line-aligned, so the header's
-// line is fresh from readHeader and only the lines past it are
-// invalidated before the body is read. match reports whether e is bound
-// to key; val is nil unless withValue, and otherwise aliases v.rbuf until
-// the next fetch.
-func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, val []byte, match bool) {
-	hdr = v.readHeader(e)
-	if int(hdr.klen) != len(key) {
-		return hdr, nil, false
-	}
-	n := uint64(hdr.klen)
-	if withValue {
-		n += uint64(hdr.liveLen())
-	}
-	if n == 0 {
-		return hdr, nil, true
-	}
-	if end := entryHdrSize + n; end > fabric.LineSize {
-		//flacvet:ignore raw-maintenance only the lines past the header's, which readHeader has just read fresh; the body read starts inside that line
-		v.n.InvalidateRange(e.Add(fabric.LineSize), end-fabric.LineSize)
+// fetch reads entry ref for an op on key in ONE transfer, never past the
+// entry's own lines: all of them when the op returns the value, else the
+// header and key alone. Entries are immutable and written back before
+// their ref is published; the invalidate only drops stale lines of a
+// previous tenant of the block. match reports whether the entry is bound
+// to key; val is nil unless withValue, and otherwise aliases v.rbuf (a
+// live value is never nil) until the next fetch.
+func (v *View) fetch(ref entryRef, key string, withValue bool) (hdr entryHdr, val []byte, match bool) {
+	n := ref.lines() * fabric.LineSize
+	if !withValue {
+		n = min(n, uint64(entryHdrSize+len(key)))
 	}
 	if uint64(cap(v.rbuf)) < n {
-		v.rbuf = make([]byte, alloc.ClassSize(entryHdrSize+n)) // grows at most once per class
+		v.rbuf = make([]byte, alloc.ClassSize(n)) // grows at most once per class
 	}
 	buf := v.rbuf[:n]
-	v.n.Read(e.Add(entryHdrSize), buf)
-	if string(buf[:hdr.klen]) != key {
+	ds.ReadRange(v.n, ref.block(), buf)
+	hdr = entryHdr{
+		klen: binary.LittleEndian.Uint32(buf[0:]),
+		vlen: binary.LittleEndian.Uint32(buf[4:]),
+		exp:  binary.LittleEndian.Uint64(buf[8:]),
+	}
+	if int(hdr.klen) != len(key) || string(buf[entryHdrSize:entryHdrSize+len(key)]) != key {
 		return hdr, nil, false
 	}
 	if withValue {
-		val = buf[hdr.klen:]
+		val = buf[entryHdrSize+len(key) : entryHdrSize+len(key)+int(hdr.liveLen())]
 	}
 	return hdr, val, true
 }
@@ -371,10 +364,10 @@ func (v *View) fetch(e fabric.GPtr, key string, withValue bool) (hdr entryHdr, v
 // The image is zero-padded to the next line boundary and written as whole
 // lines: blocks are line-aligned and every size class is a multiple of the
 // line size, so the padding stays inside the block, and a full-line write
-// needs no write-allocate fetch of the block's partial last line. Readers
-// never read past the header's lengths. The image is built in the View's
+// needs no write-allocate fetch of the block's partial last line. Its ref
+// bounds every read to the entry's lines. The image is built in the View's
 // own buffer (a View is single-goroutine and Node.Write copies).
-func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabric.GPtr {
+func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) entryRef {
 	total := entryHdrSize + len(key) + len(value)
 	padded := int(fabric.AlignUp64(uint64(total), fabric.LineSize))
 	blk := v.na.AllocUninit(uint64(total))
@@ -393,7 +386,7 @@ func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabr
 	copy(buf[entryHdrSize:], key)
 	copy(buf[entryHdrSize+len(key):], value)
 	ds.PublishRange(v.n, blk, buf)
-	return blk
+	return entryRef(uint64(blk) | uint64(padded/fabric.LineSize)<<refLineShift)
 }
 
 // retire schedules an unpublished-from-now block for reclamation once no
@@ -410,20 +403,20 @@ func (v *View) addLive(delta int64) { v.n.Add64(v.s.liveG, uint64(delta)) }
 
 // probeResult is one resolved slot for a key.
 type probeResult struct {
-	sk    uint64      // index key of the slot bound to key
-	slot  ds.Slot     // handle on that slot, for the publishing CAS (zero if absent)
-	entry fabric.GPtr // current entry (Nil if the slot is absent)
-	hdr   entryHdr
-	val   []byte // the entry's value bytes, if the probe asked for them
+	sk   uint64   // index key of the slot bound to key
+	slot ds.Slot  // handle on that slot, for the publishing CAS (zero if absent)
+	ref  entryRef // current entry's ref (0 if the slot is absent)
+	hdr  entryHdr
+	val  []byte // the entry's value bytes, if the probe asked for them
 }
 
 // live reports whether the probed entry holds a value a read may return.
 func (v *View) live(pr probeResult) bool {
-	return !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr)
+	return pr.ref != 0 && !pr.hdr.deleted() && !v.expired(pr.hdr)
 }
 
 // probe walks the salted-hash chain until it finds the slot bound to key
-// or the first absent slot (entry Nil: the key has never been stored; sk
+// or the first absent slot (ref 0: the key has never been stored; sk
 // is where an insert would bind it). withValue says whether the op returns
 // the value (GET, MGET, INCRBY, EXPIRE) or needs the key's binding alone
 // (EXISTS, DEL, SET's probe). Must run inside a read section.
@@ -433,11 +426,10 @@ func (v *View) probe(key string, withValue bool) probeResult {
 		sk := slotKey(h, salt)
 		slot, ev, ok := v.s.index.Find(v.n, sk)
 		if !ok {
-			return probeResult{sk: sk, entry: fabric.Nil}
+			return probeResult{sk: sk}
 		}
-		e := fabric.GPtr(ev)
-		if hdr, val, match := v.fetch(e, key, withValue); match {
-			return probeResult{sk: sk, slot: slot, entry: e, hdr: hdr, val: val}
+		if hdr, val, match := v.fetch(entryRef(ev), key, withValue); match {
+			return probeResult{sk: sk, slot: slot, ref: entryRef(ev), hdr: hdr, val: val}
 		}
 	}
 	panic(fmt.Sprintf("redis: RackStore salted-probe chain exhausted for key %q (%d 64-bit hash collisions?!); size Slots up", key, maxProbeSalts))
@@ -445,13 +437,15 @@ func (v *View) probe(key string, withValue bool) probeResult {
 
 // displaced returns the header of entry old, which an ExchangeAt on pr's
 // slot just displaced: the probed header when old IS the probed entry
-// (same section, so same address means same immutable block), a fresh
-// fetch when a concurrent writer published in between.
-func (v *View) displaced(pr probeResult, old fabric.GPtr) entryHdr {
-	if old == pr.entry {
+// (same section, so same ref means same immutable block), a fresh fetch
+// of its header alone (the empty key's bytes) when a concurrent writer
+// published in between.
+func (v *View) displaced(pr probeResult, old entryRef) entryHdr {
+	if old == pr.ref {
 		return pr.hdr
 	}
-	return v.readHeader(old)
+	hdr, _, _ := v.fetch(old, "", false)
+	return hdr
 }
 
 // checkSizes validates an entry's payload against the allocator's largest
@@ -478,50 +472,49 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 	if ttl > 0 {
 		exp = v.Now() + uint64(ttl.Nanoseconds())
 	}
-	blk := v.newEntry(key, value, exp, false)
-	prev, prevDeleted, err := v.publish(key, blk)
+	ref := v.newEntry(key, value, exp, false)
+	prev, prevDeleted, err := v.publish(key, ref)
 	if err != nil {
-		v.na.Free(blk) // never published: no reader saw it, no grace period needed
+		v.na.Free(ref.block()) // never published: no reader saw it, no grace period needed
 		return err
 	}
-	if !prev.IsNil() {
-		v.retire(prev)
+	if prev != 0 {
+		v.retire(prev.block())
 	}
-	if prev.IsNil() || prevDeleted {
+	if prev == 0 || prevDeleted {
 		v.addLive(1)
 	}
 	v.tick()
 	return nil
 }
 
-// publish installs blk as key's entry, returning the displaced entry (Nil
-// on a fresh insert) and whether it was a deleted marker. A bound key is
+// publish installs ref as key's entry, returning the displaced entry's ref
+// (0 on a fresh insert) and whether it was a deleted marker. A bound key is
 // replaced with one CAS at the slot the probe found; every racing publish
 // receives a distinct previous entry (ds.HashMap.Exchange's contract), so
 // each old block is retired exactly once. A fenced view installs nothing
-// and gets ErrFenced; blk is then still the caller's.
-func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDeleted bool, err error) {
+// and gets ErrFenced; ref is then still the caller's.
+func (v *View) publish(key string, ref entryRef) (prev entryRef, prevDeleted bool, err error) {
 	if !v.enterWrite() {
-		return fabric.Nil, false, ErrFenced
+		return 0, false, ErrFenced
 	}
 	defer v.p.Exit()
 	for {
 		pr := v.probe(key, false)
-		if pr.entry.IsNil() {
-			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(blk)); inserted {
-				return fabric.Nil, false, nil
+		if pr.ref == 0 {
+			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(ref)); inserted {
+				return 0, false, nil
 			}
 			continue // lost the bind race; re-probe (the winner may be another key)
 		}
-		old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(blk))
+		old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(ref))
 		if !existed {
 			continue
 		}
-		oe := fabric.GPtr(old)
 		// The displaced entry may differ from the probed one (a concurrent
 		// writer published in between), but slot binding is permanent, so
 		// it is OUR key's entry and we own retiring it.
-		return oe, v.displaced(pr, oe).deleted(), nil
+		return entryRef(old), v.displaced(pr, entryRef(old)).deleted(), nil
 	}
 }
 
@@ -549,15 +542,9 @@ func (v *View) Get(key string) ([]byte, bool) {
 }
 
 // AppendGet appends the reply to a GET of key to dst, copying Get's value
-// out of the View's read buffer.
+// out of the View's read buffer: nil, the null bulk, only on a miss.
 func (v *View) AppendGet(dst []byte, key string) []byte {
-	val, ok := v.Get(key)
-	if !ok {
-		return AppendBulk(dst, nil)
-	}
-	if val == nil {
-		val = []byte{} // a live empty value under an empty key, not a miss
-	}
+	val, _ := v.Get(key)
 	return AppendBulk(dst, val)
 }
 
@@ -612,7 +599,7 @@ func (v *View) del1(key string) bool {
 		return false
 	}
 	pr := v.probe(key, false)
-	if pr.entry.IsNil() || pr.hdr.deleted() {
+	if pr.ref == 0 || pr.hdr.deleted() {
 		v.p.Exit()
 		v.tick()
 		return false
@@ -620,21 +607,20 @@ func (v *View) del1(key string) bool {
 	// The key is (or recently was) live: publish a deleted marker. The
 	// marker keeps the slot's key binding intact — mandatory for probe
 	// linearizability — at the cost of one small block per deleted key.
-	dblk := v.newEntry(key, nil, 0, true)
-	old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(dblk))
+	dref := v.newEntry(key, nil, 0, true)
+	old, existed := v.s.index.ExchangeAt(v.n, pr.slot, uint64(dref))
 	v.p.Exit()
 	if !existed {
 		// Unreachable once a slot is bound (bindings are permanent), but
 		// reclaim the marker rather than leak it.
-		v.na.Free(dblk)
+		v.na.Free(dref.block())
 		v.tick()
 		return false
 	}
-	oe := fabric.GPtr(old)
-	ohdr := v.displaced(pr, oe)
+	ohdr := v.displaced(pr, entryRef(old))
 	wasLive := !ohdr.deleted()
 	wasUnexpired := wasLive && !v.expired(ohdr)
-	v.retire(oe)
+	v.retire(entryRef(old).block())
 	if wasLive {
 		v.addLive(-1)
 	}
@@ -677,17 +663,17 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 			v.tick()
 			return 0, err
 		}
-		nblk := v.newEntry(key, strconv.AppendInt(v.num[:0], next, 10), exp, false)
-		if pr.entry.IsNil() {
-			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(nblk)); inserted {
+		nref := v.newEntry(key, strconv.AppendInt(v.num[:0], next, 10), exp, false)
+		if pr.ref == 0 {
+			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(nref)); inserted {
 				v.p.Exit()
 				v.addLive(1)
 				v.tick()
 				return next, nil
 			}
-		} else if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.entry), uint64(nblk)) {
+		} else if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.ref), uint64(nref)) {
 			v.p.Exit()
-			v.retire(pr.entry)
+			v.retire(pr.ref.block())
 			if pr.hdr.deleted() {
 				v.addLive(1)
 			}
@@ -697,7 +683,7 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 		// Lost the race to a concurrent writer: our block was never
 		// published, free it directly and retry against the fresh state.
 		v.p.Exit()
-		v.na.Free(nblk)
+		v.na.Free(nref.block())
 	}
 }
 
@@ -721,17 +707,17 @@ func (v *View) Expire(key string, ttl time.Duration) bool {
 			v.tick()
 			return false
 		}
-		nblk := v.newEntry(key, pr.val, v.Now()+uint64(ttl.Nanoseconds()), false)
-		if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.entry), uint64(nblk)) {
+		nref := v.newEntry(key, pr.val, v.Now()+uint64(ttl.Nanoseconds()), false)
+		if v.s.index.CompareAndSwapAt(v.n, pr.slot, uint64(pr.ref), uint64(nref)) {
 			v.p.Exit()
-			v.retire(pr.entry)
+			v.retire(pr.ref.block())
 			v.tick()
 			return true
 		}
 		// Lost to a concurrent writer: the fresh state decides whether a
 		// TTL still applies — retry against it.
 		v.p.Exit()
-		v.na.Free(nblk)
+		v.na.Free(nref.block())
 	}
 }
 

@@ -70,6 +70,31 @@ func TestRackStoreMissAndEmpty(t *testing.T) {
 	}
 }
 
+// TestRackStoreEmptyValueIsNotAMiss: a live empty value reads back as an
+// empty, non-nil value through GET, MGET and the RESP reply, under the
+// empty key too (whose entry is the header alone).
+func TestRackStoreEmptyValueIsNotAMiss(t *testing.T) {
+	f, s := newTestRackStore(t, 1, RackStoreConfig{})
+	v := s.Attach(f.Node(0))
+	for _, key := range []string{"", "k"} {
+		if err := v.Set(key, []byte{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := v.Get(key); !ok || got == nil || len(got) != 0 {
+			t.Fatalf("GET %q: %q ok=%v", key, got, ok)
+		}
+		if got := v.MGet(key, "missing"); got[0] == nil || len(got[0]) != 0 || got[1] != nil {
+			t.Fatalf("MGET %q: %q", key, got)
+		}
+		if got := string(v.AppendGet(nil, key)); got != "$0\r\n\r\n" {
+			t.Fatalf("GET %q reply %q", key, got)
+		}
+	}
+	if got := string(v.AppendGet(nil, "missing")); got != "$-1\r\n" {
+		t.Fatalf("GET of a missing key replied %q", got)
+	}
+}
+
 func TestRackStoreOversizeRejected(t *testing.T) {
 	f, s := newTestRackStore(t, 1, RackStoreConfig{})
 	v := s.Attach(f.Node(0))
@@ -365,10 +390,9 @@ func TestRackStoreExpire(t *testing.T) {
 
 // TestRackStoreGetFabricBudget pins what a GET costs: for an entry of
 // three lines read cold from another node, TWO fabric atomics (enter and
-// exit; the index probe is a fresh line fetch, not an atomic), two
-// invalidate calls (the header's line, then the lines past it), the index
-// line plus three line fetches and one hit (the key's bytes in the
-// header's already-fetched line) — nothing is fetched twice.
+// exit; the index probe is a fresh line fetch, not an atomic), the index
+// line, then the entry's three lines in ONE invalidate and one transfer
+// (the index word carries the line count) — no hit, nothing fetched twice.
 func TestRackStoreGetFabricBudget(t *testing.T) {
 	f, s := newTestRackStore(t, 2, RackStoreConfig{})
 	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
@@ -385,16 +409,128 @@ func TestRackStoreGetFabricBudget(t *testing.T) {
 	}
 	atomicNS, missNS := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS
 	// The stats count dropped lines, not invalidate calls; the exact charge
-	// pins the two calls (LocalNS each). Enter and exit, the index line,
-	// the header line, the two lines behind it with the key out of the
-	// header's line.
-	wantNS := uint64(2*atomicNS + (lat.LocalNS + missNS) + (lat.LocalNS + missNS) + (lat.LocalNS + lat.LocalNS + missNS + lat.PerLineNS))
-	if d.Atomics != 2 || d.Misses != 1+3 || d.Hits != 1 || d.VirtualNS != wantNS {
-		t.Fatalf("GET of a 3-line entry: %d atomics, %d line fetches, %d hits, %d sim_ns; want 2, 4 (the index line and the entry's three), 1, %d",
+	// pins the one call (LocalNS). Enter and exit, the index line, the
+	// entry's three lines pipelined.
+	wantNS := uint64(2*atomicNS + (lat.LocalNS + missNS) + (lat.LocalNS + missNS + 2*lat.PerLineNS))
+	if d.Atomics != 2 || d.Misses != 1+3 || d.Hits != 0 || d.VirtualNS != wantNS {
+		t.Fatalf("GET of a 3-line entry: %d atomics, %d line fetches, %d hits, %d sim_ns; want 2, 4 (the index line and the entry's three), 0, %d",
 			d.Atomics, d.Misses, d.Hits, d.VirtualNS, wantNS)
 	}
-	if wantNS != 3370 {
-		t.Fatalf("budget = %d sim_ns, EXPERIMENTS.md publishes 3370", wantNS)
+	if wantNS != 2660 {
+		t.Fatalf("budget = %d sim_ns, EXPERIMENTS.md publishes 2660", wantNS)
+	}
+}
+
+// fetchShapes are entries of 1, 2, 3, 17 and 1,024 lines (the largest),
+// the last two with keys that take a second line.
+var fetchShapes = []struct{ klen, vlen int }{
+	{8, 20},                  // 44 B
+	{10, 90},                 // 116 B
+	{17, 128},                // 161 B, the benchmark's shape
+	{100, 950},               // 1,066 B
+	{60, MaxEntryBytes - 60}, // 65,536 B
+}
+
+func entryLines(total int) int {
+	return int(fabric.AlignUp64(uint64(total), fabric.LineSize) / fabric.LineSize)
+}
+
+// TestRackStoreEntryShapesFabricBudget pins a cold read from another node
+// for every entry shape: a GET is two atomics (enter, exit), the index line
+// and exactly the entry's ceil(total/64) lines in ONE invalidate and one
+// pipelined transfer, with no hit; EXISTS reads the header and the key
+// bytes of the entry and nothing else, also in one transfer.
+func TestRackStoreEntryShapesFabricBudget(t *testing.T) {
+	f, s := newTestRackStore(t, 2, RackStoreConfig{})
+	a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+	n, lat := f.Node(1), f.Latency()
+	atomicNS, missNS := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS
+	read := func(lines int) int { return lat.LocalNS + missNS + (lines-1)*lat.PerLineNS } // one invalidate and one transfer
+	for i, sh := range fetchShapes {
+		key := fmt.Sprintf("%0*d", sh.klen, i)
+		val := bytes.Repeat([]byte{byte('a' + i)}, sh.vlen)
+		if err := a.Set(key, val, 0); err != nil {
+			t.Fatal(err)
+		}
+		total := entryHdrSize + sh.klen + sh.vlen
+		lines, keyBytes := entryLines(total), entryHdrSize+sh.klen
+		before := n.Stats()
+		got, ok := b.Get(key)
+		d := n.Stats().Delta(before)
+		if !ok || !bytes.Equal(got, val) {
+			t.Fatalf("%d-line entry: GET ok=%v len=%d", lines, ok, len(got))
+		}
+		want := fabric.NodeStatsSnapshot{
+			Loads: 1 + uint64(lines), Misses: 1 + uint64(lines), Atomics: 2,
+			BulkBytesRead: uint64(fabric.LineSize + lines*fabric.LineSize),
+			VirtualNS:     uint64(2*atomicNS + read(1) + read(lines)),
+		}
+		if d != want {
+			t.Fatalf("GET of a %d B entry (%d lines):\n  %+v\nwant\n  %+v", total, lines, d, want)
+		}
+		keyLines := entryLines(keyBytes)
+		before = n.Stats()
+		if b.Exists(key) != 1 {
+			t.Fatalf("%d-line entry: EXISTS missed", lines)
+		}
+		d = n.Stats().Delta(before)
+		want = fabric.NodeStatsSnapshot{
+			Loads: 1 + uint64(keyLines), Misses: 1 + uint64(keyLines), Atomics: 2,
+			Invalidates:   uint64(keyLines), // the GET left them resident
+			BulkBytesRead: uint64(fabric.LineSize + keyBytes),
+			VirtualNS:     uint64(2*atomicNS + read(1) + read(keyLines)),
+		}
+		if d != want {
+			t.Fatalf("EXISTS of a %d B entry with a %d B key:\n  %+v\nwant\n  %+v", total, sh.klen, d, want)
+		}
+	}
+}
+
+// TestRackStoreEntryShapesStayInTheirBlock: a fetch never leaves its
+// entry. Every line a GET or EXISTS fetches, other than the index line,
+// lies in the entry's own padded lines, and a line of the next block of
+// the slab that the reader holds is still resident afterwards, so the
+// fetch's invalidate did not reach it either.
+func TestRackStoreEntryShapesStayInTheirBlock(t *testing.T) {
+	for i, sh := range fetchShapes {
+		f, s := newTestRackStore(t, 2, RackStoreConfig{})
+		a, b := s.Attach(f.Node(0)), s.Attach(f.Node(1))
+		key := fmt.Sprintf("%0*d", sh.klen, i)
+		if err := a.Set(key, make([]byte, sh.vlen), 0); err != nil {
+			t.Fatal(err)
+		}
+		total := entryHdrSize + sh.klen + sh.vlen
+		ref, _ := s.index.Get(f.Node(0), slotKey(keyHash(key), 0))
+		blk := entryRef(ref).block()
+		first, last := blk.Line(), blk.Line()+uint64(entryLines(total))
+		neighbour := blk.Add(alloc.ClassSize(uint64(total)))
+		n := f.Node(1)
+		var word [fabric.WordSize]byte
+		for _, op := range []struct {
+			name string
+			fn   func() bool
+		}{
+			{"GET", func() bool { _, ok := b.Get(key); return ok }},
+			{"EXISTS", func() bool { return b.Exists(key) == 1 }},
+		} {
+			n.Read(neighbour, word[:]) // plant the neighbour's first line
+			var stray []uint64
+			n.SetOpHook(func(k fabric.OpKind, line, _ uint64) {
+				if k == fabric.OpMiss && (line < first || line >= last) {
+					stray = append(stray, line)
+				}
+			})
+			ok := op.fn()
+			n.SetOpHook(nil)
+			if !ok || len(stray) > 0 {
+				t.Fatalf("%d B entry at lines [%d, %d): %s ok=%v fetched lines %v outside it", total, first, last, op.name, ok, stray)
+			}
+			before := n.Stats()
+			n.Read(neighbour, word[:])
+			if d := n.Stats().Delta(before); d.Hits != 1 {
+				t.Fatalf("%d B entry: %s dropped line %d of the next block", total, op.name, neighbour.Line())
+			}
+		}
 	}
 }
 
@@ -449,7 +585,8 @@ func TestRackStoreTickBudget(t *testing.T) {
 // and the index is read by the line — one three-line write-back and two
 // line fetches (the index line, the displaced entry's header); the entry
 // image goes into the cache as whole lines, so writing it fetches
-// nothing; retiring the displaced block costs nothing. INCRBY is the same
+// nothing; retiring the displaced block costs nothing. The probe reads
+// the displaced entry's header and key in one one-line transfer. INCRBY is the same
 // three around a one-line entry; DEL adds the live-count update.
 func TestRackStoreSetFabricBudget(t *testing.T) {
 	f, s := newTestRackStore(t, 2, RackStoreConfig{})
@@ -466,9 +603,9 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 	}
 	atomicNS, missNS, local := lat.AtomicNS+n.Hops()*lat.HopNS, lat.GlobalNS+n.Hops()*lat.HopNS, lat.LocalNS
 	// What every op below pays around its entry write: enter, the index
-	// line, the header's invalidate and fetch, the key (and a counter's
-	// digits) out of the fetched line, the publishing CAS, exit.
-	common := 3*atomicNS + (local + missNS) + (local + missNS) + local
+	// line, the invalidate and fetch of the entry's header and key (and a
+	// counter's digits), the publishing CAS, exit.
+	common := 3*atomicNS + (local + missNS) + (local + missNS)
 	ops := []struct {
 		name                       string
 		fn                         func() bool
@@ -500,8 +637,8 @@ func TestRackStoreSetFabricBudget(t *testing.T) {
 	}
 	// The numbers EXPERIMENTS.md publishes, under the default latency model
 	// one hop from home.
-	if ops[0].wantNS != 4270 || ops[1].wantNS != 4030 || ops[2].wantNS != 4710 {
-		t.Fatalf("budgets = %d / %d / %d sim_ns, want 4270 / 4030 / 4710", ops[0].wantNS, ops[1].wantNS, ops[2].wantNS)
+	if ops[0].wantNS != 4170 || ops[1].wantNS != 3930 || ops[2].wantNS != 4610 {
+		t.Fatalf("budgets = %d / %d / %d sim_ns, want 4170 / 3930 / 4610", ops[0].wantNS, ops[1].wantNS, ops[2].wantNS)
 	}
 }
 
@@ -523,7 +660,7 @@ func TestRackStoreSetLosesPublishRace(t *testing.T) {
 	n := f.Node(0)
 	raced := false
 	n.SetOpHook(func(k fabric.OpKind, line, _ uint64) {
-		if k == fabric.OpMiss && line == fabric.GPtr(orig).Line() && !raced {
+		if k == fabric.OpMiss && line == entryRef(orig).block().Line() && !raced {
 			raced = true
 			if err := b.Set(key, []byte("from node 1"), 0); err != nil {
 				t.Error(err)
@@ -579,14 +716,14 @@ func TestRackStoreKeyOnlyOpsSkipTheValue(t *testing.T) {
 	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Misses != 2 {
 		t.Fatalf("EXISTS read %d B in %d line fetches; want %d B (index line, header+key) in 2", d.BulkBytesRead, d.Misses, want)
 	}
-	// DEL also writes its marker block, so count what it READ: three
-	// reads, the index line, the header, then the key.
+	// DEL also writes its marker block, so count what it READ: two reads,
+	// the index line, then the header and key in one transfer.
 	before = n.Stats()
 	if b.Del(key) != 1 {
 		t.Fatal("DEL missed a live key")
 	}
-	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Loads != 3 {
-		t.Fatalf("DEL read %d B in %d reads; want %d B (index line, header+key, probed header reused) in 3", d.BulkBytesRead, d.Loads, want)
+	if d := n.Stats().Delta(before); d.BulkBytesRead != want || d.Loads != 2 {
+		t.Fatalf("DEL read %d B in %d reads; want %d B (index line, header+key, probed header reused) in 2", d.BulkBytesRead, d.Loads, want)
 	}
 	if _, ok := a.Get(key); ok {
 		t.Fatal("key still live after DEL")
@@ -660,14 +797,15 @@ func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
 	key, sk := "shrinker", slotKey(keyHash("shrinker"), 0)
 	long, short := bytes.Repeat([]byte{'L'}, 180), bytes.Repeat([]byte{'s'}, 110)
 	a.Set(key, long, 0)
-	blk, _ := s.index.Get(f.Node(0), sk)
+	ref, _ := s.index.Get(f.Node(0), sk)
+	blk := entryRef(ref).block()
 	if got, ok := b.Get(key); !ok || !bytes.Equal(got, long) {
 		t.Fatal("second node misread the long entry")
 	}
 	a.Set(key, long, 0) // displaces blk ...
 	a.Barrier()         // ... and frees it: the next allocation of its class
 	a.Set(key, short, 0)
-	if e, _ := s.index.Get(f.Node(0), sk); e != blk {
+	if e, _ := s.index.Get(f.Node(0), sk); entryRef(e).block() != blk {
 		t.Fatal("the shorter entry did not reuse the longer one's block; the check has no teeth")
 	}
 	if got, ok := b.Get(key); !ok || !bytes.Equal(got, short) {
@@ -675,8 +813,8 @@ func TestRackStoreEntryShapesNoStaleLines(t *testing.T) {
 	}
 	end := uint64(entryHdrSize + len(key) + len(short))
 	pad := make([]byte, fabric.AlignUp64(end, fabric.LineSize)-end)
-	f.Node(1).InvalidateRange(fabric.GPtr(blk), 256)
-	f.Node(1).Read(fabric.GPtr(blk).Add(end), pad)
+	f.Node(1).InvalidateRange(blk, 256)
+	f.Node(1).Read(blk.Add(end), pad)
 	if !bytes.Equal(pad, make([]byte, len(pad))) {
 		t.Fatalf("padding behind the shorter entry is not zero: % x", pad)
 	}
@@ -707,7 +845,7 @@ func TestRackStoreSaltedChainSkipsForeignKey(t *testing.T) {
 	if got, ok := a.Get(key); !ok || string(got) != "mine" {
 		t.Fatalf("GET after SET behind a collision: %q ok=%v", got, ok)
 	}
-	if e, _ := s.index.Get(f.Node(0), sk0); fabric.GPtr(e) != fblk {
+	if e, _ := s.index.Get(f.Node(0), sk0); entryRef(e) != fblk {
 		t.Fatal("SET displaced the foreign key's entry instead of binding the next salted slot")
 	}
 	if e, ok := s.index.Get(f.Node(0), slotKey(keyHash(key), 1)); !ok || e == 0 {
