@@ -17,7 +17,6 @@
 // A published line (PubTag) needs no atomic at all: one owner publishes
 // it with a write-back and readers fetch it fresh (publine.go). A state
 // word (StateWord) is the other half of the control plane: a slot's
-// gen|aux|owner|state packed in one word that changes only by CAS64, kept
-// with the virtual time of its last transition in a StateTable
-// (stateword.go).
+// gen|aux|owner|state packed in one word that changes only by CAS64, one
+// per line of a StateTable (stateword.go).
 package ds

@@ -32,9 +32,8 @@ func (w StateWord[S]) State() S    { return S(w & 0xff) }
 //flac:shared
 //flac:published-by=CAS64
 type stateLine struct {
-	Word     uint64 // the slot's StateWord
-	StampVNS uint64 // virtual time of the last won transition
-	_        [6]uint64
+	Word uint64 // the slot's StateWord
+	_    [7]uint64
 }
 
 // StateTable is one stateLine per slot; every slot starts at the zero word.
@@ -45,24 +44,15 @@ func NewStateTable[S ~uint8](f *fabric.Fabric, slots int) StateTable[S] {
 	return StateTable[S]{f.Reserve(uint64(slots)*fabric.LineSize, fabric.LineSize)}
 }
 
-func (t StateTable[S]) word(slot int) fabric.GPtr  { return t.base.Add(uint64(slot) * fabric.LineSize) }
-func (t StateTable[S]) stamp(slot int) fabric.GPtr { return t.word(slot).Add(fabric.WordSize) }
+func (t StateTable[S]) word(slot int) fabric.GPtr { return t.base.Add(uint64(slot) * fabric.LineSize) }
 
 // Load reads slot's state word.
 func (t StateTable[S]) Load(n *fabric.Node, slot int) StateWord[S] {
 	return StateWord[S](n.AtomicLoad64(t.word(slot)))
 }
 
-// Stamp reads the virtual time of slot's last won transition.
-func (t StateTable[S]) Stamp(n *fabric.Node, slot int) uint64 { return n.AtomicLoad64(t.stamp(slot)) }
-
 // Transition moves slot's word from old to next with one CAS64, which
-// exactly one of any number of racing contenders wins, and only if it won
-// stamps the slot with n's virtual clock read after the CAS.
+// exactly one of any number of racing contenders wins.
 func (t StateTable[S]) Transition(n *fabric.Node, slot int, old, next StateWord[S]) bool {
-	if !n.CAS64(t.word(slot), uint64(old), uint64(next)) {
-		return false
-	}
-	n.AtomicStore64(t.stamp(slot), n.VirtualNS())
-	return true
+	return n.CAS64(t.word(slot), uint64(old), uint64(next))
 }

@@ -81,9 +81,7 @@ const (
 	maskAborted
 )
 
-// SchedGate is the slice of sched the controller drives. The wider
-// surface (vs signals.go's SchedCounters) is split so racks without a
-// scheduler can pass nil for one and not the other.
+// SchedGate is the slice of sched the controller drives.
 type SchedGate interface {
 	SetNodeServing(id int, serving bool)
 	ReclaimNode(from *fabric.Node, dead int) int

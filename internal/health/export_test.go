@@ -8,7 +8,6 @@ type VerdictInfo struct {
 	State      DetectState
 	Node       int
 	Generation uint64
-	StampVNS   uint64
 }
 
 // Verdicts reads every slot's health control word through node n.
@@ -21,7 +20,6 @@ func (l *Layer) Verdicts(n *fabric.Node) []VerdictInfo {
 			State:      w.State(),
 			Node:       w.Owner(),
 			Generation: w.Gen(),
-			StampVNS:   l.ctl.Stamp(n, i),
 		}
 	}
 	return out

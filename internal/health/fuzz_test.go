@@ -22,8 +22,8 @@ const (
 // is a canonical encoding with in-range fields.
 func FuzzHealthRecordDecode(f *testing.F) {
 	// Canonical records at a few shapes.
-	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 1, Slot: 3, Generation: 1, LatEWMANS: 450, ErrEWMAMilli: 120, LeaseExpiries: 2, ClaimFails: 9, LinkHops: 0}, 1})), 3)
-	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 0, Slot: 0, Generation: 1 << 32, LatEWMANS: 1 << 50, ErrEWMAMilli: 0, LeaseExpiries: ^uint32(0), ClaimFails: ^uint32(0), LinkHops: 255}, 1 << 50})), 0)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 1, Slot: 3, Generation: 1, LatEWMANS: 450, ErrEWMAMilli: 120, LinkHops: 0}, 1})), 3)
+	f.Add(lineBytes(EncodeRecord(sample{Record{Node: 0, Slot: 0, Generation: 1 << 32, LatEWMANS: 1 << 50, ErrEWMAMilli: 0, LinkHops: 255}, 1 << 50})), 0)
 	// Never-published slot (all zero) and a torn variant of it.
 	f.Add(make([]byte, recordBytes), 0)
 	torn := lineBytes(EncodeRecord(sample{Record{Node: 2, Slot: 2, Generation: 7, LatEWMANS: 900}, 9}))
@@ -65,7 +65,7 @@ func lineBytes(b [recordBytes]byte) []byte { return b[:] }
 
 func TestRecordRoundTrip(t *testing.T) {
 	r := sample{Record{Node: 7, Slot: 9, Generation: 42, LatEWMANS: 1234, ErrEWMAMilli: 567,
-		LeaseExpiries: 8, ClaimFails: 90, LinkHops: 6}, 1000}
+		LinkHops: 6}, 1000}
 	got, err := DecodeRecord(EncodeRecord(r), 9)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -77,7 +77,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestRecordRejections(t *testing.T) {
 	valid := sample{Record{Node: 1, Slot: 2, Generation: 5, LatEWMANS: 800, ErrEWMAMilli: 10,
-		LeaseExpiries: 1, ClaimFails: 2, LinkHops: 3}, 77}
+		LinkHops: 3}, 77}
 
 	cases := []struct {
 		name    string

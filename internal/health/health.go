@@ -186,14 +186,12 @@ func (a *Agent) publishSample() {
 	a.errP.Observe(sg.Errors)
 	a.seq++
 	r := Record{
-		Node:          uint8(a.n.ID()),
-		Slot:          uint8(a.m.Slot()),
-		Generation:    a.m.Generation(),
-		LatEWMANS:     uint64(a.latP.Rate()),
-		ErrEWMAMilli:  uint64(a.errP.Rate() * ewmaScale),
-		LeaseExpiries: uint32(sg.LeaseExpiries),
-		ClaimFails:    uint32(sg.ClaimFails),
-		LinkHops:      sg.LinkHops,
+		Node:         uint8(a.n.ID()),
+		Slot:         uint8(a.m.Slot()),
+		Generation:   a.m.Generation(),
+		LatEWMANS:    uint64(a.latP.Rate()),
+		ErrEWMAMilli: uint64(a.errP.Rate() * ewmaScale),
+		LinkHops:     sg.LinkHops,
 	}
 	sampleLine.Publish(a.n, a.l.recSlotG(a.m.Slot()), a.seq, r.payload())
 }

@@ -59,7 +59,7 @@ func bootRack(t *testing.T, nodes int) *rack {
 		if err := m.Activate(); err != nil {
 			t.Fatalf("activate node %d: %v", i, err)
 		}
-		src := NewNodeSource(f.Node(i), nil)
+		src := NewNodeSource(f.Node(i))
 		l.Join(m, src)
 		r.ms = append(r.ms, m)
 		r.srcs = append(r.srcs, src)
@@ -778,7 +778,7 @@ func TestReadRecordFabricBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("join node %d: %v", i, err)
 		}
-		agents = append(agents, l.Join(m, NewNodeSource(f.Node(i), nil)))
+		agents = append(agents, l.Join(m, NewNodeSource(f.Node(i))))
 	}
 	agents[1].publishSample()
 

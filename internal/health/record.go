@@ -8,18 +8,18 @@
 // link, a slow-degrading DIMM, CPUs losing every claim race — keeps its
 // heartbeat perfectly healthy while its latency tail poisons the whole
 // rack. The health layer publishes each node's own view of its signals
-// (latency EWMA, error EWMA, sched anomaly counters, link degradation)
-// in one ds published line per slot, like membership's heartbeats, and
-// every agent independently evaluates every slot against the rack
-// median. Detection state transitions ride a separate
-// fabric-atomics-only control line, CAS-guarded exactly like
-// membership's, and surface as EvDegraded/EvRecovered events on the
-// membership event stream. A node's health agent has no goroutine of its
-// own: it is a step of its membership member's agent loop, run once per
-// heartbeat tick after the liveness pass, so liveness and health events
-// reach a member's subscribers as one ordered feed. Plane assembles the
-// rack's whole control plane on these parts: the membership (re)join
-// protocol, the controller on node 0's stream, and the agents.
+// (latency EWMA, error EWMA, link degradation) in one ds published line
+// per slot, like membership's heartbeats, and every agent independently
+// evaluates every slot against the rack median. Detection state
+// transitions ride a separate fabric-atomics-only control line,
+// CAS-guarded exactly like membership's, and surface as
+// EvDegraded/EvRecovered events on the membership event stream. A node's
+// health agent has no goroutine of its own: it is a step of its membership
+// member's agent loop, run once per heartbeat tick after the liveness
+// pass, so liveness and health events reach a member's subscribers as one
+// ordered feed. Plane assembles the rack's whole control plane on these
+// parts: the membership (re)join protocol, the controller on node 0's
+// stream, and the agents.
 package health
 
 import (
@@ -38,8 +38,7 @@ import (
 //	p1 generation   (the slot's membership generation when sampled)
 //	p2 latency EWMA (ns per fabric op, owner-smoothed)
 //	p3 error EWMA   (errors per observation window, fixed-point millis)
-//	p4 leaseExpiries(32) | claimFails(32)  (cumulative sched counters)
-//	p5 linkHops     (the node's current extra fabric hops)
+//	p4 linkHops     (the node's current extra fabric hops)
 const (
 	recordBytes = fabric.LineSize
 
@@ -54,14 +53,12 @@ const ewmaScale = 1000
 // Record is one decoded health observation: the owner's own smoothed
 // view of its signals at publish time.
 type Record struct {
-	Node          uint8
-	Slot          uint8
-	Generation    uint64 // membership generation the sample belongs to
-	LatEWMANS     uint64 // smoothed ns per fabric op
-	ErrEWMAMilli  uint64 // smoothed errors per window, fixed-point 1/1000
-	LeaseExpiries uint32 // cumulative sched lease expiries charged to the node
-	ClaimFails    uint32 // cumulative claim-CAS losses
-	LinkHops      uint64 // extra fabric hops on the node's links
+	Node         uint8
+	Slot         uint8
+	Generation   uint64 // membership generation the sample belongs to
+	LatEWMANS    uint64 // smoothed ns per fabric op
+	ErrEWMAMilli uint64 // smoothed errors per window, fixed-point 1/1000
+	LinkHops     uint64 // extra fabric hops on the node's links
 }
 
 // Decode validation errors beyond ds.ErrPubEmpty and ds.ErrPubCorrupt.
@@ -75,7 +72,7 @@ var (
 
 func (r Record) payload() [ds.PubWords]uint64 {
 	return [ds.PubWords]uint64{uint64(r.Node)<<8 | uint64(r.Slot), r.Generation, r.LatEWMANS,
-		r.ErrEWMAMilli, uint64(r.LeaseExpiries)<<32 | uint64(r.ClaimFails), r.LinkHops}
+		r.ErrEWMAMilli, r.LinkHops}
 }
 
 // readRecord reads slot's health line fresh from home through n.
@@ -93,14 +90,12 @@ func checkRecord(l ds.PubLine, err error, wantSlot int) (Record, error) {
 	}
 	p := l.Payload
 	r := Record{
-		Node:          uint8(p[0] >> 8),
-		Slot:          uint8(p[0]),
-		Generation:    p[1],
-		LatEWMANS:     p[2],
-		ErrEWMAMilli:  p[3],
-		LeaseExpiries: uint32(p[4] >> 32),
-		ClaimFails:    uint32(p[4]),
-		LinkHops:      p[5],
+		Node:         uint8(p[0] >> 8),
+		Slot:         uint8(p[0]),
+		Generation:   p[1],
+		LatEWMANS:    p[2],
+		ErrEWMAMilli: p[3],
+		LinkHops:     p[4],
 	}
 	switch {
 	case int(r.Slot) != wantSlot:

@@ -20,11 +20,6 @@ type Signals struct {
 	// the node's write-back path plus whatever external feeds (the
 	// reliability scrubber, torture attribution) charged to the node.
 	Errors uint64
-	// LeaseExpiries and ClaimFails are CUMULATIVE sched anomaly
-	// counters (see sched.NodeHealthCounters); the detector publishes
-	// them raw and lets observers diff.
-	LeaseExpiries uint64
-	ClaimFails    uint64
 	// LinkHops is the node's current extra fabric hops — the one signal
 	// that is a direct reading rather than a rate.
 	LinkHops uint64
@@ -36,30 +31,22 @@ type SignalSource interface {
 	Sample() Signals
 }
 
-// SchedCounters is the slice of sched the health layer consumes.
-// *sched.Scheduler satisfies it.
-type SchedCounters interface {
-	NodeHealthCounters(id int) (leaseExpiries, claimFails uint64)
-}
-
 // NodeSource is the standard SignalSource for a live rack node: fabric
-// traffic deltas from the node's own stats, injected-fault counts, sched
-// anomaly counters, link degradation, plus an external error feed for
-// layers (the reliability scrubber) that detect a node's corruption
-// somewhere other than the node itself.
+// traffic deltas from the node's own stats, injected-fault counts, link
+// degradation, plus an external error feed for layers (the reliability
+// scrubber) that detect a node's corruption somewhere other than the
+// node itself.
 type NodeSource struct {
-	n     *fabric.Node
-	sched SchedCounters // may be nil
+	n *fabric.Node
 
 	prev     fabric.NodeStatsSnapshot
 	extErr   atomic.Uint64
 	prevEErr uint64
 }
 
-// NewNodeSource builds a source for n. sched may be nil when no
-// scheduler runs on the rack.
-func NewNodeSource(n *fabric.Node, sched SchedCounters) *NodeSource {
-	return &NodeSource{n: n, sched: sched, prev: n.Stats()}
+// NewNodeSource builds a source for n.
+func NewNodeSource(n *fabric.Node) *NodeSource {
+	return &NodeSource{n: n, prev: n.Stats()}
 }
 
 // AddError charges one externally-detected error to the node — the
@@ -78,16 +65,10 @@ func (s *NodeSource) Sample() Signals {
 	ext := s.extErr.Load()
 	extD := ext - s.prevEErr
 	s.prevEErr = ext
-	var le, cf uint64
-	if s.sched != nil {
-		le, cf = s.sched.NodeHealthCounters(s.n.ID())
-	}
 	return Signals{
-		Ops:           d.Loads + d.Stores + d.Atomics,
-		VirtualNS:     d.VirtualNS,
-		Errors:        d.FaultsInjected + extD,
-		LeaseExpiries: le,
-		ClaimFails:    cf,
-		LinkHops:      uint64(s.n.LinkDegradation()),
+		Ops:       d.Loads + d.Stores + d.Atomics,
+		VirtualNS: d.VirtualNS,
+		Errors:    d.FaultsInjected + extD,
+		LinkHops:  uint64(s.n.LinkDegradation()),
 	}
 }

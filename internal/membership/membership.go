@@ -160,7 +160,6 @@ type SlotInfo struct {
 	State      State
 	Node       int
 	Generation uint64
-	StampVNS   uint64
 }
 
 // Snapshot reads every slot's control word through node n; slot i's is
@@ -173,7 +172,6 @@ func (t *Table) Snapshot(n *fabric.Node) []SlotInfo {
 			State:      w.State(),
 			Node:       w.Owner(),
 			Generation: w.Gen(),
-			StampVNS:   t.ctl.Stamp(n, i),
 		}
 	}
 	return out

@@ -76,6 +76,32 @@ func TestJoinActivatePopulatesTable(t *testing.T) {
 	}
 }
 
+// TestSnapshotFabricBudget pins Snapshot to one atomic load per slot, the
+// slot's control word, and nothing else. Node 2 joins nothing, so the
+// agents of nodes 0 and 1 charge it nothing while it reads.
+func TestSnapshotFabricBudget(t *testing.T) {
+	lat := fabric.DefaultLatency()
+	f := fabric.New(fabric.Config{GlobalSize: 16 << 20, Nodes: 3, Latency: lat})
+	tb := New(f, fastCfg())
+	ms := joinAll(t, tb, f, 2)
+	defer func() {
+		for _, m := range ms {
+			m.Stop()
+		}
+	}()
+	n := f.Node(2)
+	before := n.Stats()
+	snap := tb.Snapshot(n)
+	slots := uint64(tb.Slots())
+	want := fabric.NodeStatsSnapshot{Atomics: slots, VirtualNS: slots * uint64(lat.AtomicNS+n.Hops()*lat.HopNS)}
+	if d := n.Stats().Delta(before); d != want {
+		t.Fatalf("Snapshot of %d slots: %+v; want %+v", slots, d, want)
+	}
+	if len(snap) != tb.Slots() || snap[0].State != StateAlive || snap[1].Node != 1 || snap[2].State != StateFree {
+		t.Fatalf("snapshot %+v", snap)
+	}
+}
+
 func TestCrashIsDetectedAsDead(t *testing.T) {
 	f := testFabric(3)
 	tb := New(f, fastCfg())

@@ -10,8 +10,8 @@
 //   - Coordination state lives in global memory and is manipulated ONLY
 //     with fabric atomics (no Go pointers cross nodes, no reliance on
 //     cache coherence): a fixed-size task table whose slots carry a
-//     packed state word (generation | attempt | owner | state), a lease
-//     word, function/argument words and instrumentation words; a per-node
+//     packed state word (generation | attempt | owner | state),
+//     function/argument words and instrumentation words; a per-node
 //     load board (queued+running count, heartbeat); and one global
 //     queued word.
 //
@@ -33,19 +33,19 @@
 // steal any queued task by scanning the shared table (cross-node work
 // stealing through the global queue).
 //
-// Failure handling is lease-based. A claim writes (owner, claim-beat)
-// into the task: the owner node's keeper goroutine renews all of its
-// leases implicitly by bumping the node's heartbeat word on the load
-// board every tick. When the fault injector crashes a node, its
-// heartbeat freezes; surviving keepers observe a Running task whose
-// owner's beat has not advanced for ProbeRounds consecutive ticks,
-// declare the lease expired, and re-queue the task (attempt+1) on
-// themselves with one CAS. Completion is published with a
+// Failure handling is lease-based. A claim writes its node into the task's
+// state word as the owner, and the lease is the owner's heartbeat word on
+// the load board: the owner node's keeper goroutine renews all of its
+// leases at once by bumping that word every tick. When the fault injector
+// crashes a node, its heartbeat freezes; surviving keepers observe a
+// Running task whose owner's beat has not advanced for ProbeRounds
+// consecutive ticks, declare the lease expired, and re-queue the task
+// (attempt+1) on themselves with one CAS. Completion is published with a
 // generation-checked CAS, so even if a slow node is falsely declared dead
 // and its task re-dispatched, exactly one completion is recorded and the
 // completion cell (if any) is bumped at most once: the bump follows the
 // CAS, so a runner that dies between the two loses it. Task bodies should
 // therefore be idempotent or publish their effects through their own
-// global-memory protocol: the scheduler guarantees at-least-once
-// execution and exactly-once completion.
+// global-memory protocol: the scheduler guarantees at-least-once execution
+// and exactly-once completion.
 package sched

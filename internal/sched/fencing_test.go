@@ -186,3 +186,27 @@ func TestNodeServingGateStopsWorkers(t *testing.T) {
 		t.Fatalf("open gate: task preferred at node 1 ran on node %d", int(got)-1)
 	}
 }
+
+// A node gated while its worker is past the worker loop's serving check
+// still claims nothing queued after the gate: claimAndRun checks the gate
+// after it loads the Queued word. The unstarted scheduler's direct call
+// stands in for that worker.
+func TestNodeServingGateStopsAClaimInFlight(t *testing.T) {
+	f := fabric.New(fabric.Config{GlobalSize: 8 << 20, Nodes: 2})
+	s := New(f, Config{TableCap: 8})
+	ran := false
+	fn := s.Register(func(*fabric.Node, uint64, uint64) { ran = true })
+	s.SetNodeServing(1, false)
+	n0, n1 := f.Node(0), f.Node(1)
+	h := s.Submit(n0, Task{Fn: fn, Preferred: 1})
+
+	if s.claimAndRun(n1, 1, h.Slot) {
+		t.Fatal("gated node 1 claimed a task queued after its gate closed")
+	}
+	if ran {
+		t.Fatal("gated node 1 ran the task")
+	}
+	if w := slotWord(n0.AtomicLoad64(s.stateG(h.Slot))); w.State() != stQueued || w.Gen() != h.Gen {
+		t.Fatalf("slot after the refused claim: state %d gen %d, want Queued gen %d", w.State(), w.Gen(), h.Gen)
+	}
+}

@@ -44,7 +44,7 @@ const noPreference = 0xff
 // tasks never share a line. Words:
 //
 //	w0 state      slotWord (all transitions via CAS)
-//	w1 lease      owner's heartbeat value at claim time
+//	w1 (unused)   a lease is the owner's heartbeat on the load board
 //	w2 fn         registered function index
 //	w3 arg0       first argument (often a GPtr to task state)
 //	w4 arg1       second argument
@@ -56,7 +56,6 @@ const (
 	slotBytes = fabric.LineSize
 
 	offState   = 0
-	offLease   = 8
 	offFn      = 16
 	offArg0    = 24
 	offArg1    = 32
@@ -76,7 +75,6 @@ const (
 
 func (s *Scheduler) slotG(i uint64) fabric.GPtr  { return s.tableG.Add(i * slotBytes) }
 func (s *Scheduler) stateG(i uint64) fabric.GPtr { return s.slotG(i).Add(offState) }
-func (s *Scheduler) leaseG(i uint64) fabric.GPtr { return s.slotG(i).Add(offLease) }
 func (s *Scheduler) fnG(i uint64) fabric.GPtr    { return s.slotG(i).Add(offFn) }
 func (s *Scheduler) arg0G(i uint64) fabric.GPtr  { return s.slotG(i).Add(offArg0) }
 func (s *Scheduler) arg1G(i uint64) fabric.GPtr  { return s.slotG(i).Add(offArg1) }

@@ -103,9 +103,6 @@ func (s *Scheduler) reclaim(n *fabric.Node, id int, i uint64, w slotWord) bool {
 	}
 	n.Add64(s.loadG(owner), ^uint64(0))
 	s.reclaimed.Add(1)
-	if owner >= 0 && owner < len(s.nodeLeaseExp) {
-		s.nodeLeaseExp[owner].Add(1)
-	}
 	if tw := s.tw(id); tw != nil {
 		tw.Emit(trace.SubSched, trace.KLeaseExpiry, 0, i, uint64(owner))
 	}

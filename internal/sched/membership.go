@@ -36,6 +36,11 @@ func (s *Scheduler) SetLiveness(fn func(int) bool) {
 // the table, or steal — the state of a hot-plugged node that has joined
 // the fabric but not yet activated.
 // Placement likewise skips non-serving nodes. Nodes default to serving.
+//
+// Once SetNodeServing(id, false) returns, node id claims no task queued
+// after that: a claim checks the gate after it loads the task's Queued
+// word, and a word stored after the gate is seen only with the gate.
+// A claim of a task queued earlier may still be in flight and run.
 func (s *Scheduler) SetNodeServing(id int, serving bool) {
 	if id < 0 || id >= len(s.notServing) {
 		return

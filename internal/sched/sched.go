@@ -150,13 +150,6 @@ type Scheduler struct {
 	allocCursor atomic.Uint64
 	reclaimed   atomic.Uint64
 
-	// Per-node anomaly counters the health layer samples (see health.go
-	// in this package): lease expiries are charged to the node whose
-	// lease was reclaimed, claim-CAS losses to the node that lost the
-	// claim. Host-side only — they cost the hot paths one atomic add.
-	nodeLeaseExp  []atomic.Uint64
-	nodeClaimFail []atomic.Uint64
-
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -198,8 +191,6 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 	}
 	nn := f.NumNodes()
 	s.notServing = make([]atomic.Bool, nn)
-	s.nodeLeaseExp = make([]atomic.Uint64, nn)
-	s.nodeClaimFail = make([]atomic.Uint64, nn)
 	s.trw = make([]atomic.Pointer[trace.Writer], nn)
 	s.inboxes = make([]*ds.MPSCRing, nn)
 	s.inboxMu = make([]sync.Mutex, nn)
@@ -303,7 +294,6 @@ func (s *Scheduler) Submit(from *fabric.Node, t Task) Handle {
 	from.AtomicStore64(s.prefG(slot), uint64(pref))
 	from.AtomicStore64(s.enqG(slot), nowNS())
 	from.AtomicStore64(s.cellG(slot), uint64(t.DoneCell))
-	from.AtomicStore64(s.leaseG(slot), 0)
 	// Hints count before publishing, so they never under-read a
 	// claimable task.
 	from.Add64(s.loadG(target), 1)

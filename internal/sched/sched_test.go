@@ -197,3 +197,39 @@ func TestBoundedTableBlocksThenRecovers(t *testing.T) {
 		t.Fatalf("completed %d of 64 through an 8-slot table", st.Completed)
 	}
 }
+
+// TestTaskFabricBudget pins what one task costs the fabric on an unstarted
+// two-node scheduler: node 0 submits a task preferring node 1, and node 1
+// claims, runs and completes it. Each side is pinned as its whole atomic
+// count and virtual time, so a word a step writes that nobody reads shows
+// up here as an atomic.
+func TestTaskFabricBudget(t *testing.T) {
+	f := fabric.New(fabric.Config{GlobalSize: 8 << 20, Nodes: 2, Latency: fabric.DefaultLatency()})
+	s := New(f, Config{TableCap: 8})
+	// No Start(): node 1's claim is the test.
+	fn := s.Register(func(*fabric.Node, uint64, uint64) {})
+	n0, n1 := f.Node(0), f.Node(1)
+
+	before0, before1 := n0.Stats(), n1.Stats()
+	h := s.Submit(n0, Task{Fn: fn, Preferred: 1})
+	if d := n0.Stats().Delta(before0); d.Atomics != 18 || d.VirtualNS != 13300 {
+		t.Errorf("Submit: %d atomics, %d sim_ns; want 18 and 13300", d.Atomics, d.VirtualNS)
+	}
+	if d := n1.Stats().Delta(before1); d != (fabric.NodeStatsSnapshot{}) {
+		t.Errorf("Submit charged node 1 %+v", d)
+	}
+
+	before0 = n0.Stats()
+	if !s.claimAndRun(n1, 1, h.Slot) {
+		t.Fatal("node 1 lost the claim with no other claimer")
+	}
+	if d := n1.Stats().Delta(before1); d.Atomics != 10 || d.VirtualNS != 6800 {
+		t.Errorf("claim and completion: %d atomics, %d sim_ns; want 10 and 6800", d.Atomics, d.VirtualNS)
+	}
+	if d := n0.Stats().Delta(before0); d != (fabric.NodeStatsSnapshot{}) {
+		t.Errorf("node 1's claim charged node 0 %+v", d)
+	}
+	if st := s.StatsFrom(n0); st.Submitted != 1 || st.Completed != 1 || st.Queued != 0 {
+		t.Fatalf("stats = %+v, want 1 submitted, 1 completed, 0 queued", st)
+	}
+}

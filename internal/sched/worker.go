@@ -131,8 +131,10 @@ func (s *Scheduler) scanAndRun(n *fabric.Node, id int) bool {
 // only hints.
 func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 	w := slotWord(n.AtomicLoad64(s.stateG(slot)))
-	if w.State() != stQueued {
-		s.nodeClaimFail[id].Add(1)
+	// A gated node claims nothing new. Checked after the state load: a
+	// Queued word stored after SetNodeServing(id, false) returned is seen
+	// here only with the gate already set (see SetNodeServing).
+	if w.State() != stQueued || s.notServing[id].Load() {
 		return false
 	}
 	// The Queued word's owner is the node the task is assigned to. A steal
@@ -147,12 +149,8 @@ func (s *Scheduler) claimAndRun(n *fabric.Node, id int, slot uint64) bool {
 		if assigned != id {
 			n.Add64(s.loadG(id), ^uint64(0))
 		}
-		s.nodeClaimFail[id].Add(1)
 		return false
 	}
-	// Lease: record the beat this claim starts at; the node's keeper
-	// renews it by advancing the heartbeat every tick.
-	n.AtomicStore64(s.leaseG(slot), n.AtomicLoad64(s.beatG(id)))
 	n.Add64(s.queuedG, ^uint64(0))
 	if assigned != id {
 		n.Add64(s.loadG(assigned), ^uint64(0))

@@ -109,7 +109,7 @@ func NewControlRack(f *fabric.Fabric, cfg ControlConfig) *ControlRack {
 	if cfg.Health {
 		r.srcs = make([]*health.NodeSource, f.NumNodes())
 		for id := range r.srcs {
-			r.srcs[id] = health.NewNodeSource(f.Node(id), r.Sched)
+			r.srcs[id] = health.NewNodeSource(f.Node(id))
 		}
 	}
 	r.Plane = health.NewPlane(r.Table, health.ControllerConfig{
